@@ -1100,11 +1100,12 @@ pub fn users() {
         if let p4auth_workloads::flows::ArrivalMix::HeavyTailed(ref mut ht) = cfg.mix {
             ht.idle_mean_ns *= load_scale;
         }
-        // The amortized window is both the sweep cadence and the batch
-        // lookahead: too short and the O(users) sweeps dominate, too long
-        // and every frame due inside the window sits pre-scheduled in the
-        // event queue. √load balances the two (sweep cost and queue depth
-        // then grow with the same factor — DESIGN.md §4f).
+        // The amortized window is both the wake cadence and the batch
+        // lookahead: too short and the per-window timer events dominate,
+        // too long and every frame due inside the window sits
+        // pre-scheduled in the event queue. √load balances the two (wake
+        // count and queue depth then grow with the same factor —
+        // DESIGN.md §4f).
         let window_scale = (load_scale as f64).sqrt().round().max(1.0) as u64;
         if let AggregateMode::Amortized { ref mut window_ns } = cfg.mode {
             *window_ns *= window_scale;

@@ -114,31 +114,20 @@ impl Outbox {
         self.send_delayed(port, payload, 0);
     }
 
-    /// Queues a whole batch of delayed sends out of `port` in one call —
-    /// the host-aggregation hot path, where a single timer event expands
-    /// into an interval's worth of per-user frames. Each item is
-    /// `(payload, processing_ns)`; capacity is reserved up front so the
-    /// expansion does at most one growth reallocation.
-    pub fn send_batch(
-        &mut self,
-        port: PortId,
-        frames: impl IntoIterator<Item = (FrameBytes, u64)>,
-    ) {
-        let frames = frames.into_iter();
-        self.frames.reserve(frames.size_hint().0);
-        for (payload, processing_ns) in frames {
-            self.frames.push((port, payload, processing_ns));
-        }
-    }
-
     /// Requests a timer callback `delay_ns` from now with identifier `id`.
     pub fn set_timer(&mut self, id: u64, delay_ns: u64) {
         self.timers.push((id, delay_ns));
     }
 
-    /// Number of queued frames (for tests).
-    pub fn pending_frames(&self) -> usize {
-        self.frames.len()
+    /// The queued sends as `(port, payload, processing_ns)`, in send
+    /// order (for tests that drive a node directly).
+    pub fn frames(&self) -> &[(PortId, FrameBytes, u64)] {
+        &self.frames
+    }
+
+    /// The requested timers as `(id, delay_ns)` (for tests).
+    pub fn timers(&self) -> &[(u64, u64)] {
+        &self.timers
     }
 
     fn is_clear(&self) -> bool {

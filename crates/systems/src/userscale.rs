@@ -5,11 +5,12 @@
 //! host, which caps a run at tens of thousands of modelled endpoints: every
 //! host costs a boxed node, a timer chain and per-event dispatch. This
 //! module replaces each access-port host with one [`AggregateHostNode`]
-//! modelling *N* edge users behind that port. Per-user flowlet state lives
-//! in flat structure-of-arrays columns (RNG word, next-due time, remaining
-//! frames, sequence counter, burst counter, trace cursor, modelled replay
-//! window, pending-frame credits — ~50 bytes/user), so a million users is
-//! ~50 MB of `Vec`s rather than a million boxed nodes.
+//! modelling *N* edge users behind that port. Everything a frame touches
+//! for one user (RNG word, next-due time, remaining frames, sequence
+//! counter, burst counter, trace cursor) is one packed 32-byte record, so
+//! emitting a frame and advancing its user costs one cache line; with the
+//! 4-byte due-wheel link below a million users is ~36 MB of flat `Vec`s
+//! rather than a million boxed nodes.
 //!
 //! Every user stream is deterministic from `(seed, global user index)`
 //! alone via [`workloads::flows::user_seed`], independent of aggregate
@@ -26,10 +27,14 @@
 //! * [`AggregateMode::Amortized`] wakes once per window and batch-emits
 //!   every frame due inside it with per-frame processing offsets, so each
 //!   frame still *arrives* at exactly the instant the exact mode would
-//!   deliver it (host links are latency-only). Cost: `O(users)` per
-//!   window — the near-constant per-user cost the bench measures. The two
-//!   modes may interleave same-instant events differently, so `Amortized`
-//!   is deterministic but not event-count-identical to `Exact`.
+//!   deliver it (host links are latency-only). Live users are filed in a
+//!   due-window wheel under the window their next frame falls in; a wake
+//!   drains only that window's bucket, in ascending user order, and
+//!   refiles each user that is still live. Cost: `O(users due)` per
+//!   window, not `O(users)` — an idle user costs nothing until its window
+//!   comes up. The two modes may interleave same-instant events
+//!   differently, so `Amortized` is deterministic but not
+//!   event-count-identical to `Exact`.
 //!
 //! The fabric is untouched: aggregates send the same fig19 read/write mix
 //! through the same [`crate::scaleload`] forwarders, so everything
@@ -52,7 +57,7 @@ use p4auth_primitives::rng::SplitMix64;
 use p4auth_telemetry::Registry;
 use p4auth_wire::ids::{PortId, SwitchId};
 use p4auth_workloads::flows::{splitmix_next, user_seed, ArrivalMix};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -177,10 +182,90 @@ struct CompromisedState {
     frames: VecDeque<Vec<u8>>,
 }
 
+/// Everything one frame touches for one user, packed so emit + advance
+/// stay on one cache line (32 bytes, two users per line).
+struct UserState {
+    rng: u64,
+    next_due: u64,
+    remaining: u32,
+    seq: u32,
+    burst_left: u32,
+    trace_pos: u32,
+}
+
+/// End-of-list marker of the wheel's intrusive bucket lists.
+const NIL: u32 = u32::MAX;
+
+/// The due-window wheel of an amortized aggregate: every live user is
+/// filed under the index of the window its `next_due` falls in, so a wake
+/// visits the users that are due instead of every user. Buckets are
+/// intrusive singly linked lists through `next` (4 bytes per user, no
+/// per-bucket allocation); only non-empty windows have a map entry.
+struct DueWheel {
+    /// Start of window 0: the aggregate's first wake. It includes the
+    /// boot-storm offset, which is why the wheel is filed on that wake
+    /// and not at construction.
+    t0: u64,
+    window: u64,
+    /// Non-empty windows: window index -> first user of the bucket.
+    heads: BTreeMap<u64, u32>,
+    /// The user filed after user `u` in the same bucket, or [`NIL`].
+    next: Vec<u32>,
+    /// The users drained for the current wake, reused across wakes.
+    due: Vec<u32>,
+}
+
+impl DueWheel {
+    /// Files every live user of an aggregate whose first wake is `t0`.
+    fn filed(t0: u64, window: u64, users: &[UserState]) -> Self {
+        assert!(users.len() < NIL as usize, "user indices must fit u32");
+        let mut wheel = DueWheel {
+            t0,
+            window,
+            heads: BTreeMap::new(),
+            next: vec![NIL; users.len()],
+            due: Vec::new(),
+        };
+        for (u, state) in users.iter().enumerate() {
+            if state.remaining > 0 {
+                wheel.file(u as u32, state.next_due);
+            }
+        }
+        wheel
+    }
+
+    /// Files user `u` under the window `due_ns` falls in. A due time
+    /// before `t0` (a boot-storm backlog) lands in window 0.
+    fn file(&mut self, u: u32, due_ns: u64) {
+        let w = due_ns.saturating_sub(self.t0) / self.window;
+        self.next[u as usize] = self.heads.insert(w, u).unwrap_or(NIL);
+    }
+
+    /// Unfiles every user whose window starts before `end_ns` into `due`,
+    /// ascending by user index: emission order decides every frame's
+    /// tiebreak `seq`, so it must not depend on filing order
+    /// (`tests/wheel_oracle.rs` pins it against a scan over all users).
+    fn drain_before(&mut self, end_ns: u64) {
+        let last = (end_ns - 1 - self.t0) / self.window;
+        self.due.clear();
+        while let Some(bucket) = self.heads.first_entry() {
+            if *bucket.key() > last {
+                break;
+            }
+            let mut u = bucket.remove();
+            while u != NIL {
+                self.due.push(u);
+                u = self.next[u as usize];
+            }
+        }
+        self.due.sort_unstable();
+    }
+}
+
 /// N modelled users behind one access port, as a single [`SimNode`].
 ///
-/// All per-user state is structure-of-arrays; the node owns no per-user
-/// allocations beyond the flat columns (plus the forged-frame queue of an
+/// The node owns no per-user allocations beyond the flat record column
+/// and the wheel's link column (plus the forged-frame queue of an
 /// optional compromised user).
 pub struct AggregateHostNode {
     slot: u16,
@@ -189,16 +274,12 @@ pub struct AggregateHostNode {
     mode: AggregateMode,
     ft: FatTree,
     credit_max: u16,
-    // --- flat per-user columns -------------------------------------------
-    rng: Vec<u64>,
-    next_due: Vec<u64>,
-    remaining: Vec<u32>,
-    seq: Vec<u32>,
-    burst_left: Vec<u32>,
-    trace_pos: Vec<u32>,
+    users: Vec<UserState>,
+    /// Modelled anti-replay windows, indexed by flow label (one byte, so
+    /// at most 256 are reachable however many users there are).
     replay_win: Vec<u64>,
-    credits: Vec<u16>,
-    // ---------------------------------------------------------------------
+    /// Filed on the first amortized wake; `Exact` never builds one.
+    wheel: Option<DueWheel>,
     active: u64,
     arrivals: Arc<AtomicU64>,
     sent_total: Arc<AtomicU64>,
@@ -220,33 +301,36 @@ impl AggregateHostNode {
         sent_total: Arc<AtomicU64>,
     ) -> Self {
         let n = users as usize;
-        let mut rng = Vec::with_capacity(n);
-        let mut next_due = Vec::with_capacity(n);
-        let mut trace_pos = Vec::with_capacity(n);
-        let mut burst_left = Vec::with_capacity(n);
+        let mut states = Vec::with_capacity(n);
         for u in 0..users {
             let g = base_user + u;
-            let (mut word, mut pos) = cfg.mix.init_state(cfg.seed, g);
+            let (mut rng, mut trace_pos) = cfg.mix.init_state(cfg.seed, g);
             // First frame at boot + the mix's initial offset: uniform
             // users start at boot (bit-identity with individual hosts),
             // heavy-tailed users idle before their first burst — without
             // the offset a million users' first frames would all land
             // inside the ~1.1 µs boot stagger and the event queue would
             // hold O(users) in-flight frames at once.
-            let mut burst = 0u32;
-            let first = user_boot(g) + cfg.mix.initial_gap_ns(&mut word, &mut burst, &mut pos);
-            rng.push(word);
-            trace_pos.push(pos);
-            burst_left.push(burst);
-            next_due.push(first);
+            let mut burst_left = 0u32;
+            let first = user_boot(g)
+                + cfg
+                    .mix
+                    .initial_gap_ns(&mut rng, &mut burst_left, &mut trace_pos);
+            states.push(UserState {
+                rng,
+                next_due: first,
+                remaining: cfg.frames_per_user,
+                seq: 0,
+                burst_left,
+                trace_pos,
+            });
         }
-        let mut remaining = vec![cfg.frames_per_user; n];
         let compromised = cfg.compromised.as_ref().and_then(|c| {
             if c.user < base_user || c.user >= base_user + users {
                 return None;
             }
             let local = (c.user - base_user) as usize;
-            remaining[local] = c.frames;
+            states[local].remaining = c.frames;
             let mut flood_rng = SplitMix64::new(user_seed(cfg.seed, c.user) ^ 0xf100d);
             Some(CompromisedState {
                 local,
@@ -255,7 +339,7 @@ impl AggregateHostNode {
                     .into(),
             })
         });
-        let active = remaining.iter().filter(|&&r| r > 0).count() as u64;
+        let active = states.iter().filter(|s| s.remaining > 0).count() as u64;
         AggregateHostNode {
             slot,
             base_user,
@@ -263,14 +347,9 @@ impl AggregateHostNode {
             mode: cfg.mode,
             ft,
             credit_max: cfg.credits_per_window.max(1),
-            rng,
-            next_due,
-            remaining,
-            seq: vec![0; n],
-            burst_left,
-            trace_pos,
-            replay_win: vec![0; n],
-            credits: vec![cfg.credits_per_window.max(1); n],
+            users: states,
+            replay_win: vec![0; n.min(256)],
+            wheel: None,
             active,
             arrivals,
             sent_total,
@@ -280,7 +359,7 @@ impl AggregateHostNode {
 
     /// Users this aggregate models.
     pub fn users(&self) -> u64 {
-        self.rng.len() as u64
+        self.users.len() as u64
     }
 
     /// Global index of this aggregate's first user (user `u` of the
@@ -289,9 +368,16 @@ impl AggregateHostNode {
         self.base_user
     }
 
+    /// Users that still hold unsent frames; the amortized timer re-arms
+    /// while this is non-zero.
+    pub fn active_users(&self) -> u64 {
+        self.active
+    }
+
     /// Delay (from sim start) of the first timer the runner must arm, or
     /// `None` when no user will ever transmit. `Exact` wakes at the
-    /// earliest user's boot; `Amortized` wakes immediately and sweeps.
+    /// earliest user's boot; `Amortized` wakes immediately and files its
+    /// wheel.
     pub fn first_due_ns(&self) -> Option<u64> {
         if self.active == 0 {
             return None;
@@ -310,11 +396,10 @@ impl AggregateHostNode {
     }
 
     fn min_due(&self) -> Option<u64> {
-        self.next_due
+        self.users
             .iter()
-            .zip(&self.remaining)
-            .filter(|&(_, &r)| r > 0)
-            .map(|(&d, _)| d)
+            .filter(|s| s.remaining > 0)
+            .map(|s| s.next_due)
             .min()
     }
 
@@ -330,19 +415,20 @@ impl AggregateHostNode {
             }
         }
         let slots = self.ft.host_count();
-        let mut dst = (splitmix_next(&mut self.rng[u]) % (slots as u64 - 1)) as u16;
+        let state = &mut self.users[u];
+        let mut dst = (splitmix_next(&mut state.rng) % (slots as u64 - 1)) as u16;
         if dst >= self.slot {
             dst += 1;
         }
-        let len = if self.seq[u] % 3 == 2 {
+        let len = if state.seq % 3 == 2 {
             WRITE_FRAME_BYTES
         } else {
             READ_FRAME_BYTES
         };
-        self.seq[u] += 1;
+        state.seq += 1;
         let mut buf = [0u8; WRITE_FRAME_BYTES];
         buf[..2].copy_from_slice(&self.ft.host(dst).value().to_le_bytes());
-        buf[2] = (splitmix_next(&mut self.rng[u]) & 0xff) as u8;
+        buf[2] = (splitmix_next(&mut state.rng) & 0xff) as u8;
         FrameBytes::from_slice(&buf[..len])
     }
 
@@ -350,27 +436,25 @@ impl AggregateHostNode {
     /// from `from_ns` (the emitted frame's due instant) by the user's next
     /// arrival gap.
     fn advance(&mut self, u: usize, from_ns: u64) {
-        self.remaining[u] -= 1;
-        if self.remaining[u] == 0 {
+        let state = &mut self.users[u];
+        state.remaining -= 1;
+        if state.remaining == 0 {
             self.active -= 1;
             return;
         }
         let gap = match &self.compromised {
             Some(c) if c.local == u => c.gap_ns.max(1),
-            _ => self.mix.next_gap(
-                &mut self.rng[u],
-                &mut self.burst_left[u],
-                &mut self.trace_pos[u],
-            ),
+            _ => self
+                .mix
+                .next_gap(&mut state.rng, &mut state.burst_left, &mut state.trace_pos),
         };
-        self.next_due[u] = from_ns + gap;
+        state.next_due = from_ns + gap;
     }
 
     fn on_timer_exact(&mut self, now_ns: u64, out: &mut Outbox) {
-        let n = self.rng.len();
         let mut sent = 0u64;
-        for u in 0..n {
-            if self.remaining[u] > 0 && self.next_due[u] <= now_ns {
+        for u in 0..self.users.len() {
+            if self.users[u].remaining > 0 && self.users[u].next_due <= now_ns {
                 let frame = self.build_frame(u);
                 out.send(PortId::new(1), frame);
                 sent += 1;
@@ -384,36 +468,42 @@ impl AggregateHostNode {
     }
 
     fn on_timer_amortized(&mut self, now_ns: u64, window_ns: u64, out: &mut Outbox) {
-        let window_end = now_ns + window_ns.max(1);
-        let n = self.rng.len();
-        let mut batch: Vec<(FrameBytes, u64)> = Vec::new();
-        for u in 0..n {
-            if self.remaining[u] == 0 {
-                continue;
-            }
-            self.credits[u] = self.credit_max;
-            while self.remaining[u] > 0 && self.next_due[u] < window_end {
-                if self.credits[u] == 0 {
+        let window = window_ns.max(1);
+        let window_end = now_ns + window;
+        let mut wheel = self
+            .wheel
+            .take()
+            .unwrap_or_else(|| DueWheel::filed(now_ns, window, &self.users));
+        wheel.drain_before(window_end);
+        let mut sent = 0u64;
+        for i in 0..wheel.due.len() {
+            let u = wheel.due[i] as usize;
+            let mut credits = self.credit_max;
+            while self.users[u].remaining > 0 && self.users[u].next_due < window_end {
+                if credits == 0 {
                     // Uplink backpressure: the rest of this user's stream
                     // is deferred to the next window.
-                    self.next_due[u] = window_end;
+                    self.users[u].next_due = window_end;
                     break;
                 }
-                self.credits[u] -= 1;
-                let due = self.next_due[u];
+                credits -= 1;
+                let due = self.users[u].next_due;
                 // A boot-storm wave starts the aggregate after some users'
                 // first arrivals; that backlog drains at boot (delay 0) —
                 // the burst a real staggered boot produces.
                 let frame = self.build_frame(u);
-                batch.push((frame, due.saturating_sub(now_ns)));
+                out.send_delayed(PortId::new(1), frame, due.saturating_sub(now_ns));
+                sent += 1;
                 self.advance(u, due);
             }
+            if self.users[u].remaining > 0 {
+                wheel.file(u as u32, self.users[u].next_due);
+            }
         }
-        self.sent_total
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        out.send_batch(PortId::new(1), batch);
+        self.wheel = Some(wheel);
+        self.sent_total.fetch_add(sent, Ordering::Relaxed);
         if self.active > 0 {
-            out.set_timer(SEND_TIMER, window_ns.max(1));
+            out.set_timer(SEND_TIMER, window);
         }
     }
 }
@@ -640,6 +730,19 @@ mod tests {
     use crate::scaleload::{boot_delay, frame_dst, run_scale_engine};
     use p4auth_netsim::sched::SchedulerKind;
 
+    /// The aggregate of host slot 0 holding users `0..users`.
+    fn test_aggregate(cfg: &UserScaleConfig, users: u64) -> AggregateHostNode {
+        AggregateHostNode::new(
+            cfg,
+            FatTree::new(cfg.k),
+            0,
+            0,
+            users,
+            Arc::new(AtomicU64::new(0)),
+            Arc::new(AtomicU64::new(0)),
+        )
+    }
+
     #[test]
     fn user_boot_extends_host_boot_delay() {
         for h in [0u16, 1, 13, 96, 97, 1024, u16::MAX] {
@@ -756,6 +859,66 @@ mod tests {
         assert_eq!(throttled.frames_delivered, 64 * 8);
         // Backpressure stretches the schedule out in sim time.
         assert!(throttled.sim_ns > free.sim_ns);
+
+        // Window by window: 8 users all boot inside window 0 and have all
+        // 8 frames due in it, so each wake emits exactly the 2 credits per
+        // user, and every deferred user is refiled into exactly the next
+        // window, until the fourth wake drains the last frames.
+        let mut agg = test_aggregate(&cfg, 8);
+        for wake in 0..4u64 {
+            let mut out = Outbox::default();
+            agg.on_timer(SimTime::from_ns(wake * 100), SEND_TIMER, &mut out);
+            assert_eq!(out.frames().len(), 8 * 2, "wake {wake}");
+            let wheel = agg.wheel.as_ref().expect("filed on the first wake");
+            let filed: Vec<u64> = wheel.heads.keys().copied().collect();
+            if wake < 3 {
+                assert_eq!(filed, [wake + 1], "wake {wake}");
+                assert_eq!(out.timers(), [(SEND_TIMER, 100)]);
+            } else {
+                assert!(filed.is_empty());
+                assert!(out.timers().is_empty(), "nobody left to wake for");
+            }
+        }
+        assert_eq!(agg.active_users(), 0);
+    }
+
+    #[test]
+    fn timer_stops_when_the_last_live_user_finishes() {
+        // One user, three frames 250 ns apart from boot at 1 ns, 100 ns
+        // windows: frames in windows 0, 2 and 5, a wake in each of
+        // 0..=5, none after.
+        let mut cfg = UserScaleConfig::for_k(4, 1, 3);
+        cfg.mix = ArrivalMix::Uniform { gap_ns: 250 };
+        cfg.mode = AggregateMode::Amortized { window_ns: 100 };
+        let mut agg = test_aggregate(&cfg, 1);
+        let mut sent = Vec::new();
+        for wake in 0..=5u64 {
+            let mut out = Outbox::default();
+            agg.on_timer(SimTime::from_ns(wake * 100), SEND_TIMER, &mut out);
+            sent.push(out.frames().len());
+            assert_eq!(out.timers().is_empty(), wake == 5, "wake {wake}");
+        }
+        assert_eq!(sent, [1, 0, 1, 0, 0, 1]);
+
+        // The same through the simulator: aggregate 0 (user 0) fires
+        // exactly those six timers and the run ends.
+        let run = run_users_engine(&cfg, Engine::Sequential(SchedulerKind::Calendar), None);
+        assert_eq!(run.frames_sent, 3);
+        assert_eq!(run.stats.timers_fired, 6);
+    }
+
+    #[test]
+    fn idle_aggregates_never_wake_or_file() {
+        let silent = UserScaleConfig::for_k(4, 16, 0);
+        for (cfg, users) in [(&silent, 5), (&UserScaleConfig::for_k(4, 16, 3), 0)] {
+            let agg = test_aggregate(cfg, users);
+            assert_eq!(agg.users(), users);
+            assert_eq!(agg.active_users(), 0);
+            assert_eq!(agg.first_due_ns(), None);
+            assert!(agg.wheel.is_none());
+        }
+        let run = run_users_engine(&silent, Engine::Sequential(SchedulerKind::Calendar), None);
+        assert_eq!((run.events, run.stats.timers_fired), (0, 0));
     }
 
     #[test]
@@ -871,15 +1034,7 @@ mod tests {
     #[test]
     fn replay_windows_track_deliveries() {
         let cfg = UserScaleConfig::for_k(4, 8, 2);
-        let mut agg = AggregateHostNode::new(
-            &cfg,
-            FatTree::new(4),
-            0,
-            0,
-            8,
-            Arc::new(AtomicU64::new(0)),
-            Arc::new(AtomicU64::new(0)),
-        );
+        let mut agg = test_aggregate(&cfg, 8);
         assert_eq!(agg.replay_window_occupancy(), 0);
         for flow in [0u8, 0, 7] {
             let mut sim_out = Outbox::default();
@@ -889,5 +1044,16 @@ mod tests {
         // Two deliveries attributed to user 0 (three window bits would mean
         // mis-attribution), one to user 7.
         assert_eq!(agg.replay_window_occupancy(), 3);
+
+        // A flow label is one byte, so only 256 windows are reachable
+        // however many users the aggregate models.
+        let mut big = test_aggregate(&UserScaleConfig::for_k(4, 1_000, 1), 1_000);
+        assert_eq!(big.replay_win.len(), 256);
+        for flow in [0u8, 255, 255] {
+            let frame = FrameBytes::from_slice(&[1, 0, flow, 9]);
+            let mut sim_out = Outbox::default();
+            big.on_frame(SimTime::from_ns(10), PortId::new(1), frame, &mut sim_out);
+        }
+        assert_eq!(big.replay_window_occupancy(), 3);
     }
 }
