@@ -19,6 +19,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut net = Network::build(
                 Topology::chain(4, 50_000, 200_000),
+                1,
                 ControllerConfig::default(),
                 0x7ab3,
                 |_| None,

@@ -293,6 +293,7 @@ pub fn table3() {
     // Cross-check the analytic model against a real simulated bootstrap.
     let mut net = Network::build(
         Topology::chain(4, 50_000, 200_000),
+        1,
         ControllerConfig::default(),
         0x7ab3,
         |_| None,
@@ -366,6 +367,7 @@ pub fn metrics() {
     let registry = Arc::new(Registry::with_event_capacity(4096));
     let mut net = Network::build(
         Topology::chain(2, 1_000, 200_000),
+        1,
         ControllerConfig::default(),
         0xfeed_5eed,
         |_| None,
@@ -456,12 +458,12 @@ pub fn metrics() {
         "scenario must exercise both reject paths"
     );
     assert!(
-        snapshot.counter("ctrl_defence_mitigations", "controller") == Some(1),
+        snapshot.counter("ctrl_defence_mitigations", "replica0") == Some(1),
         "the flood must trigger exactly one mitigation"
     );
     assert!(
         snapshot
-            .histogram("defence_mitigation_latency_ns", "controller")
+            .histogram("defence_mitigation_latency_ns", "replica0")
             .is_some_and(|h| h.count == 1 && h.min > 0),
         "detection-to-mitigation latency must be measured in sim-ns"
     );
@@ -748,7 +750,7 @@ pub fn trace() {
     );
     let snap = probe.snapshot();
     let hist = snap
-        .histogram("defence_mitigation_latency_ns", "controller")
+        .histogram("defence_mitigation_latency_ns", "replica0")
         .expect("mitigation latency histogram present");
     assert_eq!(
         total, hist.max,

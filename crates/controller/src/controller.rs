@@ -176,6 +176,24 @@ pub struct ControllerStats {
     pub kex_abandoned: u64,
 }
 
+impl std::ops::Add for ControllerStats {
+    type Output = ControllerStats;
+
+    /// Field-wise sum (a replica set's totals).
+    fn add(self, o: ControllerStats) -> ControllerStats {
+        ControllerStats {
+            requests_sent: self.requests_sent + o.requests_sent,
+            responses_ok: self.responses_ok + o.responses_ok,
+            rejected: self.rejected + o.rejected,
+            alerts: self.alerts + o.alerts,
+            alerts_dropped: self.alerts_dropped + o.alerts_dropped,
+            defence_mitigations: self.defence_mitigations + o.defence_mitigations,
+            defence_actions_dropped: self.defence_actions_dropped + o.defence_actions_dropped,
+            kex_abandoned: self.kex_abandoned + o.kex_abandoned,
+        }
+    }
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct PendingRequest {
     reg: RegId,

@@ -1,11 +1,10 @@
 //! Orchestration daemons: the split controller's per-domain actors.
 //!
-//! The monolithic [`Controller`](crate::Controller) stays as the
-//! *protocol core* — sealing, verifying, and stepping the actual key
-//! exchanges — but the orchestration decisions around it (when to roll
-//! which key, when a channel's reject rate warrants a mitigation, what
-//! register-plane outcomes to publish) move into three daemons in the
-//! sonic-swss shape. Daemons never call each other; they coordinate
+//! [`Controller`] is the *protocol core* — sealing, verifying, and
+//! stepping the actual key exchanges — and the orchestration decisions
+//! around it (when to roll which key, when a channel's reject rate
+//! warrants a mitigation, what register-plane outcomes to publish) live
+//! in three daemons in the sonic-swss shape. Daemons never call each other; they coordinate
 //! exclusively through the shared [`StateDb`]:
 //!
 //! * [`KeyManagerDaemon`] drives KMP/local/port key lifecycles for the

@@ -535,7 +535,7 @@ mod tests {
     #[test]
     fn rate_driven_mode_ignores_signals_but_fires_on_crossing() {
         let mut d = DefenceState::new_rate_driven(cfg());
-        // Per-reject signals are the monolith path; a rate-driven loop
+        // Per-reject signals are the count-driven path; a rate-driven loop
         // must not double-detect from them.
         for t in [100, 200, 300, 400, 500] {
             d.record_signal(t, S1, PortId::new(1));

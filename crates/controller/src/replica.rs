@@ -37,7 +37,7 @@
 //! run with the same topology and seeds is bit-identical, which the CI
 //! two-run gate checks end-to-end.
 
-use crate::controller::{Controller, ControllerConfig, ControllerEvent, Outgoing};
+use crate::controller::{Controller, ControllerConfig, ControllerEvent, ControllerStats, Outgoing};
 use crate::daemons::{tables, DefenceDaemon, KeyManagerDaemon, RegisterDaemon};
 use crate::defence::DefenceConfig;
 use crate::statedb::{StateDb, Value};
@@ -87,14 +87,16 @@ impl ControllerReplica {
     }
 }
 
-/// An in-flight cross-partition port-key redirect, keyed by each
-/// participating switch.
+/// An in-flight port-key redirect, keyed by each participating
+/// `(switch, exchange port)` — the port the endpoint's legs carry in
+/// their header. Switch-only keys would let two exchanges that share a
+/// switch (any correlated link recovery) overwrite each other's lease.
 #[derive(Clone, Copy, Debug)]
 struct RedirectLease {
     /// Replica hosting both legs of the redirect.
     home: usize,
-    /// The other switch in the exchange.
-    peer: SwitchId,
+    /// The other endpoint of the exchange.
+    peer: (SwitchId, PortId),
 }
 
 /// A set of controller replicas sharing one state table. See the
@@ -102,7 +104,7 @@ struct RedirectLease {
 pub struct ReplicaSet {
     db: StateDb,
     replicas: Vec<ControllerReplica>,
-    redirects: BTreeMap<SwitchId, RedirectLease>,
+    redirects: BTreeMap<(SwitchId, PortId), RedirectLease>,
     defence: Option<(DefenceConfig, u64)>,
     /// Channel labels seen in the previous `observe_rates` sample. A
     /// label present here but absent from the current sample has gone
@@ -211,6 +213,16 @@ impl ReplicaSet {
         }
     }
 
+    /// Arms the count-driven defence loop on every replica's core: each
+    /// core's own sliding reject window detects the flood and mitigates,
+    /// with no daemon or rate series involved (the §VII single-controller
+    /// behaviour, per partition).
+    pub fn enable_defence(&mut self, config: DefenceConfig) {
+        for r in &mut self.replicas {
+            r.core.enable_defence(config);
+        }
+    }
+
     /// Arms the rate-driven defence ladder on every replica:
     /// mitigations trigger when a channel's windowed reject rate (from
     /// [`ReplicaSet::observe_rates`]) reaches `threshold` rejects/sec.
@@ -263,17 +275,22 @@ impl ReplicaSet {
         bytes: &[u8],
     ) -> (Vec<Outgoing>, Vec<ControllerEvent>) {
         let mut target = self.owner(from);
-        let mut answer_leg = false;
-        if let Ok(msg) = Message::decode(bytes) {
-            if let Body::KeyExchange(KeyExchange::Adhkd {
-                context: KexContext::PortInitRedirect,
-                role,
-                ..
-            }) = msg.body()
-            {
-                if let Some(lease) = self.redirects.get(&from) {
-                    target = lease.home;
-                    answer_leg = *role == AdhkdRole::Answer;
+        let mut answer_leg = None;
+        // No lease, no redirect leg to re-route: skip the sniffing decode
+        // (the core decodes the frame itself).
+        if !self.redirects.is_empty() {
+            if let Ok(msg) = Message::decode(bytes) {
+                if let Body::KeyExchange(KeyExchange::Adhkd {
+                    context: KexContext::PortInitRedirect,
+                    role,
+                    ..
+                }) = msg.body()
+                {
+                    let party = (from, msg.header().port);
+                    if let Some(lease) = self.redirects.get(&party) {
+                        target = lease.home;
+                        answer_leg = (*role == AdhkdRole::Answer).then_some(party);
+                    }
                 }
             }
         }
@@ -281,8 +298,8 @@ impl ReplicaSet {
         r.core.set_now(now_ns);
         let (out, events) = r.core.on_message(from, bytes);
         r.registers.publish(&mut self.db, now_ns, &events);
-        if answer_leg {
-            self.finish_redirect(from);
+        if let Some(party) = answer_leg {
+            self.finish_redirect(party);
         }
         (out, events)
     }
@@ -316,24 +333,27 @@ impl ReplicaSet {
                 Value::U64(home as u64),
             );
         }
-        self.redirects
-            .insert(sw1, RedirectLease { home, peer: sw2 });
-        self.redirects
-            .insert(sw2, RedirectLease { home, peer: sw1 });
+        let (a, b) = ((sw1, port1), (sw2, port2));
+        self.redirects.insert(a, RedirectLease { home, peer: b });
+        self.redirects.insert(b, RedirectLease { home, peer: a });
         let core = &mut self.replicas[home].core;
         core.set_now(now_ns);
         core.port_key_init(sw1, port1, sw2, port2)
     }
 
-    /// Completes the redirect `party` participated in: hands sequence
-    /// counters back to the owners of any leased channels and drops the
-    /// leases.
-    fn finish_redirect(&mut self, party: SwitchId) {
+    /// Completes the redirect `party` participated in. A switch's
+    /// channel is released — sequence counter handed back to its owner,
+    /// `leases` entry dropped — only once no other redirect on that
+    /// switch remains: a concurrent exchange still needs both.
+    fn finish_redirect(&mut self, party: (SwitchId, PortId)) {
         let Some(lease) = self.redirects.remove(&party) else {
             return;
         };
         self.redirects.remove(&lease.peer);
-        for sw in [party, lease.peer] {
+        for sw in [party.0, lease.peer.0] {
+            if self.redirects.keys().any(|(s, _)| *s == sw) {
+                continue;
+            }
             let owner = self.owner(sw);
             if owner != lease.home {
                 if let Some(seq) = self.replicas[lease.home].core.channel_seq(sw) {
@@ -374,6 +394,18 @@ impl ReplicaSet {
         let core = &mut self.replicas[i].core;
         core.set_now(now_ns);
         core.port_key_update(sw1, port1, sw2)
+    }
+
+    /// Re-drives stalled key exchanges on every replica, in index order
+    /// (see [`Controller::retry_stalled`]).
+    pub fn retry_stalled(&mut self, now_ns: u64) -> Vec<Outgoing> {
+        self.replicas
+            .iter_mut()
+            .flat_map(|r| {
+                r.core.set_now(now_ns);
+                r.core.retry_stalled()
+            })
+            .collect()
     }
 
     /// Reports a DP-DP port-key install to the owner's defence
@@ -506,6 +538,13 @@ impl ReplicaSet {
         }
     }
 
+    /// Lifetime counters summed over the replicas.
+    pub fn stats(&self) -> ControllerStats {
+        self.replicas
+            .iter()
+            .fold(ControllerStats::default(), |acc, r| acc + r.core.stats())
+    }
+
     /// All alerts collected across the replicas, in replica order.
     pub fn alerts(&self) -> Vec<(SwitchId, p4auth_wire::body::AlertKind)> {
         self.replicas
@@ -590,6 +629,111 @@ mod tests {
         let version = set.db().get(tables::RATES, "ch1").unwrap().version;
         set.observe_rates(3_000, &[gauge("ch2", 3)]);
         assert_eq!(set.db().get(tables::RATES, "ch1").unwrap().version, version);
+    }
+
+    /// Two cross-partition port-key exchanges sharing responder `r` with
+    /// different homes, in flight at once — what any correlated link
+    /// recovery produces. Leases are keyed by `(switch, port)`, so
+    /// whichever answer leg arrives first completes only its own
+    /// redirect, and `r`'s `leases` entry survives until the second.
+    #[test]
+    fn concurrent_redirects_sharing_a_responder_both_complete() {
+        use p4auth_core::agent::{AgentConfig, P4AuthSwitch};
+
+        const N: usize = 3;
+        // One switch per partition: initiators `a`, `b` (the two homes)
+        // and the shared responder `r`.
+        let pick = |owner: usize| {
+            (1..64u16)
+                .map(SwitchId::new)
+                .find(|&s| partition_of(s, N) == owner)
+                .expect("every partition owns some small id")
+        };
+        let (a, b, r) = (pick(0), pick(1), pick(2));
+        let (p1, p2) = (PortId::new(1), PortId::new(2));
+
+        for a_answers_first in [true, false] {
+            let seeds: Vec<(SwitchId, Key64)> = [a, b, r]
+                .iter()
+                .map(|&id| (id, Key64::new(0x5eed_0000 + u64::from(id.value()))))
+                .collect();
+            let mut set = ReplicaSet::new(N, ControllerConfig::default(), &seeds);
+            let mut agents: BTreeMap<SwitchId, P4AuthSwitch> = seeds
+                .iter()
+                .map(|&(id, k)| (id, P4AuthSwitch::new(AgentConfig::new(id, 2, k), None)))
+                .collect();
+            // Hands controller frames to their agents and returns what the
+            // agents send back, as `(from, bytes)`.
+            let mut deliver = |out: Vec<Outgoing>| -> Vec<(SwitchId, Vec<u8>)> {
+                out.into_iter()
+                    .flat_map(|o| {
+                        let output = agents.get_mut(&o.to).expect("known switch").on_packet(
+                            1_000,
+                            PortId::CPU,
+                            &o.bytes,
+                        );
+                        output
+                            .outputs
+                            .into_iter()
+                            .map(move |(_, bytes)| (o.to, bytes))
+                    })
+                    .collect()
+            };
+
+            // Local keys everywhere (EAK + ADHKD run to quiescence).
+            let mut inbound: Vec<(SwitchId, Vec<u8>)> = Vec::new();
+            for &(id, _) in &seeds {
+                inbound.extend(deliver(set.local_key_init(1_000, id)));
+            }
+            while !inbound.is_empty() {
+                let mut next = Vec::new();
+                for (from, bytes) in inbound {
+                    next.extend(deliver(set.on_message(1_000, from, &bytes).0));
+                }
+                inbound = next;
+            }
+            assert!([a, b, r].iter().all(|&s| set.has_local_key(s)));
+
+            // Both exchanges run up to (not including) their answer leg:
+            // portKeyInit -> initiator's offer -> redirected to `r` -> answer.
+            let mut answer_of = |set: &mut ReplicaSet, init: SwitchId, r_port: PortId| {
+                let offers = deliver(set.port_key_init(1_000, init, p1, r, r_port));
+                assert_eq!(offers.len(), 1, "one offer leg from {init}");
+                let (redirected, _) = set.on_message(1_000, init, &offers[0].1);
+                let mut answers = deliver(redirected);
+                assert_eq!(answers.len(), 1, "one answer leg from {r}");
+                answers.remove(0).1
+            };
+            let answer_a = answer_of(&mut set, a, p1);
+            let answer_b = answer_of(&mut set, b, p2);
+            let leased = |set: &ReplicaSet| set.db().get(tables::LEASES, &r.to_string()).is_some();
+            assert!(leased(&set), "responder leased while redirects are open");
+
+            let (first, second) = if a_answers_first {
+                (answer_a, answer_b)
+            } else {
+                (answer_b, answer_a)
+            };
+            let (out, _) = set.on_message(1_000, r, &first);
+            assert_eq!(out.len(), 1, "first answer leg redirected to its initiator");
+            deliver(out);
+            assert!(leased(&set), "the other exchange still needs the lease");
+            let (out, _) = set.on_message(1_000, r, &second);
+            assert_eq!(
+                out.len(),
+                1,
+                "second answer leg redirected to its initiator"
+            );
+            deliver(out);
+            assert!(!leased(&set), "lease released with the last redirect");
+
+            for (init, r_port) in [(a, p1), (b, p2)] {
+                let k_init = agents[&init].keys().port(p1).current();
+                let k_resp = agents[&r].keys().port(r_port).current();
+                assert!(k_init.is_some(), "{init} installed its port key");
+                assert_eq!(k_init, k_resp, "{init}:{p1} and {r}:{r_port} agree");
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ use p4auth_netsim::fault::FaultPlan;
 use p4auth_netsim::sched::SchedulerKind;
 use p4auth_netsim::time::SimTime;
 use p4auth_netsim::topology::{LinkId, Topology};
-use p4auth_telemetry::{Registry, SpanKind};
+use p4auth_telemetry::{HistogramSample, Registry, Snapshot, SpanKind};
 use p4auth_wire::body::AlertKind;
 use p4auth_wire::ids::{PortId, RegId, SwitchId};
 use std::sync::atomic::AtomicU64;
@@ -269,15 +269,17 @@ fn fabric_phase(cfg: &CampaignConfig, plan: FaultPlan, checks: &mut Checks) -> F
     }
 }
 
-/// A defence-phase network: the §VII harness with telemetry, booted keys
-/// and the adaptive defence armed.
+/// A defence-phase network: the §VII harness on `n_replicas` controller
+/// replicas with telemetry, booted keys and the adaptive defence armed.
 fn defence_net(
     seed: u64,
+    n_replicas: usize,
     configure: impl FnMut(SwitchId, AgentConfig) -> AgentConfig,
 ) -> (Network, Arc<Registry>) {
     let registry = Arc::new(Registry::with_capacities(2048, CAMPAIGN_TRACE_CAPACITY));
     let mut net = Network::build(
         Topology::fat_tree_with_controller(K, 1_000, 200_000),
+        n_replicas,
         ControllerConfig::default(),
         seed,
         |_| None,
@@ -300,6 +302,15 @@ fn campaign_phase_span(registry: &Registry, idx: u64, start_ns: u64, end_ns: u64
     }
 }
 
+/// The first non-empty series of histogram family `name`, whatever its
+/// label: control-plane series live under whichever replica owns the
+/// channel they measure.
+fn recorded_histogram<'a>(snap: &'a Snapshot, name: &str) -> Option<&'a HistogramSample> {
+    snap.histograms
+        .iter()
+        .find(|h| h.name == name && h.count > 0)
+}
+
 /// Shared per-campaign telemetry wrap-up: asserts the bounded trace
 /// buffer dropped nothing at the default campaign configuration (the
 /// zero-drop property is what keeps traces bit-identical across
@@ -319,11 +330,7 @@ fn finish_telemetry(registry: &Registry, checks: &mut Checks) -> [Option<u64>; 4
         ),
     );
     let snap = registry.snapshot();
-    let pick = |name: &str| {
-        snap.histogram(name, "controller")
-            .filter(|h| h.count > 0)
-            .map(|h| (h.p50, h.p99))
-    };
+    let pick = |name: &str| recorded_histogram(&snap, name).map(|h| (h.p50, h.p99));
     let mitigation = pick("defence_mitigation_latency_ns");
     let rollover = pick("ctrl_rollover_fanout_ns");
     [
@@ -345,6 +352,7 @@ pub fn traced_defence_probe(kind: SchedulerKind, trace_capacity: usize) -> Arc<R
     let mut net = Network::build_with_scheduler(
         Topology::fat_tree_with_controller(K, 1_000, 200_000),
         kind,
+        1,
         ControllerConfig::default(),
         0xb007,
         |_| None,
@@ -440,7 +448,7 @@ fn check_flood_defence(
         format!("LocalKeyRolled({victim}) present"),
     );
 
-    let stats = net.controller.borrow().stats();
+    let stats = net.set.borrow().stats();
     checks.require(
         "no_forged_frame_accepted",
         stats.responses_ok == baseline_ok && stats.rejected > 0,
@@ -452,8 +460,7 @@ fn check_flood_defence(
     check_clean_channels(net, Some(victim), checks);
 
     let snap = registry.snapshot();
-    let latency = snap
-        .histogram("defence_mitigation_latency_ns", "controller")
+    let latency = recorded_histogram(&snap, "defence_mitigation_latency_ns")
         .filter(|h| h.count == 1)
         .map(|h| h.max);
     checks.require(
@@ -468,11 +475,11 @@ fn check_flood_defence(
 /// with a victim the invariant still holds for it here because one
 /// rollover stops the modelled floods before escalation.
 fn check_clean_channels(net: &Network, exempt: Option<SwitchId>, checks: &mut Checks) {
-    let controller = net.controller.borrow();
+    let set = net.set.borrow();
     let quarantined: Vec<String> = net
         .switches
         .keys()
-        .filter(|sw| controller.defence_quarantined(**sw, PortId::CPU))
+        .filter(|sw| set.core(**sw).defence_quarantined(**sw, PortId::CPU))
         .map(|sw| sw.to_string())
         .collect();
     let _ = exempt; // rollover suffices for every modelled campaign
@@ -524,8 +531,8 @@ fn boot_storm_digest_flood(cfg: &CampaignConfig) -> CampaignVerdict {
     let storm_offset = plan.boot_storm().expect("storm configured").offset_for(1);
     let fabric = fabric_phase(cfg, plan, &mut checks);
 
-    let (mut net, registry) = defence_net(0xb007, |_, c| c);
-    let baseline_ok = net.controller.borrow().stats().responses_ok;
+    let (mut net, registry) = defence_net(0xb007, 1, |_, c| c);
+    let baseline_ok = net.set.borrow().stats().responses_ok;
     let victim = arm_flood(&mut net, FatTree::new(K), storm_offset);
     let start = net.sim.now().as_ns();
     net.sim
@@ -559,7 +566,7 @@ fn reroute_replay(cfg: &CampaignConfig) -> CampaignVerdict {
     let fabric = fabric_phase(cfg, plan_for("reroute_replay"), &mut checks);
 
     let victim = ft.edge(0, 0);
-    let (mut net, registry) = defence_net(0x3e91a7, move |id, c: AgentConfig| {
+    let (mut net, registry) = defence_net(0x3e91a7, 1, move |id, c: AgentConfig| {
         if id == victim {
             c.map_register(REG, "stats")
         } else {
@@ -589,7 +596,7 @@ fn reroute_replay(cfg: &CampaignConfig) -> CampaignVerdict {
     net.sim.run_to_completion();
     net.sim.remove_tap(cdp_link, SwitchId::CONTROLLER);
     let _ = net.take_events();
-    let baseline_ok = net.controller.borrow().stats().responses_ok;
+    let baseline_ok = net.set.borrow().stats().responses_ok;
 
     // Flap the victim's first aggregation uplink; replay the stale write
     // mid-outage, while traffic is re-routing around the failure.
@@ -640,7 +647,7 @@ fn reroute_replay(cfg: &CampaignConfig) -> CampaignVerdict {
         }),
         "SeqMismatch alert from the victim".to_string(),
     );
-    let stats = net.controller.borrow().stats();
+    let stats = net.set.borrow().stats();
     checks.require(
         "no_forged_frame_accepted",
         stats.responses_ok == baseline_ok,
@@ -677,8 +684,8 @@ fn pod_failure_compromised_flood(cfg: &CampaignConfig) -> CampaignVerdict {
 
     let fabric = fabric_phase(cfg, plan_for("pod_failure_compromised_flood"), &mut checks);
 
-    let (mut net, registry) = defence_net(0xf1003, |_, c| c);
-    let baseline_ok = net.controller.borrow().stats().responses_ok;
+    let (mut net, registry) = defence_net(0xf1003, 1, |_, c| c);
+    let baseline_ok = net.set.borrow().stats().responses_ok;
     let victim = arm_flood(&mut net, ft, 0);
 
     let now = net.sim.now().as_ns();
@@ -719,12 +726,26 @@ fn pod_failure_compromised_flood(cfg: &CampaignConfig) -> CampaignVerdict {
 /// mitigations, zero quarantines, and a converged key state.
 fn correlated_flap_churn(cfg: &CampaignConfig) -> CampaignVerdict {
     let mut checks = Checks::default();
-    let ft = FatTree::new(K);
-
     let fabric = fabric_phase(cfg, plan_for("correlated_flap_churn"), &mut checks);
+    let [mp50, mp99, rp50, rp99] = correlated_flap_churn_defence(1, &mut checks);
 
-    let (mut net, registry) = defence_net(0xc0991, |_, c| c);
-    let baseline_ok = net.controller.borrow().stats().responses_ok;
+    CampaignVerdict {
+        name: "correlated_flap_churn",
+        fault_attack: false,
+        checks: checks.0,
+        mitigation_latency_ns: None,
+        mitigation_latency_p50_ns: mp50,
+        mitigation_latency_p99_ns: mp99,
+        rollover_fanout_p50_ns: rp50,
+        rollover_fanout_p99_ns: rp99,
+        fabric,
+    }
+}
+
+fn correlated_flap_churn_defence(n_replicas: usize, checks: &mut Checks) -> [Option<u64>; 4] {
+    let ft = FatTree::new(K);
+    let (mut net, registry) = defence_net(0xc0991, n_replicas, |_, c| c);
+    let baseline_ok = net.set.borrow().stats().responses_ok;
     let now = net.sim.now().as_ns();
     let dp_group = dp_links_of(net.sim.topology(), ft.agg(0, 0));
     let mut churn = FaultPlan::new();
@@ -751,7 +772,7 @@ fn correlated_flap_churn(cfg: &CampaignConfig) -> CampaignVerdict {
         mitigations == 0,
         format!("{mitigations} mitigations from pure churn (want 0)"),
     );
-    let stats = net.controller.borrow().stats();
+    let stats = net.set.borrow().stats();
     checks.require(
         "control_ops_survive_churn",
         stats.responses_ok >= baseline_ok + ops.len() as u64,
@@ -761,13 +782,22 @@ fn correlated_flap_churn(cfg: &CampaignConfig) -> CampaignVerdict {
             ops.len()
         ),
     );
-    check_clean_channels(&net, None, &mut checks);
-    check_port_keys_converged(&net, &mut checks);
+    check_clean_channels(&net, None, checks);
+    check_port_keys_converged(&net, checks);
     campaign_phase_span(&registry, 3, now, net.sim.now().as_ns());
-    let [mp50, mp99, rp50, rp99] = finish_telemetry(&registry, &mut checks);
+    finish_telemetry(&registry, checks)
+}
+
+/// Campaign 5 — whole-switch failure and recovery, no attack. An
+/// aggregation switch goes dark and returns; recovery must re-agree the
+/// port keys on every incident link with no defence false positives.
+fn switch_failure_recovery(cfg: &CampaignConfig) -> CampaignVerdict {
+    let mut checks = Checks::default();
+    let fabric = fabric_phase(cfg, plan_for("switch_failure_recovery"), &mut checks);
+    let [mp50, mp99, rp50, rp99] = switch_failure_recovery_defence(1, &mut checks);
 
     CampaignVerdict {
-        name: "correlated_flap_churn",
+        name: "switch_failure_recovery",
         fault_attack: false,
         checks: checks.0,
         mitigation_latency_ns: None,
@@ -779,16 +809,9 @@ fn correlated_flap_churn(cfg: &CampaignConfig) -> CampaignVerdict {
     }
 }
 
-/// Campaign 5 — whole-switch failure and recovery, no attack. An
-/// aggregation switch goes dark and returns; recovery must re-agree the
-/// port keys on every incident link with no defence false positives.
-fn switch_failure_recovery(cfg: &CampaignConfig) -> CampaignVerdict {
-    let mut checks = Checks::default();
+fn switch_failure_recovery_defence(n_replicas: usize, checks: &mut Checks) -> [Option<u64>; 4] {
     let ft = FatTree::new(K);
-
-    let fabric = fabric_phase(cfg, plan_for("switch_failure_recovery"), &mut checks);
-
-    let (mut net, registry) = defence_net(0x5f41e, |_, c| c);
+    let (mut net, registry) = defence_net(0x5f41e, n_replicas, |_, c| c);
     let now = net.sim.now().as_ns();
     let dead = dp_links_of(net.sim.topology(), ft.agg(1, 0));
     let mut churn = FaultPlan::new();
@@ -797,7 +820,7 @@ fn switch_failure_recovery(cfg: &CampaignConfig) -> CampaignVerdict {
     net.sim.run_to_completion();
 
     // Post-recovery the switch answers legitimate requests again.
-    let baseline_ok = net.controller.borrow().stats().responses_ok;
+    let baseline_ok = net.set.borrow().stats().responses_ok;
     net.controller_read(ft.agg(1, 0), RegId::new(0), 0);
     net.sim.run_to_completion();
 
@@ -811,7 +834,7 @@ fn switch_failure_recovery(cfg: &CampaignConfig) -> CampaignVerdict {
         mitigations == 0,
         format!("{mitigations} mitigations from switch failure (want 0)"),
     );
-    let stats = net.controller.borrow().stats();
+    let stats = net.set.borrow().stats();
     checks.require(
         "recovered_switch_answers",
         stats.responses_ok == baseline_ok + 1,
@@ -820,22 +843,25 @@ fn switch_failure_recovery(cfg: &CampaignConfig) -> CampaignVerdict {
             stats.responses_ok
         ),
     );
-    check_clean_channels(&net, None, &mut checks);
-    check_port_keys_converged(&net, &mut checks);
+    check_clean_channels(&net, None, checks);
+    check_port_keys_converged(&net, checks);
     campaign_phase_span(&registry, 4, now, net.sim.now().as_ns());
-    let [mp50, mp99, rp50, rp99] = finish_telemetry(&registry, &mut checks);
+    finish_telemetry(&registry, checks)
+}
 
-    CampaignVerdict {
-        name: "switch_failure_recovery",
-        fault_attack: false,
-        checks: checks.0,
-        mitigation_latency_ns: None,
-        mitigation_latency_p50_ns: mp50,
-        mitigation_latency_p99_ns: mp99,
-        rollover_fanout_p50_ns: rp50,
-        rollover_fanout_p99_ns: rp99,
-        fabric,
-    }
+/// The defence phases of the two fault-only campaigns on `n_replicas`
+/// controller replicas, keyed by campaign name — the same checks
+/// [`run_campaigns`] asserts at one replica, so a test can hold the
+/// replicated control plane to them.
+pub fn churn_defence_phases(n_replicas: usize) -> Vec<(&'static str, Vec<CheckResult>)> {
+    let mut flap = Checks::default();
+    correlated_flap_churn_defence(n_replicas, &mut flap);
+    let mut failure = Checks::default();
+    switch_failure_recovery_defence(n_replicas, &mut failure);
+    vec![
+        ("correlated_flap_churn", flap.0),
+        ("switch_failure_recovery", failure.0),
+    ]
 }
 
 /// Every DP-DP link of `sw` in a plain (controller-less, host-ful) fat
@@ -940,7 +966,7 @@ mod tests {
         // The recorded latency matches the histogram the campaigns gate.
         let snap = heap.snapshot();
         let hist = snap
-            .histogram("defence_mitigation_latency_ns", "controller")
+            .histogram("defence_mitigation_latency_ns", "replica0")
             .expect("latency histogram present");
         assert_eq!(hist.count, 1);
         assert_eq!(root.end_ns - root.start_ns, hist.max);

@@ -114,6 +114,7 @@ pub fn run(scenario: Scenario, config: FctConfig) -> FctResult {
     };
     let mut net = Network::build(
         topo,
+        1,
         controller_config,
         config.seed,
         |id| {

@@ -89,6 +89,7 @@ fn build(scenario: Scenario, seed: u64) -> Network {
     };
     Network::build(
         topo,
+        1,
         controller_config,
         seed,
         |_| Some(RouteScoutApp::boxed()),

@@ -119,6 +119,7 @@ fn build(scenario: Scenario, seed: u64) -> Network {
     };
     Network::build(
         topo,
+        1,
         controller_config,
         seed,
         |id| {
@@ -255,7 +256,7 @@ pub fn run(scenario: Scenario, config: Fig17Config) -> Fig17Result {
         .read(S5.value() as u32)
         .unwrap();
     let total: u64 = tx.iter().sum::<u64>().max(1);
-    let alerts = net.controller.borrow().alerts().len() as u64;
+    let alerts = net.set.borrow().alerts().len() as u64;
 
     Fig17Result {
         scenario,

@@ -48,6 +48,7 @@ pub fn measure(c_dp_latency_ns: u64, dp_dp_latency_ns: u64) -> Fig20Result {
     let _ = &mut topo;
     let mut net = Network::build(
         topo,
+        1,
         ControllerConfig::default(),
         0x5eed_0020,
         |_| None,
@@ -59,21 +60,21 @@ pub fn measure(c_dp_latency_ns: u64, dp_dp_latency_ns: u64) -> Fig20Result {
 
     // Local key init for S2 first so port-key legs toward S2 authenticate.
     let start = net.sim.now();
-    let outgoing = net.controller.borrow_mut().local_key_init(s2);
+    let outgoing = net.set.borrow_mut().local_key_init(start.as_ns(), s2);
     inject_all(&mut net, outgoing);
     net.sim.run_to_completion();
     let _warmup = net.sim.now().since(start);
 
     // --- local key init (measured on S1) ---
     let start = net.sim.now();
-    let outgoing = net.controller.borrow_mut().local_key_init(s1);
+    let outgoing = net.set.borrow_mut().local_key_init(start.as_ns(), s1);
     inject_all(&mut net, outgoing);
     net.sim.run_to_completion();
     let local_init_ns = net.sim.now().since(start);
 
     // --- local key update ---
     let start = net.sim.now();
-    let outgoing = net.controller.borrow_mut().local_key_update(s1);
+    let outgoing = net.set.borrow_mut().core_mut(s1).local_key_update(s1);
     inject_all(&mut net, outgoing);
     net.sim.run_to_completion();
     let local_update_ns = net.sim.now().since(start);
@@ -81,9 +82,9 @@ pub fn measure(c_dp_latency_ns: u64, dp_dp_latency_ns: u64) -> Fig20Result {
     // --- port key init (S1:p2 <-> S2:p1) ---
     let start = net.sim.now();
     let outgoing =
-        net.controller
+        net.set
             .borrow_mut()
-            .port_key_init(s1, PortId::new(2), s2, PortId::new(1));
+            .port_key_init(start.as_ns(), s1, PortId::new(2), s2, PortId::new(1));
     inject_all(&mut net, outgoing);
     net.sim.run_to_completion();
     let port_init_ns = net.sim.now().since(start);
@@ -91,9 +92,9 @@ pub fn measure(c_dp_latency_ns: u64, dp_dp_latency_ns: u64) -> Fig20Result {
     // --- port key update (direct DP-DP) ---
     let start = net.sim.now();
     let outgoing = net
-        .controller
+        .set
         .borrow_mut()
-        .port_key_update(s1, PortId::new(2), s2);
+        .port_key_update(start.as_ns(), s1, PortId::new(2), s2);
     inject_all(&mut net, outgoing);
     net.sim.run_to_completion();
     let port_update_ns = net.sim.now().since(start);

@@ -44,6 +44,7 @@ pub fn probe_traversal_ns(n_switches: u16, p4auth: bool) -> u64 {
     let topo = Topology::chain(n_switches, 10_000, 2_000_000);
     let mut net = Network::build(
         topo,
+        1,
         ControllerConfig {
             auth_enabled: p4auth,
             ..ControllerConfig::default()

@@ -1,10 +1,10 @@
-//! Simulation harness: adapters that mount P4Auth agents and the
-//! controller on the network simulator, plus a network builder that runs
-//! the key-management bootstrap.
+//! Simulation harness: adapters that mount P4Auth agents and the control
+//! plane (a [`ReplicaSet`]; one replica is the paper's single controller)
+//! on the network simulator, plus a network builder that runs the
+//! key-management bootstrap.
 
 use p4auth_controller::{
-    Controller, ControllerConfig, ControllerEvent, DefenceConfig, MitigationKind, Outgoing,
-    ReplicaSet,
+    ControllerConfig, ControllerEvent, DefenceConfig, MitigationKind, Outgoing, ReplicaSet,
 };
 use p4auth_core::agent::{AgentConfig, AgentEvent, InNetworkApp, P4AuthSwitch};
 use p4auth_netsim::frame::FrameBytes;
@@ -20,18 +20,20 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
+/// Whether `id` is a switch data plane (not the controller, not a host).
+fn is_switch(id: SwitchId) -> bool {
+    !id.is_controller() && id.value() < HOST_ID_BASE
+}
+
 /// Whether a link connects two switch data planes (as opposed to touching
 /// the controller or a host).
 pub(crate) fn is_dp_dp_link(l: &p4auth_netsim::topology::Link) -> bool {
-    let is_switch = |id: SwitchId| !id.is_controller() && id.value() < HOST_ID_BASE;
     is_switch(l.a.node) && is_switch(l.b.node)
 }
 
 /// Shared handle to a switch agent (the harness keeps one, the sim node
 /// keeps the other).
 pub type SharedSwitch = Rc<RefCell<P4AuthSwitch>>;
-/// Shared handle to the controller.
-pub type SharedController = Rc<RefCell<Controller>>;
 
 /// Extra controller-side processing delay per message (the Python agent of
 /// the prototype); applied by the controller node when transmitting.
@@ -65,37 +67,9 @@ pub struct SwitchNode {
 
 impl SwitchNode {
     /// Wraps a shared agent; `cpu_netport` is the topology port carrying
-    /// the C-DP channel (if any). Port-key completions are reported to
-    /// `controller` (the single-controller wiring).
+    /// the C-DP channel (if any). DP-DP port-key completions are reported
+    /// through `notify` (the network routes them to the owner replica).
     pub fn new(
-        id: SwitchId,
-        agent: SharedSwitch,
-        cpu_netport: Option<PortId>,
-        controller: Option<SharedController>,
-    ) -> Self {
-        let notify = controller.map(|c| {
-            let f: PortKeyNotifier = Rc::new(RefCell::new(
-                move |now_ns: u64, peer: SwitchId, channel: PortId| {
-                    let mut c = c.borrow_mut();
-                    c.set_now(now_ns);
-                    c.notify_port_key_installed(peer, channel);
-                },
-            ));
-            f
-        });
-        SwitchNode {
-            id,
-            agent,
-            cpu_netport,
-            notify,
-            compromised: Rc::new(Cell::new(false)),
-        }
-    }
-
-    /// Like [`SwitchNode::new`] but with an arbitrary completion
-    /// callback — the replicated wiring routes completions to the owner
-    /// replica instead of a single controller.
-    pub fn with_notifier(
         id: SwitchId,
         agent: SharedSwitch,
         cpu_netport: Option<PortId>,
@@ -177,7 +151,7 @@ pub struct RolloverPlan {
 /// Shared handle to the (optional) rollover plan.
 pub type SharedRollover = Rc<RefCell<Option<RolloverPlan>>>;
 
-/// Timer id the controller node uses for periodic rollover.
+/// Timer id the [`ControllerNode`] uses for periodic rollover.
 pub const ROLLOVER_TIMER: u64 = 0x5011;
 
 /// Timer id used by [`TrafficSource`].
@@ -253,11 +227,33 @@ impl SimNode for TrafficSource {
     }
 }
 
-/// A [`SimNode`] wrapping the [`Controller`]. The controller reaches switch
-/// `i` through its own port `i - 1` (matching [`Topology::chain`] and the
-/// builder below).
+/// Shared handle to a [`ReplicaSet`].
+pub type SharedReplicaSet = Rc<RefCell<ReplicaSet>>;
+
+/// Shared slot for the (optional) snapshot ring — the [`ControllerNode`]
+/// samples it on every orchestration tick, the network reads the
+/// windowed rates out of it.
+type SharedRing = Rc<RefCell<Option<p4auth_telemetry::SnapshotRing>>>;
+type SharedRegistry = Rc<RefCell<Option<std::sync::Arc<p4auth_telemetry::Registry>>>>;
+
+/// Timer id driving the control plane's orchestration tick.
+pub const ORCH_TIMER: u64 = 0x0c4e;
+
+/// Orchestration tick period: every tick samples telemetry into the
+/// snapshot ring, feeds the windowed reject rates to the defence
+/// daemons, and steps every replica's key manager (which re-drives
+/// stalled exchanges with capped backoff).
+pub const ORCH_PERIOD_NS: u64 = 5_000_000;
+
+/// The control plane's [`SimNode`]: a [`ReplicaSet`] mounted at the
+/// controller's topology position. Externally the replicas share one
+/// network identity (`SwitchId::CONTROLLER` and its per-switch ports) —
+/// which replica handles a frame is decided by the set's partition hash,
+/// not by the wire; the paper's single controller is a set of one. The
+/// node reaches switch `i` through its own port `i - 1` (matching
+/// [`Topology::chain`] and the builder below).
 pub struct ControllerNode {
-    controller: SharedController,
+    set: SharedReplicaSet,
     events: Rc<RefCell<Vec<ControllerEvent>>>,
     rollover: SharedRollover,
     /// DP-DP adjacency: `(switch, port)` → peer switch, for translating
@@ -265,34 +261,19 @@ pub struct ControllerNode {
     links: HashMap<(SwitchId, PortId), SwitchId>,
     /// Agent handles, for flipping agent-side quarantine enforcement.
     switches: HashMap<SwitchId, SharedSwitch>,
+    ring: SharedRing,
+    registry: SharedRegistry,
+    /// Whether an ORCH timer chain is live (shared with the network so
+    /// arming is idempotent).
+    armed: Rc<Cell<bool>>,
 }
 
 impl ControllerNode {
-    /// Wraps a shared controller; `events` accumulates everything observed.
-    /// `links` maps `(switch, port)` to the peer switch for every DP-DP
-    /// link and `switches` holds the agent handles — both may be empty
-    /// when the adaptive defence loop is unused.
-    pub fn new(
-        controller: SharedController,
-        events: Rc<RefCell<Vec<ControllerEvent>>>,
-        rollover: SharedRollover,
-        links: HashMap<(SwitchId, PortId), SwitchId>,
-        switches: HashMap<SwitchId, SharedSwitch>,
-    ) -> Self {
-        ControllerNode {
-            controller,
-            events,
-            rollover,
-            links,
-            switches,
-        }
-    }
-
     /// Turns defence mitigations on DP-DP port channels into wire actions:
     /// flips agent-side quarantine enforcement and issues the port-key
     /// rollover that (on completion) lifts it.
-    fn apply_port_actions(&self, controller: &mut Controller, outgoing: &mut Vec<Outgoing>) {
-        for action in controller.take_port_actions() {
+    fn apply_port_actions(&self, set: &mut ReplicaSet, now_ns: u64, outgoing: &mut Vec<Outgoing>) {
+        for action in set.take_port_actions() {
             if action.kind == MitigationKind::Quarantine {
                 if let Some(agent) = self.switches.get(&action.peer) {
                     agent
@@ -301,7 +282,7 @@ impl ControllerNode {
                 }
             }
             if let Some(&peer) = self.links.get(&(action.peer, action.channel)) {
-                outgoing.extend(controller.port_key_update(action.peer, action.channel, peer));
+                outgoing.extend(set.port_key_update(now_ns, action.peer, action.channel, peer));
             }
         }
     }
@@ -321,99 +302,151 @@ impl ControllerNode {
             out.send_delayed(Self::port_for(o.to), o.bytes, CONTROLLER_PROC_NS);
         }
     }
-}
 
-impl SimNode for ControllerNode {
-    fn on_frame(&mut self, now: SimTime, ingress: PortId, payload: FrameBytes, out: &mut Outbox) {
-        let from = Self::switch_for(ingress);
-        let (outgoing, events) = {
-            let mut controller = self.controller.borrow_mut();
-            controller.set_now(now.as_ns());
-            let (mut outgoing, events) = controller.on_message(from, &payload);
-            self.apply_port_actions(&mut controller, &mut outgoing);
-            (outgoing, events)
-        };
-        self.events.borrow_mut().extend(events);
-        Self::transmit(out, outgoing);
-    }
-
-    fn on_timer(&mut self, now: SimTime, timer_id: u64, out: &mut Outbox) {
-        if timer_id != ROLLOVER_TIMER {
-            return;
-        }
+    /// Periodic rollover (§VI-C): re-drive anything a lost message
+    /// stalled last period, then roll every local key and every port key
+    /// on the owning cores.
+    fn rollover_tick(&mut self, now_ns: u64, out: &mut Outbox) {
         let Some(plan) = self.rollover.borrow().clone() else {
             return;
         };
-        let mut controller = self.controller.borrow_mut();
-        controller.set_now(now.as_ns());
-        // Also re-drive anything a lost message stalled last period.
-        let mut outgoing = controller.retry_stalled();
+        let mut set = self.set.borrow_mut();
+        let mut outgoing = set.retry_stalled(now_ns);
         for &sw in &plan.switches {
-            if controller.has_local_key(sw) {
-                outgoing.extend(controller.local_key_update(sw));
+            let core = set.core_mut(sw);
+            if core.has_local_key(sw) {
+                outgoing.extend(core.local_key_update(sw));
             }
         }
         for &(sw1, port1, sw2) in &plan.links {
-            outgoing.extend(controller.port_key_update(sw1, port1, sw2));
+            outgoing.extend(set.port_key_update(now_ns, sw1, port1, sw2));
         }
-        self.apply_port_actions(&mut controller, &mut outgoing);
-        drop(controller);
+        self.apply_port_actions(&mut set, now_ns, &mut outgoing);
+        drop(set);
         Self::transmit(out, outgoing);
         out.set_timer(ROLLOVER_TIMER, plan.period_ns);
     }
 
-    fn on_topology(&mut self, _now: SimTime, event: TopologyEvent, out: &mut Outbox) {
+    /// Orchestration tick: sample telemetry into the ring, feed the
+    /// windowed `*_per_sec` rates to the defence daemons, step every
+    /// replica.
+    fn orchestration_tick(&mut self, now_ns: u64, out: &mut Outbox) {
+        let gauges = {
+            let mut ring = self.ring.borrow_mut();
+            let registry = self.registry.borrow();
+            if let (Some(ring), Some(registry)) = (ring.as_mut(), registry.as_ref()) {
+                ring.push(now_ns, registry.snapshot());
+            }
+            ring.as_ref().map(|r| r.rate_gauges()).unwrap_or_default()
+        };
+        let mut set = self.set.borrow_mut();
+        set.observe_rates(now_ns, &gauges);
+        let (mut outgoing, events) = set.step(now_ns);
+        self.apply_port_actions(&mut set, now_ns, &mut outgoing);
+        self.events.borrow_mut().extend(events);
+        // Keep ticking while there is something to drive: an armed
+        // rate-driven ladder, or an unfinished bulk-rollover epoch.
+        if set.defence_enabled() || !set.rollover_complete() {
+            out.set_timer(ORCH_TIMER, ORCH_PERIOD_NS);
+        } else {
+            self.armed.set(false);
+        }
+        drop(set);
+        Self::transmit(out, outgoing);
+    }
+}
+
+impl SimNode for ControllerNode {
+    fn on_frame(&mut self, now: SimTime, ingress: PortId, payload: FrameBytes, out: &mut Outbox) {
+        let now_ns = now.as_ns();
+        let from = Self::switch_for(ingress);
+        let outgoing = {
+            let mut set = self.set.borrow_mut();
+            let (mut outgoing, events) = set.on_message(now_ns, from, &payload);
+            self.apply_port_actions(&mut set, now_ns, &mut outgoing);
+            self.events.borrow_mut().extend(events);
+            outgoing
+        };
+        Self::transmit(out, outgoing);
+    }
+
+    fn on_timer(&mut self, now: SimTime, timer_id: u64, out: &mut Outbox) {
+        match timer_id {
+            ROLLOVER_TIMER => self.rollover_tick(now.as_ns(), out),
+            ORCH_TIMER => self.orchestration_tick(now.as_ns(), out),
+            _ => {}
+        }
+    }
+
+    fn on_topology(&mut self, now: SimTime, event: TopologyEvent, out: &mut Outbox) {
         // §VI-C: a link-up event (LLDP-detected "port active") triggers
-        // port-key initialization between the two data planes.
+        // port-key initialization between the two data planes, routed
+        // through (and possibly redirected across) the owning replicas.
         if let TopologyEvent::LinkUp { a, b, .. } = event {
-            let is_switch = |id: SwitchId| !id.is_controller() && id.value() < HOST_ID_BASE;
             if !is_switch(a.node) || !is_switch(b.node) {
                 return;
             }
-            let mut controller = self.controller.borrow_mut();
+            let mut set = self.set.borrow_mut();
             // A flapping link can come back up while the previous
             // recovery's exchange is still in flight (the legs travel the
             // control channel, which the flap does not touch). Starting a
             // second exchange for the same link would overlap generations
             // — the pending one completes instead, and `retry_stalled`
-            // re-drives it if it ever stalls.
-            if controller.has_pending_port_exchange(a.node, a.port, b.node, b.port) {
+            // re-drives it if it ever stalls. The exchange lives on its
+            // home replica, the initiator's owner.
+            if set
+                .core(a.node)
+                .has_pending_port_exchange(a.node, a.port, b.node, b.port)
+            {
                 return;
             }
-            let outgoing = controller.port_key_init(a.node, a.port, b.node, b.port);
-            drop(controller);
+            let outgoing = set.port_key_init(now.as_ns(), a.node, a.port, b.node, b.port);
+            drop(set);
             Self::transmit(out, outgoing);
         }
     }
 }
 
-/// A built P4Auth network: simulator + shared handles.
+/// A built P4Auth network: simulator + shared handles. The control plane
+/// is a [`ReplicaSet`] of `n_replicas` partitioned controller replicas;
+/// `n_replicas = 1` is the paper's single controller.
 pub struct Network {
     /// The simulator (topology, taps, clock).
     pub sim: Simulator,
     /// Shared agent handles by switch id.
     pub switches: HashMap<SwitchId, SharedSwitch>,
-    /// Shared controller handle.
-    pub controller: SharedController,
-    /// Controller events accumulated during the run.
+    /// Shared replica-set handle.
+    pub set: SharedReplicaSet,
+    /// Controller events accumulated during the run (all replicas).
     pub events: Rc<RefCell<Vec<ControllerEvent>>>,
     rollover: SharedRollover,
-    registry: Option<std::sync::Arc<p4auth_telemetry::Registry>>,
-    ring: Option<p4auth_telemetry::SnapshotRing>,
+    ring: SharedRing,
+    registry: SharedRegistry,
+    orch_armed: Rc<Cell<bool>>,
     /// Per-switch compromised-OS relay flags (see
     /// [`Network::compromise_switch_os`]).
     relay_flags: HashMap<SwitchId, Rc<Cell<bool>>>,
 }
 
+/// The name `benchmark/` builds through.
+pub type ReplicatedNetwork = Network;
+
 impl Network {
-    /// Builds a network over `topology`. `make_app` produces the in-network
-    /// app for each switch (or `None`); `configure` lets the caller adjust
-    /// each agent's config (e.g. disable auth for baselines).
+    /// Builds a network over `topology` with `n_replicas` controller
+    /// replicas partitioning the switches. `make_app` produces the
+    /// in-network app for each switch (or `None`); `configure` lets the
+    /// caller adjust each agent's config (e.g. disable auth for
+    /// baselines).
     ///
-    /// Every switch is registered with the controller using a per-switch
-    /// `K_seed` derived from `seed_base`.
+    /// Every switch is registered with its owner replica using a
+    /// per-switch `K_seed` derived from `seed_base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_replicas` is zero.
     pub fn build(
         topology: Topology,
+        n_replicas: usize,
         controller_config: ControllerConfig,
         seed_base: u64,
         make_app: impl FnMut(SwitchId) -> Option<Box<dyn InNetworkApp>>,
@@ -422,6 +455,7 @@ impl Network {
         Network::build_with_scheduler(
             topology,
             SchedulerKind::default(),
+            n_replicas,
             controller_config,
             seed_base,
             make_app,
@@ -435,31 +469,58 @@ impl Network {
     pub fn build_with_scheduler(
         topology: Topology,
         scheduler: SchedulerKind,
+        n_replicas: usize,
         controller_config: ControllerConfig,
         seed_base: u64,
         mut make_app: impl FnMut(SwitchId) -> Option<Box<dyn InNetworkApp>>,
         mut configure: impl FnMut(SwitchId, AgentConfig) -> AgentConfig,
     ) -> Network {
+        assert!(n_replicas > 0, "at least one controller replica");
         let mut sim = Simulator::with_scheduler(topology, scheduler);
+        let events: Rc<RefCell<Vec<ControllerEvent>>> = Rc::new(RefCell::new(Vec::new()));
+        let rollover: SharedRollover = Rc::new(RefCell::new(None));
+        let ring: SharedRing = Rc::new(RefCell::new(None));
+        let registry: SharedRegistry = Rc::new(RefCell::new(None));
+        let orch_armed = Rc::new(Cell::new(false));
+
+        // Seeds sorted by id so replica registration order (and with it
+        // every per-replica RNG stream) is identical run to run. Hosts
+        // (ids ≥ HOST_ID_BASE) get their behaviour attached separately.
+        let mut switch_ids: Vec<SwitchId> = sim
+            .topology()
+            .nodes()
+            .iter()
+            .copied()
+            .filter(|&id| is_switch(id))
+            .collect();
+        switch_ids.sort();
+        let seeds: Vec<(SwitchId, Key64)> = switch_ids
+            .iter()
+            .map(|&id| {
+                let k =
+                    Key64::new(seed_base ^ (id.value() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                (id, k)
+            })
+            .collect();
+        let set: SharedReplicaSet = Rc::new(RefCell::new(ReplicaSet::new(
+            n_replicas,
+            controller_config,
+            &seeds,
+        )));
+
+        // One shared notifier: completions go to whichever replica owns
+        // the reporting switch.
+        let notify: PortKeyNotifier = Rc::new(RefCell::new({
+            let set = set.clone();
+            move |now_ns: u64, peer: SwitchId, channel: PortId| {
+                set.borrow_mut()
+                    .notify_port_key_installed(now_ns, peer, channel);
+            }
+        }));
+
         let mut switches = HashMap::new();
         let mut relay_flags = HashMap::new();
-        let controller = Rc::new(RefCell::new(Controller::new(controller_config)));
-        let events = Rc::new(RefCell::new(Vec::new()));
-        let rollover: SharedRollover = Rc::new(RefCell::new(None));
-
-        let node_ids: Vec<SwitchId> = sim.topology().nodes().to_vec();
-        let mut has_controller = false;
-        for id in node_ids {
-            if id.value() >= HOST_ID_BASE {
-                continue; // hosts get their behaviour attached separately
-            }
-            if id.is_controller() {
-                has_controller = true; // registered below, once agents exist
-                continue;
-            }
-            let k_seed =
-                Key64::new(seed_base ^ (id.value() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            controller.borrow_mut().register_switch(id, k_seed);
+        for &(id, k_seed) in &seeds {
             let neighbors = sim.topology().neighbors(id);
             // The front-panel port carrying the C-DP channel, if any.
             let cpu_netport = neighbors
@@ -476,11 +537,11 @@ impl Network {
             let config = configure(id, AgentConfig::new(id, max_port, k_seed));
             let agent = Rc::new(RefCell::new(P4AuthSwitch::new(config, make_app(id))));
             switches.insert(id, agent.clone());
-            let node = SwitchNode::new(id, agent, cpu_netport, Some(controller.clone()));
+            let node = SwitchNode::new(id, agent, cpu_netport, Some(notify.clone()));
             relay_flags.insert(id, node.compromised.clone());
             sim.register_node(id, Box::new(node));
         }
-        if has_controller {
+        if sim.topology().nodes().iter().any(|id| id.is_controller()) {
             // DP-DP adjacency for translating port-channel defence
             // mitigations into portKeyUpdate messages.
             let mut links = HashMap::new();
@@ -492,24 +553,28 @@ impl Network {
             }
             sim.register_node(
                 SwitchId::CONTROLLER,
-                Box::new(ControllerNode::new(
-                    controller.clone(),
-                    events.clone(),
-                    rollover.clone(),
+                Box::new(ControllerNode {
+                    set: set.clone(),
+                    events: events.clone(),
+                    rollover: rollover.clone(),
                     links,
-                    switches.clone(),
-                )),
+                    switches: switches.clone(),
+                    ring: ring.clone(),
+                    registry: registry.clone(),
+                    armed: orch_armed.clone(),
+                }),
             );
         }
 
         Network {
             sim,
             switches,
-            controller,
+            set,
             events,
             rollover,
-            registry: None,
-            ring: None,
+            ring,
+            registry,
+            orch_armed,
             relay_flags,
         }
     }
@@ -525,29 +590,39 @@ impl Network {
         self.relay_flags[&switch].set(true);
     }
 
-    /// Arms the controller's telemetry-driven adaptive defence loop:
+    /// Arms the count-driven adaptive defence loop on every replica:
     /// forged-digest / replay floods on one `(peer, channel)` trigger an
     /// automatic key rollover, escalating to channel quarantine if the
     /// rollover does not stop the flood. CPU-channel mitigations are
-    /// handled by the controller itself; port-channel mitigations are
+    /// handled by the owning core itself; port-channel mitigations are
     /// translated by the [`ControllerNode`] (which knows the DP-DP
     /// adjacency) into `portKeyUpdate` messages plus agent-side
     /// quarantine enforcement. Detection-to-mitigation latency lands in
     /// the `defence_mitigation_latency_ns` telemetry histogram.
     pub fn enable_defence(&mut self, config: DefenceConfig) {
-        self.controller.borrow_mut().enable_defence(config);
+        self.set.borrow_mut().enable_defence(config);
+    }
+
+    /// Arms the rate-driven defence on every replica: each replica's
+    /// defence daemon consumes the ring's windowed `*_per_sec` reject
+    /// rates (via the shared state table) and mitigates crossings on the
+    /// channels it owns. Starts the orchestration tick.
+    ///
+    /// With the defence armed the tick re-arms forever — drive the
+    /// simulation with `run_until`, not `run_to_completion`.
+    pub fn enable_defence_rate_driven(&mut self, config: DefenceConfig, threshold: u64) {
+        self.set
+            .borrow_mut()
+            .enable_defence_rate_driven(config, threshold);
+        self.arm_orchestrator();
     }
 
     /// Enables automatic periodic key rollover (§VI-C): every `period_ns`
-    /// of simulated time the controller rolls every local key and every
-    /// port key, retrying anything a lost message stalled. Call after
-    /// [`Network::bootstrap_keys`].
+    /// of simulated time the control plane rolls every local key and
+    /// every port key, retrying anything a lost message stalled. Call
+    /// after [`Network::bootstrap_keys`].
     pub fn enable_periodic_rollover(&mut self, period_ns: u64) {
-        let switches: Vec<SwitchId> = {
-            let mut s: Vec<SwitchId> = self.switches.keys().copied().collect();
-            s.sort();
-            s
-        };
+        let switches = self.sorted_switch_ids();
         let links = self
             .sim
             .topology()
@@ -569,6 +644,29 @@ impl Network {
     /// no-op and the chain ends (after which `run_to_completion` drains).
     pub fn disable_periodic_rollover(&mut self) {
         *self.rollover.borrow_mut() = None;
+    }
+
+    /// Starts the next versioned bulk key-rollover epoch and the
+    /// orchestration tick that fans it out. Returns the epoch, or `None`
+    /// while a previous epoch is still incomplete.
+    pub fn start_bulk_rollover(&mut self) -> Option<u64> {
+        let now_ns = self.sim.now().as_ns();
+        let epoch = self.set.borrow_mut().start_bulk_rollover(now_ns);
+        if epoch.is_some() {
+            self.arm_orchestrator();
+        }
+        epoch
+    }
+
+    /// Schedules the ORCH timer if no chain is already live (the chain
+    /// re-arms itself while there is work; double-arming would
+    /// double-step every replica each period).
+    fn arm_orchestrator(&mut self) {
+        if !self.orch_armed.get() {
+            self.orch_armed.set(true);
+            self.sim
+                .schedule_timer(SwitchId::CONTROLLER, ORCH_TIMER, ORCH_PERIOD_NS);
+        }
     }
 
     /// Registers a [`SinkHost`] on host node `host`.
@@ -605,10 +703,21 @@ impl Network {
         }
     }
 
-    /// Runs the key-management bootstrap: local-key initialization for every
-    /// switch, then port-key initialization for every DP-DP link, driving
-    /// the simulator until all exchanges complete. Returns the simulated
-    /// time the bootstrap took.
+    /// Switch ids in ascending order, so exchange order (and any attached
+    /// telemetry event log) is identical run to run despite `HashMap`
+    /// iteration order.
+    fn sorted_switch_ids(&self) -> Vec<SwitchId> {
+        let mut s: Vec<SwitchId> = self.switches.keys().copied().collect();
+        s.sort();
+        s
+    }
+
+    /// Runs the key-management bootstrap: local-key initialization for
+    /// every switch (each driven by its owner replica), then port-key
+    /// initialization for every DP-DP link (redirected across partitions
+    /// where the endpoints hash to different replicas), driving the
+    /// simulator until all exchanges complete. Returns the simulated time
+    /// the bootstrap took.
     ///
     /// # Panics
     ///
@@ -616,21 +725,16 @@ impl Network {
     /// adversary during bootstrap).
     pub fn bootstrap_keys(&mut self) -> SimTime {
         let start = self.sim.now();
-        // Sorted so the bootstrap exchange order (and any attached telemetry
-        // event log) is identical run to run despite HashMap iteration order.
-        let switch_ids: Vec<SwitchId> = {
-            let mut s: Vec<SwitchId> = self.switches.keys().copied().collect();
-            s.sort();
-            s
-        };
+        let switch_ids = self.sorted_switch_ids();
         for &id in &switch_ids {
-            let outgoing = self.controller.borrow_mut().local_key_init(id);
+            let now_ns = self.sim.now().as_ns();
+            let outgoing = self.set.borrow_mut().local_key_init(now_ns, id);
             self.send_from_controller(outgoing);
         }
         self.sim.run_to_completion();
         for &id in &switch_ids {
             assert!(
-                self.controller.borrow().has_local_key(id),
+                self.set.borrow().has_local_key(id),
                 "local key init failed for {id}"
             );
         }
@@ -645,8 +749,10 @@ impl Network {
             .filter(|l| is_dp_dp_link(l))
             .copied()
             .collect();
-        for link in links {
-            let outgoing = self.controller.borrow_mut().port_key_init(
+        for link in &links {
+            let now_ns = self.sim.now().as_ns();
+            let outgoing = self.set.borrow_mut().port_key_init(
+                now_ns,
                 link.a.node,
                 link.a.port,
                 link.b.node,
@@ -656,10 +762,7 @@ impl Network {
             self.sim.run_to_completion();
         }
 
-        for link in self.sim.topology().links() {
-            if !is_dp_dp_link(link) {
-                continue;
-            }
+        for link in &links {
             for (node, port) in [(link.a.node, link.a.port), (link.b.node, link.b.port)] {
                 assert!(
                     self.switches[&node]
@@ -678,439 +781,6 @@ impl Network {
     /// processing delay, so injected traffic never overtakes frames the
     /// controller node emitted in the same instant (sequence numbers are
     /// per channel and FIFO).
-    pub fn send_from_controller(&mut self, outgoing: Vec<p4auth_controller::Outgoing>) {
-        for o in outgoing {
-            self.sim.inject_frame_delayed(
-                SwitchId::CONTROLLER,
-                ControllerNode::port_for(o.to),
-                o.bytes,
-                CONTROLLER_PROC_NS,
-            );
-        }
-    }
-
-    /// Sends a controller-originated register read into the network.
-    pub fn controller_read(&mut self, switch: SwitchId, reg: RegId, index: u32) {
-        let now_ns = self.sim.now().as_ns();
-        let o = {
-            let mut controller = self.controller.borrow_mut();
-            controller.set_now(now_ns);
-            controller.read_register(switch, reg, index)
-        };
-        self.send_from_controller(vec![o]);
-    }
-
-    /// Sends a controller-originated register write into the network.
-    pub fn controller_write(&mut self, switch: SwitchId, reg: RegId, index: u32, value: u64) {
-        let now_ns = self.sim.now().as_ns();
-        let o = {
-            let mut controller = self.controller.borrow_mut();
-            controller.set_now(now_ns);
-            controller.write_register(switch, reg, index, value)
-        };
-        self.send_from_controller(vec![o]);
-    }
-
-    /// Injects an in-network control message (e.g. a HULA probe) originated
-    /// by `switch` out of `port`, sealed with that port's key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if sealing fails (no port key while auth is enabled).
-    pub fn originate_probe(
-        &mut self,
-        switch: SwitchId,
-        port: PortId,
-        system: u8,
-        payload: Vec<u8>,
-    ) {
-        let bytes = self.switches[&switch]
-            .borrow_mut()
-            .seal_probe(port, system, payload)
-            .expect("probe sealing requires an installed port key");
-        self.sim.inject_frame(switch, port, bytes);
-    }
-
-    /// Injects a raw data frame originated by `switch` out of `port`.
-    pub fn inject_data(&mut self, switch: SwitchId, port: PortId, bytes: Vec<u8>) {
-        self.sim.inject_frame(switch, port, bytes);
-    }
-
-    /// Drains accumulated controller events.
-    pub fn take_events(&mut self) -> Vec<ControllerEvent> {
-        std::mem::take(&mut *self.events.borrow_mut())
-    }
-
-    /// Attaches one telemetry registry to the whole network: the simulator,
-    /// the controller, and every agent (which forwards to its chassis).
-    /// Metrics are labeled by component (`"controller"`, `"S1"`, …) so one
-    /// [`p4auth_telemetry::Snapshot`] covers the full system.
-    pub fn enable_telemetry(&mut self, registry: std::sync::Arc<p4auth_telemetry::Registry>) {
-        self.sim.set_telemetry(registry.clone());
-        self.controller.borrow_mut().set_telemetry(registry.clone());
-        for agent in self.switches.values() {
-            agent.borrow_mut().set_telemetry(registry.clone());
-        }
-        self.registry = Some(registry);
-    }
-
-    /// Attaches a [`p4auth_telemetry::SnapshotRing`] holding the last
-    /// `capacity` snapshots, keyed by sim-ns. Call [`Network::sample_ring`]
-    /// at the observation cadence; windowed rates (e.g. per-channel reject
-    /// rates for the defence loop) then come from
-    /// [`p4auth_telemetry::SnapshotRing::rate_gauges`].
-    ///
-    /// # Panics
-    ///
-    /// If [`Network::enable_telemetry`] has not been called first.
-    pub fn enable_snapshot_ring(&mut self, capacity: usize) {
-        assert!(
-            self.registry.is_some(),
-            "enable_telemetry must be called before enable_snapshot_ring"
-        );
-        self.ring = Some(p4auth_telemetry::SnapshotRing::new(capacity));
-    }
-
-    /// Pushes the current registry snapshot into the ring, stamped with the
-    /// simulator clock. No-op unless [`Network::enable_snapshot_ring`] was
-    /// called.
-    pub fn sample_ring(&mut self) {
-        if let (Some(ring), Some(registry)) = (&mut self.ring, &self.registry) {
-            ring.push(self.sim.now().as_ns(), registry.snapshot());
-        }
-    }
-
-    /// The snapshot ring, if enabled.
-    pub fn snapshot_ring(&self) -> Option<&p4auth_telemetry::SnapshotRing> {
-        self.ring.as_ref()
-    }
-}
-
-/// Shared handle to a [`ReplicaSet`].
-pub type SharedReplicaSet = Rc<RefCell<ReplicaSet>>;
-
-/// Shared slot for the (optional) snapshot ring — the [`ReplicaSetNode`]
-/// samples it on every orchestration tick, the network reads the
-/// windowed rates out of it.
-type SharedRing = Rc<RefCell<Option<p4auth_telemetry::SnapshotRing>>>;
-type SharedRegistry = Rc<RefCell<Option<std::sync::Arc<p4auth_telemetry::Registry>>>>;
-
-/// Timer id driving the replicated control plane's orchestration tick.
-pub const ORCH_TIMER: u64 = 0x0c4e;
-
-/// Orchestration tick period: every tick samples telemetry into the
-/// snapshot ring, feeds the windowed reject rates to the defence
-/// daemons, and steps every replica's key manager (which re-drives
-/// stalled exchanges with capped backoff).
-pub const ORCH_PERIOD_NS: u64 = 5_000_000;
-
-/// A [`SimNode`] mounting a whole [`ReplicaSet`] at the controller's
-/// topology position. Externally the replicas share one network
-/// identity (`SwitchId::CONTROLLER` and its per-switch ports) — which
-/// replica handles a frame is decided by the set's partition hash, not
-/// by the wire.
-pub struct ReplicaSetNode {
-    set: SharedReplicaSet,
-    events: Rc<RefCell<Vec<ControllerEvent>>>,
-    /// DP-DP adjacency: `(switch, port)` → peer switch, for translating
-    /// defence mitigations on port channels into `portKeyUpdate`s.
-    links: HashMap<(SwitchId, PortId), SwitchId>,
-    /// Agent handles, for flipping agent-side quarantine enforcement.
-    switches: HashMap<SwitchId, SharedSwitch>,
-    ring: SharedRing,
-    registry: SharedRegistry,
-    /// Whether an ORCH timer chain is live (shared with the network so
-    /// arming is idempotent).
-    armed: Rc<Cell<bool>>,
-}
-
-impl ReplicaSetNode {
-    /// Same contract as [`ControllerNode::apply_port_actions`], routed
-    /// through the owning replica.
-    fn apply_port_actions(&self, set: &mut ReplicaSet, now_ns: u64, outgoing: &mut Vec<Outgoing>) {
-        for action in set.take_port_actions() {
-            if action.kind == MitigationKind::Quarantine {
-                if let Some(agent) = self.switches.get(&action.peer) {
-                    agent
-                        .borrow_mut()
-                        .set_channel_quarantine(action.channel, true);
-                }
-            }
-            if let Some(&peer) = self.links.get(&(action.peer, action.channel)) {
-                outgoing.extend(set.port_key_update(now_ns, action.peer, action.channel, peer));
-            }
-        }
-    }
-}
-
-impl SimNode for ReplicaSetNode {
-    fn on_frame(&mut self, now: SimTime, ingress: PortId, payload: FrameBytes, out: &mut Outbox) {
-        let now_ns = now.as_ns();
-        let from = ControllerNode::switch_for(ingress);
-        let outgoing = {
-            let mut set = self.set.borrow_mut();
-            let (mut outgoing, events) = set.on_message(now_ns, from, &payload);
-            self.apply_port_actions(&mut set, now_ns, &mut outgoing);
-            self.events.borrow_mut().extend(events);
-            outgoing
-        };
-        ControllerNode::transmit(out, outgoing);
-    }
-
-    fn on_timer(&mut self, now: SimTime, timer_id: u64, out: &mut Outbox) {
-        if timer_id != ORCH_TIMER {
-            return;
-        }
-        let now_ns = now.as_ns();
-        // Sample telemetry into the ring; the defence daemons consume the
-        // windowed `*_per_sec` rates the ring derives.
-        let gauges = {
-            let mut ring = self.ring.borrow_mut();
-            let registry = self.registry.borrow();
-            if let (Some(ring), Some(registry)) = (ring.as_mut(), registry.as_ref()) {
-                ring.push(now_ns, registry.snapshot());
-            }
-            ring.as_ref().map(|r| r.rate_gauges()).unwrap_or_default()
-        };
-        let outgoing = {
-            let mut set = self.set.borrow_mut();
-            set.observe_rates(now_ns, &gauges);
-            let (mut outgoing, events) = set.step(now_ns);
-            self.apply_port_actions(&mut set, now_ns, &mut outgoing);
-            self.events.borrow_mut().extend(events);
-            // Keep ticking while there is something to drive: an armed
-            // defence ladder, or an unfinished bulk-rollover epoch.
-            if set.defence_enabled() || !set.rollover_complete() {
-                out.set_timer(ORCH_TIMER, ORCH_PERIOD_NS);
-            } else {
-                self.armed.set(false);
-            }
-            outgoing
-        };
-        ControllerNode::transmit(out, outgoing);
-    }
-
-    fn on_topology(&mut self, now: SimTime, event: TopologyEvent, out: &mut Outbox) {
-        // §VI-C: a link-up event triggers port-key initialization, routed
-        // through (and possibly redirected across) the owning replicas.
-        if let TopologyEvent::LinkUp { a, b, .. } = event {
-            let is_switch = |id: SwitchId| !id.is_controller() && id.value() < HOST_ID_BASE;
-            if !is_switch(a.node) || !is_switch(b.node) {
-                return;
-            }
-            let outgoing =
-                self.set
-                    .borrow_mut()
-                    .port_key_init(now.as_ns(), a.node, a.port, b.node, b.port);
-            ControllerNode::transmit(out, outgoing);
-        }
-    }
-}
-
-/// A built P4Auth network whose control plane is a [`ReplicaSet`] of N
-/// partitioned controller replicas instead of one monolithic
-/// [`Controller`]. The data plane is identical to [`Network`]'s.
-pub struct ReplicatedNetwork {
-    /// The simulator (topology, taps, clock).
-    pub sim: Simulator,
-    /// Shared agent handles by switch id.
-    pub switches: HashMap<SwitchId, SharedSwitch>,
-    /// Shared replica-set handle.
-    pub set: SharedReplicaSet,
-    /// Controller events accumulated during the run (all replicas).
-    pub events: Rc<RefCell<Vec<ControllerEvent>>>,
-    ring: SharedRing,
-    registry: SharedRegistry,
-    orch_armed: Rc<Cell<bool>>,
-}
-
-impl ReplicatedNetwork {
-    /// Builds a network over `topology` with `n_replicas` controller
-    /// replicas partitioning the switches. Same agent-side contract as
-    /// [`Network::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_replicas` is zero.
-    pub fn build(
-        topology: Topology,
-        n_replicas: usize,
-        controller_config: ControllerConfig,
-        seed_base: u64,
-        mut make_app: impl FnMut(SwitchId) -> Option<Box<dyn InNetworkApp>>,
-        mut configure: impl FnMut(SwitchId, AgentConfig) -> AgentConfig,
-    ) -> ReplicatedNetwork {
-        assert!(n_replicas > 0, "at least one controller replica");
-        let mut sim = Simulator::with_scheduler(topology, SchedulerKind::default());
-        let events: Rc<RefCell<Vec<ControllerEvent>>> = Rc::new(RefCell::new(Vec::new()));
-        let ring: SharedRing = Rc::new(RefCell::new(None));
-        let registry: SharedRegistry = Rc::new(RefCell::new(None));
-        let orch_armed = Rc::new(Cell::new(false));
-
-        // Seeds sorted by id so replica registration order (and with it
-        // every per-replica RNG stream) is identical run to run.
-        let mut switch_ids: Vec<SwitchId> = sim
-            .topology()
-            .nodes()
-            .iter()
-            .copied()
-            .filter(|id| !id.is_controller() && id.value() < HOST_ID_BASE)
-            .collect();
-        switch_ids.sort();
-        let seeds: Vec<(SwitchId, Key64)> = switch_ids
-            .iter()
-            .map(|&id| {
-                let k =
-                    Key64::new(seed_base ^ (id.value() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                (id, k)
-            })
-            .collect();
-        let set: SharedReplicaSet = Rc::new(RefCell::new(ReplicaSet::new(
-            n_replicas,
-            controller_config,
-            &seeds,
-        )));
-
-        // One shared notifier: completions go to whichever replica owns
-        // the reporting switch.
-        let notify: PortKeyNotifier = Rc::new(RefCell::new({
-            let set = set.clone();
-            move |now_ns: u64, peer: SwitchId, channel: PortId| {
-                set.borrow_mut()
-                    .notify_port_key_installed(now_ns, peer, channel);
-            }
-        }));
-
-        let mut switches = HashMap::new();
-        let has_controller = sim.topology().nodes().iter().any(|id| id.is_controller());
-        for &(id, k_seed) in &seeds {
-            let neighbors = sim.topology().neighbors(id);
-            let cpu_netport = neighbors
-                .iter()
-                .find(|(_, ep)| ep.node.is_controller())
-                .map(|(p, _)| *p);
-            let max_port = neighbors
-                .iter()
-                .filter(|(_, ep)| !ep.node.is_controller())
-                .map(|(p, _)| p.value())
-                .max()
-                .unwrap_or(1);
-            let config = configure(id, AgentConfig::new(id, max_port, k_seed));
-            let agent = Rc::new(RefCell::new(P4AuthSwitch::new(config, make_app(id))));
-            switches.insert(id, agent.clone());
-            sim.register_node(
-                id,
-                Box::new(SwitchNode::with_notifier(
-                    id,
-                    agent,
-                    cpu_netport,
-                    Some(notify.clone()),
-                )),
-            );
-        }
-        if has_controller {
-            let mut links = HashMap::new();
-            for l in sim.topology().links() {
-                if is_dp_dp_link(l) {
-                    links.insert((l.a.node, l.a.port), l.b.node);
-                    links.insert((l.b.node, l.b.port), l.a.node);
-                }
-            }
-            sim.register_node(
-                SwitchId::CONTROLLER,
-                Box::new(ReplicaSetNode {
-                    set: set.clone(),
-                    events: events.clone(),
-                    links,
-                    switches: switches.clone(),
-                    ring: ring.clone(),
-                    registry: registry.clone(),
-                    armed: orch_armed.clone(),
-                }),
-            );
-        }
-
-        ReplicatedNetwork {
-            sim,
-            switches,
-            set,
-            events,
-            ring,
-            registry,
-            orch_armed,
-        }
-    }
-
-    /// Runs the key-management bootstrap across all replicas: local-key
-    /// initialization for every switch (each driven by its owner), then
-    /// port-key initialization for every DP-DP link (redirected across
-    /// partitions where the endpoints hash to different replicas).
-    /// Returns the simulated time the bootstrap took.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any key fails to establish.
-    pub fn bootstrap_keys(&mut self) -> SimTime {
-        let start = self.sim.now();
-        let switch_ids: Vec<SwitchId> = {
-            let mut s: Vec<SwitchId> = self.switches.keys().copied().collect();
-            s.sort();
-            s
-        };
-        for &id in &switch_ids {
-            let now_ns = self.sim.now().as_ns();
-            let outgoing = self.set.borrow_mut().local_key_init(now_ns, id);
-            self.send_from_controller(outgoing);
-        }
-        self.sim.run_to_completion();
-        for &id in &switch_ids {
-            assert!(
-                self.set.borrow().has_local_key(id),
-                "local key init failed for {id}"
-            );
-        }
-
-        let links: Vec<_> = self
-            .sim
-            .topology()
-            .links()
-            .iter()
-            .filter(|l| is_dp_dp_link(l))
-            .copied()
-            .collect();
-        for link in links {
-            let now_ns = self.sim.now().as_ns();
-            let outgoing = self.set.borrow_mut().port_key_init(
-                now_ns,
-                link.a.node,
-                link.a.port,
-                link.b.node,
-                link.b.port,
-            );
-            self.send_from_controller(outgoing);
-            self.sim.run_to_completion();
-        }
-
-        for link in self.sim.topology().links() {
-            if !is_dp_dp_link(link) {
-                continue;
-            }
-            for (node, port) in [(link.a.node, link.a.port), (link.b.node, link.b.port)] {
-                assert!(
-                    self.switches[&node]
-                        .borrow()
-                        .keys()
-                        .port(port)
-                        .is_installed(),
-                    "port key init failed for {node}:{port}"
-                );
-            }
-        }
-        SimTime::from_ns(self.sim.now().since(start))
-    }
-
-    /// Transmits replica-originated messages with the controller's
-    /// processing delay (see [`Network::send_from_controller`]).
     pub fn send_from_controller(&mut self, outgoing: Vec<Outgoing>) {
         for o in outgoing {
             self.sim.inject_frame_delayed(
@@ -1142,15 +812,42 @@ impl ReplicatedNetwork {
         self.send_from_controller(vec![o]);
     }
 
+    /// Injects an in-network control message (e.g. a HULA probe) originated
+    /// by `switch` out of `port`, sealed with that port's key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if sealing fails (no port key while auth is enabled).
+    pub fn originate_probe(
+        &mut self,
+        switch: SwitchId,
+        port: PortId,
+        system: u8,
+        payload: Vec<u8>,
+    ) {
+        let bytes = self.switches[&switch]
+            .borrow_mut()
+            .seal_probe(port, system, payload)
+            .expect("probe sealing requires an installed port key");
+        self.sim.inject_frame(switch, port, bytes);
+    }
+
+    /// Injects a raw data frame originated by `switch` out of `port`.
+    pub fn inject_data(&mut self, switch: SwitchId, port: PortId, bytes: Vec<u8>) {
+        self.sim.inject_frame(switch, port, bytes);
+    }
+
     /// Drains accumulated controller events (all replicas, in arrival
     /// order).
     pub fn take_events(&mut self) -> Vec<ControllerEvent> {
         std::mem::take(&mut *self.events.borrow_mut())
     }
 
-    /// Attaches one telemetry registry to the whole network. Replica
-    /// metrics are labeled `"replica0"`, `"replica1"`, … so one snapshot
-    /// distinguishes the partitions.
+    /// Attaches one telemetry registry to the whole network: the simulator,
+    /// every replica, and every agent (which forwards to its chassis).
+    /// Metrics are labeled by component (`"replica0"`, `"replica1"`, …,
+    /// `"S1"`, …) so one [`p4auth_telemetry::Snapshot`] covers the full
+    /// system and distinguishes the partitions.
     pub fn enable_telemetry(&mut self, registry: std::sync::Arc<p4auth_telemetry::Registry>) {
         self.sim.set_telemetry(registry.clone());
         self.set.borrow_mut().set_telemetry(registry.clone());
@@ -1160,13 +857,16 @@ impl ReplicatedNetwork {
         *self.registry.borrow_mut() = Some(registry);
     }
 
-    /// Attaches a snapshot ring of `capacity`; the orchestration tick
-    /// samples it automatically.
+    /// Attaches a [`p4auth_telemetry::SnapshotRing`] holding the last
+    /// `capacity` snapshots, keyed by sim-ns. The orchestration tick
+    /// samples it automatically; call [`Network::sample_ring`] for an
+    /// explicit observation. Windowed rates (e.g. per-channel reject
+    /// rates for the defence loop) then come from
+    /// [`p4auth_telemetry::SnapshotRing::rate_gauges`].
     ///
     /// # Panics
     ///
-    /// If [`ReplicatedNetwork::enable_telemetry`] has not been called
-    /// first.
+    /// If [`Network::enable_telemetry`] has not been called first.
     pub fn enable_snapshot_ring(&mut self, capacity: usize) {
         assert!(
             self.registry.borrow().is_some(),
@@ -1175,8 +875,9 @@ impl ReplicatedNetwork {
         *self.ring.borrow_mut() = Some(p4auth_telemetry::SnapshotRing::new(capacity));
     }
 
-    /// Pushes the current registry snapshot into the ring, stamped with
-    /// the simulator clock (the orchestration tick also does this).
+    /// Pushes the current registry snapshot into the ring, stamped with the
+    /// simulator clock. No-op unless [`Network::enable_snapshot_ring`] was
+    /// called.
     pub fn sample_ring(&mut self) {
         let mut ring = self.ring.borrow_mut();
         let registry = self.registry.borrow();
@@ -1185,46 +886,9 @@ impl ReplicatedNetwork {
         }
     }
 
-    /// The shared snapshot-ring slot, if one was enabled.
+    /// The shared snapshot-ring slot (`None` inside until enabled).
     pub fn ring(&self) -> SharedRing {
         self.ring.clone()
-    }
-
-    /// Arms the rate-driven defence on every replica: each replica's
-    /// defence daemon consumes the ring's windowed `*_per_sec` reject
-    /// rates (via the shared state table) and mitigates crossings on the
-    /// channels it owns. Starts the orchestration tick.
-    ///
-    /// With the defence armed the tick re-arms forever — drive the
-    /// simulation with `run_until`, not `run_to_completion`.
-    pub fn enable_defence_rate_driven(&mut self, config: DefenceConfig, threshold: u64) {
-        self.set
-            .borrow_mut()
-            .enable_defence_rate_driven(config, threshold);
-        self.arm_orchestrator();
-    }
-
-    /// Starts the next versioned bulk key-rollover epoch and the
-    /// orchestration tick that fans it out. Returns the epoch, or `None`
-    /// while a previous epoch is still incomplete.
-    pub fn start_bulk_rollover(&mut self) -> Option<u64> {
-        let now_ns = self.sim.now().as_ns();
-        let epoch = self.set.borrow_mut().start_bulk_rollover(now_ns);
-        if epoch.is_some() {
-            self.arm_orchestrator();
-        }
-        epoch
-    }
-
-    /// Schedules the ORCH timer if no chain is already live (the chain
-    /// re-arms itself while there is work; double-arming would
-    /// double-step every replica each period).
-    fn arm_orchestrator(&mut self) {
-        if !self.orch_armed.get() {
-            self.orch_armed.set(true);
-            self.sim
-                .schedule_timer(SwitchId::CONTROLLER, ORCH_TIMER, ORCH_PERIOD_NS);
-        }
     }
 }
 
@@ -1236,6 +900,7 @@ mod tests {
     fn network(n: u16) -> Network {
         Network::build(
             Topology::chain(n, 1_000, 200_000),
+            1,
             ControllerConfig::default(),
             0xb007_5eed,
             |_| None,
@@ -1244,88 +909,56 @@ mod tests {
     }
 
     #[test]
-    fn bootstrap_establishes_all_keys() {
-        let mut net = network(3);
-        net.bootstrap_keys();
-        for (id, sw) in &net.switches {
-            assert!(
-                sw.borrow().keys().local().is_installed(),
-                "local key missing on {id}"
+    fn bootstrap_establishes_all_keys_on_one_and_two_replicas() {
+        for n_replicas in [1, 2] {
+            let mut net = Network::build(
+                Topology::chain(4, 1_000, 200_000),
+                n_replicas,
+                ControllerConfig::default(),
+                0xb007_5eed,
+                |_| None,
+                |_, c| c,
             );
-        }
-        // Chain: S1:p2 <-> S2:p1, S2:p2 <-> S3:p1.
-        assert!(net.switches[&SwitchId::new(1)]
-            .borrow()
-            .keys()
-            .port(PortId::new(2))
-            .is_installed());
-        assert!(net.switches[&SwitchId::new(2)]
-            .borrow()
-            .keys()
-            .port(PortId::new(1))
-            .is_installed());
-        assert!(net.switches[&SwitchId::new(2)]
-            .borrow()
-            .keys()
-            .port(PortId::new(2))
-            .is_installed());
-        assert!(net.switches[&SwitchId::new(3)]
-            .borrow()
-            .keys()
-            .port(PortId::new(1))
-            .is_installed());
-    }
-
-    #[test]
-    fn replicated_bootstrap_establishes_all_keys_across_partitions() {
-        let mut net = ReplicatedNetwork::build(
-            Topology::chain(4, 1_000, 200_000),
-            2,
-            ControllerConfig::default(),
-            0xb007_5eed,
-            |_| None,
-            |_, c| c,
-        );
-        // The partition hash must actually split the fleet, otherwise
-        // this exercises nothing replicated.
-        {
-            let set = net.set.borrow();
-            assert!(set.replicas().iter().all(|r| !r.owned().is_empty()));
-        }
-        net.bootstrap_keys();
-        for (id, sw) in &net.switches {
-            assert!(
-                sw.borrow().keys().local().is_installed(),
-                "local key missing on {id}"
-            );
-        }
-        // Chain DP-DP links: S1:p2<->S2:p1, S2:p2<->S3:p1, S3:p2<->S4:p1.
-        // At least one of these crosses a partition boundary (4 switches,
-        // 2 non-empty partitions), so the redirect + seq-handoff path ran.
-        let set = net.set.borrow();
-        let crossings = [(1u16, 2u16), (2, 3), (3, 4)]
-            .iter()
-            .filter(|&&(a, b)| set.owner(SwitchId::new(a)) != set.owner(SwitchId::new(b)))
-            .count();
-        assert!(crossings > 0, "chain never crossed a partition");
-        for sw in [1u16, 2, 3] {
-            assert!(net.switches[&SwitchId::new(sw)]
-                .borrow()
-                .keys()
-                .port(PortId::new(2))
-                .is_installed());
-            assert!(net.switches[&SwitchId::new(sw + 1)]
-                .borrow()
-                .keys()
-                .port(PortId::new(1))
-                .is_installed());
+            net.bootstrap_keys();
+            for (id, sw) in &net.switches {
+                assert!(
+                    sw.borrow().keys().local().is_installed(),
+                    "local key missing on {id}"
+                );
+            }
+            // Chain DP-DP links: S1:p2<->S2:p1, S2:p2<->S3:p1, S3:p2<->S4:p1.
+            for sw in [1u16, 2, 3] {
+                assert!(net.switches[&SwitchId::new(sw)]
+                    .borrow()
+                    .keys()
+                    .port(PortId::new(2))
+                    .is_installed());
+                assert!(net.switches[&SwitchId::new(sw + 1)]
+                    .borrow()
+                    .keys()
+                    .port(PortId::new(1))
+                    .is_installed());
+            }
+            if n_replicas == 2 {
+                // The partition hash must actually split the fleet and at
+                // least one link must cross the boundary (4 switches, 2
+                // non-empty partitions), or the redirect + seq-handoff
+                // path never ran.
+                let set = net.set.borrow();
+                assert!(set.replicas().iter().all(|r| !r.owned().is_empty()));
+                let crossings = [(1u16, 2u16), (2, 3), (3, 4)]
+                    .iter()
+                    .filter(|&&(a, b)| set.owner(SwitchId::new(a)) != set.owner(SwitchId::new(b)))
+                    .count();
+                assert!(crossings > 0, "chain never crossed a partition");
+            }
         }
     }
 
     #[test]
     fn replicated_bulk_rollover_converges_and_records_fanout() {
         let registry = std::sync::Arc::new(p4auth_telemetry::Registry::new());
-        let mut net = ReplicatedNetwork::build(
+        let mut net = Network::build(
             Topology::chain(4, 1_000, 200_000),
             2,
             ControllerConfig::default(),
@@ -1373,6 +1006,7 @@ mod tests {
             let mut net = Network::build_with_scheduler(
                 Topology::chain(4, 1_000, 200_000),
                 kind,
+                1,
                 ControllerConfig::default(),
                 0xb007_5eed,
                 |_| None,
@@ -1406,10 +1040,10 @@ mod tests {
         assert!(snap.counter_total("sim_frames_delivered") > 0);
         assert!(snap.counter_total("auth_verify_ok") > 0);
         assert!(snap.counter("auth_verify_ok", "S1").unwrap_or(0) > 0);
-        assert!(snap.counter("auth_verify_ok", "controller").unwrap_or(0) > 0);
-        assert_eq!(snap.counter("ctrl_requests_sent", "controller"), Some(1));
-        assert_eq!(snap.counter("ctrl_responses_ok", "controller"), Some(1));
-        let hist = snap.histogram("ctrl_register_op_ns", "controller").unwrap();
+        assert!(snap.counter("auth_verify_ok", "replica0").unwrap_or(0) > 0);
+        assert_eq!(snap.counter("ctrl_requests_sent", "replica0"), Some(1));
+        assert_eq!(snap.counter("ctrl_responses_ok", "replica0"), Some(1));
+        let hist = snap.histogram("ctrl_register_op_ns", "replica0").unwrap();
         assert_eq!(hist.count, 1);
         // RTT includes two link crossings plus processing; strictly positive
         // sim-ns.
@@ -1476,11 +1110,11 @@ mod tests {
         );
         let snap = registry.snapshot();
         assert_eq!(
-            snap.counter("ctrl_defence_mitigations", "controller"),
+            snap.counter("ctrl_defence_mitigations", "replica0"),
             Some(1)
         );
         let hist = snap
-            .histogram("defence_mitigation_latency_ns", "controller")
+            .histogram("defence_mitigation_latency_ns", "replica0")
             .expect("latency histogram registered");
         assert_eq!(hist.count, 1);
         assert!(hist.min > 0, "latency measured in sim-ns");
@@ -1488,13 +1122,13 @@ mod tests {
         // The untouched channel (S2) keeps flowing: a controller request
         // still round-trips (the fixture maps no registers, so the answer
         // is an UnknownRegister nack — but it authenticates end to end).
-        let responses_before = snap.counter("ctrl_responses_ok", "controller").unwrap_or(0);
+        let responses_before = snap.counter("ctrl_responses_ok", "replica0").unwrap_or(0);
         net.controller_write(SwitchId::new(2), RegId::new(1), 0, 7);
         net.sim
             .run_until(SimTime::from_ns(net.sim.now().as_ns() + 50_000_000));
         let snap = registry.snapshot();
         assert_eq!(
-            snap.counter("ctrl_responses_ok", "controller"),
+            snap.counter("ctrl_responses_ok", "replica0"),
             Some(responses_before + 1)
         );
     }
@@ -1535,10 +1169,12 @@ mod tests {
             .run_until(SimTime::from_ns(net.sim.now().as_ns() + 1_000_000_000));
         net.sample_ring();
 
-        let ring = net.snapshot_ring().expect("ring enabled");
+        let ring = net.ring();
+        let ring = ring.borrow();
+        let ring = ring.as_ref().expect("ring enabled");
         assert_eq!(ring.len(), 2);
         let rate = ring
-            .rate("auth_reject_bad_digest", "controller")
+            .rate("auth_reject_bad_digest", "replica0")
             .expect("reject series present in the window");
         // 20 rejects over ~1s of sim time: comfortably positive, and no
         // more than the frames injected.

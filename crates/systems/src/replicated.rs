@@ -25,14 +25,14 @@
 //! deterministic JSON; `repro -- replicas` and the CI two-run gate diff
 //! two independent runs byte for byte.
 
-use crate::harness::ReplicatedNetwork;
+use crate::harness::{is_dp_dp_link, Network};
 use p4auth_attacks::{ctrl_mitm, digest_flood};
 use p4auth_controller::daemons::tables;
 use p4auth_controller::statedb::Value;
 use p4auth_controller::{ControllerConfig, ControllerEvent, DefenceConfig};
 use p4auth_dataplane::register::RegisterArray;
 use p4auth_netsim::time::SimTime;
-use p4auth_netsim::topology::{Topology, HOST_ID_BASE};
+use p4auth_netsim::topology::Topology;
 use p4auth_primitives::rng::SplitMix64;
 use p4auth_telemetry::Registry;
 use p4auth_wire::ids::{RegId, SwitchId};
@@ -139,11 +139,6 @@ impl ReplicatedReport {
     }
 }
 
-fn is_dp_dp(l: &p4auth_netsim::topology::Link) -> bool {
-    let is_switch = |id: SwitchId| !id.is_controller() && id.value() < HOST_ID_BASE;
-    is_switch(l.a.node) && is_switch(l.b.node)
-}
-
 /// Runs the full scenario; see the module docs for the phases.
 ///
 /// # Panics
@@ -155,7 +150,7 @@ fn is_dp_dp(l: &p4auth_netsim::topology::Link) -> bool {
 pub fn run(config: ReplicatedConfig) -> ReplicatedReport {
     assert!(config.replicas >= 2, "the scenario is about replication");
     let registry = Arc::new(Registry::new());
-    let mut net = ReplicatedNetwork::build(
+    let mut net = Network::build(
         Topology::fat_tree_with_controller(config.k, 1_000, 200_000),
         config.replicas,
         ControllerConfig::default(),
@@ -185,7 +180,7 @@ pub fn run(config: ReplicatedConfig) -> ReplicatedReport {
             .topology()
             .links()
             .iter()
-            .filter(|l| is_dp_dp(l) && set.owner(l.a.node) != set.owner(l.b.node))
+            .filter(|l| is_dp_dp_link(l) && set.owner(l.a.node) != set.owner(l.b.node))
             .count();
         assert!(crossing > 0, "no cross-partition links");
         (sizes, crossing)

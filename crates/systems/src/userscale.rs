@@ -958,6 +958,7 @@ mod tests {
         let registry = Arc::new(Registry::with_event_capacity(2048));
         let mut net = Network::build(
             Topology::fat_tree_with_controller(4, 1_000, 200_000),
+            1,
             ControllerConfig::default(),
             0xa66,
             |_| None,
@@ -1025,7 +1026,7 @@ mod tests {
         );
         let snap = registry.snapshot();
         let hist = snap
-            .histogram("defence_mitigation_latency_ns", "controller")
+            .histogram("defence_mitigation_latency_ns", "replica0")
             .expect("detection latency recorded");
         assert_eq!(hist.count, 1);
         assert!(hist.min > 0, "latency measured in sim-ns");

@@ -49,10 +49,7 @@ fn plan_from(flaps: &[(u8, u64, u64)]) -> FaultPlan {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 6,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// For random flap schedules: each engine's span stream is
     /// well-formed, nothing is dropped, and the encoded `P4TR` bytes are

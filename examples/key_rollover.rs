@@ -17,6 +17,7 @@ fn main() {
 
     let mut net = Network::build(
         Topology::chain(3, 50_000, 200_000),
+        1,
         ControllerConfig::default(),
         0x2011_0e47,
         |_| None,
@@ -43,7 +44,7 @@ fn main() {
     let s2 = SwitchId::new(2);
 
     let v_before = net.switches[&s1].borrow().keys().local().version();
-    let out = net.controller.borrow_mut().local_key_update(s1);
+    let out = net.set.borrow_mut().core_mut(s1).local_key_update(s1);
     for o in out {
         net.sim.inject_frame(
             SwitchId::CONTROLLER,
@@ -56,8 +57,9 @@ fn main() {
     println!("\nlocal key rollover on S1: version {v_before} -> {v_after}");
 
     let out = net
-        .controller
+        .set
         .borrow_mut()
+        .core_mut(s1)
         .port_key_update(s1, PortId::new(2), s2);
     for o in out {
         net.sim.inject_frame(

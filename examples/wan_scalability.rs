@@ -62,6 +62,7 @@ fn main() {
     for n in [2u16, 4, 8] {
         let mut net = Network::build(
             Topology::chain(n, 50_000, 200_000),
+            1,
             ControllerConfig::default(),
             0x3a1e,
             |_| None,

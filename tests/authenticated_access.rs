@@ -18,6 +18,7 @@ const S1: SwitchId = SwitchId::new(1);
 fn network(auth: bool) -> Network {
     let mut net = Network::build(
         Topology::chain(1, 50_000, 200_000),
+        1,
         ControllerConfig {
             auth_enabled: auth,
             ..ControllerConfig::default()
@@ -65,7 +66,7 @@ fn write_then_read_roundtrip() {
         index: 3,
         value: 4242
     }));
-    assert_eq!(net.controller.borrow().outstanding(S1), 0);
+    assert_eq!(net.set.borrow().core(S1).outstanding(S1), 0);
 }
 
 #[test]
@@ -275,8 +276,8 @@ fn forged_response_flood_is_rejected_at_controller() {
     let net = network(true);
     let mut rng = SplitMix64::new(7);
     for f in dos::forged_responses(100, S1, &mut rng) {
-        let (_, events) = net.controller.borrow_mut().on_message(S1, &f);
+        let (_, events) = net.set.borrow_mut().on_message(0, S1, &f);
         assert!(matches!(events[0], ControllerEvent::Rejected { .. }));
     }
-    assert_eq!(net.controller.borrow().stats().rejected, 100);
+    assert_eq!(net.set.borrow().stats().rejected, 100);
 }

@@ -15,6 +15,7 @@ const S1: SwitchId = SwitchId::new(1);
 fn cache_network(auth: bool) -> Network {
     Network::build(
         Topology::chain(1, 50_000, 200_000),
+        1,
         ControllerConfig {
             auth_enabled: auth,
             ..ControllerConfig::default()
@@ -158,6 +159,7 @@ fn netcache_forged_eviction_blocked_by_p4auth() {
 fn ids_network(auth: bool) -> Network {
     Network::build(
         Topology::chain(1, 50_000, 200_000),
+        1,
         ControllerConfig {
             auth_enabled: auth,
             ..ControllerConfig::default()

@@ -19,6 +19,7 @@ const S2: SwitchId = SwitchId::new(2);
 fn network() -> Network {
     Network::build(
         Topology::chain(2, 50_000, 200_000),
+        1,
         ControllerConfig::default(),
         0xfa11,
         |_| None,
@@ -59,21 +60,21 @@ fn lost_eak_salt_is_recovered_by_retry() {
     let (tap, dropped) = drop_first_n(1);
     net.sim.install_tap(link, SwitchId::CONTROLLER, tap);
 
-    let out = net.controller.borrow_mut().local_key_init(S1);
+    let out = net.set.borrow_mut().core_mut(S1).local_key_init(S1);
     inject(&mut net, out);
     net.sim.run_to_completion();
     assert_eq!(*dropped.borrow(), 1);
     assert!(
-        !net.controller.borrow().has_local_key(S1),
+        !net.set.borrow().has_local_key(S1),
         "init must have stalled"
     );
 
     // Operator/timer-driven retry.
-    let out = net.controller.borrow_mut().retry_stalled();
+    let out = net.set.borrow_mut().core_mut(S1).retry_stalled();
     assert!(!out.is_empty(), "a stalled exchange must be retried");
     inject(&mut net, out);
     net.sim.run_to_completion();
-    assert!(net.controller.borrow().has_local_key(S1));
+    assert!(net.set.borrow().has_local_key(S1));
     assert!(net.switches[&S1].borrow().keys().local().is_installed());
 }
 
@@ -99,22 +100,22 @@ fn lost_adhkd_answer_is_recovered_by_retry() {
         }),
     );
 
-    let out = net.controller.borrow_mut().local_key_init(S1);
+    let out = net.set.borrow_mut().core_mut(S1).local_key_init(S1);
     inject(&mut net, out);
     net.sim.run_to_completion();
     assert!(
-        net.controller.borrow().has_auth_key(S1),
+        net.set.borrow().core(S1).has_auth_key(S1),
         "EAK should have completed"
     );
     assert!(
-        !net.controller.borrow().has_local_key(S1),
+        !net.set.borrow().has_local_key(S1),
         "ADHKD should have stalled"
     );
 
-    let out = net.controller.borrow_mut().retry_stalled();
+    let out = net.set.borrow_mut().core_mut(S1).retry_stalled();
     inject(&mut net, out);
     net.sim.run_to_completion();
-    assert!(net.controller.borrow().has_local_key(S1));
+    assert!(net.set.borrow().has_local_key(S1));
     // Both sides agree: an authenticated request round-trips.
     net.controller_read(S1, RegId::new(1), 0);
     net.sim.run_to_completion();
@@ -129,7 +130,7 @@ fn lost_port_key_leg_is_recovered_by_retry() {
     let mut net = network();
     // Local keys first (cleanly).
     for sw in [S1, S2] {
-        let out = net.controller.borrow_mut().local_key_init(sw);
+        let out = net.set.borrow_mut().core_mut(sw).local_key_init(sw);
         inject(&mut net, out);
     }
     net.sim.run_to_completion();
@@ -140,9 +141,9 @@ fn lost_port_key_leg_is_recovered_by_retry() {
     net.sim.install_tap(link, SwitchId::CONTROLLER, tap);
 
     let out = net
-        .controller
+        .set
         .borrow_mut()
-        .port_key_init(S1, PortId::new(2), S2, PortId::new(1));
+        .port_key_init(0, S1, PortId::new(2), S2, PortId::new(1));
     inject(&mut net, out);
     net.sim.run_to_completion();
     assert_eq!(*dropped.borrow(), 1);
@@ -155,7 +156,7 @@ fn lost_port_key_leg_is_recovered_by_retry() {
         "port key should have stalled on S2"
     );
 
-    let out = net.controller.borrow_mut().retry_stalled();
+    let out = net.set.borrow_mut().core_mut(S1).retry_stalled();
     assert!(!out.is_empty());
     inject(&mut net, out);
     net.sim.run_to_completion();
@@ -178,7 +179,7 @@ fn lost_port_key_leg_is_recovered_by_retry() {
 fn retry_is_a_noop_when_nothing_is_stalled() {
     let mut net = network();
     net.bootstrap_keys();
-    let out = net.controller.borrow_mut().retry_stalled();
+    let out = net.set.borrow_mut().core_mut(S1).retry_stalled();
     assert!(
         out.is_empty(),
         "healthy controller must not spuriously retry: {out:?}"
@@ -221,41 +222,51 @@ fn assert_dp_dp_keys_agree(net: &Network) {
     }
 }
 
-#[test]
-fn link_flap_recovery_reagrees_port_keys() {
-    // A DP-DP link on a fat tree flaps; the recovery LinkUp drives a
-    // fresh port-key exchange and both ends converge on the same key.
-    let ft = FatTree::new(4);
+/// A booted fat-tree(4) network on `n_replicas` controller replicas.
+fn booted_fat_tree(n_replicas: usize, seed: u64) -> Network {
     let mut net = Network::build(
         Topology::fat_tree_with_controller(4, 1_000, 200_000),
+        n_replicas,
         ControllerConfig::default(),
-        0xf1a9,
+        seed,
         |_| None,
         |_, c| c,
     );
     net.bootstrap_keys();
     let _ = net.take_events();
+    net
+}
 
-    let now = net.sim.now().as_ns();
-    let (uplink, _) = net
-        .sim
-        .topology()
-        .link_at(ft.edge(0, 0), PortId::new(3))
-        .unwrap();
-    let mut plan = FaultPlan::new();
-    plan.flap(uplink, now + 10_000, now + 2_000_000);
-    net.sim.install_fault_plan(&plan);
-    net.sim.run_to_completion();
+#[test]
+fn link_flap_recovery_reagrees_port_keys() {
+    // A DP-DP link on a fat tree flaps; the recovery LinkUp drives a
+    // fresh port-key exchange and both ends converge on the same key —
+    // under the single controller and under two replicas.
+    let ft = FatTree::new(4);
+    for n_replicas in [1, 2] {
+        let mut net = booted_fat_tree(n_replicas, 0xf1a9);
 
-    assert_eq!(net.sim.stats().faults_applied, 2);
-    assert_dp_dp_keys_agree(&net);
-    let events = net.take_events();
-    assert!(
-        !events
-            .iter()
-            .any(|e| matches!(e, ControllerEvent::Rejected { .. })),
-        "recovery re-keying must verify cleanly: {events:?}"
-    );
+        let now = net.sim.now().as_ns();
+        let (uplink, _) = net
+            .sim
+            .topology()
+            .link_at(ft.edge(0, 0), PortId::new(3))
+            .unwrap();
+        let mut plan = FaultPlan::new();
+        plan.flap(uplink, now + 10_000, now + 2_000_000);
+        net.sim.install_fault_plan(&plan);
+        net.sim.run_to_completion();
+
+        assert_eq!(net.sim.stats().faults_applied, 2);
+        assert_dp_dp_keys_agree(&net);
+        let events = net.take_events();
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e, ControllerEvent::Rejected { .. })),
+            "recovery re-keying must verify cleanly ({n_replicas} replicas): {events:?}"
+        );
+    }
 }
 
 #[test]
@@ -263,42 +274,45 @@ fn pod_failure_recovery_converges_all_port_keys() {
     // Pod 1's DP-DP links fail as a correlated group and recover (the
     // C-DP control channel models an out-of-band management network —
     // DESIGN §4g). Post-recovery, every link in the fabric must hold
-    // agreed port keys again.
+    // agreed port keys again. Two replicas is the regression case for
+    // switch-keyed redirect leases: the recovery starts several
+    // cross-partition exchanges that share a switch at the same instant.
     let ft = FatTree::new(4);
-    let mut net = Network::build(
-        Topology::fat_tree_with_controller(4, 1_000, 200_000),
-        ControllerConfig::default(),
-        0x90d1,
-        |_| None,
-        |_, c| c,
-    );
-    net.bootstrap_keys();
-    let _ = net.take_events();
+    for n_replicas in [1, 2] {
+        let mut net = booted_fat_tree(n_replicas, 0x90d1);
 
-    let now = net.sim.now().as_ns();
-    let pod_links: Vec<_> = net
-        .sim
-        .topology()
-        .links()
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| {
-            is_dp_dp(l)
-                && (0..2).any(|i| {
-                    [ft.agg(1, i), ft.edge(1, i)].contains(&l.a.node)
-                        || [ft.agg(1, i), ft.edge(1, i)].contains(&l.b.node)
-                })
-        })
-        .map(|(i, _)| p4auth::netsim::topology::LinkId(i as u32))
-        .collect();
-    assert!(!pod_links.is_empty());
-    let mut plan = FaultPlan::new();
-    plan.correlated_flap(&pod_links, now + 10_000, now + 1_000_000);
-    net.sim.install_fault_plan(&plan);
-    net.sim.run_to_completion();
+        let now = net.sim.now().as_ns();
+        let pod_links: Vec<_> = net
+            .sim
+            .topology()
+            .links()
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| {
+                is_dp_dp(l)
+                    && (0..2).any(|i| {
+                        [ft.agg(1, i), ft.edge(1, i)].contains(&l.a.node)
+                            || [ft.agg(1, i), ft.edge(1, i)].contains(&l.b.node)
+                    })
+            })
+            .map(|(i, _)| p4auth::netsim::topology::LinkId(i as u32))
+            .collect();
+        assert!(!pod_links.is_empty());
+        let mut plan = FaultPlan::new();
+        plan.correlated_flap(&pod_links, now + 10_000, now + 1_000_000);
+        net.sim.install_fault_plan(&plan);
+        net.sim.run_to_completion();
 
-    assert_eq!(net.sim.stats().faults_applied, 2 * pod_links.len() as u64);
-    assert_dp_dp_keys_agree(&net);
+        assert_eq!(net.sim.stats().faults_applied, 2 * pod_links.len() as u64);
+        assert_dp_dp_keys_agree(&net);
+        let events = net.take_events();
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e, ControllerEvent::Rejected { .. })),
+            "pod recovery must verify cleanly ({n_replicas} replicas)"
+        );
+    }
 }
 
 #[test]
@@ -371,7 +385,7 @@ fn register_requests_survive_response_loss() {
     net.controller_read(S1, RegId::new(1), 0);
     net.sim.run_to_completion();
     assert_eq!(
-        net.controller.borrow().outstanding(S1),
+        net.set.borrow().core(S1).outstanding(S1),
         1,
         "response was lost"
     );
@@ -384,7 +398,7 @@ fn register_requests_survive_response_loss() {
         .iter()
         .any(|e| matches!(e, ControllerEvent::Nacked { .. })));
     assert_eq!(
-        net.controller.borrow().outstanding(S1),
+        net.set.borrow().core(S1).outstanding(S1),
         1,
         "only the lost one remains"
     );

@@ -9,6 +9,7 @@ use p4auth::wire::ids::{PortId, SwitchId};
 fn network(n: u16) -> Network {
     Network::build(
         Topology::chain(n, 50_000, 200_000),
+        1,
         ControllerConfig::default(),
         0x11fe_c1c1e,
         |_| None,
@@ -35,7 +36,7 @@ fn bootstrap_establishes_local_and_port_keys_everywhere() {
         let sw = sw.borrow();
         assert!(sw.has_auth_key(), "{id}: EAK did not complete");
         assert!(sw.keys().local().is_installed(), "{id}: no local key");
-        assert!(net.controller.borrow().has_local_key(*id));
+        assert!(net.set.borrow().has_local_key(*id));
     }
     // Every DP-DP link has port keys on both ends.
     for link in net.sim.topology().links() {
@@ -110,7 +111,7 @@ fn local_key_rollover_changes_key_and_preserves_connectivity() {
     let s1 = SwitchId::new(1);
     let before = net.switches[&s1].borrow().keys().local().current().unwrap();
 
-    let out = net.controller.borrow_mut().local_key_update(s1);
+    let out = net.set.borrow_mut().core_mut(s1).local_key_update(s1);
     inject(&mut net, out);
     net.sim.run_to_completion();
 
@@ -154,8 +155,9 @@ fn port_key_rollover_is_direct_and_agrees() {
 
     let frames_before = net.sim.stats().frames_delivered;
     let out = net
-        .controller
+        .set
         .borrow_mut()
+        .core_mut(s1)
         .port_key_update(s1, PortId::new(2), s2);
     inject(&mut net, out);
     net.sim.run_to_completion();
@@ -186,7 +188,7 @@ fn repeated_rollovers_stay_consistent() {
     let s1 = SwitchId::new(1);
     let mut seen = std::collections::HashSet::new();
     for _ in 0..5 {
-        let out = net.controller.borrow_mut().local_key_update(s1);
+        let out = net.set.borrow_mut().core_mut(s1).local_key_update(s1);
         inject(&mut net, out);
         net.sim.run_to_completion();
         let k = net.switches[&s1].borrow().keys().local().current().unwrap();

@@ -14,6 +14,7 @@ const PERIOD_NS: u64 = 10_000_000; // 10 ms of simulated time
 fn network() -> Network {
     let mut net = Network::build(
         Topology::chain(2, 50_000, 200_000),
+        1,
         ControllerConfig::default(),
         0x4011,
         |_| None,

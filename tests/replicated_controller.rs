@@ -5,7 +5,28 @@
 //! report must be bit-identical across two in-process runs — the same
 //! property CI checks across two separate processes.
 
+use p4auth_systems::campaigns::churn_defence_phases;
 use p4auth_systems::replicated::{run, ReplicatedConfig};
+
+/// The fault-only campaigns' defence phases — correlated flap churn and
+/// whole-switch failure — on two replicas: recovery starts several
+/// cross-partition port-key exchanges at once, and every DP-DP link must
+/// end with equal keys on both ends (as must every other invariant the
+/// campaigns assert at one replica).
+#[test]
+fn churn_campaign_defence_phases_hold_on_two_replicas() {
+    for (campaign, checks) in churn_defence_phases(2) {
+        assert!(
+            checks
+                .iter()
+                .any(|c| c.name == "post_recovery_keys_converged"),
+            "{campaign} asserts port-key equality"
+        );
+        for c in &checks {
+            assert!(c.passed, "{campaign}/{}: {}", c.name, c.detail);
+        }
+    }
+}
 
 #[test]
 fn replicated_fat_tree_two_runs_bit_identical() {

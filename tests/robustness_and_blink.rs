@@ -73,6 +73,7 @@ const S1: SwitchId = SwitchId::new(1);
 fn blink_network(auth: bool) -> Network {
     let mut net = Network::build(
         Topology::chain(1, 50_000, 200_000),
+        1,
         ControllerConfig {
             auth_enabled: auth,
             ..ControllerConfig::default()
