@@ -10,196 +10,142 @@
 //! cargo run -p p4auth-bench --bin repro -- decode /tmp/tl.json.bin
 //! ```
 //!
-//! `--short` and `--shards <n>` are consumed before name filtering and
-//! set `P4AUTH_SCALE_SHORT` / `P4AUTH_SCALE_SHARDS` for the scale, users
-//! and timeline reports. `--stagger <ns>` sets `P4AUTH_SHARD_STAGGER`,
-//! making the sharded engine inject deterministic per-worker wall-clock
-//! delays — the determinism gates run twice with different values to
-//! prove worker scheduling cannot affect the output. `--out <path>` and
-//! `--baseline <path>` are routed by [`ReportSink`] to the env var of the
-//! one selected experiment: `--out` writes that experiment's
-//! machine-readable output to `<path>` (plus `<path>.bin` for the binary
-//! form, where one exists), `--baseline` points a report at its
-//! checked-in JSON for the CI non-regression gates. `decode <file>`
-//! re-emits a binary artifact (`P4TS` snapshot/delta, `P4TL` timeline or
-//! `P4TR` trace) as canonical JSON.
+//! `--short` (CI-sized workloads) and `--shards <n>` reach the scale,
+//! users, timeline, trace and scenarios reports as a [`ReportArgs`].
+//! `--stagger <ns>` sets `P4AUTH_SHARD_STAGGER`, making the sharded
+//! engine inject deterministic per-worker wall-clock delays — the
+//! determinism gates run twice with different values to prove worker
+//! scheduling cannot affect the output. `--out <path>` writes the one
+//! selected experiment's machine-readable output to `<path>` (plus
+//! `<path>.bin` for the binary form, where one exists); `--baseline
+//! <path>` points it at its checked-in JSON for the CI non-regression
+//! gates, which fail closed. `decode <file>` re-emits a binary artifact
+//! (`P4TS` snapshot/delta, `P4TL` timeline or `P4TR` trace) as canonical
+//! JSON.
 
 use p4auth_bench::alloc::CountingAlloc;
-use p4auth_bench::report;
+use p4auth_bench::report::{self, die, ReportArgs};
 
 /// The repro binary meters its own heap: reports read the live/peak
 /// counters as a deterministic memory-footprint proxy (`repro -- users`).
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Parsed CLI: experiment filters plus the file-routing flags. `--out`
-/// and `--baseline` are generic — the sink maps them to the selected
-/// experiment's env var, so a new report adds one table row here instead
-/// of another copy of the flag plumbing.
-struct ReportSink {
-    /// Positional experiment names (substring-matched against the table).
-    filter: Vec<String>,
-    /// `--out <path>`: machine-readable output destination.
-    out: Option<String>,
-    /// `--baseline <path>`: checked-in JSON for a non-regression gate.
-    baseline: Option<String>,
-}
+/// The experiment writes machine-readable output (`--out`).
+const OUT: u8 = 1;
+/// The experiment has a checked-in baseline gate (`--baseline`).
+const BASELINE: u8 = 2;
 
-impl ReportSink {
-    /// Experiments with machine-readable output, and the env var their
-    /// report honours for redirecting it to a file.
-    const OUT_VARS: &'static [(&'static str, &'static str)] = &[
-        ("metrics", "P4AUTH_METRICS_OUT"),
-        ("timeline", "P4AUTH_TIMELINE_OUT"),
-        ("trace", "P4AUTH_TRACE_OUT"),
-        ("replicas", "P4AUTH_REPLICAS_OUT"),
-        ("users", "P4AUTH_USERS_OUT"),
-        ("scenarios", "P4AUTH_SCENARIOS_OUT"),
-        ("decode", "P4AUTH_DECODE_OUT"),
-    ];
-    /// Experiments with a checked-in baseline gate.
-    const BASELINE_VARS: &'static [(&'static str, &'static str)] = &[
-        ("scale", "P4AUTH_SCALE_BASELINE"),
-        ("users", "P4AUTH_USERS_BASELINE"),
-        ("scenarios", "P4AUTH_SCENARIOS_BASELINE"),
-    ];
+/// Name, report, and which of `--out` / `--baseline` it accepts.
+type Experiment = (&'static str, fn(&ReportArgs), u8);
 
-    /// Parses the CLI. Flags that are plain env-var switches (`--short`,
-    /// `--shards`, `--stagger`) are applied immediately; `--out` and
-    /// `--baseline` are held until the experiment selection is known.
-    fn parse(args: &[String]) -> ReportSink {
-        fn operand(args: &[String], i: usize, usage: &str) -> String {
-            args.get(i).cloned().unwrap_or_else(|| {
-                eprintln!("{usage}");
-                std::process::exit(1);
-            })
-        }
-        fn numeric(args: &[String], i: usize, usage: &str) -> u64 {
-            operand(args, i, usage).parse().unwrap_or_else(|_| {
-                eprintln!("{usage}");
-                std::process::exit(1);
-            })
-        }
-        let mut sink = ReportSink {
-            filter: Vec::new(),
-            out: None,
-            baseline: None,
+const EXPERIMENTS: [Experiment; 18] = [
+    ("table1", |_| report::table1(), 0),
+    ("fig16", |_| report::fig16(), 0),
+    ("fig17", |_| report::fig17(), 0),
+    ("fig18", |_| report::fig18(), 0),
+    ("fig19", |_| report::fig19(), 0),
+    ("fig20", |_| report::fig20(), 0),
+    ("fig21", |_| report::fig21(), 0),
+    ("table2", |_| report::table2(), 0),
+    ("table3", |_| report::table3(), 0),
+    ("fct", |_| report::motivation_fct(), 0),
+    ("metrics", report::metrics, OUT),
+    ("scale", report::scale, OUT | BASELINE),
+    ("users", report::users, OUT | BASELINE),
+    ("timeline", report::timeline, OUT),
+    ("trace", report::trace, OUT),
+    ("replicas", report::replicas, OUT),
+    ("scenarios", report::scenarios, OUT | BASELINE),
+    ("ablation", |_| report::ablation_digest(), 0),
+];
+
+/// Splits the command line into positional experiment names
+/// (substring-matched against the table) and the typed flags.
+fn parse(argv: &[String]) -> (Vec<String>, ReportArgs) {
+    let mut filter = Vec::new();
+    let mut args = ReportArgs {
+        short: false,
+        shards: 4,
+        out: None,
+        baseline: None,
+    };
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        let mut operand = |what: &str| {
+            it.next()
+                .cloned()
+                .unwrap_or_else(|| die(format!("{arg} needs {what}")))
         };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--short" => std::env::set_var("P4AUTH_SCALE_SHORT", "1"),
-                "--shards" => {
-                    i += 1;
-                    let n = numeric(args, i, "--shards needs a positive integer");
-                    std::env::set_var("P4AUTH_SCALE_SHARDS", n.to_string());
-                }
-                "--stagger" => {
-                    i += 1;
-                    let ns = numeric(args, i, "--stagger needs a delay in nanoseconds");
-                    std::env::set_var("P4AUTH_SHARD_STAGGER", ns.to_string());
-                }
-                "--baseline" => {
-                    i += 1;
-                    sink.baseline = Some(operand(args, i, "--baseline needs a JSON path"));
-                }
-                "--out" => {
-                    i += 1;
-                    sink.out = Some(operand(args, i, "--out needs a file path"));
-                }
-                other => sink.filter.push(other.to_string()),
+        match arg.as_str() {
+            "--short" => args.short = true,
+            "--shards" => {
+                let n = operand("a positive integer");
+                args.shards = match n.parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => die("--shards needs a positive integer"),
+                };
             }
-            i += 1;
-        }
-        sink
-    }
-
-    /// The env var `flag` maps to under the current selection, or exits
-    /// listing the experiments that accept the flag. Exactly one
-    /// experiment must be selected (`decode` keeps its file operand).
-    fn env_var_for(
-        &self,
-        flag: &str,
-        vars: &'static [(&'static str, &'static str)],
-    ) -> &'static str {
-        let selected = match self.filter.first().map(String::as_str) {
-            Some("decode") if self.filter.len() == 2 => Some("decode"),
-            Some(name) if self.filter.len() == 1 => Some(name),
-            _ => None,
-        };
-        selected
-            .and_then(|name| vars.iter().find(|(n, _)| *n == name))
-            .map(|(_, var)| *var)
-            .unwrap_or_else(|| {
-                let names: Vec<&str> = vars.iter().map(|(n, _)| *n).collect();
-                eprintln!("{flag} needs exactly one of: {}", names.join(", "));
-                std::process::exit(1);
-            })
-    }
-
-    /// Routes `--out` / `--baseline` to the selected experiment's env
-    /// vars, which the report functions read.
-    fn route_to_env(&self) {
-        if let Some(path) = &self.out {
-            std::env::set_var(self.env_var_for("--out", Self::OUT_VARS), path);
-        }
-        if let Some(path) = &self.baseline {
-            std::env::set_var(self.env_var_for("--baseline", Self::BASELINE_VARS), path);
+            "--stagger" => {
+                let ns = operand("a delay in nanoseconds");
+                if ns.parse::<u64>().is_err() {
+                    die("--stagger needs a delay in nanoseconds");
+                }
+                std::env::set_var("P4AUTH_SHARD_STAGGER", ns);
+            }
+            "--baseline" => args.baseline = Some(operand("a JSON path")),
+            "--out" => args.out = Some(operand("a file path")),
+            other => filter.push(other.to_string()),
         }
     }
+    (filter, args)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let sink = ReportSink::parse(&args);
-    sink.route_to_env();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (filter, args) = parse(&argv);
 
     // `decode <file>` is a converter, not an experiment: handle it before
     // the table loop so the file operand is not treated as a filter.
-    if sink.filter.first().map(String::as_str) == Some("decode") {
-        let Some(input) = sink.filter.get(1) else {
-            eprintln!("decode needs a binary artifact path");
-            std::process::exit(1);
-        };
-        report::decode(input);
-        return;
+    if filter.first().map(String::as_str) == Some("decode") {
+        match (&filter[1..], &args.baseline) {
+            ([input], None) => return report::decode(input, &args),
+            _ => die("usage: decode <binary artifact> [--out <path>]"),
+        }
     }
-    let want = |name: &str| {
-        sink.filter.is_empty() || sink.filter.iter().any(|f| name.contains(f.as_str()))
-    };
+    // `--out` / `--baseline` name one file, so they need exactly one
+    // experiment, spelled in full, that has such a file.
+    for (flag, given, bit) in [
+        ("--out", args.out.is_some(), OUT),
+        ("--baseline", args.baseline.is_some(), BASELINE),
+    ] {
+        let accepts = |name: &str| {
+            EXPERIMENTS
+                .iter()
+                .any(|&(n, _, bits)| n == name && bits & bit != 0)
+        };
+        if given && !matches!(filter.as_slice(), [name] if accepts(name)) {
+            let names: Vec<&str> = EXPERIMENTS
+                .iter()
+                .map(|e| e.0)
+                .filter(|n| accepts(n))
+                .collect();
+            die(format!("{flag} needs exactly one of: {}", names.join(", ")));
+        }
+    }
 
-    let experiments: [(&str, fn()); 17] = [
-        ("table1", report::table1),
-        ("fig16", report::fig16),
-        ("fig17", report::fig17),
-        ("fig18", report::fig18),
-        ("fig19", report::fig19),
-        ("fig20", report::fig20),
-        ("fig21", report::fig21),
-        ("table2", report::table2),
-        ("table3", report::table3),
-        ("fct", report::motivation_fct),
-        ("metrics", report::metrics),
-        ("scale", report::scale),
-        ("users", report::users),
-        ("timeline", report::timeline),
-        ("trace", report::trace),
-        ("replicas", report::replicas),
-        ("scenarios", report::scenarios),
-    ];
     let mut ran = 0;
-    for (name, run) in experiments {
-        if want(name) {
-            run();
+    for (name, run, _) in EXPERIMENTS {
+        if filter.is_empty() || filter.iter().any(|f| name.contains(f.as_str())) {
+            run(&args);
             ran += 1;
         }
     }
-    if want("ablation") {
-        report::ablation_digest();
-        ran += 1;
-    }
     if ran == 0 {
-        eprintln!("no experiment matches {filter:?}; available: table1 fig16 fig17 fig18 fig19 fig20 fig21 table2 table3 fct metrics scale users timeline trace replicas scenarios ablation decode", filter = sink.filter);
-        std::process::exit(1);
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+        die(format!(
+            "no experiment matches {filter:?}; available: {} decode",
+            names.join(" ")
+        ));
     }
 }

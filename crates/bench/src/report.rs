@@ -12,6 +12,181 @@ use p4auth_netsim::topology::Topology;
 use p4auth_primitives::mac::DigestWidth;
 use p4auth_systems::experiments::{fct, fig16, fig17, fig20, fig21};
 use p4auth_systems::harness::Network;
+use p4auth_telemetry::codec::{parse_json, JsonWriter, Layout, Value};
+
+/// What `repro` parsed from its command line for the machine-readable
+/// reports.
+#[derive(Clone, Debug)]
+pub struct ReportArgs {
+    /// `--short`: the CI-sized workload.
+    pub short: bool,
+    /// `--shards <n>`: worker count of the sharded engine.
+    pub shards: usize,
+    /// `--out <path>`: also write the report's JSON to `<path>` (and its
+    /// binary form, where one exists, to `<path>.bin`).
+    pub out: Option<String>,
+    /// `--baseline <path>`: the checked-in JSON the report's
+    /// non-regression gates compare against.
+    pub baseline: Option<String>,
+}
+
+/// Prints `msg` and exits non-zero.
+pub fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1)
+}
+
+/// Writes a report's JSON to `--out <path>` and its binary form, when it
+/// has one, to `<path>.bin`. No-op without `--out`.
+fn write_artifact(out: &Option<String>, json: &str, bin: Option<&[u8]>) {
+    let Some(path) = out else { return };
+    let bin = bin.map(|bytes| (format!("{path}.bin"), bytes));
+    for (path, bytes) in [(path.clone(), json.as_bytes())].into_iter().chain(bin) {
+        std::fs::write(&path, bytes).unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
+        println!("wrote {path}");
+    }
+}
+
+/// How this run's value of a gated field may differ from the baseline's:
+/// at most a margin below it, at most a factor above it, or still `true`
+/// if it was.
+#[derive(Debug)]
+enum Bound {
+    NotBelow(f64),
+    NotAbove(f64),
+    StillTrue,
+}
+
+use Bound::{NotAbove, NotBelow, StillTrue};
+
+impl Bound {
+    /// Whether the bound holds; `None` when the two values are not both
+    /// of the type the bound compares.
+    fn holds(&self, base: &Value, run: &Value) -> Option<bool> {
+        Some(match *self {
+            NotBelow(margin) => run.as_f64()? >= base.as_f64()? - margin,
+            NotAbove(factor) => run.as_f64()? <= base.as_f64()? * factor,
+            StillTrue => run.as_bool()? || !base.as_bool()?,
+        })
+    }
+}
+
+/// A checked-in baseline: file name, the array holding its rows, and the
+/// member that identifies a row.
+struct Baseline(&'static str, &'static str, &'static str);
+
+const SCALE: Baseline = Baseline("BENCH_sim_scale.json", "runs", "k");
+const USERS: Baseline = Baseline("BENCH_users.json", "runs", "users");
+const SCENARIOS: Baseline = Baseline("BENCH_scenarios.json", "campaigns", "name");
+
+/// One non-regression gate: the baseline row matching one of this run's
+/// bounds the named field. The flag marks fields a baseline row may carry
+/// as `null` or not at all, which skips the comparison: campaigns without
+/// a mitigation have no latency, and older `BENCH_scenarios.json` files
+/// predate the percentiles.
+struct Gate(&'static Baseline, &'static str, Bound, bool);
+
+/// Every `--baseline` gate: the sharded engine's overhead ratio, the
+/// wall-clock-tolerant per-user cost, campaign verdicts, and the defence
+/// latency percentiles — a protocol property (detection window + KMP
+/// round-trips), not a fabric-size one, so short CI runs gate against the
+/// full-mode baseline directly.
+const GATES: &[Gate] = &[
+    Gate(&SCALE, "sharded_speedup", NotBelow(0.2), false),
+    Gate(&USERS, "ns_per_user", NotAbove(3.0), false),
+    Gate(&SCENARIOS, "passed", StillTrue, false),
+    Gate(&SCENARIOS, "mitigation_latency_p50_ns", NotAbove(2.0), true),
+    Gate(&SCENARIOS, "mitigation_latency_p99_ns", NotAbove(2.0), true),
+    Gate(&SCENARIOS, "rollover_fanout_p50_ns", NotAbove(2.0), true),
+    Gate(&SCENARIOS, "rollover_fanout_p99_ns", NotAbove(2.0), true),
+];
+
+/// Evaluates every gate on `of` between the `baseline` document and this
+/// run's `current` one (same schema), returning the lines to print or the
+/// first failure. Fails closed: unparseable JSON, a gate for which none
+/// of this run's rows is in the baseline (short runs legitimately match
+/// only a subset; an empty intersection is an error), and a matched row
+/// whose gated field is missing or of the wrong type are all errors.
+fn check_gates(of: &Baseline, baseline: &str, current: &str) -> Result<Vec<String>, String> {
+    let &Baseline(file, rows_key, selector) = of;
+    let rows = |what: &str, text| {
+        let doc = parse_json(text).map_err(|e| format!("{what} is not valid JSON: {e}"))?;
+        let rows = doc.get(rows_key).and_then(Value::as_array);
+        rows.map(<[_]>::to_vec)
+            .ok_or(format!("{what} has no \"{rows_key}\" array"))
+    };
+    let (base_rows, run_rows) = (rows(file, baseline)?, rows("this run's report", current)?);
+    let show = |v: &Value| match v {
+        Value::Num(s) | Value::Str(s) => s.clone(),
+        Value::Bool(b) => b.to_string(),
+        _ => "null".into(),
+    };
+    let mut lines = Vec::new();
+    for Gate(_, field, bound, nullable) in GATES.iter().filter(|g| g.0 .0 == file) {
+        let mut matched = 0;
+        for row in &run_rows {
+            let id = row.get(selector).unwrap_or(&Value::Null);
+            let Some(base_row) = base_rows.iter().find(|b| b.get(selector) == Some(id)) else {
+                continue;
+            };
+            matched += 1;
+            let want = base_row.get(field).unwrap_or(&Value::Null);
+            let got = row.get(field).unwrap_or(&Value::Null);
+            if *nullable && *want == Value::Null {
+                continue;
+            }
+            let at = format!("{selector} {}: {field}", show(id));
+            let line = format!("{at} {} vs baseline {} ({bound:?})", show(got), show(want));
+            match bound.holds(want, got) {
+                Some(true) => {}
+                Some(false) => return Err(format!("regressed: {line}")),
+                None => return Err(format!("not comparable: {line}")),
+            }
+            lines.push(format!("  {line} ✓"));
+        }
+        if matched == 0 {
+            return Err(format!(
+                "no {selector} of this run is among {file}'s {rows_key}: nothing was compared"
+            ));
+        }
+    }
+    Ok(lines)
+}
+
+/// Starts a `BENCH_*.json`-shaped report; the caller adds its own header
+/// members, then [`open_rows`].
+fn open_report(experiment: &str, short: bool) -> JsonWriter {
+    let mut w = JsonWriter::new(": ");
+    w.obj(Layout::lines("\n  ", "\n"));
+    w.field_str("experiment", experiment);
+    w.field("short_mode", short);
+    w
+}
+
+/// Opens the rows array, under the name its baseline knows it by.
+fn open_rows(w: &mut JsonWriter, of: &Baseline) {
+    w.key(of.1);
+    w.arr(Layout::lines("\n    ", "\n  "));
+}
+
+/// Closes rows and report, prints the JSON, runs [`check_gates`] against
+/// `--baseline <path>` (any failure, an unreadable file included, exits
+/// non-zero) and writes `--out`.
+fn close_report(mut w: JsonWriter, args: &ReportArgs, of: &Baseline) {
+    w.end();
+    w.end();
+    let json = w.finish();
+    print!("{json}");
+    if let Some(path) = &args.baseline {
+        let baseline = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| die(format!("cannot read baseline {path}: {e}")));
+        match check_gates(of, &baseline, &json) {
+            Ok(lines) => lines.iter().for_each(|line| println!("{line}")),
+            Err(e) => die(format!("baseline gate {path}: {e}")),
+        }
+    }
+    write_artifact(&args.out, &json, None);
+}
 
 /// Fig. 16 — RouteScout traffic distribution.
 pub fn fig16() {
@@ -350,7 +525,7 @@ pub fn motivation_fct() {
 /// object: verify accepts/rejects per reason, alert emit/suppress counts,
 /// frames delivered/dropped, and the register-op latency histogram in
 /// sim-ns.
-pub fn metrics() {
+pub fn metrics(args: &ReportArgs) {
     use p4auth_netsim::sim::TapAction;
     use p4auth_netsim::time::SimTime;
     use p4auth_telemetry::Registry;
@@ -467,17 +642,10 @@ pub fn metrics() {
             .is_some_and(|h| h.count == 1 && h.min > 0),
         "detection-to-mitigation latency must be measured in sim-ns"
     );
-    print!("{}", snapshot.to_json());
-    if let Ok(path) = std::env::var("P4AUTH_METRICS_OUT") {
-        std::fs::write(&path, snapshot.to_json()).expect("write P4AUTH_METRICS_OUT");
-        let bin_path = format!("{path}.bin");
-        std::fs::write(
-            &bin_path,
-            p4auth_telemetry::snapshot::bin::encode_snapshot(&snapshot),
-        )
-        .expect("write binary metrics");
-        println!("wrote {path} and {bin_path}");
-    }
+    let json = snapshot.to_json();
+    print!("{json}");
+    let bin = p4auth_telemetry::snapshot::bin::encode_snapshot(&snapshot);
+    write_artifact(&args.out, &json, Some(&bin));
 }
 
 /// Replicated control plane (`repro -- replicas`): the full
@@ -485,9 +653,9 @@ pub fn metrics() {
 /// cross-partition redirects, a digest flood auto-rolled by the
 /// rate-driven defence daemon, a control-plane MitM rejected by the
 /// other partition, and a versioned bulk rollover with per-replica
-/// fan-out latency. Prints (and with `P4AUTH_REPLICAS_OUT=<path>`
-/// writes) the deterministic JSON report that CI diffs across two runs.
-pub fn replicas() {
+/// fan-out latency. `--out` writes the deterministic JSON report that CI
+/// diffs across two runs.
+pub fn replicas(args: &ReportArgs) {
     banner(
         "replicas — replicated controller end-to-end",
         "statedb + daemons + ControllerReplica partitioning",
@@ -512,10 +680,7 @@ pub fn replicas() {
         "bulk rollover epoch {} complete: {}; fan-out latency {:?} ns",
         report.rollover_epoch, report.rollover_complete, report.fanout_ns
     );
-    if let Ok(path) = std::env::var("P4AUTH_REPLICAS_OUT") {
-        std::fs::write(&path, report.to_json()).expect("write P4AUTH_REPLICAS_OUT");
-        println!("json report -> {path}");
-    }
+    write_artifact(&args.out, &report.to_json(), None);
 }
 
 /// Streaming-telemetry timeline (`repro -- timeline`): runs the fig19-mix
@@ -525,16 +690,14 @@ pub fn replicas() {
 /// printing anything. Also checks `baseline + Σdeltas` reconstructs the
 /// final full snapshot and that the binary stream decodes back exactly.
 ///
-/// `P4AUTH_SCALE_SHORT=1` caps the workload for CI (`--short`);
-/// `P4AUTH_SCALE_SHARDS=<n>` sets the shard count (`--shards`, default 4);
-/// `P4AUTH_TIMELINE_INTERVAL_NS=<ns>` overrides the export grid (default
-/// 10µs of sim-time). `P4AUTH_TIMELINE_OUT=<path>` (`--out`) writes the
-/// JSON timeline to `<path>` and the binary stream to `<path>.bin`.
-/// `P4AUTH_SHARD_STAGGER=<ns>` (read by the sharded engine itself)
-/// additionally injects deterministic per-worker wall-clock delays; CI's
-/// two-run determinism gate sets *different* values on its two runs to
-/// prove worker scheduling cannot leak into the output.
-pub fn timeline() {
+/// `--short` caps the workload for CI, `--shards` sets the shard count,
+/// and the export grid is 10µs of sim-time. `--out` writes the JSON
+/// timeline to `<path>` and the binary stream to `<path>.bin`.
+/// `P4AUTH_SHARD_STAGGER=<ns>` (`--stagger`, read by the sharded engine
+/// itself) additionally injects deterministic per-worker wall-clock
+/// delays; CI's two-run determinism gate sets *different* values on its
+/// two runs to prove worker scheduling cannot leak into the output.
+pub fn timeline(args: &ReportArgs) {
     use crate::scale::{run_scale_timeline, Engine, ScaleConfig};
     use p4auth_netsim::sched::SchedulerKind;
     use p4auth_netsim::Timeline;
@@ -544,16 +707,8 @@ pub fn timeline() {
         "ROADMAP \"streaming snapshots / delta export\"; fig19 request mix",
     );
 
-    let short = std::env::var("P4AUTH_SCALE_SHORT").is_ok_and(|v| v != "0");
-    let shards: usize = std::env::var("P4AUTH_SCALE_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let interval_ns: u64 = std::env::var("P4AUTH_TIMELINE_INTERVAL_NS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000);
-    let frames = if short { 50 } else { 400 };
+    let (shards, interval_ns) = (args.shards, 10_000);
+    let frames = if args.short { 50 } else { 400 };
     let cfg = ScaleConfig::for_k(4, frames);
 
     let (heap_run, heap_tl) =
@@ -601,12 +756,7 @@ pub fn timeline() {
         bin.len(),
     );
     print!("{json}");
-    if let Ok(path) = std::env::var("P4AUTH_TIMELINE_OUT") {
-        std::fs::write(&path, &json).expect("write P4AUTH_TIMELINE_OUT");
-        let bin_path = format!("{path}.bin");
-        std::fs::write(&bin_path, &bin).expect("write timeline binary");
-        println!("wrote {path} and {bin_path}");
-    }
+    write_artifact(&args.out, &json, Some(&bin));
 }
 
 /// Causal flight recorder (`repro -- trace`): end-to-end trace spans on
@@ -624,15 +774,14 @@ pub fn timeline() {
 /// four and their widths must sum exactly to the root's width, which in
 /// turn must equal the `defence_mitigation_latency_ns` histogram total.
 ///
-/// `P4AUTH_SCALE_SHORT=1` (`--short`) caps the fabric size for CI.
-/// `P4AUTH_TRACE_OUT=<path>` (`--out`) writes the probe trace as Chrome
-/// `chrome://tracing` JSON to `<path>` and as `P4TR` binary to
+/// `--short` caps the fabric size for CI. `--out` writes the probe trace
+/// as Chrome `chrome://tracing` JSON to `<path>` and as `P4TR` binary to
 /// `<path>.bin` (`repro -- decode` inverts the latter back to the same
-/// JSON). `P4AUTH_SHARD_STAGGER=<ns>` (read by the sharded engine)
-/// injects deterministic per-worker wall-clock delays; CI's two-run gate
-/// uses different values to prove worker scheduling cannot leak into
-/// the artifacts.
-pub fn trace() {
+/// JSON). `P4AUTH_SHARD_STAGGER=<ns>` (`--stagger`, read by the sharded
+/// engine) injects deterministic per-worker wall-clock delays; CI's
+/// two-run gate uses different values to prove worker scheduling cannot
+/// leak into the artifacts.
+pub fn trace(args: &ReportArgs) {
     use p4auth_netsim::fault::FaultPlan;
     use p4auth_netsim::sched::SchedulerKind;
     use p4auth_netsim::topology::LinkId;
@@ -650,8 +799,7 @@ pub fn trace() {
         "ROADMAP \"causal flight recorder\"; DESIGN §4h",
     );
 
-    let short = std::env::var("P4AUTH_SCALE_SHORT").is_ok_and(|v| v != "0");
-    let users = if short { 400 } else { 2_000 };
+    let users = if args.short { 400 } else { 2_000 };
     // Comfortably above what these workloads emit: the invariance and
     // critical-path claims are only meaningful at zero drops.
     const TRACE_CAP: usize = 1 << 16;
@@ -767,80 +915,36 @@ pub fn trace() {
         bin.len(),
         json.len(),
     );
-    if let Ok(path) = std::env::var("P4AUTH_TRACE_OUT") {
-        std::fs::write(&path, &json).expect("write P4AUTH_TRACE_OUT");
-        let bin_path = format!("{path}.bin");
-        std::fs::write(&bin_path, &bin).expect("write trace binary");
-        println!("wrote {path} and {bin_path}");
-    }
+    write_artifact(&args.out, &json, Some(&bin));
 }
 
 /// Decodes a binary telemetry artifact (`repro -- decode <file>`) back to
 /// its canonical JSON: the magic picks the format — `P4TR` trace (emitted
 /// as Chrome trace JSON), `P4TL` timeline stream, `P4TS` single snapshot
-/// or delta. Output goes to stdout, or to the path in `P4AUTH_DECODE_OUT`
-/// (`--out`). CI's codec-equivalence gates diff this output against the
-/// direct JSON export.
-pub fn decode(input: &str) {
+/// or delta (told apart by the kind byte). Output goes to stdout, or to
+/// `--out <path>`. CI's codec-equivalence gates diff this output against
+/// the direct JSON export.
+pub fn decode(input: &str, args: &ReportArgs) {
     use p4auth_netsim::timeline::{Timeline, TIMELINE_MAGIC};
+    use p4auth_telemetry::codec::DecodeError;
     use p4auth_telemetry::snapshot::bin;
     use p4auth_telemetry::trace::{chrome_trace_json, decode_trace, TRACE_MAGIC};
 
-    let buf = std::fs::read(input).unwrap_or_else(|e| {
-        eprintln!("cannot read {input}: {e}");
-        std::process::exit(1);
-    });
-    if buf.starts_with(&TRACE_MAGIC) {
-        let json = match decode_trace(&buf) {
-            Ok((records, _dropped)) => chrome_trace_json(&records),
-            Err(e) => {
-                eprintln!("cannot decode {input}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match std::env::var("P4AUTH_DECODE_OUT") {
-            Ok(path) => {
-                std::fs::write(&path, &json).expect("write P4AUTH_DECODE_OUT");
-                println!("wrote {path}");
-            }
-            Err(_) => print!("{json}"),
+    let buf = std::fs::read(input).unwrap_or_else(|e| die(format!("cannot read {input}: {e}")));
+    let json = match buf.first_chunk::<4>() {
+        Some(&TRACE_MAGIC) => decode_trace(&buf).map(|(records, _)| chrome_trace_json(&records)),
+        Some(&TIMELINE_MAGIC) => Timeline::from_bin(&buf).map(|tl| tl.to_json()),
+        Some(&bin::MAGIC) if buf.get(6) == Some(&bin::KIND_DELTA) => {
+            bin::decode_delta(&buf).map(|d| d.to_json())
         }
-        return;
+        Some(&bin::MAGIC) => bin::decode_snapshot(&buf).map(|snap| snap.to_json()),
+        _ => Err(DecodeError::BadMagic),
     }
-    let json = if buf.starts_with(&TIMELINE_MAGIC) {
-        Timeline::from_bin(&buf).map(|tl| tl.to_json())
-    } else {
-        match bin::decode_snapshot(&buf) {
-            Ok(snap) => Ok(snap.to_json()),
-            // Kind byte 1: the blob is a delta, not a full snapshot.
-            Err(bin::DecodeError::BadKind(1)) => bin::decode_delta(&buf).map(|d| d.to_json()),
-            Err(e) => Err(e),
-        }
-    };
-    let json = json.unwrap_or_else(|e| {
-        eprintln!("cannot decode {input}: {e}");
-        std::process::exit(1);
-    });
-    match std::env::var("P4AUTH_DECODE_OUT") {
-        Ok(path) => {
-            std::fs::write(&path, &json).expect("write P4AUTH_DECODE_OUT");
-            println!("wrote {path}");
-        }
-        Err(_) => print!("{json}"),
+    .unwrap_or_else(|e| die(format!("cannot decode {input}: {e}")));
+    match args.out {
+        Some(_) => write_artifact(&args.out, &json, None),
+        None => print!("{json}"),
     }
-}
-
-/// Extracts the `sharded_speedup` recorded for arity `k` from a
-/// checked-in `BENCH_sim_scale.json`, by plain string scanning (the
-/// artifact is written one run-entry per line; no JSON parser in-tree).
-fn baseline_sharded_speedup(json: &str, k: u16) -> Option<f64> {
-    let k_tag = format!("\"k\": {k},");
-    let entry = json.lines().find(|l| l.contains(&k_tag))?;
-    let field = "\"sharded_speedup\": ";
-    let start = entry.find(field)? + field.len();
-    let rest = &entry[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 /// Simulator scale report (`repro -- scale`): heap vs. calendar scheduler
@@ -851,19 +955,17 @@ fn baseline_sharded_speedup(json: &str, k: u16) -> Option<f64> {
 /// frames delivered, final clock) is asserted equal before anything is
 /// reported.
 ///
-/// Short mode (`P4AUTH_SCALE_SHORT=1`, used by CI) runs only a capped k=4
-/// workload. `P4AUTH_SCALE_SHARDS=<n>` sets the shard count (default 4).
-/// Set `P4AUTH_SCALE_OUT=<path>` to also write the JSON to a file (how
-/// `BENCH_sim_scale.json` is regenerated). Set
-/// `P4AUTH_SCALE_BASELINE=<path>` to a checked-in scale JSON to assert,
-/// per arity present in both runs, that the measured `sharded_speedup`
-/// has not regressed more than 0.2 below the recorded value (the CI
-/// non-regression gate for the sharded engine's overhead ratio).
-pub fn scale() {
+/// Short mode (`--short`, used by CI) runs only a capped k=4 workload;
+/// `--shards` sets the shard count. `--out` also writes the JSON to a
+/// file (how `BENCH_sim_scale.json` is regenerated). `--baseline` points
+/// at a checked-in scale JSON and fails the run if, for an arity present
+/// in both, the measured `sharded_speedup` is more than 0.2 below the
+/// recorded value (the CI non-regression gate for the sharded engine's
+/// overhead ratio — see [`GATES`]).
+pub fn scale(args: &ReportArgs) {
     use crate::scale::{run_scale_engine, Engine, ScaleConfig};
     use p4auth_netsim::sched::SchedulerKind;
     use p4auth_telemetry::Registry;
-    use std::fmt::Write as _;
     use std::sync::Arc;
 
     banner(
@@ -871,18 +973,10 @@ pub fn scale() {
         "ROADMAP \"scale/shard the simulator\"; sim_event_lead_ns from PR 1",
     );
 
-    let short = std::env::var("P4AUTH_SCALE_SHORT").is_ok_and(|v| v != "0");
-    let shards: usize = std::env::var("P4AUTH_SCALE_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let (short, shards) = (args.short, args.shards);
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let baseline = std::env::var("P4AUTH_SCALE_BASELINE").ok().map(|path| {
-        std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read P4AUTH_SCALE_BASELINE {path}: {e}"))
-    });
     let configs: Vec<(u16, u32)> = if short {
         vec![(4, 50)]
     } else {
@@ -902,8 +996,10 @@ pub fn scale() {
         "rnds/Mev",
         "lead p50"
     );
-    let mut entries = String::new();
-    for (i, &(k, frames)) in configs.iter().enumerate() {
+    let mut w = open_report("sim_scale", short);
+    w.field("cores", cores);
+    open_rows(&mut w, &SCALE);
+    for &(k, frames) in &configs {
         let cfg = ScaleConfig::for_k(k, frames);
         // Best of three: the runs are short enough that a stray scheduler
         // preemption would otherwise swing the reported speedup.
@@ -958,75 +1054,34 @@ pub fn scale() {
             sharded.rounds_per_mevents(),
             lead.p50,
         );
-        if let Some(base) = baseline
-            .as_deref()
-            .and_then(|json| baseline_sharded_speedup(json, k))
-        {
-            const MARGIN: f64 = 0.2;
-            assert!(
-                shard_speedup >= base - MARGIN,
-                "sharded speedup regressed at k={k}: measured {shard_speedup:.3} \
-                 vs checked-in baseline {base:.3} (margin {MARGIN})"
-            );
-            println!(
-                "  k={k}: sharded_speedup {shard_speedup:.3} >= baseline \
-                 {base:.3} - {MARGIN} ✓"
-            );
-        }
-        if i > 0 {
-            entries.push_str(",\n");
-        }
-        write!(
-            entries,
-            "    {{\"k\": {k}, \"frames_per_host\": {frames}, \"events\": {}, \
-             \"frames_delivered\": {}, \"sim_ns\": {}, \
-             \"heap_events_per_sec\": {:.0}, \"calendar_events_per_sec\": {:.0}, \
-             \"sharded_events_per_sec\": {:.0}, \"shards\": {shards}, \
-             \"speedup\": {speedup:.3}, \"sharded_speedup\": {shard_speedup:.3}, \
-             \"sharded_rounds\": {}, \"sharded_windows\": {}, \
-             \"sharded_frames_exchanged\": {}, \"sharded_barrier_wait_ns\": {}, \
-             \"sharded_rounds_per_mevents\": {:.1}, \
-             \"event_lead_ns\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}}}",
-            cal.events,
-            cal.frames_delivered,
-            cal.sim_ns,
-            heap.events_per_sec(),
-            cal.events_per_sec(),
-            sharded.events_per_sec(),
-            sharded.rounds,
-            sharded.windows,
-            sharded.frames_exchanged,
-            sharded.barrier_wait_ns,
-            sharded.rounds_per_mevents(),
-            lead.p50,
-            lead.p90,
-            lead.p99,
-            lead.max,
-        )
-        .expect("writing to a String cannot fail");
+        w.obj(Layout::INLINE);
+        w.field("k", k);
+        w.field("frames_per_host", frames);
+        w.field("events", cal.events);
+        w.field("frames_delivered", cal.frames_delivered);
+        w.field("sim_ns", cal.sim_ns);
+        w.fixed("heap_events_per_sec", heap.events_per_sec(), 0);
+        w.fixed("calendar_events_per_sec", cal.events_per_sec(), 0);
+        w.fixed("sharded_events_per_sec", sharded.events_per_sec(), 0);
+        w.field("shards", shards);
+        w.fixed("speedup", speedup, 3);
+        w.fixed("sharded_speedup", shard_speedup, 3);
+        w.field("sharded_rounds", sharded.rounds);
+        w.field("sharded_windows", sharded.windows);
+        w.field("sharded_frames_exchanged", sharded.frames_exchanged);
+        w.field("sharded_barrier_wait_ns", sharded.barrier_wait_ns);
+        let rounds_per_mev = sharded.rounds_per_mevents();
+        w.fixed("sharded_rounds_per_mevents", rounds_per_mev, 1);
+        w.key("event_lead_ns");
+        w.obj(Layout::INLINE);
+        w.field("p50", lead.p50);
+        w.field("p90", lead.p90);
+        w.field("p99", lead.p99);
+        w.field("max", lead.max);
+        w.end();
+        w.end();
     }
-    let json = format!(
-        "{{\n  \"experiment\": \"sim_scale\",\n  \"short_mode\": {short},\n  \
-         \"cores\": {cores},\n  \"runs\": [\n{entries}\n  ]\n}}"
-    );
-    println!("{json}");
-    if let Ok(path) = std::env::var("P4AUTH_SCALE_OUT") {
-        std::fs::write(&path, format!("{json}\n")).expect("write P4AUTH_SCALE_OUT");
-        println!("wrote {path}");
-    }
-}
-
-/// Extracts the `ns_per_user` recorded for `users` modelled users from a
-/// checked-in `BENCH_users.json`, by the same line scan
-/// [`baseline_sharded_speedup`] uses (one run entry per line).
-fn baseline_ns_per_user(json: &str, users: u64) -> Option<f64> {
-    let tag = format!("\"users\": {users},");
-    let entry = json.lines().find(|l| l.contains(&tag))?;
-    let field = "\"ns_per_user\": ";
-    let start = entry.find(field)? + field.len();
-    let rest = &entry[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    close_report(w, args, &SCALE);
 }
 
 /// User-scale report (`repro -- users`): the heavy-tailed fig19-style
@@ -1041,30 +1096,24 @@ fn baseline_ns_per_user(json: &str, users: u64) -> Option<f64> {
 /// smallest size is first cross-checked for fingerprint equality across
 /// heap, calendar and sharded engines.
 ///
-/// Short mode (`P4AUTH_SCALE_SHORT=1`, used by CI) sweeps 1k and 10k
-/// users on fat-tree(4). `P4AUTH_USERS_OUT=<path>` writes the JSON (how
-/// `BENCH_users.json` is regenerated); each run entry carries a
-/// `"fingerprint"` array of its deterministic fields, which CI extracts
-/// and diffs across two runs. `P4AUTH_USERS_BASELINE=<path>` asserts the
-/// measured `ns_per_user` has not grown more than 3× above the checked-in
-/// value for any size present in both runs (the wall-clock-tolerant
-/// non-regression gate).
-pub fn users() {
+/// Short mode (`--short`, used by CI) sweeps 1k and 10k users on
+/// fat-tree(4). `--out` writes the JSON (how `BENCH_users.json` is
+/// regenerated); each run entry carries a `"fingerprint"` array of its
+/// deterministic fields, which CI extracts and diffs across two runs.
+/// `--baseline` fails the run if the measured `ns_per_user` has grown
+/// more than 3× above the checked-in value for any size present in both
+/// (the wall-clock-tolerant non-regression gate — see [`GATES`]).
+pub fn users(args: &ReportArgs) {
     use crate::scale::Engine;
     use crate::userscale::{run_users_engine, AggregateMode, UserScaleConfig};
     use p4auth_netsim::sched::SchedulerKind;
-    use std::fmt::Write as _;
 
     banner(
         "users — aggregate hosts: modelled users at near-constant per-user cost",
         "ROADMAP \"a million modelled hosts\"; fig19 mix at user scale",
     );
 
-    let short = std::env::var("P4AUTH_SCALE_SHORT").is_ok_and(|v| v != "0");
-    let baseline = std::env::var("P4AUTH_USERS_BASELINE").ok().map(|path| {
-        std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read P4AUTH_USERS_BASELINE {path}: {e}"))
-    });
+    let short = args.short;
     let (k, frames, sizes): (u16, u32, Vec<u64>) = if short {
         (4, 4, vec![1_000, 10_000])
     } else {
@@ -1088,7 +1137,12 @@ pub fn users() {
         "ns/usr/sims",
         "peak MiB"
     );
-    let mut entries = String::new();
+    let mut w = open_report("user_scale", short);
+    w.field("k", k);
+    w.field("frames_per_user", frames);
+    w.field_str("mode", mode);
+    w.field("base_window_ns", window_ns);
+    open_rows(&mut w, &USERS);
     let mut runs = Vec::new();
     for (i, &users) in sizes.iter().enumerate() {
         let mut cfg = UserScaleConfig::for_k(k, users, frames);
@@ -1148,35 +1202,29 @@ pub fn users() {
             run.ns_per_user_per_sim_sec(),
             peak as f64 / (1024.0 * 1024.0),
         );
-        if i > 0 {
-            entries.push_str(",\n");
+        w.obj(Layout::INLINE);
+        w.field("users", run.users);
+        w.field("aggregates", run.aggregates);
+        w.field("window_ns", window_ns * window_scale);
+        let fingerprint = [
+            ("events", run.events),
+            ("frames_sent", run.frames_sent),
+            ("frames_delivered", run.frames_delivered),
+            ("sim_ns", run.sim_ns),
+        ];
+        for (key, v) in fingerprint {
+            w.field(key, v);
         }
-        write!(
-            entries,
-            "    {{\"users\": {}, \"aggregates\": {}, \"window_ns\": {}, \
-             \"events\": {}, \
-             \"frames_sent\": {}, \"frames_delivered\": {}, \"sim_ns\": {}, \
-             \"fingerprint\": [{}, {}, {}, {}], \
-             \"events_per_sec\": {:.0}, \"frames_per_sec\": {frames_per_sec:.0}, \
-             \"ns_per_user\": {:.1}, \"ns_per_user_per_sim_sec\": {:.1}, \
-             \"peak_alloc_bytes\": {peak}, \"peak_alloc_bytes_per_user\": {:.1}}}",
-            run.users,
-            run.aggregates,
-            window_ns * window_scale,
-            run.events,
-            run.frames_sent,
-            run.frames_delivered,
-            run.sim_ns,
-            run.events,
-            run.frames_sent,
-            run.frames_delivered,
-            run.sim_ns,
-            run.events_per_sec(),
-            run.ns_per_user(),
-            run.ns_per_user_per_sim_sec(),
-            peak as f64 / run.users.max(1) as f64,
-        )
-        .expect("writing to a String cannot fail");
+        w.key("fingerprint");
+        w.vals(Layout::INLINE, fingerprint.map(|(_, v)| v));
+        w.fixed("events_per_sec", run.events_per_sec(), 0);
+        w.fixed("frames_per_sec", frames_per_sec, 0);
+        w.fixed("ns_per_user", run.ns_per_user(), 1);
+        w.fixed("ns_per_user_per_sim_sec", run.ns_per_user_per_sim_sec(), 1);
+        w.field("peak_alloc_bytes", peak);
+        let per_user = peak as f64 / run.users.max(1) as f64;
+        w.fixed("peak_alloc_bytes_per_user", per_user, 1);
+        w.end();
         runs.push(run);
     }
 
@@ -1200,66 +1248,7 @@ pub fn users() {
         first.ns_per_user(),
         last.ns_per_user(),
     );
-    if let Some(base_json) = baseline {
-        const FACTOR: f64 = 3.0;
-        for run in &runs {
-            let Some(base) = baseline_ns_per_user(&base_json, run.users) else {
-                continue;
-            };
-            let measured = run.ns_per_user();
-            assert!(
-                measured <= base * FACTOR,
-                "ns_per_user regressed at {} users: measured {measured:.1} vs \
-                 checked-in baseline {base:.1} (allowed factor {FACTOR})",
-                run.users,
-            );
-            println!(
-                "  {} users: ns_per_user {measured:.1} <= baseline {base:.1} * {FACTOR} ✓",
-                run.users
-            );
-        }
-    }
-
-    let json = format!(
-        "{{\n  \"experiment\": \"user_scale\",\n  \"short_mode\": {short},\n  \
-         \"k\": {k},\n  \"frames_per_user\": {frames},\n  \"mode\": \"{mode}\",\n  \
-         \"base_window_ns\": {window_ns},\n  \"runs\": [\n{entries}\n  ]\n}}"
-    );
-    println!("{json}");
-    if let Ok(path) = std::env::var("P4AUTH_USERS_OUT") {
-        std::fs::write(&path, format!("{json}\n")).expect("write P4AUTH_USERS_OUT");
-        println!("wrote {path}");
-    }
-}
-
-/// Whether the baseline JSON recorded campaign `name` as passing. The
-/// format is our own `BENCH_scenarios.json`, where each campaign entry
-/// keeps `"name"` and `"passed"` on one line.
-fn baseline_campaign_passed(json: &str, name: &str) -> Option<bool> {
-    let tag = format!("\"name\": \"{name}\"");
-    let entry = json.lines().find(|l| l.contains(&tag))?;
-    let field = "\"passed\": ";
-    let start = entry.find(field)? + field.len();
-    entry[start..].trim_start().starts_with("true").into()
-}
-
-/// Reads an integer field from campaign `name`'s entry line in the
-/// checked-in `BENCH_scenarios.json`. `null`, absent fields and absent
-/// campaigns all yield `None` (older baselines predate the percentile
-/// fields).
-fn baseline_campaign_u64(json: &str, name: &str, field: &str) -> Option<u64> {
-    let tag = format!("\"name\": \"{name}\"");
-    let entry = json.lines().find(|l| l.contains(&tag))?;
-    let field = format!("\"{field}\": ");
-    let start = entry.find(&field)? + field.len();
-    let rest = &entry[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// JSON rendering for an optional latency: `null` when absent.
-fn opt_ns(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".into(), |ns| ns.to_string())
+    close_report(w, args, &USERS);
 }
 
 /// Scenario campaigns: deterministic fault injection (link flaps,
@@ -1267,32 +1256,25 @@ fn opt_ns(v: Option<u64>) -> String {
 /// attack overlays, each judged by explicit defence invariants
 /// (`p4auth_systems::campaigns`).
 ///
-/// Short mode (`P4AUTH_SCALE_SHORT=1`, used by CI) runs every campaign
-/// at 10k modelled users; the full report runs at 100k.
-/// `P4AUTH_SCENARIOS_OUT=<path>` writes the JSON (how
-/// `BENCH_scenarios.json` is regenerated). The JSON contains only
+/// Short mode (`--short`, used by CI) runs every campaign at 10k
+/// modelled users; the full report runs at 100k. `--out` writes the JSON
+/// (how `BENCH_scenarios.json` is regenerated). The JSON contains only
 /// deterministic fields — two runs produce byte-identical files, which
 /// CI diffs directly; wall-clock throughput is printed to stdout only.
-/// `P4AUTH_SCENARIOS_BASELINE=<path>` points at the checked-in JSON and
-/// fails the run if any campaign it recorded as passing no longer
-/// passes (the verdict-regression gate), or if any recorded mitigation /
-/// rollover latency percentile (`*_p50_ns` / `*_p99_ns`) more than
-/// doubles (the latency-regression gate).
-pub fn scenarios() {
+/// `--baseline` points at the checked-in JSON and fails the run if any
+/// campaign it recorded as passing no longer passes (the
+/// verdict-regression gate), or if any recorded mitigation / rollover
+/// latency percentile (`*_p50_ns` / `*_p99_ns`) more than doubles (the
+/// latency-regression gate — see [`GATES`]).
+pub fn scenarios(args: &ReportArgs) {
     use crate::campaigns::{run_campaigns, CampaignConfig};
-    use std::fmt::Write as _;
 
     banner(
         "scenarios — churn + attack campaigns with per-scenario defence invariants",
         "ROADMAP \"fault injection\"; DESIGN §4g",
     );
 
-    let short = std::env::var("P4AUTH_SCALE_SHORT").is_ok_and(|v| v != "0");
-    let baseline = std::env::var("P4AUTH_SCENARIOS_BASELINE").ok().map(|path| {
-        std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read P4AUTH_SCENARIOS_BASELINE {path}: {e}"))
-    });
-    let cfg = if short {
+    let cfg = if args.short {
         CampaignConfig::short()
     } else {
         CampaignConfig::standard()
@@ -1315,8 +1297,10 @@ pub fn scenarios() {
         "faults",
         "events/s"
     );
-    let mut entries = String::new();
-    for (i, v) in verdicts.iter().enumerate() {
+    let mut w = open_report("scenario_campaigns", args.short);
+    w.field("users_per_campaign", cfg.users);
+    open_rows(&mut w, &SCENARIOS);
+    for v in &verdicts {
         println!(
             "{:<30} {:>5} {:>7} {:>12} {:>12} {:>12} {:>9} {:>10} {:>10} {:>8} {:>7} {:>13.0}",
             v.name,
@@ -1343,48 +1327,39 @@ pub fn scenarios() {
                 c.detail
             );
         }
-        if i > 0 {
-            entries.push_str(",\n");
+        w.obj(Layout::INLINE);
+        w.field_str("name", v.name);
+        w.field("fault_attack", v.fault_attack);
+        w.field("passed", v.passed());
+        for (key, ns) in [
+            ("mitigation_latency_ns", v.mitigation_latency_ns),
+            ("mitigation_latency_p50_ns", v.mitigation_latency_p50_ns),
+            ("mitigation_latency_p99_ns", v.mitigation_latency_p99_ns),
+            ("rollover_fanout_p50_ns", v.rollover_fanout_p50_ns),
+            ("rollover_fanout_p99_ns", v.rollover_fanout_p99_ns),
+        ] {
+            w.field(key, ns.map_or("null".into(), |ns| ns.to_string()));
         }
-        let mut checks = String::new();
-        for (j, c) in v.checks.iter().enumerate() {
-            if j > 0 {
-                checks.push_str(", ");
-            }
-            write!(
-                checks,
-                "{{\"name\": \"{}\", \"passed\": {}}}",
-                c.name, c.passed
-            )
-            .expect("writing to a String cannot fail");
+        w.key("checks");
+        w.arr(Layout::INLINE);
+        for c in &v.checks {
+            w.obj(Layout::INLINE);
+            w.field_str("name", c.name);
+            w.field("passed", c.passed);
+            w.end();
         }
-        write!(
-            entries,
-            "    {{\"name\": \"{}\", \"fault_attack\": {}, \"passed\": {}, \
-             \"mitigation_latency_ns\": {}, \
-             \"mitigation_latency_p50_ns\": {}, \"mitigation_latency_p99_ns\": {}, \
-             \"rollover_fanout_p50_ns\": {}, \"rollover_fanout_p99_ns\": {}, \
-             \"checks\": [{checks}], \
-             \"fabric\": {{\"users\": {}, \"events\": {}, \"frames_sent\": {}, \
-             \"frames_delivered\": {}, \"frames_undeliverable\": {}, \
-             \"faults_applied\": {}, \"sim_ns\": {}}}}}",
-            v.name,
-            v.fault_attack,
-            v.passed(),
-            opt_ns(v.mitigation_latency_ns),
-            opt_ns(v.mitigation_latency_p50_ns),
-            opt_ns(v.mitigation_latency_p99_ns),
-            opt_ns(v.rollover_fanout_p50_ns),
-            opt_ns(v.rollover_fanout_p99_ns),
-            v.fabric.users,
-            v.fabric.events,
-            v.fabric.frames_sent,
-            v.fabric.frames_delivered,
-            v.fabric.frames_undeliverable,
-            v.fabric.faults_applied,
-            v.fabric.sim_ns,
-        )
-        .expect("writing to a String cannot fail");
+        w.end();
+        w.key("fabric");
+        w.obj(Layout::INLINE);
+        w.field("users", v.fabric.users);
+        w.field("events", v.fabric.events);
+        w.field("frames_sent", v.fabric.frames_sent);
+        w.field("frames_delivered", v.fabric.frames_delivered);
+        w.field("frames_undeliverable", v.fabric.frames_undeliverable);
+        w.field("faults_applied", v.fabric.faults_applied);
+        w.field("sim_ns", v.fabric.sim_ns);
+        w.end();
+        w.end();
     }
 
     let fault_attack = verdicts.iter().filter(|v| v.fault_attack).count();
@@ -1404,58 +1379,7 @@ pub fn scenarios() {
         verdicts.len(),
         cfg.users
     );
-    if let Some(base_json) = baseline {
-        for v in &verdicts {
-            if baseline_campaign_passed(&base_json, v.name) == Some(true) {
-                assert!(
-                    v.passed(),
-                    "campaign {} regressed: baseline passed, this run failed",
-                    v.name
-                );
-                println!("  {}: baseline passed, still passes ✓", v.name);
-            }
-            // Defence latency is a protocol property (detection window +
-            // KMP round-trips), not a fabric-size one: the percentiles
-            // are mode-independent, so short CI runs gate against the
-            // full-mode baseline directly.
-            for (field, measured) in [
-                ("mitigation_latency_p50_ns", v.mitigation_latency_p50_ns),
-                ("mitigation_latency_p99_ns", v.mitigation_latency_p99_ns),
-                ("rollover_fanout_p50_ns", v.rollover_fanout_p50_ns),
-                ("rollover_fanout_p99_ns", v.rollover_fanout_p99_ns),
-            ] {
-                let Some(base) = baseline_campaign_u64(&base_json, v.name, field) else {
-                    continue;
-                };
-                let m = measured.unwrap_or_else(|| {
-                    panic!(
-                        "campaign {}: baseline records {field} but this run lost it",
-                        v.name
-                    )
-                });
-                assert!(
-                    m <= base.saturating_mul(2),
-                    "campaign {} {field} regressed: {m} ns vs baseline {base} ns (>2x)",
-                    v.name
-                );
-                println!(
-                    "  {}: {field} {m} ns within 2x of baseline {base} ns ✓",
-                    v.name
-                );
-            }
-        }
-    }
-
-    let json = format!(
-        "{{\n  \"experiment\": \"scenario_campaigns\",\n  \"short_mode\": {short},\n  \
-         \"users_per_campaign\": {},\n  \"campaigns\": [\n{entries}\n  ]\n}}",
-        cfg.users
-    );
-    println!("{json}");
-    if let Ok(path) = std::env::var("P4AUTH_SCENARIOS_OUT") {
-        std::fs::write(&path, format!("{json}\n")).expect("write P4AUTH_SCENARIOS_OUT");
-        println!("wrote {path}");
-    }
+    close_report(w, args, &SCENARIOS);
 }
 
 /// §XI digest-width ablation.
@@ -1487,4 +1411,87 @@ pub fn ablation_digest() {
     }
     println!("\npaper: a 256-bit digest needs ~560% more hash-distribution units and");
     println!("+100% stages, forcing recirculations (100s of ns each).");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A one-row scale report whose k=4 run measured `speedup`.
+    fn scale_run(speedup: &str) -> String {
+        format!("{{\"runs\": [{{\"k\": 4, \"sharded_speedup\": {speedup}}}]}}")
+    }
+
+    #[test]
+    fn whitespace_drifted_baseline_still_gates() {
+        // The parent's line scanner looked for `"k": 4,` and silently
+        // skipped this valid file, so the gate passed without comparing.
+        let drifted = "{\"runs\": [\n  {\"k\": 4 , \"sharded_speedup\": 9.9}\n]}";
+        let err = check_gates(&SCALE, drifted, &scale_run("0.5")).unwrap_err();
+        assert!(err.contains("regressed: k 4: sharded_speedup 0.5"), "{err}");
+        let lines = check_gates(&SCALE, drifted, &scale_run("9.75")).unwrap();
+        assert_eq!(lines.len(), 1, "within the 0.2 margin: {lines:?}");
+    }
+
+    #[test]
+    fn gates_fail_closed() {
+        let run = scale_run("0.5");
+        let err = |baseline: &str| check_gates(&SCALE, baseline, &run).unwrap_err();
+        // No k of this run in the baseline: nothing would be compared.
+        let e = err("{\"runs\": [{\"k\": 8, \"sharded_speedup\": 0.1}]}");
+        assert!(e.contains("no k of this run"), "{e}");
+        // The row is there, the gated field is not (or is not a number).
+        for row in ["{\"k\": 4}", "{\"k\": 4, \"sharded_speedup\": \"fast\"}"] {
+            let e = err(&format!("{{\"runs\": [{row}]}}"));
+            assert!(e.contains("not comparable: k 4: sharded_speedup"), "{e}");
+        }
+        assert!(err("{\"runs\": [").contains("not valid JSON"));
+        assert!(err("{}").contains("no \"runs\" array"));
+    }
+
+    #[test]
+    fn null_percentiles_are_the_one_tolerated_absence() {
+        let campaign = |fields: &str| {
+            format!("{{\"campaigns\": [{{\"name\": \"flood\", \"passed\": true{fields}}}]}}")
+        };
+        let p50 = ", \"mitigation_latency_p50_ns\": ";
+        let (old, null) = (campaign(""), campaign(&format!("{p50}null")));
+        let (fast, slow) = (
+            campaign(&format!("{p50}100")),
+            campaign(&format!("{p50}201")),
+        );
+        // Older baselines lack the field, or carry null: only `passed` gates.
+        for baseline in [&old, &null] {
+            assert_eq!(check_gates(&SCENARIOS, baseline, &fast).unwrap().len(), 1);
+        }
+        assert_eq!(check_gates(&SCENARIOS, &fast, &fast).unwrap().len(), 2);
+        let e = check_gates(&SCENARIOS, &fast, &slow).unwrap_err();
+        assert!(e.contains("regressed"), "more than 2x: {e}");
+        let e = check_gates(&SCENARIOS, &fast, &null).unwrap_err();
+        assert!(e.contains("not comparable"), "this run lost it: {e}");
+        let failing = campaign("").replace("true", "false");
+        let e = check_gates(&SCENARIOS, &old, &failing).unwrap_err();
+        assert!(e.contains("regressed: name flood: passed"), "{e}");
+    }
+
+    #[test]
+    fn checked_in_baselines_resolve_every_gate() {
+        // Gating each checked-in file against itself walks every selector
+        // and field the table names: a regenerated or hand-edited baseline
+        // the table no longer matches fails here, not in a later CI step.
+        for (of, text) in [
+            (&SCALE, include_str!("../../../BENCH_sim_scale.json")),
+            (&USERS, include_str!("../../../BENCH_users.json")),
+            (&SCENARIOS, include_str!("../../../BENCH_scenarios.json")),
+        ] {
+            check_gates(of, text, text).unwrap_or_else(|e| panic!("{}: {e}", of.0));
+            let doc = parse_json(text).unwrap();
+            let rows = doc.get(of.1).and_then(Value::as_array).unwrap();
+            for Gate(_, field, ..) in GATES.iter().filter(|g| g.0 .0 == of.0) {
+                let missing = rows.iter().find(|r| r.get(field).is_none());
+                assert_eq!(missing, None, "{}: a row without {field}", of.0);
+            }
+        }
+        assert_eq!(GATES.len(), 7, "a new gate needs its baseline listed above");
+    }
 }

@@ -756,10 +756,12 @@ impl P4AuthSwitch {
         msg: &Message,
         op: RegisterOp,
     ) -> AgentOutput {
-        // Responses are controller-bound; a DP receiving one ignores it.
-        if !op.is_request() {
-            return AgentOutput::default();
-        }
+        let (reg, index, qualifier, value) = match op {
+            RegisterOp::ReadReq { reg, index } => (reg, index, QUAL_READ, 0),
+            RegisterOp::WriteReq { reg, index, value } => (reg, index, QUAL_WRITE, value),
+            // Responses are controller-bound; a DP receiving one ignores it.
+            _ => return AgentOutput::default(),
+        };
 
         let auth = self.config.auth_enabled;
         let mut events = Vec::new();
@@ -792,11 +794,6 @@ impl P4AuthSwitch {
                         }
                     }
                 }
-                let (reg, index, qualifier, value) = match op {
-                    RegisterOp::ReadReq { reg, index } => (reg, index, QUAL_READ, 0),
-                    RegisterOp::WriteReq { reg, index, value } => (reg, index, QUAL_WRITE, value),
-                    _ => unreachable!("responses filtered above"),
-                };
                 let Some(entry) = ctx.lookup(
                     REG_MAPPING_TABLE,
                     MatchKey::new(reg.value() as u64, qualifier),
@@ -810,52 +807,36 @@ impl P4AuthSwitch {
                     return Ok(vec![]);
                 };
                 let name = &reg_names[entry.data0 as usize];
-                match qualifier {
-                    QUAL_READ => match ctx.read_register(name, index) {
-                        Ok(v) => {
-                            events.push(AgentEvent::RegisterRead {
-                                name: name.clone(),
-                                index,
-                                value: v,
-                            });
-                            reply_op = Some(RegisterOp::Ack {
-                                reg,
-                                index,
-                                value: v,
-                            });
-                        }
-                        Err(ChassisError::Register(_)) => {
-                            reply_op = Some(RegisterOp::Nack {
-                                reg,
-                                index,
-                                reason: NackReason::IndexOutOfRange,
-                            });
-                        }
-                        Err(e) => return Err(e),
+                let name = name.clone();
+                let done = match qualifier {
+                    QUAL_READ => ctx.read_register(&name, index).map(|value| {
+                        let event = AgentEvent::RegisterRead { name, index, value };
+                        (event, value)
+                    }),
+                    _ => ctx.write_register(&name, index, value).map(|()| {
+                        let event = AgentEvent::RegisterWritten { name, index, value };
+                        (event, 0)
+                    }),
+                };
+                reply_op = Some(match done {
+                    Ok((event, value)) => {
+                        events.push(event);
+                        RegisterOp::Ack { reg, index, value }
+                    }
+                    Err(ChassisError::Register(_)) => RegisterOp::Nack {
+                        reg,
+                        index,
+                        reason: NackReason::IndexOutOfRange,
                     },
-                    _ => match ctx.write_register(name, index, value) {
-                        Ok(()) => {
-                            events.push(AgentEvent::RegisterWritten {
-                                name: name.clone(),
-                                index,
-                                value,
-                            });
-                            reply_op = Some(RegisterOp::Ack {
-                                reg,
-                                index,
-                                value: 0,
-                            });
-                        }
-                        Err(ChassisError::Register(_)) => {
-                            reply_op = Some(RegisterOp::Nack {
-                                reg,
-                                index,
-                                reason: NackReason::IndexOutOfRange,
-                            });
-                        }
-                        Err(e) => return Err(e),
+                    // Mapped in the config but never declared on the
+                    // chassis: to the requester it does not exist.
+                    Err(ChassisError::NoSuchRegister(_)) => RegisterOp::Nack {
+                        reg,
+                        index,
+                        reason: NackReason::UnknownRegister,
                     },
-                }
+                    Err(e) => return Err(e),
+                });
                 Ok(vec![])
             })
             .expect("register handling uses declared tables only");
@@ -872,10 +853,7 @@ impl P4AuthSwitch {
             );
             // nAck + alert (Fig. 8/9 workflow).
             let nack = RegisterOp::Nack {
-                reg: match op {
-                    RegisterOp::ReadReq { reg, .. } | RegisterOp::WriteReq { reg, .. } => reg,
-                    _ => RegId::new(0),
-                },
+                reg,
                 index: 0,
                 reason: match reason {
                     RejectReason::Replayed { .. } => NackReason::SeqMismatch,
@@ -962,51 +940,44 @@ impl P4AuthSwitch {
         let mut events = Vec::new();
         let mut outputs = Vec::new();
 
-        // Every key-exchange message is authenticated (the "A" in ADHKD).
-        let key = self.kex_verify_key(ingress, msg, &kex);
-        let verify_result = {
-            let keyed = key;
-            let mac = self.chassis_mac();
-            match keyed {
-                None => Err(RejectReason::NoKey),
-                Some(k) => {
-                    if msg.verify(mac, k) {
-                        self.replay.check_and_advance(
-                            msg.header().sender,
-                            ingress,
-                            msg.header().seq_num,
-                        )
-                    } else {
-                        Err(RejectReason::BadDigest)
-                    }
-                }
+        // Every key-exchange message is authenticated (the "A" in ADHKD);
+        // past this block `key` is the one that verified it.
+        let verified = match self.kex_verify_key(ingress, msg, &kex) {
+            None => Err(RejectReason::NoKey),
+            Some(k) if !msg.verify(self.chassis_mac(), k) => Err(RejectReason::BadDigest),
+            Some(k) => self
+                .replay
+                .check_and_advance(msg.header().sender, ingress, msg.header().seq_num)
+                .map(|()| k),
+        };
+        let key = match verified {
+            Ok(key) => key,
+            Err(reason) => {
+                self.record_reject(
+                    now_ns,
+                    msg.header().sender,
+                    ingress,
+                    msg.header().seq_num,
+                    reason,
+                );
+                events.push(AgentEvent::Rejected(reason));
+                self.raise_alert(
+                    now_ns,
+                    Alert {
+                        kind: AlertKind::KeyExchangeFailure,
+                        offending_seq: msg.header().seq_num,
+                        detail: ingress.value() as u32,
+                    },
+                    &mut outputs,
+                    &mut events,
+                );
+                return AgentOutput {
+                    outputs,
+                    events,
+                    ..AgentOutput::default()
+                };
             }
         };
-        if let Err(reason) = verify_result {
-            self.record_reject(
-                now_ns,
-                msg.header().sender,
-                ingress,
-                msg.header().seq_num,
-                reason,
-            );
-            events.push(AgentEvent::Rejected(reason));
-            self.raise_alert(
-                now_ns,
-                Alert {
-                    kind: AlertKind::KeyExchangeFailure,
-                    offending_seq: msg.header().seq_num,
-                    detail: ingress.value() as u32,
-                },
-                &mut outputs,
-                &mut events,
-            );
-            return AgentOutput {
-                outputs,
-                events,
-                ..AgentOutput::default()
-            };
-        }
         self.stats.verified_ok += 1;
         self.note_verify_ok(now_ns, msg.header().sender, ingress);
         events.push(AgentEvent::VerifiedOk);
@@ -1136,8 +1107,7 @@ impl P4AuthSwitch {
                     }),
                 );
                 reply.header_mut().key_version = msg.header().key_version;
-                let seal_key = key.expect("verified above");
-                reply.seal(self.chassis_mac(), seal_key);
+                reply.seal(self.chassis_mac(), key);
                 outputs.push((reply_port, reply.encode()));
             }
             KeyExchange::Adhkd {
@@ -1665,6 +1635,96 @@ mod tests {
         let out = sw.on_packet(0, PortId::CPU, &salt1);
         assert!(!sw.has_auth_key());
         assert!(out.has_event(&AgentEvent::AlertSent(AlertKind::KeyExchangeFailure)));
+    }
+
+    // The four tests below pin the verdicts of the `unwrap`/`expect`
+    // reachability audit (DESIGN §"Panic-site audit"): each drives the
+    // nearest wire input to a former or remaining panic site.
+
+    #[test]
+    fn register_responses_reaching_the_data_plane_are_ignored() {
+        let mut sw = agent();
+        let (reg, index) = (RegId::new(1234), 0);
+        let reason = NackReason::UnknownRegister;
+        for op in [
+            RegisterOp::Ack {
+                reg,
+                index,
+                value: 7,
+            },
+            RegisterOp::Nack { reg, index, reason },
+        ] {
+            let frame = Message::register_request(SwitchId::CONTROLLER, SeqNum::new(1), op);
+            let out = sw.on_packet(0, PortId::CPU, &frame.encode());
+            assert!(out.outputs.is_empty() && out.events.is_empty());
+        }
+    }
+
+    #[test]
+    fn mapped_but_undeclared_register_is_nacked() {
+        // The config maps the id, nobody declared the array: at the
+        // parent commit this authenticated request panicked the agent.
+        let config =
+            AgentConfig::new(SwitchId::new(1), 4, SEED).map_register(RegId::new(9), "gone");
+        let mut sw = P4AuthSwitch::new(config, None);
+        let k = Key64::new(42);
+        install_local(&mut sw, k);
+        for (seq, op) in [
+            RegisterOp::read_req(RegId::new(9), 0),
+            RegisterOp::write_req(RegId::new(9), 0, 5),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let seq = SeqNum::new(seq as u32 + 1);
+            let frame = Message::register_request(SwitchId::CONTROLLER, seq, op).sealed(&mac(), k);
+            let out = sw.on_packet(0, PortId::CPU, &frame.encode());
+            let reply = Message::decode(&out.outputs[0].1).unwrap();
+            assert!(matches!(
+                reply.body(),
+                Body::Register(RegisterOp::Nack {
+                    reason: NackReason::UnknownRegister,
+                    ..
+                })
+            ));
+        }
+        assert_eq!(sw.stats().nacks, 2);
+    }
+
+    #[test]
+    fn adhkd_offer_with_no_key_installed_is_a_counted_reject() {
+        // `kex_verify_key` yields `None` (no K_auth yet): the offer must be
+        // rejected before the answer path asks for the key that sealed it.
+        let mut sw = agent();
+        let offer = Message::key_exchange(
+            SwitchId::CONTROLLER,
+            PortId::CPU,
+            SeqNum::new(1),
+            KeyExchange::Adhkd {
+                role: AdhkdRole::Offer,
+                context: KexContext::LocalInit,
+                public_key: 5,
+                salt: 6,
+            },
+        )
+        .sealed(&mac(), Key64::new(1));
+        let out = sw.on_packet(0, PortId::CPU, &offer.encode());
+        assert!(out.has_event(&AgentEvent::Rejected(RejectReason::NoKey)));
+        assert!(out.has_event(&AgentEvent::AlertSent(AlertKind::KeyExchangeFailure)));
+        assert_eq!(sw.stats().digest_failures, 1);
+        assert_eq!(sw.keys().sealing_key(PortId::CPU), None);
+    }
+
+    #[test]
+    fn mapping_table_is_sized_for_any_register_map() {
+        // Two entries per mapping, capacity 2 x mappings, a repeated id
+        // overwrites: the two `expect`s in `new` cannot fire.
+        let mut config = AgentConfig::new(SwitchId::new(1), 4, SEED);
+        for id in (0..300u32).chain([7, 7, 0]) {
+            config = config.map_register(RegId::new(id), format!("r{id}"));
+        }
+        let _ = P4AuthSwitch::new(config, None);
+        let _ = P4AuthSwitch::new(AgentConfig::new(SwitchId::new(1), 4, SEED), None);
     }
 
     #[test]

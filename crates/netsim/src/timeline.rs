@@ -19,8 +19,9 @@
 //! equals the final full snapshot — [`Timeline::reconstruct`] checks
 //! exactly that in tests.
 
+use p4auth_telemetry::codec::{ByteReader, ByteWriter, DecodeError, JsonWriter, Layout};
 use p4auth_telemetry::snapshot::bin::{
-    decode_delta, decode_snapshot, encode_delta, encode_snapshot, DecodeError,
+    decode_delta, decode_snapshot, encode_delta, encode_snapshot,
 };
 use p4auth_telemetry::{Registry, Snapshot, SnapshotDelta};
 use std::sync::Arc;
@@ -99,90 +100,57 @@ impl Timeline {
     /// Serializes the timeline as a JSON object (deterministic, like
     /// [`Snapshot::to_json`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str(&format!(
-            "{{\n\"interval_ns\": {},\n\"baseline\": {},\n\"entries\": [",
-            self.interval_ns,
-            self.baseline.to_json().trim_end()
-        ));
-        for (i, entry) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n{{\"t_ns\": {}, \"delta\": {}}}",
-                entry.t_ns,
-                entry.delta.to_json().trim_end()
-            ));
+        const LINES: Layout = Layout::lines("\n", "\n");
+        let mut w = JsonWriter::new(": ");
+        w.obj(LINES);
+        w.field("interval_ns", self.interval_ns);
+        w.key("baseline");
+        self.baseline.write_json(&mut w);
+        w.key("entries");
+        w.arr(LINES);
+        for entry in &self.entries {
+            w.obj(Layout::INLINE);
+            w.field("t_ns", entry.t_ns);
+            w.key("delta");
+            entry.delta.write_json(&mut w);
+            w.end();
         }
-        out.push_str(&format!(
-            "\n],\n\"final\": {}\n}}\n",
-            self.final_snapshot.to_json().trim_end()
-        ));
-        out
+        w.end();
+        w.key("final");
+        self.final_snapshot.write_json(&mut w);
+        w.end();
+        w.finish()
     }
 
-    /// Serializes the timeline as a compact binary stream: `P4TL` magic,
-    /// version, interval, then length-prefixed baseline / entry /
-    /// final blocks in the `P4TS` codec.
+    /// Serializes the timeline as a `P4TL` stream (layout in
+    /// [`p4auth_telemetry::codec`]).
     pub fn to_bin(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4096);
-        out.extend_from_slice(&TIMELINE_MAGIC);
-        out.extend_from_slice(&TIMELINE_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.interval_ns.to_le_bytes());
-        let baseline = encode_snapshot(&self.baseline);
-        out.extend_from_slice(&(baseline.len() as u32).to_le_bytes());
-        out.extend_from_slice(&baseline);
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        let mut w = ByteWriter::new(TIMELINE_MAGIC, TIMELINE_VERSION);
+        w.u64(self.interval_ns);
+        w.block(&encode_snapshot(&self.baseline));
+        w.seq(self.entries.len());
         for entry in &self.entries {
-            out.extend_from_slice(&entry.t_ns.to_le_bytes());
-            let delta = encode_delta(&entry.delta);
-            out.extend_from_slice(&(delta.len() as u32).to_le_bytes());
-            out.extend_from_slice(&delta);
+            w.u64(entry.t_ns);
+            w.block(&encode_delta(&entry.delta));
         }
-        let fin = encode_snapshot(&self.final_snapshot);
-        out.extend_from_slice(&(fin.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fin);
-        out
+        w.block(&encode_snapshot(&self.final_snapshot));
+        w.finish()
     }
 
     /// Deserializes a [`Timeline::to_bin`] stream, rejecting trailing
     /// bytes.
     pub fn from_bin(buf: &[u8]) -> Result<Timeline, DecodeError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], DecodeError> {
-            let end = pos.checked_add(n).ok_or(DecodeError::Truncated)?;
-            if end > buf.len() {
-                return Err(DecodeError::Truncated);
-            }
-            let s = &buf[*pos..end];
-            *pos = end;
-            Ok(s)
-        };
-        if take(&mut pos, 4)? != TIMELINE_MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let version = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap());
-        if version != TIMELINE_VERSION {
-            return Err(DecodeError::UnsupportedVersion(version));
-        }
-        let interval_ns = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let block = |pos: &mut usize| -> Result<&[u8], DecodeError> {
-            let len = u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()) as usize;
-            take(pos, len)
-        };
-        let baseline = decode_snapshot(block(&mut pos)?)?;
-        let n = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let mut entries = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let t_ns = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-            let delta = decode_delta(block(&mut pos)?)?;
-            entries.push(TimelineEntry { t_ns, delta });
-        }
-        let final_snapshot = decode_snapshot(block(&mut pos)?)?;
-        if pos != buf.len() {
-            return Err(DecodeError::TrailingBytes(buf.len() - pos));
-        }
+        let mut r = ByteReader::new(buf, TIMELINE_MAGIC, TIMELINE_VERSION)?;
+        let interval_ns = r.u64()?;
+        let baseline = decode_snapshot(r.block()?)?;
+        let entries = r.seq(12, |r| {
+            Ok(TimelineEntry {
+                t_ns: r.u64()?,
+                delta: decode_delta(r.block()?)?,
+            })
+        })?;
+        let final_snapshot = decode_snapshot(r.block()?)?;
+        r.finish()?;
         Ok(Timeline {
             interval_ns,
             baseline,

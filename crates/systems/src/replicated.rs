@@ -34,6 +34,7 @@ use p4auth_dataplane::register::RegisterArray;
 use p4auth_netsim::time::SimTime;
 use p4auth_netsim::topology::Topology;
 use p4auth_primitives::rng::SplitMix64;
+use p4auth_telemetry::codec::{JsonWriter, Layout};
 use p4auth_telemetry::Registry;
 use p4auth_wire::ids::{RegId, SwitchId};
 use std::sync::Arc;
@@ -110,32 +111,26 @@ impl ReplicatedReport {
     /// Deterministic JSON: fixed key order, no floats, the telemetry
     /// snapshot embedded verbatim.
     pub fn to_json(&self) -> String {
-        let sizes: Vec<String> = self.partition_sizes.iter().map(usize::to_string).collect();
-        let fanout: Vec<String> = self.fanout_ns.iter().map(u64::to_string).collect();
-        format!(
-            concat!(
-                "{{\"replicas\":{},\"switches\":{},\"partition_sizes\":[{}],",
-                "\"cross_partition_links\":{},\"bootstrap_ns\":{},",
-                "\"flood_mitigations\":{},\"victim_key_rolled\":{},",
-                "\"mitm_tampered\":{},\"mitm_rejects_at_owner\":{},",
-                "\"rollover_epoch\":{},\"rollover_complete\":{},",
-                "\"fanout_ns\":[{}],\"final_time_ns\":{},\"telemetry\":{}}}\n"
-            ),
-            self.replicas,
-            self.switches,
-            sizes.join(","),
-            self.cross_partition_links,
-            self.bootstrap_ns,
-            self.flood_mitigations,
-            self.victim_key_rolled,
-            self.mitm_tampered,
-            self.mitm_rejects_at_owner,
-            self.rollover_epoch,
-            self.rollover_complete,
-            fanout.join(","),
-            self.final_time_ns,
-            self.telemetry_json.trim_end(),
-        )
+        let mut w = JsonWriter::new(":");
+        w.obj(Layout::COMPACT);
+        w.field("replicas", self.replicas);
+        w.field("switches", self.switches);
+        w.key("partition_sizes");
+        w.vals(Layout::COMPACT, &self.partition_sizes);
+        w.field("cross_partition_links", self.cross_partition_links);
+        w.field("bootstrap_ns", self.bootstrap_ns);
+        w.field("flood_mitigations", self.flood_mitigations);
+        w.field("victim_key_rolled", self.victim_key_rolled);
+        w.field("mitm_tampered", self.mitm_tampered);
+        w.field("mitm_rejects_at_owner", self.mitm_rejects_at_owner);
+        w.field("rollover_epoch", self.rollover_epoch);
+        w.field("rollover_complete", self.rollover_complete);
+        w.key("fanout_ns");
+        w.vals(Layout::COMPACT, &self.fanout_ns);
+        w.field("final_time_ns", self.final_time_ns);
+        w.field("telemetry", self.telemetry_json.trim_end());
+        w.end();
+        w.finish()
     }
 }
 

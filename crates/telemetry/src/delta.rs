@@ -19,13 +19,11 @@
 //! rank-walk the live [`crate::Histogram`] uses, so a merged snapshot is
 //! byte-identical to its sequential counterpart.
 
+use crate::codec::JsonWriter;
 use crate::events::EventRecord;
-use crate::snapshot::{
-    json_string, write_event, CounterSample, GaugeSample, HistogramSample, Snapshot,
-};
+use crate::snapshot::{CounterSample, GaugeSample, HistRow, HistogramSample, Sections, Snapshot};
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Changes to one histogram series since a baseline snapshot.
 #[derive(Clone, PartialEq, Debug, Serialize)]
@@ -143,68 +141,39 @@ impl SnapshotDelta {
         }
     }
 
-    /// Serializes the delta to a JSON object string (same hand-rolled,
-    /// deterministic encoding as [`Snapshot::to_json`]).
+    /// The borrowed view both encoders (JSON and `P4TS`) walk.
+    pub(crate) fn sections(&self) -> Sections<'_> {
+        Sections {
+            counters: &self.counters,
+            gauges: &self.gauges,
+            histograms: self
+                .histograms
+                .iter()
+                .map(|h| HistRow {
+                    name: &h.name,
+                    label: &h.label,
+                    stats: [h.count, h.sum, h.min, h.max, 0, 0, 0],
+                    width: 4,
+                    buckets: &h.buckets,
+                })
+                .collect(),
+            events_overflowed: self.events_overflowed,
+            events_len: Some(self.events_len),
+            events: &self.events,
+        }
+    }
+
+    /// Writes the delta as the next value of `w`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        self.sections().write_json(w);
+    }
+
+    /// Serializes the delta to a JSON object string (same deterministic
+    /// encoding as [`Snapshot::to_json`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\n  \"counters\": [");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": ");
-            json_string(&mut out, &c.name);
-            out.push_str(", \"label\": ");
-            json_string(&mut out, &c.label);
-            let _ = write!(out, ", \"value\": {}}}", c.value);
-        }
-        out.push_str("\n  ],\n  \"gauges\": [");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": ");
-            json_string(&mut out, &g.name);
-            out.push_str(", \"label\": ");
-            json_string(&mut out, &g.label);
-            let _ = write!(out, ", \"value\": {}}}", g.value);
-        }
-        out.push_str("\n  ],\n  \"histograms\": [");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": ");
-            json_string(&mut out, &h.name);
-            out.push_str(", \"label\": ");
-            json_string(&mut out, &h.label);
-            let _ = write!(
-                out,
-                ", \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-                h.count, h.sum, h.min, h.max
-            );
-            for (j, (bound, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "[{bound}, {n}]");
-            }
-            out.push_str("]}");
-        }
-        let _ = write!(
-            out,
-            "\n  ],\n  \"events_overflowed\": {},\n  \"events_len\": {},\n  \"events\": [",
-            self.events_overflowed, self.events_len
-        );
-        for (i, record) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            write_event(&mut out, record);
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let mut w = JsonWriter::new(": ");
+        self.write_json(&mut w);
+        w.finish()
     }
 }
 

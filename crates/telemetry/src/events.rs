@@ -4,6 +4,7 @@
 //! step names) so this crate stays at the bottom of the dependency graph:
 //! protocol crates map their own types onto these at the call site.
 
+use crate::codec::{ByteReader, DecodeError};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -29,6 +30,18 @@ pub enum RejectKind {
 }
 
 impl RejectKind {
+    /// Inverse of `self as u8`, the `P4TS` encoding.
+    fn from_wire(byte: u8) -> Result<Self, DecodeError> {
+        Ok(match byte {
+            0 => RejectKind::BadDigest,
+            1 => RejectKind::NoKey,
+            2 => RejectKind::Replayed,
+            3 => RejectKind::Malformed,
+            4 => RejectKind::Quarantined,
+            tag => return Err(DecodeError::BadTag(tag)),
+        })
+    }
+
     /// Stable snake_case name used in JSON snapshots and metric labels.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -51,6 +64,15 @@ pub enum DropCause {
 }
 
 impl DropCause {
+    /// Inverse of `self as u8`, the `P4TS` encoding.
+    fn from_wire(byte: u8) -> Result<Self, DecodeError> {
+        Ok(match byte {
+            0 => DropCause::Tap,
+            1 => DropCause::Undeliverable,
+            tag => return Err(DecodeError::BadTag(tag)),
+        })
+    }
+
     /// Stable snake_case name used in JSON snapshots.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -148,22 +170,74 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// Stable snake_case type tag used in JSON snapshots.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::DigestRejected { .. } => "digest_rejected",
-            Event::ReplayDetected { .. } => "replay_detected",
-            Event::AlertEmitted { .. } => "alert_emitted",
-            Event::AlertSuppressed { .. } => "alert_suppressed",
-            Event::KeyDerived { .. } => "key_derived",
-            Event::KexStep { .. } => "kex_step",
-            Event::FrameDelivered { .. } => "frame_delivered",
-            Event::FrameDropped { .. } => "frame_dropped",
-            Event::RecircUsed { .. } => "recirc_used",
-            Event::DefenceAction { .. } => "defence_action",
+/// One field of an [`Event`] as the encoders see it: the `P4TS` codec
+/// writes the integer at its width (an enum as its byte), JSON writes the
+/// number (an enum as its name).
+pub(crate) enum Field {
+    U8(u8),
+    U16(u16),
+    U32(u32),
+    U64(u64),
+    Str(&'static str),
+    Enum(u8, &'static str),
+}
+
+/// Expands the wire table below — `P4TS` tag, variant, JSON type name,
+/// and the fields with their wire types in the order they are written —
+/// into the type-name lookup, the field walk both encoders share, and
+/// the `P4TS` decoder, so a new variant is one new row.
+macro_rules! event_wire {
+    ($($tag:literal $variant:ident $kind:literal ($($field:ident: $ty:ident),*);)*) => {
+        impl Event {
+            /// Stable snake_case type tag used in JSON snapshots.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// Calls `f` with the `"type"` tag and then each field.
+            pub(crate) fn for_each_field(&self, mut f: impl FnMut(&'static str, Field)) {
+                match *self {
+                    $(Event::$variant { $($field),* } => {
+                        f("type", Field::Enum($tag, $kind));
+                        $(f(stringify!($field), event_wire!(@put $ty $field));)*
+                    })*
+                }
+            }
+
+            /// Reads one event (tag, then fields) from a `P4TS` stream.
+            pub(crate) fn decode(r: &mut ByteReader<'_>) -> Result<Event, DecodeError> {
+                Ok(match r.u8()? {
+                    $($tag => Event::$variant { $($field: event_wire!(@get $ty r)),* },)*
+                    tag => return Err(DecodeError::BadTag(tag)),
+                })
+            }
         }
-    }
+    };
+    (@put Reject $v:ident) => { Field::Enum($v as u8, $v.as_str()) };
+    (@put Drop $v:ident) => { Field::Enum($v as u8, $v.as_str()) };
+    (@put $ty:ident $v:ident) => { Field::$ty($v) };
+    (@get U8 $r:ident) => { $r.u8()? };
+    (@get U16 $r:ident) => { $r.u16()? };
+    (@get U32 $r:ident) => { $r.u32()? };
+    (@get U64 $r:ident) => { $r.u64()? };
+    (@get Str $r:ident) => { crate::snapshot::bin::static_str($r)? };
+    (@get Reject $r:ident) => { RejectKind::from_wire($r.u8()?)? };
+    (@get Drop $r:ident) => { DropCause::from_wire($r.u8()?)? };
+}
+
+event_wire! {
+    0 DigestRejected "digest_rejected" (peer: U16, channel: U8, reason: Reject);
+    1 ReplayDetected "replay_detected" (peer: U16, channel: U8, last_accepted: U64, got: U64);
+    2 AlertEmitted "alert_emitted" (source: U16, reason: Reject);
+    3 AlertSuppressed "alert_suppressed" (source: U16);
+    4 KeyDerived "key_derived" (switch: U16, port: U8, version: U8);
+    5 KexStep "kex_step" (node: U16, step: Str);
+    6 FrameDelivered "frame_delivered" (node: U16, port: U8, bytes: U32);
+    7 FrameDropped "frame_dropped" (node: U16, cause: Drop);
+    8 RecircUsed "recirc_used" (switch: U16, count: U32);
+    9 DefenceAction "defence_action" (peer: U16, channel: U8, action: Str);
 }
 
 /// An [`Event`] with the simulated time it was recorded at.

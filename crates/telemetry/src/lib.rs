@@ -19,7 +19,7 @@
 //!   registry skip instrumentation behind one `Option` branch.
 //! - **No dependencies.** Events carry primitive ids and `&'static str`
 //!   names so this crate sits at the bottom of the dependency graph, and
-//!   JSON snapshots are hand-encoded ([`Snapshot::to_json`]).
+//!   every artifact (JSON and binary) goes through the one [`codec`].
 //! - **Deterministic output.** Snapshots order series by
 //!   `(name, label)` and events oldest-first, so two identical simulated
 //!   runs produce byte-identical reports.
@@ -41,6 +41,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod delta;
 pub mod events;
 pub mod metrics;

@@ -1,15 +1,14 @@
 //! Point-in-time snapshots of a [`crate::Registry`] and their JSON
 //! encoding.
 //!
-//! The JSON writer is hand-rolled (no external serializer in this
-//! workspace); the output is deterministic — series sorted by
-//! `(name, label)`, events oldest-first — so snapshots diff cleanly
-//! across runs.
+//! The JSON goes through [`crate::codec::JsonWriter`]; the output is
+//! deterministic — series sorted by `(name, label)`, events oldest-first
+//! — so snapshots diff cleanly across runs.
 
-use crate::events::{Event, EventRecord};
+use crate::codec::{JsonWriter, Layout};
+use crate::events::{EventRecord, Field};
 use crate::metrics::Histogram;
 use serde::Serialize;
-use std::fmt::Write as _;
 
 pub mod bin;
 
@@ -127,182 +126,140 @@ impl Snapshot {
             .find(|h| h.name == name && h.label == label)
     }
 
+    /// The borrowed view both encoders (JSON and `P4TS`) walk.
+    pub(crate) fn sections(&self) -> Sections<'_> {
+        Sections {
+            counters: &self.counters,
+            gauges: &self.gauges,
+            histograms: self
+                .histograms
+                .iter()
+                .map(|h| HistRow {
+                    name: &h.name,
+                    label: &h.label,
+                    stats: [h.count, h.sum, h.min, h.max, h.p50, h.p90, h.p99],
+                    width: 7,
+                    buckets: &h.buckets,
+                })
+                .collect(),
+            events_overflowed: self.events_overflowed,
+            events_len: None,
+            events: &self.events,
+        }
+    }
+
+    /// Writes the snapshot as the next value of `w`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        self.sections().write_json(w);
+    }
+
     /// Serializes the snapshot to a JSON object string.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"counters\": [");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": ");
-            json_string(&mut out, &c.name);
-            out.push_str(", \"label\": ");
-            json_string(&mut out, &c.label);
-            let _ = write!(out, ", \"value\": {}}}", c.value);
+        let mut w = JsonWriter::new(": ");
+        self.write_json(&mut w);
+        w.finish()
+    }
+}
+
+/// One histogram series as the encoders see it.
+pub(crate) struct HistRow<'a> {
+    pub name: &'a str,
+    pub label: &'a str,
+    /// `count, sum, min, max, p50, p90, p99`.
+    pub stats: [u64; 7],
+    /// How many of `stats` are on the wire: snapshots carry all 7, deltas
+    /// stop before the percentiles.
+    pub width: usize,
+    pub buckets: &'a [(u64, u64)],
+}
+
+/// What a [`Snapshot`] and a [`crate::SnapshotDelta`] have in common, so
+/// each encoder spells the sections once for both.
+pub(crate) struct Sections<'a> {
+    pub counters: &'a [CounterSample],
+    pub gauges: &'a [GaugeSample],
+    pub histograms: Vec<HistRow<'a>>,
+    pub events_overflowed: u64,
+    /// `Some` exactly for deltas.
+    pub events_len: Option<u64>,
+    pub events: &'a [EventRecord],
+}
+
+impl Sections<'_> {
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        const ROWS: Layout = Layout::lines("\n    ", "\n  ");
+        let series = |w: &mut JsonWriter, name: &str, label: &str| {
+            w.obj(Layout::INLINE);
+            w.field_str("name", name);
+            w.field_str("label", label);
+        };
+        w.obj(Layout::lines("\n  ", "\n"));
+        w.key("counters");
+        w.arr(ROWS);
+        for c in self.counters {
+            series(w, &c.name, &c.label);
+            w.field("value", c.value);
+            w.end();
         }
-        out.push_str("\n  ],\n  \"gauges\": [");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": ");
-            json_string(&mut out, &g.name);
-            out.push_str(", \"label\": ");
-            json_string(&mut out, &g.label);
-            let _ = write!(out, ", \"value\": {}}}", g.value);
+        w.end();
+        w.key("gauges");
+        w.arr(ROWS);
+        for g in self.gauges {
+            series(w, &g.name, &g.label);
+            w.field("value", g.value);
+            w.end();
         }
-        out.push_str("\n  ],\n  \"histograms\": [");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        w.end();
+        w.key("histograms");
+        w.arr(ROWS);
+        for h in &self.histograms {
+            series(w, h.name, h.label);
+            let keys = ["count", "sum", "min", "max", "p50", "p90", "p99"];
+            for (key, v) in keys.into_iter().zip(h.stats).take(h.width) {
+                w.field(key, v);
             }
-            out.push_str("\n    {\"name\": ");
-            json_string(&mut out, &h.name);
-            out.push_str(", \"label\": ");
-            json_string(&mut out, &h.label);
-            let _ = write!(
-                out,
-                ", \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
-                h.count, h.sum, h.min, h.max, h.p50, h.p90, h.p99
-            );
-            for (j, (bound, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
+            w.key("buckets");
+            w.arr(Layout::INLINE);
+            for &(bound, n) in h.buckets {
+                w.vals(Layout::INLINE, [bound, n]);
+            }
+            w.end();
+            w.end();
+        }
+        w.end();
+        w.field("events_overflowed", self.events_overflowed);
+        if let Some(len) = self.events_len {
+            w.field("events_len", len);
+        }
+        w.key("events");
+        w.arr(ROWS);
+        for record in self.events {
+            // Every string — including the `&'static str` kex steps and
+            // defence actions — is escaped by the writer, so hostile
+            // content can never break the document.
+            w.obj(Layout::INLINE);
+            w.field("t_ns", record.t_ns);
+            record.event.for_each_field(|key, v| {
+                w.key(key);
+                match v {
+                    Field::U8(n) => w.val(n),
+                    Field::U16(n) => w.val(n),
+                    Field::U32(n) => w.val(n),
+                    Field::U64(n) => w.val(n),
+                    Field::Str(s) | Field::Enum(_, s) => w.str(s),
                 }
-                let _ = write!(out, "[{bound}, {n}]");
-            }
-            out.push_str("]}");
+            });
+            w.end();
         }
-        let _ = write!(
-            out,
-            "\n  ],\n  \"events_overflowed\": {},\n  \"events\": [",
-            self.events_overflowed
-        );
-        for (i, record) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            write_event(&mut out, record);
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        w.end();
+        w.end();
     }
-}
-
-/// Appends `s` as a JSON string literal (with escaping) to `out`.
-pub(crate) fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-pub(crate) fn write_event(out: &mut String, record: &EventRecord) {
-    // Every string field — including the `&'static str` ones like kex
-    // steps and defence actions — goes through `json_string`, so hostile
-    // content (quotes, backslashes, control bytes) can never break the
-    // document.
-    let _ = write!(out, "{{\"t_ns\": {}, \"type\": ", record.t_ns);
-    json_string(out, record.event.kind());
-    match &record.event {
-        Event::DigestRejected {
-            peer,
-            channel,
-            reason,
-        } => {
-            let _ = write!(
-                out,
-                ", \"peer\": {peer}, \"channel\": {channel}, \"reason\": "
-            );
-            json_string(out, reason.as_str());
-        }
-        Event::ReplayDetected {
-            peer,
-            channel,
-            last_accepted,
-            got,
-        } => {
-            let _ = write!(
-                out,
-                ", \"peer\": {peer}, \"channel\": {channel}, \
-                 \"last_accepted\": {last_accepted}, \"got\": {got}"
-            );
-        }
-        Event::AlertEmitted { source, reason } => {
-            let _ = write!(out, ", \"source\": {source}, \"reason\": ");
-            json_string(out, reason.as_str());
-        }
-        Event::AlertSuppressed { source } => {
-            let _ = write!(out, ", \"source\": {source}");
-        }
-        Event::KeyDerived {
-            switch,
-            port,
-            version,
-        } => {
-            let _ = write!(
-                out,
-                ", \"switch\": {switch}, \"port\": {port}, \"version\": {version}"
-            );
-        }
-        Event::KexStep { node, step } => {
-            let _ = write!(out, ", \"node\": {node}, \"step\": ");
-            json_string(out, step);
-        }
-        Event::FrameDelivered { node, port, bytes } => {
-            let _ = write!(
-                out,
-                ", \"node\": {node}, \"port\": {port}, \"bytes\": {bytes}"
-            );
-        }
-        Event::FrameDropped { node, cause } => {
-            let _ = write!(out, ", \"node\": {node}, \"cause\": ");
-            json_string(out, cause.as_str());
-        }
-        Event::RecircUsed { switch, count } => {
-            let _ = write!(out, ", \"switch\": {switch}, \"count\": {count}");
-        }
-        Event::DefenceAction {
-            peer,
-            channel,
-            action,
-        } => {
-            let _ = write!(
-                out,
-                ", \"peer\": {peer}, \"channel\": {channel}, \"action\": "
-            );
-            json_string(out, action);
-        }
-    }
-    out.push('}');
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::events::RejectKind;
+    use crate::events::{Event, RejectKind};
     use crate::registry::Registry;
-
-    #[test]
-    fn json_escapes_strings() {
-        let mut s = String::new();
-        json_string(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
-    }
 
     #[test]
     fn snapshot_json_contains_all_sections() {
@@ -333,54 +290,6 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
-    /// Minimal structural JSON validator: checks string escaping, literal
-    /// nesting, and that every byte is consumed. Enough to prove the
-    /// hand-rolled encoder emits a well-formed document without pulling in
-    /// a parser dependency.
-    fn assert_valid_json(s: &str) {
-        let b = s.as_bytes();
-        let mut i = 0usize;
-        let mut stack: Vec<u8> = Vec::new();
-        while i < b.len() {
-            match b[i] {
-                b'"' => {
-                    i += 1;
-                    loop {
-                        assert!(i < b.len(), "unterminated string in {s:?}");
-                        match b[i] {
-                            b'"' => break,
-                            b'\\' => {
-                                i += 1;
-                                assert!(i < b.len(), "dangling escape");
-                                match b[i] {
-                                    b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => {}
-                                    b'u' => {
-                                        assert!(i + 4 < b.len(), "short \\u escape");
-                                        assert!(
-                                            b[i + 1..i + 5].iter().all(u8::is_ascii_hexdigit),
-                                            "bad \\u escape"
-                                        );
-                                        i += 4;
-                                    }
-                                    c => panic!("invalid escape \\{}", c as char),
-                                }
-                            }
-                            c if c < 0x20 => panic!("raw control byte {c:#x} inside string"),
-                            _ => {}
-                        }
-                        i += 1;
-                    }
-                }
-                b'{' | b'[' => stack.push(b[i]),
-                b'}' => assert_eq!(stack.pop(), Some(b'{'), "mismatched }} at byte {i}"),
-                b']' => assert_eq!(stack.pop(), Some(b'['), "mismatched ] at byte {i}"),
-                _ => {}
-            }
-            i += 1;
-        }
-        assert!(stack.is_empty(), "unclosed containers: {stack:?}");
-    }
-
     #[test]
     fn hostile_names_and_event_strings_stay_valid_json() {
         let hostile = "evil\"name\\with\nnewline\tand\u{1}ctl";
@@ -404,7 +313,7 @@ mod tests {
             },
         );
         let json = r.snapshot().to_json();
-        assert_valid_json(&json);
+        crate::codec::parse_json(&json).expect("hostile content stays inside its strings");
         // The hostile name round-trips escaped, never raw.
         assert!(json.contains("evil\\\"name\\\\with\\nnewline\\tand\\u0001ctl"));
         assert!(!json.contains("evil\"name"));

@@ -1,137 +1,140 @@
-//! Compact, dependency-free binary codec for [`Snapshot`]s and
-//! [`SnapshotDelta`]s.
-//!
-//! ## Format (version 1)
-//!
-//! ```text
-//! header:   magic "P4TS" · version u16 · kind u8 (0 = snapshot, 1 = delta)
-//! counters: n u32 · n × (name str, label str, value u64)
-//! gauges:   n u32 · n × (name str, label str, value i64)
-//! hists:    n u32 · n × (name str, label str, count u64, sum u64,
-//!               min u64, max u64, [snapshot only: p50 u64, p90 u64,
-//!               p99 u64], b u32 · b × (bound u64, count u64))
-//! overflow: events_overflowed u64 · [delta only: events_len u64]
-//! events:   n u32 · n × (t_ns u64, tag u8, variant fields)
-//! ```
-//!
-//! All integers are little-endian fixed width; strings are u32
-//! length-prefixed UTF-8. Event tags are the [`Event`] variants in
-//! declaration order (0–9); [`RejectKind`]/[`DropCause`] are single
-//! bytes in declaration order. Delta histograms omit the percentile
-//! fields — they are derived data the receiver recomputes on apply.
-//!
-//! Decoding is strict: a wrong magic, an unknown version/kind/tag,
-//! invalid UTF-8, a short buffer, or trailing bytes all fail with a
-//! typed [`DecodeError`]. Encode→decode→encode is byte-identical, and a
-//! decoded value compares equal to the original (exact-roundtrip tests
-//! below) — which is what lets CI gate on codec equivalence by diffing
-//! the re-encoded JSON against the direct JSON export.
+//! The `P4TS` binary codec for [`Snapshot`]s and [`SnapshotDelta`]s.
+//! The layout and the strictness contract are documented once, in
+//! [`crate::codec`].
 
+use crate::codec::{ByteReader, ByteWriter};
 use crate::delta::{HistogramDelta, SnapshotDelta};
-use crate::events::{DropCause, Event, EventRecord, RejectKind};
-use crate::snapshot::{CounterSample, GaugeSample, HistogramSample, Snapshot};
+use crate::events::{Event, EventRecord, Field};
+use crate::snapshot::{CounterSample, GaugeSample, HistogramSample, Sections, Snapshot};
+use std::collections::BTreeSet;
+use std::sync::Mutex;
+
+pub use crate::codec::DecodeError;
 
 /// File magic for single snapshot/delta blobs.
 pub const MAGIC: [u8; 4] = *b"P4TS";
 /// Current format version.
 pub const VERSION: u16 = 1;
-
-const KIND_SNAPSHOT: u8 = 0;
-const KIND_DELTA: u8 = 1;
-
-/// Why a buffer failed to decode.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DecodeError {
-    /// The buffer ended before the structure did.
-    Truncated,
-    /// The buffer does not start with [`MAGIC`].
-    BadMagic,
-    /// The version field is newer than this decoder.
-    UnsupportedVersion(u16),
-    /// The kind byte was neither snapshot nor delta, or not the kind the
-    /// caller asked for.
-    BadKind(u8),
-    /// An event tag or enum byte was out of range.
-    BadTag(u8),
-    /// A string field was not valid UTF-8.
-    BadUtf8,
-    /// The structure decoded but bytes remain.
-    TrailingBytes(usize),
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::Truncated => write!(f, "buffer truncated"),
-            DecodeError::BadMagic => write!(f, "bad magic (expected P4TS)"),
-            DecodeError::UnsupportedVersion(v) => write!(f, "unsupported version {v}"),
-            DecodeError::BadKind(k) => write!(f, "bad kind byte {k}"),
-            DecodeError::BadTag(t) => write!(f, "bad tag byte {t}"),
-            DecodeError::BadUtf8 => write!(f, "invalid utf-8 in string field"),
-            DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after structure"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
+/// Kind byte (offset 6) of a full snapshot.
+pub const KIND_SNAPSHOT: u8 = 0;
+/// Kind byte (offset 6) of a delta.
+pub const KIND_DELTA: u8 = 1;
 
 /// Serializes a full snapshot.
 pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
-    let mut w = Writer::new(KIND_SNAPSHOT);
-    w.u32(snap.counters.len() as u32);
-    for c in &snap.counters {
+    encode(&snap.sections())
+}
+
+/// Serializes a delta.
+pub fn encode_delta(delta: &SnapshotDelta) -> Vec<u8> {
+    encode(&delta.sections())
+}
+
+fn encode(s: &Sections<'_>) -> Vec<u8> {
+    let mut w = ByteWriter::new(MAGIC, VERSION);
+    w.u8(s.events_len.map_or(KIND_SNAPSHOT, |_| KIND_DELTA));
+    w.seq(s.counters.len());
+    for c in s.counters {
         w.str(&c.name);
         w.str(&c.label);
         w.u64(c.value);
     }
-    w.u32(snap.gauges.len() as u32);
-    for g in &snap.gauges {
+    w.seq(s.gauges.len());
+    for g in s.gauges {
         w.str(&g.name);
         w.str(&g.label);
         w.u64(g.value as u64);
     }
-    w.u32(snap.histograms.len() as u32);
-    for h in &snap.histograms {
-        w.str(&h.name);
-        w.str(&h.label);
-        for v in [h.count, h.sum, h.min, h.max, h.p50, h.p90, h.p99] {
-            w.u64(v);
+    w.seq(s.histograms.len());
+    for h in &s.histograms {
+        w.str(h.name);
+        w.str(h.label);
+        h.stats.into_iter().take(h.width).for_each(|v| w.u64(v));
+        w.seq(h.buckets.len());
+        for &(bound, n) in h.buckets {
+            w.u64(bound);
+            w.u64(n);
         }
-        w.buckets(&h.buckets);
     }
-    w.u64(snap.events_overflowed);
-    w.events(&snap.events);
-    w.out
+    w.u64(s.events_overflowed);
+    if let Some(len) = s.events_len {
+        w.u64(len);
+    }
+    w.seq(s.events.len());
+    for record in s.events {
+        w.u64(record.t_ns);
+        record.event.for_each_field(|_, v| match v {
+            Field::U8(n) | Field::Enum(n, _) => w.u8(n),
+            Field::U16(n) => w.u16(n),
+            Field::U32(n) => w.u32(n),
+            Field::U64(n) => w.u64(n),
+            Field::Str(s) => w.str(s),
+        });
+    }
+    w.finish()
 }
 
 /// Deserializes a full snapshot, rejecting trailing bytes.
 pub fn decode_snapshot(buf: &[u8]) -> Result<Snapshot, DecodeError> {
-    let mut r = Reader::new(buf, KIND_SNAPSHOT)?;
-    let n = r.u32()? as usize;
-    let mut counters = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        counters.push(CounterSample {
+    decode(buf, KIND_SNAPSHOT).map(|(snap, _)| snap)
+}
+
+/// Deserializes a delta, rejecting trailing bytes.
+pub fn decode_delta(buf: &[u8]) -> Result<SnapshotDelta, DecodeError> {
+    let (s, events_len) = decode(buf, KIND_DELTA)?;
+    let histograms = s.histograms.into_iter().map(|h| HistogramDelta {
+        name: h.name,
+        label: h.label,
+        count: h.count,
+        sum: h.sum,
+        min: h.min,
+        max: h.max,
+        buckets: h.buckets,
+    });
+    Ok(SnapshotDelta {
+        counters: s.counters,
+        gauges: s.gauges,
+        histograms: histograms.collect(),
+        events_overflowed: s.events_overflowed,
+        events: s.events,
+        events_len,
+    })
+}
+
+/// Decodes either kind into a [`Snapshot`] plus `events_len`. A delta's
+/// histograms come back with zero percentiles (the wire carries none)
+/// and a snapshot's `events_len` is its event count. Each `seq` is told
+/// its element's smallest encoding (empty strings, no buckets).
+fn decode(buf: &[u8], want_kind: u8) -> Result<(Snapshot, u64), DecodeError> {
+    let mut r = ByteReader::new(buf, MAGIC, VERSION)?;
+    let kind = r.u8()?;
+    if kind != want_kind {
+        return Err(DecodeError::BadKind(kind));
+    }
+    let delta = kind == KIND_DELTA;
+    let counters = r.seq(16, |r| {
+        Ok(CounterSample {
             name: r.str()?,
             label: r.str()?,
             value: r.u64()?,
-        });
-    }
-    let n = r.u32()? as usize;
-    let mut gauges = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        gauges.push(GaugeSample {
+        })
+    })?;
+    let gauges = r.seq(16, |r| {
+        Ok(GaugeSample {
             name: r.str()?,
             label: r.str()?,
             value: r.u64()? as i64,
-        });
-    }
-    let n = r.u32()? as usize;
-    let mut histograms = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
+        })
+    })?;
+    let histograms = r.seq(if delta { 44 } else { 68 }, |r| {
         let (name, label) = (r.str()?, r.str()?);
         let (count, sum, min, max) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-        let (p50, p90, p99) = (r.u64()?, r.u64()?, r.u64()?);
-        histograms.push(HistogramSample {
+        let (p50, p90, p99) = if delta {
+            (0, 0, 0)
+        } else {
+            (r.u64()?, r.u64()?, r.u64()?)
+        };
+        Ok(HistogramSample {
             name,
             label,
             count,
@@ -141,405 +144,51 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<Snapshot, DecodeError> {
             p50,
             p90,
             p99,
-            buckets: r.buckets()?,
-        });
-    }
+            buckets: r.seq(16, |r| Ok((r.u64()?, r.u64()?)))?,
+        })
+    })?;
     let events_overflowed = r.u64()?;
-    let events = r.events()?;
+    let events_len = if delta { Some(r.u64()?) } else { None };
+    let events = r.seq(11, |r| {
+        Ok(EventRecord {
+            t_ns: r.u64()?,
+            event: Event::decode(r)?,
+        })
+    })?;
     r.finish()?;
-    Ok(Snapshot {
+    let events_len = events_len.unwrap_or(events.len() as u64);
+    let snap = Snapshot {
         counters,
         gauges,
         histograms,
         events_overflowed,
         events,
-    })
+    };
+    Ok((snap, events_len))
 }
 
-/// Serializes a delta.
-pub fn encode_delta(delta: &SnapshotDelta) -> Vec<u8> {
-    let mut w = Writer::new(KIND_DELTA);
-    w.u32(delta.counters.len() as u32);
-    for c in &delta.counters {
-        w.str(&c.name);
-        w.str(&c.label);
-        w.u64(c.value);
+/// Decodes a `&'static str` event field — the only way to hand one back
+/// without changing the [`Event`] type is to leak it, so each distinct
+/// string is interned and leaked once per process, however often (and in
+/// however many hostile files) it recurs.
+pub(crate) fn static_str(r: &mut ByteReader<'_>) -> Result<&'static str, DecodeError> {
+    static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let s = r.str()?;
+    // A panic elsewhere cannot leave the set half-updated: ignore poison.
+    let mut interned = INTERNED.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(known) = interned.get(s.as_str()) {
+        return Ok(known);
     }
-    w.u32(delta.gauges.len() as u32);
-    for g in &delta.gauges {
-        w.str(&g.name);
-        w.str(&g.label);
-        w.u64(g.value as u64);
-    }
-    w.u32(delta.histograms.len() as u32);
-    for h in &delta.histograms {
-        w.str(&h.name);
-        w.str(&h.label);
-        for v in [h.count, h.sum, h.min, h.max] {
-            w.u64(v);
-        }
-        w.buckets(&h.buckets);
-    }
-    w.u64(delta.events_overflowed);
-    w.u64(delta.events_len);
-    w.events(&delta.events);
-    w.out
-}
-
-/// Deserializes a delta, rejecting trailing bytes.
-pub fn decode_delta(buf: &[u8]) -> Result<SnapshotDelta, DecodeError> {
-    let mut r = Reader::new(buf, KIND_DELTA)?;
-    let n = r.u32()? as usize;
-    let mut counters = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        counters.push(CounterSample {
-            name: r.str()?,
-            label: r.str()?,
-            value: r.u64()?,
-        });
-    }
-    let n = r.u32()? as usize;
-    let mut gauges = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        gauges.push(GaugeSample {
-            name: r.str()?,
-            label: r.str()?,
-            value: r.u64()? as i64,
-        });
-    }
-    let n = r.u32()? as usize;
-    let mut histograms = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let (name, label) = (r.str()?, r.str()?);
-        let (count, sum, min, max) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-        histograms.push(HistogramDelta {
-            name,
-            label,
-            count,
-            sum,
-            min,
-            max,
-            buckets: r.buckets()?,
-        });
-    }
-    let events_overflowed = r.u64()?;
-    let events_len = r.u64()?;
-    let events = r.events()?;
-    r.finish()?;
-    Ok(SnapshotDelta {
-        counters,
-        gauges,
-        histograms,
-        events_overflowed,
-        events,
-        events_len,
-    })
-}
-
-struct Writer {
-    out: Vec<u8>,
-}
-
-impl Writer {
-    fn new(kind: u8) -> Self {
-        let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(kind);
-        Writer { out }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.out.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.out.extend_from_slice(s.as_bytes());
-    }
-
-    fn buckets(&mut self, buckets: &[(u64, u64)]) {
-        self.u32(buckets.len() as u32);
-        for &(bound, n) in buckets {
-            self.u64(bound);
-            self.u64(n);
-        }
-    }
-
-    fn events(&mut self, events: &[EventRecord]) {
-        self.u32(events.len() as u32);
-        for record in events {
-            self.u64(record.t_ns);
-            match &record.event {
-                Event::DigestRejected {
-                    peer,
-                    channel,
-                    reason,
-                } => {
-                    self.u8(0);
-                    self.u16(*peer);
-                    self.u8(*channel);
-                    self.u8(*reason as u8);
-                }
-                Event::ReplayDetected {
-                    peer,
-                    channel,
-                    last_accepted,
-                    got,
-                } => {
-                    self.u8(1);
-                    self.u16(*peer);
-                    self.u8(*channel);
-                    self.u64(*last_accepted);
-                    self.u64(*got);
-                }
-                Event::AlertEmitted { source, reason } => {
-                    self.u8(2);
-                    self.u16(*source);
-                    self.u8(*reason as u8);
-                }
-                Event::AlertSuppressed { source } => {
-                    self.u8(3);
-                    self.u16(*source);
-                }
-                Event::KeyDerived {
-                    switch,
-                    port,
-                    version,
-                } => {
-                    self.u8(4);
-                    self.u16(*switch);
-                    self.u8(*port);
-                    self.u8(*version);
-                }
-                Event::KexStep { node, step } => {
-                    self.u8(5);
-                    self.u16(*node);
-                    self.str(step);
-                }
-                Event::FrameDelivered { node, port, bytes } => {
-                    self.u8(6);
-                    self.u16(*node);
-                    self.u8(*port);
-                    self.u32(*bytes);
-                }
-                Event::FrameDropped { node, cause } => {
-                    self.u8(7);
-                    self.u16(*node);
-                    self.u8(*cause as u8);
-                }
-                Event::RecircUsed { switch, count } => {
-                    self.u8(8);
-                    self.u16(*switch);
-                    self.u32(*count);
-                }
-                Event::DefenceAction {
-                    peer,
-                    channel,
-                    action,
-                } => {
-                    self.u8(9);
-                    self.u16(*peer);
-                    self.u8(*channel);
-                    self.str(action);
-                }
-            }
-        }
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], want_kind: u8) -> Result<Self, DecodeError> {
-        let mut r = Reader { buf, pos: 0 };
-        if r.take(4)? != MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let version = r.u16()?;
-        if version != VERSION {
-            return Err(DecodeError::UnsupportedVersion(version));
-        }
-        let kind = r.u8()?;
-        if kind != want_kind {
-            return Err(DecodeError::BadKind(kind));
-        }
-        Ok(r)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(DecodeError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
-    }
-
-    /// Decodes a `&'static str` event field. Known protocol strings come
-    /// from an intern table; anything else is leaked — acceptable for a
-    /// decode path that runs a bounded number of times per process (CLI
-    /// tools, tests), and the only way to hand back `&'static str`
-    /// without changing the [`Event`] type.
-    fn static_str(&mut self) -> Result<&'static str, DecodeError> {
-        const KNOWN: &[&str] = &[
-            "eak_salt1",
-            "eak_salt2",
-            "adhkd_offer",
-            "adhkd_answer",
-            "adhkd_redirect",
-            "port_key_init",
-            "port_key_update",
-            "key_rollover",
-            "quarantine",
-            "mitigation_complete",
-            "rollover",
-            "release",
-        ];
-        let s = self.str()?;
-        Ok(KNOWN
-            .iter()
-            .find(|k| **k == s)
-            .copied()
-            .unwrap_or_else(|| Box::leak(s.into_boxed_str())))
-    }
-
-    fn reject_kind(&mut self) -> Result<RejectKind, DecodeError> {
-        Ok(match self.u8()? {
-            0 => RejectKind::BadDigest,
-            1 => RejectKind::NoKey,
-            2 => RejectKind::Replayed,
-            3 => RejectKind::Malformed,
-            4 => RejectKind::Quarantined,
-            t => return Err(DecodeError::BadTag(t)),
-        })
-    }
-
-    fn drop_cause(&mut self) -> Result<DropCause, DecodeError> {
-        Ok(match self.u8()? {
-            0 => DropCause::Tap,
-            1 => DropCause::Undeliverable,
-            t => return Err(DecodeError::BadTag(t)),
-        })
-    }
-
-    fn buckets(&mut self) -> Result<Vec<(u64, u64)>, DecodeError> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            out.push((self.u64()?, self.u64()?));
-        }
-        Ok(out)
-    }
-
-    fn events(&mut self) -> Result<Vec<EventRecord>, DecodeError> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let t_ns = self.u64()?;
-            let event = match self.u8()? {
-                0 => Event::DigestRejected {
-                    peer: self.u16()?,
-                    channel: self.u8()?,
-                    reason: self.reject_kind()?,
-                },
-                1 => Event::ReplayDetected {
-                    peer: self.u16()?,
-                    channel: self.u8()?,
-                    last_accepted: self.u64()?,
-                    got: self.u64()?,
-                },
-                2 => Event::AlertEmitted {
-                    source: self.u16()?,
-                    reason: self.reject_kind()?,
-                },
-                3 => Event::AlertSuppressed {
-                    source: self.u16()?,
-                },
-                4 => Event::KeyDerived {
-                    switch: self.u16()?,
-                    port: self.u8()?,
-                    version: self.u8()?,
-                },
-                5 => Event::KexStep {
-                    node: self.u16()?,
-                    step: self.static_str()?,
-                },
-                6 => Event::FrameDelivered {
-                    node: self.u16()?,
-                    port: self.u8()?,
-                    bytes: self.u32()?,
-                },
-                7 => Event::FrameDropped {
-                    node: self.u16()?,
-                    cause: self.drop_cause()?,
-                },
-                8 => Event::RecircUsed {
-                    switch: self.u16()?,
-                    count: self.u32()?,
-                },
-                9 => Event::DefenceAction {
-                    peer: self.u16()?,
-                    channel: self.u8()?,
-                    action: self.static_str()?,
-                },
-                t => return Err(DecodeError::BadTag(t)),
-            };
-            out.push(EventRecord { t_ns, event });
-        }
-        Ok(out)
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos != self.buf.len() {
-            return Err(DecodeError::TrailingBytes(self.buf.len() - self.pos));
-        }
-        Ok(())
-    }
+    let leaked: &'static str = Box::leak(s.into_boxed_str());
+    interned.insert(leaked);
+    Ok(leaked)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::Registry;
+    use crate::{DropCause, RejectKind};
 
     fn busy_registry() -> Registry {
         let r = Registry::with_event_capacity(16);

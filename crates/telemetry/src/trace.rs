@@ -32,8 +32,8 @@
 //! ([`encode_trace`] / [`decode_trace`]), a sibling of the `P4TS`
 //! snapshot codec with the same exact-roundtrip contract.
 
+use crate::codec::{ByteReader, ByteWriter, DecodeError, JsonWriter, Layout};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 
 /// What a span measures. Discriminants are stable wire values (`P4TR`).
@@ -80,56 +80,38 @@ pub enum SpanKind {
     PortKeyExchange = 18,
 }
 
+/// Every kind with its stable snake_case name, indexed by wire value.
+const KINDS: [(SpanKind, &str); 19] = [
+    (SpanKind::CampaignPhase, "campaign_phase"),
+    (SpanKind::FrameDeliver, "frame_deliver"),
+    (SpanKind::FrameTap, "frame_tap"),
+    (SpanKind::FrameRecirculate, "frame_recirculate"),
+    (SpanKind::DigestVerify, "digest_verify"),
+    (SpanKind::DigestReject, "digest_reject"),
+    (SpanKind::StateDbWrite, "statedb_write"),
+    (SpanKind::DaemonWake, "daemon_wake"),
+    (SpanKind::KmpOffer, "kmp_offer"),
+    (SpanKind::KmpAnswer, "kmp_answer"),
+    (SpanKind::KeyInstall, "key_install"),
+    (SpanKind::QuarantineLift, "quarantine_lift"),
+    (SpanKind::Mitigation, "mitigation"),
+    (SpanKind::MitigationDetect, "mitigation_detect"),
+    (SpanKind::MitigationPublish, "mitigation_publish"),
+    (SpanKind::MitigationKmp, "mitigation_kmp"),
+    (SpanKind::MitigationInstall, "mitigation_install"),
+    (SpanKind::RolloverEpoch, "rollover_epoch"),
+    (SpanKind::PortKeyExchange, "port_key_exchange"),
+];
+
 impl SpanKind {
     /// Stable snake_case name used in Chrome-trace JSON.
     pub fn as_str(self) -> &'static str {
-        match self {
-            SpanKind::CampaignPhase => "campaign_phase",
-            SpanKind::FrameDeliver => "frame_deliver",
-            SpanKind::FrameTap => "frame_tap",
-            SpanKind::FrameRecirculate => "frame_recirculate",
-            SpanKind::DigestVerify => "digest_verify",
-            SpanKind::DigestReject => "digest_reject",
-            SpanKind::StateDbWrite => "statedb_write",
-            SpanKind::DaemonWake => "daemon_wake",
-            SpanKind::KmpOffer => "kmp_offer",
-            SpanKind::KmpAnswer => "kmp_answer",
-            SpanKind::KeyInstall => "key_install",
-            SpanKind::QuarantineLift => "quarantine_lift",
-            SpanKind::Mitigation => "mitigation",
-            SpanKind::MitigationDetect => "mitigation_detect",
-            SpanKind::MitigationPublish => "mitigation_publish",
-            SpanKind::MitigationKmp => "mitigation_kmp",
-            SpanKind::MitigationInstall => "mitigation_install",
-            SpanKind::RolloverEpoch => "rollover_epoch",
-            SpanKind::PortKeyExchange => "port_key_exchange",
-        }
+        KINDS[self as usize].1
     }
 
     /// Decodes a `P4TR` kind byte.
     pub fn from_u8(v: u8) -> Option<SpanKind> {
-        Some(match v {
-            0 => SpanKind::CampaignPhase,
-            1 => SpanKind::FrameDeliver,
-            2 => SpanKind::FrameTap,
-            3 => SpanKind::FrameRecirculate,
-            4 => SpanKind::DigestVerify,
-            5 => SpanKind::DigestReject,
-            6 => SpanKind::StateDbWrite,
-            7 => SpanKind::DaemonWake,
-            8 => SpanKind::KmpOffer,
-            9 => SpanKind::KmpAnswer,
-            10 => SpanKind::KeyInstall,
-            11 => SpanKind::QuarantineLift,
-            12 => SpanKind::Mitigation,
-            13 => SpanKind::MitigationDetect,
-            14 => SpanKind::MitigationPublish,
-            15 => SpanKind::MitigationKmp,
-            16 => SpanKind::MitigationInstall,
-            17 => SpanKind::RolloverEpoch,
-            18 => SpanKind::PortKeyExchange,
-            _ => return None,
-        })
+        KINDS.get(v as usize).map(|&(kind, _)| kind)
     }
 }
 
@@ -408,43 +390,54 @@ impl TraceLog {
     }
 }
 
-/// Formats nanoseconds as Chrome-trace microseconds (`ts` field) with
+/// Nanoseconds as Chrome-trace microseconds (`ts`/`dur` fields) with
 /// integer math only: `ns/1000` whole µs plus exactly three fractional
 /// digits. No floats anywhere near the byte-diffed output.
-fn write_us(out: &mut String, ns: u64) {
-    let _ = write!(out, "{}.{:03}", ns / 1_000, ns % 1_000);
+struct Micros(u64);
+
+impl std::fmt::Display for Micros {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}.{:03}", self.0 / 1_000, self.0 % 1_000)
+    }
 }
 
 /// Renders spans (already in canonical order) as Chrome trace-format
 /// JSON: one complete (`"ph":"X"`) event per span, `pid` 0, `tid` =
 /// source, ids in hex. Loadable by Perfetto / `chrome://tracing`.
+/// Spans are assumed well-formed (`end_ns >= start_ns`), which both
+/// [`TraceLog::end`] and [`decode_trace`] guarantee.
 pub fn chrome_trace_json(records: &[SpanRecord]) -> String {
-    let mut out = String::with_capacity(64 + records.len() * 160);
-    out.push_str("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let mut w = JsonWriter::new(": ");
+    w.obj(Layout::INLINE);
+    w.field_str("displayTimeUnit", "ns");
+    w.key("traceEvents");
+    w.arr(Layout::lines("\n  ", "\n"));
+    for r in records {
+        w.obj(Layout::INLINE);
+        w.field_str("name", r.kind.as_str());
+        w.field_str("ph", "X");
+        w.field("pid", 0);
+        w.field("tid", r.source);
+        w.field("ts", Micros(r.start_ns));
+        w.field("dur", Micros(r.end_ns - r.start_ns));
+        w.key("args");
+        w.obj(Layout::INLINE);
+        for (key, id) in [
+            ("trace", r.trace_id),
+            ("span", r.span_id),
+            ("parent", r.parent_id),
+        ] {
+            w.field(key, format_args!("\"{id:016x}\""));
         }
-        out.push_str("\n  {\"name\": \"");
-        out.push_str(r.kind.as_str());
-        let _ = write!(
-            out,
-            "\", \"ph\": \"X\", \"pid\": 0, \"tid\": {}, ",
-            r.source
-        );
-        out.push_str("\"ts\": ");
-        write_us(&mut out, r.start_ns);
-        out.push_str(", \"dur\": ");
-        write_us(&mut out, r.end_ns - r.start_ns);
-        let _ = write!(
-            out,
-            ", \"args\": {{\"trace\": \"{:016x}\", \"span\": \"{:016x}\", \
-             \"parent\": \"{:016x}\", \"seq\": {}, \"a\": {}, \"b\": {}}}}}",
-            r.trace_id, r.span_id, r.parent_id, r.seq, r.arg_a, r.arg_b
-        );
+        w.field("seq", r.seq);
+        w.field("a", r.arg_a);
+        w.field("b", r.arg_b);
+        w.end();
+        w.end();
     }
-    out.push_str("\n]}\n");
-    out
+    w.end();
+    w.end();
+    w.finish()
 }
 
 /// `P4TR` magic bytes.
@@ -452,135 +445,54 @@ pub const TRACE_MAGIC: [u8; 4] = *b"P4TR";
 /// `P4TR` format version.
 pub const TRACE_VERSION: u16 = 1;
 
-/// Why a `P4TR` payload failed to decode.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum TraceDecodeError {
-    /// The payload ended before a fixed-width field.
-    Truncated,
-    /// The magic bytes were not `P4TR`.
-    BadMagic,
-    /// A version this decoder does not understand.
-    UnsupportedVersion(u16),
-    /// An unknown [`SpanKind`] discriminant.
-    BadKind(u8),
-    /// Bytes remained after the last record.
-    TrailingBytes(usize),
-}
-
-impl std::fmt::Display for TraceDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceDecodeError::Truncated => write!(f, "truncated P4TR payload"),
-            TraceDecodeError::BadMagic => write!(f, "bad magic (expected P4TR)"),
-            TraceDecodeError::UnsupportedVersion(v) => write!(f, "unsupported P4TR version {v}"),
-            TraceDecodeError::BadKind(k) => write!(f, "unknown span kind {k}"),
-            TraceDecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after trace"),
-        }
-    }
-}
-
-impl std::error::Error for TraceDecodeError {}
-
 /// Encodes spans (callers pass them in canonical order) as a `P4TR`
-/// payload: magic, version, drop count, record count, then fixed-width
-/// little-endian records.
+/// payload; the layout is documented in [`crate::codec`].
 pub fn encode_trace(records: &[SpanRecord], dropped: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 2 + 8 + 4 + records.len() * 67);
-    out.extend_from_slice(&TRACE_MAGIC);
-    out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
-    out.extend_from_slice(&dropped.to_le_bytes());
-    out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+    let mut w = ByteWriter::new(TRACE_MAGIC, TRACE_VERSION);
+    w.u64(dropped);
+    w.seq(records.len());
     for r in records {
-        out.extend_from_slice(&r.trace_id.to_le_bytes());
-        out.extend_from_slice(&r.span_id.to_le_bytes());
-        out.extend_from_slice(&r.parent_id.to_le_bytes());
-        out.push(r.kind as u8);
-        out.extend_from_slice(&r.source.to_le_bytes());
-        out.extend_from_slice(&r.start_ns.to_le_bytes());
-        out.extend_from_slice(&r.end_ns.to_le_bytes());
-        out.extend_from_slice(&r.seq.to_le_bytes());
-        out.extend_from_slice(&r.arg_a.to_le_bytes());
-        out.extend_from_slice(&r.arg_b.to_le_bytes());
-    }
-    out
-}
-
-struct TraceReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> TraceReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceDecodeError> {
-        let end = self.pos.checked_add(n).ok_or(TraceDecodeError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(TraceDecodeError::Truncated);
+        w.u64(r.trace_id);
+        w.u64(r.span_id);
+        w.u64(r.parent_id);
+        w.u8(r.kind as u8);
+        w.u16(r.source);
+        for v in [r.start_ns, r.end_ns, r.seq, r.arg_a, r.arg_b] {
+            w.u64(v);
         }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
     }
-
-    fn u8(&mut self) -> Result<u8, TraceDecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, TraceDecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, TraceDecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, TraceDecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
+    w.finish()
 }
 
 /// Decodes a `P4TR` payload back into `(records, dropped)`. Exact
 /// inverse of [`encode_trace`]: re-encoding the result reproduces the
-/// input byte for byte, and trailing bytes are an error.
-pub fn decode_trace(bytes: &[u8]) -> Result<(Vec<SpanRecord>, u64), TraceDecodeError> {
-    let mut r = TraceReader { bytes, pos: 0 };
-    if r.take(4)? != TRACE_MAGIC {
-        return Err(TraceDecodeError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != TRACE_VERSION {
-        return Err(TraceDecodeError::UnsupportedVersion(version));
-    }
+/// input byte for byte, trailing bytes are an error, and so is a span
+/// that ends before it starts ([`DecodeError::EndBeforeStart`]) —
+/// consumers subtract the two.
+pub fn decode_trace(bytes: &[u8]) -> Result<(Vec<SpanRecord>, u64), DecodeError> {
+    let mut r = ByteReader::new(bytes, TRACE_MAGIC, TRACE_VERSION)?;
     let dropped = r.u64()?;
-    let count = r.u32()? as usize;
-    let mut records = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        let trace_id = r.u64()?;
-        let span_id = r.u64()?;
-        let parent_id = r.u64()?;
-        let kind_raw = r.u8()?;
-        let kind = SpanKind::from_u8(kind_raw).ok_or(TraceDecodeError::BadKind(kind_raw))?;
-        let source = r.u16()?;
-        let start_ns = r.u64()?;
-        let end_ns = r.u64()?;
-        let seq = r.u64()?;
-        let arg_a = r.u64()?;
-        let arg_b = r.u64()?;
-        records.push(SpanRecord {
+    let records = r.seq(67, |r| {
+        let (trace_id, span_id, parent_id) = (r.u64()?, r.u64()?, r.u64()?);
+        let kind = r.u8()?;
+        let span = SpanRecord {
             trace_id,
             span_id,
             parent_id,
-            kind,
-            source,
-            start_ns,
-            end_ns,
-            seq,
-            arg_a,
-            arg_b,
-        });
-    }
-    if r.pos != bytes.len() {
-        return Err(TraceDecodeError::TrailingBytes(bytes.len() - r.pos));
-    }
+            kind: SpanKind::from_u8(kind).ok_or(DecodeError::BadTag(kind))?,
+            source: r.u16()?,
+            start_ns: r.u64()?,
+            end_ns: r.u64()?,
+            seq: r.u64()?,
+            arg_a: r.u64()?,
+            arg_b: r.u64()?,
+        };
+        if span.end_ns < span.start_ns {
+            return Err(DecodeError::EndBeforeStart);
+        }
+        Ok(span)
+    })?;
+    r.finish()?;
     Ok((records, dropped))
 }
 
@@ -643,6 +555,16 @@ mod tests {
         log.end(root, 1_000, 3, 0);
         log.instant(SpanKind::FrameDeliver, 50, 2, 64, 0);
         log.sorted_records()
+    }
+
+    #[test]
+    fn kind_table_is_indexed_by_wire_value() {
+        for (i, (kind, name)) in KINDS.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "{name} is out of place");
+            assert_eq!(SpanKind::from_u8(i as u8), Some(*kind));
+            assert_eq!(kind.as_str(), *name);
+        }
+        assert_eq!(SpanKind::from_u8(KINDS.len() as u8), None);
     }
 
     #[test]
@@ -727,19 +649,16 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_headers() {
-        assert_eq!(decode_trace(b"P4T"), Err(TraceDecodeError::Truncated));
-        assert_eq!(
-            decode_trace(b"P4TS\x01\x00"),
-            Err(TraceDecodeError::BadMagic)
-        );
+        assert_eq!(decode_trace(b"P4T"), Err(DecodeError::Truncated));
+        assert_eq!(decode_trace(b"P4TS\x01\x00"), Err(DecodeError::BadMagic));
         let mut bytes = encode_trace(&[], 0);
         bytes[0] = b'X';
-        assert_eq!(decode_trace(&bytes), Err(TraceDecodeError::BadMagic));
+        assert_eq!(decode_trace(&bytes), Err(DecodeError::BadMagic));
         let mut bytes = encode_trace(&[], 0);
         bytes[4] = 9;
         assert_eq!(
             decode_trace(&bytes),
-            Err(TraceDecodeError::UnsupportedVersion(9))
+            Err(DecodeError::UnsupportedVersion(9))
         );
     }
 
@@ -749,19 +668,27 @@ mod tests {
         let bytes = encode_trace(&records, 0);
         assert_eq!(
             decode_trace(&bytes[..bytes.len() - 1]),
-            Err(TraceDecodeError::Truncated)
+            Err(DecodeError::Truncated)
         );
         let mut extended = bytes.clone();
         extended.push(0);
-        assert_eq!(
-            decode_trace(&extended),
-            Err(TraceDecodeError::TrailingBytes(1))
-        );
+        assert_eq!(decode_trace(&extended), Err(DecodeError::TrailingBytes(1)));
         let mut bad = bytes;
         // First record's kind byte sits after the 18-byte header + 24 id
         // bytes.
         bad[18 + 24] = 0xEE;
-        assert_eq!(decode_trace(&bad), Err(TraceDecodeError::BadKind(0xEE)));
+        assert_eq!(decode_trace(&bad), Err(DecodeError::BadTag(0xEE)));
+    }
+
+    #[test]
+    fn decode_rejects_a_span_that_ends_before_it_starts() {
+        // `chrome_trace_json` subtracts the two; at the parent commit this
+        // 85-byte file decoded `Ok` and rendered `"dur": 18446744073709550.626`.
+        let mut span = sample_records()[0];
+        span.end_ns = span.start_ns - 1;
+        let bytes = encode_trace(&[span], 0);
+        assert_eq!(bytes.len(), 85);
+        assert_eq!(decode_trace(&bytes), Err(DecodeError::EndBeforeStart));
     }
 
     #[test]
