@@ -23,8 +23,8 @@
 //! (`P4TS` snapshot/delta, `P4TL` timeline or `P4TR` trace) as canonical
 //! JSON.
 
-use p4auth_bench::alloc::CountingAlloc;
 use p4auth_bench::report::{self, die, ReportArgs};
+use p4auth_telemetry::alloc::CountingAlloc;
 
 /// The repro binary meters its own heap: reports read the live/peak
 /// counters as a deterministic memory-footprint proxy (`repro -- users`).

@@ -21,7 +21,6 @@
 //! | `primitives` | MAC / KDF / DH micro-benchmarks |
 //! | `sim_scale` | simulator events/sec, heap vs. calendar scheduler on fat-trees |
 
-pub mod alloc;
 pub mod report;
 /// The fault-injection scenario campaigns behind `repro -- scenarios`.
 pub use p4auth_systems::campaigns;

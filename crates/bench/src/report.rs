@@ -1184,10 +1184,10 @@ pub fn users(args: &ReportArgs) {
                 "sharded engine diverged at {users} users"
             );
         }
-        crate::alloc::reset_peak();
-        let live_before = crate::alloc::live_bytes();
+        p4auth_telemetry::alloc::reset_peak();
+        let live_before = p4auth_telemetry::alloc::live_bytes();
         let run = run_users_engine(&cfg, Engine::Sequential(SchedulerKind::Calendar), None);
-        let peak = crate::alloc::peak_bytes().saturating_sub(live_before);
+        let peak = p4auth_telemetry::alloc::peak_bytes().saturating_sub(live_before);
         let frames_per_sec = run.frames_sent as f64 / (run.wall_ns.max(1) as f64 / 1e9);
         println!(
             "{:>9} {:>5} {:>10} {:>10} {:>13} {:>13.0} {:>13.0} {:>9.1} {:>12.1} {:>9.1}",

@@ -6,6 +6,7 @@ use p4auth_core::auth::{AuthMetrics, RejectReason, ReplayWindow};
 use p4auth_core::eak::EakInitiator;
 use p4auth_core::keys::KeySlot;
 use p4auth_primitives::dh::{DhParams, DhPublic};
+use p4auth_primitives::idhash::IdMap;
 use p4auth_primitives::kdf::{Kdf, KdfConfig};
 use p4auth_primitives::mac::{HalfSipHashMac, Mac};
 use p4auth_primitives::rng::SplitMix64;
@@ -15,8 +16,8 @@ use p4auth_wire::body::{
     AdhkdRole, AlertKind, Body, EakStep, KexContext, KeyExchange, NackReason, RegisterOp,
 };
 use p4auth_wire::ids::{KeyVersion, PortId, RegId, SeqNum, SwitchId};
-use p4auth_wire::Message;
-use std::collections::{HashMap, VecDeque};
+use p4auth_wire::{verify_frame, Message};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Controller configuration.
@@ -174,6 +175,10 @@ pub struct ControllerStats {
     pub defence_actions_dropped: u64,
     /// Stalled key exchanges abandoned after exhausting the retry budget.
     pub kex_abandoned: u64,
+    /// Authenticated register *requests* received and dropped. The
+    /// controller serves none; its own request reflected back at it by a
+    /// MitM verifies under the channel key and lands here.
+    pub requests_ignored: u64,
 }
 
 impl std::ops::Add for ControllerStats {
@@ -190,6 +195,7 @@ impl std::ops::Add for ControllerStats {
             defence_mitigations: self.defence_mitigations + o.defence_mitigations,
             defence_actions_dropped: self.defence_actions_dropped + o.defence_actions_dropped,
             kex_abandoned: self.kex_abandoned + o.kex_abandoned,
+            requests_ignored: self.requests_ignored + o.requests_ignored,
         }
     }
 }
@@ -313,7 +319,7 @@ struct SwitchChannel {
     /// for one counted rollover (the responder dedupes retransmissions
     /// by offer content).
     adhkd: Option<(KexContext, AdhkdInitiator, AdhkdPayload)>,
-    outstanding: HashMap<SeqNum, PendingRequest>,
+    outstanding: IdMap<SeqNum, PendingRequest>,
     retry: RetryState,
 }
 
@@ -326,7 +332,7 @@ impl SwitchChannel {
             seq_out: SeqNum::new(0),
             eak: None,
             adhkd: None,
-            outstanding: HashMap::new(),
+            outstanding: IdMap::default(),
             retry: RetryState::default(),
         }
     }
@@ -353,7 +359,7 @@ pub struct Controller {
     mac: Box<dyn Mac>,
     kdf: Kdf,
     rng: SplitMix64,
-    switches: HashMap<SwitchId, SwitchChannel>,
+    switches: IdMap<SwitchId, SwitchChannel>,
     replay: ReplayWindow,
     redirects: Vec<PortRedirect>,
     alerts: VecDeque<(SwitchId, AlertKind)>,
@@ -371,7 +377,7 @@ pub struct Controller {
     /// latency into detect / publish / KMP / install stage spans. Bounded
     /// by the defence loop's in-flight set (one entry per channel;
     /// completion and abort both remove).
-    mitigation_marks: HashMap<(SwitchId, PortId), (u64, u64)>,
+    mitigation_marks: IdMap<(SwitchId, PortId), (u64, u64)>,
 }
 
 impl std::fmt::Debug for Controller {
@@ -395,7 +401,7 @@ impl Controller {
             mac,
             kdf: Kdf::new(config.kdf_config),
             rng: SplitMix64::new(config.rng_seed),
-            switches: HashMap::new(),
+            switches: IdMap::default(),
             replay: ReplayWindow::new(),
             redirects: Vec::new(),
             alerts: VecDeque::new(),
@@ -405,7 +411,7 @@ impl Controller {
             telemetry: None,
             defence: None,
             port_actions: VecDeque::new(),
-            mitigation_marks: HashMap::new(),
+            mitigation_marks: IdMap::default(),
         }
     }
 
@@ -793,18 +799,20 @@ impl Controller {
 
     /// Seals (if auth is enabled) and encodes a message for `switch` using
     /// its current local key.
-    fn seal_local(&mut self, switch: SwitchId, mut msg: Message) -> Outgoing {
-        if self.config.auth_enabled {
-            let chan = self.channel_mut(switch);
-            if let Some(key) = chan.local.current() {
-                msg = msg.with_key_version(chan.local.version());
-                msg.seal(self.mac.as_ref(), key);
-            }
-        }
-        Outgoing {
-            to: switch,
-            bytes: msg.encode(),
-        }
+    fn seal_local(&mut self, switch: SwitchId, msg: Message) -> Outgoing {
+        let sealing = if self.config.auth_enabled {
+            let local = self.channel_mut(switch).local;
+            local.current().map(|key| (key, local.version()))
+        } else {
+            None
+        };
+        let bytes = match sealing {
+            Some((key, version)) => msg
+                .with_key_version(version)
+                .encode_sealed(self.mac.as_ref(), key),
+            None => msg.encode(),
+        };
+        Outgoing { to: switch, bytes }
     }
 
     // ----- register access (§V) -------------------------------------------
@@ -877,7 +885,7 @@ impl Controller {
                 last_attempt_ns: now_ns,
             };
         }
-        let mut msg = Message::key_exchange(
+        let msg = Message::key_exchange(
             SwitchId::CONTROLLER,
             PortId::CPU,
             seq,
@@ -886,10 +894,9 @@ impl Controller {
                 salt: s1,
             },
         );
-        msg.seal(self.mac.as_ref(), chan_seed);
         vec![Outgoing {
             to: switch,
-            bytes: msg.encode(),
+            bytes: msg.encode_sealed(self.mac.as_ref(), chan_seed),
         }]
     }
 
@@ -1081,7 +1088,7 @@ impl Controller {
                             .expect("LocalInit pending implies K_auth");
                         let chan = self.channel_mut(id);
                         let seq = chan.next_seq();
-                        let mut m = Message::key_exchange(
+                        let m = Message::key_exchange(
                             SwitchId::CONTROLLER,
                             PortId::CPU,
                             seq,
@@ -1092,10 +1099,9 @@ impl Controller {
                                 salt: offer.salt,
                             },
                         );
-                        m.seal(self.mac.as_ref(), k_auth);
                         out.push(Outgoing {
                             to: id,
-                            bytes: m.encode(),
+                            bytes: m.encode_sealed(self.mac.as_ref(), k_auth),
                         });
                     }
                     Some((KexContext::LocalUpdate, offer)) => {
@@ -1224,6 +1230,32 @@ impl Controller {
         }
     }
 
+    /// Counts one rejected frame from `from` on the C-DP channel: stats,
+    /// the per-reason counter, the `DigestRejected` log record, the event.
+    fn note_reject(
+        &mut self,
+        from: SwitchId,
+        reason: RejectReason,
+        events: &mut Vec<ControllerEvent>,
+    ) {
+        self.stats.rejected += 1;
+        if let Some(t) = &self.telemetry {
+            t.auth.record_verify(&Err(reason));
+            t.registry.record(
+                self.now_ns,
+                TelemetryEvent::DigestRejected {
+                    peer: from.value(),
+                    channel: PortId::CPU.value(),
+                    reason: reason.kind(),
+                },
+            );
+        }
+        events.push(ControllerEvent::Rejected {
+            switch: from,
+            reason,
+        });
+    }
+
     /// Processes a message received from `from`; returns follow-up
     /// messages to transmit and the events observed.
     pub fn on_message(
@@ -1238,22 +1270,7 @@ impl Controller {
             // classify as transport-malformed, not BadDigest, so it can
             // neither inflate `auth_reject_bad_digest` nor drive the
             // defence loop toward a needless key rollover.
-            self.stats.rejected += 1;
-            if let Some(t) = &self.telemetry {
-                t.auth.record_verify(&Err(RejectReason::Malformed));
-                t.registry.record(
-                    self.now_ns,
-                    TelemetryEvent::DigestRejected {
-                        peer: from.value(),
-                        channel: PortId::CPU.value(),
-                        reason: RejectReason::Malformed.kind(),
-                    },
-                );
-            }
-            events.push(ControllerEvent::Rejected {
-                switch: from,
-                reason: RejectReason::Malformed,
-            });
+            self.note_reject(from, RejectReason::Malformed, &mut events);
             return (out, events);
         };
 
@@ -1262,22 +1279,7 @@ impl Controller {
         if self.defence_quarantined(from, PortId::CPU)
             && !matches!(msg.body(), Body::KeyExchange(_))
         {
-            self.stats.rejected += 1;
-            if let Some(t) = &self.telemetry {
-                t.auth.record_verify(&Err(RejectReason::Quarantined));
-                t.registry.record(
-                    self.now_ns,
-                    TelemetryEvent::DigestRejected {
-                        peer: from.value(),
-                        channel: PortId::CPU.value(),
-                        reason: RejectReason::Quarantined.kind(),
-                    },
-                );
-            }
-            events.push(ControllerEvent::Rejected {
-                switch: from,
-                reason: RejectReason::Quarantined,
-            });
+            self.note_reject(from, RejectReason::Quarantined, &mut events);
             return (out, events);
         }
 
@@ -1285,7 +1287,9 @@ impl Controller {
             let key = self.verify_key_for(from, &msg);
             let result = match key {
                 None => Err(RejectReason::NoKey),
-                Some(k) if !msg.verify(self.mac.as_ref(), k) => Err(RejectReason::BadDigest),
+                Some(k) if !verify_frame(self.mac.as_ref(), k, bytes) => {
+                    Err(RejectReason::BadDigest)
+                }
                 Some(_) => {
                     // Responses echo the request's seq, so the replay window
                     // only applies to switch-initiated messages (alerts,
@@ -1301,17 +1305,8 @@ impl Controller {
             };
             match result {
                 Err(reason) => {
-                    self.stats.rejected += 1;
+                    self.note_reject(from, reason, &mut events);
                     if let Some(t) = &self.telemetry {
-                        t.auth.record_verify(&Err(reason));
-                        t.registry.record(
-                            self.now_ns,
-                            TelemetryEvent::DigestRejected {
-                                peer: from.value(),
-                                channel: PortId::CPU.value(),
-                                reason: reason.kind(),
-                            },
-                        );
                         t.trace_instant(
                             SpanKind::DigestReject,
                             self.now_ns,
@@ -1330,10 +1325,6 @@ impl Controller {
                             );
                         }
                     }
-                    events.push(ControllerEvent::Rejected {
-                        switch: from,
-                        reason,
-                    });
                     // Forged digests and replays on this channel feed the
                     // defence loop. NoKey does not: it reflects bootstrap
                     // state, not an attack with a key to roll away from.
@@ -1357,8 +1348,10 @@ impl Controller {
             }
         }
 
-        match msg.body().clone() {
-            Body::Register(op) => self.on_register_response(from, &msg, op, &mut events),
+        match *msg.body() {
+            Body::Register(op) => {
+                self.on_register_response(from, msg.header().seq_num, op, &mut events);
+            }
             Body::Alert(alert) => {
                 self.stats.alerts += 1;
                 self.push_alert(from, alert.kind);
@@ -1389,19 +1382,29 @@ impl Controller {
     fn on_register_response(
         &mut self,
         from: SwitchId,
-        msg: &Message,
+        seq: SeqNum,
         op: RegisterOp,
         events: &mut Vec<ControllerEvent>,
     ) {
-        if op.is_request() {
-            return; // the controller does not serve requests
-        }
+        // Only the two response variants have an outcome to deliver. The
+        // controller serves no requests: one that authenticates (its own
+        // frame reflected back, say) is counted and dropped before it can
+        // touch `outstanding`.
+        let outcome = match op {
+            RegisterOp::ReadReq { .. } | RegisterOp::WriteReq { .. } => {
+                self.stats.requests_ignored += 1;
+                return;
+            }
+            RegisterOp::Ack { value, .. } => Ok(value),
+            RegisterOp::Nack { reason, .. } => Err(reason),
+        };
         let threshold = self.config.outstanding_threshold;
         let chan = self.channel_mut(from);
-        let Some(pending) = chan.outstanding.remove(&msg.header().seq_num) else {
+        let Some(pending) = chan.outstanding.remove(&seq) else {
             events.push(ControllerEvent::UnmatchedResponse(from));
             return;
         };
+        let outstanding = chan.outstanding.len() as u32;
         self.stats.responses_ok += 1;
         if let Some(t) = &self.telemetry {
             t.responses_ok.inc();
@@ -1409,32 +1412,23 @@ impl Controller {
             t.register_op_ns
                 .record(self.now_ns.saturating_sub(pending.sent_at_ns));
         }
-        match op {
-            RegisterOp::Ack { value, .. } => {
-                if pending.is_write {
-                    events.push(ControllerEvent::WriteAcked {
-                        switch: from,
-                        reg: pending.reg,
-                        index: pending.index,
-                    });
-                } else {
-                    events.push(ControllerEvent::ValueRead {
-                        switch: from,
-                        reg: pending.reg,
-                        index: pending.index,
-                        value,
-                    });
-                }
-            }
-            RegisterOp::Nack { reason, .. } => {
-                events.push(ControllerEvent::Nacked {
-                    switch: from,
-                    reason,
-                });
-            }
-            _ => unreachable!("requests filtered above"),
-        }
-        let outstanding = self.outstanding(from);
+        events.push(match outcome {
+            Ok(_) if pending.is_write => ControllerEvent::WriteAcked {
+                switch: from,
+                reg: pending.reg,
+                index: pending.index,
+            },
+            Ok(value) => ControllerEvent::ValueRead {
+                switch: from,
+                reg: pending.reg,
+                index: pending.index,
+                value,
+            },
+            Err(reason) => ControllerEvent::Nacked {
+                switch: from,
+                reason,
+            },
+        });
         if outstanding > threshold {
             events.push(ControllerEvent::DosSuspected {
                 switch: from,
@@ -1488,7 +1482,7 @@ impl Controller {
                         last_attempt_ns: now_ns,
                     };
                     let seq = chan.next_seq();
-                    let mut m = Message::key_exchange(
+                    let m = Message::key_exchange(
                         SwitchId::CONTROLLER,
                         PortId::CPU,
                         seq,
@@ -1499,10 +1493,9 @@ impl Controller {
                             salt: offer.salt,
                         },
                     );
-                    m.seal(self.mac.as_ref(), k_auth);
                     out.push(Outgoing {
                         to: from,
-                        bytes: m.encode(),
+                        bytes: m.encode_sealed(self.mac.as_ref(), k_auth),
                     });
                 }
             }
@@ -1610,7 +1603,7 @@ impl Controller {
                     AdhkdRole::Answer => (r.initiator, r.initiator_port),
                 };
                 let seq = msg.header().seq_num;
-                let mut fwd = Message::new(
+                let fwd = Message::new(
                     from,
                     dest_port,
                     seq,
@@ -1621,17 +1614,7 @@ impl Controller {
                         salt,
                     }),
                 );
-                if self.config.auth_enabled {
-                    let chan = self.switches.get(&dest).expect("redirect peer registered");
-                    if let Some(key) = chan.local.current() {
-                        fwd = fwd.with_key_version(chan.local.version());
-                        fwd.seal(self.mac.as_ref(), key);
-                    }
-                }
-                out.push(Outgoing {
-                    to: dest,
-                    bytes: fwd.encode(),
-                });
+                out.push(self.seal_local(dest, fwd));
                 events.push(ControllerEvent::PortExchangeRedirected { from, to: dest });
                 if let Some(t) = &self.telemetry {
                     t.registry.record(
@@ -2173,5 +2156,86 @@ mod tests {
         );
         let (_, events) = c.on_message(sw, &resp.encode());
         assert_eq!(events[0], ControllerEvent::UnmatchedResponse(sw));
+    }
+
+    /// A controller whose channel to `sw` holds local key `k`.
+    fn keyed_controller(k: Key64) -> (Controller, SwitchId) {
+        let (mut c, sw) = controller_with_switch();
+        c.mirror_peer_key(sw, k, KeyVersion::INITIAL);
+        (c, sw)
+    }
+
+    /// ROADMAP 8: the response path once ended in `unreachable!("requests
+    /// filtered above")`. A request that *authenticates* at the controller
+    /// is reachable from the wire — a MitM only has to reflect the
+    /// controller's own frame — so it is a counted drop, not an invariant.
+    #[test]
+    fn authenticated_requests_addressed_to_the_controller_are_counted_and_ignored() {
+        let k = Key64::new(0xfeed);
+        let (mut c, sw) = keyed_controller(k);
+        // Its own sealed requests, reflected back at it.
+        let read = c.read_register(sw, RegId::new(1), 0);
+        let write = c.write_register(sw, RegId::new(1), 0, 9);
+        // And one a peer holding the key mints with a sequence number that
+        // matches an outstanding request.
+        let minted = Message::register_request(
+            sw,
+            SeqNum::new(1),
+            RegisterOp::write_req(RegId::new(1), 0, 9),
+        )
+        .encode_sealed(&HalfSipHashMac::default(), k);
+        for frame in [&read.bytes, &write.bytes, &minted] {
+            let (out, events) = c.on_message(sw, frame);
+            assert!(out.is_empty() && events.is_empty(), "{events:?}");
+        }
+        assert_eq!(c.stats().requests_ignored, 3);
+        assert_eq!(c.stats().rejected, 0, "they did authenticate");
+        assert_eq!(c.stats().responses_ok, 0);
+        assert_eq!(c.outstanding(sw), 2, "no request may cancel a request");
+    }
+
+    /// ROADMAP 2a at the controller: a `Nack`'s reason travels in a
+    /// 64-bit field of which the decoder keeps the low byte. Setting any
+    /// of the other seven is a digest reject, and — unlike the genuine
+    /// `Nack` — leaves the request it answers outstanding.
+    #[test]
+    fn nack_with_nonzero_discarded_bytes_is_rejected_and_cancels_nothing() {
+        let k = Key64::new(0xfeed);
+        let (mut c, sw) = keyed_controller(k);
+        let _ = c.read_register(sw, RegId::new(1), 0);
+        let nack = Message::new(
+            sw,
+            PortId::CPU,
+            SeqNum::new(1),
+            Body::Register(RegisterOp::Nack {
+                reg: RegId::new(1),
+                index: 0,
+                reason: NackReason::UnknownRegister,
+            }),
+        )
+        .encode_sealed(&HalfSipHashMac::default(), k);
+        for at in 22..29 {
+            let mut tampered = nack.clone();
+            tampered[at] = 1;
+            assert_eq!(Message::decode(&tampered), Message::decode(&nack));
+            let (_, events) = c.on_message(sw, &tampered);
+            assert_eq!(
+                events,
+                [ControllerEvent::Rejected {
+                    switch: sw,
+                    reason: RejectReason::BadDigest
+                }]
+            );
+        }
+        assert_eq!(c.outstanding(sw), 1);
+        let (_, events) = c.on_message(sw, &nack);
+        assert_eq!(
+            events,
+            [ControllerEvent::Nacked {
+                switch: sw,
+                reason: NackReason::UnknownRegister
+            }]
+        );
+        assert_eq!(c.outstanding(sw), 0);
     }
 }

@@ -352,9 +352,9 @@ impl DefenceDaemon {
         } else {
             let mut seen = std::collections::BTreeMap::new();
             for u in &poll.updates {
-                if u.table == tables::RATES {
+                if &*u.table == tables::RATES {
                     if let Some(v) = u.value.as_u64() {
-                        seen.insert(u.key.clone(), v);
+                        seen.insert(u.key.to_string(), v);
                     }
                 }
             }

@@ -755,4 +755,172 @@ mod tests {
             .collect();
         assert_eq!(statuses_before, statuses_after, "restart must not write");
     }
+
+    /// The interned state table is the same table: a scripted run —
+    /// bootstrap, 4,600 register ops with nacks and forged responses mixed
+    /// in, one bulk rollover, and one subscriber that polls only at the
+    /// start and the end so it falls behind the 4096-record log — yields
+    /// the `(seq, t_ns, table, key, version, value)` sequence, `missed`
+    /// counts and `writes()` recorded at the parent of the PR that
+    /// interned the keys (String tables, String log records).
+    #[test]
+    fn scripted_run_reproduces_the_recorded_state_table() {
+        use p4auth_core::agent::{AgentConfig, P4AuthSwitch};
+        use p4auth_dataplane::register::RegisterArray;
+        use p4auth_wire::ids::RegId;
+
+        let seeds = seeds(4);
+        let (reg, undeclared) = (RegId::new(1), RegId::new(2));
+        let mut set = ReplicaSet::new(2, ControllerConfig::default(), &seeds);
+        let mut agents: BTreeMap<SwitchId, P4AuthSwitch> = seeds
+            .iter()
+            .map(|&(id, k)| {
+                let config = AgentConfig::new(id, 2, k)
+                    .map_register(reg, "r")
+                    .map_register(undeclared, "gone");
+                let mut agent = P4AuthSwitch::new(config, None);
+                agent
+                    .chassis_mut()
+                    .declare_register(RegisterArray::new("r", 8, 64));
+                (id, agent)
+            })
+            .collect();
+        let sub = set.db.subscribe();
+
+        // Runs controller frames to quiescence at `t`.
+        fn pump(
+            set: &mut ReplicaSet,
+            agents: &mut BTreeMap<SwitchId, P4AuthSwitch>,
+            t: u64,
+            mut pending: Vec<Outgoing>,
+        ) {
+            while let Some(o) = pending.pop() {
+                let agent = agents.get_mut(&o.to).expect("known switch");
+                for (_, bytes) in agent.on_packet(t, PortId::CPU, &o.bytes).outputs {
+                    pending.extend(set.on_message(t, o.to, &bytes).0);
+                }
+            }
+        }
+        // FNV-1a over one poll's records, so 4096 of them pin as one number.
+        fn digest(poll: &crate::statedb::Poll) -> u64 {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for u in &poll.updates {
+                let line = format!(
+                    "{},{},{},{},{},{:?};",
+                    u.seq, u.t_ns, u.table, u.key, u.version, u.value
+                );
+                for b in line.bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            h
+        }
+        let line = |u: &crate::statedb::Update| {
+            format!(
+                "{} {} {}/{} v{} {:?}",
+                u.seq, u.t_ns, u.table, u.key, u.version, u.value
+            )
+        };
+
+        for &(id, _) in &seeds {
+            let init = set.local_key_init(1_000, id);
+            pump(&mut set, &mut agents, 1_000, init);
+        }
+        let (out, _) = set.step(2_000);
+        pump(&mut set, &mut agents, 2_000, out);
+        let boot = set.db.poll(sub);
+
+        for i in 0..4_600u64 {
+            let t = 10_000 + i * 100;
+            let sw = seeds[(i % 4) as usize].0;
+            let index = (i % 8) as u32;
+            let request = if i % 50 == 49 {
+                set.read_register(t, sw, undeclared, 0) // nAck: unknown register
+            } else if i % 50 == 24 {
+                set.write_register(t, sw, reg, 99, i) // nAck: index out of range
+            } else if i % 3 == 0 {
+                set.write_register(t, sw, reg, index, i)
+            } else {
+                set.read_register(t, sw, reg, index)
+            };
+            let agent = agents.get_mut(&sw).expect("known switch");
+            let reply = agent
+                .on_packet(t, PortId::CPU, &request.bytes)
+                .outputs
+                .remove(0)
+                .1;
+            if i % 70 == 69 {
+                let mut forged = reply.clone();
+                forged[11] ^= 0x10; // inside the digest: a counted reject
+                set.on_message(t, sw, &forged);
+            }
+            set.on_message(t, sw, &reply);
+            if i == 2_300 {
+                assert_eq!(set.start_bulk_rollover(t), Some(1));
+                for round in 0..8 {
+                    let (out, _) = set.step(t + round);
+                    pump(&mut set, &mut agents, t + round, out);
+                }
+                assert!(set.rollover_complete());
+            }
+        }
+        let behind = set.db.poll(sub);
+        for i in 0..3u64 {
+            let request = set.read_register(900_000 + i, seeds[0].0, reg, 0);
+            pump(&mut set, &mut agents, 900_000 + i, vec![request]);
+        }
+        let caught_up = set.db.poll(sub);
+
+        assert_eq!(set.db().writes(), 4_688);
+        let shape = |p: &crate::statedb::Poll| (p.updates.len(), p.missed, digest(p));
+        assert_eq!(shape(&boot), (4, 0, 0x4228_2f3f_caa6_27ec));
+        assert_eq!(shape(&behind), (4_096, 585, 0xc801_f35b_dc4b_2559));
+        assert_eq!(shape(&caught_up), (3, 0, 0x1f9e_f69e_300a_a7bb));
+        // Spot records in the clear, so a digest mismatch has somewhere to
+        // start reading.
+        assert_eq!(
+            line(&boot.updates[0]),
+            "0 2000 keys/S2 v1 Key(4879817713577013522, 0)"
+        );
+        assert_eq!(
+            line(&behind.updates[0]),
+            "589 67700 registers/reads v370 U64(370)"
+        );
+        assert_eq!(
+            line(&behind.updates[4_095]),
+            "4684 469900 registers/nacks v184 U64(184)"
+        );
+        assert_eq!(
+            line(&caught_up.updates[2]),
+            "4687 900002 registers/reads v2947 U64(2947)"
+        );
+        let table = |name: &str| -> Vec<String> {
+            set.db()
+                .entries(name)
+                .map(|(k, e)| format!("{k} v{} @{} {:?}", e.version, e.written_at_ns, e.value))
+                .collect()
+        };
+        assert_eq!(
+            table(tables::REGISTERS),
+            [
+                "nacks v184 @469900 U64(184)",
+                "reads v2947 @900002 U64(2947)",
+                "rejects v65 @464900 U64(65)",
+                "writes v1472 @469600 U64(1472)",
+            ]
+        );
+        assert_eq!(
+            table(tables::KMP),
+            [
+                "S1 v2 @240001 Text(\"done@1\")",
+                "S2 v2 @240001 Text(\"done@1\")",
+                "S3 v2 @240001 Text(\"done@1\")",
+                "S4 v2 @240001 Text(\"done@1\")",
+                "epoch v1 @240000 U64(1)",
+                "fanout@replica0@1 v1 @240001 U64(1)",
+                "fanout@replica1@1 v1 @240001 U64(1)",
+                "started@1 v1 @240000 U64(240000)",
+            ]
+        );
+    }
 }

@@ -31,6 +31,7 @@
 
 use serde::Serialize;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A value stored in the state table.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize)]
@@ -88,10 +89,11 @@ pub struct Update {
     pub seq: u64,
     /// Sim-time of the write.
     pub t_ns: u64,
-    /// Table written.
-    pub table: String,
-    /// Key written.
-    pub key: String,
+    /// Table written (the table map's own name: a log record shares it
+    /// instead of copying it).
+    pub table: Arc<str>,
+    /// Key written (shared with the table's key the same way).
+    pub key: Arc<str>,
     /// Entry version after the write.
     pub version: u64,
     /// Value written.
@@ -160,7 +162,7 @@ impl WriteBatch {
 
 /// The deterministic pub/sub state table. See the module docs.
 pub struct StateDb {
-    tables: BTreeMap<String, BTreeMap<String, Entry>>,
+    tables: BTreeMap<Arc<str>, BTreeMap<Arc<str>, Entry>>,
     log: std::collections::VecDeque<Update>,
     log_capacity: usize,
     next_seq: u64,
@@ -200,29 +202,38 @@ impl StateDb {
     /// entry's version after the write. Writing the value already stored
     /// is a no-op (version unchanged, nothing logged).
     pub fn set(&mut self, now_ns: u64, table: &str, key: &str, value: Value) -> u64 {
-        let entry = self
-            .tables
-            .entry(table.to_string())
-            .or_default()
-            .entry(key.to_string());
-        let entry = match entry {
-            std::collections::btree_map::Entry::Occupied(o) => {
-                let e = o.into_mut();
-                if e.value == value {
-                    return e.version;
+        // A write under names the maps already hold shares their `Arc`s
+        // (with the log record too) instead of copying the strings.
+        let held = self.tables.get_key_value(table).map(|(t, _)| t.clone());
+        let table = held.unwrap_or_else(|| {
+            let table: Arc<str> = Arc::from(table);
+            self.tables.insert(table.clone(), BTreeMap::new());
+            table
+        });
+        let entries = self.tables.get_mut(&*table).expect("held or just inserted");
+        let held = entries.get_key_value(key).map(|(k, _)| k.clone());
+        let (key, version) = match held {
+            Some(key) => {
+                let entry = entries.get_mut(&*key).expect("held");
+                if entry.value == value {
+                    return entry.version;
                 }
-                e.version += 1;
-                e.written_at_ns = now_ns;
-                e.value = value.clone();
-                e
+                entry.version += 1;
+                entry.written_at_ns = now_ns;
+                entry.value = value.clone();
+                (key, entry.version)
             }
-            std::collections::btree_map::Entry::Vacant(v) => v.insert(Entry {
-                version: 1,
-                written_at_ns: now_ns,
-                value: value.clone(),
-            }),
+            None => {
+                let key: Arc<str> = Arc::from(key);
+                let first = Entry {
+                    version: 1,
+                    written_at_ns: now_ns,
+                    value: value.clone(),
+                };
+                entries.insert(key.clone(), first);
+                (key, 1)
+            }
         };
-        let version = entry.version;
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.log.len() == self.log_capacity {
@@ -231,8 +242,8 @@ impl StateDb {
         self.log.push_back(Update {
             seq,
             t_ns: now_ns,
-            table: table.to_string(),
-            key: key.to_string(),
+            table,
+            key,
             version,
             value,
         });
@@ -276,7 +287,7 @@ impl StateDb {
         self.tables
             .get(table)
             .into_iter()
-            .flat_map(|t| t.iter().map(|(k, e)| (k.as_str(), e)))
+            .flat_map(|t| t.iter().map(|(k, e)| (&**k, e)))
     }
 
     /// Total writes accepted so far (no-op writes excluded).

@@ -1,0 +1,136 @@
+//! Allocation budget of one authenticated register op, layer by layer.
+//!
+//! `ReplicaSet::read/write_register` → `P4AuthSwitch::on_packet` →
+//! `ReplicaSet::on_message` is the path Fig. 18/19 and the `auth_rw`
+//! benchmark workload time. At steady state each layer may allocate only
+//! what its return type obliges it to: the request frame; the agent's
+//! event list, output list and reply frame; the controller's event list.
+//! A regression here names the layer, instead of showing up later as a
+//! slower benchmark. (The benchmark's own spans read one higher on
+//! `on_packet` and `on_message`: its adapter collects the results.)
+//!
+//! One `#[test]`: the counters are per process.
+
+use p4auth_controller::daemons::tables;
+use p4auth_controller::statedb::{StateDb, Value};
+use p4auth_controller::{ControllerConfig, ReplicaSet};
+use p4auth_core::agent::{AgentConfig, AgentEvent, P4AuthSwitch};
+use p4auth_core::auth::RejectReason;
+use p4auth_dataplane::register::RegisterArray;
+use p4auth_primitives::Key64;
+use p4auth_telemetry::alloc::{allocations, CountingAlloc};
+use p4auth_wire::ids::{PortId, RegId, SwitchId};
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const SW: SwitchId = SwitchId::new(1);
+const REG: RegId = RegId::new(1);
+
+/// What `on_packet` allocated at the parent commit (4836725) on a frame
+/// with a forged digest and on a replayed one — measured there with this
+/// file's loop. The reject path must not pay for the accept path's gain.
+const PARENT_FORGED_ALLOCS: u64 = 9;
+const PARENT_REPLAYED_ALLOCS: u64 = 9;
+
+/// Runs `f`; returns the allocations the process made meanwhile and `f`'s
+/// result.
+fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = allocations();
+    let result = f();
+    (allocations() - before, result)
+}
+
+/// One replica and one agent with `K_local` established.
+fn stack() -> (ReplicaSet, P4AuthSwitch) {
+    let seed = Key64::new(0x5eed);
+    let mut set = ReplicaSet::new(1, ControllerConfig::default(), &[(SW, seed)]);
+    let mut agent = P4AuthSwitch::new(AgentConfig::new(SW, 2, seed).map_register(REG, "r"), None);
+    agent
+        .chassis_mut()
+        .declare_register(RegisterArray::new("r", 8, 64));
+    let mut to_agent: Vec<Vec<u8>> = set
+        .local_key_init(0, SW)
+        .into_iter()
+        .map(|o| o.bytes)
+        .collect();
+    while let Some(frame) = to_agent.pop() {
+        for (_, reply) in agent.on_packet(0, PortId::CPU, &frame).outputs {
+            to_agent.extend(set.on_message(0, SW, &reply).0.into_iter().map(|o| o.bytes));
+        }
+    }
+    assert!(set.has_local_key(SW));
+    (set, agent)
+}
+
+#[test]
+fn hot_path_allocs() {
+    let (mut set, mut agent) = stack();
+    let mut last_request = Vec::new();
+    // The first laps warm every amortised structure (the state table's
+    // bounded log fills at 4096 writes); the budget is asserted after.
+    for i in 0..6_000u64 {
+        let steady = i >= 5_000;
+        let index = (i % 8) as u32;
+        let (request_allocs, request) = allocations_during(|| match i % 3 {
+            0 => set.write_register(i, SW, REG, index, i),
+            _ => set.read_register(i, SW, REG, index),
+        });
+        let (packet_allocs, out) =
+            allocations_during(|| agent.on_packet(i, PortId::CPU, &request.bytes));
+        assert!(out.has_event(&AgentEvent::VerifiedOk));
+        let (message_allocs, (follow_ups, events)) =
+            allocations_during(|| set.on_message(i, SW, &out.outputs[0].1));
+        assert!(follow_ups.is_empty() && events.len() == 1);
+        if steady {
+            assert!(request_allocs <= 1, "request: {request_allocs} at op {i}");
+            assert!(packet_allocs <= 3, "on_packet: {packet_allocs} at op {i}");
+            assert!(
+                message_allocs <= 1,
+                "on_message: {message_allocs} at op {i}"
+            );
+        }
+        last_request = request.bytes;
+    }
+
+    // Reject path. The last accepted request, delivered again, is a replay;
+    // the same frame with a digest bit flipped is a forgery (the digest is
+    // checked before the window, so its stale sequence number never shows).
+    let (replayed_allocs, out) =
+        allocations_during(|| agent.on_packet(7_000, PortId::CPU, &last_request));
+    assert!(out
+        .events
+        .iter()
+        .any(|e| matches!(e, AgentEvent::Rejected(RejectReason::Replayed { .. }))));
+    assert!(
+        replayed_allocs <= PARENT_REPLAYED_ALLOCS,
+        "replayed frame: {replayed_allocs}"
+    );
+    let mut forged = last_request.clone();
+    forged[12] ^= 0x40;
+    let (forged_allocs, out) = allocations_during(|| agent.on_packet(7_001, PortId::CPU, &forged));
+    assert!(out.has_event(&AgentEvent::Rejected(RejectReason::BadDigest)));
+    assert!(
+        forged_allocs <= PARENT_FORGED_ALLOCS,
+        "forged frame: {forged_allocs}"
+    );
+
+    // The state table on its own: a value-changing write to a key both
+    // maps already hold copies no string, log record included.
+    let mut db = StateDb::new();
+    db.set(0, tables::REGISTERS, "reads", Value::U64(0));
+    let (growth, ()) = allocations_during(|| {
+        for i in 1..=5_000 {
+            db.set(i, tables::REGISTERS, "reads", Value::U64(i));
+        }
+    });
+    // The log's ring buffer doubles a handful of times on its way to 4096
+    // records; after that, nothing.
+    assert!(growth <= 16, "log growth: {growth}");
+    let (steady, ()) = allocations_during(|| {
+        for i in 5_001..=6_000 {
+            db.set(i, tables::REGISTERS, "reads", Value::U64(i));
+        }
+    });
+    assert_eq!(steady, 0, "StateDb::set of an existing key");
+}

@@ -20,7 +20,9 @@
 //! baselines the evaluation compares against (DP-Reg-RW, vanilla HULA).
 
 use crate::adhkd::{self, AdhkdInitiator, AdhkdPayload};
-use crate::auth::{AlertDecision, AlertLimiter, AuthMetrics, RejectReason, ReplayWindow};
+use crate::auth::{
+    verify_and_advance, AlertDecision, AlertLimiter, AuthMetrics, RejectReason, ReplayWindow,
+};
 use crate::eak;
 use crate::keys::KeyStore;
 use p4auth_dataplane::chassis::{Chassis, ChassisConfig, ChassisError, PacketContext};
@@ -28,6 +30,7 @@ use p4auth_dataplane::cost::TargetProfile;
 use p4auth_dataplane::packet::Packet;
 use p4auth_dataplane::table::{ActionEntry, MatchKey, MatchTable, TableKind};
 use p4auth_primitives::dh::{DhParams, DhPublic};
+use p4auth_primitives::idhash::IdMap;
 use p4auth_primitives::kdf::{Kdf, KdfConfig};
 use p4auth_primitives::rng::SplitMix64;
 use p4auth_primitives::Key64;
@@ -37,8 +40,7 @@ use p4auth_wire::body::{
     RegisterOp,
 };
 use p4auth_wire::ids::{PortId, RegId, SeqNum, SwitchId};
-use p4auth_wire::Message;
-use std::collections::{HashMap, HashSet};
+use p4auth_wire::{digest_parts, Message};
 use std::sync::Arc;
 
 /// Name of the Fig. 15 mapping table on the chassis.
@@ -177,7 +179,7 @@ pub enum AgentEvent {
     /// A register was read via an authenticated request.
     RegisterRead {
         /// The register's data-plane name.
-        name: String,
+        name: Arc<str>,
         /// Index read.
         index: u32,
         /// Value returned.
@@ -186,7 +188,7 @@ pub enum AgentEvent {
     /// A register was written via an authenticated request.
     RegisterWritten {
         /// The register's data-plane name.
-        name: String,
+        name: Arc<str>,
         /// Index written.
         index: u32,
         /// Value stored.
@@ -300,18 +302,22 @@ pub struct P4AuthSwitch {
     rng: SplitMix64,
     replay: ReplayWindow,
     limiter: AlertLimiter,
-    quarantined: HashSet<PortId>,
-    seq_out: HashMap<PortId, SeqNum>,
-    pending_kex: HashMap<(KexContext, PortId), AdhkdInitiator>,
+    /// The packet in the pipeline: refilled per frame, so its buffer is
+    /// allocated once per agent and the frame is copied once per packet.
+    packet: Packet,
+    /// Indexed by `PortId` (a `u8`): dense, so no hashing.
+    quarantined: [bool; 256],
+    seq_out: [SeqNum; 256],
+    pending_kex: IdMap<(KexContext, PortId), AdhkdInitiator>,
     /// At-most-once responder cache: the last ADHKD offer answered per
     /// `(context, slot)` as `(offer_pk, offer_salt, answer_pk,
     /// answer_salt)`. A retransmitted offer (the initiator's stall-retry
     /// racing the original through the network) is answered from here
     /// without re-deriving — deriving twice for one exchange would move
     /// the key version twice while the initiator counts one rollover.
-    answered_offers: HashMap<(KexContext, PortId), (u64, u32, u64, u32)>,
+    answered_offers: IdMap<(KexContext, PortId), (u64, u32, u64, u32)>,
     app: Option<Box<dyn InNetworkApp>>,
-    reg_names: Vec<String>,
+    reg_names: Vec<Arc<str>>,
     stats: AgentStats,
     telemetry: Option<AgentTelemetry>,
 }
@@ -347,7 +353,7 @@ impl P4AuthSwitch {
         let mut reg_names = Vec::new();
         for (reg_id, name) in &config.register_map {
             let action_index = reg_names.len() as u64;
-            reg_names.push(name.clone());
+            reg_names.push(Arc::from(name.as_str()));
             table
                 .insert(
                     MatchKey::new(reg_id.value() as u64, QUAL_READ),
@@ -375,10 +381,11 @@ impl P4AuthSwitch {
             rng: SplitMix64::new(config.rng_seed),
             replay: ReplayWindow::new(),
             limiter: AlertLimiter::new(config.alert_max, config.alert_period_ns),
-            quarantined: HashSet::new(),
-            seq_out: HashMap::new(),
-            pending_kex: HashMap::new(),
-            answered_offers: HashMap::new(),
+            packet: Packet::from_bytes(PortId::CPU, Vec::new()),
+            quarantined: [false; 256],
+            seq_out: [SeqNum::new(0); 256],
+            pending_kex: IdMap::default(),
+            answered_offers: IdMap::default(),
             app,
             reg_names,
             chassis,
@@ -469,16 +476,12 @@ impl P4AuthSwitch {
     /// Driven by the controller's adaptive defence (out of band, like the
     /// rest of the provisioning surface).
     pub fn set_channel_quarantine(&mut self, channel: PortId, on: bool) {
-        if on {
-            self.quarantined.insert(channel);
-        } else {
-            self.quarantined.remove(&channel);
-        }
+        self.quarantined[usize::from(channel.value())] = on;
     }
 
     /// Whether `channel` is currently quarantined.
     pub fn is_quarantined(&self, channel: PortId) -> bool {
-        self.quarantined.contains(&channel)
+        self.quarantined[usize::from(channel.value())]
     }
 
     /// Counts a key install/rollover and logs a [`TelemetryEvent::KeyDerived`]
@@ -486,7 +489,7 @@ impl P4AuthSwitch {
     /// sim clock, so those events carry `t_ns = 0`. Any quarantine on the
     /// channel is lifted — a fresh key is the defence loop's exit condition.
     fn note_key_change(&mut self, now_ns: u64, port: PortId, rolled: bool) {
-        self.quarantined.remove(&port);
+        self.quarantined[usize::from(port.value())] = false;
         let Some(t) = &self.telemetry else { return };
         if rolled {
             t.keys_rolled.inc();
@@ -519,7 +522,7 @@ impl P4AuthSwitch {
     }
 
     fn next_seq(&mut self, port: PortId) -> SeqNum {
-        let e = self.seq_out.entry(port).or_insert(SeqNum::new(0));
+        let e = &mut self.seq_out[usize::from(port.value())];
         *e = e.next();
         *e
     }
@@ -529,45 +532,55 @@ impl P4AuthSwitch {
     /// key is installed for the port and auth is enabled.
     pub fn seal_probe(&mut self, port: PortId, system: u8, payload: Vec<u8>) -> Option<Vec<u8>> {
         let seq = self.next_seq(port);
-        let mut msg = Message::in_network(
+        let msg = Message::in_network(
             self.config.switch_id,
             port,
             seq,
             InNetwork::new(system, payload),
         );
-        if self.config.auth_enabled {
-            let (key, version) = self.keys.sealing_key(port)?;
-            msg = msg.with_key_version(version);
-            msg.seal(self.chassis.hash_mac(), key);
+        if !self.config.auth_enabled {
+            return Some(msg.encode());
         }
-        Some(msg.encode())
+        let (key, version) = self.keys.sealing_key(port)?;
+        let msg = msg.with_key_version(version);
+        Some(msg.encode_sealed(self.chassis_mac(), key))
     }
 
     fn chassis_mac(&self) -> &dyn p4auth_primitives::mac::Mac {
         self.chassis.hash_mac()
     }
 
+    /// The frame for `msg` on `port`'s channel: stamped with the sealing
+    /// key's version and sealed under it, or plain while the channel has
+    /// no key yet.
+    fn encode_for(&self, port: PortId, msg: Message) -> Vec<u8> {
+        match self.keys.sealing_key(port) {
+            Some((key, version)) => msg
+                .with_key_version(version)
+                .encode_sealed(self.chassis_mac(), key),
+            None => msg.encode(),
+        }
+    }
+
     /// Processes one packet and returns outputs plus accounting.
     pub fn on_packet(&mut self, now_ns: u64, ingress: PortId, bytes: &[u8]) -> AgentOutput {
-        let packet = Packet::from_bytes(ingress, bytes.to_vec());
-        let msg = match packet.parse_message() {
-            Ok(m) => m,
-            Err(_) => {
-                let out = self.handle_data(now_ns, ingress, bytes);
-                self.note_packet_cost(now_ns, false, &out);
-                return out;
-            }
+        self.packet.ingress = ingress;
+        self.packet.bytes.clear();
+        self.packet.bytes.extend_from_slice(bytes);
+        let Ok(msg) = Message::decode(bytes) else {
+            let out = self.handle_data(now_ns, ingress);
+            self.note_packet_cost(now_ns, false, &out);
+            return out;
         };
-
-        let body = msg.body().clone();
-        let is_register = matches!(body, Body::Register(_));
-        let out = match body {
-            Body::Register(op) => self.handle_register(now_ns, ingress, &msg, op),
-            Body::KeyExchange(kex) => self.handle_key_exchange(now_ns, ingress, &msg, kex),
-            Body::InNetwork(inner) => self.handle_in_network(now_ns, ingress, &msg, &inner),
+        // Handlers get the frame next to the decoded message: digests are
+        // verified over `bytes`, never over a re-encoding of `msg`.
+        let out = match msg.body() {
+            Body::Register(op) => self.handle_register(now_ns, bytes, &msg, *op),
+            Body::KeyExchange(kex) => self.handle_key_exchange(now_ns, ingress, bytes, &msg, *kex),
+            Body::InNetwork(inner) => self.handle_in_network(now_ns, ingress, bytes, &msg, inner),
             Body::Alert(_) => AgentOutput::default(),
         };
-        self.note_packet_cost(now_ns, is_register, &out);
+        self.note_packet_cost(now_ns, matches!(msg.body(), Body::Register(_)), &out);
         out
     }
 
@@ -595,12 +608,11 @@ impl P4AuthSwitch {
         }
     }
 
-    fn handle_data(&mut self, now_ns: u64, ingress: PortId, bytes: &[u8]) -> AgentOutput {
+    fn handle_data(&mut self, now_ns: u64, ingress: PortId) -> AgentOutput {
         let Some(mut app) = self.app.take() else {
             return AgentOutput::default();
         };
-        let packet = Packet::from_bytes(ingress, bytes.to_vec());
-        let result = self.chassis.process(now_ns, &packet, |ctx, pkt| {
+        let result = self.chassis.process(now_ns, &self.packet, |ctx, pkt| {
             let outs = app.on_data(ctx, ingress, &pkt.bytes)?;
             Ok(outs
                 .into_iter()
@@ -624,18 +636,19 @@ impl P4AuthSwitch {
         }
     }
 
-    /// Verify a message inside the pipeline; returns the reject reason on
-    /// failure. `key` is the channel key selected by the caller.
+    /// Verify a received `frame` (decoded as `msg`) inside the pipeline;
+    /// returns the reject reason on failure. `key` is the channel key
+    /// selected by the caller.
     fn verify_in_ctx(
         ctx: &mut PacketContext<'_>,
         replay: &mut ReplayWindow,
         key: Option<Key64>,
         channel: PortId,
+        frame: &[u8],
         msg: &Message,
     ) -> Result<(), RejectReason> {
         let key = key.ok_or(RejectReason::NoKey)?;
-        let input = msg.digest_input();
-        if !ctx.verify_digest(key, &[&input], msg.digest()) {
+        if !ctx.verify_digest(key, &digest_parts(frame), msg.digest()) {
             return Err(RejectReason::BadDigest);
         }
         replay.check_and_advance(msg.header().sender, channel, msg.header().seq_num)
@@ -739,12 +752,8 @@ impl P4AuthSwitch {
             }
         };
         let seq = self.next_seq(PortId::CPU);
-        let mut msg = Message::alert(self.config.switch_id, seq, alert);
-        if let Some((key, version)) = self.keys.sealing_key(PortId::CPU) {
-            msg = msg.with_key_version(version);
-            msg.seal(self.chassis_mac(), key);
-        }
-        outputs.push((PortId::CPU, msg.encode()));
+        let msg = Message::alert(self.config.switch_id, seq, alert);
+        outputs.push((PortId::CPU, self.encode_for(PortId::CPU, msg)));
         self.stats.alerts_sent += 1;
         events.push(AgentEvent::AlertSent(alert.kind));
     }
@@ -752,7 +761,7 @@ impl P4AuthSwitch {
     fn handle_register(
         &mut self,
         now_ns: u64,
-        _ingress: PortId,
+        frame: &[u8],
         msg: &Message,
         op: RegisterOp,
     ) -> AgentOutput {
@@ -768,14 +777,13 @@ impl P4AuthSwitch {
         let mut reject: Option<RejectReason> = None;
         let mut reply_op: Option<RegisterOp> = None;
 
-        let quarantined = auth && self.quarantined.contains(&PortId::CPU);
-        let packet = Packet::from_bytes(PortId::CPU, msg.encode());
+        let quarantined = auth && self.is_quarantined(PortId::CPU);
         let channel_key = self.channel_verify_key(PortId::CPU, msg);
         let replay = &mut self.replay;
         let reg_names = &self.reg_names;
         let outcome = self
             .chassis
-            .process(now_ns, &packet, |ctx, _| {
+            .process(now_ns, &self.packet, |ctx, _| {
                 if quarantined {
                     // Defence-imposed drop: don't even verify — the channel
                     // key is suspect until the KMP installs a fresh one.
@@ -785,7 +793,7 @@ impl P4AuthSwitch {
                     return Ok(vec![]);
                 }
                 if auth {
-                    match Self::verify_in_ctx(ctx, replay, channel_key, PortId::CPU, msg) {
+                    match Self::verify_in_ctx(ctx, replay, channel_key, PortId::CPU, frame, msg) {
                         Ok(()) => events.push(AgentEvent::VerifiedOk),
                         Err(reason) => {
                             events.push(AgentEvent::Rejected(reason));
@@ -807,15 +815,14 @@ impl P4AuthSwitch {
                     return Ok(vec![]);
                 };
                 let name = &reg_names[entry.data0 as usize];
-                let name = name.clone();
                 let done = match qualifier {
-                    QUAL_READ => ctx.read_register(&name, index).map(|value| {
-                        let event = AgentEvent::RegisterRead { name, index, value };
-                        (event, value)
+                    QUAL_READ => ctx.read_register(name, index).map(|value| {
+                        let name = name.clone();
+                        (AgentEvent::RegisterRead { name, index, value }, value)
                     }),
-                    _ => ctx.write_register(&name, index, value).map(|()| {
-                        let event = AgentEvent::RegisterWritten { name, index, value };
-                        (event, 0)
+                    _ => ctx.write_register(name, index, value).map(|()| {
+                        let name = name.clone();
+                        (AgentEvent::RegisterWritten { name, index, value }, 0)
                     }),
                 };
                 reply_op = Some(match done {
@@ -895,19 +902,18 @@ impl P4AuthSwitch {
         op: RegisterOp,
         outputs: &mut Vec<(PortId, Vec<u8>)>,
     ) {
-        let mut reply = Message::new(
+        let reply = Message::new(
             self.config.switch_id,
             PortId::CPU,
             request.header().seq_num,
             Body::Register(op),
         );
-        if self.config.auth_enabled {
-            if let Some((key, version)) = self.keys.sealing_key(PortId::CPU) {
-                reply = reply.with_key_version(version);
-                reply.seal(self.chassis_mac(), key);
-            }
-        }
-        outputs.push((PortId::CPU, reply.encode()));
+        let frame = if self.config.auth_enabled {
+            self.encode_for(PortId::CPU, reply)
+        } else {
+            reply.encode()
+        };
+        outputs.push((PortId::CPU, frame));
     }
 
     /// Selects the verification key for a key-exchange message per §VI-C.
@@ -931,6 +937,7 @@ impl P4AuthSwitch {
         &mut self,
         now_ns: u64,
         ingress: PortId,
+        frame: &[u8],
         msg: &Message,
         kex: KeyExchange,
     ) -> AgentOutput {
@@ -942,14 +949,14 @@ impl P4AuthSwitch {
 
         // Every key-exchange message is authenticated (the "A" in ADHKD);
         // past this block `key` is the one that verified it.
-        let verified = match self.kex_verify_key(ingress, msg, &kex) {
-            None => Err(RejectReason::NoKey),
-            Some(k) if !msg.verify(self.chassis_mac(), k) => Err(RejectReason::BadDigest),
-            Some(k) => self
-                .replay
-                .check_and_advance(msg.header().sender, ingress, msg.header().seq_num)
-                .map(|()| k),
-        };
+        let verified = verify_and_advance(
+            self.chassis.hash_mac(),
+            self.kex_verify_key(ingress, msg, &kex),
+            &mut self.replay,
+            ingress,
+            frame,
+            msg.header(),
+        );
         let key = match verified {
             Ok(key) => key,
             Err(reason) => {
@@ -1022,7 +1029,7 @@ impl P4AuthSwitch {
                 self.k_auth = Some(k_auth);
                 events.push(AgentEvent::AuthKeyDerived);
                 let seq = self.next_seq(PortId::CPU);
-                let mut reply = Message::key_exchange(
+                let reply = Message::key_exchange(
                     self.config.switch_id,
                     PortId::CPU,
                     seq,
@@ -1031,8 +1038,8 @@ impl P4AuthSwitch {
                         salt: s2,
                     },
                 );
-                reply.seal(self.chassis_mac(), self.config.k_seed);
-                outputs.push((PortId::CPU, reply.encode()));
+                let frame = reply.encode_sealed(self.chassis_mac(), self.config.k_seed);
+                outputs.push((PortId::CPU, frame));
             }
             KeyExchange::EakSalt {
                 step: EakStep::Salt2,
@@ -1107,8 +1114,7 @@ impl P4AuthSwitch {
                     }),
                 );
                 reply.header_mut().key_version = msg.header().key_version;
-                reply.seal(self.chassis_mac(), key);
-                outputs.push((reply_port, reply.encode()));
+                outputs.push((reply_port, reply.encode_sealed(self.chassis_mac(), key)));
             }
             KeyExchange::Adhkd {
                 role: AdhkdRole::Answer,
@@ -1151,7 +1157,7 @@ impl P4AuthSwitch {
                 self.pending_kex
                     .insert((KexContext::PortInitRedirect, peer_port), initiator);
                 let seq = self.next_seq(PortId::CPU);
-                let mut out = Message::new(
+                let out = Message::new(
                     self.config.switch_id,
                     peer_port,
                     seq,
@@ -1162,11 +1168,7 @@ impl P4AuthSwitch {
                         salt: offer.salt,
                     }),
                 );
-                if let Some((k, v)) = self.keys.sealing_key(PortId::CPU) {
-                    out = out.with_key_version(v);
-                    out.seal(self.chassis_mac(), k);
-                }
-                outputs.push((PortId::CPU, out.encode()));
+                outputs.push((PortId::CPU, self.encode_for(PortId::CPU, out)));
             }
             KeyExchange::PortKeyUpdate { peer: _, peer_port } => {
                 // Fig. 14(d): direct DP-DP ADHKD under the current K_port.
@@ -1175,7 +1177,7 @@ impl P4AuthSwitch {
                 self.pending_kex
                     .insert((KexContext::PortUpdateDirect, peer_port), initiator);
                 let seq = self.next_seq(peer_port);
-                let mut out = Message::new(
+                let out = Message::new(
                     self.config.switch_id,
                     peer_port,
                     seq,
@@ -1186,11 +1188,7 @@ impl P4AuthSwitch {
                         salt: offer.salt,
                     }),
                 );
-                if let Some((k, v)) = self.keys.sealing_key(peer_port) {
-                    out = out.with_key_version(v);
-                    out.seal(self.chassis_mac(), k);
-                }
-                outputs.push((peer_port, out.encode()));
+                outputs.push((peer_port, self.encode_for(peer_port, out)));
             }
         }
 
@@ -1205,6 +1203,7 @@ impl P4AuthSwitch {
         &mut self,
         now_ns: u64,
         ingress: PortId,
+        frame: &[u8],
         msg: &Message,
         inner: &InNetwork,
     ) -> AgentOutput {
@@ -1219,24 +1218,25 @@ impl P4AuthSwitch {
             return AgentOutput::default();
         }
 
-        let packet = Packet::from_bytes(ingress, msg.encode());
         let channel_key = self.channel_verify_key(ingress, msg);
+        let quarantined = auth && self.is_quarantined(ingress);
         let keys = &self.keys;
         let replay = &mut self.replay;
         let seq_out = &mut self.seq_out;
         let switch_id = self.config.switch_id;
         let system = inner.system;
-        let quarantined = auth && self.quarantined.contains(&ingress);
         let mut reject: Option<RejectReason> = None;
         let mut sealed_outputs: Vec<(PortId, Vec<u8>)> = Vec::new();
 
-        let outcome = self.chassis.process(now_ns, &packet, |ctx, _| {
+        let outcome = self.chassis.process(now_ns, &self.packet, |ctx, _| {
             if quarantined {
                 reject = Some(RejectReason::Quarantined);
                 return Ok(vec![]);
             }
             if auth {
-                if let Err(reason) = Self::verify_in_ctx(ctx, replay, channel_key, ingress, msg) {
+                if let Err(reason) =
+                    Self::verify_in_ctx(ctx, replay, channel_key, ingress, frame, msg)
+                {
                     reject = Some(reason);
                     return Ok(vec![]);
                 }
@@ -1246,22 +1246,22 @@ impl P4AuthSwitch {
             // computation is metered and costed like the hardware would.
             for (port, payload) in app.on_control(ctx, ingress, &inner.payload)? {
                 let seq = {
-                    let e = seq_out.entry(port).or_insert(SeqNum::new(0));
+                    let e = &mut seq_out[usize::from(port.value())];
                     *e = e.next();
                     *e
                 };
-                let mut fwd =
+                let fwd =
                     Message::in_network(switch_id, port, seq, InNetwork::new(system, payload));
-                if auth {
+                let frame = if auth {
                     let Some((key, version)) = keys.sealing_key(port) else {
                         continue; // no key for this egress; drop
                     };
-                    fwd.header_mut().key_version = version;
-                    let input = fwd.digest_input();
-                    let digest = ctx.compute_digest(key, &[&input]);
-                    fwd.header_mut().digest = digest;
-                }
-                sealed_outputs.push((port, fwd.encode()));
+                    fwd.with_key_version(version)
+                        .encode_sealed_with(|parts| ctx.compute_digest(key, parts))
+                } else {
+                    fwd.encode()
+                };
+                sealed_outputs.push((port, frame));
             }
             Ok(vec![])
         });
@@ -1725,6 +1725,137 @@ mod tests {
         }
         let _ = P4AuthSwitch::new(config, None);
         let _ = P4AuthSwitch::new(AgentConfig::new(SwitchId::new(1), 4, SEED), None);
+    }
+
+    /// ROADMAP 2a. A `ReadReq` carries an 8-byte value field the decoder
+    /// discards. The digest used to be checked over a re-encoding of the
+    /// decoded message, so a MitM could set those bytes and the frame
+    /// still verified; it is now checked over the bytes that arrived.
+    #[test]
+    fn read_request_with_a_nonzero_value_field_is_a_counted_digest_reject() {
+        let registry = Arc::new(p4auth_telemetry::Registry::with_event_capacity(16));
+        let mut sw = agent();
+        sw.set_telemetry(registry.clone());
+        let k = Key64::new(42);
+        install_local(&mut sw, k);
+        let genuine = Message::register_request(
+            SwitchId::CONTROLLER,
+            SeqNum::new(7),
+            RegisterOp::read_req(RegId::new(1234), 3),
+        )
+        .encode_sealed(&mac(), k);
+        assert_eq!(genuine[22..30], [0; 8], "the discarded value field");
+
+        for at in 22..30 {
+            let mut tampered = genuine.clone();
+            tampered[at] = 0xa5;
+            // Still decodes to the very same message: only the bytes differ.
+            assert_eq!(
+                Message::decode(&tampered).unwrap(),
+                Message::decode(&genuine).unwrap()
+            );
+            let out = sw.on_packet(0, PortId::CPU, &tampered);
+            assert!(out.has_event(&AgentEvent::Rejected(RejectReason::BadDigest)));
+            assert!(!out
+                .events
+                .iter()
+                .any(|e| matches!(e, AgentEvent::VerifiedOk | AgentEvent::RegisterRead { .. })));
+            let nack = Message::decode(&out.outputs[0].1).unwrap();
+            assert!(matches!(
+                nack.body(),
+                Body::Register(RegisterOp::Nack {
+                    reason: NackReason::DigestMismatch,
+                    ..
+                })
+            ));
+        }
+        assert_eq!(sw.stats().digest_failures, 8);
+        assert_eq!(sw.stats().verified_ok, 0);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("auth_reject_bad_digest", "S1"), Some(8));
+        // None of the rejects advanced the replay window: the genuine
+        // frame, same sequence number, is still fresh.
+        let out = sw.on_packet(0, PortId::CPU, &genuine);
+        assert!(out.has_event(&AgentEvent::VerifiedOk));
+        assert!(out.has_event(&AgentEvent::RegisterRead {
+            name: "path_latency".into(),
+            index: 3,
+            value: 0
+        }));
+    }
+
+    /// The same for every other byte `Message::decode` normalises away:
+    /// the reserved words of the key-exchange payloads.
+    #[test]
+    fn reserved_key_exchange_bytes_are_covered_by_the_digest() {
+        let k = Key64::new(42);
+        let kex = |seq: u32, body: KeyExchange| {
+            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, SeqNum::new(seq), body)
+        };
+        // (frame, bytes the decoder discards, key that seals it)
+        let cases = [
+            (
+                kex(
+                    1,
+                    KeyExchange::EakSalt {
+                        step: EakStep::Salt1,
+                        salt: 0xaaaa,
+                    },
+                ),
+                18..22,
+                SEED,
+            ),
+            (
+                kex(
+                    2,
+                    KeyExchange::Adhkd {
+                        role: AdhkdRole::Offer,
+                        context: KexContext::LocalUpdate,
+                        public_key: 5,
+                        salt: 6,
+                    },
+                ),
+                27..30,
+                k,
+            ),
+            (
+                kex(
+                    3,
+                    KeyExchange::PortKeyInit {
+                        peer: SwitchId::new(2),
+                        peer_port: PortId::new(1),
+                    },
+                ),
+                17..18,
+                k,
+            ),
+        ];
+        for (msg, discarded, key) in cases {
+            let mut sw = agent();
+            install_local(&mut sw, k);
+            let genuine = msg.encode_sealed(&mac(), key);
+            for at in discarded {
+                let mut tampered = genuine.clone();
+                tampered[at] ^= 0x80;
+                assert_eq!(
+                    Message::decode(&tampered),
+                    Message::decode(&genuine),
+                    "byte {at} is discarded"
+                );
+                let out = sw.on_packet(0, PortId::CPU, &tampered);
+                assert!(out.has_event(&AgentEvent::Rejected(RejectReason::BadDigest)));
+                assert!(out.has_event(&AgentEvent::AlertSent(AlertKind::KeyExchangeFailure)));
+            }
+            assert!(!sw.has_auth_key());
+            assert_eq!(
+                sw.keys().sealing_key(PortId::CPU).unwrap().0,
+                k,
+                "no rollover"
+            );
+            // Window untouched: the genuine frame still goes through.
+            let out = sw.on_packet(0, PortId::CPU, &genuine);
+            assert!(out.has_event(&AgentEvent::VerifiedOk), "{msg:?}");
+        }
     }
 
     #[test]

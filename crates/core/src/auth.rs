@@ -5,14 +5,14 @@
 //! run. The data-plane agent uses it inside the pipeline context; the
 //! controller uses it directly.
 
+use p4auth_primitives::idhash::IdMap;
 use p4auth_primitives::mac::Mac;
 use p4auth_primitives::Key64;
 use p4auth_telemetry::{Counter, Registry, RejectKind};
 use p4auth_wire::body::{Alert, AlertKind};
+use p4auth_wire::header::Header;
 use p4auth_wire::ids::{PortId, SeqNum, SwitchId};
-use p4auth_wire::Message;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Why an incoming message was rejected.
@@ -90,7 +90,7 @@ impl RejectReason {
 /// independent too.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ReplayWindow {
-    last: HashMap<(SwitchId, PortId), SeqNum>,
+    last: IdMap<(SwitchId, PortId), SeqNum>,
 }
 
 impl ReplayWindow {
@@ -273,11 +273,13 @@ impl AuthMetrics {
     }
 }
 
-/// Verifies a sealed message against a key and a replay window in one step.
+/// Verifies a received frame against a key and a replay window in one
+/// step; `header` is the frame's decoded header. Returns the key that
+/// verified it.
 ///
-/// Order matters: the digest is checked first (an attacker must not be able
-/// to probe sequence state with forged messages), then the sequence number
-/// advances.
+/// Order matters: the digest is checked first, over the bytes that arrived
+/// (an attacker must not be able to probe sequence state with forged
+/// messages), then the sequence number advances.
 ///
 /// # Errors
 ///
@@ -287,13 +289,15 @@ pub fn verify_and_advance(
     key: Option<Key64>,
     window: &mut ReplayWindow,
     channel: PortId,
-    msg: &Message,
-) -> Result<(), RejectReason> {
+    frame: &[u8],
+    header: &Header,
+) -> Result<Key64, RejectReason> {
     let key = key.ok_or(RejectReason::NoKey)?;
-    if !msg.verify(mac, key) {
+    if !p4auth_wire::verify_frame(mac, key, frame) {
         return Err(RejectReason::BadDigest);
     }
-    window.check_and_advance(msg.header().sender, channel, msg.header().seq_num)
+    window.check_and_advance(header.sender, channel, header.seq_num)?;
+    Ok(key)
 }
 
 #[cfg(test)]
@@ -302,6 +306,7 @@ mod tests {
     use p4auth_primitives::mac::HalfSipHashMac;
     use p4auth_wire::body::RegisterOp;
     use p4auth_wire::ids::RegId;
+    use p4auth_wire::Message;
 
     fn mac() -> HalfSipHashMac {
         HalfSipHashMac::default()
@@ -321,7 +326,15 @@ mod tests {
         let mut w = ReplayWindow::new();
         for seq in 1..=5 {
             let m = msg(seq).sealed(&mac(), key);
-            verify_and_advance(&mac(), Some(key), &mut w, PortId::CPU, &m).unwrap();
+            verify_and_advance(
+                &mac(),
+                Some(key),
+                &mut w,
+                PortId::CPU,
+                &m.encode(),
+                m.header(),
+            )
+            .unwrap();
         }
         assert_eq!(
             w.last_accepted(SwitchId::CONTROLLER, PortId::CPU),
@@ -334,9 +347,25 @@ mod tests {
         let key = Key64::new(5);
         let mut w = ReplayWindow::new();
         let m = msg(3).sealed(&mac(), key);
-        verify_and_advance(&mac(), Some(key), &mut w, PortId::CPU, &m).unwrap();
+        verify_and_advance(
+            &mac(),
+            Some(key),
+            &mut w,
+            PortId::CPU,
+            &m.encode(),
+            m.header(),
+        )
+        .unwrap();
         // Same message again: replay.
-        let err = verify_and_advance(&mac(), Some(key), &mut w, PortId::CPU, &m).unwrap_err();
+        let err = verify_and_advance(
+            &mac(),
+            Some(key),
+            &mut w,
+            PortId::CPU,
+            &m.encode(),
+            m.header(),
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             RejectReason::Replayed {
@@ -345,7 +374,15 @@ mod tests {
         );
         // Older seq: also replay.
         let old = msg(2).sealed(&mac(), key);
-        assert!(verify_and_advance(&mac(), Some(key), &mut w, PortId::CPU, &old).is_err());
+        assert!(verify_and_advance(
+            &mac(),
+            Some(key),
+            &mut w,
+            PortId::CPU,
+            &old.encode(),
+            old.header()
+        )
+        .is_err());
     }
 
     #[test]
@@ -354,22 +391,18 @@ mod tests {
         // not strictly-consecutive.
         let key = Key64::new(5);
         let mut w = ReplayWindow::new();
-        verify_and_advance(
-            &mac(),
-            Some(key),
-            &mut w,
-            PortId::CPU,
-            &msg(1).sealed(&mac(), key),
-        )
-        .unwrap();
-        verify_and_advance(
-            &mac(),
-            Some(key),
-            &mut w,
-            PortId::CPU,
-            &msg(10).sealed(&mac(), key),
-        )
-        .unwrap();
+        for seq in [1, 10] {
+            let m = msg(seq).sealed(&mac(), key);
+            verify_and_advance(
+                &mac(),
+                Some(key),
+                &mut w,
+                PortId::CPU,
+                &m.encode(),
+                m.header(),
+            )
+            .unwrap();
+        }
     }
 
     #[test]
@@ -377,7 +410,15 @@ mod tests {
         let key = Key64::new(5);
         let mut w = ReplayWindow::new();
         let forged = msg(1); // never sealed
-        let err = verify_and_advance(&mac(), Some(key), &mut w, PortId::CPU, &forged).unwrap_err();
+        let err = verify_and_advance(
+            &mac(),
+            Some(key),
+            &mut w,
+            PortId::CPU,
+            &forged.encode(),
+            forged.header(),
+        )
+        .unwrap_err();
         assert_eq!(err, RejectReason::BadDigest);
         assert_eq!(w.last_accepted(SwitchId::CONTROLLER, PortId::CPU), None);
     }
@@ -386,7 +427,8 @@ mod tests {
     fn rejects_when_no_key() {
         let mut w = ReplayWindow::new();
         let m = msg(1).sealed(&mac(), Key64::new(1));
-        let err = verify_and_advance(&mac(), None, &mut w, PortId::CPU, &m).unwrap_err();
+        let err = verify_and_advance(&mac(), None, &mut w, PortId::CPU, &m.encode(), m.header())
+            .unwrap_err();
         assert_eq!(err, RejectReason::NoKey);
     }
 

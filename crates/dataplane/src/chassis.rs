@@ -7,12 +7,12 @@ use crate::hash::{HashEngine, HashMeter};
 use crate::packet::Packet;
 use crate::register::{IndexOutOfRangeError, RegisterArray};
 use crate::table::{ActionEntry, MatchKey, MatchTable};
+use p4auth_primitives::idhash::IdMap;
 use p4auth_primitives::mac::{HalfSipHashMac, Mac};
 use p4auth_primitives::{Digest32, Key64};
 use p4auth_telemetry::{Counter, Event as TelemetryEvent, Registry};
 use p4auth_wire::ids::{PortId, SwitchId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -127,8 +127,8 @@ impl ChassisTelemetry {
 pub struct Chassis {
     config: ChassisConfig,
     cost: CostModel,
-    registers: HashMap<String, RegisterArray>,
-    tables: HashMap<String, MatchTable>,
+    registers: IdMap<String, RegisterArray>,
+    tables: IdMap<String, MatchTable>,
     hash: HashEngine,
     telemetry: Option<ChassisTelemetry>,
 }
@@ -155,8 +155,8 @@ impl Chassis {
         Chassis {
             config,
             cost: CostModel::for_profile(config.profile),
-            registers: HashMap::new(),
-            tables: HashMap::new(),
+            registers: IdMap::default(),
+            tables: IdMap::default(),
             hash: HashEngine::new(mac),
             telemetry: None,
         }

@@ -6,8 +6,8 @@
 //! named data-plane register — two entries per register, 40 bits each
 //! (32-bit regId + 8-bit msgType), exactly the Table II SRAM accounting.
 
+use p4auth_primitives::idhash::IdMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Which memory a table's entries occupy (drives the resource model).
@@ -81,7 +81,7 @@ pub struct MatchTable {
     kind: TableKind,
     capacity: u32,
     key_bits: u32,
-    entries: HashMap<MatchKey, ActionEntry>,
+    entries: IdMap<MatchKey, ActionEntry>,
     default_action: Option<ActionEntry>,
 }
 
@@ -101,7 +101,7 @@ impl MatchTable {
             kind,
             capacity,
             key_bits,
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             default_action: None,
         }
     }

@@ -5,37 +5,13 @@
 //! These tests pin that down with a counting global allocator: delivering
 //! frames with no tap (or a read-only tap) must not allocate the pristine
 //! copy, while a mutating tap pays for exactly the frames it touches.
-//!
-//! (The netsim *library* forbids unsafe code; this integration test is a
-//! separate crate and needs `unsafe` only for the `GlobalAlloc` impl.)
 
 use p4auth_netsim::frame::FrameBytes;
 use p4auth_netsim::sim::{Outbox, SimNode, Simulator, TapAction};
 use p4auth_netsim::time::SimTime;
 use p4auth_netsim::topology::{Endpoint, Topology};
+use p4auth_telemetry::alloc::{allocations, CountingAlloc};
 use p4auth_wire::ids::{PortId, SwitchId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -98,7 +74,7 @@ fn allocs_during_run(mode: TapMode) -> u64 {
     }
     // Injection flushes each frame through the tap immediately, so the
     // counting window opens before the inject loop.
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..FRAMES {
         sim.inject_frame_delayed(
             SwitchId::new(1),
@@ -108,7 +84,7 @@ fn allocs_during_run(mode: TapMode) -> u64 {
         );
     }
     sim.run_to_completion();
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    let during = allocations() - before;
     assert_eq!(sim.stats().frames_delivered, FRAMES);
     during
 }

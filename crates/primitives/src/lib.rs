@@ -23,6 +23,9 @@
 //!   encryption extension).
 //! * [`rng`] — a deterministic stand-in for the P4 `random()` extern.
 //! * [`ct`] — constant-time comparison helpers.
+//! * [`idhash`] — the fixed, unkeyed hasher behind every id-keyed map on
+//!   the register-op path (not a cryptographic primitive; it lives here
+//!   because every other crate already depends on this one).
 //!
 //! ## Quickstart
 //!
@@ -58,6 +61,7 @@
 pub mod crc32;
 pub mod ct;
 pub mod dh;
+pub mod idhash;
 pub mod kdf;
 pub mod mac;
 pub mod rng;

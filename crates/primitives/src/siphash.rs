@@ -95,30 +95,29 @@ impl HalfSipHasher {
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut rest = data;
-        if self.buf_len > 0 {
-            let take = rest.len().min(4 - self.buf_len);
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
-            self.buf_len += take;
-            rest = &rest[take..];
+        // Top up a partial word byte by byte: at most three, and a digest
+        // over frame parts lands here on every part after the first.
+        while self.buf_len != 0 {
+            let Some((&byte, tail)) = rest.split_first() else {
+                return;
+            };
+            rest = tail;
+            self.buf[self.buf_len] = byte;
+            self.buf_len += 1;
             if self.buf_len == 4 {
-                let m = u32::from_le_bytes(self.buf);
-                self.compress(m);
+                self.compress(u32::from_le_bytes(self.buf));
                 self.buf_len = 0;
             }
-        }
-        if rest.is_empty() {
-            // Everything was absorbed into the partial buffer; do not let
-            // the remainder handling below clobber buf_len.
-            return;
         }
         let mut chunks = rest.chunks_exact(4);
         for chunk in &mut chunks {
             let m = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
             self.compress(m);
         }
-        let tail = chunks.remainder();
-        self.buf[..tail.len()].copy_from_slice(tail);
-        self.buf_len = tail.len();
+        for &byte in chunks.remainder() {
+            self.buf[self.buf_len] = byte;
+            self.buf_len += 1;
+        }
     }
 
     /// Consumes the hasher and returns the 32-bit digest.

@@ -17,6 +17,8 @@
 //!   unless constructed with an explicit capacity
 //!   ([`Registry::with_event_capacity`]). Crates that are not handed a
 //!   registry skip instrumentation behind one `Option` branch.
+//! - **No `unsafe`** outside [`alloc`], whose `GlobalAlloc` impl forwards
+//!   to the system allocator.
 //! - **No dependencies.** Events carry primitive ids and `&'static str`
 //!   names so this crate sits at the bottom of the dependency graph, and
 //!   every artifact (JSON and binary) goes through the one [`codec`].
@@ -41,6 +43,7 @@
 
 #![warn(missing_docs)]
 
+pub mod alloc;
 pub mod codec;
 pub mod delta;
 pub mod events;

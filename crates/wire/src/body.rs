@@ -109,23 +109,18 @@ impl RegisterOp {
     }
 
     fn encode_into(&self, buf: &mut impl BufMut) {
-        match *self {
-            RegisterOp::ReadReq { reg, index } => {
-                buf.put_u32(reg.value());
-                buf.put_u32(index);
-                buf.put_u64(0);
-            }
+        let (reg, index, value) = match *self {
+            RegisterOp::ReadReq { reg, index } => (reg, index, 0),
             RegisterOp::WriteReq { reg, index, value } | RegisterOp::Ack { reg, index, value } => {
-                buf.put_u32(reg.value());
-                buf.put_u32(index);
-                buf.put_u64(value);
+                (reg, index, value)
             }
-            RegisterOp::Nack { reg, index, reason } => {
-                buf.put_u32(reg.value());
-                buf.put_u32(index);
-                buf.put_u64(reason as u64);
-            }
-        }
+            RegisterOp::Nack { reg, index, reason } => (reg, index, reason as u64),
+        };
+        let mut out = [0u8; Self::WIRE_LEN];
+        out[..4].copy_from_slice(&reg.value().to_be_bytes());
+        out[4..8].copy_from_slice(&index.to_be_bytes());
+        out[8..].copy_from_slice(&value.to_be_bytes());
+        buf.put_slice(&out);
     }
 
     fn decode_from(msg_type: u8, buf: &mut impl Buf) -> Result<Self, DecodeError> {

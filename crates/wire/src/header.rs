@@ -59,6 +59,10 @@ pub struct Header {
 /// Size of the encoded header in bytes.
 pub const HEADER_LEN: usize = 14;
 
+/// Where the 4-byte digest sits in the encoded header: last, so the
+/// digest covers `frame[..DIGEST_OFFSET]` and `frame[HEADER_LEN..]`.
+pub const DIGEST_OFFSET: usize = HEADER_LEN - 4;
+
 impl Header {
     /// Builds a header with a zeroed digest (filled in by the auth engine).
     pub fn new(
@@ -79,27 +83,29 @@ impl Header {
         }
     }
 
-    /// Encodes the header into `buf`.
-    pub fn encode_into(&self, buf: &mut impl BufMut) {
-        buf.put_u8(self.hdr_type as u8);
-        buf.put_u8(self.msg_type);
-        buf.put_u32(self.seq_num.value());
-        buf.put_u8(self.key_version.value());
-        buf.put_u16(self.sender.value());
-        buf.put_u8(self.port.value());
-        buf.put_u32(self.digest.value());
-    }
-
-    /// The bytes covered by the digest: every header field *except* the
-    /// digest itself, in wire order.
-    pub fn digest_input(&self) -> [u8; HEADER_LEN - 4] {
-        let mut out = [0u8; HEADER_LEN - 4];
+    /// The header as it goes on the wire.
+    pub fn to_bytes(&self) -> [u8; HEADER_LEN] {
+        let mut out = [0u8; HEADER_LEN];
         out[0] = self.hdr_type as u8;
         out[1] = self.msg_type;
         out[2..6].copy_from_slice(&self.seq_num.value().to_be_bytes());
         out[6] = self.key_version.value();
         out[7..9].copy_from_slice(&self.sender.value().to_be_bytes());
         out[9] = self.port.value();
+        out[DIGEST_OFFSET..].copy_from_slice(&self.digest.value().to_be_bytes());
+        out
+    }
+
+    /// Encodes the header into `buf`.
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
+        buf.put_slice(&self.to_bytes());
+    }
+
+    /// The bytes covered by the digest: every header field *except* the
+    /// digest itself, in wire order.
+    pub fn digest_input(&self) -> [u8; DIGEST_OFFSET] {
+        let mut out = [0u8; DIGEST_OFFSET];
+        out.copy_from_slice(&self.to_bytes()[..DIGEST_OFFSET]);
         out
     }
 
@@ -117,21 +123,17 @@ impl Header {
                 available: buf.remaining(),
             });
         }
-        let hdr_type = HdrType::from_wire(buf.get_u8())?;
-        let msg_type = buf.get_u8();
-        let seq_num = SeqNum::new(buf.get_u32());
-        let key_version = KeyVersion::new(buf.get_u8());
-        let sender = SwitchId::new(buf.get_u16());
-        let port = PortId::new(buf.get_u8());
-        let digest = Digest32::new(buf.get_u32());
+        let mut raw = [0u8; HEADER_LEN];
+        buf.copy_to_slice(&mut raw);
+        let word = |at: usize| u32::from_be_bytes([raw[at], raw[at + 1], raw[at + 2], raw[at + 3]]);
         Ok(Header {
-            hdr_type,
-            msg_type,
-            seq_num,
-            key_version,
-            sender,
-            port,
-            digest,
+            hdr_type: HdrType::from_wire(raw[0])?,
+            msg_type: raw[1],
+            seq_num: SeqNum::new(word(2)),
+            key_version: KeyVersion::new(raw[6]),
+            sender: SwitchId::new(u16::from_be_bytes([raw[7], raw[8]])),
+            port: PortId::new(raw[9]),
+            digest: Digest32::new(word(DIGEST_OFFSET)),
         })
     }
 }

@@ -2,17 +2,38 @@
 
 use crate::body::{Alert, Body, InNetwork, KeyExchange, RegisterOp};
 use crate::error::DecodeError;
-use crate::header::{Header, HEADER_LEN};
+use crate::header::{Header, DIGEST_OFFSET, HEADER_LEN};
 use crate::ids::{KeyVersion, PortId, SeqNum, SwitchId};
 use bytes::BufMut;
 use p4auth_primitives::mac::Mac;
 use p4auth_primitives::{Digest32, Key64};
 use serde::{Deserialize, Serialize};
 
+/// The two runs of an encoded frame its digest covers (Eqn. 4): the
+/// header up to the digest field, and everything after the header. They
+/// borrow from the frame, so what is authenticated is what is on the wire,
+/// reserved bytes and ignored fields included. (Total: a frame shorter
+/// than a header never decodes, so no receiver gets here with one.)
+pub fn digest_parts(frame: &[u8]) -> [&[u8]; 2] {
+    let (head, rest) = frame.split_at(frame.len().min(DIGEST_OFFSET));
+    [head, rest.get(HEADER_LEN - DIGEST_OFFSET..).unwrap_or(&[])]
+}
+
+/// Checks the digest a received frame carries against the bytes that
+/// arrived, under `key` (constant-time compare).
+pub fn verify_frame(mac: &dyn Mac, key: Key64, frame: &[u8]) -> bool {
+    let Some(carried) = frame.get(DIGEST_OFFSET..HEADER_LEN) else {
+        return false;
+    };
+    let carried = u32::from_be_bytes(carried.try_into().expect("4-byte range"));
+    mac.verify(key, &digest_parts(frame), Digest32::new(carried))
+}
+
 /// A complete P4Auth protocol message.
 ///
-/// The digest field starts zeroed; [`Message::seal`] computes and installs
-/// it under a key, and [`Message::verify`] checks it (Eqn. 4: the digest
+/// The digest field starts zeroed; [`Message::seal`] /
+/// [`Message::encode_sealed`] compute and install it under a key, and
+/// [`verify_frame`] checks it on the receiving side (Eqn. 4: the digest
 /// covers every header field except the digest itself, plus the payload).
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct Message {
@@ -76,19 +97,35 @@ impl Message {
         self
     }
 
-    /// The byte string the digest is computed over:
-    /// `header-without-digest || payload`.
+    /// The byte string the digest covers, built from the typed fields:
+    /// `header-without-digest || payload`. Sealing and verifying work on
+    /// encoded frames ([`digest_parts`]); this is the independent statement
+    /// of Eqn. 4 the codec proptests hold them to.
     pub fn digest_input(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN - 4 + self.body.wire_len());
+        let mut out = Vec::with_capacity(DIGEST_OFFSET + self.body.wire_len());
         out.extend_from_slice(&self.header.digest_input());
         self.body.encode_into(&mut out);
         out
     }
 
+    /// Encodes the message once and installs the digest `digest_of`
+    /// computes over the covered bytes of that buffer (a pipeline context
+    /// meters the hash pass there).
+    pub fn encode_sealed_with(&self, digest_of: impl FnOnce(&[&[u8]]) -> Digest32) -> Vec<u8> {
+        let mut frame = self.encode();
+        let digest = digest_of(&digest_parts(&frame));
+        frame[DIGEST_OFFSET..HEADER_LEN].copy_from_slice(&digest.value().to_be_bytes());
+        frame
+    }
+
+    /// The frame to transmit: encoded and sealed under `key`.
+    pub fn encode_sealed(&self, mac: &dyn Mac, key: Key64) -> Vec<u8> {
+        self.encode_sealed_with(|parts| mac.compute(key, parts))
+    }
+
     /// Computes the digest under `key` and installs it in the header.
     pub fn seal(&mut self, mac: &dyn Mac, key: Key64) {
-        let input = self.digest_input();
-        self.header.digest = mac.compute(key, &[&input]);
+        self.header.digest = mac.compute(key, &digest_parts(&self.encode()));
     }
 
     /// Sealed copy of this message.
@@ -98,10 +135,11 @@ impl Message {
         self
     }
 
-    /// Verifies the installed digest under `key` (constant-time compare).
+    /// Verifies the installed digest over this message's own (canonical)
+    /// encoding. A receiver must check the bytes that arrived instead
+    /// ([`verify_frame`]): decoding discards reserved and ignored bytes.
     pub fn verify(&self, mac: &dyn Mac, key: Key64) -> bool {
-        let input = self.digest_input();
-        mac.verify(key, &[&input], self.header.digest)
+        verify_frame(mac, key, &self.encode())
     }
 
     /// The digest currently installed in the header.

@@ -8,7 +8,7 @@ use p4auth_wire::body::{
     RegisterOp,
 };
 use p4auth_wire::ids::{KeyVersion, PortId, RegId, SeqNum, SwitchId};
-use p4auth_wire::Message;
+use p4auth_wire::{verify_frame, Message};
 use proptest::prelude::*;
 
 fn arb_register_op() -> impl Strategy<Value = RegisterOp> {
@@ -24,14 +24,15 @@ fn arb_register_op() -> impl Strategy<Value = RegisterOp> {
             index: i,
             value: v
         }),
-        (any::<u32>(), any::<u32>(), 0usize..4).prop_map(|(r, i, k)| RegisterOp::Nack {
+        (any::<u32>(), any::<u32>(), 0usize..5).prop_map(|(r, i, k)| RegisterOp::Nack {
             reg: RegId::new(r),
             index: i,
             reason: [
                 NackReason::DigestMismatch,
                 NackReason::UnknownRegister,
                 NackReason::SeqMismatch,
-                NackReason::IndexOutOfRange
+                NackReason::IndexOutOfRange,
+                NackReason::Quarantined,
             ][k],
         }),
     ]
@@ -114,7 +115,30 @@ fn arb_message() -> impl Strategy<Value = Message> {
         })
 }
 
+/// The pre-frame-bytes sealing rule, spelled from the typed fields:
+/// `digest = MAC(header-without-digest || payload)` over
+/// [`Message::digest_input`], installed in the header, then encoded. Kept
+/// as the oracle the frame-bytes implementation is held to.
+fn structural_seal(msg: &Message, mac: &dyn Mac, key: Key64) -> Vec<u8> {
+    let mut sealed = msg.clone();
+    sealed.header_mut().digest = mac.compute(key, &[&sealed.digest_input()]);
+    sealed.encode()
+}
+
+/// The pre-frame-bytes receive rule: decode, then check the digest over
+/// the *re-derived* input — blind to any byte decoding normalises away.
+fn structural_verify(frame: &[u8], mac: &dyn Mac, key: Key64) -> bool {
+    Message::decode(frame).is_ok_and(|m| mac.verify(key, &[&m.digest_input()], m.digest()))
+}
+
+/// What a receiver does now: decode, then check the bytes that arrived.
+fn received_ok(frame: &[u8], mac: &dyn Mac, key: Key64) -> bool {
+    Message::decode(frame).is_ok() && verify_frame(mac, key, frame)
+}
+
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
     /// Every well-formed message roundtrips byte-exactly.
     #[test]
     fn roundtrip(msg in arb_message()) {
@@ -136,23 +160,82 @@ proptest! {
         }
     }
 
-    /// Any single flipped bit anywhere in the encoded message either makes
-    /// decoding fail, makes verification fail, or decodes to a message
-    /// semantically identical to the original (flips confined to reserved
-    /// padding bytes, which are not protocol fields and are discarded on
-    /// parse — exactly like non-PHV bytes on real hardware). Tampering with
-    /// *meaningful* content never goes unnoticed.
+    /// Any single flipped bit anywhere in a sealed frame — reserved
+    /// padding and the value field a `ReadReq` carries but ignores
+    /// included — makes decoding fail or makes the receiver's check over
+    /// the arrived bytes fail. (Before digests covered the received bytes
+    /// this held only up to "or decodes to the same message".)
     #[test]
     fn any_bitflip_detected(msg in arb_message(), key: u64, bit in 0usize..4096) {
         let k = Key64::new(key);
         let mac = HalfSipHashMac::default();
-        let sealed = msg.sealed(&mac, k);
-        let mut bytes = sealed.encode();
+        let mut bytes = msg.encode_sealed(&mac, k);
+        prop_assert!(received_ok(&bytes, &mac, k));
         let bit = bit % (bytes.len() * 8);
         bytes[bit / 8] ^= 1 << (bit % 8);
-        // Malformed frames are rejected even earlier (decode fails).
-        if let Ok(decoded) = Message::decode(&bytes) {
-            prop_assert!(!decoded.verify(&mac, k) || decoded == sealed);
+        prop_assert!(!received_ok(&bytes, &mac, k));
+    }
+
+    /// Strictness oracle (a): sealing over the encoded bytes produces
+    /// exactly the frames the field-by-field rule did.
+    #[test]
+    fn seal_is_byte_identical_to_the_structural_rule(msg in arb_message(), key: u64) {
+        let k = Key64::new(key);
+        for mac in [&HalfSipHashMac::default() as &dyn Mac, &Crc32Mac] {
+            let expected = structural_seal(&msg, mac, k);
+            prop_assert_eq!(&msg.encode_sealed(mac, k), &expected);
+            prop_assert_eq!(&msg.clone().sealed(mac, k).encode(), &expected);
+        }
+    }
+
+    /// Strictness oracle (b): on canonical encodings — whatever the key,
+    /// whatever digest the frame carries — checking the received bytes and
+    /// checking the decoded fields agree.
+    #[test]
+    fn bytes_verify_equals_structural_verify_on_canonical_frames(
+        msg in arb_message(),
+        sealed_under: u64,
+        checked_under: u64,
+        same_key: bool,
+        overwrite_digest: bool,
+        digest: u32,
+    ) {
+        let mac = HalfSipHashMac::default();
+        let checked_under = if same_key { sealed_under } else { checked_under };
+        let mut sealed = msg.sealed(&mac, Key64::new(sealed_under));
+        if overwrite_digest {
+            sealed.header_mut().digest = p4auth_primitives::Digest32::new(digest);
+        }
+        let frame = sealed.encode();
+        let k = Key64::new(checked_under);
+        prop_assert_eq!(received_ok(&frame, &mac, k), structural_verify(&frame, &mac, k));
+        prop_assert_eq!(sealed.verify(&mac, k), structural_verify(&frame, &mac, k));
+    }
+
+    /// Strictness oracle (c): under bit flips, truncation and appended
+    /// bytes the new check never accepts what the old one rejected.
+    #[test]
+    fn bytes_verify_implies_structural_verify_under_mutation(
+        msg in arb_message(),
+        key: u64,
+        flips in proptest::collection::vec(0usize..4096, 0..4),
+        truncate: bool,
+        keep in 0usize..80,
+        appended in proptest::collection::vec(any::<u8>(), 0..6),
+    ) {
+        let k = Key64::new(key);
+        let mac = HalfSipHashMac::default();
+        let mut frame = msg.encode_sealed(&mac, k);
+        for bit in flips {
+            let bit = bit % (frame.len() * 8);
+            frame[bit / 8] ^= 1 << (bit % 8);
+        }
+        if truncate {
+            frame.truncate(keep);
+        }
+        frame.extend_from_slice(&appended);
+        if received_ok(&frame, &mac, k) {
+            prop_assert!(structural_verify(&frame, &mac, k));
         }
     }
 
