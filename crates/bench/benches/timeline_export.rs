@@ -14,7 +14,6 @@
 
 use criterion::{criterion_group, Criterion};
 use p4auth_bench::scale::{run_scale_engine, run_scale_timeline, Engine, ScaleConfig};
-use p4auth_netsim::sched::SchedulerKind;
 
 fn config() -> ScaleConfig {
     ScaleConfig {
@@ -29,7 +28,7 @@ fn config() -> ScaleConfig {
 
 fn bench(c: &mut Criterion) {
     let cfg = config();
-    let engine = Engine::Sequential(SchedulerKind::Calendar);
+    let engine = Engine::REFERENCE;
     let mut group = c.benchmark_group("timeline_export");
     group.bench_function("uninstrumented", |b| {
         b.iter(|| run_scale_engine(cfg, engine, None).events)

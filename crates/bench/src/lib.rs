@@ -18,14 +18,21 @@
 //! | `table2_resources` | Table II hardware resource utilization |
 //! | `table3_scalability` | Table III key-management scalability |
 //! | `ablation_digest_size` | §XI digest-width cost discussion |
+//! | `motivation_fct` | §II motivation: flow-completion-time inflation under the HULA probe attack |
 //! | `primitives` | MAC / KDF / DH micro-benchmarks |
-//! | `sim_scale` | simulator events/sec, heap vs. calendar scheduler on fat-trees |
+//! | `telemetry_overhead` | the Fig. 18 register loop on one agent, bare vs. with a registry attached |
+//! | `timeline_export` | cost of the sim-clock timeline recorder at two export intervals |
+//!
+//! Simulator events/sec (heap vs. calendar vs. sharded) is `repro --
+//! scale`, which checks in `BENCH_sim_scale.json`; it has no Criterion
+//! twin.
 
 pub mod report;
 /// The fault-injection scenario campaigns behind `repro -- scenarios`.
 pub use p4auth_systems::campaigns;
 /// The fat-tree scale workload, shared with the systems crate so CI, the
-/// Criterion bench and `repro -- scale` all drive identical runs.
+/// `timeline_export` bench and `repro -- scale|timeline` all drive
+/// identical runs.
 pub use p4auth_systems::scaleload as scale;
 /// The aggregate-host user-scale workload behind `repro -- users`.
 pub use p4auth_systems::userscale;

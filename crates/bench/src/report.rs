@@ -8,6 +8,7 @@ use p4auth_controller::ControllerConfig;
 use p4auth_core::kmp::{KeyOperation, NetworkScale, ShardedDeployment};
 use p4auth_dataplane::cost::AccessMethod;
 use p4auth_dataplane::resources::{DeviceCapacity, ProgramResources};
+use p4auth_netsim::engine::Engine;
 use p4auth_netsim::topology::Topology;
 use p4auth_primitives::mac::DigestWidth;
 use p4auth_systems::experiments::{fct, fig16, fig17, fig20, fig21};
@@ -45,6 +46,23 @@ fn write_artifact(out: &Option<String>, json: &str, bin: Option<&[u8]>) {
         std::fs::write(&path, bytes).unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
         println!("wrote {path}");
     }
+}
+
+/// Runs `f` on [`Engine::REFERENCE`] and on every engine of the canonical
+/// differential list (plus `--shards <n>` when `n` is not on it), asserts
+/// each result equals the reference's, and returns that one.
+fn on_every_engine<T: PartialEq>(shards: usize, what: &str, f: impl Fn(Engine) -> T) -> T {
+    let reference = f(Engine::REFERENCE);
+    let asked = Engine::Sharded { shards };
+    let extra = (!Engine::DIFFERENTIAL.contains(&asked)).then_some(asked);
+    for engine in Engine::DIFFERENTIAL.into_iter().chain(extra) {
+        let label = engine.label();
+        assert!(
+            f(engine) == reference,
+            "{label}: {what} diverged from calendar"
+        );
+    }
+    reference
 }
 
 /// How this run's value of a gated field may differ from the baseline's:
@@ -685,21 +703,21 @@ pub fn replicas(args: &ReportArgs) {
 
 /// Streaming-telemetry timeline (`repro -- timeline`): runs the fig19-mix
 /// fat-tree workload with periodic delta export driven by the sim clock
-/// on all three engines — heap, calendar and sharded — and asserts their
-/// serialized timelines are byte-identical (JSON and binary) before
-/// printing anything. Also checks `baseline + Σdeltas` reconstructs the
-/// final full snapshot and that the binary stream decodes back exactly.
+/// through [`on_every_engine`] — calendar, heap and sharded — which
+/// asserts the timelines are equal, and with them their JSON and binary
+/// encodings, before anything is printed. Also checks `baseline +
+/// Σdeltas` reconstructs the final full snapshot and that the binary
+/// stream decodes back exactly.
 ///
-/// `--short` caps the workload for CI, `--shards` sets the shard count,
-/// and the export grid is 10µs of sim-time. `--out` writes the JSON
-/// timeline to `<path>` and the binary stream to `<path>.bin`.
+/// `--short` caps the workload for CI, `--shards` adds a shard count to
+/// the list, and the export grid is 10µs of sim-time. `--out` writes the
+/// JSON timeline to `<path>` and the binary stream to `<path>.bin`.
 /// `P4AUTH_SHARD_STAGGER=<ns>` (`--stagger`, read by the sharded engine
 /// itself) additionally injects deterministic per-worker wall-clock
 /// delays; CI's two-run determinism gate sets *different* values on its
 /// two runs to prove worker scheduling cannot leak into the output.
 pub fn timeline(args: &ReportArgs) {
-    use crate::scale::{run_scale_timeline, Engine, ScaleConfig};
-    use p4auth_netsim::sched::SchedulerKind;
+    use crate::scale::{run_scale_timeline, ScaleConfig};
     use p4auth_netsim::Timeline;
 
     banner(
@@ -711,38 +729,19 @@ pub fn timeline(args: &ReportArgs) {
     let frames = if args.short { 50 } else { 400 };
     let cfg = ScaleConfig::for_k(4, frames);
 
-    let (heap_run, heap_tl) =
-        run_scale_timeline(cfg, Engine::Sequential(SchedulerKind::Heap), interval_ns);
-    let (cal_run, cal_tl) = run_scale_timeline(
-        cfg,
-        Engine::Sequential(SchedulerKind::Calendar),
-        interval_ns,
-    );
-    let (shard_run, shard_tl) = run_scale_timeline(cfg, Engine::Sharded { shards }, interval_ns);
+    let (fingerprint, timeline) = on_every_engine(shards, "timeline", |engine| {
+        let (run, timeline) = run_scale_timeline(cfg, engine, interval_ns);
+        (run.fingerprint(), timeline)
+    });
+    let (json, bin) = (timeline.to_json(), timeline.to_bin());
     assert_eq!(
-        heap_run.fingerprint(),
-        cal_run.fingerprint(),
-        "schedulers diverged"
-    );
-    assert_eq!(
-        heap_run.fingerprint(),
-        shard_run.fingerprint(),
-        "sharded engine diverged from sequential"
-    );
-    let json = heap_tl.to_json();
-    let bin = heap_tl.to_bin();
-    assert_eq!(cal_tl.to_json(), json, "calendar timeline diverged");
-    assert_eq!(shard_tl.to_json(), json, "sharded timeline diverged");
-    assert_eq!(cal_tl.to_bin(), bin);
-    assert_eq!(shard_tl.to_bin(), bin);
-    assert_eq!(
-        heap_tl.reconstruct(),
-        heap_tl.final_snapshot,
+        timeline.reconstruct(),
+        timeline.final_snapshot,
         "baseline + Σdeltas must reconstruct the final snapshot"
     );
     assert_eq!(
         Timeline::from_bin(&bin).expect("binary stream decodes"),
-        heap_tl
+        timeline
     );
 
     println!(
@@ -750,9 +749,9 @@ pub fn timeline(args: &ReportArgs) {
          {} events over {} sim-ns, {} non-empty deltas, {} binary bytes",
         cfg.k,
         frames,
-        heap_run.events,
-        heap_run.sim_ns,
-        heap_tl.entries.len(),
+        fingerprint.0,
+        fingerprint.2,
+        timeline.entries.len(),
         bin.len(),
     );
     print!("{json}");
@@ -763,10 +762,10 @@ pub fn timeline(args: &ReportArgs) {
 /// the simulation clock, exported deterministically.
 ///
 /// Two workloads run under tracing. The *fabric* workload (fig19-mix
-/// user fabric with a link-flap plan) runs on five engines — heap,
-/// calendar, sharded at 1, 2 and 4 shards — and the report asserts their
-/// `P4TR` encodings are byte-identical with zero spans dropped, the
-/// engine-invariance claim for the span layer. The *defence probe* (the
+/// user fabric with a link-flap plan) runs through [`on_every_engine`] —
+/// calendar, heap, sharded at 1, 2 and 4 shards — which asserts the span
+/// streams, and so their `P4TR` encodings, are identical, with zero spans
+/// dropped: the engine-invariance claim for the span layer. The *defence probe* (the
 /// flood campaign on heap and calendar) yields the end-to-end trace —
 /// frame hops, digest verdicts, statedb writes, daemon wakes, KMP
 /// rounds — from which the mitigation critical path is printed: the
@@ -786,7 +785,6 @@ pub fn trace(args: &ReportArgs) {
     use p4auth_netsim::sched::SchedulerKind;
     use p4auth_netsim::topology::LinkId;
     use p4auth_systems::campaigns::traced_defence_probe;
-    use p4auth_systems::scaleload::Engine;
     use p4auth_systems::userscale::{run_users_engine, UserScaleConfig};
     use p4auth_telemetry::trace::{
         chrome_trace_json, encode_trace, validate_well_formed, SpanKind,
@@ -810,7 +808,7 @@ pub fn trace(args: &ReportArgs) {
     plan.flap(LinkId(3), 40_000, 400_000);
     plan.flap(LinkId(11), 120_000, 500_000);
     cfg.faults = Some(plan);
-    let fabric = |engine: Engine| {
+    let reference = on_every_engine(args.shards, "fabric trace", |engine| {
         let registry = Arc::new(Registry::with_capacities(0, TRACE_CAP));
         let run = run_users_engine(&cfg, engine, Some(registry.clone()));
         assert!(run.frames_sent > 0, "the fabric must move frames");
@@ -821,23 +819,8 @@ pub fn trace(args: &ReportArgs) {
             engine.label()
         );
         registry.trace().sorted_records()
-    };
-    let reference = fabric(Engine::Sequential(SchedulerKind::Calendar));
+    });
     validate_well_formed(&reference).expect("fabric trace well-formed");
-    let want = encode_trace(&reference, 0);
-    for engine in [
-        Engine::Sequential(SchedulerKind::Heap),
-        Engine::Sharded { shards: 1 },
-        Engine::Sharded { shards: 2 },
-        Engine::Sharded { shards: 4 },
-    ] {
-        let label = engine.label();
-        assert_eq!(
-            encode_trace(&fabric(engine), 0),
-            want,
-            "{label} fabric trace diverged from calendar"
-        );
-    }
     println!(
         "fabric ({users} users, 2 flaps): {} spans, byte-identical across \
          heap/calendar/sharded(1/2/4) ✓",
@@ -951,9 +934,9 @@ pub fn decode(input: &str, args: &ReportArgs) {
 /// vs. sharded-engine events/sec on fat-tree workloads, plus the sharded
 /// coordination cost (rendezvous rounds, chained windows, cross-shard
 /// frames, barrier wait) and `sim_event_lead_ns` percentiles, printed as
-/// one JSON object. Every engine's deterministic fingerprint (events,
-/// frames delivered, final clock) is asserted equal before anything is
-/// reported.
+/// one JSON object. The deterministic fingerprint (events, frames
+/// delivered, final clock) is asserted equal through [`on_every_engine`],
+/// and on every timed run, before anything is reported.
 ///
 /// Short mode (`--short`, used by CI) runs only a capped k=4 workload;
 /// `--shards` sets the shard count. `--out` also writes the JSON to a
@@ -963,7 +946,7 @@ pub fn decode(input: &str, args: &ReportArgs) {
 /// recorded value (the CI non-regression gate for the sharded engine's
 /// overhead ratio — see [`GATES`]).
 pub fn scale(args: &ReportArgs) {
-    use crate::scale::{run_scale_engine, Engine, ScaleConfig};
+    use crate::scale::{run_scale_engine, ScaleConfig};
     use p4auth_netsim::sched::SchedulerKind;
     use p4auth_telemetry::Registry;
     use std::sync::Arc;
@@ -1014,26 +997,18 @@ pub fn scale(args: &ReportArgs) {
             best
         };
         let heap = measure(Engine::Sequential(SchedulerKind::Heap));
-        let cal = measure(Engine::Sequential(SchedulerKind::Calendar));
+        let cal = measure(Engine::REFERENCE);
         let sharded = measure(Engine::Sharded { shards });
-        assert_eq!(
-            heap.fingerprint(),
-            cal.fingerprint(),
-            "schedulers diverged at k={k}"
-        );
-        assert_eq!(
-            cal.fingerprint(),
-            sharded.fingerprint(),
-            "sharded engine diverged from sequential at k={k}"
-        );
+        let fingerprint = on_every_engine(shards, &format!("k={k} fingerprint"), |engine| {
+            run_scale_engine(cfg, engine, None).fingerprint()
+        });
+        for timed in [heap, cal, sharded] {
+            assert_eq!(timed.fingerprint(), fingerprint, "a timed run diverged");
+        }
         // Separate instrumented run for the lead distribution (telemetry
         // adds per-event work, so it stays out of the timed runs).
         let registry = Arc::new(Registry::new());
-        run_scale_engine(
-            cfg,
-            Engine::Sequential(SchedulerKind::Calendar),
-            Some(registry.clone()),
-        );
+        run_scale_engine(cfg, Engine::REFERENCE, Some(registry.clone()));
         let lead = registry
             .snapshot()
             .histogram("sim_event_lead_ns", "")
@@ -1093,8 +1068,8 @@ pub fn scale(args: &ReportArgs) {
 /// near-constant per-user cost claim), per-user cost normalized by
 /// simulated duration, and a peak-heap proxy from the repro binary's
 /// counting allocator (zero when the report runs without it). The
-/// smallest size is first cross-checked for fingerprint equality across
-/// heap, calendar and sharded engines.
+/// smallest size is first cross-checked for fingerprint equality through
+/// [`on_every_engine`].
 ///
 /// Short mode (`--short`, used by CI) sweeps 1k and 10k users on
 /// fat-tree(4). `--out` writes the JSON (how `BENCH_users.json` is
@@ -1104,9 +1079,7 @@ pub fn scale(args: &ReportArgs) {
 /// more than 3× above the checked-in value for any size present in both
 /// (the wall-clock-tolerant non-regression gate — see [`GATES`]).
 pub fn users(args: &ReportArgs) {
-    use crate::scale::Engine;
     use crate::userscale::{run_users_engine, AggregateMode, UserScaleConfig};
-    use p4auth_netsim::sched::SchedulerKind;
 
     banner(
         "users — aggregate hosts: modelled users at near-constant per-user cost",
@@ -1167,26 +1140,18 @@ pub fn users(args: &ReportArgs) {
             *window_ns *= window_scale;
         }
         if i == 0 {
-            // Engine cross-check on the smallest size: one fingerprint for
-            // heap, calendar and the sharded engine, before anything is
-            // timed (this also warms the allocator and page cache).
-            let cal = run_users_engine(&cfg, Engine::Sequential(SchedulerKind::Calendar), None);
-            let heap = run_users_engine(&cfg, Engine::Sequential(SchedulerKind::Heap), None);
-            let sharded = run_users_engine(&cfg, Engine::Sharded { shards: 4 }, None);
-            assert_eq!(
-                cal.fingerprint(),
-                heap.fingerprint(),
-                "schedulers diverged at {users} users"
-            );
-            assert_eq!(
-                cal.fingerprint(),
-                sharded.fingerprint(),
-                "sharded engine diverged at {users} users"
+            // Engine cross-check on the smallest size: one fingerprint on
+            // every engine, before anything is timed (this also warms the
+            // allocator and page cache).
+            on_every_engine(
+                args.shards,
+                &format!("{users}-user fingerprint"),
+                |engine| run_users_engine(&cfg, engine, None).fingerprint(),
             );
         }
         p4auth_telemetry::alloc::reset_peak();
         let live_before = p4auth_telemetry::alloc::live_bytes();
-        let run = run_users_engine(&cfg, Engine::Sequential(SchedulerKind::Calendar), None);
+        let run = run_users_engine(&cfg, Engine::REFERENCE, None);
         let peak = p4auth_telemetry::alloc::peak_bytes().saturating_sub(live_before);
         let frames_per_sec = run.frames_sent as f64 / (run.wall_ns.max(1) as f64 / 1e9);
         println!(

@@ -250,6 +250,7 @@ impl FatTree {
     /// down set). Single-path legs (downward, host access) have no
     /// alternative; those and a fully-dead uplink fan return the primary
     /// port, leaving the frame to die at the link as a counted loss.
+    #[inline]
     pub fn next_hop_avoiding(
         &self,
         at: SwitchId,

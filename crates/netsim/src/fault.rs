@@ -4,8 +4,8 @@
 //!
 //! A [`FaultPlan`] is pure data — a normalized, time-sorted schedule of
 //! `(at_ns, link, up)` changes — installed into a simulator with
-//! [`crate::sim::Simulator::install_fault_plan`] (or
-//! [`crate::shard::ShardedSimulator::set_fault_plan`]). Each change
+//! [`crate::sim::Simulator::install_fault_plan`] (or, for any engine,
+//! [`crate::engine::Workload::set_fault_plan`]). Each change
 //! becomes a first-class sim event with its own tiebreak key, so a
 //! fault-injected run drains in exactly the same `(time, seq)` order on
 //! every engine: heap, calendar, and any shard count. Faults are *not*

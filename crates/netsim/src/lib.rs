@@ -33,6 +33,10 @@
 //!   conservative lookahead derived from link latency floors. The merge
 //!   order reproduces the sequential tiebreak, so sharded runs are
 //!   bit-identical to single-threaded ones.
+//! * **One front door** ([`engine`]): a [`Workload`] — nodes, boot timers,
+//!   registry, export interval, fault plan — is described once and run on
+//!   any [`Engine`]; set-up order and failure propagation are the same on
+//!   all of them.
 //! * **Fault injection** ([`fault`]): deterministic churn schedules — link
 //!   flaps, correlated groups, switch/pod failure and recovery, boot-storm
 //!   stagger — installed as first-class sim events so fault-injected runs
@@ -72,6 +76,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod engine;
 pub mod fattree;
 pub mod fault;
 pub mod frame;
@@ -82,11 +87,12 @@ pub mod time;
 pub mod timeline;
 pub mod topology;
 
+pub use engine::{Engine, RunReport, Workload};
 pub use fattree::FatTree;
 pub use fault::{BootStorm, FaultPlan};
 pub use frame::FrameBytes;
 pub use sched::SchedulerKind;
-pub use shard::{ShardPlan, ShardRunReport, ShardedSimulator};
+pub use shard::{ShardPlan, ShardTuning};
 pub use sim::{Outbox, SimNode, Simulator, TapAction, TapFrame};
 pub use time::SimTime;
 pub use timeline::{Timeline, TimelineEntry};

@@ -57,9 +57,9 @@
 //! A worker waits only for its in-neighbours to finish the previous
 //! window — not for the whole fleet — then drains, injects, and keeps
 //! going. The coordinator is only consulted every `m` windows
-//! ([`ShardedSimulator::set_chain_depth`], default
-//! [`DEFAULT_CHAIN_DEPTH`]), and a final boundary exchange before each
-//! reply leaves the mailboxes empty so replies carry plain queue heads.
+//! ([`ShardTuning::chain_depth`], default [`DEFAULT_CHAIN_DEPTH`]), and a
+//! final boundary exchange before each reply leaves the mailboxes empty
+//! so replies carry plain queue heads.
 //!
 //! # Why bit-identity holds
 //!
@@ -81,28 +81,41 @@
 //! ([`Snapshot::merged`]) and absorbs the result into the caller's
 //! registry — so the observable output is a pure function of the
 //! simulated execution, never of how the worker threads were scheduled.
-//! The `P4AUTH_SHARD_STAGGER` knob (and
-//! [`ShardedSimulator::set_stagger`]) injects deterministic per-worker
-//! sleeps before each window publish and each reply, so scheduling-
-//! dependence bugs surface even on a single-core runner.
+//! The `P4AUTH_SHARD_STAGGER` knob (and [`ShardTuning::stagger_ns`])
+//! injects deterministic per-worker sleeps before each window publish and
+//! each reply, so scheduling-dependence bugs surface even on a
+//! single-core runner.
+//!
+//! # A dying worker
+//!
+//! A node that panics unwinds its worker thread while its peers wait on
+//! its mailboxes and the coordinator waits on a reply. The worker's
+//! `CloseOnExit` guard therefore closes its out-mailboxes on the way
+//! out; a peer that finds a mailbox closed short of the publish it needs
+//! stops too (closing its own, so the stop cascades through the shard
+//! graph), every stopped worker drops its reply channel, and the
+//! coordinator — on the first channel error — hangs up on the rest, joins
+//! all workers and resumes the unwind with the payload of the first
+//! panicked worker by shard index. The caller sees the node's own panic
+//! message, exactly as on a sequential engine, and never a hang.
 
+use crate::engine::{populate, RunReport, Workload};
 use crate::sched::SchedulerKind;
-use crate::sim::{SimNode, SimStats, Simulator};
+use crate::sim::{RemoteEvent, SimNode, SimStats, Simulator};
 use crate::time::SimTime;
 use crate::timeline::Timeline;
 use crate::topology::Topology;
 use p4auth_telemetry::{Registry, Snapshot};
 use p4auth_wire::ids::SwitchId;
 use std::collections::BTreeSet;
+use std::panic::resume_unwind;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::sim::RemoteEvent;
-
 /// Default number of safe windows granted per coordinator rendezvous
-/// (see [`ShardedSimulator::set_chain_depth`]).
+/// (see [`ShardTuning::chain_depth`]).
 pub const DEFAULT_CHAIN_DEPTH: usize = 8;
 
 /// An assignment of every topology node to a shard.
@@ -255,39 +268,49 @@ impl ShardPlan {
     }
 }
 
-/// Outcome of a sharded run.
-///
-/// The simulation fields (`events`, `stats`, `now`) are deterministic
-/// and equal the sequential run's. The coordination fields (`rounds`,
-/// `windows`, `frames_exchanged`) are determined by the protocol and
-/// workload alone, so they too are reproducible — but they have no
-/// sequential counterpart. `barrier_wait_ns` is wall-clock and therefore
-/// **not** deterministic; keep it out of anything diffed for
-/// bit-identity.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardRunReport {
-    /// Events processed across all shards (equals the sequential count).
-    pub events: u64,
-    /// Aggregated statistics (field-wise sum over shards; equals the
-    /// sequential [`SimStats`]).
-    pub stats: SimStats,
-    /// Final simulated time: the max over shard clocks, which is the time
-    /// of the globally last event — exactly the sequential final `now`.
-    pub now: SimTime,
-    /// Coordinator rendezvous executed (each grants a chain of windows).
-    pub rounds: u64,
-    /// Safe windows processed across all rounds (`>= rounds`; the ratio
-    /// is the chaining amortization factor).
-    pub windows: u64,
-    /// Cross-shard frames exchanged through the peer mailboxes.
-    pub frames_exchanged: u64,
-    /// Wall-clock nanoseconds the coordinator spent blocked waiting for
-    /// chain replies — the rendezvous cost made visible.
-    pub barrier_wait_ns: u64,
+/// The sharded engine's test and CI controls
+/// ([`Workload::set_shard_tuning`]). None of them changes any simulation
+/// output — that is what the tests using them prove.
+#[derive(Clone, Debug)]
+pub struct ShardTuning {
+    /// A custom partition; `None` means [`ShardPlan::pod_aligned`] at the
+    /// engine's shard count.
+    pub plan: Option<ShardPlan>,
+    /// Safe windows granted per coordinator rendezvous (≥ 1). Depth 1
+    /// reproduces the unchained one-window-per-round protocol; deeper
+    /// chains amortize the rendezvous over more work at the cost of
+    /// pessimistic (but still safe) later windows.
+    pub chain_depth: usize,
+    /// Deterministic stagger schedule: before publishing each window
+    /// boundary and before each reply, worker `s` at window `w` sleeps
+    /// `stagger_ns[(7·s + 13·w) mod len]` wall-clock nanoseconds. This
+    /// perturbs thread interleaving adversarially — exactly what a
+    /// multi-core scheduler would do — without touching simulated time,
+    /// so any output difference it provokes is a determinism bug. Empty
+    /// disables staggering.
+    pub stagger_ns: Vec<u64>,
+    /// Record every synchronization round into [`RunReport::audits`].
+    pub audit: bool,
 }
 
-/// Per-rendezvous synchronization record from
-/// [`ShardedSimulator::run_audited`], for invariant checking in tests.
+impl Default for ShardTuning {
+    /// Pod-aligned plan, [`DEFAULT_CHAIN_DEPTH`], no audit, and the
+    /// stagger schedule the `P4AUTH_SHARD_STAGGER` environment variable
+    /// asks for (a base delay in ns; unset, unparsable or 0 disables).
+    /// Tests set `stagger_ns` explicitly — that needs no process-global
+    /// state.
+    fn default() -> Self {
+        ShardTuning {
+            plan: None,
+            chain_depth: DEFAULT_CHAIN_DEPTH,
+            stagger_ns: stagger_from_env(),
+            audit: false,
+        }
+    }
+}
+
+/// Per-rendezvous synchronization record ([`ShardTuning::audit`]), for
+/// invariant checking in tests.
 #[derive(Clone, Debug)]
 pub struct RoundAudit {
     /// Each shard's earliest pending event at the rendezvous, `None`
@@ -352,6 +375,8 @@ struct MailboxState {
     /// sender finishes window `w`.
     published: u64,
     frames: Vec<RemoteEvent>,
+    /// The sender stopped: `published` will never grow again.
+    closed: bool,
 }
 
 impl Mailbox {
@@ -362,452 +387,318 @@ impl Mailbox {
         self.ready.notify_all();
     }
 
-    fn drain_when(&self, published_at_least: u64) -> Vec<RemoteEvent> {
+    /// Waits for the sender's `published_at_least`-th publish and takes
+    /// what has arrived; `None` when the sender stopped short of it.
+    fn drain_when(&self, published_at_least: u64) -> Option<Vec<RemoteEvent>> {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         while st.published < published_at_least {
+            if st.closed {
+                return None;
+            }
             st = self.ready.wait(st).unwrap_or_else(|e| e.into_inner());
         }
-        std::mem::take(&mut st.frames)
+        Some(std::mem::take(&mut st.frames))
+    }
+
+    fn close(&self) {
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        st.closed = true;
+        self.ready.notify_all();
+    }
+}
+
+/// A worker's out-mailboxes, by ascending peer index, closed when the
+/// worker stops for whatever reason — above all a node's panic — so no
+/// peer waits on a publish that will never come.
+struct CloseOnExit(Vec<(usize, Arc<Mailbox>)>);
+
+impl Drop for CloseOnExit {
+    fn drop(&mut self) {
+        for (_, mailbox) in &self.0 {
+            mailbox.close();
+        }
     }
 }
 
 /// Raw per-shard timeline capture: `(baseline, boundary snapshots,
-/// final)` of the worker's private registry.
+/// final)` of the shard's private registry.
 type ShardCaptures = (Snapshot, Vec<(u64, Snapshot)>, Snapshot);
 
-/// The spans a worker's private trace ring captured plus its drop
-/// count, handed back for the shard-index-order trace merge.
-type ShardTrace = (Vec<p4auth_telemetry::SpanRecord>, u64);
+/// A worker stopped before the run was over: it panicked, or a peer it
+/// waits on did.
+struct WorkerStopped;
 
-/// What a worker hands back at join: its stats, final clock, the final
-/// snapshot of its private registry (when the caller attached
-/// telemetry), raw timeline captures (when exporting), and its trace
-/// ring contents (when the caller's registry has tracing enabled).
-type WorkerOutcome = (
-    SimStats,
-    SimTime,
-    Option<Snapshot>,
-    Option<ShardCaptures>,
-    Option<ShardTrace>,
-);
-
-/// A partitioned simulator: builds one [`Simulator`] per shard on worker
-/// threads and drives them in chained safe-window rounds (see the module
-/// docs).
-///
-/// Usage mirrors [`Simulator`]: register nodes, schedule boot timers,
-/// optionally attach telemetry, then [`ShardedSimulator::run`] to
-/// completion. Workers record into per-shard private registries that the
-/// coordinator merges in shard-index order, so an attached registry ends
-/// up byte-identical regardless of thread scheduling — including its
+/// Runs `workload` partitioned by `plan`: one [`Simulator`] per shard on
+/// its own worker thread, driven in chained safe-window rounds (see the
+/// module docs). Workers record into per-shard private registries that
+/// the coordinator merges in shard-index order, so an attached registry
+/// ends up byte-identical regardless of thread scheduling — including its
 /// event log.
-pub struct ShardedSimulator {
-    topology: Topology,
-    plan: ShardPlan,
-    nodes: Vec<Option<Box<dyn SimNode + Send>>>,
-    /// Boot timers `(node, timer_id, delay_ns)` in registration order.
-    timers: Vec<(SwitchId, u64, u64)>,
-    /// The caller's registry — the merge *sink*, never handed to workers.
-    telemetry: Option<Arc<Registry>>,
-    export_interval_ns: Option<u64>,
-    /// Safe windows granted per coordinator rendezvous.
-    chain_depth: usize,
-    /// Deterministic per-(shard, window) sleep schedule in ns; empty
-    /// disables staggering.
-    stagger_ns: Vec<u64>,
-    /// Fault schedule every worker installs (see
-    /// [`ShardedSimulator::set_fault_plan`]).
-    fault_plan: Option<crate::fault::FaultPlan>,
-}
+pub(crate) fn run(workload: Workload, plan: ShardPlan) -> RunReport {
+    let start = Instant::now();
+    let Workload {
+        topology,
+        nodes,
+        timers,
+        telemetry,
+        export_interval_ns,
+        fault_plan,
+        tuning,
+    } = workload;
+    assert!(tuning.chain_depth >= 1, "chain depth must be at least 1");
+    let n = plan.nshards();
+    let lat = plan.cross_latency_matrix(&topology);
+    let stagger = Arc::new(tuning.stagger_ns);
 
-impl ShardedSimulator {
-    /// Creates a sharded simulator over `topology` partitioned by `plan`.
-    ///
-    /// Honors the `P4AUTH_SHARD_STAGGER` environment variable (a base
-    /// delay in ns) by installing a default stagger schedule — see
-    /// [`ShardedSimulator::set_stagger`].
-    pub fn new(topology: Topology, plan: ShardPlan) -> Self {
-        let max_id = topology
-            .nodes()
-            .iter()
-            .map(|n| n.value() as usize)
-            .max()
-            .unwrap_or(0);
-        ShardedSimulator {
-            topology,
-            plan,
-            nodes: (0..=max_id).map(|_| None).collect(),
-            timers: Vec::new(),
-            telemetry: None,
-            export_interval_ns: None,
-            chain_depth: DEFAULT_CHAIN_DEPTH,
-            stagger_ns: stagger_from_env(),
-            fault_plan: None,
-        }
+    // Split registered nodes and boot timers by owning shard.
+    let mut shard_nodes: Vec<Vec<(SwitchId, Box<dyn SimNode + Send>)>> =
+        (0..n).map(|_| Vec::new()).collect();
+    for (id, node) in nodes {
+        shard_nodes[plan.shard_of(id)].push((id, node));
+    }
+    let mut shard_timers: Vec<Vec<(SwitchId, u64, u64)>> = (0..n).map(|_| Vec::new()).collect();
+    for (node, timer_id, delay_ns) in timers {
+        shard_timers[plan.shard_of(node)].push((node, timer_id, delay_ns));
     }
 
-    /// The shard plan.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
+    // One private registry per shard whenever anything observes this
+    // run: both the telemetry merge and the timeline merge read from it.
+    // Never the caller's registry (see the module docs), but with its
+    // event-log and trace-ring capacities.
+    let observed = telemetry.is_some() || export_interval_ns.is_some();
+    let (event_capacity, trace_capacity) = telemetry
+        .as_ref()
+        .map_or((0, 0), |r| (r.event_capacity(), r.trace_capacity()));
+    let registries: Vec<Arc<Registry>> = (0..if observed { n } else { 0 })
+        .map(|_| Arc::new(Registry::with_capacities(event_capacity, trace_capacity)))
+        .collect();
 
-    /// Registers the behaviour for `id` (must be `Send`: it is shipped to
-    /// its owning shard's worker thread).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is not in the topology or already registered.
-    pub fn register_node(&mut self, id: SwitchId, node: Box<dyn SimNode + Send>) {
-        assert!(
-            self.topology.nodes().contains(&id),
-            "node {id} not in topology"
-        );
-        let slot = &mut self.nodes[id.value() as usize];
-        assert!(slot.is_none(), "node {id} registered twice");
-        *slot = Some(node);
-    }
+    // One mailbox per directed linked shard pair: frames flow between
+    // workers directly, never through the coordinator.
+    let mailboxes: Vec<Vec<Option<Arc<Mailbox>>>> = (0..n)
+        .map(|j| {
+            (0..n)
+                .map(|i| lat[j][i].map(|_| Arc::new(Mailbox::default())))
+                .collect()
+        })
+        .collect();
 
-    /// Schedules a boot timer for `node`, `delay_ns` after t=0 (the
-    /// sharded equivalent of calling [`Simulator::schedule_timer`] before
-    /// the run starts).
-    pub fn schedule_timer(&mut self, node: SwitchId, timer_id: u64, delay_ns: u64) {
-        self.timers.push((node, timer_id, delay_ns));
-    }
-
-    /// Attaches a telemetry registry. The registry is **never** shared
-    /// with the workers: each shard records into a private registry
-    /// (event-log capacity cloned from this one) and, when the run
-    /// completes, the coordinator merges the per-shard snapshots in
-    /// shard-index order and absorbs the result here
-    /// ([`Registry::absorb`]). Counters, histograms and the event log
-    /// therefore come out byte-identical no matter how the worker
-    /// threads were scheduled or how many cores ran them. May be
-    /// combined with [`ShardedSimulator::set_export_interval`]; the same
-    /// private registries serve both.
-    pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
-        self.telemetry = Some(registry);
-    }
-
-    /// Starts periodic telemetry export (see
-    /// [`Simulator::set_export_interval`]). Each worker records into its
-    /// private registry at safe-window pop boundaries; the coordinator
-    /// merges per-shard captures in shard-index order into one
-    /// [`Timeline`] that is bit-identical to a sequential recording.
-    /// Collect it with [`ShardedSimulator::run_timeline`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_ns == 0`.
-    pub fn set_export_interval(&mut self, interval_ns: u64) {
-        assert!(interval_ns > 0, "export interval must be positive");
-        self.export_interval_ns = Some(interval_ns);
-    }
-
-    /// Installs a [`crate::fault::FaultPlan`] (the sharded equivalent of
-    /// [`Simulator::install_fault_plan`]). Every worker installs the full
-    /// plan — each shard must flip its own topology copy and notify its
-    /// own nodes at exactly the scheduled instants — but only the shard
-    /// owning a link's `a` endpoint tallies the event, so reported event
-    /// counts and `faults_applied` match a sequential run exactly.
-    pub fn set_fault_plan(&mut self, plan: crate::fault::FaultPlan) {
-        self.fault_plan = Some(plan);
-    }
-
-    /// Sets how many safe windows each coordinator rendezvous grants
-    /// (default [`DEFAULT_CHAIN_DEPTH`]). Depth 1 reproduces the
-    /// unchained one-window-per-round protocol; deeper chains amortize
-    /// the rendezvous over more work at the cost of pessimistic (but
-    /// still safe) later windows. Output is bit-identical at any depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth == 0`.
-    pub fn set_chain_depth(&mut self, depth: usize) {
-        assert!(depth >= 1, "chain depth must be at least 1");
-        self.chain_depth = depth;
-    }
-
-    /// Installs a deterministic stagger schedule (test/CI knob): before
-    /// publishing each window boundary and before each reply, worker `s`
-    /// at window `w` sleeps `schedule[(7·s + 13·w) mod len]` wall-clock
-    /// nanoseconds. This perturbs thread interleaving adversarially —
-    /// exactly what a multi-core scheduler would do — without touching
-    /// simulated time, so any output difference it provokes is a
-    /// determinism bug. An empty schedule disables staggering. The
-    /// `P4AUTH_SHARD_STAGGER` environment variable (base ns) installs a
-    /// scattered default schedule at construction; this setter overrides
-    /// it (tests prefer it — it needs no process-global state).
-    pub fn set_stagger(&mut self, schedule_ns: Vec<u64>) {
-        self.stagger_ns = schedule_ns;
-    }
-
-    /// Runs to completion and reports the aggregate outcome.
-    pub fn run(self) -> ShardRunReport {
-        self.run_inner(false).0
-    }
-
-    /// Runs to completion, additionally recording every synchronization
-    /// round for lookahead-invariant checks in tests.
-    pub fn run_audited(self) -> (ShardRunReport, Vec<RoundAudit>) {
-        let (report, audits, _) = self.run_inner(true);
-        (report, audits)
-    }
-
-    /// Runs to completion and returns the merged telemetry timeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`ShardedSimulator::set_export_interval`] was not
-    /// called.
-    pub fn run_timeline(self) -> (ShardRunReport, Timeline) {
-        assert!(
-            self.export_interval_ns.is_some(),
-            "set_export_interval must be called before run_timeline"
-        );
-        let (report, _, timeline) = self.run_inner(false);
-        (report, timeline.expect("export interval was set"))
-    }
-
-    fn run_inner(mut self, audit: bool) -> (ShardRunReport, Vec<RoundAudit>, Option<Timeline>) {
-        let n = self.plan.nshards();
-        let lat = self.plan.cross_latency_matrix(&self.topology);
-        let depth = self.chain_depth;
-        let stagger = Arc::new(self.stagger_ns.clone());
-
-        // Split registered nodes and boot timers by owning shard.
-        let mut shard_nodes: Vec<Vec<(SwitchId, Box<dyn SimNode + Send>)>> =
-            (0..n).map(|_| Vec::new()).collect();
-        for raw in 0..self.nodes.len() {
-            if let Some(node) = self.nodes[raw].take() {
-                let id = SwitchId::new(raw as u16);
-                shard_nodes[self.plan.shard_of(id)].push((id, node));
-            }
-        }
-        let mut shard_timers: Vec<Vec<(SwitchId, u64, u64)>> = (0..n).map(|_| Vec::new()).collect();
-        for (node, timer_id, delay_ns) in self.timers.drain(..) {
-            shard_timers[self.plan.shard_of(node)].push((node, timer_id, delay_ns));
-        }
-
-        // One mailbox per directed linked shard pair: frames flow between
-        // workers directly, never through the coordinator.
-        let mailboxes: Vec<Vec<Option<Arc<Mailbox>>>> = (0..n)
-            .map(|j| {
+    // Spawn one worker per shard. Each builds its own Simulator from
+    // the shared topology, routing by the plan's owner assignment.
+    let mut cmd_txs: Vec<SyncSender<ToWorker>> = Vec::with_capacity(n);
+    let mut reply_rxs: Vec<Receiver<ChainReply>> = Vec::with_capacity(n);
+    let mut handles = Vec::with_capacity(n);
+    for s in 0..n {
+        let (cmd_tx, cmd_rx) = sync_channel::<ToWorker>(1);
+        let (reply_tx, reply_rx) = sync_channel::<ChainReply>(1);
+        let setup = WorkerSetup {
+            shard: s,
+            nshards: n,
+            topology: topology.clone(),
+            assign: plan.assign.clone(),
+            nodes: std::mem::take(&mut shard_nodes[s]),
+            timers: std::mem::take(&mut shard_timers[s]),
+            registry: registries.get(s).cloned(),
+            export_interval_ns,
+            stagger_ns: stagger.clone(),
+            fault_plan: fault_plan.clone(),
+            out_links: CloseOnExit(
                 (0..n)
-                    .map(|i| lat[j][i].map(|_| Arc::new(Mailbox::default())))
-                    .collect()
-            })
-            .collect();
-
-        // Spawn one worker per shard. Each builds its own Simulator from
-        // the shared topology, routing by the plan's owner assignment.
-        let mut cmd_txs: Vec<SyncSender<ToWorker>> = Vec::with_capacity(n);
-        let mut reply_rxs: Vec<Receiver<ChainReply>> = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for s in 0..n {
-            let (cmd_tx, cmd_rx) = sync_channel::<ToWorker>(1);
-            let (reply_tx, reply_rx) = sync_channel::<ChainReply>(1);
-            let setup = WorkerSetup {
-                shard: s,
-                nshards: n,
-                topology: self.topology.clone(),
-                assign: self.plan.assign.clone(),
-                nodes: std::mem::take(&mut shard_nodes[s]),
-                timers: std::mem::take(&mut shard_timers[s]),
-                event_capacity: self.telemetry.as_ref().map(|r| r.event_capacity()),
-                trace_capacity: self.telemetry.as_ref().map_or(0, |r| r.trace_capacity()),
-                export_interval_ns: self.export_interval_ns,
-                stagger_ns: stagger.clone(),
-                fault_plan: self.fault_plan.clone(),
-                out_links: (0..n)
                     .filter_map(|i| mailboxes[s][i].clone().map(|mb| (i, mb)))
                     .collect(),
-                in_links: (0..n).filter_map(|j| mailboxes[j][s].clone()).collect(),
-                cmd_rx,
-                reply_tx,
-            };
-            handles.push(thread::spawn(move || worker(setup)));
-            cmd_txs.push(cmd_tx);
-            reply_rxs.push(reply_rx);
+            ),
+            in_links: (0..n).filter_map(|j| mailboxes[j][s].clone()).collect(),
+            cmd_rx,
+            reply_tx,
+        };
+        handles.push(thread::spawn(move || worker(setup)));
+        cmd_txs.push(cmd_tx);
+        reply_rxs.push(reply_rx);
+    }
+
+    let mut report = RunReport::default();
+    let finished = coordinate(
+        &lat,
+        tuning.chain_depth,
+        tuning.audit,
+        &cmd_txs,
+        &reply_rxs,
+        &mut report,
+    );
+    // Hang up, so a worker still waiting for a command after its peers
+    // stopped leaves too; then every worker can be joined.
+    drop(cmd_txs);
+    let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+    let mut captures = Vec::with_capacity(n);
+    for outcome in joined {
+        // The first panicked worker by shard index: its own payload is
+        // what a sequential run of the same workload would have raised.
+        let (stats, shard_captures) = outcome.unwrap_or_else(|payload| resume_unwind(payload));
+        report.stats.frames_delivered += stats.frames_delivered;
+        report.stats.frames_tapped_dropped += stats.frames_tapped_dropped;
+        report.stats.frames_tapped_modified += stats.frames_tapped_modified;
+        report.stats.frames_undeliverable += stats.frames_undeliverable;
+        report.stats.timers_fired += stats.timers_fired;
+        report.stats.faults_applied += stats.faults_applied;
+        captures.extend(shard_captures);
+    }
+    assert!(
+        finished.is_ok(),
+        "a shard worker stopped mid-run without panicking"
+    );
+    // Deterministic telemetry hand-back: merge the per-shard final
+    // snapshots in shard-index order, then absorb into the caller's
+    // registry. Trace rings follow the same discipline — absorbed in
+    // shard-index order, drop counts carried along — so the caller's
+    // canonical (sorted) span stream is engine-invariant.
+    if let Some(user) = &telemetry {
+        let parts: Vec<Snapshot> = registries.iter().map(|r| r.snapshot()).collect();
+        user.absorb(&Snapshot::merged(&parts));
+        for trace in registries.iter().map(|r| r.trace()) {
+            user.trace().absorb(&trace.records(), trace.dropped());
         }
+    }
+    report.timeline = export_interval_ns.map(|interval| merge_timelines(interval, captures));
+    report.wall_ns = start.elapsed().as_nanos() as u64;
+    report
+}
 
-        // Initial replies carry each shard's boot-timer horizon.
-        let mut replies: Vec<ChainReply> = reply_rxs
-            .iter()
-            .map(|rx| rx.recv().expect("worker died before first reply"))
-            .collect();
-        let mut audits = Vec::new();
-        let mut events = 0u64;
-        let mut rounds = 0u64;
-        let mut windows = 0u64;
-        let mut frames_exchanged = 0u64;
-        let mut barrier_wait = Duration::ZERO;
+/// The coordinator's side of the run: grants window chains until every
+/// shard is idle, then tells the workers to finish, tallying into
+/// `total`. Any channel error means a worker stopped early; the caller
+/// finds out why at the join.
+fn coordinate(
+    lat: &[Vec<Option<u64>>],
+    depth: usize,
+    audit: bool,
+    cmd_txs: &[SyncSender<ToWorker>],
+    reply_rxs: &[Receiver<ChainReply>],
+    total: &mut RunReport,
+) -> Result<(), WorkerStopped> {
+    let n = lat.len();
+    // Initial replies carry each shard's boot-timer horizon.
+    let mut replies: Vec<ChainReply> = reply_rxs
+        .iter()
+        .map(|rx| rx.recv().map_err(|_| WorkerStopped))
+        .collect::<Result<_, _>>()?;
 
-        // The earliest-possible-action fixpoint over the shard graph
-        // (Bellman–Ford relaxation), from any per-shard horizon vector.
-        let relax = |mut ea: Vec<u64>| {
-            loop {
-                let mut changed = false;
-                for i in 0..n {
-                    for j in 0..n {
-                        if let Some(l) = lat[j][i] {
-                            let via = ea[j].saturating_add(l);
-                            if via < ea[i] {
-                                ea[i] = via;
-                                changed = true;
-                            }
+    // The earliest-possible-action fixpoint over the shard graph
+    // (Bellman–Ford relaxation), from any per-shard horizon vector.
+    let relax = |mut ea: Vec<u64>| {
+        loop {
+            let mut changed = false;
+            for i in 0..n {
+                for j in 0..n {
+                    if let Some(l) = lat[j][i] {
+                        let via = ea[j].saturating_add(l);
+                        if via < ea[i] {
+                            ea[i] = via;
+                            changed = true;
                         }
                     }
                 }
-                if !changed {
-                    break;
-                }
             }
-            ea
-        };
-        let bound_of = |ea: &[u64]| -> Vec<u64> {
-            (0..n)
-                .map(|i| {
-                    (0..n)
-                        .filter_map(|j| lat[j][i].map(|l| ea[j].saturating_add(l)))
-                        .min()
-                        .unwrap_or(u64::MAX)
-                })
-                .collect()
-        };
-
-        loop {
-            // The chain-end exchange pulled every in-flight frame into
-            // the owning shard's queue, so the reply horizons are the
-            // whole story.
-            let next: Vec<u64> = replies
-                .iter()
-                .map(|r| r.next_at_ns.unwrap_or(u64::MAX))
-                .collect();
-            if next.iter().all(|&v| v == u64::MAX) {
+            if !changed {
                 break;
             }
-
-            // Build the chain of granted windows: the first from the true
-            // horizons, each later one by substituting the previous
-            // bounds (a shard that processed window k has nothing left
-            // below b_k, and the relaxation covers frames still in
-            // flight). Finite bounds advance ≥ L_min per step; stop early
-            // if a step grants nothing new.
-            let mut chain: Vec<Vec<u64>> = Vec::with_capacity(depth);
-            let mut cur = next.clone();
-            for _ in 0..depth {
-                let b = bound_of(&relax(cur));
-                if chain.last() == Some(&b) {
-                    break;
-                }
-                cur = b.clone();
-                chain.push(b);
-            }
-
-            rounds += 1;
-            windows += chain.len() as u64;
-            for (i, tx) in cmd_txs.iter().enumerate() {
-                tx.send(ToWorker::Chain {
-                    bounds_ns: chain.iter().map(|w| w[i]).collect(),
-                })
-                .expect("worker hung up mid-run");
-            }
-            let wait_start = Instant::now();
-            let mut processed_this_round = 0u64;
-            for (i, rx) in reply_rxs.iter().enumerate() {
-                let reply = rx.recv().expect("worker died mid-round");
-                processed_this_round += reply.processed;
-                frames_exchanged += reply.frames_sent;
-                replies[i] = reply;
-            }
-            barrier_wait += wait_start.elapsed();
-            events += processed_this_round;
-            assert!(
-                processed_this_round > 0,
-                "safe-window round made no progress (lookahead bug)"
-            );
-            if audit {
-                audits.push(RoundAudit {
-                    next_at_ns: next.iter().map(|&v| (v != u64::MAX).then_some(v)).collect(),
-                    windows: chain
-                        .iter()
-                        .enumerate()
-                        .map(|(w, bound_ns)| WindowAudit {
-                            bound_ns: bound_ns.clone(),
-                            max_popped_ns: replies.iter().map(|r| r.windows[w].1).collect(),
-                        })
-                        .collect(),
-                });
-            }
         }
-
-        // The global final clock: the time of the last event popped
-        // anywhere. Every recorder flushes to it so tail captures are
-        // stamped exactly as a sequential run's would be.
-        let global_end_ns = replies.iter().map(|r| r.now_ns).max().unwrap_or(0);
-        for tx in &cmd_txs {
-            tx.send(ToWorker::Finish {
-                flush_to_ns: global_end_ns,
+        ea
+    };
+    let bound_of = |ea: &[u64]| -> Vec<u64> {
+        (0..n)
+            .map(|i| {
+                (0..n)
+                    .filter_map(|j| lat[j][i].map(|l| ea[j].saturating_add(l)))
+                    .min()
+                    .unwrap_or(u64::MAX)
             })
-            .expect("worker hung up at finish");
+            .collect()
+    };
+
+    loop {
+        // The chain-end exchange pulled every in-flight frame into
+        // the owning shard's queue, so the reply horizons are the
+        // whole story.
+        let next: Vec<u64> = replies
+            .iter()
+            .map(|r| r.next_at_ns.unwrap_or(u64::MAX))
+            .collect();
+        if next.iter().all(|&v| v == u64::MAX) {
+            break;
         }
-        let mut stats = SimStats::default();
-        let mut now = SimTime::ZERO;
-        let mut snapshots: Vec<Option<Snapshot>> = Vec::with_capacity(handles.len());
-        let mut captures: Vec<Option<ShardCaptures>> = Vec::with_capacity(handles.len());
-        let mut traces: Vec<Option<ShardTrace>> = Vec::with_capacity(handles.len());
-        for handle in handles {
-            let (shard_stats, shard_now, shard_snap, shard_caps, shard_trace) =
-                handle.join().expect("worker panicked");
-            stats.frames_delivered += shard_stats.frames_delivered;
-            stats.frames_tapped_dropped += shard_stats.frames_tapped_dropped;
-            stats.frames_tapped_modified += shard_stats.frames_tapped_modified;
-            stats.frames_undeliverable += shard_stats.frames_undeliverable;
-            stats.timers_fired += shard_stats.timers_fired;
-            stats.faults_applied += shard_stats.faults_applied;
-            now = now.max(shard_now);
-            snapshots.push(shard_snap);
-            captures.push(shard_caps);
-            traces.push(shard_trace);
-        }
-        // Deterministic telemetry hand-back: merge the per-shard final
-        // snapshots in shard-index order, then absorb into the caller's
-        // registry. Trace rings follow the same discipline — absorbed in
-        // shard-index order, drop counts carried along — so the caller's
-        // canonical (sorted) span stream is engine-invariant.
-        if let Some(user) = &self.telemetry {
-            let parts: Vec<Snapshot> = snapshots
-                .into_iter()
-                .map(|s| s.expect("telemetry attached but a worker recorded nothing"))
-                .collect();
-            user.absorb(&Snapshot::merged(&parts));
-            for part in traces.into_iter().flatten() {
-                user.trace().absorb(&part.0, part.1);
+
+        // Build the chain of granted windows: the first from the true
+        // horizons, each later one by substituting the previous
+        // bounds (a shard that processed window k has nothing left
+        // below b_k, and the relaxation covers frames still in
+        // flight). Finite bounds advance ≥ L_min per step; stop early
+        // if a step grants nothing new.
+        let mut chain: Vec<Vec<u64>> = Vec::with_capacity(depth);
+        let mut cur = next.clone();
+        for _ in 0..depth {
+            let b = bound_of(&relax(cur));
+            if chain.last() == Some(&b) {
+                break;
             }
+            cur = b.clone();
+            chain.push(b);
         }
-        let timeline = self
-            .export_interval_ns
-            .map(|interval| merge_timelines(interval, captures));
-        (
-            ShardRunReport {
-                events,
-                stats,
-                now,
-                rounds,
-                windows,
-                frames_exchanged,
-                barrier_wait_ns: barrier_wait.as_nanos() as u64,
-            },
-            audits,
-            timeline,
-        )
+
+        total.rounds += 1;
+        total.windows += chain.len() as u64;
+        for (i, tx) in cmd_txs.iter().enumerate() {
+            tx.send(ToWorker::Chain {
+                bounds_ns: chain.iter().map(|w| w[i]).collect(),
+            })
+            .map_err(|_| WorkerStopped)?;
+        }
+        let wait_start = Instant::now();
+        let mut processed_this_round = 0u64;
+        for (i, rx) in reply_rxs.iter().enumerate() {
+            let reply = rx.recv().map_err(|_| WorkerStopped)?;
+            processed_this_round += reply.processed;
+            total.frames_exchanged += reply.frames_sent;
+            replies[i] = reply;
+        }
+        total.barrier_wait_ns += wait_start.elapsed().as_nanos() as u64;
+        total.events += processed_this_round;
+        assert!(
+            processed_this_round > 0,
+            "safe-window round made no progress (lookahead bug)"
+        );
+        if audit {
+            total.audits.push(RoundAudit {
+                next_at_ns: next.iter().map(|&v| (v != u64::MAX).then_some(v)).collect(),
+                windows: chain
+                    .iter()
+                    .enumerate()
+                    .map(|(w, bound_ns)| WindowAudit {
+                        bound_ns: bound_ns.clone(),
+                        max_popped_ns: replies.iter().map(|r| r.windows[w].1).collect(),
+                    })
+                    .collect(),
+            });
+        }
     }
+
+    // The global final clock: the time of the last event popped
+    // anywhere — exactly the sequential final `now`. Every recorder
+    // flushes to it so tail captures are stamped as a sequential run's
+    // would be.
+    let global_end_ns = replies.iter().map(|r| r.now_ns).max().unwrap_or(0);
+    total.now = SimTime::from_ns(global_end_ns);
+    for tx in cmd_txs {
+        tx.send(ToWorker::Finish {
+            flush_to_ns: global_end_ns,
+        })
+        .map_err(|_| WorkerStopped)?;
+    }
+    Ok(())
 }
 
-/// Default stagger schedule from the `P4AUTH_SHARD_STAGGER` environment
-/// variable (a base delay in ns; unset, unparsable or 0 disables). The
-/// schedule scatters multiples of `base / 2` so different (shard,
-/// window) pairs land on different delays.
+/// The stagger schedule `P4AUTH_SHARD_STAGGER` asks for: multiples of
+/// `base / 2` scattered so different (shard, window) pairs land on
+/// different delays.
 fn stagger_from_env() -> Vec<u64> {
     let Ok(v) = std::env::var("P4AUTH_SHARD_STAGGER") else {
         return Vec::new();
@@ -848,11 +739,7 @@ fn stagger_sleep(schedule: &[u64], shard: usize, window: u64) {
 /// including histogram min/max. Deltas then come from
 /// [`Timeline::from_captures`], the same code path the sequential
 /// recorder uses, so the result is structurally bit-identical.
-fn merge_timelines(interval_ns: u64, captures: Vec<Option<ShardCaptures>>) -> Timeline {
-    let parts: Vec<ShardCaptures> = captures
-        .into_iter()
-        .map(|c| c.expect("export interval set but a worker recorded nothing"))
-        .collect();
+fn merge_timelines(interval_ns: u64, parts: Vec<ShardCaptures>) -> Timeline {
     let baselines: Vec<Snapshot> = parts.iter().map(|(b, _, _)| b.clone()).collect();
     let finals: Vec<Snapshot> = parts.iter().map(|(_, _, f)| f.clone()).collect();
     let boundaries: BTreeSet<u64> = parts
@@ -890,21 +777,15 @@ struct WorkerSetup {
     assign: Vec<u32>,
     nodes: Vec<(SwitchId, Box<dyn SimNode + Send>)>,
     timers: Vec<(SwitchId, u64, u64)>,
-    /// `Some(capacity)` when the caller attached telemetry: the worker
-    /// records into a private registry with a matching event capacity
-    /// and returns its final snapshot for the shard-index merge.
-    event_capacity: Option<usize>,
-    /// Trace-ring capacity for the worker's private registry (0 when the
-    /// caller's registry has tracing disabled), sized to match the
-    /// caller's exactly like `event_capacity`.
-    trace_capacity: usize,
+    /// This shard's private registry, when anything observes the run.
+    registry: Option<Arc<Registry>>,
     export_interval_ns: Option<u64>,
     stagger_ns: Arc<Vec<u64>>,
     /// Fault schedule to install after shard routing (owner tallying
     /// depends on the route being set first).
     fault_plan: Option<crate::fault::FaultPlan>,
-    /// Mailboxes this worker publishes to, by ascending peer index.
-    out_links: Vec<(usize, Arc<Mailbox>)>,
+    /// Mailboxes this worker publishes to.
+    out_links: CloseOnExit,
     /// Mailboxes this worker drains, by ascending peer index.
     in_links: Vec<Arc<Mailbox>>,
     cmd_rx: Receiver<ToWorker>,
@@ -933,138 +814,93 @@ fn publish_boundary(sim: &mut Simulator, out_links: &[(usize, Arc<Mailbox>)]) ->
 /// window chains — exchanging frames with linked peers at every window
 /// boundary — and answers the coordinator once per chain until told to
 /// finish.
-fn worker(setup: WorkerSetup) -> WorkerOutcome {
-    let WorkerSetup {
-        shard,
-        nshards,
-        topology,
-        assign,
-        nodes,
-        timers,
-        event_capacity,
-        trace_capacity,
-        export_interval_ns,
-        stagger_ns,
-        fault_plan,
-        out_links,
-        in_links,
-        cmd_rx,
-        reply_tx,
-    } = setup;
-    let mut sim = Simulator::with_scheduler(topology, SchedulerKind::Calendar);
-    sim.set_shard_route(assign, nshards, shard as u32);
-    // A private registry whenever anything observes this run: both the
-    // telemetry merge and the timeline merge read from it. Never the
-    // caller's registry — see the module docs.
-    let registry: Option<Arc<Registry>> = match (event_capacity, export_interval_ns) {
-        (Some(cap), _) if cap > 0 || trace_capacity > 0 => {
-            Some(Arc::new(Registry::with_capacities(cap, trace_capacity)))
-        }
-        (Some(_), _) | (None, Some(_)) => Some(Arc::new(Registry::new())),
-        (None, None) => None,
-    };
-    if let Some(r) = &registry {
-        sim.set_telemetry(r.clone());
-    }
-    for (id, node) in nodes {
-        sim.register_node(id, node);
-    }
-    for (node, timer_id, delay_ns) in timers {
-        sim.schedule_timer(node, timer_id, delay_ns);
-    }
-    if let Some(plan) = &fault_plan {
-        sim.install_fault_plan(plan);
-    }
-    if let Some(interval) = export_interval_ns {
-        // After boot timers: setup-time pushes belong to the baseline,
-        // exactly as in the sequential recording.
-        sim.set_export_interval(interval);
-    }
+fn worker(setup: WorkerSetup) -> (SimStats, Option<ShardCaptures>) {
+    let (shard, out_links) = (setup.shard, &setup.out_links.0);
+    let mut sim = Simulator::with_scheduler(setup.topology, SchedulerKind::Calendar);
+    sim.set_shard_route(setup.assign, setup.nshards, shard as u32);
+    populate(
+        &mut sim,
+        setup.registry,
+        setup.nodes,
+        &setup.timers,
+        setup.fault_plan.as_ref(),
+        setup.export_interval_ns,
+    );
     // Pre-run publish (#1): peers' first drains must see a defined
     // state; nothing can be outbound yet (boot timers are local).
-    publish_boundary(&mut sim, &out_links);
-    // Completed windows, global across rounds: after window `w` this
-    // worker has published `w + 1` times and needs `published >= w` from
-    // each in-neighbour before processing window `w`.
-    let mut window = 0u64;
-    reply_tx
-        .send(ChainReply {
-            next_at_ns: sim.next_event_at().map(|t| t.as_ns()),
-            processed: 0,
-            windows: Vec::new(),
-            frames_sent: 0,
-            now_ns: sim.now().as_ns(),
-        })
-        .expect("coordinator hung up before first reply");
-    // A Finish command or either channel closing ends the loop.
-    let mut flush_to = None;
-    loop {
-        match cmd_rx.recv() {
-            Ok(ToWorker::Chain { bounds_ns }) => {
-                let mut processed_total = 0u64;
-                let mut frames_sent = 0u64;
-                let mut per_window = Vec::with_capacity(bounds_ns.len());
-                for bound_ns in bounds_ns {
-                    window += 1;
-                    for mb in &in_links {
-                        for ev in mb.drain_when(window) {
-                            sim.inject_remote(ev);
-                        }
-                    }
-                    let processed = sim.run_window(SimTime::from_ns(bound_ns));
-                    let max_popped_ns = (processed > 0).then(|| sim.now().as_ns());
-                    stagger_sleep(&stagger_ns, shard, window);
-                    frames_sent += publish_boundary(&mut sim, &out_links);
-                    processed_total += processed;
-                    per_window.push((processed, max_popped_ns));
-                }
-                // Chain-end exchange: pull everything the peers sent
-                // through their last window, so the reply's horizon
-                // covers every in-flight frame and the mailboxes are
-                // empty at the rendezvous.
-                for mb in &in_links {
-                    for ev in mb.drain_when(window + 1) {
-                        sim.inject_remote(ev);
-                    }
-                }
-                stagger_sleep(&stagger_ns, shard, window);
-                let reply = ChainReply {
-                    next_at_ns: sim.next_event_at().map(|t| t.as_ns()),
-                    processed: processed_total,
-                    windows: per_window,
-                    frames_sent,
-                    now_ns: sim.now().as_ns(),
-                };
-                if reply_tx.send(reply).is_err() {
-                    break;
-                }
+    publish_boundary(&mut sim, out_links);
+    let first = ChainReply {
+        next_at_ns: sim.next_event_at().map(|t| t.as_ns()),
+        processed: 0,
+        windows: Vec::new(),
+        frames_sent: 0,
+        now_ns: sim.now().as_ns(),
+    };
+    // Injects what every in-neighbour has published through its
+    // `through`-th publish; `None` when one of them stopped short of it.
+    let drain = |sim: &mut Simulator, through: u64| -> Option<()> {
+        for mailbox in &setup.in_links {
+            for ev in mailbox.drain_when(through)? {
+                sim.inject_remote(ev);
             }
-            Ok(ToWorker::Finish { flush_to_ns }) => {
-                flush_to = Some(flush_to_ns);
-                break;
-            }
-            Err(_) => break,
         }
-    }
-    if let Some(to_ns) = flush_to {
+        Some(())
+    };
+    // Serves window chains until told to finish: `Some(flush_to_ns)` on
+    // Finish, `None` when the coordinator hung up or a peer stopped.
+    let serve = || -> Option<u64> {
+        setup.reply_tx.send(first).ok()?;
+        // Completed windows, global across rounds: after window `w` this
+        // worker has published `w + 1` times and needs `published >= w`
+        // from each in-neighbour before processing window `w`.
+        let mut window = 0u64;
+        loop {
+            let bounds_ns = match setup.cmd_rx.recv().ok()? {
+                ToWorker::Chain { bounds_ns } => bounds_ns,
+                ToWorker::Finish { flush_to_ns } => return Some(flush_to_ns),
+            };
+            let mut processed_total = 0u64;
+            let mut frames_sent = 0u64;
+            let mut per_window = Vec::with_capacity(bounds_ns.len());
+            for bound_ns in bounds_ns {
+                window += 1;
+                drain(&mut sim, window)?;
+                let processed = sim.run_window(SimTime::from_ns(bound_ns));
+                let max_popped_ns = (processed > 0).then(|| sim.now().as_ns());
+                stagger_sleep(&setup.stagger_ns, shard, window);
+                frames_sent += publish_boundary(&mut sim, out_links);
+                processed_total += processed;
+                per_window.push((processed, max_popped_ns));
+            }
+            // Chain-end exchange: pull everything the peers sent
+            // through their last window, so the reply's horizon
+            // covers every in-flight frame and the mailboxes are
+            // empty at the rendezvous.
+            drain(&mut sim, window + 1)?;
+            stagger_sleep(&setup.stagger_ns, shard, window);
+            let reply = ChainReply {
+                next_at_ns: sim.next_event_at().map(|t| t.as_ns()),
+                processed: processed_total,
+                windows: per_window,
+                frames_sent,
+                now_ns: sim.now().as_ns(),
+            };
+            setup.reply_tx.send(reply).ok()?;
+        }
+    };
+    if let Some(to_ns) = serve() {
         sim.flush_timeline(SimTime::from_ns(to_ns));
     }
     let captures = sim
         .take_timeline_parts()
         .map(|(_, baseline, caps, fin)| (baseline, caps, fin));
-    let snapshot = event_capacity
-        .is_some()
-        .then(|| registry.as_ref().expect("registry built above").snapshot());
-    let trace = (trace_capacity > 0).then(|| {
-        let log = registry.as_ref().expect("registry built above").trace();
-        (log.records(), log.dropped())
-    });
-    (sim.stats(), sim.now(), snapshot, captures, trace)
+    (sim.stats(), captures)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::frame::FrameBytes;
     use crate::sim::Outbox;
     use crate::topology::{Endpoint, LinkId};
@@ -1145,56 +981,53 @@ mod tests {
         let _ = ShardPlan::round_robin(&t, 2);
     }
 
+    const TWO_SHARDS: Engine = Engine::Sharded { shards: 2 };
+
+    /// The standard ping-pong, populated once for whichever engine runs
+    /// it: node 1 sends on each boot timer, node 2 echoes. On two shards
+    /// the hint-free topology falls back to round-robin, one node per
+    /// shard. Isolated from the ambient stagger knob; callers tweak the
+    /// rest before running.
+    fn ping_pong(boot_delays: &[u64]) -> (Workload, [Arc<AtomicU64>; 2]) {
+        let arrivals = [Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0))];
+        let mut w = Workload::new(two_node_topology());
+        w.set_shard_tuning(staggered(Vec::new()));
+        for (i, reply) in [(0, false), (1, true)] {
+            let arrivals = arrivals[i].clone();
+            w.register_node(
+                SwitchId::new(i as u16 + 1),
+                Box::new(Echo { arrivals, reply }),
+            );
+        }
+        for &delay in boot_delays {
+            w.schedule_timer(SwitchId::new(1), 7, delay);
+        }
+        (w, arrivals)
+    }
+
+    fn staggered(stagger_ns: Vec<u64>) -> ShardTuning {
+        ShardTuning {
+            stagger_ns,
+            ..ShardTuning::default()
+        }
+    }
+
+    fn loads(arrivals: &[Arc<AtomicU64>; 2]) -> [u64; 2] {
+        [0, 1].map(|i| arrivals[i].load(Ordering::Relaxed))
+    }
+
     #[test]
     fn sharded_ping_pong_matches_sequential() {
-        // Sequential reference.
-        let seq_arrivals = [Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0))];
-        let mut seq = Simulator::with_scheduler(two_node_topology(), SchedulerKind::Calendar);
-        seq.register_node(
-            SwitchId::new(1),
-            Box::new(Echo {
-                arrivals: seq_arrivals[0].clone(),
-                reply: false,
-            }),
-        );
-        seq.register_node(
-            SwitchId::new(2),
-            Box::new(Echo {
-                arrivals: seq_arrivals[1].clone(),
-                reply: true,
-            }),
-        );
-        seq.schedule_timer(SwitchId::new(1), 7, 50);
-        let seq_events = seq.run_to_completion();
+        let (seq, seq_arrivals) = ping_pong(&[50]);
+        let seq = seq.run(Engine::REFERENCE);
+        let (sharded, arrivals) = ping_pong(&[50]);
+        let report = sharded.run(TWO_SHARDS);
 
-        // Sharded run, one node per shard.
-        let t = two_node_topology();
-        let plan = ShardPlan::round_robin(&t, 2);
-        let arrivals = [Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0))];
-        let mut sharded = ShardedSimulator::new(t, plan);
-        sharded.register_node(
-            SwitchId::new(1),
-            Box::new(Echo {
-                arrivals: arrivals[0].clone(),
-                reply: false,
-            }),
-        );
-        sharded.register_node(
-            SwitchId::new(2),
-            Box::new(Echo {
-                arrivals: arrivals[1].clone(),
-                reply: true,
-            }),
-        );
-        sharded.schedule_timer(SwitchId::new(1), 7, 50);
-        let report = sharded.run();
-
-        assert_eq!(report.events, seq_events);
-        assert_eq!(report.stats, seq.stats());
-        assert_eq!(report.now, seq.now());
-        for (a, b) in arrivals.iter().zip(&seq_arrivals) {
-            assert_eq!(a.load(Ordering::Relaxed), b.load(Ordering::Relaxed));
-        }
+        assert_eq!(report.events, seq.events);
+        assert_eq!(report.stats, seq.stats);
+        assert_eq!(report.now, seq.now);
+        assert_eq!(loads(&arrivals), loads(&seq_arrivals));
+        assert_eq!((seq.rounds, seq.windows, seq.frames_exchanged), (0, 0, 0));
         assert!(report.rounds >= 1, "ping-pong needs at least one round");
         assert!(report.windows >= report.rounds, "chains grant ≥1 window");
         assert_eq!(report.frames_exchanged, 2, "one frame over, one echo back");
@@ -1202,50 +1035,12 @@ mod tests {
 
     #[test]
     fn sharded_timeline_is_bit_identical_to_sequential() {
-        // Sequential recording: telemetry, nodes, boot timer, then the
-        // export interval — the same order the workers use.
-        let mut seq = Simulator::with_scheduler(two_node_topology(), SchedulerKind::Calendar);
-        seq.set_telemetry(Arc::new(Registry::new()));
-        seq.register_node(
-            SwitchId::new(1),
-            Box::new(Echo {
-                arrivals: Arc::new(AtomicU64::new(0)),
-                reply: false,
-            }),
-        );
-        seq.register_node(
-            SwitchId::new(2),
-            Box::new(Echo {
-                arrivals: Arc::new(AtomicU64::new(0)),
-                reply: true,
-            }),
-        );
-        seq.schedule_timer(SwitchId::new(1), 7, 50);
-        seq.set_export_interval(400);
-        seq.run_to_completion();
-        let seq_tl = seq.take_timeline().unwrap();
-
-        let t = two_node_topology();
-        let plan = ShardPlan::round_robin(&t, 2);
-        let mut sharded = ShardedSimulator::new(t, plan);
-        sharded.register_node(
-            SwitchId::new(1),
-            Box::new(Echo {
-                arrivals: Arc::new(AtomicU64::new(0)),
-                reply: false,
-            }),
-        );
-        sharded.register_node(
-            SwitchId::new(2),
-            Box::new(Echo {
-                arrivals: Arc::new(AtomicU64::new(0)),
-                reply: true,
-            }),
-        );
-        sharded.schedule_timer(SwitchId::new(1), 7, 50);
-        sharded.set_export_interval(400);
-        let (_, sharded_tl) = sharded.run_timeline();
-
+        let timeline = |engine| {
+            let (mut w, _) = ping_pong(&[50]);
+            w.set_export_interval(400);
+            w.run(engine).timeline.expect("export interval was set")
+        };
+        let (seq_tl, sharded_tl) = (timeline(Engine::REFERENCE), timeline(TWO_SHARDS));
         assert!(
             !seq_tl.entries.is_empty(),
             "the run must cross at least one boundary with changes"
@@ -1256,107 +1051,39 @@ mod tests {
         assert_eq!(sharded_tl.reconstruct(), sharded_tl.final_snapshot);
     }
 
-    /// Builds the standard ping-pong over a sharded sim; callers tweak
-    /// the knobs before running.
-    fn ping_pong_sharded() -> ShardedSimulator {
-        let t = two_node_topology();
-        let plan = ShardPlan::round_robin(&t, 2);
-        let mut sharded = ShardedSimulator::new(t, plan);
-        sharded.set_stagger(Vec::new()); // isolate from the env knob
-        sharded.register_node(
-            SwitchId::new(1),
-            Box::new(Echo {
-                arrivals: Arc::new(AtomicU64::new(0)),
-                reply: false,
-            }),
-        );
-        sharded.register_node(
-            SwitchId::new(2),
-            Box::new(Echo {
-                arrivals: Arc::new(AtomicU64::new(0)),
-                reply: true,
-            }),
-        );
-        sharded.schedule_timer(SwitchId::new(1), 7, 50);
-        sharded
-    }
-
     #[test]
     fn sharded_telemetry_merges_into_the_callers_registry() {
-        // Sequential reference with a shared registry, event log on.
-        let seq_registry = Arc::new(Registry::with_event_capacity(64));
-        let mut seq = Simulator::with_scheduler(two_node_topology(), SchedulerKind::Calendar);
-        seq.set_telemetry(seq_registry.clone());
-        seq.register_node(
-            SwitchId::new(1),
-            Box::new(Echo {
-                arrivals: Arc::new(AtomicU64::new(0)),
-                reply: false,
-            }),
-        );
-        seq.register_node(
-            SwitchId::new(2),
-            Box::new(Echo {
-                arrivals: Arc::new(AtomicU64::new(0)),
-                reply: true,
-            }),
-        );
-        seq.schedule_timer(SwitchId::new(1), 7, 50);
-        seq.run_to_completion();
-
-        // Sharded: the caller's registry is a merge sink for the
-        // per-shard private registries.
-        let registry = Arc::new(Registry::with_event_capacity(64));
-        let mut sharded = ping_pong_sharded();
-        sharded.set_telemetry(registry.clone());
-        sharded.run();
-        assert_eq!(
-            registry.snapshot().to_json(),
-            seq_registry.snapshot().to_json()
-        );
+        // Sequential records straight into the caller's registry; sharded
+        // uses it as the merge sink for the per-shard private ones.
+        let snapshot_json = |engine| {
+            let registry = Arc::new(Registry::with_event_capacity(64));
+            let (mut w, _) = ping_pong(&[50]);
+            w.set_telemetry(registry.clone());
+            w.run(engine);
+            registry.snapshot().to_json()
+        };
+        assert_eq!(snapshot_json(TWO_SHARDS), snapshot_json(Engine::REFERENCE));
     }
 
     #[test]
     fn sharded_trace_is_bit_identical_to_sequential_under_stagger() {
-        // Sequential reference with tracing on.
-        let seq_registry = Arc::new(Registry::with_capacities(64, 64));
-        let mut seq = Simulator::with_scheduler(two_node_topology(), SchedulerKind::Calendar);
-        seq.set_telemetry(seq_registry.clone());
-        seq.register_node(
-            SwitchId::new(1),
-            Box::new(Echo {
-                arrivals: Arc::new(AtomicU64::new(0)),
-                reply: false,
-            }),
-        );
-        seq.register_node(
-            SwitchId::new(2),
-            Box::new(Echo {
-                arrivals: Arc::new(AtomicU64::new(0)),
-                reply: true,
-            }),
-        );
-        seq.schedule_timer(SwitchId::new(1), 7, 50);
-        seq.run_to_completion();
-        let reference = seq_registry.trace().sorted_records();
-        assert!(!reference.is_empty(), "the ping-pong must emit frame spans");
-        assert_eq!(seq_registry.trace().dropped(), 0);
-
-        for schedule in [Vec::new(), vec![120_000, 0, 40_000]] {
+        let traced = |engine, schedule| {
             let registry = Arc::new(Registry::with_capacities(64, 64));
-            let mut sharded = ping_pong_sharded();
-            sharded.set_telemetry(registry.clone());
-            sharded.set_stagger(schedule);
-            sharded.run();
-            assert_eq!(registry.trace().sorted_records(), reference);
+            let (mut w, _) = ping_pong(&[50]);
+            w.set_telemetry(registry.clone());
+            w.set_shard_tuning(staggered(schedule));
+            w.run(engine);
             assert_eq!(registry.trace().dropped(), 0);
-            let bin = p4auth_telemetry::trace::encode_trace(&reference, 0);
+            registry.trace().sorted_records()
+        };
+        let reference = traced(Engine::REFERENCE, Vec::new());
+        assert!(!reference.is_empty(), "the ping-pong must emit frame spans");
+        for schedule in [Vec::new(), vec![120_000, 0, 40_000]] {
+            let records = traced(TWO_SHARDS, schedule);
+            assert_eq!(records, reference);
             assert_eq!(
-                p4auth_telemetry::trace::encode_trace(
-                    &registry.trace().sorted_records(),
-                    registry.trace().dropped(),
-                ),
-                bin,
+                p4auth_telemetry::trace::encode_trace(&records, 0),
+                p4auth_telemetry::trace::encode_trace(&reference, 0),
                 "P4TR bytes engine-invariant"
             );
         }
@@ -1368,10 +1095,11 @@ mod tests {
         // private per-shard registries serve the timeline merge and the
         // final telemetry merge.
         let registry = Arc::new(Registry::new());
-        let mut sharded = ping_pong_sharded();
-        sharded.set_telemetry(registry.clone());
-        sharded.set_export_interval(400);
-        let (report, timeline) = sharded.run_timeline();
+        let (mut w, _) = ping_pong(&[50]);
+        w.set_telemetry(registry.clone());
+        w.set_export_interval(400);
+        let report = w.run(TWO_SHARDS);
+        let timeline = report.timeline.expect("export interval was set");
         assert_eq!(report.stats.frames_delivered, 2);
         assert!(!timeline.entries.is_empty());
         let snap = registry.snapshot();
@@ -1381,20 +1109,18 @@ mod tests {
 
     #[test]
     fn stagger_does_not_change_any_output() {
-        let reference = {
+        let run = |schedule| {
             let registry = Arc::new(Registry::with_event_capacity(64));
-            let mut sharded = ping_pong_sharded();
-            sharded.set_telemetry(registry.clone());
-            let report = sharded.run();
+            let (mut w, _) = ping_pong(&[50]);
+            w.set_telemetry(registry.clone());
+            w.set_shard_tuning(staggered(schedule));
+            let report = w.run(TWO_SHARDS);
             (registry.snapshot().to_json(), report)
         };
+        let reference = run(Vec::new());
         for schedule in [vec![120_000, 0, 40_000], vec![5_000]] {
-            let registry = Arc::new(Registry::with_event_capacity(64));
-            let mut sharded = ping_pong_sharded();
-            sharded.set_telemetry(registry.clone());
-            sharded.set_stagger(schedule);
-            let report = sharded.run();
-            assert_eq!(registry.snapshot().to_json(), reference.0);
+            let (json, report) = run(schedule);
+            assert_eq!(json, reference.0);
             assert_eq!(report.events, reference.1.events);
             assert_eq!(report.stats, reference.1.stats);
             assert_eq!(report.now, reference.1.now);
@@ -1423,16 +1149,16 @@ mod tests {
 
     #[test]
     fn chained_windows_amortize_rounds_bit_identically() {
-        let run_at_depth = |depth: usize| {
-            let t = two_node_topology();
-            let plan = ShardPlan::round_robin(&t, 2);
-            let mut sharded = ShardedSimulator::new(t, plan);
-            sharded.set_stagger(Vec::new());
-            sharded.set_chain_depth(depth);
-            sharded.register_node(SwitchId::new(1), Box::new(Bouncer));
-            sharded.register_node(SwitchId::new(2), Box::new(Bouncer));
-            sharded.schedule_timer(SwitchId::new(1), 1, 50);
-            sharded.run()
+        let run_at_depth = |chain_depth: usize| {
+            let mut w = Workload::new(two_node_topology());
+            w.set_shard_tuning(ShardTuning {
+                chain_depth,
+                ..staggered(Vec::new())
+            });
+            w.register_node(SwitchId::new(1), Box::new(Bouncer));
+            w.register_node(SwitchId::new(2), Box::new(Bouncer));
+            w.schedule_timer(SwitchId::new(1), 1, 50);
+            w.run(TWO_SHARDS)
         };
         let unchained = run_at_depth(1);
         let chained = run_at_depth(DEFAULT_CHAIN_DEPTH);
@@ -1454,26 +1180,13 @@ mod tests {
 
     #[test]
     fn single_shard_run_is_the_sequential_run() {
-        let t = two_node_topology();
-        let plan = ShardPlan::round_robin(&t, 1);
-        let arrivals = Arc::new(AtomicU64::new(0));
-        let mut sharded = ShardedSimulator::new(t, plan);
-        sharded.register_node(
-            SwitchId::new(1),
-            Box::new(Echo {
-                arrivals: arrivals.clone(),
-                reply: false,
-            }),
-        );
-        sharded.register_node(
-            SwitchId::new(2),
-            Box::new(Echo {
-                arrivals: Arc::new(AtomicU64::new(0)),
-                reply: true,
-            }),
-        );
-        sharded.schedule_timer(SwitchId::new(1), 7, 50);
-        let (report, audits) = sharded.run_audited();
+        let (mut w, _) = ping_pong(&[50]);
+        w.set_shard_tuning(ShardTuning {
+            audit: true,
+            ..staggered(Vec::new())
+        });
+        let report = w.run(Engine::Sharded { shards: 1 });
+        let audits = &report.audits;
         assert_eq!(report.stats.timers_fired, 1);
         assert_eq!(report.events, 3, "timer + arrival + echoed arrival");
         assert_eq!(audits.len() as u64, report.rounds);
@@ -1490,63 +1203,21 @@ mod tests {
         // outage, the t=3500 send flows after recovery. Both engines must
         // agree on every count, and the fault must be tallied exactly
         // once (by the owner shard) even though both workers pop it.
-        let mut plan = crate::fault::FaultPlan::new();
-        plan.flap(LinkId(0), 1_100, 3_000);
+        let run = |engine| {
+            let mut plan = crate::fault::FaultPlan::new();
+            plan.flap(LinkId(0), 1_100, 3_000);
+            let (mut w, arrivals) = ping_pong(&[50, 1_500, 3_500]);
+            w.set_fault_plan(plan);
+            (w.run(engine), loads(&arrivals))
+        };
+        let (seq, seq_arrivals) = run(Engine::REFERENCE);
+        let (report, arrivals) = run(TWO_SHARDS);
 
-        let seq_arrivals = [Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0))];
-        let mut seq = Simulator::with_scheduler(two_node_topology(), SchedulerKind::Calendar);
-        seq.register_node(
-            SwitchId::new(1),
-            Box::new(Echo {
-                arrivals: seq_arrivals[0].clone(),
-                reply: false,
-            }),
-        );
-        seq.register_node(
-            SwitchId::new(2),
-            Box::new(Echo {
-                arrivals: seq_arrivals[1].clone(),
-                reply: true,
-            }),
-        );
-        for delay in [50, 1_500, 3_500] {
-            seq.schedule_timer(SwitchId::new(1), 7, delay);
-        }
-        seq.install_fault_plan(&plan);
-        let seq_events = seq.run_to_completion();
-
-        let t = two_node_topology();
-        let shard_plan = ShardPlan::round_robin(&t, 2);
-        let arrivals = [Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0))];
-        let mut sharded = ShardedSimulator::new(t, shard_plan);
-        sharded.set_stagger(Vec::new());
-        sharded.register_node(
-            SwitchId::new(1),
-            Box::new(Echo {
-                arrivals: arrivals[0].clone(),
-                reply: false,
-            }),
-        );
-        sharded.register_node(
-            SwitchId::new(2),
-            Box::new(Echo {
-                arrivals: arrivals[1].clone(),
-                reply: true,
-            }),
-        );
-        for delay in [50, 1_500, 3_500] {
-            sharded.schedule_timer(SwitchId::new(1), 7, delay);
-        }
-        sharded.set_fault_plan(plan);
-        let report = sharded.run();
-
-        assert_eq!(report.events, seq_events);
-        assert_eq!(report.stats, seq.stats());
-        assert_eq!(report.now, seq.now());
+        assert_eq!(report.events, seq.events);
+        assert_eq!(report.stats, seq.stats);
+        assert_eq!(report.now, seq.now);
         assert_eq!(report.stats.faults_applied, 2, "down + up, counted once");
         assert_eq!(report.stats.frames_undeliverable, 1, "the mid-outage send");
-        for (a, b) in arrivals.iter().zip(&seq_arrivals) {
-            assert_eq!(a.load(Ordering::Relaxed), b.load(Ordering::Relaxed));
-        }
+        assert_eq!(arrivals, seq_arrivals);
     }
 }

@@ -682,8 +682,8 @@ impl Simulator {
     /// runs stay bit-identical across schedulers and shard counts. In a
     /// sharded run every worker installs the full plan (each must flip its
     /// own topology copy and notify its own nodes); call this *after*
-    /// shard routing is set so the owner accounting is correct — the shard
-    /// runtime does ([`crate::shard::ShardedSimulator::set_fault_plan`]).
+    /// shard routing is set so the owner accounting is correct — the front
+    /// door does ([`crate::engine::Workload::set_fault_plan`]).
     ///
     /// # Panics
     ///

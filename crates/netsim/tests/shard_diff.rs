@@ -1,8 +1,12 @@
-//! Differential test for the sharded engine: the fig19-mix fat-tree
-//! workload must be bit-identical — per-node delivery streams, aggregate
-//! stats, final clock and telemetry fingerprints — across five engines:
-//! sequential heap, sequential calendar, and sharded with 1, 2 and 4
-//! shards.
+//! Differential test for the engines: the fig19-mix fat-tree workload,
+//! populated once through the front door, must be bit-identical —
+//! per-node delivery streams, aggregate stats, final clock and telemetry
+//! fingerprints, plus timeline and trace bytes when those observers are
+//! on — on the reference engine and every engine of
+//! [`Engine::DIFFERENTIAL`]: sequential heap and sharded with 1, 2 and 4
+//! shards. The same helper proves that the order the front door's setters
+//! are called in changes nothing, and that a panicking node fails every
+//! engine the same way.
 //!
 //! Every node records each frame it receives as `(time, ingress port,
 //! payload bytes)`. Comparing those streams per node (rather than one
@@ -10,16 +14,24 @@
 //! differently in wall time, but each node must observe the identical
 //! sequence of deliveries at identical simulated instants.
 
+use p4auth_netsim::engine::{Engine, Workload};
 use p4auth_netsim::fattree::FatTree;
+use p4auth_netsim::fault::FaultPlan;
 use p4auth_netsim::frame::FrameBytes;
-use p4auth_netsim::sched::SchedulerKind;
-use p4auth_netsim::shard::{ShardPlan, ShardedSimulator};
-use p4auth_netsim::sim::{Outbox, SimNode, SimStats, Simulator};
+use p4auth_netsim::shard::{ShardPlan, ShardTuning};
+use p4auth_netsim::sim::{Outbox, SimNode, SimStats};
 use p4auth_netsim::time::SimTime;
+use p4auth_netsim::timeline::Timeline;
+use p4auth_netsim::topology::LinkId;
 use p4auth_primitives::rng::{RandomSource, SplitMix64};
+use p4auth_telemetry::trace::encode_trace;
 use p4auth_telemetry::Registry;
 use p4auth_wire::ids::{PortId, SwitchId};
-use std::sync::{Arc, Mutex};
+use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 const READ_FRAME_BYTES: usize = 34;
 const WRITE_FRAME_BYTES: usize = 58;
@@ -61,6 +73,8 @@ impl SimNode for Forwarder {
 
 struct Host {
     index: u16,
+    /// Panic on the first delivery (the engine-failure test).
+    bomb: bool,
     remaining: u32,
     sent: u32,
     rng: SplitMix64,
@@ -76,6 +90,7 @@ impl SimNode for Host {
             ingress.value(),
             payload.to_vec(),
         ));
+        assert!(!self.bomb, "bomb on host {}", self.index);
     }
 
     fn on_timer(&mut self, _now: SimTime, _timer_id: u64, out: &mut Outbox) {
@@ -123,85 +138,143 @@ fn forwarder(ft: FatTree, id: SwitchId, streams: &Streams) -> Box<Forwarder> {
     })
 }
 
-fn host(ft: FatTree, k: u16, h: u16, frames: u32, streams: &Streams) -> Box<Host> {
+fn host(ft: FatTree, h: u16, case: &Case, streams: &Streams) -> Box<Host> {
     Box::new(Host {
         index: h,
-        remaining: frames,
+        bomb: case.bomb == Some(h),
+        remaining: case.frames,
         sent: 0,
-        rng: host_rng(k, h),
+        rng: host_rng(case.k, h),
         ft,
         stream: ft.switch_count() as usize + h as usize,
         streams: streams.clone(),
     })
 }
 
+/// One call of a front-door setter group.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Step {
+    Registry,
+    NodesAndTimers,
+    Faults,
+    ExportInterval,
+}
+
+/// The order the engines apply them in, whatever order they were called.
+const CANONICAL: [Step; 4] = [
+    Step::Registry,
+    Step::NodesAndTimers,
+    Step::Faults,
+    Step::ExportInterval,
+];
+
+/// One run of the workload: its size, what observes it besides the
+/// per-node streams and the registry's metrics, and how it is set up.
+#[derive(Clone)]
+struct Case {
+    k: u16,
+    frames: u32,
+    event_capacity: usize,
+    trace_capacity: usize,
+    export_interval_ns: Option<u64>,
+    faults: Option<FaultPlan>,
+    /// Index of the host that panics on its first delivery.
+    bomb: Option<u16>,
+    /// The order the front door's setters are called in.
+    order: [Step; 4],
+}
+
+impl Case {
+    /// Metrics only, no faults, canonical setter order.
+    fn new(k: u16, frames: u32) -> Self {
+        Case {
+            k,
+            frames,
+            event_capacity: 0,
+            trace_capacity: 0,
+            export_interval_ns: None,
+            faults: None,
+            bomb: None,
+            order: CANONICAL,
+        }
+    }
+
+    /// Every observer at once: trace ring, export interval, fault plan.
+    fn observed(k: u16, frames: u32, interval_ns: u64, faults: FaultPlan) -> Self {
+        Case {
+            trace_capacity: 1 << 14,
+            export_interval_ns: Some(interval_ns),
+            faults: Some(faults),
+            ..Case::new(k, frames)
+        }
+    }
+}
+
 /// Everything a run produces that must be engine-invariant.
+#[derive(PartialEq, Debug)]
 struct RunResult {
-    label: String,
     streams: Vec<Vec<Delivery>>,
     events: u64,
     stats: SimStats,
     now_ns: u64,
     telemetry_json: String,
+    timeline_bin: Option<Vec<u8>>,
+    trace_bin: Vec<u8>,
 }
 
-fn run_sequential(k: u16, frames: u32, kind: SchedulerKind) -> RunResult {
-    let ft = FatTree::new(k);
-    let streams = make_streams(&ft);
-    let registry = Arc::new(Registry::new());
-    let mut sim = Simulator::with_scheduler(ft.build(LATENCY_NS), kind);
-    sim.set_telemetry(registry.clone());
-    for id in 1..=ft.switch_count() {
-        let id = SwitchId::new(id);
-        sim.register_node(id, forwarder(ft, id, &streams));
-    }
-    for h in 0..ft.host_count() {
-        sim.register_node(ft.host(h), host(ft, k, h, frames, &streams));
-        sim.schedule_timer(ft.host(h), SEND_TIMER, 1 + (h as u64 % 97) * 11);
-    }
-    let events = sim.run_to_completion();
-    let (stats, now_ns) = (sim.stats(), sim.now().as_ns());
-    drop(sim); // release the nodes' stream handles
-    RunResult {
-        label: format!("sequential-{}", kind.label()),
-        streams: unwrap_streams(streams),
-        events,
-        stats,
-        now_ns,
-        telemetry_json: registry.snapshot().to_json(),
-    }
-}
-
-/// Runs the sharded engine with a programmatic wall-clock stagger
-/// schedule (empty = no artificial delays, and isolated from any ambient
-/// `P4AUTH_SHARD_STAGGER`). Workers sleep schedule-determined amounts
+/// Populates the workload once and runs it on `engine`. A sharded engine
+/// runs under the programmatic wall-clock stagger schedule `stagger_ns`
+/// (empty = no artificial delays, and isolated from any ambient
+/// `P4AUTH_SHARD_STAGGER`): workers sleep schedule-determined amounts
 /// before each window publish and each rendezvous reply, forcing
 /// adversarial interleavings that must not leak into any output.
-fn run_sharded(k: u16, frames: u32, shards: usize, stagger_ns: &[u64]) -> RunResult {
-    let ft = FatTree::new(k);
+fn run(case: &Case, engine: Engine, stagger_ns: &[u64]) -> RunResult {
+    let ft = FatTree::new(case.k);
     let streams = make_streams(&ft);
-    let registry = Arc::new(Registry::new());
-    let topo = ft.build(LATENCY_NS);
-    let plan = ShardPlan::pod_aligned(&topo, shards);
-    let mut sim = ShardedSimulator::new(topo, plan);
-    sim.set_stagger(stagger_ns.to_vec());
-    sim.set_telemetry(registry.clone());
-    for id in 1..=ft.switch_count() {
-        let id = SwitchId::new(id);
-        sim.register_node(id, forwarder(ft, id, &streams));
+    let registry = Arc::new(Registry::with_capacities(
+        case.event_capacity,
+        case.trace_capacity,
+    ));
+    let mut w = Workload::new(ft.build(LATENCY_NS));
+    w.set_shard_tuning(ShardTuning {
+        stagger_ns: stagger_ns.to_vec(),
+        ..ShardTuning::default()
+    });
+    for step in case.order {
+        match step {
+            Step::Registry => w.set_telemetry(registry.clone()),
+            Step::NodesAndTimers => {
+                for id in 1..=ft.switch_count() {
+                    let id = SwitchId::new(id);
+                    w.register_node(id, forwarder(ft, id, &streams));
+                }
+                for h in 0..ft.host_count() {
+                    w.register_node(ft.host(h), host(ft, h, case, &streams));
+                    w.schedule_timer(ft.host(h), SEND_TIMER, 1 + (h as u64 % 97) * 11);
+                }
+            }
+            Step::Faults => {
+                if let Some(plan) = &case.faults {
+                    w.set_fault_plan(plan.clone());
+                }
+            }
+            Step::ExportInterval => {
+                if let Some(interval_ns) = case.export_interval_ns {
+                    w.set_export_interval(interval_ns);
+                }
+            }
+        }
     }
-    for h in 0..ft.host_count() {
-        sim.register_node(ft.host(h), host(ft, k, h, frames, &streams));
-        sim.schedule_timer(ft.host(h), SEND_TIMER, 1 + (h as u64 % 97) * 11);
-    }
-    let report = sim.run();
+    let report = w.run(engine);
+    let trace = registry.trace();
     RunResult {
-        label: format!("sharded-{shards} (stagger {stagger_ns:?})"),
         streams: unwrap_streams(streams),
         events: report.events,
         stats: report.stats,
         now_ns: report.now.as_ns(),
         telemetry_json: registry.snapshot().to_json(),
+        timeline_bin: report.timeline.map(|tl| tl.to_bin()),
+        trace_bin: encode_trace(&trace.sorted_records(), trace.dropped()),
     }
 }
 
@@ -213,8 +286,7 @@ fn unwrap_streams(streams: Streams) -> Vec<Vec<Delivery>> {
         .collect()
 }
 
-fn assert_runs_match(k: u16, reference: &RunResult, other: &RunResult) {
-    let ctx = format!("k={k}: {} vs {}", reference.label, other.label);
+fn assert_runs_match(ctx: &str, reference: &RunResult, other: &RunResult) {
     assert_eq!(reference.events, other.events, "{ctx}: event count");
     assert_eq!(reference.stats, other.stats, "{ctx}: stats");
     assert_eq!(reference.now_ns, other.now_ns, "{ctx}: final clock");
@@ -230,33 +302,48 @@ fn assert_runs_match(k: u16, reference: &RunResult, other: &RunResult) {
         reference.telemetry_json, other.telemetry_json,
         "{ctx}: telemetry fingerprint"
     );
+    assert_eq!(
+        reference.timeline_bin, other.timeline_bin,
+        "{ctx}: timeline bytes"
+    );
+    assert_eq!(reference.trace_bin, other.trace_bin, "{ctx}: trace bytes");
 }
 
-fn assert_bit_identical(k: u16, frames: u32) {
-    let reference = run_sequential(k, frames, SchedulerKind::Calendar);
+/// The reference engine first, then the canonical differential list.
+fn every_engine() -> impl Iterator<Item = Engine> {
+    [Engine::REFERENCE].into_iter().chain(Engine::DIFFERENTIAL)
+}
+
+/// Runs `case` on the reference engine, then on every `(engine, stagger)`
+/// of `others`, and asserts each reproduces it.
+fn assert_bit_identical(
+    case: &Case,
+    others: impl IntoIterator<Item = (Engine, Vec<u64>)>,
+) -> RunResult {
+    let reference = run(case, Engine::REFERENCE, &[]);
     assert!(
         reference.stats.frames_delivered > 0,
         "workload must generate traffic"
     );
-    let others = [
-        run_sequential(k, frames, SchedulerKind::Heap),
-        run_sharded(k, frames, 1, &[]),
-        run_sharded(k, frames, 2, &[]),
-        run_sharded(k, frames, 4, &[]),
-    ];
-    for other in &others {
-        assert_runs_match(k, &reference, other);
+    for (engine, stagger_ns) in others {
+        let ctx = format!("k={}: {} (stagger {stagger_ns:?})", case.k, engine.label());
+        assert_runs_match(&ctx, &reference, &run(case, engine, &stagger_ns));
     }
+    reference
+}
+
+fn unstaggered() -> impl Iterator<Item = (Engine, Vec<u64>)> {
+    Engine::DIFFERENTIAL.into_iter().map(|e| (e, Vec::new()))
 }
 
 #[test]
 fn fat_tree_4_bit_identical_across_engines() {
-    assert_bit_identical(4, 30);
+    assert_bit_identical(&Case::new(4, 30), unstaggered());
 }
 
 #[test]
 fn fat_tree_8_bit_identical_across_engines() {
-    assert_bit_identical(8, 8);
+    assert_bit_identical(&Case::new(8, 8), unstaggered());
 }
 
 /// The bit-identity claim under adversarial worker scheduling: with
@@ -265,60 +352,153 @@ fn fat_tree_8_bit_identical_across_engines() {
 /// telemetry — still equals the sequential reference byte for byte.
 #[test]
 fn fat_tree_4_bit_identical_under_adversarial_stagger() {
-    let reference = run_sequential(4, 20, SchedulerKind::Calendar);
-    assert!(
-        reference.stats.frames_delivered > 0,
-        "workload must generate traffic"
-    );
     let others = [
-        run_sharded(4, 20, 4, &[120_000, 0, 40_000]),
-        run_sharded(4, 20, 4, &[7_000]),
-        run_sharded(4, 20, 2, &[0, 90_000]),
+        (Engine::Sharded { shards: 4 }, vec![120_000, 0, 40_000]),
+        (Engine::Sharded { shards: 4 }, vec![7_000]),
+        (Engine::Sharded { shards: 2 }, vec![0, 90_000]),
     ];
-    for other in &others {
-        assert_runs_match(4, &reference, other);
-    }
+    assert_bit_identical(&Case::new(4, 20), others);
 }
 
 /// Regression for the telemetry-merge redesign: with the event log
 /// enabled, the merged snapshot JSON — counters, histograms *and* the
 /// event stream — is identical across adversarial worker interleavings.
 /// (Before per-shard private registries, workers raced appends into one
-/// shared log and the event order depended on thread scheduling.)
-fn sharded_snapshot_json(k: u16, frames: u32, shards: usize, stagger_ns: &[u64]) -> String {
-    let ft = FatTree::new(k);
-    let streams = make_streams(&ft);
-    let registry = Arc::new(Registry::with_event_capacity(512));
-    let topo = ft.build(LATENCY_NS);
-    let plan = ShardPlan::pod_aligned(&topo, shards);
-    let mut sim = ShardedSimulator::new(topo, plan);
-    sim.set_stagger(stagger_ns.to_vec());
-    sim.set_telemetry(registry.clone());
-    for id in 1..=ft.switch_count() {
-        let id = SwitchId::new(id);
-        sim.register_node(id, forwarder(ft, id, &streams));
-    }
-    for h in 0..ft.host_count() {
-        sim.register_node(ft.host(h), host(ft, k, h, frames, &streams));
-        sim.schedule_timer(ft.host(h), SEND_TIMER, 1 + (h as u64 % 97) * 11);
-    }
-    sim.run();
-    registry.snapshot().to_json()
-}
-
+/// shared log and the event order depended on thread scheduling.) The
+/// reference here is the unstaggered sharded run: same-instant events of
+/// different shards merge in shard order, not the sequential one.
 #[test]
 fn event_log_merge_is_identical_across_adversarial_interleavings() {
-    let reference = sharded_snapshot_json(4, 12, 4, &[]);
+    let case = Case {
+        event_capacity: 512,
+        ..Case::new(4, 12)
+    };
+    let four = Engine::Sharded { shards: 4 };
+    let reference = run(&case, four, &[]);
     assert!(
-        reference.contains("frame_delivered"),
+        reference.telemetry_json.contains("frame_delivered"),
         "the event log must have captured traffic"
     );
     let schedules: [&[u64]; 3] = [&[150_000], &[0, 0, 80_000], &[60_000, 20_000]];
     for stagger in schedules {
         assert_eq!(
-            sharded_snapshot_json(4, 12, 4, stagger),
+            run(&case, four, stagger),
             reference,
-            "snapshot JSON diverged under stagger {stagger:?}"
+            "run diverged under stagger {stagger:?}"
         );
+    }
+}
+
+/// The order trap, closed: whatever order the front door's setters are
+/// called in — registry or export interval before or after the nodes and
+/// boot timers, fault plan first or last — every engine applies them in
+/// the canonical order, so every output equals the canonically populated
+/// reference. (A bare `Simulator` is order-sensitive: starting the export
+/// before the boot timers moves their 16 `sim_events_scheduled` out of
+/// the recording's baseline.)
+#[test]
+fn setter_order_changes_nothing_on_any_engine() {
+    let mut faults = FaultPlan::new();
+    faults.flap(LinkId(5), 900, 4_000);
+    let canonical = Case::observed(4, 6, 1_000, faults);
+    let reference = run(&canonical, Engine::REFERENCE, &[]);
+    let baseline = Timeline::from_bin(reference.timeline_bin.as_ref().unwrap()).unwrap();
+    assert_eq!(
+        baseline.baseline.counter("sim_events_scheduled", ""),
+        Some(16),
+        "the boot timers belong to the baseline"
+    );
+    let mut orders = vec![CANONICAL];
+    for rotation in 1..4 {
+        let mut order = CANONICAL;
+        order.rotate_left(rotation);
+        orders.push(order);
+        order.reverse();
+        orders.push(order);
+    }
+    for order in orders {
+        let case = Case {
+            order,
+            ..canonical.clone()
+        };
+        for engine in every_engine() {
+            let ctx = format!("{order:?} on {}", engine.label());
+            assert_runs_match(&ctx, &reference, &run(&case, engine, &[]));
+        }
+    }
+}
+
+/// Runs `f` on its own thread and fails if it has not returned within 30 s
+/// of wall clock: a hang must fail the test, not stall it.
+fn within_timeout<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(Duration::from_secs(30))
+        .expect("the run hung")
+}
+
+/// Every engine fails the same way: a node's panic reaches the caller
+/// with the node's own message, wherever the node runs. Before the
+/// workers closed their mailboxes on the way out, a bomb on any shard but
+/// shard 0 left shard 0 waiting on its mailbox and the coordinator
+/// waiting on shard 0, forever; a bomb on shard 0 surfaced as `worker
+/// died mid-round: RecvError`.
+#[test]
+fn a_node_panic_reaches_the_caller_on_every_engine() {
+    // One host per pod: one bomb per shard at 4 shards (and on both
+    // shards at 2).
+    let bombs = [0u16, 4, 8, 12];
+    let ft = FatTree::new(4);
+    let plan = ShardPlan::pod_aligned(&ft.build(LATENCY_NS), 4);
+    let shards: BTreeSet<usize> = bombs.iter().map(|&h| plan.shard_of(ft.host(h))).collect();
+    assert_eq!(shards.len(), 4, "the bombs must cover every shard");
+
+    for engine in every_engine() {
+        for bomb in bombs {
+            let case = Case {
+                bomb: Some(bomb),
+                ..Case::new(4, 20)
+            };
+            let outcome = within_timeout(move || {
+                catch_unwind(AssertUnwindSafe(|| run(&case, engine, &[]))).map(|_| ())
+            });
+            let payload = outcome.expect_err("the bomb must go off");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(format!("bomb on host {bomb}").as_str()),
+                "{}: not the node's own panic",
+                engine.label()
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// All observers at once — fault plan, registry, export interval and
+    /// trace ring on the same run — on random small fat-trees: every
+    /// output is equal on every engine, the sharded ones under a random
+    /// adversarial stagger.
+    #[test]
+    fn all_observers_at_once_are_engine_invariant(
+        k in prop_oneof![Just(2u16), Just(4u16)],
+        frames in 2u32..10,
+        interval_ns in 700u64..6_000,
+        flaps in proptest::collection::vec((0u32..64, 1u64..9_000, 1u64..6_000), 1..4),
+        stagger in proptest::collection::vec(0u64..4, 0..4),
+    ) {
+        let links = FatTree::new(k).build(LATENCY_NS).links().len() as u32;
+        let mut plan = FaultPlan::new();
+        for (link, down_at_ns, outage_ns) in flaps {
+            plan.flap(LinkId(link % links), down_at_ns, down_at_ns + outage_ns);
+        }
+        let case = Case::observed(k, frames, interval_ns, plan);
+        let stagger_ns: Vec<u64> = stagger.iter().map(|&v| v * 30_000).collect();
+        let others = Engine::DIFFERENTIAL.into_iter().map(|e| (e, stagger_ns.clone()));
+        let reference = assert_bit_identical(&case, others);
+        prop_assert!(reference.stats.faults_applied >= 2, "the plan must fire");
+        prop_assert!(reference.trace_bin.len() > 16, "the ring must hold spans");
+        prop_assert!(reference.timeline_bin.is_some());
     }
 }

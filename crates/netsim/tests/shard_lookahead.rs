@@ -12,10 +12,10 @@
 //! same-timestamp events regularly straddle shard boundaries (the case
 //! the packed per-source tiebreak keys exist for).
 
+use p4auth_netsim::engine::{Engine, RunReport, Workload};
 use p4auth_netsim::frame::FrameBytes;
-use p4auth_netsim::sched::SchedulerKind;
-use p4auth_netsim::shard::{ShardPlan, ShardedSimulator};
-use p4auth_netsim::sim::{Outbox, SimNode, Simulator};
+use p4auth_netsim::shard::{ShardPlan, ShardTuning};
+use p4auth_netsim::sim::{Outbox, SimNode};
 use p4auth_netsim::time::SimTime;
 use p4auth_netsim::topology::{Endpoint, Topology};
 use p4auth_wire::ids::{PortId, SwitchId};
@@ -107,36 +107,42 @@ fn build_topology(n: usize, chords: &[(usize, usize)], lat_picks: &[usize]) -> T
     t
 }
 
-fn register_relays(
-    t: &Topology,
-    n: usize,
-    streams: &Streams,
-    mut register: impl FnMut(SwitchId, Box<Relay>),
-) {
-    for i in 0..n {
-        let id = SwitchId::new(i as u16 + 1);
-        let ports: Vec<PortId> = t.neighbors(id).into_iter().map(|(p, _)| p).collect();
-        register(
-            id,
-            Box::new(Relay {
-                index: i,
-                ports,
-                streams: streams.clone(),
-            }),
-        );
-    }
-}
-
-fn fresh_streams(n: usize) -> Streams {
-    Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect())
-}
-
 fn unwrap_streams(streams: Streams) -> Vec<Vec<Delivery>> {
     Arc::try_unwrap(streams)
         .expect("all nodes dropped")
         .into_iter()
         .map(|m| m.into_inner().unwrap())
         .collect()
+}
+
+/// Populates the relay workload once and runs it on `engine` under
+/// `tuning`, returning the report and the per-node delivery streams.
+fn run_relays(
+    topo: &Topology,
+    n: usize,
+    timers: &[(usize, u64, u8)],
+    engine: Engine,
+    tuning: ShardTuning,
+) -> (RunReport, Vec<Vec<Delivery>>) {
+    let streams: Streams = Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect());
+    let mut w = Workload::new(topo.clone());
+    w.set_shard_tuning(tuning);
+    for i in 0..n {
+        let id = SwitchId::new(i as u16 + 1);
+        let relay = Relay {
+            index: i,
+            ports: topo.neighbors(id).into_iter().map(|(p, _)| p).collect(),
+            streams: streams.clone(),
+        };
+        w.register_node(id, Box::new(relay));
+    }
+    for (i, &(node, delay, ttl)) in timers.iter().enumerate() {
+        let node = SwitchId::new((node % n) as u16 + 1);
+        let timer_id = ((ttl as u64) << 8) | (i as u64 & 0xff);
+        w.schedule_timer(node, timer_id, delay);
+    }
+    let report = w.run(engine);
+    (report, unwrap_streams(streams))
 }
 
 #[allow(clippy::type_complexity)]
@@ -150,46 +156,28 @@ fn run_case(
     stagger_ns: &[u64],
 ) {
     let topo = build_topology(n, chords, lat_picks);
+    let (seq, seq_streams) =
+        run_relays(&topo, n, timers, Engine::REFERENCE, ShardTuning::default());
 
-    // Sequential calendar reference.
-    let seq_streams = fresh_streams(n);
-    let mut seq = Simulator::with_scheduler(topo.clone(), SchedulerKind::Calendar);
-    register_relays(&topo, n, &seq_streams, |id, relay| {
-        seq.register_node(id, relay)
-    });
-    for (i, &(node, delay, ttl)) in timers.iter().enumerate() {
-        let node = SwitchId::new((node % n) as u16 + 1);
-        let timer_id = ((ttl as u64) << 8) | (i as u64 & 0xff);
-        seq.schedule_timer(node, timer_id, delay);
-    }
-    let seq_events = seq.run_to_completion();
-    let (seq_stats, seq_now) = (seq.stats(), seq.now());
-    drop(seq);
-    let seq_streams = unwrap_streams(seq_streams);
-
-    // Sharded run under a random assignment.
+    // Sharded run under a random assignment and a random wall-clock
+    // stagger: worker scheduling must never matter.
     let plan = ShardPlan::custom(&topo, nshards, |id| {
         assign[(id.value() as usize - 1) % assign.len()] % nshards
     });
-    let shard_streams = fresh_streams(n);
-    let mut sharded = ShardedSimulator::new(topo.clone(), plan.clone());
-    // Random wall-clock stagger: worker scheduling must never matter.
-    sharded.set_stagger(stagger_ns.to_vec());
-    register_relays(&topo, n, &shard_streams, |id, relay| {
-        sharded.register_node(id, relay)
-    });
-    for (i, &(node, delay, ttl)) in timers.iter().enumerate() {
-        let node = SwitchId::new((node % n) as u16 + 1);
-        let timer_id = ((ttl as u64) << 8) | (i as u64 & 0xff);
-        sharded.schedule_timer(node, timer_id, delay);
-    }
-    let (report, audits) = sharded.run_audited();
-    let shard_streams = unwrap_streams(shard_streams);
+    let tuning = ShardTuning {
+        plan: Some(plan.clone()),
+        stagger_ns: stagger_ns.to_vec(),
+        audit: true,
+        ..ShardTuning::default()
+    };
+    let sharded = Engine::Sharded { shards: nshards };
+    let (report, shard_streams) = run_relays(&topo, n, timers, sharded, tuning);
+    let audits = &report.audits;
 
     // Drain order equals the sequential reference.
-    assert_eq!(report.events, seq_events, "event count");
-    assert_eq!(report.stats, seq_stats, "stats");
-    assert_eq!(report.now, seq_now, "final clock");
+    assert_eq!(report.events, seq.events, "event count");
+    assert_eq!(report.stats, seq.stats, "stats");
+    assert_eq!(report.now, seq.now, "final clock");
     assert_eq!(shard_streams, seq_streams, "per-node delivery streams");
 
     // Lookahead invariants, checked from the raw per-rendezvous records.

@@ -1,29 +1,33 @@
 //! Fat-tree scale workload: the events/sec measurement behind the
-//! calendar-queue scheduler and the sharded engine (`repro -- scale` and
-//! the `sim_scale` bench).
+//! calendar-queue scheduler and the sharded engine (`repro -- scale`,
+//! `repro -- timeline` and the `timeline_export` bench).
 //!
 //! Hundreds of switches forward a fig19-style register traffic mix (two
 //! 34-byte reads per 58-byte write) between random host pairs over
 //! `Topology::fat_tree(k)`. Forwarding is deterministic-ECMP arithmetic
-//! ([`FatTree::next_hop`]) so the run is bit-identical across schedulers
-//! *and* across shard counts, and the measurement isolates the event
-//! queue plus the simulator's dense hot path.
+//! ([`FatTree::next_hop`]) so the run is bit-identical on every
+//! [`Engine`], and the measurement isolates the event queue plus the
+//! simulator's dense hot path.
 //!
-//! The module lives in `p4auth-systems` (rather than the bench crate) so
-//! the CI smoke runner, the Criterion bench and the `repro` reporter all
-//! drive the exact same workload.
+//! The workload is *defined* as the users workload at one user per host
+//! slot: [`run_scale_engine`] and [`run_scale_timeline`] run
+//! [`UserScaleConfig::mirror_scale`] of their [`ScaleConfig`] through the
+//! one fabric runner in [`crate::userscale`] and map its result. There
+//! is no second host model here; what this module owns is the
+//! configuration, the result shape, the frame layout and the fabric
+//! switch every host model sends through. `tests/aggregate_diff.rs`
+//! keeps an individual per-host node as the oracle the definition is
+//! checked against.
 
+use crate::userscale::{run_fabric, FabricRun, UserScaleConfig};
+pub use p4auth_netsim::engine::Engine;
 use p4auth_netsim::fattree::FatTree;
 use p4auth_netsim::frame::FrameBytes;
-use p4auth_netsim::sched::SchedulerKind;
-use p4auth_netsim::shard::{ShardPlan, ShardedSimulator};
-use p4auth_netsim::sim::{Outbox, SimNode, Simulator, TopologyEvent};
+use p4auth_netsim::sim::{Outbox, SimNode, TopologyEvent};
 use p4auth_netsim::time::SimTime;
 use p4auth_netsim::timeline::Timeline;
-use p4auth_primitives::rng::{RandomSource, SplitMix64};
 use p4auth_telemetry::Registry;
 use p4auth_wire::ids::{PortId, SwitchId};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Fig19-style request sizes: header + digest + read body / write body.
@@ -65,29 +69,6 @@ impl ScaleConfig {
     }
 }
 
-/// Which execution engine a scale run uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Engine {
-    /// Single-threaded run on the given scheduler.
-    Sequential(SchedulerKind),
-    /// Sharded run: pod-aligned partition, conservative safe-window
-    /// rounds, always on the calendar scheduler per shard.
-    Sharded {
-        /// Worker shard count.
-        shards: usize,
-    },
-}
-
-impl Engine {
-    /// Short human-readable label (`heap`, `calendar`, `sharded-4`).
-    pub fn label(&self) -> String {
-        match self {
-            Engine::Sequential(kind) => kind.label().to_string(),
-            Engine::Sharded { shards } => format!("sharded-{shards}"),
-        }
-    }
-}
-
 /// Result of one scale run.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleRun {
@@ -115,6 +96,20 @@ pub struct ScaleRun {
 }
 
 impl ScaleRun {
+    fn of(engine: Engine, run: &FabricRun) -> Self {
+        ScaleRun {
+            engine,
+            events: run.report.events,
+            frames_delivered: run.frames_delivered,
+            sim_ns: run.report.now.as_ns(),
+            wall_ns: run.report.wall_ns,
+            rounds: run.report.rounds,
+            windows: run.report.windows,
+            frames_exchanged: run.report.frames_exchanged,
+            barrier_wait_ns: run.report.barrier_wait_ns,
+        }
+    }
+
     /// Simulator throughput: events processed per wall-clock second.
     pub fn events_per_sec(&self) -> f64 {
         self.events as f64 / (self.wall_ns.max(1) as f64 / 1e9)
@@ -179,66 +174,10 @@ impl SimNode for Forwarder {
     }
 }
 
-/// A host: transmits its share of the traffic mix on a timer, sinks and
-/// counts whatever arrives. The arrival counter is atomic so the same
-/// node type serves both the sequential and the sharded engine.
-struct Host {
-    index: u16,
-    remaining: u32,
-    sent: u32,
-    interval_ns: u64,
-    rng: SplitMix64,
-    ft: FatTree,
-    arrivals: Arc<AtomicU64>,
-}
-
 pub(crate) const SEND_TIMER: u64 = 1;
 
-impl SimNode for Host {
-    fn on_frame(&mut self, _now: SimTime, _ingress: PortId, _payload: FrameBytes, _: &mut Outbox) {
-        self.arrivals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_timer(&mut self, _now: SimTime, _timer_id: u64, out: &mut Outbox) {
-        if self.remaining == 0 {
-            return;
-        }
-        self.remaining -= 1;
-        // Pick a random *other* host as destination.
-        let hosts = self.ft.host_count();
-        let mut dst = (self.rng.next_u64() % (hosts as u64 - 1)) as u16;
-        if dst >= self.index {
-            dst += 1;
-        }
-        // 2 reads : 1 write, matching the fig19 request mix.
-        let len = if self.sent % 3 == 2 {
-            WRITE_FRAME_BYTES
-        } else {
-            READ_FRAME_BYTES
-        };
-        self.sent += 1;
-        let mut buf = [0u8; WRITE_FRAME_BYTES];
-        buf[..2].copy_from_slice(&self.ft.host(dst).value().to_le_bytes());
-        buf[2] = (self.rng.next_u64() & 0xff) as u8;
-        out.send(PortId::new(1), FrameBytes::from_slice(&buf[..len]));
-        if self.remaining > 0 {
-            out.set_timer(SEND_TIMER, self.interval_ns);
-        }
-    }
-}
-
-fn forwarder(cfg: &ScaleConfig, ft: FatTree, id: SwitchId) -> Box<Forwarder> {
-    Box::new(Forwarder {
-        ft,
-        id,
-        proc_ns: cfg.proc_ns,
-        down: 0,
-    })
-}
-
-/// A fabric forwarder for other workloads in this crate (`userscale`
-/// reuses the exact scale-workload switch so host aggregation changes
-/// nothing about the fabric).
+/// A fabric forwarder (`userscale` builds the fabric every host model
+/// sends through from these).
 pub(crate) fn fabric_forwarder(ft: FatTree, id: SwitchId, proc_ns: u64) -> Box<dyn SimNode + Send> {
     Box::new(Forwarder {
         ft,
@@ -246,23 +185,6 @@ pub(crate) fn fabric_forwarder(ft: FatTree, id: SwitchId, proc_ns: u64) -> Box<d
         proc_ns,
         down: 0,
     })
-}
-
-fn host(cfg: &ScaleConfig, ft: FatTree, h: u16, arrivals: &Arc<AtomicU64>) -> Box<Host> {
-    Box::new(Host {
-        index: h,
-        remaining: cfg.frames_per_host,
-        sent: 0,
-        interval_ns: cfg.interval_ns,
-        rng: SplitMix64::new(cfg.seed ^ (h as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-        ft,
-        arrivals: arrivals.clone(),
-    })
-}
-
-/// Staggered start so transmissions interleave instead of phasing.
-pub(crate) fn boot_delay(h: u16) -> u64 {
-    1 + (h as u64 % 97) * 11
 }
 
 /// Runs the workload on the given engine. Pass a registry to collect
@@ -273,165 +195,27 @@ pub fn run_scale_engine(
     engine: Engine,
     registry: Option<Arc<Registry>>,
 ) -> ScaleRun {
-    let ft = FatTree::new(cfg.k);
-    let arrivals = Arc::new(AtomicU64::new(0));
-    let (events, sim_ns, wall_ns, coord) = match engine {
-        Engine::Sequential(kind) => {
-            let mut sim = Simulator::with_scheduler(ft.build(cfg.latency_ns), kind);
-            if let Some(r) = registry {
-                sim.set_telemetry(r);
-            }
-            for id in 1..=ft.switch_count() {
-                let id = SwitchId::new(id);
-                sim.register_node(id, forwarder(&cfg, ft, id));
-            }
-            for h in 0..ft.host_count() {
-                sim.register_node(ft.host(h), host(&cfg, ft, h, &arrivals));
-                sim.schedule_timer(ft.host(h), SEND_TIMER, boot_delay(h));
-            }
-            let start = std::time::Instant::now();
-            let events = sim.run_to_completion();
-            (
-                events,
-                sim.now().as_ns(),
-                start.elapsed().as_nanos() as u64,
-                (0, 0, 0, 0),
-            )
-        }
-        Engine::Sharded { shards } => {
-            let topo = ft.build(cfg.latency_ns);
-            let plan = ShardPlan::pod_aligned(&topo, shards);
-            let mut sim = ShardedSimulator::new(topo, plan);
-            if let Some(r) = registry {
-                sim.set_telemetry(r);
-            }
-            for id in 1..=ft.switch_count() {
-                let id = SwitchId::new(id);
-                sim.register_node(id, forwarder(&cfg, ft, id));
-            }
-            for h in 0..ft.host_count() {
-                sim.register_node(ft.host(h), host(&cfg, ft, h, &arrivals));
-                sim.schedule_timer(ft.host(h), SEND_TIMER, boot_delay(h));
-            }
-            let start = std::time::Instant::now();
-            let report = sim.run();
-            (
-                report.events,
-                report.now.as_ns(),
-                start.elapsed().as_nanos() as u64,
-                (
-                    report.rounds,
-                    report.windows,
-                    report.frames_exchanged,
-                    report.barrier_wait_ns,
-                ),
-            )
-        }
-    };
-    let (rounds, windows, frames_exchanged, barrier_wait_ns) = coord;
-    ScaleRun {
-        engine,
-        events,
-        frames_delivered: arrivals.load(Ordering::Relaxed),
-        sim_ns,
-        wall_ns,
-        rounds,
-        windows,
-        frames_exchanged,
-        barrier_wait_ns,
-    }
-}
-
-/// Runs the workload single-threaded on the given scheduler (the original
-/// entry point; see [`run_scale_engine`] for the sharded variant).
-pub fn run_scale(
-    cfg: ScaleConfig,
-    kind: SchedulerKind,
-    registry: Option<Arc<Registry>>,
-) -> ScaleRun {
-    run_scale_engine(cfg, Engine::Sequential(kind), registry)
+    let mirror = UserScaleConfig::mirror_scale(&cfg);
+    ScaleRun::of(engine, &run_fabric(&mirror, engine, registry, None))
 }
 
 /// Runs the workload with periodic telemetry export every `interval_ns`
 /// of sim-time, returning the run result and the recorded [`Timeline`].
 ///
-/// The timeline is bit-identical across every engine — heap, calendar
-/// and any shard count — because capture is driven by the sim clock and
-/// the sharded merge reproduces the sequential registry state at every
-/// grid boundary (asserted by `timeline_is_bit_identical_across_engines`
+/// The timeline is bit-identical on every engine — heap, calendar and
+/// any shard count — because capture is driven by the sim clock and the
+/// sharded merge reproduces the sequential registry state at every grid
+/// boundary (asserted by `timeline_is_bit_identical_across_engines`
 /// below and by the CI determinism step via `repro -- timeline`).
 pub fn run_scale_timeline(
     cfg: ScaleConfig,
     engine: Engine,
     interval_ns: u64,
 ) -> (ScaleRun, Timeline) {
-    let ft = FatTree::new(cfg.k);
-    let arrivals = Arc::new(AtomicU64::new(0));
-    let (events, sim_ns, wall_ns, timeline, coord) = match engine {
-        Engine::Sequential(kind) => {
-            let mut sim = Simulator::with_scheduler(ft.build(cfg.latency_ns), kind);
-            sim.set_telemetry(Arc::new(Registry::new()));
-            for id in 1..=ft.switch_count() {
-                let id = SwitchId::new(id);
-                sim.register_node(id, forwarder(&cfg, ft, id));
-            }
-            for h in 0..ft.host_count() {
-                sim.register_node(ft.host(h), host(&cfg, ft, h, &arrivals));
-                sim.schedule_timer(ft.host(h), SEND_TIMER, boot_delay(h));
-            }
-            // After boot timers: setup pushes land in the baseline, the
-            // same cut the sharded workers use.
-            sim.set_export_interval(interval_ns);
-            let start = std::time::Instant::now();
-            let events = sim.run_to_completion();
-            let wall_ns = start.elapsed().as_nanos() as u64;
-            let timeline = sim.take_timeline().expect("export interval was set");
-            (events, sim.now().as_ns(), wall_ns, timeline, (0, 0, 0, 0))
-        }
-        Engine::Sharded { shards } => {
-            let topo = ft.build(cfg.latency_ns);
-            let plan = ShardPlan::pod_aligned(&topo, shards);
-            let mut sim = ShardedSimulator::new(topo, plan);
-            sim.set_export_interval(interval_ns);
-            for id in 1..=ft.switch_count() {
-                let id = SwitchId::new(id);
-                sim.register_node(id, forwarder(&cfg, ft, id));
-            }
-            for h in 0..ft.host_count() {
-                sim.register_node(ft.host(h), host(&cfg, ft, h, &arrivals));
-                sim.schedule_timer(ft.host(h), SEND_TIMER, boot_delay(h));
-            }
-            let start = std::time::Instant::now();
-            let (report, timeline) = sim.run_timeline();
-            (
-                report.events,
-                report.now.as_ns(),
-                start.elapsed().as_nanos() as u64,
-                timeline,
-                (
-                    report.rounds,
-                    report.windows,
-                    report.frames_exchanged,
-                    report.barrier_wait_ns,
-                ),
-            )
-        }
-    };
-    let (rounds, windows, frames_exchanged, barrier_wait_ns) = coord;
-    (
-        ScaleRun {
-            engine,
-            events,
-            frames_delivered: arrivals.load(Ordering::Relaxed),
-            sim_ns,
-            wall_ns,
-            rounds,
-            windows,
-            frames_exchanged,
-            barrier_wait_ns,
-        },
-        timeline,
-    )
+    let mirror = UserScaleConfig::mirror_scale(&cfg);
+    let mut run = run_fabric(&mirror, engine, None, Some(interval_ns));
+    let timeline = run.report.timeline.take().expect("export interval was set");
+    (ScaleRun::of(engine, &run), timeline)
 }
 
 #[cfg(test)]
@@ -439,28 +223,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn schedulers_agree_on_the_scale_workload() {
+    fn every_engine_agrees_on_the_scale_workload() {
         let cfg = ScaleConfig::for_k(4, 20);
-        let heap = run_scale(cfg, SchedulerKind::Heap, None);
-        let cal = run_scale(cfg, SchedulerKind::Calendar, None);
-        assert_eq!(heap.fingerprint(), cal.fingerprint());
+        let cal = run_scale_engine(cfg, Engine::REFERENCE, None);
         // Every transmitted frame must arrive (ECMP routing is loop-free
         // and complete).
         assert_eq!(cal.frames_delivered, 16 * 20);
         assert!(cal.events > cal.frames_delivered);
         assert!(cal.events_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn sharded_engine_agrees_on_the_scale_workload() {
-        let cfg = ScaleConfig::for_k(4, 20);
-        let cal = run_scale(cfg, SchedulerKind::Calendar, None);
-        for shards in [1, 2, 4] {
-            let sharded = run_scale_engine(cfg, Engine::Sharded { shards }, None);
+        for engine in Engine::DIFFERENTIAL {
             assert_eq!(
+                run_scale_engine(cfg, engine, None).fingerprint(),
                 cal.fingerprint(),
-                sharded.fingerprint(),
-                "sharded-{shards} diverged from calendar"
+                "{} diverged from calendar",
+                engine.label()
             );
         }
     }
@@ -469,42 +245,38 @@ mod tests {
     fn timeline_is_bit_identical_across_engines() {
         let cfg = ScaleConfig::for_k(4, 30);
         let interval_ns = 2_000;
-        let (heap_run, heap_tl) =
-            run_scale_timeline(cfg, Engine::Sequential(SchedulerKind::Heap), interval_ns);
-        let (cal_run, cal_tl) = run_scale_timeline(
-            cfg,
-            Engine::Sequential(SchedulerKind::Calendar),
-            interval_ns,
-        );
-        let (shard_run, shard_tl) =
-            run_scale_timeline(cfg, Engine::Sharded { shards: 4 }, interval_ns);
-        assert_eq!(heap_run.fingerprint(), cal_run.fingerprint());
-        assert_eq!(heap_run.fingerprint(), shard_run.fingerprint());
+        let (cal_run, cal_tl) = run_scale_timeline(cfg, Engine::REFERENCE, interval_ns);
         // The serialized timelines are byte-identical across engines.
-        let json = heap_tl.to_json();
-        let bin = heap_tl.to_bin();
-        assert_eq!(cal_tl.to_json(), json, "calendar timeline diverged");
-        assert_eq!(shard_tl.to_json(), json, "sharded timeline diverged");
-        assert_eq!(cal_tl.to_bin(), bin);
-        assert_eq!(shard_tl.to_bin(), bin);
+        let (json, bin) = (cal_tl.to_json(), cal_tl.to_bin());
+        for engine in Engine::DIFFERENTIAL {
+            let label = engine.label();
+            let (run, tl) = run_scale_timeline(cfg, engine, interval_ns);
+            assert_eq!(run.fingerprint(), cal_run.fingerprint(), "{label}");
+            assert_eq!(tl.to_json(), json, "{label} timeline diverged");
+            assert_eq!(tl.to_bin(), bin, "{label} timeline diverged");
+        }
         // The run spans many boundaries and actually emits deltas.
         assert!(
-            heap_tl.entries.len() >= 3,
+            cal_tl.entries.len() >= 3,
             "expected several non-empty windows, got {}",
-            heap_tl.entries.len()
+            cal_tl.entries.len()
         );
         // baseline + Σdeltas reconstructs the final full snapshot.
-        assert_eq!(heap_tl.reconstruct(), heap_tl.final_snapshot);
+        assert_eq!(cal_tl.reconstruct(), cal_tl.final_snapshot);
         // And the binary stream decodes back exactly.
-        assert_eq!(Timeline::from_bin(&bin).unwrap(), heap_tl);
+        assert_eq!(Timeline::from_bin(&bin).unwrap(), cal_tl);
     }
 
     #[test]
     fn instrumented_run_records_event_leads() {
         let registry = Arc::new(Registry::new());
         let cfg = ScaleConfig::for_k(4, 5);
-        run_scale(cfg, SchedulerKind::Calendar, Some(registry.clone()));
+        run_scale_engine(cfg, Engine::REFERENCE, Some(registry.clone()));
         let snap = registry.snapshot();
+        assert!(
+            snap.gauges.is_empty(),
+            "the userscale_* gauges belong to run_users_engine alone"
+        );
         let lead = snap.histogram("sim_event_lead_ns", "").unwrap();
         assert!(lead.count > 0);
         // Leads cluster at proc + latency = 2µs; the p99 stays in the

@@ -1,11 +1,12 @@
 //! Host aggregation: millions of modelled users at near-constant per-user
 //! cost (`repro -- users` and `BENCH_users.json`).
 //!
-//! The scale workload ([`crate::scaleload`]) registers one [`SimNode`] per
-//! host, which caps a run at tens of thousands of modelled endpoints: every
-//! host costs a boxed node, a timer chain and per-event dispatch. This
-//! module replaces each access-port host with one [`AggregateHostNode`]
-//! modelling *N* edge users behind that port. Everything a frame touches
+//! One [`SimNode`] per modelled endpoint caps a run at tens of thousands of
+//! them: every host costs a boxed node, a timer chain and per-event
+//! dispatch. This module is the repo's one host model: each access port
+//! gets one [`AggregateHostNode`] modelling *N* edge users behind it, and
+//! the scale workload ([`crate::scaleload`]) is this module at *N* = 1
+//! ([`UserScaleConfig::mirror_scale`]). Everything a frame touches
 //! for one user (RNG word, next-due time, remaining frames, sequence
 //! counter, burst counter, trace cursor) is one packed 32-byte record, so
 //! emitting a frame and advancing its user costs one cache line; with the
@@ -20,10 +21,10 @@
 //! * [`AggregateMode::Exact`] keeps one outstanding timer per aggregate at
 //!   the earliest per-user due time and emits each frame at exactly its
 //!   due instant. With one user per aggregate this reproduces an
-//!   individual [`crate::scaleload`] host *bit for bit* — same RNG draws,
-//!   same timer chain, same frame bytes — which is the correctness anchor
-//!   the tests pin. Cost: one timer event per distinct due instant and an
-//!   `O(users)` scan per firing.
+//!   individual per-host node *bit for bit* — same RNG draws, same timer
+//!   chain, same frame bytes — which `tests/aggregate_diff.rs` pins
+//!   against its own reference host. Cost: one timer event per distinct
+//!   due instant and an `O(users)` scan per firing.
 //! * [`AggregateMode::Amortized`] wakes once per window and batch-emits
 //!   every frame due inside it with per-frame processing offsets, so each
 //!   frame still *arrives* at exactly the instant the exact mode would
@@ -41,17 +42,22 @@
 //! upstream of the access port is oblivious to how many users an
 //! aggregate models.
 //!
+//! Every entry point — [`run_users_engine`] here,
+//! `scaleload::run_scale_engine` and `scaleload::run_scale_timeline` —
+//! is a map over one private runner, `run_fabric`, which populates one
+//! [`Workload`] and hands it to whichever [`Engine`] was asked for.
+//!
 //! [`SimNode`]: p4auth_netsim::SimNode
 
 use crate::scaleload::{
     fabric_forwarder, Engine, ScaleConfig, READ_FRAME_BYTES, SEND_TIMER, WRITE_FRAME_BYTES,
 };
 use p4auth_attacks::digest_flood;
+use p4auth_netsim::engine::{RunReport, Workload};
 use p4auth_netsim::fattree::FatTree;
 use p4auth_netsim::fault::FaultPlan;
 use p4auth_netsim::frame::FrameBytes;
-use p4auth_netsim::shard::{ShardPlan, ShardedSimulator};
-use p4auth_netsim::sim::{Outbox, SimNode, SimStats, Simulator};
+use p4auth_netsim::sim::{Outbox, SimNode, SimStats};
 use p4auth_netsim::time::SimTime;
 use p4auth_primitives::rng::SplitMix64;
 use p4auth_telemetry::Registry;
@@ -145,10 +151,11 @@ impl UserScaleConfig {
         }
     }
 
-    /// The exact twin of a [`ScaleConfig`]: one user per host slot, the
-    /// same seed, the same fixed send interval, exact timers. A run under
-    /// this configuration is bit-identical to [`crate::scaleload`]'s
-    /// individual-host run of `scale` — the equivalence anchor.
+    /// What a [`ScaleConfig`] means: one user per host slot, the same
+    /// seed, the same fixed send interval, exact timers. This is the
+    /// scale workload's definition, not a twin of it — `scaleload` runs
+    /// nothing else — and `tests/aggregate_diff.rs` proves it
+    /// bit-identical to one individual node per host.
     pub fn mirror_scale(scale: &ScaleConfig) -> Self {
         UserScaleConfig {
             k: scale.k,
@@ -168,8 +175,9 @@ impl UserScaleConfig {
     }
 }
 
-/// Per-user boot delay: the same staggered start individual hosts use
-/// ([`boot_delay`]), extended to global user indices beyond `u16`.
+/// Per-user boot delay: staggered so transmissions interleave instead of
+/// phasing (the start an individual host `h` uses, extended to global
+/// user indices beyond `u16`).
 fn user_boot(g: u64) -> u64 {
     1 + (g % 97) * 11
 }
@@ -406,8 +414,8 @@ impl AggregateHostNode {
     /// Builds user `u`'s next frame: the fig19 2-reads-1-write register mix
     /// with the destination and flow label drawn from the user's own RNG
     /// stream — the same draws, in the same order, as an individual
-    /// [`crate::scaleload`] host. A compromised user pops its next forged
-    /// control frame instead.
+    /// per-host node. A compromised user pops its next forged control
+    /// frame instead.
     fn build_frame(&mut self, u: usize) -> FrameBytes {
         if let Some(c) = &mut self.compromised {
             if c.local == u {
@@ -604,6 +612,65 @@ fn slot_span(users: u64, slots: u16, s: u16) -> (u64, u64) {
     }
 }
 
+/// What one run of the fabric produced, before an entry point shapes it.
+pub(crate) struct FabricRun {
+    pub(crate) report: RunReport,
+    /// Per host slot: users modelled and frames transmitted.
+    pub(crate) slots: Vec<(u64, u64)>,
+    pub(crate) frames_delivered: u64,
+}
+
+/// The one fabric runner: forwarders plus one aggregate per host slot,
+/// populated once and run on `engine`, with an optional registry and an
+/// optional timeline export (back in `report.timeline`).
+pub(crate) fn run_fabric(
+    cfg: &UserScaleConfig,
+    engine: Engine,
+    registry: Option<Arc<Registry>>,
+    export_interval_ns: Option<u64>,
+) -> FabricRun {
+    let ft = FatTree::new(cfg.k);
+    let slots = ft.host_count();
+    let arrivals = Arc::new(AtomicU64::new(0));
+    let sent: Vec<Arc<AtomicU64>> = (0..slots).map(|_| Arc::new(AtomicU64::new(0))).collect();
+    let spans: Vec<(u64, u64)> = (0..slots).map(|s| slot_span(cfg.users, slots, s)).collect();
+    // Boot-storm stagger: wave offsets added to each aggregate's first
+    // timer.
+    let storm = cfg.faults.as_ref().and_then(|p| p.boot_storm());
+
+    let mut fabric = Workload::new(ft.build(cfg.latency_ns));
+    if let Some(r) = registry {
+        fabric.set_telemetry(r);
+    }
+    for id in 1..=ft.switch_count() {
+        let id = SwitchId::new(id);
+        fabric.register_node(id, fabric_forwarder(ft, id, cfg.proc_ns));
+    }
+    for s in 0..slots {
+        let (base, n) = spans[s as usize];
+        let (arrivals, sent) = (arrivals.clone(), sent[s as usize].clone());
+        let agg = AggregateHostNode::new(cfg, ft, s, base, n, arrivals, sent);
+        if let Some(first) = agg.first_due_ns() {
+            let boot_at = first + storm.map_or(0, |st| st.offset_for(s));
+            fabric.schedule_timer(ft.host(s), SEND_TIMER, boot_at);
+        }
+        fabric.register_node(ft.host(s), Box::new(agg));
+    }
+    if let Some(plan) = &cfg.faults {
+        fabric.set_fault_plan(plan.clone());
+    }
+    if let Some(interval_ns) = export_interval_ns {
+        fabric.set_export_interval(interval_ns);
+    }
+    let report = fabric.run(engine);
+    let sent = sent.iter().map(|c| c.load(Ordering::Relaxed));
+    FabricRun {
+        report,
+        slots: spans.iter().map(|&(_, n)| n).zip(sent).collect(),
+        frames_delivered: arrivals.load(Ordering::Relaxed),
+    }
+}
+
 /// Runs the user-scale workload on the given engine. With a registry the
 /// run also publishes per-aggregate `userscale_users` / `userscale_frames_sent`
 /// gauges (labelled `agg<slot>`) after completion, plus the simulator's own
@@ -613,121 +680,31 @@ pub fn run_users_engine(
     engine: Engine,
     registry: Option<Arc<Registry>>,
 ) -> UserScaleRun {
-    let ft = FatTree::new(cfg.k);
-    let slots = ft.host_count();
-    let arrivals = Arc::new(AtomicU64::new(0));
-    let sent: Vec<Arc<AtomicU64>> = (0..slots).map(|_| Arc::new(AtomicU64::new(0))).collect();
-    let spans: Vec<(u64, u64)> = (0..slots).map(|s| slot_span(cfg.users, slots, s)).collect();
-    let make_agg = |s: u16| {
-        let (base, n) = spans[s as usize];
-        AggregateHostNode::new(
-            cfg,
-            ft,
-            s,
-            base,
-            n,
-            arrivals.clone(),
-            sent[s as usize].clone(),
-        )
-    };
-
-    // Boot-storm stagger: wave offsets added to each aggregate's first
-    // timer, identically on every engine.
-    let storm = cfg.faults.as_ref().and_then(|p| p.boot_storm());
-    let boot_at = |s: u16, first: u64| first + storm.map_or(0, |st| st.offset_for(s));
-
-    let (events, sim_ns, wall_ns, stats) = match engine {
-        Engine::Sequential(kind) => {
-            let mut sim = Simulator::with_scheduler(ft.build(cfg.latency_ns), kind);
-            if let Some(r) = &registry {
-                sim.set_telemetry(r.clone());
-            }
-            for id in 1..=ft.switch_count() {
-                let id = SwitchId::new(id);
-                sim.register_node(id, fabric_forwarder(ft, id, cfg.proc_ns));
-            }
-            for s in 0..slots {
-                let agg = make_agg(s);
-                let first = agg.first_due_ns();
-                sim.register_node(ft.host(s), Box::new(agg));
-                if let Some(at) = first {
-                    sim.schedule_timer(ft.host(s), SEND_TIMER, boot_at(s, at));
-                }
-            }
-            if let Some(plan) = &cfg.faults {
-                sim.install_fault_plan(plan);
-            }
-            let start = std::time::Instant::now();
-            let events = sim.run_to_completion();
-            (
-                events,
-                sim.now().as_ns(),
-                start.elapsed().as_nanos() as u64,
-                sim.stats(),
-            )
-        }
-        Engine::Sharded { shards } => {
-            let topo = ft.build(cfg.latency_ns);
-            let plan = ShardPlan::pod_aligned(&topo, shards);
-            let mut sim = ShardedSimulator::new(topo, plan);
-            if let Some(r) = &registry {
-                sim.set_telemetry(r.clone());
-            }
-            for id in 1..=ft.switch_count() {
-                let id = SwitchId::new(id);
-                sim.register_node(id, fabric_forwarder(ft, id, cfg.proc_ns));
-            }
-            for s in 0..slots {
-                let agg = make_agg(s);
-                let first = agg.first_due_ns();
-                sim.register_node(ft.host(s), Box::new(agg));
-                if let Some(at) = first {
-                    sim.schedule_timer(ft.host(s), SEND_TIMER, boot_at(s, at));
-                }
-            }
-            if let Some(plan) = &cfg.faults {
-                sim.set_fault_plan(plan.clone());
-            }
-            let start = std::time::Instant::now();
-            let report = sim.run();
-            (
-                report.events,
-                report.now.as_ns(),
-                start.elapsed().as_nanos() as u64,
-                report.stats,
-            )
-        }
-    };
-
+    let run = run_fabric(cfg, engine, registry.clone(), None);
     if let Some(r) = &registry {
-        for s in 0..slots {
+        for (s, &(users, sent)) in run.slots.iter().enumerate() {
             let label = format!("agg{s}");
-            r.set_gauge_with("userscale_users", &label, spans[s as usize].1 as i64);
-            r.set_gauge_with(
-                "userscale_frames_sent",
-                &label,
-                sent[s as usize].load(Ordering::Relaxed) as i64,
-            );
+            r.set_gauge_with("userscale_users", &label, users as i64);
+            r.set_gauge_with("userscale_frames_sent", &label, sent as i64);
         }
     }
-
     UserScaleRun {
         engine,
         users: cfg.users,
-        aggregates: slots,
-        events,
-        frames_sent: sent.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-        frames_delivered: arrivals.load(Ordering::Relaxed),
-        sim_ns,
-        wall_ns,
-        stats,
+        aggregates: run.slots.len() as u16,
+        events: run.report.events,
+        frames_sent: run.slots.iter().map(|&(_, sent)| sent).sum(),
+        frames_delivered: run.frames_delivered,
+        sim_ns: run.report.now.as_ns(),
+        wall_ns: run.report.wall_ns,
+        stats: run.report.stats,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scaleload::{boot_delay, frame_dst, run_scale_engine};
+    use crate::scaleload::frame_dst;
     use p4auth_netsim::sched::SchedulerKind;
 
     /// The aggregate of host slot 0 holding users `0..users`.
@@ -741,13 +718,6 @@ mod tests {
             Arc::new(AtomicU64::new(0)),
             Arc::new(AtomicU64::new(0)),
         )
-    }
-
-    #[test]
-    fn user_boot_extends_host_boot_delay() {
-        for h in [0u16, 1, 13, 96, 97, 1024, u16::MAX] {
-            assert_eq!(user_boot(h as u64), boot_delay(h));
-        }
     }
 
     #[test]
@@ -768,42 +738,6 @@ mod tests {
         assert_ne!(dst, ft.host(3), "a user never sends to its own slot");
         assert!((0..ft.host_count()).any(|h| ft.host(h) == dst));
         assert_eq!(frame.len(), READ_FRAME_BYTES);
-    }
-
-    #[test]
-    fn aggregate_of_one_is_bit_identical_to_individual_hosts() {
-        let scale_cfg = ScaleConfig::for_k(4, 20);
-        let users_cfg = UserScaleConfig::mirror_scale(&scale_cfg);
-        assert_eq!(users_cfg.users, 16);
-
-        let scale_reg = Arc::new(Registry::new());
-        let users_reg = Arc::new(Registry::new());
-        let scale = run_scale_engine(
-            scale_cfg,
-            Engine::Sequential(SchedulerKind::Calendar),
-            Some(scale_reg.clone()),
-        );
-        let users = run_users_engine(
-            &users_cfg,
-            Engine::Sequential(SchedulerKind::Calendar),
-            Some(users_reg.clone()),
-        );
-
-        // Same events, same deliveries, same final clock.
-        assert_eq!(
-            (users.events, users.frames_delivered, users.sim_ns),
-            scale.fingerprint(),
-        );
-        assert_eq!(users.frames_sent, 16 * 20);
-
-        // Same simulator-level telemetry, frame for frame and event for
-        // event; only the userscale_* gauges (absent from scaleload) may
-        // differ.
-        let mut users_snap = users_reg.snapshot();
-        users_snap
-            .gauges
-            .retain(|g| !g.name.starts_with("userscale_"));
-        assert_eq!(users_snap.to_json(), scale_reg.snapshot().to_json());
     }
 
     #[test]

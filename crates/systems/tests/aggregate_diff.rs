@@ -1,21 +1,25 @@
 //! Differential test for host aggregation: an aggregate modelling exactly
 //! one user per host slot must be bit-identical to individual host nodes —
 //! per-node delivery streams, aggregate stats, final clock and telemetry
-//! fingerprints — across sequential heap, sequential calendar, and sharded
-//! engines with 1, 2 and 4 shards (including adversarial worker stagger).
+//! fingerprints — on the reference engine and on every engine of
+//! [`Engine::DIFFERENTIAL`] (including adversarial worker stagger). This
+//! is what lets `scaleload` *define* the scale workload as
+//! `UserScaleConfig::mirror_scale` instead of keeping a host node of its
+//! own.
 //!
-//! The reference column reimplements the scale workload's per-host node
-//! locally (the same fig19 mix `netsim`'s `shard_diff` pins); the
-//! aggregate columns wrap [`AggregateHostNode`] in a recording shim. Every
-//! node records each frame it receives as `(time, ingress port, payload
-//! bytes)`, so comparing per-node streams is exactly the "the fabric
-//! cannot tell users were aggregated" claim.
+//! The reference column implements the per-host node locally (the same
+//! fig19 mix `netsim`'s `shard_diff` pins) — it is the oracle, and the
+//! only individual host left; the aggregate columns wrap
+//! [`AggregateHostNode`] in a recording shim. Every node records each
+//! frame it receives as `(time, ingress port, payload bytes)`, so
+//! comparing per-node streams is exactly the "the fabric cannot tell
+//! users were aggregated" claim.
 
+use p4auth_netsim::engine::{Engine, Workload};
 use p4auth_netsim::fattree::FatTree;
 use p4auth_netsim::frame::FrameBytes;
-use p4auth_netsim::sched::SchedulerKind;
-use p4auth_netsim::shard::{ShardPlan, ShardedSimulator};
-use p4auth_netsim::sim::{Outbox, SimNode, SimStats, Simulator};
+use p4auth_netsim::shard::ShardTuning;
+use p4auth_netsim::sim::{Outbox, SimNode, SimStats};
 use p4auth_netsim::time::SimTime;
 use p4auth_primitives::rng::{RandomSource, SplitMix64};
 use p4auth_systems::scaleload::ScaleConfig;
@@ -61,8 +65,8 @@ impl SimNode for Forwarder {
     }
 }
 
-/// The reference: one individual host per slot, replicating the scale
-/// workload's host node verbatim.
+/// The reference: one individual host per slot — what the scale workload
+/// ran before it was defined as one-user aggregates.
 struct RefHost {
     index: u16,
     remaining: u32,
@@ -146,16 +150,17 @@ fn forwarder(cfg: &ScaleConfig, ft: FatTree, id: SwitchId, streams: &Streams) ->
     })
 }
 
-/// Builds the host-slot node for `column`: the individual reference host,
-/// or a one-user aggregate wrapped for recording. Returns the node plus
-/// the boot delay its timer must be armed with.
+#[derive(Clone, Copy, Debug)]
 enum Column {
     Individual,
     Aggregate,
 }
 
+/// Builds the host-slot node for `column`: the individual reference host,
+/// or a one-user aggregate wrapped for recording. Returns the node plus
+/// the boot delay its timer must be armed with.
 fn slot_node(
-    column: &Column,
+    column: Column,
     cfg: &ScaleConfig,
     ft: FatTree,
     h: u16,
@@ -212,62 +217,31 @@ struct RunResult {
     telemetry_json: String,
 }
 
-fn run_sequential(cfg: &ScaleConfig, column: Column, kind: SchedulerKind) -> RunResult {
+/// Populates the fabric once — forwarders plus `column`'s host-slot
+/// nodes — and runs it on `engine`, a sharded one under the wall-clock
+/// stagger schedule `stagger_ns`.
+fn run(cfg: &ScaleConfig, column: Column, engine: Engine, stagger_ns: &[u64]) -> RunResult {
     let ft = FatTree::new(cfg.k);
     let streams = make_streams(&ft);
     let registry = Arc::new(Registry::new());
-    let mut sim = Simulator::with_scheduler(ft.build(cfg.latency_ns), kind);
-    sim.set_telemetry(registry.clone());
+    let mut w = Workload::new(ft.build(cfg.latency_ns));
+    w.set_shard_tuning(ShardTuning {
+        stagger_ns: stagger_ns.to_vec(),
+        ..ShardTuning::default()
+    });
+    w.set_telemetry(registry.clone());
     for id in 1..=ft.switch_count() {
         let id = SwitchId::new(id);
-        sim.register_node(id, forwarder(cfg, ft, id, &streams));
+        w.register_node(id, forwarder(cfg, ft, id, &streams));
     }
     for h in 0..ft.host_count() {
-        let (node, boot) = slot_node(&column, cfg, ft, h, &streams);
-        sim.register_node(ft.host(h), node);
-        sim.schedule_timer(ft.host(h), SEND_TIMER, boot);
+        let (node, boot) = slot_node(column, cfg, ft, h, &streams);
+        w.register_node(ft.host(h), node);
+        w.schedule_timer(ft.host(h), SEND_TIMER, boot);
     }
-    let events = sim.run_to_completion();
-    let (stats, now_ns) = (sim.stats(), sim.now().as_ns());
-    drop(sim);
+    let report = w.run(engine);
     RunResult {
-        label: format!(
-            "{}-{}",
-            match column {
-                Column::Individual => "individual",
-                Column::Aggregate => "aggregate",
-            },
-            kind.label()
-        ),
-        streams: unwrap_streams(streams),
-        events,
-        stats,
-        now_ns,
-        telemetry_json: registry.snapshot().to_json(),
-    }
-}
-
-fn run_sharded_aggregate(cfg: &ScaleConfig, shards: usize, stagger_ns: &[u64]) -> RunResult {
-    let ft = FatTree::new(cfg.k);
-    let streams = make_streams(&ft);
-    let registry = Arc::new(Registry::new());
-    let topo = ft.build(cfg.latency_ns);
-    let plan = ShardPlan::pod_aligned(&topo, shards);
-    let mut sim = ShardedSimulator::new(topo, plan);
-    sim.set_stagger(stagger_ns.to_vec());
-    sim.set_telemetry(registry.clone());
-    for id in 1..=ft.switch_count() {
-        let id = SwitchId::new(id);
-        sim.register_node(id, forwarder(cfg, ft, id, &streams));
-    }
-    for h in 0..ft.host_count() {
-        let (node, boot) = slot_node(&Column::Aggregate, cfg, ft, h, &streams);
-        sim.register_node(ft.host(h), node);
-        sim.schedule_timer(ft.host(h), SEND_TIMER, boot);
-    }
-    let report = sim.run();
-    RunResult {
-        label: format!("aggregate-sharded-{shards} (stagger {stagger_ns:?})"),
+        label: format!("{column:?} on {} (stagger {stagger_ns:?})", engine.label()),
         streams: unwrap_streams(streams),
         events: report.events,
         stats: report.stats,
@@ -300,33 +274,29 @@ fn assert_runs_match(reference: &RunResult, other: &RunResult) {
 
 #[test]
 fn one_user_aggregates_match_individual_hosts_across_engines() {
-    let cfg = ScaleConfig::for_k(4, 30);
-    let reference = run_sequential(&cfg, Column::Individual, SchedulerKind::Calendar);
-    assert!(
-        reference.stats.frames_delivered > 0,
-        "workload must generate traffic"
-    );
-    let others = [
-        run_sequential(&cfg, Column::Aggregate, SchedulerKind::Calendar),
-        run_sequential(&cfg, Column::Aggregate, SchedulerKind::Heap),
-        run_sharded_aggregate(&cfg, 1, &[]),
-        run_sharded_aggregate(&cfg, 2, &[]),
-        run_sharded_aggregate(&cfg, 4, &[]),
-    ];
-    for other in &others {
-        assert_runs_match(&reference, other);
+    // k = 8 has 128 hosts, so the boot stagger (period 97) wraps.
+    for cfg in [ScaleConfig::for_k(4, 30), ScaleConfig::for_k(8, 4)] {
+        let reference = run(&cfg, Column::Individual, Engine::REFERENCE, &[]);
+        assert!(
+            reference.stats.frames_delivered > 0,
+            "workload must generate traffic"
+        );
+        for engine in [Engine::REFERENCE].into_iter().chain(Engine::DIFFERENTIAL) {
+            assert_runs_match(&reference, &run(&cfg, Column::Aggregate, engine, &[]));
+        }
     }
 }
 
 #[test]
 fn one_user_aggregates_survive_adversarial_stagger() {
     let cfg = ScaleConfig::for_k(4, 16);
-    let reference = run_sequential(&cfg, Column::Individual, SchedulerKind::Calendar);
+    let reference = run(&cfg, Column::Individual, Engine::REFERENCE, &[]);
     let others = [
-        run_sharded_aggregate(&cfg, 4, &[120_000, 0, 40_000]),
-        run_sharded_aggregate(&cfg, 2, &[0, 90_000]),
+        (Engine::Sharded { shards: 4 }, &[120_000, 0, 40_000][..]),
+        (Engine::Sharded { shards: 2 }, &[0, 90_000][..]),
     ];
-    for other in &others {
-        assert_runs_match(&reference, other);
+    for (engine, stagger_ns) in others {
+        let other = run(&cfg, Column::Aggregate, engine, stagger_ns);
+        assert_runs_match(&reference, &other);
     }
 }

@@ -2,15 +2,14 @@
 //!
 //! Every scenario campaign's fabric phase — the user-scale workload with
 //! its [`FaultPlan`](p4auth_netsim::fault::FaultPlan) installed — must be
-//! bit-identical across the heap scheduler, the calendar scheduler and
-//! the sharded engine at 2 and 4 shards, and must stay identical when
+//! bit-identical on the calendar reference and every engine of
+//! `Engine::DIFFERENTIAL`, and must stay identical when
 //! `P4AUTH_SHARD_STAGGER` delays workers at their export barriers. This
 //! extends the plain-workload engine differentials (`shard_diff.rs`,
 //! `aggregate_diff.rs`) to runs with link churn: faults are first-class
 //! sim events, so engine choice must never leak into what a fault run
 //! computes.
 
-use p4auth_netsim::sched::SchedulerKind;
 use p4auth_systems::campaigns::fabric_plans;
 use p4auth_systems::scaleload::Engine;
 use p4auth_systems::userscale::{run_users_engine, UserScaleConfig, UserScaleRun};
@@ -26,11 +25,9 @@ fn run(plan_name: &str, engine: Engine) -> UserScaleRun {
 }
 
 fn assert_engines_agree(name: &str, label: &str) {
-    let cal = run(name, Engine::Sequential(SchedulerKind::Calendar));
-    let heap = run(name, Engine::Sequential(SchedulerKind::Heap));
-    let two = run(name, Engine::Sharded { shards: 2 });
-    let four = run(name, Engine::Sharded { shards: 4 });
-    for (engine, other) in [("heap", &heap), ("sharded(2)", &two), ("sharded(4)", &four)] {
+    let cal = run(name, Engine::REFERENCE);
+    for engine in Engine::DIFFERENTIAL {
+        let (engine, other) = (engine.label(), run(name, engine));
         assert_eq!(
             cal.fingerprint(),
             other.fingerprint(),

@@ -1,14 +1,13 @@
 //! Property tests for the causal flight recorder: randomly generated
 //! fault-plan campaigns must produce trace-span streams that are
 //! well-formed (every span nests inside its parent's interval, exactly
-//! one root per trace) and byte-for-byte identical across the heap
-//! scheduler, the calendar scheduler and the sharded engine at 2 and 4
-//! shards — the same engine-invariance discipline the metric snapshots
-//! already obey, extended to the span layer.
+//! one root per trace) and byte-for-byte identical on the calendar
+//! reference and every engine of `Engine::DIFFERENTIAL` — the same
+//! engine-invariance discipline the metric snapshots already obey,
+//! extended to the span layer.
 
 use p4auth_netsim::fattree::FatTree;
 use p4auth_netsim::fault::FaultPlan;
-use p4auth_netsim::sched::SchedulerKind;
 use p4auth_netsim::topology::LinkId;
 use p4auth_systems::scaleload::Engine;
 use p4auth_systems::userscale::{run_users_engine, UserScaleConfig};
@@ -53,7 +52,7 @@ proptest! {
 
     /// For random flap schedules: each engine's span stream is
     /// well-formed, nothing is dropped, and the encoded `P4TR` bytes are
-    /// identical across all four engines.
+    /// identical on every engine.
     #[test]
     fn random_fault_campaign_traces_are_engine_invariant(
         flaps in proptest::collection::vec(
@@ -62,17 +61,13 @@ proptest! {
         ),
     ) {
         let plan = plan_from(&flaps);
-        let (reference, dropped) = traced_run(&plan, Engine::Sequential(SchedulerKind::Calendar));
+        let (reference, dropped) = traced_run(&plan, Engine::REFERENCE);
         prop_assert_eq!(dropped, 0, "calendar run dropped spans");
         prop_assert!(!reference.is_empty(), "the fabric emits spans");
         validate_well_formed(&reference).expect("calendar trace well-formed");
         let want = encode_trace(&reference, 0);
 
-        for engine in [
-            Engine::Sequential(SchedulerKind::Heap),
-            Engine::Sharded { shards: 2 },
-            Engine::Sharded { shards: 4 },
-        ] {
+        for engine in Engine::DIFFERENTIAL {
             let label = engine.label();
             let (records, dropped) = traced_run(&plan, engine);
             prop_assert_eq!(dropped, 0, "{} run dropped spans", &label);

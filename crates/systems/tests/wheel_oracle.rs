@@ -16,7 +16,6 @@
 
 use p4auth_attacks::digest_flood;
 use p4auth_netsim::fattree::FatTree;
-use p4auth_netsim::sched::SchedulerKind;
 use p4auth_netsim::sim::{Outbox, SimNode};
 use p4auth_netsim::time::SimTime;
 use p4auth_primitives::rng::SplitMix64;
@@ -300,14 +299,10 @@ fn amortized_100k_users_are_engine_invariant() {
         ht.idle_mean_ns *= 10;
     }
     cfg.mode = AggregateMode::Amortized { window_ns: 30_000 };
-    let reference = run_users_engine(&cfg, Engine::Sequential(SchedulerKind::Calendar), None);
+    let reference = run_users_engine(&cfg, Engine::REFERENCE, None);
     assert_eq!(reference.frames_sent, 100_000);
     assert_eq!(reference.frames_delivered, 100_000);
-    for engine in [
-        Engine::Sequential(SchedulerKind::Heap),
-        Engine::Sharded { shards: 2 },
-        Engine::Sharded { shards: 4 },
-    ] {
+    for engine in Engine::DIFFERENTIAL {
         let run = run_users_engine(&cfg, engine, None);
         let label = engine.label();
         assert_eq!(run.fingerprint(), reference.fingerprint(), "{label}");
