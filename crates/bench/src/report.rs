@@ -668,9 +668,9 @@ pub fn metrics(args: &ReportArgs) {
 
 /// Replicated control plane (`repro -- replicas`): the full
 /// fat-tree(4) scenario through 2 `ControllerReplica`s — bootstrap with
-/// cross-partition redirects, a digest flood auto-rolled by the
-/// rate-driven defence daemon, a control-plane MitM rejected by the
-/// other partition, and a versioned bulk rollover with per-replica
+/// cross-partition redirects, a digest flood answered by exactly one
+/// key rollover on the owning core, a control-plane MitM rejected by
+/// the other partition, and a versioned bulk rollover with per-replica
 /// fan-out latency. `--out` writes the deterministic JSON report that CI
 /// diffs across two runs.
 pub fn replicas(args: &ReportArgs) {
@@ -703,7 +703,7 @@ pub fn replicas(args: &ReportArgs) {
 
 /// Streaming-telemetry timeline (`repro -- timeline`): runs the fig19-mix
 /// fat-tree workload with periodic delta export driven by the sim clock
-/// through [`on_every_engine`] — calendar, heap and sharded — which
+/// through `on_every_engine` — calendar, heap and sharded — which
 /// asserts the timelines are equal, and with them their JSON and binary
 /// encodings, before anything is printed. Also checks `baseline +
 /// Σdeltas` reconstructs the final full snapshot and that the binary
@@ -762,7 +762,7 @@ pub fn timeline(args: &ReportArgs) {
 /// the simulation clock, exported deterministically.
 ///
 /// Two workloads run under tracing. The *fabric* workload (fig19-mix
-/// user fabric with a link-flap plan) runs through [`on_every_engine`] —
+/// user fabric with a link-flap plan) runs through `on_every_engine` —
 /// calendar, heap, sharded at 1, 2 and 4 shards — which asserts the span
 /// streams, and so their `P4TR` encodings, are identical, with zero spans
 /// dropped: the engine-invariance claim for the span layer. The *defence probe* (the
@@ -935,7 +935,7 @@ pub fn decode(input: &str, args: &ReportArgs) {
 /// coordination cost (rendezvous rounds, chained windows, cross-shard
 /// frames, barrier wait) and `sim_event_lead_ns` percentiles, printed as
 /// one JSON object. The deterministic fingerprint (events, frames
-/// delivered, final clock) is asserted equal through [`on_every_engine`],
+/// delivered, final clock) is asserted equal through `on_every_engine`,
 /// and on every timed run, before anything is reported.
 ///
 /// Short mode (`--short`, used by CI) runs only a capped k=4 workload;
@@ -944,7 +944,7 @@ pub fn decode(input: &str, args: &ReportArgs) {
 /// at a checked-in scale JSON and fails the run if, for an arity present
 /// in both, the measured `sharded_speedup` is more than 0.2 below the
 /// recorded value (the CI non-regression gate for the sharded engine's
-/// overhead ratio — see [`GATES`]).
+/// overhead ratio — see `GATES`).
 pub fn scale(args: &ReportArgs) {
     use crate::scale::{run_scale_engine, ScaleConfig};
     use p4auth_netsim::sched::SchedulerKind;
@@ -1069,7 +1069,7 @@ pub fn scale(args: &ReportArgs) {
 /// simulated duration, and a peak-heap proxy from the repro binary's
 /// counting allocator (zero when the report runs without it). The
 /// smallest size is first cross-checked for fingerprint equality through
-/// [`on_every_engine`].
+/// `on_every_engine`.
 ///
 /// Short mode (`--short`, used by CI) sweeps 1k and 10k users on
 /// fat-tree(4). `--out` writes the JSON (how `BENCH_users.json` is
@@ -1077,7 +1077,7 @@ pub fn scale(args: &ReportArgs) {
 /// deterministic fields, which CI extracts and diffs across two runs.
 /// `--baseline` fails the run if the measured `ns_per_user` has grown
 /// more than 3× above the checked-in value for any size present in both
-/// (the wall-clock-tolerant non-regression gate — see [`GATES`]).
+/// (the wall-clock-tolerant non-regression gate — see `GATES`).
 pub fn users(args: &ReportArgs) {
     use crate::userscale::{run_users_engine, AggregateMode, UserScaleConfig};
 
@@ -1230,7 +1230,7 @@ pub fn users(args: &ReportArgs) {
 /// campaign it recorded as passing no longer passes (the
 /// verdict-regression gate), or if any recorded mitigation / rollover
 /// latency percentile (`*_p50_ns` / `*_p99_ns`) more than doubles (the
-/// latency-regression gate — see [`GATES`]).
+/// latency-regression gate — see `GATES`).
 pub fn scenarios(args: &ReportArgs) {
     use crate::campaigns::{run_campaigns, CampaignConfig};
 

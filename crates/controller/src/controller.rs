@@ -368,8 +368,9 @@ pub struct Controller {
     telemetry: Option<ControllerTelemetry>,
     defence: Option<DefenceState>,
     /// Mitigations for DP-DP port channels, awaiting the harness (which
-    /// knows which peer switch sits behind a port). Bounded like the
-    /// defence loop's own pending queue.
+    /// knows which peer switch sits behind a port). The one queue between
+    /// a threshold crossing and the wire; bounded by
+    /// [`DefenceConfig::pending_capacity`].
     port_actions: VecDeque<MitigationAction>,
     /// Trace bookkeeping for in-flight mitigations:
     /// `(detected_at_ns, published_at_ns)` per channel, so
@@ -469,37 +470,12 @@ impl Controller {
         &self.alerts
     }
 
-    /// Enables the telemetry-driven adaptive defence loop (sliding-window
-    /// reject tracking with automatic key rollover / quarantine).
+    /// Enables the adaptive defence loop: a sliding window of auth
+    /// failures per `(peer, channel)`, fed by this controller's own
+    /// verdicts, with automatic key rollover / quarantine. It reads no
+    /// telemetry, so it works with or without a registry attached.
     pub fn enable_defence(&mut self, config: DefenceConfig) {
         self.defence = Some(DefenceState::new(config));
-    }
-
-    /// Enables the defence loop in *rate-driven* mode: threshold detection
-    /// is owned by an external consumer of the windowed `*_per_sec`
-    /// telemetry series (the defence daemon), which reports crossings via
-    /// [`Controller::on_rate_crossing`]. Per-reject signals still reach
-    /// the loop for bookkeeping but no longer drive detection.
-    pub fn enable_defence_rate_driven(&mut self, config: DefenceConfig) {
-        self.defence = Some(DefenceState::new_rate_driven(config));
-    }
-
-    /// Reports a reject-rate threshold crossing on `(peer, channel)`
-    /// observed in the windowed telemetry series (rate-driven defence
-    /// mode); translates the resulting mitigation like any other defence
-    /// decision. Uses the clock last pushed via [`Controller::set_now`].
-    pub fn on_rate_crossing(
-        &mut self,
-        peer: SwitchId,
-        channel: PortId,
-    ) -> (Vec<Outgoing>, Vec<ControllerEvent>) {
-        let mut out = Vec::new();
-        let mut events = Vec::new();
-        if let Some(d) = &mut self.defence {
-            d.trigger_crossing(self.now_ns, peer, channel);
-            self.drive_defence(&mut out, &mut events);
-        }
-        (out, events)
     }
 
     /// Whether a defence mitigation is currently in flight on
@@ -619,10 +595,9 @@ impl Controller {
     }
 
     /// Bumps the per-channel auth-failure counter
-    /// `ctrl_channel_rejects{<peer>:<channel>}`. The snapshot ring derives
-    /// a windowed `ctrl_channel_rejects_per_sec` series from it, which is
-    /// what the rate-driven defence daemon consumes — the same signal the
-    /// in-process loop sees, but without re-deriving window counts.
+    /// `ctrl_channel_rejects{<peer>:<channel>}`: every signal the defence
+    /// loop is fed, whether or not the loop is armed. Observability only —
+    /// nothing reads it back to make a decision.
     fn count_channel_reject(&self, peer: SwitchId, channel: PortId) {
         if let Some(t) = &self.telemetry {
             t.registry
@@ -710,72 +685,77 @@ impl Controller {
         }
     }
 
-    /// Translates pending defence decisions into wire actions: rolls the
-    /// local key for CPU-channel mitigations and queues port-channel
-    /// mitigations for the harness.
-    fn drive_defence(&mut self, out: &mut Vec<Outgoing>, events: &mut Vec<ControllerEvent>) {
-        let actions = match &mut self.defence {
-            Some(d) => d.take_actions(),
-            None => return,
+    /// Feeds one auth-failure signal on `(peer, channel)` to the defence
+    /// loop and, if it is the one that crosses the threshold, applies the
+    /// mitigation before returning: rolls the local key for a CPU channel,
+    /// queues a port channel's action for the harness.
+    fn drive_defence(
+        &mut self,
+        peer: SwitchId,
+        channel: PortId,
+        out: &mut Vec<Outgoing>,
+        events: &mut Vec<ControllerEvent>,
+    ) {
+        let Some(defence) = &mut self.defence else {
+            return;
         };
-        for action in actions {
-            self.stats.defence_mitigations += 1;
-            self.mitigation_marks.insert(
-                (action.peer, action.channel),
-                (action.detected_at_ns, self.now_ns),
+        let Some(action) = defence.record_signal(self.now_ns, peer, channel) else {
+            return;
+        };
+        let cap = defence.config().pending_capacity.max(1);
+        self.stats.defence_mitigations += 1;
+        self.mitigation_marks
+            .insert((peer, channel), (action.detected_at_ns, self.now_ns));
+        if let Some(t) = &self.telemetry {
+            t.defence_mitigations.inc();
+            t.registry.record(
+                self.now_ns,
+                TelemetryEvent::DefenceAction {
+                    peer: peer.value(),
+                    channel: channel.value(),
+                    action: action.kind.as_str(),
+                },
             );
-            if let Some(t) = &self.telemetry {
-                t.defence_mitigations.inc();
-                t.registry.record(
-                    self.now_ns,
-                    TelemetryEvent::DefenceAction {
-                        peer: action.peer.value(),
-                        channel: action.channel.value(),
-                        action: action.kind.as_str(),
-                    },
-                );
-            }
-            events.push(ControllerEvent::DefenceMitigated {
-                switch: action.peer,
-                channel: action.channel,
-                kind: action.kind,
-            });
-            if action.channel.is_cpu() {
-                if self.has_local_key(action.peer) {
-                    // Both rungs roll the key: for a quarantine the fresh
-                    // key is also the exit path.
-                    out.extend(self.local_key_update(action.peer));
-                } else {
-                    // Nothing to roll yet (bootstrap still running);
-                    // abandon rather than wedge the channel.
-                    self.mitigation_marks.remove(&(action.peer, action.channel));
-                    self.defence
-                        .as_mut()
-                        .expect("drained above")
-                        .abort(action.peer, action.channel);
-                }
+        }
+        events.push(ControllerEvent::DefenceMitigated {
+            switch: peer,
+            channel,
+            kind: action.kind,
+        });
+        if channel.is_cpu() {
+            if self.has_local_key(peer) {
+                // Both rungs roll the key: for a quarantine the fresh
+                // key is also the exit path.
+                out.extend(self.local_key_update(peer));
             } else {
-                // Bounded like the defence loop's own queue: a harness
-                // that never drains must not grow this without limit.
-                // Evicted actions un-wedge their channel via abort.
-                let cap = self
-                    .defence
-                    .as_ref()
-                    .map_or(usize::MAX, |d| d.config().pending_capacity.max(1));
-                while self.port_actions.len() >= cap {
-                    let evicted = self.port_actions.pop_front().expect("len checked");
-                    self.stats.defence_actions_dropped += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.defence_actions_dropped.inc();
-                    }
-                    self.mitigation_marks
-                        .remove(&(evicted.peer, evicted.channel));
-                    if let Some(d) = &mut self.defence {
-                        d.abort(evicted.peer, evicted.channel);
-                    }
-                }
-                self.port_actions.push_back(action);
+                // Nothing to roll yet (bootstrap still running);
+                // abandon rather than wedge the channel.
+                self.abort_mitigation(peer, channel);
             }
+        } else {
+            // A harness that never drains must not grow this without
+            // limit. Evicted actions un-wedge their channel via abort.
+            while self.port_actions.len() >= cap {
+                let Some(evicted) = self.port_actions.pop_front() else {
+                    break;
+                };
+                self.stats.defence_actions_dropped += 1;
+                if let Some(t) = &self.telemetry {
+                    t.defence_actions_dropped.inc();
+                }
+                self.abort_mitigation(evicted.peer, evicted.channel);
+            }
+            self.port_actions.push_back(action);
+        }
+    }
+
+    /// Abandons the mitigation in flight on `(peer, channel)`: nothing
+    /// will complete it, so the channel must not stay wedged (or
+    /// quarantined) waiting.
+    fn abort_mitigation(&mut self, peer: SwitchId, channel: PortId) {
+        self.mitigation_marks.remove(&(peer, channel));
+        if let Some(d) = &mut self.defence {
+            d.abort(peer, channel);
         }
     }
 
@@ -1197,9 +1177,7 @@ impl Controller {
         // A defence mitigation waiting on this exchange would never
         // complete; abort it so the channel is not wedged (quarantine
         // included — its exit path just died).
-        if let Some(d) = &mut self.defence {
-            d.abort(switch, PortId::CPU);
-        }
+        self.abort_mitigation(switch, PortId::CPU);
     }
 
     /// Appends to the bounded alert ring, evicting (and counting) the
@@ -1333,10 +1311,7 @@ impl Controller {
                         RejectReason::BadDigest | RejectReason::Replayed { .. }
                     ) {
                         self.count_channel_reject(from, PortId::CPU);
-                        if let Some(d) = &mut self.defence {
-                            d.record_signal(self.now_ns, from, PortId::CPU);
-                        }
-                        self.drive_defence(&mut out, &mut events);
+                        self.drive_defence(from, PortId::CPU, &mut out, &mut events);
                     }
                     return (out, events);
                 }
@@ -1368,14 +1343,11 @@ impl Controller {
                 // C-DP register traffic.
                 let channel = PortId::new(alert.detail.min(u32::from(u8::MAX)) as u8);
                 self.count_channel_reject(from, channel);
-                if let Some(d) = &mut self.defence {
-                    d.record_signal(self.now_ns, from, channel);
-                }
+                self.drive_defence(from, channel, &mut out, &mut events);
             }
             Body::KeyExchange(kex) => self.on_key_exchange(from, &msg, kex, &mut out, &mut events),
             Body::InNetwork(_) => { /* DP-DP traffic never reaches C */ }
         }
-        self.drive_defence(&mut out, &mut events);
         (out, events)
     }
 
@@ -2163,6 +2135,128 @@ mod tests {
         let (mut c, sw) = controller_with_switch();
         c.mirror_peer_key(sw, k, KeyVersion::INITIAL);
         (c, sw)
+    }
+
+    /// The local key [`port_defended`] installs and [`port_alerts`] seals with.
+    const PORT_DEFENDED_KEY: Key64 = Key64::new(0xfeed);
+
+    /// Controller with the defence armed at threshold 3 and a port-action
+    /// queue of `pending_capacity`.
+    fn port_defended(registry: &Arc<Registry>, pending_capacity: usize) -> (Controller, SwitchId) {
+        let (mut c, sw) = keyed_controller(PORT_DEFENDED_KEY);
+        c.set_telemetry(registry.clone());
+        c.enable_defence(crate::defence::DefenceConfig {
+            window_ns: 1_000_000,
+            reject_threshold: 3,
+            escalation_window_ns: 100_000_000,
+            pending_capacity,
+        });
+        (c, sw)
+    }
+
+    /// Delivers a threshold's worth (3) of authenticated alerts from `sw`
+    /// flagging ingress `port` (`seq` keeps rising across calls, as the
+    /// replay window demands) and returns the mitigations they caused.
+    fn port_alerts(
+        c: &mut Controller,
+        sw: SwitchId,
+        seq: &mut u32,
+        port: u8,
+    ) -> Vec<MitigationKind> {
+        let mut fired = Vec::new();
+        for _ in 0..3 {
+            *seq += 1;
+            let alert = Message::new(
+                sw,
+                PortId::CPU,
+                SeqNum::new(*seq),
+                Body::Alert(p4auth_wire::body::Alert {
+                    kind: AlertKind::DigestMismatch,
+                    offending_seq: SeqNum::new(*seq),
+                    detail: u32::from(port),
+                }),
+            )
+            .encode_sealed(&HalfSipHashMac::default(), PORT_DEFENDED_KEY);
+            c.set_now(u64::from(*seq) * 100);
+            let (out, events) = c.on_message(sw, &alert);
+            assert!(out.is_empty(), "port channels are the harness's to roll");
+            fired.extend(events.iter().filter_map(|e| match e {
+                ControllerEvent::DefenceMitigated { kind, .. } => Some(*kind),
+                _ => None,
+            }));
+        }
+        fired
+    }
+
+    /// ROADMAP aim 3: the one queue between a threshold crossing and the
+    /// wire is bounded. A harness that never calls `take_port_actions`
+    /// must not let a flood across many port channels grow it without
+    /// limit: the oldest action is evicted and counted, and its channel is
+    /// un-wedged (in-flight mitigation aborted) so a dropped action can
+    /// never leave a channel permanently ignoring signals.
+    #[test]
+    fn port_action_queue_is_bounded_counts_drops_and_unwedges() {
+        let registry = Arc::new(Registry::new());
+        let (mut c, sw) = port_defended(&registry, 2);
+        let mut seq = 0;
+        // Cross the threshold on three distinct channels without draining.
+        for port in 1..=3u8 {
+            assert_eq!(
+                port_alerts(&mut c, sw, &mut seq, port),
+                [MitigationKind::KeyRollover],
+                "port {port}"
+            );
+        }
+        assert_eq!(c.stats().defence_mitigations, 3);
+        assert_eq!(
+            c.stats().defence_actions_dropped,
+            1,
+            "third crossing evicted the first"
+        );
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter("ctrl_defence_actions_dropped", "controller"),
+            Some(1)
+        );
+        // The evicted channel (1) was un-wedged.
+        assert!(!c.defence_in_flight(sw, PortId::new(1)));
+        assert!(!c.defence_quarantined(sw, PortId::new(1)));
+        assert!(c.defence_in_flight(sw, PortId::new(2)));
+        assert!(c.defence_in_flight(sw, PortId::new(3)));
+        // The survivors drain oldest first.
+        let drained: Vec<PortId> = c.take_port_actions().iter().map(|a| a.channel).collect();
+        assert_eq!(drained, [PortId::new(2), PortId::new(3)]);
+        // Channel 1 is live again: a fresh crossing fires and is queued.
+        assert_eq!(
+            port_alerts(&mut c, sw, &mut seq, 1),
+            [MitigationKind::KeyRollover]
+        );
+        assert_eq!(c.take_port_actions().len(), 1);
+        assert_eq!(c.stats().defence_actions_dropped, 1);
+    }
+
+    #[test]
+    fn evicting_a_quarantine_port_action_lifts_the_quarantine() {
+        let registry = Arc::new(Registry::new());
+        let (mut c, sw) = port_defended(&registry, 1);
+        let (mut seq, p1) = (0, PortId::new(1));
+        let mut alerts = |c: &mut Controller, port: u8| port_alerts(c, sw, &mut seq, port);
+        // Drive channel 1 to quarantine (rollover, complete, re-cross).
+        assert_eq!(alerts(&mut c, 1), [MitigationKind::KeyRollover]);
+        assert_eq!(c.take_port_actions().len(), 1);
+        c.notify_port_key_installed(sw, p1);
+        assert_eq!(alerts(&mut c, 1), [MitigationKind::Quarantine]);
+        assert!(c.defence_quarantined(sw, p1));
+        // A crossing elsewhere evicts the undrained quarantine action —
+        // which must lift the quarantine, or the channel stays flagged
+        // forever with nobody ever issuing the exit-path key roll.
+        assert_eq!(alerts(&mut c, 2), [MitigationKind::KeyRollover]);
+        assert_eq!(c.stats().defence_actions_dropped, 1);
+        assert!(!c.defence_quarantined(sw, p1));
+        assert!(!c.defence_in_flight(sw, p1));
+        let drained: Vec<PortId> = c.take_port_actions().iter().map(|a| a.channel).collect();
+        assert_eq!(drained, [PortId::new(2)]);
     }
 
     /// ROADMAP 8: the response path once ended in `unreachable!("requests

@@ -1,20 +1,17 @@
 //! Orchestration daemons: the split controller's per-domain actors.
 //!
-//! [`Controller`] is the *protocol core* — sealing, verifying, and
-//! stepping the actual key exchanges — and the orchestration decisions
-//! around it (when to roll which key, when a channel's reject rate
-//! warrants a mitigation, what register-plane outcomes to publish) live
-//! in three daemons in the sonic-swss shape. Daemons never call each other; they coordinate
+//! [`Controller`] is the *protocol core* — sealing, verifying, stepping
+//! the actual key exchanges, and deciding from its own verdicts when a
+//! channel's rejects warrant a mitigation ([`crate::defence`]) — and the
+//! orchestration decisions around it (when to roll which key, what
+//! register-plane outcomes to publish) live in two daemons in the
+//! sonic-swss shape. Daemons never call each other; they coordinate
 //! exclusively through the shared [`StateDb`]:
 //!
 //! * [`KeyManagerDaemon`] drives KMP/local/port key lifecycles for the
 //!   switches its replica owns, including versioned bulk rollover
 //!   epochs whose progress lives entirely in the `kmp` table — which is
 //!   what makes a mid-rollover replica restart resumable;
-//! * [`DefenceDaemon`] consumes the windowed `*_per_sec` reject rates
-//!   that the snapshot ring derives (published into the `rates` table)
-//!   instead of re-deriving its own sliding-window counts, and asks the
-//!   core for a mitigation when a channel crosses the threshold;
 //! * [`RegisterDaemon`] publishes register-plane outcomes (acks, nacks,
 //!   rejects, DoS suspicions) into the `registers` table for anything —
 //!   dashboards, peer replicas, tests — to observe without holding a
@@ -41,7 +38,7 @@
 
 use crate::controller::{Controller, ControllerEvent, Outgoing};
 use crate::statedb::{StateDb, SubscriberId, Value, WriteBatch};
-use p4auth_wire::ids::{PortId, SwitchId};
+use p4auth_wire::ids::SwitchId;
 
 /// Table names shared by the daemons (and the replica layer).
 pub mod tables {
@@ -49,28 +46,11 @@ pub mod tables {
     pub const KMP: &str = "kmp";
     /// Published local-key material, for peer-replica mirroring.
     pub const KEYS: &str = "keys";
-    /// Windowed `*_per_sec` reject rates from the snapshot ring.
-    pub const RATES: &str = "rates";
-    /// Defence decisions taken.
-    pub const DEFENCE: &str = "defence";
     /// Register-plane outcome counters.
     pub const REGISTERS: &str = "registers";
     /// Channels temporarily leased to another replica (port-key
     /// redirects crossing a partition boundary).
     pub const LEASES: &str = "leases";
-}
-
-/// Parses a `{switch}:{channel}` series label (the format
-/// `ctrl_channel_rejects` is labeled with) back into ids.
-pub fn parse_channel_label(label: &str) -> Option<(SwitchId, PortId)> {
-    let (switch, channel) = label.split_once(':')?;
-    let switch = SwitchId::new(switch.strip_prefix('S')?.parse::<u16>().ok()?);
-    let channel = if channel == "cpu" {
-        PortId::CPU
-    } else {
-        PortId::new(channel.strip_prefix('p')?.parse::<u8>().ok()?)
-    };
-    Some((switch, channel))
 }
 
 /// One switch's position in the bulk-rollover state machine.
@@ -311,93 +291,6 @@ impl KeyManagerDaemon {
     }
 }
 
-/// Consumes the snapshot ring's derived `ctrl_channel_rejects_per_sec`
-/// series out of the `rates` table and asks the core for a mitigation
-/// whenever an owned channel crosses the threshold. The core's own
-/// in-flight hysteresis gates repeats, so calling this every step is
-/// safe (and deterministic).
-pub struct DefenceDaemon {
-    owned: Vec<SwitchId>,
-    threshold: u64,
-    sub: SubscriberId,
-}
-
-impl DefenceDaemon {
-    /// A defence daemon watching `owned` switches, reacting when a
-    /// channel's windowed reject rate reaches `threshold` rejects/sec.
-    pub fn new(db: &mut StateDb, mut owned: Vec<SwitchId>, threshold: u64) -> Self {
-        owned.sort_unstable();
-        owned.dedup();
-        DefenceDaemon {
-            owned,
-            threshold,
-            sub: db.subscribe(),
-        }
-    }
-
-    /// One step: look at rate entries that changed since the last poll
-    /// (all of them after a log gap), trigger crossings on the core, and
-    /// record every decision in the `defence` table.
-    pub fn step(
-        &mut self,
-        db: &mut StateDb,
-        core: &mut Controller,
-        now_ns: u64,
-    ) -> (Vec<Outgoing>, Vec<ControllerEvent>) {
-        let poll = db.poll(self.sub);
-        let candidates: Vec<(String, u64)> = if poll.missed > 0 {
-            db.entries(tables::RATES)
-                .filter_map(|(k, e)| Some((k.to_string(), e.value.as_u64()?)))
-                .collect()
-        } else {
-            let mut seen = std::collections::BTreeMap::new();
-            for u in &poll.updates {
-                if &*u.table == tables::RATES {
-                    if let Some(v) = u.value.as_u64() {
-                        seen.insert(u.key.to_string(), v);
-                    }
-                }
-            }
-            seen.into_iter().collect()
-        };
-
-        if !candidates.is_empty() {
-            core.trace_instant(
-                p4auth_telemetry::SpanKind::DaemonWake,
-                now_ns,
-                candidates.len() as u64,
-                1,
-            );
-        }
-        let mut out = Vec::new();
-        let mut events = Vec::new();
-        for (label, rate) in candidates {
-            if rate < self.threshold {
-                continue;
-            }
-            let Some((peer, channel)) = parse_channel_label(&label) else {
-                continue;
-            };
-            if !self.owned.contains(&peer) {
-                continue;
-            }
-            let (o, ev) = core.on_rate_crossing(peer, channel);
-            if !o.is_empty() || !ev.is_empty() {
-                db.set(
-                    now_ns,
-                    tables::DEFENCE,
-                    &label,
-                    Value::Text(format!("crossing@{now_ns}")),
-                );
-                core.trace_instant(p4auth_telemetry::SpanKind::StateDbWrite, now_ns, 1, 1);
-            }
-            out.extend(o);
-            events.extend(ev);
-        }
-        (out, events)
-    }
-}
-
 /// Publishes register-plane outcomes into the `registers` table. Pure
 /// db writer: holds no state of its own, so replica restarts are
 /// trivially safe.
@@ -442,7 +335,6 @@ impl RegisterDaemon {
 mod tests {
     use super::*;
     use crate::controller::{Controller, ControllerConfig};
-    use crate::defence::DefenceConfig;
     use p4auth_primitives::Key64;
 
     #[test]
@@ -462,20 +354,6 @@ mod tests {
         }
         assert_eq!(KexStatus::parse("garbage"), None);
         assert_eq!(KexStatus::parse("pending@x@1"), None);
-    }
-
-    #[test]
-    fn channel_labels_parse() {
-        assert_eq!(
-            parse_channel_label("S3:cpu"),
-            Some((SwitchId::new(3), PortId::CPU))
-        );
-        assert_eq!(
-            parse_channel_label("S12:p2"),
-            Some((SwitchId::new(12), PortId::new(2)))
-        );
-        assert_eq!(parse_channel_label("C:cpu"), None);
-        assert_eq!(parse_channel_label("S1"), None);
     }
 
     #[test]
@@ -558,33 +436,5 @@ mod tests {
         let out = km.step(&mut db, &mut core, 0);
         assert!(out.is_empty(), "no double-issue under batching");
         assert_eq!(db.writes(), before, "idempotent tick writes nothing");
-    }
-
-    /// Defence daemon reads rates from the table and triggers the core's
-    /// rate-driven ladder; below-threshold and foreign-switch entries
-    /// are ignored.
-    #[test]
-    fn defence_daemon_triggers_on_owned_crossings_only() {
-        let mut db = StateDb::new();
-        let mut core = Controller::new(ControllerConfig::default());
-        let sw = SwitchId::new(1);
-        core.register_switch(sw, Key64::new(0x5eed));
-        core.enable_defence_rate_driven(DefenceConfig::default());
-        let mut dd = DefenceDaemon::new(&mut db, vec![sw], 100);
-
-        db.set(5, tables::RATES, "S1:cpu", Value::U64(40));
-        db.set(5, tables::RATES, "S2:cpu", Value::U64(500)); // not owned
-        let (out, events) = dd.step(&mut db, &mut core, 5);
-        assert!(out.is_empty() && events.is_empty(), "below threshold");
-
-        db.set(6, tables::RATES, "S1:cpu", Value::U64(250));
-        let (_, events) = dd.step(&mut db, &mut core, 6);
-        assert!(
-            events.iter().any(
-                |e| matches!(e, ControllerEvent::DefenceMitigated { switch, .. } if *switch == sw)
-            ),
-            "crossing must mitigate: {events:?}"
-        );
-        assert!(db.value(tables::DEFENCE, "S1:cpu").is_some());
     }
 }

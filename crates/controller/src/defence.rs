@@ -1,5 +1,5 @@
-//! Telemetry-driven adaptive defence (the "closed loop" on top of the
-//! P4Auth reject stream).
+//! Adaptive defence (the "closed loop" on top of the P4Auth reject
+//! stream).
 //!
 //! The controller already *detects* forged digests and replays — every
 //! failed verification increments an [`p4auth_core::auth::AuthMetrics`]
@@ -30,9 +30,10 @@
 //!   channel. The controller feeds this module only `BadDigest` and
 //!   `Replayed` rejects (plus agent alerts, which are authenticated).
 //!
-//! The state machine is pure (no clock, no I/O): the caller passes
-//! simulated time in and drains actions out, which keeps it unit-testable
-//! and deterministic.
+//! The state machine is pure (no clock, no I/O, no telemetry): the caller
+//! passes simulated time and one signal in and gets at most one action
+//! back, which keeps it unit-testable and deterministic — and means the
+//! defence works whether or not anything is observing the controller.
 
 use p4auth_wire::ids::{PortId, SwitchId};
 use std::collections::{HashMap, VecDeque};
@@ -50,11 +51,14 @@ pub struct DefenceConfig {
     /// How long after a completed mitigation a re-crossing counts as
     /// "the rollover did not help" and escalates to quarantine.
     pub escalation_window_ns: u64,
-    /// Capacity of the pending-action queue. A harness that never drains
-    /// [`DefenceState::take_actions`] must not let a sustained flood grow
-    /// the queue without bound: when full, the *oldest* action is evicted
-    /// (its channel's in-flight mitigation is aborted so the channel is
-    /// not wedged) and counted in [`DefenceState::actions_dropped`].
+    /// Capacity of the controller's port-action queue (the one queue
+    /// between a crossing and the wire: CPU-channel actions are applied
+    /// at once, DP-DP port actions wait for the harness). A harness that
+    /// never drains it must not let a sustained flood grow it without
+    /// bound: when full, the *oldest* action is evicted (its channel's
+    /// in-flight mitigation is aborted so the channel is not wedged) and
+    /// counted in
+    /// [`ControllerStats::defence_actions_dropped`](crate::ControllerStats::defence_actions_dropped).
     pub pending_capacity: usize,
 }
 
@@ -94,7 +98,7 @@ impl MitigationKind {
     }
 }
 
-/// One mitigation the defence loop decided on; drained by the controller
+/// One mitigation the defence loop decided on; applied by the controller
 /// (CPU channels) or the harness (DP-DP port channels).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MitigationAction {
@@ -133,20 +137,12 @@ struct ChannelState {
     quarantined: bool,
 }
 
-/// The defence loop's state: sliding windows and pending actions, keyed
-/// by `(peer, channel)`.
+/// The defence loop's state: one sliding window and escalation rung per
+/// `(peer, channel)`.
 #[derive(Debug)]
 pub struct DefenceState {
     config: DefenceConfig,
     channels: HashMap<(SwitchId, PortId), ChannelState>,
-    pending: VecDeque<MitigationAction>,
-    /// Actions evicted from the bounded pending queue.
-    dropped: u64,
-    /// `false` when a rate-driven consumer (the defence daemon feeding on
-    /// `SnapshotRing::rate_gauges`) owns threshold detection: per-reject
-    /// signals then no longer drive the window logic, only explicit
-    /// [`DefenceState::trigger_crossing`] calls do.
-    signal_driven: bool,
 }
 
 impl DefenceState {
@@ -165,22 +161,7 @@ impl DefenceState {
         DefenceState {
             config,
             channels: HashMap::new(),
-            pending: VecDeque::new(),
-            dropped: 0,
-            signal_driven: true,
         }
-    }
-
-    /// Creates a defence loop whose threshold detection is *rate-driven*:
-    /// per-reject [`DefenceState::record_signal`] calls are ignored and
-    /// crossings are reported explicitly via
-    /// [`DefenceState::trigger_crossing`] by a consumer of the windowed
-    /// `*_per_sec` telemetry series. The escalation ladder, in-flight
-    /// hysteresis and quarantine state behave identically.
-    pub fn new_rate_driven(config: DefenceConfig) -> Self {
-        let mut d = DefenceState::new(config);
-        d.signal_driven = false;
-        d
     }
 
     /// The active configuration.
@@ -188,56 +169,38 @@ impl DefenceState {
         &self.config
     }
 
-    /// Actions evicted from the bounded pending queue since creation.
-    pub fn actions_dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Records one auth-failure signal (a `BadDigest`/`Replayed` reject
     /// observed by the controller, or an authenticated agent alert) on
-    /// `(peer, channel)` at simulated time `now_ns`. May enqueue a
-    /// [`MitigationAction`]; drain with [`DefenceState::take_actions`].
-    pub fn record_signal(&mut self, now_ns: u64, peer: SwitchId, channel: PortId) {
-        if !self.signal_driven {
-            // A rate-driven consumer owns detection; per-reject signals
-            // are already reflected in the windowed rate series.
-            return;
-        }
-        let window_ns = self.config.window_ns;
-        let threshold = self.config.reject_threshold;
+    /// `(peer, channel)` at simulated time `now_ns`. Returns the
+    /// [`MitigationAction`] to apply when this signal is the one that
+    /// crosses the threshold; the caller either applies it or calls
+    /// [`DefenceState::abort`].
+    pub fn record_signal(
+        &mut self,
+        now_ns: u64,
+        peer: SwitchId,
+        channel: PortId,
+    ) -> Option<MitigationAction> {
+        let config = self.config;
         let state = self.channels.entry((peer, channel)).or_default();
         if state.in_flight.is_some() {
             // A mitigation is already underway; one crossing, one action.
-            return;
+            return None;
         }
         state.rejects.push_back(now_ns);
         while let Some(&oldest) = state.rejects.front() {
-            if now_ns.saturating_sub(oldest) > window_ns {
+            if now_ns.saturating_sub(oldest) > config.window_ns {
                 state.rejects.pop_front();
             } else {
                 break;
             }
         }
-        if (state.rejects.len() as u32) >= threshold {
-            self.trigger_crossing(now_ns, peer, channel);
-        }
-    }
-
-    /// Reports one reject-threshold crossing on `(peer, channel)` at
-    /// `now_ns` and enqueues the corresponding rung of the escalation
-    /// ladder. No-op while a mitigation is already in flight on the
-    /// channel (one crossing, one action). Used internally by
-    /// [`DefenceState::record_signal`] and directly by rate-driven
-    /// consumers of the `*_per_sec` telemetry series.
-    pub fn trigger_crossing(&mut self, now_ns: u64, peer: SwitchId, channel: PortId) {
-        let escalation_ns = self.config.escalation_window_ns;
-        let state = self.channels.entry((peer, channel)).or_default();
-        if state.in_flight.is_some() {
-            return;
+        if (state.rejects.len() as u32) < config.reject_threshold {
+            return None;
         }
         // Decide the rung of the escalation ladder.
         let kind = match state.last_completed_ns {
-            Some(done) if now_ns.saturating_sub(done) <= escalation_ns => {
+            Some(done) if now_ns.saturating_sub(done) <= config.escalation_window_ns => {
                 MitigationKind::Quarantine
             }
             _ => MitigationKind::KeyRollover,
@@ -247,27 +210,12 @@ impl DefenceState {
         if kind == MitigationKind::Quarantine {
             state.quarantined = true;
         }
-        // Bounded queue: evict (and abort) the oldest rather than grow
-        // without limit under a harness that never drains.
-        while self.pending.len() >= self.config.pending_capacity.max(1) {
-            let evicted = self.pending.pop_front().expect("len checked");
-            self.dropped += 1;
-            if let Some(s) = self.channels.get_mut(&(evicted.peer, evicted.channel)) {
-                s.in_flight = None;
-                s.quarantined = false;
-            }
-        }
-        self.pending.push_back(MitigationAction {
+        Some(MitigationAction {
             peer,
             channel,
             kind,
             detected_at_ns: now_ns,
-        });
-    }
-
-    /// Drains the actions decided since the last call.
-    pub fn take_actions(&mut self) -> Vec<MitigationAction> {
-        std::mem::take(&mut self.pending).into()
+        })
     }
 
     /// Notifies the loop that a fresh key was installed on
@@ -336,23 +284,31 @@ mod tests {
     const S1: SwitchId = SwitchId::new(1);
     const S2: SwitchId = SwitchId::new(2);
 
+    /// Feeds one signal per timestamp and collects the actions returned.
+    fn signals(
+        d: &mut DefenceState,
+        times: &[u64],
+        peer: SwitchId,
+        channel: PortId,
+    ) -> Vec<MitigationAction> {
+        times
+            .iter()
+            .filter_map(|&t| d.record_signal(t, peer, channel))
+            .collect()
+    }
+
     #[test]
     fn single_reject_never_triggers() {
         let mut d = DefenceState::new(cfg());
-        d.record_signal(100, S1, PortId::CPU);
-        assert!(d.take_actions().is_empty());
+        assert_eq!(d.record_signal(100, S1, PortId::CPU), None);
         // A second reject far outside the window doesn't either.
-        d.record_signal(1_000_000, S1, PortId::CPU);
-        assert!(d.take_actions().is_empty());
+        assert_eq!(d.record_signal(1_000_000, S1, PortId::CPU), None);
     }
 
     #[test]
     fn threshold_crossing_fires_exactly_one_rollover() {
         let mut d = DefenceState::new(cfg());
-        for t in [100, 200, 300, 400, 500, 600] {
-            d.record_signal(t, S1, PortId::CPU);
-        }
-        let actions = d.take_actions();
+        let actions = signals(&mut d, &[100, 200, 300, 400, 500, 600], S1, PortId::CPU);
         assert_eq!(actions.len(), 1, "one crossing, one action");
         assert_eq!(actions[0].kind, MitigationKind::KeyRollover);
         assert_eq!(actions[0].peer, S1);
@@ -365,20 +321,14 @@ mod tests {
     #[test]
     fn rejects_outside_window_are_pruned() {
         let mut d = DefenceState::new(cfg());
-        d.record_signal(100, S1, PortId::CPU);
-        d.record_signal(200, S1, PortId::CPU);
         // 2_000 is > window_ns past both earlier signals: they drop out.
-        d.record_signal(2_000, S1, PortId::CPU);
-        assert!(d.take_actions().is_empty());
+        assert!(signals(&mut d, &[100, 200, 2_000], S1, PortId::CPU).is_empty());
     }
 
     #[test]
     fn key_install_reports_latency_and_resets() {
         let mut d = DefenceState::new(cfg());
-        for t in [100, 200, 300] {
-            d.record_signal(t, S1, PortId::CPU);
-        }
-        assert_eq!(d.take_actions().len(), 1);
+        assert_eq!(signals(&mut d, &[100, 200, 300], S1, PortId::CPU).len(), 1);
         let done = d.on_key_installed(5_300, S1, PortId::CPU).unwrap();
         assert_eq!(done.kind, MitigationKind::KeyRollover);
         assert_eq!(done.latency_ns, 5_000);
@@ -390,17 +340,12 @@ mod tests {
     #[test]
     fn recrossing_soon_after_rollover_escalates_to_quarantine() {
         let mut d = DefenceState::new(cfg());
-        for t in [100, 200, 300] {
-            d.record_signal(t, S1, PortId::CPU);
-        }
-        assert_eq!(d.take_actions()[0].kind, MitigationKind::KeyRollover);
+        let first = signals(&mut d, &[100, 200, 300], S1, PortId::CPU);
+        assert_eq!(first[0].kind, MitigationKind::KeyRollover);
         d.on_key_installed(1_000, S1, PortId::CPU).unwrap();
         // Attack continues: cross the threshold again inside the
         // escalation window.
-        for t in [1_100, 1_200, 1_300] {
-            d.record_signal(t, S1, PortId::CPU);
-        }
-        let actions = d.take_actions();
+        let actions = signals(&mut d, &[1_100, 1_200, 1_300], S1, PortId::CPU);
         assert_eq!(actions.len(), 1);
         assert_eq!(actions[0].kind, MitigationKind::Quarantine);
         assert!(d.is_quarantined(S1, PortId::CPU));
@@ -413,149 +358,49 @@ mod tests {
     #[test]
     fn recrossing_long_after_rollover_stays_at_rollover() {
         let mut d = DefenceState::new(cfg());
-        for t in [100, 200, 300] {
-            d.record_signal(t, S1, PortId::CPU);
-        }
-        d.take_actions();
+        signals(&mut d, &[100, 200, 300], S1, PortId::CPU);
         d.on_key_installed(1_000, S1, PortId::CPU).unwrap();
         // Far beyond escalation_window_ns: ladder resets to rollover.
-        for t in [100_000, 100_100, 100_200] {
-            d.record_signal(t, S1, PortId::CPU);
-        }
-        assert_eq!(d.take_actions()[0].kind, MitigationKind::KeyRollover);
+        let actions = signals(&mut d, &[100_000, 100_100, 100_200], S1, PortId::CPU);
+        assert_eq!(actions[0].kind, MitigationKind::KeyRollover);
     }
 
     #[test]
     fn signals_during_in_flight_mitigation_are_ignored() {
         let mut d = DefenceState::new(cfg());
-        for t in [100, 200, 300, 310, 320, 330, 340] {
-            d.record_signal(t, S1, PortId::CPU);
-        }
-        assert_eq!(d.take_actions().len(), 1);
-        assert!(d.take_actions().is_empty());
+        let flood = [100, 200, 300, 310, 320, 330, 340];
+        assert_eq!(signals(&mut d, &flood, S1, PortId::CPU).len(), 1);
     }
 
     #[test]
     fn channels_are_independent() {
         let mut d = DefenceState::new(cfg());
-        for t in [100, 200, 300] {
-            d.record_signal(t, S1, PortId::CPU);
-        }
-        let actions = d.take_actions();
+        let actions = signals(&mut d, &[100, 200, 300], S1, PortId::CPU);
         assert_eq!(actions.len(), 1);
         assert_eq!(actions[0].peer, S1);
         assert!(!d.mitigation_in_flight(S2, PortId::CPU));
         assert!(!d.mitigation_in_flight(S1, PortId::new(2)));
         // Distinct channels on the same peer accumulate separately.
-        d.record_signal(400, S2, PortId::new(1));
-        d.record_signal(500, S2, PortId::new(2));
-        d.record_signal(600, S2, PortId::new(1));
-        assert!(d.take_actions().is_empty());
+        assert_eq!(d.record_signal(400, S2, PortId::new(1)), None);
+        assert_eq!(d.record_signal(500, S2, PortId::new(2)), None);
+        assert_eq!(d.record_signal(600, S2, PortId::new(1)), None);
     }
 
     #[test]
     fn abort_clears_in_flight_and_quarantine() {
         let mut d = DefenceState::new(cfg());
-        for t in [100, 200, 300] {
-            d.record_signal(t, S1, PortId::CPU);
-        }
-        d.take_actions();
+        signals(&mut d, &[100, 200, 300], S1, PortId::CPU);
         d.on_key_installed(1_000, S1, PortId::CPU).unwrap();
-        for t in [1_100, 1_200, 1_300] {
-            d.record_signal(t, S1, PortId::CPU);
-        }
-        d.take_actions();
+        signals(&mut d, &[1_100, 1_200, 1_300], S1, PortId::CPU);
         assert!(d.is_quarantined(S1, PortId::CPU));
         d.abort(S1, PortId::CPU);
         assert!(!d.is_quarantined(S1, PortId::CPU));
         assert!(!d.mitigation_in_flight(S1, PortId::CPU));
-    }
-
-    /// Regression: `pending` was an unbounded `Vec` — a harness that never
-    /// drained `take_actions` let a sustained flood across many channels
-    /// grow it without limit. The queue is now bounded: the oldest action
-    /// is evicted and counted, and its channel is un-wedged (in-flight
-    /// mitigation aborted, quarantine lifted) so a dropped action can
-    /// never leave a channel permanently ignoring signals.
-    #[test]
-    fn pending_queue_is_bounded_counts_drops_and_unwedges() {
-        let mut d = DefenceState::new(DefenceConfig {
-            pending_capacity: 2,
-            ..cfg()
-        });
-        // Cross the threshold on three distinct channels without draining.
-        for ch in 1..=3u8 {
-            for t in [100, 200, 300] {
-                d.record_signal(t, S1, PortId::new(ch));
-            }
-        }
-        assert_eq!(d.actions_dropped(), 1, "third crossing evicted the first");
-        // The evicted channel (1) was un-wedged: no mitigation in flight,
-        // so a fresh crossing can fire again later.
-        assert!(!d.mitigation_in_flight(S1, PortId::new(1)));
-        assert!(d.mitigation_in_flight(S1, PortId::new(2)));
-        assert!(d.mitigation_in_flight(S1, PortId::new(3)));
-        let actions = d.take_actions();
-        assert_eq!(actions.len(), 2);
-        assert_eq!(actions[0].channel, PortId::new(2));
-        assert_eq!(actions[1].channel, PortId::new(3));
-        // Channel 1 is live again.
-        for t in [400, 500, 600] {
-            d.record_signal(t, S1, PortId::new(1));
-        }
-        assert_eq!(d.take_actions().len(), 1);
-    }
-
-    #[test]
-    fn evicting_a_quarantine_action_lifts_the_quarantine() {
-        let mut d = DefenceState::new(DefenceConfig {
-            pending_capacity: 1,
-            ..cfg()
-        });
-        // Drive channel 1 to quarantine (rollover, complete, re-cross).
-        for t in [100, 200, 300] {
-            d.record_signal(t, S1, PortId::new(1));
-        }
-        d.take_actions();
-        d.on_key_installed(1_000, S1, PortId::new(1)).unwrap();
-        for t in [1_100, 1_200, 1_300] {
-            d.record_signal(t, S1, PortId::new(1));
-        }
-        assert!(d.is_quarantined(S1, PortId::new(1)));
-        // A crossing elsewhere evicts the undrained quarantine action —
-        // which must lift the quarantine, or the channel drops traffic
-        // forever with nobody ever issuing the exit-path key roll.
-        for t in [1_400, 1_500, 1_600] {
-            d.record_signal(t, S2, PortId::new(1));
-        }
-        assert_eq!(d.actions_dropped(), 1);
-        assert!(!d.is_quarantined(S1, PortId::new(1)));
-    }
-
-    #[test]
-    fn rate_driven_mode_ignores_signals_but_fires_on_crossing() {
-        let mut d = DefenceState::new_rate_driven(cfg());
-        // Per-reject signals are the count-driven path; a rate-driven loop
-        // must not double-detect from them.
-        for t in [100, 200, 300, 400, 500] {
-            d.record_signal(t, S1, PortId::new(1));
-        }
-        assert!(d.take_actions().is_empty());
-        // An explicit crossing (from the windowed rate series) fires the
-        // same ladder: rollover first...
-        d.trigger_crossing(600, S1, PortId::new(1));
-        let actions = d.take_actions();
-        assert_eq!(actions.len(), 1);
-        assert_eq!(actions[0].kind, MitigationKind::KeyRollover);
-        // ...with in-flight hysteresis...
-        d.trigger_crossing(700, S1, PortId::new(1));
-        assert!(d.take_actions().is_empty());
-        // ...and escalation to quarantine on a re-crossing soon after
-        // completion.
-        d.on_key_installed(1_000, S1, PortId::new(1)).unwrap();
-        d.trigger_crossing(1_100, S1, PortId::new(1));
-        assert_eq!(d.take_actions()[0].kind, MitigationKind::Quarantine);
-        assert!(d.is_quarantined(S1, PortId::new(1)));
+        // An aborted channel is live again: the next crossing fires.
+        assert_eq!(
+            signals(&mut d, &[1_400, 1_500, 1_600], S1, PortId::CPU).len(),
+            1
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! switches by a deterministic hash, coordinating through one shared
 //! [`StateDb`].
 //!
-//! Each replica is a protocol [`Controller`] core plus the three
+//! Each replica is a protocol [`Controller`] core plus the two
 //! orchestration [`daemons`](crate::daemons). The [`ReplicaSet`] owns
 //! the shared state table, routes incoming frames to the replica
 //! responsible for the sending switch, and implements the two places
@@ -38,15 +38,15 @@
 //! two-run gate checks end-to-end.
 
 use crate::controller::{Controller, ControllerConfig, ControllerEvent, ControllerStats, Outgoing};
-use crate::daemons::{tables, DefenceDaemon, KeyManagerDaemon, RegisterDaemon};
+use crate::daemons::{tables, KeyManagerDaemon, RegisterDaemon};
 use crate::defence::DefenceConfig;
 use crate::statedb::{StateDb, Value};
 use p4auth_primitives::Key64;
-use p4auth_telemetry::{GaugeSample, Registry};
+use p4auth_telemetry::Registry;
 use p4auth_wire::body::{AdhkdRole, Body, KexContext, KeyExchange};
 use p4auth_wire::ids::{PortId, RegId, SwitchId};
 use p4auth_wire::Message;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// SplitMix64 finalizer — the partition hash. Deterministic across
@@ -75,7 +75,6 @@ pub struct ControllerReplica {
     /// The protocol core (sealing, verifying, exchanges).
     pub core: Controller,
     km: KeyManagerDaemon,
-    defence: Option<DefenceDaemon>,
     registers: RegisterDaemon,
     owned: Vec<SwitchId>,
 }
@@ -105,12 +104,6 @@ pub struct ReplicaSet {
     db: StateDb,
     replicas: Vec<ControllerReplica>,
     redirects: BTreeMap<(SwitchId, PortId), RedirectLease>,
-    defence: Option<(DefenceConfig, u64)>,
-    /// Channel labels seen in the previous `observe_rates` sample. A
-    /// label present here but absent from the current sample has gone
-    /// quiet (or rotated out of the snapshot ring) and decays to zero
-    /// rather than holding its last value forever.
-    rate_labels: BTreeSet<String>,
 }
 
 impl ReplicaSet {
@@ -145,7 +138,6 @@ impl ReplicaSet {
                 label,
                 core,
                 km,
-                defence: None,
                 registers: RegisterDaemon,
                 owned,
             });
@@ -154,8 +146,6 @@ impl ReplicaSet {
             db,
             replicas,
             redirects: BTreeMap::new(),
-            defence: None,
-            rate_labels: BTreeSet::new(),
         }
     }
 
@@ -196,9 +186,9 @@ impl ReplicaSet {
     }
 
     /// Attaches one registry to every replica's core, each labeled
-    /// `replica{i}` so their series stay distinguishable while the
-    /// per-channel reject counters (labeled by channel, not replica)
-    /// merge into the set-wide series the defence daemons consume.
+    /// `replica{i}` so their series stay distinguishable; the per-channel
+    /// reject counters are labeled by channel, not replica, and read as
+    /// one set-wide series.
     pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
         for r in &mut self.replicas {
             let label = r.label.clone();
@@ -213,55 +203,13 @@ impl ReplicaSet {
         }
     }
 
-    /// Arms the count-driven defence loop on every replica's core: each
-    /// core's own sliding reject window detects the flood and mitigates,
-    /// with no daemon or rate series involved (the §VII single-controller
-    /// behaviour, per partition).
+    /// Arms the defence loop on every replica's core: each core's own
+    /// sliding reject window detects a flood on the channels it owns and
+    /// mitigates (the §VII single-controller behaviour, per partition).
     pub fn enable_defence(&mut self, config: DefenceConfig) {
         for r in &mut self.replicas {
             r.core.enable_defence(config);
         }
-    }
-
-    /// Arms the rate-driven defence ladder on every replica:
-    /// mitigations trigger when a channel's windowed reject rate (from
-    /// [`ReplicaSet::observe_rates`]) reaches `threshold` rejects/sec.
-    pub fn enable_defence_rate_driven(&mut self, config: DefenceConfig, threshold: u64) {
-        self.defence = Some((config, threshold));
-        for r in &mut self.replicas {
-            r.core.enable_defence_rate_driven(config);
-            r.defence = Some(DefenceDaemon::new(&mut self.db, r.owned.clone(), threshold));
-        }
-    }
-
-    /// Publishes the snapshot ring's derived `*_per_sec` gauges into the
-    /// `rates` table for the defence daemons. Call with
-    /// `SnapshotRing::rate_gauges()` output after each ring sample.
-    ///
-    /// A series that disappears between samples — its channel went
-    /// quiet, or the ring rotated it out — decays to zero instead of
-    /// leaving its last rate in the table: the daemons read the table as
-    /// "current rate", and a stale spike would hold a mitigation ladder
-    /// armed long after the traffic stopped.
-    pub fn observe_rates(&mut self, now_ns: u64, gauges: &[GaugeSample]) {
-        let mut seen = BTreeSet::new();
-        for g in gauges {
-            if g.name == "ctrl_channel_rejects_per_sec" {
-                self.db.set(
-                    now_ns,
-                    tables::RATES,
-                    &g.label,
-                    Value::U64(g.value.max(0) as u64),
-                );
-                seen.insert(g.label.clone());
-            }
-        }
-        for label in &self.rate_labels {
-            if !seen.contains(label) {
-                self.db.set(now_ns, tables::RATES, label, Value::U64(0));
-            }
-        }
-        self.rate_labels = seen;
     }
 
     /// Routes one frame from `switch` to the responsible replica and
@@ -364,11 +312,6 @@ impl ReplicaSet {
         }
     }
 
-    /// Whether the rate-driven defence ladder is armed.
-    pub fn defence_enabled(&self) -> bool {
-        self.defence.is_some()
-    }
-
     /// Whether `switch`'s owner has its local key established.
     pub fn has_local_key(&self, switch: SwitchId) -> bool {
         self.core(switch).has_local_key(switch)
@@ -458,22 +401,11 @@ impl ReplicaSet {
     }
 
     /// One orchestration step: every replica (in index order) runs its
-    /// key-manager and defence daemons against the shared table.
-    pub fn step(&mut self, now_ns: u64) -> (Vec<Outgoing>, Vec<ControllerEvent>) {
-        let mut out = Vec::new();
-        let mut events = Vec::new();
-        for i in 0..self.replicas.len() {
-            let r = &mut self.replicas[i];
-            r.core.set_now(now_ns);
-            out.extend(r.km.step(&mut self.db, &mut r.core, now_ns));
-            if let Some(d) = &mut r.defence {
-                let (o, ev) = d.step(&mut self.db, &mut r.core, now_ns);
-                out.extend(o);
-                r.registers.publish(&mut self.db, now_ns, &ev);
-                events.extend(ev);
-            }
-        }
-        (out, events)
+    /// key-manager daemon against the shared table.
+    pub fn step(&mut self, now_ns: u64) -> Vec<Outgoing> {
+        (0..self.replicas.len())
+            .flat_map(|i| self.step_replica(i, now_ns))
+            .collect()
     }
 
     /// Steps only replica `i` — the proptest uses this to interleave
@@ -521,21 +453,16 @@ impl ReplicaSet {
                 .all(|r| KeyManagerDaemon::partition_done(&self.db, &r.owned, epoch))
     }
 
-    /// Simulates a crash/restart of replica `i`: every daemon is rebuilt
-    /// from scratch with fresh state-table subscriptions, exactly as a
-    /// respawned process would come up. All orchestration progress must
-    /// therefore be recoverable from the table — the mid-rollover
-    /// restart proptest pins this down.
+    /// Simulates a crash/restart of replica `i`'s orchestration: the key
+    /// manager is rebuilt from scratch with a fresh state-table
+    /// subscription, exactly as a respawned process would come up. All
+    /// orchestration progress must therefore be recoverable from the
+    /// table — the mid-rollover restart proptest pins this down. The
+    /// protocol core (keys, sequence counters, the defence loop's windows
+    /// and in-flight mitigations) is not orchestration state and survives.
     pub fn restart_replica(&mut self, i: usize) {
-        let (owned, label) = {
-            let r = &self.replicas[i];
-            (r.owned.clone(), r.label.clone())
-        };
-        self.replicas[i].km = KeyManagerDaemon::new(&mut self.db, owned.clone(), label);
-        if let Some((config, threshold)) = self.defence {
-            self.replicas[i].core.enable_defence_rate_driven(config);
-            self.replicas[i].defence = Some(DefenceDaemon::new(&mut self.db, owned, threshold));
-        }
+        let r = &mut self.replicas[i];
+        r.km = KeyManagerDaemon::new(&mut self.db, r.owned.clone(), r.label.clone());
     }
 
     /// Lifetime counters summed over the replicas.
@@ -558,10 +485,32 @@ impl ReplicaSet {
 mod tests {
     use super::*;
 
+    use p4auth_core::agent::{AgentConfig, P4AuthSwitch};
+
     fn seeds(n: u16) -> Vec<(SwitchId, Key64)> {
         (1..=n)
             .map(|i| (SwitchId::new(i), Key64::new(0x5eed_0000 + i as u64)))
             .collect()
+    }
+
+    /// Runs controller frames to quiescence at `t`; returns the events
+    /// the set reported along the way.
+    fn pump(
+        set: &mut ReplicaSet,
+        agents: &mut BTreeMap<SwitchId, P4AuthSwitch>,
+        t: u64,
+        mut pending: Vec<Outgoing>,
+    ) -> Vec<ControllerEvent> {
+        let mut seen = Vec::new();
+        while let Some(o) = pending.pop() {
+            let agent = agents.get_mut(&o.to).expect("known switch");
+            for (_, bytes) in agent.on_packet(t, PortId::CPU, &o.bytes).outputs {
+                let (out, events) = set.on_message(t, o.to, &bytes);
+                pending.extend(out);
+                seen.extend(events);
+            }
+        }
+        seen
     }
 
     #[test]
@@ -597,40 +546,6 @@ mod tests {
         assert_eq!(set.rollover_epoch(), 1);
     }
 
-    #[test]
-    fn vanished_rate_series_decays_to_zero() {
-        let mut set = ReplicaSet::new(1, ControllerConfig::default(), &seeds(2));
-        let gauge = |label: &str, value: i64| GaugeSample {
-            name: "ctrl_channel_rejects_per_sec".to_string(),
-            label: label.to_string(),
-            value,
-        };
-        set.observe_rates(1_000, &[gauge("ch1", 40), gauge("ch2", 7)]);
-        assert_eq!(
-            set.db().get(tables::RATES, "ch1").map(|e| &e.value),
-            Some(&Value::U64(40))
-        );
-
-        // ch1 goes quiet: the next sample no longer carries it. Its rate
-        // must read as zero, not hold the old 40 rejects/sec forever.
-        set.observe_rates(2_000, &[gauge("ch2", 9)]);
-        assert_eq!(
-            set.db().get(tables::RATES, "ch1").map(|e| &e.value),
-            Some(&Value::U64(0)),
-            "vanished series must decay to zero"
-        );
-        assert_eq!(
-            set.db().get(tables::RATES, "ch2").map(|e| &e.value),
-            Some(&Value::U64(9))
-        );
-
-        // Once decayed it stays quiet: no re-zeroing writes on later
-        // samples that still lack the label.
-        let version = set.db().get(tables::RATES, "ch1").unwrap().version;
-        set.observe_rates(3_000, &[gauge("ch2", 3)]);
-        assert_eq!(set.db().get(tables::RATES, "ch1").unwrap().version, version);
-    }
-
     /// Two cross-partition port-key exchanges sharing responder `r` with
     /// different homes, in flight at once — what any correlated link
     /// recovery produces. Leases are keyed by `(switch, port)`, so
@@ -638,8 +553,6 @@ mod tests {
     /// redirect, and `r`'s `leases` entry survives until the second.
     #[test]
     fn concurrent_redirects_sharing_a_responder_both_complete() {
-        use p4auth_core::agent::{AgentConfig, P4AuthSwitch};
-
         const N: usize = 3;
         // One switch per partition: initiators `a`, `b` (the two homes)
         // and the shared responder `r`.
@@ -756,6 +669,102 @@ mod tests {
         assert_eq!(statuses_before, statuses_after, "restart must not write");
     }
 
+    /// A replica restart rebuilds orchestration, not the protocol core:
+    /// the defence ladder's in-flight mitigation and quarantine flag live
+    /// in the core and must survive it, or a restart mid-mitigation would
+    /// lose the latency record, lift a quarantine nobody earned, and make
+    /// the next flood look like a first offence.
+    #[test]
+    fn restart_mid_mitigation_keeps_the_defence_ladder() {
+        use crate::defence::MitigationKind;
+
+        let seeds = seeds(2);
+        let registry = Arc::new(Registry::new());
+        let mut set = ReplicaSet::new(2, ControllerConfig::default(), &seeds);
+        set.set_telemetry(registry.clone());
+        let mut agents: BTreeMap<SwitchId, P4AuthSwitch> = seeds
+            .iter()
+            .map(|&(id, k)| (id, P4AuthSwitch::new(AgentConfig::new(id, 2, k), None)))
+            .collect();
+        for &(id, _) in &seeds {
+            let init = set.local_key_init(1_000, id);
+            pump(&mut set, &mut agents, 1_000, init);
+        }
+        set.enable_defence(DefenceConfig {
+            reject_threshold: 3,
+            ..DefenceConfig::default()
+        });
+        let victim = seeds[0].0;
+        let owner = set.owner(victim);
+        let label = format!("replica{owner}");
+        let completed = |registry: &Registry| {
+            registry
+                .snapshot()
+                .histogram("defence_mitigation_latency_ns", &label)
+                .map_or(0, |h| h.count)
+        };
+
+        // Delivers `n` copies of a genuine reply with one digest bit
+        // flipped — each a counted `BadDigest` reject on the victim's C-DP
+        // channel — and returns the frames and mitigations they provoked.
+        let flood = |set: &mut ReplicaSet,
+                     agents: &mut BTreeMap<SwitchId, P4AuthSwitch>,
+                     t: u64,
+                     n: usize| {
+            let request = set.read_register(t, victim, RegId::new(1), 0);
+            let agent = agents.get_mut(&victim).expect("known switch");
+            let reply = agent
+                .on_packet(t, PortId::CPU, &request.bytes)
+                .outputs
+                .remove(0)
+                .1;
+            set.on_message(t, victim, &reply);
+            let mut forged = reply;
+            forged[11] ^= 0x10; // inside the digest
+            let (mut out, mut fired) = (Vec::new(), Vec::new());
+            for _ in 0..n {
+                let (o, events) = set.on_message(t, victim, &forged);
+                out.extend(o);
+                fired.extend(events.into_iter().filter_map(|e| match e {
+                    ControllerEvent::DefenceMitigated { kind, .. } => Some(kind),
+                    _ => None,
+                }));
+            }
+            (out, fired)
+        };
+
+        // First crossing: a key rollover goes out; the replica restarts
+        // before the agent's answer arrives.
+        let (rollover, fired) = flood(&mut set, &mut agents, 2_000, 3);
+        assert_eq!(fired, [MitigationKind::KeyRollover]);
+        assert!(set.core(victim).defence_in_flight(victim, PortId::CPU));
+        set.restart_replica(owner);
+        assert!(set.core(victim).defence_in_flight(victim, PortId::CPU));
+        let events = pump(&mut set, &mut agents, 3_000, rollover);
+        assert!(events.contains(&ControllerEvent::LocalKeyRolled(victim)));
+        assert_eq!(completed(&registry), 1, "the mitigation completes once");
+        assert!(!set.core(victim).defence_in_flight(victim, PortId::CPU));
+
+        // The flood continues inside the escalation window: quarantine.
+        // It is set before the restart, still set after it, and lifts on
+        // the install.
+        let (rollover, fired) = flood(&mut set, &mut agents, 4_000, 3);
+        assert_eq!(fired, [MitigationKind::Quarantine], "the ladder remembered");
+        assert!(set.core(victim).defence_quarantined(victim, PortId::CPU));
+        set.restart_replica(owner);
+        assert!(set.core(victim).defence_quarantined(victim, PortId::CPU));
+        assert!(set.core(victim).defence_in_flight(victim, PortId::CPU));
+        pump(&mut set, &mut agents, 5_000, rollover);
+        assert!(!set.core(victim).defence_quarantined(victim, PortId::CPU));
+        assert!(!set.core(victim).defence_in_flight(victim, PortId::CPU));
+        assert_eq!(completed(&registry), 2);
+
+        // A following sub-threshold reject fires nothing.
+        let (out, fired) = flood(&mut set, &mut agents, 6_000, 1);
+        assert!(out.is_empty() && fired.is_empty(), "{fired:?}");
+        assert_eq!(set.stats().defence_mitigations, 2);
+    }
+
     /// The interned state table is the same table: a scripted run —
     /// bootstrap, 4,600 register ops with nacks and forged responses mixed
     /// in, one bulk rollover, and one subscriber that polls only at the
@@ -765,7 +774,6 @@ mod tests {
     /// interned the keys (String tables, String log records).
     #[test]
     fn scripted_run_reproduces_the_recorded_state_table() {
-        use p4auth_core::agent::{AgentConfig, P4AuthSwitch};
         use p4auth_dataplane::register::RegisterArray;
         use p4auth_wire::ids::RegId;
 
@@ -787,20 +795,6 @@ mod tests {
             .collect();
         let sub = set.db.subscribe();
 
-        // Runs controller frames to quiescence at `t`.
-        fn pump(
-            set: &mut ReplicaSet,
-            agents: &mut BTreeMap<SwitchId, P4AuthSwitch>,
-            t: u64,
-            mut pending: Vec<Outgoing>,
-        ) {
-            while let Some(o) = pending.pop() {
-                let agent = agents.get_mut(&o.to).expect("known switch");
-                for (_, bytes) in agent.on_packet(t, PortId::CPU, &o.bytes).outputs {
-                    pending.extend(set.on_message(t, o.to, &bytes).0);
-                }
-            }
-        }
         // FNV-1a over one poll's records, so 4096 of them pin as one number.
         fn digest(poll: &crate::statedb::Poll) -> u64 {
             let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -826,7 +820,7 @@ mod tests {
             let init = set.local_key_init(1_000, id);
             pump(&mut set, &mut agents, 1_000, init);
         }
-        let (out, _) = set.step(2_000);
+        let out = set.step(2_000);
         pump(&mut set, &mut agents, 2_000, out);
         let boot = set.db.poll(sub);
 
@@ -858,7 +852,7 @@ mod tests {
             if i == 2_300 {
                 assert_eq!(set.start_bulk_rollover(t), Some(1));
                 for round in 0..8 {
-                    let (out, _) = set.step(t + round);
+                    let out = set.step(t + round);
                     pump(&mut set, &mut agents, t + round, out);
                 }
                 assert!(set.rollover_complete());

@@ -457,7 +457,7 @@ fn check_flood_defence(
             stats.responses_ok, stats.rejected
         ),
     );
-    check_clean_channels(net, Some(victim), checks);
+    check_clean_channels(net, checks);
 
     let snap = registry.snapshot();
     let latency = recorded_histogram(&snap, "defence_mitigation_latency_ns")
@@ -471,10 +471,9 @@ fn check_flood_defence(
     latency
 }
 
-/// No channel is quarantined — for `exempt == None`, across every switch;
-/// with a victim the invariant still holds for it here because one
-/// rollover stops the modelled floods before escalation.
-fn check_clean_channels(net: &Network, exempt: Option<SwitchId>, checks: &mut Checks) {
+/// No channel is quarantined on any switch — a flood's victim included,
+/// because one rollover stops every modelled flood before escalation.
+fn check_clean_channels(net: &Network, checks: &mut Checks) {
     let set = net.set.borrow();
     let quarantined: Vec<String> = net
         .switches
@@ -482,7 +481,6 @@ fn check_clean_channels(net: &Network, exempt: Option<SwitchId>, checks: &mut Ch
         .filter(|sw| set.core(**sw).defence_quarantined(**sw, PortId::CPU))
         .map(|sw| sw.to_string())
         .collect();
-    let _ = exempt; // rollover suffices for every modelled campaign
     checks.require(
         "clean_channels_unquarantined",
         quarantined.is_empty(),
@@ -656,7 +654,7 @@ fn reroute_replay(cfg: &CampaignConfig) -> CampaignVerdict {
             stats.responses_ok
         ),
     );
-    check_clean_channels(&net, None, &mut checks);
+    check_clean_channels(&net, &mut checks);
     check_port_keys_converged(&net, &mut checks);
     campaign_phase_span(&registry, 1, now, net.sim.now().as_ns());
     let [mp50, mp99, rp50, rp99] = finish_telemetry(&registry, &mut checks);
@@ -782,7 +780,7 @@ fn correlated_flap_churn_defence(n_replicas: usize, checks: &mut Checks) -> [Opt
             ops.len()
         ),
     );
-    check_clean_channels(&net, None, checks);
+    check_clean_channels(&net, checks);
     check_port_keys_converged(&net, checks);
     campaign_phase_span(&registry, 3, now, net.sim.now().as_ns());
     finish_telemetry(&registry, checks)
@@ -843,7 +841,7 @@ fn switch_failure_recovery_defence(n_replicas: usize, checks: &mut Checks) -> [O
             stats.responses_ok
         ),
     );
-    check_clean_channels(&net, None, checks);
+    check_clean_channels(&net, checks);
     check_port_keys_converged(&net, checks);
     campaign_phase_span(&registry, 4, now, net.sim.now().as_ns());
     finish_telemetry(&registry, checks)

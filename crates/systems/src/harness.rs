@@ -230,19 +230,11 @@ impl SimNode for TrafficSource {
 /// Shared handle to a [`ReplicaSet`].
 pub type SharedReplicaSet = Rc<RefCell<ReplicaSet>>;
 
-/// Shared slot for the (optional) snapshot ring — the [`ControllerNode`]
-/// samples it on every orchestration tick, the network reads the
-/// windowed rates out of it.
-type SharedRing = Rc<RefCell<Option<p4auth_telemetry::SnapshotRing>>>;
-type SharedRegistry = Rc<RefCell<Option<std::sync::Arc<p4auth_telemetry::Registry>>>>;
-
 /// Timer id driving the control plane's orchestration tick.
 pub const ORCH_TIMER: u64 = 0x0c4e;
 
-/// Orchestration tick period: every tick samples telemetry into the
-/// snapshot ring, feeds the windowed reject rates to the defence
-/// daemons, and steps every replica's key manager (which re-drives
-/// stalled exchanges with capped backoff).
+/// Orchestration tick period: every tick steps every replica's key
+/// manager (which re-drives stalled exchanges with capped backoff).
 pub const ORCH_PERIOD_NS: u64 = 5_000_000;
 
 /// The control plane's [`SimNode`]: a [`ReplicaSet`] mounted at the
@@ -261,8 +253,6 @@ pub struct ControllerNode {
     links: HashMap<(SwitchId, PortId), SwitchId>,
     /// Agent handles, for flipping agent-side quarantine enforcement.
     switches: HashMap<SwitchId, SharedSwitch>,
-    ring: SharedRing,
-    registry: SharedRegistry,
     /// Whether an ORCH timer chain is live (shared with the network so
     /// arming is idempotent).
     armed: Rc<Cell<bool>>,
@@ -327,26 +317,13 @@ impl ControllerNode {
         out.set_timer(ROLLOVER_TIMER, plan.period_ns);
     }
 
-    /// Orchestration tick: sample telemetry into the ring, feed the
-    /// windowed `*_per_sec` rates to the defence daemons, step every
-    /// replica.
+    /// Orchestration tick: step every replica, and keep ticking while a
+    /// bulk-rollover epoch is unfinished.
     fn orchestration_tick(&mut self, now_ns: u64, out: &mut Outbox) {
-        let gauges = {
-            let mut ring = self.ring.borrow_mut();
-            let registry = self.registry.borrow();
-            if let (Some(ring), Some(registry)) = (ring.as_mut(), registry.as_ref()) {
-                ring.push(now_ns, registry.snapshot());
-            }
-            ring.as_ref().map(|r| r.rate_gauges()).unwrap_or_default()
-        };
         let mut set = self.set.borrow_mut();
-        set.observe_rates(now_ns, &gauges);
-        let (mut outgoing, events) = set.step(now_ns);
+        let mut outgoing = set.step(now_ns);
         self.apply_port_actions(&mut set, now_ns, &mut outgoing);
-        self.events.borrow_mut().extend(events);
-        // Keep ticking while there is something to drive: an armed
-        // rate-driven ladder, or an unfinished bulk-rollover epoch.
-        if set.defence_enabled() || !set.rollover_complete() {
+        if !set.rollover_complete() {
             out.set_timer(ORCH_TIMER, ORCH_PERIOD_NS);
         } else {
             self.armed.set(false);
@@ -420,8 +397,6 @@ pub struct Network {
     /// Controller events accumulated during the run (all replicas).
     pub events: Rc<RefCell<Vec<ControllerEvent>>>,
     rollover: SharedRollover,
-    ring: SharedRing,
-    registry: SharedRegistry,
     orch_armed: Rc<Cell<bool>>,
     /// Per-switch compromised-OS relay flags (see
     /// [`Network::compromise_switch_os`]).
@@ -479,8 +454,6 @@ impl Network {
         let mut sim = Simulator::with_scheduler(topology, scheduler);
         let events: Rc<RefCell<Vec<ControllerEvent>>> = Rc::new(RefCell::new(Vec::new()));
         let rollover: SharedRollover = Rc::new(RefCell::new(None));
-        let ring: SharedRing = Rc::new(RefCell::new(None));
-        let registry: SharedRegistry = Rc::new(RefCell::new(None));
         let orch_armed = Rc::new(Cell::new(false));
 
         // Seeds sorted by id so replica registration order (and with it
@@ -559,8 +532,6 @@ impl Network {
                     rollover: rollover.clone(),
                     links,
                     switches: switches.clone(),
-                    ring: ring.clone(),
-                    registry: registry.clone(),
                     armed: orch_armed.clone(),
                 }),
             );
@@ -572,8 +543,6 @@ impl Network {
             set,
             events,
             rollover,
-            ring,
-            registry,
             orch_armed,
             relay_flags,
         }
@@ -590,7 +559,7 @@ impl Network {
         self.relay_flags[&switch].set(true);
     }
 
-    /// Arms the count-driven adaptive defence loop on every replica:
+    /// Arms the adaptive defence loop on every replica:
     /// forged-digest / replay floods on one `(peer, channel)` trigger an
     /// automatic key rollover, escalating to channel quarantine if the
     /// rollover does not stop the flood. CPU-channel mitigations are
@@ -598,23 +567,10 @@ impl Network {
     /// translated by the [`ControllerNode`] (which knows the DP-DP
     /// adjacency) into `portKeyUpdate` messages plus agent-side
     /// quarantine enforcement. Detection-to-mitigation latency lands in
-    /// the `defence_mitigation_latency_ns` telemetry histogram.
+    /// the `defence_mitigation_latency_ns` telemetry histogram when a
+    /// registry is attached; the loop itself needs none.
     pub fn enable_defence(&mut self, config: DefenceConfig) {
         self.set.borrow_mut().enable_defence(config);
-    }
-
-    /// Arms the rate-driven defence on every replica: each replica's
-    /// defence daemon consumes the ring's windowed `*_per_sec` reject
-    /// rates (via the shared state table) and mitigates crossings on the
-    /// channels it owns. Starts the orchestration tick.
-    ///
-    /// With the defence armed the tick re-arms forever — drive the
-    /// simulation with `run_until`, not `run_to_completion`.
-    pub fn enable_defence_rate_driven(&mut self, config: DefenceConfig, threshold: u64) {
-        self.set
-            .borrow_mut()
-            .enable_defence_rate_driven(config, threshold);
-        self.arm_orchestrator();
     }
 
     /// Enables automatic periodic key rollover (§VI-C): every `period_ns`
@@ -854,41 +810,6 @@ impl Network {
         for agent in self.switches.values() {
             agent.borrow_mut().set_telemetry(registry.clone());
         }
-        *self.registry.borrow_mut() = Some(registry);
-    }
-
-    /// Attaches a [`p4auth_telemetry::SnapshotRing`] holding the last
-    /// `capacity` snapshots, keyed by sim-ns. The orchestration tick
-    /// samples it automatically; call [`Network::sample_ring`] for an
-    /// explicit observation. Windowed rates (e.g. per-channel reject
-    /// rates for the defence loop) then come from
-    /// [`p4auth_telemetry::SnapshotRing::rate_gauges`].
-    ///
-    /// # Panics
-    ///
-    /// If [`Network::enable_telemetry`] has not been called first.
-    pub fn enable_snapshot_ring(&mut self, capacity: usize) {
-        assert!(
-            self.registry.borrow().is_some(),
-            "enable_telemetry must be called before enable_snapshot_ring"
-        );
-        *self.ring.borrow_mut() = Some(p4auth_telemetry::SnapshotRing::new(capacity));
-    }
-
-    /// Pushes the current registry snapshot into the ring, stamped with the
-    /// simulator clock. No-op unless [`Network::enable_snapshot_ring`] was
-    /// called.
-    pub fn sample_ring(&mut self) {
-        let mut ring = self.ring.borrow_mut();
-        let registry = self.registry.borrow();
-        if let (Some(ring), Some(registry)) = (ring.as_mut(), registry.as_ref()) {
-            ring.push(self.sim.now().as_ns(), registry.snapshot());
-        }
-    }
-
-    /// The shared snapshot-ring slot (`None` inside until enabled).
-    pub fn ring(&self) -> SharedRing {
-        self.ring.clone()
     }
 }
 
@@ -1060,129 +981,109 @@ mod tests {
         assert!(kinds.contains(&"frame_delivered"));
     }
 
+    /// The two promises of the adaptive defence, at every layer the
+    /// harness mounts: below the threshold nothing happens, and one
+    /// crossing — however large the flood — is exactly one key rollover.
+    /// Holds on one and two replicas, and with no registry attached (the
+    /// loop reads the core's own verdicts, not telemetry).
     #[test]
     fn defence_rolls_key_under_forged_flood_and_spares_clean_channel() {
-        use p4auth_primitives::Digest32;
-        use p4auth_wire::body::{Body, RegisterOp};
-        use p4auth_wire::ids::SeqNum;
-        use p4auth_wire::Message;
+        use p4auth_attacks::digest_flood::forged_acks;
+        use p4auth_primitives::rng::SplitMix64;
 
-        let registry = std::sync::Arc::new(p4auth_telemetry::Registry::with_event_capacity(2048));
-        let mut net = network(2);
-        net.enable_telemetry(registry.clone());
-        net.bootstrap_keys();
-        net.enable_defence(DefenceConfig::default());
-
-        // Forged responses claiming to come from S1, injected on its C-DP
-        // front-panel port (63 in Topology::chain).
-        let s1 = SwitchId::new(1);
-        for i in 0..8u32 {
-            let mut msg = Message::new(
-                s1,
-                PortId::CPU,
-                SeqNum::new(40_000 + i),
-                Body::Register(RegisterOp::Ack {
-                    reg: RegId::new(9),
-                    index: 0,
-                    value: u64::from(i),
-                }),
+        let threshold = DefenceConfig::default().reject_threshold;
+        let case = |n_replicas: usize, frames: u32, with_registry: bool| {
+            let what = format!("{n_replicas} replica(s), {frames} frame(s)");
+            let registry =
+                std::sync::Arc::new(p4auth_telemetry::Registry::with_event_capacity(2048));
+            let mut net = Network::build(
+                Topology::chain(2, 1_000, 200_000),
+                n_replicas,
+                ControllerConfig::default(),
+                0xb007_5eed,
+                |_| None,
+                |_, c| c,
             );
-            msg.header_mut().digest = Digest32::new(0xdead_0000 + i);
-            net.sim.inject_frame(s1, PortId::new(63), msg.encode());
-        }
-        net.sim
-            .run_until(SimTime::from_ns(net.sim.now().as_ns() + 200_000_000));
+            if with_registry {
+                net.enable_telemetry(registry.clone());
+            }
+            net.bootstrap_keys();
+            net.enable_defence(DefenceConfig::default());
+            let _ = net.take_events();
 
-        let events = net.take_events();
-        assert_eq!(
-            events
+            // Forged responses claiming to come from S1, injected on its
+            // C-DP front-panel port (63 in Topology::chain).
+            let s1 = SwitchId::new(1);
+            let mut rng = SplitMix64::new(0xf100d);
+            for frame in forged_acks(frames, s1, 40_000, &mut rng) {
+                net.sim.inject_frame(s1, PortId::new(63), frame);
+            }
+            net.sim
+                .run_until(SimTime::from_ns(net.sim.now().as_ns() + 200_000_000));
+
+            let events = net.take_events();
+            let mitigations: Vec<MitigationKind> = events
                 .iter()
-                .filter(|e| matches!(e, ControllerEvent::DefenceMitigated { .. }))
-                .count(),
-            1,
-            "one threshold crossing, one mitigation"
-        );
-        assert!(
-            events
+                .filter_map(|e| match e {
+                    ControllerEvent::DefenceMitigated { kind, .. } => Some(*kind),
+                    _ => None,
+                })
+                .collect();
+            let rolled = events
                 .iter()
-                .any(|e| matches!(e, ControllerEvent::LocalKeyRolled(sw) if *sw == s1)),
-            "the victim's local key must roll automatically"
-        );
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("ctrl_defence_mitigations", "replica0"),
-            Some(1)
-        );
-        let hist = snap
-            .histogram("defence_mitigation_latency_ns", "replica0")
-            .expect("latency histogram registered");
-        assert_eq!(hist.count, 1);
-        assert!(hist.min > 0, "latency measured in sim-ns");
-
-        // The untouched channel (S2) keeps flowing: a controller request
-        // still round-trips (the fixture maps no registers, so the answer
-        // is an UnknownRegister nack — but it authenticates end to end).
-        let responses_before = snap.counter("ctrl_responses_ok", "replica0").unwrap_or(0);
-        net.controller_write(SwitchId::new(2), RegId::new(1), 0, 7);
-        net.sim
-            .run_until(SimTime::from_ns(net.sim.now().as_ns() + 50_000_000));
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("ctrl_responses_ok", "replica0"),
-            Some(responses_before + 1)
-        );
-    }
-
-    #[test]
-    fn snapshot_ring_turns_reject_counts_into_windowed_rates() {
-        use p4auth_primitives::Digest32;
-        use p4auth_wire::body::{Body, RegisterOp};
-        use p4auth_wire::ids::SeqNum;
-        use p4auth_wire::Message;
-
-        let registry = std::sync::Arc::new(p4auth_telemetry::Registry::new());
-        let mut net = network(2);
-        net.enable_telemetry(registry.clone());
-        net.enable_snapshot_ring(8);
-        net.bootstrap_keys();
-        net.sample_ring(); // window start, after the (noisy) bootstrap
-
-        // A forged-response flood on S1's C-DP channel: every frame is a
-        // bad-digest reject at the controller.
-        let s1 = SwitchId::new(1);
-        for i in 0..20u32 {
-            let mut msg = Message::new(
-                s1,
-                PortId::CPU,
-                SeqNum::new(70_000 + i),
-                Body::Register(RegisterOp::Ack {
-                    reg: RegId::new(9),
-                    index: 0,
-                    value: u64::from(i),
-                }),
+                .filter(|e| matches!(e, ControllerEvent::LocalKeyRolled(sw) if *sw == s1))
+                .count();
+            let expected = usize::from(frames >= threshold);
+            assert_eq!(
+                mitigations,
+                vec![MitigationKind::KeyRollover; expected],
+                "{what}: one crossing is one rollover, never a quarantine"
             );
-            msg.header_mut().digest = Digest32::new(0xbad0_0000 + i);
-            net.sim.inject_frame(s1, PortId::new(63), msg.encode());
-        }
-        // One second of sim time makes the expected rate easy to read.
-        net.sim
-            .run_until(SimTime::from_ns(net.sim.now().as_ns() + 1_000_000_000));
-        net.sample_ring();
+            assert_eq!(rolled, expected, "{what}: victim key rolls");
+            let owner = {
+                let set = net.set.borrow();
+                assert_eq!(set.stats().defence_mitigations, expected as u64, "{what}");
+                assert!(!set.core(s1).defence_quarantined(s1, PortId::CPU), "{what}");
+                assert!(!set.core(s1).defence_in_flight(s1, PortId::CPU), "{what}");
+                format!("replica{}", set.owner(s1))
+            };
+            if with_registry {
+                let snap = registry.snapshot();
+                assert_eq!(
+                    snap.counter("ctrl_defence_mitigations", &owner)
+                        .unwrap_or(0),
+                    expected as u64,
+                    "{what}"
+                );
+                let latency = snap.histogram("defence_mitigation_latency_ns", &owner);
+                let completed = latency.map_or(0, |h| h.count);
+                assert_eq!(completed, expected as u64, "{what}: latency recorded once");
+                assert!(
+                    latency.is_none_or(|h| h.count == 0 || h.min > 0),
+                    "{what}: latency measured in sim-ns"
+                );
+            }
 
-        let ring = net.ring();
-        let ring = ring.borrow();
-        let ring = ring.as_ref().expect("ring enabled");
-        assert_eq!(ring.len(), 2);
-        let rate = ring
-            .rate("auth_reject_bad_digest", "replica0")
-            .expect("reject series present in the window");
-        // 20 rejects over ~1s of sim time: comfortably positive, and no
-        // more than the frames injected.
-        assert!(rate > 1.0, "rate was {rate}");
-        assert!(rate <= 20.5, "rate was {rate}");
-        let gauges = ring.rate_gauges();
-        assert!(gauges
-            .iter()
-            .any(|g| g.name == "auth_reject_bad_digest_per_sec" && g.value > 0));
+            // The untouched channel (S2) keeps flowing: a controller
+            // request still round-trips (the fixture maps no registers, so
+            // the answer is an UnknownRegister nack — but it authenticates
+            // end to end).
+            let responses_before = net.set.borrow().stats().responses_ok;
+            net.controller_write(SwitchId::new(2), RegId::new(1), 0, 7);
+            net.sim
+                .run_until(SimTime::from_ns(net.sim.now().as_ns() + 50_000_000));
+            assert_eq!(
+                net.set.borrow().stats().responses_ok,
+                responses_before + 1,
+                "{what}: clean channel answers"
+            );
+        };
+
+        for n_replicas in [1, 2] {
+            for frames in [1, 2, 3, 4, 8, 24] {
+                case(n_replicas, frames, true);
+            }
+        }
+        case(1, 8, false);
     }
 }

@@ -10,9 +10,9 @@
 //!    owner replica) and port keys for every DP-DP link, including the
 //!    cross-partition redirects with their sequence-counter handoff.
 //! 2. **Digest flood** (`attacks::digest_flood`) — forged acks on one
-//!    victim C-DP channel; the snapshot ring turns the rejects into a
-//!    windowed rate, the owning replica's defence daemon sees the
-//!    crossing in the `rates` table and auto-rolls the victim's key.
+//!    victim C-DP channel; the owning replica's core counts the rejects
+//!    in its sliding window and, on the one threshold crossing,
+//!    auto-rolls the victim's key — exactly once for the whole flood.
 //! 3. **Control-plane MitM** (`attacks::ctrl_mitm`) — a tap inflates a
 //!    register read response on a switch owned by the *other* replica;
 //!    the stale digest is rejected there, proving both partitions
@@ -54,8 +54,6 @@ pub struct ReplicatedConfig {
     pub replicas: usize,
     /// Forged frames in the digest-flood phase.
     pub flood_frames: u32,
-    /// Defence trigger: windowed channel reject rate (rejects/sec).
-    pub rate_threshold: u64,
     /// Workload / key seed.
     pub seed: u64,
 }
@@ -66,7 +64,6 @@ impl Default for ReplicatedConfig {
             k: 4,
             replicas: 2,
             flood_frames: 24,
-            rate_threshold: 100,
             seed: 0x5e70_f2e9_11ca_5000,
         }
     }
@@ -87,7 +84,7 @@ pub struct ReplicatedReport {
     pub cross_partition_links: usize,
     /// Simulated bootstrap duration.
     pub bootstrap_ns: u64,
-    /// Mitigations the defence daemons issued during the flood.
+    /// Mitigations the defence loop issued during the flood.
     pub flood_mitigations: u64,
     /// Whether the flood victim's local key was rolled automatically.
     pub victim_key_rolled: bool,
@@ -160,7 +157,6 @@ pub fn run(config: ReplicatedConfig) -> ReplicatedReport {
             .declare_register(RegisterArray::new("ctr", 8, 64));
     }
     net.enable_telemetry(registry.clone());
-    net.enable_snapshot_ring(64);
 
     // Phase 1: bootstrap. Every partition must be non-empty and at least
     // one link must cross partitions, or the run proves nothing about
@@ -182,19 +178,13 @@ pub fn run(config: ReplicatedConfig) -> ReplicatedReport {
     };
     let _ = net.take_events();
 
-    // Phase 2: digest flood on the victim's C-DP channel. The baseline
-    // ring sample marks the rate-window start; the orchestration tick
-    // samples from then on.
+    // Phase 2: digest flood on the victim's C-DP channel.
     let victim = SwitchId::new(1);
-    net.sample_ring();
-    net.enable_defence_rate_driven(
-        DefenceConfig {
-            window_ns: 1_000_000,
-            reject_threshold: 4,
-            ..DefenceConfig::default()
-        },
-        config.rate_threshold,
-    );
+    net.enable_defence(DefenceConfig {
+        window_ns: 1_000_000,
+        reject_threshold: 4,
+        ..DefenceConfig::default()
+    });
     let mut rng = SplitMix64::new(config.seed ^ 0xf100d);
     for frame in digest_flood::forged_acks(config.flood_frames, victim, 50_000, &mut rng) {
         net.sim
@@ -211,6 +201,10 @@ pub fn run(config: ReplicatedConfig) -> ReplicatedReport {
         .iter()
         .any(|e| matches!(e, ControllerEvent::LocalKeyRolled(sw) if *sw == victim));
     assert!(victim_key_rolled, "flood must auto-roll the victim's key");
+    assert_eq!(
+        flood_mitigations, 1,
+        "one threshold crossing, one mitigation — a flood must not buy key churn"
+    );
 
     // Phase 3: MitM on a switch the *other* replica owns.
     let target = {
@@ -304,7 +298,7 @@ mod tests {
         let report = run(ReplicatedConfig::default());
         assert_eq!(report.replicas, 2);
         assert_eq!(report.switches, 20); // fat_tree(4): 4 core + 8 agg + 8 edge
-        assert!(report.flood_mitigations >= 1);
+        assert_eq!(report.flood_mitigations, 1);
         assert!(report.victim_key_rolled);
         assert_eq!(report.rollover_epoch, 1);
         assert!(report.rollover_complete);

@@ -49,7 +49,6 @@ pub mod delta;
 pub mod events;
 pub mod metrics;
 pub mod registry;
-pub mod ring;
 pub mod snapshot;
 pub mod trace;
 
@@ -57,6 +56,5 @@ pub use delta::{HistogramDelta, SnapshotDelta};
 pub use events::{DropCause, Event, EventLog, EventRecord, RejectKind};
 pub use metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use registry::Registry;
-pub use ring::{RateSample, SnapshotRing};
 pub use snapshot::{CounterSample, GaugeSample, HistogramSample, Snapshot};
 pub use trace::{OpenSpan, SpanKind, SpanRecord, TraceLog};

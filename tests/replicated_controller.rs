@@ -1,5 +1,5 @@
 //! End-to-end gate for the replicated controller: the full scenario
-//! (bootstrap across partitions, rate-driven flood defence, MITM
+//! (bootstrap across partitions, flood defence with one mitigation, MITM
 //! tamper rejection at the owner replica, versioned bulk rollover)
 //! must pass on a fat-tree with ≥2 replicas, and its machine-readable
 //! report must be bit-identical across two in-process runs — the same
@@ -39,7 +39,10 @@ fn replicated_fat_tree_two_runs_bit_identical() {
         "every replica must own at least one switch"
     );
     assert!(first.cross_partition_links > 0);
-    assert!(first.flood_mitigations >= 1, "flood must trigger defence");
+    assert_eq!(
+        first.flood_mitigations, 1,
+        "one threshold crossing, one mitigation"
+    );
     assert!(first.victim_key_rolled);
     assert!(first.mitm_tampered > 0 && first.mitm_rejects_at_owner > 0);
     assert_eq!(first.rollover_epoch, 1);
