@@ -494,9 +494,10 @@ impl Controller {
             .is_some_and(|c| c.eak.is_some() || c.adhkd.is_some())
     }
 
-    /// The established local key and its version for `switch`, if any —
-    /// published by the key-manager daemon to the replica state table so
-    /// peer replicas can verify and seal redirected port-key legs.
+    /// The established local key and its version for `switch`, if any.
+    /// The key manager reads the version to judge rollover progress; the
+    /// replica set hands both to a redirect's home replica
+    /// ([`Controller::mirror_peer_key`]).
     pub fn local_key_material(&self, switch: SwitchId) -> Option<(Key64, KeyVersion)> {
         let chan = self.switches.get(&switch)?;
         chan.local.current().map(|k| (k, chan.local.version()))
@@ -513,24 +514,6 @@ impl Controller {
             .entry(switch)
             .or_insert_with(|| SwitchChannel::new(Key64::default()));
         chan.local.force(key, version);
-    }
-
-    /// The outbound sequence counter toward `switch` (the last value
-    /// used). Replicas hand this off when a port-key redirect migrates a
-    /// channel between them: the agents' replay windows demand strictly
-    /// increasing sequence numbers from `SwitchId::CONTROLLER` no matter
-    /// which replica sealed the message.
-    pub fn channel_seq(&self, switch: SwitchId) -> Option<u32> {
-        self.switches.get(&switch).map(|c| c.seq_out.value())
-    }
-
-    /// Overwrites the outbound sequence counter toward `switch` (the
-    /// counterpart of [`Controller::channel_seq`] on the receiving
-    /// replica). No-op if the switch has no channel here.
-    pub fn set_channel_seq(&mut self, switch: SwitchId, seq: u32) {
-        if let Some(chan) = self.switches.get_mut(&switch) {
-            chan.seq_out = SeqNum::new(seq);
-        }
     }
 
     /// Records one bulk-rollover fan-out latency (epoch start → every

@@ -1,21 +1,16 @@
-//! Orchestration daemons: the split controller's per-domain actors.
+//! The orchestration daemon: the split controller's per-partition actor.
 //!
 //! [`Controller`] is the *protocol core* — sealing, verifying, stepping
 //! the actual key exchanges, and deciding from its own verdicts when a
 //! channel's rejects warrant a mitigation ([`crate::defence`]) — and the
-//! orchestration decisions around it (when to roll which key, what
-//! register-plane outcomes to publish) live in two daemons in the
-//! sonic-swss shape. Daemons never call each other; they coordinate
-//! exclusively through the shared [`StateDb`]:
-//!
-//! * [`KeyManagerDaemon`] drives KMP/local/port key lifecycles for the
-//!   switches its replica owns, including versioned bulk rollover
-//!   epochs whose progress lives entirely in the `kmp` table — which is
-//!   what makes a mid-rollover replica restart resumable;
-//! * [`RegisterDaemon`] publishes register-plane outcomes (acks, nacks,
-//!   rejects, DoS suspicions) into the `registers` table for anything —
-//!   dashboards, peer replicas, tests — to observe without holding a
-//!   reference to the core.
+//! one orchestration decision around it, when to roll which key, lives
+//! in a daemon in the sonic-swss shape: one [`KeyManagerDaemon`] per
+//! replica, holding no progress of its own. It drives KMP/local/port key
+//! lifecycles for the switches its replica owns, including versioned
+//! bulk rollover epochs whose progress lives entirely in the `kmp` table
+//! of the shared [`StateDb`] — which is what makes a mid-rollover
+//! replica restart resumable. Replicas never call each other; the table
+//! is the only thing they share.
 //!
 //! ## Rollover state machine (the `kmp` table)
 //!
@@ -36,18 +31,14 @@
 //! exchange is still (or again) pending and the core's capped-backoff
 //! [`Controller::retry_stalled`] re-drives it.
 
-use crate::controller::{Controller, ControllerEvent, Outgoing};
-use crate::statedb::{StateDb, SubscriberId, Value, WriteBatch};
+use crate::controller::{Controller, Outgoing};
+use crate::statedb::{StateDb, Value};
 use p4auth_wire::ids::SwitchId;
 
-/// Table names shared by the daemons (and the replica layer).
+/// Table names shared by the daemon and the replica layer.
 pub mod tables {
     /// Key-manager rollover state machine.
     pub const KMP: &str = "kmp";
-    /// Published local-key material, for peer-replica mirroring.
-    pub const KEYS: &str = "keys";
-    /// Register-plane outcome counters.
-    pub const REGISTERS: &str = "registers";
     /// Channels temporarily leased to another replica (port-key
     /// redirects crossing a partition boundary).
     pub const LEASES: &str = "leases";
@@ -118,19 +109,21 @@ impl KexStatus {
 pub struct KeyManagerDaemon {
     owned: Vec<SwitchId>,
     label: String,
-    sub: SubscriberId,
+    /// [`StateDb::writes`] when this daemon last looked: its wake edge.
+    seen_writes: u64,
 }
 
 impl KeyManagerDaemon {
     /// A key-manager daemon owning `owned` switches, identified as
-    /// `label` in fan-out records.
-    pub fn new(db: &mut StateDb, mut owned: Vec<SwitchId>, label: impl Into<String>) -> Self {
+    /// `label` in fan-out records. It has seen `db` as it is now, so a
+    /// daemon built by a restart does not wake on history.
+    pub fn new(db: &StateDb, mut owned: Vec<SwitchId>, label: impl Into<String>) -> Self {
         owned.sort_unstable();
         owned.dedup();
         KeyManagerDaemon {
             owned,
             label: label.into(),
-            sub: db.subscribe(),
+            seen_writes: db.writes(),
         }
     }
 
@@ -161,33 +154,30 @@ impl KeyManagerDaemon {
     }
 
     /// One deterministic step: reconcile the partition against the
-    /// `kmp` table, issue whatever exchanges are due, publish finished
-    /// key material, and re-drive stalled exchanges (capped backoff
-    /// inside the core). Returns the frames to put on the wire.
+    /// `kmp` table, issue whatever exchanges are due, and re-drive stalled
+    /// exchanges (capped backoff inside the core). Returns the frames to
+    /// put on the wire.
     ///
-    /// All per-switch writes generated by the tick are coalesced into one
-    /// [`WriteBatch`] applied after the reconcile loop — one drain (the
-    /// poll below), one table write per touched key — instead of a
-    /// `db.set` per switch per table. Safe because the loop never reads a
-    /// key it wrote in the same tick: each switch's status read precedes
-    /// its own (sole) status write, and the cross-switch `partition_done`
-    /// check runs after the batch lands.
+    /// Each owned switch writes its own status at most once per step, and
+    /// the loop never reads a key it wrote in the same step: a switch's
+    /// status read precedes its own (sole) status write, and the
+    /// cross-switch `partition_done` check runs after the loop.
     pub fn step(&mut self, db: &mut StateDb, core: &mut Controller, now_ns: u64) -> Vec<Outgoing> {
-        // Drain the subscription; the reconcile below re-reads the table
-        // directly, so a `missed` gap costs nothing extra. A non-empty
-        // poll is this daemon's wakeup edge — stamp it into the trace so
-        // the statedb-write → daemon-wake → KMP chain is visible.
-        let poll = db.poll(self.sub);
-        if !poll.updates.is_empty() || poll.missed > 0 {
+        // The table changed since this daemon last looked: its wakeup
+        // edge — stamp it into the trace so the statedb-write →
+        // daemon-wake → KMP chain is visible. The reconcile below re-reads
+        // the table directly, so it needs to know only that, not what.
+        let before = db.writes();
+        if before != self.seen_writes {
             core.trace_instant(
                 p4auth_telemetry::SpanKind::DaemonWake,
                 now_ns,
-                poll.updates.len() as u64,
+                before - self.seen_writes,
                 0,
             );
+            self.seen_writes = before;
         }
         let mut out = Vec::new();
-        let mut batch = WriteBatch::new();
         let epoch = Self::epoch(db);
 
         for &switch in &self.owned {
@@ -206,16 +196,11 @@ impl KeyManagerDaemon {
                         epoch,
                         baseline: core.local_key_material(switch).map(|(_, v)| v.value()),
                     };
-                    batch.set(tables::KMP, &key, Value::Text(s.encode()));
+                    db.set(tables::KMP, &key, Value::Text(s.encode()));
                     s
                 }
-                _ => {
-                    // No epoch ever started; still keep published key
-                    // material fresh (ad-hoc rollovers happen outside
-                    // epochs too, e.g. defence-triggered).
-                    Self::publish_key(&mut batch, core, switch);
-                    continue;
-                }
+                // No epoch ever started: nothing to reconcile.
+                _ => continue,
             };
 
             if let KexStatus::Pending { epoch, baseline } = status {
@@ -226,12 +211,12 @@ impl KeyManagerDaemon {
                     _ => false,
                 };
                 if completed {
-                    batch.set(
+                    db.set(
                         tables::KMP,
                         &key,
                         Value::Text(KexStatus::Done { epoch }.encode()),
                     );
-                } else if db.get(tables::LEASES, &key).is_some() {
+                } else if db.value(tables::LEASES, &key).is_some() {
                     // Channel leased to another replica (cross-partition
                     // port-key redirect in flight): hands off.
                 } else if !core.kex_in_flight(switch) {
@@ -244,9 +229,8 @@ impl KeyManagerDaemon {
                 // else: exchange in flight; retry_stalled below re-drives
                 // it with capped backoff if frames were lost.
             }
-            Self::publish_key(&mut batch, core, switch);
         }
-        let changed = db.apply(now_ns, batch);
+        let changed = db.writes() - before;
         if changed > 0 {
             core.trace_instant(p4auth_telemetry::SpanKind::StateDbWrite, now_ns, changed, 0);
         }
@@ -256,13 +240,13 @@ impl KeyManagerDaemon {
         // survives a replica restart).
         if epoch > 0 && Self::partition_done(db, &self.owned, epoch) {
             let fanout_key = format!("fanout@{}@{epoch}", self.label);
-            if db.get(tables::KMP, &fanout_key).is_none() {
+            if db.value(tables::KMP, &fanout_key).is_none() {
                 let started = db
                     .value(tables::KMP, &format!("started@{epoch}"))
                     .and_then(Value::as_u64)
                     .unwrap_or(now_ns);
                 let latency = now_ns.saturating_sub(started);
-                db.set(now_ns, tables::KMP, &fanout_key, Value::U64(latency));
+                db.set(tables::KMP, &fanout_key, Value::U64(latency));
                 core.record_rollover_fanout(latency);
                 core.trace_span(
                     p4auth_telemetry::SpanKind::RolloverEpoch,
@@ -276,58 +260,6 @@ impl KeyManagerDaemon {
 
         out.extend(core.retry_stalled());
         out
-    }
-
-    /// Queues `switch`'s current local key for the `keys` table (a no-op
-    /// at apply time when unchanged), so peer replicas can mirror it.
-    fn publish_key(batch: &mut WriteBatch, core: &Controller, switch: SwitchId) {
-        if let Some((k, v)) = core.local_key_material(switch) {
-            batch.set(
-                tables::KEYS,
-                &switch.to_string(),
-                Value::Key(k.expose(), v.value()),
-            );
-        }
-    }
-}
-
-/// Publishes register-plane outcomes into the `registers` table. Pure
-/// db writer: holds no state of its own, so replica restarts are
-/// trivially safe.
-#[derive(Default)]
-pub struct RegisterDaemon;
-
-impl RegisterDaemon {
-    /// Folds a batch of controller events into the outcome counters.
-    pub fn publish(&self, db: &mut StateDb, now_ns: u64, events: &[ControllerEvent]) {
-        for event in events {
-            match event {
-                ControllerEvent::ValueRead { .. } => Self::bump(db, now_ns, "reads"),
-                ControllerEvent::WriteAcked { .. } => Self::bump(db, now_ns, "writes"),
-                ControllerEvent::Nacked { .. } => Self::bump(db, now_ns, "nacks"),
-                ControllerEvent::Rejected { .. } => Self::bump(db, now_ns, "rejects"),
-                ControllerEvent::DosSuspected {
-                    switch,
-                    outstanding,
-                } => {
-                    db.set(
-                        now_ns,
-                        tables::REGISTERS,
-                        &format!("dos/{switch}"),
-                        Value::U64(*outstanding as u64),
-                    );
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn bump(db: &mut StateDb, now_ns: u64, key: &str) {
-        let cur = db
-            .value(tables::REGISTERS, key)
-            .and_then(Value::as_u64)
-            .unwrap_or(0);
-        db.set(now_ns, tables::REGISTERS, key, Value::U64(cur + 1));
     }
 }
 
@@ -356,26 +288,6 @@ mod tests {
         assert_eq!(KexStatus::parse("pending@x@1"), None);
     }
 
-    #[test]
-    fn register_daemon_counts_outcomes() {
-        let mut db = StateDb::new();
-        let reg = RegisterDaemon;
-        let sw = SwitchId::new(4);
-        reg.publish(
-            &mut db,
-            10,
-            &[
-                ControllerEvent::LocalKeyInstalled(sw),
-                ControllerEvent::DosSuspected {
-                    switch: sw,
-                    outstanding: 33,
-                },
-            ],
-        );
-        assert_eq!(db.value(tables::REGISTERS, "reads"), None);
-        assert_eq!(db.value(tables::REGISTERS, "dos/S4"), Some(&Value::U64(33)));
-    }
-
     /// The key-manager daemon kicks off local-key init for a fresh
     /// switch, doesn't double-issue while the exchange is in flight, and
     /// records pending state in the table.
@@ -385,10 +297,10 @@ mod tests {
         let mut core = Controller::new(ControllerConfig::default());
         let sw = SwitchId::new(1);
         core.register_switch(sw, Key64::new(0x5eed));
-        let mut km = KeyManagerDaemon::new(&mut db, vec![sw], "r0");
+        let mut km = KeyManagerDaemon::new(&db, vec![sw], "r0");
 
-        db.set(0, tables::KMP, "epoch", Value::U64(1));
-        db.set(0, tables::KMP, "started@1", Value::U64(0));
+        db.set(tables::KMP, "epoch", Value::U64(1));
+        db.set(tables::KMP, "started@1", Value::U64(0));
         // First step: the daemon starts EAK (one frame) and the core's
         // retry pass re-drives it once for free (the first retry has no
         // backoff delay) — two frames total, still ONE exchange.
@@ -410,31 +322,109 @@ mod tests {
     }
 
     /// One orchestrator tick over a multi-switch partition lands exactly
-    /// one table write per touched key (the batch), and a repeated tick
-    /// at the same instant adds none (every batched write no-ops).
+    /// one table write per switch, and a repeated tick at the same
+    /// instant adds none (every write no-ops).
     #[test]
-    fn key_manager_tick_coalesces_writes() {
+    fn key_manager_tick_writes_once_per_switch() {
         let mut db = StateDb::new();
         let mut core = Controller::new(ControllerConfig::default());
         let switches: Vec<SwitchId> = (1..=8).map(SwitchId::new).collect();
         for &sw in &switches {
             core.register_switch(sw, Key64::new(0x5eed ^ sw.value() as u64));
         }
-        let mut km = KeyManagerDaemon::new(&mut db, switches.clone(), "r0");
-        db.set(0, tables::KMP, "epoch", Value::U64(1));
-        db.set(0, tables::KMP, "started@1", Value::U64(0));
+        let mut km = KeyManagerDaemon::new(&db, switches.clone(), "r0");
+        db.set(tables::KMP, "epoch", Value::U64(1));
+        db.set(tables::KMP, "started@1", Value::U64(0));
 
         let before = db.writes();
         let out = km.step(&mut db, &mut core, 0);
         assert!(!out.is_empty(), "rollover exchanges must be issued");
-        // Exactly one pending entry per switch; no keys exist yet so the
-        // keys table stays untouched.
+        // Exactly one pending entry per switch, and nothing else.
         assert_eq!(db.writes() - before, switches.len() as u64);
+        assert_eq!(db.entries(tables::KMP).count(), 2 + switches.len());
 
-        // Re-stepping with nothing changed: the whole batch no-ops.
+        // Re-stepping with nothing changed: every write no-ops.
         let before = db.writes();
         let out = km.step(&mut db, &mut core, 0);
-        assert!(out.is_empty(), "no double-issue under batching");
+        assert!(out.is_empty(), "no double-issue");
         assert_eq!(db.writes(), before, "idempotent tick writes nothing");
+    }
+
+    /// `DaemonWake` fires exactly when the table changed since the
+    /// daemon's previous step, carrying the exact number of writes it
+    /// had not seen (its own included); `StateDbWrite` carries what the
+    /// step itself wrote. Each step runs at its own instant, so a span's
+    /// `start_ns` names the step that recorded it.
+    #[test]
+    fn daemon_wakes_on_exactly_the_writes_it_has_not_seen() {
+        use crate::replica::ReplicaSet;
+        use p4auth_telemetry::{Registry, SpanKind};
+        use std::sync::Arc;
+
+        let seeds: Vec<(SwitchId, Key64)> = (1..=6)
+            .map(|i| (SwitchId::new(i), Key64::new(0x5eed_0000 + u64::from(i))))
+            .collect();
+        let registry = Arc::new(Registry::with_capacities(0, 256));
+        let mut set = ReplicaSet::new(2, ControllerConfig::default(), &seeds);
+        set.set_telemetry(registry.clone());
+        let owned: Vec<u64> = set
+            .replicas()
+            .iter()
+            .map(|r| r.owned().len() as u64)
+            .collect();
+        assert!(owned[0] > 0 && owned[1] > 0, "{owned:?}");
+        let spans_at = |t: u64| -> Vec<(SpanKind, u64)> {
+            let wanted = [SpanKind::DaemonWake, SpanKind::StateDbWrite];
+            registry
+                .trace()
+                .records()
+                .iter()
+                .filter(|r| r.start_ns == t && wanted.contains(&r.kind))
+                .map(|r| (r.kind, r.arg_a))
+                .collect()
+        };
+
+        set.step(10);
+        assert!(
+            spans_at(10).is_empty(),
+            "no epoch: nothing written, nobody woken"
+        );
+        assert_eq!(set.db().writes(), 0);
+
+        assert_eq!(set.start_bulk_rollover(20), Some(1));
+        set.step_replica(0, 30);
+        assert_eq!(
+            spans_at(30),
+            [
+                (SpanKind::DaemonWake, 2), // `epoch` and `started@1`
+                (SpanKind::StateDbWrite, owned[0]),
+            ]
+        );
+        set.step_replica(0, 40);
+        assert_eq!(
+            spans_at(40),
+            [(SpanKind::DaemonWake, owned[0])],
+            "woken by its own pending entries; exchanges in flight, nothing to write"
+        );
+        set.step_replica(0, 50);
+        assert!(spans_at(50).is_empty(), "nothing new");
+
+        set.step_replica(1, 60);
+        assert_eq!(
+            spans_at(60),
+            [
+                (SpanKind::DaemonWake, 2 + owned[0]),
+                (SpanKind::StateDbWrite, owned[1]),
+            ]
+        );
+        // Replica 0 has not seen replica 1's writes; a daemon rebuilt now
+        // starts from the table as it is and does not wake on them.
+        set.restart_replica(0);
+        set.step_replica(0, 70);
+        assert!(
+            spans_at(70).is_empty(),
+            "a restarted daemon does not wake on history"
+        );
+        assert_eq!(set.db().writes(), 2 + owned[0] + owned[1]);
     }
 }

@@ -23,8 +23,9 @@
 //!   quarantines a channel when forged digests or replays flood it.
 //!
 //! On top of the protocol core, the crate provides the *split* control
-//! plane (sonic-swss shape): a deterministic pub/sub [`statedb`] that
-//! per-domain orchestration [`daemons`] coordinate through, and a
+//! plane (sonic-swss shape): a deterministic [`statedb`] holding the
+//! orchestration state a restarted daemon re-reads, one key-manager
+//! daemon per replica ([`daemons`]) that keeps its progress there, and a
 //! [`replica`] layer that partitions switches across N
 //! [`ControllerReplica`]s by a deterministic hash, with versioned bulk
 //! key rollover that is KMP-retry- and replica-restart-safe.

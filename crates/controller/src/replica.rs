@@ -2,11 +2,11 @@
 //! switches by a deterministic hash, coordinating through one shared
 //! [`StateDb`].
 //!
-//! Each replica is a protocol [`Controller`] core plus the two
-//! orchestration [`daemons`](crate::daemons). The [`ReplicaSet`] owns
-//! the shared state table, routes incoming frames to the replica
-//! responsible for the sending switch, and implements the two places
-//! where replicas must cooperate:
+//! Each replica is a protocol [`Controller`] core plus its key-manager
+//! [daemon](crate::daemons). The [`ReplicaSet`] owns the shared state
+//! table, routes incoming frames to the replica responsible for the
+//! sending switch, and implements the two places where replicas must
+//! cooperate:
 //!
 //! * **Versioned bulk key rollover** — [`ReplicaSet::start_bulk_rollover`]
 //!   bumps the `kmp/epoch` target in the table; every replica's
@@ -23,13 +23,14 @@
 //!   of an ADHKD exchange through *one* controller endpoint, but the
 //!   two switches may hash to different replicas. The initiator's owner
 //!   becomes the redirect *home*: it mirrors the responder's local key
-//!   (published in the `keys` table by the responder's key manager),
-//!   takes over the outbound sequence counter toward the responder
-//!   (agents demand strictly increasing sequence numbers from
-//!   `SwitchId::CONTROLLER`, whichever replica seals the frame), and a
-//!   lease in the `leases` table keeps the responder's own key manager
-//!   from touching the channel mid-redirect. When the answer leg
-//!   passes through, the counter is handed back and the lease dropped.
+//!   (read from the owner's core — the set is one process), and a lease
+//!   in the `leases` table keeps the responder's own key manager from
+//!   rolling that key mid-redirect. When the answer leg passes through,
+//!   the lease is dropped. The home is handed a key and nothing else: a
+//!   redirected leg keeps the *initiator's* sender and sequence number
+//!   (the home only re-seals it), so the home never draws a sequence
+//!   number toward the responder, and the owner — which may well send on
+//!   that channel mid-redirect — stays the one writer of its counter.
 //!
 //! Determinism: replicas step in index order, partitions iterate in
 //! switch-id order, the state table is `BTreeMap`-backed, and each
@@ -38,7 +39,7 @@
 //! two-run gate checks end-to-end.
 
 use crate::controller::{Controller, ControllerConfig, ControllerEvent, ControllerStats, Outgoing};
-use crate::daemons::{tables, KeyManagerDaemon, RegisterDaemon};
+use crate::daemons::{tables, KeyManagerDaemon};
 use crate::defence::DefenceConfig;
 use crate::statedb::{StateDb, Value};
 use p4auth_primitives::Key64;
@@ -65,24 +66,20 @@ pub fn partition_of(switch: SwitchId, n: usize) -> usize {
     (mix(switch.value() as u64) % n.max(1) as u64) as usize
 }
 
-/// One replica: a protocol core plus its orchestration daemons. Build
+/// One replica: a protocol core plus its orchestration daemon. Build
 /// via [`ReplicaSet::new`]; the set owns the shared state table.
 pub struct ControllerReplica {
-    /// Replica index within the set.
-    pub index: usize,
-    /// Telemetry / fan-out label, `replica{index}`.
+    /// Telemetry / fan-out label, `replica{i}` for the set's `i`-th.
     pub label: String,
     /// The protocol core (sealing, verifying, exchanges).
     pub core: Controller,
     km: KeyManagerDaemon,
-    registers: RegisterDaemon,
-    owned: Vec<SwitchId>,
 }
 
 impl ControllerReplica {
     /// The switches this replica owns (sorted).
     pub fn owned(&self) -> &[SwitchId] {
-        &self.owned
+        self.km.owned()
     }
 }
 
@@ -112,35 +109,24 @@ impl ReplicaSet {
     /// replica's RNG seed derives from `config.rng_seed` and its index.
     pub fn new(n: usize, config: ControllerConfig, switches: &[(SwitchId, Key64)]) -> Self {
         assert!(n >= 1, "a replica set needs at least one replica");
-        let mut db = StateDb::new();
+        let db = StateDb::new();
         let mut replicas = Vec::with_capacity(n);
         for index in 0..n {
-            let mut owned: Vec<SwitchId> = switches
-                .iter()
-                .map(|(id, _)| *id)
-                .filter(|id| partition_of(*id, n) == index)
-                .collect();
-            owned.sort_unstable();
             let replica_config = ControllerConfig {
                 rng_seed: mix(config.rng_seed ^ index as u64),
                 ..config
             };
             let mut core = Controller::new(replica_config);
+            let mut owned = Vec::new();
             for (id, seed) in switches {
                 if partition_of(*id, n) == index {
                     core.register_switch(*id, *seed);
+                    owned.push(*id);
                 }
             }
             let label = format!("replica{index}");
-            let km = KeyManagerDaemon::new(&mut db, owned.clone(), label.clone());
-            replicas.push(ControllerReplica {
-                index,
-                label,
-                core,
-                km,
-                registers: RegisterDaemon,
-                owned,
-            });
+            let km = KeyManagerDaemon::new(&db, owned, label.clone());
+            replicas.push(ControllerReplica { label, core, km });
         }
         ReplicaSet {
             db,
@@ -185,6 +171,14 @@ impl ReplicaSet {
         &mut self.replicas[i].core
     }
 
+    /// The core owning `switch`, with its clock at `now_ns`: every
+    /// request and exchange the set forwards starts here.
+    fn core_at(&mut self, now_ns: u64, switch: SwitchId) -> &mut Controller {
+        let core = self.core_mut(switch);
+        core.set_now(now_ns);
+        core
+    }
+
     /// Attaches one registry to every replica's core, each labeled
     /// `replica{i}` so their series stay distinguishable; the per-channel
     /// reject counters are labeled by channel, not replica, and read as
@@ -212,10 +206,9 @@ impl ReplicaSet {
         }
     }
 
-    /// Routes one frame from `switch` to the responsible replica and
-    /// publishes the resulting register-plane outcomes. Port-key
-    /// redirect legs go to the redirect's *home* replica instead of the
-    /// sender's owner; the answer leg completes the redirect.
+    /// Routes one frame from `switch` to the responsible replica.
+    /// Port-key redirect legs go to the redirect's *home* replica instead
+    /// of the sender's owner; the answer leg completes the redirect.
     pub fn on_message(
         &mut self,
         now_ns: u64,
@@ -245,7 +238,6 @@ impl ReplicaSet {
         let r = &mut self.replicas[target];
         r.core.set_now(now_ns);
         let (out, events) = r.core.on_message(from, bytes);
-        r.registers.publish(&mut self.db, now_ns, &events);
         if let Some(party) = answer_leg {
             self.finish_redirect(party);
         }
@@ -255,8 +247,7 @@ impl ReplicaSet {
     /// Starts port-key initialization between `(sw1, port1)` and
     /// `(sw2, port2)`. If the switches hash to different replicas, the
     /// initiator's owner becomes the redirect home: it mirrors `sw2`'s
-    /// published local key, takes over the sequence counter toward
-    /// `sw2`, and leases the channel until the answer leg completes.
+    /// local key and leases the channel until the answer leg completes.
     pub fn port_key_init(
         &mut self,
         now_ns: u64,
@@ -269,46 +260,30 @@ impl ReplicaSet {
         let owner2 = self.owner(sw2);
         if owner2 != home {
             if let Some((k, v)) = self.replicas[owner2].core.local_key_material(sw2) {
-                let seq = self.replicas[owner2].core.channel_seq(sw2).unwrap_or(0);
-                let home_core = &mut self.replicas[home].core;
-                home_core.mirror_peer_key(sw2, k, v);
-                home_core.set_channel_seq(sw2, seq);
+                self.replicas[home].core.mirror_peer_key(sw2, k, v);
             }
-            self.db.set(
-                now_ns,
-                tables::LEASES,
-                &sw2.to_string(),
-                Value::U64(home as u64),
-            );
+            self.db
+                .set(tables::LEASES, &sw2.to_string(), Value::U64(home as u64));
         }
         let (a, b) = ((sw1, port1), (sw2, port2));
         self.redirects.insert(a, RedirectLease { home, peer: b });
         self.redirects.insert(b, RedirectLease { home, peer: a });
-        let core = &mut self.replicas[home].core;
-        core.set_now(now_ns);
-        core.port_key_init(sw1, port1, sw2, port2)
+        self.core_at(now_ns, sw1)
+            .port_key_init(sw1, port1, sw2, port2)
     }
 
     /// Completes the redirect `party` participated in. A switch's
-    /// channel is released — sequence counter handed back to its owner,
-    /// `leases` entry dropped — only once no other redirect on that
-    /// switch remains: a concurrent exchange still needs both.
+    /// `leases` entry is dropped only once no other redirect on that
+    /// switch remains: a concurrent exchange still needs it.
     fn finish_redirect(&mut self, party: (SwitchId, PortId)) {
         let Some(lease) = self.redirects.remove(&party) else {
             return;
         };
         self.redirects.remove(&lease.peer);
         for sw in [party.0, lease.peer.0] {
-            if self.redirects.keys().any(|(s, _)| *s == sw) {
-                continue;
+            if !self.redirects.keys().any(|(s, _)| *s == sw) {
+                self.db.remove(tables::LEASES, &sw.to_string());
             }
-            let owner = self.owner(sw);
-            if owner != lease.home {
-                if let Some(seq) = self.replicas[lease.home].core.channel_seq(sw) {
-                    self.replicas[owner].core.set_channel_seq(sw, seq);
-                }
-            }
-            self.db.remove(tables::LEASES, &sw.to_string());
         }
     }
 
@@ -319,10 +294,7 @@ impl ReplicaSet {
 
     /// Starts local-key initialization for `switch` on its owner.
     pub fn local_key_init(&mut self, now_ns: u64, switch: SwitchId) -> Vec<Outgoing> {
-        let i = self.owner(switch);
-        let core = &mut self.replicas[i].core;
-        core.set_now(now_ns);
-        core.local_key_init(switch)
+        self.core_at(now_ns, switch).local_key_init(switch)
     }
 
     /// Triggers a direct DP-DP port-key rollover via `sw1`'s owner.
@@ -333,10 +305,7 @@ impl ReplicaSet {
         port1: PortId,
         sw2: SwitchId,
     ) -> Vec<Outgoing> {
-        let i = self.owner(sw1);
-        let core = &mut self.replicas[i].core;
-        core.set_now(now_ns);
-        core.port_key_update(sw1, port1, sw2)
+        self.core_at(now_ns, sw1).port_key_update(sw1, port1, sw2)
     }
 
     /// Re-drives stalled key exchanges on every replica, in index order
@@ -354,10 +323,8 @@ impl ReplicaSet {
     /// Reports a DP-DP port-key install to the owner's defence
     /// accounting (see [`Controller::notify_port_key_installed`]).
     pub fn notify_port_key_installed(&mut self, now_ns: u64, peer: SwitchId, channel: PortId) {
-        let i = self.owner(peer);
-        let core = &mut self.replicas[i].core;
-        core.set_now(now_ns);
-        core.notify_port_key_installed(peer, channel);
+        self.core_at(now_ns, peer)
+            .notify_port_key_installed(peer, channel);
     }
 
     /// Drains port-channel mitigations from every replica, in replica
@@ -378,10 +345,8 @@ impl ReplicaSet {
         reg: RegId,
         index: u32,
     ) -> Outgoing {
-        let i = self.owner(switch);
-        let core = &mut self.replicas[i].core;
-        core.set_now(now_ns);
-        core.read_register(switch, reg, index)
+        self.core_at(now_ns, switch)
+            .read_register(switch, reg, index)
     }
 
     /// Issues an authenticated register write toward `switch` via its
@@ -394,10 +359,8 @@ impl ReplicaSet {
         index: u32,
         value: u64,
     ) -> Outgoing {
-        let i = self.owner(switch);
-        let core = &mut self.replicas[i].core;
-        core.set_now(now_ns);
-        core.write_register(switch, reg, index, value)
+        self.core_at(now_ns, switch)
+            .write_register(switch, reg, index, value)
     }
 
     /// One orchestration step: every replica (in index order) runs its
@@ -427,13 +390,9 @@ impl ReplicaSet {
             return None;
         }
         let epoch = current + 1;
-        self.db.set(now_ns, tables::KMP, "epoch", Value::U64(epoch));
-        self.db.set(
-            now_ns,
-            tables::KMP,
-            &format!("started@{epoch}"),
-            Value::U64(now_ns),
-        );
+        self.db.set(tables::KMP, "epoch", Value::U64(epoch));
+        self.db
+            .set(tables::KMP, &format!("started@{epoch}"), Value::U64(now_ns));
         Some(epoch)
     }
 
@@ -450,19 +409,19 @@ impl ReplicaSet {
             || self
                 .replicas
                 .iter()
-                .all(|r| KeyManagerDaemon::partition_done(&self.db, &r.owned, epoch))
+                .all(|r| KeyManagerDaemon::partition_done(&self.db, r.owned(), epoch))
     }
 
     /// Simulates a crash/restart of replica `i`'s orchestration: the key
-    /// manager is rebuilt from scratch with a fresh state-table
-    /// subscription, exactly as a respawned process would come up. All
+    /// manager is rebuilt from scratch, knowing only its partition and
+    /// the table as it stands, as a respawned process would come up. All
     /// orchestration progress must therefore be recoverable from the
     /// table — the mid-rollover restart proptest pins this down. The
     /// protocol core (keys, sequence counters, the defence loop's windows
     /// and in-flight mitigations) is not orchestration state and survives.
     pub fn restart_replica(&mut self, i: usize) {
         let r = &mut self.replicas[i];
-        r.km = KeyManagerDaemon::new(&mut self.db, r.owned.clone(), r.label.clone());
+        r.km = KeyManagerDaemon::new(&self.db, r.owned().to_vec(), r.label.clone());
     }
 
     /// Lifetime counters summed over the replicas.
@@ -486,18 +445,63 @@ mod tests {
     use super::*;
 
     use p4auth_core::agent::{AgentConfig, P4AuthSwitch};
+    use p4auth_dataplane::register::RegisterArray;
+
+    type Agents = BTreeMap<SwitchId, P4AuthSwitch>;
+
+    /// The register every [`fleet`] agent serves (8 entries).
+    const REG: RegId = RegId::new(1);
+    /// Mapped by every [`fleet`] agent, declared by none: a nAck.
+    const UNDECLARED: RegId = RegId::new(2);
+
+    fn seeds_for(ids: impl IntoIterator<Item = SwitchId>) -> Vec<(SwitchId, Key64)> {
+        ids.into_iter()
+            .map(|id| (id, Key64::new(0x5eed_0000 + u64::from(id.value()))))
+            .collect()
+    }
 
     fn seeds(n: u16) -> Vec<(SwitchId, Key64)> {
-        (1..=n)
-            .map(|i| (SwitchId::new(i), Key64::new(0x5eed_0000 + i as u64)))
-            .collect()
+        seeds_for((1..=n).map(SwitchId::new))
+    }
+
+    /// The smallest switch id that partition `owner` of `n` owns.
+    fn pick(n: usize, owner: usize) -> SwitchId {
+        (1..64u16)
+            .map(SwitchId::new)
+            .find(|&s| partition_of(s, n) == owner)
+            .expect("every partition owns some small id")
+    }
+
+    /// `n` replicas over `seeds` and one agent per switch, every local
+    /// key established (EAK + ADHKD run to quiescence at t = 1000).
+    fn fleet(n: usize, seeds: &[(SwitchId, Key64)]) -> (ReplicaSet, Agents) {
+        let mut set = ReplicaSet::new(n, ControllerConfig::default(), seeds);
+        let mut agents: Agents = seeds
+            .iter()
+            .map(|&(id, k)| {
+                let config = AgentConfig::new(id, 2, k)
+                    .map_register(REG, "r")
+                    .map_register(UNDECLARED, "gone");
+                let mut agent = P4AuthSwitch::new(config, None);
+                agent
+                    .chassis_mut()
+                    .declare_register(RegisterArray::new("r", 8, 64));
+                (id, agent)
+            })
+            .collect();
+        for &(id, _) in seeds {
+            let init = set.local_key_init(1_000, id);
+            pump(&mut set, &mut agents, 1_000, init);
+        }
+        assert!(seeds.iter().all(|&(id, _)| set.has_local_key(id)));
+        (set, agents)
     }
 
     /// Runs controller frames to quiescence at `t`; returns the events
     /// the set reported along the way.
     fn pump(
         set: &mut ReplicaSet,
-        agents: &mut BTreeMap<SwitchId, P4AuthSwitch>,
+        agents: &mut Agents,
         t: u64,
         mut pending: Vec<Outgoing>,
     ) -> Vec<ControllerEvent> {
@@ -556,25 +560,11 @@ mod tests {
         const N: usize = 3;
         // One switch per partition: initiators `a`, `b` (the two homes)
         // and the shared responder `r`.
-        let pick = |owner: usize| {
-            (1..64u16)
-                .map(SwitchId::new)
-                .find(|&s| partition_of(s, N) == owner)
-                .expect("every partition owns some small id")
-        };
-        let (a, b, r) = (pick(0), pick(1), pick(2));
+        let (a, b, r) = (pick(N, 0), pick(N, 1), pick(N, 2));
         let (p1, p2) = (PortId::new(1), PortId::new(2));
 
         for a_answers_first in [true, false] {
-            let seeds: Vec<(SwitchId, Key64)> = [a, b, r]
-                .iter()
-                .map(|&id| (id, Key64::new(0x5eed_0000 + u64::from(id.value()))))
-                .collect();
-            let mut set = ReplicaSet::new(N, ControllerConfig::default(), &seeds);
-            let mut agents: BTreeMap<SwitchId, P4AuthSwitch> = seeds
-                .iter()
-                .map(|&(id, k)| (id, P4AuthSwitch::new(AgentConfig::new(id, 2, k), None)))
-                .collect();
+            let (mut set, mut agents) = fleet(N, &seeds_for([a, b, r]));
             // Hands controller frames to their agents and returns what the
             // agents send back, as `(from, bytes)`.
             let mut deliver = |out: Vec<Outgoing>| -> Vec<(SwitchId, Vec<u8>)> {
@@ -593,20 +583,6 @@ mod tests {
                     .collect()
             };
 
-            // Local keys everywhere (EAK + ADHKD run to quiescence).
-            let mut inbound: Vec<(SwitchId, Vec<u8>)> = Vec::new();
-            for &(id, _) in &seeds {
-                inbound.extend(deliver(set.local_key_init(1_000, id)));
-            }
-            while !inbound.is_empty() {
-                let mut next = Vec::new();
-                for (from, bytes) in inbound {
-                    next.extend(deliver(set.on_message(1_000, from, &bytes).0));
-                }
-                inbound = next;
-            }
-            assert!([a, b, r].iter().all(|&s| set.has_local_key(s)));
-
             // Both exchanges run up to (not including) their answer leg:
             // portKeyInit -> initiator's offer -> redirected to `r` -> answer.
             let mut answer_of = |set: &mut ReplicaSet, init: SwitchId, r_port: PortId| {
@@ -619,7 +595,8 @@ mod tests {
             };
             let answer_a = answer_of(&mut set, a, p1);
             let answer_b = answer_of(&mut set, b, p2);
-            let leased = |set: &ReplicaSet| set.db().get(tables::LEASES, &r.to_string()).is_some();
+            let leased =
+                |set: &ReplicaSet| set.db().value(tables::LEASES, &r.to_string()).is_some();
             assert!(leased(&set), "responder leased while redirects are open");
 
             let (first, second) = if a_answers_first {
@@ -657,14 +634,14 @@ mod tests {
         let statuses_before: Vec<_> = set
             .db()
             .entries(tables::KMP)
-            .map(|(k, e)| (k.to_string(), e.value.clone()))
+            .map(|(k, v)| (k.to_string(), v.clone()))
             .collect();
         set.restart_replica(0);
         set.restart_replica(1);
         let statuses_after: Vec<_> = set
             .db()
             .entries(tables::KMP)
-            .map(|(k, e)| (k.to_string(), e.value.clone()))
+            .map(|(k, v)| (k.to_string(), v.clone()))
             .collect();
         assert_eq!(statuses_before, statuses_after, "restart must not write");
     }
@@ -680,16 +657,8 @@ mod tests {
 
         let seeds = seeds(2);
         let registry = Arc::new(Registry::new());
-        let mut set = ReplicaSet::new(2, ControllerConfig::default(), &seeds);
+        let (mut set, mut agents) = fleet(2, &seeds);
         set.set_telemetry(registry.clone());
-        let mut agents: BTreeMap<SwitchId, P4AuthSwitch> = seeds
-            .iter()
-            .map(|&(id, k)| (id, P4AuthSwitch::new(AgentConfig::new(id, 2, k), None)))
-            .collect();
-        for &(id, _) in &seeds {
-            let init = set.local_key_init(1_000, id);
-            pump(&mut set, &mut agents, 1_000, init);
-        }
         set.enable_defence(DefenceConfig {
             reject_threshold: 3,
             ..DefenceConfig::default()
@@ -707,11 +676,8 @@ mod tests {
         // Delivers `n` copies of a genuine reply with one digest bit
         // flipped — each a counted `BadDigest` reject on the victim's C-DP
         // channel — and returns the frames and mitigations they provoked.
-        let flood = |set: &mut ReplicaSet,
-                     agents: &mut BTreeMap<SwitchId, P4AuthSwitch>,
-                     t: u64,
-                     n: usize| {
-            let request = set.read_register(t, victim, RegId::new(1), 0);
+        let flood = |set: &mut ReplicaSet, agents: &mut Agents, t: u64, n: usize| {
+            let request = set.read_register(t, victim, REG, 0);
             let agent = agents.get_mut(&victim).expect("known switch");
             let reply = agent
                 .on_packet(t, PortId::CPU, &request.bytes)
@@ -765,77 +731,29 @@ mod tests {
         assert_eq!(set.stats().defence_mitigations, 2);
     }
 
-    /// The interned state table is the same table: a scripted run —
-    /// bootstrap, 4,600 register ops with nacks and forged responses mixed
-    /// in, one bulk rollover, and one subscriber that polls only at the
-    /// start and the end so it falls behind the 4096-record log — yields
-    /// the `(seq, t_ns, table, key, version, value)` sequence, `missed`
-    /// counts and `writes()` recorded at the parent of the PR that
-    /// interned the keys (String tables, String log records).
+    /// What the state table holds after a scripted run — bootstrap, 4,600
+    /// register ops with nacks and forged responses mixed in, one bulk
+    /// rollover: the rollover's progress and nothing else. No register op
+    /// writes to it, whatever its outcome.
     #[test]
     fn scripted_run_reproduces_the_recorded_state_table() {
-        use p4auth_dataplane::register::RegisterArray;
-        use p4auth_wire::ids::RegId;
-
         let seeds = seeds(4);
-        let (reg, undeclared) = (RegId::new(1), RegId::new(2));
-        let mut set = ReplicaSet::new(2, ControllerConfig::default(), &seeds);
-        let mut agents: BTreeMap<SwitchId, P4AuthSwitch> = seeds
-            .iter()
-            .map(|&(id, k)| {
-                let config = AgentConfig::new(id, 2, k)
-                    .map_register(reg, "r")
-                    .map_register(undeclared, "gone");
-                let mut agent = P4AuthSwitch::new(config, None);
-                agent
-                    .chassis_mut()
-                    .declare_register(RegisterArray::new("r", 8, 64));
-                (id, agent)
-            })
-            .collect();
-        let sub = set.db.subscribe();
-
-        // FNV-1a over one poll's records, so 4096 of them pin as one number.
-        fn digest(poll: &crate::statedb::Poll) -> u64 {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for u in &poll.updates {
-                let line = format!(
-                    "{},{},{},{},{},{:?};",
-                    u.seq, u.t_ns, u.table, u.key, u.version, u.value
-                );
-                for b in line.bytes() {
-                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            }
-            h
-        }
-        let line = |u: &crate::statedb::Update| {
-            format!(
-                "{} {} {}/{} v{} {:?}",
-                u.seq, u.t_ns, u.table, u.key, u.version, u.value
-            )
-        };
-
-        for &(id, _) in &seeds {
-            let init = set.local_key_init(1_000, id);
-            pump(&mut set, &mut agents, 1_000, init);
-        }
+        let (mut set, mut agents) = fleet(2, &seeds);
         let out = set.step(2_000);
         pump(&mut set, &mut agents, 2_000, out);
-        let boot = set.db.poll(sub);
 
         for i in 0..4_600u64 {
             let t = 10_000 + i * 100;
             let sw = seeds[(i % 4) as usize].0;
             let index = (i % 8) as u32;
             let request = if i % 50 == 49 {
-                set.read_register(t, sw, undeclared, 0) // nAck: unknown register
+                set.read_register(t, sw, UNDECLARED, 0) // nAck: unknown register
             } else if i % 50 == 24 {
-                set.write_register(t, sw, reg, 99, i) // nAck: index out of range
+                set.write_register(t, sw, REG, 99, i) // nAck: index out of range
             } else if i % 3 == 0 {
-                set.write_register(t, sw, reg, index, i)
+                set.write_register(t, sw, REG, index, i)
             } else {
-                set.read_register(t, sw, reg, index)
+                set.read_register(t, sw, REG, index)
             };
             let agent = agents.get_mut(&sw).expect("known switch");
             let reply = agent
@@ -850,6 +768,7 @@ mod tests {
             }
             set.on_message(t, sw, &reply);
             if i == 2_300 {
+                assert_eq!(set.db().writes(), 0, "no epoch yet: nothing to hold");
                 assert_eq!(set.start_bulk_rollover(t), Some(1));
                 for round in 0..8 {
                     let out = set.step(t + round);
@@ -858,63 +777,87 @@ mod tests {
                 assert!(set.rollover_complete());
             }
         }
-        let behind = set.db.poll(sub);
-        for i in 0..3u64 {
-            let request = set.read_register(900_000 + i, seeds[0].0, reg, 0);
-            pump(&mut set, &mut agents, 900_000 + i, vec![request]);
-        }
-        let caught_up = set.db.poll(sub);
 
-        assert_eq!(set.db().writes(), 4_688);
-        let shape = |p: &crate::statedb::Poll| (p.updates.len(), p.missed, digest(p));
-        assert_eq!(shape(&boot), (4, 0, 0x4228_2f3f_caa6_27ec));
-        assert_eq!(shape(&behind), (4_096, 585, 0xc801_f35b_dc4b_2559));
-        assert_eq!(shape(&caught_up), (3, 0, 0x1f9e_f69e_300a_a7bb));
-        // Spot records in the clear, so a digest mismatch has somewhere to
-        // start reading.
-        assert_eq!(
-            line(&boot.updates[0]),
-            "0 2000 keys/S2 v1 Key(4879817713577013522, 0)"
-        );
-        assert_eq!(
-            line(&behind.updates[0]),
-            "589 67700 registers/reads v370 U64(370)"
-        );
-        assert_eq!(
-            line(&behind.updates[4_095]),
-            "4684 469900 registers/nacks v184 U64(184)"
-        );
-        assert_eq!(
-            line(&caught_up.updates[2]),
-            "4687 900002 registers/reads v2947 U64(2947)"
-        );
+        // epoch + started@1, then pending, done and fanout per partition.
+        assert_eq!(set.db().writes(), 2 + 4 + 4 + 2);
+        let stats = set.stats();
+        assert_eq!((stats.responses_ok, stats.rejected), (4_600, 65));
         let table = |name: &str| -> Vec<String> {
             set.db()
                 .entries(name)
-                .map(|(k, e)| format!("{k} v{} @{} {:?}", e.version, e.written_at_ns, e.value))
+                .map(|(k, v)| format!("{k} {v:?}"))
                 .collect()
         };
         assert_eq!(
-            table(tables::REGISTERS),
-            [
-                "nacks v184 @469900 U64(184)",
-                "reads v2947 @900002 U64(2947)",
-                "rejects v65 @464900 U64(65)",
-                "writes v1472 @469600 U64(1472)",
-            ]
-        );
-        assert_eq!(
             table(tables::KMP),
             [
-                "S1 v2 @240001 Text(\"done@1\")",
-                "S2 v2 @240001 Text(\"done@1\")",
-                "S3 v2 @240001 Text(\"done@1\")",
-                "S4 v2 @240001 Text(\"done@1\")",
-                "epoch v1 @240000 U64(1)",
-                "fanout@replica0@1 v1 @240001 U64(1)",
-                "fanout@replica1@1 v1 @240001 U64(1)",
-                "started@1 v1 @240000 U64(240000)",
+                "S1 Text(\"done@1\")",
+                "S2 Text(\"done@1\")",
+                "S3 Text(\"done@1\")",
+                "S4 Text(\"done@1\")",
+                "epoch U64(1)",
+                "fanout@replica0@1 U64(1)",
+                "fanout@replica1@1 U64(1)",
+                "started@1 U64(240000)",
             ]
         );
+        assert!(table(tables::LEASES).is_empty());
+    }
+
+    /// A cross-partition redirect hands the home replica the responder's
+    /// *key*, never its sequence counter: the owner keeps sending on the
+    /// channel while the redirect is open, and closing the redirect must
+    /// not touch what the owner counted meanwhile (`INV-ACC-MONOTONIC`).
+    #[test]
+    fn redirect_never_rewinds_the_owners_sequence_counter() {
+        // Initiator `a` (its owner is the redirect home) and responder `r`.
+        let (a, r) = (pick(2, 0), pick(2, 1));
+        let port = PortId::new(1);
+        let (mut set, mut agents) = fleet(2, &seeds_for([a, r]));
+        // One frame into its agent; the single frame the agent answers with.
+        let answer = |agents: &mut Agents, o: Outgoing| -> Vec<u8> {
+            let agent = agents.get_mut(&o.to).expect("known switch");
+            let mut outputs = agent.on_packet(2_000, PortId::CPU, &o.bytes).outputs;
+            assert_eq!(outputs.len(), 1, "one frame back from {}", o.to);
+            outputs.remove(0).1
+        };
+        // One read of `r` through its owner, to completion.
+        let read = |set: &mut ReplicaSet, agents: &mut Agents| {
+            let request = set.read_register(2_000, r, REG, 0);
+            pump(set, agents, 2_000, vec![request])
+        };
+        let value_read = [ControllerEvent::ValueRead {
+            switch: r,
+            reg: REG,
+            index: 0,
+            value: 0,
+        }];
+
+        // portKeyInit -> `a`'s offer -> redirected to `r` -> `r`'s answer,
+        // which stays in flight.
+        let mut init = set.port_key_init(2_000, a, port, r, port);
+        assert_eq!(init.len(), 1);
+        let offer = answer(&mut agents, init.remove(0));
+        let (mut redirected, _) = set.on_message(2_000, a, &offer);
+        assert_eq!(redirected.len(), 1);
+        let answer_leg = answer(&mut agents, redirected.remove(0));
+
+        // The owner uses the channel while the redirect is open.
+        for _ in 0..5 {
+            assert_eq!(read(&mut set, &mut agents), value_read);
+        }
+
+        // The answer leg closes the redirect...
+        let (redirected, _) = set.on_message(2_000, r, &answer_leg);
+        assert_eq!(redirected.len(), 1);
+        pump(&mut set, &mut agents, 2_000, redirected);
+        let key = agents[&a].keys().port(port).current();
+        assert!(key.is_some(), "{a} installed its port key");
+        assert_eq!(key, agents[&r].keys().port(port).current());
+
+        // ...and the owner's next request is still the next in sequence:
+        // not a replay to the agent, not a reject signal for the defence.
+        assert_eq!(read(&mut set, &mut agents), value_read);
+        assert!(set.alerts().is_empty(), "{:?}", set.alerts());
     }
 }

@@ -52,9 +52,11 @@ pub enum SpanKind {
     DigestVerify = 4,
     /// A digest (or replay/quarantine) rejection.
     DigestReject = 5,
-    /// A state-table write batch landed.
+    /// An orchestration daemon step wrote to the state table (`arg_a`:
+    /// how many value-changing writes).
     StateDbWrite = 6,
-    /// An orchestration daemon tick that did work.
+    /// An orchestration daemon step found the state table changed since
+    /// its previous step (`arg_a`: by how many writes).
     DaemonWake = 7,
     /// A KMP/ADHKD offer left the controller.
     KmpOffer = 8,
