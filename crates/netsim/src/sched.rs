@@ -18,7 +18,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Which scheduler implementation a [`crate::sim::Simulator`] runs on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -162,8 +162,11 @@ impl<T> Scheduler<T> for HeapScheduler<T> {
     }
 }
 
-/// Ceiling on the bucket count the lazy resize will grow to.
-const MAX_BUCKETS: usize = 1 << 15;
+/// Ceiling on the bucket count the lazy resize will grow to. A bucket is
+/// eight bytes with nothing behind it, so the ceiling follows the deepest
+/// population the ring should still hold at `O(1)` events per bucket: a
+/// million resident events re-tune to two million days, 16 MB of ring.
+const MAX_BUCKETS: usize = 1 << 21;
 /// Initial bucket count.
 const INITIAL_BUCKETS: usize = 1 << 10;
 /// Bucketed population at which the first re-tune fires. Small, so any
@@ -172,25 +175,45 @@ const INITIAL_BUCKETS: usize = 1 << 10;
 /// the threshold doubles from there, keeping re-tunes amortized `O(1)`.
 const FIRST_RETUNE_AT: usize = 32;
 
-/// A calendar queue: a power-of-two ring of day buckets plus a far-future
-/// overflow heap.
+/// End-of-list marker of the slab's intrusive lists.
+const NIL: u32 = u32::MAX;
+/// A day bucket with nothing filed under it.
+const EMPTY: (u32, u32) = (NIL, NIL);
+
+/// One slab cell: a pending event and the slot filed after it in the same
+/// day bucket, or a free cell (`ev` is `None`) and the next free one.
+struct Slot<T> {
+    ev: Option<Scheduled<T>>,
+    next: u32,
+}
+
+/// A calendar queue: a power-of-two ring of day buckets over one slab of
+/// pending events, plus a far-future overflow heap.
 ///
+/// * **Storage**: every bucketed event lives in one `Vec` of slots; a day
+///   bucket is the `(head, tail)` slot indices of an intrusive list
+///   through `Slot::next`, so the ring costs eight bytes a day and owns no
+///   buffer. Freed slots are reused last-in-first-out: the slot a push
+///   writes is the one a pop just vacated, and the slab stays as large as
+///   the deepest population the queue has held, not the widest ring.
 /// * **Bucket sizing**: one bucket ("day") spans `bucket_width_ns`
 ///   nanoseconds, rounded up to a power of two so the bucket index is a
 ///   shift and a mask. The simulator sizes this from the topology's
 ///   minimum link latency — the floor on how far apart causally related
 ///   events can be.
 /// * **Window**: the ring covers `nbuckets` consecutive days. Events due
-///   inside the window go to their day's bucket (kept sorted by
-///   `(at, seq)`; pushes are almost always appends because event times
-///   increase). Events past the window land in an overflow `BinaryHeap`
-///   and are refilled into the ring when the window advances.
+///   inside the window are linked into their day's list (kept sorted by
+///   `(at, seq)`; pushes are almost always appends behind the tail
+///   because event times increase). Events past the window land in an
+///   overflow `BinaryHeap` and are refilled into the ring when the window
+///   advances.
 /// * **Lazy resize**: when the bucketed population exceeds a threshold,
 ///   the queue re-tunes itself to the live population: the bucket width
 ///   becomes the population's average inter-event gap (so buckets hold
 ///   `O(1)` events regardless of density) and the ring grows to hold the
-///   population (up to `MAX_BUCKETS`). The threshold doubles with each
-///   re-tune, keeping the re-bucketing amortized `O(1)`.
+///   population (up to `MAX_BUCKETS`). Events are relinked where they
+///   lie; nothing is copied. The threshold doubles with each re-tune,
+///   keeping the re-bucketing amortized `O(1)`.
 /// * **Determinism**: pops always yield the globally smallest `(at, seq)`
 ///   key, so the drain order is identical to [`HeapScheduler`]'s.
 pub struct CalendarQueue<T> {
@@ -198,8 +221,13 @@ pub struct CalendarQueue<T> {
     day_shift: u32,
     /// `buckets.len() - 1`; bucket index = `day & mask`.
     mask: u64,
-    /// Ring of day buckets, each sorted ascending by `(at, seq)`.
-    buckets: Vec<VecDeque<Scheduled<T>>>,
+    /// Every bucketed event, and the free cells between them.
+    slab: Vec<Slot<T>>,
+    /// Most recently freed slot, or [`NIL`].
+    free: u32,
+    /// Ring of day buckets: first and last slot of the day's list, which
+    /// ascends by `(at, seq)`; [`EMPTY`] when nothing is filed.
+    buckets: Vec<(u32, u32)>,
     /// Absolute day number the drain cursor is on.
     current_day: u64,
     /// First absolute day covered by the ring window.
@@ -220,7 +248,9 @@ impl<T> CalendarQueue<T> {
         CalendarQueue {
             day_shift: width.trailing_zeros(),
             mask: (INITIAL_BUCKETS - 1) as u64,
-            buckets: (0..INITIAL_BUCKETS).map(|_| VecDeque::new()).collect(),
+            slab: Vec::new(),
+            free: NIL,
+            buckets: vec![EMPTY; INITIAL_BUCKETS],
             current_day: 0,
             window_first_day: 0,
             in_buckets: 0,
@@ -249,18 +279,69 @@ impl<T> CalendarQueue<T> {
             .saturating_add(self.buckets.len() as u64)
     }
 
+    /// The event in an occupied slot.
+    fn event(&self, slot: u32) -> &Scheduled<T> {
+        self.slab[slot as usize]
+            .ev
+            .as_ref()
+            .expect("a linked slot holds an event")
+    }
+
+    /// Takes the event out of `slot` and puts the slot on the free list.
+    fn vacate(&mut self, slot: u32) -> Scheduled<T> {
+        let cell = &mut self.slab[slot as usize];
+        let ev = cell.ev.take().expect("a linked slot holds an event");
+        cell.next = self.free;
+        self.free = slot;
+        ev
+    }
+
     /// Inserts into the day bucket, keeping it sorted by `(at, seq)`.
     fn insert_bucket(&mut self, ev: Scheduled<T>) {
-        let idx = (self.day_of(ev.at) & self.mask) as usize;
-        let bucket = &mut self.buckets[idx];
         let key = ev.key();
-        match bucket.back() {
-            Some(last) if last.key() > key => {
-                let pos = bucket.partition_point(|e| e.key() < key);
-                bucket.insert(pos, ev);
+        let cell = Slot {
+            ev: Some(ev),
+            next: NIL,
+        };
+        let slot = match self.free {
+            NIL => {
+                assert!(self.slab.len() < NIL as usize, "slot indices must fit u32");
+                self.slab.push(cell);
+                (self.slab.len() - 1) as u32
             }
-            _ => bucket.push_back(ev),
+            slot => {
+                self.free = std::mem::replace(&mut self.slab[slot as usize], cell).next;
+                slot
+            }
+        };
+        self.link(slot, key);
+    }
+
+    /// Links an occupied slot into its day's list: behind the tail when
+    /// its key is the day's largest (the common case), else in front of
+    /// the first event with a larger key, found by walking from the head.
+    fn link(&mut self, slot: u32, key: (SimTime, u64)) {
+        let idx = (self.day_of(key.0) & self.mask) as usize;
+        let (head, tail) = self.buckets[idx];
+        // The slot this one goes behind; `NIL` for the front of the list.
+        let mut after = tail;
+        if tail != NIL && self.event(tail).key() > key {
+            after = NIL;
+            let mut next = head;
+            while self.event(next).key() < key {
+                after = next;
+                next = self.slab[next as usize].next;
+            }
         }
+        let link = match after {
+            NIL => &mut self.buckets[idx].0,
+            _ => &mut self.slab[after as usize].next,
+        };
+        let next = std::mem::replace(link, slot);
+        if next == NIL {
+            self.buckets[idx].1 = slot;
+        }
+        self.slab[slot as usize].next = next;
         self.in_buckets += 1;
     }
 
@@ -276,69 +357,91 @@ impl<T> CalendarQueue<T> {
         }
     }
 
+    /// Empties the ring into one chain through `Slot::next`, ascending by
+    /// `(at, seq)`: every bucketed event's day is in `[current_day,
+    /// window_end_day())`, so one lap from the cursor meets the days in
+    /// order. Returns the chain's first and last slot.
+    fn unlink_all(&mut self) -> (u32, u32) {
+        let mut chain = EMPTY;
+        for lap in 0..self.buckets.len() as u64 {
+            let idx = (self.current_day.wrapping_add(lap) & self.mask) as usize;
+            let (head, tail) = std::mem::replace(&mut self.buckets[idx], EMPTY);
+            if head == NIL {
+                continue;
+            }
+            if chain.1 == NIL {
+                chain.0 = head;
+            } else {
+                self.slab[chain.1 as usize].next = head;
+            }
+            chain.1 = tail;
+        }
+        self.in_buckets = 0;
+        chain
+    }
+
+    /// Files a chain from [`Self::unlink_all`] under the current geometry:
+    /// events inside the window are relinked where they lie (each an
+    /// append, the chain being sorted), the rest move to the overflow
+    /// heap.
+    fn refile(&mut self, mut slot: u32) {
+        let end = self.window_end_day();
+        while slot != NIL {
+            let next = self.slab[slot as usize].next;
+            let key = self.event(slot).key();
+            if self.day_of(key.0) < end {
+                self.link(slot, key);
+            } else {
+                let ev = self.vacate(slot);
+                self.overflow.push(Reverse(Entry(ev)));
+            }
+            slot = next;
+        }
+        self.refill_from_overflow();
+    }
+
     /// Re-tunes bucket width and count to the live population (the lazy
     /// resize). The initial min-link-latency width is only a prior: under
     /// load (many hosts, many in-flight events per latency window) a
     /// latency-wide bucket holds thousands of events and sorted insertion
-    /// degenerates to `O(bucket)` memmoves. Re-deriving the width from the
-    /// population's average inter-event gap restores `O(1)` occupancy.
+    /// degenerates to an `O(bucket)` list walk. Re-deriving the width from
+    /// the population's average inter-event gap restores `O(1)` occupancy.
     /// The trigger threshold doubles each time, so re-bucketing stays
     /// amortized `O(1)` per event.
     fn retune(&mut self) {
-        // Survey the live population *before* draining anything: a queue
-        // that drained to (near) empty, or whose bucketed events all share
-        // one timestamp, has no meaningful inter-event gap. Re-deriving a
-        // width from it would collapse to the 1ns floor (a degenerate
-        // geometry the next real burst then pays for), so keep the current
-        // layout and just push the next re-tune out.
-        let mut min_ns = u64::MAX;
-        let mut max_ns = 0u64;
-        for bucket in &self.buckets {
-            for e in bucket {
-                let ns = e.at.as_ns();
-                min_ns = min_ns.min(ns);
-                max_ns = max_ns.max(ns);
-            }
+        let n = self.in_buckets as u64;
+        let (first, last) = self.unlink_all();
+        // The chain is sorted, so its two ends span the population (never
+        // empty: `schedule` re-tunes right after an insert).
+        let (min_ns, max_ns) = (self.event(first).at.as_ns(), self.event(last).at.as_ns());
+        // A population whose bucketed events all share one timestamp has no
+        // meaningful inter-event gap. Re-deriving a width from it would
+        // collapse to the 1ns floor (a degenerate geometry the next real
+        // burst then pays for), so keep the current layout and just push
+        // the next re-tune out.
+        if min_ns != max_ns {
+            let width = ((max_ns - min_ns) / n)
+                .clamp(1, 1 << 30)
+                .next_power_of_two();
+            // Keep the cursor anchored at the same instant across the width
+            // change (its day start is <= every pending event's timestamp).
+            let anchor_ns = self.current_day << self.day_shift;
+            self.day_shift = width.trailing_zeros();
+            // Size the ring from the population's day span, not its count:
+            // when density exceeds one event per ns the 1ns width floor
+            // stacks events per bucket, and a count-sized ring would be days
+            // nothing is ever filed under. 2x slack keeps steady-state
+            // arrivals (lead <= observed span) inside the window.
+            let span_days = ((max_ns - min_ns) >> self.day_shift).saturating_add(1) as usize;
+            let nbuckets = (span_days * 2)
+                .next_power_of_two()
+                .clamp(INITIAL_BUCKETS, MAX_BUCKETS);
+            self.buckets = vec![EMPTY; nbuckets];
+            self.mask = (nbuckets - 1) as u64;
+            self.current_day = anchor_ns >> self.day_shift;
+            self.window_first_day = self.current_day;
         }
-        if self.in_buckets < 2 || min_ns == max_ns {
-            self.retune_threshold = self.len().max(self.retune_threshold) * 2;
-            return;
-        }
-        let mut pending: Vec<Scheduled<T>> = Vec::with_capacity(self.in_buckets);
-        for bucket in &mut self.buckets {
-            pending.extend(bucket.drain(..));
-        }
-        let n = pending.len() as u64;
-        let width = ((max_ns - min_ns) / n)
-            .clamp(1, 1 << 30)
-            .next_power_of_two();
-        // Keep the cursor anchored at the same instant across the width
-        // change (its day start is <= every pending event's timestamp).
-        let anchor_ns = self.current_day << self.day_shift;
-        self.day_shift = width.trailing_zeros();
-        // Size the ring from the population's day span, not its count:
-        // when density exceeds one event per ns the 1ns width floor stacks
-        // events per bucket, and a count-sized ring would just be unused
-        // header cache pressure. 2x slack keeps steady-state arrivals (lead
-        // <= observed span) inside the window.
-        let span_days = ((max_ns - min_ns) >> self.day_shift).saturating_add(1) as usize;
-        let nbuckets = (span_days * 2)
-            .next_power_of_two()
-            .clamp(INITIAL_BUCKETS, MAX_BUCKETS);
-        self.buckets = (0..nbuckets).map(|_| VecDeque::new()).collect();
-        self.mask = (nbuckets - 1) as u64;
-        self.current_day = anchor_ns >> self.day_shift;
-        self.window_first_day = self.current_day;
-        self.in_buckets = 0;
-        let end = self.window_end_day();
-        for ev in pending {
-            if self.day_of(ev.at) < end {
-                self.insert_bucket(ev);
-            } else {
-                self.overflow.push(Reverse(Entry(ev)));
-            }
-        }
-        self.refill_from_overflow();
+        self.refile(first);
         self.retune_threshold = self.len().max(self.retune_threshold) * 2;
     }
 
@@ -348,22 +451,10 @@ impl<T> CalendarQueue<T> {
     /// a correctness backstop rather than an assert).
     #[cold]
     fn rehome(&mut self, day: u64) {
-        let mut pending: Vec<Scheduled<T>> = Vec::with_capacity(self.in_buckets);
-        for bucket in &mut self.buckets {
-            pending.extend(bucket.drain(..));
-        }
-        self.in_buckets = 0;
+        let (first, _) = self.unlink_all();
         self.window_first_day = day;
         self.current_day = day;
-        let end = self.window_end_day();
-        for ev in pending {
-            if self.day_of(ev.at) < end {
-                self.insert_bucket(ev);
-            } else {
-                self.overflow.push(Reverse(Entry(ev)));
-            }
-        }
-        self.refill_from_overflow();
+        self.refile(first);
     }
 
     /// Advances `current_day` to the first non-empty bucket. Requires
@@ -371,7 +462,7 @@ impl<T> CalendarQueue<T> {
     /// bucketed event's day is in `[current_day, window_end_day())`.
     fn advance_to_nonempty(&mut self) {
         debug_assert!(self.in_buckets > 0);
-        while self.buckets[(self.current_day & self.mask) as usize].is_empty() {
+        while self.buckets[(self.current_day & self.mask) as usize].0 == NIL {
             self.current_day += 1;
         }
     }
@@ -409,9 +500,8 @@ impl<T> Scheduler<T> for CalendarQueue<T> {
             return self.overflow.peek().map(|Reverse(e)| e.0.at);
         }
         self.advance_to_nonempty();
-        self.buckets[(self.current_day & self.mask) as usize]
-            .front()
-            .map(|e| e.at)
+        let (head, _) = self.buckets[(self.current_day & self.mask) as usize];
+        Some(self.event(head).at)
     }
 
     fn pop(&mut self) -> Option<Scheduled<T>> {
@@ -440,11 +530,12 @@ impl<T> Scheduler<T> for CalendarQueue<T> {
                 self.refill_from_overflow();
             }
         }
-        let ev = self.buckets[(self.current_day & self.mask) as usize]
-            .pop_front()
-            .expect("advance_to_nonempty found a non-empty bucket");
+        let idx = (self.current_day & self.mask) as usize;
+        let (head, tail) = self.buckets[idx];
+        let next = self.slab[head as usize].next;
+        self.buckets[idx] = if next == NIL { EMPTY } else { (next, tail) };
         self.in_buckets -= 1;
-        Some(ev)
+        Some(self.vacate(head))
     }
 
     fn len(&self) -> usize {
@@ -625,6 +716,36 @@ mod tests {
         assert_eq!(c.bucket_width_ns(), width);
         assert_eq!(drain(&mut c), drain(&mut h));
         assert!(c.is_empty() && c.next_at().is_none());
+    }
+
+    #[test]
+    fn refill_after_drain_reuses_the_freed_slots() {
+        let mut c = CalendarQueue::with_bucket_width(64);
+        let mut h = HeapScheduler::new();
+        let mut seq = 0u64;
+        let mut fill = |c: &mut CalendarQueue<()>, h: &mut HeapScheduler<()>, from_ns: u64| {
+            for i in 0..500u64 {
+                seq += 1;
+                c.schedule(SimTime::from_ns(from_ns + i * 97), seq, ());
+                h.schedule(SimTime::from_ns(from_ns + i * 97), seq, ());
+            }
+        };
+        // Crosses four re-tunes; every event stays inside the window, so
+        // each one occupies a slot.
+        fill(&mut c, &mut h, 0);
+        assert!(c.overflow.is_empty());
+        assert_eq!(c.slab.len(), 500);
+        assert_eq!(drain(&mut c), drain(&mut h));
+        // The same population again, from where the drain stopped: every
+        // push lands in a slot the drain vacated.
+        fill(&mut c, &mut h, 499 * 97);
+        assert!(c.overflow.is_empty());
+        assert_eq!(c.slab.len(), 500, "a refill must not grow the slab");
+        // Past the doubled threshold: the re-tune relinks reused and fresh
+        // slots alike.
+        fill(&mut c, &mut h, 499 * 97);
+        assert_eq!(c.slab.len(), 1_000);
+        assert_eq!(drain(&mut c), drain(&mut h));
     }
 
     #[test]

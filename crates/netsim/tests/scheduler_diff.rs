@@ -2,10 +2,13 @@
 //! reference `BinaryHeap` scheduler and the calendar queue must produce
 //! identical `(time, seq)` sequences — including same-timestamp bursts,
 //! far-future outliers, and pushes interleaved with pops and peeks under
-//! the simulator's `at >= now` discipline.
+//! the simulator's `at >= now` discipline. Long sequences cross several
+//! re-tunes and drain-and-refill cycles (slot reuse); a deterministic hold
+//! run keeps a steady population for 200k operations.
 
 use p4auth_netsim::sched::{CalendarQueue, HeapScheduler, Scheduler};
 use p4auth_netsim::time::SimTime;
+use p4auth_primitives::rng::{RandomSource, SplitMix64};
 use proptest::prelude::*;
 
 /// One step of a randomly generated scheduler workload. Leads are relative
@@ -30,6 +33,10 @@ enum Op {
     /// arriving in non-monotone key order — the insertion pattern sharded
     /// runs produce at shard boundaries.
     CrossBurst { lead: u64, srcs: Vec<u8> },
+    /// Drain to empty, then push `n` events `gap` ns apart: the refill
+    /// lands in the slots the drain freed, and a large one crosses the
+    /// next re-tune with them.
+    DrainRefill { n: u16, gap: u64 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -42,6 +49,41 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         ((0u64..5_000), proptest::collection::vec(0u8..4, 2..6))
             .prop_map(|(lead, srcs)| Op::CrossBurst { lead, srcs }),
     ]
+}
+
+/// [`op_strategy`], with one op in 25 a drain-and-refill (the shim's
+/// `prop_oneof!` takes no weights, hence the die).
+fn long_run_op_strategy() -> impl Strategy<Value = Op> {
+    (0u8..25, op_strategy(), 1u16..400, 0u64..300).prop_map(|(die, op, n, gap)| match die {
+        0 => Op::DrainRefill { n, gap },
+        _ => op,
+    })
+}
+
+/// Pops one event as the `(at, seq, payload)` the two schedulers must
+/// agree on.
+fn pop_one(s: &mut impl Scheduler<u64>) -> Option<(SimTime, u64, u64)> {
+    s.pop().map(|e| (e.at, e.seq, e.payload))
+}
+
+/// Pops both schedulers to empty in lockstep, checking every peek and pop
+/// agrees; returns the last timestamp popped.
+fn drain_both(
+    heap: &mut HeapScheduler<u64>,
+    cal: &mut CalendarQueue<u64>,
+    what: &str,
+) -> Option<SimTime> {
+    let mut last = None;
+    loop {
+        assert_eq!(heap.next_at(), cal.next_at(), "{what}");
+        let (a, b) = (pop_one(heap), pop_one(cal));
+        assert_eq!(a, b, "{what}");
+        let Some((at, _, _)) = a else {
+            assert!(cal.is_empty(), "{what}");
+            return last;
+        };
+        last = Some(at);
+    }
 }
 
 /// Applies the op sequence to both schedulers in lockstep, checking every
@@ -59,7 +101,8 @@ fn run_diff(ops: &[Op], bucket_width_ns: u64) {
         h.schedule(SimTime::from_ns(at), seq, seq);
         c.schedule(SimTime::from_ns(at), seq, seq);
     };
-    for op in ops {
+    // The shim does not shrink, so every failure names the op it hit.
+    for (i, op) in ops.iter().enumerate() {
         match *op {
             Op::Push(lead) => push(&mut heap, &mut cal, now + lead, 0),
             Op::Burst { lead, n } => {
@@ -75,31 +118,29 @@ fn run_diff(ops: &[Op], bucket_width_ns: u64) {
             Op::FarFuture(lead) => push(&mut heap, &mut cal, now + lead, 0),
             Op::Pop(n) => {
                 for _ in 0..n {
-                    let a = heap.pop().map(|e| (e.at, e.seq, e.payload));
-                    let b = cal.pop().map(|e| (e.at, e.seq, e.payload));
-                    assert_eq!(a, b);
+                    let (a, b) = (pop_one(&mut heap), pop_one(&mut cal));
+                    assert_eq!(a, b, "op {i}: {op:?}");
                     if let Some((at, _, _)) = a {
                         now = at.as_ns();
                     }
                 }
             }
             Op::PeekThenPush(lead) => {
-                assert_eq!(heap.next_at(), cal.next_at());
+                assert_eq!(heap.next_at(), cal.next_at(), "op {i}: {op:?}");
                 push(&mut heap, &mut cal, now + lead, 0);
             }
+            Op::DrainRefill { n, gap } => {
+                if let Some(at) = drain_both(&mut heap, &mut cal, &format!("op {i}: {op:?}")) {
+                    now = at.as_ns();
+                }
+                for j in 0..u64::from(n) {
+                    push(&mut heap, &mut cal, now + j * gap, (j % 4) as usize);
+                }
+            }
         }
-        assert_eq!(heap.len(), cal.len());
+        assert_eq!(heap.len(), cal.len(), "op {i}: {op:?}");
     }
-    loop {
-        assert_eq!(heap.next_at(), cal.next_at());
-        let a = heap.pop().map(|e| (e.at, e.seq, e.payload));
-        let b = cal.pop().map(|e| (e.at, e.seq, e.payload));
-        assert_eq!(a, b);
-        if a.is_none() {
-            assert!(cal.is_empty());
-            return;
-        }
-    }
+    drain_both(&mut heap, &mut cal, "final drain");
 }
 
 proptest! {
@@ -114,4 +155,80 @@ proptest! {
     ) {
         run_diff(&ops, width);
     }
+
+    /// Long enough to cross three re-tunes and more (the threshold starts
+    /// at 32 and doubles; the op mix nets about one pending event per op)
+    /// and to run at a few hundred resident events between them.
+    #[test]
+    fn calendar_drains_identically_to_heap_across_retunes(
+        ops in proptest::collection::vec(long_run_op_strategy(), 400..1_200),
+        width in prop_oneof![Just(1u64), Just(1_000), Just(1 << 20)],
+    ) {
+        run_diff(&ops, width);
+    }
+}
+
+/// A bucket holding three events takes inserts whose keys fall strictly
+/// between its head's and its tail's, with the simulator's non-monotone
+/// `(source << 48) | count` tiebreaks: the list-walk arm, which appends
+/// and head inserts never reach.
+#[test]
+fn inserts_between_a_buckets_head_and_tail_keep_it_sorted() {
+    let mut heap: HeapScheduler<u64> = HeapScheduler::new();
+    // One day is 2^20 ns wide, so every event below shares a bucket.
+    let mut cal: CalendarQueue<u64> = CalendarQueue::with_bucket_width(1 << 20);
+    let key = |src: u64, count: u64| (src << 48) | count;
+    let pushes = [
+        // Three events: head (100, src 0), middle, tail (300, src 3).
+        (100, key(0, 1)),
+        (200, key(2, 1)),
+        (300, key(3, 1)),
+        // Between head and tail by time.
+        (150, key(1, 1)),
+        // Between two events of one timestamp, by source.
+        (200, key(3, 2)),
+        (200, key(0, 2)),
+        (200, key(2, 2)),
+        // Directly behind the head, directly in front of the tail.
+        (100, key(0, 3)),
+        (300, key(0, 4)),
+    ];
+    for (at, seq) in pushes {
+        heap.schedule(SimTime::from_ns(at), seq, seq);
+        cal.schedule(SimTime::from_ns(at), seq, seq);
+    }
+    assert_eq!(cal.bucket_width_ns(), 1 << 20, "no re-tune split the day");
+    assert_eq!(heap.len(), pushes.len());
+    drain_both(&mut heap, &mut cal, "one-day drain");
+}
+
+/// The hold model at about 4k resident events for 200k operations: the
+/// steady state the proptest sequences are too short to reach. The fill
+/// arrives in same-instant bursts and crosses seven re-tunes (the
+/// threshold doubles from 32: 33, 67, 135, … 2175 bucketed events).
+#[test]
+fn steady_population_hold_run_matches_heap() {
+    const RESIDENT: u64 = 4_000;
+    let mut rng = SplitMix64::new(7);
+    let mut heap: HeapScheduler<u64> = HeapScheduler::new();
+    let mut cal: CalendarQueue<u64> = CalendarQueue::with_bucket_width(1_000);
+    for i in 0..RESIDENT {
+        let (at, seq) = (SimTime::from_ns(i / 64 * 2_000), ((i % 4) << 48) | i);
+        heap.schedule(at, seq, i);
+        cal.schedule(at, seq, i);
+    }
+    for i in RESIDENT..RESIDENT + 200_000 {
+        let (a, b) = (pop_one(&mut heap), pop_one(&mut cal));
+        assert_eq!(a, b, "hold {i}");
+        let (at, _, payload) = a.expect("a hold keeps the queue non-empty");
+        let lead = match rng.next_u64() % 6 {
+            0 => 1_500 + rng.next_u64() % 10_000,
+            _ => 2_000,
+        };
+        let seq = ((i % 4) << 48) | i;
+        heap.schedule(at + lead, seq, payload);
+        cal.schedule(at + lead, seq, payload);
+    }
+    assert_eq!(heap.len(), cal.len());
+    drain_both(&mut heap, &mut cal, "drain after the holds");
 }
