@@ -4,22 +4,20 @@
 //! ```sh
 //! cargo run -p p4auth-bench --bin repro                       # everything
 //! cargo run -p p4auth-bench --bin repro -- fig17              # one experiment
-//! cargo run -p p4auth-bench --bin repro -- scale --shards 4 --short
+//! cargo run -p p4auth-bench --bin repro -- scenarios --short
 //! cargo run -p p4auth-bench --bin repro -- users --baseline BENCH_users.json
 //! cargo run -p p4auth-bench --bin repro -- timeline --out /tmp/tl.json
 //! cargo run -p p4auth-bench --bin repro -- decode /tmp/tl.json.bin
 //! ```
 //!
-//! `--short` (CI-sized workloads) and `--shards <n>` reach the scale,
-//! users, timeline, trace and scenarios reports as a [`ReportArgs`].
-//! `--stagger <ns>` sets `P4AUTH_SHARD_STAGGER`, making the sharded
-//! engine inject deterministic per-worker wall-clock delays — the
-//! determinism gates run twice with different values to prove worker
-//! scheduling cannot affect the output. `--out <path>` writes the one
+//! `--short` (CI-sized workloads) reaches the users, timeline, trace and
+//! scenarios reports as a [`ReportArgs`]. `--out <path>` writes the one
 //! selected experiment's machine-readable output to `<path>` (plus
 //! `<path>.bin` for the binary form, where one exists); `--baseline
 //! <path>` points it at its checked-in JSON for the CI non-regression
-//! gates, which fail closed. `decode <file>` re-emits a binary artifact
+//! gates, which fail closed — as does the command line: an argument
+//! starting with `--` that is not one of these three flags is an error,
+//! not an experiment filter. `decode <file>` re-emits a binary artifact
 //! (`P4TS` snapshot/delta, `P4TL` timeline or `P4TR` trace) as canonical
 //! JSON.
 
@@ -39,7 +37,7 @@ const BASELINE: u8 = 2;
 /// Name, report, and which of `--out` / `--baseline` it accepts.
 type Experiment = (&'static str, fn(&ReportArgs), u8);
 
-const EXPERIMENTS: [Experiment; 18] = [
+const EXPERIMENTS: [Experiment; 17] = [
     ("table1", |_| report::table1(), 0),
     ("fig16", |_| report::fig16(), 0),
     ("fig17", |_| report::fig17(), 0),
@@ -51,7 +49,6 @@ const EXPERIMENTS: [Experiment; 18] = [
     ("table3", |_| report::table3(), 0),
     ("fct", |_| report::motivation_fct(), 0),
     ("metrics", report::metrics, OUT),
-    ("scale", report::scale, OUT | BASELINE),
     ("users", report::users, OUT | BASELINE),
     ("timeline", report::timeline, OUT),
     ("trace", report::trace, OUT),
@@ -60,13 +57,17 @@ const EXPERIMENTS: [Experiment; 18] = [
     ("ablation", |_| report::ablation_digest(), 0),
 ];
 
+const USAGE: &str = "usage: repro [<experiment>...] [--short] [--out <path>] \
+                     [--baseline <path>] | repro decode <file> [--out <path>]";
+
 /// Splits the command line into positional experiment names
-/// (substring-matched against the table) and the typed flags.
-fn parse(argv: &[String]) -> (Vec<String>, ReportArgs) {
+/// (substring-matched against the table) and the typed flags. Anything
+/// else that starts with `--` is an error: a mistyped `--short` must not
+/// silently select the full-size run.
+fn parse(argv: &[String]) -> Result<(Vec<String>, ReportArgs), String> {
     let mut filter = Vec::new();
     let mut args = ReportArgs {
         short: false,
-        shards: 4,
         out: None,
         baseline: None,
     };
@@ -75,35 +76,22 @@ fn parse(argv: &[String]) -> (Vec<String>, ReportArgs) {
         let mut operand = |what: &str| {
             it.next()
                 .cloned()
-                .unwrap_or_else(|| die(format!("{arg} needs {what}")))
+                .ok_or(format!("{arg} needs {what}\n{USAGE}"))
         };
         match arg.as_str() {
             "--short" => args.short = true,
-            "--shards" => {
-                let n = operand("a positive integer");
-                args.shards = match n.parse() {
-                    Ok(n) if n > 0 => n,
-                    _ => die("--shards needs a positive integer"),
-                };
-            }
-            "--stagger" => {
-                let ns = operand("a delay in nanoseconds");
-                if ns.parse::<u64>().is_err() {
-                    die("--stagger needs a delay in nanoseconds");
-                }
-                std::env::set_var("P4AUTH_SHARD_STAGGER", ns);
-            }
-            "--baseline" => args.baseline = Some(operand("a JSON path")),
-            "--out" => args.out = Some(operand("a file path")),
-            other => filter.push(other.to_string()),
+            "--baseline" => args.baseline = Some(operand("a JSON path")?),
+            "--out" => args.out = Some(operand("a file path")?),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}\n{USAGE}")),
+            name => filter.push(name.to_string()),
         }
     }
-    (filter, args)
+    Ok((filter, args))
 }
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (filter, args) = parse(&argv);
+    let (filter, args) = parse(&argv).unwrap_or_else(|e| die(e));
 
     // `decode <file>` is a converter, not an experiment: handle it before
     // the table loop so the file operand is not treated as a filter.
@@ -147,5 +135,44 @@ fn main() {
             "no experiment matches {filter:?}; available: {} decode",
             names.join(" ")
         ));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_words(line: &str) -> Result<(Vec<String>, ReportArgs), String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse(&argv)
+    }
+
+    #[test]
+    fn known_flags_and_names_parse() {
+        let (filter, args) = parse_words("users --short --out u.json --baseline b.json").unwrap();
+        assert_eq!(filter, ["users"]);
+        assert!(args.short);
+        assert_eq!(args.out.as_deref(), Some("u.json"));
+        assert_eq!(args.baseline.as_deref(), Some("b.json"));
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_not_filters() {
+        // The two flags that went with the sharded engine, and two typos:
+        // each used to land in the experiment filter, so `scenarios
+        // --shrot` ran the full mode and exited 0.
+        for flag in ["shards", "stagger", "shrot", "bogus-flag"] {
+            let err = parse_words(&format!("timeline --short --{flag} 4")).unwrap_err();
+            assert_eq!(err, format!("unknown flag --{flag}\n{USAGE}"));
+        }
+    }
+
+    #[test]
+    fn a_flag_missing_its_operand_is_an_error() {
+        for (line, flag) in [("users --out", "--out"), ("users --baseline", "--baseline")] {
+            let err = parse_words(line).unwrap_err();
+            assert!(err.starts_with(&format!("{flag} needs ")), "{line}: {err}");
+            assert!(err.ends_with(USAGE), "{line}: {err}");
+        }
     }
 }

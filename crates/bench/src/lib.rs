@@ -1,38 +1,28 @@
 //! # p4auth-bench
 //!
-//! The experiment-reproduction harness: one Criterion bench target per
-//! table and figure of the paper's evaluation (§IX), plus primitive
-//! micro-benchmarks. Each bench prints the paper-style rows/series before
-//! running its timing loops, so `cargo bench` regenerates the full
-//! evaluation; `EXPERIMENTS.md` records paper-vs-measured values.
+//! The experiment-reproduction harness. The `repro` binary regenerates
+//! every table and figure of the paper's evaluation (§IX) from the
+//! printers in [`report`], plus the machine-readable telemetry, timeline,
+//! trace, replica, users and scenario reports CI diffs and gates;
+//! `EXPERIMENTS.md` records paper-vs-measured values.
 //!
-//! | target | reproduces |
-//! |--------|------------|
-//! | `fig16_routescout` | Fig. 16 traffic distribution under the RouteScout attack |
-//! | `fig17_hula` | Fig. 17 traffic distribution under the HULA attack |
-//! | `fig18_rct` | Fig. 18 register read/write request completion time |
-//! | `fig19_throughput` | Fig. 19 register read/write throughput |
-//! | `fig20_kmp_rtt` | Fig. 20 key-management RTTs |
-//! | `fig21_hops` | Fig. 21 probe processing time vs. hop count |
-//! | `table1_impact` | Table I attack-impact scenarios |
-//! | `table2_resources` | Table II hardware resource utilization |
-//! | `table3_scalability` | Table III key-management scalability |
-//! | `ablation_digest_size` | §XI digest-width cost discussion |
-//! | `motivation_fct` | §II motivation: flow-completion-time inflation under the HULA probe attack |
-//! | `primitives` | MAC / KDF / DH micro-benchmarks |
+//! Four Criterion benches time what neither `repro` nor the standalone
+//! `benchmark/` package does (verdicts for these and the deleted ones in
+//! `EXPERIMENTS.md`):
+//!
+//! | target | times |
+//! |--------|-------|
+//! | `fig18_rct` | the agent's register request path with authentication on vs. off (`insecure_baseline`) |
+//! | `primitives` | MAC / KDF / DH micro-benchmarks across profiles, sizes and round counts |
 //! | `telemetry_overhead` | the Fig. 18 register loop on one agent, bare vs. with a registry attached |
 //! | `timeline_export` | cost of the sim-clock timeline recorder at two export intervals |
-//!
-//! Simulator events/sec (heap vs. calendar vs. sharded) is `repro --
-//! scale`, which checks in `BENCH_sim_scale.json`; it has no Criterion
-//! twin.
 
 pub mod report;
 /// The fault-injection scenario campaigns behind `repro -- scenarios`.
 pub use p4auth_systems::campaigns;
 /// The fat-tree scale workload, shared with the systems crate so CI, the
-/// `timeline_export` bench and `repro -- scale|timeline` all drive
-/// identical runs.
+/// `timeline_export` bench and `repro -- timeline` all drive identical
+/// runs.
 pub use p4auth_systems::scaleload as scale;
 /// The aggregate-host user-scale workload behind `repro -- users`.
 pub use p4auth_systems::userscale;

@@ -1,18 +1,16 @@
 //! The front door: a [`Workload`] is described once and run on any
 //! [`Engine`].
 //!
-//! Which engine executes a simulation — one [`Simulator`] on the calling
-//! thread, on either scheduler, or the sharded coordinator of
-//! [`crate::shard`] — is decided here and nowhere else. A caller collects
-//! nodes, boot timers, a telemetry registry, an export interval and a
-//! fault plan in any order; [`Workload::run`] applies them in the one
-//! canonical order (`populate`) on whichever engine it is given, so
-//! every engine sees the same set-up and no call site has an arm per
-//! engine.
+//! An engine is one [`Simulator`] on the calling thread, on one of the two
+//! schedulers; which one runs a simulation is decided here and nowhere
+//! else. A caller collects nodes, boot timers, a telemetry registry, an
+//! export interval and a fault plan in any order; [`Workload::run`]
+//! applies them in the one canonical order (`populate`) on whichever
+//! engine it is given, so every engine sees the same set-up and no call
+//! site has an arm per engine.
 
 use crate::fault::FaultPlan;
 use crate::sched::SchedulerKind;
-use crate::shard::{self, RoundAudit, ShardPlan, ShardTuning};
 use crate::sim::{SimNode, SimStats, Simulator};
 use crate::time::SimTime;
 use crate::timeline::Timeline;
@@ -27,12 +25,6 @@ use std::time::Instant;
 pub enum Engine {
     /// One [`Simulator`] on the calling thread, on the given scheduler.
     Sequential(SchedulerKind),
-    /// Sharded run: pod-aligned partition, conservative safe-window
-    /// rounds, always on the calendar scheduler per shard.
-    Sharded {
-        /// Worker shard count.
-        shards: usize,
-    },
 }
 
 impl Engine {
@@ -41,78 +33,51 @@ impl Engine {
 
     /// The canonical differential list: every engine that must reproduce
     /// [`Engine::REFERENCE`] bit for bit.
-    pub const DIFFERENTIAL: [Engine; 4] = [
-        Engine::Sequential(SchedulerKind::Heap),
-        Engine::Sharded { shards: 1 },
-        Engine::Sharded { shards: 2 },
-        Engine::Sharded { shards: 4 },
-    ];
+    pub const DIFFERENTIAL: [Engine; 1] = [Engine::Sequential(SchedulerKind::Heap)];
 
-    /// Short human-readable label (`heap`, `calendar`, `sharded-4`).
+    /// Short human-readable label (`heap`, `calendar`).
     pub fn label(&self) -> String {
-        match self {
-            Engine::Sequential(kind) => kind.label().to_string(),
-            Engine::Sharded { shards } => format!("sharded-{shards}"),
-        }
+        let Engine::Sequential(kind) = self;
+        kind.label().to_string()
     }
 }
 
 /// Outcome of [`Workload::run`].
 ///
 /// The simulation fields (`events`, `stats`, `now`, `timeline`) are
-/// deterministic and equal on every engine. The coordination fields
-/// (`rounds`, `windows`, `frames_exchanged`) are determined by the shard
-/// protocol and the workload alone, so they too are reproducible — and 0
-/// on a sequential engine. `wall_ns` and `barrier_wait_ns` are wall-clock
-/// and therefore **not** deterministic; keep them out of anything diffed
-/// for bit-identity.
-#[derive(Clone, Debug, Default)]
+/// deterministic and equal on every engine. `wall_ns` is wall-clock and
+/// therefore **not** deterministic; keep it out of anything diffed for
+/// bit-identity.
+#[derive(Clone, Debug)]
 pub struct RunReport {
-    /// Events processed (across all shards when sharded).
+    /// Events processed.
     pub events: u64,
-    /// Simulator statistics (field-wise sum over shards when sharded).
+    /// Simulator statistics.
     pub stats: SimStats,
-    /// Final simulated time: the time of the globally last event.
+    /// Final simulated time: the time of the last event.
     pub now: SimTime,
-    /// Wall-clock duration of the run. Sequential: the event loop alone.
-    /// Sharded: worker spawn, per-shard set-up, the rounds and the
-    /// telemetry/timeline merge.
+    /// Wall-clock duration of the event loop alone: set-up (`populate`)
+    /// and the timeline flush are outside it.
     pub wall_ns: u64,
-    /// Coordinator rendezvous executed (each grants a chain of windows).
-    pub rounds: u64,
-    /// Safe windows processed across all rounds (`>= rounds`; the ratio
-    /// is the chaining amortization factor).
-    pub windows: u64,
-    /// Cross-shard frames exchanged through the peer mailboxes.
-    pub frames_exchanged: u64,
-    /// Wall-clock nanoseconds the coordinator spent blocked waiting for
-    /// chain replies — the rendezvous cost made visible.
-    pub barrier_wait_ns: u64,
     /// The recorded telemetry timeline, when
     /// [`Workload::set_export_interval`] was called.
     pub timeline: Option<Timeline>,
-    /// Per-rendezvous synchronization records, only when
-    /// [`ShardTuning::audit`] asked for them.
-    pub audits: Vec<RoundAudit>,
 }
 
 /// A simulation described once — topology, nodes, boot timers, observers
 /// and fault plan — and run to completion on any [`Engine`].
 ///
 /// Setter order does not matter: nothing is applied until
-/// [`Workload::run`]. Nodes must be `Send` because a sharded engine ships
-/// them to worker threads; a sequential engine runs them on the calling
-/// thread.
+/// [`Workload::run`].
 pub struct Workload {
-    pub(crate) topology: Topology,
+    topology: Topology,
     /// Node behaviours in registration order.
-    pub(crate) nodes: Vec<(SwitchId, Box<dyn SimNode + Send>)>,
+    nodes: Vec<(SwitchId, Box<dyn SimNode>)>,
     /// Boot timers `(node, timer_id, delay_ns)` in registration order.
-    pub(crate) timers: Vec<(SwitchId, u64, u64)>,
-    pub(crate) telemetry: Option<Arc<Registry>>,
-    pub(crate) export_interval_ns: Option<u64>,
-    pub(crate) fault_plan: Option<FaultPlan>,
-    pub(crate) tuning: ShardTuning,
+    timers: Vec<(SwitchId, u64, u64)>,
+    telemetry: Option<Arc<Registry>>,
+    export_interval_ns: Option<u64>,
+    fault_plan: Option<FaultPlan>,
 }
 
 impl Workload {
@@ -125,14 +90,13 @@ impl Workload {
             telemetry: None,
             export_interval_ns: None,
             fault_plan: None,
-            tuning: ShardTuning::default(),
         }
     }
 
     /// Registers the behaviour for `id`. A node outside the topology or
     /// registered twice panics in [`Workload::run`], where
     /// [`Simulator::register_node`] checks both.
-    pub fn register_node(&mut self, id: SwitchId, node: Box<dyn SimNode + Send>) {
+    pub fn register_node(&mut self, id: SwitchId, node: Box<dyn SimNode>) {
         self.nodes.push((id, node));
     }
 
@@ -141,13 +105,7 @@ impl Workload {
         self.timers.push((node, timer_id, delay_ns));
     }
 
-    /// Attaches a telemetry registry. A sequential engine records straight
-    /// into it. A sharded engine **never** shares it with the workers:
-    /// each shard records into a private registry (capacities cloned from
-    /// this one) and the coordinator merges the per-shard snapshots in
-    /// shard-index order and absorbs the result here
-    /// ([`Registry::absorb`]), so counters, histograms, the event log and
-    /// the trace ring come out byte-identical on every engine.
+    /// Attaches a telemetry registry; the run records straight into it.
     pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
         self.telemetry = Some(registry);
     }
@@ -166,84 +124,51 @@ impl Workload {
     }
 
     /// Installs a [`FaultPlan`]: every scheduled link-state change becomes
-    /// a first-class sim event. In a sharded run every worker installs the
-    /// full plan — each shard must flip its own topology copy and notify
-    /// its own nodes at exactly the scheduled instants — but only the
-    /// shard owning a link's `a` endpoint tallies the event, so event
-    /// counts and `faults_applied` are the same on every engine.
+    /// a first-class sim event.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault_plan = Some(plan);
     }
 
-    /// Replaces the sharded engine's test and CI controls (custom plan,
-    /// chain depth, stagger, audit). No effect on a sequential engine,
-    /// and none on any engine's simulation output.
-    pub fn set_shard_tuning(&mut self, tuning: ShardTuning) {
-        self.tuning = tuning;
-    }
-
-    /// Runs to completion on `engine`.
-    ///
-    /// A panic inside a node reaches the caller with the node's own
-    /// payload on every engine (see [`crate::shard`] on how a dying
-    /// worker is propagated).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a custom [`ShardTuning::plan`] disagrees with the
-    /// engine's shard count.
-    pub fn run(mut self, engine: Engine) -> RunReport {
-        match engine {
-            Engine::Sequential(kind) => {
-                let mut sim = Simulator::with_scheduler(self.topology, kind);
-                // An export-only run still needs something to snapshot.
-                let registry = self
-                    .telemetry
-                    .or_else(|| self.export_interval_ns.map(|_| Arc::new(Registry::new())));
-                populate(
-                    &mut sim,
-                    registry,
-                    self.nodes,
-                    &self.timers,
-                    self.fault_plan.as_ref(),
-                    self.export_interval_ns,
-                );
-                let start = Instant::now();
-                let events = sim.run_to_completion();
-                let wall_ns = start.elapsed().as_nanos() as u64;
-                RunReport {
-                    events,
-                    stats: sim.stats(),
-                    now: sim.now(),
-                    wall_ns,
-                    timeline: sim.take_timeline(),
-                    ..RunReport::default()
-                }
-            }
-            Engine::Sharded { shards } => {
-                let plan = self
-                    .tuning
-                    .plan
-                    .take()
-                    .unwrap_or_else(|| ShardPlan::pod_aligned(&self.topology, shards));
-                assert_eq!(plan.nshards(), shards, "shard plan disagrees with engine");
-                shard::run(self, plan)
-            }
+    /// Runs to completion on `engine`. A panic inside a node unwinds to
+    /// the caller with the node's own payload.
+    pub fn run(self, engine: Engine) -> RunReport {
+        let Engine::Sequential(kind) = engine;
+        let mut sim = Simulator::with_scheduler(self.topology, kind);
+        // An export-only run still needs something to snapshot.
+        let registry = self
+            .telemetry
+            .or_else(|| self.export_interval_ns.map(|_| Arc::new(Registry::new())));
+        populate(
+            &mut sim,
+            registry,
+            self.nodes,
+            &self.timers,
+            self.fault_plan.as_ref(),
+            self.export_interval_ns,
+        );
+        let start = Instant::now();
+        let events = sim.run_to_completion();
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        RunReport {
+            events,
+            stats: sim.stats(),
+            now: sim.now(),
+            wall_ns,
+            timeline: sim.take_timeline(),
         }
     }
 }
 
-/// The canonical set-up order, applied to each [`Simulator`] an engine
+/// The canonical set-up order, applied to the [`Simulator`] an engine
 /// builds: telemetry → nodes → boot timers → fault plan → export interval.
 /// The interval goes last because a recording's baseline is the
 /// registry's state at the moment it starts: the boot timers' own
 /// `sim_events_scheduled` / `sim_event_lead_ns` updates belong to the
-/// baseline, not to the first delta. The fault plan goes after shard
-/// routing (the caller's job) so owner tallying is right.
-pub(crate) fn populate(
+/// baseline, not to the first delta.
+fn populate(
     sim: &mut Simulator,
     registry: Option<Arc<Registry>>,
-    nodes: Vec<(SwitchId, Box<dyn SimNode + Send>)>,
+    nodes: Vec<(SwitchId, Box<dyn SimNode>)>,
     timers: &[(SwitchId, u64, u64)],
     fault_plan: Option<&FaultPlan>,
     export_interval_ns: Option<u64>,

@@ -178,23 +178,6 @@ impl FatTree {
         for h in 0..self.host_count() {
             t.add_node(self.host(h)).unwrap();
         }
-        // Partition hints for the shard planner: everything inside pod `p`
-        // (aggregation, edge, hosts) forms community `p`; the core group
-        // owned by aggregation index `a` forms community `k + a`. Cutting
-        // along these communities leaves only agg–core links crossing
-        // shards, the sparsest cut a fat-tree offers.
-        for i in 0..self.core_count() {
-            t.set_partition_hint(self.core(i), (k + i / half) as u32);
-        }
-        for pod in 0..k {
-            for i in 0..half {
-                t.set_partition_hint(self.agg(pod, i), pod as u32);
-                t.set_partition_hint(self.edge(pod, i), pod as u32);
-            }
-        }
-        for h in 0..self.host_count() {
-            t.set_partition_hint(self.host(h), (h / self.hosts_per_pod()) as u32);
-        }
         for pod in 0..k {
             for e in 0..half {
                 let edge = self.edge(pod, e);
@@ -313,22 +296,6 @@ mod tests {
         for h in 0..16 {
             assert_eq!(t.neighbors(ft.host(h)).len(), 1);
         }
-    }
-
-    #[test]
-    fn partition_hints_are_pod_aligned() {
-        let ft = FatTree::new(4);
-        let t = ft.build(100);
-        assert!(t.has_partition_hints());
-        assert_eq!(t.partition_hint(ft.edge(2, 1)), Some(2));
-        assert_eq!(t.partition_hint(ft.agg(2, 0)), Some(2));
-        // Hosts inherit their pod's community (4 hosts per pod at k=4).
-        assert_eq!(t.partition_hint(ft.host(8)), Some(2));
-        // Core groups get communities past the pods: group a -> k + a.
-        assert_eq!(t.partition_hint(ft.core(0)), Some(4));
-        assert_eq!(t.partition_hint(ft.core(1)), Some(4));
-        assert_eq!(t.partition_hint(ft.core(2)), Some(5));
-        assert_eq!(t.partition_hint(ft.core(3)), Some(5));
     }
 
     #[test]

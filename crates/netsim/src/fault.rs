@@ -8,10 +8,10 @@
 //! [`crate::engine::Workload::set_fault_plan`]). Each change
 //! becomes a first-class sim event with its own tiebreak key, so a
 //! fault-injected run drains in exactly the same `(time, seq)` order on
-//! every engine: heap, calendar, and any shard count. Faults are *not*
-//! side-channel calls into [`crate::sim::Simulator::set_link_state`]
-//! mid-run — that would tie the flip to wherever the driving loop happens
-//! to pause, which differs between sequential and sharded execution.
+//! every engine. Faults are *not* side-channel calls into
+//! [`crate::sim::Simulator::set_link_state`] mid-run — that would tie the
+//! flip to wherever the driving loop happens to pause (`run_until`
+//! deadlines), not to the simulated instant.
 //!
 //! Boot storms need no simulator mechanism at all: a [`BootStorm`] is
 //! just a deterministic per-slot start offset that workload runners add
@@ -52,8 +52,7 @@ impl BootStorm {
 }
 
 /// A deterministic fault schedule: time-sorted link-state changes plus an
-/// optional boot-storm descriptor. Cheap to clone (sharded workers each
-/// install the full plan).
+/// optional boot-storm descriptor.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Sorted by `(at_ns, link, up)`, exact duplicates removed.

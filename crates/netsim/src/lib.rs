@@ -28,15 +28,10 @@
 //!   pluggable [`sched::Scheduler`] — a calendar queue by default, with the
 //!   reference binary heap available for differential testing. Both drain
 //!   events in the identical `(time, seq)` order.
-//! * **Sharded execution** ([`shard`]): the node set can be partitioned
-//!   across worker threads (pod-aligned on fat-trees), synchronized with
-//!   conservative lookahead derived from link latency floors. The merge
-//!   order reproduces the sequential tiebreak, so sharded runs are
-//!   bit-identical to single-threaded ones.
 //! * **One front door** ([`engine`]): a [`Workload`] — nodes, boot timers,
 //!   registry, export interval, fault plan — is described once and run on
-//!   any [`Engine`]; set-up order and failure propagation are the same on
-//!   all of them.
+//!   any [`Engine`] (one event loop on the calling thread, calendar queue
+//!   or its heap oracle); set-up order is the same on both.
 //! * **Fault injection** ([`fault`]): deterministic churn schedules — link
 //!   flaps, correlated groups, switch/pod failure and recovery, boot-storm
 //!   stagger — installed as first-class sim events so fault-injected runs
@@ -81,7 +76,6 @@ pub mod fattree;
 pub mod fault;
 pub mod frame;
 pub mod sched;
-pub mod shard;
 pub mod sim;
 pub mod time;
 pub mod timeline;
@@ -92,7 +86,6 @@ pub use fattree::FatTree;
 pub use fault::{BootStorm, FaultPlan};
 pub use frame::FrameBytes;
 pub use sched::SchedulerKind;
-pub use shard::{ShardPlan, ShardTuning};
 pub use sim::{Outbox, SimNode, Simulator, TapAction, TapFrame};
 pub use time::SimTime;
 pub use timeline::{Timeline, TimelineEntry};

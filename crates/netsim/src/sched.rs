@@ -12,9 +12,8 @@
 //!
 //! `seq` values only have to be *unique*, not monotone: the simulator
 //! packs `(source node, per-source count)` into them (see
-//! [`crate::sim::Simulator`]), which keeps the tiebreak locally
-//! computable by any shard of a partitioned run ([`crate::shard`]) while
-//! preserving a total drain order.
+//! [`crate::sim::Simulator`]). The key stays per-source because every
+//! checked-in artefact's same-instant drain order depends on it.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -73,16 +72,6 @@ pub trait Scheduler<T> {
 
     /// Timestamp of the earliest pending event, without removing it.
     fn next_at(&mut self) -> Option<SimTime>;
-
-    /// The scheduler's horizon: a lower bound on the timestamp of any
-    /// event this queue can still yield, i.e. the earliest pending event
-    /// (or `None` when empty, meaning "no bound from local state"). The
-    /// shard runtime ([`crate::shard`]) grants each shard a processing
-    /// window derived from its neighbours' horizons plus the minimum
-    /// inter-shard link latency.
-    fn horizon(&mut self) -> Option<SimTime> {
-        self.next_at()
-    }
 
     /// Removes and returns the earliest pending event.
     fn pop(&mut self) -> Option<Scheduled<T>>;

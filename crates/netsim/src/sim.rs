@@ -182,24 +182,15 @@ enum EventKind {
         timer_id: u64,
     },
     /// A scheduled link-state change from a [`crate::fault::FaultPlan`].
-    /// In a sharded run every worker holds its own copy of each fault
-    /// (the topology is replicated, so every shard must flip its own
-    /// view); `count_here` marks the one shard — the owner of the link's
-    /// `a` endpoint — whose pop counts toward the event tally and the
-    /// `faults_applied` statistics, so sharded totals still sum to the
-    /// sequential run's.
     Fault {
         link: LinkId,
         up: bool,
-        count_here: bool,
     },
 }
 
 /// Bits of the tiebreak key reserved for the per-source event count; the
-/// top 16 bits carry the source's raw switch id. Any engine that knows a
-/// frame's sender can therefore compute the exact key a sequential run
-/// would have assigned, which is what lets [`crate::shard`] reproduce the
-/// sequential drain order without a global counter.
+/// top 16 bits carry the source's raw switch id (see [`crate::sched`] on
+/// why the key is per source rather than one global counter).
 const SRC_SEQ_BITS: u32 = 48;
 
 /// The pseudo-source id fault events carry in their tiebreak keys: above
@@ -207,17 +198,6 @@ const SRC_SEQ_BITS: u32 = 48;
 /// events sorts after them — identically on every engine, because the
 /// fault sequence counter advances in plan order on each of them.
 const FAULT_SRC_ID: u64 = u16::MAX as u64;
-
-/// A frame arrival destined for a node owned by another shard, diverted
-/// out of the local queue at schedule time and carried to the owning
-/// shard by the shard runtime.
-#[derive(Debug)]
-pub(crate) struct RemoteEvent {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) dst: Endpoint,
-    pub(crate) payload: FrameBytes,
-}
 
 /// Simulation statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -232,8 +212,7 @@ pub struct SimStats {
     pub frames_undeliverable: u64,
     /// Timer callbacks fired.
     pub timers_fired: u64,
-    /// Scheduled fault events applied (each counted once globally, on the
-    /// owning shard in a sharded run).
+    /// Scheduled fault events applied.
     pub faults_applied: u64,
 }
 
@@ -259,20 +238,6 @@ struct SimTelemetry {
     /// Lazily created on the first applied fault, so fault-free runs keep
     /// their snapshots byte-identical to before fault injection existed.
     faults_applied: Option<Arc<Counter>>,
-}
-
-/// Shard-routing state for a worker's simulator: frame arrivals whose
-/// destination another shard owns are diverted into a per-destination
-/// buffer instead of the local queue, so the shard runtime can hand each
-/// peer one batch per window instead of routing frames one by one.
-struct ShardRoute {
-    /// Owning shard per node, dense by raw switch id.
-    assign: Vec<u32>,
-    /// The shard this simulator runs.
-    self_shard: u32,
-    /// Diverted frame arrivals awaiting collection, indexed by
-    /// destination shard (`outbound[self_shard]` stays empty).
-    outbound: Vec<Vec<RemoteEvent>>,
 }
 
 impl SimTelemetry {
@@ -318,9 +283,7 @@ impl SimTelemetry {
 /// queue itself is pluggable ([`SchedulerKind`]): the default calendar
 /// queue and the reference binary heap drain events in exactly the same
 /// `(time, seq)` order, so results are bit-identical either way. Tiebreak
-/// keys pack `(source node, per-source count)` rather than a global push
-/// counter, so a partitioned run ([`crate::shard`]) computes the very same
-/// keys shard-locally and reproduces the sequential drain order exactly.
+/// keys pack `(source node, per-source count)`.
 pub struct Simulator {
     topology: Topology,
     /// Node behaviours, dense by raw switch id.
@@ -335,9 +298,6 @@ pub struct Simulator {
     /// advances in plan-installation order, so every engine assigns each
     /// fault the identical tiebreak key.
     fault_seq: u64,
-    /// When sharded: the owner assignment and per-peer outbound buffers.
-    /// `None` means this simulator owns everything (the sequential case).
-    route: Option<ShardRoute>,
     /// Installed taps, dense by `link * 2 + direction`.
     taps: Vec<Option<Tap>>,
     /// Number of installed taps (skips tap bookkeeping when zero).
@@ -401,7 +361,6 @@ impl Simulator {
             now: SimTime::ZERO,
             src_seq: vec![0; max_id + 1],
             fault_seq: 0,
-            route: None,
             taps: (0..link_slots).map(|_| None).collect(),
             tap_count: 0,
             tx_free_at: vec![SimTime::ZERO; link_slots],
@@ -442,30 +401,12 @@ impl Simulator {
         self.recorder = Some(ExportRecorder::new(registry, interval_ns));
     }
 
-    /// Ends a recording at sim-time `to` (capturing pending boundaries
-    /// plus a tail snapshot) without consuming it. Used by the shard
-    /// runtime to stop every worker's recorder at the same global end
-    /// time; single-simulator callers normally just use
-    /// [`Simulator::take_timeline`].
-    pub fn flush_timeline(&mut self, to: SimTime) {
-        if let Some(rec) = &mut self.recorder {
-            rec.flush(to.as_ns());
-        }
-    }
-
     /// Stops recording and returns the finished [`Timeline`] (flushed to
     /// the current sim clock), or `None` when no export interval was set.
     pub fn take_timeline(&mut self) -> Option<Timeline> {
         let mut rec = self.recorder.take()?;
         rec.flush(self.now.as_ns());
         Some(rec.into_timeline())
-    }
-
-    /// Stops recording and returns the raw capture parts
-    /// `(interval_ns, baseline, boundary snapshots, final)` for the shard
-    /// coordinator to merge across workers.
-    pub(crate) fn take_timeline_parts(&mut self) -> Option<crate::timeline::TimelineParts> {
-        Some(self.recorder.take()?.into_parts())
     }
 
     /// The scheduler implementation this simulator runs on.
@@ -679,11 +620,7 @@ impl Simulator {
     /// Installs a [`crate::fault::FaultPlan`]: every scheduled link-state
     /// change becomes a first-class sim event, applied between the other
     /// events of its instant in a fixed drain position — so fault-injected
-    /// runs stay bit-identical across schedulers and shard counts. In a
-    /// sharded run every worker installs the full plan (each must flip its
-    /// own topology copy and notify its own nodes); call this *after*
-    /// shard routing is set so the owner accounting is correct — the front
-    /// door does ([`crate::engine::Workload::set_fault_plan`]).
+    /// runs stay bit-identical across schedulers.
     ///
     /// # Panics
     ///
@@ -696,33 +633,19 @@ impl Simulator {
 
     /// Schedules one link-state change. Fault keys use the pseudo-source
     /// [`FAULT_SRC_ID`] with their own sequence counter, so every engine
-    /// assigns identical keys; scheduling records **no** telemetry
-    /// (every shard schedules every fault — counting here would multiply
-    /// `sim_events_scheduled` by the shard count) and the pop is counted
-    /// only where `count_here` is set: the shard owning the link's `a`
-    /// endpoint, or unconditionally in a sequential run.
+    /// assigns identical keys. Scheduling a fault records **no** telemetry
+    /// (`sim_events_scheduled` counts what nodes and callers schedule, and
+    /// every recorded artefact depends on that).
     fn push_fault(&mut self, at: SimTime, link: LinkId, up: bool) {
         assert!(at >= self.now, "fault scheduled in the past");
-        let l = self.topology.link(link).expect("fault on unknown link");
-        let count_here = match &self.route {
-            Some(route) => route.assign[l.a.node.value() as usize] == route.self_shard,
-            None => true,
-        };
+        assert!(self.topology.link(link).is_some(), "fault on unknown link");
         self.fault_seq += 1;
         assert!(
             self.fault_seq < (1u64 << SRC_SEQ_BITS),
             "fault event sequence counter overflowed"
         );
         let seq = (FAULT_SRC_ID << SRC_SEQ_BITS) | self.fault_seq;
-        self.queue.schedule(
-            at,
-            seq,
-            EventKind::Fault {
-                link,
-                up,
-                count_here,
-            },
-        );
+        self.queue.schedule(at, seq, EventKind::Fault { link, up });
     }
 
     fn push(&mut self, src: SwitchId, at: SimTime, kind: EventKind) {
@@ -737,26 +660,6 @@ impl Simulator {
             "per-source event sequence counter overflowed"
         );
         let seq = ((src.value() as u64) << SRC_SEQ_BITS) | *count;
-        let peer = match (&self.route, &kind) {
-            (Some(route), EventKind::FrameArrival { dst, .. }) => {
-                let owner = route.assign[dst.node.value() as usize];
-                (owner != route.self_shard).then_some(owner)
-            }
-            _ => None,
-        };
-        if let Some(peer) = peer {
-            let EventKind::FrameArrival { dst, payload } = kind else {
-                unreachable!("only frame arrivals can cross shards")
-            };
-            let route = self.route.as_mut().expect("route checked above");
-            route.outbound[peer as usize].push(RemoteEvent {
-                at,
-                seq,
-                dst,
-                payload,
-            });
-            return;
-        }
         self.queue.schedule(at, seq, kind);
     }
 
@@ -883,17 +786,9 @@ impl Simulator {
 
     /// Processes a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        self.step_tallied().is_some()
-    }
-
-    /// Processes a single event; `None` when the queue is empty, else
-    /// `Some(counted)` where `counted` says whether this event belongs in
-    /// the processed-event tally. Fault events on links owned by another
-    /// shard are popped (every shard must flip its own topology copy) but
-    /// tallied only by the owner, so sequential and sharded runs report
-    /// identical event counts.
-    fn step_tallied(&mut self) -> Option<bool> {
-        let event = self.queue.pop()?;
+        let Some(event) = self.queue.pop() else {
+            return false;
+        };
         debug_assert!(event.at >= self.now, "time went backwards");
         if let Some(rec) = &mut self.recorder {
             // Capture any export-grid boundaries this event is about to
@@ -948,22 +843,15 @@ impl Simulator {
                     self.flush_and_return(id, out);
                 }
             }
-            EventKind::Fault {
-                link,
-                up,
-                count_here,
-            } => {
-                if count_here {
-                    self.stats.faults_applied += 1;
-                    if let Some(t) = &mut self.telemetry {
-                        t.faults_applied().inc();
-                    }
+            EventKind::Fault { link, up } => {
+                self.stats.faults_applied += 1;
+                if let Some(t) = &mut self.telemetry {
+                    t.faults_applied().inc();
                 }
                 self.apply_link_state(link, up);
-                return Some(count_here);
             }
         }
-        Some(true)
+        true
     }
 
     /// Runs until the queue drains or `deadline` passes. Events scheduled
@@ -972,13 +860,10 @@ impl Simulator {
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut processed = 0;
         while let Some(at) = self.queue.next_at() {
-            if at > deadline {
+            if at > deadline || !self.step() {
                 break;
             }
-            let Some(counted) = self.step_tallied() else {
-                break;
-            };
-            processed += counted as u64;
+            processed += 1;
         }
         if self.now < deadline {
             self.now = deadline;
@@ -989,83 +874,8 @@ impl Simulator {
     /// Runs until the event queue is empty. Returns events processed.
     pub fn run_to_completion(&mut self) -> u64 {
         let mut processed = 0;
-        while let Some(counted) = self.step_tallied() {
-            processed += counted as u64;
-        }
-        processed
-    }
-
-    /// Timestamp of the earliest pending event, if any.
-    pub fn next_event_at(&mut self) -> Option<SimTime> {
-        self.queue.next_at()
-    }
-
-    /// Installs shard routing: `assign` names the owning shard per node
-    /// (dense by raw switch id), and frame arrivals destined to a node
-    /// another shard owns are diverted to that peer's outbound buffer
-    /// instead of the local queue. Timers never cross shards (a node's
-    /// timers are its own), so they always stay local.
-    pub(crate) fn set_shard_route(&mut self, assign: Vec<u32>, nshards: usize, self_shard: u32) {
-        assert_eq!(
-            assign.len(),
-            self.nodes.len(),
-            "assignment must cover every id"
-        );
-        assert!((self_shard as usize) < nshards, "self shard out of range");
-        self.route = Some(ShardRoute {
-            assign,
-            self_shard,
-            outbound: (0..nshards).map(|_| Vec::new()).collect(),
-        });
-    }
-
-    /// Drains the buffer of frame arrivals diverted to shard `peer`.
-    pub(crate) fn take_outbound_for(&mut self, peer: usize) -> Vec<RemoteEvent> {
-        match &mut self.route {
-            Some(route) => std::mem::take(&mut route.outbound[peer]),
-            None => Vec::new(),
-        }
-    }
-
-    /// Total diverted frames not yet collected, across all peers (used by
-    /// the shard runtime to check that every frame left through a link to
-    /// a known peer).
-    pub(crate) fn outbound_pending(&self) -> usize {
-        self.route
-            .as_ref()
-            .map_or(0, |route| route.outbound.iter().map(Vec::len).sum())
-    }
-
-    /// Enqueues a frame arrival diverted from another shard. Its tiebreak
-    /// key was already allocated (and its telemetry counted) on the
-    /// sending shard, so this is a plain insert.
-    pub(crate) fn inject_remote(&mut self, ev: RemoteEvent) {
-        debug_assert!(ev.at >= self.now, "remote event would move time backwards");
-        self.queue.schedule(
-            ev.at,
-            ev.seq,
-            EventKind::FrameArrival {
-                dst: ev.dst,
-                payload: ev.payload,
-            },
-        );
-    }
-
-    /// Processes every pending event strictly below `bound` (the shard's
-    /// granted safe window). Unlike [`Simulator::run_until`], the clock is
-    /// moved only by pops — never parked at the bound — so `now` matches
-    /// what a sequential run would show after the same pops. Returns the
-    /// number of events processed.
-    pub(crate) fn run_window(&mut self, bound: SimTime) -> u64 {
-        let mut processed = 0;
-        while let Some(at) = self.queue.next_at() {
-            if at >= bound {
-                break;
-            }
-            let Some(counted) = self.step_tallied() else {
-                break;
-            };
-            processed += counted as u64;
+        while self.step() {
+            processed += 1;
         }
         processed
     }

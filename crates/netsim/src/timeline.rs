@@ -8,9 +8,9 @@
 //! a grid boundary `k × interval`, the registry is snapshotted *before*
 //! that event is processed — so each capture is exactly "all effects of
 //! events strictly before the boundary", regardless of how the run is
-//! chunked (`run_until`, safe-window rounds, one engine or many). That is
+//! chunked (`run_until` deadlines) or which scheduler drains it. That is
 //! the invariant that makes timelines bit-identical across the heap and
-//! calendar schedulers and the sharded runtime.
+//! calendar schedulers.
 //!
 //! The recorder keeps the first snapshot as the baseline and emits a
 //! [`SnapshotDelta`] per boundary where anything changed; quiet
@@ -25,10 +25,6 @@ use p4auth_telemetry::snapshot::bin::{
 };
 use p4auth_telemetry::{Registry, Snapshot, SnapshotDelta};
 use std::sync::Arc;
-
-/// Raw recorder output `(interval_ns, baseline, boundary captures,
-/// final)` — what the shard coordinator merges across workers.
-pub(crate) type TimelineParts = (u64, Snapshot, Vec<(u64, Snapshot)>, Snapshot);
 
 /// File magic for serialized timelines (single snapshots use `P4TS`).
 pub const TIMELINE_MAGIC: [u8; 4] = *b"P4TL";
@@ -61,9 +57,7 @@ pub struct Timeline {
 
 impl Timeline {
     /// Builds a timeline from boundary-stamped *full* snapshots by
-    /// diffing consecutive states, dropping empty deltas. Both the
-    /// sequential recorder and the sharded coordinator funnel through
-    /// this, which is what makes their outputs structurally identical.
+    /// diffing consecutive states, dropping empty deltas.
     pub fn from_captures(
         interval_ns: u64,
         baseline: Snapshot,
@@ -226,17 +220,10 @@ impl ExportRecorder {
         self.capture(to_ns);
     }
 
-    /// Consumes the recorder into `(baseline, captures, final)` — the
-    /// raw parts the sharded coordinator merges across workers.
-    pub(crate) fn into_parts(self) -> TimelineParts {
-        let fin = self.registry.snapshot();
-        (self.interval_ns, self.baseline, self.captures, fin)
-    }
-
     /// Consumes the recorder into a finished [`Timeline`].
     pub(crate) fn into_timeline(self) -> Timeline {
-        let (interval_ns, baseline, captures, fin) = self.into_parts();
-        Timeline::from_captures(interval_ns, baseline, captures, fin)
+        let fin = self.registry.snapshot();
+        Timeline::from_captures(self.interval_ns, self.baseline, self.captures, fin)
     }
 }
 

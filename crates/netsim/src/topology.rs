@@ -104,11 +104,6 @@ pub struct Topology {
     nodes: Vec<SwitchId>,
     links: Vec<Link>,
     port_map: HashMap<Endpoint, LinkId>,
-    /// Community labels for the shard planner ([`crate::shard::ShardPlan`]):
-    /// nodes sharing a label are tightly coupled (e.g. a fat-tree pod) and
-    /// should land on the same shard. Hand-built topologies usually leave
-    /// this empty, in which case the planner falls back to round-robin.
-    partition_hints: HashMap<SwitchId, u32>,
 }
 
 impl Topology {
@@ -237,23 +232,6 @@ impl Topology {
             .map(|l| l.latency_ns)
             .filter(|&l| l > 0)
             .min()
-    }
-
-    /// Tags `node` with a partition community for the shard planner.
-    /// Nodes sharing a community are placed on the same shard when the
-    /// shard count allows it; see [`crate::shard::ShardPlan::pod_aligned`].
-    pub fn set_partition_hint(&mut self, node: SwitchId, community: u32) {
-        self.partition_hints.insert(node, community);
-    }
-
-    /// The partition community `node` was tagged with, if any.
-    pub fn partition_hint(&self, node: SwitchId) -> Option<u32> {
-        self.partition_hints.get(&node).copied()
-    }
-
-    /// Whether any node carries a partition hint.
-    pub fn has_partition_hints(&self) -> bool {
-        !self.partition_hints.is_empty()
     }
 
     /// The neighbours of `node` over up links: `(local port, neighbour)`.

@@ -3,22 +3,20 @@
 //! per-node delivery streams, aggregate stats, final clock and telemetry
 //! fingerprints, plus timeline and trace bytes when those observers are
 //! on — on the reference engine and every engine of
-//! [`Engine::DIFFERENTIAL`]: sequential heap and sharded with 1, 2 and 4
-//! shards. The same helper proves that the order the front door's setters
-//! are called in changes nothing, and that a panicking node fails every
-//! engine the same way.
+//! [`Engine::DIFFERENTIAL`]. The same helper proves that the order the
+//! front door's setters are called in changes nothing, and that a
+//! panicking node fails every engine the same way.
 //!
 //! Every node records each frame it receives as `(time, ingress port,
-//! payload bytes)`. Comparing those streams per node (rather than one
-//! global log) is exactly the bit-identity claim: shards interleave
-//! differently in wall time, but each node must observe the identical
-//! sequence of deliveries at identical simulated instants.
+//! payload bytes)`. Comparing those streams per node is exactly the
+//! bit-identity claim: each node must observe the identical sequence of
+//! deliveries at identical simulated instants.
 
 use p4auth_netsim::engine::{Engine, Workload};
 use p4auth_netsim::fattree::FatTree;
 use p4auth_netsim::fault::FaultPlan;
 use p4auth_netsim::frame::FrameBytes;
-use p4auth_netsim::shard::{ShardPlan, ShardTuning};
+use p4auth_netsim::sched::SchedulerKind;
 use p4auth_netsim::sim::{Outbox, SimNode, SimStats};
 use p4auth_netsim::time::SimTime;
 use p4auth_netsim::timeline::Timeline;
@@ -28,10 +26,8 @@ use p4auth_telemetry::trace::encode_trace;
 use p4auth_telemetry::Registry;
 use p4auth_wire::ids::{PortId, SwitchId};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 const READ_FRAME_BYTES: usize = 34;
 const WRITE_FRAME_BYTES: usize = 58;
@@ -222,13 +218,8 @@ struct RunResult {
     trace_bin: Vec<u8>,
 }
 
-/// Populates the workload once and runs it on `engine`. A sharded engine
-/// runs under the programmatic wall-clock stagger schedule `stagger_ns`
-/// (empty = no artificial delays, and isolated from any ambient
-/// `P4AUTH_SHARD_STAGGER`): workers sleep schedule-determined amounts
-/// before each window publish and each rendezvous reply, forcing
-/// adversarial interleavings that must not leak into any output.
-fn run(case: &Case, engine: Engine, stagger_ns: &[u64]) -> RunResult {
+/// Populates the workload once and runs it on `engine`.
+fn run(case: &Case, engine: Engine) -> RunResult {
     let ft = FatTree::new(case.k);
     let streams = make_streams(&ft);
     let registry = Arc::new(Registry::with_capacities(
@@ -236,10 +227,6 @@ fn run(case: &Case, engine: Engine, stagger_ns: &[u64]) -> RunResult {
         case.trace_capacity,
     ));
     let mut w = Workload::new(ft.build(LATENCY_NS));
-    w.set_shard_tuning(ShardTuning {
-        stagger_ns: stagger_ns.to_vec(),
-        ..ShardTuning::default()
-    });
     for step in case.order {
         match step {
             Step::Registry => w.set_telemetry(registry.clone()),
@@ -314,79 +301,46 @@ fn every_engine() -> impl Iterator<Item = Engine> {
     [Engine::REFERENCE].into_iter().chain(Engine::DIFFERENTIAL)
 }
 
-/// Runs `case` on the reference engine, then on every `(engine, stagger)`
-/// of `others`, and asserts each reproduces it.
-fn assert_bit_identical(
-    case: &Case,
-    others: impl IntoIterator<Item = (Engine, Vec<u64>)>,
-) -> RunResult {
-    let reference = run(case, Engine::REFERENCE, &[]);
+/// Runs `case` on the reference engine, then on every engine of the
+/// differential list, and asserts each reproduces it.
+fn assert_bit_identical(case: &Case) -> RunResult {
+    let reference = run(case, Engine::REFERENCE);
     assert!(
         reference.stats.frames_delivered > 0,
         "workload must generate traffic"
     );
-    for (engine, stagger_ns) in others {
-        let ctx = format!("k={}: {} (stagger {stagger_ns:?})", case.k, engine.label());
-        assert_runs_match(&ctx, &reference, &run(case, engine, &stagger_ns));
+    for engine in Engine::DIFFERENTIAL {
+        let ctx = format!("k={}: {}", case.k, engine.label());
+        assert_runs_match(&ctx, &reference, &run(case, engine));
     }
     reference
 }
 
-fn unstaggered() -> impl Iterator<Item = (Engine, Vec<u64>)> {
-    Engine::DIFFERENTIAL.into_iter().map(|e| (e, Vec::new()))
+/// A scheduler on neither list would have no differential. The match is
+/// exhaustive on purpose: a third `SchedulerKind` stops this file
+/// compiling until it has a slot here, and the test then fails until an
+/// engine on one of the two lists runs it.
+#[test]
+fn reference_and_differential_cover_every_scheduler() {
+    let mut covered = [false; 2];
+    for Engine::Sequential(kind) in every_engine() {
+        let slot = match kind {
+            SchedulerKind::Calendar => 0,
+            SchedulerKind::Heap => 1,
+        };
+        covered[slot] = true;
+    }
+    assert_eq!(covered, [true; 2], "a scheduler no differential runs");
 }
 
 #[test]
 fn fat_tree_4_bit_identical_across_engines() {
-    assert_bit_identical(&Case::new(4, 30), unstaggered());
+    assert_bit_identical(&Case::new(4, 30));
 }
 
 #[test]
 fn fat_tree_8_bit_identical_across_engines() {
-    assert_bit_identical(&Case::new(8, 8), unstaggered());
-}
-
-/// The bit-identity claim under adversarial worker scheduling: with
-/// wall-clock stagger injected into the workers (different schedule per
-/// run), every output — delivery streams, stats, final clock, merged
-/// telemetry — still equals the sequential reference byte for byte.
-#[test]
-fn fat_tree_4_bit_identical_under_adversarial_stagger() {
-    let others = [
-        (Engine::Sharded { shards: 4 }, vec![120_000, 0, 40_000]),
-        (Engine::Sharded { shards: 4 }, vec![7_000]),
-        (Engine::Sharded { shards: 2 }, vec![0, 90_000]),
-    ];
-    assert_bit_identical(&Case::new(4, 20), others);
-}
-
-/// Regression for the telemetry-merge redesign: with the event log
-/// enabled, the merged snapshot JSON — counters, histograms *and* the
-/// event stream — is identical across adversarial worker interleavings.
-/// (Before per-shard private registries, workers raced appends into one
-/// shared log and the event order depended on thread scheduling.) The
-/// reference here is the unstaggered sharded run: same-instant events of
-/// different shards merge in shard order, not the sequential one.
-#[test]
-fn event_log_merge_is_identical_across_adversarial_interleavings() {
-    let case = Case {
-        event_capacity: 512,
-        ..Case::new(4, 12)
-    };
-    let four = Engine::Sharded { shards: 4 };
-    let reference = run(&case, four, &[]);
-    assert!(
-        reference.telemetry_json.contains("frame_delivered"),
-        "the event log must have captured traffic"
-    );
-    let schedules: [&[u64]; 3] = [&[150_000], &[0, 0, 80_000], &[60_000, 20_000]];
-    for stagger in schedules {
-        assert_eq!(
-            run(&case, four, stagger),
-            reference,
-            "run diverged under stagger {stagger:?}"
-        );
-    }
+    assert_bit_identical(&Case::new(8, 8));
 }
 
 /// The order trap, closed: whatever order the front door's setters are
@@ -401,7 +355,7 @@ fn setter_order_changes_nothing_on_any_engine() {
     let mut faults = FaultPlan::new();
     faults.flap(LinkId(5), 900, 4_000);
     let canonical = Case::observed(4, 6, 1_000, faults);
-    let reference = run(&canonical, Engine::REFERENCE, &[]);
+    let reference = run(&canonical, Engine::REFERENCE);
     let baseline = Timeline::from_bin(reference.timeline_bin.as_ref().unwrap()).unwrap();
     assert_eq!(
         baseline.baseline.counter("sim_events_scheduled", ""),
@@ -423,45 +377,22 @@ fn setter_order_changes_nothing_on_any_engine() {
         };
         for engine in every_engine() {
             let ctx = format!("{order:?} on {}", engine.label());
-            assert_runs_match(&ctx, &reference, &run(&case, engine, &[]));
+            assert_runs_match(&ctx, &reference, &run(&case, engine));
         }
     }
 }
 
-/// Runs `f` on its own thread and fails if it has not returned within 30 s
-/// of wall clock: a hang must fail the test, not stall it.
-fn within_timeout<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || tx.send(f()));
-    rx.recv_timeout(Duration::from_secs(30))
-        .expect("the run hung")
-}
-
 /// Every engine fails the same way: a node's panic reaches the caller
-/// with the node's own message, wherever the node runs. Before the
-/// workers closed their mailboxes on the way out, a bomb on any shard but
-/// shard 0 left shard 0 waiting on its mailbox and the coordinator
-/// waiting on shard 0, forever; a bomb on shard 0 surfaced as `worker
-/// died mid-round: RecvError`.
+/// with the node's own message.
 #[test]
 fn a_node_panic_reaches_the_caller_on_every_engine() {
-    // One host per pod: one bomb per shard at 4 shards (and on both
-    // shards at 2).
-    let bombs = [0u16, 4, 8, 12];
-    let ft = FatTree::new(4);
-    let plan = ShardPlan::pod_aligned(&ft.build(LATENCY_NS), 4);
-    let shards: BTreeSet<usize> = bombs.iter().map(|&h| plan.shard_of(ft.host(h))).collect();
-    assert_eq!(shards.len(), 4, "the bombs must cover every shard");
-
     for engine in every_engine() {
-        for bomb in bombs {
+        for bomb in [0u16, 4, 8, 12] {
             let case = Case {
                 bomb: Some(bomb),
                 ..Case::new(4, 20)
             };
-            let outcome = within_timeout(move || {
-                catch_unwind(AssertUnwindSafe(|| run(&case, engine, &[]))).map(|_| ())
-            });
+            let outcome = catch_unwind(AssertUnwindSafe(|| run(&case, engine))).map(|_| ());
             let payload = outcome.expect_err("the bomb must go off");
             assert_eq!(
                 payload.downcast_ref::<String>().map(String::as_str),
@@ -478,25 +409,20 @@ proptest! {
 
     /// All observers at once — fault plan, registry, export interval and
     /// trace ring on the same run — on random small fat-trees: every
-    /// output is equal on every engine, the sharded ones under a random
-    /// adversarial stagger.
+    /// output is equal on every engine.
     #[test]
     fn all_observers_at_once_are_engine_invariant(
         k in prop_oneof![Just(2u16), Just(4u16)],
         frames in 2u32..10,
         interval_ns in 700u64..6_000,
         flaps in proptest::collection::vec((0u32..64, 1u64..9_000, 1u64..6_000), 1..4),
-        stagger in proptest::collection::vec(0u64..4, 0..4),
     ) {
         let links = FatTree::new(k).build(LATENCY_NS).links().len() as u32;
         let mut plan = FaultPlan::new();
         for (link, down_at_ns, outage_ns) in flaps {
             plan.flap(LinkId(link % links), down_at_ns, down_at_ns + outage_ns);
         }
-        let case = Case::observed(k, frames, interval_ns, plan);
-        let stagger_ns: Vec<u64> = stagger.iter().map(|&v| v * 30_000).collect();
-        let others = Engine::DIFFERENTIAL.into_iter().map(|e| (e, stagger_ns.clone()));
-        let reference = assert_bit_identical(&case, others);
+        let reference = assert_bit_identical(&Case::observed(k, frames, interval_ns, plan));
         prop_assert!(reference.stats.faults_applied >= 2, "the plan must fire");
         prop_assert!(reference.trace_bin.len() > 16, "the ring must hold spans");
         prop_assert!(reference.timeline_bin.is_some());

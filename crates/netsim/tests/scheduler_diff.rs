@@ -30,8 +30,8 @@ enum Op {
     PeekThenPush(u64),
     /// Push a same-timestamp burst attributed to several sources, with
     /// the simulator's packed `(source, per-source count)` tiebreak keys
-    /// arriving in non-monotone key order — the insertion pattern sharded
-    /// runs produce at shard boundaries.
+    /// arriving in non-monotone key order — the insertion pattern several
+    /// senders reaching one instant produce.
     CrossBurst { lead: u64, srcs: Vec<u8> },
     /// Drain to empty, then push `n` events `gap` ns apart: the refill
     /// lands in the slots the drain freed, and a large one crosses the

@@ -171,7 +171,7 @@ pub fn run_campaigns(cfg: &CampaignConfig) -> Vec<CampaignVerdict> {
 
 /// The five campaigns' fabric-phase fault plans, keyed by campaign name.
 /// Exposed so the engine-differential tests drive exactly the plans the
-/// report runs (heap, calendar, sharded — same fingerprint).
+/// report runs (heap and calendar — same fingerprint).
 pub fn fabric_plans() -> Vec<(&'static str, FaultPlan)> {
     let ft = FatTree::new(K);
     let topo = ft.build(1_500);

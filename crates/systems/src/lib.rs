@@ -27,9 +27,9 @@
 //!   Table I "LB" row as a working system).
 //! * [`flowradar`] — a FlowRadar-style IBLT measurement system (the
 //!   Table I "Measurement" row as a working system).
-//! * [`scaleload`] — the fat-tree scale workload behind `repro -- scale`
-//!   and the `sim_scale` bench, runnable on the sequential schedulers or
-//!   the sharded engine with a bit-identical fingerprint.
+//! * [`scaleload`] — the fat-tree scale workload behind `repro --
+//!   timeline` and the engine differentials: one sender per host slot,
+//!   bit-identical on the calendar queue and its heap oracle.
 //! * [`userscale`] — host aggregation: one [`SimNode`](p4auth_netsim::SimNode)
 //!   modelling thousands of edge users in flat per-user arrays, scaling
 //!   `repro -- users` to millions of modelled users at near-constant

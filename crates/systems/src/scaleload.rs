@@ -1,13 +1,13 @@
-//! Fat-tree scale workload: the events/sec measurement behind the
-//! calendar-queue scheduler and the sharded engine (`repro -- scale`,
-//! `repro -- timeline` and the `timeline_export` bench).
+//! Fat-tree scale workload: a loaded fabric with one sender per host slot
+//! (`repro -- timeline`, the `timeline_export` bench and the engine
+//! differentials).
 //!
 //! Hundreds of switches forward a fig19-style register traffic mix (two
 //! 34-byte reads per 58-byte write) between random host pairs over
 //! `Topology::fat_tree(k)`. Forwarding is deterministic-ECMP arithmetic
 //! ([`FatTree::next_hop`]) so the run is bit-identical on every
-//! [`Engine`], and the measurement isolates the event queue plus the
-//! simulator's dense hot path.
+//! [`Engine`], and the work is the event queue plus the simulator's dense
+//! hot path.
 //!
 //! The workload is *defined* as the users workload at one user per host
 //! slot: [`run_scale_engine`] and [`run_scale_timeline`] run
@@ -80,19 +80,6 @@ pub struct ScaleRun {
     pub frames_delivered: u64,
     /// Final simulated clock in ns.
     pub sim_ns: u64,
-    /// Wall-clock duration of the run in ns.
-    pub wall_ns: u64,
-    /// Coordinator rendezvous rounds (0 for sequential engines).
-    pub rounds: u64,
-    /// Safe windows granted across all rounds (0 for sequential engines;
-    /// ≥ `rounds` when chaining is on).
-    pub windows: u64,
-    /// Cross-shard frames exchanged through peer mailboxes (0 for
-    /// sequential engines).
-    pub frames_exchanged: u64,
-    /// Wall-clock ns the coordinator spent waiting at rendezvous barriers
-    /// (0 for sequential engines; nondeterministic, like `wall_ns`).
-    pub barrier_wait_ns: u64,
 }
 
 impl ScaleRun {
@@ -102,27 +89,11 @@ impl ScaleRun {
             events: run.report.events,
             frames_delivered: run.frames_delivered,
             sim_ns: run.report.now.as_ns(),
-            wall_ns: run.report.wall_ns,
-            rounds: run.report.rounds,
-            windows: run.report.windows,
-            frames_exchanged: run.report.frames_exchanged,
-            barrier_wait_ns: run.report.barrier_wait_ns,
         }
     }
 
-    /// Simulator throughput: events processed per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / (self.wall_ns.max(1) as f64 / 1e9)
-    }
-
-    /// Coordination cost normalized by work: rendezvous rounds per million
-    /// events processed. 0 for sequential engines.
-    pub fn rounds_per_mevents(&self) -> f64 {
-        self.rounds as f64 / (self.events.max(1) as f64 / 1e6)
-    }
-
-    /// The deterministic portion of the run (everything but wall time) —
-    /// must be identical across schedulers and shard counts.
+    /// The run's counts and final clock — must be identical on every
+    /// engine.
     pub fn fingerprint(&self) -> (u64, u64, u64) {
         (self.events, self.frames_delivered, self.sim_ns)
     }
@@ -178,7 +149,7 @@ pub(crate) const SEND_TIMER: u64 = 1;
 
 /// A fabric forwarder (`userscale` builds the fabric every host model
 /// sends through from these).
-pub(crate) fn fabric_forwarder(ft: FatTree, id: SwitchId, proc_ns: u64) -> Box<dyn SimNode + Send> {
+pub(crate) fn fabric_forwarder(ft: FatTree, id: SwitchId, proc_ns: u64) -> Box<dyn SimNode> {
     Box::new(Forwarder {
         ft,
         id,
@@ -188,8 +159,7 @@ pub(crate) fn fabric_forwarder(ft: FatTree, id: SwitchId, proc_ns: u64) -> Box<d
 }
 
 /// Runs the workload on the given engine. Pass a registry to collect
-/// `sim_event_lead_ns` (instrumentation adds per-event work, so keep
-/// timed comparison runs uninstrumented).
+/// `sim_event_lead_ns` and the simulator's other instrumentation.
 pub fn run_scale_engine(
     cfg: ScaleConfig,
     engine: Engine,
@@ -202,11 +172,10 @@ pub fn run_scale_engine(
 /// Runs the workload with periodic telemetry export every `interval_ns`
 /// of sim-time, returning the run result and the recorded [`Timeline`].
 ///
-/// The timeline is bit-identical on every engine — heap, calendar and
-/// any shard count — because capture is driven by the sim clock and the
-/// sharded merge reproduces the sequential registry state at every grid
-/// boundary (asserted by `timeline_is_bit_identical_across_engines`
-/// below and by the CI determinism step via `repro -- timeline`).
+/// The timeline is bit-identical on every engine because capture is
+/// driven by the sim clock, not by how the queue is drained (asserted by
+/// `timeline_is_bit_identical_across_engines` below and by the CI
+/// determinism step via `repro -- timeline`).
 pub fn run_scale_timeline(
     cfg: ScaleConfig,
     engine: Engine,
@@ -230,7 +199,6 @@ mod tests {
         // and complete).
         assert_eq!(cal.frames_delivered, 16 * 20);
         assert!(cal.events > cal.frames_delivered);
-        assert!(cal.events_per_sec() > 0.0);
         for engine in Engine::DIFFERENTIAL {
             assert_eq!(
                 run_scale_engine(cfg, engine, None).fingerprint(),

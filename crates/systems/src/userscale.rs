@@ -126,8 +126,8 @@ pub struct UserScaleConfig {
     /// Optional compromised user (see [`CompromisedUser`]).
     pub compromised: Option<CompromisedUser>,
     /// Optional deterministic fault schedule: link churn installed as
-    /// first-class sim events on every engine, plus a boot-storm stagger
-    /// applied to the aggregates' first timers.
+    /// first-class sim events, plus a boot-storm stagger applied to the
+    /// aggregates' first timers.
     pub faults: Option<FaultPlan>,
 }
 
@@ -297,8 +297,7 @@ pub struct AggregateHostNode {
 impl AggregateHostNode {
     /// Builds the aggregate for host slot `slot`, modelling `users` users
     /// with global indices `base_user..base_user + users`. `arrivals` and
-    /// `sent_total` are shared counters the runner reads after the run
-    /// (atomics so the same node type serves the sharded engine).
+    /// `sent_total` are shared counters the runner reads after the run.
     pub fn new(
         cfg: &UserScaleConfig,
         ft: FatTree,
@@ -570,8 +569,8 @@ pub struct UserScaleRun {
 }
 
 impl UserScaleRun {
-    /// The deterministic portion of the run — identical across schedulers
-    /// and shard counts for a given mode.
+    /// The deterministic portion of the run — identical across engines
+    /// for a given mode.
     pub fn fingerprint(&self) -> (u64, u64, u64, u64) {
         (
             self.events,

@@ -2,13 +2,12 @@
 //! one user per host slot must be bit-identical to individual host nodes —
 //! per-node delivery streams, aggregate stats, final clock and telemetry
 //! fingerprints — on the reference engine and on every engine of
-//! [`Engine::DIFFERENTIAL`] (including adversarial worker stagger). This
-//! is what lets `scaleload` *define* the scale workload as
+//! [`Engine::DIFFERENTIAL`]. This is what lets `scaleload` *define* the scale workload as
 //! `UserScaleConfig::mirror_scale` instead of keeping a host node of its
 //! own.
 //!
 //! The reference column implements the per-host node locally (the same
-//! fig19 mix `netsim`'s `shard_diff` pins) — it is the oracle, and the
+//! fig19 mix `netsim`'s `engine_diff` pins) — it is the oracle, and the
 //! only individual host left; the aggregate columns wrap
 //! [`AggregateHostNode`] in a recording shim. Every node records each
 //! frame it receives as `(time, ingress port, payload bytes)`, so
@@ -18,7 +17,6 @@
 use p4auth_netsim::engine::{Engine, Workload};
 use p4auth_netsim::fattree::FatTree;
 use p4auth_netsim::frame::FrameBytes;
-use p4auth_netsim::shard::ShardTuning;
 use p4auth_netsim::sim::{Outbox, SimNode, SimStats};
 use p4auth_netsim::time::SimTime;
 use p4auth_primitives::rng::{RandomSource, SplitMix64};
@@ -165,7 +163,7 @@ fn slot_node(
     ft: FatTree,
     h: u16,
     streams: &Streams,
-) -> (Box<dyn SimNode + Send>, u64) {
+) -> (Box<dyn SimNode>, u64) {
     let stream = ft.switch_count() as usize + h as usize;
     let boot = 1 + (h as u64 % 97) * 11;
     match column {
@@ -218,17 +216,12 @@ struct RunResult {
 }
 
 /// Populates the fabric once — forwarders plus `column`'s host-slot
-/// nodes — and runs it on `engine`, a sharded one under the wall-clock
-/// stagger schedule `stagger_ns`.
-fn run(cfg: &ScaleConfig, column: Column, engine: Engine, stagger_ns: &[u64]) -> RunResult {
+/// nodes — and runs it on `engine`.
+fn run(cfg: &ScaleConfig, column: Column, engine: Engine) -> RunResult {
     let ft = FatTree::new(cfg.k);
     let streams = make_streams(&ft);
     let registry = Arc::new(Registry::new());
     let mut w = Workload::new(ft.build(cfg.latency_ns));
-    w.set_shard_tuning(ShardTuning {
-        stagger_ns: stagger_ns.to_vec(),
-        ..ShardTuning::default()
-    });
     w.set_telemetry(registry.clone());
     for id in 1..=ft.switch_count() {
         let id = SwitchId::new(id);
@@ -241,7 +234,7 @@ fn run(cfg: &ScaleConfig, column: Column, engine: Engine, stagger_ns: &[u64]) ->
     }
     let report = w.run(engine);
     RunResult {
-        label: format!("{column:?} on {} (stagger {stagger_ns:?})", engine.label()),
+        label: format!("{column:?} on {}", engine.label()),
         streams: unwrap_streams(streams),
         events: report.events,
         stats: report.stats,
@@ -276,27 +269,13 @@ fn assert_runs_match(reference: &RunResult, other: &RunResult) {
 fn one_user_aggregates_match_individual_hosts_across_engines() {
     // k = 8 has 128 hosts, so the boot stagger (period 97) wraps.
     for cfg in [ScaleConfig::for_k(4, 30), ScaleConfig::for_k(8, 4)] {
-        let reference = run(&cfg, Column::Individual, Engine::REFERENCE, &[]);
+        let reference = run(&cfg, Column::Individual, Engine::REFERENCE);
         assert!(
             reference.stats.frames_delivered > 0,
             "workload must generate traffic"
         );
         for engine in [Engine::REFERENCE].into_iter().chain(Engine::DIFFERENTIAL) {
-            assert_runs_match(&reference, &run(&cfg, Column::Aggregate, engine, &[]));
+            assert_runs_match(&reference, &run(&cfg, Column::Aggregate, engine));
         }
-    }
-}
-
-#[test]
-fn one_user_aggregates_survive_adversarial_stagger() {
-    let cfg = ScaleConfig::for_k(4, 16);
-    let reference = run(&cfg, Column::Individual, Engine::REFERENCE, &[]);
-    let others = [
-        (Engine::Sharded { shards: 4 }, &[120_000, 0, 40_000][..]),
-        (Engine::Sharded { shards: 2 }, &[0, 90_000][..]),
-    ];
-    for (engine, stagger_ns) in others {
-        let other = run(&cfg, Column::Aggregate, engine, stagger_ns);
-        assert_runs_match(&reference, &other);
     }
 }

@@ -3,12 +3,10 @@
 //! Every scenario campaign's fabric phase — the user-scale workload with
 //! its [`FaultPlan`](p4auth_netsim::fault::FaultPlan) installed — must be
 //! bit-identical on the calendar reference and every engine of
-//! `Engine::DIFFERENTIAL`, and must stay identical when
-//! `P4AUTH_SHARD_STAGGER` delays workers at their export barriers. This
-//! extends the plain-workload engine differentials (`shard_diff.rs`,
-//! `aggregate_diff.rs`) to runs with link churn: faults are first-class
-//! sim events, so engine choice must never leak into what a fault run
-//! computes.
+//! `Engine::DIFFERENTIAL`. This extends the plain-workload engine
+//! differentials (`engine_diff.rs`, `aggregate_diff.rs`) to runs with link
+//! churn: faults are first-class sim events, so engine choice must never
+//! leak into what a fault run computes.
 
 use p4auth_systems::campaigns::fabric_plans;
 use p4auth_systems::scaleload::Engine;
@@ -24,18 +22,18 @@ fn run(plan_name: &str, engine: Engine) -> UserScaleRun {
     run_users_engine(&cfg, engine, None)
 }
 
-fn assert_engines_agree(name: &str, label: &str) {
+fn assert_engines_agree(name: &str) {
     let cal = run(name, Engine::REFERENCE);
     for engine in Engine::DIFFERENTIAL {
         let (engine, other) = (engine.label(), run(name, engine));
         assert_eq!(
             cal.fingerprint(),
             other.fingerprint(),
-            "{name}: {engine} diverged from calendar ({label})"
+            "{name}: {engine} diverged from calendar"
         );
         assert_eq!(
             cal.stats, other.stats,
-            "{name}: {engine} drop taxonomy/fault counts diverged ({label})"
+            "{name}: {engine} drop taxonomy/fault counts diverged"
         );
     }
     assert!(
@@ -44,19 +42,11 @@ fn assert_engines_agree(name: &str, label: &str) {
     );
 }
 
-/// One process-wide test (env mutation is global): every campaign fabric
-/// agrees across engines, first unstaggered, then under
-/// `P4AUTH_SHARD_STAGGER` worker delays.
 #[test]
 fn campaign_fabrics_are_engine_invariant() {
     let names: Vec<&'static str> = fabric_plans().into_iter().map(|(n, _)| n).collect();
     assert_eq!(names.len(), 5);
-    for name in &names {
-        assert_engines_agree(name, "no stagger");
+    for name in names {
+        assert_engines_agree(name);
     }
-    std::env::set_var("P4AUTH_SHARD_STAGGER", "120000");
-    for name in &names {
-        assert_engines_agree(name, "stagger 120us");
-    }
-    std::env::remove_var("P4AUTH_SHARD_STAGGER");
 }

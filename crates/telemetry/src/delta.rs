@@ -11,13 +11,9 @@
 //! baseline.apply(delta_1).apply(delta_2)...  ==  final full snapshot
 //! ```
 //!
-//! [`Snapshot::merged`] combines per-shard snapshots of *disjoint*
-//! recording streams (each metric update happened on exactly one part)
-//! into the snapshot a single shared registry would have produced:
-//! counters and histogram buckets sum, min/max take the extrema over
-//! non-empty parts, and derived percentiles are recomputed with the same
-//! rank-walk the live [`crate::Histogram`] uses, so a merged snapshot is
-//! byte-identical to its sequential counterpart.
+//! Reconstruction recomputes derived histogram percentiles with the same
+//! rank-walk the live [`crate::Histogram`] uses, so a reconstructed
+//! snapshot is byte-identical to one taken live.
 
 use crate::codec::JsonWriter;
 use crate::events::EventRecord;
@@ -177,7 +173,7 @@ impl SnapshotDelta {
     }
 }
 
-/// Accumulator for one histogram series while applying or merging.
+/// Accumulator for one histogram series while applying a delta.
 struct HistParts {
     count: u64,
     sum: u64,
@@ -209,18 +205,6 @@ impl HistParts {
         }
     }
 
-    fn add_sample(&mut self, h: &HistogramSample) {
-        self.count += h.count;
-        self.sum = self.sum.wrapping_add(h.sum);
-        if h.count > 0 {
-            self.min = Some(self.min.map_or(h.min, |m| m.min(h.min)));
-            self.max = self.max.max(h.max);
-        }
-        for &(bound, n) in &h.buckets {
-            *self.buckets.entry(bound).or_insert(0) += n;
-        }
-    }
-
     fn add_delta(&mut self, d: &HistogramDelta) {
         self.count += d.count;
         self.sum = self.sum.wrapping_add(d.sum);
@@ -235,8 +219,8 @@ impl HistParts {
 
     /// Builds the [`HistogramSample`], recomputing the percentile fields
     /// with the same rank-walk (and observed-max clamp) as
-    /// [`crate::Histogram::quantile`], so a reconstructed or merged sample
-    /// is byte-identical to one taken live.
+    /// [`crate::Histogram::quantile`], so a reconstructed sample is
+    /// byte-identical to one taken live.
     fn into_sample(self, name: String, label: String) -> HistogramSample {
         let buckets: Vec<(u64, u64)> = self.buckets.into_iter().collect();
         let total: u64 = buckets.iter().map(|&(_, n)| n).sum();
@@ -360,61 +344,6 @@ impl Snapshot {
             events_overflowed: self.events_overflowed - baseline.events_overflowed,
             events: self.events[self.events.len() - keep..].to_vec(),
             events_len: self.events.len() as u64,
-        }
-    }
-
-    /// Merges snapshots of disjoint recording streams (e.g. one private
-    /// registry per simulator shard) into the snapshot one shared registry
-    /// would have produced.
-    ///
-    /// Counters, histogram counts/sums and buckets add; min/max take the
-    /// extrema over parts with samples; percentiles are recomputed from
-    /// the merged buckets. Gauges are instantaneous single-writer values —
-    /// if the same series appears in several parts with different values,
-    /// the later part (higher index) wins deterministically. Event logs
-    /// concatenate in part order and re-sort by timestamp (stable), and
-    /// eviction counts add.
-    pub fn merged(parts: &[Snapshot]) -> Snapshot {
-        let mut counters: BTreeMap<(String, String), u64> = BTreeMap::new();
-        let mut gauges: BTreeMap<(String, String), i64> = BTreeMap::new();
-        let mut hists: BTreeMap<(String, String), HistParts> = BTreeMap::new();
-        let mut events: Vec<EventRecord> = Vec::new();
-        let mut events_overflowed = 0u64;
-        for part in parts {
-            for c in &part.counters {
-                let slot = counters
-                    .entry((c.name.clone(), c.label.clone()))
-                    .or_insert(0);
-                *slot = slot.wrapping_add(c.value);
-            }
-            for g in &part.gauges {
-                gauges.insert((g.name.clone(), g.label.clone()), g.value);
-            }
-            for h in &part.histograms {
-                hists
-                    .entry((h.name.clone(), h.label.clone()))
-                    .or_insert_with(HistParts::empty)
-                    .add_sample(h);
-            }
-            events.extend(part.events.iter().cloned());
-            events_overflowed += part.events_overflowed;
-        }
-        events.sort_by_key(|r| r.t_ns);
-        Snapshot {
-            counters: counters
-                .into_iter()
-                .map(|((name, label), value)| CounterSample { name, label, value })
-                .collect(),
-            gauges: gauges
-                .into_iter()
-                .map(|((name, label), value)| GaugeSample { name, label, value })
-                .collect(),
-            histograms: hists
-                .into_iter()
-                .map(|((name, label), parts)| parts.into_sample(name, label))
-                .collect(),
-            events_overflowed,
-            events,
         }
     }
 }
@@ -576,39 +505,6 @@ mod tests {
             state = last.apply_to(&state);
             prop_assert_eq!(&state, &fin);
         }
-    }
-
-    #[test]
-    fn merged_matches_a_shared_registry() {
-        // Two disjoint streams vs. one registry receiving both.
-        let shared = Registry::new();
-        let a = Registry::new();
-        let b = Registry::new();
-        for (r, scale) in [(&a, 1u64), (&b, 100u64)] {
-            for v in [3, 9, 1500] {
-                r.histogram("lat").record(v * scale);
-                shared.histogram("lat").record(v * scale);
-            }
-            r.counter_with("hits", "s1").add(scale);
-            shared.counter_with("hits", "s1").add(scale);
-        }
-        a.gauge("depth").set(5);
-        shared.gauge("depth").set(5);
-        let merged = Snapshot::merged(&[a.snapshot(), b.snapshot()]);
-        assert_eq!(merged, shared.snapshot());
-        assert_eq!(merged.to_json(), shared.snapshot().to_json());
-    }
-
-    #[test]
-    fn merged_with_empty_parts_keeps_true_minimum() {
-        let a = Registry::new();
-        let b = Registry::new();
-        let _empty = a.histogram("lat"); // registered, no samples (min = 0 in sample)
-        b.histogram("lat").record(42);
-        let merged = Snapshot::merged(&[a.snapshot(), b.snapshot()]);
-        let h = merged.histogram("lat", "").unwrap();
-        assert_eq!(h.min, 42, "empty part must not poison the minimum");
-        assert_eq!(h.count, 1);
     }
 
     proptest! {

@@ -288,12 +288,6 @@ impl EventLog {
         self.capacity > 0
     }
 
-    /// The configured capacity (0 when disabled).
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, EventLogInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -309,26 +303,6 @@ impl EventLog {
             inner.overflowed += 1;
         }
         inner.buf.push_back(EventRecord { t_ns, event });
-    }
-
-    /// Replays another log's captured contents into this one: `records`
-    /// pass through the ring (oldest evicted as usual) and `overflowed`
-    /// — evictions that already happened on the source side — is added to
-    /// this log's eviction count. No-op when disabled. Used when
-    /// per-shard private registries are merged into a caller's registry.
-    pub fn absorb(&self, records: &[EventRecord], overflowed: u64) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.lock();
-        inner.overflowed += overflowed;
-        for r in records {
-            if inner.buf.len() == self.capacity {
-                inner.buf.pop_front();
-                inner.overflowed += 1;
-            }
-            inner.buf.push_back(r.clone());
-        }
     }
 
     /// Number of records currently held.

@@ -142,25 +142,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Folds another histogram's captured contents (per-bucket counts
-    /// plus count/sum/min/max) into this one — used when per-shard
-    /// private registries are merged into a caller's registry. `buckets`
-    /// are `(inclusive upper bound, count)` pairs as captured by a
-    /// snapshot; bounds must be the canonical per-bucket bounds
-    /// ([`Histogram::bucket_upper_bound`]).
-    pub fn absorb(&self, count: u64, sum: u64, min: u64, max: u64, buckets: &[(u64, u64)]) {
-        if count == 0 {
-            return;
-        }
-        for &(bound, n) in buckets {
-            self.buckets[Self::bucket_index(bound)].fetch_add(n, Ordering::Relaxed);
-        }
-        self.count.fetch_add(count, Ordering::Relaxed);
-        self.sum.fetch_add(sum, Ordering::Relaxed);
-        self.min.fetch_min(min, Ordering::Relaxed);
-        self.max.fetch_max(max, Ordering::Relaxed);
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -230,46 +211,6 @@ mod tests {
         c.inc();
         c.add(41);
         assert_eq!(c.get(), 42);
-    }
-
-    #[test]
-    fn histogram_absorb_matches_direct_recording() {
-        let direct = Histogram::new();
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in [3u64, 900, 17, 64, 0] {
-            direct.record(v);
-            a.record(v);
-        }
-        for v in [1u64, 1 << 40, 2] {
-            direct.record(v);
-            b.record(v);
-        }
-        let merged = Histogram::new();
-        for part in [&a, &b] {
-            let buckets: Vec<(u64, u64)> = part
-                .buckets()
-                .iter()
-                .enumerate()
-                .filter(|(_, &n)| n > 0)
-                .map(|(i, &n)| (Histogram::bucket_upper_bound(i), n))
-                .collect();
-            merged.absorb(
-                part.count(),
-                part.sum(),
-                part.min().unwrap_or(0),
-                part.max().unwrap_or(0),
-                &buckets,
-            );
-        }
-        // Absorbing an empty part changes nothing.
-        merged.absorb(0, 0, 0, 0, &[]);
-        assert_eq!(merged.count(), direct.count());
-        assert_eq!(merged.sum(), direct.sum());
-        assert_eq!(merged.min(), direct.min());
-        assert_eq!(merged.max(), direct.max());
-        assert_eq!(merged.buckets(), direct.buckets());
-        assert_eq!(merged.quantile(0.99), direct.quantile(0.99));
     }
 
     #[test]

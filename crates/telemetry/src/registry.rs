@@ -120,56 +120,9 @@ impl Registry {
         &self.events
     }
 
-    /// The event log's configured capacity (0 when disabled). Sharded
-    /// runs use this to size their per-shard private logs to match the
-    /// caller's.
-    pub fn event_capacity(&self) -> usize {
-        self.events.capacity()
-    }
-
     /// The trace log (possibly disabled).
     pub fn trace(&self) -> &TraceLog {
         &self.trace
-    }
-
-    /// The trace log's configured capacity (0 when disabled). Sharded
-    /// runs size their per-shard private trace rings from this, exactly
-    /// like [`Registry::event_capacity`].
-    pub fn trace_capacity(&self) -> usize {
-        self.trace.capacity()
-    }
-
-    /// Folds a snapshot of a *disjoint* recording stream into this
-    /// registry: counters add, gauges take the snapshot's value,
-    /// histograms merge bucket contents, and events replay through this
-    /// registry's log (carrying the snapshot's eviction count along).
-    ///
-    /// This is how sharded simulation hands its telemetry back: each
-    /// worker records into a private registry, the coordinator merges the
-    /// per-shard snapshots in shard-index order ([`Snapshot::merged`])
-    /// and absorbs the result here, so the caller's registry ends up
-    /// byte-identical no matter how the workers were scheduled.
-    ///
-    /// The synthesized `events_dropped` and `trace_spans_dropped`
-    /// counters are skipped: both are derived from their logs, and
-    /// absorbing the underlying records reproduces them on the next
-    /// [`Registry::snapshot`].
-    pub fn absorb(&self, snap: &Snapshot) {
-        for c in &snap.counters {
-            if (c.name == "events_dropped" || c.name == "trace_spans_dropped") && c.label.is_empty()
-            {
-                continue;
-            }
-            self.counter_with(&c.name, &c.label).add(c.value);
-        }
-        for g in &snap.gauges {
-            self.gauge_with(&g.name, &g.label).set(g.value);
-        }
-        for h in &snap.histograms {
-            self.histogram_with(&h.name, &h.label)
-                .absorb(h.count, h.sum, h.min, h.max, &h.buckets);
-        }
-        self.events.absorb(&snap.events, snap.events_overflowed);
     }
 
     /// Records `event` at simulated time `t_ns` (no-op when the log is
@@ -313,60 +266,6 @@ mod tests {
         assert!(snap.events.is_empty());
         // No event log, no synthesized drop counter.
         assert_eq!(snap.counter("events_dropped", ""), None);
-    }
-
-    #[test]
-    fn absorb_of_merged_parts_matches_shared_recording() {
-        // Two disjoint recording streams, once into a shared registry and
-        // once into private parts that are merged + absorbed.
-        let record_a = |r: &Registry| {
-            r.counter_with("verify_ok", "s1").add(3);
-            r.histogram("op_ns").record(250);
-            r.histogram("op_ns").record(9_000);
-            r.record(10, Event::AlertSuppressed { source: 1 });
-            r.record(20, Event::AlertSuppressed { source: 2 });
-        };
-        let record_b = |r: &Registry| {
-            r.counter_with("verify_ok", "s1").add(4);
-            r.counter_with("verify_ok", "s2").inc();
-            r.gauge("depth").set(7);
-            r.histogram("op_ns").record(77);
-            r.record(30, Event::AlertSuppressed { source: 3 });
-        };
-
-        let shared = Registry::with_event_capacity(16);
-        record_a(&shared);
-        record_b(&shared);
-
-        let a = Registry::with_event_capacity(16);
-        record_a(&a);
-        let b = Registry::with_event_capacity(16);
-        record_b(&b);
-        let merged = Snapshot::merged(&[a.snapshot(), b.snapshot()]);
-
-        let sink = Registry::with_event_capacity(16);
-        sink.absorb(&merged);
-        assert_eq!(sink.snapshot().to_json(), shared.snapshot().to_json());
-    }
-
-    #[test]
-    fn absorb_carries_event_overflow_without_double_counting_drops() {
-        let part = Registry::with_event_capacity(2);
-        for t in 0..5 {
-            part.record(t, Event::AlertSuppressed { source: t as u16 });
-        }
-        // The part evicted 3; its snapshot carries the last 2 records.
-        let sink = Registry::with_event_capacity(2);
-        sink.record(0, Event::AlertSuppressed { source: 99 });
-        sink.absorb(&part.snapshot());
-        let snap = sink.snapshot();
-        // 3 source-side evictions + 1 eviction absorbing into a full-ish
-        // ring; the synthesized counter reflects the sink's log, not the
-        // sum of the part's synthesized counter and the sink's.
-        assert_eq!(snap.events_overflowed, 4);
-        assert_eq!(snap.counter("events_dropped", ""), Some(4));
-        assert_eq!(snap.events.len(), 2);
-        assert_eq!(snap.events[0].t_ns, 3);
     }
 
     #[test]

@@ -15,17 +15,15 @@
 //!
 //! * **IDs** are a splitmix-style hash of `(kind, start_ns, source,
 //!   seq)`. `seq` is a per-source counter, so a source that emits two
-//!   spans at the same instant still gets distinct ids, and a sharded
-//!   run — where each source is owned by exactly one shard — assigns
-//!   the very same ids the sequential run does.
+//!   spans at the same instant still gets distinct ids.
 //! * **Canonical order** for export is `(start_ns, source, seq)`.
 //!   `(source, seq)` is unique per record, so the order is total, and
 //!   it is engine-invariant because per-source emission order is the
 //!   per-source simulation order on every engine.
 //! * **Bounded buffers**: the ring drops oldest on overflow and counts
-//!   drops. Byte-identity across engines is guaranteed only at zero
-//!   drops (per-shard rings fill in shard-local order), which is why
-//!   the campaign configs assert `trace_spans_dropped == 0`.
+//!   drops. A trace that dropped spans is a truncated forest (an
+//!   evicted parent leaves orphans [`validate_well_formed`] rejects),
+//!   which is why the campaign configs assert `trace_spans_dropped == 0`.
 //!
 //! Export formats: Chrome trace-format JSON ([`chrome_trace_json`],
 //! loadable in Perfetto) and the compact `P4TR` binary
@@ -368,28 +366,6 @@ impl TraceLog {
         records.sort_unstable_by_key(SpanRecord::sort_key);
         records
     }
-
-    /// Replays another log's captured spans into this one (ring
-    /// semantics apply), adds its drop count, and advances the
-    /// per-source sequence counters past everything absorbed — the same
-    /// merge discipline as [`crate::EventLog::absorb`], called in
-    /// shard-index order by the shard coordinator. No-op when disabled.
-    pub fn absorb(&self, records: &[SpanRecord], dropped: u64) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.lock();
-        inner.dropped += dropped;
-        for r in records {
-            let slot = inner.next_seq.entry(r.source).or_insert(0);
-            *slot = (*slot).max(r.seq + 1);
-            if inner.buf.len() == self.capacity {
-                inner.buf.pop_front();
-                inner.dropped += 1;
-            }
-            inner.buf.push_back(*r);
-        }
-    }
 }
 
 /// Nanoseconds as Chrome-trace microseconds (`ts`/`dur` fields) with
@@ -605,26 +581,9 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_in_order_and_advances_seqs() {
-        let shard0 = TraceLog::with_capacity(8);
-        let shard1 = TraceLog::with_capacity(8);
-        shard0.instant(SpanKind::FrameDeliver, 10, 1, 0, 0);
-        shard1.instant(SpanKind::FrameDeliver, 20, 2, 0, 0);
-        let merged = TraceLog::with_capacity(8);
-        merged.absorb(&shard0.records(), shard0.dropped());
-        merged.absorb(&shard1.records(), shard1.dropped());
-        // A later span on an absorbed source continues its sequence.
-        merged.instant(SpanKind::FrameDeliver, 30, 1, 0, 0);
-        let records = merged.sorted_records();
-        assert_eq!(records.len(), 3);
-        assert_eq!(records[2].seq, 1, "absorb advanced source 1 past seq 0");
-        assert_eq!(merged.dropped(), 0);
-    }
-
-    #[test]
     fn sorted_order_is_independent_of_emission_order() {
-        // Same spans, emitted in different interleavings (as two shards
-        // would), sort to the same canonical stream.
+        // Same spans, emitted in different interleavings, sort to the
+        // same canonical stream.
         let a = TraceLog::with_capacity(8);
         a.instant(SpanKind::FrameDeliver, 10, 1, 0, 0);
         a.instant(SpanKind::FrameDeliver, 10, 2, 0, 0);
