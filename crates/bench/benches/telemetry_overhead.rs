@@ -1,11 +1,26 @@
 //! Telemetry overhead — the cost the metrics registry adds to the hot
 //! data-plane request path.
 //!
-//! Runs the Fig. 18 register read/write loop twice: once on a bare agent
-//! and once with a telemetry registry attached (every packet then bumps
-//! counters and records typed events). The delta is the per-request
-//! overhead of the observability layer, which ROADMAP.md requires to stay
-//! in the low single-digit percent.
+//! Runs the Fig. 18 register read/write loop three times: on a bare
+//! agent, with a registry attached whose event log is on (`instrumented`:
+//! every packet bumps counters, records two histogram samples and typed
+//! events), and with the trace log on as well (`traced`: every verify
+//! also leaves a span). The deltas are what one agent pays per request
+//! to be observed.
+//!
+//! Measured on the 2-core reference box (`P4AUTH_BENCH_MS=1500`; the
+//! median over every read and write reading of three runs before and
+//! five after — it is a shared machine and single readings swing 10 %):
+//!
+//! | arm            | before PR 24    | since PR 24     |
+//! |----------------|-----------------|-----------------|
+//! | `bare`         | 472 ns          | 479 ns          |
+//! | `instrumented` | 575 ns (+22 %)  | 521 ns (+9 %)   |
+//! | `traced`       | 630 ns (+33 %)  | 551 ns (+15 %)  |
+//!
+//! Not "low single-digit percent", and not free: a request that costs
+//! ≈ 480 ns pays ≈ 40 ns for its counters, histogram samples and events
+//! and ≈ 30 ns more for its span. DESIGN §4h has the per-record prices.
 
 use std::sync::Arc;
 
@@ -21,22 +36,24 @@ use p4auth_wire::Message;
 
 fn print_figure() {
     println!("================================================================");
-    println!("  telemetry overhead — fig18 register-RW loop, bare vs. instrumented");
+    println!("  telemetry overhead — fig18 register-RW loop, bare vs. instrumented vs. traced");
     println!("  reproduces: observability-cost check (ROADMAP telemetry item)");
     println!("================================================================");
 }
 
-fn build(telemetry: bool) -> P4AuthSwitch {
+/// An agent observed by a registry with these `(event, trace)`
+/// capacities, or by nothing.
+fn build(telemetry: Option<(usize, usize)>) -> P4AuthSwitch {
     let reg = RegId::new(7);
     let config = AgentConfig::new(SwitchId::new(1), 2, Key64::new(1)).map_register(reg, "r");
     let mut sw = P4AuthSwitch::new(config, None);
     sw.chassis_mut()
         .declare_register(RegisterArray::new("r", 4, 64));
-    if telemetry {
-        // Bounded event buffer, same shape the systems harness uses; the
-        // ring wraps during the run, which is exactly the steady state we
+    if let Some((events, spans)) = telemetry {
+        // Bounded buffers, same shape the systems harness uses; both
+        // rings wrap during the run, which is exactly the steady state we
         // want to price.
-        sw.set_telemetry(Arc::new(Registry::with_event_capacity(1024)));
+        sw.set_telemetry(Arc::new(Registry::with_capacities(events, spans)));
     }
     sw.install_key(PortId::CPU, Key64::new(0xbe4c_4e11));
     sw
@@ -50,7 +67,11 @@ fn bench(c: &mut Criterion) {
     let mac = HalfSipHashMac::default();
 
     let mut group = c.benchmark_group("telemetry_overhead");
-    for (name, telemetry) in [("bare", false), ("instrumented", true)] {
+    for (name, telemetry) in [
+        ("bare", None),
+        ("instrumented", Some((1024, 0))),
+        ("traced", Some((1024, 65536))),
+    ] {
         for (dir, op) in [
             ("read", RegisterOp::read_req(reg, 0)),
             ("write", RegisterOp::write_req(reg, 0, 42)),

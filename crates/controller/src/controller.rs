@@ -235,6 +235,11 @@ struct ControllerTelemetry {
     defence_actions_dropped: Arc<Counter>,
     kex_abandoned: Arc<Counter>,
     rollover_fanout_ns: Arc<Histogram>,
+    /// `ctrl_channel_rejects{<peer>:<channel>}`, each series registered
+    /// at its channel's first reject and kept here: a flood's every
+    /// frame lands on this counter, and looking it up in the registry
+    /// costs three `String`s and the registry lock.
+    channel_rejects: IdMap<(SwitchId, PortId), Arc<Counter>>,
 }
 
 impl ControllerTelemetry {
@@ -275,6 +280,7 @@ impl ControllerTelemetry {
             defence_actions_dropped: registry.counter_with("ctrl_defence_actions_dropped", label),
             kex_abandoned: registry.counter_with("ctrl_kex_abandoned", label),
             rollover_fanout_ns: registry.histogram_with("ctrl_rollover_fanout_ns", label),
+            channel_rejects: IdMap::default(),
             registry,
         }
     }
@@ -581,10 +587,14 @@ impl Controller {
     /// `ctrl_channel_rejects{<peer>:<channel>}`: every signal the defence
     /// loop is fed, whether or not the loop is armed. Observability only —
     /// nothing reads it back to make a decision.
-    fn count_channel_reject(&self, peer: SwitchId, channel: PortId) {
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .counter_with("ctrl_channel_rejects", &format!("{peer}:{channel}"))
+    fn count_channel_reject(&mut self, peer: SwitchId, channel: PortId) {
+        if let Some(t) = &mut self.telemetry {
+            t.channel_rejects
+                .entry((peer, channel))
+                .or_insert_with(|| {
+                    t.registry
+                        .counter_with("ctrl_channel_rejects", &format!("{peer}:{channel}"))
+                })
                 .inc();
         }
     }

@@ -10,18 +10,22 @@
 //! in either count names the layer here, instead of showing up later as a
 //! slower benchmark. (The benchmark's own spans read one higher on
 //! `on_packet` and `on_message`: its adapter collects the results.)
+//! Nor may being observed cost the heap anything per frame: with a
+//! registry attached, a rejected frame allocates what it does with none.
 //!
 //! One `#[test]`: the counters are per process.
 
 use p4auth_controller::daemons::tables;
 use p4auth_controller::statedb::{StateDb, Value};
-use p4auth_controller::{ControllerConfig, ReplicaSet};
+use p4auth_controller::{ControllerConfig, ControllerEvent, ReplicaSet};
 use p4auth_core::agent::{AgentConfig, AgentEvent, P4AuthSwitch};
 use p4auth_core::auth::RejectReason;
 use p4auth_dataplane::register::RegisterArray;
 use p4auth_primitives::Key64;
 use p4auth_telemetry::alloc::{allocations, CountingAlloc};
+use p4auth_telemetry::Registry;
 use p4auth_wire::ids::{PortId, RegId, SwitchId};
+use std::sync::Arc;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -63,6 +67,58 @@ fn stack() -> (ReplicaSet, P4AuthSwitch) {
     }
     assert!(set.has_local_key(SW));
     (set, agent)
+}
+
+/// What 100 forged replies and 100 replayed alerts allocate in
+/// `ReplicaSet::on_message`, after 200 of each have been rejected, on a
+/// replica observed by `registry` (or by nothing).
+fn steady_reject_allocs(registry: Option<Arc<Registry>>) -> u64 {
+    let (mut set, mut agent) = stack();
+    if let Some(registry) = registry {
+        set.set_telemetry(registry);
+    }
+    let request = set.read_register(0, SW, REG, 0);
+    let mut forged_reply = agent
+        .on_packet(0, PortId::CPU, &request.bytes)
+        .outputs
+        .remove(0)
+        .1;
+    forged_reply[11] ^= 0x10;
+    // A forged request makes the agent nAck and raise an alert; the
+    // controller accepts the alert once, and from then on it is a replay.
+    let mut forged_request = request.bytes;
+    forged_request[12] ^= 0x40;
+    let mut outputs = agent.on_packet(1, PortId::CPU, &forged_request).outputs;
+    assert_eq!(outputs.len(), 2);
+    let alert = outputs.remove(1).1;
+    let (_, events) = set.on_message(1, SW, &alert);
+    assert!(matches!(
+        events[..],
+        [ControllerEvent::AlertReceived { .. }]
+    ));
+
+    let mut steady = 0;
+    for i in 0..300u64 {
+        let (allocs, (forged, replayed)) = allocations_during(|| {
+            (
+                set.on_message(2 + i, SW, &forged_reply).1,
+                set.on_message(2 + i, SW, &alert).1,
+            )
+        });
+        let rejected = |events: &[ControllerEvent]| match events {
+            [ControllerEvent::Rejected { reason, .. }] => Some(*reason),
+            _ => None,
+        };
+        assert_eq!(rejected(&forged), Some(RejectReason::BadDigest));
+        assert!(matches!(
+            rejected(&replayed),
+            Some(RejectReason::Replayed { .. })
+        ));
+        if i >= 200 {
+            steady += allocs;
+        }
+    }
+    steady
 }
 
 #[test]
@@ -146,6 +202,16 @@ fn hot_path_allocs() {
         set.db().writes(),
         writes_before,
         "state-table writes per register op"
+    );
+
+    // Observed or not, a rejected frame costs the heap the same: the
+    // counters (one per channel among them) and both rings — small enough
+    // here to be full before the count starts — are in place by then.
+    let unobserved = steady_reject_allocs(None);
+    let observed = steady_reject_allocs(Some(Arc::new(Registry::with_capacities(64, 64))));
+    assert!(
+        observed <= unobserved,
+        "200 rejected frames: {observed} allocations with a registry, {unobserved} without"
     );
 
     // The state table on its own: a value-changing write to a key both

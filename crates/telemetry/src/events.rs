@@ -5,7 +5,7 @@
 //! protocol crates map their own types onto these at the call site.
 
 use crate::codec::{ByteReader, DecodeError};
-use std::collections::VecDeque;
+use crate::ring::Ring;
 use std::sync::Mutex;
 
 /// Why a digest verification rejected a message (telemetry-side mirror of
@@ -259,13 +259,7 @@ pub struct EventRecord {
 #[derive(Debug, Default)]
 pub struct EventLog {
     capacity: usize,
-    inner: Mutex<EventLogInner>,
-}
-
-#[derive(Debug, Default)]
-struct EventLogInner {
-    buf: VecDeque<EventRecord>,
-    overflowed: u64,
+    ring: Mutex<Ring<EventRecord>>,
 }
 
 impl EventLog {
@@ -278,7 +272,7 @@ impl EventLog {
     pub fn with_capacity(capacity: usize) -> Self {
         EventLog {
             capacity,
-            inner: Mutex::default(),
+            ring: Mutex::default(),
         }
     }
 
@@ -288,8 +282,8 @@ impl EventLog {
         self.capacity > 0
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, EventLogInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> std::sync::MutexGuard<'_, Ring<EventRecord>> {
+        self.ring.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Records `event` at simulated time `t_ns`. No-op when disabled.
@@ -297,17 +291,12 @@ impl EventLog {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.lock();
-        if inner.buf.len() == self.capacity {
-            inner.buf.pop_front();
-            inner.overflowed += 1;
-        }
-        inner.buf.push_back(EventRecord { t_ns, event });
+        self.lock().push(self.capacity, EventRecord { t_ns, event });
     }
 
     /// Number of records currently held.
     pub fn len(&self) -> usize {
-        self.lock().buf.len()
+        self.lock().len()
     }
 
     /// Whether the log holds no records.
@@ -317,17 +306,17 @@ impl EventLog {
 
     /// How many records were evicted because the buffer was full.
     pub fn overflowed(&self) -> u64 {
-        self.lock().overflowed
+        self.lock().dropped()
     }
 
     /// A copy of the current contents, oldest first.
     pub fn to_vec(&self) -> Vec<EventRecord> {
-        self.lock().buf.iter().cloned().collect()
+        self.lock().iter().cloned().collect()
     }
 
     /// Removes and returns the current contents, oldest first.
     pub fn drain(&self) -> Vec<EventRecord> {
-        self.lock().buf.drain(..).collect()
+        self.lock().drain()
     }
 }
 

@@ -12,10 +12,12 @@
 //!
 //! Design constraints:
 //!
-//! - **Near-zero cost when idle.** Metric updates are single relaxed
-//!   atomic RMWs on pre-registered handles; the event log is a no-op
+//! - **Near-zero cost when idle, a counted cost when not.** A metric
+//!   update is one relaxed atomic RMW on a pre-registered handle (two for
+//!   a histogram sample); an event or a span is one uncontended mutex
+//!   acquisition and one slot of a flat ring, and both logs are no-ops
 //!   unless constructed with an explicit capacity
-//!   ([`Registry::with_event_capacity`]). Crates that are not handed a
+//!   ([`Registry::with_capacities`]). Crates that are not handed a
 //!   registry skip instrumentation behind one `Option` branch.
 //! - **No `unsafe`** outside [`alloc`], whose `GlobalAlloc` impl forwards
 //!   to the system allocator.
@@ -49,6 +51,7 @@ pub mod delta;
 pub mod events;
 pub mod metrics;
 pub mod registry;
+mod ring;
 pub mod snapshot;
 pub mod trace;
 

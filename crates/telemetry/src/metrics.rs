@@ -1,8 +1,11 @@
 //! The metric primitives: [`Counter`], [`Gauge`] and [`Histogram`].
 //!
-//! All three are lock-free and use relaxed atomics only, so a metric
-//! update on the hot path costs a single uncontended atomic RMW. None of
-//! them allocate after construction.
+//! All three are lock-free, use relaxed atomics only and never allocate
+//! after construction. What an update costs in atomic read-modify-writes
+//! (each a lock-prefixed instruction, uncontended here): a [`Counter`] or
+//! [`Gauge`] update is one, and adding zero to a counter is none; a
+//! [`Histogram`] sample is two — its bucket and the sum — plus one more
+//! only when the sample is a new minimum or maximum.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -27,10 +30,13 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds `n`.
+    /// Adds `n`. Adding zero touches nothing: callers add per-packet
+    /// tallies that are usually zero (recirculations).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        if n != 0 {
+            self.value.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Current value.
@@ -87,13 +93,15 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// length is `i`, i.e. the range `[2^(i-1), 2^i - 1]`. This gives ~1 bit
 /// of relative precision over the full `u64` range with no configuration,
 /// which is plenty for latency distributions in simulated nanoseconds.
+///
+/// The sample count is not stored: it is the sum of the buckets.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     /// Minimum sample; `u64::MAX` until the first record.
     min: AtomicU64,
+    /// Maximum sample; 0 until the first record.
     max: AtomicU64,
 }
 
@@ -101,7 +109,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             buckets: [(); HISTOGRAM_BUCKETS].map(|()| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -136,15 +143,21 @@ impl Histogram {
     #[inline]
     pub fn record(&self, value: u64) {
         self.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        // The extrema settle after a few samples; from then on these are
+        // two plain loads. `fetch_min`/`fetch_max` keep a racing writer's
+        // better value.
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of all samples (wrapping on overflow).
@@ -152,15 +165,19 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Smallest sample, or `None` if empty.
+    /// Smallest sample, or `None` if empty. `u64::MAX` is the empty
+    /// mark and also a legal sample, which the top bucket tells apart.
     pub fn min(&self) -> Option<u64> {
         let v = self.min.load(Ordering::Relaxed);
-        (self.count() > 0).then_some(v)
+        (v != u64::MAX || self.buckets[HISTOGRAM_BUCKETS - 1].load(Ordering::Relaxed) > 0)
+            .then_some(v)
     }
 
-    /// Largest sample, or `None` if empty.
+    /// Largest sample, or `None` if empty (0 likewise: the empty mark,
+    /// or a sample in the zero bucket).
     pub fn max(&self) -> Option<u64> {
-        (self.count() > 0).then(|| self.max.load(Ordering::Relaxed))
+        let v = self.max.load(Ordering::Relaxed);
+        (v != 0 || self.buckets[0].load(Ordering::Relaxed) > 0).then_some(v)
     }
 
     /// Mean of all samples, or `None` if empty.

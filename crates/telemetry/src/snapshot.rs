@@ -63,7 +63,7 @@ pub struct HistogramSample {
 impl HistogramSample {
     /// Captures `h` as a sample.
     pub fn from_histogram(name: &str, label: &str, h: &Histogram) -> Self {
-        let buckets = h
+        let buckets: Vec<(u64, u64)> = h
             .buckets()
             .iter()
             .enumerate()
@@ -73,7 +73,7 @@ impl HistogramSample {
         HistogramSample {
             name: name.to_string(),
             label: label.to_string(),
-            count: h.count(),
+            count: buckets.iter().map(|&(_, n)| n).sum(),
             sum: h.sum(),
             min: h.min().unwrap_or(0),
             max: h.max().unwrap_or(0),

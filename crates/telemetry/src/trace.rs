@@ -20,10 +20,12 @@
 //!   `(source, seq)` is unique per record, so the order is total, and
 //!   it is engine-invariant because per-source emission order is the
 //!   per-source simulation order on every engine.
-//! * **Bounded buffers**: the ring drops oldest on overflow and counts
-//!   drops. A trace that dropped spans is a truncated forest (an
-//!   evicted parent leaves orphans [`validate_well_formed`] rejects),
-//!   which is why the campaign configs assert `trace_spans_dropped == 0`.
+//! * **Bounded buffers**: the ring is one flat array that grows to its
+//!   bound; from then on each span overwrites the oldest in place and
+//!   the drop is counted. A trace that dropped spans is a truncated
+//!   forest (an evicted parent leaves orphans [`validate_well_formed`]
+//!   rejects), which is why the campaign configs assert
+//!   `trace_spans_dropped == 0`.
 //!
 //! Export formats: Chrome trace-format JSON ([`chrome_trace_json`],
 //! loadable in Perfetto) and the compact `P4TR` binary
@@ -31,6 +33,7 @@
 //! snapshot codec with the same exact-roundtrip contract.
 
 use crate::codec::{ByteReader, ByteWriter, DecodeError, JsonWriter, Layout};
+use crate::ring::Ring;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -177,6 +180,22 @@ impl OpenSpan {
     pub fn start_ns(&self) -> u64 {
         self.start_ns
     }
+
+    /// The finished record; an end before the start is clamped to it.
+    fn finish(self, end_ns: u64, arg_a: u64, arg_b: u64) -> SpanRecord {
+        SpanRecord {
+            trace_id: self.trace_id,
+            span_id: self.span_id,
+            parent_id: self.parent_id,
+            kind: self.kind,
+            source: self.source,
+            start_ns: self.start_ns,
+            end_ns: end_ns.max(self.start_ns),
+            seq: self.seq,
+            arg_a,
+            arg_b,
+        }
+    }
 }
 
 /// SplitMix64 finalizer over the deterministic id ingredients.
@@ -193,17 +212,81 @@ fn mix_id(kind: SpanKind, start_ns: u64, source: u16, seq: u64) -> u64 {
     z | 1
 }
 
+/// Sources below this index [`SeqTable::dense`] directly: switch and host
+/// node ids, which is where every per-frame span comes from.
+const DENSE_SOURCES: usize = 1024;
+
+/// The next per-source sequence number, for sources spread over the whole
+/// `u16`: nodes count up from 1, controllers sit at `0xFE00+`, campaign
+/// harnesses at `0xFFFF`. A table indexed by the full `u16` would be
+/// 512 KiB; this one is eight bytes per low source plus a few pairs.
+#[derive(Debug, Default)]
+struct SeqTable {
+    /// Indexed by source; grown to the highest low source seen.
+    dense: Vec<u64>,
+    /// Every other source, sorted by source.
+    sparse: Vec<(u16, u64)>,
+}
+
+impl SeqTable {
+    fn next(&mut self, source: u16) -> u64 {
+        let i = usize::from(source);
+        let slot = if i < DENSE_SOURCES {
+            if i >= self.dense.len() {
+                self.dense.resize(i + 1, 0);
+            }
+            &mut self.dense[i]
+        } else {
+            let i = match self.sparse.binary_search_by_key(&source, |&(s, _)| s) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.sparse.insert(i, (source, 0));
+                    i
+                }
+            };
+            &mut self.sparse[i].1
+        };
+        let seq = *slot;
+        *slot += 1;
+        seq
+    }
+}
+
 #[derive(Debug, Default)]
 struct TraceLogInner {
-    buf: std::collections::VecDeque<SpanRecord>,
-    dropped: u64,
-    /// Next per-source sequence number.
-    next_seq: BTreeMap<u16, u64>,
+    ring: Ring<SpanRecord>,
+    next_seq: SeqTable,
+}
+
+impl TraceLogInner {
+    /// Takes `source`'s next sequence number and opens a span with it:
+    /// a root, or a child of `parent`.
+    fn open(
+        &mut self,
+        parent: Option<&OpenSpan>,
+        kind: SpanKind,
+        start_ns: u64,
+        source: u16,
+    ) -> OpenSpan {
+        let seq = self.next_seq.next(source);
+        let span_id = mix_id(kind, start_ns, source, seq);
+        OpenSpan {
+            trace_id: parent.map_or(span_id, |p| p.trace_id),
+            span_id,
+            parent_id: parent.map_or(0, |p| p.span_id),
+            kind,
+            source,
+            start_ns,
+            seq,
+        }
+    }
 }
 
 /// A bounded drop-oldest ring of finished spans with per-source
 /// sequence counters. Capacity 0 (the default) disables recording —
 /// every call is a branch-and-return, mirroring [`crate::EventLog`].
+/// Every recording call takes the one mutex once: an instant opens and
+/// finishes its span under the same acquisition.
 #[derive(Debug, Default)]
 pub struct TraceLog {
     capacity: usize,
@@ -240,29 +323,10 @@ impl TraceLog {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn next_seq(inner: &mut TraceLogInner, source: u16) -> u64 {
-        let slot = inner.next_seq.entry(source).or_insert(0);
-        let seq = *slot;
-        *slot += 1;
-        seq
-    }
-
     /// Opens a root span. Returns `None` when disabled.
     pub fn start(&self, kind: SpanKind, start_ns: u64, source: u16) -> Option<OpenSpan> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let seq = Self::next_seq(&mut self.lock(), source);
-        let id = mix_id(kind, start_ns, source, seq);
-        Some(OpenSpan {
-            trace_id: id,
-            span_id: id,
-            parent_id: 0,
-            kind,
-            source,
-            start_ns,
-            seq,
-        })
+        self.enabled()
+            .then(|| self.lock().open(None, kind, start_ns, source))
     }
 
     /// Opens a child span under `parent`. Returns `None` when disabled.
@@ -273,46 +337,23 @@ impl TraceLog {
         start_ns: u64,
         source: u16,
     ) -> Option<OpenSpan> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let seq = Self::next_seq(&mut self.lock(), source);
-        Some(OpenSpan {
-            trace_id: parent.trace_id,
-            span_id: mix_id(kind, start_ns, source, seq),
-            parent_id: parent.span_id,
-            kind,
-            source,
-            start_ns,
-            seq,
-        })
+        self.enabled()
+            .then(|| self.lock().open(Some(parent), kind, start_ns, source))
     }
 
     /// Finishes `span` at `end_ns`, buffering the record. Clamps a
     /// backwards end to the start (spans never have negative width).
     pub fn end(&self, span: OpenSpan, end_ns: u64, arg_a: u64, arg_b: u64) {
-        if self.capacity == 0 {
-            return;
+        if self.enabled() {
+            self.lock()
+                .ring
+                .push(self.capacity, span.finish(end_ns, arg_a, arg_b));
         }
-        self.push(SpanRecord {
-            trace_id: span.trace_id,
-            span_id: span.span_id,
-            parent_id: span.parent_id,
-            kind: span.kind,
-            source: span.source,
-            start_ns: span.start_ns,
-            end_ns: end_ns.max(span.start_ns),
-            seq: span.seq,
-            arg_a,
-            arg_b,
-        });
     }
 
     /// Records a zero-width root span.
     pub fn instant(&self, kind: SpanKind, t_ns: u64, source: u16, arg_a: u64, arg_b: u64) {
-        if let Some(span) = self.start(kind, t_ns, source) {
-            self.end(span, t_ns, arg_a, arg_b);
-        }
+        self.instant_under(None, kind, t_ns, source, arg_a, arg_b);
     }
 
     /// Records a zero-width child span under `parent`.
@@ -325,28 +366,35 @@ impl TraceLog {
         arg_a: u64,
         arg_b: u64,
     ) {
-        if let Some(span) = self.child(parent, kind, t_ns, source) {
-            self.end(span, t_ns, arg_a, arg_b);
-        }
+        self.instant_under(Some(parent), kind, t_ns, source, arg_a, arg_b);
     }
 
-    fn push(&self, record: SpanRecord) {
-        let mut inner = self.lock();
-        if inner.buf.len() == self.capacity {
-            inner.buf.pop_front();
-            inner.dropped += 1;
+    fn instant_under(
+        &self,
+        parent: Option<&OpenSpan>,
+        kind: SpanKind,
+        t_ns: u64,
+        source: u16,
+        arg_a: u64,
+        arg_b: u64,
+    ) {
+        if self.enabled() {
+            let mut inner = self.lock();
+            let span = inner.open(parent, kind, t_ns, source);
+            inner
+                .ring
+                .push(self.capacity, span.finish(t_ns, arg_a, arg_b));
         }
-        inner.buf.push_back(record);
     }
 
     /// Spans dropped to the ring bound so far.
     pub fn dropped(&self) -> u64 {
-        self.lock().dropped
+        self.lock().ring.dropped()
     }
 
     /// Number of buffered spans.
     pub fn len(&self) -> usize {
-        self.lock().buf.len()
+        self.lock().ring.len()
     }
 
     /// Whether the log holds no spans.
@@ -356,7 +404,7 @@ impl TraceLog {
 
     /// A copy of the buffered spans in emission order.
     pub fn records(&self) -> Vec<SpanRecord> {
-        self.lock().buf.iter().copied().collect()
+        self.lock().ring.iter().copied().collect()
     }
 
     /// The buffered spans in canonical `(start_ns, source, seq)` order —
