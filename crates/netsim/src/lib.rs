@@ -24,10 +24,10 @@
 //!   turns a traffic-concentration attack into measurable FCT damage.
 //!
 //! * **Scale** ([`fattree`], [`sched`]): `Topology::fat_tree(k)` builds
-//!   k-ary Clos networks (hundreds of switches), and the event queue is a
-//!   pluggable [`sched::Scheduler`] — a calendar queue by default, with the
-//!   reference binary heap available for differential testing. Both drain
-//!   events in the identical `(time, seq)` order.
+//!   k-ary Clos networks (hundreds of switches), and the event queue is
+//!   chosen by [`sched::SchedulerKind`] — a calendar queue by default, with
+//!   the reference binary heap available for differential testing. Both
+//!   drain events in the identical `(time, seq)` order.
 //! * **One front door** ([`engine`]): a [`Workload`] — nodes, boot timers,
 //!   registry, export interval, fault plan — is described once and run on
 //!   any [`Engine`] (one event loop on the calling thread, calendar queue

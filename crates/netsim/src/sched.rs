@@ -1,4 +1,6 @@
-//! Pluggable event schedulers for the simulator.
+//! The simulator's two event schedulers, behind one [`Scheduler`] trait
+//! (the simulator holds the pair as a concrete enum, so its calls are
+//! statically dispatched; the trait is what tests and probes drive).
 //!
 //! The simulator used to drive everything through one
 //! `BinaryHeap<Reverse<Event>>`, paying `O(log n)` per push/pop. Event
@@ -171,7 +173,8 @@ const EMPTY: (u32, u32) = (NIL, NIL);
 
 /// One slab cell: a pending event and the slot filed after it in the same
 /// day bucket, or a free cell (`ev` is `None`) and the next free one.
-struct Slot<T> {
+/// (`pub(crate)` so `sim`'s tests can pin its size.)
+pub(crate) struct Slot<T> {
     ev: Option<Scheduled<T>>,
     next: u32,
 }
@@ -277,6 +280,7 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Takes the event out of `slot` and puts the slot on the free list.
+    #[inline]
     fn vacate(&mut self, slot: u32) -> Scheduled<T> {
         let cell = &mut self.slab[slot as usize];
         let ev = cell.ev.take().expect("a linked slot holds an event");
@@ -285,21 +289,24 @@ impl<T> CalendarQueue<T> {
         ev
     }
 
-    /// Inserts into the day bucket, keeping it sorted by `(at, seq)`.
+    /// Inserts into the day bucket, keeping it sorted by `(at, seq)`. A
+    /// reused cell has only its `ev` written here; `link` sets `next`.
+    #[inline]
     fn insert_bucket(&mut self, ev: Scheduled<T>) {
         let key = ev.key();
-        let cell = Slot {
-            ev: Some(ev),
-            next: NIL,
-        };
         let slot = match self.free {
             NIL => {
                 assert!(self.slab.len() < NIL as usize, "slot indices must fit u32");
-                self.slab.push(cell);
+                self.slab.push(Slot {
+                    ev: Some(ev),
+                    next: NIL,
+                });
                 (self.slab.len() - 1) as u32
             }
             slot => {
-                self.free = std::mem::replace(&mut self.slab[slot as usize], cell).next;
+                let cell = &mut self.slab[slot as usize];
+                self.free = cell.next;
+                cell.ev = Some(ev);
                 slot
             }
         };
@@ -309,6 +316,7 @@ impl<T> CalendarQueue<T> {
     /// Links an occupied slot into its day's list: behind the tail when
     /// its key is the day's largest (the common case), else in front of
     /// the first event with a larger key, found by walking from the head.
+    #[inline]
     fn link(&mut self, slot: u32, key: (SimTime, u64)) {
         let idx = (self.day_of(key.0) & self.mask) as usize;
         let (head, tail) = self.buckets[idx];
@@ -458,6 +466,7 @@ impl<T> CalendarQueue<T> {
 }
 
 impl<T> Scheduler<T> for CalendarQueue<T> {
+    #[inline]
     fn schedule(&mut self, at: SimTime, seq: u64, payload: T) {
         let ev = Scheduled { at, seq, payload };
         let day = self.day_of(at);
@@ -493,6 +502,7 @@ impl<T> Scheduler<T> for CalendarQueue<T> {
         Some(self.event(head).at)
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<Scheduled<T>> {
         if self.in_buckets == 0 {
             // Jump the window to the overflow minimum. Safe here (unlike

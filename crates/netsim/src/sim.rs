@@ -1,7 +1,7 @@
 //! The discrete-event simulator core.
 
 use crate::frame::FrameBytes;
-use crate::sched::{CalendarQueue, HeapScheduler, Scheduler, SchedulerKind};
+use crate::sched::{CalendarQueue, HeapScheduler, Scheduled, Scheduler, SchedulerKind};
 use crate::time::SimTime;
 use crate::timeline::{ExportRecorder, Timeline};
 use crate::topology::{Endpoint, Link, LinkId, Topology};
@@ -188,6 +188,48 @@ enum EventKind {
     },
 }
 
+/// The simulator's event queue: the calendar queue, or the heap oracle
+/// `Engine::DIFFERENTIAL` runs against. A concrete enum, not a
+/// `Box<dyn Scheduler>`, so push and pop inline into the event loop
+/// (DESIGN §4b, "static dispatch").
+enum Queue {
+    Calendar(CalendarQueue<EventKind>),
+    Heap(HeapScheduler<EventKind>),
+}
+
+impl Queue {
+    #[inline]
+    fn schedule(&mut self, at: SimTime, seq: u64, kind: EventKind) {
+        match self {
+            Queue::Calendar(q) => q.schedule(at, seq, kind),
+            Queue::Heap(q) => q.schedule(at, seq, kind),
+        }
+    }
+
+    #[inline]
+    fn next_at(&mut self) -> Option<SimTime> {
+        match self {
+            Queue::Calendar(q) => q.next_at(),
+            Queue::Heap(q) => q.next_at(),
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Scheduled<EventKind>> {
+        match self {
+            Queue::Calendar(q) => q.pop(),
+            Queue::Heap(q) => q.pop(),
+        }
+    }
+
+    fn kind(&self) -> SchedulerKind {
+        match self {
+            Queue::Calendar(q) => q.kind(),
+            Queue::Heap(q) => q.kind(),
+        }
+    }
+}
+
 /// Bits of the tiebreak key reserved for the per-source event count; the
 /// top 16 bits carry the source's raw switch id (see [`crate::sched`] on
 /// why the key is per source rather than one global counter).
@@ -280,7 +322,7 @@ impl SimTelemetry {
 /// Hot-path state is dense: nodes, taps, per-direction transmitter
 /// occupancy and the port dispatch table are flat vectors indexed by node
 /// id, link id and port number, sized once from the topology. The event
-/// queue itself is pluggable ([`SchedulerKind`]): the default calendar
+/// queue is chosen per simulator ([`SchedulerKind`]): the default calendar
 /// queue and the reference binary heap drain events in exactly the same
 /// `(time, seq)` order, so results are bit-identical either way. Tiebreak
 /// keys pack `(source node, per-source count)`.
@@ -288,8 +330,7 @@ pub struct Simulator {
     topology: Topology,
     /// Node behaviours, dense by raw switch id.
     nodes: Vec<Option<Box<dyn SimNode>>>,
-    queue: Box<dyn Scheduler<EventKind>>,
-    scheduler_kind: SchedulerKind,
+    queue: Queue,
     now: SimTime,
     /// Per-source event counts, dense by raw switch id: the low
     /// [`SRC_SEQ_BITS`] of each event's tiebreak key.
@@ -328,11 +369,11 @@ impl Simulator {
     /// minimum link latency (the floor on how far apart causally related
     /// events can be).
     pub fn with_scheduler(topology: Topology, kind: SchedulerKind) -> Self {
-        let queue: Box<dyn Scheduler<EventKind>> = match kind {
-            SchedulerKind::Heap => Box::new(HeapScheduler::new()),
+        let queue = match kind {
+            SchedulerKind::Heap => Queue::Heap(HeapScheduler::new()),
             SchedulerKind::Calendar => {
                 let width = topology.min_link_latency_ns().unwrap_or(1_024);
-                Box::new(CalendarQueue::with_bucket_width(width))
+                Queue::Calendar(CalendarQueue::with_bucket_width(width))
             }
         };
         let max_id = topology
@@ -357,7 +398,6 @@ impl Simulator {
         Simulator {
             nodes: (0..=max_id).map(|_| None).collect(),
             queue,
-            scheduler_kind: kind,
             now: SimTime::ZERO,
             src_seq: vec![0; max_id + 1],
             fault_seq: 0,
@@ -411,7 +451,7 @@ impl Simulator {
 
     /// The scheduler implementation this simulator runs on.
     pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.scheduler_kind
+        self.queue.kind()
     }
 
     /// Registers the behaviour for `id`.
@@ -1220,6 +1260,21 @@ mod tests {
         assert_eq!(lead.max, 1_000);
         let kinds: Vec<&str> = snap.events.iter().map(|e| e.event.kind()).collect();
         assert_eq!(kinds, vec!["frame_delivered", "frame_dropped"]);
+    }
+
+    /// Pins the event and queue-slot layout. A prototype that moved frame
+    /// payloads into a side slab (events 16 B, `Scheduled` 32 B) read
+    /// *slower*: `fabric_deep` ≈ 7.2 → 6.4 M events/s (3 of 3 pairs), and
+    /// `peak_rss_bytes` rose 9.4 → 14.1 MB. An inline payload shares the
+    /// event's cache line, and that wins — so a change to
+    /// `FrameBytes::INLINE_CAP` or `EventKind` must be a deliberate one,
+    /// made here (DESIGN §4b).
+    #[test]
+    fn event_and_slot_layout_is_pinned() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<EventKind>(), 72);
+        assert_eq!(size_of::<Scheduled<EventKind>>(), 88);
+        assert_eq!(size_of::<crate::sched::Slot<EventKind>>(), 96);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! profile uses HalfSipHash.
 
 use crate::crc32::Crc32;
-use crate::siphash::{HalfSipHasher, Rounds};
+use crate::siphash::half_siphash24;
 use crate::types::{Key64, Salt64};
 
 /// A 32-bit pseudo-random function keyed by a 64-bit key.
@@ -48,24 +48,11 @@ impl Prf32 for Crc32Prf {
 
 /// HalfSipHash-2-4 used as the PRF (the BMv2 / recommended profile).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HalfSipHashPrf {
-    rounds: Option<Rounds>,
-}
-
-impl HalfSipHashPrf {
-    /// PRF with explicit HalfSipHash round counts.
-    pub fn with_rounds(rounds: Rounds) -> Self {
-        HalfSipHashPrf {
-            rounds: Some(rounds),
-        }
-    }
-}
+pub struct HalfSipHashPrf;
 
 impl Prf32 for HalfSipHashPrf {
     fn eval(&self, key: Key64, data: &[u8]) -> u32 {
-        let mut h = HalfSipHasher::new(key, self.rounds.unwrap_or(Rounds::STANDARD));
-        h.update(data);
-        h.finalize()
+        half_siphash24(key, data)
     }
 
     fn name(&self) -> &'static str {
@@ -125,7 +112,7 @@ impl Kdf {
     /// KDF with the default (HalfSipHash) PRF.
     pub fn new(config: KdfConfig) -> Self {
         Kdf {
-            prf: Box::new(HalfSipHashPrf::default()),
+            prf: Box::new(HalfSipHashPrf),
             config,
         }
     }

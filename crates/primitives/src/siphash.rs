@@ -1,4 +1,4 @@
-//! HalfSipHash-c-d: the 32-bit-word variant of SipHash.
+//! HalfSipHash-2-4: the 32-bit-word variant of SipHash.
 //!
 //! Yoo & Chen ("Secure keyed hashing on programmable switches", ACM SIGCOMM
 //! SPIN 2021) showed HalfSipHash maps well onto Tofino's ALUs because every
@@ -7,39 +7,19 @@
 //! implements the reference construction from scratch.
 //!
 //! The state is four 32-bit words initialized from the 64-bit key and the
-//! ASCII constants of the SipHash paper, followed by `c` compression rounds
-//! per 4-byte block and `d` finalization rounds. The 32-bit output is
-//! `v1 ^ v3`.
+//! ASCII constants of the SipHash paper, followed by two compression rounds
+//! per 4-byte block and four finalization rounds. The 32-bit output is
+//! `v1 ^ v3`. The round counts are constants: every caller uses 2-4, the
+//! recommended SipHash parameters.
 
 use crate::types::Key64;
 
-/// Round-count configuration `(c, d)` of HalfSipHash-c-d.
-///
-/// The default, HalfSipHash-2-4, matches the recommended SipHash parameters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Rounds {
-    /// Compression rounds applied per message block.
-    pub c: u32,
-    /// Finalization rounds applied after the last block.
-    pub d: u32,
-}
+/// Compression rounds per message block (the `c` of HalfSipHash-c-d).
+const C_ROUNDS: usize = 2;
+/// Finalization rounds after the last block (the `d`).
+const D_ROUNDS: usize = 4;
 
-impl Rounds {
-    /// HalfSipHash-2-4, the standard parameterization.
-    pub const STANDARD: Rounds = Rounds { c: 2, d: 4 };
-
-    /// HalfSipHash-1-3, a faster reduced-round variant sometimes used when
-    /// pipeline stages are scarce.
-    pub const REDUCED: Rounds = Rounds { c: 1, d: 3 };
-}
-
-impl Default for Rounds {
-    fn default() -> Self {
-        Rounds::STANDARD
-    }
-}
-
-#[inline]
+#[inline(always)]
 fn sipround(v: &mut [u32; 4]) {
     v[0] = v[0].wrapping_add(v[1]);
     v[1] = v[1].rotate_left(5);
@@ -57,38 +37,58 @@ fn sipround(v: &mut [u32; 4]) {
     v[2] = v[2].rotate_left(16);
 }
 
-/// Incremental HalfSipHash hasher over a byte stream.
+/// Reference initialization: v0=0, v1=0, v2='lyge', v3='tedb', each XORed
+/// with the key halves.
+#[inline(always)]
+fn init(key: Key64) -> [u32; 4] {
+    let (k0, k1) = (key.lo(), key.hi());
+    [k0, k1, 0x6c79_6765 ^ k0, 0x7465_6462 ^ k1]
+}
+
+#[inline(always)]
+fn compress(v: &mut [u32; 4], m: u32) {
+    v[3] ^= m;
+    for _ in 0..C_ROUNDS {
+        sipround(v);
+    }
+    v[0] ^= m;
+}
+
+/// Absorbs the last block — the `tail` bytes (fewer than four) plus the
+/// message length mod 256 in the top byte — and finalizes.
+#[inline(always)]
+fn finish(mut v: [u32; 4], tail: &[u8], total_len: u64) -> u32 {
+    let mut last = (total_len as u32 & 0xff) << 24;
+    for (i, &b) in tail.iter().enumerate() {
+        last |= (b as u32) << (8 * i);
+    }
+    compress(&mut v, last);
+    v[2] ^= 0xff;
+    for _ in 0..D_ROUNDS {
+        sipround(&mut v);
+    }
+    v[1] ^ v[3]
+}
+
+/// Incremental HalfSipHash-2-4 hasher over a byte stream (the MAC feeds it
+/// a frame's parts one by one).
 #[derive(Clone, Debug)]
 pub struct HalfSipHasher {
     v: [u32; 4],
-    rounds: Rounds,
     buf: [u8; 4],
     buf_len: usize,
     total_len: u64,
 }
 
 impl HalfSipHasher {
-    /// Creates a hasher keyed with `key`, using round counts `rounds`.
-    pub fn new(key: Key64, rounds: Rounds) -> Self {
-        let k0 = key.lo();
-        let k1 = key.hi();
+    /// Creates a hasher keyed with `key`.
+    pub fn new(key: Key64) -> Self {
         HalfSipHasher {
-            // Reference initialization: v0=0, v1=0, v2='lyge', v3='tedb',
-            // each XORed with the key halves.
-            v: [k0, k1, 0x6c79_6765 ^ k0, 0x7465_6462 ^ k1],
-            rounds,
+            v: init(key),
             buf: [0; 4],
             buf_len: 0,
             total_len: 0,
         }
-    }
-
-    fn compress(&mut self, m: u32) {
-        self.v[3] ^= m;
-        for _ in 0..self.rounds.c {
-            sipround(&mut self.v);
-        }
-        self.v[0] ^= m;
     }
 
     /// Feeds `data` into the hash.
@@ -105,14 +105,14 @@ impl HalfSipHasher {
             self.buf[self.buf_len] = byte;
             self.buf_len += 1;
             if self.buf_len == 4 {
-                self.compress(u32::from_le_bytes(self.buf));
+                compress(&mut self.v, u32::from_le_bytes(self.buf));
                 self.buf_len = 0;
             }
         }
         let mut chunks = rest.chunks_exact(4);
         for chunk in &mut chunks {
             let m = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            self.compress(m);
+            compress(&mut self.v, m);
         }
         for &byte in chunks.remainder() {
             self.buf[self.buf_len] = byte;
@@ -121,26 +121,20 @@ impl HalfSipHasher {
     }
 
     /// Consumes the hasher and returns the 32-bit digest.
-    pub fn finalize(mut self) -> u32 {
-        // Last block: remaining bytes plus (len mod 256) in the top byte.
-        let mut last = (self.total_len as u32 & 0xff) << 24;
-        for (i, &b) in self.buf[..self.buf_len].iter().enumerate() {
-            last |= (b as u32) << (8 * i);
-        }
-        self.compress(last);
-        self.v[2] ^= 0xff;
-        for _ in 0..self.rounds.d {
-            sipround(&mut self.v);
-        }
-        self.v[1] ^ self.v[3]
+    pub fn finalize(self) -> u32 {
+        finish(self.v, &self.buf[..self.buf_len], self.total_len)
     }
 }
 
-/// One-shot HalfSipHash-2-4 of `data` under `key`.
+/// One-shot HalfSipHash-2-4 of `data` under `key`: a straight-line kernel
+/// with the state in locals and no partial-word buffer (the PRF's path).
 pub fn half_siphash24(key: Key64, data: &[u8]) -> u32 {
-    let mut h = HalfSipHasher::new(key, Rounds::STANDARD);
-    h.update(data);
-    h.finalize()
+    let mut v = init(key);
+    let mut blocks = data.chunks_exact(4);
+    for b in &mut blocks {
+        compress(&mut v, u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+    }
+    finish(v, blocks.remainder(), data.len() as u64)
 }
 
 #[cfg(test)]
@@ -169,12 +163,15 @@ mod tests {
         ];
         for (len, expect) in EXPECTED.iter().enumerate() {
             let msg: Vec<u8> = (0..len as u8).collect();
-            let out = half_siphash24(key(), &msg);
-            assert_eq!(
-                out.to_le_bytes(),
-                *expect,
-                "vector mismatch for message length {len}"
-            );
+            let mut h = HalfSipHasher::new(key());
+            h.update(&msg);
+            for out in [half_siphash24(key(), &msg), h.finalize()] {
+                assert_eq!(
+                    out.to_le_bytes(),
+                    *expect,
+                    "vector mismatch for message length {len}"
+                );
+            }
         }
     }
 
@@ -183,7 +180,7 @@ mod tests {
         let msg: Vec<u8> = (0..37).collect();
         let oneshot = half_siphash24(key(), &msg);
         for split in 0..msg.len() {
-            let mut h = HalfSipHasher::new(key(), Rounds::STANDARD);
+            let mut h = HalfSipHasher::new(key());
             h.update(&msg[..split]);
             h.update(&msg[split..]);
             assert_eq!(h.finalize(), oneshot, "split at {split}");
@@ -211,14 +208,6 @@ mod tests {
         let a = half_siphash24(key(), b"ab");
         let b = half_siphash24(key(), b"ab\0");
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn reduced_rounds_differ_from_standard() {
-        let msg = b"round-count-sensitivity";
-        let mut h = HalfSipHasher::new(key(), Rounds::REDUCED);
-        h.update(msg);
-        assert_ne!(h.finalize(), half_siphash24(key(), msg));
     }
 
     #[test]

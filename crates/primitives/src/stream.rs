@@ -27,7 +27,7 @@ pub struct StreamCipher {
 impl Default for StreamCipher {
     fn default() -> Self {
         StreamCipher {
-            prf: Box::new(HalfSipHashPrf::default()),
+            prf: Box::new(HalfSipHashPrf),
         }
     }
 }

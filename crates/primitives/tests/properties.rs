@@ -5,7 +5,7 @@ use p4auth_primitives::ct;
 use p4auth_primitives::dh::{exchange, DhParams, DhPrivate};
 use p4auth_primitives::kdf::{Crc32Prf, Kdf, KdfConfig};
 use p4auth_primitives::mac::{Crc32Mac, DigestWidth, HalfSipHashMac, Mac, WideMac};
-use p4auth_primitives::siphash::{half_siphash24, HalfSipHasher, Rounds};
+use p4auth_primitives::siphash::{half_siphash24, HalfSipHasher};
 use p4auth_primitives::{Key64, Salt64};
 use proptest::prelude::*;
 
@@ -58,7 +58,7 @@ proptest! {
     fn siphash_incremental(data in proptest::collection::vec(any::<u8>(), 0..256), split in 0usize..256, key: u64) {
         let split = split.min(data.len());
         let k = Key64::new(key);
-        let mut h = HalfSipHasher::new(k, Rounds::STANDARD);
+        let mut h = HalfSipHasher::new(k);
         h.update(&data[..split]);
         h.update(&data[split..]);
         prop_assert_eq!(h.finalize(), half_siphash24(k, &data));
