@@ -1,6 +1,7 @@
 //! Controller implementation.
 
 use crate::defence::{DefenceConfig, DefenceState, MitigationAction, MitigationKind};
+use crate::outstanding::{Outstanding, PendingRequest};
 use p4auth_core::adhkd::{AdhkdInitiator, AdhkdPayload};
 use p4auth_core::auth::{AuthMetrics, RejectReason, ReplayWindow};
 use p4auth_core::eak::EakInitiator;
@@ -200,17 +201,6 @@ impl std::ops::Add for ControllerStats {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct PendingRequest {
-    reg: RegId,
-    index: u32,
-    is_write: bool,
-    /// Sim time (ns) the request left the controller, per the clock last
-    /// pushed via [`Controller::set_now`]. Used for the register-op latency
-    /// histogram.
-    sent_at_ns: u64,
-}
-
 /// Pre-registered telemetry handles for the controller, labeled
 /// `"controller"` by default (replicas use `"replica<i>"`).
 struct ControllerTelemetry {
@@ -325,7 +315,7 @@ struct SwitchChannel {
     /// for one counted rollover (the responder dedupes retransmissions
     /// by offer content).
     adhkd: Option<(KexContext, AdhkdInitiator, AdhkdPayload)>,
-    outstanding: IdMap<SeqNum, PendingRequest>,
+    outstanding: Outstanding,
     retry: RetryState,
 }
 
@@ -338,7 +328,7 @@ impl SwitchChannel {
             seq_out: SeqNum::new(0),
             eak: None,
             adhkd: None,
-            outstanding: IdMap::default(),
+            outstanding: Outstanding::default(),
             retry: RetryState::default(),
         }
     }
@@ -817,7 +807,7 @@ impl Controller {
         let chan = self.channel_mut(switch);
         let seq = chan.next_seq();
         let is_write = value.is_some();
-        chan.outstanding.insert(
+        chan.outstanding.push(
             seq,
             PendingRequest {
                 reg,
@@ -1235,7 +1225,9 @@ impl Controller {
         bytes: &[u8],
     ) -> (Vec<Outgoing>, Vec<ControllerEvent>) {
         let mut out = Vec::new();
-        let mut events = Vec::new();
+        // Every frame but a served request or an unmatched key-exchange
+        // leg pushes at least one event, an accepted reply exactly one.
+        let mut events = Vec::with_capacity(1);
         let Ok(msg) = Message::decode(bytes) else {
             // Framing garbage carries no verifiable sender claim:
             // classify as transport-malformed, not BadDigest, so it can
@@ -1265,7 +1257,7 @@ impl Controller {
                     // Responses echo the request's seq, so the replay window
                     // only applies to switch-initiated messages (alerts,
                     // key-exchange legs) — responses are deduplicated via
-                    // the outstanding map instead.
+                    // the outstanding set instead.
                     match msg.body() {
                         Body::Register(_) => Ok(()),
                         _ => self
@@ -1314,6 +1306,11 @@ impl Controller {
                     }
                 }
             }
+        } else if !self.switches.contains_key(&from) {
+            // Nothing verified the sender, and no channel exists to answer
+            // on: fail closed with the verdict auth-on mode gives it.
+            self.note_reject(from, RejectReason::NoKey, &mut events);
+            return (out, events);
         }
 
         match *msg.body() {
@@ -1365,7 +1362,7 @@ impl Controller {
         };
         let threshold = self.config.outstanding_threshold;
         let chan = self.channel_mut(from);
-        let Some(pending) = chan.outstanding.remove(&seq) else {
+        let Some(pending) = chan.outstanding.remove(seq) else {
             events.push(ControllerEvent::UnmatchedResponse(from));
             return;
         };
@@ -2014,6 +2011,58 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// With auth off nothing screens a sender the transport names, so a
+    /// frame from a switch that was never registered reached
+    /// `channel_mut`'s `panic!` or a `.expect("verified channel exists")`.
+    /// It gets auth-on mode's verdict instead, and no channel.
+    fn unregistered_sender_fails_closed(body: Body) {
+        let mut c = Controller::new(ControllerConfig {
+            auth_enabled: false,
+            ..ControllerConfig::default()
+        });
+        c.register_switch(SwitchId::new(1), Key64::new(0));
+        let stranger = SwitchId::new(9);
+        let frame = Message::new(stranger, PortId::CPU, SeqNum::new(1), body).encode();
+        let (out, events) = c.on_message(stranger, &frame);
+        assert!(out.is_empty());
+        assert_eq!(
+            events,
+            [ControllerEvent::Rejected {
+                switch: stranger,
+                reason: RejectReason::NoKey,
+            }]
+        );
+        assert!(!c.switches.contains_key(&stranger));
+        assert_eq!(c.stats().rejected, 1);
+    }
+
+    #[test]
+    fn auth_off_register_response_from_an_unregistered_switch_is_rejected() {
+        unregistered_sender_fails_closed(Body::Register(RegisterOp::Ack {
+            reg: RegId::new(1),
+            index: 0,
+            value: 0,
+        }));
+    }
+
+    #[test]
+    fn auth_off_eak_salt_from_an_unregistered_switch_is_rejected() {
+        unregistered_sender_fails_closed(Body::KeyExchange(KeyExchange::EakSalt {
+            step: EakStep::Salt2,
+            salt: 7,
+        }));
+    }
+
+    #[test]
+    fn auth_off_adhkd_answer_from_an_unregistered_switch_is_rejected() {
+        unregistered_sender_fails_closed(Body::KeyExchange(KeyExchange::Adhkd {
+            role: AdhkdRole::Answer,
+            context: KexContext::LocalInit,
+            public_key: 5,
+            salt: 6,
+        }));
     }
 
     #[test]

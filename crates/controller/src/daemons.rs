@@ -143,14 +143,15 @@ impl KeyManagerDaemon {
     pub fn partition_done(db: &StateDb, owned: &[SwitchId], e: u64) -> bool {
         owned.iter().all(|s| {
             matches!(
-                Self::status(db, *s),
+                Self::status(db, &s.to_string()),
                 Some(KexStatus::Done { epoch }) if epoch == e
             )
         })
     }
 
-    fn status(db: &StateDb, switch: SwitchId) -> Option<KexStatus> {
-        KexStatus::parse(db.value(tables::KMP, &switch.to_string())?.as_text()?)
+    /// The `kmp` entry under `key`, a switch id as `Display` writes it.
+    fn status(db: &StateDb, key: &str) -> Option<KexStatus> {
+        KexStatus::parse(db.value(tables::KMP, key)?.as_text()?)
     }
 
     /// One deterministic step: reconcile the partition against the
@@ -182,7 +183,7 @@ impl KeyManagerDaemon {
 
         for &switch in &self.owned {
             let key = switch.to_string();
-            let status = Self::status(db, switch);
+            let status = Self::status(db, &key);
 
             // A new epoch (or a switch the table has never seen) gets a
             // pending entry with the *current* key version as baseline.

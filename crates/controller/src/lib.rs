@@ -48,6 +48,7 @@
 mod controller;
 pub mod daemons;
 pub mod defence;
+mod outstanding;
 pub mod replica;
 pub mod statedb;
 

@@ -5,6 +5,8 @@
 //! benchmark workload time. At steady state each layer may allocate only
 //! what its return type obliges it to: the request frame; the agent's
 //! event list, output list and reply frame; the controller's event list.
+//! A `Nack` for a register the config maps but nobody declared costs the
+//! agent what an accepted op does.
 //! And no op writes to the replicas' state table, whatever its outcome:
 //! that table holds rollover progress, not per-op outcomes. A regression
 //! in either count names the layer here, instead of showing up later as a
@@ -24,6 +26,7 @@ use p4auth_dataplane::register::RegisterArray;
 use p4auth_primitives::Key64;
 use p4auth_telemetry::alloc::{allocations, CountingAlloc};
 use p4auth_telemetry::Registry;
+use p4auth_wire::body::NackReason;
 use p4auth_wire::ids::{PortId, RegId, SwitchId};
 use std::sync::Arc;
 
@@ -32,6 +35,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const SW: SwitchId = SwitchId::new(1);
 const REG: RegId = RegId::new(1);
+/// Mapped in the agent's config, never declared on its chassis.
+const UNDECLARED: RegId = RegId::new(2);
 
 /// What `on_packet` allocated at the parent commit (4836725) on a frame
 /// with a forged digest and on a replayed one — measured there with this
@@ -51,7 +56,10 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 fn stack() -> (ReplicaSet, P4AuthSwitch) {
     let seed = Key64::new(0x5eed);
     let mut set = ReplicaSet::new(1, ControllerConfig::default(), &[(SW, seed)]);
-    let mut agent = P4AuthSwitch::new(AgentConfig::new(SW, 2, seed).map_register(REG, "r"), None);
+    let config = AgentConfig::new(SW, 2, seed)
+        .map_register(REG, "r")
+        .map_register(UNDECLARED, "undeclared");
+    let mut agent = P4AuthSwitch::new(config, None);
     agent
         .chassis_mut()
         .declare_register(RegisterArray::new("r", 8, 64));
@@ -203,6 +211,28 @@ fn hot_path_allocs() {
         writes_before,
         "state-table writes per register op"
     );
+
+    // A mapped but undeclared register: a counted `Nack`, and no more
+    // allocations than an `Ack`.
+    for i in 9_000..10_000u64 {
+        let request = set.read_register(i, SW, UNDECLARED, 0);
+        let (packet_allocs, out) =
+            allocations_during(|| agent.on_packet(i, PortId::CPU, &request.bytes));
+        let (_, events) = set.on_message(i, SW, &out.outputs[0].1);
+        assert!(matches!(
+            events[..],
+            [ControllerEvent::Nacked {
+                reason: NackReason::UnknownRegister,
+                ..
+            }]
+        ));
+        if i >= 9_500 {
+            assert!(
+                packet_allocs <= 3,
+                "on_packet, undeclared register: {packet_allocs} at op {i}"
+            );
+        }
+    }
 
     // Observed or not, a rejected frame costs the heap the same: the
     // counters (one per channel among them) and both rings — small enough

@@ -25,7 +25,9 @@ use crate::auth::{
 };
 use crate::eak;
 use crate::keys::KeyStore;
-use p4auth_dataplane::chassis::{Chassis, ChassisConfig, ChassisError, PacketContext};
+use p4auth_dataplane::chassis::{
+    Chassis, ChassisConfig, ChassisError, PacketContext, RegisterHandle, TableHandle,
+};
 use p4auth_dataplane::cost::TargetProfile;
 use p4auth_dataplane::packet::Packet;
 use p4auth_dataplane::table::{ActionEntry, MatchKey, MatchTable, TableKind};
@@ -317,7 +319,14 @@ pub struct P4AuthSwitch {
     /// the key version twice while the initiator counts one rollover.
     answered_offers: IdMap<(KexContext, PortId), (u64, u32, u64, u32)>,
     app: Option<Box<dyn InNetworkApp>>,
-    reg_names: Vec<Arc<str>>,
+    /// The Fig. 15 mapping table, declared by [`P4AuthSwitch::new`].
+    mapping: TableHandle,
+    /// Per mapping-table action index: the register's data-plane name and,
+    /// from its first use on, its handle. Resolved at first use rather
+    /// than in `new`, because harnesses declare registers through
+    /// [`P4AuthSwitch::chassis_mut`] after it; only a hit is kept, so a
+    /// register declared late is still found.
+    mapped: Vec<(Arc<str>, Option<RegisterHandle>)>,
     stats: AgentStats,
     telemetry: Option<AgentTelemetry>,
 }
@@ -350,10 +359,10 @@ impl P4AuthSwitch {
         // Fig. 15: the register mapping table, two entries per register.
         let capacity = (config.register_map.len() as u32 * 2).max(2);
         let mut table = MatchTable::new(REG_MAPPING_TABLE, TableKind::ExactSram, capacity, 40);
-        let mut reg_names = Vec::new();
+        let mut mapped = Vec::new();
         for (reg_id, name) in &config.register_map {
-            let action_index = reg_names.len() as u64;
-            reg_names.push(Arc::from(name.as_str()));
+            let action_index = mapped.len() as u64;
+            mapped.push((Arc::from(name.as_str()), None));
             table
                 .insert(
                     MatchKey::new(reg_id.value() as u64, QUAL_READ),
@@ -367,7 +376,7 @@ impl P4AuthSwitch {
                 )
                 .expect("mapping table sized for the register map");
         }
-        chassis.declare_table(table);
+        let mapping = chassis.declare_table(table);
 
         let mut app = app;
         if let Some(a) = app.as_mut() {
@@ -387,7 +396,8 @@ impl P4AuthSwitch {
             pending_kex: IdMap::default(),
             answered_offers: IdMap::default(),
             app,
-            reg_names,
+            mapping,
+            mapped,
             chassis,
             stats: AgentStats::default(),
             config,
@@ -773,14 +783,22 @@ impl P4AuthSwitch {
         };
 
         let auth = self.config.auth_enabled;
-        let mut events = Vec::new();
+        // With auth on, every path pushes a verdict and then at most one
+        // more event (the register access, or the alert).
+        let mut events = Vec::with_capacity(2);
         let mut reject: Option<RejectReason> = None;
         let mut reply_op: Option<RegisterOp> = None;
+        let unknown = RegisterOp::Nack {
+            reg,
+            index,
+            reason: NackReason::UnknownRegister,
+        };
 
         let quarantined = auth && self.is_quarantined(PortId::CPU);
         let channel_key = self.channel_verify_key(PortId::CPU, msg);
         let replay = &mut self.replay;
-        let reg_names = &self.reg_names;
+        let mapping = self.mapping;
+        let mapped = &mut self.mapped;
         let outcome = self
             .chassis
             .process(now_ns, &self.packet, |ctx, _| {
@@ -802,25 +820,30 @@ impl P4AuthSwitch {
                         }
                     }
                 }
-                let Some(entry) = ctx.lookup(
-                    REG_MAPPING_TABLE,
-                    MatchKey::new(reg.value() as u64, qualifier),
-                )?
-                else {
-                    reply_op = Some(RegisterOp::Nack {
-                        reg,
-                        index,
-                        reason: NackReason::UnknownRegister,
-                    });
+                let key = MatchKey::new(reg.value() as u64, qualifier);
+                let Some(entry) = ctx.lookup_at(mapping, key) else {
+                    reply_op = Some(unknown);
                     return Ok(vec![]);
                 };
-                let name = &reg_names[entry.data0 as usize];
+                let (name, slot) = &mut mapped[entry.data0 as usize];
+                let register = match *slot {
+                    Some(register) => register,
+                    None => match ctx.register_handle(name) {
+                        Some(register) => *slot.insert(register),
+                        // Mapped in the config but not (yet) declared on
+                        // the chassis: to the requester it does not exist.
+                        None => {
+                            reply_op = Some(unknown);
+                            return Ok(vec![]);
+                        }
+                    },
+                };
                 let done = match qualifier {
-                    QUAL_READ => ctx.read_register(name, index).map(|value| {
+                    QUAL_READ => ctx.read_register_at(register, index).map(|value| {
                         let name = name.clone();
                         (AgentEvent::RegisterRead { name, index, value }, value)
                     }),
-                    _ => ctx.write_register(name, index, value).map(|()| {
+                    _ => ctx.write_register_at(register, index, value).map(|()| {
                         let name = name.clone();
                         (AgentEvent::RegisterWritten { name, index, value }, 0)
                     }),
@@ -830,25 +853,18 @@ impl P4AuthSwitch {
                         events.push(event);
                         RegisterOp::Ack { reg, index, value }
                     }
-                    Err(ChassisError::Register(_)) => RegisterOp::Nack {
+                    Err(_) => RegisterOp::Nack {
                         reg,
                         index,
                         reason: NackReason::IndexOutOfRange,
                     },
-                    // Mapped in the config but never declared on the
-                    // chassis: to the requester it does not exist.
-                    Err(ChassisError::NoSuchRegister(_)) => RegisterOp::Nack {
-                        reg,
-                        index,
-                        reason: NackReason::UnknownRegister,
-                    },
-                    Err(e) => return Err(e),
                 });
                 Ok(vec![])
             })
-            .expect("register handling uses declared tables only");
+            .expect("the register program emits no packet and returns no error");
 
-        let mut outputs = Vec::new();
+        // One reply, and on a reject possibly an alert after it.
+        let mut outputs = Vec::with_capacity(if reject.is_some() { 2 } else { 1 });
 
         if let Some(reason) = reject {
             self.record_reject(
@@ -1689,6 +1705,73 @@ mod tests {
             ));
         }
         assert_eq!(sw.stats().nacks, 2);
+    }
+
+    /// The mapping resolves a register's handle at its first use, not in
+    /// `new`: harnesses declare through `chassis_mut()` after it. A miss
+    /// is not remembered, so declaring later turns `Nack` into `Ack`.
+    #[test]
+    fn register_declared_after_new_is_found_and_a_miss_is_not_cached() {
+        let config =
+            AgentConfig::new(SwitchId::new(1), 4, SEED).map_register(RegId::new(9), "late");
+        let mut sw = P4AuthSwitch::new(config, None);
+        let k = Key64::new(42);
+        install_local(&mut sw, k);
+        let read = |seq: u32| {
+            Message::register_request(
+                SwitchId::CONTROLLER,
+                SeqNum::new(seq),
+                RegisterOp::read_req(RegId::new(9), 1),
+            )
+            .encode_sealed(&mac(), k)
+        };
+        let reply = |out: &AgentOutput| match Message::decode(&out.outputs[0].1).unwrap().body() {
+            Body::Register(op) => *op,
+            other => panic!("not a register reply: {other:?}"),
+        };
+
+        let before = sw.on_packet(0, PortId::CPU, &read(1));
+        assert!(matches!(
+            reply(&before),
+            RegisterOp::Nack {
+                reason: NackReason::UnknownRegister,
+                ..
+            }
+        ));
+        sw.chassis_mut()
+            .declare_register(RegisterArray::new("late", 2, 64));
+        let after = sw.on_packet(0, PortId::CPU, &read(2));
+        assert!(matches!(reply(&after), RegisterOp::Ack { value: 0, .. }));
+        assert_eq!((sw.stats().nacks, sw.stats().acks), (1, 1));
+    }
+
+    /// The handle the agent keeps addresses the very array the driver
+    /// surface (`register_mut(name)`, the §II-A tamper surface) writes.
+    #[test]
+    fn driver_write_by_name_is_what_the_next_authenticated_read_returns() {
+        let mut sw = agent();
+        let k = Key64::new(42);
+        install_local(&mut sw, k);
+        // The first op resolves and keeps the handle.
+        let out = sw.on_packet(0, PortId::CPU, &sealed_write(k, 1, 2, 5));
+        assert!(out.has_event(&AgentEvent::VerifiedOk));
+        sw.chassis_mut()
+            .register_mut("path_latency")
+            .unwrap()
+            .write(2, 0xbad)
+            .unwrap();
+        let read = Message::register_request(
+            SwitchId::CONTROLLER,
+            SeqNum::new(2),
+            RegisterOp::read_req(RegId::new(1234), 2),
+        )
+        .encode_sealed(&mac(), k);
+        let out = sw.on_packet(0, PortId::CPU, &read);
+        assert!(out.has_event(&AgentEvent::RegisterRead {
+            name: "path_latency".into(),
+            index: 2,
+            value: 0xbad
+        }));
     }
 
     #[test]

@@ -57,8 +57,6 @@ impl ChassisConfig {
 pub enum ChassisError {
     /// No register array with that name was declared.
     NoSuchRegister(String),
-    /// No table with that name was declared.
-    NoSuchTable(String),
     /// A register access was out of bounds.
     Register(IndexOutOfRangeError),
     /// A packet was emitted to a port the switch does not have.
@@ -69,7 +67,6 @@ impl fmt::Display for ChassisError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ChassisError::NoSuchRegister(name) => write!(f, "no register named {name}"),
-            ChassisError::NoSuchTable(name) => write!(f, "no table named {name}"),
             ChassisError::Register(e) => write!(f, "{e}"),
             ChassisError::NoSuchPort(p) => write!(f, "no port {p}"),
         }
@@ -123,12 +120,28 @@ impl ChassisTelemetry {
     }
 }
 
+/// A register array on the chassis that declared it: its index in
+/// declaration order, the numeric id a P4Runtime client addresses it by.
+/// Names are a load-time concept; the per-packet path takes handles.
+/// A handle means nothing on any other chassis.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RegisterHandle(u32);
+
+/// A match-action table on the chassis that declared it (see
+/// [`RegisterHandle`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TableHandle(u32);
+
 /// The emulated switch.
 pub struct Chassis {
     config: ChassisConfig,
     cost: CostModel,
-    registers: IdMap<String, RegisterArray>,
-    tables: IdMap<String, MatchTable>,
+    /// Indexed by [`RegisterHandle`].
+    registers: Vec<RegisterArray>,
+    /// Indexed by [`TableHandle`].
+    tables: Vec<MatchTable>,
+    /// Name → handle, read only by the name-taking accessors.
+    register_ids: IdMap<String, RegisterHandle>,
     hash: HashEngine,
     telemetry: Option<ChassisTelemetry>,
 }
@@ -155,8 +168,9 @@ impl Chassis {
         Chassis {
             config,
             cost: CostModel::for_profile(config.profile),
-            registers: IdMap::default(),
-            tables: IdMap::default(),
+            registers: Vec::new(),
+            tables: Vec::new(),
+            register_ids: IdMap::default(),
             hash: HashEngine::new(mac),
             telemetry: None,
         }
@@ -187,56 +201,56 @@ impl Chassis {
         &self.cost
     }
 
-    /// Declares a register array (P4 `register<...>(N)` instantiation).
+    /// Declares a register array (P4 `register<...>(N)` instantiation) and
+    /// returns its handle.
     ///
     /// # Panics
     ///
     /// Panics if a register with the same name already exists — duplicate
     /// instantiation is a program bug.
-    pub fn declare_register(&mut self, reg: RegisterArray) {
-        let name = reg.name().to_string();
-        let prev = self.registers.insert(name.clone(), reg);
-        assert!(prev.is_none(), "register {name} declared twice");
+    pub fn declare_register(&mut self, reg: RegisterArray) -> RegisterHandle {
+        let handle = RegisterHandle(self.registers.len() as u32);
+        let prev = self.register_ids.insert(reg.name().to_string(), handle);
+        assert!(prev.is_none(), "register {} declared twice", reg.name());
+        self.registers.push(reg);
+        handle
     }
 
-    /// Declares a match-action table.
+    /// Declares a match-action table, its rules already installed, and
+    /// returns its handle: the only way to reach it.
     ///
     /// # Panics
     ///
     /// Panics on duplicate table names.
-    pub fn declare_table(&mut self, table: MatchTable) {
-        let name = table.name().to_string();
-        let prev = self.tables.insert(name.clone(), table);
-        assert!(prev.is_none(), "table {name} declared twice");
+    pub fn declare_table(&mut self, table: MatchTable) -> TableHandle {
+        let handle = TableHandle(self.tables.len() as u32);
+        let duplicate = self.tables.iter().any(|t| t.name() == table.name());
+        assert!(!duplicate, "table {} declared twice", table.name());
+        self.tables.push(table);
+        handle
+    }
+
+    /// The handle of the register declared as `name`, if any.
+    pub fn register_handle(&self, name: &str) -> Option<RegisterHandle> {
+        self.register_ids.get(name).copied()
+    }
+
+    fn resolve_register(&self, name: &str) -> Result<RegisterHandle, ChassisError> {
+        self.register_handle(name)
+            .ok_or_else(|| ChassisError::NoSuchRegister(name.to_string()))
     }
 
     /// Direct (control-plane-side) register access, as the switch driver
     /// performs it. This is the surface the §II-A adversary tampers with.
     pub fn register(&self, name: &str) -> Result<&RegisterArray, ChassisError> {
-        self.registers
-            .get(name)
-            .ok_or_else(|| ChassisError::NoSuchRegister(name.to_string()))
+        let h = self.resolve_register(name)?;
+        Ok(&self.registers[h.0 as usize])
     }
 
     /// Mutable register access (driver writes).
     pub fn register_mut(&mut self, name: &str) -> Result<&mut RegisterArray, ChassisError> {
-        self.registers
-            .get_mut(name)
-            .ok_or_else(|| ChassisError::NoSuchRegister(name.to_string()))
-    }
-
-    /// Table access for rule installation.
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut MatchTable, ChassisError> {
-        self.tables
-            .get_mut(name)
-            .ok_or_else(|| ChassisError::NoSuchTable(name.to_string()))
-    }
-
-    /// Immutable table access.
-    pub fn table(&self, name: &str) -> Result<&MatchTable, ChassisError> {
-        self.tables
-            .get(name)
-            .ok_or_else(|| ChassisError::NoSuchTable(name.to_string()))
+        let h = self.resolve_register(name)?;
+        Ok(&mut self.registers[h.0 as usize])
     }
 
     /// Whether `port` exists on this chassis.
@@ -370,17 +384,58 @@ impl<'c> PacketContext<'c> {
         self.now_ns
     }
 
+    /// The handle of the register declared as `name`, if any (no stage:
+    /// a program resolves names once, not per packet).
+    pub fn register_handle(&self, name: &str) -> Option<RegisterHandle> {
+        self.chassis.register_handle(name)
+    }
+
     /// Reads `register[index]` (one stage).
+    ///
+    /// # Errors
+    ///
+    /// Out-of-range index.
+    pub fn read_register_at(
+        &mut self,
+        register: RegisterHandle,
+        index: u32,
+    ) -> Result<u64, IndexOutOfRangeError> {
+        self.consume_stage();
+        self.chassis.registers[register.0 as usize].read(index)
+    }
+
+    /// Writes `register[index] = value` (one stage).
+    ///
+    /// # Errors
+    ///
+    /// Out-of-range index.
+    pub fn write_register_at(
+        &mut self,
+        register: RegisterHandle,
+        index: u32,
+        value: u64,
+    ) -> Result<(), IndexOutOfRangeError> {
+        self.consume_stage();
+        self.chassis.registers[register.0 as usize].write(index, value)
+    }
+
+    /// Looks `key` up in `table` (one stage).
+    pub fn lookup_at(&mut self, table: TableHandle, key: MatchKey) -> Option<ActionEntry> {
+        self.consume_stage();
+        self.chassis.tables[table.0 as usize].lookup(key)
+    }
+
+    /// [`Self::read_register_at`] on the register declared as `name`.
     ///
     /// # Errors
     ///
     /// Unknown register name or out-of-range index.
     pub fn read_register(&mut self, name: &str, index: u32) -> Result<u64, ChassisError> {
-        self.consume_stage();
-        Ok(self.chassis.register(name)?.read(index)?)
+        let register = self.chassis.resolve_register(name)?;
+        Ok(self.read_register_at(register, index)?)
     }
 
-    /// Writes `register[index] = value` (one stage).
+    /// [`Self::write_register_at`] on the register declared as `name`.
     ///
     /// # Errors
     ///
@@ -391,8 +446,8 @@ impl<'c> PacketContext<'c> {
         index: u32,
         value: u64,
     ) -> Result<(), ChassisError> {
-        self.consume_stage();
-        Ok(self.chassis.register_mut(name)?.write(index, value)?)
+        let register = self.chassis.resolve_register(name)?;
+        Ok(self.write_register_at(register, index, value)?)
     }
 
     /// Read-modify-write of `register[index]` in one stateful-ALU pass
@@ -407,22 +462,9 @@ impl<'c> PacketContext<'c> {
         index: u32,
         f: impl FnOnce(u64) -> u64,
     ) -> Result<u64, ChassisError> {
+        let register = self.chassis.resolve_register(name)?;
         self.consume_stage();
-        Ok(self.chassis.register_mut(name)?.update(index, f)?)
-    }
-
-    /// Looks `key` up in `table` (one stage).
-    ///
-    /// # Errors
-    ///
-    /// Unknown table name.
-    pub fn lookup(
-        &mut self,
-        table: &str,
-        key: MatchKey,
-    ) -> Result<Option<ActionEntry>, ChassisError> {
-        self.consume_stage();
-        Ok(self.chassis.table(table)?.lookup(key))
+        Ok(self.chassis.registers[register.0 as usize].update(index, f)?)
     }
 
     /// Computes a keyed digest (metered hash passes + one stage).
@@ -549,7 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_register_and_table_errors() {
+    fn unknown_register_errors() {
         let mut c = chassis();
         let pkt = Packet::from_bytes(PortId::new(1), vec![]);
         let err = c
@@ -559,13 +601,37 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err.to_string(), "no register named nope");
-        let err = c
+        assert_eq!(c.register_handle("nope"), None);
+    }
+
+    #[test]
+    fn handles_are_dense_and_address_what_names_do() {
+        let mut c = Chassis::new(ChassisConfig::tofino(SwitchId::new(1), 2));
+        let a = c.declare_register(RegisterArray::new("a", 4, 64));
+        let b = c.declare_register(RegisterArray::new("b", 4, 64));
+        let mut table = MatchTable::new("map", TableKind::ExactSram, 4, 40);
+        table
+            .insert(MatchKey::new(7, 1), ActionEntry::new(1, 2, 3))
+            .unwrap();
+        let map = c.declare_table(table);
+        assert_eq!((a, b), (RegisterHandle(0), RegisterHandle(1)));
+        assert_eq!(map, TableHandle(0));
+        assert_eq!(c.register_handle("b"), Some(b));
+        // A driver write by name is what the handle path reads, and back.
+        c.register_mut("b").unwrap().write(3, 41).unwrap();
+        let pkt = Packet::from_bytes(PortId::new(1), vec![]);
+        let out = c
             .process(0, &pkt, |ctx, _| {
-                ctx.lookup("missing", MatchKey::new(0, 0))?;
+                assert_eq!(ctx.read_register_at(b, 3), Ok(41));
+                ctx.write_register_at(a, 0, 9)?;
+                assert_eq!(ctx.read_register_at(a, 4).unwrap_err().index, 4);
+                assert_eq!(ctx.lookup_at(map, MatchKey::new(7, 1)).unwrap().data0, 2);
+                assert_eq!(ctx.lookup_at(map, MatchKey::new(7, 2)), None);
                 Ok(vec![])
             })
-            .unwrap_err();
-        assert!(matches!(err, ChassisError::NoSuchTable(_)));
+            .unwrap();
+        assert_eq!(out.stages_used, 5);
+        assert_eq!(c.register("a").unwrap().read(0), Ok(9));
     }
 
     #[test]
@@ -635,6 +701,13 @@ mod tests {
     fn duplicate_register_panics() {
         let mut c = chassis();
         c.declare_register(RegisterArray::new("util", 1, 64));
+    }
+
+    #[test]
+    #[should_panic(expected = "table map declared twice")]
+    fn duplicate_table_panics() {
+        let mut c = chassis();
+        c.declare_table(MatchTable::new("map", TableKind::ExactSram, 1, 40));
     }
 
     #[test]
