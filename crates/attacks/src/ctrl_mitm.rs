@@ -80,23 +80,6 @@ pub fn rewrite_write_request(reg: RegId, index: u32, new_value: u64, count: Tamp
     })
 }
 
-/// A tap that drops every register response — a crude suppression attack
-/// (the controller's outstanding-request accounting flags this, §VIII).
-pub fn drop_responses(count: TamperCount) -> Tap {
-    Box::new(move |_now, _from, _to, payload: &mut TapFrame| {
-        let Ok(msg) = Message::decode(payload) else {
-            return TapAction::Forward;
-        };
-        if let Body::Register(op) = msg.body() {
-            if !op.is_request() {
-                *count.borrow_mut() += 1;
-                return TapAction::Drop;
-            }
-        }
-        TapAction::Forward
-    })
-}
-
 /// A passive eavesdropper: records every decodable message crossing the
 /// link (the §VI motivation — key-exchange messages are visible to the
 /// compromised control plane, which is why they must be authenticated and
@@ -208,25 +191,6 @@ mod tests {
             tampered.body(),
             Body::Register(RegisterOp::WriteReq { value: 0, .. })
         ));
-        assert_eq!(*count.borrow(), 1);
-    }
-
-    #[test]
-    fn drops_responses_not_requests() {
-        let count = tamper_counter();
-        let mut tap = drop_responses(count.clone());
-        let (a, b) = endpoints();
-        let mut resp = TapFrame::new(ack(1).encode());
-        assert_eq!(tap(SimTime::ZERO, a, b, &mut resp), TapAction::Drop);
-        let mut req = TapFrame::new(
-            Message::register_request(
-                SwitchId::CONTROLLER,
-                SeqNum::new(1),
-                RegisterOp::read_req(RegId::new(1), 0),
-            )
-            .encode(),
-        );
-        assert_eq!(tap(SimTime::ZERO, b, a, &mut req), TapAction::Forward);
         assert_eq!(*count.borrow(), 1);
     }
 

@@ -51,23 +51,6 @@ pub fn rewrite_probe_field(system: u8, offset: usize, value: u8, count: TamperCo
     })
 }
 
-/// A tap that drops all in-network control messages of `system` crossing
-/// the link (probe suppression: the coarser cousin of rewriting, §II-A's
-/// "drop control messages").
-pub fn drop_probes(system: u8, count: TamperCount) -> Tap {
-    Box::new(move |_now, _from, _to, payload: &mut TapFrame| {
-        if let Ok(msg) = Message::decode(payload) {
-            if let Body::InNetwork(inner) = msg.body() {
-                if inner.system == system {
-                    *count.borrow_mut() += 1;
-                    return TapAction::Drop;
-                }
-            }
-        }
-        TapAction::Forward
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,23 +138,5 @@ mod tests {
         tap(SimTime::ZERO, a, b, &mut frame);
         assert!(!frame.modified());
         assert_eq!(*frame, orig);
-    }
-
-    #[test]
-    fn drop_probes_drops_only_matching_system() {
-        let count = tamper_counter();
-        let mut tap = drop_probes(1, count.clone());
-        let (a, b) = eps();
-        let mut frame = TapFrame::new(probe_msg(50).encode());
-        assert_eq!(tap(SimTime::ZERO, a, b, &mut frame), TapAction::Drop);
-        let other = Message::in_network(
-            SwitchId::new(4),
-            PortId::new(1),
-            SeqNum::new(3),
-            InNetwork::new(2, vec![1]),
-        );
-        let mut frame = TapFrame::new(other.encode());
-        assert_eq!(tap(SimTime::ZERO, a, b, &mut frame), TapAction::Forward);
-        assert_eq!(*count.borrow(), 1);
     }
 }

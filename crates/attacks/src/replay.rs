@@ -33,13 +33,6 @@ pub fn record_write_requests(capture: Capture) -> Tap {
     })
 }
 
-/// Statistics of a replay campaign.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReplayStats {
-    /// Frames replayed.
-    pub replayed: u64,
-}
-
 /// Drains the capture buffer, returning the recorded frames for
 /// re-injection (the attacker "puts the messages back into the network",
 /// §II-A).

@@ -1033,8 +1033,8 @@ impl Controller {
                 continue;
             }
             if eak_stalled {
-                // Restart the whole local-key init from EAK step 1.
-                self.switches.get_mut(&id).expect("listed").eak = None;
+                // Restart the whole local-key init from EAK step 1
+                // (`local_key_init` replaces the stalled initiator).
                 out.extend(self.local_key_init(id));
             } else {
                 // Retransmit the pending offer *as sent* (fresh seq only):

@@ -450,14 +450,6 @@ impl P4AuthSwitch {
         self.app.as_deref()
     }
 
-    /// Mutable app access.
-    pub fn app_mut(&mut self) -> Option<&mut (dyn InNetworkApp + '_)> {
-        match self.app.as_mut() {
-            Some(a) => Some(a.as_mut()),
-            None => None,
-        }
-    }
-
     /// Installs a key directly (strawman static-key provisioning, and test
     /// fixtures). Real deployments use EAK/ADHKD.
     pub fn install_key(&mut self, port: PortId, key: Key64) {

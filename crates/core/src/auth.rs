@@ -126,12 +126,6 @@ impl ReplayWindow {
     pub fn last_accepted(&self, peer: SwitchId, channel: PortId) -> Option<SeqNum> {
         self.last.get(&(peer, channel)).copied()
     }
-
-    /// Forgets all state for a peer (e.g. after the peer reboots and its
-    /// keys are re-initialized).
-    pub fn reset_peer(&mut self, peer: SwitchId) {
-        self.last.retain(|(p, _), _| *p != peer);
-    }
 }
 
 /// Alert-rate limiter: the §VIII DoS mitigation. At most `max_alerts`
@@ -446,20 +440,6 @@ mod tests {
             .unwrap();
         // Same peer, different channel: independent window.
         w.check_and_advance(SwitchId::new(1), PortId::new(3), SeqNum::new(1))
-            .unwrap();
-    }
-
-    #[test]
-    fn reset_peer_reopens_channel() {
-        let mut w = ReplayWindow::new();
-        w.check_and_advance(SwitchId::new(1), PortId::CPU, SeqNum::new(9))
-            .unwrap();
-        w.check_and_advance(SwitchId::new(1), PortId::new(2), SeqNum::new(4))
-            .unwrap();
-        w.reset_peer(SwitchId::new(1));
-        w.check_and_advance(SwitchId::new(1), PortId::CPU, SeqNum::new(1))
-            .unwrap();
-        w.check_and_advance(SwitchId::new(1), PortId::new(2), SeqNum::new(1))
             .unwrap();
     }
 

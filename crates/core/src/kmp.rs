@@ -70,34 +70,6 @@ impl KeyOperation {
             KeyOperation::PortUpdate => CONTROL_MSG_BYTES + 2 * ADHKD_MSG_BYTES,
         }
     }
-
-    /// Analytic RTT of one operation given one-way channel latencies and a
-    /// per-message endpoint processing cost. This mirrors how the measured
-    /// Fig. 20 values arise in the simulator:
-    ///
-    /// * local operations cross the C-DP channel once per message;
-    /// * port init crosses the C-DP channel for every redirected leg (the
-    ///   controller checks digests in both directions, §IX-B);
-    /// * port update sends one C-DP control message, then runs directly
-    ///   over the (faster) DP-DP link.
-    pub fn expected_rtt_ns(
-        self,
-        c_dp_one_way_ns: u64,
-        dp_dp_one_way_ns: u64,
-        per_msg_processing_ns: u64,
-    ) -> u64 {
-        let (c_dp_msgs, dp_dp_msgs) = match self {
-            KeyOperation::LocalInit => (4, 0),
-            KeyOperation::LocalUpdate => (2, 0),
-            KeyOperation::PortInit => (5, 0),
-            KeyOperation::PortUpdate => (1, 2),
-        };
-        // Controller-side (Python) processing applies per C-DP message;
-        // DP-DP legs are handled in the data plane at pipeline speed, which
-        // is why port updates beat local updates despite exchanging more
-        // messages (§IX-B).
-        c_dp_msgs * (c_dp_one_way_ns + per_msg_processing_ns) + dp_dp_msgs * dp_dp_one_way_ns
-    }
 }
 
 /// A network of `m` switches and `n` links, for the Table III / §XI
@@ -214,54 +186,6 @@ impl ShardedDeployment {
     }
 }
 
-/// The §VI strawman: static keys compiled into the switch binary.
-///
-/// "As network topology changes dynamically … the local/port keys require
-/// reconfiguration. Therefore, we need to change the keys in the P4
-/// binary as per the new topology, recompile it, stop the switch(es),
-/// reload the P4 binary, and start the switch. Such manual interventions
-/// are error-prone and could result in frequent network downtime."
-///
-/// This model quantifies that comparison: per topology event, static keys
-/// cost a compile + reload + boot cycle of *downtime*, while the KMP runs
-/// a 1–2 ms online exchange with zero downtime.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct StaticKeyStrawman {
-    /// P4 recompilation time (ns). Tofino builds take minutes.
-    pub recompile_ns: u64,
-    /// Switch stop + binary reload + start (ns).
-    pub reload_ns: u64,
-}
-
-impl Default for StaticKeyStrawman {
-    fn default() -> Self {
-        StaticKeyStrawman {
-            recompile_ns: 120 * 1_000_000_000, // ~2 min bf-sde compile
-            reload_ns: 30 * 1_000_000_000,     // ~30 s stop/reload/start
-        }
-    }
-}
-
-impl StaticKeyStrawman {
-    /// Downtime one topology event (port up/down, switch boot) costs under
-    /// static keys: the switch is out of service for the reload; the
-    /// recompile happens off-box but serializes the response.
-    pub fn downtime_per_event_ns(&self) -> u64 {
-        self.reload_ns
-    }
-
-    /// Wall-clock to restore keys after one topology event.
-    pub fn response_time_ns(&self) -> u64 {
-        self.recompile_ns + self.reload_ns
-    }
-
-    /// How many times slower than the KMP the static approach responds to
-    /// a topology event, given a measured KMP init RTT.
-    pub fn slowdown_vs_kmp(&self, kmp_init_rtt_ns: u64) -> f64 {
-        self.response_time_ns() as f64 / kmp_init_rtt_ns.max(1) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,35 +223,6 @@ mod tests {
         let s = NetworkScale::ONOS_PER_CONTROLLER;
         assert_eq!(s.update_messages(), 200);
         assert_eq!(s.update_bytes(), 5_400);
-    }
-
-    #[test]
-    fn fig20_ordering_of_rtts() {
-        // Fig. 20's qualitative ordering:
-        //   port init > local init > local update > port update.
-        let c_dp = 200_000; // 200 µs one-way C-DP
-        let dp_dp = 50_000; // 50 µs one-way DP-DP
-        let proc = 150_000;
-        let rtt = |op: KeyOperation| op.expected_rtt_ns(c_dp, dp_dp, proc);
-        assert!(rtt(KeyOperation::PortInit) > rtt(KeyOperation::LocalInit));
-        assert!(rtt(KeyOperation::LocalInit) > rtt(KeyOperation::LocalUpdate));
-        assert!(rtt(KeyOperation::LocalUpdate) > rtt(KeyOperation::PortUpdate));
-    }
-
-    #[test]
-    fn fig20_magnitudes() {
-        // 1–2 ms for initialization, < 1 ms for updates (§IX-B).
-        let c_dp = 200_000;
-        let dp_dp = 50_000;
-        let proc = 150_000;
-        for op in [KeyOperation::LocalInit, KeyOperation::PortInit] {
-            let ms = op.expected_rtt_ns(c_dp, dp_dp, proc) as f64 / 1e6;
-            assert!((1.0..=2.5).contains(&ms), "{} took {ms}ms", op.label());
-        }
-        for op in [KeyOperation::LocalUpdate, KeyOperation::PortUpdate] {
-            let ms = op.expected_rtt_ns(c_dp, dp_dp, proc) as f64 / 1e6;
-            assert!(ms < 1.0, "{} took {ms}ms", op.label());
-        }
     }
 
     #[test]
@@ -378,22 +273,6 @@ mod tests {
         assert!(b8 * 7 < seq, "batching 8-wide should cut time ~8x");
         // Degenerate batch size is clamped.
         assert_eq!(d.batched_init_ns(2_000_000, 0), seq);
-    }
-
-    #[test]
-    fn static_key_strawman_is_orders_of_magnitude_slower() {
-        // §VI: the strawman needs recompile + reload per topology event;
-        // the KMP answers in ~1.3 ms (Fig. 20 port init) with no downtime.
-        let strawman = StaticKeyStrawman::default();
-        assert!(
-            strawman.downtime_per_event_ns() >= 1_000_000_000,
-            "real downtime"
-        );
-        let slowdown = strawman.slowdown_vs_kmp(1_300_000);
-        assert!(
-            slowdown > 10_000.0,
-            "static keys should be >=4 orders of magnitude slower, got {slowdown}"
-        );
     }
 
     #[test]

@@ -275,11 +275,6 @@ impl Chassis {
         self.hash.meter()
     }
 
-    /// Resets the hash meter.
-    pub fn reset_hash_meter(&mut self) {
-        self.hash.reset_meter();
-    }
-
     /// Runs a data-plane program body over one packet inside a
     /// budget-enforced context and returns the outcome.
     ///

@@ -22,18 +22,6 @@ pub struct HashMeter {
     pub kdf_passes: u64,
 }
 
-impl HashMeter {
-    /// Total passes through hash units.
-    pub fn total_passes(&self) -> u64 {
-        self.computes + self.verifies + self.kdf_passes
-    }
-
-    /// Resets all counters.
-    pub fn reset(&mut self) {
-        *self = HashMeter::default();
-    }
-}
-
 /// A hash engine: a pluggable MAC behind pass metering.
 ///
 /// The MAC is the paper's pluggable digest primitive (§XI): HalfSipHash on
@@ -61,11 +49,6 @@ impl HashEngine {
         }
     }
 
-    /// The MAC's name (for reports).
-    pub fn mac_name(&self) -> &'static str {
-        self.mac.name()
-    }
-
     /// Computes a digest (metered as a compute pass).
     pub fn compute(&mut self, key: Key64, parts: &[&[u8]]) -> Digest32 {
         self.meter.computes += self.mac.hash_unit_passes() as u64;
@@ -89,11 +72,6 @@ impl HashEngine {
         self.meter
     }
 
-    /// Resets the meter (e.g. between benchmark runs).
-    pub fn reset_meter(&mut self) {
-        self.meter.reset();
-    }
-
     /// Borrow the underlying MAC (for protocol code that needs to seal
     /// [`p4auth_wire::Message`]s — metering via [`Self::compute`] is still
     /// preferred).
@@ -105,7 +83,7 @@ impl HashEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p4auth_primitives::mac::{Crc32Mac, HalfSipHashMac};
+    use p4auth_primitives::mac::HalfSipHashMac;
 
     #[test]
     fn metering_counts_passes() {
@@ -119,16 +97,6 @@ mod tests {
         assert_eq!(m.computes, 1);
         assert_eq!(m.verifies, 2);
         assert_eq!(m.kdf_passes, 4);
-        assert_eq!(m.total_passes(), 7);
-    }
-
-    #[test]
-    fn reset_clears_meter() {
-        let mut e = HashEngine::new(Box::new(Crc32Mac));
-        let _ = e.compute(Key64::new(2), &[b"abc"]);
-        e.reset_meter();
-        assert_eq!(e.meter(), HashMeter::default());
-        assert_eq!(e.mac_name(), "keyed-crc32");
     }
 
     #[test]

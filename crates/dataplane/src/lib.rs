@@ -5,25 +5,25 @@
 //! software.
 //!
 //! The emulator models the properties of a real switch pipeline that
-//! P4Auth's design is shaped by:
+//! P4Auth's design is shaped by. PISA's restricted per-packet ALU (no
+//! multiply, divide, modulo or exponentiation — the reason the paper
+//! replaces classic DH and signatures with its modified DH and HMAC) is
+//! *modelled*, not enforced: programs are ordinary Rust run inside
+//! [`Chassis::process`], and what the restriction costs is priced by
+//! [`cost`] (time) and [`resources`] (Table II's hash units, SRAM, PHV
+//! and stages).
 //!
-//! * **Restricted per-packet computation** ([`alu`]): only AND/OR/XOR,
-//!   add/sub, shifts and rotates. There is deliberately no multiply, divide,
-//!   modulo or exponentiation — the reason the paper replaces classic DH
-//!   and digital signatures with the modified DH and HMAC constructions.
 //! * **Match-action tables** ([`table`]): exact-match tables with bounded
 //!   capacity, including the `reg_id_to_name_mapping` table that translates
 //!   controller register ids to data-plane registers (§VII, Fig. 15).
 //! * **Register arrays** ([`register`]): the stateful memory whose
 //!   unauthorized modification is the paper's entire threat model.
-//! * **The PHV** ([`phv`]): header/metadata field containers with a bit
-//!   budget, including the standard layouts whose totals drive the
-//!   Table II PHV percentages.
 //! * **Hash units** ([`hash`]): metered keyed-hash invocations; digest
 //!   computation and the KDF consume these, which is where P4Auth's Table II
 //!   hash-unit overhead comes from.
 //! * **A resource model** ([`resources`]): TCAM / SRAM / hash-unit / PHV
-//!   accounting calibrated against Table II.
+//!   arithmetic calibrated against Table II — a model of what a compiler
+//!   would allocate, not a count taken from a compiled program.
 //! * **A timing model** ([`cost`]): per-packet processing latency with
 //!   per-stage, per-hash-pass and per-recirculation costs for both targets
 //!   (Tofino and BMv2), driving Figs. 18, 19 and 21.
@@ -54,12 +54,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alu;
 pub mod chassis;
 pub mod cost;
 pub mod hash;
 pub mod packet;
-pub mod phv;
 pub mod register;
 pub mod resources;
 pub mod table;

@@ -1,14 +1,13 @@
 //! Packets as the data plane sees them.
 
-use p4auth_wire::error::DecodeError;
 use p4auth_wire::ids::PortId;
-use p4auth_wire::Message;
 use serde::{Deserialize, Serialize};
 
 /// A packet inside a switch: raw bytes plus ingress metadata.
 ///
-/// P4Auth protocol messages travel as parsed [`Message`]s over these bytes;
-/// ordinary data-plane traffic (the flows HULA balances) is opaque payload.
+/// P4Auth protocol messages travel as encoded [`p4auth_wire::Message`]s in
+/// these bytes; ordinary data-plane traffic (the flows HULA balances) is
+/// opaque payload.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct Packet {
     /// Port the packet arrived on ([`PortId::CPU`] for PacketOut from the
@@ -22,26 +21,6 @@ impl Packet {
     /// Creates a packet from raw bytes.
     pub fn from_bytes(ingress: PortId, bytes: Vec<u8>) -> Self {
         Packet { ingress, bytes }
-    }
-
-    /// Encodes a P4Auth message into a packet (e.g. a PacketOut carrying a
-    /// register write request, or a DP-DP probe).
-    pub fn from_message(ingress: PortId, msg: &Message) -> Self {
-        Packet {
-            ingress,
-            bytes: msg.encode(),
-        }
-    }
-
-    /// Attempts to parse the packet as a P4Auth message.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`DecodeError`] for malformed bytes; callers
-    /// treat that as "not P4Auth traffic" or raise an alert depending on
-    /// context.
-    pub fn parse_message(&self) -> Result<Message, DecodeError> {
-        Message::decode(&self.bytes)
     }
 
     /// Frame length in bytes.
@@ -58,33 +37,12 @@ impl Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p4auth_wire::body::RegisterOp;
-    use p4auth_wire::ids::{RegId, SeqNum, SwitchId};
-
-    #[test]
-    fn message_roundtrip_through_packet() {
-        let msg = Message::register_request(
-            SwitchId::CONTROLLER,
-            SeqNum::new(4),
-            RegisterOp::read_req(RegId::new(77), 0),
-        );
-        let pkt = Packet::from_message(PortId::CPU, &msg);
-        assert_eq!(pkt.ingress, PortId::CPU);
-        assert_eq!(pkt.len(), msg.wire_len());
-        assert_eq!(pkt.parse_message().unwrap(), msg);
-    }
-
-    #[test]
-    fn garbage_bytes_fail_to_parse() {
-        let pkt = Packet::from_bytes(PortId::new(1), vec![0xff; 5]);
-        assert!(pkt.parse_message().is_err());
-        assert!(!pkt.is_empty());
-    }
 
     #[test]
     fn empty_packet() {
         let pkt = Packet::from_bytes(PortId::new(2), vec![]);
         assert!(pkt.is_empty());
-        assert!(pkt.parse_message().is_err());
+        assert_eq!(pkt.len(), 0);
+        assert!(!Packet::from_bytes(PortId::new(1), vec![0xff; 5]).is_empty());
     }
 }

@@ -12,11 +12,13 @@
 //! | with P4Auth  | 8.3% | 3.6% | 51.4%      | 23.1% |
 //!
 //! Device capacities are calibrated once (documented on
-//! [`DeviceCapacity::tofino`]); the *deltas* then arise structurally from
-//! the modules P4Auth adds (§IX-B): the authentication protocol (PHV),
+//! [`DeviceCapacity::tofino`]); the *deltas* are typed-in per-module
+//! arithmetic for the modules P4Auth adds (§IX-B), calibrated so the
+//! totals land on the paper's numbers: the authentication protocol (PHV),
 //! digest computation and verification (hash units), key management (PHV +
 //! hash units), the key register (SRAM) and the register mapping table
-//! (SRAM).
+//! (SRAM). Nothing here is counted from a compiled program, so the table
+//! is a model of Table II, not a measurement of it.
 
 use p4auth_primitives::mac::DigestWidth;
 use serde::{Deserialize, Serialize};

@@ -82,7 +82,6 @@ pub struct MatchTable {
     capacity: u32,
     key_bits: u32,
     entries: IdMap<MatchKey, ActionEntry>,
-    default_action: Option<ActionEntry>,
 }
 
 impl MatchTable {
@@ -102,7 +101,6 @@ impl MatchTable {
             capacity,
             key_bits,
             entries: IdMap::default(),
-            default_action: None,
         }
     }
 
@@ -136,16 +134,6 @@ impl MatchTable {
         self.entries.len() as u64 * self.key_bits as u64
     }
 
-    /// Bits of match memory the table reserves at capacity.
-    pub fn reserved_bits(&self) -> u64 {
-        self.capacity as u64 * self.key_bits as u64
-    }
-
-    /// Sets the miss (default) action.
-    pub fn set_default_action(&mut self, action: ActionEntry) {
-        self.default_action = Some(action);
-    }
-
     /// Installs or overwrites an entry.
     ///
     /// # Errors
@@ -167,14 +155,9 @@ impl MatchTable {
         self.entries.remove(&key)
     }
 
-    /// Looks up a key; falls back to the default action on miss.
+    /// Looks up a key; `None` on a miss.
     pub fn lookup(&self, key: MatchKey) -> Option<ActionEntry> {
-        self.entries.get(&key).copied().or(self.default_action)
-    }
-
-    /// Whether a lookup would hit an installed entry (not the default).
-    pub fn hits(&self, key: MatchKey) -> bool {
-        self.entries.contains_key(&key)
+        self.entries.get(&key).copied()
     }
 }
 
@@ -193,7 +176,6 @@ mod tests {
         let a = ActionEntry::new(7, 0, 0);
         t.insert(k, a).unwrap();
         assert_eq!(t.lookup(k), Some(a));
-        assert!(t.hits(k));
         assert_eq!(t.remove(k), Some(a));
         assert_eq!(t.lookup(k), None);
     }
@@ -210,15 +192,6 @@ mod tests {
         assert_eq!(t.lookup(MatchKey::new(1234, 2)).unwrap().action_id, 11);
         assert_eq!(t.len(), 2);
         assert_eq!(t.used_bits(), 80); // 2 entries * 40 bits (Table II math)
-    }
-
-    #[test]
-    fn default_action_on_miss() {
-        let mut t = table();
-        assert_eq!(t.lookup(MatchKey::new(9, 9)), None);
-        t.set_default_action(ActionEntry::new(0, 0, 0));
-        assert_eq!(t.lookup(MatchKey::new(9, 9)).unwrap().action_id, 0);
-        assert!(!t.hits(MatchKey::new(9, 9)));
     }
 
     #[test]
@@ -241,7 +214,6 @@ mod tests {
     #[test]
     fn memory_accounting() {
         let t = MatchTable::new("l3_fwd", TableKind::TernaryTcam, 1024, 32);
-        assert_eq!(t.reserved_bits(), 1024 * 32);
         assert_eq!(t.used_bits(), 0);
         assert_eq!(t.kind(), TableKind::TernaryTcam);
     }

@@ -26,8 +26,10 @@ use p4auth_telemetry::trace::encode_trace;
 use p4auth_telemetry::Registry;
 use p4auth_wire::ids::{PortId, SwitchId};
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
+use std::sync::Arc;
 
 const READ_FRAME_BYTES: usize = 34;
 const WRITE_FRAME_BYTES: usize = 58;
@@ -39,7 +41,7 @@ const INTERVAL_NS: u64 = 25;
 /// One recorded delivery: `(sim time ns, ingress port, payload)`.
 type Delivery = (u64, u8, Vec<u8>);
 /// Per-node delivery streams, dense by stream index (switches then hosts).
-type Streams = Arc<Vec<Mutex<Vec<Delivery>>>>;
+type Streams = Rc<Vec<RefCell<Vec<Delivery>>>>;
 
 struct Forwarder {
     ft: FatTree,
@@ -54,7 +56,7 @@ fn frame_dst(payload: &[u8]) -> SwitchId {
 
 impl SimNode for Forwarder {
     fn on_frame(&mut self, now: SimTime, ingress: PortId, payload: FrameBytes, out: &mut Outbox) {
-        self.streams[self.stream].lock().unwrap().push((
+        self.streams[self.stream].borrow_mut().push((
             now.as_ns(),
             ingress.value(),
             payload.to_vec(),
@@ -81,7 +83,7 @@ struct Host {
 
 impl SimNode for Host {
     fn on_frame(&mut self, now: SimTime, ingress: PortId, payload: FrameBytes, _: &mut Outbox) {
-        self.streams[self.stream].lock().unwrap().push((
+        self.streams[self.stream].borrow_mut().push((
             now.as_ns(),
             ingress.value(),
             payload.to_vec(),
@@ -122,7 +124,7 @@ fn host_rng(k: u16, h: u16) -> SplitMix64 {
 
 fn make_streams(ft: &FatTree) -> Streams {
     let n = ft.switch_count() as usize + ft.host_count() as usize;
-    Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect())
+    Rc::new((0..n).map(|_| RefCell::new(Vec::new())).collect())
 }
 
 fn forwarder(ft: FatTree, id: SwitchId, streams: &Streams) -> Box<Forwarder> {
@@ -266,10 +268,10 @@ fn run(case: &Case, engine: Engine) -> RunResult {
 }
 
 fn unwrap_streams(streams: Streams) -> Vec<Vec<Delivery>> {
-    Arc::try_unwrap(streams)
+    Rc::try_unwrap(streams)
         .expect("all nodes dropped")
         .into_iter()
-        .map(|m| m.into_inner().unwrap())
+        .map(RefCell::into_inner)
         .collect()
 }
 

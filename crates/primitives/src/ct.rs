@@ -21,21 +21,6 @@ pub fn eq_u64(a: u64, b: u64) -> bool {
     ((folded >> 63) ^ 1) == 1
 }
 
-/// Constant-time equality of two `u32` slices.
-///
-/// Returns `false` immediately on length mismatch (lengths are public).
-#[inline]
-pub fn eq_slices_u32(a: &[u32], b: &[u32]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut acc = 0u32;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        acc |= x ^ y;
-    }
-    eq_u32(acc, 0)
-}
-
 /// Constant-time equality of two byte slices of equal (public) length.
 #[inline]
 pub fn eq_bytes(a: &[u8], b: &[u8]) -> bool {
@@ -76,14 +61,6 @@ mod tests {
         for bit in 0..64 {
             assert!(!eq_u64(0, 1 << bit), "missed bit {bit}");
         }
-    }
-
-    #[test]
-    fn slices_u32() {
-        assert!(eq_slices_u32(&[1, 2, 3], &[1, 2, 3]));
-        assert!(!eq_slices_u32(&[1, 2, 3], &[1, 2, 4]));
-        assert!(!eq_slices_u32(&[1, 2], &[1, 2, 3]));
-        assert!(eq_slices_u32(&[], &[]));
     }
 
     #[test]

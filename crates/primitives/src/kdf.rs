@@ -122,11 +122,6 @@ impl Kdf {
         Kdf { prf, config }
     }
 
-    /// Name of the underlying PRF.
-    pub fn prf_name(&self) -> &'static str {
-        self.prf.name()
-    }
-
     /// Configured expand rounds.
     pub fn config(&self) -> KdfConfig {
         self.config
@@ -220,7 +215,6 @@ mod tests {
         let s = Salt64::new(3);
         let crc = Kdf::with_prf(Box::new(Crc32Prf), KdfConfig::PAPER);
         assert_ne!(crc.derive(k, s), kdf().derive(k, s));
-        assert_eq!(crc.prf_name(), "crc32");
     }
 
     #[test]

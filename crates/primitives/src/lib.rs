@@ -70,4 +70,4 @@ pub mod stream;
 
 mod types;
 
-pub use types::{Digest32, DigestWide, Key64, Salt64};
+pub use types::{Digest32, Key64, Salt64};

@@ -11,14 +11,14 @@
 //!   with the key. Linear, hence weak — kept for fidelity and for the
 //!   cost/security ablation.
 //!
-//! [`WideMac`] builds 64–256-bit digests from repeated 32-bit invocations
-//! with a counter, reproducing the §XI digest-width ablation where a 256-bit
-//! digest costs 8× the hash units of a 32-bit one.
+//! [`DigestWidth`] names the §XI digest-width ablation's widths; what a
+//! wider digest costs is priced by the data plane's resource model, not
+//! computed here.
 
 use crate::crc32::Crc32;
 use crate::ct;
 use crate::siphash::HalfSipHasher;
-use crate::types::{Digest32, DigestWide, Key64};
+use crate::types::{Digest32, Key64};
 
 /// A keyed 32-bit message-authentication code over a list of byte slices.
 ///
@@ -131,50 +131,6 @@ impl DigestWidth {
     ];
 }
 
-/// Builds wide digests by invoking an inner 32-bit MAC once per word with a
-/// distinct counter byte, the way a PISA pipeline chains hash units.
-pub struct WideMac<M> {
-    inner: M,
-    width: DigestWidth,
-}
-
-impl<M: Mac> WideMac<M> {
-    /// Wraps `inner` to produce `width`-bit digests.
-    pub fn new(inner: M, width: DigestWidth) -> Self {
-        WideMac { inner, width }
-    }
-
-    /// The configured digest width.
-    pub fn width(&self) -> DigestWidth {
-        self.width
-    }
-
-    /// Computes the wide digest.
-    pub fn compute_wide(&self, key: Key64, parts: &[&[u8]]) -> DigestWide {
-        let words = (0..self.width.words())
-            .map(|i| {
-                let ctr = [i as u8];
-                let mut all: Vec<&[u8]> = Vec::with_capacity(parts.len() + 1);
-                all.push(&ctr);
-                all.extend_from_slice(parts);
-                self.inner.compute(key, &all).value()
-            })
-            .collect();
-        DigestWide::from_words(words)
-    }
-
-    /// Verifies a wide digest in constant time.
-    pub fn verify_wide(&self, key: Key64, parts: &[&[u8]], digest: &DigestWide) -> bool {
-        let computed = self.compute_wide(key, parts);
-        ct::eq_slices_u32(computed.words(), digest.words())
-    }
-
-    /// Hash-unit passes for one wide digest in the resource model.
-    pub fn hash_unit_passes(&self) -> u32 {
-        self.inner.hash_unit_passes() * self.width.words() as u32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,47 +216,5 @@ mod tests {
             ^ sip.compute(key(), &[&m2]).value()
             ^ sip.compute(key(), &[&m3]).value();
         assert_ne!(sip_combo, sip.compute(key(), &[&m123]).value());
-    }
-
-    #[test]
-    fn wide_mac_width_and_cost_scaling() {
-        for width in DigestWidth::ALL {
-            let wide = WideMac::new(HalfSipHashMac::default(), width);
-            let d = wide.compute_wide(key(), &[b"payload"]);
-            assert_eq!(d.bits(), width.bits());
-            assert_eq!(wide.hash_unit_passes(), width.words() as u32);
-        }
-    }
-
-    #[test]
-    fn wide_mac_verify_and_tamper() {
-        let wide = WideMac::new(HalfSipHashMac::default(), DigestWidth::W128);
-        let d = wide.compute_wide(key(), &[b"data"]);
-        assert!(wide.verify_wide(key(), &[b"data"], &d));
-        assert!(!wide.verify_wide(key(), &[b"datA"], &d));
-        assert!(!wide.verify_wide(Key64::new(0), &[b"data"], &d));
-    }
-
-    #[test]
-    fn wide_mac_words_are_distinct() {
-        // Counter separation: words of a wide digest must not repeat.
-        let wide = WideMac::new(HalfSipHashMac::default(), DigestWidth::W256);
-        let d = wide.compute_wide(key(), &[b"data"]);
-        for i in 0..d.words().len() {
-            for j in i + 1..d.words().len() {
-                assert_ne!(d.words()[i], d.words()[j], "words {i} and {j} equal");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_truncation_is_not_the_narrow_mac() {
-        // The W32 wide digest prepends a counter byte, so it intentionally
-        // differs from the bare MAC; both must still verify independently.
-        let mac = HalfSipHashMac::default();
-        let wide = WideMac::new(mac, DigestWidth::W32);
-        let narrow = mac.compute(key(), &[b"m"]);
-        let w = wide.compute_wide(key(), &[b"m"]);
-        assert_ne!(narrow, w.truncate32());
     }
 }

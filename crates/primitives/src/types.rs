@@ -135,46 +135,6 @@ impl From<u32> for Digest32 {
     }
 }
 
-/// A variable-width digest (up to 256 bits), used by the §XI ablation on
-/// digest width vs. hardware cost.
-///
-/// Wider digests are built from repeated 32-bit PRF invocations with a
-/// counter, matching how a PISA pipeline would chain hash units.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-pub struct DigestWide {
-    words: Vec<u32>,
-}
-
-impl DigestWide {
-    /// Builds a wide digest from its 32-bit words (most-significant first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is empty or longer than 8 (256 bits).
-    pub fn from_words(words: Vec<u32>) -> Self {
-        assert!(
-            !words.is_empty() && words.len() <= 8,
-            "digest width must be 32..=256 bits in 32-bit steps"
-        );
-        DigestWide { words }
-    }
-
-    /// Digest width in bits.
-    pub fn bits(&self) -> usize {
-        self.words.len() * 32
-    }
-
-    /// The 32-bit words of the digest, most-significant first.
-    pub fn words(&self) -> &[u32] {
-        &self.words
-    }
-
-    /// Truncates to the standard 32-bit header digest.
-    pub fn truncate32(&self) -> Digest32 {
-        Digest32(self.words[0])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,24 +163,5 @@ mod tests {
     fn digest_byte_encoding_is_big_endian() {
         let d = Digest32::new(0x0102_0304);
         assert_eq!(d.to_be_bytes(), [1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn wide_digest_truncation_keeps_most_significant_word() {
-        let w = DigestWide::from_words(vec![0xaabbccdd, 0x11223344]);
-        assert_eq!(w.bits(), 64);
-        assert_eq!(w.truncate32(), Digest32::new(0xaabbccdd));
-    }
-
-    #[test]
-    #[should_panic(expected = "digest width")]
-    fn wide_digest_rejects_empty() {
-        let _ = DigestWide::from_words(vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "digest width")]
-    fn wide_digest_rejects_over_256_bits() {
-        let _ = DigestWide::from_words(vec![0; 9]);
     }
 }

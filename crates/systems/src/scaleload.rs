@@ -72,8 +72,6 @@ impl ScaleConfig {
 /// Result of one scale run.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleRun {
-    /// Engine the run used.
-    pub engine: Engine,
     /// Events processed (pops).
     pub events: u64,
     /// Frames that reached their destination host.
@@ -83,9 +81,8 @@ pub struct ScaleRun {
 }
 
 impl ScaleRun {
-    fn of(engine: Engine, run: &FabricRun) -> Self {
+    fn of(run: &FabricRun) -> Self {
         ScaleRun {
-            engine,
             events: run.report.events,
             frames_delivered: run.frames_delivered,
             sim_ns: run.report.now.as_ns(),
@@ -166,7 +163,7 @@ pub fn run_scale_engine(
     registry: Option<Arc<Registry>>,
 ) -> ScaleRun {
     let mirror = UserScaleConfig::mirror_scale(&cfg);
-    ScaleRun::of(engine, &run_fabric(&mirror, engine, registry, None))
+    ScaleRun::of(&run_fabric(&mirror, engine, registry, None))
 }
 
 /// Runs the workload with periodic telemetry export every `interval_ns`
@@ -184,7 +181,7 @@ pub fn run_scale_timeline(
     let mirror = UserScaleConfig::mirror_scale(&cfg);
     let mut run = run_fabric(&mirror, engine, None, Some(interval_ns));
     let timeline = run.report.timeline.take().expect("export interval was set");
-    (ScaleRun::of(engine, &run), timeline)
+    (ScaleRun::of(&run), timeline)
 }
 
 #[cfg(test)]

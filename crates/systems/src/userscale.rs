@@ -545,8 +545,6 @@ impl SimNode for AggregateHostNode {
 /// Result of one user-scale run.
 #[derive(Clone, Copy, Debug)]
 pub struct UserScaleRun {
-    /// Engine the run used.
-    pub engine: Engine,
     /// Total modelled users.
     pub users: u64,
     /// Aggregate nodes (one per host slot).
@@ -688,7 +686,6 @@ pub fn run_users_engine(
         }
     }
     UserScaleRun {
-        engine,
         users: cfg.users,
         aggregates: run.slots.len() as u16,
         events: run.report.events,

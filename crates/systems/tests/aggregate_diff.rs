@@ -24,8 +24,10 @@ use p4auth_systems::scaleload::ScaleConfig;
 use p4auth_systems::userscale::{AggregateHostNode, UserScaleConfig};
 use p4auth_telemetry::Registry;
 use p4auth_wire::ids::{PortId, SwitchId};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const READ_FRAME_BYTES: usize = 34;
 const WRITE_FRAME_BYTES: usize = 58;
@@ -34,7 +36,7 @@ const SEND_TIMER: u64 = 1;
 /// One recorded delivery: `(sim time ns, ingress port, payload)`.
 type Delivery = (u64, u8, Vec<u8>);
 /// Per-node delivery streams, dense by stream index (switches then hosts).
-type Streams = Arc<Vec<Mutex<Vec<Delivery>>>>;
+type Streams = Rc<Vec<RefCell<Vec<Delivery>>>>;
 
 fn frame_dst(payload: &[u8]) -> SwitchId {
     SwitchId::new(u16::from_le_bytes([payload[0], payload[1]]))
@@ -50,7 +52,7 @@ struct Forwarder {
 
 impl SimNode for Forwarder {
     fn on_frame(&mut self, now: SimTime, ingress: PortId, payload: FrameBytes, out: &mut Outbox) {
-        self.streams[self.stream].lock().unwrap().push((
+        self.streams[self.stream].borrow_mut().push((
             now.as_ns(),
             ingress.value(),
             payload.to_vec(),
@@ -78,7 +80,7 @@ struct RefHost {
 
 impl SimNode for RefHost {
     fn on_frame(&mut self, now: SimTime, ingress: PortId, payload: FrameBytes, _: &mut Outbox) {
-        self.streams[self.stream].lock().unwrap().push((
+        self.streams[self.stream].borrow_mut().push((
             now.as_ns(),
             ingress.value(),
             payload.to_vec(),
@@ -120,7 +122,7 @@ struct RecordingAggregate {
 
 impl SimNode for RecordingAggregate {
     fn on_frame(&mut self, now: SimTime, ingress: PortId, payload: FrameBytes, out: &mut Outbox) {
-        self.streams[self.stream].lock().unwrap().push((
+        self.streams[self.stream].borrow_mut().push((
             now.as_ns(),
             ingress.value(),
             payload.to_vec(),
@@ -135,7 +137,7 @@ impl SimNode for RecordingAggregate {
 
 fn make_streams(ft: &FatTree) -> Streams {
     let n = ft.switch_count() as usize + ft.host_count() as usize;
-    Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect())
+    Rc::new((0..n).map(|_| RefCell::new(Vec::new())).collect())
 }
 
 fn forwarder(cfg: &ScaleConfig, ft: FatTree, id: SwitchId, streams: &Streams) -> Box<Forwarder> {
@@ -244,10 +246,10 @@ fn run(cfg: &ScaleConfig, column: Column, engine: Engine) -> RunResult {
 }
 
 fn unwrap_streams(streams: Streams) -> Vec<Vec<Delivery>> {
-    Arc::try_unwrap(streams)
+    Rc::try_unwrap(streams)
         .expect("all nodes dropped")
         .into_iter()
-        .map(|m| m.into_inner().unwrap())
+        .map(RefCell::into_inner)
         .collect()
 }
 

@@ -11,12 +11,13 @@
 //! baseline.apply(delta_1).apply(delta_2)...  ==  final full snapshot
 //! ```
 //!
-//! Reconstruction recomputes derived histogram percentiles with the same
-//! rank-walk the live [`crate::Histogram`] uses, so a reconstructed
-//! snapshot is byte-identical to one taken live.
+//! Reconstruction recomputes derived histogram percentiles with the
+//! rank-walk the live [`crate::Histogram`] uses (the same function), so a
+//! reconstructed snapshot is byte-identical to one taken live.
 
 use crate::codec::JsonWriter;
 use crate::events::EventRecord;
+use crate::metrics::rank_walk;
 use crate::snapshot::{CounterSample, GaugeSample, HistRow, HistogramSample, Sections, Snapshot};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -218,27 +219,13 @@ impl HistParts {
     }
 
     /// Builds the [`HistogramSample`], recomputing the percentile fields
-    /// with the same rank-walk (and observed-max clamp) as
-    /// [`crate::Histogram::quantile`], so a reconstructed sample is
-    /// byte-identical to one taken live.
+    /// with [`crate::Histogram::quantile`]'s rank-walk, so a reconstructed
+    /// sample is byte-identical to one taken live.
     fn into_sample(self, name: String, label: String) -> HistogramSample {
         let buckets: Vec<(u64, u64)> = self.buckets.into_iter().collect();
         let total: u64 = buckets.iter().map(|&(_, n)| n).sum();
         let max = self.max;
-        let quantile = |q: f64| -> u64 {
-            if total == 0 {
-                return 0;
-            }
-            let rank = ((q * total as f64).ceil() as u64).max(1);
-            let mut seen = 0u64;
-            for &(bound, n) in &buckets {
-                seen += n;
-                if seen >= rank {
-                    return bound.min(max);
-                }
-            }
-            max
-        };
+        let quantile = |q| rank_walk(buckets.iter().copied(), total, max, q).unwrap_or(0);
         HistogramSample {
             name,
             label,

@@ -199,23 +199,44 @@ impl Histogram {
     /// bucket containing the rank, or `None` if empty.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         let buckets = self.buckets();
-        let total: u64 = buckets.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &n) in buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                // Clamp the coarse bucket bound to the observed extrema so
-                // tail quantiles never exceed the true maximum.
-                let bound = Self::bucket_upper_bound(i);
-                return Some(bound.min(self.max.load(Ordering::Relaxed)));
-            }
-        }
-        self.max()
+        let pairs = buckets
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (Self::bucket_upper_bound(i), n));
+        rank_walk(
+            pairs,
+            buckets.iter().sum(),
+            self.max.load(Ordering::Relaxed),
+            q,
+        )
     }
+}
+
+/// The one percentile estimate the crate reports — live
+/// ([`Histogram::quantile`]), in a snapshot and in a snapshot rebuilt from
+/// deltas — so all three agree to the bit. `buckets` are ascending
+/// `(inclusive upper bound, count)` pairs summing to `total`; the result
+/// is the bound of the bucket holding rank `ceil(q * total)`, clamped to
+/// the observed maximum `max` so a tail quantile never exceeds it, or
+/// `None` when `total` is 0.
+pub(crate) fn rank_walk(
+    buckets: impl IntoIterator<Item = (u64, u64)>,
+    total: u64,
+    max: u64,
+    q: f64,
+) -> Option<u64> {
+    if total == 0 {
+        return None;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (bound, n) in buckets {
+        seen += n;
+        if seen >= rank {
+            return Some(bound.min(max));
+        }
+    }
+    Some(max)
 }
 
 #[cfg(test)]

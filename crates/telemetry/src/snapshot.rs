@@ -7,7 +7,7 @@
 
 use crate::codec::{JsonWriter, Layout};
 use crate::events::{EventRecord, Field};
-use crate::metrics::Histogram;
+use crate::metrics::{rank_walk, Histogram};
 use serde::Serialize;
 
 pub mod bin;
@@ -70,16 +70,19 @@ impl HistogramSample {
             .filter(|(_, &n)| n > 0)
             .map(|(i, &n)| (Histogram::bucket_upper_bound(i), n))
             .collect();
+        let count = buckets.iter().map(|&(_, n)| n).sum();
+        let max = h.max().unwrap_or(0);
+        let quantile = |q| rank_walk(buckets.iter().copied(), count, max, q).unwrap_or(0);
         HistogramSample {
             name: name.to_string(),
             label: label.to_string(),
-            count: buckets.iter().map(|&(_, n)| n).sum(),
+            count,
             sum: h.sum(),
             min: h.min().unwrap_or(0),
-            max: h.max().unwrap_or(0),
-            p50: h.quantile(0.50).unwrap_or(0),
-            p90: h.quantile(0.90).unwrap_or(0),
-            p99: h.quantile(0.99).unwrap_or(0),
+            max,
+            p50: quantile(0.50),
+            p90: quantile(0.90),
+            p99: quantile(0.99),
             buckets,
         }
     }

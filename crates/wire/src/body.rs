@@ -100,14 +100,6 @@ impl RegisterOp {
         }
     }
 
-    /// Whether this is a request (as opposed to a response).
-    pub fn is_request(&self) -> bool {
-        matches!(
-            self,
-            RegisterOp::ReadReq { .. } | RegisterOp::WriteReq { .. }
-        )
-    }
-
     fn encode_into(&self, buf: &mut impl BufMut) {
         let (reg, index, value) = match *self {
             RegisterOp::ReadReq { reg, index } => (reg, index, 0),

@@ -11,9 +11,6 @@ pub struct PathLatencyConfig {
     pub mean_us: f64,
     /// Uniform jitter half-width in µs.
     pub jitter_us: f64,
-    /// Optional congestion episode: `(start_sample, end_sample,
-    /// multiplier)`.
-    pub congestion: Option<(u64, u64, f64)>,
 }
 
 impl PathLatencyConfig {
@@ -22,15 +19,7 @@ impl PathLatencyConfig {
         PathLatencyConfig {
             mean_us,
             jitter_us: mean_us * 0.1,
-            congestion: None,
         }
-    }
-
-    /// Adds a congestion episode.
-    #[must_use]
-    pub fn with_congestion(mut self, start: u64, end: u64, multiplier: f64) -> Self {
-        self.congestion = Some((start, end, multiplier));
-        self
     }
 }
 
@@ -67,12 +56,8 @@ impl PathLatency {
             } else {
                 0.0
             };
-        let mult = match self.config.congestion {
-            Some((start, end, m)) if (start..end).contains(&self.sample_idx) => m,
-            _ => 1.0,
-        };
         self.sample_idx += 1;
-        (base * mult).max(1.0) as u32
+        base.max(1.0) as u32
     }
 
     /// Samples consumed so far.
@@ -104,22 +89,10 @@ mod tests {
     }
 
     #[test]
-    fn congestion_episode_raises_latency() {
-        let cfg = PathLatencyConfig::stable(100.0).with_congestion(10, 20, 5.0);
-        let mut p = PathLatency::new(cfg, 3);
-        let before: f64 = (0..10).map(|_| p.next_us() as f64).sum::<f64>() / 10.0;
-        let during: f64 = (0..10).map(|_| p.next_us() as f64).sum::<f64>() / 10.0;
-        let after: f64 = (0..10).map(|_| p.next_us() as f64).sum::<f64>() / 10.0;
-        assert!(during > before * 3.0, "before {before}, during {during}");
-        assert!(after < during / 3.0, "after {after}, during {during}");
-    }
-
-    #[test]
     fn zero_jitter_is_constant() {
         let cfg = PathLatencyConfig {
             mean_us: 42.0,
             jitter_us: 0.0,
-            congestion: None,
         };
         let mut p = PathLatency::new(cfg, 0);
         assert!((0..10).all(|_| p.next_us() == 42));
@@ -130,7 +103,6 @@ mod tests {
         let cfg = PathLatencyConfig {
             mean_us: 1.0,
             jitter_us: 5.0,
-            congestion: None,
         };
         let mut p = PathLatency::new(cfg, 0);
         assert!((0..1000).all(|_| p.next_us() >= 1));

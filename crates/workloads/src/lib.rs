@@ -14,8 +14,7 @@
 //!   bounded-Pareto elephant/mice bursts, trace-driven replay) consumed
 //!   in structure-of-arrays form by the `systems` host aggregates.
 //! * [`trace`] — packet-level traces derived from flows.
-//! * [`latency`] — per-path latency processes (stable mean + jitter, with
-//!   optional congestion episodes).
+//! * [`latency`] — per-path latency processes (stable mean + jitter).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
