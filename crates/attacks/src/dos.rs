@@ -11,8 +11,8 @@
 //!    accounting.
 //!
 //! This module generates the attack traffic; the defences live in core and
-//! controller and are exercised by the integration tests and Table I
-//! scenarios.
+//! controller and are exercised by the integration tests and the Table I
+//! rows of `p4auth_systems::table1`.
 
 use p4auth_primitives::rng::RandomSource;
 use p4auth_wire::body::{Body, RegisterOp};

@@ -28,10 +28,9 @@
 //! * [`tls_gap`] — why TLS-protected P4Runtime is insufficient (§III-B
 //!   \[A1\]): the backdoor shim rewrites call arguments below the TLS
 //!   termination point; P4Auth's end-to-end digest survives it.
-//! * [`scenarios`] — Table I in miniature: one register-tampering scenario
-//!   per in-network system class (fast reroute, load balancing, IDS,
-//!   in-network cache, telemetry), showing the impact of each unauthorized
-//!   modification and P4Auth's detection of it.
+//!
+//! Table I mounts these adversaries on the systems it names in
+//! `p4auth_systems::table1`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,5 +42,4 @@ pub mod dos;
 pub mod kex_mitm;
 pub mod link_mitm;
 pub mod replay;
-pub mod scenarios;
 pub mod tls_gap;

@@ -3,7 +3,6 @@
 
 use crate::{banner, rw_rows};
 use p4auth_attacks::bruteforce;
-use p4auth_attacks::scenarios;
 use p4auth_controller::ControllerConfig;
 use p4auth_core::kmp::{KeyOperation, NetworkScale, ShardedDeployment};
 use p4auth_dataplane::cost::AccessMethod;
@@ -13,6 +12,7 @@ use p4auth_netsim::topology::Topology;
 use p4auth_primitives::mac::DigestWidth;
 use p4auth_systems::experiments::{fct, fig16, fig17, fig20, fig21};
 use p4auth_systems::harness::Network;
+use p4auth_systems::table1;
 use p4auth_telemetry::codec::{parse_json, JsonWriter, Layout, Value};
 
 /// What `repro` parsed from its command line for the machine-readable
@@ -359,33 +359,43 @@ pub fn fig21() {
     println!("(paper: 0.95% at 2 hops, 5.9% at 10 hops).");
 }
 
-/// Table I — attack impact per system class.
+/// Table I — the seven systems under the attack the table cites, with
+/// P4Auth off and on. Exits non-zero if a row does not reproduce: the
+/// attack must break the row's invariant without P4Auth, and with it the
+/// invariant must hold and the controller must be told.
 pub fn table1() {
     banner(
         "Table I — impact of altering C-DP messages",
         "paper §II, Table I",
     );
+    let verdicts = table1::run_all();
+    let held = |held| if held { "held" } else { "VIOLATED" };
     println!(
-        "{:<30} {:<13} {:<11} {:<7}  impact",
-        "system", "baseline", "P4Auth", "alert"
+        "{:<11} {:<12} {:<10} {:<8} {:>9}",
+        "system", "class", "no P4Auth", "P4Auth", "detected"
     );
-    for r in scenarios::run_all() {
+    for v in &verdicts {
         println!(
-            "{:<30} {:<13} {:<11} {:<7}  {}",
-            r.class.label(),
-            if r.baseline_compromised {
-                "compromised"
-            } else {
-                "safe"
-            },
-            if r.p4auth_blocked {
-                "protected"
-            } else {
-                "FAILED"
-            },
-            if r.alert_raised { "yes" } else { "no" },
-            r.impact,
+            "{:<11} {:<12} {:<10} {:<8} {:>9}",
+            v.row.system,
+            v.row.class,
+            held(v.unprotected.held),
+            held(v.protected.held),
+            v.protected.detections,
         );
+    }
+    for v in &verdicts {
+        println!("\n{}: {}", v.row.system, v.row.attack);
+        println!("  impact:    {}", v.row.impact);
+        println!("  invariant: {}", v.row.invariant);
+        println!("  no P4Auth: {}", v.unprotected.observed);
+        println!("  P4Auth:    {}", v.protected.observed);
+    }
+    if let Some(v) = verdicts.iter().find(|v| !v.reproduced()) {
+        die(format!(
+            "Table I: the {} row does not reproduce",
+            v.row.system
+        ));
     }
 }
 

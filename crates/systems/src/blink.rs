@@ -52,6 +52,13 @@ pub mod reg_ids {
     pub const BACKUP: RegId = RegId::new(6002);
     /// [`super::regs::FAILED_OVER`].
     pub const FAILED_OVER: RegId = RegId::new(6003);
+    /// Every register the controller addresses, with its data-plane name:
+    /// the agent's mapping table.
+    pub const ALL: [(RegId, &str); 3] = [
+        (PRIMARY, super::regs::PRIMARY),
+        (BACKUP, super::regs::BACKUP),
+        (FAILED_OVER, super::regs::FAILED_OVER),
+    ];
 }
 
 /// A Blink data frame: `[0xB1, prefix(4), flags(1)]`; bit 0 of `flags`

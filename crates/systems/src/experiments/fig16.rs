@@ -124,12 +124,7 @@ pub fn run(scenario: Scenario, config: Fig16Config) -> Fig16Result {
     let mut tx_at_attack = [0u64; 2];
     for epoch in 0..config.epochs {
         if epoch == config.attack_from_epoch {
-            let agent = net.switches[&sw].borrow();
-            let reg = agent
-                .chassis()
-                .register(routescout::regs::TX_COUNT)
-                .unwrap();
-            tx_at_attack = [reg.read(0).unwrap(), reg.read(1).unwrap()];
+            tx_at_attack = [0, 1].map(|i| net.read_register(sw, routescout::regs::TX_COUNT, i));
         }
         // Activate the adversary at the configured epoch: a tap on the C-DP
         // link, switch→controller direction, inflating path 0's latency sum.
@@ -152,38 +147,22 @@ pub fn run(scenario: Scenario, config: Fig16Config) -> Fig16Result {
         }
 
         // Replay an epoch's worth of the synthetic trace through the switch.
-        for _ in 0..config.packets_per_epoch {
+        let frames = (0..config.packets_per_epoch).map(|_| {
             flow = flow.wrapping_add(1);
-            let frame = RsFrame {
+            RsFrame {
                 flow,
                 lat0_us: lat0.next_us(),
                 lat1_us: lat1.next_us(),
-            };
-            let bytes = frame.encode();
-            let now = net.sim.now();
-            net.sim.with_node(sw, |node, out| {
-                node.on_frame(now, PortId::new(9), bytes.clone().into(), out);
-            });
-        }
-        net.sim.run_to_completion();
+            }
+            .encode()
+        });
+        net.deliver(sw, frames);
 
         // Controller epoch: read latencies, recompute, install.
         rs_controller.run_epoch(&mut net);
     }
 
-    let agent = net.switches[&sw].borrow();
-    let tx0 = agent
-        .chassis()
-        .register(routescout::regs::TX_COUNT)
-        .unwrap()
-        .read(0)
-        .unwrap();
-    let tx1 = agent
-        .chassis()
-        .register(routescout::regs::TX_COUNT)
-        .unwrap()
-        .read(1)
-        .unwrap();
+    let [tx0, tx1] = [0, 1].map(|i| net.read_register(sw, routescout::regs::TX_COUNT, i));
     let total = (tx0 + tx1).max(1) as f64;
     let post0 = tx0 - tx_at_attack[0];
     let post1 = tx1 - tx_at_attack[1];

@@ -211,30 +211,23 @@ pub fn run(scenario: Scenario, config: Fig17Config) -> Fig17Result {
         net.sim.run_to_completion();
 
         // S1 sends this round's data toward S5.
-        for _ in 0..config.packets_per_round {
+        let frames = (0..config.packets_per_round).map(|_| {
             flow = flow.wrapping_add(1);
-            let bytes = DataFrame {
+            DataFrame {
                 dst: S5.value(),
                 flow,
             }
-            .encode();
-            let now = net.sim.now();
-            net.sim.with_node(S1, |node, out| {
-                node.on_frame(now, PortId::new(9), bytes.clone().into(), out);
-            });
-        }
-        net.sim.run_to_completion();
+            .encode()
+        });
+        net.deliver(S1, frames);
 
         // Measure this round's share from S1's per-port tx counters.
-        let agent = net.switches[&S1].borrow();
-        let tx_reg = agent.chassis().register(hula::regs::TX_COUNT).unwrap();
         let mut round_tx = [0u64; 3];
         for (i, rt) in round_tx.iter_mut().enumerate() {
-            let total = tx_reg.read(i as u32 + 1).unwrap();
+            let total = net.read_register(S1, hula::regs::TX_COUNT, i as u32 + 1);
             *rt = total - prev_tx[i];
             prev_tx[i] = total;
         }
-        drop(agent);
         let round_total: u64 = round_tx.iter().sum();
         if round_total > 0 {
             for i in 0..3 {
@@ -243,18 +236,11 @@ pub fn run(scenario: Scenario, config: Fig17Config) -> Fig17Result {
         }
     }
 
-    let agent = net.switches[&S1].borrow();
-    let tx_reg = agent.chassis().register(hula::regs::TX_COUNT).unwrap();
-    let tx: Vec<u64> = (1..=3).map(|p| tx_reg.read(p).unwrap()).collect();
-    let probes_dropped = agent.stats().probes_dropped;
-    drop(agent);
-    let delivered = net.switches[&S5]
-        .borrow()
-        .chassis()
-        .register(hula::regs::DELIVERED)
-        .unwrap()
-        .read(S5.value() as u32)
-        .unwrap();
+    let tx: Vec<u64> = (1..=3)
+        .map(|p| net.read_register(S1, hula::regs::TX_COUNT, p))
+        .collect();
+    let probes_dropped = net.switches[&S1].borrow().stats().probes_dropped;
+    let delivered = net.read_register(S5, hula::regs::DELIVERED, S5.value() as u32);
     let total: u64 = tx.iter().sum::<u64>().max(1);
     let alerts = net.set.borrow().alerts().len() as u64;
 

@@ -51,6 +51,13 @@ pub mod reg_ids {
     pub const CELL_FLOWXOR: RegId = RegId::new(8002);
     /// [`super::regs::CELL_PKTSUM`].
     pub const CELL_PKTSUM: RegId = RegId::new(8003);
+    /// Every register the controller addresses, with its data-plane name:
+    /// the agent's mapping table.
+    pub const ALL: [(RegId, &str); 3] = [
+        (CELL_COUNT, super::regs::CELL_COUNT),
+        (CELL_FLOWXOR, super::regs::CELL_FLOWXOR),
+        (CELL_PKTSUM, super::regs::CELL_PKTSUM),
+    ];
 }
 
 /// The cell indices a flow hashes to.

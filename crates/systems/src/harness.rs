@@ -771,6 +771,31 @@ impl Network {
         self.send_from_controller(vec![o]);
     }
 
+    /// Delivers `frames` to `switch` as if each arrived from a host on port
+    /// 9, then runs the simulator until it drains.
+    pub fn deliver(&mut self, switch: SwitchId, frames: impl IntoIterator<Item = Vec<u8>>) {
+        for bytes in frames {
+            let now = self.sim.now();
+            self.sim.with_node(switch, |node, out| {
+                node.on_frame(now, PortId::new(9), bytes.into(), out);
+            });
+        }
+        self.sim.run_to_completion();
+    }
+
+    /// Reads cell `index` of register `name` straight from `switch`'s
+    /// chassis: the driver's view, no C-DP message is sent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `switch` declares no such register or `index` is out of
+    /// range.
+    pub fn read_register(&self, switch: SwitchId, name: &str, index: u32) -> u64 {
+        let agent = self.switches[&switch].borrow();
+        let register = agent.chassis().register(name).expect("declared register");
+        register.read(index).expect("index in range")
+    }
+
     /// Injects an in-network control message (e.g. a HULA probe) originated
     /// by `switch` out of `port`, sealed with that port's key.
     ///

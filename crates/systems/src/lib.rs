@@ -35,14 +35,14 @@
 //!   `repro -- users` to millions of modelled users at near-constant
 //!   per-user cost while an aggregate of one user stays bit-identical to
 //!   an individual [`scaleload`] host.
+//! * [`table1`] — Table I on these systems: each of HULA, RouteScout,
+//!   Blink, SilkRoad, NetWarden, NetCache and FlowRadar under the attack
+//!   the table cites, with P4Auth off and on, judged by a system-level
+//!   invariant (`repro -- table1`).
 //! * [`campaigns`] — scenario campaigns composing deterministic fault
 //!   injection (link flaps, pod/switch failure, boot storms) with attack
 //!   overlays, each judged by explicit defence invariants and reported by
 //!   `repro -- scenarios` as `BENCH_scenarios.json`.
-//!
-//! Together with [`blink`], [`netcache`] and [`netwarden`], every Table I
-//! row exists here as a *working* miniature of the cited system, not just
-//! a register-name stand-in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,4 +59,5 @@ pub mod replicated;
 pub mod routescout;
 pub mod scaleload;
 pub mod silkroad;
+pub mod table1;
 pub mod userscale;

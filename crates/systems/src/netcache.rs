@@ -50,6 +50,13 @@ pub mod reg_ids {
     pub const CACHED_VALUE: RegId = RegId::new(4002);
     /// [`super::regs::QUERY_COUNT`].
     pub const QUERY_COUNT: RegId = RegId::new(4003);
+    /// Every register the controller addresses, with its data-plane name:
+    /// the agent's mapping table.
+    pub const ALL: [(RegId, &str); 3] = [
+        (CACHED_KEY, super::regs::CACHED_KEY),
+        (CACHED_VALUE, super::regs::CACHED_VALUE),
+        (QUERY_COUNT, super::regs::QUERY_COUNT),
+    ];
 }
 
 /// A query frame: `[0xC4, key(4)]`.

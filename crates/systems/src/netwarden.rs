@@ -48,6 +48,13 @@ pub mod reg_ids {
     pub const PKT_COUNT: RegId = RegId::new(5002);
     /// [`super::regs::SUSPECT`].
     pub const SUSPECT: RegId = RegId::new(5003);
+    /// Every register the controller addresses, with its data-plane name:
+    /// the agent's mapping table.
+    pub const ALL: [(RegId, &str); 3] = [
+        (IPD_SUM, super::regs::IPD_SUM),
+        (PKT_COUNT, super::regs::PKT_COUNT),
+        (SUSPECT, super::regs::SUSPECT),
+    ];
 }
 
 /// A connection packet: `[0xCC, conn(4), ts_us(4)]` (the timestamp is

@@ -52,6 +52,12 @@ pub mod reg_ids {
     pub const TRANSIT: RegId = RegId::new(7001);
     /// [`super::regs::POOL_VERSION`].
     pub const POOL_VERSION: RegId = RegId::new(7002);
+    /// Every register the controller addresses, with its data-plane name:
+    /// the agent's mapping table.
+    pub const ALL: [(RegId, &str); 2] = [
+        (TRANSIT, super::regs::TRANSIT),
+        (POOL_VERSION, super::regs::POOL_VERSION),
+    ];
 }
 
 /// A connection packet: `[0x51, conn(4), first(1)]`; `first` marks the

@@ -1,12 +1,12 @@
-//! Table I as a runnable gallery: for each class of in-network system,
-//! run the characteristic state-tampering attack against the undefended
-//! baseline and against P4Auth, and print what happened.
+//! Table I as a runnable gallery: for each of the seven systems the table
+//! names, run the attack it cites against the undefended baseline and
+//! against P4Auth, and print what happened; then §VIII's brute-force
+//! analysis and §III-B's TLS gap and key substitution.
 //!
 //! ```sh
 //! cargo run --example attack_gallery
 //! ```
 
-use p4auth::attacks::scenarios::run_all;
 use p4auth::attacks::tls_gap::{rewrite_value_shim, write_landed, SwitchSoftwareStack};
 use p4auth::attacks::{bruteforce, kex_mitm};
 use p4auth::core::agent::{AgentConfig, P4AuthSwitch};
@@ -16,6 +16,7 @@ use p4auth::primitives::kdf::Kdf;
 use p4auth::primitives::mac::HalfSipHashMac;
 use p4auth::primitives::rng::SplitMix64;
 use p4auth::primitives::Key64;
+use p4auth::systems::table1;
 use p4auth::wire::body::RegisterOp;
 use p4auth::wire::ids::{PortId, RegId, SeqNum, SwitchId};
 use p4auth::wire::Message;
@@ -52,35 +53,16 @@ fn write_through_backdoored_stack(p4auth: bool) -> Option<u64> {
 }
 
 fn main() {
-    println!("Table I gallery: altering C-DP update messages per system class\n");
-    println!(
-        "{:<30} {:<12} {:<12} {:<8}",
-        "system class", "baseline", "with P4Auth", "alert?"
-    );
-    println!("{}", "-".repeat(66));
-    for r in run_all() {
+    println!("Table I gallery: altering C-DP messages of seven in-network systems\n");
+    for v in table1::run_all() {
+        println!("{} ({}): {}", v.row.system, v.row.class, v.row.attack);
+        println!("    invariant: {}", v.row.invariant);
+        println!("    without P4Auth: {}", v.unprotected.observed);
         println!(
-            "{:<30} {:<12} {:<12} {:<8}",
-            r.class.label(),
-            if r.baseline_compromised {
-                "COMPROMISED"
-            } else {
-                "safe"
-            },
-            if r.p4auth_blocked {
-                "protected"
-            } else {
-                "FAILED"
-            },
-            if r.alert_raised { "yes" } else { "no" },
-        );
-        println!("    impact when unprotected: {}", r.impact);
-        println!(
-            "    register value: baseline ended at {}, P4Auth preserved {}",
-            r.baseline_final_value, r.p4auth_final_value
+            "    with P4Auth:    {} ({} detection(s))",
+            v.protected.observed, v.protected.detections
         );
     }
-
     println!("\n§VIII brute-force analysis:");
     println!(
         "  32-bit digest, 1M online guesses: success probability {:.6}%, {} alerts raised",

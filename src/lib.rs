@@ -17,7 +17,7 @@
 //! | [`netsim`] | the discrete-event network simulator with MitM taps |
 //! | [`core`] | the P4Auth protocol: authentication engine, EAK/ADHKD, key management, the data-plane agent |
 //! | [`controller`] | the controller runtime: authenticated register access, key orchestration, alerts |
-//! | [`systems`] | HULA and RouteScout, the protected target systems, plus the simulation harness |
+//! | [`systems`] | the seven protected target systems (HULA, RouteScout, Blink, SilkRoad, NetWarden, NetCache, FlowRadar), Table I on them, and the simulation harness |
 //! | [`attacks`] | the §II-A adversaries: control-plane MitM, link MitM, replay, brute force, DoS |
 //! | [`workloads`] | synthetic CAIDA-like traffic and latency processes |
 //! | [`telemetry`] | dependency-free metrics registry and structured event log spanning sim, auth, agent and controller |

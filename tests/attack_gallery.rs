@@ -1,42 +1,36 @@
-//! Integration: the Table I scenario gallery and the §VIII security
-//! analysis, plus cross-cutting adversary behaviour.
+//! Integration: Table I on the seven systems it names and the §VIII
+//! security analysis, plus cross-cutting adversary behaviour.
 
-use p4auth::attacks::scenarios::SystemClass;
-use p4auth::attacks::{bruteforce, scenarios};
+use p4auth::attacks::bruteforce;
 use p4auth::primitives::mac::{Crc32Mac, HalfSipHashMac, Mac};
 use p4auth::primitives::rng::SplitMix64;
 use p4auth::primitives::Key64;
+use p4auth::systems::table1;
+use std::collections::HashSet;
 
 #[test]
 fn table1_all_five_system_classes() {
-    let reports = scenarios::run_all();
-    assert_eq!(reports.len(), 5);
-    for r in &reports {
-        assert!(
-            r.baseline_compromised,
-            "{}: baseline should fall",
-            r.class.label()
-        );
-        assert!(
-            r.p4auth_blocked,
-            "{}: P4Auth should protect",
-            r.class.label()
-        );
-        assert!(
-            r.alert_raised,
-            "{}: operator should be alerted",
-            r.class.label()
-        );
-        assert_ne!(r.baseline_final_value, r.p4auth_final_value);
+    let verdicts = table1::run_all();
+    assert_eq!(verdicts.len(), 7);
+    let classes: HashSet<_> = verdicts.iter().map(|v| v.row.class).collect();
+    assert_eq!(classes.len(), 5, "{classes:?}");
+    for v in &verdicts {
+        assert!(v.reproduced(), "{v:?}");
+        assert_eq!(v.unprotected.detections, 0, "{v:?}");
+        assert_ne!(v.unprotected.observed, v.protected.observed);
     }
 }
 
 #[test]
 fn table1_each_class_has_distinct_semantics() {
-    for class in SystemClass::ALL {
-        let r = scenarios::run_scenario(class);
-        assert_eq!(r.class, class);
-        assert!(!r.impact.is_empty());
+    // Each row names its own system, attack and invariant.
+    for field in [
+        |r: &table1::Row| r.system,
+        |r: &table1::Row| r.attack,
+        |r: &table1::Row| r.invariant,
+    ] {
+        let distinct: HashSet<_> = table1::ROWS.iter().map(field).collect();
+        assert_eq!(distinct.len(), table1::ROWS.len(), "{distinct:?}");
     }
 }
 

@@ -2,15 +2,10 @@
 //! seeds — not an artifact of one lucky run; (b) the Blink fast-reroute row
 //! of Table I end to end.
 
-use p4auth::attacks::ctrl_mitm;
-use p4auth::controller::{ControllerConfig, ControllerEvent};
-use p4auth::core::agent::AgentConfig;
-use p4auth::netsim::topology::Topology;
-use p4auth::systems::blink::{self, BlinkApp, BlinkFrame};
+use p4auth::controller::ControllerEvent;
 use p4auth::systems::experiments::{fig16, fig17, Scenario};
-use p4auth::systems::harness::Network;
+use p4auth::systems::table1::{self, S1};
 use p4auth::wire::body::AlertKind;
-use p4auth::wire::ids::{PortId, SwitchId};
 
 const SEEDS: [u64; 3] = [0xaaaa_0001, 0xbbbb_0002, 0xcccc_0003];
 
@@ -68,106 +63,29 @@ fn fig16_defence_holds_across_seeds() {
 
 // ----------------------------------------------------------- Blink / FRR
 
-const S1: SwitchId = SwitchId::new(1);
-
-fn blink_network(auth: bool) -> Network {
-    let mut net = Network::build(
-        Topology::chain(1, 50_000, 200_000),
-        1,
-        ControllerConfig {
-            auth_enabled: auth,
-            ..ControllerConfig::default()
-        },
-        0xb11c,
-        |_| Some(BlinkApp::boxed()),
-        move |_, config: AgentConfig| {
-            let mut config = config
-                .map_register(blink::reg_ids::PRIMARY, blink::regs::PRIMARY)
-                .map_register(blink::reg_ids::BACKUP, blink::regs::BACKUP)
-                .map_register(blink::reg_ids::FAILED_OVER, blink::regs::FAILED_OVER);
-            // Blink forwards onto next-hop ports 1..4 that have no links in
-            // this single-switch topology; size the chassis for them.
-            config.num_ports = 4;
-            if auth {
-                config
-            } else {
-                config.insecure_baseline()
-            }
-        },
-    );
-    if auth {
-        net.bootstrap_keys();
-        let _ = net.take_events();
-    }
-    net
-}
-
-fn backup_port(net: &Network, prefix: u32) -> u64 {
-    net.switches[&S1]
-        .borrow()
-        .chassis()
-        .register(blink::regs::BACKUP)
-        .unwrap()
-        .read(prefix)
-        .unwrap()
-}
-
 #[test]
 fn blink_backup_poisoning_lands_without_p4auth() {
-    let mut net = blink_network(false);
-    let count = ctrl_mitm::tamper_counter();
-    let (link, _) = net.sim.topology().link_at(S1, PortId::new(63)).unwrap();
-    net.sim.install_tap(
-        link,
-        SwitchId::CONTROLLER,
-        ctrl_mitm::rewrite_write_request(blink::reg_ids::BACKUP, 0, 4, count.clone()),
-    );
     // The operator re-provisions the backup next hop; the adversary
-    // rewrites it to their own port.
-    net.controller_write(S1, blink::reg_ids::BACKUP, 0, 3);
-    net.sim.run_to_completion();
-    assert_eq!(*count.borrow(), 1);
-    assert_eq!(backup_port(&net, 0), 4, "poisoned backup installed");
+    // rewrites it to their own port, and fast reroute follows it.
+    let arm = table1::blink(false);
+    assert!(!arm.held, "{arm:?}");
+    assert_eq!(arm.observed, "fails over to port 4");
 }
 
 #[test]
 fn blink_backup_poisoning_blocked_with_p4auth_and_failover_still_works() {
-    let mut net = blink_network(true);
-    let count = ctrl_mitm::tamper_counter();
-    let (link, _) = net.sim.topology().link_at(S1, PortId::new(63)).unwrap();
-    net.sim.install_tap(
-        link,
-        SwitchId::CONTROLLER,
-        ctrl_mitm::rewrite_write_request(blink::reg_ids::BACKUP, 0, 4, count.clone()),
+    // The tampered update is rejected, so the backup keeps its prior
+    // value and an outage fails over onto it.
+    let arm = table1::blink(true);
+    assert!(arm.held, "{arm:?}");
+    assert_eq!(arm.observed, "fails over to port 2");
+    assert_eq!(arm.detections, 1);
+    assert!(
+        arm.events.contains(&ControllerEvent::AlertReceived {
+            switch: S1,
+            kind: AlertKind::DigestMismatch
+        }),
+        "the rewritten update is reported: {:?}",
+        arm.events
     );
-    net.controller_write(S1, blink::reg_ids::BACKUP, 0, 3);
-    net.sim.run_to_completion();
-    assert_eq!(*count.borrow(), 1);
-    // The tampered update was rejected: the backup keeps its prior value.
-    assert_eq!(backup_port(&net, 0), 2);
-    let events = net.take_events();
-    assert!(events.iter().any(|e| matches!(
-        e,
-        ControllerEvent::AlertReceived {
-            kind: AlertKind::DigestMismatch,
-            ..
-        }
-    )));
-
-    // An outage now fires fast reroute onto the *legitimate* backup.
-    let mut sw = net.switches[&S1].borrow_mut();
-    for i in 0..blink::RETRANS_THRESHOLD + 1 {
-        let frame = BlinkFrame {
-            prefix: 0,
-            retransmission: i < blink::RETRANS_THRESHOLD,
-        };
-        let out = sw.on_packet(0, PortId::new(9), &frame.encode());
-        if i == blink::RETRANS_THRESHOLD {
-            assert_eq!(
-                out.outputs[0].0,
-                PortId::new(2),
-                "failover to the real backup"
-            );
-        }
-    }
 }
