@@ -91,9 +91,9 @@ const SCENARIOS: Baseline = Baseline("BENCH_scenarios.json", "campaigns", "name"
 
 /// One non-regression gate: the baseline row matching one of this run's
 /// bounds the named field. The flag marks fields a baseline row may carry
-/// as `null` or not at all, which skips the comparison: campaigns without
-/// a mitigation have no latency, and older `BENCH_scenarios.json` files
-/// predate the percentiles.
+/// as `null` or not at all, which skips that row: campaigns without a
+/// mitigation have no latency. A gate must still compare at least one
+/// row.
 struct Gate(&'static Baseline, &'static str, Bound, bool);
 
 /// Every `--baseline` gate: the wall-clock-tolerant per-user cost, the
@@ -113,10 +113,11 @@ const GATES: &[Gate] = &[
 
 /// Evaluates every gate on `of` between the `baseline` document and this
 /// run's `current` one (same schema), returning the lines to print or the
-/// first failure. Fails closed: unparseable JSON, a gate for which none
-/// of this run's rows is in the baseline (short runs legitimately match
-/// only a subset; an empty intersection is an error), and a matched row
-/// whose gated field is missing or of the wrong type are all errors.
+/// first failure. Fails closed: unparseable JSON, a gate that compares no
+/// row (short runs legitimately match only a subset of the baseline's
+/// rows, and a nullable gate skips a `null` baseline value, but a gate
+/// left with nothing to compare is an error), and a matched row whose
+/// gated field is missing or of the wrong type are all errors.
 fn check_gates(of: &Baseline, baseline: &str, current: &str) -> Result<Vec<String>, String> {
     let &Baseline(file, rows_key, selector) = of;
     let rows = |what: &str, text| {
@@ -133,18 +134,18 @@ fn check_gates(of: &Baseline, baseline: &str, current: &str) -> Result<Vec<Strin
     };
     let mut lines = Vec::new();
     for Gate(_, field, bound, nullable) in GATES.iter().filter(|g| g.0 .0 == file) {
-        let mut matched = 0;
+        let mut compared = 0;
         for row in &run_rows {
             let id = row.get(selector).unwrap_or(&Value::Null);
             let Some(base_row) = base_rows.iter().find(|b| b.get(selector) == Some(id)) else {
                 continue;
             };
-            matched += 1;
             let want = base_row.get(field).unwrap_or(&Value::Null);
             let got = row.get(field).unwrap_or(&Value::Null);
             if *nullable && *want == Value::Null {
                 continue;
             }
+            compared += 1;
             let at = format!("{selector} {}: {field}", show(id));
             let line = format!("{at} {} vs baseline {} ({bound:?})", show(got), show(want));
             match bound.holds(want, got) {
@@ -154,9 +155,10 @@ fn check_gates(of: &Baseline, baseline: &str, current: &str) -> Result<Vec<Strin
             }
             lines.push(format!("  {line} ✓"));
         }
-        if matched == 0 {
+        if compared == 0 {
             return Err(format!(
-                "no {selector} of this run is among {file}'s {rows_key}: nothing was compared"
+                "no {selector} of this run has a {field} among {file}'s {rows_key}: \
+                 nothing was compared"
             ));
         }
     }
@@ -1289,29 +1291,55 @@ mod tests {
         assert!(err("{}").contains("no \"runs\" array"));
     }
 
+    /// A scenarios report of two campaigns: `flood` with each nullable
+    /// gated field set to `flood`'s value, `churn` with `churn`'s (a
+    /// campaign with no mitigation and no rollover); `""` leaves the
+    /// fields out.
+    fn campaigns(flood: &str, churn: &str) -> String {
+        let row = |name: &str, v: &str| {
+            let fields: String = GATES
+                .iter()
+                .filter(|g| g.3 && !v.is_empty())
+                .map(|g| format!(", \"{}\": {v}", g.1))
+                .collect();
+            format!("{{\"name\": \"{name}\", \"passed\": true{fields}}}")
+        };
+        let (flood, churn) = (row("flood", flood), row("churn", churn));
+        format!("{{\"campaigns\": [{flood}, {churn}]}}")
+    }
+
     #[test]
     fn null_percentiles_are_the_one_tolerated_absence() {
-        let campaign = |fields: &str| {
-            format!("{{\"campaigns\": [{{\"name\": \"flood\", \"passed\": true{fields}}}]}}")
-        };
-        let p50 = ", \"mitigation_latency_p50_ns\": ";
-        let (old, null) = (campaign(""), campaign(&format!("{p50}null")));
-        let (fast, slow) = (
-            campaign(&format!("{p50}100")),
-            campaign(&format!("{p50}201")),
-        );
-        // Older baselines lack the field, or carry null: only `passed` gates.
-        for baseline in [&old, &null] {
-            assert_eq!(check_gates(&SCENARIOS, baseline, &fast).unwrap().len(), 1);
+        let run = campaigns("100", "null");
+        // A row may carry null or lack the field: only the other row's
+        // percentiles and both verdicts gate.
+        for baseline in [&run, &campaigns("100", "")] {
+            let lines = check_gates(&SCENARIOS, baseline, &run).unwrap();
+            assert_eq!(lines.len(), 2 + 4, "{lines:?}");
         }
-        assert_eq!(check_gates(&SCENARIOS, &fast, &fast).unwrap().len(), 2);
-        let e = check_gates(&SCENARIOS, &fast, &slow).unwrap_err();
+        let e = check_gates(&SCENARIOS, &run, &campaigns("201", "null")).unwrap_err();
         assert!(e.contains("regressed"), "more than 2x: {e}");
-        let e = check_gates(&SCENARIOS, &fast, &null).unwrap_err();
+        let e = check_gates(&SCENARIOS, &run, &campaigns("null", "null")).unwrap_err();
         assert!(e.contains("not comparable"), "this run lost it: {e}");
-        let failing = campaign("").replace("true", "false");
-        let e = check_gates(&SCENARIOS, &old, &failing).unwrap_err();
+        let failing = run.replacen("true", "false", 1);
+        let e = check_gates(&SCENARIOS, &run, &failing).unwrap_err();
         assert!(e.contains("regressed: name flood: passed"), "{e}");
+    }
+
+    /// A nullable gate whose baseline is `null` (or absent) in every row
+    /// this run matches has compared nothing, and that fails: it does not
+    /// pass by default.
+    #[test]
+    fn a_nullable_gate_with_no_baseline_value_fails() {
+        let run = campaigns("100", "100");
+        for baseline in [campaigns("null", "null"), campaigns("", "")] {
+            let e = check_gates(&SCENARIOS, &baseline, &run).unwrap_err();
+            let want = "no name of this run has a mitigation_latency_p50_ns";
+            assert!(
+                e.contains(want) && e.contains("nothing was compared"),
+                "{e}"
+            );
+        }
     }
 
     #[test]

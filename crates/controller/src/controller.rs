@@ -2333,7 +2333,9 @@ mod tests {
     /// ROADMAP 2a at the controller: a `Nack`'s reason travels in a
     /// 64-bit field of which the decoder keeps the low byte. Setting any
     /// of the other seven is a digest reject, and — unlike the genuine
-    /// `Nack` — leaves the request it answers outstanding.
+    /// `Nack` — leaves the request it answers outstanding. So does a
+    /// correctly sealed `Nack` carrying code 1, the digest verdict agents
+    /// no longer send: it does not decode, so it is `Malformed`.
     #[test]
     fn nack_with_nonzero_discarded_bytes_is_rejected_and_cancels_nothing() {
         let k = Key64::new(0xfeed);
@@ -2363,6 +2365,23 @@ mod tests {
                 }]
             );
         }
+        let mut verdict = nack.clone();
+        verdict[29] = 1;
+        let mac = HalfSipHashMac::default();
+        let digest = mac.compute(k, &p4auth_wire::digest_parts(&verdict));
+        verdict[10..14].copy_from_slice(&digest.value().to_be_bytes());
+        assert!(
+            verify_frame(&mac, k, &verdict),
+            "sealed under the channel key"
+        );
+        let (_, events) = c.on_message(sw, &verdict);
+        assert_eq!(
+            events,
+            [ControllerEvent::Rejected {
+                switch: sw,
+                reason: RejectReason::Malformed
+            }]
+        );
         assert_eq!(c.outstanding(sw), 1);
         let (_, events) = c.on_message(sw, &nack);
         assert_eq!(

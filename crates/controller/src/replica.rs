@@ -860,4 +860,36 @@ mod tests {
         assert_eq!(read(&mut set, &mut agents), value_read);
         assert!(set.alerts().is_empty(), "{:?}", set.alerts());
     }
+
+    /// A copy of an in-flight write with one digest byte flipped is
+    /// reported by its alert and nothing else, so it cannot retire the
+    /// genuine write: that one is still outstanding when it arrives, and
+    /// its `Ack` completes it.
+    #[test]
+    fn forged_copy_of_an_in_flight_write_does_not_cancel_it() {
+        let sw = SwitchId::new(1);
+        let (mut set, mut agents) = fleet(1, &seeds(1));
+        let write = set.write_register(2_000, sw, REG, 3, 77);
+        let mut forged = write.clone();
+        forged.bytes[12] ^= 0x40; // inside the header's digest field
+        let mut events = pump(&mut set, &mut agents, 2_000, vec![forged]);
+        assert_eq!(set.core(sw).outstanding(sw), 1, "{events:?}");
+        events.extend(pump(&mut set, &mut agents, 2_000, vec![write]));
+
+        assert!(events.contains(&ControllerEvent::WriteAcked {
+            switch: sw,
+            reg: REG,
+            index: 3
+        }));
+        let cancelled = |e: &ControllerEvent| {
+            matches!(
+                e,
+                ControllerEvent::Nacked { .. } | ControllerEvent::UnmatchedResponse(_)
+            )
+        };
+        assert!(!events.iter().any(cancelled), "{events:?}");
+        assert_eq!(set.core(sw).outstanding(sw), 0);
+        let r = agents[&sw].chassis().register("r").expect("declared");
+        assert_eq!(r.read(3), Ok(77));
+    }
 }

@@ -38,11 +38,11 @@ const REG: RegId = RegId::new(1);
 /// Mapped in the agent's config, never declared on its chassis.
 const UNDECLARED: RegId = RegId::new(2);
 
-/// What `on_packet` allocated at the parent commit (4836725) on a frame
-/// with a forged digest and on a replayed one — measured there with this
-/// file's loop. The reject path must not pay for the accept path's gain.
-const PARENT_FORGED_ALLOCS: u64 = 9;
-const PARENT_REPLAYED_ALLOCS: u64 = 9;
+/// What `on_packet` may allocate on a frame with a forged digest or a
+/// replayed one, while the alert limiter lets the alert out: the event
+/// list, the output list and the sealed alert frame. Nothing answers the
+/// frame itself.
+const REJECT_ALLOCS: u64 = 3;
 
 /// Runs `f`; returns the allocations the process made meanwhile and `f`'s
 /// result.
@@ -92,13 +92,14 @@ fn steady_reject_allocs(registry: Option<Arc<Registry>>) -> u64 {
         .remove(0)
         .1;
     forged_reply[11] ^= 0x10;
-    // A forged request makes the agent nAck and raise an alert; the
-    // controller accepts the alert once, and from then on it is a replay.
+    // A forged request makes the agent raise an alert, and nothing else;
+    // the controller accepts the alert once, and from then on it is a
+    // replay.
     let mut forged_request = request.bytes;
     forged_request[12] ^= 0x40;
     let mut outputs = agent.on_packet(1, PortId::CPU, &forged_request).outputs;
-    assert_eq!(outputs.len(), 2);
-    let alert = outputs.remove(1).1;
+    assert_eq!(outputs.len(), 1);
+    let alert = outputs.remove(0).1;
     let (_, events) = set.on_message(1, SW, &alert);
     assert!(matches!(
         events[..],
@@ -168,16 +169,18 @@ fn hot_path_allocs() {
         .events
         .iter()
         .any(|e| matches!(e, AgentEvent::Rejected(RejectReason::Replayed { .. }))));
+    assert_eq!(out.outputs.len(), 1, "the alert only");
     assert!(
-        replayed_allocs <= PARENT_REPLAYED_ALLOCS,
+        replayed_allocs <= REJECT_ALLOCS,
         "replayed frame: {replayed_allocs}"
     );
     let mut forged = last_request.clone();
     forged[12] ^= 0x40;
     let (forged_allocs, out) = allocations_during(|| agent.on_packet(7_001, PortId::CPU, &forged));
     assert!(out.has_event(&AgentEvent::Rejected(RejectReason::BadDigest)));
+    assert_eq!(out.outputs.len(), 1, "the alert only");
     assert!(
-        forged_allocs <= PARENT_FORGED_ALLOCS,
+        forged_allocs <= REJECT_ALLOCS,
         "forged frame: {forged_allocs}"
     );
 

@@ -656,14 +656,24 @@ impl P4AuthSwitch {
         replay.check_and_advance(msg.header().sender, channel, msg.header().seq_num)
     }
 
-    fn record_reject(
+    /// How every handler ends a frame that failed verification: counted,
+    /// logged, reported as [`AgentEvent::Rejected`] after `events`, and
+    /// `alert`, if any, raised toward the controller (rate-limited).
+    /// Nothing else answers the frame: a sealed reply to a request that
+    /// did not verify would be a second report the alert limiter does not
+    /// bound, and one the controller would match to whichever genuine
+    /// request holds the same sequence number (DESIGN §2, reject
+    /// reporting).
+    fn reject(
         &mut self,
         now_ns: u64,
-        peer: SwitchId,
+        msg: &Message,
         channel: PortId,
-        seq: SeqNum,
         reason: RejectReason,
-    ) {
+        alert: Option<Alert>,
+        mut events: Vec<AgentEvent>,
+    ) -> AgentOutput {
+        let (peer, seq) = (msg.header().sender, msg.header().seq_num);
         match reason {
             RejectReason::Replayed { .. } => self.stats.replays += 1,
             RejectReason::Quarantined => self.stats.quarantine_drops += 1,
@@ -698,6 +708,16 @@ impl P4AuthSwitch {
                     },
                 );
             }
+        }
+        events.push(AgentEvent::Rejected(reason));
+        let mut outputs = Vec::new();
+        if let Some(alert) = alert {
+            self.raise_alert(now_ns, alert, &mut outputs, &mut events);
+        }
+        AgentOutput {
+            outputs,
+            events,
+            ..AgentOutput::default()
         }
     }
 
@@ -797,16 +817,13 @@ impl P4AuthSwitch {
                 if quarantined {
                     // Defence-imposed drop: don't even verify — the channel
                     // key is suspect until the KMP installs a fresh one.
-                    let reason = RejectReason::Quarantined;
-                    events.push(AgentEvent::Rejected(reason));
-                    reject = Some(reason);
+                    reject = Some(RejectReason::Quarantined);
                     return Ok(vec![]);
                 }
                 if auth {
                     match Self::verify_in_ctx(ctx, replay, channel_key, PortId::CPU, frame, msg) {
                         Ok(()) => events.push(AgentEvent::VerifiedOk),
                         Err(reason) => {
-                            events.push(AgentEvent::Rejected(reason));
                             reject = Some(reason);
                             return Ok(vec![]);
                         }
@@ -855,33 +872,18 @@ impl P4AuthSwitch {
             })
             .expect("the register program emits no packet and returns no error");
 
-        // One reply, and on a reject possibly an alert after it.
-        let mut outputs = Vec::with_capacity(if reject.is_some() { 2 } else { 1 });
-
         if let Some(reason) = reject {
-            self.record_reject(
-                now_ns,
-                msg.header().sender,
-                PortId::CPU,
-                msg.header().seq_num,
-                reason,
-            );
-            // nAck + alert (Fig. 8/9 workflow).
-            let nack = RegisterOp::Nack {
-                reg,
-                index: 0,
-                reason: match reason {
-                    RejectReason::Replayed { .. } => NackReason::SeqMismatch,
-                    RejectReason::Quarantined => NackReason::Quarantined,
-                    _ => NackReason::DigestMismatch,
-                },
+            // The alert is the only report (DESIGN §2, reject reporting).
+            let alert = reason.to_alert(msg.header().seq_num, 0);
+            return AgentOutput {
+                cost_ns: outcome.cost_ns,
+                hash_passes: outcome.hash_passes,
+                recirculations: outcome.recirculations,
+                ..self.reject(now_ns, msg, PortId::CPU, reason, alert, events)
             };
-            self.push_register_reply(msg, nack, &mut outputs);
-            self.stats.nacks += 1;
-            if let Some(alert) = reason.to_alert(msg.header().seq_num, 0) {
-                self.raise_alert(now_ns, alert, &mut outputs, &mut events);
-            }
-        } else if let Some(reply) = reply_op {
+        }
+        let mut outputs = Vec::with_capacity(1);
+        if let Some(reply) = reply_op {
             if auth {
                 self.stats.verified_ok += 1;
                 self.note_verify_ok(now_ns, msg.header().sender, PortId::CPU);
@@ -890,7 +892,21 @@ impl P4AuthSwitch {
                 RegisterOp::Ack { .. } => self.stats.acks += 1,
                 _ => self.stats.nacks += 1,
             }
-            self.push_register_reply(msg, reply, &mut outputs);
+            // The response carries the request's seqNum, so the controller
+            // can map it to the request.
+            let seq = msg.header().seq_num;
+            let reply = Message::new(
+                self.config.switch_id,
+                PortId::CPU,
+                seq,
+                Body::Register(reply),
+            );
+            let frame = if auth {
+                self.encode_for(PortId::CPU, reply)
+            } else {
+                reply.encode()
+            };
+            outputs.push((PortId::CPU, frame));
         }
 
         AgentOutput {
@@ -900,28 +916,6 @@ impl P4AuthSwitch {
             recirculations: outcome.recirculations,
             events,
         }
-    }
-
-    /// Builds and seals a register response carrying the request's seqNum
-    /// (so the controller can map responses to requests).
-    fn push_register_reply(
-        &mut self,
-        request: &Message,
-        op: RegisterOp,
-        outputs: &mut Vec<(PortId, Vec<u8>)>,
-    ) {
-        let reply = Message::new(
-            self.config.switch_id,
-            PortId::CPU,
-            request.header().seq_num,
-            Body::Register(op),
-        );
-        let frame = if self.config.auth_enabled {
-            self.encode_for(PortId::CPU, reply)
-        } else {
-            reply.encode()
-        };
-        outputs.push((PortId::CPU, frame));
     }
 
     /// Selects the verification key for a key-exchange message per §VI-C.
@@ -955,42 +949,42 @@ impl P4AuthSwitch {
         let mut events = Vec::new();
         let mut outputs = Vec::new();
 
+        // The key slot this leg installs into or rolls: a slot past the
+        // key register is malformed, whoever sealed the frame, and is
+        // rejected before verification can advance the replay window.
+        let slot = match kex {
+            KeyExchange::EakSalt { .. } => PortId::CPU,
+            KeyExchange::Adhkd { context, .. } => match context {
+                KexContext::LocalInit | KexContext::LocalUpdate => PortId::CPU,
+                KexContext::PortInitRedirect => msg.header().port,
+                KexContext::PortUpdateDirect => ingress,
+            },
+            KeyExchange::PortKeyInit { peer_port, .. }
+            | KeyExchange::PortKeyUpdate { peer_port, .. } => peer_port,
+        };
         // Every key-exchange message is authenticated (the "A" in ADHKD);
         // past this block `key` is the one that verified it.
-        let verified = verify_and_advance(
-            self.chassis.hash_mac(),
-            self.kex_verify_key(ingress, msg, &kex),
-            &mut self.replay,
-            ingress,
-            frame,
-            msg.header(),
-        );
+        let verified = if slot.key_index() < self.keys.len() {
+            verify_and_advance(
+                self.chassis.hash_mac(),
+                self.kex_verify_key(ingress, msg, &kex),
+                &mut self.replay,
+                ingress,
+                frame,
+                msg.header(),
+            )
+        } else {
+            Err(RejectReason::Malformed)
+        };
         let key = match verified {
             Ok(key) => key,
             Err(reason) => {
-                self.record_reject(
-                    now_ns,
-                    msg.header().sender,
-                    ingress,
-                    msg.header().seq_num,
-                    reason,
-                );
-                events.push(AgentEvent::Rejected(reason));
-                self.raise_alert(
-                    now_ns,
-                    Alert {
-                        kind: AlertKind::KeyExchangeFailure,
-                        offending_seq: msg.header().seq_num,
-                        detail: ingress.value() as u32,
-                    },
-                    &mut outputs,
-                    &mut events,
-                );
-                return AgentOutput {
-                    outputs,
-                    events,
-                    ..AgentOutput::default()
+                let alert = Alert {
+                    kind: AlertKind::KeyExchangeFailure,
+                    offending_seq: msg.header().seq_num,
+                    detail: ingress.value() as u32,
                 };
+                return self.reject(now_ns, msg, ingress, reason, Some(alert), events);
             }
         };
         self.stats.verified_ok += 1;
@@ -1061,12 +1055,6 @@ impl P4AuthSwitch {
                 public_key,
                 salt,
             } => {
-                // Which slot does this exchange target?
-                let slot = match context {
-                    KexContext::LocalInit | KexContext::LocalUpdate => PortId::CPU,
-                    KexContext::PortInitRedirect => msg.header().port,
-                    KexContext::PortUpdateDirect => ingress,
-                };
                 // A retransmission of an already-answered offer (the
                 // initiator's stall-retry overtaken by the original): the
                 // key was derived once; only the answer is repeated.
@@ -1130,11 +1118,6 @@ impl P4AuthSwitch {
                 public_key,
                 salt,
             } => {
-                let slot = match context {
-                    KexContext::LocalInit | KexContext::LocalUpdate => PortId::CPU,
-                    KexContext::PortInitRedirect => msg.header().port,
-                    KexContext::PortUpdateDirect => ingress,
-                };
                 if let Some(initiator) = self.pending_kex.remove(&(context, slot)) {
                     let master = initiator.finish(
                         AdhkdPayload {
@@ -1279,42 +1262,35 @@ impl P4AuthSwitch {
             Err(_) => return AgentOutput::default(),
         };
 
-        let mut outputs = Vec::new();
         if let Some(reason) = reject {
             // §IX-A: the switch ignores the tampered probe and raises an
             // alert to the controller.
-            self.record_reject(
-                now_ns,
-                msg.header().sender,
-                ingress,
-                msg.header().seq_num,
-                reason,
-            );
             self.stats.probes_dropped += 1;
             if let Some(t) = &self.telemetry {
                 t.probes_dropped.inc();
             }
-            events.push(AgentEvent::Rejected(reason));
             events.push(AgentEvent::ProbeDropped);
-            if let Some(alert) = reason.to_alert(msg.header().seq_num, ingress.value() as u32) {
-                self.raise_alert(now_ns, alert, &mut outputs, &mut events);
-            }
-        } else {
-            if auth {
-                self.stats.verified_ok += 1;
-                self.note_verify_ok(now_ns, msg.header().sender, ingress);
-                events.push(AgentEvent::VerifiedOk);
-            }
-            self.stats.probes_accepted += 1;
-            if let Some(t) = &self.telemetry {
-                t.probes_accepted.inc();
-            }
-            events.push(AgentEvent::ProbeAccepted);
-            outputs.extend(sealed_outputs);
+            let alert = reason.to_alert(msg.header().seq_num, ingress.value() as u32);
+            return AgentOutput {
+                cost_ns: outcome.cost_ns,
+                hash_passes: outcome.hash_passes,
+                recirculations: outcome.recirculations,
+                ..self.reject(now_ns, msg, ingress, reason, alert, events)
+            };
         }
+        if auth {
+            self.stats.verified_ok += 1;
+            self.note_verify_ok(now_ns, msg.header().sender, ingress);
+            events.push(AgentEvent::VerifiedOk);
+        }
+        self.stats.probes_accepted += 1;
+        if let Some(t) = &self.telemetry {
+            t.probes_accepted.inc();
+        }
+        events.push(AgentEvent::ProbeAccepted);
 
         AgentOutput {
-            outputs,
+            outputs: sealed_outputs,
             cost_ns: outcome.cost_ns,
             hash_passes: outcome.hash_passes,
             recirculations: outcome.recirculations,
@@ -1476,7 +1452,7 @@ mod tests {
     }
 
     #[test]
-    fn tampered_write_rejected_with_nack_and_alert() {
+    fn tampered_write_rejected_with_alert_only() {
         let mut sw = agent();
         let k = Key64::new(42);
         install_local(&mut sw, k);
@@ -1502,17 +1478,19 @@ mod tests {
                 .unwrap(),
             0
         );
-        // nAck + alert on the CPU port.
-        assert_eq!(out.outputs.len(), 2);
-        let nack = Message::decode(&out.outputs[0].1).unwrap();
+        // The alert on the CPU port is the only frame: no nAck.
+        assert_eq!(out.outputs.len(), 1);
+        let alert = Message::decode(&out.outputs[0].1).unwrap();
         assert!(matches!(
-            nack.body(),
-            Body::Register(RegisterOp::Nack {
-                reason: NackReason::DigestMismatch,
+            alert.body(),
+            Body::Alert(Alert {
+                kind: AlertKind::DigestMismatch,
+                offending_seq,
                 ..
-            })
+            }) if *offending_seq == SeqNum::new(1)
         ));
         assert_eq!(sw.stats().digest_failures, 1);
+        assert_eq!(sw.stats().nacks, 0);
     }
 
     #[test]
@@ -1835,16 +1813,14 @@ mod tests {
                 .events
                 .iter()
                 .any(|e| matches!(e, AgentEvent::VerifiedOk | AgentEvent::RegisterRead { .. })));
-            let nack = Message::decode(&out.outputs[0].1).unwrap();
-            assert!(matches!(
-                nack.body(),
-                Body::Register(RegisterOp::Nack {
-                    reason: NackReason::DigestMismatch,
-                    ..
-                })
-            ));
+            // The alert is the one frame back; no nAck.
+            assert!(out.has_event(&AgentEvent::AlertSent(AlertKind::DigestMismatch)));
+            assert_eq!(out.outputs.len(), 1);
+            let alert = Message::decode(&out.outputs[0].1).unwrap();
+            assert!(matches!(alert.body(), Body::Alert(_)));
         }
         assert_eq!(sw.stats().digest_failures, 8);
+        assert_eq!(sw.stats().nacks, 0);
         assert_eq!(sw.stats().verified_ok, 0);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("auth_reject_bad_digest", "S1"), Some(8));
@@ -1933,6 +1909,46 @@ mod tests {
         }
     }
 
+    /// A key-exchange leg sealed under `K_local` naming a port past the
+    /// key register (this agent has 4 ports: slots 0 to 4) is a counted
+    /// reject, before verification: a redirected offer for such a port
+    /// used to reach `KeyStore::install`'s `expect` and panic the agent.
+    #[test]
+    fn key_exchange_for_a_port_past_the_key_register_is_a_counted_reject() {
+        let mut sw = agent();
+        let k = Key64::new(42);
+        install_local(&mut sw, k);
+        let leg = |port: u8, kex: KeyExchange| {
+            Message::key_exchange(SwitchId::CONTROLLER, PortId::new(port), SeqNum::new(1), kex)
+                .encode_sealed(&mac(), k)
+        };
+        let offer = KeyExchange::Adhkd {
+            role: AdhkdRole::Offer,
+            context: KexContext::PortInitRedirect,
+            public_key: 7,
+            salt: 9,
+        };
+        let init = KeyExchange::PortKeyInit {
+            peer: SwitchId::new(2),
+            peer_port: PortId::new(5),
+        };
+        for frame in [leg(200, offer), leg(5, offer), leg(1, init)] {
+            let out = sw.on_packet(0, PortId::CPU, &frame);
+            assert!(
+                out.has_event(&AgentEvent::Rejected(RejectReason::Malformed)),
+                "{:?}",
+                out.events
+            );
+            assert!(out.has_event(&AgentEvent::AlertSent(AlertKind::KeyExchangeFailure)));
+            assert_eq!(out.outputs.len(), 1, "the alert only");
+        }
+        // None advanced the replay window: sequence number 1 is fresh.
+        let out = sw.on_packet(0, PortId::CPU, &leg(4, offer));
+        assert!(out.has_event(&AgentEvent::KeyInstalled {
+            port: PortId::new(4)
+        }));
+    }
+
     #[test]
     fn probe_sealing_requires_port_key() {
         let mut sw = agent();
@@ -1992,18 +2008,12 @@ mod tests {
         // suspect, so nothing on the channel is trusted.
         let out = sw.on_packet(1_000, PortId::CPU, &sealed_write(k, 1, 0, 5));
         assert!(out.has_event(&AgentEvent::Rejected(RejectReason::Quarantined)));
-        // nAck only — quarantine drops are the defence acting, not a
-        // detection, so no alert is raised (the controller already knows).
-        assert_eq!(out.outputs.len(), 1);
-        let nack = Message::decode(&out.outputs[0].1).unwrap();
-        assert!(matches!(
-            nack.body(),
-            Body::Register(RegisterOp::Nack {
-                reason: NackReason::Quarantined,
-                ..
-            })
-        ));
+        // Nothing goes back: no nAck, and no alert either — quarantine
+        // drops are the defence acting, not a detection (the controller
+        // already knows).
+        assert!(out.outputs.is_empty(), "{:?}", out.outputs);
         assert_eq!(sw.stats().quarantine_drops, 1);
+        assert_eq!(sw.stats().nacks, 0);
         assert_eq!(sw.stats().digest_failures, 0);
         assert_eq!(
             sw.chassis()

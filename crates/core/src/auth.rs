@@ -27,7 +27,8 @@ pub enum RejectReason {
         /// Last accepted sequence number on this channel.
         last_accepted: SeqNum,
     },
-    /// The bytes did not decode as a message at all.
+    /// The bytes did not decode as a message at all, or (at the agent) a
+    /// key-exchange leg names a key slot past the switch's key register.
     ///
     /// This is a *transport* failure, not an *authentication* failure:
     /// framing garbage carries no verifiable claim about its sender, so it

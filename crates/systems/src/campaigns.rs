@@ -788,7 +788,10 @@ fn correlated_flap_churn_defence(n_replicas: usize, checks: &mut Checks) -> [Opt
 
 /// Campaign 5 — whole-switch failure and recovery, no attack. An
 /// aggregation switch goes dark and returns; recovery must re-agree the
-/// port keys on every incident link with no defence false positives.
+/// port keys on every incident link with no defence false positives, and
+/// the recovered switch must answer both a register read and a bulk
+/// rollover of every local key (the campaign that fills the
+/// `rollover_fanout_*` gates).
 fn switch_failure_recovery(cfg: &CampaignConfig) -> CampaignVerdict {
     let mut checks = Checks::default();
     let fabric = fabric_phase(cfg, plan_for("switch_failure_recovery"), &mut checks);
@@ -817,10 +820,15 @@ fn switch_failure_recovery_defence(n_replicas: usize, checks: &mut Checks) -> [O
     net.sim.install_fault_plan(&churn);
     net.sim.run_to_completion();
 
-    // Post-recovery the switch answers legitimate requests again.
+    // Post-recovery the switch answers legitimate requests again, and a
+    // bulk key rollover reaches every switch, the recovered one included.
     let baseline_ok = net.set.borrow().stats().responses_ok;
     net.controller_read(ft.agg(1, 0), RegId::new(0), 0);
     net.sim.run_to_completion();
+    let answered = net.set.borrow().stats().responses_ok - baseline_ok;
+    let epoch = net.start_bulk_rollover();
+    net.sim.run_to_completion();
+    let rolled = epoch.is_some() && net.set.borrow().rollover_complete();
 
     let events = net.take_events();
     let mitigations = events
@@ -832,14 +840,10 @@ fn switch_failure_recovery_defence(n_replicas: usize, checks: &mut Checks) -> [O
         mitigations == 0,
         format!("{mitigations} mitigations from switch failure (want 0)"),
     );
-    let stats = net.set.borrow().stats();
     checks.require(
         "recovered_switch_answers",
-        stats.responses_ok == baseline_ok + 1,
-        format!(
-            "responses_ok {} (baseline {baseline_ok})",
-            stats.responses_ok
-        ),
+        answered == 1 && rolled,
+        format!("{answered} of 1 reads answered; bulk rollover {epoch:?} complete: {rolled}"),
     );
     check_clean_channels(&net, checks);
     check_port_keys_converged(&net, checks);

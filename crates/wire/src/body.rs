@@ -6,31 +6,24 @@ use crate::ids::{PortId, RegId, SeqNum, SwitchId};
 use bytes::{Buf, BufMut};
 use serde::{Deserialize, Serialize};
 
-/// Why a request was rejected with a `nAck`.
+/// Why a request that *verified* was refused with a `nAck`. A request
+/// that fails verification gets no reply at all, only the agent's
+/// rate-limited alert, so no code reports a digest, replay or quarantine
+/// verdict; the codes 1, 3 and 5 those once used decode as an error.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 #[repr(u8)]
 pub enum NackReason {
-    /// The digest did not verify (possible MitM, §V).
-    DigestMismatch = 1,
     /// No `reg_id_to_name_mapping` entry for the register id (§VII).
     UnknownRegister = 2,
-    /// The sequence number was outside the expected window (§VIII replay).
-    SeqMismatch = 3,
     /// The register index was out of bounds.
     IndexOutOfRange = 4,
-    /// The ingress channel is quarantined by the controller's adaptive
-    /// defence; the request is dropped until a fresh key is installed.
-    Quarantined = 5,
 }
 
 impl NackReason {
     fn from_wire(raw: u8) -> Result<Self, DecodeError> {
         match raw {
-            1 => Ok(NackReason::DigestMismatch),
             2 => Ok(NackReason::UnknownRegister),
-            3 => Ok(NackReason::SeqMismatch),
             4 => Ok(NackReason::IndexOutOfRange),
-            5 => Ok(NackReason::Quarantined),
             _ => Err(DecodeError::InvalidField("nack reason")),
         }
     }
@@ -592,13 +585,7 @@ mod tests {
             index: 2,
             value: 3,
         }));
-        for reason in [
-            NackReason::DigestMismatch,
-            NackReason::UnknownRegister,
-            NackReason::SeqMismatch,
-            NackReason::IndexOutOfRange,
-            NackReason::Quarantined,
-        ] {
+        for reason in [NackReason::UnknownRegister, NackReason::IndexOutOfRange] {
             roundtrip(Body::Register(RegisterOp::Nack {
                 reg: RegId::new(4),
                 index: 1,
@@ -718,7 +705,7 @@ mod tests {
         RegisterOp::Nack {
             reg: RegId::new(1),
             index: 0,
-            reason: NackReason::DigestMismatch,
+            reason: NackReason::UnknownRegister,
         }
         .encode_into(&mut buf);
         buf[15] = 200; // corrupt the reason byte

@@ -66,11 +66,17 @@ fn netcache_forged_eviction_blocked_by_p4auth() {
     // The hot key survived the forged eviction, and queries still hit.
     assert_eq!(arm.observed, "hot key cached, 5 of 5 queries hit");
     assert_eq!(arm.detections, 1, "the forged eviction is reported");
-    // The nAck answers a request the controller never issued (the forger
-    // invented the sequence number), so it surfaces as an unmatched
-    // response; the alert identifies the tampering.
-    assert!(arm.events.contains(&ControllerEvent::UnmatchedResponse(S1)));
+    // The alert identifies the tampering, and is the only report: the
+    // agent answers no request that failed verification, so no response
+    // reaches the controller, matched or not.
     assert!(arm.events.contains(&DIGEST_MISMATCH), "{:?}", arm.events);
+    assert!(
+        !arm.events
+            .iter()
+            .any(|e| matches!(e, ControllerEvent::UnmatchedResponse(_))),
+        "{:?}",
+        arm.events
+    );
 }
 
 #[test]
