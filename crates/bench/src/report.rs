@@ -91,9 +91,9 @@ const SCENARIOS: Baseline = Baseline("BENCH_scenarios.json", "campaigns", "name"
 
 /// One non-regression gate: the baseline row matching one of this run's
 /// bounds the named field. The flag marks fields a baseline row may carry
-/// as `null` or not at all, which skips that row: campaigns without a
-/// mitigation have no latency. A gate must still compare at least one
-/// row.
+/// as `null` or not at all, which skips that row: a campaign without a
+/// mitigation or a rollover has no latency for it. A gate must still
+/// compare at least one row.
 struct Gate(&'static Baseline, &'static str, Bound, bool);
 
 /// Every `--baseline` gate: the wall-clock-tolerant per-user cost, the
