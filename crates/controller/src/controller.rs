@@ -2334,8 +2334,8 @@ mod tests {
     /// 64-bit field of which the decoder keeps the low byte. Setting any
     /// of the other seven is a digest reject, and — unlike the genuine
     /// `Nack` — leaves the request it answers outstanding. So does a
-    /// correctly sealed `Nack` carrying code 1, the digest verdict agents
-    /// no longer send: it does not decode, so it is `Malformed`.
+    /// correctly sealed `Nack` carrying code 1, which no agent sends: it
+    /// does not decode, so it is `Malformed`.
     #[test]
     fn nack_with_nonzero_discarded_bytes_is_rejected_and_cancels_nothing() {
         let k = Key64::new(0xfeed);

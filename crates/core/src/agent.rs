@@ -949,9 +949,7 @@ impl P4AuthSwitch {
         let mut events = Vec::new();
         let mut outputs = Vec::new();
 
-        // The key slot this leg installs into or rolls: a slot past the
-        // key register is malformed, whoever sealed the frame, and is
-        // rejected before verification can advance the replay window.
+        // The key slot this leg installs into or rolls.
         let slot = match kex {
             KeyExchange::EakSalt { .. } => PortId::CPU,
             KeyExchange::Adhkd { context, .. } => match context {
@@ -963,19 +961,23 @@ impl P4AuthSwitch {
             | KeyExchange::PortKeyUpdate { peer_port, .. } => peer_port,
         };
         // Every key-exchange message is authenticated (the "A" in ADHKD);
-        // past this block `key` is the one that verified it.
-        let verified = if slot.key_index() < self.keys.len() {
-            verify_and_advance(
-                self.chassis.hash_mac(),
-                self.kex_verify_key(ingress, msg, &kex),
-                &mut self.replay,
-                ingress,
-                frame,
-                msg.header(),
-            )
-        } else {
-            Err(RejectReason::Malformed)
-        };
+        // past this block `key` is the one that verified it. A verified leg
+        // naming a slot past the key register is malformed.
+        let verified = verify_and_advance(
+            self.chassis.hash_mac(),
+            self.kex_verify_key(ingress, msg, &kex),
+            &mut self.replay,
+            ingress,
+            frame,
+            msg.header(),
+        )
+        .and_then(|key| {
+            if slot.key_index() < self.keys.len() {
+                Ok(key)
+            } else {
+                Err(RejectReason::Malformed)
+            }
+        });
         let key = match verified {
             Ok(key) => key,
             Err(reason) => {
@@ -1911,16 +1913,21 @@ mod tests {
 
     /// A key-exchange leg sealed under `K_local` naming a port past the
     /// key register (this agent has 4 ports: slots 0 to 4) is a counted
-    /// reject, before verification: a redirected offer for such a port
-    /// used to reach `KeyStore::install`'s `expect` and panic the agent.
+    /// `Malformed` reject; the same leg sealed under a wrong key is a
+    /// `BadDigest` reject, whatever port it names.
     #[test]
     fn key_exchange_for_a_port_past_the_key_register_is_a_counted_reject() {
         let mut sw = agent();
         let k = Key64::new(42);
         install_local(&mut sw, k);
-        let leg = |port: u8, kex: KeyExchange| {
-            Message::key_exchange(SwitchId::CONTROLLER, PortId::new(port), SeqNum::new(1), kex)
-                .encode_sealed(&mac(), k)
+        let sealed = |key: Key64, seq: u32, port: u8, kex: KeyExchange| {
+            Message::key_exchange(
+                SwitchId::CONTROLLER,
+                PortId::new(port),
+                SeqNum::new(seq),
+                kex,
+            )
+            .encode_sealed(&mac(), key)
         };
         let offer = KeyExchange::Adhkd {
             role: AdhkdRole::Offer,
@@ -1932,7 +1939,11 @@ mod tests {
             peer: SwitchId::new(2),
             peer_port: PortId::new(5),
         };
-        for frame in [leg(200, offer), leg(5, offer), leg(1, init)] {
+        for frame in [
+            sealed(k, 1, 200, offer),
+            sealed(k, 2, 5, offer),
+            sealed(k, 3, 1, init),
+        ] {
             let out = sw.on_packet(0, PortId::CPU, &frame);
             assert!(
                 out.has_event(&AgentEvent::Rejected(RejectReason::Malformed)),
@@ -1942,8 +1953,15 @@ mod tests {
             assert!(out.has_event(&AgentEvent::AlertSent(AlertKind::KeyExchangeFailure)));
             assert_eq!(out.outputs.len(), 1, "the alert only");
         }
-        // None advanced the replay window: sequence number 1 is fresh.
-        let out = sw.on_packet(0, PortId::CPU, &leg(4, offer));
+        assert_eq!(sw.stats().digest_failures, 0);
+        let out = sw.on_packet(0, PortId::CPU, &sealed(Key64::new(7), 4, 200, offer));
+        assert!(
+            out.has_event(&AgentEvent::Rejected(RejectReason::BadDigest)),
+            "{:?}",
+            out.events
+        );
+        assert_eq!(sw.stats().digest_failures, 1);
+        let out = sw.on_packet(0, PortId::CPU, &sealed(k, 4, 4, offer));
         assert!(out.has_event(&AgentEvent::KeyInstalled {
             port: PortId::new(4)
         }));

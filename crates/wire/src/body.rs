@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Why a request that *verified* was refused with a `nAck`. A request
 /// that fails verification gets no reply at all, only the agent's
 /// rate-limited alert, so no code reports a digest, replay or quarantine
-/// verdict; the codes 1, 3 and 5 those once used decode as an error.
+/// verdict; codes other than 2 and 4 fail to decode.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 #[repr(u8)]
 pub enum NackReason {
