@@ -44,7 +44,7 @@ use p4auth_netsim::topology::{LinkId, Topology};
 use p4auth_telemetry::{HistogramSample, Registry, Snapshot, SpanKind};
 use p4auth_wire::body::AlertKind;
 use p4auth_wire::ids::{PortId, RegId, SwitchId};
-use std::sync::atomic::AtomicU64;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Campaign sizing knobs (the invariants themselves never change).
@@ -404,15 +404,7 @@ fn arm_flood(net: &mut Network, ft: FatTree, boot_offset_ns: u64) -> SwitchId {
         frames: 8,
         gap_ns: 10_000,
     });
-    let agg = AggregateHostNode::new(
-        &ucfg,
-        ft,
-        0,
-        0,
-        50,
-        Arc::new(AtomicU64::new(0)),
-        Arc::new(AtomicU64::new(0)),
-    );
+    let agg = AggregateHostNode::new(&ucfg, ft, 0, 0, 50, Rc::default(), Rc::default());
     let first = agg.first_due_ns().expect("the compromised user is active");
     net.sim.register_node(host, Box::new(agg));
     net.sim

@@ -10,8 +10,9 @@
 //! for one user (RNG word, next-due time, remaining frames, sequence
 //! counter, burst counter, trace cursor) is one packed 32-byte record, so
 //! emitting a frame and advancing its user costs one cache line; with the
-//! 4-byte due-wheel link below a million users is ~36 MB of flat `Vec`s
-//! rather than a million boxed nodes.
+//! due-wheel's 4-byte slot per user a million users are 36 MB of flat
+//! buffers (32 MB of records, 4 MB of wheel) rather than a million boxed
+//! nodes.
 //!
 //! Every user stream is deterministic from `(seed, global user index)`
 //! alone via [`p4auth_workloads::flows::user_seed`], independent of aggregate
@@ -30,8 +31,8 @@
 //!   frame still *arrives* at exactly the instant the exact mode would
 //!   deliver it (host links are latency-only). Live users are filed in a
 //!   due-window wheel under the window their next frame falls in; a wake
-//!   drains only that window's bucket, in ascending user order, and
-//!   refiles each user that is still live. Cost: `O(users due)` per
+//!   drains only that window's contiguous bucket, in ascending user order,
+//!   and refiles each user that is still live. Cost: `O(users due)` per
 //!   window, not `O(users)` — an idle user costs nothing until its window
 //!   comes up. The two modes may interleave same-instant events
 //!   differently, so `Amortized` is deterministic but not
@@ -50,7 +51,8 @@
 //! [`SimNode`]: p4auth_netsim::SimNode
 
 use crate::scaleload::{
-    fabric_forwarder, Engine, ScaleConfig, READ_FRAME_BYTES, SEND_TIMER, WRITE_FRAME_BYTES,
+    fabric_forwarder, Engine, RouteTable, ScaleConfig, READ_FRAME_BYTES, SEND_TIMER,
+    WRITE_FRAME_BYTES,
 };
 use p4auth_attacks::digest_flood;
 use p4auth_netsim::engine::{RunReport, Workload};
@@ -62,9 +64,10 @@ use p4auth_netsim::time::SimTime;
 use p4auth_primitives::rng::SplitMix64;
 use p4auth_telemetry::Registry;
 use p4auth_wire::ids::{PortId, SwitchId};
-use p4auth_workloads::flows::{splitmix_next, user_seed, ArrivalMix};
+use p4auth_workloads::flows::{splitmix_next, user_seed, ArrivalGaps, ArrivalMix};
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// How an aggregate turns per-user due times into simulator events.
@@ -201,52 +204,90 @@ struct UserState {
     trace_pos: u32,
 }
 
-/// End-of-list marker of the wheel's intrusive bucket lists.
-const NIL: u32 = u32::MAX;
+/// One non-empty window of a [`DueWheel`]: its users are the next `len`
+/// slots after those of the windows before it.
+#[derive(Clone, Copy, Debug)]
+struct Bucket {
+    window: u64,
+    len: u32,
+    /// Scratch while users are filed: how many the wake adds to this
+    /// window, then the slot the next one goes to.
+    fill: u32,
+}
 
 /// The due-window wheel of an amortized aggregate: every live user is
 /// filed under the index of the window its `next_due` falls in, so a wake
-/// visits the users that are due instead of every user. Buckets are
-/// intrusive singly linked lists through `next` (4 bytes per user, no
-/// per-bucket allocation); only non-empty windows have a map entry.
+/// visits the users that are due instead of every user.
+///
+/// All of it is one exactly sized buffer of user indices, grouped by
+/// window in ascending order, plus one 16-byte [`Bucket`] per non-empty
+/// window: a wake drains a contiguous run from the front, and the users
+/// it refiles go back into the slots that run freed. The buffer never
+/// grows — users only ever leave the wheel — so a wake allocates only
+/// when more windows are non-empty at once than ever before.
 struct DueWheel {
     /// Start of window 0: the aggregate's first wake. It includes the
     /// boot-storm offset, which is why the wheel is filed on that wake
     /// and not at construction.
     t0: u64,
     window: u64,
-    /// Non-empty windows: window index -> first user of the bucket.
-    heads: BTreeMap<u64, u32>,
-    /// The user filed after user `u` in the same bucket, or [`NIL`].
-    next: Vec<u32>,
+    /// User indices; `slots[head..]` are the filed ones, by window.
+    slots: Box<[u32]>,
+    head: usize,
+    /// The non-empty windows, ascending.
+    buckets: VecDeque<Bucket>,
     /// The users drained for the current wake, reused across wakes.
     due: Vec<u32>,
 }
 
 impl DueWheel {
-    /// Files every live user of an aggregate whose first wake is `t0`.
+    /// Files every live user of an aggregate whose first wake is `t0`:
+    /// one pass counts each window's users, a second writes them to their
+    /// window's slots in ascending order.
     fn filed(t0: u64, window: u64, users: &[UserState]) -> Self {
-        assert!(users.len() < NIL as usize, "user indices must fit u32");
-        let mut wheel = DueWheel {
+        assert!(
+            users.len() <= u32::MAX as usize,
+            "user indices must fit u32"
+        );
+        let live = || {
+            users
+                .iter()
+                .enumerate()
+                .filter(|(_, state)| state.remaining > 0)
+                .map(|(u, state)| (window_index(t0, window, state.next_due), u as u32))
+        };
+        let mut counts = BTreeMap::new();
+        for (w, _) in live() {
+            *counts.entry(w).or_insert(0u32) += 1;
+        }
+        let mut buckets = VecDeque::with_capacity(counts.len());
+        let mut filed = 0;
+        for (&window, &len) in &counts {
+            buckets.push_back(Bucket {
+                window,
+                len,
+                fill: filed,
+            });
+            filed += len;
+        }
+        drop(counts);
+        let mut slots = vec![0; filed as usize].into_boxed_slice();
+        for (w, u) in live() {
+            let i = bucket_of(&mut buckets, w);
+            slots[buckets[i].fill as usize] = u;
+            buckets[i].fill += 1;
+        }
+        for bucket in &mut buckets {
+            bucket.fill = 0;
+        }
+        DueWheel {
             t0,
             window,
-            heads: BTreeMap::new(),
-            next: vec![NIL; users.len()],
+            slots,
+            head: 0,
+            buckets,
             due: Vec::new(),
-        };
-        for (u, state) in users.iter().enumerate() {
-            if state.remaining > 0 {
-                wheel.file(u as u32, state.next_due);
-            }
         }
-        wheel
-    }
-
-    /// Files user `u` under the window `due_ns` falls in. A due time
-    /// before `t0` (a boot-storm backlog) lands in window 0.
-    fn file(&mut self, u: u32, due_ns: u64) {
-        let w = due_ns.saturating_sub(self.t0) / self.window;
-        self.next[u as usize] = self.heads.insert(w, u).unwrap_or(NIL);
     }
 
     /// Unfiles every user whose window starts before `end_ns` into `due`,
@@ -255,30 +296,107 @@ impl DueWheel {
     /// (`tests/wheel_oracle.rs` pins it against a scan over all users).
     fn drain_before(&mut self, end_ns: u64) {
         let last = (end_ns - 1 - self.t0) / self.window;
-        self.due.clear();
-        while let Some(bucket) = self.heads.first_entry() {
-            if *bucket.key() > last {
-                break;
-            }
-            let mut u = bucket.remove();
-            while u != NIL {
-                self.due.push(u);
-                u = self.next[u as usize];
-            }
+        let mut n = 0;
+        while let Some(bucket) = self.buckets.front().filter(|b| b.window <= last) {
+            n += bucket.len as usize;
+            self.buckets.pop_front();
         }
+        self.due.clear();
+        self.due
+            .extend_from_slice(&self.slots[self.head..self.head + n]);
+        self.head += n;
         self.due.sort_unstable();
     }
+
+    /// Files every user of `due` that is still live under the window of
+    /// its new `next_due`. They are a subset of what the drain took, so
+    /// they fit in the slots it freed: the windows up to the last one that
+    /// grows slide down into that gap, each leaving room for its new
+    /// users, and the rest of the buffer stays where it is.
+    fn refile(&mut self, users: &[UserState]) {
+        let (t0, window) = (self.t0, self.window);
+        let live = |u: &u32| users[*u as usize].remaining > 0;
+        let window_of = |u: u32| window_index(t0, window, users[u as usize].next_due);
+        let mut added = 0;
+        for u in self.due.iter().copied().filter(live) {
+            let i = bucket_of(&mut self.buckets, window_of(u));
+            self.buckets[i].fill += 1;
+            added += 1;
+        }
+        if added == 0 {
+            return;
+        }
+        let (mut from, mut to) = (self.head, self.head - added);
+        self.head = to;
+        let mut grown = 0;
+        for bucket in self.buckets.iter_mut() {
+            if to == from {
+                break;
+            }
+            grown += 1;
+            let len = bucket.len as usize;
+            self.slots.copy_within(from..from + len, to);
+            (from, to) = (from + len, to + len);
+            let room = bucket.fill as usize;
+            bucket.len += bucket.fill;
+            bucket.fill = to as u32;
+            to += room;
+        }
+        for u in self.due.iter().copied().filter(live) {
+            let i = bucket_of(&mut self.buckets, window_of(u));
+            let bucket = &mut self.buckets[i];
+            self.slots[bucket.fill as usize] = u;
+            bucket.fill += 1;
+        }
+        for bucket in self.buckets.range_mut(..grown) {
+            bucket.fill = 0;
+        }
+    }
+
+    /// The windows still holding users, ascending.
+    #[cfg(test)]
+    fn pending_windows(&self) -> Vec<u64> {
+        self.buckets.iter().map(|b| b.window).collect()
+    }
+}
+
+/// The position of `window`'s bucket, inserting an empty one if it has
+/// none. The list grows by an eighth when full, not by doubling: the
+/// first filing sizes it exactly, and at 16 bytes a window, doubling it
+/// would cost a large aggregate more than its users' slots save.
+fn bucket_of(buckets: &mut VecDeque<Bucket>, window: u64) -> usize {
+    buckets
+        .binary_search_by_key(&window, |b| b.window)
+        .unwrap_or_else(|i| {
+            if buckets.len() == buckets.capacity() {
+                buckets.reserve_exact(buckets.len() / 8 + 1);
+            }
+            let empty = Bucket {
+                window,
+                len: 0,
+                fill: 0,
+            };
+            buckets.insert(i, empty);
+            i
+        })
+}
+
+/// The index of the window of length `window` starting at `t0` that
+/// `due_ns` falls in. A due time before `t0` (a boot-storm backlog) lands
+/// in window 0.
+fn window_index(t0: u64, window: u64, due_ns: u64) -> u64 {
+    due_ns.saturating_sub(t0) / window
 }
 
 /// N modelled users behind one access port, as a single [`SimNode`].
 ///
 /// The node owns no per-user allocations beyond the flat record column
-/// and the wheel's link column (plus the forged-frame queue of an
+/// and the wheel's filing buffer (plus the forged-frame queue of an
 /// optional compromised user).
 pub struct AggregateHostNode {
     slot: u16,
     base_user: u64,
-    mix: ArrivalMix,
+    gaps: ArrivalGaps,
     mode: AggregateMode,
     ft: FatTree,
     credit_max: u16,
@@ -289,25 +407,27 @@ pub struct AggregateHostNode {
     /// Filed on the first amortized wake; `Exact` never builds one.
     wheel: Option<DueWheel>,
     active: u64,
-    arrivals: Arc<AtomicU64>,
-    sent_total: Arc<AtomicU64>,
+    arrivals: Rc<Cell<u64>>,
+    sent_total: Rc<Cell<u64>>,
     compromised: Option<CompromisedState>,
 }
 
 impl AggregateHostNode {
     /// Builds the aggregate for host slot `slot`, modelling `users` users
     /// with global indices `base_user..base_user + users`. `arrivals` and
-    /// `sent_total` are shared counters the runner reads after the run.
+    /// `sent_total` are tallies the runner reads after the run (nodes
+    /// live on the simulator's one thread, so a plain `Cell` serves).
     pub fn new(
         cfg: &UserScaleConfig,
         ft: FatTree,
         slot: u16,
         base_user: u64,
         users: u64,
-        arrivals: Arc<AtomicU64>,
-        sent_total: Arc<AtomicU64>,
+        arrivals: Rc<Cell<u64>>,
+        sent_total: Rc<Cell<u64>>,
     ) -> Self {
         let n = users as usize;
+        let gaps = cfg.mix.gaps();
         let mut states = Vec::with_capacity(n);
         for u in 0..users {
             let g = base_user + u;
@@ -319,10 +439,8 @@ impl AggregateHostNode {
             // inside the ~1.1 µs boot stagger and the event queue would
             // hold O(users) in-flight frames at once.
             let mut burst_left = 0u32;
-            let first = user_boot(g)
-                + cfg
-                    .mix
-                    .initial_gap_ns(&mut rng, &mut burst_left, &mut trace_pos);
+            let first =
+                user_boot(g) + gaps.initial_gap_ns(&mut rng, &mut burst_left, &mut trace_pos);
             states.push(UserState {
                 rng,
                 next_due: first,
@@ -350,7 +468,7 @@ impl AggregateHostNode {
         AggregateHostNode {
             slot,
             base_user,
-            mix: cfg.mix.clone(),
+            gaps,
             mode: cfg.mode,
             ft,
             credit_max: cfg.credits_per_window.max(1),
@@ -452,7 +570,7 @@ impl AggregateHostNode {
         let gap = match &self.compromised {
             Some(c) if c.local == u => c.gap_ns.max(1),
             _ => self
-                .mix
+                .gaps
                 .next_gap(&mut state.rng, &mut state.burst_left, &mut state.trace_pos),
         };
         state.next_due = from_ns + gap;
@@ -468,7 +586,7 @@ impl AggregateHostNode {
                 self.advance(u, now_ns);
             }
         }
-        self.sent_total.fetch_add(sent, Ordering::Relaxed);
+        self.sent_total.set(self.sent_total.get() + sent);
         if let Some(min) = self.min_due() {
             out.set_timer(SEND_TIMER, min - now_ns);
         }
@@ -482,6 +600,15 @@ impl AggregateHostNode {
             .take()
             .unwrap_or_else(|| DueWheel::filed(now_ns, window, &self.users));
         wheel.drain_before(window_end);
+        // One pass of independent loads over the due users' records before
+        // the emit loop, whose every step depends on the last: the cache
+        // misses of a large aggregate overlap here instead of stalling
+        // the emits one by one.
+        let mut touched = 0u64;
+        for &u in &wheel.due {
+            touched ^= self.users[u as usize].next_due;
+        }
+        std::hint::black_box(touched);
         let mut sent = 0u64;
         for i in 0..wheel.due.len() {
             let u = wheel.due[i] as usize;
@@ -503,12 +630,10 @@ impl AggregateHostNode {
                 sent += 1;
                 self.advance(u, due);
             }
-            if self.users[u].remaining > 0 {
-                wheel.file(u as u32, self.users[u].next_due);
-            }
         }
+        wheel.refile(&self.users);
         self.wheel = Some(wheel);
-        self.sent_total.fetch_add(sent, Ordering::Relaxed);
+        self.sent_total.set(self.sent_total.get() + sent);
         if self.active > 0 {
             out.set_timer(SEND_TIMER, window);
         }
@@ -517,7 +642,7 @@ impl AggregateHostNode {
 
 impl SimNode for AggregateHostNode {
     fn on_frame(&mut self, _now: SimTime, _ingress: PortId, payload: FrameBytes, _: &mut Outbox) {
-        self.arrivals.fetch_add(1, Ordering::Relaxed);
+        self.arrivals.set(self.arrivals.get() + 1);
         // Modelled per-user anti-replay window: attribute the delivery by
         // flow label and slide that user's 64-frame bitmap. (Delivered
         // scale frames carry no user field — attribution is a model, and
@@ -628,8 +753,8 @@ pub(crate) fn run_fabric(
 ) -> FabricRun {
     let ft = FatTree::new(cfg.k);
     let slots = ft.host_count();
-    let arrivals = Arc::new(AtomicU64::new(0));
-    let sent: Vec<Arc<AtomicU64>> = (0..slots).map(|_| Arc::new(AtomicU64::new(0))).collect();
+    let arrivals = Rc::new(Cell::new(0));
+    let sent: Vec<Rc<Cell<u64>>> = (0..slots).map(|_| Rc::new(Cell::new(0))).collect();
     let spans: Vec<(u64, u64)> = (0..slots).map(|s| slot_span(cfg.users, slots, s)).collect();
     // Boot-storm stagger: wave offsets added to each aggregate's first
     // timer.
@@ -639,9 +764,10 @@ pub(crate) fn run_fabric(
     if let Some(r) = registry {
         fabric.set_telemetry(r);
     }
+    let routes = Rc::new(RouteTable::new(ft));
     for id in 1..=ft.switch_count() {
         let id = SwitchId::new(id);
-        fabric.register_node(id, fabric_forwarder(ft, id, cfg.proc_ns));
+        fabric.register_node(id, fabric_forwarder(routes.clone(), id, cfg.proc_ns));
     }
     for s in 0..slots {
         let (base, n) = spans[s as usize];
@@ -660,11 +786,11 @@ pub(crate) fn run_fabric(
         fabric.set_export_interval(interval_ns);
     }
     let report = fabric.run(engine);
-    let sent = sent.iter().map(|c| c.load(Ordering::Relaxed));
+    let sent = sent.iter().map(|c| c.get());
     FabricRun {
         report,
         slots: spans.iter().map(|&(_, n)| n).zip(sent).collect(),
-        frames_delivered: arrivals.load(Ordering::Relaxed),
+        frames_delivered: arrivals.get(),
     }
 }
 
@@ -711,8 +837,8 @@ mod tests {
             0,
             0,
             users,
-            Arc::new(AtomicU64::new(0)),
-            Arc::new(AtomicU64::new(0)),
+            Rc::default(),
+            Rc::default(),
         )
     }
 
@@ -720,15 +846,7 @@ mod tests {
     fn emitted_frames_decode_with_the_scale_header_layout() {
         let cfg = UserScaleConfig::for_k(4, 16, 1);
         let ft = FatTree::new(4);
-        let mut agg = AggregateHostNode::new(
-            &cfg,
-            ft,
-            3,
-            3,
-            1,
-            Arc::new(AtomicU64::new(0)),
-            Arc::new(AtomicU64::new(0)),
-        );
+        let mut agg = AggregateHostNode::new(&cfg, ft, 3, 3, 1, Rc::default(), Rc::default());
         let frame = agg.build_frame(0);
         let dst = frame_dst(&frame);
         assert_ne!(dst, ft.host(3), "a user never sends to its own slot");
@@ -800,7 +918,7 @@ mod tests {
             agg.on_timer(SimTime::from_ns(wake * 100), SEND_TIMER, &mut out);
             assert_eq!(out.frames().len(), 8 * 2, "wake {wake}");
             let wheel = agg.wheel.as_ref().expect("filed on the first wake");
-            let filed: Vec<u64> = wheel.heads.keys().copied().collect();
+            let filed = wheel.pending_windows();
             if wake < 3 {
                 assert_eq!(filed, [wake + 1], "wake {wake}");
                 assert_eq!(out.timers(), [(SEND_TIMER, 100)]);
@@ -923,15 +1041,7 @@ mod tests {
             frames: 8,
             gap_ns: 10_000,
         });
-        let agg = AggregateHostNode::new(
-            &cfg,
-            ft,
-            0,
-            0,
-            50,
-            Arc::new(AtomicU64::new(0)),
-            Arc::new(AtomicU64::new(0)),
-        );
+        let agg = AggregateHostNode::new(&cfg, ft, 0, 0, 50, Rc::default(), Rc::default());
         let first = agg.first_due_ns().expect("the compromised user is active");
         net.sim.register_node(host, Box::new(agg));
         net.sim.schedule_timer(host, SEND_TIMER, first);
@@ -960,6 +1070,28 @@ mod tests {
             .expect("detection latency recorded");
         assert_eq!(hist.count, 1);
         assert!(hist.min > 0, "latency measured in sim-ns");
+    }
+
+    /// A forged frame names no host of the tree, so the fabric cannot
+    /// route it. It must still be accounted for: sent = delivered +
+    /// undeliverable + tapped, with the eight forged frames undeliverable.
+    #[test]
+    fn unroutable_frames_are_counted_not_lost() {
+        let mut cfg = UserScaleConfig::for_k(4, 50, 1);
+        cfg.compromised = Some(CompromisedUser {
+            user: 7,
+            victim: FatTree::new(4).edge(0, 0),
+            frames: 8,
+            gap_ns: 10_000,
+        });
+        let run = run_users_engine(&cfg, Engine::REFERENCE, None);
+        assert_eq!(run.frames_sent, 49 + 8);
+        assert_eq!(run.frames_delivered, 49);
+        assert_eq!(run.stats.frames_undeliverable, 8);
+        assert_eq!(
+            run.frames_sent,
+            run.frames_delivered + run.stats.frames_undeliverable + run.stats.frames_tapped_dropped
+        );
     }
 
     #[test]

@@ -26,7 +26,6 @@ use p4auth_telemetry::Registry;
 use p4auth_wire::ids::{PortId, SwitchId};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 const READ_FRAME_BYTES: usize = 34;
@@ -184,15 +183,8 @@ fn slot_node(
         ),
         Column::Aggregate => {
             let ucfg = UserScaleConfig::mirror_scale(cfg);
-            let inner = AggregateHostNode::new(
-                &ucfg,
-                ft,
-                h,
-                h as u64,
-                1,
-                Arc::new(AtomicU64::new(0)),
-                Arc::new(AtomicU64::new(0)),
-            );
+            let inner =
+                AggregateHostNode::new(&ucfg, ft, h, h as u64, 1, Rc::default(), Rc::default());
             let first = inner.first_due_ns().expect("one active user");
             assert_eq!(first, boot, "aggregate must boot like the host");
             (

@@ -24,11 +24,10 @@ use p4auth_systems::userscale::{
     run_users_engine, AggregateHostNode, AggregateMode, CompromisedUser, UserScaleConfig,
 };
 use p4auth_wire::ids::{PortId, SwitchId};
-use p4auth_workloads::flows::{splitmix_next, user_seed, ArrivalMix, HeavyTailed};
+use p4auth_workloads::flows::{splitmix_next, user_seed, ArrivalGaps, ArrivalMix, HeavyTailed};
 use proptest::prelude::*;
 use std::collections::VecDeque;
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::rc::Rc;
 
 const READ_FRAME_BYTES: usize = 34;
 const WRITE_FRAME_BYTES: usize = 58;
@@ -42,7 +41,7 @@ type Wake = (Vec<(Vec<u8>, u64)>, bool);
 /// the wheel.
 struct ScanAggregate {
     slot: u16,
-    mix: ArrivalMix,
+    gaps: ArrivalGaps,
     ft: FatTree,
     credit_max: u16,
     rng: Vec<u64>,
@@ -61,11 +60,12 @@ impl ScanAggregate {
         let n = users as usize;
         let (mut rng, mut next_due) = (Vec::new(), Vec::new());
         let (mut burst_left, mut trace_pos) = (Vec::new(), Vec::new());
+        let gaps = cfg.mix.gaps();
         for g in base_user..base_user + users {
             let (mut word, mut pos) = cfg.mix.init_state(cfg.seed, g);
             let mut burst = 0u32;
             let boot = 1 + (g % 97) * 11;
-            next_due.push(boot + cfg.mix.initial_gap_ns(&mut word, &mut burst, &mut pos));
+            next_due.push(boot + gaps.initial_gap_ns(&mut word, &mut burst, &mut pos));
             rng.push(word);
             burst_left.push(burst);
             trace_pos.push(pos);
@@ -83,7 +83,7 @@ impl ScanAggregate {
             });
         ScanAggregate {
             slot,
-            mix: cfg.mix.clone(),
+            gaps,
             ft,
             credit_max: cfg.credits_per_window.max(1),
             rng,
@@ -128,7 +128,7 @@ impl ScanAggregate {
         }
         let gap = match &self.compromised {
             Some((local, gap_ns, _)) if *local == u => (*gap_ns).max(1),
-            _ => self.mix.next_gap(
+            _ => self.gaps.next_gap(
                 &mut self.rng[u],
                 &mut self.burst_left[u],
                 &mut self.trace_pos[u],
@@ -180,8 +180,8 @@ fn aggregate(cfg: &UserScaleConfig, slot: u16, base_user: u64, users: u64) -> Ag
         slot,
         base_user,
         users,
-        Arc::new(AtomicU64::new(0)),
-        Arc::new(AtomicU64::new(0)),
+        Rc::default(),
+        Rc::default(),
     )
 }
 

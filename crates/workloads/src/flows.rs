@@ -207,19 +207,52 @@ impl Default for HeavyTailed {
     }
 }
 
-impl HeavyTailed {
+/// [`HeavyTailed`] ready to draw: the constants of its bounded-Pareto
+/// inverse CDF are computed once here, not on every burst.
+#[derive(Clone, Copy, Debug)]
+struct Bursts {
+    /// Burst bounds `L` and `H` in frames.
+    l: f64,
+    h: f64,
+    /// `1 − (L/H)^α`.
+    tail: f64,
+    /// `−1/α`.
+    exponent: f64,
+    frame_gap_ns: u64,
+    idle_mean_ns: u64,
+}
+
+impl Bursts {
+    fn new(ht: &HeavyTailed) -> Self {
+        let l = ht.burst_min.max(1) as f64;
+        let h = ht.burst_max.max(ht.burst_min.max(1)) as f64;
+        Bursts {
+            l,
+            h,
+            tail: 1.0 - (l / h).powf(ht.alpha),
+            exponent: -1.0 / ht.alpha,
+            frame_gap_ns: ht.frame_gap_ns,
+            idle_mean_ns: ht.idle_mean_ns,
+        }
+    }
+
     fn sample_burst(&self, rng: &mut u64) -> u32 {
         let u = unit_open(splitmix_next(rng));
-        let l = self.burst_min.max(1) as f64;
-        let h = self.burst_max.max(self.burst_min.max(1)) as f64;
         // Bounded-Pareto inverse CDF: x = L·(1 − u·(1 − (L/H)^α))^(−1/α).
-        let x = l * (1.0 - u * (1.0 - (l / h).powf(self.alpha))).powf(-1.0 / self.alpha);
-        x.clamp(l, h) as u32
+        let x = self.l * (1.0 - u * self.tail).powf(self.exponent);
+        x.clamp(self.l, self.h) as u32
     }
 
     fn sample_idle(&self, rng: &mut u64) -> u64 {
         let u = unit_open(splitmix_next(rng));
         ((-(self.idle_mean_ns as f64) * u.ln()) as u64).max(1)
+    }
+
+    /// Starts the next burst: leaves its remaining frames in
+    /// `burst_left` and returns the idle gap before it.
+    fn start_burst(&self, rng: &mut u64, burst_left: &mut u32) -> u64 {
+        *burst_left = self.sample_burst(rng).max(1) - 1;
+        self.sample_idle(rng)
     }
 }
 
@@ -260,6 +293,34 @@ impl ArrivalMix {
         (rng, trace_pos)
     }
 
+    /// The mix ready to draw gaps from (see [`ArrivalGaps`]); build it
+    /// once per stream or aggregate, not per draw.
+    pub fn gaps(&self) -> ArrivalGaps {
+        ArrivalGaps(match self {
+            ArrivalMix::Uniform { gap_ns } => Law::Uniform((*gap_ns).max(1)),
+            ArrivalMix::HeavyTailed(ht) => Law::HeavyTailed(Bursts::new(ht)),
+            ArrivalMix::Trace(gaps) => Law::Trace(gaps.clone()),
+        })
+    }
+}
+
+/// What an [`ArrivalGaps`] draws from: its mix with every per-draw
+/// constant computed.
+#[derive(Clone, Debug)]
+enum Law {
+    Uniform(u64),
+    HeavyTailed(Bursts),
+    Trace(Arc<[u64]>),
+}
+
+/// An [`ArrivalMix`] ready to draw, from [`ArrivalMix::gaps`]. This is
+/// *the* gap implementation: [`ArrivalSampler`] wraps one, and flat-array
+/// host aggregates drive one over plain per-user SoA words, so the two
+/// can never drift apart.
+#[derive(Clone, Debug)]
+pub struct ArrivalGaps(Law);
+
+impl ArrivalGaps {
     /// Offset (ns) of a user's *first* frame relative to its boot
     /// instant. `Uniform` starts at boot — drawing nothing, so a one-user
     /// aggregate stays bit-identical to an individual host. `HeavyTailed`
@@ -270,42 +331,35 @@ impl ArrivalMix {
     /// thundering herd. `Trace` consumes the first gap at the user's
     /// cursor.
     pub fn initial_gap_ns(&self, rng: &mut u64, burst_left: &mut u32, trace_pos: &mut u32) -> u64 {
-        match self {
-            ArrivalMix::Uniform { .. } => 0,
-            ArrivalMix::HeavyTailed(ht) => {
-                *burst_left = ht.sample_burst(rng).max(1) - 1;
-                ht.sample_idle(rng)
-            }
-            ArrivalMix::Trace(gaps) => {
-                let gap = gaps[*trace_pos as usize].max(1);
-                *trace_pos = (*trace_pos + 1) % gaps.len() as u32;
-                gap
-            }
+        match &self.0 {
+            Law::Uniform(_) => 0,
+            Law::HeavyTailed(bursts) => bursts.start_burst(rng, burst_left),
+            Law::Trace(gaps) => next_trace_gap(gaps, trace_pos),
         }
     }
 
-    /// Draws the next gap (ns, ≥ 1) given per-user SoA state. This is
-    /// *the* gap implementation — [`ArrivalSampler`] wraps it — so flat-
-    /// array aggregates and per-user samplers can never drift apart.
+    /// Draws the next gap (ns, ≥ 1) given per-user SoA state.
     pub fn next_gap(&self, rng: &mut u64, burst_left: &mut u32, trace_pos: &mut u32) -> u64 {
-        match self {
-            ArrivalMix::Uniform { gap_ns } => (*gap_ns).max(1),
-            ArrivalMix::HeavyTailed(ht) => {
+        match &self.0 {
+            Law::Uniform(gap_ns) => *gap_ns,
+            Law::HeavyTailed(bursts) => {
                 if *burst_left == 0 {
-                    *burst_left = ht.sample_burst(rng).max(1) - 1;
-                    ht.sample_idle(rng)
+                    bursts.start_burst(rng, burst_left)
                 } else {
                     *burst_left -= 1;
-                    ht.frame_gap_ns.max(1)
+                    bursts.frame_gap_ns.max(1)
                 }
             }
-            ArrivalMix::Trace(gaps) => {
-                let gap = gaps[*trace_pos as usize].max(1);
-                *trace_pos = (*trace_pos + 1) % gaps.len() as u32;
-                gap
-            }
+            Law::Trace(gaps) => next_trace_gap(gaps, trace_pos),
         }
     }
+}
+
+/// The trace gap at `trace_pos` (≥ 1); advances the cursor, cycling.
+fn next_trace_gap(gaps: &[u64], trace_pos: &mut u32) -> u64 {
+    let gap = gaps[*trace_pos as usize].max(1);
+    *trace_pos = (*trace_pos + 1) % gaps.len() as u32;
+    gap
 }
 
 /// Converts a flow list into an inter-arrival gap trace suitable for
@@ -331,7 +385,7 @@ pub fn trace_gaps(flows: &[Flow]) -> Arc<[u64]> {
 /// other user.
 #[derive(Clone, Debug)]
 pub struct ArrivalSampler {
-    mix: ArrivalMix,
+    gaps: ArrivalGaps,
     rng: u64,
     burst_left: u32,
     trace_pos: u32,
@@ -342,7 +396,7 @@ impl ArrivalSampler {
     pub fn new(mix: &ArrivalMix, seed: u64, user_idx: u64) -> Self {
         let (rng, trace_pos) = mix.init_state(seed, user_idx);
         ArrivalSampler {
-            mix: mix.clone(),
+            gaps: mix.gaps(),
             rng,
             burst_left: 0,
             trace_pos,
@@ -351,15 +405,15 @@ impl ArrivalSampler {
 
     /// Offset of the user's first frame from its boot instant (call once,
     /// before any [`ArrivalSampler::next_gap_ns`]; see
-    /// [`ArrivalMix::initial_gap_ns`]).
+    /// [`ArrivalGaps::initial_gap_ns`]).
     pub fn initial_gap_ns(&mut self) -> u64 {
-        self.mix
+        self.gaps
             .initial_gap_ns(&mut self.rng, &mut self.burst_left, &mut self.trace_pos)
     }
 
     /// The gap (ns, ≥ 1) preceding the user's next frame.
     pub fn next_gap_ns(&mut self) -> u64 {
-        self.mix
+        self.gaps
             .next_gap(&mut self.rng, &mut self.burst_left, &mut self.trace_pos)
     }
 
@@ -461,8 +515,9 @@ mod tests {
     #[test]
     fn heavy_tailed_bursts_are_bounded_and_heavy() {
         let ht = HeavyTailed::default();
+        let law = Bursts::new(&ht);
         let mut rng = user_seed(0xabcd, 9);
-        let bursts: Vec<u32> = (0..20_000).map(|_| ht.sample_burst(&mut rng)).collect();
+        let bursts: Vec<u32> = (0..20_000).map(|_| law.sample_burst(&mut rng)).collect();
         assert!(bursts
             .iter()
             .all(|&b| b >= ht.burst_min && b <= ht.burst_max));
@@ -471,6 +526,38 @@ mod tests {
         let median = sorted[sorted.len() / 2] as f64;
         let p99 = sorted[sorted.len() * 99 / 100] as f64;
         assert!(p99 / median > 10.0, "median {median}, p99 {p99}");
+    }
+
+    /// Hoisting the inverse CDF's constants out of the draw must not move
+    /// one bit: every burst equals the formula evaluated in full per draw.
+    #[test]
+    fn hoisted_burst_constants_draw_bit_identical_bursts() {
+        let shapes = [
+            HeavyTailed::default(),
+            HeavyTailed {
+                alpha: 1.1,
+                burst_min: 1,
+                burst_max: 64,
+                ..HeavyTailed::default()
+            },
+            HeavyTailed {
+                alpha: 0.7,
+                burst_min: 9,
+                burst_max: 3,
+                ..HeavyTailed::default()
+            },
+        ];
+        for ht in shapes {
+            let law = Bursts::new(&ht);
+            let (mut rng, mut reference) = (user_seed(7, 3), user_seed(7, 3));
+            for _ in 0..20_000 {
+                let u = unit_open(splitmix_next(&mut reference));
+                let l = ht.burst_min.max(1) as f64;
+                let h = ht.burst_max.max(ht.burst_min.max(1)) as f64;
+                let x = l * (1.0 - u * (1.0 - (l / h).powf(ht.alpha))).powf(-1.0 / ht.alpha);
+                assert_eq!(law.sample_burst(&mut rng), x.clamp(l, h) as u32);
+            }
+        }
     }
 
     #[test]
