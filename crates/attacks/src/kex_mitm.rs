@@ -162,7 +162,7 @@ mod tests {
             AgentEvent::KeyRolled { .. } | AgentEvent::KeyInstalled { .. }
         )));
         // The local key is unchanged.
-        assert_eq!(switch.keys().local().current(), Some(k_local));
+        assert_eq!(switch.keys(PortId::CPU).current(), Some(k_local));
     }
 
     #[test]

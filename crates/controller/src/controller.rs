@@ -3,9 +3,9 @@
 use crate::defence::{DefenceConfig, DefenceState, MitigationAction, MitigationKind};
 use crate::outstanding::{Outstanding, PendingRequest};
 use p4auth_core::adhkd::{AdhkdInitiator, AdhkdPayload};
-use p4auth_core::auth::{AuthMetrics, RejectReason, ReplayWindow};
+use p4auth_core::auth::{AuthMetrics, RejectReason};
+use p4auth_core::channel::ChannelEnd;
 use p4auth_core::eak::EakInitiator;
-use p4auth_core::keys::KeySlot;
 use p4auth_primitives::dh::{DhParams, DhPublic};
 use p4auth_primitives::idhash::IdMap;
 use p4auth_primitives::kdf::{Kdf, KdfConfig};
@@ -303,10 +303,9 @@ impl RetryState {
 }
 
 struct SwitchChannel {
-    k_seed: Key64,
-    k_auth: Option<Key64>,
-    local: KeySlot,
-    seq_out: SeqNum,
+    /// `K_seed`, `K_auth`, the local key, the request counter and the
+    /// window on this switch's alerts and key-exchange legs.
+    end: ChannelEnd,
     eak: Option<EakInitiator>,
     /// Pending ADHKD exchange: context, initiator state, and the offer
     /// as sent. Retries re-send this *same* offer (fresh seq) rather
@@ -322,21 +321,27 @@ struct SwitchChannel {
 impl SwitchChannel {
     fn new(k_seed: Key64) -> Self {
         SwitchChannel {
-            k_seed,
-            k_auth: None,
-            local: KeySlot::default(),
-            seq_out: SeqNum::new(0),
+            end: ChannelEnd::new(Some(k_seed)),
             eak: None,
             adhkd: None,
             outstanding: Outstanding::default(),
             retry: RetryState::default(),
         }
     }
+}
 
-    fn next_seq(&mut self) -> SeqNum {
-        self.seq_out = self.seq_out.next();
-        self.seq_out
-    }
+/// The channel to a registered switch.
+///
+/// # Panics
+///
+/// Panics if `switch` was never registered — a harness bug.
+fn channel_in(
+    switches: &mut IdMap<SwitchId, SwitchChannel>,
+    switch: SwitchId,
+) -> &mut SwitchChannel {
+    switches
+        .get_mut(&switch)
+        .unwrap_or_else(|| panic!("unknown switch {switch}"))
 }
 
 /// Tracks one in-flight port-key initialization redirect (Fig. 14 c).
@@ -356,7 +361,6 @@ pub struct Controller {
     kdf: Kdf,
     rng: SplitMix64,
     switches: IdMap<SwitchId, SwitchChannel>,
-    replay: ReplayWindow,
     redirects: Vec<PortRedirect>,
     alerts: VecDeque<(SwitchId, AlertKind)>,
     stats: ControllerStats,
@@ -399,7 +403,6 @@ impl Controller {
             kdf: Kdf::new(config.kdf_config),
             rng: SplitMix64::new(config.rng_seed),
             switches: IdMap::default(),
-            replay: ReplayWindow::new(),
             redirects: Vec::new(),
             alerts: VecDeque::new(),
             stats: ControllerStats::default(),
@@ -449,14 +452,14 @@ impl Controller {
     pub fn has_local_key(&self, switch: SwitchId) -> bool {
         self.switches
             .get(&switch)
-            .is_some_and(|c| c.local.is_installed())
+            .is_some_and(|c| c.end.keys().is_installed())
     }
 
     /// Whether `K_auth` is established with `switch`.
     pub fn has_auth_key(&self, switch: SwitchId) -> bool {
         self.switches
             .get(&switch)
-            .is_some_and(|c| c.k_auth.is_some())
+            .is_some_and(|c| c.end.has_auth_key())
     }
 
     /// Alerts retained in the bounded ring (newest at the back); older
@@ -495,8 +498,8 @@ impl Controller {
     /// replica set hands both to a redirect's home replica
     /// ([`Controller::mirror_peer_key`]).
     pub fn local_key_material(&self, switch: SwitchId) -> Option<(Key64, KeyVersion)> {
-        let chan = self.switches.get(&switch)?;
-        chan.local.current().map(|k| (k, chan.local.version()))
+        let keys = self.switches.get(&switch)?.end.keys();
+        keys.current().map(|k| (k, keys.version()))
     }
 
     /// Installs (or refreshes) a *mirrored* local key for a switch owned
@@ -509,7 +512,7 @@ impl Controller {
             .switches
             .entry(switch)
             .or_insert_with(|| SwitchChannel::new(Key64::default()));
-        chan.local.force(key, version);
+        chan.end.mirror(key, version);
     }
 
     /// Records one bulk-rollover fan-out latency (epoch start → every
@@ -755,25 +758,20 @@ impl Controller {
     }
 
     fn channel_mut(&mut self, switch: SwitchId) -> &mut SwitchChannel {
-        self.switches
-            .get_mut(&switch)
-            .unwrap_or_else(|| panic!("unknown switch {switch}"))
+        channel_in(&mut self.switches, switch)
     }
 
-    /// Seals (if auth is enabled) and encodes a message for `switch` using
-    /// its current local key.
-    fn seal_local(&mut self, switch: SwitchId, msg: Message) -> Outgoing {
-        let sealing = if self.config.auth_enabled {
-            let local = self.channel_mut(switch).local;
-            local.current().map(|key| (key, local.version()))
+    /// The next frame `build` makes toward `switch`: sealed under the key
+    /// the channel's key rule picks, or plain while that key is missing or
+    /// authentication is off.
+    fn seal(&mut self, switch: SwitchId, build: impl FnOnce(SeqNum) -> Message) -> Outgoing {
+        let (auth, mac) = (self.config.auth_enabled, self.mac.as_ref());
+        let end = &mut channel_in(&mut self.switches, switch).end;
+        let bytes = if auth {
+            end.seal(build, |key, parts| mac.compute(key, parts))
+                .unwrap_or_else(|msg| msg.encode())
         } else {
-            None
-        };
-        let bytes = match sealing {
-            Some((key, version)) => msg
-                .with_key_version(version)
-                .encode_sealed(self.mac.as_ref(), key),
-            None => msg.encode(),
+            end.seal_plain(build)
         };
         Outgoing { to: switch, bytes }
     }
@@ -803,16 +801,21 @@ impl Controller {
         index: u32,
         value: Option<u64>,
     ) -> Outgoing {
+        let op = match value {
+            Some(v) => RegisterOp::write_req(reg, index, v),
+            None => RegisterOp::read_req(reg, index),
+        };
+        let out = self.seal(switch, |seq| {
+            Message::register_request(SwitchId::CONTROLLER, seq, op)
+        });
         let now_ns = self.now_ns;
         let chan = self.channel_mut(switch);
-        let seq = chan.next_seq();
-        let is_write = value.is_some();
         chan.outstanding.push(
-            seq,
+            chan.end.last_sent(),
             PendingRequest {
                 reg,
                 index,
-                is_write,
+                is_write: value.is_some(),
                 sent_at_ns: now_ns,
             },
         );
@@ -821,12 +824,7 @@ impl Controller {
             t.requests_sent.inc();
             t.outstanding.add(1);
         }
-        let op = match value {
-            Some(v) => RegisterOp::write_req(reg, index, v),
-            None => RegisterOp::read_req(reg, index),
-        };
-        let msg = Message::register_request(SwitchId::CONTROLLER, seq, op);
-        self.seal_local(switch, msg)
+        out
     }
 
     // ----- key management (§VI) -------------------------------------------
@@ -834,33 +832,22 @@ impl Controller {
     /// Starts local-key initialization for `switch` (Fig. 14 a): sends EAK
     /// salt #1, sealed with `K_seed`.
     pub fn local_key_init(&mut self, switch: SwitchId) -> Vec<Outgoing> {
-        let (chan_seed, seq) = {
-            let chan = self.channel_mut(switch);
-            (chan.k_seed, chan.next_seq())
-        };
-        let (eak, s1) = EakInitiator::start(chan_seed, &mut self.rng);
+        let k_seed = self.channel_mut(switch).end.seed_key().unwrap_or_default();
+        let (eak, s1) = EakInitiator::start(k_seed, &mut self.rng);
         let now_ns = self.now_ns;
-        {
-            let chan = self.channel_mut(switch);
-            chan.eak = Some(eak);
-            chan.retry = RetryState {
-                attempts: 0,
-                last_attempt_ns: now_ns,
-            };
-        }
-        let msg = Message::key_exchange(
-            SwitchId::CONTROLLER,
-            PortId::CPU,
-            seq,
-            KeyExchange::EakSalt {
-                step: EakStep::Salt1,
-                salt: s1,
-            },
-        );
-        vec![Outgoing {
-            to: switch,
-            bytes: msg.encode_sealed(self.mac.as_ref(), chan_seed),
-        }]
+        let chan = self.channel_mut(switch);
+        chan.eak = Some(eak);
+        chan.retry = RetryState {
+            attempts: 0,
+            last_attempt_ns: now_ns,
+        };
+        let salt1 = KeyExchange::EakSalt {
+            step: EakStep::Salt1,
+            salt: s1,
+        };
+        vec![self.seal(switch, |seq| {
+            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, seq, salt1)
+        })]
     }
 
     /// Starts a local-key rollover (Fig. 14 b): ADHKD offer under the
@@ -885,19 +872,26 @@ impl Controller {
             attempts: 0,
             last_attempt_ns: now_ns,
         };
-        let seq = chan.next_seq();
-        let msg = Message::key_exchange(
-            SwitchId::CONTROLLER,
-            PortId::CPU,
-            seq,
-            KeyExchange::Adhkd {
-                role: AdhkdRole::Offer,
-                context: KexContext::LocalUpdate,
-                public_key: offer.public_key.to_raw(),
-                salt: offer.salt,
-            },
-        );
-        vec![self.seal_local(switch, msg)]
+        vec![self.seal_offer(switch, KexContext::LocalUpdate, offer)]
+    }
+
+    /// The next ADHKD offer toward `switch`: the pending exchange's `offer`
+    /// as first sent, sealed afresh (its retries resend the same offer).
+    fn seal_offer(
+        &mut self,
+        switch: SwitchId,
+        context: KexContext,
+        offer: AdhkdPayload,
+    ) -> Outgoing {
+        let kex = KeyExchange::Adhkd {
+            role: AdhkdRole::Offer,
+            context,
+            public_key: offer.public_key.to_raw(),
+            salt: offer.salt,
+        };
+        self.seal(switch, |seq| {
+            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, seq, kex)
+        })
     }
 
     /// Whether a redirected port-key exchange for exactly this link is
@@ -948,17 +942,19 @@ impl Controller {
                 u64::from(sw2.value()),
             );
         }
-        let seq = self.channel_mut(sw1).next_seq();
-        let msg = Message::key_exchange(
-            SwitchId::CONTROLLER,
-            PortId::CPU,
-            seq,
-            KeyExchange::PortKeyInit {
-                peer: sw2,
-                peer_port: port1,
-            },
-        );
-        vec![self.seal_local(sw1, msg)]
+        vec![self.seal_port_key_init(sw1, port1, sw2)]
+    }
+
+    /// The next `portKeyInit` toward `sw1`, telling it to start the
+    /// exchange with `sw2` from its `port1`.
+    fn seal_port_key_init(&mut self, sw1: SwitchId, port1: PortId, sw2: SwitchId) -> Outgoing {
+        let kex = KeyExchange::PortKeyInit {
+            peer: sw2,
+            peer_port: port1,
+        };
+        self.seal(sw1, |seq| {
+            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, seq, kex)
+        })
     }
 
     /// Starts a direct DP-DP port-key rollover (Fig. 14 d): one
@@ -977,17 +973,13 @@ impl Controller {
                 u64::from(sw2.value()),
             );
         }
-        let seq = self.channel_mut(sw1).next_seq();
-        let msg = Message::key_exchange(
-            SwitchId::CONTROLLER,
-            PortId::CPU,
-            seq,
-            KeyExchange::PortKeyUpdate {
-                peer: sw2,
-                peer_port: port1,
-            },
-        );
-        vec![self.seal_local(sw1, msg)]
+        let kex = KeyExchange::PortKeyUpdate {
+            peer: sw2,
+            peer_port: port1,
+        };
+        vec![self.seal(sw1, |seq| {
+            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, seq, kex)
+        })]
     }
 
     /// Re-drives stalled key exchanges (lost messages leave `eak` /
@@ -1041,47 +1033,11 @@ impl Controller {
                 // the exchange state stays put, so an answer to either
                 // copy completes it, and the responder's dedupe cache
                 // keeps the duplicate from deriving a second key.
+                // The key rule seals a LocalInit offer under K_auth and a
+                // LocalUpdate one under the current K_local.
                 match adhkd_pending {
-                    Some((KexContext::LocalInit, offer)) => {
-                        // K_auth exists; re-offer under it.
-                        let k_auth = self
-                            .switches
-                            .get(&id)
-                            .and_then(|c| c.k_auth)
-                            .expect("LocalInit pending implies K_auth");
-                        let chan = self.channel_mut(id);
-                        let seq = chan.next_seq();
-                        let m = Message::key_exchange(
-                            SwitchId::CONTROLLER,
-                            PortId::CPU,
-                            seq,
-                            KeyExchange::Adhkd {
-                                role: AdhkdRole::Offer,
-                                context: KexContext::LocalInit,
-                                public_key: offer.public_key.to_raw(),
-                                salt: offer.salt,
-                            },
-                        );
-                        out.push(Outgoing {
-                            to: id,
-                            bytes: m.encode_sealed(self.mac.as_ref(), k_auth),
-                        });
-                    }
-                    Some((KexContext::LocalUpdate, offer)) => {
-                        let chan = self.channel_mut(id);
-                        let seq = chan.next_seq();
-                        let msg = Message::key_exchange(
-                            SwitchId::CONTROLLER,
-                            PortId::CPU,
-                            seq,
-                            KeyExchange::Adhkd {
-                                role: AdhkdRole::Offer,
-                                context: KexContext::LocalUpdate,
-                                public_key: offer.public_key.to_raw(),
-                                salt: offer.salt,
-                            },
-                        );
-                        out.push(self.seal_local(id, msg));
+                    Some((context @ (KexContext::LocalInit | KexContext::LocalUpdate), offer)) => {
+                        out.push(self.seal_offer(id, context, offer));
                     }
                     _ => continue,
                 }
@@ -1120,17 +1076,7 @@ impl Controller {
                 attempts: r.retry.attempts + 1,
                 last_attempt_ns: now_ns,
             };
-            let seq = self.channel_mut(r.initiator).next_seq();
-            let msg = Message::key_exchange(
-                SwitchId::CONTROLLER,
-                PortId::CPU,
-                seq,
-                KeyExchange::PortKeyInit {
-                    peer: r.responder,
-                    peer_port: r.initiator_port,
-                },
-            );
-            out.push(self.seal_local(r.initiator, msg));
+            out.push(self.seal_port_key_init(r.initiator, r.initiator_port, r.responder));
             self.redirects.push(r);
         }
         out
@@ -1177,19 +1123,6 @@ impl Controller {
     }
 
     // ----- inbound processing ---------------------------------------------
-
-    /// Selects the verification key for an inbound message.
-    fn verify_key_for(&self, from: SwitchId, msg: &Message) -> Option<Key64> {
-        let chan = self.switches.get(&from)?;
-        match msg.body() {
-            Body::KeyExchange(KeyExchange::EakSalt { .. }) => Some(chan.k_seed),
-            Body::KeyExchange(KeyExchange::Adhkd {
-                context: KexContext::LocalInit,
-                ..
-            }) => chan.k_auth,
-            _ => chan.local.select(msg.header().key_version),
-        }
-    }
 
     /// Counts one rejected frame from `from` on the C-DP channel: stats,
     /// the per-reason counter, the `DigestRejected` log record, the event.
@@ -1247,24 +1180,20 @@ impl Controller {
         }
 
         if self.config.auth_enabled {
-            let key = self.verify_key_for(from, &msg);
-            let result = match key {
+            // Responses echo the request's seq, so the replay window only
+            // applies to switch-initiated messages (alerts, key-exchange
+            // legs) — responses are deduplicated via the outstanding set
+            // instead.
+            let windowed = !matches!(msg.body(), Body::Register(_));
+            let mac = self.mac.as_ref();
+            let result = match self.switches.get_mut(&from) {
+                Some(chan) => {
+                    chan.end
+                        .open(from, &msg, msg.header().key_version, windowed, |key| {
+                            verify_frame(mac, key, bytes)
+                        })
+                }
                 None => Err(RejectReason::NoKey),
-                Some(k) if !verify_frame(self.mac.as_ref(), k, bytes) => {
-                    Err(RejectReason::BadDigest)
-                }
-                Some(_) => {
-                    // Responses echo the request's seq, so the replay window
-                    // only applies to switch-initiated messages (alerts,
-                    // key-exchange legs) — responses are deduplicated via
-                    // the outstanding set instead.
-                    match msg.body() {
-                        Body::Register(_) => Ok(()),
-                        _ => self
-                            .replay
-                            .check_and_advance(from, PortId::CPU, msg.header().seq_num),
-                    }
-                }
             };
             match result {
                 Err(reason) => {
@@ -1300,7 +1229,7 @@ impl Controller {
                     }
                     return (out, events);
                 }
-                Ok(()) => {
+                Ok(_) => {
                     if let Some(t) = &self.telemetry {
                         t.auth.record_verify(&Ok(()));
                     }
@@ -1418,8 +1347,7 @@ impl Controller {
                     .get_mut(&from)
                     .expect("verified channel exists");
                 if let Some(mut eak) = chan.eak.take() {
-                    let k_auth = eak.on_salt2(salt, kdf_handle);
-                    chan.k_auth = Some(k_auth);
+                    chan.end.set_auth_key(eak.on_salt2(salt, kdf_handle));
                     events.push(ControllerEvent::AuthKeyEstablished(from));
                     if let Some(t) = &self.telemetry {
                         t.registry.record(
@@ -1443,22 +1371,7 @@ impl Controller {
                         attempts: 0,
                         last_attempt_ns: now_ns,
                     };
-                    let seq = chan.next_seq();
-                    let m = Message::key_exchange(
-                        SwitchId::CONTROLLER,
-                        PortId::CPU,
-                        seq,
-                        KeyExchange::Adhkd {
-                            role: AdhkdRole::Offer,
-                            context: KexContext::LocalInit,
-                            public_key: offer.public_key.to_raw(),
-                            salt: offer.salt,
-                        },
-                    );
-                    out.push(Outgoing {
-                        to: from,
-                        bytes: m.encode_sealed(self.mac.as_ref(), k_auth),
-                    });
+                    out.push(self.seal_offer(from, KexContext::LocalInit, offer));
                 }
             }
             KeyExchange::EakSalt {
@@ -1489,16 +1402,15 @@ impl Controller {
                         },
                         &self.kdf,
                     );
-                    let rolled = context != KexContext::LocalInit;
+                    let rolled = context.rolls();
                     chan.retry = RetryState::default();
-                    if rolled {
-                        chan.local.rollover(master);
-                        events.push(ControllerEvent::LocalKeyRolled(from));
+                    chan.end.rekey(master, rolled);
+                    events.push(if rolled {
+                        ControllerEvent::LocalKeyRolled(from)
                     } else {
-                        chan.local.install(master);
-                        events.push(ControllerEvent::LocalKeyInstalled(from));
-                    }
-                    let version = chan.local.version().value();
+                        ControllerEvent::LocalKeyInstalled(from)
+                    });
+                    let version = chan.end.keys().version().value();
                     if let Some(t) = &self.telemetry {
                         if rolled {
                             t.key_rollovers.inc();
@@ -1564,11 +1476,10 @@ impl Controller {
                     AdhkdRole::Offer => (r.responder, r.responder_port),
                     AdhkdRole::Answer => (r.initiator, r.initiator_port),
                 };
-                let seq = msg.header().seq_num;
                 let fwd = Message::new(
                     from,
                     dest_port,
-                    seq,
+                    msg.header().seq_num,
                     Body::KeyExchange(KeyExchange::Adhkd {
                         role,
                         context: KexContext::PortInitRedirect,
@@ -1576,7 +1487,15 @@ impl Controller {
                         salt,
                     }),
                 );
-                out.push(self.seal_local(dest, fwd));
+                let mac = self.mac.as_ref();
+                let bytes = match self.switches.get(&dest) {
+                    Some(chan) if self.config.auth_enabled => chan
+                        .end
+                        .seal_reply(fwd, |key, parts| mac.compute(key, parts))
+                        .unwrap_or_else(|fwd| fwd.encode()),
+                    _ => fwd.encode(),
+                };
+                out.push(Outgoing { to: dest, bytes });
                 events.push(ControllerEvent::PortExchangeRedirected { from, to: dest });
                 if let Some(t) = &self.telemetry {
                     t.registry.record(

@@ -92,24 +92,24 @@ mod tests {
             steps in proptest::collection::vec((0u8..6, any::<u32>()), 1..400),
             start in 0u32..64,
         ) {
-            let mut seq_out = SeqNum::new(u32::MAX - start);
+            let mut last_minted = SeqNum::new(u32::MAX - start);
             let mut minted: Vec<SeqNum> = Vec::new();
             let mut queue = Outstanding::default();
             let mut oracle: BTreeMap<SeqNum, PendingRequest> = BTreeMap::new();
             for (step, &(kind, pick)) in steps.iter().enumerate() {
                 let answer = match kind {
                     0..=2 => {
-                        seq_out = seq_out.next();
-                        minted.push(seq_out);
+                        last_minted = last_minted.next();
+                        minted.push(last_minted);
                         if kind < 2 {
-                            queue.push(seq_out, request(step));
-                            oracle.insert(seq_out, request(step));
+                            queue.push(last_minted, request(step));
+                            oracle.insert(last_minted, request(step));
                         }
                         None
                     }
                     3 => minted.iter().copied().find(|s| oracle.contains_key(s)),
                     4 if !minted.is_empty() => Some(minted[pick as usize % minted.len()]),
-                    _ => Some(SeqNum::new(seq_out.value().wrapping_add(1 + pick % 1_000))),
+                    _ => Some(SeqNum::new(last_minted.value().wrapping_add(1 + pick % 1_000))),
                 };
                 if let Some(seq) = answer {
                     prop_assert_eq!(queue.remove(seq), oracle.remove(&seq), "seq {}", seq);

@@ -618,8 +618,8 @@ mod tests {
             assert!(!leased(&set), "lease released with the last redirect");
 
             for (init, r_port) in [(a, p1), (b, p2)] {
-                let k_init = agents[&init].keys().port(p1).current();
-                let k_resp = agents[&r].keys().port(r_port).current();
+                let k_init = agents[&init].keys(p1).current();
+                let k_resp = agents[&r].keys(r_port).current();
                 assert!(k_init.is_some(), "{init} installed its port key");
                 assert_eq!(k_init, k_resp, "{init}:{p1} and {r}:{r_port} agree");
             }
@@ -851,9 +851,9 @@ mod tests {
         let (redirected, _) = set.on_message(2_000, r, &answer_leg);
         assert_eq!(redirected.len(), 1);
         pump(&mut set, &mut agents, 2_000, redirected);
-        let key = agents[&a].keys().port(port).current();
+        let key = agents[&a].keys(port).current();
         assert!(key.is_some(), "{a} installed its port key");
-        assert_eq!(key, agents[&r].keys().port(port).current());
+        assert_eq!(key, agents[&r].keys(port).current());
 
         // ...and the owner's next request is still the next in sequence:
         // not a replay to the agent, not a reject signal for the defence.

@@ -84,7 +84,7 @@ fn forged_current_epoch(sw: SwitchId, seq: u32, agent: &P4AuthSwitch) -> Vec<u8>
             value: 0,
         }),
     )
-    .with_key_version(agent.keys().local().version())
+    .with_key_version(agent.keys(PortId::CPU).version())
     .encode()
 }
 

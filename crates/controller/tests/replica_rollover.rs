@@ -220,9 +220,9 @@ proptest! {
                 "switch {} derived a wrong number of times", id
             );
             // Controller and data plane agree on the new key material.
-            let agent_keys = fx.agents[&id].keys();
-            prop_assert_eq!(agent_keys.local().version(), v);
-            prop_assert_eq!(agent_keys.local().current(), Some(ctrl_key));
+            let agent_keys = fx.agents[&id].keys(PortId::CPU);
+            prop_assert_eq!(agent_keys.version(), v);
+            prop_assert_eq!(agent_keys.current(), Some(ctrl_key));
         }
         prop_assert!(fx.set.start_bulk_rollover(fx.now + 1).is_some());
     }

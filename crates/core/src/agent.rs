@@ -20,11 +20,10 @@
 //! baselines the evaluation compares against (DP-Reg-RW, vanilla HULA).
 
 use crate::adhkd::{self, AdhkdInitiator, AdhkdPayload};
-use crate::auth::{
-    verify_and_advance, AlertDecision, AlertLimiter, AuthMetrics, RejectReason, ReplayWindow,
-};
+use crate::auth::{AlertDecision, AlertLimiter, AuthMetrics, RejectReason};
+use crate::channel::ChannelEnd;
 use crate::eak;
-use crate::keys::KeyStore;
+use crate::keys::KeySlot;
 use p4auth_dataplane::chassis::{
     Chassis, ChassisConfig, ChassisError, PacketContext, RegisterHandle, TableHandle,
 };
@@ -41,8 +40,8 @@ use p4auth_wire::body::{
     AdhkdRole, Alert, AlertKind, Body, EakStep, InNetwork, KexContext, KeyExchange, NackReason,
     RegisterOp,
 };
-use p4auth_wire::ids::{PortId, RegId, SeqNum, SwitchId};
-use p4auth_wire::{digest_parts, Message};
+use p4auth_wire::ids::{KeyVersion, PortId, RegId, SeqNum, SwitchId};
+use p4auth_wire::{digest_parts, verify_frame, Message};
 use std::sync::Arc;
 
 /// Name of the Fig. 15 mapping table on the chassis.
@@ -298,18 +297,17 @@ impl AgentTelemetry {
 pub struct P4AuthSwitch {
     config: AgentConfig,
     chassis: Chassis,
-    keys: KeyStore,
-    k_auth: Option<Key64>,
+    /// One channel end per key-register slot (index = port number, the
+    /// CPU channel at 0, §VII); the CPU end holds `K_seed` and `K_auth`.
+    ends: Vec<ChannelEnd>,
     kdf: Kdf,
     rng: SplitMix64,
-    replay: ReplayWindow,
     limiter: AlertLimiter,
     /// The packet in the pipeline: refilled per frame, so its buffer is
     /// allocated once per agent and the frame is copied once per packet.
     packet: Packet,
     /// Indexed by `PortId` (a `u8`): dense, so no hashing.
     quarantined: [bool; 256],
-    seq_out: [SeqNum; 256],
     pending_kex: IdMap<(KexContext, PortId), AdhkdInitiator>,
     /// At-most-once responder cache: the last ADHKD offer answered per
     /// `(context, slot)` as `(offer_pk, offer_salt, answer_pk,
@@ -384,15 +382,14 @@ impl P4AuthSwitch {
         }
 
         P4AuthSwitch {
-            keys: KeyStore::new(config.num_ports),
-            k_auth: None,
+            ends: (0..=config.num_ports)
+                .map(|p| ChannelEnd::new((p == 0).then_some(config.k_seed)))
+                .collect(),
             kdf: Kdf::new(config.kdf_config),
             rng: SplitMix64::new(config.rng_seed),
-            replay: ReplayWindow::new(),
             limiter: AlertLimiter::new(config.alert_max, config.alert_period_ns),
             packet: Packet::from_bytes(PortId::CPU, Vec::new()),
             quarantined: [false; 256],
-            seq_out: [SeqNum::new(0); 256],
             pending_kex: IdMap::default(),
             answered_offers: IdMap::default(),
             app,
@@ -418,14 +415,17 @@ impl P4AuthSwitch {
         self.config.switch_id
     }
 
-    /// The key store (inspection).
-    pub fn keys(&self) -> &KeyStore {
-        &self.keys
+    /// The key slot for `port` (the local key for [`PortId::CPU`]); an
+    /// empty slot past the key register.
+    pub fn keys(&self, port: PortId) -> &KeySlot {
+        self.ends
+            .get(port.key_index())
+            .map_or(&KeySlot::EMPTY, ChannelEnd::keys)
     }
 
     /// Whether `K_auth` has been derived.
     pub fn has_auth_key(&self) -> bool {
-        self.k_auth.is_some()
+        self.ends[0].has_auth_key()
     }
 
     /// Lifetime counters.
@@ -452,9 +452,12 @@ impl P4AuthSwitch {
 
     /// Installs a key directly (strawman static-key provisioning, and test
     /// fixtures). Real deployments use EAK/ADHKD.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is past the key register.
     pub fn install_key(&mut self, port: PortId, key: Key64) {
-        self.keys.install(port, key);
-        self.note_key_change(0, port, false);
+        self.rekey(0, port, key, false);
     }
 
     /// Rolls a key to a new generation directly (static-key provisioning
@@ -463,10 +466,10 @@ impl P4AuthSwitch {
     ///
     /// # Panics
     ///
-    /// Panics if no key was installed for `port`.
+    /// Panics if no key was installed for `port`, or `port` is past the
+    /// key register.
     pub fn rollover_key(&mut self, port: PortId, key: Key64) {
-        self.keys.rollover(port, key);
-        self.note_key_change(0, port, true);
+        self.rekey(0, port, key, true);
     }
 
     /// Quarantines (or releases) a channel: while quarantined, register
@@ -486,82 +489,71 @@ impl P4AuthSwitch {
         self.quarantined[usize::from(channel.value())]
     }
 
-    /// Counts a key install/rollover and logs a [`TelemetryEvent::KeyDerived`]
-    /// carrying the now-active version for `port`. Direct provisioning has no
-    /// sim clock, so those events carry `t_ns = 0`. Any quarantine on the
-    /// channel is lifted — a fresh key is the defence loop's exit condition.
-    fn note_key_change(&mut self, now_ns: u64, port: PortId, rolled: bool) {
+    /// Installs `key` in `port`'s slot (or rolls to it), counts it and
+    /// logs a [`TelemetryEvent::KeyDerived`] carrying the now-active
+    /// version. Direct provisioning has no sim clock, so those events carry
+    /// `t_ns = 0`. Any quarantine on the channel is lifted — a fresh key is
+    /// the defence loop's exit condition. Returns the event to report.
+    fn rekey(&mut self, now_ns: u64, port: PortId, key: Key64, rolled: bool) -> AgentEvent {
+        self.ends[port.key_index()].rekey(key, rolled);
         self.quarantined[usize::from(port.value())] = false;
-        let Some(t) = &self.telemetry else { return };
+        if let Some(t) = &self.telemetry {
+            if rolled {
+                t.keys_rolled.inc();
+            } else {
+                t.keys_installed.inc();
+            }
+            t.registry.record(
+                now_ns,
+                TelemetryEvent::KeyDerived {
+                    switch: self.config.switch_id.value(),
+                    port: port.value(),
+                    version: self.keys(port).version().value(),
+                },
+            );
+        }
         if rolled {
-            t.keys_rolled.inc();
+            AgentEvent::KeyRolled { port }
         } else {
-            t.keys_installed.inc();
+            AgentEvent::KeyInstalled { port }
         }
-        let version = self
-            .keys
-            .sealing_key(port)
-            .map(|(_, v)| v.value())
-            .unwrap_or(0);
-        t.registry.record(
-            now_ns,
-            TelemetryEvent::KeyDerived {
-                switch: self.config.switch_id.value(),
-                port: port.value(),
-                version,
-            },
-        );
     }
 
-    /// Selects the verification key for `port` honouring the
-    /// consistent-updates setting.
-    fn channel_verify_key(&self, port: PortId, msg: &Message) -> Option<Key64> {
+    /// The key version a frame on `port`'s channel opens under: its tag,
+    /// or, with consistent updates off (the §VI-C ablation), the channel's
+    /// current version whatever the tag says.
+    fn open_version(&self, port: PortId, msg: &Message) -> KeyVersion {
         if self.config.consistent_updates {
-            self.keys.verifying_key(port, msg.header().key_version)
+            msg.header().key_version
         } else {
-            self.keys.verifying_key_unversioned(port)
+            self.keys(port).version()
         }
     }
 
-    fn next_seq(&mut self, port: PortId) -> SeqNum {
-        let e = &mut self.seq_out[usize::from(port.value())];
-        *e = e.next();
-        *e
+    /// The next frame `build` makes on `port`'s channel: sealed, or plain
+    /// while the channel has no key yet. `None` past the key register.
+    fn seal_on(&mut self, port: PortId, build: impl FnOnce(SeqNum) -> Message) -> Option<Vec<u8>> {
+        let mac = self.chassis.hash_mac();
+        let end = self.ends.get_mut(port.key_index())?;
+        Some(
+            end.seal(build, |key, parts| mac.compute(key, parts))
+                .unwrap_or_else(|msg| msg.encode()),
+        )
     }
 
     /// Builds and seals an outgoing in-network control message for `port`
-    /// (the sender side of §V's DP-DP authentication). Returns `None` if no
-    /// key is installed for the port and auth is enabled.
+    /// (the sender side of §V's DP-DP authentication). Returns `None` if
+    /// `port` is past the key register, or if no key is installed for the
+    /// port and auth is enabled.
     pub fn seal_probe(&mut self, port: PortId, system: u8, payload: Vec<u8>) -> Option<Vec<u8>> {
-        let seq = self.next_seq(port);
-        let msg = Message::in_network(
-            self.config.switch_id,
-            port,
-            seq,
-            InNetwork::new(system, payload),
-        );
+        let id = self.config.switch_id;
+        let build = |seq| Message::in_network(id, port, seq, InNetwork::new(system, payload));
+        let end = self.ends.get_mut(port.key_index())?;
         if !self.config.auth_enabled {
-            return Some(msg.encode());
+            return Some(end.seal_plain(build));
         }
-        let (key, version) = self.keys.sealing_key(port)?;
-        let msg = msg.with_key_version(version);
-        Some(msg.encode_sealed(self.chassis_mac(), key))
-    }
-
-    fn chassis_mac(&self) -> &dyn p4auth_primitives::mac::Mac {
-        self.chassis.hash_mac()
-    }
-
-    /// The frame for `msg` on `port`'s channel: stamped with the sealing
-    /// key's version and sealed under it, or plain while the channel has
-    /// no key yet.
-    fn encode_for(&self, port: PortId, msg: Message) -> Vec<u8> {
-        match self.keys.sealing_key(port) {
-            Some((key, version)) => msg
-                .with_key_version(version)
-                .encode_sealed(self.chassis_mac(), key),
-            None => msg.encode(),
-        }
+        let mac = self.chassis.hash_mac();
+        end.seal(build, |key, parts| mac.compute(key, parts)).ok()
     }
 
     /// Processes one packet and returns outputs plus accounting.
@@ -638,22 +630,20 @@ impl P4AuthSwitch {
         }
     }
 
-    /// Verify a received `frame` (decoded as `msg`) inside the pipeline;
-    /// returns the reject reason on failure. `key` is the channel key
-    /// selected by the caller.
-    fn verify_in_ctx(
+    /// Opens a received `frame` (decoded as `msg`) on `end` inside the
+    /// pipeline, so the digest pass is metered on the chassis; no end (a
+    /// port past the key register) has no key.
+    fn open_in_ctx(
         ctx: &mut PacketContext<'_>,
-        replay: &mut ReplayWindow,
-        key: Option<Key64>,
-        channel: PortId,
+        end: Option<&mut ChannelEnd>,
+        version: KeyVersion,
         frame: &[u8],
         msg: &Message,
-    ) -> Result<(), RejectReason> {
-        let key = key.ok_or(RejectReason::NoKey)?;
-        if !ctx.verify_digest(key, &digest_parts(frame), msg.digest()) {
-            return Err(RejectReason::BadDigest);
-        }
-        replay.check_and_advance(msg.header().sender, channel, msg.header().seq_num)
+    ) -> Result<Key64, RejectReason> {
+        let end = end.ok_or(RejectReason::NoKey)?;
+        end.open(msg.header().sender, msg, version, true, |key| {
+            ctx.verify_digest(key, &digest_parts(frame), msg.digest())
+        })
     }
 
     /// How every handler ends a frame that failed verification: counted,
@@ -773,9 +763,11 @@ impl P4AuthSwitch {
                 return;
             }
         };
-        let seq = self.next_seq(PortId::CPU);
-        let msg = Message::alert(self.config.switch_id, seq, alert);
-        outputs.push((PortId::CPU, self.encode_for(PortId::CPU, msg)));
+        let id = self.config.switch_id;
+        outputs.extend(
+            self.seal_on(PortId::CPU, |seq| Message::alert(id, seq, alert))
+                .map(|frame| (PortId::CPU, frame)),
+        );
         self.stats.alerts_sent += 1;
         events.push(AgentEvent::AlertSent(alert.kind));
     }
@@ -807,8 +799,8 @@ impl P4AuthSwitch {
         };
 
         let quarantined = auth && self.is_quarantined(PortId::CPU);
-        let channel_key = self.channel_verify_key(PortId::CPU, msg);
-        let replay = &mut self.replay;
+        let version = self.open_version(PortId::CPU, msg);
+        let cpu = &mut self.ends[0];
         let mapping = self.mapping;
         let mapped = &mut self.mapped;
         let outcome = self
@@ -821,8 +813,8 @@ impl P4AuthSwitch {
                     return Ok(vec![]);
                 }
                 if auth {
-                    match Self::verify_in_ctx(ctx, replay, channel_key, PortId::CPU, frame, msg) {
-                        Ok(()) => events.push(AgentEvent::VerifiedOk),
+                    match Self::open_in_ctx(ctx, Some(cpu), version, frame, msg) {
+                        Ok(_) => events.push(AgentEvent::VerifiedOk),
                         Err(reason) => {
                             reject = Some(reason);
                             return Ok(vec![]);
@@ -902,7 +894,10 @@ impl P4AuthSwitch {
                 Body::Register(reply),
             );
             let frame = if auth {
-                self.encode_for(PortId::CPU, reply)
+                let mac = self.chassis.hash_mac();
+                self.ends[0]
+                    .seal_reply(reply, |key, parts| mac.compute(key, parts))
+                    .unwrap_or_else(|reply| reply.encode())
             } else {
                 reply.encode()
             };
@@ -915,23 +910,6 @@ impl P4AuthSwitch {
             hash_passes: outcome.hash_passes,
             recirculations: outcome.recirculations,
             events,
-        }
-    }
-
-    /// Selects the verification key for a key-exchange message per §VI-C.
-    fn kex_verify_key(&self, ingress: PortId, msg: &Message, kex: &KeyExchange) -> Option<Key64> {
-        match kex {
-            KeyExchange::EakSalt { .. } => Some(self.config.k_seed),
-            KeyExchange::Adhkd { context, .. } => match context {
-                KexContext::LocalInit => self.k_auth,
-                KexContext::LocalUpdate | KexContext::PortInitRedirect => {
-                    self.channel_verify_key(PortId::CPU, msg)
-                }
-                KexContext::PortUpdateDirect => self.channel_verify_key(ingress, msg),
-            },
-            KeyExchange::PortKeyInit { .. } | KeyExchange::PortKeyUpdate { .. } => {
-                self.channel_verify_key(PortId::CPU, msg)
-            }
         }
     }
 
@@ -960,19 +938,28 @@ impl P4AuthSwitch {
             KeyExchange::PortKeyInit { peer_port, .. }
             | KeyExchange::PortKeyUpdate { peer_port, .. } => peer_port,
         };
-        // Every key-exchange message is authenticated (the "A" in ADHKD);
-        // past this block `key` is the one that verified it. A verified leg
-        // naming a slot past the key register is malformed.
-        let verified = verify_and_advance(
-            self.chassis.hash_mac(),
-            self.kex_verify_key(ingress, msg, &kex),
-            &mut self.replay,
-            ingress,
-            frame,
-            msg.header(),
-        )
+        // Every key-exchange message is authenticated (the "A" in ADHKD)
+        // on the channel it belongs to: the DP-DP update on its port, every
+        // other leg on the CPU channel. Past this block `key` is the one
+        // that verified it. A verified leg naming a slot past the key
+        // register is malformed.
+        let channel = match kex {
+            KeyExchange::Adhkd {
+                context: KexContext::PortUpdateDirect,
+                ..
+            } => ingress,
+            _ => PortId::CPU,
+        };
+        let version = self.open_version(channel, msg);
+        let mac = self.chassis.hash_mac();
+        let verified = match self.ends.get_mut(channel.key_index()) {
+            Some(end) => end.open(msg.header().sender, msg, version, true, |key| {
+                verify_frame(mac, key, frame)
+            }),
+            None => Err(RejectReason::NoKey),
+        }
         .and_then(|key| {
-            if slot.key_index() < self.keys.len() {
+            if slot.key_index() < self.ends.len() {
                 Ok(key)
             } else {
                 Err(RejectReason::Malformed)
@@ -1030,20 +1017,19 @@ impl P4AuthSwitch {
                 salt,
             } => {
                 let (s2, k_auth) = eak::respond(self.config.k_seed, salt, &mut self.rng, &self.kdf);
-                self.k_auth = Some(k_auth);
+                self.ends[0].set_auth_key(k_auth);
                 events.push(AgentEvent::AuthKeyDerived);
-                let seq = self.next_seq(PortId::CPU);
-                let reply = Message::key_exchange(
-                    self.config.switch_id,
-                    PortId::CPU,
-                    seq,
-                    KeyExchange::EakSalt {
-                        step: EakStep::Salt2,
-                        salt: s2,
-                    },
+                let id = self.config.switch_id;
+                let salt2 = KeyExchange::EakSalt {
+                    step: EakStep::Salt2,
+                    salt: s2,
+                };
+                outputs.extend(
+                    self.seal_on(PortId::CPU, |seq| {
+                        Message::key_exchange(id, PortId::CPU, seq, salt2)
+                    })
+                    .map(|frame| (PortId::CPU, frame)),
                 );
-                let frame = reply.encode_sealed(self.chassis_mac(), self.config.k_seed);
-                outputs.push((PortId::CPU, frame));
             }
             KeyExchange::EakSalt {
                 step: EakStep::Salt2,
@@ -1074,45 +1060,30 @@ impl P4AuthSwitch {
                         };
                         let (answer, master) =
                             adhkd::respond(self.config.dh_params, offer, &mut self.rng, &self.kdf);
-                        match context {
-                            KexContext::LocalInit | KexContext::PortInitRedirect => {
-                                self.keys.install(slot, master);
-                                self.note_key_change(now_ns, slot, false);
-                                events.push(AgentEvent::KeyInstalled { port: slot });
-                            }
-                            KexContext::LocalUpdate | KexContext::PortUpdateDirect => {
-                                self.keys.rollover(slot, master);
-                                self.note_key_change(now_ns, slot, true);
-                                events.push(AgentEvent::KeyRolled { port: slot });
-                            }
-                        }
+                        events.push(self.rekey(now_ns, slot, master, context.rolls()));
                         let reply = (answer.public_key.to_raw(), answer.salt);
                         self.answered_offers
                             .insert((context, slot), (public_key, salt, reply.0, reply.1));
                         reply
                     }
                 };
-                // Answer, sealed with the same channel key that verified
-                // the offer (the pre-update key for rollovers).
-                let reply_port = if context == KexContext::PortUpdateDirect {
-                    ingress
-                } else {
-                    PortId::CPU
+                // Answer on the offer's channel, sealed with the key and
+                // tag that verified the offer (the pre-update key for
+                // rollovers).
+                let (id, header) = (self.config.switch_id, *msg.header());
+                let answer = Body::KeyExchange(KeyExchange::Adhkd {
+                    role: AdhkdRole::Answer,
+                    context,
+                    public_key: answer_pk,
+                    salt: answer_salt,
+                });
+                let build = |seq| {
+                    Message::new(id, header.port, seq, answer).with_key_version(header.key_version)
                 };
-                let seq = self.next_seq(reply_port);
-                let mut reply = Message::new(
-                    self.config.switch_id,
-                    msg.header().port,
-                    seq,
-                    Body::KeyExchange(KeyExchange::Adhkd {
-                        role: AdhkdRole::Answer,
-                        context,
-                        public_key: answer_pk,
-                        salt: answer_salt,
-                    }),
-                );
-                reply.header_mut().key_version = msg.header().key_version;
-                outputs.push((reply_port, reply.encode_sealed(self.chassis_mac(), key)));
+                let mac = self.chassis.hash_mac();
+                let end = &mut self.ends[channel.key_index()];
+                let frame = end.seal_answer(build, key, |key, parts| mac.compute(key, parts));
+                outputs.push((channel, frame));
             }
             KeyExchange::Adhkd {
                 role: AdhkdRole::Answer,
@@ -1128,18 +1099,7 @@ impl P4AuthSwitch {
                         },
                         &self.kdf,
                     );
-                    match context {
-                        KexContext::LocalInit | KexContext::PortInitRedirect => {
-                            self.keys.install(slot, master);
-                            self.note_key_change(now_ns, slot, false);
-                            events.push(AgentEvent::KeyInstalled { port: slot });
-                        }
-                        KexContext::LocalUpdate | KexContext::PortUpdateDirect => {
-                            self.keys.rollover(slot, master);
-                            self.note_key_change(now_ns, slot, true);
-                            events.push(AgentEvent::KeyRolled { port: slot });
-                        }
-                    }
+                    events.push(self.rekey(now_ns, slot, master, context.rolls()));
                 }
             }
             KeyExchange::PortKeyInit { peer: _, peer_port } => {
@@ -1149,19 +1109,19 @@ impl P4AuthSwitch {
                     AdhkdInitiator::start(self.config.dh_params, &mut self.rng);
                 self.pending_kex
                     .insert((KexContext::PortInitRedirect, peer_port), initiator);
-                let seq = self.next_seq(PortId::CPU);
-                let out = Message::new(
-                    self.config.switch_id,
-                    peer_port,
-                    seq,
-                    Body::KeyExchange(KeyExchange::Adhkd {
-                        role: AdhkdRole::Offer,
-                        context: KexContext::PortInitRedirect,
-                        public_key: offer.public_key.to_raw(),
-                        salt: offer.salt,
-                    }),
+                let id = self.config.switch_id;
+                let offer = KeyExchange::Adhkd {
+                    role: AdhkdRole::Offer,
+                    context: KexContext::PortInitRedirect,
+                    public_key: offer.public_key.to_raw(),
+                    salt: offer.salt,
+                };
+                outputs.extend(
+                    self.seal_on(PortId::CPU, |seq| {
+                        Message::key_exchange(id, peer_port, seq, offer)
+                    })
+                    .map(|frame| (PortId::CPU, frame)),
                 );
-                outputs.push((PortId::CPU, self.encode_for(PortId::CPU, out)));
             }
             KeyExchange::PortKeyUpdate { peer: _, peer_port } => {
                 // Fig. 14(d): direct DP-DP ADHKD under the current K_port.
@@ -1169,19 +1129,19 @@ impl P4AuthSwitch {
                     AdhkdInitiator::start(self.config.dh_params, &mut self.rng);
                 self.pending_kex
                     .insert((KexContext::PortUpdateDirect, peer_port), initiator);
-                let seq = self.next_seq(peer_port);
-                let out = Message::new(
-                    self.config.switch_id,
-                    peer_port,
-                    seq,
-                    Body::KeyExchange(KeyExchange::Adhkd {
-                        role: AdhkdRole::Offer,
-                        context: KexContext::PortUpdateDirect,
-                        public_key: offer.public_key.to_raw(),
-                        salt: offer.salt,
-                    }),
+                let id = self.config.switch_id;
+                let offer = KeyExchange::Adhkd {
+                    role: AdhkdRole::Offer,
+                    context: KexContext::PortUpdateDirect,
+                    public_key: offer.public_key.to_raw(),
+                    salt: offer.salt,
+                };
+                outputs.extend(
+                    self.seal_on(peer_port, |seq| {
+                        Message::key_exchange(id, peer_port, seq, offer)
+                    })
+                    .map(|frame| (peer_port, frame)),
                 );
-                outputs.push((peer_port, self.encode_for(peer_port, out)));
             }
         }
 
@@ -1211,11 +1171,9 @@ impl P4AuthSwitch {
             return AgentOutput::default();
         }
 
-        let channel_key = self.channel_verify_key(ingress, msg);
+        let version = self.open_version(ingress, msg);
         let quarantined = auth && self.is_quarantined(ingress);
-        let keys = &self.keys;
-        let replay = &mut self.replay;
-        let seq_out = &mut self.seq_out;
+        let ends = &mut self.ends;
         let switch_id = self.config.switch_id;
         let system = inner.system;
         let mut reject: Option<RejectReason> = None;
@@ -1227,9 +1185,8 @@ impl P4AuthSwitch {
                 return Ok(vec![]);
             }
             if auth {
-                if let Err(reason) =
-                    Self::verify_in_ctx(ctx, replay, channel_key, ingress, frame, msg)
-                {
+                let end = ends.get_mut(ingress.key_index());
+                if let Err(reason) = Self::open_in_ctx(ctx, end, version, frame, msg) {
                     reject = Some(reason);
                     return Ok(vec![]);
                 }
@@ -1238,21 +1195,19 @@ impl P4AuthSwitch {
             // port's key *inside* the pipeline pass, so the digest
             // computation is metered and costed like the hardware would.
             for (port, payload) in app.on_control(ctx, ingress, &inner.payload)? {
-                let seq = {
-                    let e = &mut seq_out[usize::from(port.value())];
-                    *e = e.next();
-                    *e
+                let Some(end) = ends.get_mut(port.key_index()) else {
+                    continue; // no such egress channel; drop
                 };
-                let fwd =
-                    Message::in_network(switch_id, port, seq, InNetwork::new(system, payload));
+                let build = |seq| {
+                    Message::in_network(switch_id, port, seq, InNetwork::new(system, payload))
+                };
                 let frame = if auth {
-                    let Some((key, version)) = keys.sealing_key(port) else {
-                        continue; // no key for this egress; drop
-                    };
-                    fwd.with_key_version(version)
-                        .encode_sealed_with(|parts| ctx.compute_digest(key, parts))
+                    match end.seal(build, |key, parts| ctx.compute_digest(key, parts)) {
+                        Ok(frame) => frame,
+                        Err(_) => continue, // no key for this egress; drop
+                    }
                 } else {
-                    fwd.encode()
+                    end.seal_plain(build)
                 };
                 sealed_outputs.push((port, frame));
             }
@@ -1748,7 +1703,7 @@ mod tests {
 
     #[test]
     fn adhkd_offer_with_no_key_installed_is_a_counted_reject() {
-        // `kex_verify_key` yields `None` (no K_auth yet): the offer must be
+        // The key rule names no key (no K_auth yet): the offer must be
         // rejected before the answer path asks for the key that sealed it.
         let mut sw = agent();
         let offer = Message::key_exchange(
@@ -1767,7 +1722,7 @@ mod tests {
         assert!(out.has_event(&AgentEvent::Rejected(RejectReason::NoKey)));
         assert!(out.has_event(&AgentEvent::AlertSent(AlertKind::KeyExchangeFailure)));
         assert_eq!(sw.stats().digest_failures, 1);
-        assert_eq!(sw.keys().sealing_key(PortId::CPU), None);
+        assert_eq!(sw.keys(PortId::CPU).current(), None);
     }
 
     #[test]
@@ -1900,11 +1855,7 @@ mod tests {
                 assert!(out.has_event(&AgentEvent::AlertSent(AlertKind::KeyExchangeFailure)));
             }
             assert!(!sw.has_auth_key());
-            assert_eq!(
-                sw.keys().sealing_key(PortId::CPU).unwrap().0,
-                k,
-                "no rollover"
-            );
+            assert_eq!(sw.keys(PortId::CPU).current().unwrap(), k, "no rollover");
             // Window untouched: the genuine frame still goes through.
             let out = sw.on_packet(0, PortId::CPU, &genuine);
             assert!(out.has_event(&AgentEvent::VerifiedOk), "{msg:?}");

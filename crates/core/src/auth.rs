@@ -1,17 +1,13 @@
-//! The authentication engine: digest handling, replay defence and alert
-//! rate limiting.
+//! Verdicts, alert rate limiting and auth telemetry.
 //!
-//! This is the shared verification logic both endpoints of a P4Auth channel
-//! run. The data-plane agent uses it inside the pipeline context; the
-//! controller uses it directly.
+//! What both endpoints of a P4Auth channel share around a verification:
+//! why a frame was rejected, the §VIII alert limiter, and the counters.
+//! The verification itself, with its replay windows, is
+//! [`crate::channel::ChannelEnd::open`].
 
-use p4auth_primitives::idhash::IdMap;
-use p4auth_primitives::mac::Mac;
-use p4auth_primitives::Key64;
 use p4auth_telemetry::{Counter, Registry, RejectKind};
 use p4auth_wire::body::{Alert, AlertKind};
-use p4auth_wire::header::Header;
-use p4auth_wire::ids::{PortId, SeqNum, SwitchId};
+use p4auth_wire::ids::SeqNum;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -80,52 +76,6 @@ impl RejectReason {
             offending_seq,
             detail,
         })
-    }
-}
-
-/// Tracks the last accepted sequence number per `(peer, channel)`,
-/// enforcing strictly-increasing sequence numbers (the paper's replay
-/// defence). The channel is the receiver-side port the message's key is
-/// bound to: senders keep an independent sequence counter per key channel
-/// (one per egress port plus the CPU channel), so the windows must be
-/// independent too.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct ReplayWindow {
-    last: IdMap<(SwitchId, PortId), SeqNum>,
-}
-
-impl ReplayWindow {
-    /// Creates an empty window.
-    pub fn new() -> Self {
-        ReplayWindow::default()
-    }
-
-    /// Checks and records `seq` from `peer` on `channel`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RejectReason::Replayed`] if `seq` does not advance past
-    /// the last accepted value.
-    pub fn check_and_advance(
-        &mut self,
-        peer: SwitchId,
-        channel: PortId,
-        seq: SeqNum,
-    ) -> Result<(), RejectReason> {
-        match self.last.get(&(peer, channel)) {
-            Some(&last) if seq.value() <= last.value() => Err(RejectReason::Replayed {
-                last_accepted: last,
-            }),
-            _ => {
-                self.last.insert((peer, channel), seq);
-                Ok(())
-            }
-        }
-    }
-
-    /// Last accepted sequence number from `peer` on `channel`.
-    pub fn last_accepted(&self, peer: SwitchId, channel: PortId) -> Option<SeqNum> {
-        self.last.get(&(peer, channel)).copied()
     }
 }
 
@@ -268,181 +218,9 @@ impl AuthMetrics {
     }
 }
 
-/// Verifies a received frame against a key and a replay window in one
-/// step; `header` is the frame's decoded header. Returns the key that
-/// verified it.
-///
-/// Order matters: the digest is checked first, over the bytes that arrived
-/// (an attacker must not be able to probe sequence state with forged
-/// messages), then the sequence number advances.
-///
-/// # Errors
-///
-/// Returns the [`RejectReason`] on failure; on success the window advances.
-pub fn verify_and_advance(
-    mac: &dyn Mac,
-    key: Option<Key64>,
-    window: &mut ReplayWindow,
-    channel: PortId,
-    frame: &[u8],
-    header: &Header,
-) -> Result<Key64, RejectReason> {
-    let key = key.ok_or(RejectReason::NoKey)?;
-    if !p4auth_wire::verify_frame(mac, key, frame) {
-        return Err(RejectReason::BadDigest);
-    }
-    window.check_and_advance(header.sender, channel, header.seq_num)?;
-    Ok(key)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p4auth_primitives::mac::HalfSipHashMac;
-    use p4auth_wire::body::RegisterOp;
-    use p4auth_wire::ids::RegId;
-    use p4auth_wire::Message;
-
-    fn mac() -> HalfSipHashMac {
-        HalfSipHashMac::default()
-    }
-
-    fn msg(seq: u32) -> Message {
-        Message::register_request(
-            SwitchId::CONTROLLER,
-            SeqNum::new(seq),
-            RegisterOp::read_req(RegId::new(1), 0),
-        )
-    }
-
-    #[test]
-    fn accepts_valid_sequence() {
-        let key = Key64::new(5);
-        let mut w = ReplayWindow::new();
-        for seq in 1..=5 {
-            let m = msg(seq).sealed(&mac(), key);
-            verify_and_advance(
-                &mac(),
-                Some(key),
-                &mut w,
-                PortId::CPU,
-                &m.encode(),
-                m.header(),
-            )
-            .unwrap();
-        }
-        assert_eq!(
-            w.last_accepted(SwitchId::CONTROLLER, PortId::CPU),
-            Some(SeqNum::new(5))
-        );
-    }
-
-    #[test]
-    fn rejects_replay() {
-        let key = Key64::new(5);
-        let mut w = ReplayWindow::new();
-        let m = msg(3).sealed(&mac(), key);
-        verify_and_advance(
-            &mac(),
-            Some(key),
-            &mut w,
-            PortId::CPU,
-            &m.encode(),
-            m.header(),
-        )
-        .unwrap();
-        // Same message again: replay.
-        let err = verify_and_advance(
-            &mac(),
-            Some(key),
-            &mut w,
-            PortId::CPU,
-            &m.encode(),
-            m.header(),
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            RejectReason::Replayed {
-                last_accepted: SeqNum::new(3)
-            }
-        );
-        // Older seq: also replay.
-        let old = msg(2).sealed(&mac(), key);
-        assert!(verify_and_advance(
-            &mac(),
-            Some(key),
-            &mut w,
-            PortId::CPU,
-            &old.encode(),
-            old.header()
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn gaps_are_allowed() {
-        // Lost messages must not wedge the channel: strictly-increasing,
-        // not strictly-consecutive.
-        let key = Key64::new(5);
-        let mut w = ReplayWindow::new();
-        for seq in [1, 10] {
-            let m = msg(seq).sealed(&mac(), key);
-            verify_and_advance(
-                &mac(),
-                Some(key),
-                &mut w,
-                PortId::CPU,
-                &m.encode(),
-                m.header(),
-            )
-            .unwrap();
-        }
-    }
-
-    #[test]
-    fn rejects_bad_digest_before_touching_window() {
-        let key = Key64::new(5);
-        let mut w = ReplayWindow::new();
-        let forged = msg(1); // never sealed
-        let err = verify_and_advance(
-            &mac(),
-            Some(key),
-            &mut w,
-            PortId::CPU,
-            &forged.encode(),
-            forged.header(),
-        )
-        .unwrap_err();
-        assert_eq!(err, RejectReason::BadDigest);
-        assert_eq!(w.last_accepted(SwitchId::CONTROLLER, PortId::CPU), None);
-    }
-
-    #[test]
-    fn rejects_when_no_key() {
-        let mut w = ReplayWindow::new();
-        let m = msg(1).sealed(&mac(), Key64::new(1));
-        let err = verify_and_advance(&mac(), None, &mut w, PortId::CPU, &m.encode(), m.header())
-            .unwrap_err();
-        assert_eq!(err, RejectReason::NoKey);
-    }
-
-    #[test]
-    fn per_peer_windows_are_independent() {
-        let mut w = ReplayWindow::new();
-        w.check_and_advance(SwitchId::new(1), PortId::CPU, SeqNum::new(5))
-            .unwrap();
-        w.check_and_advance(SwitchId::new(2), PortId::CPU, SeqNum::new(1))
-            .unwrap();
-        assert!(w
-            .check_and_advance(SwitchId::new(1), PortId::CPU, SeqNum::new(5))
-            .is_err());
-        w.check_and_advance(SwitchId::new(2), PortId::CPU, SeqNum::new(2))
-            .unwrap();
-        // Same peer, different channel: independent window.
-        w.check_and_advance(SwitchId::new(1), PortId::new(3), SeqNum::new(1))
-            .unwrap();
-    }
 
     #[test]
     fn reject_reasons_map_to_alert_kinds() {

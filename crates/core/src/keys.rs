@@ -1,14 +1,15 @@
-//! The key store: P4Auth's emulated key register.
+//! One slot of P4Auth's emulated key register.
 //!
 //! The prototype stores keys in a register with `N+1` entries: the local
-//! key at index 0 and the key for port `p` at index `p` (§VII). For
-//! consistent key updates (§VI-C, borrowing from incremental consistent
-//! updates), each slot keeps the *current* and *previous* key together with
-//! a version counter; the sender tags messages with the version it used and
-//! the receiver selects the matching key.
+//! key at index 0 and the key for port `p` at index `p` (§VII); the agent
+//! keeps one [`crate::channel::ChannelEnd`] per entry. For consistent key
+//! updates (§VI-C, borrowing from incremental consistent updates), each
+//! slot keeps the *current* and *previous* key together with a version
+//! counter; the sender tags messages with the version it used and the
+//! receiver selects the matching key. Only a `ChannelEnd` moves a slot.
 
 use p4auth_primitives::Key64;
-use p4auth_wire::ids::{KeyVersion, PortId};
+use p4auth_wire::ids::KeyVersion;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -32,16 +33,19 @@ impl fmt::Debug for KeySlot {
 
 impl Default for KeySlot {
     fn default() -> Self {
-        KeySlot {
-            current: Key64::default(),
-            previous: None,
-            version: KeyVersion::INITIAL,
-            installed: false,
-        }
+        KeySlot::EMPTY
     }
 }
 
 impl KeySlot {
+    /// A slot with no key installed.
+    pub const EMPTY: KeySlot = KeySlot {
+        current: Key64::new(0),
+        previous: None,
+        version: KeyVersion::INITIAL,
+        installed: false,
+    };
+
     /// Whether a key has ever been installed in this slot.
     pub fn is_installed(&self) -> bool {
         self.installed
@@ -58,7 +62,7 @@ impl KeySlot {
     }
 
     /// Installs the first key (version stays at its initial value).
-    pub fn install(&mut self, key: Key64) {
+    pub(crate) fn install(&mut self, key: Key64) {
         self.current = key;
         self.previous = None;
         self.installed = true;
@@ -69,7 +73,7 @@ impl KeySlot {
     /// was derived elsewhere (a switch owned by a peer controller
     /// replica): the mirror trusts the publisher's version counter
     /// instead of running its own install/rollover sequence.
-    pub fn force(&mut self, key: Key64, version: KeyVersion) {
+    pub(crate) fn force(&mut self, key: Key64, version: KeyVersion) {
         self.previous = None;
         self.current = key;
         self.version = version;
@@ -78,7 +82,7 @@ impl KeySlot {
 
     /// Rolls over to `key`: the old key is retained for in-flight messages
     /// tagged with the previous version.
-    pub fn rollover(&mut self, key: Key64) {
+    pub(crate) fn rollover(&mut self, key: Key64) {
         debug_assert!(self.installed, "rollover before install");
         self.previous = Some(self.current);
         self.current = key;
@@ -102,208 +106,75 @@ impl KeySlot {
     }
 }
 
-/// The per-switch key register: local key + port keys.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct KeyStore {
-    slots: Vec<KeySlot>,
-}
-
-impl KeyStore {
-    /// Creates a store for a switch with `num_ports` data ports
-    /// (`num_ports + 1` slots, as in the prototype's register sizing).
-    pub fn new(num_ports: u8) -> Self {
-        KeyStore {
-            slots: vec![KeySlot::default(); num_ports as usize + 1],
-        }
-    }
-
-    /// Number of slots (ports + 1).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the store has no slots (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// SRAM bits consumed: `64 * (M + 1)` plus the retained previous
-    /// generation (§IX-B counts the key register as `64*(M+1)` bits; the
-    /// old-generation copy doubles it during rollover windows).
-    pub fn sram_bits(&self) -> u64 {
-        self.slots.len() as u64 * 64 * 2
-    }
-
-    fn slot_for(&self, port: PortId) -> Option<&KeySlot> {
-        self.slots.get(port.key_index())
-    }
-
-    fn slot_for_mut(&mut self, port: PortId) -> Option<&mut KeySlot> {
-        self.slots.get_mut(port.key_index())
-    }
-
-    /// The slot for the local key ([`PortId::CPU`], index 0).
-    pub fn local(&self) -> &KeySlot {
-        &self.slots[0]
-    }
-
-    /// The slot for `port` (index = port number).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port exceeds the store size — a configuration bug.
-    pub fn port(&self, port: PortId) -> &KeySlot {
-        self.slot_for(port).expect("port within key register")
-    }
-
-    /// Installs the first key for `port` (local key if CPU port).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port exceeds the store size.
-    pub fn install(&mut self, port: PortId, key: Key64) {
-        self.slot_for_mut(port)
-            .expect("port within key register")
-            .install(key);
-    }
-
-    /// Rolls the key for `port` to a new generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no key was installed for `port` or the port is out of
-    /// range.
-    pub fn rollover(&mut self, port: PortId, key: Key64) {
-        let slot = self.slot_for_mut(port).expect("port within key register");
-        assert!(slot.is_installed(), "rollover on empty slot {port}");
-        slot.rollover(key);
-    }
-
-    /// The current key and version for sealing a message out of `port`.
-    pub fn sealing_key(&self, port: PortId) -> Option<(Key64, KeyVersion)> {
-        let slot = self.slot_for(port)?;
-        slot.current().map(|k| (k, slot.version()))
-    }
-
-    /// The key matching a received message's `(port, version)` tag.
-    pub fn verifying_key(&self, port: PortId, version: KeyVersion) -> Option<Key64> {
-        self.slot_for(port)?.select(version)
-    }
-
-    /// The *current* key only, ignoring the version tag — the unversioned
-    /// baseline the consistent-update ablation compares against (§VI-C):
-    /// without version tagging, in-flight messages sealed under the old
-    /// key fail the moment a rollover lands.
-    pub fn verifying_key_unversioned(&self, port: PortId) -> Option<Key64> {
-        self.slot_for(port)?.current()
-    }
-
-    /// Ports with installed keys (index 0 = local).
-    pub fn installed_ports(&self) -> Vec<PortId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_installed())
-            .map(|(i, _)| PortId::new(i as u8))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn empty_store_has_no_keys() {
-        let s = KeyStore::new(4);
-        assert_eq!(s.len(), 5);
-        assert!(!s.is_empty());
-        assert!(s.sealing_key(PortId::CPU).is_none());
-        assert!(s
-            .verifying_key(PortId::new(2), KeyVersion::INITIAL)
-            .is_none());
-        assert!(s.installed_ports().is_empty());
+    fn slot(key: u64) -> KeySlot {
+        let mut s = KeySlot::EMPTY;
+        s.install(Key64::new(key));
+        s
     }
 
     #[test]
-    fn install_and_seal() {
-        let mut s = KeyStore::new(2);
-        s.install(PortId::CPU, Key64::new(11));
-        s.install(PortId::new(1), Key64::new(22));
-        assert_eq!(
-            s.sealing_key(PortId::CPU),
-            Some((Key64::new(11), KeyVersion::INITIAL))
-        );
-        assert_eq!(
-            s.sealing_key(PortId::new(1)),
-            Some((Key64::new(22), KeyVersion::INITIAL))
-        );
-        assert!(s.sealing_key(PortId::new(2)).is_none());
-        assert_eq!(s.installed_ports(), vec![PortId::CPU, PortId::new(1)]);
+    fn empty_slot_has_no_key() {
+        let s = KeySlot::default();
+        assert!(!s.is_installed());
+        assert_eq!(s.current(), None);
+        assert_eq!(s.select(KeyVersion::INITIAL), None);
+    }
+
+    #[test]
+    fn install_keeps_the_initial_version() {
+        let s = slot(11);
+        assert_eq!(s.current(), Some(Key64::new(11)));
+        assert_eq!(s.version(), KeyVersion::INITIAL);
+        assert_eq!(s.select(KeyVersion::INITIAL), Some(Key64::new(11)));
     }
 
     #[test]
     fn rollover_keeps_previous_generation() {
-        let mut s = KeyStore::new(1);
-        s.install(PortId::CPU, Key64::new(1));
-        s.rollover(PortId::CPU, Key64::new(2));
+        let mut s = slot(1);
+        s.rollover(Key64::new(2));
         let v0 = KeyVersion::INITIAL;
         let v1 = v0.next();
         // Messages tagged with the new version use the new key...
-        assert_eq!(s.verifying_key(PortId::CPU, v1), Some(Key64::new(2)));
+        assert_eq!(s.select(v1), Some(Key64::new(2)));
         // ...in-flight messages tagged with the old version still verify.
-        assert_eq!(s.verifying_key(PortId::CPU, v0), Some(Key64::new(1)));
-        assert_eq!(s.sealing_key(PortId::CPU), Some((Key64::new(2), v1)));
+        assert_eq!(s.select(v0), Some(Key64::new(1)));
+        assert_eq!((s.current(), s.version()), (Some(Key64::new(2)), v1));
     }
 
     #[test]
     fn only_two_generations_are_kept() {
-        let mut s = KeyStore::new(0);
-        s.install(PortId::CPU, Key64::new(1));
-        s.rollover(PortId::CPU, Key64::new(2));
-        s.rollover(PortId::CPU, Key64::new(3));
+        let mut s = slot(1);
+        s.rollover(Key64::new(2));
+        s.rollover(Key64::new(3));
         let v0 = KeyVersion::INITIAL;
         let v1 = v0.next();
         let v2 = v1.next();
-        assert_eq!(s.verifying_key(PortId::CPU, v2), Some(Key64::new(3)));
-        assert_eq!(s.verifying_key(PortId::CPU, v1), Some(Key64::new(2)));
+        assert_eq!(s.select(v2), Some(Key64::new(3)));
+        assert_eq!(s.select(v1), Some(Key64::new(2)));
         // Two-generations-old keys are gone (replay with stale keys fails).
-        assert_eq!(s.verifying_key(PortId::CPU, v0), None);
+        assert_eq!(s.select(v0), None);
     }
 
     #[test]
     fn future_versions_rejected() {
-        let mut s = KeyStore::new(0);
-        s.install(PortId::CPU, Key64::new(1));
-        assert_eq!(s.verifying_key(PortId::CPU, KeyVersion::new(5)), None);
+        assert_eq!(slot(1).select(KeyVersion::new(5)), None);
     }
 
     #[test]
-    fn sram_accounting_matches_prototype() {
-        // 32-port switch: 33 slots × 64 bits × 2 generations.
-        let s = KeyStore::new(32);
-        assert_eq!(s.sram_bits(), 33 * 64 * 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "rollover on empty slot")]
-    fn rollover_without_install_panics() {
-        let mut s = KeyStore::new(1);
-        s.rollover(PortId::new(1), Key64::new(9));
-    }
-
-    #[test]
-    #[should_panic(expected = "port within key register")]
-    fn out_of_range_port_panics() {
-        let mut s = KeyStore::new(1);
-        s.install(PortId::new(7), Key64::new(9));
+    fn force_drops_the_previous_generation() {
+        let mut s = slot(1);
+        s.force(Key64::new(9), KeyVersion::new(4));
+        assert_eq!(s.select(KeyVersion::new(4)), Some(Key64::new(9)));
+        assert_eq!(s.select(KeyVersion::new(3)), None);
     }
 
     #[test]
     fn slot_debug_redacts_key_material() {
-        let mut s = KeyStore::new(0);
-        s.install(PortId::CPU, Key64::new(0xdead_beef_feed_f00d));
-        let dbg = format!("{:?}", s.local());
+        let dbg = format!("{:?}", slot(0xdead_beef_feed_f00d));
         assert!(!dbg.contains("current"));
         assert!(dbg.contains("version"));
     }

@@ -7,12 +7,15 @@
 //!
 //! ## Components
 //!
-//! * [`keys`] — the key store: the emulated `N+1`-entry key register
+//! * [`channel`] — one end of an authenticated channel, for both sides:
+//!   the versioned key slot, the outbound sequence counter and the
+//!   per-sender replay windows (§V, §VI-C, §VIII); its `seal` and `open`
+//!   are every digest sealing and verification (Eqn. 4).
+//! * [`keys`] — one slot of the emulated `N+1`-entry key register
 //!   (`K_local` at index 0, `K_port` at the port index, §VII) with
 //!   versioned old/new keys for consistent updates (§VI-C).
-//! * [`auth`] — the authentication engine: digest sealing/verification of
-//!   every protocol message (Eqn. 4) plus per-peer replay windows (§VIII)
-//!   and alert rate limiting (DoS defence, §VIII).
+//! * [`auth`] — reject reasons, alert rate limiting (DoS defence, §VIII)
+//!   and the auth counters.
 //! * [`eak`] — Exchange of Authentication Key (Fig. 11): derives `K_auth`
 //!   from the pre-shared `K_seed` and two exchanged salts.
 //! * [`adhkd`] — Authenticated DH exchange and Key Derivation (Fig. 12):
@@ -40,10 +43,11 @@
 pub mod adhkd;
 pub mod agent;
 pub mod auth;
+pub mod channel;
 pub mod eak;
 pub mod keys;
 pub mod kmp;
 pub mod secure_channel;
 
 pub use agent::{AgentConfig, P4AuthSwitch};
-pub use keys::KeyStore;
+pub use channel::ChannelEnd;

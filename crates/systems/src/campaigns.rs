@@ -489,16 +489,8 @@ fn check_port_keys_converged(net: &Network, checks: &mut Checks) {
         if !is_dp_dp_link(l) {
             continue;
         }
-        let ka = net.switches[&l.a.node]
-            .borrow()
-            .keys()
-            .port(l.a.port)
-            .current();
-        let kb = net.switches[&l.b.node]
-            .borrow()
-            .keys()
-            .port(l.b.port)
-            .current();
+        let ka = net.switches[&l.a.node].borrow().keys(l.a.port).current();
+        let kb = net.switches[&l.b.node].borrow().keys(l.b.port).current();
         match (ka, kb) {
             (Some(a), Some(b)) if a == b => {}
             (None, _) | (_, None) => bad.push(format!("{}-{} missing", l.a.node, l.b.node)),

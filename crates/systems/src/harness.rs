@@ -724,11 +724,7 @@ impl Network {
         for link in &links {
             for (node, port) in [(link.a.node, link.a.port), (link.b.node, link.b.port)] {
                 assert!(
-                    self.switches[&node]
-                        .borrow()
-                        .keys()
-                        .port(port)
-                        .is_installed(),
+                    self.switches[&node].borrow().keys(port).is_installed(),
                     "port key init failed for {node}:{port}"
                 );
             }
@@ -866,7 +862,7 @@ mod tests {
             net.bootstrap_keys();
             for (id, sw) in &net.switches {
                 assert!(
-                    sw.borrow().keys().local().is_installed(),
+                    sw.borrow().keys(PortId::CPU).is_installed(),
                     "local key missing on {id}"
                 );
             }
@@ -874,13 +870,11 @@ mod tests {
             for sw in [1u16, 2, 3] {
                 assert!(net.switches[&SwitchId::new(sw)]
                     .borrow()
-                    .keys()
-                    .port(PortId::new(2))
+                    .keys(PortId::new(2))
                     .is_installed());
                 assert!(net.switches[&SwitchId::new(sw + 1)]
                     .borrow()
-                    .keys()
-                    .port(PortId::new(1))
+                    .keys(PortId::new(1))
                     .is_installed());
             }
             if n_replicas == 2 {

@@ -243,6 +243,12 @@ pub enum KexContext {
 }
 
 impl KexContext {
+    /// Whether the exchange rolls an installed key over (an update) rather
+    /// than installing the first one.
+    pub const fn rolls(self) -> bool {
+        matches!(self, KexContext::LocalUpdate | KexContext::PortUpdateDirect)
+    }
+
     fn from_wire(raw: u8) -> Result<Self, DecodeError> {
         match raw {
             1 => Ok(KexContext::LocalInit),

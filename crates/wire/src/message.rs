@@ -198,6 +198,22 @@ mod tests {
         Key64::new(0x1234_5678_9abc_def0)
     }
 
+    /// `verify_frame`'s one `expect` cannot fire: a frame too short to
+    /// carry a digest is `false`, at every length, before it is reached.
+    #[test]
+    fn verify_frame_rejects_every_truncation() {
+        let frame = Message::register_request(
+            SwitchId::CONTROLLER,
+            SeqNum::new(1),
+            RegisterOp::read_req(RegId::new(1), 0),
+        )
+        .encode_sealed(&mac(), key());
+        assert!(verify_frame(&mac(), key(), &frame));
+        for len in 0..frame.len() {
+            assert!(!verify_frame(&mac(), key(), &frame[..len]), "{len} bytes");
+        }
+    }
+
     #[test]
     fn seal_then_verify() {
         let mut m = Message::register_request(

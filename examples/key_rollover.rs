@@ -29,10 +29,9 @@ fn main() {
     println!("bootstrap completed in {elapsed} of simulated time");
     for (id, sw) in &net.switches {
         let sw = sw.borrow();
-        let ports: Vec<String> = sw
-            .keys()
-            .installed_ports()
-            .iter()
+        let ports: Vec<String> = (0..=u8::MAX)
+            .map(PortId::new)
+            .filter(|&p| sw.keys(p).is_installed())
             .map(|p| p.to_string())
             .collect();
         println!("  {id}: keys installed for [{}]", ports.join(", "));
@@ -43,7 +42,7 @@ fn main() {
     let s1 = SwitchId::new(1);
     let s2 = SwitchId::new(2);
 
-    let v_before = net.switches[&s1].borrow().keys().local().version();
+    let v_before = net.switches[&s1].borrow().keys(PortId::CPU).version();
     let out = net.set.borrow_mut().core_mut(s1).local_key_update(s1);
     for o in out {
         net.sim.inject_frame(
@@ -53,7 +52,7 @@ fn main() {
         );
     }
     net.sim.run_to_completion();
-    let v_after = net.switches[&s1].borrow().keys().local().version();
+    let v_after = net.switches[&s1].borrow().keys(PortId::CPU).version();
     println!("\nlocal key rollover on S1: version {v_before} -> {v_after}");
 
     let out = net
@@ -69,11 +68,7 @@ fn main() {
         );
     }
     net.sim.run_to_completion();
-    let k1 = net.switches[&s1]
-        .borrow()
-        .keys()
-        .port(PortId::new(2))
-        .version();
+    let k1 = net.switches[&s1].borrow().keys(PortId::new(2)).version();
     println!("port key rollover S1<->S2: now at version {k1} (direct DP-DP exchange)");
 
     // --- Fig. 20: per-operation RTTs ------------------------------------

@@ -75,7 +75,7 @@ fn lost_eak_salt_is_recovered_by_retry() {
     inject(&mut net, out);
     net.sim.run_to_completion();
     assert!(net.set.borrow().has_local_key(S1));
-    assert!(net.switches[&S1].borrow().keys().local().is_installed());
+    assert!(net.switches[&S1].borrow().keys(PortId::CPU).is_installed());
 }
 
 #[test]
@@ -150,8 +150,7 @@ fn lost_port_key_leg_is_recovered_by_retry() {
     assert!(
         !net.switches[&S2]
             .borrow()
-            .keys()
-            .port(PortId::new(1))
+            .keys(PortId::new(1))
             .is_installed(),
         "port key should have stalled on S2"
     );
@@ -162,14 +161,12 @@ fn lost_port_key_leg_is_recovered_by_retry() {
     net.sim.run_to_completion();
     let k1 = net.switches[&S1]
         .borrow()
-        .keys()
-        .port(PortId::new(2))
+        .keys(PortId::new(2))
         .current()
         .unwrap();
     let k2 = net.switches[&S2]
         .borrow()
-        .keys()
-        .port(PortId::new(1))
+        .keys(PortId::new(1))
         .current()
         .unwrap();
     assert_eq!(k1, k2, "retried port keys must agree");
@@ -204,14 +201,12 @@ fn assert_dp_dp_keys_agree(net: &Network) {
         }
         let ka = net.switches[&l.a.node]
             .borrow()
-            .keys()
-            .port(l.a.port)
+            .keys(l.a.port)
             .current()
             .unwrap_or_else(|| panic!("no port key at {}:{}", l.a.node, l.a.port));
         let kb = net.switches[&l.b.node]
             .borrow()
-            .keys()
-            .port(l.b.port)
+            .keys(l.b.port)
             .current()
             .unwrap_or_else(|| panic!("no port key at {}:{}", l.b.node, l.b.port));
         assert_eq!(
@@ -332,7 +327,11 @@ fn flap_during_rollover_neither_skips_nor_double_rolls() {
         .map(|&sw| {
             (
                 sw,
-                net.switches[&sw].borrow().keys().local().version().value(),
+                net.switches[&sw]
+                    .borrow()
+                    .keys(PortId::CPU)
+                    .version()
+                    .value(),
             )
         })
         .collect();
@@ -354,7 +353,11 @@ fn flap_during_rollover_neither_skips_nor_double_rolls() {
     net.sim.run_to_completion();
 
     for (sw, v0) in baseline {
-        let v = net.switches[&sw].borrow().keys().local().version().value();
+        let v = net.switches[&sw]
+            .borrow()
+            .keys(PortId::CPU)
+            .version()
+            .value();
         assert_eq!(
             v,
             v0.wrapping_add(1),

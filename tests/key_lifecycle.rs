@@ -35,7 +35,7 @@ fn bootstrap_establishes_local_and_port_keys_everywhere() {
     for (id, sw) in &net.switches {
         let sw = sw.borrow();
         assert!(sw.has_auth_key(), "{id}: EAK did not complete");
-        assert!(sw.keys().local().is_installed(), "{id}: no local key");
+        assert!(sw.keys(PortId::CPU).is_installed(), "{id}: no local key");
         assert!(net.set.borrow().has_local_key(*id));
     }
     // Every DP-DP link has port keys on both ends.
@@ -45,11 +45,7 @@ fn bootstrap_establishes_local_and_port_keys_everywhere() {
         }
         for (node, port) in [(link.a.node, link.a.port), (link.b.node, link.b.port)] {
             assert!(
-                net.switches[&node]
-                    .borrow()
-                    .keys()
-                    .port(port)
-                    .is_installed(),
+                net.switches[&node].borrow().keys(port).is_installed(),
                 "{node}:{port} missing port key"
             );
         }
@@ -70,14 +66,12 @@ fn port_key_init_agrees_between_neighbours_without_controller_learning_it() {
     // The two ends of the S1-S2 link derived the same key.
     let k1 = net.switches[&SwitchId::new(1)]
         .borrow()
-        .keys()
-        .port(PortId::new(2))
+        .keys(PortId::new(2))
         .current()
         .expect("installed");
     let k2 = net.switches[&SwitchId::new(2)]
         .borrow()
-        .keys()
-        .port(PortId::new(1))
+        .keys(PortId::new(1))
         .current()
         .expect("installed");
     assert_eq!(k1, k2, "port key disagreement");
@@ -90,14 +84,12 @@ fn port_key_init_agrees_between_neighbours_without_controller_learning_it() {
     // controller does hold.)
     let local1 = net.switches[&SwitchId::new(1)]
         .borrow()
-        .keys()
-        .local()
+        .keys(PortId::CPU)
         .current()
         .unwrap();
     let local2 = net.switches[&SwitchId::new(2)]
         .borrow()
-        .keys()
-        .local()
+        .keys(PortId::CPU)
         .current()
         .unwrap();
     assert_ne!(k1, local1);
@@ -109,13 +101,21 @@ fn local_key_rollover_changes_key_and_preserves_connectivity() {
     let mut net = network(2);
     net.bootstrap_keys();
     let s1 = SwitchId::new(1);
-    let before = net.switches[&s1].borrow().keys().local().current().unwrap();
+    let before = net.switches[&s1]
+        .borrow()
+        .keys(PortId::CPU)
+        .current()
+        .unwrap();
 
     let out = net.set.borrow_mut().core_mut(s1).local_key_update(s1);
     inject(&mut net, out);
     net.sim.run_to_completion();
 
-    let after = net.switches[&s1].borrow().keys().local().current().unwrap();
+    let after = net.switches[&s1]
+        .borrow()
+        .keys(PortId::CPU)
+        .current()
+        .unwrap();
     assert_ne!(before, after, "rollover must change the key");
     let events = net.take_events();
     assert!(events.contains(&ControllerEvent::LocalKeyRolled(s1)));
@@ -148,8 +148,7 @@ fn port_key_rollover_is_direct_and_agrees() {
     let s2 = SwitchId::new(2);
     let before = net.switches[&s1]
         .borrow()
-        .keys()
-        .port(PortId::new(2))
+        .keys(PortId::new(2))
         .current()
         .unwrap();
 
@@ -165,14 +164,12 @@ fn port_key_rollover_is_direct_and_agrees() {
 
     let k1 = net.switches[&s1]
         .borrow()
-        .keys()
-        .port(PortId::new(2))
+        .keys(PortId::new(2))
         .current()
         .unwrap();
     let k2 = net.switches[&s2]
         .borrow()
-        .keys()
-        .port(PortId::new(1))
+        .keys(PortId::new(1))
         .current()
         .unwrap();
     assert_ne!(k1, before);
@@ -191,7 +188,11 @@ fn repeated_rollovers_stay_consistent() {
         let out = net.set.borrow_mut().core_mut(s1).local_key_update(s1);
         inject(&mut net, out);
         net.sim.run_to_completion();
-        let k = net.switches[&s1].borrow().keys().local().current().unwrap();
+        let k = net.switches[&s1]
+            .borrow()
+            .keys(PortId::CPU)
+            .current()
+            .unwrap();
         assert!(seen.insert(k.expose()), "key reuse across rollovers");
     }
     // Channel still healthy.

@@ -30,37 +30,31 @@ fn keys_roll_automatically_every_period() {
     let mut net = network();
     net.enable_periodic_rollover(PERIOD_NS);
 
-    let v0 = net.switches[&S1].borrow().keys().local().version();
+    let v0 = net.switches[&S1].borrow().keys(PortId::CPU).version();
     assert_eq!(v0, KeyVersion::INITIAL);
 
     // Run three periods.
     let deadline = net.sim.now() + 3 * PERIOD_NS + PERIOD_NS / 2;
     net.sim.run_until(deadline);
 
-    let v_local = net.switches[&S1].borrow().keys().local().version();
+    let v_local = net.switches[&S1].borrow().keys(PortId::CPU).version();
     assert_eq!(
         v_local,
         KeyVersion::new(3),
         "three local rollovers expected"
     );
-    let v_port = net.switches[&S1]
-        .borrow()
-        .keys()
-        .port(PortId::new(2))
-        .version();
+    let v_port = net.switches[&S1].borrow().keys(PortId::new(2)).version();
     assert_eq!(v_port, KeyVersion::new(3), "three port rollovers expected");
 
     // Both ends of the link still agree.
     let k1 = net.switches[&S1]
         .borrow()
-        .keys()
-        .port(PortId::new(2))
+        .keys(PortId::new(2))
         .current()
         .unwrap();
     let k2 = net.switches[&S2]
         .borrow()
-        .keys()
-        .port(PortId::new(1))
+        .keys(PortId::new(1))
         .current()
         .unwrap();
     assert_eq!(k1, k2);
@@ -102,7 +96,7 @@ fn traffic_keeps_verifying_across_rollovers() {
         );
     }
     // Keys really did advance while traffic flowed.
-    let v = net.switches[&S1].borrow().keys().local().version();
+    let v = net.switches[&S1].borrow().keys(PortId::CPU).version();
     assert!(v.value() >= 4, "version {v} after 5 periods");
 
     // Disabling the plan lets the event queue drain.
