@@ -344,14 +344,29 @@ fn channel_in(
         .unwrap_or_else(|| panic!("unknown switch {switch}"))
 }
 
-/// Tracks one in-flight port-key initialization redirect (Fig. 14 c).
+/// Tracks one in-flight port-key initialization redirect (Fig. 14 c):
+/// the one record of it anywhere, on its home core. Each endpoint is a
+/// `(switch, exchange port)`, the port its legs carry in their header.
 #[derive(Clone, Copy, Debug)]
 struct PortRedirect {
-    initiator: SwitchId,
-    initiator_port: PortId,
-    responder: SwitchId,
-    responder_port: PortId,
+    initiator: (SwitchId, PortId),
+    responder: (SwitchId, PortId),
     retry: RetryState,
+}
+
+impl PortRedirect {
+    /// The endpoint that sends the `role` leg.
+    fn sender(&self, role: AdhkdRole) -> (SwitchId, PortId) {
+        match role {
+            AdhkdRole::Offer => self.initiator,
+            AdhkdRole::Answer => self.responder,
+        }
+    }
+
+    /// Whether this redirect is for the link `initiator` – `responder`.
+    fn links(&self, initiator: (SwitchId, PortId), responder: (SwitchId, PortId)) -> bool {
+        self.initiator == initiator && self.responder == responder
+    }
 }
 
 /// The P4Auth controller.
@@ -894,29 +909,34 @@ impl Controller {
         })
     }
 
-    /// Whether a redirected port-key exchange for exactly this link is
-    /// still pending (started but not yet completed by its answer leg).
-    /// Link-recovery handlers use this to avoid starting a second,
-    /// overlapping exchange generation for a flapping link.
-    pub fn has_pending_port_exchange(
+    /// Whether a pending port-key redirect on this core expects a `role`
+    /// leg from `(from, port)`: the leg this core re-seals and forwards.
+    pub(crate) fn expects_redirect_leg(
         &self,
-        sw1: SwitchId,
-        port1: PortId,
-        sw2: SwitchId,
-        port2: PortId,
+        role: AdhkdRole,
+        from: SwitchId,
+        port: PortId,
     ) -> bool {
-        self.redirects.iter().any(|r| {
-            r.initiator == sw1
-                && r.initiator_port == port1
-                && r.responder == sw2
-                && r.responder_port == port2
-        })
+        self.redirects
+            .iter()
+            .any(|r| r.sender(role) == (from, port))
+    }
+
+    /// Whether a pending port-key redirect on this core names `switch` at
+    /// either end.
+    pub(crate) fn redirect_names(&self, switch: SwitchId) -> bool {
+        self.redirects
+            .iter()
+            .any(|r| r.initiator.0 == switch || r.responder.0 == switch)
     }
 
     /// Starts port-key initialization between `(sw1, port1)` and
     /// `(sw2, port2)` (Fig. 14 c): `portKeyInit` to the initiator switch;
     /// subsequent ADHKD legs are redirected through
-    /// [`Controller::on_message`].
+    /// [`Controller::on_message`]. One exchange per link: while this
+    /// link's redirect is pending, a second call returns no frames — a
+    /// flapping link's recovery must not overlap key generations, and
+    /// [`Controller::retry_stalled`] re-drives the pending one.
     pub fn port_key_init(
         &mut self,
         sw1: SwitchId,
@@ -924,11 +944,13 @@ impl Controller {
         sw2: SwitchId,
         port2: PortId,
     ) -> Vec<Outgoing> {
+        let (initiator, responder) = ((sw1, port1), (sw2, port2));
+        if self.redirects.iter().any(|r| r.links(initiator, responder)) {
+            return Vec::new();
+        }
         self.redirects.push(PortRedirect {
-            initiator: sw1,
-            initiator_port: port1,
-            responder: sw2,
-            responder_port: port2,
+            initiator,
+            responder,
             retry: RetryState {
                 attempts: 0,
                 last_attempt_ns: self.now_ns,
@@ -1059,7 +1081,7 @@ impl Controller {
             }
             if r.retry.attempts >= max_attempts {
                 self.stats.kex_abandoned += 1;
-                self.push_alert(r.initiator, AlertKind::KeyExchangeFailure);
+                self.push_alert(r.initiator.0, AlertKind::KeyExchangeFailure);
                 if let Some(t) = &self.telemetry {
                     t.kex_abandoned.inc();
                     t.registry.record(
@@ -1076,7 +1098,7 @@ impl Controller {
                 attempts: r.retry.attempts + 1,
                 last_attempt_ns: now_ns,
             };
-            out.push(self.seal_port_key_init(r.initiator, r.initiator_port, r.responder));
+            out.push(self.seal_port_key_init(r.initiator.0, r.initiator.1, r.responder.0));
             self.redirects.push(r);
         }
         out
@@ -1464,17 +1486,13 @@ impl Controller {
                 // in the header, and matching must use it: a correlated
                 // link recovery starts several exchanges that share a
                 // switch, and switch-only matching would cross their legs.
-                let leg_port = msg.header().port;
-                let redirect = self.redirects.iter().find(|r| match role {
-                    AdhkdRole::Offer => r.initiator == from && r.initiator_port == leg_port,
-                    AdhkdRole::Answer => r.responder == from && r.responder_port == leg_port,
-                });
-                let Some(&r) = redirect else {
+                let leg = (from, msg.header().port);
+                let Some(&r) = self.redirects.iter().find(|r| r.sender(role) == leg) else {
                     return;
                 };
                 let (dest, dest_port) = match role {
-                    AdhkdRole::Offer => (r.responder, r.responder_port),
-                    AdhkdRole::Answer => (r.initiator, r.initiator_port),
+                    AdhkdRole::Offer => r.responder,
+                    AdhkdRole::Answer => r.initiator,
                 };
                 let fwd = Message::new(
                     from,
@@ -1510,12 +1528,8 @@ impl Controller {
                     // Exchange complete; drop the redirect record (this
                     // link's only — concurrent exchanges between the same
                     // switch pair on other ports stay pending).
-                    self.redirects.retain(|x| {
-                        !(x.initiator == r.initiator
-                            && x.initiator_port == r.initiator_port
-                            && x.responder == r.responder
-                            && x.responder_port == r.responder_port)
-                    });
+                    self.redirects
+                        .retain(|x| !x.links(r.initiator, r.responder));
                 }
             }
             _ => {}

@@ -9,18 +9,26 @@
 //! lifecycles for the switches its replica owns, including versioned
 //! bulk rollover epochs whose progress lives entirely in the `kmp` table
 //! of the shared [`StateDb`] — which is what makes a mid-rollover
-//! replica restart resumable. Replicas never call each other; the table
-//! is the only thing they share.
+//! replica restart resumable. Replicas never call each other: the table
+//! is the only orchestration state they share, and what the replica set
+//! reads across cores (an owner's key to mirror, a home core's pending
+//! redirects) lives in the cores, which a restart keeps.
 //!
 //! ## Rollover state machine (the `kmp` table)
 //!
-//! | key            | value                      | meaning |
-//! |----------------|----------------------------|---------|
-//! | `epoch`        | `U64(e)`                   | bulk-rollover epoch target |
-//! | `started@{e}`  | `U64(t_ns)`                | when epoch `e` began |
-//! | `S{n}`         | `Text("pending@{e}@{v}")`  | switch awaiting its `e`-rollover; `v` is the key version observed when the epoch started (`-` if no key yet) |
-//! | `S{n}`         | `Text("done@{e}")`         | switch finished its `e`-rollover |
-//! | `fanout@{l}@{e}` | `U64(latency_ns)`        | replica `l`'s fan-out latency for epoch `e` |
+//! | field               | value                                      | meaning |
+//! |---------------------|--------------------------------------------|---------|
+//! | `epoch`             | `e`                                        | bulk-rollover epoch target |
+//! | `started(e)`        | `t_ns`                                     | when epoch `e` began |
+//! | `status(switch)`    | `KexStatus::Pending { epoch: e, baseline }` | switch awaiting its `e`-rollover; `baseline` is the key version observed when the epoch started (`None` if no key yet) |
+//! | `status(switch)`    | `KexStatus::Done { epoch: e }`             | switch finished its `e`-rollover |
+//! | `fanout(l, e)`      | `latency_ns`                               | replica `l`'s fan-out latency for epoch `e` |
+//!
+//! A switch whose channel is *leased* — a cross-partition port-key
+//! redirect naming it is pending on another replica's core — is left
+//! alone until the redirect completes or its home core abandons it. The
+//! lease is not in the table: the replica set derives it from the home
+//! core's redirect record and hands it to [`KeyManagerDaemon::step`].
 //!
 //! The `pending` baseline version is the crux of KMP-retry safety: a
 //! switch is *done* exactly when its live key version differs from the
@@ -32,17 +40,8 @@
 //! [`Controller::retry_stalled`] re-drives it.
 
 use crate::controller::{Controller, Outgoing};
-use crate::statedb::{StateDb, Value};
+use crate::statedb::StateDb;
 use p4auth_wire::ids::SwitchId;
-
-/// Table names shared by the daemon and the replica layer.
-pub mod tables {
-    /// Key-manager rollover state machine.
-    pub const KMP: &str = "kmp";
-    /// Channels temporarily leased to another replica (port-key
-    /// redirects crossing a partition boundary).
-    pub const LEASES: &str = "leases";
-}
 
 /// One switch's position in the bulk-rollover state machine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -63,37 +62,6 @@ pub enum KexStatus {
 }
 
 impl KexStatus {
-    /// Encodes for storage in the `kmp` table.
-    pub fn encode(self) -> String {
-        match self {
-            KexStatus::Pending {
-                epoch,
-                baseline: Some(v),
-            } => format!("pending@{epoch}@{v}"),
-            KexStatus::Pending {
-                epoch,
-                baseline: None,
-            } => format!("pending@{epoch}@-"),
-            KexStatus::Done { epoch } => format!("done@{epoch}"),
-        }
-    }
-
-    /// Decodes a `kmp` table status value.
-    pub fn parse(s: &str) -> Option<KexStatus> {
-        if let Some(rest) = s.strip_prefix("pending@") {
-            let (epoch, baseline) = rest.split_once('@')?;
-            let epoch = epoch.parse().ok()?;
-            let baseline = if baseline == "-" {
-                None
-            } else {
-                Some(baseline.parse().ok()?)
-            };
-            return Some(KexStatus::Pending { epoch, baseline });
-        }
-        let epoch = s.strip_prefix("done@")?.parse().ok()?;
-        Some(KexStatus::Done { epoch })
-    }
-
     /// The epoch this status belongs to.
     pub fn epoch(self) -> u64 {
         match self {
@@ -108,21 +76,22 @@ impl KexStatus {
 /// one stopped. See the module docs for the state machine.
 pub struct KeyManagerDaemon {
     owned: Vec<SwitchId>,
-    label: String,
+    /// The replica's index in its set: the key of its fan-out records.
+    replica: usize,
     /// [`StateDb::writes`] when this daemon last looked: its wake edge.
     seen_writes: u64,
 }
 
 impl KeyManagerDaemon {
-    /// A key-manager daemon owning `owned` switches, identified as
-    /// `label` in fan-out records. It has seen `db` as it is now, so a
-    /// daemon built by a restart does not wake on history.
-    pub fn new(db: &StateDb, mut owned: Vec<SwitchId>, label: impl Into<String>) -> Self {
+    /// The key-manager daemon of replica `replica`, owning `owned`
+    /// switches. It has seen `db` as it is now, so a daemon built by a
+    /// restart does not wake on history.
+    pub fn new(db: &StateDb, mut owned: Vec<SwitchId>, replica: usize) -> Self {
         owned.sort_unstable();
         owned.dedup();
         KeyManagerDaemon {
             owned,
-            label: label.into(),
+            replica,
             seen_writes: db.writes(),
         }
     }
@@ -132,38 +101,31 @@ impl KeyManagerDaemon {
         &self.owned
     }
 
-    /// The current bulk-rollover epoch target (0 = never started).
-    pub fn epoch(db: &StateDb) -> u64 {
-        db.value(tables::KMP, "epoch")
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-    }
-
     /// Whether every switch in `owned` has finished epoch `e`.
     pub fn partition_done(db: &StateDb, owned: &[SwitchId], e: u64) -> bool {
-        owned.iter().all(|s| {
-            matches!(
-                Self::status(db, &s.to_string()),
-                Some(KexStatus::Done { epoch }) if epoch == e
-            )
-        })
-    }
-
-    /// The `kmp` entry under `key`, a switch id as `Display` writes it.
-    fn status(db: &StateDb, key: &str) -> Option<KexStatus> {
-        KexStatus::parse(db.value(tables::KMP, key)?.as_text()?)
+        owned
+            .iter()
+            .all(|&s| db.status(s) == Some(KexStatus::Done { epoch: e }))
     }
 
     /// One deterministic step: reconcile the partition against the
     /// `kmp` table, issue whatever exchanges are due, and re-drive stalled
-    /// exchanges (capped backoff inside the core). Returns the frames to
-    /// put on the wire.
+    /// exchanges (capped backoff inside the core). `leased` lists the
+    /// owned switches whose channel another replica holds for a port-key
+    /// redirect; they are left alone. Returns the frames to put on the
+    /// wire.
     ///
     /// Each owned switch writes its own status at most once per step, and
-    /// the loop never reads a key it wrote in the same step: a switch's
+    /// the loop never reads a status it wrote in the same step: a switch's
     /// status read precedes its own (sole) status write, and the
     /// cross-switch `partition_done` check runs after the loop.
-    pub fn step(&mut self, db: &mut StateDb, core: &mut Controller, now_ns: u64) -> Vec<Outgoing> {
+    pub fn step(
+        &mut self,
+        db: &mut StateDb,
+        core: &mut Controller,
+        now_ns: u64,
+        leased: &[SwitchId],
+    ) -> Vec<Outgoing> {
         // The table changed since this daemon last looked: its wakeup
         // edge — stamp it into the trace so the statedb-write →
         // daemon-wake → KMP chain is visible. The reconcile below re-reads
@@ -179,25 +141,22 @@ impl KeyManagerDaemon {
             self.seen_writes = before;
         }
         let mut out = Vec::new();
-        let epoch = Self::epoch(db);
+        let epoch = db.epoch();
 
         for &switch in &self.owned {
-            let key = switch.to_string();
-            let status = Self::status(db, &key);
-
             // A new epoch (or a switch the table has never seen) gets a
             // pending entry with the *current* key version as baseline.
             // Never re-baseline an existing pending entry for the same
             // epoch: the stored baseline is what makes completion
             // detection crash-safe.
-            let status = match status {
+            let status = match db.status(switch) {
                 Some(s) if s.epoch() == epoch => s,
                 _ if epoch > 0 => {
                     let s = KexStatus::Pending {
                         epoch,
                         baseline: core.local_key_material(switch).map(|(_, v)| v.value()),
                     };
-                    db.set(tables::KMP, &key, Value::Text(s.encode()));
+                    db.set_status(switch, s);
                     s
                 }
                 // No epoch ever started: nothing to reconcile.
@@ -212,12 +171,8 @@ impl KeyManagerDaemon {
                     _ => false,
                 };
                 if completed {
-                    db.set(
-                        tables::KMP,
-                        &key,
-                        Value::Text(KexStatus::Done { epoch }.encode()),
-                    );
-                } else if db.value(tables::LEASES, &key).is_some() {
+                    db.set_status(switch, KexStatus::Done { epoch });
+                } else if leased.contains(&switch) {
                     // Channel leased to another replica (cross-partition
                     // port-key redirect in flight): hands off.
                 } else if !core.kex_in_flight(switch) {
@@ -237,26 +192,22 @@ impl KeyManagerDaemon {
         }
 
         // Record this partition's fan-out latency exactly once per epoch
-        // (the `set` is a no-op on every later step, and the db flag
-        // survives a replica restart).
-        if epoch > 0 && Self::partition_done(db, &self.owned, epoch) {
-            let fanout_key = format!("fanout@{}@{epoch}", self.label);
-            if db.value(tables::KMP, &fanout_key).is_none() {
-                let started = db
-                    .value(tables::KMP, &format!("started@{epoch}"))
-                    .and_then(Value::as_u64)
-                    .unwrap_or(now_ns);
-                let latency = now_ns.saturating_sub(started);
-                db.set(tables::KMP, &fanout_key, Value::U64(latency));
-                core.record_rollover_fanout(latency);
-                core.trace_span(
-                    p4auth_telemetry::SpanKind::RolloverEpoch,
-                    started.min(now_ns),
-                    now_ns,
-                    epoch,
-                    latency,
-                );
-            }
+        // (the record survives a replica restart).
+        if epoch > 0
+            && db.fanout(self.replica, epoch).is_none()
+            && Self::partition_done(db, &self.owned, epoch)
+        {
+            let started = db.started(epoch).unwrap_or(now_ns);
+            let latency = now_ns.saturating_sub(started);
+            db.set_fanout(self.replica, epoch, latency);
+            core.record_rollover_fanout(latency);
+            core.trace_span(
+                p4auth_telemetry::SpanKind::RolloverEpoch,
+                started.min(now_ns),
+                now_ns,
+                epoch,
+                latency,
+            );
         }
 
         out.extend(core.retry_stalled());
@@ -270,25 +221,6 @@ mod tests {
     use crate::controller::{Controller, ControllerConfig};
     use p4auth_primitives::Key64;
 
-    #[test]
-    fn status_roundtrip() {
-        for s in [
-            KexStatus::Pending {
-                epoch: 3,
-                baseline: Some(7),
-            },
-            KexStatus::Pending {
-                epoch: 1,
-                baseline: None,
-            },
-            KexStatus::Done { epoch: 9 },
-        ] {
-            assert_eq!(KexStatus::parse(&s.encode()), Some(s));
-        }
-        assert_eq!(KexStatus::parse("garbage"), None);
-        assert_eq!(KexStatus::parse("pending@x@1"), None);
-    }
-
     /// The key-manager daemon kicks off local-key init for a fresh
     /// switch, doesn't double-issue while the exchange is in flight, and
     /// records pending state in the table.
@@ -298,17 +230,16 @@ mod tests {
         let mut core = Controller::new(ControllerConfig::default());
         let sw = SwitchId::new(1);
         core.register_switch(sw, Key64::new(0x5eed));
-        let mut km = KeyManagerDaemon::new(&db, vec![sw], "r0");
+        let mut km = KeyManagerDaemon::new(&db, vec![sw], 0);
 
-        db.set(tables::KMP, "epoch", Value::U64(1));
-        db.set(tables::KMP, "started@1", Value::U64(0));
+        db.start_epoch(1, 0);
         // First step: the daemon starts EAK (one frame) and the core's
         // retry pass re-drives it once for free (the first retry has no
         // backoff delay) — two frames total, still ONE exchange.
-        let out = km.step(&mut db, &mut core, 0);
+        let out = km.step(&mut db, &mut core, 0, &[]);
         assert_eq!(out.len(), 2, "EAK salt #1 + free first retry");
         assert_eq!(
-            KexStatus::parse(db.value(tables::KMP, "S1").unwrap().as_text().unwrap()),
+            db.status(sw),
             Some(KexStatus::Pending {
                 epoch: 1,
                 baseline: None
@@ -317,7 +248,7 @@ mod tests {
         // Second step at the same instant: exchange in flight, backoff
         // not yet elapsed — the daemon must not start a second exchange
         // and the retry pass must stay quiet.
-        let out = km.step(&mut db, &mut core, 0);
+        let out = km.step(&mut db, &mut core, 0, &[]);
         assert!(out.is_empty(), "no double-issue: {}", out.len());
         assert!(core.kex_in_flight(sw));
     }
@@ -333,20 +264,21 @@ mod tests {
         for &sw in &switches {
             core.register_switch(sw, Key64::new(0x5eed ^ sw.value() as u64));
         }
-        let mut km = KeyManagerDaemon::new(&db, switches.clone(), "r0");
-        db.set(tables::KMP, "epoch", Value::U64(1));
-        db.set(tables::KMP, "started@1", Value::U64(0));
+        let mut km = KeyManagerDaemon::new(&db, switches.clone(), 0);
+        db.start_epoch(1, 0);
 
         let before = db.writes();
-        let out = km.step(&mut db, &mut core, 0);
+        let out = km.step(&mut db, &mut core, 0, &[]);
         assert!(!out.is_empty(), "rollover exchanges must be issued");
         // Exactly one pending entry per switch, and nothing else.
         assert_eq!(db.writes() - before, switches.len() as u64);
-        assert_eq!(db.entries(tables::KMP).count(), 2 + switches.len());
+        assert!(switches
+            .iter()
+            .all(|&sw| matches!(db.status(sw), Some(KexStatus::Pending { epoch: 1, .. }))));
 
         // Re-stepping with nothing changed: every write no-ops.
         let before = db.writes();
-        let out = km.step(&mut db, &mut core, 0);
+        let out = km.step(&mut db, &mut core, 0, &[]);
         assert!(out.is_empty(), "no double-issue");
         assert_eq!(db.writes(), before, "idempotent tick writes nothing");
     }
@@ -397,7 +329,7 @@ mod tests {
         assert_eq!(
             spans_at(30),
             [
-                (SpanKind::DaemonWake, 2), // `epoch` and `started@1`
+                (SpanKind::DaemonWake, 2), // the epoch and its start time
                 (SpanKind::StateDbWrite, owned[0]),
             ]
         );

@@ -23,10 +23,15 @@
 //!   of an ADHKD exchange through *one* controller endpoint, but the
 //!   two switches may hash to different replicas. The initiator's owner
 //!   becomes the redirect *home*: it mirrors the responder's local key
-//!   (read from the owner's core — the set is one process), and a lease
-//!   in the `leases` table keeps the responder's own key manager from
-//!   rolling that key mid-redirect. When the answer leg passes through,
-//!   the lease is dropped. The home is handed a key and nothing else: a
+//!   (read from the owner's core — the set is one process) and keeps the
+//!   one record of the redirect. The set derives everything else from
+//!   that record: a leg goes to the core whose pending redirect expects
+//!   it, and the responder is *leased* — its own key manager leaves the
+//!   key alone — while another replica's core has a redirect naming it.
+//!   The lease ends with the record: when the genuine answer leg
+//!   completes the exchange, or when the home core abandons it. A forged
+//!   leg is rejected by the home core and moves nothing. The home is
+//!   handed a key and nothing else: a
 //!   redirected leg keeps the *initiator's* sender and sequence number
 //!   (the home only re-seals it), so the home never draws a sequence
 //!   number toward the responder, and the owner — which may well send on
@@ -39,15 +44,14 @@
 //! two-run gate checks end-to-end.
 
 use crate::controller::{Controller, ControllerConfig, ControllerEvent, ControllerStats, Outgoing};
-use crate::daemons::{tables, KeyManagerDaemon};
+use crate::daemons::KeyManagerDaemon;
 use crate::defence::DefenceConfig;
-use crate::statedb::{StateDb, Value};
+use crate::statedb::StateDb;
 use p4auth_primitives::Key64;
 use p4auth_telemetry::Registry;
-use p4auth_wire::body::{AdhkdRole, Body, KexContext, KeyExchange};
+use p4auth_wire::body::{Body, KexContext, KeyExchange};
 use p4auth_wire::ids::{PortId, RegId, SwitchId};
 use p4auth_wire::Message;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// SplitMix64 finalizer — the partition hash. Deterministic across
@@ -83,24 +87,11 @@ impl ControllerReplica {
     }
 }
 
-/// An in-flight port-key redirect, keyed by each participating
-/// `(switch, exchange port)` — the port the endpoint's legs carry in
-/// their header. Switch-only keys would let two exchanges that share a
-/// switch (any correlated link recovery) overwrite each other's lease.
-#[derive(Clone, Copy, Debug)]
-struct RedirectLease {
-    /// Replica hosting both legs of the redirect.
-    home: usize,
-    /// The other endpoint of the exchange.
-    peer: (SwitchId, PortId),
-}
-
 /// A set of controller replicas sharing one state table. See the
 /// module docs for the coordination protocol.
 pub struct ReplicaSet {
     db: StateDb,
     replicas: Vec<ControllerReplica>,
-    redirects: BTreeMap<(SwitchId, PortId), RedirectLease>,
 }
 
 impl ReplicaSet {
@@ -125,14 +116,10 @@ impl ReplicaSet {
                 }
             }
             let label = format!("replica{index}");
-            let km = KeyManagerDaemon::new(&db, owned, label.clone());
+            let km = KeyManagerDaemon::new(&db, owned, index);
             replicas.push(ControllerReplica { label, core, km });
         }
-        ReplicaSet {
-            db,
-            replicas,
-            redirects: BTreeMap::new(),
-        }
+        ReplicaSet { db, replicas }
     }
 
     /// Number of replicas.
@@ -206,9 +193,9 @@ impl ReplicaSet {
         }
     }
 
-    /// Routes one frame from `switch` to the responsible replica.
-    /// Port-key redirect legs go to the redirect's *home* replica instead
-    /// of the sender's owner; the answer leg completes the redirect.
+    /// Routes one frame from `switch` to the responsible replica: a
+    /// port-key redirect leg to the core whose pending redirect expects
+    /// it (the redirect's *home*), anything else to the sender's owner.
     pub fn on_message(
         &mut self,
         now_ns: u64,
@@ -216,10 +203,9 @@ impl ReplicaSet {
         bytes: &[u8],
     ) -> (Vec<Outgoing>, Vec<ControllerEvent>) {
         let mut target = self.owner(from);
-        let mut answer_leg = None;
-        // No lease, no redirect leg to re-route: skip the sniffing decode
-        // (the core decodes the frame itself).
-        if !self.redirects.is_empty() {
+        // With one replica every redirect's home is the owner: skip the
+        // sniffing decode (the core decodes the frame itself).
+        if self.replicas.len() > 1 {
             if let Ok(msg) = Message::decode(bytes) {
                 if let Body::KeyExchange(KeyExchange::Adhkd {
                     context: KexContext::PortInitRedirect,
@@ -227,27 +213,25 @@ impl ReplicaSet {
                     ..
                 }) = msg.body()
                 {
-                    let party = (from, msg.header().port);
-                    if let Some(lease) = self.redirects.get(&party) {
-                        target = lease.home;
-                        answer_leg = (*role == AdhkdRole::Answer).then_some(party);
-                    }
+                    let port = msg.header().port;
+                    target = self
+                        .replicas
+                        .iter()
+                        .position(|r| r.core.expects_redirect_leg(*role, from, port))
+                        .unwrap_or(target);
                 }
             }
         }
         let r = &mut self.replicas[target];
         r.core.set_now(now_ns);
-        let (out, events) = r.core.on_message(from, bytes);
-        if let Some(party) = answer_leg {
-            self.finish_redirect(party);
-        }
-        (out, events)
+        r.core.on_message(from, bytes)
     }
 
     /// Starts port-key initialization between `(sw1, port1)` and
-    /// `(sw2, port2)`. If the switches hash to different replicas, the
-    /// initiator's owner becomes the redirect home: it mirrors `sw2`'s
-    /// local key and leases the channel until the answer leg completes.
+    /// `(sw2, port2)` on the initiator's owner, the redirect home (see
+    /// [`Controller::port_key_init`]). If `sw2` hashes to another
+    /// replica, a started exchange has the home mirror `sw2`'s local key,
+    /// and `sw2` stays leased while the home's record is pending.
     pub fn port_key_init(
         &mut self,
         now_ns: u64,
@@ -256,35 +240,28 @@ impl ReplicaSet {
         sw2: SwitchId,
         port2: PortId,
     ) -> Vec<Outgoing> {
-        let home = self.owner(sw1);
-        let owner2 = self.owner(sw2);
-        if owner2 != home {
+        let (home, owner2) = (self.owner(sw1), self.owner(sw2));
+        let out = self
+            .core_at(now_ns, sw1)
+            .port_key_init(sw1, port1, sw2, port2);
+        if owner2 != home && !out.is_empty() {
             if let Some((k, v)) = self.replicas[owner2].core.local_key_material(sw2) {
                 self.replicas[home].core.mirror_peer_key(sw2, k, v);
             }
-            self.db
-                .set(tables::LEASES, &sw2.to_string(), Value::U64(home as u64));
         }
-        let (a, b) = ((sw1, port1), (sw2, port2));
-        self.redirects.insert(a, RedirectLease { home, peer: b });
-        self.redirects.insert(b, RedirectLease { home, peer: a });
-        self.core_at(now_ns, sw1)
-            .port_key_init(sw1, port1, sw2, port2)
+        out
     }
 
-    /// Completes the redirect `party` participated in. A switch's
-    /// `leases` entry is dropped only once no other redirect on that
-    /// switch remains: a concurrent exchange still needs it.
-    fn finish_redirect(&mut self, party: (SwitchId, PortId)) {
-        let Some(lease) = self.redirects.remove(&party) else {
-            return;
-        };
-        self.redirects.remove(&lease.peer);
-        for sw in [party.0, lease.peer.0] {
-            if !self.redirects.keys().any(|(s, _)| *s == sw) {
-                self.db.remove(tables::LEASES, &sw.to_string());
-            }
-        }
+    /// Whether `switch` is leased: a replica other than its owner has a
+    /// pending port-key redirect naming it, so its own key manager leaves
+    /// its key alone until the home core completes or abandons the
+    /// exchange.
+    pub fn leased(&self, switch: SwitchId) -> bool {
+        let owner = self.owner(switch);
+        self.replicas
+            .iter()
+            .enumerate()
+            .any(|(i, r)| i != owner && r.core.redirect_names(switch))
     }
 
     /// Whether `switch`'s owner has its local key established.
@@ -374,9 +351,15 @@ impl ReplicaSet {
     /// Steps only replica `i` — the proptest uses this to interleave
     /// replica progress arbitrarily.
     pub fn step_replica(&mut self, i: usize, now_ns: u64) -> Vec<Outgoing> {
+        let leased: Vec<SwitchId> = self.replicas[i]
+            .owned()
+            .iter()
+            .copied()
+            .filter(|&s| self.leased(s))
+            .collect();
         let r = &mut self.replicas[i];
         r.core.set_now(now_ns);
-        r.km.step(&mut self.db, &mut r.core, now_ns)
+        r.km.step(&mut self.db, &mut r.core, now_ns, &leased)
     }
 
     /// Starts the next bulk key-rollover epoch across *all* partitions.
@@ -385,20 +368,18 @@ impl ReplicaSet {
     /// which is exactly the "skipped derivation" the versioned protocol
     /// rules out. Returns the new epoch number on success.
     pub fn start_bulk_rollover(&mut self, now_ns: u64) -> Option<u64> {
-        let current = KeyManagerDaemon::epoch(&self.db);
+        let current = self.db.epoch();
         if current > 0 && !self.rollover_complete() {
             return None;
         }
         let epoch = current + 1;
-        self.db.set(tables::KMP, "epoch", Value::U64(epoch));
-        self.db
-            .set(tables::KMP, &format!("started@{epoch}"), Value::U64(now_ns));
+        self.db.start_epoch(epoch, now_ns);
         Some(epoch)
     }
 
     /// The current bulk-rollover epoch target (0 = never started).
     pub fn rollover_epoch(&self) -> u64 {
-        KeyManagerDaemon::epoch(&self.db)
+        self.db.epoch()
     }
 
     /// Whether every switch on every replica has finished the current
@@ -417,11 +398,12 @@ impl ReplicaSet {
     /// the table as it stands, as a respawned process would come up. All
     /// orchestration progress must therefore be recoverable from the
     /// table — the mid-rollover restart proptest pins this down. The
-    /// protocol core (keys, sequence counters, the defence loop's windows
-    /// and in-flight mitigations) is not orchestration state and survives.
+    /// protocol core (keys, sequence counters, pending redirects and the
+    /// leases derived from them, the defence loop's windows and in-flight
+    /// mitigations) is not orchestration state and survives.
     pub fn restart_replica(&mut self, i: usize) {
         let r = &mut self.replicas[i];
-        r.km = KeyManagerDaemon::new(&self.db, r.owned().to_vec(), r.label.clone());
+        r.km = KeyManagerDaemon::new(&self.db, r.owned().to_vec(), i);
     }
 
     /// Lifetime counters summed over the replicas.
@@ -444,8 +426,11 @@ impl ReplicaSet {
 mod tests {
     use super::*;
 
+    use crate::daemons::KexStatus;
     use p4auth_core::agent::{AgentConfig, P4AuthSwitch};
+    use p4auth_core::auth::RejectReason;
     use p4auth_dataplane::register::RegisterArray;
+    use std::collections::BTreeMap;
 
     type Agents = BTreeMap<SwitchId, P4AuthSwitch>;
 
@@ -517,6 +502,15 @@ mod tests {
         seen
     }
 
+    /// Delivers one controller frame to its agent; the single frame the
+    /// agent answers with.
+    fn reply(agents: &mut Agents, t: u64, o: Outgoing) -> Vec<u8> {
+        let agent = agents.get_mut(&o.to).expect("known switch");
+        let mut outputs = agent.on_packet(t, PortId::CPU, &o.bytes).outputs;
+        assert_eq!(outputs.len(), 1, "one frame back from {}", o.to);
+        outputs.remove(0).1
+    }
+
     #[test]
     fn partition_is_deterministic_and_total() {
         for n in 1..5 {
@@ -552,9 +546,9 @@ mod tests {
 
     /// Two cross-partition port-key exchanges sharing responder `r` with
     /// different homes, in flight at once — what any correlated link
-    /// recovery produces. Leases are keyed by `(switch, port)`, so
+    /// recovery produces. Legs match redirects by `(switch, port)`, so
     /// whichever answer leg arrives first completes only its own
-    /// redirect, and `r`'s `leases` entry survives until the second.
+    /// redirect, and `r` stays leased until the second.
     #[test]
     fn concurrent_redirects_sharing_a_responder_both_complete() {
         const N: usize = 3;
@@ -595,8 +589,7 @@ mod tests {
             };
             let answer_a = answer_of(&mut set, a, p1);
             let answer_b = answer_of(&mut set, b, p2);
-            let leased =
-                |set: &ReplicaSet| set.db().value(tables::LEASES, &r.to_string()).is_some();
+            let leased = |set: &ReplicaSet| set.leased(r);
             assert!(leased(&set), "responder leased while redirects are open");
 
             let (first, second) = if a_answers_first {
@@ -631,19 +624,10 @@ mod tests {
         let mut set = ReplicaSet::new(2, ControllerConfig::default(), &seeds(4));
         set.start_bulk_rollover(0);
         set.step(0);
-        let statuses_before: Vec<_> = set
-            .db()
-            .entries(tables::KMP)
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect();
+        let before = set.db().clone();
         set.restart_replica(0);
         set.restart_replica(1);
-        let statuses_after: Vec<_> = set
-            .db()
-            .entries(tables::KMP)
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect();
-        assert_eq!(statuses_before, statuses_after, "restart must not write");
+        assert!(*set.db() == before, "restart must not write");
     }
 
     /// A replica restart rebuilds orchestration, not the protocol core:
@@ -778,30 +762,18 @@ mod tests {
             }
         }
 
-        // epoch + started@1, then pending, done and fanout per partition.
+        // The epoch and its start, then pending, done and fan-out per
+        // partition: every write accounted for below.
         assert_eq!(set.db().writes(), 2 + 4 + 4 + 2);
         let stats = set.stats();
         assert_eq!((stats.responses_ok, stats.rejected), (4_600, 65));
-        let table = |name: &str| -> Vec<String> {
-            set.db()
-                .entries(name)
-                .map(|(k, v)| format!("{k} {v:?}"))
-                .collect()
-        };
-        assert_eq!(
-            table(tables::KMP),
-            [
-                "S1 Text(\"done@1\")",
-                "S2 Text(\"done@1\")",
-                "S3 Text(\"done@1\")",
-                "S4 Text(\"done@1\")",
-                "epoch U64(1)",
-                "fanout@replica0@1 U64(1)",
-                "fanout@replica1@1 U64(1)",
-                "started@1 U64(240000)",
-            ]
-        );
-        assert!(table(tables::LEASES).is_empty());
+        let db = set.db();
+        assert_eq!((db.epoch(), db.started(1)), (1, Some(240_000)));
+        for &(sw, _) in &seeds {
+            assert_eq!(db.status(sw), Some(KexStatus::Done { epoch: 1 }), "{sw}");
+            assert!(!set.leased(sw));
+        }
+        assert_eq!((db.fanout(0, 1), db.fanout(1, 1)), (Some(1), Some(1)));
     }
 
     /// A cross-partition redirect hands the home replica the responder's
@@ -814,13 +786,6 @@ mod tests {
         let (a, r) = (pick(2, 0), pick(2, 1));
         let port = PortId::new(1);
         let (mut set, mut agents) = fleet(2, &seeds_for([a, r]));
-        // One frame into its agent; the single frame the agent answers with.
-        let answer = |agents: &mut Agents, o: Outgoing| -> Vec<u8> {
-            let agent = agents.get_mut(&o.to).expect("known switch");
-            let mut outputs = agent.on_packet(2_000, PortId::CPU, &o.bytes).outputs;
-            assert_eq!(outputs.len(), 1, "one frame back from {}", o.to);
-            outputs.remove(0).1
-        };
         // One read of `r` through its owner, to completion.
         let read = |set: &mut ReplicaSet, agents: &mut Agents| {
             let request = set.read_register(2_000, r, REG, 0);
@@ -837,10 +802,10 @@ mod tests {
         // which stays in flight.
         let mut init = set.port_key_init(2_000, a, port, r, port);
         assert_eq!(init.len(), 1);
-        let offer = answer(&mut agents, init.remove(0));
+        let offer = reply(&mut agents, 2_000, init.remove(0));
         let (mut redirected, _) = set.on_message(2_000, a, &offer);
         assert_eq!(redirected.len(), 1);
-        let answer_leg = answer(&mut agents, redirected.remove(0));
+        let answer_leg = reply(&mut agents, 2_000, redirected.remove(0));
 
         // The owner uses the channel while the redirect is open.
         for _ in 0..5 {
@@ -859,6 +824,77 @@ mod tests {
         // not a replay to the agent, not a reject signal for the defence.
         assert_eq!(read(&mut set, &mut agents), value_read);
         assert!(set.alerts().is_empty(), "{:?}", set.alerts());
+    }
+
+    /// A cross-partition redirect whose every frame is lost ends when its
+    /// home core abandons it, and the responder's lease ends with it: a
+    /// bulk epoch started afterwards rolls the responder too and
+    /// completes.
+    #[test]
+    fn abandoned_redirect_releases_its_responder() {
+        let (a, r) = (pick(2, 0), pick(2, 1));
+        let port = PortId::new(1);
+        let (mut set, mut agents) = fleet(2, &seeds_for([a, r]));
+        let mut t = 2_000;
+        assert_eq!(set.port_key_init(t, a, port, r, port).len(), 1, "lost");
+        assert!(set.leased(r));
+        // Geometric steps outrun any backoff; every re-drive is lost too.
+        for round in 0..40 {
+            if set.stats().kex_abandoned > 0 {
+                break;
+            }
+            t += 200_000 << round;
+            set.retry_stalled(t);
+        }
+        assert_eq!(set.stats().kex_abandoned, 1);
+        assert!(!set.leased(r), "the lease ends with the abandoned record");
+
+        assert_eq!(set.start_bulk_rollover(t), Some(1));
+        for round in 0..4 {
+            let out = set.step(t + round);
+            pump(&mut set, &mut agents, t + round, out);
+        }
+        assert!(set.rollover_complete(), "{:?}", set.db().status(r));
+        assert_eq!(set.db().status(r), Some(KexStatus::Done { epoch: 1 }));
+    }
+
+    /// A forged copy of a redirect's answer leg is rejected by the home
+    /// core and moves nothing: the responder stays leased, and the genuine
+    /// leg, arriving after it, completes the exchange.
+    #[test]
+    fn forged_answer_leg_leaves_the_redirect_pending() {
+        let (a, r) = (pick(2, 0), pick(2, 1));
+        let port = PortId::new(1);
+        let (mut set, mut agents) = fleet(2, &seeds_for([a, r]));
+        let mut init = set.port_key_init(2_000, a, port, r, port);
+        let offer = reply(&mut agents, 2_000, init.remove(0));
+        let (mut redirected, _) = set.on_message(2_000, a, &offer);
+        let answer_leg = reply(&mut agents, 2_000, redirected.remove(0));
+
+        let mut forged = answer_leg.clone();
+        forged[11] ^= 0x10; // inside the digest
+        let (out, events) = set.on_message(2_000, r, &forged);
+        assert!(out.is_empty());
+        assert_eq!(
+            events,
+            [ControllerEvent::Rejected {
+                switch: r,
+                reason: RejectReason::BadDigest
+            }]
+        );
+        assert!(set.leased(r), "a rejected leg moves no redirect state");
+
+        let (redirected, events) = set.on_message(2_000, r, &answer_leg);
+        assert_eq!(redirected.len(), 1, "the genuine leg is redirected");
+        assert_eq!(
+            events,
+            [ControllerEvent::PortExchangeRedirected { from: r, to: a }]
+        );
+        pump(&mut set, &mut agents, 2_000, redirected);
+        let key = agents[&a].keys(port).current();
+        assert!(key.is_some(), "{a} installed its port key");
+        assert_eq!(key, agents[&r].keys(port).current());
+        assert!(!set.leased(r));
     }
 
     /// A copy of an in-flight write with one digest byte flipped is

@@ -1,17 +1,20 @@
 //! The replicated control plane's orchestration state table.
 //!
 //! [`StateDb`] holds what a restarted daemon must re-read to carry on
-//! where the old one stopped — a bulk-rollover epoch's progress (`kmp`)
-//! and the channels leased to another replica (`leases`); the
-//! [`daemons`](crate::daemons) module documents both tables — plus a
-//! count of value-changing writes. It holds nothing else: every table has
-//! a writer *and* a non-test reader. Register-plane outcomes are counted
-//! in `ControllerStats` and the `ctrl_*` telemetry series and returned to
-//! the caller as events; key material stays in the cores. A table without
-//! a reader is a write every op pays for nothing, so whoever needs one
-//! adds it together with what reads it.
+//! where the old one stopped: a bulk-rollover epoch's progress (`kmp`,
+//! documented with the state machine in [`daemons`](crate::daemons)) —
+//! the epoch target, when each epoch started, one [`KexStatus`] per
+//! switch and one fan-out latency per `(replica, epoch)` — plus a count
+//! of value-changing writes. It holds nothing else: every field has a
+//! writer *and* a non-test reader. Register-plane outcomes are counted in
+//! `ControllerStats` and the `ctrl_*` telemetry series and returned to
+//! the caller as events; key material stays in the cores, and so do
+//! in-flight port-key redirects (the replica set derives a switch's
+//! lease from its home core). A field without a reader is a write every
+//! op pays for nothing, so whoever needs one adds it together with what
+//! reads it.
 //!
-//! Everything is deterministic by construction: tables and keys live in
+//! Everything is deterministic by construction: the per-key fields are
 //! `BTreeMap`s, so iteration order is the key order, never the hash-seed
 //! order, and the table reads no clock.
 //!
@@ -24,41 +27,27 @@
 //! remembers the count it last saw knows whether, and by how much, the
 //! table changed since.
 
-use serde::Serialize;
+use crate::daemons::KexStatus;
+use p4auth_wire::ids::SwitchId;
 use std::collections::BTreeMap;
 
-/// A value stored in the state table.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize)]
-pub enum Value {
-    /// An unsigned counter / timestamp / enum discriminant.
-    U64(u64),
-    /// A small status string (state-machine phase, e.g. `done@3`).
-    Text(String),
-}
-
-impl Value {
-    /// The numeric value, if this is a [`Value::U64`].
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The text value, if this is a [`Value::Text`].
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
 /// The deterministic orchestration state table. See the module docs.
-#[derive(Default)]
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct StateDb {
-    tables: BTreeMap<String, BTreeMap<String, Value>>,
+    /// Bulk-rollover epoch target (0 = never started).
+    epoch: u64,
+    /// When each epoch began, in sim-ns.
+    started: BTreeMap<u64, u64>,
+    /// Each switch's position in the rollover state machine.
+    status: BTreeMap<SwitchId, KexStatus>,
+    /// Fan-out latency per `(replica index, epoch)`, in sim-ns.
+    fanout: BTreeMap<(usize, u64), u64>,
     writes: u64,
+}
+
+/// Stores `value` under `key`, counting the write if it changed the map.
+fn put<K: Ord, V: Copy + PartialEq>(writes: &mut u64, map: &mut BTreeMap<K, V>, key: K, value: V) {
+    *writes += u64::from(map.insert(key, value) != Some(value));
 }
 
 impl StateDb {
@@ -67,37 +56,24 @@ impl StateDb {
         StateDb::default()
     }
 
-    /// Writes `table/key = value`. Writing the value already stored is a
-    /// no-op: nothing changes and [`StateDb::writes`] does not move.
-    pub fn set(&mut self, table: &str, key: &str, value: Value) {
-        // Looked up by `&str` first, so a write under names the maps
-        // already hold copies no string.
-        let entries = match self.tables.get_mut(table) {
-            Some(entries) => entries,
-            None => self.tables.entry(table.to_string()).or_default(),
-        };
-        match entries.get_mut(key) {
-            Some(held) if *held == value => return,
-            Some(held) => *held = value,
-            None => {
-                entries.insert(key.to_string(), value);
-            }
-        }
-        self.writes += 1;
+    /// The current bulk-rollover epoch target (0 = never started).
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
-    /// Removes `table/key`. A removal is not a write — the daemons model
-    /// completion with terminal status values instead, so nothing waits
-    /// on one. Returns whether the key existed.
-    pub fn remove(&mut self, table: &str, key: &str) -> bool {
-        self.tables
-            .get_mut(table)
-            .is_some_and(|t| t.remove(key).is_some())
+    /// When `epoch` began, if it did.
+    pub fn started(&self, epoch: u64) -> Option<u64> {
+        self.started.get(&epoch).copied()
     }
 
-    /// The current value at `table/key`, if any.
-    pub fn value(&self, table: &str, key: &str) -> Option<&Value> {
-        self.tables.get(table)?.get(key)
+    /// `switch`'s rollover status, if the table has seen it.
+    pub fn status(&self, switch: SwitchId) -> Option<KexStatus> {
+        self.status.get(&switch).copied()
+    }
+
+    /// Replica `replica`'s fan-out latency for `epoch`, once recorded.
+    pub fn fanout(&self, replica: usize, epoch: u64) -> Option<u64> {
+        self.fanout.get(&(replica, epoch)).copied()
     }
 
     /// Total writes accepted so far (no-op writes excluded).
@@ -105,18 +81,26 @@ impl StateDb {
         self.writes
     }
 
-    /// All entries of `table` in key order, for tests that pin the whole
-    /// table. Nothing outside a test iterates the table: daemons read the
-    /// keys they own by name.
-    #[cfg(test)]
-    pub(crate) fn entries<'a>(
-        &'a self,
-        table: &str,
-    ) -> impl Iterator<Item = (&'a str, &'a Value)> + 'a {
-        self.tables
-            .get(table)
-            .into_iter()
-            .flat_map(|t| t.iter().map(|(k, v)| (k.as_str(), v)))
+    /// Opens `epoch` at `now_ns`: the epoch target and its start time,
+    /// one write each.
+    pub fn start_epoch(&mut self, epoch: u64, now_ns: u64) {
+        self.writes += u64::from(std::mem::replace(&mut self.epoch, epoch) != epoch);
+        put(&mut self.writes, &mut self.started, epoch, now_ns);
+    }
+
+    /// Stores `switch`'s rollover status.
+    pub fn set_status(&mut self, switch: SwitchId, status: KexStatus) {
+        put(&mut self.writes, &mut self.status, switch, status);
+    }
+
+    /// Records replica `replica`'s fan-out latency for `epoch`.
+    pub fn set_fanout(&mut self, replica: usize, epoch: u64, latency_ns: u64) {
+        put(
+            &mut self.writes,
+            &mut self.fanout,
+            (replica, epoch),
+            latency_ns,
+        );
     }
 }
 
@@ -127,25 +111,34 @@ mod tests {
     #[test]
     fn only_value_changes_count_as_writes() {
         let mut db = StateDb::new();
-        db.set("kmp", "epoch", Value::U64(1));
-        assert_eq!(db.writes(), 1);
-        db.set("kmp", "epoch", Value::U64(1));
-        assert_eq!(db.writes(), 1, "no-op write");
-        db.set("kmp", "epoch", Value::U64(2));
-        assert_eq!(db.writes(), 2);
-        assert_eq!(db.value("kmp", "epoch"), Some(&Value::U64(2)));
-        // Same bits, other variant: a change.
-        db.set("kmp", "epoch", Value::Text("2".into()));
-        assert_eq!(db.writes(), 3);
-    }
+        db.start_epoch(1, 10);
+        assert_eq!(db.writes(), 2, "epoch and its start time");
+        db.start_epoch(1, 10);
+        assert_eq!(db.writes(), 2, "no-op write");
+        db.start_epoch(1, 20);
+        assert_eq!(db.writes(), 3, "only the start time moved");
+        assert_eq!((db.epoch(), db.started(1)), (1, Some(20)));
 
-    #[test]
-    fn remove_forgets_the_key() {
-        let mut db = StateDb::new();
-        db.set("leases", "S1", Value::U64(1));
-        assert!(db.remove("leases", "S1"));
-        assert!(!db.remove("leases", "S1"));
-        assert!(db.value("leases", "S1").is_none());
-        assert_eq!(db.writes(), 1, "a removal is not a write");
+        let (sw, pending) = (
+            SwitchId::new(1),
+            KexStatus::Pending {
+                epoch: 1,
+                baseline: Some(0),
+            },
+        );
+        db.set_status(sw, pending);
+        db.set_status(sw, pending);
+        assert_eq!(db.writes(), 4);
+        // Same epoch, other variant: a change.
+        db.set_status(sw, KexStatus::Done { epoch: 1 });
+        assert_eq!(db.writes(), 5);
+        assert_eq!(db.status(sw), Some(KexStatus::Done { epoch: 1 }));
+
+        db.set_fanout(0, 1, 7);
+        db.set_fanout(0, 1, 7);
+        assert_eq!(
+            (db.writes(), db.fanout(0, 1), db.fanout(1, 1)),
+            (6, Some(7), None)
+        );
     }
 }

@@ -14,11 +14,11 @@
 //! `on_packet` and `on_message`: its adapter collects the results.)
 //! Nor may being observed cost the heap anything per frame: with a
 //! registry attached, a rejected frame allocates what it does with none.
+//! And an orchestration step with nothing due allocates the same at 8
+//! switches as at 80.
 //!
 //! One `#[test]`: the counters are per process.
 
-use p4auth_controller::daemons::tables;
-use p4auth_controller::statedb::{StateDb, Value};
 use p4auth_controller::{ControllerConfig, ControllerEvent, ReplicaSet};
 use p4auth_core::agent::{AgentConfig, AgentEvent, P4AuthSwitch};
 use p4auth_core::auth::RejectReason;
@@ -247,15 +247,21 @@ fn hot_path_allocs() {
         "200 rejected frames: {observed} allocations with a registry, {unobserved} without"
     );
 
-    // The state table on its own: a value-changing write to a key both
-    // maps already hold copies no string.
-    let mut db = StateDb::new();
-    db.set(tables::KMP, "epoch", Value::U64(0));
-    let (steady, ()) = allocations_during(|| {
-        for i in 1..=1_000 {
-            db.set(tables::KMP, "epoch", Value::U64(i));
-        }
-    });
-    assert_eq!(steady, 0, "StateDb::set of an existing key");
-    assert_eq!(db.writes(), 1_001);
+    // An orchestration step with nothing due costs the heap the same
+    // whatever the partition's size: the daemon builds no key per switch.
+    let idle_step_allocs = |switches: u16| {
+        let seeds: Vec<(SwitchId, Key64)> = (1..=switches)
+            .map(|i| (SwitchId::new(i), Key64::new(0x5eed ^ u64::from(i))))
+            .collect();
+        let mut set = ReplicaSet::new(1, ControllerConfig::default(), &seeds);
+        set.step(0);
+        let (allocs, out) = allocations_during(|| set.step(1));
+        assert!(out.is_empty(), "nothing due at {switches} switches");
+        allocs
+    };
+    assert_eq!(
+        idle_step_allocs(8),
+        idle_step_allocs(80),
+        "ReplicaSet::step with nothing due, 8 vs 80 switches"
+    );
 }

@@ -1,11 +1,14 @@
 //! Property test: replica-partitioned bulk rollover consistency.
 //!
 //! For any interleaving of replica steps, message losses (KMP retries),
-//! and one mid-rollover replica restart, the versioned rollover protocol
+//! cross-partition port-key exchanges and one mid-rollover replica
+//! restart, the versioned rollover protocol
 //! must converge every switch to the same epoch with *exactly one* key
 //! derivation per switch — never a skipped epoch (a switch left on the
 //! old key) and never a doubled one (two derivations aliased into one
-//! epoch, which would desynchronize controller and data plane).
+//! epoch, which would desynchronize controller and data plane) — and
+//! must leave no switch leased once every exchange has completed or been
+//! abandoned.
 //!
 //! The test runs the real protocol: a [`ReplicaSet`] against real
 //! [`P4AuthSwitch`] agents over a lossy in-memory message queue, driven
@@ -13,6 +16,7 @@
 //! drain with geometrically growing time steps (so every capped-backoff
 //! retry eventually fires).
 
+use p4auth_controller::replica::partition_of;
 use p4auth_controller::{ControllerConfig, ReplicaSet};
 use p4auth_core::agent::{AgentConfig, P4AuthSwitch};
 use p4auth_primitives::Key64;
@@ -34,6 +38,10 @@ enum Op {
     Lose,
     /// Advance time and step one replica's daemons.
     Step(usize),
+    /// Start a port-key exchange on the cross-partition link between
+    /// [`Fixture::link`]'s switches, both ends on this port; its legs
+    /// travel the same lossy queue.
+    PortInit(u8),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -45,6 +53,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Lose),
         (0..N_REPLICAS).prop_map(Op::Step),
         (0..N_REPLICAS).prop_map(Op::Step),
+        (1..=2u8).prop_map(Op::PortInit),
     ]
 }
 
@@ -55,6 +64,8 @@ struct Fixture {
     /// preserved because the queue never reorders).
     queue: VecDeque<(SwitchId, Vec<u8>)>,
     now: u64,
+    /// An initiator and a responder owned by different replicas.
+    link: (SwitchId, SwitchId),
 }
 
 impl Fixture {
@@ -63,6 +74,14 @@ impl Fixture {
             .map(|i| (SwitchId::new(i), Key64::new(0x5eed ^ u64::from(i))))
             .collect();
         let set = ReplicaSet::new(N_REPLICAS, ControllerConfig::default(), &seeds);
+        let first_of = |owner: usize| {
+            seeds
+                .iter()
+                .map(|&(id, _)| id)
+                .find(|&id| partition_of(id, N_REPLICAS) == owner)
+                .expect("every partition owns a switch")
+        };
+        let link = (first_of(0), first_of(1));
         let agents = seeds
             .iter()
             .map(|&(id, k)| (id, P4AuthSwitch::new(AgentConfig::new(id, 2, k), None)))
@@ -72,7 +91,18 @@ impl Fixture {
             agents,
             queue: VecDeque::new(),
             now: 1_000,
+            link,
         }
+    }
+
+    fn port_init(&mut self, port: u8) {
+        let ((a, r), port) = (self.link, PortId::new(port));
+        let out = self.set.port_key_init(self.now, a, port, r, port);
+        self.enqueue(out);
+    }
+
+    fn any_leased(&self) -> bool {
+        self.agents.keys().any(|&id| self.set.leased(id))
     }
 
     fn enqueue(&mut self, out: Vec<p4auth_controller::Outgoing>) {
@@ -131,7 +161,8 @@ impl Fixture {
 
     /// Deterministic drain: geometrically growing time steps guarantee
     /// every capped-backoff retry (and every re-issued exchange after an
-    /// abandon) eventually fires, whatever state the schedule left.
+    /// abandon) eventually fires, whatever state the schedule left. It
+    /// ends once the epoch is complete and no redirect holds a lease.
     fn drain_to_convergence(&mut self) {
         for round in 0..64u32 {
             self.step_all(200_000u64 << round.min(22));
@@ -144,11 +175,11 @@ impl Fixture {
             while !self.queue.is_empty() {
                 self.deliver_oldest();
             }
-            if self.set.rollover_complete() {
+            if self.set.rollover_complete() && !self.any_leased() {
                 return;
             }
         }
-        panic!("rollover did not converge");
+        panic!("rollover did not converge, or a lease outlived its exchange");
     }
 
     fn step_all(&mut self, dt: u64) {
@@ -198,10 +229,12 @@ proptest! {
                 Op::Deliver => fx.deliver_oldest(),
                 Op::Lose => { fx.queue.pop_front(); }
                 Op::Step(i) => fx.step_replica(i, 300_000),
+                Op::PortInit(port) => fx.port_init(port),
             }
         }
 
         fx.drain_to_convergence();
+        prop_assert!(!fx.any_leased(), "a lease outlived its exchange");
 
         // Starting the next epoch is legal again — the previous one is
         // fully accounted for in the table.

@@ -363,22 +363,14 @@ impl SimNode for ControllerNode {
             if !is_switch(a.node) || !is_switch(b.node) {
                 return;
             }
-            let mut set = self.set.borrow_mut();
             // A flapping link can come back up while the previous
             // recovery's exchange is still in flight (the legs travel the
-            // control channel, which the flap does not touch). Starting a
-            // second exchange for the same link would overlap generations
-            // — the pending one completes instead, and `retry_stalled`
-            // re-drives it if it ever stalls. The exchange lives on its
-            // home replica, the initiator's owner.
-            if set
-                .core(a.node)
-                .has_pending_port_exchange(a.node, a.port, b.node, b.port)
-            {
-                return;
-            }
-            let outgoing = set.port_key_init(now.as_ns(), a.node, a.port, b.node, b.port);
-            drop(set);
+            // control channel, which the flap does not touch); the home
+            // core then starts nothing and the pending exchange completes.
+            let outgoing =
+                self.set
+                    .borrow_mut()
+                    .port_key_init(now.as_ns(), a.node, a.port, b.node, b.port);
             Self::transmit(out, outgoing);
         }
     }

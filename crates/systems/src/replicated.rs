@@ -27,8 +27,6 @@
 
 use crate::harness::{is_dp_dp_link, Network};
 use p4auth_attacks::{ctrl_mitm, digest_flood};
-use p4auth_controller::daemons::tables;
-use p4auth_controller::statedb::Value;
 use p4auth_controller::{ControllerConfig, ControllerEvent, DefenceConfig};
 use p4auth_dataplane::register::RegisterArray;
 use p4auth_netsim::time::SimTime;
@@ -260,12 +258,7 @@ pub fn run(config: ReplicatedConfig) -> ReplicatedReport {
         let set = net.set.borrow();
         let complete = set.rollover_complete();
         let fanout = (0..config.replicas)
-            .map(|i| {
-                set.db()
-                    .value(tables::KMP, &format!("fanout@replica{i}@{rollover_epoch}"))
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0)
-            })
+            .map(|i| set.db().fanout(i, rollover_epoch).unwrap_or(0))
             .collect();
         (complete, fanout)
     };

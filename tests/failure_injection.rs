@@ -270,7 +270,7 @@ fn pod_failure_recovery_converges_all_port_keys() {
     // C-DP control channel models an out-of-band management network —
     // DESIGN §4g). Post-recovery, every link in the fabric must hold
     // agreed port keys again. Two replicas is the regression case for
-    // switch-keyed redirect leases: the recovery starts several
+    // switch-keyed redirect matching: the recovery starts several
     // cross-partition exchanges that share a switch at the same instant.
     let ft = FatTree::new(4);
     for n_replicas in [1, 2] {
