@@ -142,7 +142,6 @@ pub fn run_flood_defence_scenario(frames: u32, rng: &mut dyn RandomSource) -> Fl
         window_ns: 1_000_000,
         reject_threshold: 4,
         escalation_window_ns: 100_000_000,
-        ..DefenceConfig::default()
     });
     let mut victim = build_agent(VICTIM, Key64::new(0x71c7_1a5e));
     let mut clean = build_agent(CLEAN, Key64::new(0xc1ea_55ed));

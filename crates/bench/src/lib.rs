@@ -96,6 +96,7 @@ mod tests {
     use super::*;
     use p4auth_core::agent::{AgentConfig, P4AuthSwitch};
     use p4auth_dataplane::register::RegisterArray;
+    use p4auth_primitives::mac::Mac;
     use p4auth_primitives::Key64;
     use p4auth_wire::body::{Body, RegisterOp};
     use p4auth_wire::ids::{PortId, RegId, SeqNum, SwitchId};

@@ -27,48 +27,49 @@ pub struct ControllerConfig {
     /// `false` issues unsigned requests (the DP-Reg-RW / P4Runtime
     /// baselines).
     pub auth_enabled: bool,
-    /// KDF configuration — must match the switches'.
-    pub kdf_config: KdfConfig,
-    /// Modified-DH public parameters — must match the switches'.
-    pub dh_params: DhParams,
-    /// §VIII DoS defence: alert when `requests_sent - responses_received`
-    /// exceeds this.
-    pub outstanding_threshold: u32,
     /// RNG seed.
     pub rng_seed: u64,
-    /// Capacity of the received-alert ring. When full, the oldest alert
-    /// is evicted and counted in
-    /// [`ControllerStats::alerts_dropped`] — mirroring the agent-side
-    /// alert limiter, so an alert storm cannot grow controller memory
-    /// without bound.
-    pub alert_capacity: usize,
-    /// Base delay for [`Controller::retry_stalled`]'s exponential backoff,
-    /// in nanoseconds of simulated time. The first retry of a stalled
-    /// exchange is immediate; the n-th subsequent retry waits
-    /// `backoff * 2^(n-1)` since the previous attempt.
-    pub kex_retry_backoff_ns: u64,
-    /// Retry attempts after which a stalled exchange is abandoned: the
-    /// pending state is dropped, a terminal
-    /// [`AlertKind::KeyExchangeFailure`] alert is recorded and
-    /// [`ControllerStats::kex_abandoned`] incremented — a dead switch must
-    /// not generate unbounded KMP traffic forever.
-    pub kex_retry_max_attempts: u32,
 }
 
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
             auth_enabled: true,
-            kdf_config: KdfConfig::PAPER,
-            dh_params: DhParams::recommended(),
-            outstanding_threshold: 1024,
             rng_seed: 0xc011_7201_1e4a_11ed,
-            alert_capacity: 1024,
-            kex_retry_backoff_ns: 200_000,
-            kex_retry_max_attempts: 8,
         }
     }
 }
+
+/// §VIII DoS indicator: a response that leaves more requests than this
+/// outstanding on its channel reports [`ControllerEvent::DosSuspected`].
+const OUTSTANDING_THRESHOLD: u32 = 1024;
+
+/// Capacity of the received-alert ring. When full, the oldest alert is
+/// evicted and counted in [`ControllerStats::alerts_dropped`], mirroring
+/// the agent-side alert limiter, so an alert storm cannot grow controller
+/// memory without bound.
+const ALERT_CAPACITY: usize = 1024;
+
+/// Base delay of [`Controller::retry_stalled`]'s exponential backoff, in
+/// sim-ns: the first retry of a stalled exchange is immediate, and the
+/// n-th after it waits `KEX_RETRY_BACKOFF_NS * 2^(n-1)` since the
+/// previous attempt.
+const KEX_RETRY_BACKOFF_NS: u64 = 200_000;
+
+/// Retries after which a stalled exchange is abandoned: its pending state
+/// is dropped, a terminal [`AlertKind::KeyExchangeFailure`] alert is
+/// recorded and [`ControllerStats::kex_abandoned`] incremented, so a dead
+/// switch cannot generate unbounded KMP traffic.
+const KEX_RETRY_MAX_ATTEMPTS: u32 = 8;
+
+/// Capacity of the port-action queue, the one queue between a defence
+/// threshold crossing and the wire (CPU-channel actions are applied at
+/// once; DP-DP port actions wait for the harness). A harness that never
+/// drains it must not let a sustained flood grow it without bound: when
+/// full, the *oldest* action is evicted (its channel's in-flight
+/// mitigation is aborted so the channel is not wedged) and counted in
+/// [`ControllerStats::defence_actions_dropped`].
+const PORT_ACTION_CAPACITY: usize = 64;
 
 /// A message the controller wants transmitted to a switch.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -202,7 +203,8 @@ impl std::ops::Add for ControllerStats {
 }
 
 /// Pre-registered telemetry handles for the controller, labeled
-/// `"controller"` by default (replicas use `"replica<i>"`).
+/// `"controller"` for a standalone core and `"replica<i>"` for a replica
+/// set's `i`-th.
 struct ControllerTelemetry {
     registry: Arc<Registry>,
     /// Trace-span source id for this controller instance. Controllers are
@@ -233,18 +235,6 @@ struct ControllerTelemetry {
 }
 
 impl ControllerTelemetry {
-    const LABEL: &'static str = "controller";
-
-    /// Maps a telemetry label to the reserved controller trace-source
-    /// range (see the `trace_source` field).
-    fn trace_source_for(label: &str) -> u16 {
-        let replica = label
-            .strip_prefix("replica")
-            .and_then(|d| d.parse::<u16>().ok())
-            .map_or(0, |i| i + 1);
-        0xFE00 + replica.min(0xFF)
-    }
-
     /// Records a zero-width trace span at this controller's source, if
     /// tracing is enabled on the registry.
     fn trace_instant(&self, kind: SpanKind, now_ns: u64, arg_a: u64, arg_b: u64) {
@@ -253,9 +243,16 @@ impl ControllerTelemetry {
             .instant(kind, now_ns, self.trace_source, arg_a, arg_b);
     }
 
-    fn new(registry: Arc<Registry>, label: &str) -> Self {
+    /// Handles for a standalone core (`replica = None`) or for replica
+    /// `i` of a set.
+    fn new(registry: Arc<Registry>, replica: Option<usize>) -> Self {
+        let (label, trace_source) = match replica {
+            None => ("controller".to_string(), 0xFE00),
+            Some(i) => (format!("replica{i}"), 0xFE01 + i.min(0xFE) as u16),
+        };
+        let label = label.as_str();
         ControllerTelemetry {
-            trace_source: Self::trace_source_for(label),
+            trace_source,
             auth: AuthMetrics::register(&registry, label),
             register_op_ns: registry.histogram_with("ctrl_register_op_ns", label),
             outstanding: registry.gauge_with("ctrl_outstanding", label),
@@ -288,17 +285,17 @@ struct RetryState {
 
 impl RetryState {
     /// Backoff delay before the next retry: the first retry is free,
-    /// after which the delay doubles per attempt (saturating).
-    fn delay_ns(self, base_ns: u64) -> u64 {
+    /// after which the delay doubles per attempt.
+    fn delay_ns(self) -> u64 {
         match self.attempts {
             0 => 0,
-            n => base_ns.saturating_mul(1u64 << (n - 1).min(20)),
+            n => KEX_RETRY_BACKOFF_NS << (n - 1),
         }
     }
 
-    /// Whether a retry is due at `now_ns` given backoff base `base_ns`.
-    fn due(self, now_ns: u64, base_ns: u64) -> bool {
-        now_ns.saturating_sub(self.last_attempt_ns) >= self.delay_ns(base_ns)
+    /// Whether a retry is due at `now_ns`.
+    fn due(self, now_ns: u64) -> bool {
+        now_ns.saturating_sub(self.last_attempt_ns) >= self.delay_ns()
     }
 }
 
@@ -372,7 +369,7 @@ impl PortRedirect {
 /// The P4Auth controller.
 pub struct Controller {
     config: ControllerConfig,
-    mac: Box<dyn Mac>,
+    mac: HalfSipHashMac,
     kdf: Kdf,
     rng: SplitMix64,
     switches: IdMap<SwitchId, SwitchChannel>,
@@ -385,7 +382,7 @@ pub struct Controller {
     /// Mitigations for DP-DP port channels, awaiting the harness (which
     /// knows which peer switch sits behind a port). The one queue between
     /// a threshold crossing and the wire; bounded by
-    /// [`DefenceConfig::pending_capacity`].
+    /// [`PORT_ACTION_CAPACITY`].
     port_actions: VecDeque<MitigationAction>,
     /// Trace bookkeeping for in-flight mitigations:
     /// `(detected_at_ns, published_at_ns)` per channel, so
@@ -406,16 +403,11 @@ impl std::fmt::Debug for Controller {
 }
 
 impl Controller {
-    /// Creates a controller with the default (HalfSipHash) MAC.
+    /// Creates a controller with no switches registered.
     pub fn new(config: ControllerConfig) -> Self {
-        Controller::with_mac(config, Box::new(HalfSipHashMac::default()))
-    }
-
-    /// Creates a controller with an explicit MAC (must match the switches').
-    pub fn with_mac(config: ControllerConfig, mac: Box<dyn Mac>) -> Self {
         Controller {
-            mac,
-            kdf: Kdf::new(config.kdf_config),
+            mac: HalfSipHashMac::default(),
+            kdf: Kdf::new(KdfConfig::PAPER),
             rng: SplitMix64::new(config.rng_seed),
             switches: IdMap::default(),
             redirects: Vec::new(),
@@ -440,17 +432,14 @@ impl Controller {
     /// Attaches a telemetry registry; controller metrics are labeled
     /// `"controller"`.
     pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
-        self.telemetry = Some(ControllerTelemetry::new(
-            registry,
-            ControllerTelemetry::LABEL,
-        ));
+        self.telemetry = Some(ControllerTelemetry::new(registry, None));
     }
 
-    /// Attaches a telemetry registry with an explicit metric label
-    /// (replicas use `"replica<i>"` so per-replica series stay apart in
-    /// one shared registry).
-    pub fn set_telemetry_labeled(&mut self, registry: Arc<Registry>, label: &str) {
-        self.telemetry = Some(ControllerTelemetry::new(registry, label));
+    /// Attaches a telemetry registry as replica `index` of a set: metrics
+    /// are labeled `"replica<index>"`, so per-replica series stay apart
+    /// in one shared registry.
+    pub(crate) fn set_replica_telemetry(&mut self, registry: Arc<Registry>, index: usize) {
+        self.telemetry = Some(ControllerTelemetry::new(registry, Some(index)));
     }
 
     /// Registers a switch and its pre-shared boot secret.
@@ -478,8 +467,8 @@ impl Controller {
     }
 
     /// Alerts retained in the bounded ring (newest at the back); older
-    /// alerts beyond [`ControllerConfig::alert_capacity`] are evicted
-    /// and counted in [`ControllerStats::alerts_dropped`].
+    /// alerts beyond the ring's 1,024 are evicted and counted in
+    /// [`ControllerStats::alerts_dropped`].
     pub fn alerts(&self) -> &VecDeque<(SwitchId, AlertKind)> {
         &self.alerts
     }
@@ -703,7 +692,6 @@ impl Controller {
         let Some(action) = defence.record_signal(self.now_ns, peer, channel) else {
             return;
         };
-        let cap = defence.config().pending_capacity.max(1);
         self.stats.defence_mitigations += 1;
         self.mitigation_marks
             .insert((peer, channel), (action.detected_at_ns, self.now_ns));
@@ -736,7 +724,7 @@ impl Controller {
         } else {
             // A harness that never drains must not grow this without
             // limit. Evicted actions un-wedge their channel via abort.
-            while self.port_actions.len() >= cap {
+            while self.port_actions.len() >= PORT_ACTION_CAPACITY {
                 let Some(evicted) = self.port_actions.pop_front() else {
                     break;
                 };
@@ -780,7 +768,7 @@ impl Controller {
     /// the channel's key rule picks, or plain while that key is missing or
     /// authentication is off.
     fn seal(&mut self, switch: SwitchId, build: impl FnOnce(SeqNum) -> Message) -> Outgoing {
-        let (auth, mac) = (self.config.auth_enabled, self.mac.as_ref());
+        let (auth, mac) = (self.config.auth_enabled, &self.mac);
         let end = &mut channel_in(&mut self.switches, switch).end;
         let bytes = if auth {
             end.seal(build, |key, parts| mac.compute(key, parts))
@@ -876,7 +864,7 @@ impl Controller {
             self.has_local_key(switch),
             "local key update before init for {switch}"
         );
-        let (init, offer) = AdhkdInitiator::start(self.config.dh_params, &mut self.rng);
+        let (init, offer) = AdhkdInitiator::start(DhParams::recommended(), &mut self.rng);
         let now_ns = self.now_ns;
         if let Some(t) = &self.telemetry {
             t.trace_instant(SpanKind::KmpOffer, now_ns, u64::from(switch.value()), 1);
@@ -922,12 +910,12 @@ impl Controller {
             .any(|r| r.sender(role) == (from, port))
     }
 
-    /// Whether a pending port-key redirect on this core names `switch` at
+    /// The switches this core's pending port-key redirects name, at
     /// either end.
-    pub(crate) fn redirect_names(&self, switch: SwitchId) -> bool {
+    pub(crate) fn redirect_switches(&self) -> impl Iterator<Item = SwitchId> + '_ {
         self.redirects
             .iter()
-            .any(|r| r.initiator.0 == switch || r.responder.0 == switch)
+            .flat_map(|r| [r.initiator.0, r.responder.0])
     }
 
     /// Starts port-key initialization between `(sw1, port1)` and
@@ -1012,16 +1000,13 @@ impl Controller {
     ///
     /// Retries back off exponentially in sim-ns: the first retry of an
     /// exchange is immediate, after which each further retry waits
-    /// [`ControllerConfig::kex_retry_backoff_ns`] doubled per attempt.
-    /// After [`ControllerConfig::kex_retry_max_attempts`] retries the
-    /// exchange is abandoned — its pending state is dropped, a terminal
+    /// 200 µs doubled per attempt. After 8 retries the exchange is
+    /// abandoned — its pending state is dropped, a terminal
     /// [`AlertKind::KeyExchangeFailure`] alert lands in the alert ring
     /// and [`ControllerStats::kex_abandoned`] is incremented — so a dead
     /// switch cannot generate unbounded KMP traffic.
     pub fn retry_stalled(&mut self) -> Vec<Outgoing> {
         let now_ns = self.now_ns;
-        let base_ns = self.config.kex_retry_backoff_ns.max(1);
-        let max_attempts = self.config.kex_retry_max_attempts.max(1);
         let mut out = Vec::new();
         // Sorted: HashMap iteration order varies per process, and retry
         // order is observable (seq numbers, RNG draws, telemetry events).
@@ -1039,10 +1024,10 @@ impl Controller {
             if !eak_stalled && adhkd_pending.is_none() {
                 continue; // nothing pending
             }
-            if !retry.due(now_ns, base_ns) {
+            if !retry.due(now_ns) {
                 continue; // backing off
             }
-            if retry.attempts >= max_attempts {
+            if retry.attempts >= KEX_RETRY_MAX_ATTEMPTS {
                 self.abandon_kex(id);
                 continue;
             }
@@ -1075,11 +1060,11 @@ impl Controller {
         // backoff/cap discipline.
         let redirects: Vec<PortRedirect> = std::mem::take(&mut self.redirects);
         for mut r in redirects {
-            if !r.retry.due(now_ns, base_ns) {
+            if !r.retry.due(now_ns) {
                 self.redirects.push(r);
                 continue;
             }
-            if r.retry.attempts >= max_attempts {
+            if r.retry.attempts >= KEX_RETRY_MAX_ATTEMPTS {
                 self.stats.kex_abandoned += 1;
                 self.push_alert(r.initiator.0, AlertKind::KeyExchangeFailure);
                 if let Some(t) = &self.telemetry {
@@ -1134,7 +1119,7 @@ impl Controller {
     /// Appends to the bounded alert ring, evicting (and counting) the
     /// oldest when full.
     fn push_alert(&mut self, switch: SwitchId, kind: AlertKind) {
-        while self.alerts.len() >= self.config.alert_capacity.max(1) {
+        while self.alerts.len() >= ALERT_CAPACITY {
             self.alerts.pop_front();
             self.stats.alerts_dropped += 1;
             if let Some(t) = &self.telemetry {
@@ -1207,14 +1192,11 @@ impl Controller {
             // legs) — responses are deduplicated via the outstanding set
             // instead.
             let windowed = !matches!(msg.body(), Body::Register(_));
-            let mac = self.mac.as_ref();
+            let mac = &self.mac;
             let result = match self.switches.get_mut(&from) {
-                Some(chan) => {
-                    chan.end
-                        .open(from, &msg, msg.header().key_version, windowed, |key| {
-                            verify_frame(mac, key, bytes)
-                        })
-                }
+                Some(chan) => chan
+                    .end
+                    .open(from, &msg, windowed, |key| verify_frame(mac, key, bytes)),
                 None => Err(RejectReason::NoKey),
             };
             match result {
@@ -1311,7 +1293,6 @@ impl Controller {
             RegisterOp::Ack { value, .. } => Ok(value),
             RegisterOp::Nack { reason, .. } => Err(reason),
         };
-        let threshold = self.config.outstanding_threshold;
         let chan = self.channel_mut(from);
         let Some(pending) = chan.outstanding.remove(seq) else {
             events.push(ControllerEvent::UnmatchedResponse(from));
@@ -1342,7 +1323,7 @@ impl Controller {
                 reason,
             },
         });
-        if outstanding > threshold {
+        if outstanding > OUTSTANDING_THRESHOLD {
             events.push(ControllerEvent::DosSuspected {
                 switch: from,
                 outstanding,
@@ -1382,7 +1363,8 @@ impl Controller {
                     }
                     // Continue Fig. 14(a): ADHKD offer under K_auth. The
                     // exchange made progress, so its retry budget resets.
-                    let (init, offer) = AdhkdInitiator::start(self.config.dh_params, &mut self.rng);
+                    let (init, offer) =
+                        AdhkdInitiator::start(DhParams::recommended(), &mut self.rng);
                     let now_ns = self.now_ns;
                     if let Some(t) = &self.telemetry {
                         t.trace_instant(SpanKind::KmpOffer, now_ns, u64::from(from.value()), 0);
@@ -1505,7 +1487,7 @@ impl Controller {
                         salt,
                     }),
                 );
-                let mac = self.mac.as_ref();
+                let mac = &self.mac;
                 let bytes = match self.switches.get(&dest) {
                     Some(chan) if self.config.auth_enabled => chan
                         .end
@@ -1616,7 +1598,6 @@ mod tests {
             window_ns: 1_000_000_000,
             reject_threshold: 2,
             escalation_window_ns: 1_000_000_000,
-            ..crate::defence::DefenceConfig::default()
         });
         // A truncated (but genuine) frame and pure garbage, repeatedly —
         // far past the reject threshold.
@@ -1699,7 +1680,6 @@ mod tests {
             window_ns: 1_000_000,
             reject_threshold: 3,
             escalation_window_ns: 100_000_000,
-            ..crate::defence::DefenceConfig::default()
         });
         let mut agent = P4AuthSwitch::new(AgentConfig::new(sw, 4, k_seed), None);
         let init = c.local_key_init(sw);
@@ -1874,12 +1854,12 @@ mod tests {
     fn alert_ring_is_bounded_and_counts_drops() {
         let mut c = Controller::new(ControllerConfig {
             auth_enabled: false,
-            alert_capacity: 2,
             ..ControllerConfig::default()
         });
         let sw = SwitchId::new(1);
         c.register_switch(sw, Key64::new(0));
-        for i in 1..=3u32 {
+        let sent = ALERT_CAPACITY as u32 + 1;
+        for i in 1..=sent {
             let msg = Message::new(
                 sw,
                 PortId::CPU,
@@ -1892,8 +1872,8 @@ mod tests {
             );
             c.on_message(sw, &msg.encode());
         }
-        assert_eq!(c.alerts().len(), 2);
-        assert_eq!(c.stats().alerts, 3);
+        assert_eq!(c.alerts().len(), ALERT_CAPACITY);
+        assert_eq!(c.stats().alerts, u64::from(sent));
         assert_eq!(c.stats().alerts_dropped, 1);
     }
 
@@ -2115,19 +2095,20 @@ mod tests {
     /// The local key [`port_defended`] installs and [`port_alerts`] seals with.
     const PORT_DEFENDED_KEY: Key64 = Key64::new(0xfeed);
 
-    /// Controller with the defence armed at threshold 3 and a port-action
-    /// queue of `pending_capacity`.
-    fn port_defended(registry: &Arc<Registry>, pending_capacity: usize) -> (Controller, SwitchId) {
+    /// Controller with the defence armed at threshold 3.
+    fn port_defended(registry: &Arc<Registry>) -> (Controller, SwitchId) {
         let (mut c, sw) = keyed_controller(PORT_DEFENDED_KEY);
         c.set_telemetry(registry.clone());
         c.enable_defence(crate::defence::DefenceConfig {
             window_ns: 1_000_000,
             reject_threshold: 3,
             escalation_window_ns: 100_000_000,
-            pending_capacity,
         });
         (c, sw)
     }
+
+    /// One channel more than the port-action queue holds.
+    const PORTS_PAST_CAPACITY: u8 = PORT_ACTION_CAPACITY as u8 + 1;
 
     /// Delivers a threshold's worth (3) of authenticated alerts from `sw`
     /// flagging ingress `port` (`seq` keeps rising across calls, as the
@@ -2172,21 +2153,25 @@ mod tests {
     #[test]
     fn port_action_queue_is_bounded_counts_drops_and_unwedges() {
         let registry = Arc::new(Registry::new());
-        let (mut c, sw) = port_defended(&registry, 2);
+        let (mut c, sw) = port_defended(&registry);
         let mut seq = 0;
-        // Cross the threshold on three distinct channels without draining.
-        for port in 1..=3u8 {
+        // Cross the threshold on one channel more than the queue holds,
+        // without draining.
+        for port in 1..=PORTS_PAST_CAPACITY {
             assert_eq!(
                 port_alerts(&mut c, sw, &mut seq, port),
                 [MitigationKind::KeyRollover],
                 "port {port}"
             );
         }
-        assert_eq!(c.stats().defence_mitigations, 3);
+        assert_eq!(
+            c.stats().defence_mitigations,
+            u64::from(PORTS_PAST_CAPACITY)
+        );
         assert_eq!(
             c.stats().defence_actions_dropped,
             1,
-            "third crossing evicted the first"
+            "the last crossing evicted the first"
         );
         assert_eq!(
             registry
@@ -2197,11 +2182,13 @@ mod tests {
         // The evicted channel (1) was un-wedged.
         assert!(!c.defence_in_flight(sw, PortId::new(1)));
         assert!(!c.defence_quarantined(sw, PortId::new(1)));
-        assert!(c.defence_in_flight(sw, PortId::new(2)));
-        assert!(c.defence_in_flight(sw, PortId::new(3)));
+        for port in 2..=PORTS_PAST_CAPACITY {
+            assert!(c.defence_in_flight(sw, PortId::new(port)), "port {port}");
+        }
         // The survivors drain oldest first.
         let drained: Vec<PortId> = c.take_port_actions().iter().map(|a| a.channel).collect();
-        assert_eq!(drained, [PortId::new(2), PortId::new(3)]);
+        let survivors: Vec<PortId> = (2..=PORTS_PAST_CAPACITY).map(PortId::new).collect();
+        assert_eq!(drained, survivors);
         // Channel 1 is live again: a fresh crossing fires and is queued.
         assert_eq!(
             port_alerts(&mut c, sw, &mut seq, 1),
@@ -2214,7 +2201,7 @@ mod tests {
     #[test]
     fn evicting_a_quarantine_port_action_lifts_the_quarantine() {
         let registry = Arc::new(Registry::new());
-        let (mut c, sw) = port_defended(&registry, 1);
+        let (mut c, sw) = port_defended(&registry);
         let (mut seq, p1) = (0, PortId::new(1));
         let mut alerts = |c: &mut Controller, port: u8| port_alerts(c, sw, &mut seq, port);
         // Drive channel 1 to quarantine (rollover, complete, re-cross).
@@ -2223,15 +2210,25 @@ mod tests {
         c.notify_port_key_installed(sw, p1);
         assert_eq!(alerts(&mut c, 1), [MitigationKind::Quarantine]);
         assert!(c.defence_quarantined(sw, p1));
-        // A crossing elsewhere evicts the undrained quarantine action —
-        // which must lift the quarantine, or the channel stays flagged
-        // forever with nobody ever issuing the exit-path key roll.
-        assert_eq!(alerts(&mut c, 2), [MitigationKind::KeyRollover]);
+        // Crossings elsewhere fill the queue behind the undrained
+        // quarantine action, and the one past capacity evicts it, which
+        // must lift the quarantine, or the channel stays flagged forever
+        // with nobody ever issuing the exit-path key roll.
+        for port in 2..PORTS_PAST_CAPACITY {
+            assert_eq!(alerts(&mut c, port), [MitigationKind::KeyRollover]);
+        }
+        assert_eq!(c.stats().defence_actions_dropped, 0);
+        assert!(c.defence_quarantined(sw, p1));
+        assert_eq!(
+            alerts(&mut c, PORTS_PAST_CAPACITY),
+            [MitigationKind::KeyRollover]
+        );
         assert_eq!(c.stats().defence_actions_dropped, 1);
         assert!(!c.defence_quarantined(sw, p1));
         assert!(!c.defence_in_flight(sw, p1));
         let drained: Vec<PortId> = c.take_port_actions().iter().map(|a| a.channel).collect();
-        assert_eq!(drained, [PortId::new(2)]);
+        let survivors: Vec<PortId> = (2..=PORTS_PAST_CAPACITY).map(PortId::new).collect();
+        assert_eq!(drained, survivors);
     }
 
     /// ROADMAP 8: the response path once ended in `unreachable!("requests

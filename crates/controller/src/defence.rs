@@ -51,15 +51,6 @@ pub struct DefenceConfig {
     /// How long after a completed mitigation a re-crossing counts as
     /// "the rollover did not help" and escalates to quarantine.
     pub escalation_window_ns: u64,
-    /// Capacity of the controller's port-action queue (the one queue
-    /// between a crossing and the wire: CPU-channel actions are applied
-    /// at once, DP-DP port actions wait for the harness). A harness that
-    /// never drains it must not let a sustained flood grow it without
-    /// bound: when full, the *oldest* action is evicted (its channel's
-    /// in-flight mitigation is aborted so the channel is not wedged) and
-    /// counted in
-    /// [`ControllerStats::defence_actions_dropped`](crate::ControllerStats::defence_actions_dropped).
-    pub pending_capacity: usize,
 }
 
 impl Default for DefenceConfig {
@@ -72,7 +63,6 @@ impl Default for DefenceConfig {
             window_ns: 10_000_000,
             reject_threshold: 4,
             escalation_window_ns: 50_000_000,
-            pending_capacity: 64,
         }
     }
 }
@@ -162,11 +152,6 @@ impl DefenceState {
             config,
             channels: HashMap::new(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &DefenceConfig {
-        &self.config
     }
 
     /// Records one auth-failure signal (a `BadDigest`/`Replayed` reject
@@ -277,7 +262,6 @@ mod tests {
             window_ns: 1_000,
             reject_threshold: 3,
             escalation_window_ns: 10_000,
-            ..DefenceConfig::default()
         }
     }
 

@@ -23,11 +23,13 @@
 //!   of an ADHKD exchange through *one* controller endpoint, but the
 //!   two switches may hash to different replicas. The initiator's owner
 //!   becomes the redirect *home*: it mirrors the responder's local key
-//!   (read from the owner's core — the set is one process) and keeps the
-//!   one record of the redirect. The set derives everything else from
-//!   that record: a leg goes to the core whose pending redirect expects
-//!   it, and the responder is *leased* — its own key manager leaves the
-//!   key alone — while another replica's core has a redirect naming it.
+//!   (read from the owner's core — the set is one process), refreshes
+//!   that mirror before every retry (the owner may roll the key while the
+//!   redirect is pending), and keeps the one record of the redirect.
+//!   The set derives everything else from that record: a leg goes to
+//!   the core whose pending redirect expects it, and the responder is
+//!   *leased* — its own key manager leaves the key alone — while another
+//!   replica's core has a redirect naming it.
 //!   The lease ends with the record: when the genuine answer leg
 //!   completes the exchange, or when the home core abandons it. A forged
 //!   leg is rejected by the home core and moves nothing. The home is
@@ -73,8 +75,6 @@ pub fn partition_of(switch: SwitchId, n: usize) -> usize {
 /// One replica: a protocol core plus its orchestration daemon. Build
 /// via [`ReplicaSet::new`]; the set owns the shared state table.
 pub struct ControllerReplica {
-    /// Telemetry / fan-out label, `replica{i}` for the set's `i`-th.
-    pub label: String,
     /// The protocol core (sealing, verifying, exchanges).
     pub core: Controller,
     km: KeyManagerDaemon,
@@ -115,9 +115,8 @@ impl ReplicaSet {
                     owned.push(*id);
                 }
             }
-            let label = format!("replica{index}");
             let km = KeyManagerDaemon::new(&db, owned, index);
-            replicas.push(ControllerReplica { label, core, km });
+            replicas.push(ControllerReplica { core, km });
         }
         ReplicaSet { db, replicas }
     }
@@ -171,9 +170,8 @@ impl ReplicaSet {
     /// reject counters are labeled by channel, not replica, and read as
     /// one set-wide series.
     pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
-        for r in &mut self.replicas {
-            let label = r.label.clone();
-            r.core.set_telemetry_labeled(registry.clone(), &label);
+        for (i, r) in self.replicas.iter_mut().enumerate() {
+            r.core.set_replica_telemetry(registry.clone(), i);
         }
     }
 
@@ -240,16 +238,29 @@ impl ReplicaSet {
         sw2: SwitchId,
         port2: PortId,
     ) -> Vec<Outgoing> {
-        let (home, owner2) = (self.owner(sw1), self.owner(sw2));
+        let home = self.owner(sw1);
         let out = self
             .core_at(now_ns, sw1)
             .port_key_init(sw1, port1, sw2, port2);
-        if owner2 != home && !out.is_empty() {
-            if let Some((k, v)) = self.replicas[owner2].core.local_key_material(sw2) {
-                self.replicas[home].core.mirror_peer_key(sw2, k, v);
-            }
+        if !out.is_empty() {
+            self.refresh_mirrors(home);
         }
         out
+    }
+
+    /// Has replica `home`'s core mirror the current local key of every
+    /// switch that its pending redirects name and another replica owns.
+    fn refresh_mirrors(&mut self, home: usize) {
+        let peers: Vec<SwitchId> = self.replicas[home]
+            .core
+            .redirect_switches()
+            .filter(|&s| self.owner(s) != home)
+            .collect();
+        for s in peers {
+            if let Some((k, v)) = self.core(s).local_key_material(s) {
+                self.replicas[home].core.mirror_peer_key(s, k, v);
+            }
+        }
     }
 
     /// Whether `switch` is leased: a replica other than its owner has a
@@ -261,7 +272,7 @@ impl ReplicaSet {
         self.replicas
             .iter()
             .enumerate()
-            .any(|(i, r)| i != owner && r.core.redirect_names(switch))
+            .any(|(i, r)| i != owner && r.core.redirect_switches().any(|s| s == switch))
     }
 
     /// Whether `switch`'s owner has its local key established.
@@ -286,15 +297,19 @@ impl ReplicaSet {
     }
 
     /// Re-drives stalled key exchanges on every replica, in index order
-    /// (see [`Controller::retry_stalled`]).
+    /// (see [`Controller::retry_stalled`]). Each redirect home first
+    /// refreshes its mirrors: the owner of a redirect's responder may have
+    /// rolled that key since the exchange began, and a leg sealed under
+    /// the stale mirror would be rejected at the responder.
     pub fn retry_stalled(&mut self, now_ns: u64) -> Vec<Outgoing> {
-        self.replicas
-            .iter_mut()
-            .flat_map(|r| {
-                r.core.set_now(now_ns);
-                r.core.retry_stalled()
-            })
-            .collect()
+        let mut out = Vec::new();
+        for i in 0..self.replicas.len() {
+            self.refresh_mirrors(i);
+            let core = &mut self.replicas[i].core;
+            core.set_now(now_ns);
+            out.extend(core.retry_stalled());
+        }
+        out
     }
 
     /// Reports a DP-DP port-key install to the owner's defence
@@ -616,6 +631,41 @@ mod tests {
                 assert!(k_init.is_some(), "{init} installed its port key");
                 assert_eq!(k_init, k_resp, "{init}:{p1} and {r}:{r_port} agree");
             }
+        }
+    }
+
+    /// A redirect's home mirrors the responder's local key when the
+    /// exchange starts. The responder's owner may roll that key while the
+    /// redirect is pending (a defence rollover, say): a retry must carry
+    /// the owner's current key, or the responder rejects every redirected
+    /// offer until the home abandons the exchange. One rollover is covered
+    /// by the previous generation (±1), two are not.
+    #[test]
+    fn a_retried_redirect_carries_the_responders_current_key() {
+        let (i, r, p1) = (pick(2, 0), pick(2, 1), PortId::new(1));
+        for rollovers in 0..=2 {
+            let (mut set, mut agents) = fleet(2, &seeds_for([i, r]));
+            let init = set.port_key_init(1_000, i, p1, r, p1);
+            assert_eq!(init.len(), 1, "one portKeyInit");
+            for _ in 0..rollovers {
+                let update = set.core_at(1_000, r).local_key_update(r);
+                pump(&mut set, &mut agents, 1_000, update);
+            }
+            pump(&mut set, &mut agents, 2_000, init);
+            // Retry until the budget would be spent twice over.
+            for step in 1..=16u64 {
+                let t = 2_000 + step * 100_000_000;
+                let retries = set.retry_stalled(t);
+                pump(&mut set, &mut agents, t, retries);
+            }
+            let (k_init, k_resp) = (agents[&i].keys(p1).current(), agents[&r].keys(p1).current());
+            assert!(
+                k_init.is_some(),
+                "{rollovers} rollovers: {i} has its port key"
+            );
+            assert_eq!(k_init, k_resp, "{rollovers} rollovers: both ends agree");
+            assert_eq!(set.stats().kex_abandoned, 0, "{rollovers} rollovers");
+            assert!(!set.leased(r), "{rollovers} rollovers: lease released");
         }
     }
 

@@ -45,7 +45,6 @@ fn defended_pair(registry: &Arc<Registry>) -> (Controller, SwitchId, P4AuthSwitc
         window_ns: 1_000_000,
         reject_threshold: 3,
         escalation_window_ns: 100_000_000,
-        ..DefenceConfig::default()
     });
     let mut agent = P4AuthSwitch::new(AgentConfig::new(sw, 4, k_seed), None);
     let init = c.local_key_init(sw);

@@ -33,6 +33,7 @@ use p4auth_dataplane::table::{ActionEntry, MatchKey, MatchTable, TableKind};
 use p4auth_primitives::dh::{DhParams, DhPublic};
 use p4auth_primitives::idhash::IdMap;
 use p4auth_primitives::kdf::{Kdf, KdfConfig};
+use p4auth_primitives::mac::Mac;
 use p4auth_primitives::rng::SplitMix64;
 use p4auth_primitives::Key64;
 use p4auth_telemetry::{Counter, Event as TelemetryEvent, Histogram, Registry};
@@ -40,7 +41,7 @@ use p4auth_wire::body::{
     AdhkdRole, Alert, AlertKind, Body, EakStep, InNetwork, KexContext, KeyExchange, NackReason,
     RegisterOp,
 };
-use p4auth_wire::ids::{KeyVersion, PortId, RegId, SeqNum, SwitchId};
+use p4auth_wire::ids::{PortId, RegId, SeqNum, SwitchId};
 use p4auth_wire::{digest_parts, verify_frame, Message};
 use std::sync::Arc;
 
@@ -50,6 +51,13 @@ pub const REG_MAPPING_TABLE: &str = "reg_id_to_name_mapping";
 /// Qualifier values in the mapping table (read/write discriminator).
 const QUAL_READ: u8 = 1;
 const QUAL_WRITE: u8 = 2;
+
+/// Alert rate limit (§VIII DoS defence): at most this many alerts per
+/// [`ALERT_PERIOD_NS`], then one rate-limited marker, then silence until
+/// the period ends.
+const ALERT_MAX: u32 = 64;
+/// The alert rate-limit period: one second of simulated time.
+const ALERT_PERIOD_NS: u64 = 1_000_000_000;
 
 /// An in-network system (e.g. HULA) mounted on the agent. The agent
 /// authenticates DP-DP control messages *before* the app sees them and
@@ -101,21 +109,9 @@ pub struct AgentConfig {
     pub profile: TargetProfile,
     /// `false` runs the insecure baselines (DP-Reg-RW / vanilla apps).
     pub auth_enabled: bool,
-    /// Alert rate limit: max alerts per period (§VIII DoS defence).
-    pub alert_max: u32,
-    /// Alert rate-limit period in nanoseconds.
-    pub alert_period_ns: u64,
     /// Controller-visible register ids mapped to data-plane register names
     /// (populates the Fig. 15 table, two entries per register).
     pub register_map: Vec<(RegId, String)>,
-    /// Consistent key updates (§VI-C): keep old+new key generations and
-    /// select by the message's version tag. Disable only for the ablation
-    /// that measures what unversioned rollover costs.
-    pub consistent_updates: bool,
-    /// KDF configuration (paper: 1 round, §VII).
-    pub kdf_config: KdfConfig,
-    /// Modified-DH public parameters (shared network-wide).
-    pub dh_params: DhParams,
     /// RNG seed for this switch's `random()` extern.
     pub rng_seed: u64,
 }
@@ -130,12 +126,7 @@ impl AgentConfig {
             k_seed,
             profile: TargetProfile::Tofino,
             auth_enabled: true,
-            alert_max: 64,
-            alert_period_ns: 1_000_000_000,
-            consistent_updates: true,
             register_map: Vec::new(),
-            kdf_config: KdfConfig::PAPER,
-            dh_params: DhParams::recommended(),
             rng_seed: switch_id.value() as u64 + 0x9e37_79b9,
         }
     }
@@ -144,13 +135,6 @@ impl AgentConfig {
     #[must_use]
     pub fn insecure_baseline(mut self) -> Self {
         self.auth_enabled = false;
-        self
-    }
-
-    /// Disables versioned (consistent) key updates — ablation only.
-    #[must_use]
-    pub fn unversioned_updates(mut self) -> Self {
-        self.consistent_updates = false;
         self
     }
 
@@ -347,10 +331,6 @@ impl P4AuthSwitch {
             switch_id: config.switch_id,
             profile: config.profile,
             num_ports: config.num_ports,
-            stage_budget: match config.profile {
-                TargetProfile::Tofino => 12,
-                TargetProfile::Bmv2 => 32,
-            },
         };
         let mut chassis = Chassis::new(chassis_config);
 
@@ -385,9 +365,9 @@ impl P4AuthSwitch {
             ends: (0..=config.num_ports)
                 .map(|p| ChannelEnd::new((p == 0).then_some(config.k_seed)))
                 .collect(),
-            kdf: Kdf::new(config.kdf_config),
+            kdf: Kdf::new(KdfConfig::PAPER),
             rng: SplitMix64::new(config.rng_seed),
-            limiter: AlertLimiter::new(config.alert_max, config.alert_period_ns),
+            limiter: AlertLimiter::new(ALERT_MAX, ALERT_PERIOD_NS),
             packet: Packet::from_bytes(PortId::CPU, Vec::new()),
             quarantined: [false; 256],
             pending_kex: IdMap::default(),
@@ -519,17 +499,6 @@ impl P4AuthSwitch {
         }
     }
 
-    /// The key version a frame on `port`'s channel opens under: its tag,
-    /// or, with consistent updates off (the §VI-C ablation), the channel's
-    /// current version whatever the tag says.
-    fn open_version(&self, port: PortId, msg: &Message) -> KeyVersion {
-        if self.config.consistent_updates {
-            msg.header().key_version
-        } else {
-            self.keys(port).version()
-        }
-    }
-
     /// The next frame `build` makes on `port`'s channel: sealed, or plain
     /// while the channel has no key yet. `None` past the key register.
     fn seal_on(&mut self, port: PortId, build: impl FnOnce(SeqNum) -> Message) -> Option<Vec<u8>> {
@@ -636,12 +605,11 @@ impl P4AuthSwitch {
     fn open_in_ctx(
         ctx: &mut PacketContext<'_>,
         end: Option<&mut ChannelEnd>,
-        version: KeyVersion,
         frame: &[u8],
         msg: &Message,
     ) -> Result<Key64, RejectReason> {
         let end = end.ok_or(RejectReason::NoKey)?;
-        end.open(msg.header().sender, msg, version, true, |key| {
+        end.open(msg.header().sender, msg, true, |key| {
             ctx.verify_digest(key, &digest_parts(frame), msg.digest())
         })
     }
@@ -799,7 +767,6 @@ impl P4AuthSwitch {
         };
 
         let quarantined = auth && self.is_quarantined(PortId::CPU);
-        let version = self.open_version(PortId::CPU, msg);
         let cpu = &mut self.ends[0];
         let mapping = self.mapping;
         let mapped = &mut self.mapped;
@@ -813,7 +780,7 @@ impl P4AuthSwitch {
                     return Ok(vec![]);
                 }
                 if auth {
-                    match Self::open_in_ctx(ctx, Some(cpu), version, frame, msg) {
+                    match Self::open_in_ctx(ctx, Some(cpu), frame, msg) {
                         Ok(_) => events.push(AgentEvent::VerifiedOk),
                         Err(reason) => {
                             reject = Some(reason);
@@ -950,10 +917,9 @@ impl P4AuthSwitch {
             } => ingress,
             _ => PortId::CPU,
         };
-        let version = self.open_version(channel, msg);
         let mac = self.chassis.hash_mac();
         let verified = match self.ends.get_mut(channel.key_index()) {
-            Some(end) => end.open(msg.header().sender, msg, version, true, |key| {
+            Some(end) => end.open(msg.header().sender, msg, true, |key| {
                 verify_frame(mac, key, frame)
             }),
             None => Err(RejectReason::NoKey),
@@ -1058,8 +1024,12 @@ impl P4AuthSwitch {
                             public_key: DhPublic::from_raw(public_key),
                             salt,
                         };
-                        let (answer, master) =
-                            adhkd::respond(self.config.dh_params, offer, &mut self.rng, &self.kdf);
+                        let (answer, master) = adhkd::respond(
+                            DhParams::recommended(),
+                            offer,
+                            &mut self.rng,
+                            &self.kdf,
+                        );
                         events.push(self.rekey(now_ns, slot, master, context.rolls()));
                         let reply = (answer.public_key.to_raw(), answer.salt);
                         self.answered_offers
@@ -1106,7 +1076,7 @@ impl P4AuthSwitch {
                 // Fig. 14(c): become the ADHKD initiator; the offer is
                 // redirected via the controller, sealed with K_local.
                 let (initiator, offer) =
-                    AdhkdInitiator::start(self.config.dh_params, &mut self.rng);
+                    AdhkdInitiator::start(DhParams::recommended(), &mut self.rng);
                 self.pending_kex
                     .insert((KexContext::PortInitRedirect, peer_port), initiator);
                 let id = self.config.switch_id;
@@ -1126,7 +1096,7 @@ impl P4AuthSwitch {
             KeyExchange::PortKeyUpdate { peer: _, peer_port } => {
                 // Fig. 14(d): direct DP-DP ADHKD under the current K_port.
                 let (initiator, offer) =
-                    AdhkdInitiator::start(self.config.dh_params, &mut self.rng);
+                    AdhkdInitiator::start(DhParams::recommended(), &mut self.rng);
                 self.pending_kex
                     .insert((KexContext::PortUpdateDirect, peer_port), initiator);
                 let id = self.config.switch_id;
@@ -1171,7 +1141,6 @@ impl P4AuthSwitch {
             return AgentOutput::default();
         }
 
-        let version = self.open_version(ingress, msg);
         let quarantined = auth && self.is_quarantined(ingress);
         let ends = &mut self.ends;
         let switch_id = self.config.switch_id;
@@ -1186,7 +1155,7 @@ impl P4AuthSwitch {
             }
             if auth {
                 let end = ends.get_mut(ingress.key_index());
-                if let Err(reason) = Self::open_in_ctx(ctx, end, version, frame, msg) {
+                if let Err(reason) = Self::open_in_ctx(ctx, end, frame, msg) {
                     reject = Some(reason);
                     return Ok(vec![]);
                 }
@@ -1930,12 +1899,7 @@ mod tests {
 
     #[test]
     fn alert_rate_limiting_kicks_in() {
-        let config = AgentConfig {
-            alert_max: 2,
-            alert_period_ns: 1_000_000,
-            ..AgentConfig::new(SwitchId::new(1), 2, SEED)
-        }
-        .map_register(RegId::new(1), "r");
+        let config = AgentConfig::new(SwitchId::new(1), 2, SEED).map_register(RegId::new(1), "r");
         let mut sw = P4AuthSwitch::new(config, None);
         sw.chassis_mut()
             .declare_register(RegisterArray::new("r", 1, 64));
@@ -1950,17 +1914,22 @@ mod tests {
             .sealed(&mac(), Key64::new(0xbad))
             .encode()
         };
-        let o1 = sw.on_packet(0, PortId::CPU, &forged(1));
-        let o2 = sw.on_packet(1, PortId::CPU, &forged(2));
-        let o3 = sw.on_packet(2, PortId::CPU, &forged(3));
-        let o4 = sw.on_packet(3, PortId::CPU, &forged(4));
-        assert!(o1.has_event(&AgentEvent::AlertSent(AlertKind::DigestMismatch)));
-        assert!(o2.has_event(&AgentEvent::AlertSent(AlertKind::DigestMismatch)));
-        assert!(o3.has_event(&AgentEvent::AlertSent(AlertKind::RateLimited)));
-        assert!(o4.has_event(&AgentEvent::AlertSuppressed));
+        // ALERT_MAX alerts inside one period...
+        for seq in 1..=ALERT_MAX {
+            let out = sw.on_packet(u64::from(seq), PortId::CPU, &forged(seq));
+            assert!(
+                out.has_event(&AgentEvent::AlertSent(AlertKind::DigestMismatch)),
+                "alert {seq}"
+            );
+        }
+        // ...then one rate-limited marker, then silence.
+        let marker = sw.on_packet(100, PortId::CPU, &forged(ALERT_MAX + 1));
+        assert!(marker.has_event(&AgentEvent::AlertSent(AlertKind::RateLimited)));
+        let silent = sw.on_packet(101, PortId::CPU, &forged(ALERT_MAX + 2));
+        assert!(silent.has_event(&AgentEvent::AlertSuppressed));
         // A new window re-opens alerting.
-        let o5 = sw.on_packet(2_000_000, PortId::CPU, &forged(5));
-        assert!(o5.has_event(&AgentEvent::AlertSent(AlertKind::DigestMismatch)));
+        let fresh = sw.on_packet(ALERT_PERIOD_NS + 1, PortId::CPU, &forged(ALERT_MAX + 3));
+        assert!(fresh.has_event(&AgentEvent::AlertSent(AlertKind::DigestMismatch)));
     }
 
     #[test]

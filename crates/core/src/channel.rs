@@ -121,20 +121,19 @@ impl ChannelEnd {
         self.last_in.get(&peer).copied()
     }
 
-    /// The key rule, for opening a frame whose body is `body` and whose
-    /// key version is taken to be `version`.
-    fn open_key(&self, body: &Body, version: KeyVersion) -> Option<Key64> {
-        match KeyUse::of(body) {
+    /// The key rule, for opening `msg`: a slot-keyed frame opens under
+    /// the generation its own `keyVersion` names.
+    fn open_key(&self, msg: &Message) -> Option<Key64> {
+        match KeyUse::of(msg.body()) {
             KeyUse::Seed => self.seed,
             KeyUse::Auth => self.auth,
-            KeyUse::Slot => self.keys.select(version),
+            KeyUse::Slot => self.keys.select(msg.header().key_version),
         }
     }
 
     /// Opens a received frame, decoded as `msg`, from `peer`: picks the
-    /// key by the key rule at `version` (the frame's `keyVersion`, unless
-    /// the caller ignores the tag), checks the digest with `verify`, then,
-    /// if `windowed`, advances `peer`'s replay window. Returns the key that
+    /// key by the key rule, checks the digest with `verify`, then, if
+    /// `windowed`, advances `peer`'s replay window. Returns the key that
     /// verified the frame.
     ///
     /// The digest is checked before the window, so a forged frame never
@@ -150,13 +149,10 @@ impl ChannelEnd {
         &mut self,
         peer: SwitchId,
         msg: &Message,
-        version: KeyVersion,
         windowed: bool,
         verify: impl FnOnce(Key64) -> bool,
     ) -> Result<Key64, RejectReason> {
-        let key = self
-            .open_key(msg.body(), version)
-            .ok_or(RejectReason::NoKey)?;
+        let key = self.open_key(msg).ok_or(RejectReason::NoKey)?;
         if !verify(key) {
             return Err(RejectReason::BadDigest);
         }
@@ -268,10 +264,7 @@ mod tests {
 
     fn open(end: &mut ChannelEnd, frame: &[u8]) -> Result<Key64, RejectReason> {
         let msg = Message::decode(frame).unwrap();
-        let version = msg.header().key_version;
-        end.open(PEER, &msg, version, true, |key| {
-            verify_frame(&mac(), key, frame)
-        })
+        end.open(PEER, &msg, true, |key| verify_frame(&mac(), key, frame))
     }
 
     fn keyed(key: Key64) -> ChannelEnd {
@@ -345,13 +338,9 @@ mod tests {
         )
         .sealed(&mac(), key);
         let frame = other.encode();
-        end.open(
-            SwitchId::new(2),
-            &other,
-            other.header().key_version,
-            true,
-            |k| verify_frame(&mac(), k, &frame),
-        )
+        end.open(SwitchId::new(2), &other, true, |k| {
+            verify_frame(&mac(), k, &frame)
+        })
         .unwrap();
         assert_eq!(end.last_accepted(SwitchId::new(2)), Some(SeqNum::new(1)));
         assert_eq!(end.last_accepted(PEER), Some(SeqNum::new(5)));

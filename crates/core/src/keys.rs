@@ -68,13 +68,19 @@ impl KeySlot {
         self.installed = true;
     }
 
-    /// Overwrites the slot with `key` at an explicit `version`, dropping
-    /// any retained previous generation. Used when mirroring a key that
-    /// was derived elsewhere (a switch owned by a peer controller
-    /// replica): the mirror trusts the publisher's version counter
-    /// instead of running its own install/rollover sequence.
+    /// Overwrites the slot with `key` at an explicit `version`. Used when
+    /// mirroring a key that was derived elsewhere (a switch owned by a
+    /// peer controller replica): the mirror trusts the publisher's version
+    /// counter instead of running its own install/rollover sequence. A
+    /// publisher exactly one version ahead rolled once, so the current key
+    /// becomes the previous generation, as on the publisher; any other
+    /// jump drops it. The same key at the same version changes nothing.
     pub(crate) fn force(&mut self, key: Key64, version: KeyVersion) {
-        self.previous = None;
+        if self.current() == Some(key) && self.version == version {
+            return;
+        }
+        self.previous =
+            (self.installed && version.is_predecessor(self.version)).then_some(self.current);
         self.current = key;
         self.version = version;
         self.installed = true;
@@ -170,6 +176,25 @@ mod tests {
         s.force(Key64::new(9), KeyVersion::new(4));
         assert_eq!(s.select(KeyVersion::new(4)), Some(Key64::new(9)));
         assert_eq!(s.select(KeyVersion::new(3)), None);
+    }
+
+    #[test]
+    fn force_one_version_ahead_keeps_the_previous_generation() {
+        let mut s = slot(1);
+        let v1 = KeyVersion::INITIAL.next();
+        s.force(Key64::new(2), v1);
+        assert_eq!(s.select(v1), Some(Key64::new(2)));
+        assert_eq!(s.select(KeyVersion::INITIAL), Some(Key64::new(1)));
+    }
+
+    #[test]
+    fn force_with_the_same_key_and_version_changes_nothing() {
+        let mut s = slot(1);
+        s.rollover(Key64::new(2));
+        let before = s;
+        s.force(Key64::new(2), KeyVersion::INITIAL.next());
+        assert_eq!(s, before);
+        assert_eq!(s.select(KeyVersion::INITIAL), Some(Key64::new(1)));
     }
 
     #[test]

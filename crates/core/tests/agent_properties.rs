@@ -2,6 +2,7 @@
 //! state-integrity invariants, and consistent key-update semantics.
 
 use p4auth_core::agent::{AgentConfig, AgentEvent, P4AuthSwitch};
+use p4auth_core::auth::RejectReason;
 use p4auth_dataplane::register::RegisterArray;
 use p4auth_primitives::mac::HalfSipHashMac;
 use p4auth_primitives::Key64;
@@ -181,18 +182,14 @@ fn sw_rollover(sw: &mut P4AuthSwitch, new_key: Key64) {
 
 #[test]
 fn ablation_unversioned_updates_break_in_flight_messages() {
-    // DESIGN §4 ablation: without §VI-C's version tagging, a rollover
-    // immediately invalidates everything sealed under the previous key.
+    // DESIGN §4 ablation: without §VI-C's version tagging, a key update is
+    // an install over the live key, and it immediately invalidates
+    // everything sealed under the previous key.
     let mac = HalfSipHashMac::default();
 
-    let build = |versioned: bool| {
+    let build = || {
         let config =
             AgentConfig::new(SwitchId::new(1), 2, Key64::new(0x5eed)).map_register(REG, "r");
-        let config = if versioned {
-            config
-        } else {
-            config.unversioned_updates()
-        };
         let mut sw = P4AuthSwitch::new(config, None);
         sw.chassis_mut()
             .declare_register(RegisterArray::new("r", 4, 64));
@@ -209,20 +206,20 @@ fn ablation_unversioned_updates_break_in_flight_messages() {
     .sealed(&mac, K_LOCAL);
 
     // Versioned (the paper's design): the in-flight message survives.
-    let mut versioned = build(true);
+    let mut versioned = build();
     versioned.rollover_key(PortId::CPU, Key64::new(0x00e3_e3e3));
     let out = versioned.on_packet(0, PortId::CPU, &in_flight.encode());
     assert!(out.events.contains(&AgentEvent::VerifiedOk));
 
-    // Unversioned baseline: the same message is lost to the rollover.
-    let mut unversioned = build(false);
-    unversioned.rollover_key(PortId::CPU, Key64::new(0x00e3_e3e3));
+    // Unversioned baseline: the new key replaces the old one under the
+    // same version, and the same message is lost to the update.
+    let mut unversioned = build();
+    unversioned.install_key(PortId::CPU, Key64::new(0x00e3_e3e3));
     let out = unversioned.on_packet(0, PortId::CPU, &in_flight.encode());
     assert!(
         out.events
-            .iter()
-            .any(|e| matches!(e, AgentEvent::Rejected(_))),
-        "unversioned rollover must reject the in-flight message: {:?}",
+            .contains(&AgentEvent::Rejected(RejectReason::BadDigest)),
+        "unversioned update must reject the in-flight message: {:?}",
         out.events
     );
 }

@@ -204,7 +204,7 @@ proptest! {
             let bytes = frame(peer, seq, version, key);
             let msg = Message::decode(&bytes).unwrap();
             let before = state(&end);
-            let got = end.open(SwitchId::new(peer), &msg, msg.header().key_version, true, |k| {
+            let got = end.open(SwitchId::new(peer), &msg, true, |k| {
                 verify_frame(&mac, k, &bytes)
             });
             let want = model.open(peer, seq, version, key);

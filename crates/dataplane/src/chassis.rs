@@ -8,7 +8,7 @@ use crate::packet::Packet;
 use crate::register::{IndexOutOfRangeError, RegisterArray};
 use crate::table::{ActionEntry, MatchKey, MatchTable};
 use p4auth_primitives::idhash::IdMap;
-use p4auth_primitives::mac::{HalfSipHashMac, Mac};
+use p4auth_primitives::mac::HalfSipHashMac;
 use p4auth_primitives::{Digest32, Key64};
 use p4auth_telemetry::{Counter, Event as TelemetryEvent, Registry};
 use p4auth_wire::ids::{PortId, SwitchId};
@@ -25,9 +25,6 @@ pub struct ChassisConfig {
     pub profile: TargetProfile,
     /// Number of data ports (1..=N; port 0 is the CPU port).
     pub num_ports: u8,
-    /// Pipeline stages available per traversal; exceeding this forces a
-    /// recirculation.
-    pub stage_budget: u32,
 }
 
 impl ChassisConfig {
@@ -37,17 +34,6 @@ impl ChassisConfig {
             switch_id,
             profile: TargetProfile::Tofino,
             num_ports,
-            stage_budget: 12,
-        }
-    }
-
-    /// A BMv2-profile switch with `num_ports` data ports.
-    pub fn bmv2(switch_id: SwitchId, num_ports: u8) -> Self {
-        ChassisConfig {
-            switch_id,
-            profile: TargetProfile::Bmv2,
-            num_ports,
-            stage_budget: 32,
         }
     }
 }
@@ -158,20 +144,15 @@ impl fmt::Debug for Chassis {
 }
 
 impl Chassis {
-    /// Creates a chassis with the default (HalfSipHash) hash engine.
+    /// Creates a chassis with no registers or tables declared.
     pub fn new(config: ChassisConfig) -> Self {
-        Chassis::with_mac(config, Box::new(HalfSipHashMac::default()))
-    }
-
-    /// Creates a chassis with an explicit MAC in its hash engine.
-    pub fn with_mac(config: ChassisConfig, mac: Box<dyn Mac>) -> Self {
         Chassis {
             config,
             cost: CostModel::for_profile(config.profile),
             registers: Vec::new(),
             tables: Vec::new(),
             register_ids: IdMap::default(),
-            hash: HashEngine::new(mac),
+            hash: HashEngine::default(),
             telemetry: None,
         }
     }
@@ -263,10 +244,10 @@ impl Chassis {
         (1..=self.config.num_ports).map(PortId::new)
     }
 
-    /// The MAC installed in this chassis' hash engine. Protocol code uses
-    /// it to seal messages produced outside a packet context (e.g.
+    /// The MAC in this chassis' hash engine. Protocol code uses it to
+    /// seal messages produced outside a packet context (e.g.
     /// controller-bound replies assembled after the pipeline pass).
-    pub fn hash_mac(&self) -> &dyn Mac {
+    pub fn hash_mac(&self) -> &HalfSipHashMac {
         self.hash.mac()
     }
 
@@ -362,7 +343,7 @@ impl<'c> PacketContext<'c> {
     fn consume_stage(&mut self) {
         self.stages_used += 1;
         self.stages_this_pass += 1;
-        if self.stages_this_pass > self.chassis.config.stage_budget {
+        if self.stages_this_pass > self.chassis.config.profile.stage_budget() {
             self.recirculations += 1;
             self.stages_this_pass = 1;
         }
@@ -486,11 +467,6 @@ impl<'c> PacketContext<'c> {
         }
     }
 
-    /// The MAC configured on this chassis (for sealing wire messages).
-    pub fn mac(&self) -> &dyn Mac {
-        self.chassis.hash.mac()
-    }
-
     /// Stages consumed so far.
     pub fn stages_used(&self) -> u32 {
         self.stages_used
@@ -562,27 +538,26 @@ mod tests {
 
     #[test]
     fn stage_budget_forces_recirculation() {
-        let mut cfg = ChassisConfig::tofino(SwitchId::new(1), 2);
-        cfg.stage_budget = 3;
-        let mut c = Chassis::new(cfg);
+        let mut c = Chassis::new(ChassisConfig::tofino(SwitchId::new(1), 2));
         c.declare_register(RegisterArray::new("r", 1, 64));
         let pkt = Packet::from_bytes(PortId::new(1), vec![]);
         let out = c
             .process(0, &pkt, |ctx, _| {
-                for _ in 0..7 {
+                for _ in 0..25 {
                     ctx.update_register("r", 0, |v| v + 1)?;
                 }
                 Ok(vec![])
             })
             .unwrap();
-        assert_eq!(out.stages_used, 7);
-        // 7 stages at budget 3: passes of 3,3,1 → 2 recirculations.
+        assert_eq!(out.stages_used, 25);
+        // 25 stages at Tofino's budget of 12: passes of 12,12,1 → 2
+        // recirculations.
         assert_eq!(out.recirculations, 2);
         assert_eq!(
             out.cost_ns,
             c.cost_model().pipeline_ns + 2 * c.cost_model().recirculation_ns
         );
-        assert_eq!(c.register("r").unwrap().read(0).unwrap(), 7);
+        assert_eq!(c.register("r").unwrap().read(0).unwrap(), 25);
     }
 
     #[test]
@@ -664,15 +639,14 @@ mod tests {
     #[test]
     fn telemetry_accounts_pipeline_usage_per_switch() {
         let registry = Arc::new(p4auth_telemetry::Registry::with_event_capacity(16));
-        let mut cfg = ChassisConfig::tofino(SwitchId::new(7), 2);
-        cfg.stage_budget = 3;
-        let mut c = Chassis::new(cfg);
+        let mut c = Chassis::new(ChassisConfig::tofino(SwitchId::new(7), 2));
         c.set_telemetry(registry.clone());
         c.declare_register(RegisterArray::new("r", 1, 64));
         let pkt = Packet::from_bytes(PortId::new(1), vec![]);
         let key = Key64::new(9);
+        // 11 register stages and 2 digest stages: one past Tofino's 12.
         c.process(4_200, &pkt, |ctx, _| {
-            for _ in 0..4 {
+            for _ in 0..11 {
                 ctx.update_register("r", 0, |v| v + 1)?;
             }
             let d = ctx.compute_digest(key, &[b"x"]);
@@ -682,7 +656,7 @@ mod tests {
         .unwrap();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("dp_packets", "S7"), Some(1));
-        assert_eq!(snap.counter("dp_stages", "S7"), Some(6));
+        assert_eq!(snap.counter("dp_stages", "S7"), Some(13));
         assert_eq!(snap.counter("dp_hash_passes", "S7"), Some(2));
         assert_eq!(snap.counter("dp_recirculations", "S7"), Some(1));
         assert_eq!(snap.events.len(), 1);

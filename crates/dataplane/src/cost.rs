@@ -22,6 +22,17 @@ pub enum TargetProfile {
     Bmv2,
 }
 
+impl TargetProfile {
+    /// Pipeline stages one traversal offers; a program that needs more
+    /// recirculates.
+    pub fn stage_budget(self) -> u32 {
+        match self {
+            TargetProfile::Tofino => 12,
+            TargetProfile::Bmv2 => 32,
+        }
+    }
+}
+
 /// Cost constants for one target.
 ///
 /// Calibration sources (see `EXPERIMENTS.md` for the paper-vs-measured

@@ -7,7 +7,7 @@
 //! hash-unit utilization from 1.4 % to 51.4 %) and the §XI digest-width
 //! cost discussion.
 
-use p4auth_primitives::mac::Mac;
+use p4auth_primitives::mac::{HalfSipHashMac, Mac};
 use p4auth_primitives::{Digest32, Key64};
 use serde::{Deserialize, Serialize};
 
@@ -22,33 +22,18 @@ pub struct HashMeter {
     pub kdf_passes: u64,
 }
 
-/// A hash engine: a pluggable MAC behind pass metering.
+/// A hash engine: the HalfSipHash digest behind pass metering.
 ///
-/// The MAC is the paper's pluggable digest primitive (§XI): HalfSipHash on
-/// BMv2, keyed CRC32 on Tofino.
+/// Both target profiles run HalfSipHash (§XI). Keyed CRC-32
+/// ([`p4auth_primitives::mac::Crc32Mac`]) is a primitive the
+/// `primitives` bench compares against; no chassis runs it.
+#[derive(Debug, Default)]
 pub struct HashEngine {
-    mac: Box<dyn Mac>,
+    mac: HalfSipHashMac,
     meter: HashMeter,
 }
 
-impl std::fmt::Debug for HashEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HashEngine")
-            .field("mac", &self.mac.name())
-            .field("meter", &self.meter)
-            .finish()
-    }
-}
-
 impl HashEngine {
-    /// Creates an engine around a MAC.
-    pub fn new(mac: Box<dyn Mac>) -> Self {
-        HashEngine {
-            mac,
-            meter: HashMeter::default(),
-        }
-    }
-
     /// Computes a digest (metered as a compute pass).
     pub fn compute(&mut self, key: Key64, parts: &[&[u8]]) -> Digest32 {
         self.meter.computes += self.mac.hash_unit_passes() as u64;
@@ -75,19 +60,18 @@ impl HashEngine {
     /// Borrow the underlying MAC (for protocol code that needs to seal
     /// [`p4auth_wire::Message`]s — metering via [`Self::compute`] is still
     /// preferred).
-    pub fn mac(&self) -> &dyn Mac {
-        self.mac.as_ref()
+    pub fn mac(&self) -> &HalfSipHashMac {
+        &self.mac
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p4auth_primitives::mac::HalfSipHashMac;
 
     #[test]
     fn metering_counts_passes() {
-        let mut e = HashEngine::new(Box::new(HalfSipHashMac::default()));
+        let mut e = HashEngine::default();
         let k = Key64::new(1);
         let d = e.compute(k, &[b"x"]);
         assert!(e.verify(k, &[b"x"], d));
@@ -101,7 +85,7 @@ mod tests {
 
     #[test]
     fn engine_digests_match_bare_mac() {
-        let mut e = HashEngine::new(Box::new(HalfSipHashMac::default()));
+        let mut e = HashEngine::default();
         let bare = HalfSipHashMac::default();
         let k = Key64::new(42);
         assert_eq!(

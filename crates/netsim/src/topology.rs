@@ -263,7 +263,8 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0`, or if `n > 256`: the controller has one port
+    /// per switch, and switch 257 would reuse switch 1's.
     pub fn chain(n: u16, dp_latency_ns: u64, cp_latency_ns: u64) -> Self {
         assert!(n > 0, "chain needs at least one switch");
         let mut t = Topology::new();

@@ -14,9 +14,9 @@
 //!   the shared-secret property.
 //! * [`kdf`] — a custom key-derivation function following TLS 1.3's
 //!   *Extract-and-Expand* principle (HKDF), built on a pluggable 32-bit PRF.
-//! * [`mac`] — keyed message digests: HalfSipHash-c-d (the BMv2 profile) and
-//!   a keyed CRC32 construction (the Tofino profile used by the paper's
-//!   hardware prototype).
+//! * [`mac`] — keyed message digests: HalfSipHash-c-d, which the protocol
+//!   runs on both target profiles, and a keyed CRC32 construction (what
+//!   the paper's Tofino prototype used), kept for comparison.
 //! * [`siphash`] — a from-scratch HalfSipHash implementation (32-bit words).
 //! * [`crc32`] — CRC-32 (IEEE 802.3 reflected polynomial).
 //! * [`stream`] — a counter-mode PRF stream cipher (the §XI symmetric

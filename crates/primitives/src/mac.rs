@@ -1,15 +1,17 @@
 //! Keyed message digests (the paper's "HMAC" slot, §V / §VII).
 //!
 //! P4Auth tags every protocol message with
-//! `digest = HMAC_K(p4auth_h || p4auth_payload)` (Eqn. 4). Two profiles are
-//! provided, matching the two prototype targets:
+//! `digest = HMAC_K(p4auth_h || p4auth_payload)` (Eqn. 4). Two MACs are
+//! provided, after the two prototype targets:
 //!
-//! * [`HalfSipHashMac`] — BMv2 profile; HalfSipHash is already a keyed
-//!   short-input PRF, so it is used directly as the MAC.
-//! * [`Crc32Mac`] — Tofino profile; CRC32 is the only hash the hardware
-//!   offers, keyed by seeding the initial state and enveloping the message
-//!   with the key. Linear, hence weak — kept for fidelity and for the
-//!   cost/security ablation.
+//! * [`HalfSipHashMac`] — the BMv2 prototype's; HalfSipHash is already a
+//!   keyed short-input PRF, so it is used directly as the MAC. Every
+//!   chassis and controller runs it, on both target profiles.
+//! * [`Crc32Mac`] — the Tofino prototype's; CRC32 is the only hash that
+//!   hardware offers, keyed by seeding the initial state and enveloping
+//!   the message with the key. Linear, hence weak — kept for the
+//!   cost/security comparison in the `primitives` bench and the property
+//!   tests; nothing in the protocol runs it.
 //!
 //! [`DigestWidth`] names the §XI digest-width ablation's widths; what a
 //! wider digest costs is priced by the data plane's resource model, not

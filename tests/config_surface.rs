@@ -1,0 +1,98 @@
+//! Gate on the protocol core's settings (DESIGN §4i, "Config surface"):
+//! `ControllerConfig`, `AgentConfig`, `ChassisConfig` and `DefenceConfig`
+//! are destructured below with no `..`, so a new field does not compile
+//! until it is named here, and the test then fails until DESIGN's table
+//! has a row for it naming the callers that set it. A setting with one
+//! value in use is a constant where it is read, not a field.
+
+use p4auth::controller::{ControllerConfig, DefenceConfig};
+use p4auth::core::agent::AgentConfig;
+use p4auth::dataplane::ChassisConfig;
+use p4auth::primitives::Key64;
+use p4auth::wire::ids::SwitchId;
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::Path;
+
+/// Destructures `$value` as `$ty` naming exactly `$field`s, and returns
+/// them as `"Type::field"`.
+macro_rules! fields {
+    ($ty:ident { $($field:ident),* $(,)? } = $value:expr) => {{
+        let $ty { $($field: _),* } = $value;
+        vec![$(concat!(stringify!($ty), "::", stringify!($field))),*]
+    }};
+}
+
+const STRUCTS: [&str; 4] = [
+    "ControllerConfig",
+    "AgentConfig",
+    "ChassisConfig",
+    "DefenceConfig",
+];
+
+fn config_fields() -> Vec<&'static str> {
+    let id = SwitchId::new(1);
+    [
+        fields!(
+            ControllerConfig {
+                auth_enabled,
+                rng_seed
+            } = ControllerConfig::default()
+        ),
+        fields!(
+            AgentConfig {
+                switch_id,
+                num_ports,
+                k_seed,
+                profile,
+                auth_enabled,
+                register_map,
+                rng_seed,
+            } = AgentConfig::new(id, 2, Key64::new(1))
+        ),
+        fields!(
+            ChassisConfig {
+                switch_id,
+                profile,
+                num_ports
+            } = ChassisConfig::tofino(id, 2)
+        ),
+        fields!(
+            DefenceConfig {
+                window_ns,
+                reject_threshold,
+                escalation_window_ns,
+            } = DefenceConfig::default()
+        ),
+    ]
+    .concat()
+}
+
+/// The `Type::field` first cells of DESIGN's table rows that name one of
+/// the four structs.
+fn design_rows() -> BTreeSet<String> {
+    let design = fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("DESIGN.md"))
+        .expect("DESIGN.md");
+    design
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix("| `"))
+        .filter_map(|line| line.split_once("` |"))
+        .map(|(cell, _)| cell)
+        .filter(|cell| {
+            cell.split_once("::")
+                .is_some_and(|(ty, _)| STRUCTS.contains(&ty))
+        })
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn the_fifteen_config_fields_each_have_a_design_row() {
+    let fields: BTreeSet<String> = config_fields().into_iter().map(String::from).collect();
+    assert_eq!(fields.len(), 15, "{fields:?}");
+    assert_eq!(
+        design_rows(),
+        fields,
+        "DESIGN §4i's config-surface table and the config structs disagree"
+    );
+}
