@@ -110,6 +110,11 @@ pub struct Export {
 impl Export {
     /// Reads a snapshot directly from a chassis (the driver-level surface
     /// the adversary can also reach).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chassis` has no [`FlowRadarApp`] mounted (it declares
+    /// the three `CELLS`-long arrays read here).
     pub fn read_from(chassis: &Chassis) -> Self {
         let read_all = |name: &str| {
             (0..CELLS)

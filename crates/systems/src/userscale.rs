@@ -7,12 +7,11 @@
 //! gets one [`AggregateHostNode`] modelling *N* edge users behind it, and
 //! the scale workload ([`crate::scaleload`]) is this module at *N* = 1
 //! ([`UserScaleConfig::mirror_scale`]). Everything a frame touches
-//! for one user (RNG word, next-due time, remaining frames, sequence
-//! counter, burst counter, trace cursor) is one packed 32-byte record, so
-//! emitting a frame and advancing its user costs one cache line; with the
-//! due-wheel's 4-byte slot per user a million users are 36 MB of flat
-//! buffers (32 MB of records, 4 MB of wheel) rather than a million boxed
-//! nodes.
+//! for one user (RNG word, next-due time, remaining frames, arrival
+//! cursor) is one packed 24-byte record, so emitting a frame and
+//! advancing its user touches 24 bytes; with the due-wheel's 4-byte slot
+//! per user a million users are 28 MB of flat buffers (24 MB of records,
+//! 4 MB of wheel) rather than a million boxed nodes.
 //!
 //! Every user stream is deterministic from `(seed, global user index)`
 //! alone via [`p4auth_workloads::flows::user_seed`], independent of aggregate
@@ -193,15 +192,18 @@ struct CompromisedState {
     frames: VecDeque<Vec<u8>>,
 }
 
-/// Everything one frame touches for one user, packed so emit + advance
-/// stay on one cache line (32 bytes, two users per line).
+/// Everything one frame touches for one user: 24 bytes, and nothing in
+/// it that another field already says.
+///
+/// There is no frame counter: a user's frames so far are
+/// `frames_per_user − remaining`, which is all the read/write mix needs.
+/// There is one arrival `cursor`, not a burst counter next to a trace
+/// position: the mix uses at most one of the two (see [`ArrivalGaps`]).
 struct UserState {
     rng: u64,
     next_due: u64,
     remaining: u32,
-    seq: u32,
-    burst_left: u32,
-    trace_pos: u32,
+    cursor: u32,
 }
 
 /// One non-empty window of a [`DueWheel`]: its users are the next `len`
@@ -400,6 +402,9 @@ pub struct AggregateHostNode {
     mode: AggregateMode,
     ft: FatTree,
     credit_max: u16,
+    /// Every user's starting budget; `frames_per_user − remaining` is
+    /// how many frames an uncompromised user has sent.
+    frames_per_user: u32,
     users: Vec<UserState>,
     /// Modelled anti-replay windows, indexed by flow label (one byte, so
     /// at most 256 are reachable however many users there are).
@@ -431,23 +436,19 @@ impl AggregateHostNode {
         let mut states = Vec::with_capacity(n);
         for u in 0..users {
             let g = base_user + u;
-            let (mut rng, mut trace_pos) = cfg.mix.init_state(cfg.seed, g);
+            let (mut rng, mut cursor) = cfg.mix.init_state(cfg.seed, g);
             // First frame at boot + the mix's initial offset: uniform
             // users start at boot (bit-identity with individual hosts),
             // heavy-tailed users idle before their first burst — without
             // the offset a million users' first frames would all land
             // inside the ~1.1 µs boot stagger and the event queue would
             // hold O(users) in-flight frames at once.
-            let mut burst_left = 0u32;
-            let first =
-                user_boot(g) + gaps.initial_gap_ns(&mut rng, &mut burst_left, &mut trace_pos);
+            let first = user_boot(g) + gaps.initial_gap_ns(&mut rng, &mut cursor);
             states.push(UserState {
                 rng,
                 next_due: first,
                 remaining: cfg.frames_per_user,
-                seq: 0,
-                burst_left,
-                trace_pos,
+                cursor,
             });
         }
         let compromised = cfg.compromised.as_ref().and_then(|c| {
@@ -472,6 +473,7 @@ impl AggregateHostNode {
             mode: cfg.mode,
             ft,
             credit_max: cfg.credits_per_window.max(1),
+            frames_per_user: cfg.frames_per_user,
             users: states,
             replay_win: vec![0; n.min(256)],
             wheel: None,
@@ -532,7 +534,8 @@ impl AggregateHostNode {
     /// with the destination and flow label drawn from the user's own RNG
     /// stream — the same draws, in the same order, as an individual
     /// per-host node. A compromised user pops its next forged control
-    /// frame instead.
+    /// frame instead, before the mix reads its budget (which the attack
+    /// set, not `frames_per_user`).
     fn build_frame(&mut self, u: usize) -> FrameBytes {
         if let Some(c) = &mut self.compromised {
             if c.local == u {
@@ -545,12 +548,12 @@ impl AggregateHostNode {
         if dst >= self.slot {
             dst += 1;
         }
-        let len = if state.seq % 3 == 2 {
+        let sent = self.frames_per_user - state.remaining;
+        let len = if sent % 3 == 2 {
             WRITE_FRAME_BYTES
         } else {
             READ_FRAME_BYTES
         };
-        state.seq += 1;
         let mut buf = [0u8; WRITE_FRAME_BYTES];
         buf[..2].copy_from_slice(&self.ft.host(dst).value().to_le_bytes());
         buf[2] = (splitmix_next(&mut state.rng) & 0xff) as u8;
@@ -569,9 +572,7 @@ impl AggregateHostNode {
         }
         let gap = match &self.compromised {
             Some(c) if c.local == u => c.gap_ns.max(1),
-            _ => self
-                .gaps
-                .next_gap(&mut state.rng, &mut state.burst_left, &mut state.trace_pos),
+            _ => self.gaps.next_gap(&mut state.rng, &mut state.cursor),
         };
         state.next_due = from_ns + gap;
     }
@@ -840,6 +841,13 @@ mod tests {
             Rc::default(),
             Rc::default(),
         )
+    }
+
+    /// A million users are a million of these: 8 more bytes here are
+    /// 8 MB more peak RSS on `fabric_wide`.
+    #[test]
+    fn a_user_record_is_24_bytes() {
+        assert_eq!(size_of::<UserState>(), 24);
     }
 
     #[test]

@@ -1,7 +1,12 @@
-//! The amortized aggregate's due-window wheel costs what it holds.
+//! The amortized aggregate costs what it holds: its user records and its
+//! due-window wheel.
 //!
-//! A counting global allocator measures the wheel through the aggregate's
-//! own wakes. Filing N users on the first wake may keep at most 4 bytes
+//! A counting global allocator measures both through the aggregate's own
+//! construction and wakes. Building an aggregate of N users may allocate
+//! at most one 24-byte record per user beside its fixed parts: the record
+//! is the `fabric_wide` workload's largest buffer, so a byte added to it
+//! is a megabyte of peak RSS there. Filing N users on the first wake may
+//! keep at most 4 bytes
 //! per user, 16 per non-empty window and the drain buffer, and may hold no
 //! per-user scratch on the way: a million users' wheel must stay as
 //! compact as a 4-byte link per user. A wheel with growable per-window
@@ -43,8 +48,8 @@ fn first_windows(cfg: &UserScaleConfig, window_ns: u64) -> BTreeMap<u64, u64> {
     let gaps = cfg.mix.gaps();
     let mut windows = BTreeMap::new();
     for g in 0..cfg.users {
-        let (mut rng, mut trace_pos) = cfg.mix.init_state(cfg.seed, g);
-        let first = 1 + (g % 97) * 11 + gaps.initial_gap_ns(&mut rng, &mut 0, &mut trace_pos);
+        let (mut rng, mut cursor) = cfg.mix.init_state(cfg.seed, g);
+        let first = 1 + (g % 97) * 11 + gaps.initial_gap_ns(&mut rng, &mut cursor);
         *windows.entry(first / window_ns).or_insert(0) += 1;
     }
     windows
@@ -74,13 +79,38 @@ fn wheel_allocations(agg: &mut AggregateHostNode, now_ns: u64) -> u64 {
     wake - outbox
 }
 
-fn filing_bound() {
-    let window_ns = 10_000;
+/// The 64,000-user aggregate both bounds below measure.
+fn wide_config(window_ns: u64) -> UserScaleConfig {
     let mut cfg = UserScaleConfig::for_k(8, 64_000, 1);
     cfg.mode = AggregateMode::Amortized { window_ns };
     if let ArrivalMix::HeavyTailed(ht) = &mut cfg.mix {
         ht.idle_mean_ns = 4_000_000;
     }
+    cfg
+}
+
+fn construction_bound() {
+    let cfg = wide_config(10_000);
+    let before = live_bytes();
+    reset_peak();
+    let agg = aggregate(&cfg);
+    let peak = peak_bytes() - before;
+    let kept = live_bytes() - before;
+    // The fixed parts: one 8-byte replay window per flow label (at most
+    // 256 of them), the two tally cells `aggregate` hands in, and slack.
+    let users = cfg.users;
+    let bound = 24 * users + 8 * 256 + 2 * 24 + 64;
+    println!("built {users} users: kept {kept} B, peak {peak} B (bound {bound} B)");
+    assert!(
+        peak <= bound,
+        "building {users} users peaked at {peak} B > {bound} B"
+    );
+    drop(agg);
+}
+
+fn filing_bound() {
+    let window_ns = 10_000;
+    let cfg = wide_config(window_ns);
     let windows = first_windows(&cfg, window_ns);
     let due = windows.get(&0).copied().unwrap_or(0).max(4);
     let mut agg = aggregate(&cfg);
@@ -152,7 +182,8 @@ fn refiles_stop_allocating() {
 
 // One test, so no other thread of this binary allocates while it counts.
 #[test]
-fn the_wheel_keeps_four_bytes_a_user_and_stops_allocating() {
+fn a_user_keeps_24_bytes_of_record_and_4_of_wheel_and_stops_allocating() {
+    construction_bound();
     filing_bound();
     refiles_stop_allocating();
 }

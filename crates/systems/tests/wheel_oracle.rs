@@ -48,8 +48,7 @@ struct ScanAggregate {
     next_due: Vec<u64>,
     remaining: Vec<u32>,
     seq: Vec<u32>,
-    burst_left: Vec<u32>,
-    trace_pos: Vec<u32>,
+    cursor: Vec<u32>,
     active: u64,
     /// `(local user, gap, forged frames)` of a compromised user.
     compromised: Option<(usize, u64, VecDeque<Vec<u8>>)>,
@@ -59,16 +58,14 @@ impl ScanAggregate {
     fn new(cfg: &UserScaleConfig, ft: FatTree, slot: u16, base_user: u64, users: u64) -> Self {
         let n = users as usize;
         let (mut rng, mut next_due) = (Vec::new(), Vec::new());
-        let (mut burst_left, mut trace_pos) = (Vec::new(), Vec::new());
+        let mut cursor = Vec::new();
         let gaps = cfg.mix.gaps();
         for g in base_user..base_user + users {
             let (mut word, mut pos) = cfg.mix.init_state(cfg.seed, g);
-            let mut burst = 0u32;
             let boot = 1 + (g % 97) * 11;
-            next_due.push(boot + gaps.initial_gap_ns(&mut word, &mut burst, &mut pos));
+            next_due.push(boot + gaps.initial_gap_ns(&mut word, &mut pos));
             rng.push(word);
-            burst_left.push(burst);
-            trace_pos.push(pos);
+            cursor.push(pos);
         }
         let mut remaining = vec![cfg.frames_per_user; n];
         let compromised = cfg
@@ -91,8 +88,7 @@ impl ScanAggregate {
             active: remaining.iter().filter(|&&r| r > 0).count() as u64,
             remaining,
             seq: vec![0; n],
-            burst_left,
-            trace_pos,
+            cursor,
             compromised,
         }
     }
@@ -128,11 +124,7 @@ impl ScanAggregate {
         }
         let gap = match &self.compromised {
             Some((local, gap_ns, _)) if *local == u => (*gap_ns).max(1),
-            _ => self.gaps.next_gap(
-                &mut self.rng[u],
-                &mut self.burst_left[u],
-                &mut self.trace_pos[u],
-            ),
+            _ => self.gaps.next_gap(&mut self.rng[u], &mut self.cursor[u]),
         };
         self.next_due[u] = from_ns + gap;
     }

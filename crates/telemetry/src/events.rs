@@ -311,7 +311,12 @@ impl EventLog {
 
     /// A copy of the current contents, oldest first.
     pub fn to_vec(&self) -> Vec<EventRecord> {
-        self.lock().iter().cloned().collect()
+        let ring = self.lock();
+        let mut records = Vec::with_capacity(ring.len());
+        for slice in ring.slices() {
+            records.extend_from_slice(slice);
+        }
+        records
     }
 
     /// Removes and returns the current contents, oldest first.

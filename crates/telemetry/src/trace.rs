@@ -20,9 +20,12 @@
 //!   `(source, seq)` is unique per record, so the order is total, and
 //!   it is engine-invariant because per-source emission order is the
 //!   per-source simulation order on every engine.
-//! * **Bounded buffers**: the ring is one flat array that grows to its
-//!   bound; from then on each span overwrites the oldest in place and
-//!   the drop is counted. A trace that dropped spans is a truncated
+//! * **Bounded buffers**: the ring holds exactly its bound, in chunks
+//!   that are each allocated once and never copied; once full, each span
+//!   overwrites the oldest in place and the drop is counted. It stores a
+//!   span in 64 bytes, not the 72 of a [`SpanRecord`]: the id is left
+//!   out and derived again from the ingredients above when the records
+//!   are read. A trace that dropped spans is a truncated
 //!   forest (an evicted parent leaves orphans [`validate_well_formed`]
 //!   rejects), which is why the campaign configs assert
 //!   `trace_spans_dropped == 0`.
@@ -181,11 +184,11 @@ impl OpenSpan {
         self.start_ns
     }
 
-    /// The finished record; an end before the start is clamped to it.
-    fn finish(self, end_ns: u64, arg_a: u64, arg_b: u64) -> SpanRecord {
-        SpanRecord {
+    /// The finished span as the ring stores it; an end before the start
+    /// is clamped to it.
+    fn finish(self, end_ns: u64, arg_a: u64, arg_b: u64) -> StoredSpan {
+        StoredSpan {
             trace_id: self.trace_id,
-            span_id: self.span_id,
             parent_id: self.parent_id,
             kind: self.kind,
             source: self.source,
@@ -194,6 +197,41 @@ impl OpenSpan {
             seq: self.seq,
             arg_a,
             arg_b,
+        }
+    }
+}
+
+/// A finished span as [`TraceLog`]'s ring keeps it: a [`SpanRecord`]
+/// without its `span_id`, in 64 bytes instead of 72. The id is a pure
+/// function of fields kept here ([`mix_id`] of kind, start, source and
+/// seq), so [`StoredSpan::record`] derives the same id the span was
+/// handed out with, for a child whose root has since been evicted too.
+#[derive(Clone, Copy, Debug)]
+struct StoredSpan {
+    trace_id: u64,
+    parent_id: u64,
+    kind: SpanKind,
+    source: u16,
+    start_ns: u64,
+    end_ns: u64,
+    seq: u64,
+    arg_a: u64,
+    arg_b: u64,
+}
+
+impl StoredSpan {
+    fn record(&self) -> SpanRecord {
+        SpanRecord {
+            trace_id: self.trace_id,
+            span_id: mix_id(self.kind, self.start_ns, self.source, self.seq),
+            parent_id: self.parent_id,
+            kind: self.kind,
+            source: self.source,
+            start_ns: self.start_ns,
+            end_ns: self.end_ns,
+            seq: self.seq,
+            arg_a: self.arg_a,
+            arg_b: self.arg_b,
         }
     }
 }
@@ -254,7 +292,7 @@ impl SeqTable {
 
 #[derive(Debug, Default)]
 struct TraceLogInner {
-    ring: Ring<SpanRecord>,
+    ring: Ring<StoredSpan>,
     next_seq: SeqTable,
 }
 
@@ -404,7 +442,12 @@ impl TraceLog {
 
     /// A copy of the buffered spans in emission order.
     pub fn records(&self) -> Vec<SpanRecord> {
-        self.lock().ring.iter().copied().collect()
+        let inner = self.lock();
+        let mut records = Vec::with_capacity(inner.ring.len());
+        for slice in inner.ring.slices() {
+            records.extend(slice.iter().map(StoredSpan::record));
+        }
+        records
     }
 
     /// The buffered spans in canonical `(start_ns, source, seq)` order —
@@ -626,6 +669,34 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 1);
         assert_eq!(log.records()[0].start_ns, 1);
+    }
+
+    #[test]
+    fn a_stored_span_is_64_bytes_and_reads_back_the_ids_handed_out() {
+        assert_eq!(size_of::<StoredSpan>(), 64);
+        assert_eq!(size_of::<SpanRecord>(), 72);
+        // Capacity 3: the root ends first and its third child's end
+        // evicts it, so the ring holds three children of a missing root.
+        let log = TraceLog::with_capacity(3);
+        let root = log.start(SpanKind::Mitigation, 100, 7).unwrap();
+        let kids: Vec<OpenSpan> = (0..3)
+            .map(|i| {
+                log.child(&root, SpanKind::MitigationKmp, 110 + i, 7)
+                    .unwrap()
+            })
+            .collect();
+        log.end(root, 500, 0, 0);
+        for kid in &kids {
+            log.end(*kid, 400, 0, 0);
+        }
+        assert_eq!(log.dropped(), 1, "the root was evicted");
+        let records = log.records();
+        let ids: Vec<u64> = records.iter().map(|r| r.span_id).collect();
+        let handed_out: Vec<u64> = kids.iter().map(OpenSpan::span_id).collect();
+        assert_eq!(ids, handed_out);
+        for r in &records {
+            assert_eq!((r.trace_id, r.parent_id), (root.trace_id(), root.span_id()));
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The hot primitives against the obvious models.
 //!
-//! [`TraceLog`] and [`EventLog`] keep their records in a flat ring that is
-//! overwritten in place; the model is a `VecDeque` that pops its front.
+//! [`TraceLog`] and [`EventLog`] keep their records in a chunked ring
+//! that is overwritten in place; the model is a `VecDeque` that pops its
+//! front.
 //! The trace model also carries the span-id recipe and a `BTreeMap` of
 //! per-source sequence numbers, written out here a second time on
 //! purpose: ids and `seq` are in every exported trace, so whichever way
@@ -276,6 +277,29 @@ fn check_histogram(samples: &[u64]) {
     }
     let mean = h.mean();
     assert_eq!(mean.is_some(), !samples.is_empty());
+}
+
+/// Both rings across their 1,024-slot chunks: two full chunks and a
+/// partial one, wrapped more than twice and read back along the way.
+#[test]
+fn rings_spanning_chunks_match_their_models() {
+    let capacity = 2_500;
+    let trace: Vec<TraceOp> = (0..8_000u32)
+        .map(|i| {
+            let what = if i % 700 == 699 { 8 } else { (i % 8) as u8 };
+            let (source, kind) = (i as usize % SOURCES.len(), i as usize % KINDS.len());
+            (what, source, kind, i, 7 * i as usize, u64::from(i))
+        })
+        .collect();
+    run_trace(capacity, &trace);
+    let events: Vec<u8> = (0..8_000u32)
+        .map(|i| match i {
+            6_000 => 0,
+            _ if i % 700 == 1 => 1,
+            _ => 9,
+        })
+        .collect();
+    run_events(capacity, &events);
 }
 
 proptest! {

@@ -2,21 +2,40 @@
 //!
 //! A [`TraceLog`] of capacity *C* fed from a fleet's worth of sources —
 //! eighty nodes, a controller replica at `0xFE01`, the campaign harness
-//! at `0xFFFF` — keeps *C* records and a per-source sequence table of a
-//! few hundred bytes. A counting global allocator holds it to that: a
-//! sequence table indexed by the whole `u16` (512 KiB) or a ring rounded
-//! up to the next power of two fails here, by name, instead of as a
-//! higher `peak_rss_bytes` on `ctrl_fleet`. And once either log is full,
-//! recording into it never reaches the allocator again.
+//! at `0xFFFF` — keeps *C* stored spans of 64 bytes and a per-source
+//! sequence table of a few hundred bytes. A counting global allocator
+//! holds it to that: a sequence table indexed by the whole `u16`
+//! (512 KiB), a ring rounded up to the next power of two or a ring of
+//! 72-byte [`SpanRecord`]s fails here, by name, instead of as a higher
+//! `peak_rss_bytes` on `ctrl_fleet`. Each slot of either log's ring is
+//! allocated once: from the first record through two wraps the ring
+//! makes one allocation per 1,024-slot chunk plus one for the chunk
+//! table, and never copies an item to grow. A ring that doubles its way
+//! up allocates once per doubling and copies half its bound on the last
+//! growth; that copy, or one 4 MiB block's placement in the heap, moved
+//! `ctrl_fleet`'s peak RSS by 2 to 4 MB with the length of the
+//! executable's path.
+//!
+//! [`SpanRecord`]: p4auth_telemetry::SpanRecord
 
 use p4auth_telemetry::alloc::{allocations, live_bytes, CountingAlloc};
-use p4auth_telemetry::{Event, EventLog, SpanKind, SpanRecord, TraceLog};
+use p4auth_telemetry::{Event, EventLog, SpanKind, TraceLog};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn sources() -> impl Iterator<Item = u16> {
     (1..=80).chain([0xFE01, 0xFFFF])
+}
+
+/// What the trace ring keeps per span: a `SpanRecord` without its id
+/// (`trace::StoredSpan`, pinned by a unit test there).
+const STORED_SPAN_BYTES: usize = 64;
+
+/// Allocations a ring of `capacity` makes in its life: one per chunk of
+/// `ring::CHUNK` (1,024) slots, and the chunk table.
+fn ring_allocations(capacity: usize) -> u64 {
+    capacity.div_ceil(1024) as u64 + 1
 }
 
 /// One span from every source, `laps` times over.
@@ -39,7 +58,7 @@ fn a_full_log_holds_its_records_and_stops_allocating() {
         feed(&log, laps);
         assert_eq!(log.len(), capacity);
         assert!(log.dropped() > capacity as u64, "the ring wrapped twice");
-        let held = (capacity * std::mem::size_of::<SpanRecord>()) as u64;
+        let held = (capacity * STORED_SPAN_BYTES) as u64;
         let live = live_bytes() - before;
         println!("capacity {capacity}: {live} B live for {held} B of records");
         assert!(
@@ -52,9 +71,26 @@ fn a_full_log_holds_its_records_and_stops_allocating() {
         assert_eq!(allocations(), allocs, "a full trace log allocated");
     }
 
-    let events = EventLog::with_capacity(1_000);
-    let record = |n: u64| {
-        for t in 0..n {
+    for capacity in [1_000usize, 5_000] {
+        // One source, whose sequence slot the open below takes before
+        // the count starts: what is counted is the ring alone.
+        let log = TraceLog::with_capacity(capacity);
+        let first = log.start(SpanKind::CampaignPhase, 0, 0xFFFF).unwrap();
+        let allocs = allocations();
+        log.end(first, 0, 0, 0);
+        for t in 1..3 * capacity as u64 {
+            log.instant(SpanKind::FrameDeliver, t, 0xFFFF, 0, 0);
+        }
+        assert_eq!(log.dropped(), 2 * capacity as u64, "the ring wrapped twice");
+        assert_eq!(
+            allocations() - allocs,
+            ring_allocations(capacity),
+            "a trace ring of {capacity} allocated a slot twice"
+        );
+
+        let events = EventLog::with_capacity(capacity);
+        let allocs = allocations();
+        for t in 0..3 * capacity as u64 {
             events.record(
                 t,
                 Event::FrameDelivered {
@@ -64,11 +100,12 @@ fn a_full_log_holds_its_records_and_stops_allocating() {
                 },
             );
         }
-    };
-    record(1_000);
-    assert_eq!((events.len(), events.overflowed()), (1_000, 0));
-    let allocs = allocations();
-    record(3_000);
-    assert_eq!(allocations(), allocs, "a full event log allocated");
-    assert_eq!(events.overflowed(), 3_000);
+        assert_eq!(events.len(), capacity);
+        assert_eq!(events.overflowed(), 2 * capacity as u64);
+        assert_eq!(
+            allocations() - allocs,
+            ring_allocations(capacity),
+            "an event ring of {capacity} allocated a slot twice"
+        );
+    }
 }

@@ -143,9 +143,10 @@ impl FlowGen {
 // user needs its own deterministic arrival schedule that depends only on
 // `(seed, user_idx)` — never on how many other users exist or in what order
 // their streams are advanced. The samplers below therefore carry all of
-// their state inline (a SplitMix64 word plus a burst counter / trace
-// cursor), so two streams for the same `(seed, user_idx)` are identical
-// regardless of interleaving.
+// their state inline (a SplitMix64 word plus one cursor: the burst counter
+// of a heavy-tailed mix or the trace position of a trace-driven one), so
+// two streams for the same `(seed, user_idx)` are identical regardless of
+// interleaving.
 
 /// One SplitMix64 step (same constants as `p4auth_primitives::rng`); kept
 /// inline so this crate stays free of the crypto-primitives dependency.
@@ -282,15 +283,18 @@ impl ArrivalMix {
 
     /// Initial per-user state as plain words — the SoA-friendly twin of
     /// [`ArrivalMix::sampler`] for host aggregates that keep millions of
-    /// user streams in flat arrays. Returns `(rng_word, trace_cursor)`;
-    /// the burst counter starts at 0.
+    /// user streams in flat arrays. Returns `(rng_word, cursor)`: the
+    /// cursor is the user's seed-derived start in the trace under
+    /// [`ArrivalMix::Trace`], and 0 otherwise — under
+    /// [`ArrivalMix::HeavyTailed`] it is the burst counter, which starts
+    /// empty.
     pub fn init_state(&self, seed: u64, user_idx: u64) -> (u64, u32) {
         let mut rng = user_seed(seed, user_idx);
-        let trace_pos = match self {
+        let cursor = match self {
             ArrivalMix::Trace(gaps) => (splitmix_next(&mut rng) % gaps.len() as u64) as u32,
             _ => 0,
         };
-        (rng, trace_pos)
+        (rng, cursor)
     }
 
     /// The mix ready to draw gaps from (see [`ArrivalGaps`]); build it
@@ -317,6 +321,11 @@ enum Law {
 /// *the* gap implementation: [`ArrivalSampler`] wraps one, and flat-array
 /// host aggregates drive one over plain per-user SoA words, so the two
 /// can never drift apart.
+///
+/// A user's stream is two words: the RNG word and one `cursor`. No mix
+/// needs more than one counter, so the cursor is whichever its law
+/// keeps: the frames left in the current burst under `HeavyTailed`, the
+/// position in the shared trace under `Trace`, nothing under `Uniform`.
 #[derive(Clone, Debug)]
 pub struct ArrivalGaps(Law);
 
@@ -325,32 +334,31 @@ impl ArrivalGaps {
     /// instant. `Uniform` starts at boot — drawing nothing, so a one-user
     /// aggregate stays bit-identical to an individual host. `HeavyTailed`
     /// treats boot as the start of the idle period before the first
-    /// burst: it draws the burst length (left in `burst_left`) and an
-    /// idle gap, so a large population's first frames spread over the
-    /// idle distribution instead of arriving as one synchronized
-    /// thundering herd. `Trace` consumes the first gap at the user's
-    /// cursor.
-    pub fn initial_gap_ns(&self, rng: &mut u64, burst_left: &mut u32, trace_pos: &mut u32) -> u64 {
+    /// burst: it draws the burst length (left in `cursor`) and an idle
+    /// gap, so a large population's first frames spread over the idle
+    /// distribution instead of arriving as one synchronized thundering
+    /// herd. `Trace` consumes the first gap at the user's cursor.
+    pub fn initial_gap_ns(&self, rng: &mut u64, cursor: &mut u32) -> u64 {
         match &self.0 {
             Law::Uniform(_) => 0,
-            Law::HeavyTailed(bursts) => bursts.start_burst(rng, burst_left),
-            Law::Trace(gaps) => next_trace_gap(gaps, trace_pos),
+            Law::HeavyTailed(bursts) => bursts.start_burst(rng, cursor),
+            Law::Trace(gaps) => next_trace_gap(gaps, cursor),
         }
     }
 
     /// Draws the next gap (ns, ≥ 1) given per-user SoA state.
-    pub fn next_gap(&self, rng: &mut u64, burst_left: &mut u32, trace_pos: &mut u32) -> u64 {
+    pub fn next_gap(&self, rng: &mut u64, cursor: &mut u32) -> u64 {
         match &self.0 {
             Law::Uniform(gap_ns) => *gap_ns,
             Law::HeavyTailed(bursts) => {
-                if *burst_left == 0 {
-                    bursts.start_burst(rng, burst_left)
+                if *cursor == 0 {
+                    bursts.start_burst(rng, cursor)
                 } else {
-                    *burst_left -= 1;
+                    *cursor -= 1;
                     bursts.frame_gap_ns.max(1)
                 }
             }
-            Law::Trace(gaps) => next_trace_gap(gaps, trace_pos),
+            Law::Trace(gaps) => next_trace_gap(gaps, cursor),
         }
     }
 }
@@ -387,19 +395,17 @@ pub fn trace_gaps(flows: &[Flow]) -> Arc<[u64]> {
 pub struct ArrivalSampler {
     gaps: ArrivalGaps,
     rng: u64,
-    burst_left: u32,
-    trace_pos: u32,
+    cursor: u32,
 }
 
 impl ArrivalSampler {
     /// Creates the stream for `user_idx` under `mix`.
     pub fn new(mix: &ArrivalMix, seed: u64, user_idx: u64) -> Self {
-        let (rng, trace_pos) = mix.init_state(seed, user_idx);
+        let (rng, cursor) = mix.init_state(seed, user_idx);
         ArrivalSampler {
             gaps: mix.gaps(),
             rng,
-            burst_left: 0,
-            trace_pos,
+            cursor,
         }
     }
 
@@ -407,14 +413,12 @@ impl ArrivalSampler {
     /// before any [`ArrivalSampler::next_gap_ns`]; see
     /// [`ArrivalGaps::initial_gap_ns`]).
     pub fn initial_gap_ns(&mut self) -> u64 {
-        self.gaps
-            .initial_gap_ns(&mut self.rng, &mut self.burst_left, &mut self.trace_pos)
+        self.gaps.initial_gap_ns(&mut self.rng, &mut self.cursor)
     }
 
     /// The gap (ns, ≥ 1) preceding the user's next frame.
     pub fn next_gap_ns(&mut self) -> u64 {
-        self.gaps
-            .next_gap(&mut self.rng, &mut self.burst_left, &mut self.trace_pos)
+        self.gaps.next_gap(&mut self.rng, &mut self.cursor)
     }
 
     /// The first `n` absolute arrival offsets (prefix sums of the gaps).
