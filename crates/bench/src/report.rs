@@ -62,14 +62,16 @@ fn on_every_engine<T: PartialEq>(what: &str, f: impl Fn(Engine) -> T) -> T {
 }
 
 /// How this run's value of a gated field may differ from the baseline's:
-/// at most a factor above it, or still `true` if it was.
+/// at most a factor above it, still `true` if it was, or not at all (an
+/// array, element for element).
 #[derive(Debug)]
 enum Bound {
     NotAbove(f64),
     StillTrue,
+    Same,
 }
 
-use Bound::{NotAbove, StillTrue};
+use Bound::{NotAbove, Same, StillTrue};
 
 impl Bound {
     /// Whether the bound holds; `None` when the two values are not both
@@ -78,6 +80,7 @@ impl Bound {
         Some(match *self {
             NotAbove(factor) => run.as_f64()? <= base.as_f64()? * factor,
             StillTrue => run.as_bool()? || !base.as_bool()?,
+            Same => run.as_array()? == base.as_array()?,
         })
     }
 }
@@ -97,13 +100,18 @@ const SCENARIOS: Baseline = Baseline("BENCH_scenarios.json", "campaigns", "name"
 struct Gate(&'static Baseline, &'static str, Bound, bool);
 
 /// Every `--baseline` gate: the wall-clock-tolerant per-user cost, the
-/// counted peak heap of a users run (repeats to within kilobytes),
-/// campaign verdicts, and the defence latency percentiles — a protocol
-/// property (detection window + KMP round-trips), not a fabric-size one,
-/// so short CI runs gate against the full-mode baseline directly.
+/// counted peak heap of a users run (repeats to within kilobytes), the
+/// users run's deterministic fingerprint (events, frames sent, frames
+/// delivered, final clock: equal or the run is another run — which is
+/// also why only the full sweep gates against `BENCH_users.json`, whose
+/// 10k row is fat-tree(8) and a short run's fat-tree(4)), campaign
+/// verdicts, and the defence latency percentiles — a protocol property
+/// (detection window + KMP round-trips), not a fabric-size one, so short
+/// CI runs gate against the full-mode baseline directly.
 const GATES: &[Gate] = &[
     Gate(&USERS, "ns_per_user", NotAbove(3.0), false),
     Gate(&USERS, "peak_alloc_bytes", NotAbove(1.5), false),
+    Gate(&USERS, "fingerprint", Same, false),
     Gate(&SCENARIOS, "passed", StillTrue, false),
     Gate(&SCENARIOS, "mitigation_latency_p50_ns", NotAbove(2.0), true),
     Gate(&SCENARIOS, "mitigation_latency_p99_ns", NotAbove(2.0), true),
@@ -127,11 +135,17 @@ fn check_gates(of: &Baseline, baseline: &str, current: &str) -> Result<Vec<Strin
             .ok_or(format!("{what} has no \"{rows_key}\" array"))
     };
     let (base_rows, run_rows) = (rows(file, baseline)?, rows("this run's report", current)?);
-    let show = |v: &Value| match v {
-        Value::Num(s) | Value::Str(s) => s.clone(),
-        Value::Bool(b) => b.to_string(),
-        _ => "null".into(),
-    };
+    fn show(v: &Value) -> String {
+        match v {
+            Value::Num(s) | Value::Str(s) => s.clone(),
+            Value::Bool(b) => b.to_string(),
+            Value::Arr(items) => {
+                let items: Vec<String> = items.iter().map(show).collect();
+                format!("[{}]", items.join(", "))
+            }
+            _ => "null".into(),
+        }
+    }
     let mut lines = Vec::new();
     for Gate(_, field, bound, nullable) in GATES.iter().filter(|g| g.0 .0 == file) {
         let mut compared = 0;
@@ -945,8 +959,9 @@ pub fn decode(input: &str, args: &ReportArgs) {
 /// deterministic fields, which CI extracts and diffs across two runs.
 /// `--baseline` fails the run if, for any size present in both, the
 /// measured `ns_per_user` has grown more than 3× above the checked-in
-/// value (the wall-clock-tolerant non-regression gate) or
-/// `peak_alloc_bytes` more than 1.5× (see `GATES`).
+/// value (the wall-clock-tolerant non-regression gate),
+/// `peak_alloc_bytes` more than 1.5×, or the `fingerprint` differs in any
+/// element (see `GATES`).
 pub fn users(args: &ReportArgs) {
     use crate::userscale::{run_users_engine, AggregateMode, UserScaleConfig};
 
@@ -1256,10 +1271,13 @@ mod tests {
     /// The gated field of a users row that never varies in these fixtures.
     const NS: &str = "\"ns_per_user\": 2000.0";
 
+    /// The fingerprint of every users row in these fixtures.
+    const FP: &str = "\"fingerprint\": [232078, 40000, 40000, 510091]";
+
     /// A one-row users report whose 10k-user run peaked at `peak` heap
     /// bytes.
     fn users_run(peak: &str) -> String {
-        format!("{{\"runs\": [{{\"users\": 10000, \"peak_alloc_bytes\": {peak}, {NS}}}]}}")
+        format!("{{\"runs\": [{{\"users\": 10000, \"peak_alloc_bytes\": {peak}, {NS}, {FP}}}]}}")
     }
 
     #[test]
@@ -1271,7 +1289,37 @@ mod tests {
         let want = "regressed: users 10000: peak_alloc_bytes 1501";
         assert!(err.contains(want), "{err}");
         let lines = check_gates(&USERS, &drifted, &users_run("1500")).unwrap();
-        assert_eq!(lines.len(), 2, "every gated field compared: {lines:?}");
+        assert_eq!(lines.len(), 3, "every gated field compared: {lines:?}");
+    }
+
+    /// A users run whose deterministic fields moved is another run, however
+    /// close its heap and its time: any changed, reordered, missing or
+    /// extra element fails the gate, and so does a fingerprint that is
+    /// absent or not an array on either side.
+    #[test]
+    fn a_moved_fingerprint_fails_the_gate() {
+        let base = users_run("1000");
+        let fp = "[232078, 40000, 40000, 510091]";
+        for moved in [
+            "[232079, 40000, 40000, 510091]",
+            "[40000, 232078, 40000, 510091]",
+            "[232078, 40000, 40000]",
+            "[232078, 40000, 40000, 510091, 0]",
+            "null",
+            "\"232078 40000 40000 510091\"",
+        ] {
+            let run = base.replace(fp, moved);
+            for (baseline, current) in [(&base, &run), (&run, &base)] {
+                let e = check_gates(&USERS, baseline, current).unwrap_err();
+                assert!(e.contains("users 10000: fingerprint"), "{moved}: {e}");
+            }
+        }
+        let bare = base.replace(&format!(", {FP}"), "");
+        let e = check_gates(&USERS, &bare, &bare).unwrap_err();
+        assert!(
+            e.contains("not comparable: users 10000: fingerprint"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -1359,6 +1407,6 @@ mod tests {
                 assert_eq!(missing, None, "{}: a row without {field}", of.0);
             }
         }
-        assert_eq!(GATES.len(), 7, "a new gate needs its baseline listed above");
+        assert_eq!(GATES.len(), 8, "a new gate needs its baseline listed above");
     }
 }

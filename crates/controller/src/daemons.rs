@@ -127,21 +127,22 @@ impl KeyManagerDaemon {
         leased: &[SwitchId],
     ) -> Vec<Outgoing> {
         // The table changed since this daemon last looked: its wakeup
-        // edge — stamp it into the trace so the statedb-write →
-        // daemon-wake → KMP chain is visible. The reconcile below re-reads
-        // the table directly, so it needs to know only that, not what.
+        // edge — stamp it into the trace, with the epoch it woke into, so
+        // the statedb-write → daemon-wake → KMP chain is visible. The
+        // reconcile below re-reads the table directly, so it needs to know
+        // only that, not what.
         let before = db.writes();
+        let epoch = db.epoch();
         if before != self.seen_writes {
             core.trace_instant(
                 p4auth_telemetry::SpanKind::DaemonWake,
                 now_ns,
                 before - self.seen_writes,
-                0,
+                epoch,
             );
             self.seen_writes = before;
         }
         let mut out = Vec::new();
-        let epoch = db.epoch();
 
         for &switch in &self.owned {
             // A new epoch (or a switch the table has never seen) gets a
@@ -285,8 +286,8 @@ mod tests {
 
     /// `DaemonWake` fires exactly when the table changed since the
     /// daemon's previous step, carrying the exact number of writes it
-    /// had not seen (its own included); `StateDbWrite` carries what the
-    /// step itself wrote. Each step runs at its own instant, so a span's
+    /// had not seen (its own included) and the epoch it woke into;
+    /// `StateDbWrite` carries what the step itself wrote. Each step runs at its own instant, so a span's
     /// `start_ns` names the step that recorded it.
     #[test]
     fn daemon_wakes_on_exactly_the_writes_it_has_not_seen() {
@@ -306,14 +307,14 @@ mod tests {
             .map(|r| r.owned().len() as u64)
             .collect();
         assert!(owned[0] > 0 && owned[1] > 0, "{owned:?}");
-        let spans_at = |t: u64| -> Vec<(SpanKind, u64)> {
+        let spans_at = |t: u64| -> Vec<(SpanKind, u64, u64)> {
             let wanted = [SpanKind::DaemonWake, SpanKind::StateDbWrite];
             registry
                 .trace()
                 .records()
                 .iter()
                 .filter(|r| r.start_ns == t && wanted.contains(&r.kind))
-                .map(|r| (r.kind, r.arg_a))
+                .map(|r| (r.kind, r.arg_a, r.arg_b))
                 .collect()
         };
 
@@ -329,14 +330,14 @@ mod tests {
         assert_eq!(
             spans_at(30),
             [
-                (SpanKind::DaemonWake, 2), // the epoch and its start time
-                (SpanKind::StateDbWrite, owned[0]),
+                (SpanKind::DaemonWake, 2, 1), // the epoch and its start time
+                (SpanKind::StateDbWrite, owned[0], 0),
             ]
         );
         set.step_replica(0, 40);
         assert_eq!(
             spans_at(40),
-            [(SpanKind::DaemonWake, owned[0])],
+            [(SpanKind::DaemonWake, owned[0], 1)],
             "woken by its own pending entries; exchanges in flight, nothing to write"
         );
         set.step_replica(0, 50);
@@ -346,8 +347,8 @@ mod tests {
         assert_eq!(
             spans_at(60),
             [
-                (SpanKind::DaemonWake, 2 + owned[0]),
-                (SpanKind::StateDbWrite, owned[1]),
+                (SpanKind::DaemonWake, 2 + owned[0], 1),
+                (SpanKind::StateDbWrite, owned[1], 0),
             ]
         );
         // Replica 0 has not seen replica 1's writes; a daemon rebuilt now

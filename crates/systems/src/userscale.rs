@@ -6,36 +6,39 @@
 //! dispatch. This module is the repo's one host model: each access port
 //! gets one [`AggregateHostNode`] modelling *N* edge users behind it, and
 //! the scale workload ([`crate::scaleload`]) is this module at *N* = 1
-//! ([`UserScaleConfig::mirror_scale`]). Everything a frame touches
-//! for one user (RNG word, next-due time, remaining frames, arrival
-//! cursor) is one packed 24-byte record, so emitting a frame and
-//! advancing its user touches 24 bytes; with the due-wheel's 4-byte slot
-//! per user a million users are 28 MB of flat buffers (24 MB of records,
-//! 4 MB of wheel) rather than a million boxed nodes.
+//! ([`UserScaleConfig::mirror_scale`]). Everything a frame touches for
+//! one user (RNG draw count, due offset, remaining frames, arrival
+//! cursor) is one packed 16-byte record, so emitting a frame and
+//! advancing its user touches 16 bytes; with the due-wheel's 4-byte slot
+//! per user a million users are 20 MB of flat buffers (16 MB of records,
+//! 4 MB of wheel) rather than a million boxed nodes. The record holds
+//! nothing the aggregate can rebuild: a user's RNG word is its
+//! [`user_seed`] plus `draws·γ`, and its due time is the start of the
+//! wheel window that files it plus its offset.
 //!
 //! Every user stream is deterministic from `(seed, global user index)`
 //! alone via [`p4auth_workloads::flows::user_seed`], independent of aggregate
 //! boundaries and emission order. Two execution modes share the same
-//! per-user state machine:
+//! per-user state machine and the same due-window wheel: live users are
+//! filed under the window their next frame falls in, and a wake drains
+//! only the contiguous bucket of the window it opens, in ascending user
+//! order, and refiles each user that is still live. Cost: `O(users due)`
+//! per wake, not `O(users)` — an idle user costs nothing until its
+//! window comes up.
 //!
-//! * [`AggregateMode::Exact`] keeps one outstanding timer per aggregate at
-//!   the earliest per-user due time and emits each frame at exactly its
-//!   due instant. With one user per aggregate this reproduces an
-//!   individual per-host node *bit for bit* — same RNG draws, same timer
-//!   chain, same frame bytes — which `tests/aggregate_diff.rs` pins
-//!   against its own reference host. Cost: one timer event per distinct
-//!   due instant and an `O(users)` scan per firing.
+//! * [`AggregateMode::Exact`] is the wheel at 1-ns windows: one timer at
+//!   a time, armed for the next non-empty window, and each frame emitted
+//!   at exactly its due instant. With one user per aggregate this
+//!   reproduces an individual per-host node *bit for bit* — same RNG
+//!   draws, same timer chain, same frame bytes — which
+//!   `tests/aggregate_diff.rs` pins against its own reference host.
+//!   Cost: one timer event per distinct due instant.
 //! * [`AggregateMode::Amortized`] wakes once per window and batch-emits
 //!   every frame due inside it with per-frame processing offsets, so each
 //!   frame still *arrives* at exactly the instant the exact mode would
-//!   deliver it (host links are latency-only). Live users are filed in a
-//!   due-window wheel under the window their next frame falls in; a wake
-//!   drains only that window's contiguous bucket, in ascending user order,
-//!   and refiles each user that is still live. Cost: `O(users due)` per
-//!   window, not `O(users)` — an idle user costs nothing until its window
-//!   comes up. The two modes may interleave same-instant events
-//!   differently, so `Amortized` is deterministic but not
-//!   event-count-identical to `Exact`.
+//!   deliver it (host links are latency-only). The two modes may
+//!   interleave same-instant events differently, so `Amortized` is
+//!   deterministic but not event-count-identical to `Exact`.
 //!
 //! The fabric is untouched: aggregates send the same fig19 read/write mix
 //! through the same [`crate::scaleload`] forwarders, so everything
@@ -63,7 +66,9 @@ use p4auth_netsim::time::SimTime;
 use p4auth_primitives::rng::SplitMix64;
 use p4auth_telemetry::Registry;
 use p4auth_wire::ids::{PortId, SwitchId};
-use p4auth_workloads::flows::{splitmix_next, user_seed, ArrivalGaps, ArrivalMix};
+use p4auth_workloads::flows::{
+    splitmix_draws, splitmix_next, splitmix_state, user_seed, ArrivalGaps, ArrivalMix,
+};
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
@@ -74,12 +79,13 @@ use std::sync::Arc;
 pub enum AggregateMode {
     /// One timer at the earliest due time; frames are emitted at exactly
     /// their due instants. Bit-identical to individual hosts at one user
-    /// per aggregate; `O(users)` per frame event.
+    /// per aggregate; `O(users due)` per frame event.
     Exact,
     /// One timer per window; frames due inside the window are batch-sent
     /// with per-frame processing offsets so arrival times match `Exact`.
     Amortized {
-        /// Window length in ns of simulated time.
+        /// Window length in ns of simulated time, at most 2^31: a user's
+        /// due is an `i32` offset into its window.
         window_ns: u64,
     },
 }
@@ -113,7 +119,8 @@ pub struct UserScaleConfig {
     /// Total modelled users, spread across the fat tree's host slots
     /// (first `users % slots` slots get the extra user).
     pub users: u64,
-    /// Frames each user transmits.
+    /// Frames each user transmits, at most 2^30 − 1: a user keeps its
+    /// RNG draws (up to four a frame) in a `u32`.
     pub frames_per_user: u32,
     /// Per-user arrival process.
     pub mix: ArrivalMix,
@@ -192,18 +199,77 @@ struct CompromisedState {
     frames: VecDeque<Vec<u8>>,
 }
 
-/// Everything one frame touches for one user: 24 bytes, and nothing in
-/// it that another field already says.
+/// Everything one frame touches for one user: 16 bytes, and nothing in
+/// it that another field, the aggregate or the wheel already says.
 ///
+/// There is no RNG word: the user's SplitMix64 word is
+/// `user_seed(seed, g) + draws·γ`, rebuilt before each turn
+/// ([`splitmix_state`]) and counted back after it ([`splitmix_draws`]).
+/// There is no absolute due time: the [`DueWheel`] bucket that files the
+/// user says which window it falls in, and `due` is the offset into it.
 /// There is no frame counter: a user's frames so far are
 /// `frames_per_user − remaining`, which is all the read/write mix needs.
 /// There is one arrival `cursor`, not a burst counter next to a trace
 /// position: the mix uses at most one of the two (see [`ArrivalGaps`]).
 struct UserState {
-    rng: u64,
-    next_due: u64,
+    /// SplitMix64 steps the user has drawn since its [`user_seed`].
+    draws: u32,
+    /// Until the first wake files the user: its first due instant in ns.
+    /// After: its due's offset in ns from the start of the window that
+    /// files it, negative only for a boot-storm backlog in window 0.
+    due: i32,
     remaining: u32,
     cursor: u32,
+}
+
+/// The most SplitMix64 steps one frame costs a user: two for the frame
+/// (destination and flow label) and two for the gap after it (a
+/// heavy-tailed burst start draws its length and the idle before it).
+const MAX_DRAWS_PER_FRAME: u64 = 4;
+
+/// The most steps a user draws before its first frame: a trace start, or
+/// a heavy-tailed first burst's length and idle.
+const MAX_FIRST_DRAWS: u64 = 2;
+
+/// The range of a due offset (`i32`): a window, a first due and a
+/// boot-storm wave offset must each stay below it.
+const OFFSET_RANGE_NS: u64 = 1 << 31;
+
+/// Fails closed, where an aggregate reads its configuration, on any value
+/// a 16-byte [`UserState`] cannot hold (DESIGN §4i). A user's first due
+/// is checked as it is drawn.
+fn check_record_ranges(cfg: &UserScaleConfig, slot: u16) {
+    if let AggregateMode::Amortized { window_ns } = cfg.mode {
+        assert!(
+            window_ns <= OFFSET_RANGE_NS,
+            "userscale: a {window_ns} ns window is over 2^31 ns, the range of a due offset"
+        );
+    }
+    let draws = MAX_FIRST_DRAWS + MAX_DRAWS_PER_FRAME * u64::from(cfg.frames_per_user);
+    assert!(
+        draws <= u64::from(u32::MAX),
+        "userscale: {} frames per user may draw {draws} times, past a u32 draw count",
+        cfg.frames_per_user
+    );
+    let storm = cfg.faults.as_ref().and_then(FaultPlan::boot_storm);
+    let storm_ns = storm.map_or(0, |st| st.offset_for(slot));
+    assert!(
+        storm_ns < OFFSET_RANGE_NS,
+        "userscale: a {storm_ns} ns boot-storm offset is 2^31 ns or more, the range of a backlog's due offset"
+    );
+}
+
+/// `due_ns − start_ns` as a record's due offset. Every caller in a run
+/// stays in range by [`check_record_ranges`]; only an aggregate woken by
+/// hand more than 2^31 ns from a due it drains can leave it.
+fn offset(due_ns: u64, start_ns: u64) -> i32 {
+    i32::try_from(due_ns.wrapping_sub(start_ns) as i64)
+        .expect("userscale: a wake within 2^31 ns of every due it drains")
+}
+
+/// The instant `offset` ns from `start_ns`.
+fn due_at(start_ns: u64, offset: i32) -> u64 {
+    start_ns.wrapping_add_signed(i64::from(offset))
 }
 
 /// One non-empty window of a [`DueWheel`]: its users are the next `len`
@@ -217,16 +283,18 @@ struct Bucket {
     fill: u32,
 }
 
-/// The due-window wheel of an amortized aggregate: every live user is
-/// filed under the index of the window its `next_due` falls in, so a wake
-/// visits the users that are due instead of every user.
+/// The due-window wheel of an aggregate: every live user is filed under
+/// the index of the window its next due falls in, so a wake visits the
+/// users that are due instead of every user. The user's record keeps
+/// only the offset into that window: its due is `t0 + w·window + due`.
 ///
 /// All of it is one exactly sized buffer of user indices, grouped by
 /// window in ascending order, plus one 16-byte [`Bucket`] per non-empty
 /// window: a wake drains a contiguous run from the front, and the users
 /// it refiles go back into the slots that run freed. The buffer never
 /// grows — users only ever leave the wheel — so a wake allocates only
-/// when more windows are non-empty at once than ever before.
+/// when more windows are non-empty, or more users are due, at once than
+/// ever before.
 struct DueWheel {
     /// Start of window 0: the aggregate's first wake. It includes the
     /// boot-storm offset, which is why the wheel is filed on that wake
@@ -240,27 +308,27 @@ struct DueWheel {
     buckets: VecDeque<Bucket>,
     /// The users drained for the current wake, reused across wakes.
     due: Vec<u32>,
+    /// The drained users still live after the wake, each with the window
+    /// its next due falls in, in user order; reused across wakes.
+    refiled: Vec<(u64, u32)>,
 }
 
 impl DueWheel {
     /// Files every live user of an aggregate whose first wake is `t0`:
     /// one pass counts each window's users, a second writes them to their
-    /// window's slots in ascending order.
-    fn filed(t0: u64, window: u64, users: &[UserState]) -> Self {
+    /// window's slots in ascending order and turns each first due into
+    /// its offset.
+    fn filed(t0: u64, window: u64, users: &mut [UserState]) -> Self {
         assert!(
             users.len() <= u32::MAX as usize,
             "user indices must fit u32"
         );
-        let live = || {
-            users
-                .iter()
-                .enumerate()
-                .filter(|(_, state)| state.remaining > 0)
-                .map(|(u, state)| (window_index(t0, window, state.next_due), u as u32))
-        };
+        // Before filing, a record's `due` is its first due instant, which
+        // construction checked is non-negative.
+        let first_window = |state: &UserState| window_index(t0, window, state.due as u64);
         let mut counts = BTreeMap::new();
-        for (w, _) in live() {
-            *counts.entry(w).or_insert(0u32) += 1;
+        for state in users.iter().filter(|state| state.remaining > 0) {
+            *counts.entry(first_window(state)).or_insert(0u32) += 1;
         }
         let mut buckets = VecDeque::with_capacity(counts.len());
         let mut filed = 0;
@@ -274,10 +342,15 @@ impl DueWheel {
         }
         drop(counts);
         let mut slots = vec![0; filed as usize].into_boxed_slice();
-        for (w, u) in live() {
+        for (u, state) in users.iter_mut().enumerate() {
+            if state.remaining == 0 {
+                continue;
+            }
+            let w = first_window(state);
             let i = bucket_of(&mut buckets, w);
-            slots[buckets[i].fill as usize] = u;
+            slots[buckets[i].fill as usize] = u as u32;
             buckets[i].fill += 1;
+            state.due = offset(state.due as u64, t0 + w * window);
         }
         for bucket in &mut buckets {
             bucket.fill = 0;
@@ -289,44 +362,63 @@ impl DueWheel {
             head: 0,
             buckets,
             due: Vec::new(),
+            refiled: Vec::new(),
         }
     }
 
-    /// Unfiles every user whose window starts before `end_ns` into `due`,
-    /// ascending by user index: emission order decides every frame's
+    /// The instant window `w` starts.
+    fn start(&self, w: u64) -> u64 {
+        self.t0 + w * self.window
+    }
+
+    /// Unfiles every user whose window starts before `now_ns + window`
+    /// into `due`, ascending by user index, with each one's `due` offset
+    /// rebased onto `now_ns`. Emission order decides every frame's
     /// tiebreak `seq`, so it must not depend on filing order
     /// (`tests/wheel_oracle.rs` pins it against a scan over all users).
-    fn drain_before(&mut self, end_ns: u64) {
-        let last = (end_ns - 1 - self.t0) / self.window;
-        let mut n = 0;
-        while let Some(bucket) = self.buckets.front().filter(|b| b.window <= last) {
-            n += bucket.len as usize;
-            self.buckets.pop_front();
-        }
+    ///
+    /// An aggregate wakes only where it armed its timer, which is the
+    /// start of the one window it drains, so the rebase writes nothing.
+    fn drain(&mut self, now_ns: u64, users: &mut [UserState]) {
+        let last = (now_ns + self.window - 1 - self.t0) / self.window;
         self.due.clear();
-        self.due
-            .extend_from_slice(&self.slots[self.head..self.head + n]);
-        self.head += n;
+        while let Some(bucket) = self.buckets.front().copied().filter(|b| b.window <= last) {
+            self.buckets.pop_front();
+            let start = self.start(bucket.window);
+            let filed = &self.slots[self.head..self.head + bucket.len as usize];
+            self.head += bucket.len as usize;
+            if start != now_ns {
+                for &u in filed {
+                    let state = &mut users[u as usize];
+                    state.due = offset(due_at(start, state.due), now_ns);
+                }
+            }
+            self.due.extend_from_slice(filed);
+        }
         self.due.sort_unstable();
     }
 
-    /// Files every user of `due` that is still live under the window of
-    /// its new `next_due`. They are a subset of what the drain took, so
-    /// they fit in the slots it freed: the windows up to the last one that
-    /// grows slide down into that gap, each leaving room for its new
-    /// users, and the rest of the buffer stays where it is.
-    fn refile(&mut self, users: &[UserState]) {
-        let (t0, window) = (self.t0, self.window);
-        let live = |u: &u32| users[*u as usize].remaining > 0;
-        let window_of = |u: u32| window_index(t0, window, users[u as usize].next_due);
-        let mut added = 0;
-        for u in self.due.iter().copied().filter(live) {
-            let i = bucket_of(&mut self.buckets, window_of(u));
-            self.buckets[i].fill += 1;
-            added += 1;
-        }
+    /// Queues user `u`, next due at `due_ns`, for [`DueWheel::refile`];
+    /// returns the offset its record keeps.
+    fn requeue(&mut self, u: u32, due_ns: u64) -> i32 {
+        let w = window_index(self.t0, self.window, due_ns);
+        self.refiled.push((w, u));
+        offset(due_ns, self.start(w))
+    }
+
+    /// Files every requeued user under its window. They are a subset of
+    /// what the drain took, so they fit in the slots it freed: the
+    /// windows up to the last one that grows slide down into that gap,
+    /// each leaving room for its new users, and the rest of the buffer
+    /// stays where it is.
+    fn refile(&mut self) {
+        let added = self.refiled.len();
         if added == 0 {
             return;
+        }
+        for &(w, _) in &self.refiled {
+            let i = bucket_of(&mut self.buckets, w);
+            self.buckets[i].fill += 1;
         }
         let (mut from, mut to) = (self.head, self.head - added);
         self.head = to;
@@ -344,8 +436,8 @@ impl DueWheel {
             bucket.fill = to as u32;
             to += room;
         }
-        for u in self.due.iter().copied().filter(live) {
-            let i = bucket_of(&mut self.buckets, window_of(u));
+        for &(w, u) in &self.refiled {
+            let i = bucket_of(&mut self.buckets, w);
             let bucket = &mut self.buckets[i];
             self.slots[bucket.fill as usize] = u;
             bucket.fill += 1;
@@ -353,6 +445,7 @@ impl DueWheel {
         for bucket in self.buckets.range_mut(..grown) {
             bucket.fill = 0;
         }
+        self.refiled.clear();
     }
 
     /// The windows still holding users, ascending.
@@ -398,6 +491,8 @@ fn window_index(t0: u64, window: u64, due_ns: u64) -> u64 {
 pub struct AggregateHostNode {
     slot: u16,
     base_user: u64,
+    /// The traffic seed every user's RNG word is rebuilt from.
+    seed: u64,
     gaps: ArrivalGaps,
     mode: AggregateMode,
     ft: FatTree,
@@ -409,8 +504,11 @@ pub struct AggregateHostNode {
     /// Modelled anti-replay windows, indexed by flow label (one byte, so
     /// at most 256 are reachable however many users there are).
     replay_win: Vec<u64>,
-    /// Filed on the first amortized wake; `Exact` never builds one.
+    /// Filed on the first wake.
     wheel: Option<DueWheel>,
+    /// When the runner must arm the first timer (see
+    /// [`AggregateHostNode::first_due_ns`]).
+    first_wake_ns: Option<u64>,
     active: u64,
     arrivals: Rc<Cell<u64>>,
     sent_total: Rc<Cell<u64>>,
@@ -422,6 +520,13 @@ impl AggregateHostNode {
     /// with global indices `base_user..base_user + users`. `arrivals` and
     /// `sent_total` are tallies the runner reads after the run (nodes
     /// live on the simulator's one thread, so a plain `Cell` serves).
+    ///
+    /// # Panics
+    ///
+    /// On a configuration a 16-byte user record cannot hold: an amortized
+    /// window over 2^31 ns, a frame budget whose draws could pass `u32`,
+    /// a boot-storm offset of 2^31 ns or more, or a user whose first
+    /// frame is due at 2^31 ns or later (DESIGN §4i).
     pub fn new(
         cfg: &UserScaleConfig,
         ft: FatTree,
@@ -431,6 +536,7 @@ impl AggregateHostNode {
         arrivals: Rc<Cell<u64>>,
         sent_total: Rc<Cell<u64>>,
     ) -> Self {
+        check_record_ranges(cfg, slot);
         let n = users as usize;
         let gaps = cfg.mix.gaps();
         let mut states = Vec::with_capacity(n);
@@ -444,9 +550,13 @@ impl AggregateHostNode {
             // inside the ~1.1 µs boot stagger and the event queue would
             // hold O(users) in-flight frames at once.
             let first = user_boot(g) + gaps.initial_gap_ns(&mut rng, &mut cursor);
+            assert!(
+                first < OFFSET_RANGE_NS,
+                "userscale: user {g}'s first frame is due at {first} ns, past 2^31 ns, the range of a due offset"
+            );
             states.push(UserState {
-                rng,
-                next_due: first,
+                draws: splitmix_draws(user_seed(cfg.seed, g), rng) as u32,
+                due: first as i32,
                 remaining: cfg.frames_per_user,
                 cursor,
             });
@@ -465,10 +575,18 @@ impl AggregateHostNode {
                     .into(),
             })
         });
-        let active = states.iter().filter(|s| s.remaining > 0).count() as u64;
+        let live = || states.iter().filter(|s| s.remaining > 0);
+        let active = live().count() as u64;
+        // `Exact` first wakes at the earliest user's first due,
+        // `Amortized` at once.
+        let first_wake_ns = match cfg.mode {
+            AggregateMode::Exact => live().map(|s| s.due as u64).min(),
+            AggregateMode::Amortized { .. } => (active > 0).then_some(0),
+        };
         AggregateHostNode {
             slot,
             base_user,
+            seed: cfg.seed,
             gaps,
             mode: cfg.mode,
             ft,
@@ -477,6 +595,7 @@ impl AggregateHostNode {
             users: states,
             replay_win: vec![0; n.min(256)],
             wheel: None,
+            first_wake_ns,
             active,
             arrivals,
             sent_total,
@@ -503,16 +622,10 @@ impl AggregateHostNode {
 
     /// Delay (from sim start) of the first timer the runner must arm, or
     /// `None` when no user will ever transmit. `Exact` wakes at the
-    /// earliest user's boot; `Amortized` wakes immediately and files its
-    /// wheel.
+    /// earliest user's first due; `Amortized` wakes immediately. Either
+    /// files its wheel on that wake.
     pub fn first_due_ns(&self) -> Option<u64> {
-        if self.active == 0 {
-            return None;
-        }
-        match self.mode {
-            AggregateMode::Exact => self.min_due(),
-            AggregateMode::Amortized { .. } => Some(0),
-        }
+        self.first_wake_ns
     }
 
     /// Total set bits across the modelled per-user replay windows (tests
@@ -522,33 +635,29 @@ impl AggregateHostNode {
         self.replay_win.iter().map(|w| w.count_ones() as u64).sum()
     }
 
-    fn min_due(&self) -> Option<u64> {
-        self.users
-            .iter()
-            .filter(|s| s.remaining > 0)
-            .map(|s| s.next_due)
-            .min()
+    /// Where user `u`'s RNG word starts: it is `draws` steps past this.
+    fn rng_start(&self, u: usize) -> u64 {
+        user_seed(self.seed, self.base_user + u as u64)
     }
 
     /// Builds user `u`'s next frame: the fig19 2-reads-1-write register mix
     /// with the destination and flow label drawn from the user's own RNG
-    /// stream — the same draws, in the same order, as an individual
+    /// word `rng` — the same draws, in the same order, as an individual
     /// per-host node. A compromised user pops its next forged control
     /// frame instead, before the mix reads its budget (which the attack
     /// set, not `frames_per_user`).
-    fn build_frame(&mut self, u: usize) -> FrameBytes {
+    fn build_frame(&mut self, u: usize, rng: &mut u64) -> FrameBytes {
         if let Some(c) = &mut self.compromised {
             if c.local == u {
                 return FrameBytes::from(c.frames.pop_front().unwrap_or_default());
             }
         }
         let slots = self.ft.host_count();
-        let state = &mut self.users[u];
-        let mut dst = (splitmix_next(&mut state.rng) % (slots as u64 - 1)) as u16;
+        let mut dst = (splitmix_next(rng) % (slots as u64 - 1)) as u16;
         if dst >= self.slot {
             dst += 1;
         }
-        let sent = self.frames_per_user - state.remaining;
+        let sent = self.frames_per_user - self.users[u].remaining;
         let len = if sent % 3 == 2 {
             WRITE_FRAME_BYTES
         } else {
@@ -556,87 +665,97 @@ impl AggregateHostNode {
         };
         let mut buf = [0u8; WRITE_FRAME_BYTES];
         buf[..2].copy_from_slice(&self.ft.host(dst).value().to_le_bytes());
-        buf[2] = (splitmix_next(&mut state.rng) & 0xff) as u8;
+        buf[2] = (splitmix_next(rng) & 0xff) as u8;
         FrameBytes::from_slice(&buf[..len])
     }
 
-    /// Consumes one frame of user `u`'s budget and advances its due time
-    /// from `from_ns` (the emitted frame's due instant) by the user's next
-    /// arrival gap.
-    fn advance(&mut self, u: usize, from_ns: u64) {
+    /// Consumes one frame of user `u`'s budget and returns its next due:
+    /// `from_ns` plus the user's next arrival gap, or `from_ns` itself
+    /// once the budget is spent.
+    fn advance(&mut self, u: usize, rng: &mut u64, from_ns: u64) -> u64 {
         let state = &mut self.users[u];
         state.remaining -= 1;
         if state.remaining == 0 {
             self.active -= 1;
-            return;
+            return from_ns;
         }
         let gap = match &self.compromised {
             Some(c) if c.local == u => c.gap_ns.max(1),
-            _ => self.gaps.next_gap(&mut state.rng, &mut state.cursor),
+            _ => self.gaps.next_gap(rng, &mut state.cursor),
         };
-        state.next_due = from_ns + gap;
+        from_ns + gap
     }
 
-    fn on_timer_exact(&mut self, now_ns: u64, out: &mut Outbox) {
-        let mut sent = 0u64;
-        for u in 0..self.users.len() {
-            if self.users[u].remaining > 0 && self.users[u].next_due <= now_ns {
-                let frame = self.build_frame(u);
-                out.send(PortId::new(1), frame);
-                sent += 1;
-                self.advance(u, now_ns);
-            }
-        }
-        self.sent_total.set(self.sent_total.get() + sent);
-        if let Some(min) = self.min_due() {
-            out.set_timer(SEND_TIMER, min - now_ns);
-        }
-    }
-
-    fn on_timer_amortized(&mut self, now_ns: u64, window_ns: u64, out: &mut Outbox) {
-        let window = window_ns.max(1);
+    /// One wake, in either mode: drain the windows that start before the
+    /// next wake, emit what is due in them, refile the users still live
+    /// and re-arm.
+    ///
+    /// `Exact` is the wheel at 1-ns windows: each due user sends one frame
+    /// at the wake instant, its next due counts from the wake, and the
+    /// timer re-arms at the next non-empty window. `Amortized` sends
+    /// every frame due inside the window, up to the credit cap, each with
+    /// the delay that makes it arrive at its own due instant, and re-arms
+    /// one window on while any user is live.
+    fn wake(&mut self, now_ns: u64, out: &mut Outbox) {
+        let (window, credit_max, exact) = match self.mode {
+            AggregateMode::Exact => (1, 1, true),
+            AggregateMode::Amortized { window_ns } => (window_ns.max(1), self.credit_max, false),
+        };
         let window_end = now_ns + window;
         let mut wheel = self
             .wheel
             .take()
-            .unwrap_or_else(|| DueWheel::filed(now_ns, window, &self.users));
-        wheel.drain_before(window_end);
+            .unwrap_or_else(|| DueWheel::filed(now_ns, window, &mut self.users));
+        wheel.drain(now_ns, &mut self.users);
         // One pass of independent loads over the due users' records before
         // the emit loop, whose every step depends on the last: the cache
         // misses of a large aggregate overlap here instead of stalling
         // the emits one by one.
-        let mut touched = 0u64;
+        let mut touched = 0;
         for &u in &wheel.due {
-            touched ^= self.users[u as usize].next_due;
+            touched ^= self.users[u as usize].due;
         }
         std::hint::black_box(touched);
         let mut sent = 0u64;
         for i in 0..wheel.due.len() {
             let u = wheel.due[i] as usize;
-            let mut credits = self.credit_max;
-            while self.users[u].remaining > 0 && self.users[u].next_due < window_end {
+            let start = self.rng_start(u);
+            let mut rng = splitmix_state(start, self.users[u].draws.into());
+            let mut due = due_at(now_ns, self.users[u].due);
+            let mut credits = credit_max;
+            while self.users[u].remaining > 0 && due < window_end {
                 if credits == 0 {
                     // Uplink backpressure: the rest of this user's stream
                     // is deferred to the next window.
-                    self.users[u].next_due = window_end;
+                    due = window_end;
                     break;
                 }
                 credits -= 1;
-                let due = self.users[u].next_due;
                 // A boot-storm wave starts the aggregate after some users'
                 // first arrivals; that backlog drains at boot (delay 0) —
                 // the burst a real staggered boot produces.
-                let frame = self.build_frame(u);
+                let frame = self.build_frame(u, &mut rng);
                 out.send_delayed(PortId::new(1), frame, due.saturating_sub(now_ns));
                 sent += 1;
-                self.advance(u, due);
+                due = self.advance(u, &mut rng, if exact { now_ns } else { due });
+            }
+            // `check_record_ranges` bounds a user's draws to u32.
+            self.users[u].draws = splitmix_draws(start, rng) as u32;
+            if self.users[u].remaining > 0 {
+                self.users[u].due = wheel.requeue(u as u32, due);
             }
         }
-        wheel.refile(&self.users);
+        wheel.refile();
+        let rearm = if exact {
+            let next = wheel.buckets.front().map(|b| wheel.start(b.window));
+            next.map(|at| at - now_ns)
+        } else {
+            (self.active > 0).then_some(window)
+        };
         self.wheel = Some(wheel);
         self.sent_total.set(self.sent_total.get() + sent);
-        if self.active > 0 {
-            out.set_timer(SEND_TIMER, window);
+        if let Some(delay) = rearm {
+            out.set_timer(SEND_TIMER, delay);
         }
     }
 }
@@ -656,14 +775,8 @@ impl SimNode for AggregateHostNode {
     }
 
     fn on_timer(&mut self, now: SimTime, timer_id: u64, out: &mut Outbox) {
-        if timer_id != SEND_TIMER {
-            return;
-        }
-        match self.mode {
-            AggregateMode::Exact => self.on_timer_exact(now.as_ns(), out),
-            AggregateMode::Amortized { window_ns } => {
-                self.on_timer_amortized(now.as_ns(), window_ns, out)
-            }
+        if timer_id == SEND_TIMER {
+            self.wake(now.as_ns(), out);
         }
     }
 }
@@ -843,11 +956,12 @@ mod tests {
         )
     }
 
-    /// A million users are a million of these: 8 more bytes here are
-    /// 8 MB more peak RSS on `fabric_wide`.
+    /// A million users are a million of these: 4 more bytes here are
+    /// 4 MB more peak RSS on `fabric_wide`.
     #[test]
-    fn a_user_record_is_24_bytes() {
-        assert_eq!(size_of::<UserState>(), 24);
+    fn a_user_record_is_16_bytes() {
+        assert_eq!(size_of::<UserState>(), 16);
+        assert_eq!(align_of::<UserState>(), 4);
     }
 
     #[test]
@@ -855,7 +969,8 @@ mod tests {
         let cfg = UserScaleConfig::for_k(4, 16, 1);
         let ft = FatTree::new(4);
         let mut agg = AggregateHostNode::new(&cfg, ft, 3, 3, 1, Rc::default(), Rc::default());
-        let frame = agg.build_frame(0);
+        let mut rng = splitmix_state(agg.rng_start(0), agg.users[0].draws.into());
+        let frame = agg.build_frame(0, &mut rng);
         let dst = frame_dst(&frame);
         assert_ne!(dst, ft.host(3), "a user never sends to its own slot");
         assert!((0..ft.host_count()).any(|h| ft.host(h) == dst));

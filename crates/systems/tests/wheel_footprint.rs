@@ -3,17 +3,17 @@
 //!
 //! A counting global allocator measures both through the aggregate's own
 //! construction and wakes. Building an aggregate of N users may allocate
-//! at most one 24-byte record per user beside its fixed parts: the record
+//! at most one 16-byte record per user beside its fixed parts: the record
 //! is the `fabric_wide` workload's largest buffer, so a byte added to it
 //! is a megabyte of peak RSS there. Filing N users on the first wake may
-//! keep at most 4 bytes
-//! per user, 16 per non-empty window and the drain buffer, and may hold no
-//! per-user scratch on the way: a million users' wheel must stay as
-//! compact as a 4-byte link per user. A wheel with growable per-window
-//! buffers breaks that bound, since each buffer's spare capacity and
-//! header are paid for every window. Then a refile-heavy loop of wakes
-//! may allocate nothing once it has warmed up: refiled users go back into
-//! the slots their drain freed.
+//! keep at most 4 bytes per user, 16 per non-empty window and the drain
+//! buffer, and may hold no per-user scratch on the way: a million users'
+//! wheel must stay as compact as a 4-byte link per user, and each user's
+//! first due becomes its window offset in place, in the record. A wheel
+//! with growable per-window buffers breaks that bound, since each
+//! buffer's spare capacity and header are paid for every window. Then a
+//! refile-heavy loop of wakes may allocate nothing once it has warmed up:
+//! refiled users go back into the slots their drain freed.
 
 use p4auth_netsim::fattree::FatTree;
 use p4auth_netsim::frame::FrameBytes;
@@ -99,7 +99,7 @@ fn construction_bound() {
     // The fixed parts: one 8-byte replay window per flow label (at most
     // 256 of them), the two tally cells `aggregate` hands in, and slack.
     let users = cfg.users;
-    let bound = 24 * users + 8 * 256 + 2 * 24 + 64;
+    let bound = 16 * users + 8 * 256 + 2 * 24 + 64;
     println!("built {users} users: kept {kept} B, peak {peak} B (bound {bound} B)");
     assert!(
         peak <= bound,
@@ -182,7 +182,7 @@ fn refiles_stop_allocating() {
 
 // One test, so no other thread of this binary allocates while it counts.
 #[test]
-fn a_user_keeps_24_bytes_of_record_and_4_of_wheel_and_stops_allocating() {
+fn a_user_keeps_16_bytes_of_record_and_4_of_wheel_and_stops_allocating() {
     construction_bound();
     filing_bound();
     refiles_stop_allocating();

@@ -1,13 +1,18 @@
-//! Differential oracle for the amortized aggregate's due-window wheel.
+//! Differential oracle for the aggregate's due-window wheel, in both
+//! modes.
 //!
-//! [`ScanAggregate`] is the sweep the wheel replaced, kept here as the
-//! reference: flat per-user columns and a scan over *every* user on every
-//! wake, emitting in ascending user order. The wheel visits only the users
-//! filed under the waking window, so the property is that nobody can tell:
-//! for random arrival mixes, window lengths, credit caps, late first wakes
-//! and an optional compromised user, both emit the identical
-//! `(frame bytes, delay)` sequence on every wake, re-arm the timer on the
-//! same wakes and finish with the same number of live users.
+//! [`ScanAggregate`] is the pair of sweeps the wheel replaced, kept here as
+//! the reference: flat per-user columns (a full RNG word and an absolute
+//! due time per user) and a scan over *every* user on every wake, emitting
+//! in ascending user order. `on_timer_amortized` is the amortized sweep;
+//! `on_timer_exact` is the `Exact` sweep, which emitted one frame per due
+//! user and re-armed at the earliest due (`min_due`). The wheel visits only
+//! the users filed under the waking window and keeps a draw count and a
+//! window offset per user, so the property is that nobody can tell: for
+//! random arrival mixes, window lengths, credit caps, late first wakes and
+//! an optional compromised user, both emit the identical
+//! `(frame bytes, delay)` sequence on every wake, re-arm the timer with the
+//! same delay and finish with the same number of live users.
 //!
 //! A second test pins the run-level consequence: a 100k-user amortized run
 //! has the same fingerprint and [`SimStats`] on every engine.
@@ -33,12 +38,12 @@ const READ_FRAME_BYTES: usize = 34;
 const WRITE_FRAME_BYTES: usize = 58;
 const SEND_TIMER: u64 = 1;
 
-/// One wake's emissions as `(frame bytes, processing delay)`, plus whether
-/// the aggregate re-armed its timer.
-type Wake = (Vec<(Vec<u8>, u64)>, bool);
+/// One wake's emissions as `(frame bytes, processing delay)`, plus the
+/// delay the aggregate re-armed its timer with, if it did.
+type Wake = (Vec<(Vec<u8>, u64)>, Option<u64>);
 
-/// The full-scan amortized sweep, structure-of-arrays, as it was before
-/// the wheel.
+/// The full-scan sweeps of both modes, structure-of-arrays, as they were
+/// before the wheel.
 struct ScanAggregate {
     slot: u16,
     gaps: ArrivalGaps,
@@ -129,7 +134,7 @@ impl ScanAggregate {
         self.next_due[u] = from_ns + gap;
     }
 
-    fn on_timer(&mut self, now_ns: u64, window_ns: u64) -> Wake {
+    fn on_timer_amortized(&mut self, now_ns: u64, window_ns: u64) -> Wake {
         let window_end = now_ns + window_ns.max(1);
         let mut batch = Vec::new();
         for u in 0..self.rng.len() {
@@ -146,7 +151,26 @@ impl ScanAggregate {
                 self.advance(u, due);
             }
         }
-        (batch, self.active > 0)
+        (batch, (self.active > 0).then_some(window_ns.max(1)))
+    }
+
+    fn min_due(&self) -> Option<u64> {
+        (0..self.rng.len())
+            .filter(|&u| self.remaining[u] > 0)
+            .map(|u| self.next_due[u])
+            .min()
+    }
+
+    fn on_timer_exact(&mut self, now_ns: u64) -> Wake {
+        let mut batch = Vec::new();
+        for u in 0..self.rng.len() {
+            if self.remaining[u] > 0 && self.next_due[u] <= now_ns {
+                let frame = self.build_frame(u);
+                batch.push((frame, 0));
+                self.advance(u, now_ns);
+            }
+        }
+        (batch, self.min_due().map(|min| min - now_ns))
     }
 }
 
@@ -162,7 +186,12 @@ fn wake(agg: &mut AggregateHostNode, now_ns: u64) -> Wake {
             (payload.to_vec(), *delay)
         })
         .collect();
-    (frames, !out.timers().is_empty())
+    assert!(out.timers().len() <= 1, "an aggregate arms one timer");
+    let rearm = out.timers().first().map(|&(id, delay)| {
+        assert_eq!(id, SEND_TIMER);
+        delay
+    });
+    (frames, rearm)
 }
 
 fn aggregate(cfg: &UserScaleConfig, slot: u16, base_user: u64, users: u64) -> AggregateHostNode {
@@ -196,18 +225,74 @@ fn assert_wheel_matches_scan(
     let mut emitted = 0u64;
     for n in 0u64.. {
         assert!(n < 5_000_000, "aggregate never drained");
-        let want = scan.on_timer(now, window_ns);
+        let want = scan.on_timer_amortized(now, window_ns);
         let got = wake(&mut wheel, now);
         assert_eq!(got, want, "wake {n} at {now} ns");
         assert_eq!(wheel.active_users(), scan.active, "wake {n} at {now} ns");
         emitted += want.0.len() as u64;
-        if !want.1 {
-            break;
-        }
-        now += window_ns.max(1);
+        let Some(delay) = want.1 else { break };
+        now += delay;
     }
     assert_eq!(wheel.active_users(), 0);
     emitted
+}
+
+/// Drives both `Exact` implementations from a first wake `late_ns` after
+/// the earliest first due (a boot-storm wave), then at every instant the
+/// reference re-arms for, until it stops; returns the total frames
+/// emitted.
+fn assert_exact_matches_scan(
+    cfg: &UserScaleConfig,
+    slot: u16,
+    base_user: u64,
+    users: u64,
+    late_ns: u64,
+) -> u64 {
+    assert_eq!(cfg.mode, AggregateMode::Exact);
+    let mut scan = ScanAggregate::new(cfg, FatTree::new(cfg.k), slot, base_user, users);
+    let mut wheel = aggregate(cfg, slot, base_user, users);
+    assert_eq!(wheel.active_users(), scan.active);
+    assert_eq!(wheel.first_due_ns(), scan.min_due());
+    let Some(first) = scan.min_due() else {
+        return 0;
+    };
+    let mut now = first + late_ns;
+    let mut emitted = 0u64;
+    for n in 0u64.. {
+        assert!(n < 5_000_000, "aggregate never drained");
+        let want = scan.on_timer_exact(now);
+        let got = wake(&mut wheel, now);
+        assert_eq!(got, want, "wake {n} at {now} ns");
+        assert_eq!(wheel.active_users(), scan.active, "wake {n} at {now} ns");
+        emitted += want.0.len() as u64;
+        let Some(delay) = want.1 else { break };
+        now += delay;
+    }
+    assert_eq!(wheel.active_users(), 0);
+    emitted
+}
+
+/// One of the three arrival mixes, shaped by `shape` and `window_ns`.
+fn mix(kind: u8, window_ns: u64, shape: &[u64]) -> ArrivalMix {
+    match kind {
+        0 => ArrivalMix::Uniform {
+            gap_ns: 1 + window_ns / (8 + shape[0]),
+        },
+        1 => ArrivalMix::HeavyTailed(HeavyTailed {
+            burst_max: 64,
+            idle_mean_ns: shape[0] * 40,
+            ..HeavyTailed::default()
+        }),
+        // Gaps of thousands of windows: the wheel must carry far future
+        // windows without visiting the empty ones between.
+        _ => ArrivalMix::Trace(
+            shape
+                .iter()
+                .map(|g| window_ns * (1_000 + g))
+                .collect::<Vec<_>>()
+                .into(),
+        ),
+    }
 }
 
 proptest! {
@@ -230,24 +315,12 @@ proptest! {
         let mut cfg = UserScaleConfig::for_k(4, users, frames_per_user);
         cfg.seed = seed;
         cfg.mode = AggregateMode::Amortized { window_ns };
-        cfg.mix = match mix_kind {
+        cfg.mix = mix(mix_kind, window_ns, &shape);
+        if mix_kind == 0 {
             // Gap far below the window: only the credit cap ends a
             // user's turn, so every window defers users to the next.
-            0 => {
-                cfg.credits_per_window = credits;
-                ArrivalMix::Uniform { gap_ns: 1 + window_ns / (8 + shape[0]) }
-            }
-            1 => ArrivalMix::HeavyTailed(HeavyTailed {
-                burst_max: 64,
-                idle_mean_ns: shape[0] * 40,
-                ..HeavyTailed::default()
-            }),
-            // Gaps of thousands of windows: the wheel must carry far
-            // future windows without visiting the empty ones between.
-            _ => ArrivalMix::Trace(
-                shape.iter().map(|g| window_ns * (1_000 + g)).collect::<Vec<_>>().into(),
-            ),
-        };
+            cfg.credits_per_window = credits;
+        }
         let (is_compromised, pick, frames, gap_ns) = compromised;
         if is_compromised {
             cfg.compromised = Some(CompromisedUser {
@@ -264,6 +337,42 @@ proptest! {
             honest * u64::from(frames_per_user) + if is_compromised { u64::from(frames) } else { 0 }
         );
     }
+
+    /// `Exact` is the wheel at 1-ns windows: one frame per due user per
+    /// wake, the next due counted from the wake, the timer re-armed at
+    /// the earliest live due. Idle users (a zero budget) and a late first
+    /// wake, whose backlog files at negative offsets, are both drawn.
+    #[test]
+    fn exact_wheel_emits_exactly_what_the_full_scan_emits(
+        mix_kind in 0u8..3,
+        gap_scale in 20u64..20_000,
+        shape in proptest::collection::vec(1u64..5_000, 1..6),
+        (users, frames_per_user) in (1u64..70, 0u32..7),
+        (slot, base_user) in (0u16..16, 0u64..1_000),
+        late_ns in prop_oneof![Just(0u64), 0u64..3_000],
+        seed: u64,
+        compromised in (any::<bool>(), any::<u64>(), 1u32..6, 1u64..30_000),
+    ) {
+        let mut cfg = UserScaleConfig::for_k(4, users, frames_per_user);
+        cfg.seed = seed;
+        cfg.mode = AggregateMode::Exact;
+        cfg.mix = mix(mix_kind, gap_scale, &shape);
+        let (is_compromised, pick, frames, gap_ns) = compromised;
+        if is_compromised {
+            cfg.compromised = Some(CompromisedUser {
+                user: base_user + pick % users,
+                victim: SwitchId::new(1),
+                frames,
+                gap_ns,
+            });
+        }
+        let emitted = assert_exact_matches_scan(&cfg, slot, base_user, users, late_ns);
+        let honest = users - u64::from(is_compromised);
+        prop_assert_eq!(
+            emitted,
+            honest * u64::from(frames_per_user) + if is_compromised { u64::from(frames) } else { 0 }
+        );
+    }
 }
 
 #[test]
@@ -274,14 +383,14 @@ fn boot_storm_backlog_drains_at_delay_zero_in_user_order() {
     cfg.mix = ArrivalMix::Uniform { gap_ns: 500 };
     cfg.mode = AggregateMode::Amortized { window_ns: 1_000 };
     let mut agg = aggregate(&cfg, 2, 40, 120);
-    let (frames, rearmed) = wake(&mut agg, 2_000);
+    let (frames, rearm) = wake(&mut agg, 2_000);
     assert_eq!(frames.len(), 120);
     assert!(frames.iter().all(|(_, delay)| *delay == 0));
-    assert!(!rearmed, "every user had one frame");
+    assert_eq!(rearm, None, "every user had one frame");
 
     // Ascending user order: the scan emits the same bytes in the same order.
     let mut scan = ScanAggregate::new(&cfg, FatTree::new(4), 2, 40, 120);
-    assert_eq!(scan.on_timer(2_000, 1_000).0, frames);
+    assert_eq!(scan.on_timer_amortized(2_000, 1_000).0, frames);
 }
 
 #[test]

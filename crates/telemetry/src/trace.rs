@@ -60,7 +60,8 @@ pub enum SpanKind {
     /// how many value-changing writes).
     StateDbWrite = 6,
     /// An orchestration daemon step found the state table changed since
-    /// its previous step (`arg_a`: by how many writes).
+    /// its previous step (`arg_a`: by how many writes; `arg_b`: the
+    /// rollover epoch the table holds, 0 before the first).
     DaemonWake = 7,
     /// A KMP/ADHKD offer left the controller.
     KmpOffer = 8,

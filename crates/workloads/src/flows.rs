@@ -148,12 +148,30 @@ impl FlowGen {
 // two streams for the same `(seed, user_idx)` are identical regardless of
 // interleaving.
 
+/// SplitMix64's increment γ, the golden-ratio constant: each step adds it
+/// to the state word, so the word after `k` steps from `start` is
+/// `start + k·γ` (mod 2⁶⁴).
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// γ⁻¹ mod 2⁶⁴. γ is odd, so it has one: every odd `g` has `g·g ≡ 1`
+/// (mod 8), and each Newton step `x ← x·(2 − g·x)` doubles the low bits
+/// that are right, 3 → 6 → … → 96 after five.
+const GAMMA_INV: u64 = {
+    let mut x = GAMMA;
+    let mut step = 0;
+    while step < 5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(GAMMA.wrapping_mul(x)));
+        step += 1;
+    }
+    x
+};
+
 /// One SplitMix64 step (same constants as `p4auth_primitives::rng`); kept
 /// inline so this crate stays free of the crypto-primitives dependency.
 /// Public so flat-array aggregates can drive per-user destination/flow
 /// draws from the same raw state word their arrival mix advances.
 pub fn splitmix_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    *state = state.wrapping_add(GAMMA);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -164,7 +182,21 @@ pub fn splitmix_next(state: &mut u64) -> u64 {
 /// mix the scale workload uses for individual host RNGs, so an aggregate of
 /// one user can reproduce an individual host bit-for-bit.
 pub fn user_seed(seed: u64, user_idx: u64) -> u64 {
-    seed ^ user_idx.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    seed ^ user_idx.wrapping_mul(GAMMA)
+}
+
+/// The state word `draws` [`splitmix_next`] steps after `start`. With
+/// [`splitmix_draws`], a stream's word is a step count next to a start
+/// everyone can rebuild (the [`user_seed`]), which is how flat-array
+/// aggregates keep it in 4 bytes instead of 8.
+pub fn splitmix_state(start: u64, draws: u64) -> u64 {
+    start.wrapping_add(draws.wrapping_mul(GAMMA))
+}
+
+/// How many [`splitmix_next`] steps lead from `start` to `state`, modulo
+/// 2⁶⁴: the inverse of [`splitmix_state`].
+pub fn splitmix_draws(start: u64, state: u64) -> u64 {
+    state.wrapping_sub(start).wrapping_mul(GAMMA_INV)
 }
 
 /// Uniform in (0, 1) from a raw SplitMix64 output (53 mantissa bits),
@@ -596,6 +628,27 @@ mod tests {
         assert_eq!(gaps.len(), 64);
         assert!(gaps.iter().all(|&g| g >= 1));
         assert!(trace_gaps(&[]).iter().all(|&g| g == 1));
+    }
+
+    #[test]
+    fn gamma_inverse_is_the_inverse() {
+        assert_eq!(GAMMA.wrapping_mul(GAMMA_INV), 1);
+        assert_eq!(GAMMA_INV.wrapping_mul(GAMMA), 1);
+    }
+
+    proptest::proptest! {
+        /// A word rebuilt from its step count is the word the steps reach,
+        /// and the count read back from it is the count.
+        #[test]
+        fn draw_count_rebuilds_the_word(seed: u64, user: u64, draws in 0u64..2_000) {
+            let start = user_seed(seed, user);
+            let mut word = start;
+            for _ in 0..draws {
+                splitmix_next(&mut word);
+            }
+            proptest::prop_assert_eq!(splitmix_state(start, draws), word);
+            proptest::prop_assert_eq!(splitmix_draws(start, word), draws);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ const AUDITED: &[(&str, usize)] = &[
     ("dataplane", 0),
     ("netsim", 20),
     ("primitives", 2),
-    ("systems", 63),
+    ("systems", 64),
     ("telemetry", 2),
     ("wire", 1),
     ("workloads", 0),
