@@ -13,9 +13,11 @@
 //! Design constraints:
 //!
 //! - **Near-zero cost when idle, a counted cost when not.** A metric
-//!   update is one relaxed atomic RMW on a pre-registered handle (two for
-//!   a histogram sample); an event or a span is one uncontended mutex
-//!   acquisition and one slot of a flat ring, and both logs are no-ops
+//!   update on a pre-registered handle is a relaxed load and store of the
+//!   cell its owner thread writes (two for a histogram sample), and a
+//!   relaxed atomic RMW from any other thread ([`metrics`]); an event or a
+//!   span is one uncontended mutex acquisition and one slot of a chunked
+//!   ring, and both logs are no-ops
 //!   unless constructed with an explicit capacity
 //!   ([`Registry::with_capacities`]). Crates that are not handed a
 //!   registry skip instrumentation behind one `Option` branch.

@@ -10,7 +10,9 @@
 //! come out exactly as `start` followed by `end` always did.
 //! [`Histogram`] derives its count from the buckets and skips the
 //! extremum writes that would change nothing; the model is a `Vec<u64>`
-//! of the samples.
+//! of the samples. The metric handles keep an owner thread's updates
+//! apart from everyone else's; with five threads writing at once, the
+//! models are plain sums of what each thread wrote.
 
 use p4auth_telemetry::{
     Counter, Event, EventLog, EventRecord, Gauge, Histogram, OpenSpan, Registry, SpanKind,
@@ -258,6 +260,10 @@ fn check_histogram(samples: &[u64]) {
     for &v in samples {
         h.record(v);
     }
+    assert_histogram_holds(&h, samples);
+}
+
+fn assert_histogram_holds(h: &Histogram, samples: &[u64]) {
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
     assert_eq!(h.count(), samples.len() as u64);
@@ -356,6 +362,109 @@ fn adding_zero_leaves_a_counter_alone() {
     c.add(3);
     c.add(0);
     assert_eq!(c.get(), 3);
+}
+
+/// Writers of the handles in `owner_and_four_threads_lose_no_update`:
+/// the test's own thread, which writes first and so owns them, and four
+/// scoped threads.
+const WRITERS: u64 = 5;
+
+/// Updates each writer makes per handle in each of its three streams.
+const STREAM: u64 = 100_000;
+
+/// Updates between two barriers. Released together ten times a stream,
+/// the writers run at once on every core there is instead of taking
+/// turns, which is what lets a lost update show.
+const CHUNK: u64 = 10_000;
+
+/// Writer `w`'s `i`-th sample in stream `phase`: every bit length, and
+/// both empty marks (0, `u64::MAX`) from threads that do not own the
+/// histogram.
+fn sample(w: u64, phase: u64, i: u64) -> u64 {
+    match (w, phase, i) {
+        (1, 0, 7) => u64::MAX,
+        (2, 1, 9) => 0,
+        _ => (w << 56 | phase << 48 | i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 64),
+    }
+}
+
+/// Writer `w`'s `i`-th counter add (zero every third) and gauge move.
+fn step(w: u64, i: u64) -> (u64, i64) {
+    (i % 3 * (w + 1), (i % 7) as i64 - 3 - w as i64)
+}
+
+/// What the oracle expects after all three streams: the counter and
+/// gauge totals and every sample.
+fn streams_model(gauge_base: i64) -> (u64, i64, Vec<u64>) {
+    let (mut count, mut gauge, mut samples) = (1, gauge_base, vec![1]);
+    for phase in 0..3 {
+        for w in 0..WRITERS {
+            for i in 0..STREAM {
+                let (add, moved) = step(w, i);
+                count += add;
+                if phase == 2 {
+                    gauge += moved;
+                }
+                samples.push(sample(w, phase, i));
+            }
+        }
+    }
+    (count, gauge, samples)
+}
+
+/// Five threads hammer one counter, one gauge and one histogram at once;
+/// nothing may be lost. Barriers force the overlap: the writers restart
+/// together every `CHUNK` updates, and each `set` happens while the rest
+/// wait between two streams, once from a thread that does not own the
+/// gauge and once from the owner.
+#[test]
+fn owner_and_four_threads_lose_no_update() {
+    const SET_BY_OTHER: i64 = -1_000_000;
+    const SET_BY_OWNER: i64 = 7_777;
+    let (c, g, h) = (Counter::new(), Gauge::new(), Histogram::new());
+    c.inc();
+    g.add(1);
+    h.record(1);
+    let barrier = std::sync::Barrier::new(WRITERS as usize);
+    let stream = |w: u64, phase: u64| {
+        for i in 0..STREAM {
+            if i % CHUNK == 0 {
+                barrier.wait();
+            }
+            let (add, moved) = step(w, i);
+            c.add(add);
+            if moved < 0 {
+                g.sub(-moved);
+            } else {
+                g.add(moved);
+            }
+            h.record(sample(w, phase, i));
+        }
+        barrier.wait();
+    };
+    let writer = |w: u64| {
+        stream(w, 0);
+        if w == 1 {
+            g.set(SET_BY_OTHER);
+            assert_eq!(g.get(), SET_BY_OTHER);
+        }
+        stream(w, 1);
+        if w == 0 {
+            g.set(SET_BY_OWNER);
+            assert_eq!(g.get(), SET_BY_OWNER);
+        }
+        stream(w, 2);
+    };
+    std::thread::scope(|s| {
+        for w in 1..WRITERS {
+            s.spawn(move || writer(w));
+        }
+        writer(0);
+    });
+    let (count, gauge, samples) = streams_model(SET_BY_OWNER);
+    assert_eq!(c.get(), count);
+    assert_eq!(g.get(), gauge);
+    assert_histogram_holds(&h, &samples);
 }
 
 #[test]
