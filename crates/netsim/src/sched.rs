@@ -166,17 +166,113 @@ const INITIAL_BUCKETS: usize = 1 << 10;
 /// the threshold doubles from there, keeping re-tunes amortized `O(1)`.
 const FIRST_RETUNE_AT: usize = 32;
 
+/// Free-map words allocated with a slab's first slot, enough for 65,536
+/// slots (8 KB); a deeper slab grows the map as it goes.
+const FIRST_MAP_WORDS: usize = 1 << 10;
+
 /// End-of-list marker of the slab's intrusive lists.
 const NIL: u32 = u32::MAX;
 /// A day bucket with nothing filed under it.
 const EMPTY: (u32, u32) = (NIL, NIL);
 
 /// One slab cell: a pending event and the slot filed after it in the same
-/// day bucket, or a free cell (`ev` is `None`) and the next free one.
+/// day bucket, or a free cell (`ev` is `None`; `next` is then stale).
 /// (`pub(crate)` so `sim`'s tests can pin its size.)
 pub(crate) struct Slot<T> {
     ev: Option<Scheduled<T>>,
     next: u32,
+}
+
+/// Which slab slots are free, and where the next push looks for one.
+///
+/// One bit per slot (set = free) plus one summary bit per bitmap word
+/// (set = the word has a free bit), so finding the first free slot at or
+/// after any index reads the word there and then jumps through summary
+/// words: `O(len / 4096)` at worst, not a scan of the slab.
+#[derive(Default)]
+struct SlotMap {
+    /// Free bits, one per slab slot.
+    free: Vec<u64>,
+    /// Bit `w` of summary word `w / 64` is set when `free[w] != 0`.
+    summary: Vec<u64>,
+    /// Where the next allocation starts its search: one past the slot the
+    /// last one took.
+    cursor: usize,
+}
+
+impl SlotMap {
+    /// Covers the slot a push just appended, occupied, at index `len - 1`
+    /// of a slab now `len` slots long, and moves the cursor past it.
+    ///
+    /// The map takes its room in one piece when the slab takes its first
+    /// slot. Grown a word at a time, its small blocks landed behind the
+    /// slab's, so the slab could not grow in place and moved to fresh
+    /// heap on some `fabric_deep` laps: peak RSS read 9.2 MB, not 8.1.
+    fn grow(&mut self, len: usize) {
+        if self.free.capacity() == 0 {
+            self.free.reserve_exact(FIRST_MAP_WORDS);
+            self.summary.reserve_exact(FIRST_MAP_WORDS / 64);
+        }
+        if len > self.free.len() * 64 {
+            self.free.push(0);
+            if self.free.len() > self.summary.len() * 64 {
+                self.summary.push(0);
+            }
+        }
+        self.cursor = len;
+    }
+
+    /// Marks `slot` free.
+    #[inline]
+    fn release(&mut self, slot: usize) {
+        let w = slot / 64;
+        self.free[w] |= 1u64 << (slot % 64);
+        self.summary[w / 64] |= 1u64 << (w % 64);
+    }
+
+    /// Marks the free `slot` taken and moves the cursor past it.
+    #[inline]
+    fn take(&mut self, slot: usize) {
+        let w = slot / 64;
+        self.free[w] &= !(1u64 << (slot % 64));
+        if self.free[w] == 0 {
+            self.summary[w / 64] &= !(1u64 << (w % 64));
+        }
+        self.cursor = slot + 1;
+    }
+
+    /// The first free slot at or after `from`.
+    #[inline]
+    fn first_free_from(&self, from: usize) -> Option<usize> {
+        let w = from / 64;
+        let bits = self.free.get(w)? & (!0u64 << (from % 64));
+        if bits != 0 {
+            return Some(w * 64 + bits.trailing_zeros() as usize);
+        }
+        // Summary bits of the words after `w`.
+        let (mut s, after) = ((w + 1) / 64, (w + 1) % 64);
+        let mut words = self.summary.get(s)? & (!0u64 << after);
+        while words == 0 {
+            s += 1;
+            words = *self.summary.get(s)?;
+        }
+        let w = s * 64 + words.trailing_zeros() as usize;
+        Some(w * 64 + self.free[w].trailing_zeros() as usize)
+    }
+
+    /// The free slot the next push takes: the first at or after the
+    /// cursor, else the first from the slab's start; `None` when every
+    /// slot is occupied. The cursor goes back to the start once it is
+    /// past twice the `occupied` count, so a population that shrank
+    /// sweeps a compact prefix instead of the slab its peak left.
+    #[inline]
+    fn next_free(&mut self, occupied: usize) -> Option<usize> {
+        if self.cursor > 2 * occupied {
+            self.cursor = 0;
+        }
+        self.first_free_from(self.cursor)
+            .or_else(|| self.first_free_from(0))
+    }
 }
 
 /// A calendar queue: a power-of-two ring of day buckets over one slab of
@@ -185,9 +281,17 @@ pub(crate) struct Slot<T> {
 /// * **Storage**: every bucketed event lives in one `Vec` of slots; a day
 ///   bucket is the `(head, tail)` slot indices of an intrusive list
 ///   through `Slot::next`, so the ring costs eight bytes a day and owns no
-///   buffer. Freed slots are reused last-in-first-out: the slot a push
-///   writes is the one a pop just vacated, and the slab stays as large as
-///   the deepest population the queue has held, not the widest ring.
+///   buffer. The slab grows only when no slot is free, so it stays as
+///   large as the deepest population the queue has held, not the widest
+///   ring.
+/// * **Slot order**: a push takes the first free slot at or after a
+///   cursor that sweeps the slab (a free bitmap with one summary bit per
+///   word finds it), not the slot a pop last vacated. Events pushed in
+///   order then sit in ascending slots, and when their leads are equal
+///   (the fabric's constant link lead) they pop in that order too: pops
+///   walk the slab forwards, which the hardware prefetcher follows. The
+///   cursor wraps to the start once it is past twice the bucketed
+///   population, so a shrunken population reuses a compact prefix.
 /// * **Bucket sizing**: one bucket ("day") spans `bucket_width_ns`
 ///   nanoseconds, rounded up to a power of two so the bucket index is a
 ///   shift and a mask. The simulator sizes this from the topology's
@@ -215,8 +319,8 @@ pub struct CalendarQueue<T> {
     mask: u64,
     /// Every bucketed event, and the free cells between them.
     slab: Vec<Slot<T>>,
-    /// Most recently freed slot, or [`NIL`].
-    free: u32,
+    /// The slab's free cells and the allocation cursor.
+    slots: SlotMap,
     /// Ring of day buckets: first and last slot of the day's list, which
     /// ascends by `(at, seq)`; [`EMPTY`] when nothing is filed.
     buckets: Vec<(u32, u32)>,
@@ -241,7 +345,7 @@ impl<T> CalendarQueue<T> {
             day_shift: width.trailing_zeros(),
             mask: (INITIAL_BUCKETS - 1) as u64,
             slab: Vec::new(),
-            free: NIL,
+            slots: SlotMap::default(),
             buckets: vec![EMPTY; INITIAL_BUCKETS],
             current_day: 0,
             window_first_day: 0,
@@ -279,13 +383,14 @@ impl<T> CalendarQueue<T> {
             .expect("a linked slot holds an event")
     }
 
-    /// Takes the event out of `slot` and puts the slot on the free list.
+    /// Takes the event out of `slot` and marks the slot free.
     #[inline]
     fn vacate(&mut self, slot: u32) -> Scheduled<T> {
-        let cell = &mut self.slab[slot as usize];
-        let ev = cell.ev.take().expect("a linked slot holds an event");
-        cell.next = self.free;
-        self.free = slot;
+        let ev = self.slab[slot as usize]
+            .ev
+            .take()
+            .expect("a linked slot holds an event");
+        self.slots.release(slot as usize);
         ev
     }
 
@@ -294,20 +399,20 @@ impl<T> CalendarQueue<T> {
     #[inline]
     fn insert_bucket(&mut self, ev: Scheduled<T>) {
         let key = ev.key();
-        let slot = match self.free {
-            NIL => {
+        let slot = match self.slots.next_free(self.in_buckets) {
+            None => {
                 assert!(self.slab.len() < NIL as usize, "slot indices must fit u32");
                 self.slab.push(Slot {
                     ev: Some(ev),
                     next: NIL,
                 });
+                self.slots.grow(self.slab.len());
                 (self.slab.len() - 1) as u32
             }
-            slot => {
-                let cell = &mut self.slab[slot as usize];
-                self.free = cell.next;
-                cell.ev = Some(ev);
-                slot
+            Some(slot) => {
+                self.slots.take(slot);
+                self.slab[slot].ev = Some(ev);
+                slot as u32
             }
         };
         self.link(slot, key);
@@ -745,6 +850,52 @@ mod tests {
         fill(&mut c, &mut h, 499 * 97);
         assert_eq!(c.slab.len(), 1_000);
         assert_eq!(drain(&mut c), drain(&mut h));
+    }
+
+    /// Share of the pops of a fixed constant-lead trace whose event sits
+    /// in the slot right after the previous pop's: how far pops walk the
+    /// slab forwards. The trace holds 4,096 events at the fabric's
+    /// constant 2,000 ns lead for 100 laps; each pop pushes 1, 2, 0, 1,
+    /// 2, 0, … events (a frame forwarded; forwarded with a timer armed;
+    /// delivered), so freed slots and pushes do not pair up one to one.
+    fn adjacent_pop_share() -> f64 {
+        const RESIDENT: u64 = 4_096;
+        const LEAD_NS: u64 = 2_000;
+        let mut c = CalendarQueue::with_bucket_width(1_000);
+        let mut seq = 0u64;
+        for i in 0..RESIDENT {
+            seq += 1;
+            c.schedule(SimTime::from_ns(i / 64 * LEAD_NS), seq, ());
+        }
+        let (mut adjacent, mut pops, mut last) = (0u64, 0u64, None::<u32>);
+        for i in 0..RESIDENT * 100 {
+            c.next_at();
+            let head = c.buckets[(c.current_day & c.mask) as usize].0;
+            let ev = c.pop().expect("the trace keeps the queue non-empty");
+            adjacent += u64::from(last.is_some_and(|prev| head == prev + 1));
+            pops += 1;
+            last = Some(head);
+            for _ in 0..[1, 2, 0][(i % 3) as usize] {
+                seq += 1;
+                c.schedule(ev.at + LEAD_NS, seq, ());
+            }
+        }
+        assert_eq!(c.len() as u64, RESIDENT);
+        adjacent as f64 / pops as f64
+    }
+
+    #[test]
+    fn constant_lead_pops_read_ascending_adjacent_slots() {
+        // Last-freed-first reuse reads 3.4 % here: the slot a push takes
+        // is whichever a pop freed last, so slot order drifts from pop
+        // order lap by lap. The sweeping cursor hands slots out in push
+        // order and reads 96.9 %.
+        let share = adjacent_pop_share();
+        assert!(
+            share >= 0.9,
+            "{:.1} % of pops read the next slot",
+            share * 100.0
+        );
     }
 
     #[test]

@@ -299,16 +299,121 @@ impl SimTelemetry {
         }
     }
 
-    fn faults_applied(&mut self) -> &Counter {
+    // The recording helpers below are `#[cold]` and never inlined, so the
+    // event loop's code is laid out for the untraced run and does not
+    // depend on how much of the recording the optimiser would inline.
+
+    #[cold]
+    #[inline(never)]
+    fn fault_applied(&mut self) {
         self.faults_applied
             .get_or_insert_with(|| self.registry.counter("sim_faults_applied"))
+            .inc();
     }
 
-    fn link_frames(&mut self, link: LinkId, dir: usize, from: SwitchId) -> &Counter {
-        self.link_frames[link.0 as usize * 2 + dir].get_or_insert_with(|| {
-            self.registry
-                .counter_with("sim_link_frames", &format!("link{}:from_{from}", link.0))
-        })
+    #[cold]
+    #[inline(never)]
+    fn link_frame(&mut self, link: LinkId, dir: usize, from: SwitchId) {
+        self.link_frames[link.0 as usize * 2 + dir]
+            .get_or_insert_with(|| {
+                self.registry
+                    .counter_with("sim_link_frames", &format!("link{}:from_{from}", link.0))
+            })
+            .inc();
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn scheduled(&self, lead_ns: u64) {
+        self.events_scheduled.inc();
+        self.event_lead_ns.record(lead_ns);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn tap_modified(&self, now: SimTime, from: SwitchId, dst: Endpoint) {
+        self.frames_tap_modified.inc();
+        if self.trace_enabled {
+            self.registry.trace().instant(
+                p4auth_telemetry::SpanKind::FrameTap,
+                now.as_ns(),
+                from.value(),
+                u64::from(dst.node.value()),
+                0,
+            );
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn tap_dropped(&self, now: SimTime, from: SwitchId, dst: Endpoint) {
+        self.frames_tap_dropped.inc();
+        self.registry.record(
+            now.as_ns(),
+            TelemetryEvent::FrameDropped {
+                node: from.value(),
+                cause: DropCause::Tap,
+            },
+        );
+        if self.trace_enabled {
+            self.registry.trace().instant(
+                p4auth_telemetry::SpanKind::FrameTap,
+                now.as_ns(),
+                from.value(),
+                u64::from(dst.node.value()),
+                1,
+            );
+        }
+    }
+
+    /// A frame sent out of a port with no live link behind it.
+    #[cold]
+    #[inline(never)]
+    fn unsendable(&self, now: SimTime, from: SwitchId) {
+        self.frames_undeliverable.inc();
+        self.registry.record(
+            now.as_ns(),
+            TelemetryEvent::FrameDropped {
+                node: from.value(),
+                cause: DropCause::Undeliverable,
+            },
+        );
+    }
+
+    /// A frame that arrived at a node with no behaviour registered.
+    #[cold]
+    #[inline(never)]
+    fn unreceivable(&self) {
+        self.frames_undeliverable.inc();
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn delivered(&self, now: SimTime, dst: Endpoint, bytes: usize) {
+        self.frames_delivered.inc();
+        self.registry.record(
+            now.as_ns(),
+            TelemetryEvent::FrameDelivered {
+                node: dst.node.value(),
+                port: dst.port.value(),
+                bytes: bytes as u32,
+            },
+        );
+        if self.trace_enabled {
+            self.registry.trace().instant(
+                p4auth_telemetry::SpanKind::FrameDeliver,
+                now.as_ns(),
+                dst.node.value(),
+                u64::from(dst.port.value()),
+                bytes as u64,
+            );
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn timer_fired(&self) {
+        self.timers_fired.inc();
     }
 }
 
@@ -690,8 +795,7 @@ impl Simulator {
 
     fn push(&mut self, src: SwitchId, at: SimTime, kind: EventKind) {
         if let Some(t) = &self.telemetry {
-            t.events_scheduled.inc();
-            t.event_lead_ns.record(at.since(self.now));
+            t.scheduled(at.since(self.now));
         }
         let count = &mut self.src_seq[src.value() as usize];
         *count += 1;
@@ -729,16 +833,7 @@ impl Simulator {
                                     if frame.modified() {
                                         self.stats.frames_tapped_modified += 1;
                                         if let Some(t) = &self.telemetry {
-                                            t.frames_tap_modified.inc();
-                                            if t.trace_enabled {
-                                                t.registry.trace().instant(
-                                                    p4auth_telemetry::SpanKind::FrameTap,
-                                                    self.now.as_ns(),
-                                                    from.value(),
-                                                    u64::from(dst.node.value()),
-                                                    0,
-                                                );
-                                            }
+                                            t.tap_modified(self.now, from, dst);
                                         }
                                     }
                                 }
@@ -746,23 +841,7 @@ impl Simulator {
                                     dropped = true;
                                     self.stats.frames_tapped_dropped += 1;
                                     if let Some(t) = &self.telemetry {
-                                        t.frames_tap_dropped.inc();
-                                        t.registry.record(
-                                            self.now.as_ns(),
-                                            TelemetryEvent::FrameDropped {
-                                                node: from.value(),
-                                                cause: DropCause::Tap,
-                                            },
-                                        );
-                                        if t.trace_enabled {
-                                            t.registry.trace().instant(
-                                                p4auth_telemetry::SpanKind::FrameTap,
-                                                self.now.as_ns(),
-                                                from.value(),
-                                                u64::from(dst.node.value()),
-                                                1,
-                                            );
-                                        }
+                                        t.tap_dropped(self.now, from, dst);
                                     }
                                 }
                             }
@@ -791,7 +870,7 @@ impl Simulator {
                         }
                         let at = tx_end + link.latency_ns;
                         if let Some(t) = &mut self.telemetry {
-                            t.link_frames(link_id, dir, from).inc();
+                            t.link_frame(link_id, dir, from);
                         }
                         self.push(from, at, EventKind::FrameArrival { dst, payload });
                     }
@@ -799,14 +878,7 @@ impl Simulator {
                 None => {
                     self.stats.frames_undeliverable += 1;
                     if let Some(t) = &self.telemetry {
-                        t.frames_undeliverable.inc();
-                        t.registry.record(
-                            self.now.as_ns(),
-                            TelemetryEvent::FrameDropped {
-                                node: from.value(),
-                                cause: DropCause::Undeliverable,
-                            },
-                        );
+                        t.unsendable(self.now, from);
                     }
                 }
             }
@@ -840,24 +912,7 @@ impl Simulator {
             EventKind::FrameArrival { dst, payload } => {
                 if let Some(mut node) = self.take_node(dst.node) {
                     if let Some(t) = &self.telemetry {
-                        t.frames_delivered.inc();
-                        t.registry.record(
-                            self.now.as_ns(),
-                            TelemetryEvent::FrameDelivered {
-                                node: dst.node.value(),
-                                port: dst.port.value(),
-                                bytes: payload.len() as u32,
-                            },
-                        );
-                        if t.trace_enabled {
-                            t.registry.trace().instant(
-                                p4auth_telemetry::SpanKind::FrameDeliver,
-                                self.now.as_ns(),
-                                dst.node.value(),
-                                u64::from(dst.port.value()),
-                                payload.len() as u64,
-                            );
-                        }
+                        t.delivered(self.now, dst, payload.len());
                     }
                     let mut out = self.checkout_outbox();
                     node.on_frame(self.now, dst.port, payload, &mut out);
@@ -867,14 +922,14 @@ impl Simulator {
                 } else {
                     self.stats.frames_undeliverable += 1;
                     if let Some(t) = &self.telemetry {
-                        t.frames_undeliverable.inc();
+                        t.unreceivable();
                     }
                 }
             }
             EventKind::Timer { node: id, timer_id } => {
                 if let Some(mut node) = self.take_node(id) {
                     if let Some(t) = &self.telemetry {
-                        t.timers_fired.inc();
+                        t.timer_fired();
                     }
                     let mut out = self.checkout_outbox();
                     node.on_timer(self.now, timer_id, &mut out);
@@ -886,7 +941,7 @@ impl Simulator {
             EventKind::Fault { link, up } => {
                 self.stats.faults_applied += 1;
                 if let Some(t) = &mut self.telemetry {
-                    t.faults_applied().inc();
+                    t.fault_applied();
                 }
                 self.apply_link_state(link, up);
             }

@@ -232,3 +232,116 @@ fn steady_population_hold_run_matches_heap() {
     assert_eq!(heap.len(), cal.len());
     drain_both(&mut heap, &mut cal, "drain after the holds");
 }
+
+/// Pushes one event into both schedulers.
+fn push_both(heap: &mut HeapScheduler<u64>, cal: &mut CalendarQueue<u64>, at: u64, seq: u64) {
+    heap.schedule(SimTime::from_ns(at), seq, seq);
+    cal.schedule(SimTime::from_ns(at), seq, seq);
+}
+
+/// Pops both schedulers once and checks they agree; returns the instant.
+fn pop_both(heap: &mut HeapScheduler<u64>, cal: &mut CalendarQueue<u64>, what: &str) -> u64 {
+    let (a, b) = (pop_one(heap), pop_one(cal));
+    assert_eq!(a, b, "{what}");
+    a.expect("the queue is not empty").0.as_ns()
+}
+
+/// A deep burst drains to a shallow hold while a few events filed late in
+/// the burst, so in the slab's far slots, stay pending: the allocation
+/// cursor wraps at its compaction limit (twice the bucketed population)
+/// and sweeps a short prefix with those far slots still occupied, until
+/// the far events pop in the middle of the hold.
+#[test]
+fn deep_burst_drained_to_a_shallow_hold_matches_heap() {
+    const DEEP: u64 = 10_000;
+    const FAR: u64 = 24;
+    const SHALLOW: u64 = 40;
+    let mut rng = SplitMix64::new(11);
+    let mut heap: HeapScheduler<u64> = HeapScheduler::new();
+    let mut cal: CalendarQueue<u64> = CalendarQueue::with_bucket_width(1_000);
+    let mut seq = 0u64;
+    for i in 0..DEEP {
+        seq += 1;
+        // The last few of the burst are due far later, inside the window.
+        let at = if i >= DEEP - FAR { 200_000 + i } else { i * 10 };
+        push_both(&mut heap, &mut cal, at, seq);
+    }
+    let mut now = 0;
+    while heap.len() as u64 > SHALLOW + FAR {
+        now = pop_both(&mut heap, &mut cal, "drain to the hold");
+    }
+    for i in 0..60_000u64 {
+        now = pop_both(&mut heap, &mut cal, &format!("hold {i}"));
+        let lead = match rng.next_u64() % 6 {
+            0 => 1_500 + rng.next_u64() % 10_000,
+            _ => 2_000,
+        };
+        seq += 1;
+        push_both(&mut heap, &mut cal, now + lead, seq);
+    }
+    assert!(
+        now > 200_000 + DEEP,
+        "the far events popped during the hold"
+    );
+    drain_both(&mut heap, &mut cal, "drain after the hold");
+}
+
+/// Every slot occupied, over several summary words (5,000 slots is 79
+/// bitmap words): each push after a pop must find the one slot the pop
+/// freed through the summary bits, from wherever the cursor stands, and
+/// every 97th step pushes one more event so the slab grows while full.
+#[test]
+fn exactly_full_slab_matches_heap() {
+    const RESIDENT: u64 = 5_000;
+    let mut rng = SplitMix64::new(12);
+    let mut heap: HeapScheduler<u64> = HeapScheduler::new();
+    let mut cal: CalendarQueue<u64> = CalendarQueue::with_bucket_width(1_000);
+    let mut seq = 0u64;
+    for i in 0..RESIDENT {
+        seq += 1;
+        push_both(&mut heap, &mut cal, i * 3, seq);
+    }
+    for i in 0..50_000u64 {
+        let now = pop_both(&mut heap, &mut cal, &format!("step {i}"));
+        // Random leads: pop order has nothing to do with slot order.
+        for _ in 0..1 + u64::from(i % 97 == 0) {
+            seq += 1;
+            push_both(&mut heap, &mut cal, now + 1 + rng.next_u64() % 20_000, seq);
+        }
+    }
+    assert_eq!(heap.len() as u64, RESIDENT + 50_000 / 97 + 1);
+    drain_both(&mut heap, &mut cal, "drain after the full-slab steps");
+}
+
+/// A re-tune fires while the cursor is mid-slab: a steady hold moves the
+/// cursor away from the slab's start, then a wide burst crosses the
+/// doubled threshold. The re-tune moves events past the new window into
+/// the overflow heap (freeing their slots behind and ahead of the cursor)
+/// and refills those inside it, and the hold resumes on the new geometry.
+#[test]
+fn retune_in_the_middle_of_a_sweep_matches_heap() {
+    let mut rng = SplitMix64::new(13);
+    let mut heap: HeapScheduler<u64> = HeapScheduler::new();
+    let mut cal: CalendarQueue<u64> = CalendarQueue::with_bucket_width(64);
+    let mut seq = 0u64;
+    for i in 0..1_500u64 {
+        seq += 1;
+        push_both(&mut heap, &mut cal, i * 40, seq);
+    }
+    let mut now = 0;
+    for round in 0..3u64 {
+        for i in 0..2_000u64 {
+            now = pop_both(&mut heap, &mut cal, &format!("round {round} hold {i}"));
+            seq += 1;
+            push_both(&mut heap, &mut cal, now + 2_000 + rng.next_u64() % 64, seq);
+        }
+        // Enough to cross the next threshold, spread so that the re-tune
+        // splits them between the ring and the overflow heap.
+        for i in 0..(4_000u64 << round) {
+            seq += 1;
+            let lead = if i % 2 == 0 { i * 3 } else { 1 << 24 | i };
+            push_both(&mut heap, &mut cal, now + lead, seq);
+        }
+    }
+    drain_both(&mut heap, &mut cal, "drain after the re-tunes");
+}
