@@ -430,9 +430,17 @@ impl<T> CalendarQueue<T> {
         if tail != NIL && self.event(tail).key() > key {
             after = NIL;
             let mut next = head;
+            let mut steps = 0usize;
             while self.event(next).key() < key {
                 after = next;
                 next = self.slab[next as usize].next;
+                steps += 1;
+                debug_assert!(
+                    steps <= self.in_buckets,
+                    "calendar queue: a day list walk took more steps than the {} bucketed \
+                     events (a slot linked twice makes a cycle)",
+                    self.in_buckets
+                );
             }
         }
         let link = match after {
@@ -488,7 +496,15 @@ impl<T> CalendarQueue<T> {
     /// heap.
     fn refile(&mut self, mut slot: u32) {
         let end = self.window_end_day();
+        let mut steps = 0usize;
         while slot != NIL {
+            steps += 1;
+            debug_assert!(
+                steps <= self.slab.len(),
+                "calendar queue: the unlinked chain is longer than the {}-slot slab \
+                 (a slot linked twice makes a cycle)",
+                self.slab.len()
+            );
             let next = self.slab[slot as usize].next;
             let key = self.event(slot).key();
             if self.day_of(key.0) < end {
@@ -538,6 +554,10 @@ impl<T> CalendarQueue<T> {
             let nbuckets = (span_days * 2)
                 .next_power_of_two()
                 .clamp(INITIAL_BUCKETS, MAX_BUCKETS);
+            // The new ring is allocated while the old one is live. Freeing
+            // the old one first, or growing it in place, moved
+            // `fabric_deep`'s median peak RSS up, not down (DESIGN §4b,
+            // "The re-tune's ring").
             self.buckets = vec![EMPTY; nbuckets];
             self.mask = (nbuckets - 1) as u64;
             self.current_day = anchor_ns >> self.day_shift;
@@ -896,6 +916,23 @@ mod tests {
             "{:.1} % of pops read the next slot",
             share * 100.0
         );
+    }
+
+    /// A slot linked into its day twice makes the day's list a cycle; the
+    /// next walk of that list fails by name instead of spinning forever.
+    /// (Debug builds only: release builds carry no step bound.)
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "calendar queue: a day list walk took more steps")]
+    fn a_slot_linked_twice_fails_the_next_walk() {
+        let mut c = CalendarQueue::with_bucket_width(1_024);
+        c.schedule(SimTime::from_ns(100), 1, ());
+        c.schedule(SimTime::from_ns(200), 2, ());
+        // Slot 0 heads day 0; filing it again points it at itself.
+        let key = c.event(0).key();
+        c.link(0, key);
+        // Lands between the two: the walk from the head meets the cycle.
+        c.schedule(SimTime::from_ns(150), 3, ());
     }
 
     #[test]

@@ -487,18 +487,25 @@ impl Simulator {
             .map(|n| n.value() as usize)
             .max()
             .unwrap_or(0);
-        let mut dispatch: Vec<Vec<Option<(LinkId, Endpoint)>>> = vec![Vec::new(); max_id + 1];
-        for (i, link) in topology.links().iter().enumerate() {
-            let id = LinkId(i as u32);
-            for (ep, opposite) in [(link.a, link.b), (link.b, link.a)] {
-                let ports = &mut dispatch[ep.node.value() as usize];
-                let idx = ep.port.value() as usize;
-                if ports.len() <= idx {
+        // The topology's port table, with each link's far end filled in.
+        let dispatch: Vec<Vec<Option<(LinkId, Endpoint)>>> = (0..=max_id)
+            .map(|raw| {
+                let node = SwitchId::new(raw as u16);
+                let mut ports = Vec::new();
+                for (port, id) in topology.port_links(node) {
+                    let link = &topology.links()[id.0 as usize];
+                    let far = if link.a == Endpoint::new(node, port) {
+                        link.b
+                    } else {
+                        link.a
+                    };
+                    let idx = port.value() as usize;
                     ports.resize(idx + 1, None);
+                    ports[idx] = Some((id, far));
                 }
-                ports[idx] = Some((id, opposite));
-            }
-        }
+                ports
+            })
+            .collect();
         let link_slots = topology.links().len() * 2;
         Simulator {
             nodes: (0..=max_id).map(|_| None).collect(),
@@ -565,10 +572,7 @@ impl Simulator {
     ///
     /// Panics if the node is not in the topology or already registered.
     pub fn register_node(&mut self, id: SwitchId, node: Box<dyn SimNode>) {
-        assert!(
-            self.topology.nodes().contains(&id),
-            "node {id} not in topology"
-        );
+        assert!(self.topology.contains(id), "node {id} not in topology");
         let slot = &mut self.nodes[id.value() as usize];
         assert!(slot.is_none(), "node {id} registered twice");
         *slot = Some(node);

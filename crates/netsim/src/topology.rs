@@ -2,7 +2,6 @@
 
 use p4auth_wire::ids::{PortId, SwitchId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// First node id used for hosts in generated topologies (see
@@ -99,17 +98,46 @@ impl fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// The network graph.
+///
+/// Nodes and links are lists; a port table, one row per node, answers
+/// "is this a node", "which link is on this port" and "who are this
+/// node's neighbours" by indexing, without a hash or a scan of either
+/// list.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Topology {
     nodes: Vec<SwitchId>,
     links: Vec<Link>,
-    port_map: HashMap<Endpoint, LinkId>,
+    /// Dense by raw node id: the node's index in `nodes` and `ports`, or
+    /// [`NO_NODE`].
+    row_of: Vec<u32>,
+    /// `ports[row][port]`: the link on that port of the node at `row`,
+    /// each row as long as its highest connected port.
+    ports: Vec<Vec<Option<LinkId>>>,
 }
+
+/// `row_of`'s entry for a raw node id no node has.
+const NO_NODE: u32 = u32::MAX;
 
 impl Topology {
     /// Creates an empty topology.
     pub fn new() -> Self {
         Topology::default()
+    }
+
+    /// Whether `node` is in the topology.
+    pub fn contains(&self, node: SwitchId) -> bool {
+        self.row(node).is_some()
+    }
+
+    /// `node`'s port row, if it is a node.
+    fn row(&self, node: SwitchId) -> Option<&[Option<LinkId>]> {
+        let row = *self.row_of.get(node.value() as usize)?;
+        self.ports.get(row as usize).map(Vec::as_slice)
+    }
+
+    /// The link on `ep`, if any.
+    fn link_id_at(&self, ep: Endpoint) -> Option<LinkId> {
+        *self.row(ep.node)?.get(ep.port.value() as usize)?
     }
 
     /// Adds a node.
@@ -118,10 +146,16 @@ impl Topology {
     ///
     /// Returns [`TopologyError::DuplicateNode`] if already present.
     pub fn add_node(&mut self, node: SwitchId) -> Result<(), TopologyError> {
-        if self.nodes.contains(&node) {
+        let raw = node.value() as usize;
+        if self.row_of.len() <= raw {
+            self.row_of.resize(raw + 1, NO_NODE);
+        }
+        if self.row_of[raw] != NO_NODE {
             return Err(TopologyError::DuplicateNode(node));
         }
+        self.row_of[raw] = self.nodes.len() as u32;
         self.nodes.push(node);
+        self.ports.push(Vec::new());
         Ok(())
     }
 
@@ -137,10 +171,10 @@ impl Topology {
         latency_ns: u64,
     ) -> Result<LinkId, TopologyError> {
         for ep in [a, b] {
-            if !self.nodes.contains(&ep.node) {
+            if !self.contains(ep.node) {
                 return Err(TopologyError::UnknownNode(ep.node));
             }
-            if self.port_map.contains_key(&ep) {
+            if self.link_id_at(ep).is_some() {
                 return Err(TopologyError::PortInUse(ep));
             }
         }
@@ -152,8 +186,14 @@ impl Topology {
             bandwidth_bps: None,
             up: true,
         });
-        self.port_map.insert(a, id);
-        self.port_map.insert(b, id);
+        for ep in [a, b] {
+            let row = &mut self.ports[self.row_of[ep.node.value() as usize] as usize];
+            let port = ep.port.value() as usize;
+            if row.len() <= port {
+                row.resize(port + 1, None);
+            }
+            row[port] = Some(id);
+        }
         Ok(id)
     }
 
@@ -168,13 +208,13 @@ impl Topology {
         self.links[id.0 as usize].bandwidth_bps = Some(bits_per_second);
     }
 
-    /// Pre-sizes the node, link and port-map tables for `nodes` more
-    /// nodes and `links` more links (generated topologies know their
-    /// final shape up front).
+    /// Pre-sizes the node, port-row and link lists for `nodes` more nodes
+    /// and `links` more links (generated topologies know their final
+    /// shape up front).
     pub fn reserve(&mut self, nodes: usize, links: usize) {
         self.nodes.reserve(nodes);
+        self.ports.reserve(nodes);
         self.links.reserve(links);
-        self.port_map.reserve(links * 2);
     }
 
     /// All nodes.
@@ -199,7 +239,7 @@ impl Topology {
 
     /// The link attached to `node`:`port`, if any.
     pub fn link_at(&self, node: SwitchId, port: PortId) -> Option<(LinkId, &Link)> {
-        let id = *self.port_map.get(&Endpoint::new(node, port))?;
+        let id = self.link_id_at(Endpoint::new(node, port))?;
         Some((id, &self.links[id.0 as usize]))
     }
 
@@ -234,24 +274,32 @@ impl Topology {
             .min()
     }
 
-    /// The neighbours of `node` over up links: `(local port, neighbour)`.
+    /// The neighbours of `node` over up links: `(local port, neighbour)`,
+    /// in port order.
     pub fn neighbors(&self, node: SwitchId) -> Vec<(PortId, Endpoint)> {
-        let mut out: Vec<(PortId, Endpoint)> = self
-            .links
-            .iter()
-            .filter(|l| l.up)
-            .filter_map(|l| {
-                if l.a.node == node {
-                    Some((l.a.port, l.b))
-                } else if l.b.node == node {
-                    Some((l.b.port, l.a))
+        self.port_links(node)
+            .filter_map(|(port, id)| {
+                let link = &self.links[id.0 as usize];
+                // A link from a node to itself is listed once, from its
+                // `a` end.
+                let (near, far) = if link.a.node == node {
+                    (link.a, link.b)
                 } else {
-                    None
-                }
+                    (link.b, link.a)
+                };
+                (link.up && near.port == port).then_some((port, far))
             })
-            .collect();
-        out.sort_by_key(|(p, _)| *p);
-        out
+            .collect()
+    }
+
+    /// `node`'s connected ports and their links, in port order (up or
+    /// down; nothing for an unknown node).
+    pub(crate) fn port_links(&self, node: SwitchId) -> impl Iterator<Item = (PortId, LinkId)> + '_ {
+        self.row(node)
+            .unwrap_or_default()
+            .iter()
+            .enumerate()
+            .filter_map(|(port, id)| Some((PortId::new(port as u8), (*id)?)))
     }
 
     /// Builds a chain `S1 – S2 – … – Sn` with the controller attached to
