@@ -6,26 +6,10 @@
 //! trace, replica, users and scenario reports CI diffs and gates;
 //! `EXPERIMENTS.md` records paper-vs-measured values.
 //!
-//! Four Criterion benches time what neither `repro` nor the standalone
-//! `benchmark/` package does (verdicts for these and the deleted ones in
-//! `EXPERIMENTS.md`):
-//!
-//! | target | times |
-//! |--------|-------|
-//! | `fig18_rct` | the agent's register request path with authentication on vs. off (`insecure_baseline`) |
-//! | `primitives` | MAC / KDF / DH micro-benchmarks across profiles, sizes and round counts |
-//! | `telemetry_overhead` | the Fig. 18 register loop on one agent, bare vs. with a registry attached |
-//! | `timeline_export` | cost of the sim-clock timeline recorder at two export intervals |
+//! The host cost of this implementation is measured by the standalone
+//! `benchmark/` package's workloads and per-layer ledger, not here.
 
 pub mod report;
-/// The fault-injection scenario campaigns behind `repro -- scenarios`.
-pub use p4auth_systems::campaigns;
-/// The fat-tree scale workload, shared with the systems crate so CI, the
-/// `timeline_export` bench and `repro -- timeline` all drive identical
-/// runs.
-pub use p4auth_systems::scaleload as scale;
-/// The aggregate-host user-scale workload behind `repro -- users`.
-pub use p4auth_systems::userscale;
 
 use p4auth_dataplane::cost::{
     request_completion_ns, sequential_throughput_rps, AccessMethod, CostModel, RwDirection,

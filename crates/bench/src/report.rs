@@ -731,8 +731,8 @@ pub fn replicas(args: &ReportArgs) {
 /// sim-time. `--out` writes the JSON timeline to `<path>` and the binary
 /// stream to `<path>.bin`.
 pub fn timeline(args: &ReportArgs) {
-    use crate::scale::{run_scale_timeline, ScaleConfig};
     use p4auth_netsim::Timeline;
+    use p4auth_systems::scaleload::{run_scale_timeline, ScaleConfig};
 
     banner(
         "timeline — streaming telemetry deltas on the sim clock",
@@ -963,7 +963,7 @@ pub fn decode(input: &str, args: &ReportArgs) {
 /// `peak_alloc_bytes` more than 1.5×, or the `fingerprint` differs in any
 /// element (see `GATES`).
 pub fn users(args: &ReportArgs) {
-    use crate::userscale::{run_users_engine, AggregateMode, UserScaleConfig};
+    use p4auth_systems::userscale::{run_users_engine, AggregateMode, UserScaleConfig};
 
     banner(
         "users — aggregate hosts: modelled users at near-constant per-user cost",
@@ -1118,7 +1118,7 @@ pub fn users(args: &ReportArgs) {
 /// latency percentile (`*_p50_ns` / `*_p99_ns`) more than doubles (the
 /// latency-regression gate — see `GATES`).
 pub fn scenarios(args: &ReportArgs) {
-    use crate::campaigns::{run_campaigns, CampaignConfig};
+    use p4auth_systems::campaigns::{run_campaigns, CampaignConfig};
 
     banner(
         "scenarios — churn + attack campaigns with per-scenario defence invariants",

@@ -155,9 +155,10 @@ impl Model {
     /// The agent's verdict on `bytes` arriving on its CPU port.
     fn agent_open(&mut self, bytes: &[u8]) -> Verdict {
         let Ok(msg) = Message::decode(bytes) else {
-            // Not a P4Auth frame: data-plane traffic, and no app is
-            // mounted.
-            return Verdict::Ignored;
+            // The CPU port is the C-DP channel, which carries no data
+            // traffic: a frame that does not decode is rejected there as
+            // the controller rejects it.
+            return Verdict::Rejected(RejectReason::Malformed);
         };
         let served = matches!(
             msg.body(),
@@ -512,6 +513,18 @@ impl Harness {
                     "a reply echoes its request"
                 );
                 assert_eq!(*reply_msg.body(), Body::Register(expect_reply));
+            }
+            Verdict::Rejected(RejectReason::Malformed) => {
+                assert!(
+                    out.outputs.is_empty(),
+                    "an undecodable frame raised an alert: {:?}",
+                    out.outputs
+                );
+                assert_eq!(
+                    self.observed(),
+                    before,
+                    "a rejected frame changed the agent or controller"
+                );
             }
             Verdict::Rejected(_) | Verdict::Ignored => assert_eq!(
                 self.observed(),

@@ -531,7 +531,21 @@ impl P4AuthSwitch {
         self.packet.bytes.clear();
         self.packet.bytes.extend_from_slice(bytes);
         let Ok(msg) = Message::decode(bytes) else {
-            let out = self.handle_data(now_ns, ingress);
+            // The C-DP channel carries P4Auth frames only, so a frame that
+            // does not decode there is rejected as the controller rejects
+            // it; on a data port it is data traffic.
+            let out = if ingress == PortId::CPU {
+                self.reject(
+                    now_ns,
+                    None,
+                    ingress,
+                    RejectReason::Malformed,
+                    None,
+                    Vec::new(),
+                )
+            } else {
+                self.handle_data(now_ns, ingress)
+            };
             self.note_packet_cost(now_ns, false, &out);
             return out;
         };
@@ -614,7 +628,8 @@ impl P4AuthSwitch {
         })
     }
 
-    /// How every handler ends a frame that failed verification: counted,
+    /// How every handler ends a frame that failed verification (and
+    /// `on_packet` one that did not decode, `msg` `None`): counted,
     /// logged, reported as [`AgentEvent::Rejected`] after `events`, and
     /// `alert`, if any, raised toward the controller (rate-limited).
     /// Nothing else answers the frame: a sealed reply to a request that
@@ -625,13 +640,15 @@ impl P4AuthSwitch {
     fn reject(
         &mut self,
         now_ns: u64,
-        msg: &Message,
+        msg: Option<&Message>,
         channel: PortId,
         reason: RejectReason,
         alert: Option<Alert>,
         mut events: Vec<AgentEvent>,
     ) -> AgentOutput {
-        let (peer, seq) = (msg.header().sender, msg.header().seq_num);
+        // An undecodable frame names no sender; only the controller
+        // sends on the C-DP channel.
+        let peer = msg.map_or(SwitchId::CONTROLLER, |m| m.header().sender);
         match reason {
             RejectReason::Replayed { .. } => self.stats.replays += 1,
             RejectReason::Quarantined => self.stats.quarantine_drops += 1,
@@ -655,14 +672,14 @@ impl P4AuthSwitch {
                 u64::from(peer.value()),
                 u64::from(channel.value()),
             );
-            if let RejectReason::Replayed { last_accepted } = reason {
+            if let (RejectReason::Replayed { last_accepted }, Some(msg)) = (reason, msg) {
                 t.registry.record(
                     now_ns,
                     TelemetryEvent::ReplayDetected {
                         peer: peer.value(),
                         channel: channel.value(),
                         last_accepted: last_accepted.value() as u64,
-                        got: seq.value() as u64,
+                        got: msg.header().seq_num.value() as u64,
                     },
                 );
             }
@@ -838,7 +855,7 @@ impl P4AuthSwitch {
                 cost_ns: outcome.cost_ns,
                 hash_passes: outcome.hash_passes,
                 recirculations: outcome.recirculations,
-                ..self.reject(now_ns, msg, PortId::CPU, reason, alert, events)
+                ..self.reject(now_ns, Some(msg), PortId::CPU, reason, alert, events)
             };
         }
         let mut outputs = Vec::with_capacity(1);
@@ -939,7 +956,7 @@ impl P4AuthSwitch {
                     offending_seq: msg.header().seq_num,
                     detail: ingress.value() as u32,
                 };
-                return self.reject(now_ns, msg, ingress, reason, Some(alert), events);
+                return self.reject(now_ns, Some(msg), ingress, reason, Some(alert), events);
             }
         };
         self.stats.verified_ok += 1;
@@ -1201,7 +1218,7 @@ impl P4AuthSwitch {
                 cost_ns: outcome.cost_ns,
                 hash_passes: outcome.hash_passes,
                 recirculations: outcome.recirculations,
-                ..self.reject(now_ns, msg, ingress, reason, alert, events)
+                ..self.reject(now_ns, Some(msg), ingress, reason, alert, events)
             };
         }
         if auth {
@@ -1337,6 +1354,65 @@ mod tests {
         let hist = snap.histogram("agent_register_op_cost_ns", "S1").unwrap();
         assert_eq!(hist.count, 3);
         assert!(hist.min > 0);
+    }
+
+    /// Sends every data packet back out of its ingress port.
+    struct Echo;
+
+    impl InNetworkApp for Echo {
+        fn system_id(&self) -> u8 {
+            0x7e
+        }
+
+        fn setup(&mut self, _chassis: &mut Chassis) {}
+
+        fn on_control(
+            &mut self,
+            _ctx: &mut PacketContext<'_>,
+            _ingress: PortId,
+            _payload: &[u8],
+        ) -> Result<Vec<(PortId, Vec<u8>)>, ChassisError> {
+            Ok(Vec::new())
+        }
+
+        fn on_data(
+            &mut self,
+            _ctx: &mut PacketContext<'_>,
+            ingress: PortId,
+            bytes: &[u8],
+        ) -> Result<Vec<(PortId, Vec<u8>)>, ChassisError> {
+            Ok(vec![(ingress, bytes.to_vec())])
+        }
+    }
+
+    /// A frame that does not decode is a counted `Malformed` reject on the
+    /// C-DP channel, with no alert and never handed to the app; on a data
+    /// port it is data traffic.
+    #[test]
+    fn an_undecodable_frame_is_rejected_on_the_cdp_channel_only() {
+        let registry = Arc::new(p4auth_telemetry::Registry::with_event_capacity(16));
+        let config = AgentConfig::new(SwitchId::new(1), 4, SEED);
+        let mut sw = P4AuthSwitch::new(config, Some(Box::new(Echo)));
+        sw.set_telemetry(registry.clone());
+        install_local(&mut sw, Key64::new(42));
+        let truncated = &sealed_write(Key64::new(42), 1, 0, 7)[..5];
+        assert!(Message::decode(truncated).is_err());
+
+        let out = sw.on_packet(0, PortId::CPU, truncated);
+        assert_eq!(
+            out.events,
+            [AgentEvent::Rejected(RejectReason::Malformed)],
+            "no alert"
+        );
+        assert!(out.outputs.is_empty(), "not handed to the app");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("auth_reject_malformed", "S1"), Some(1));
+        assert_eq!(snap.counter("alerts_emitted", "S1"), Some(0));
+        assert_eq!(sw.stats(), AgentStats::default());
+
+        let out = sw.on_packet(0, PortId::new(1), truncated);
+        assert!(out.events.is_empty());
+        assert_eq!(out.outputs, [(PortId::new(1), truncated.to_vec())]);
     }
 
     #[test]

@@ -159,6 +159,7 @@ impl FatTree {
         let mut t = Topology::new();
         let links = self.host_count() as usize + (self.agg_count() as usize * half as usize) * 2;
         t.reserve(
+            self.host(self.host_count() - 1),
             self.switch_count() as usize + self.host_count() as usize,
             links,
         );

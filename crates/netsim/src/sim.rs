@@ -4,7 +4,7 @@ use crate::frame::FrameBytes;
 use crate::sched::{CalendarQueue, HeapScheduler, Scheduled, Scheduler, SchedulerKind};
 use crate::time::SimTime;
 use crate::timeline::{ExportRecorder, Timeline};
-use crate::topology::{Endpoint, Link, LinkId, Topology};
+use crate::topology::{Endpoint, LinkId, PortLink, Topology};
 use p4auth_telemetry::{Counter, DropCause, Event as TelemetryEvent, Histogram, Registry};
 use p4auth_wire::ids::{PortId, SwitchId};
 use std::sync::Arc;
@@ -313,11 +313,13 @@ impl SimTelemetry {
 
     #[cold]
     #[inline(never)]
-    fn link_frame(&mut self, link: LinkId, dir: usize, from: SwitchId) {
-        self.link_frames[link.0 as usize * 2 + dir]
+    fn link_frame(&mut self, sent: PortLink, from: SwitchId) {
+        self.link_frames[sent.slot()]
             .get_or_insert_with(|| {
-                self.registry
-                    .counter_with("sim_link_frames", &format!("link{}:from_{from}", link.0))
+                self.registry.counter_with(
+                    "sim_link_frames",
+                    &format!("link{}:from_{from}", sent.link.0),
+                )
             })
             .inc();
     }
@@ -424,13 +426,14 @@ impl SimTelemetry {
 /// a link see (and may rewrite or drop) every frame crossing it in the
 /// tapped direction.
 ///
-/// Hot-path state is dense: nodes, taps, per-direction transmitter
-/// occupancy and the port dispatch table are flat vectors indexed by node
-/// id, link id and port number, sized once from the topology. The event
-/// queue is chosen per simulator ([`SchedulerKind`]): the default calendar
-/// queue and the reference binary heap drain events in exactly the same
-/// `(time, seq)` order, so results are bit-identical either way. Tiebreak
-/// keys pack `(source node, per-source count)`.
+/// Hot-path state is dense: nodes, taps and per-direction transmitter
+/// occupancy are flat vectors indexed by node id and link direction,
+/// sized once from the topology, and a frame is routed by the topology's
+/// port table. The event queue is chosen per simulator
+/// ([`SchedulerKind`]): the default calendar queue and the reference
+/// binary heap drain events in exactly the same `(time, seq)` order, so
+/// results are bit-identical either way. Tiebreak keys pack
+/// `(source node, per-source count)`.
 pub struct Simulator {
     topology: Topology,
     /// Node behaviours, dense by raw switch id.
@@ -452,9 +455,6 @@ pub struct Simulator {
     /// next free (bandwidth-constrained links only), dense by
     /// `link * 2 + direction`.
     tx_free_at: Vec<SimTime>,
-    /// `dispatch[node][port]` = where a frame sent from that endpoint
-    /// lands (link and opposite endpoint), ignoring link up/down state.
-    dispatch: Vec<Vec<Option<(LinkId, Endpoint)>>>,
     /// Reusable outbox so per-event delivery does not allocate.
     spare_outbox: Outbox,
     stats: SimStats,
@@ -487,25 +487,6 @@ impl Simulator {
             .map(|n| n.value() as usize)
             .max()
             .unwrap_or(0);
-        // The topology's port table, with each link's far end filled in.
-        let dispatch: Vec<Vec<Option<(LinkId, Endpoint)>>> = (0..=max_id)
-            .map(|raw| {
-                let node = SwitchId::new(raw as u16);
-                let mut ports = Vec::new();
-                for (port, id) in topology.port_links(node) {
-                    let link = &topology.links()[id.0 as usize];
-                    let far = if link.a == Endpoint::new(node, port) {
-                        link.b
-                    } else {
-                        link.a
-                    };
-                    let idx = port.value() as usize;
-                    ports.resize(idx + 1, None);
-                    ports[idx] = Some((id, far));
-                }
-                ports
-            })
-            .collect();
         let link_slots = topology.links().len() * 2;
         Simulator {
             nodes: (0..=max_id).map(|_| None).collect(),
@@ -516,7 +497,6 @@ impl Simulator {
             taps: (0..link_slots).map(|_| None).collect(),
             tap_count: 0,
             tx_free_at: vec![SimTime::ZERO; link_slots],
-            dispatch,
             spare_outbox: Outbox::default(),
             stats: SimStats::default(),
             telemetry: None,
@@ -578,19 +558,14 @@ impl Simulator {
         *slot = Some(node);
     }
 
-    /// The direction index of `from` on `link`: 0 when `from` is endpoint
-    /// `a`, 1 when it is endpoint `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` does not terminate the link.
-    fn dir_index(link: &Link, from: SwitchId) -> usize {
-        if link.a.node == from {
-            0
-        } else {
-            assert!(link.b.node == from, "{from} does not terminate this link");
-            1
-        }
+    /// The tap and transmitter slot of `link` for frames sent by `from`,
+    /// read from `from`'s port row, if `from` terminates the link.
+    fn tap_slot(&self, link: LinkId, from: SwitchId) -> Option<usize> {
+        let l = self.topology.link(link)?;
+        let near = [l.a, l.b].into_iter().find(|ep| ep.node == from)?;
+        self.topology
+            .port_link(near.node, near.port)
+            .map(PortLink::slot)
     }
 
     /// Installs a MitM tap on `link` for frames *sent by* `from_node`.
@@ -604,24 +579,20 @@ impl Simulator {
     /// Panics on an unknown link or a `from_node` that does not terminate
     /// it.
     pub fn install_tap(&mut self, link: LinkId, from_node: SwitchId, tap: Tap) {
-        let l = self.topology.link(link).expect("valid link id");
-        let dir = Self::dir_index(l, from_node);
-        let slot = &mut self.taps[link.0 as usize * 2 + dir];
-        if slot.replace(tap).is_none() {
+        let slot = self
+            .tap_slot(link, from_node)
+            .expect("a link that `from_node` terminates");
+        if self.taps[slot].replace(tap).is_none() {
             self.tap_count += 1;
         }
     }
 
     /// Removes a tap, returning whether one was present.
     pub fn remove_tap(&mut self, link: LinkId, from_node: SwitchId) -> bool {
-        let Some(l) = self.topology.link(link) else {
+        let Some(slot) = self.tap_slot(link, from_node) else {
             return false;
         };
-        if l.a.node != from_node && l.b.node != from_node {
-            return false;
-        }
-        let dir = Self::dir_index(l, from_node);
-        let removed = self.taps[link.0 as usize * 2 + dir].take().is_some();
+        let removed = self.taps[slot].take().is_some();
         if removed {
             self.tap_count -= 1;
         }
@@ -813,20 +784,16 @@ impl Simulator {
 
     fn flush_outbox(&mut self, from: SwitchId, out: &mut Outbox) {
         for (port, mut payload, processing_ns) in out.frames.drain(..) {
-            let target = self
-                .dispatch
-                .get(from.value() as usize)
-                .and_then(|ports| ports.get(port.value() as usize))
-                .and_then(|t| *t);
-            let live = target.filter(|(link_id, _)| self.topology.links()[link_id.0 as usize].up);
+            let target = self.topology.port_link(from, port);
+            let live = target.filter(|p| self.topology.links()[p.link.0 as usize].up);
             match live {
-                Some((link_id, dst)) => {
-                    let link = self.topology.links()[link_id.0 as usize];
-                    let dir = Self::dir_index(&link, from);
+                Some(sent) => {
+                    let link = self.topology.links()[sent.link.0 as usize];
+                    let (slot, dst) = (sent.slot(), sent.far);
                     let src = Endpoint::new(from, port);
                     let mut dropped = false;
                     if self.tap_count > 0 {
-                        if let Some(tap) = self.taps[link_id.0 as usize * 2 + dir].as_mut() {
+                        if let Some(tap) = self.taps[slot].as_mut() {
                             // Taps operate on a TapFrame view; the pristine
                             // copy is only snapshotted if the tap takes a
                             // mutable borrow of the bytes, so read-only taps
@@ -859,7 +826,7 @@ impl Simulator {
                         // then propagates.
                         let ser = link.serialization_ns(payload.len());
                         let tx_start = if ser > 0 {
-                            let free = self.tx_free_at[link_id.0 as usize * 2 + dir];
+                            let free = self.tx_free_at[slot];
                             if free > ready {
                                 free
                             } else {
@@ -870,11 +837,11 @@ impl Simulator {
                         };
                         let tx_end = tx_start + ser;
                         if ser > 0 {
-                            self.tx_free_at[link_id.0 as usize * 2 + dir] = tx_end;
+                            self.tx_free_at[slot] = tx_end;
                         }
                         let at = tx_end + link.latency_ns;
                         if let Some(t) = &mut self.telemetry {
-                            t.link_frame(link_id, dir, from);
+                            t.link_frame(sent, from);
                         }
                         self.push(from, at, EventKind::FrameArrival { dst, payload });
                     }
@@ -1143,17 +1110,17 @@ mod tests {
     #[test]
     fn timers_fire_in_order() {
         struct Recorder {
-            fired: Arc<parking_lot::Mutex<Vec<u64>>>,
+            fired: Arc<std::sync::Mutex<Vec<u64>>>,
         }
         impl SimNode for Recorder {
             fn on_frame(&mut self, _: SimTime, _: PortId, _: FrameBytes, _: &mut Outbox) {}
             fn on_timer(&mut self, _now: SimTime, id: u64, _out: &mut Outbox) {
-                self.fired.lock().push(id);
+                self.fired.lock().unwrap().push(id);
             }
         }
         let mut t = Topology::new();
         t.add_node(SwitchId::new(1)).unwrap();
-        let fired = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let fired = Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut sim = Simulator::new(t);
         sim.register_node(
             SwitchId::new(1),
@@ -1165,7 +1132,7 @@ mod tests {
         sim.schedule_timer(SwitchId::new(1), 1, 100);
         sim.schedule_timer(SwitchId::new(1), 2, 200);
         sim.run_to_completion();
-        assert_eq!(*fired.lock(), vec![1, 2, 3]);
+        assert_eq!(*fired.lock().unwrap(), vec![1, 2, 3]);
         assert_eq!(sim.stats().timers_fired, 3);
     }
 
@@ -1189,12 +1156,12 @@ mod tests {
         // 1000 → 1024ns here) must process events at the boundary and
         // nothing after it.
         struct Recorder {
-            fired: Arc<parking_lot::Mutex<Vec<u64>>>,
+            fired: Arc<std::sync::Mutex<Vec<u64>>>,
         }
         impl SimNode for Recorder {
             fn on_frame(&mut self, _: SimTime, _: PortId, _: FrameBytes, _: &mut Outbox) {}
             fn on_timer(&mut self, now: SimTime, _: u64, _: &mut Outbox) {
-                self.fired.lock().push(now.as_ns());
+                self.fired.lock().unwrap().push(now.as_ns());
             }
         }
         let mut t = Topology::new();
@@ -1206,7 +1173,7 @@ mod tests {
             1_000,
         )
         .unwrap();
-        let fired = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let fired = Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut sim = Simulator::with_scheduler(t, SchedulerKind::Calendar);
         sim.register_node(
             SwitchId::new(1),
@@ -1221,10 +1188,10 @@ mod tests {
         }
         let n = sim.run_until(SimTime::from_ns(2_048));
         assert_eq!(n, 2, "boundary event at the deadline must fire");
-        assert_eq!(*fired.lock(), vec![1_024, 2_048]);
+        assert_eq!(*fired.lock().unwrap(), vec![1_024, 2_048]);
         assert_eq!(sim.now().as_ns(), 2_048);
         sim.run_to_completion();
-        assert_eq!(*fired.lock(), vec![1_024, 2_048, 2_049, 4_096]);
+        assert_eq!(*fired.lock().unwrap(), vec![1_024, 2_048, 2_049, 4_096]);
     }
 
     #[test]
@@ -1430,13 +1397,13 @@ mod tests {
     #[test]
     fn fault_notifies_nodes_like_an_operator_action() {
         struct TopoLog {
-            changes: Arc<parking_lot::Mutex<Vec<(u64, bool)>>>,
+            changes: Arc<std::sync::Mutex<Vec<(u64, bool)>>>,
         }
         impl SimNode for TopoLog {
             fn on_frame(&mut self, _: SimTime, _: PortId, _: FrameBytes, _: &mut Outbox) {}
             fn on_topology(&mut self, now: SimTime, event: TopologyEvent, _: &mut Outbox) {
                 let up = matches!(event, TopologyEvent::LinkUp { .. });
-                self.changes.lock().push((now.as_ns(), up));
+                self.changes.lock().unwrap().push((now.as_ns(), up));
             }
         }
         let mut t = Topology::new();
@@ -1448,7 +1415,7 @@ mod tests {
             1_000,
         )
         .unwrap();
-        let changes = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let changes = Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut sim = Simulator::new(t);
         sim.register_node(
             SwitchId::new(1),
@@ -1460,7 +1427,10 @@ mod tests {
         plan.flap(LinkId(0), 5_000, 8_000);
         sim.install_fault_plan(&plan);
         sim.run_to_completion();
-        assert_eq!(*changes.lock(), vec![(5_000, false), (8_000, true)]);
+        assert_eq!(
+            *changes.lock().unwrap(),
+            vec![(5_000, false), (8_000, true)]
+        );
         assert_eq!(sim.now().as_ns(), 8_000);
     }
 }

@@ -61,16 +61,21 @@ impl Link {
     }
 }
 
-impl Link {
-    /// The endpoint opposite `node`, if `node` terminates this link.
-    pub fn opposite(&self, node: SwitchId) -> Option<Endpoint> {
-        if self.a.node == node {
-            Some(self.b)
-        } else if self.b.node == node {
-            Some(self.a)
-        } else {
-            None
-        }
+/// A connected port's entry in the port table: its link, the endpoint a
+/// frame sent from it arrives at, and the link direction it sends on.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PortLink {
+    pub(crate) link: LinkId,
+    pub(crate) far: Endpoint,
+    /// Whether this port is the link's `b` end.
+    from_b: bool,
+}
+
+impl PortLink {
+    /// The index of this port's sending direction in per-direction
+    /// tables: `link * 2`, plus 1 from the link's `b` end.
+    pub(crate) fn slot(self) -> usize {
+        self.link.0 as usize * 2 + usize::from(self.from_b)
     }
 }
 
@@ -83,6 +88,8 @@ pub enum TopologyError {
     UnknownNode(SwitchId),
     /// Port already connected to a different link.
     PortInUse(Endpoint),
+    /// Both ends of a link on one node.
+    SelfLink(SwitchId),
 }
 
 impl fmt::Display for TopologyError {
@@ -91,6 +98,7 @@ impl fmt::Display for TopologyError {
             TopologyError::DuplicateNode(n) => write!(f, "node {n} added twice"),
             TopologyError::UnknownNode(n) => write!(f, "unknown node {n}"),
             TopologyError::PortInUse(e) => write!(f, "port {e} already connected"),
+            TopologyError::SelfLink(n) => write!(f, "link from {n} to itself"),
         }
     }
 }
@@ -100,23 +108,18 @@ impl std::error::Error for TopologyError {}
 /// The network graph.
 ///
 /// Nodes and links are lists; a port table, one row per node, answers
-/// "is this a node", "which link is on this port" and "who are this
-/// node's neighbours" by indexing, without a hash or a scan of either
-/// list.
+/// "is this a node", "which link is on this port, and where does it
+/// lead" and "who are this node's neighbours" by indexing, without a
+/// hash or a scan of either list. The simulator routes every frame by
+/// the same table.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Topology {
     nodes: Vec<SwitchId>,
     links: Vec<Link>,
-    /// Dense by raw node id: the node's index in `nodes` and `ports`, or
-    /// [`NO_NODE`].
-    row_of: Vec<u32>,
-    /// `ports[row][port]`: the link on that port of the node at `row`,
+    /// `ports[raw node id][port]`, with `None` for an id no node has and
     /// each row as long as its highest connected port.
-    ports: Vec<Vec<Option<LinkId>>>,
+    ports: Vec<Option<Vec<Option<PortLink>>>>,
 }
-
-/// `row_of`'s entry for a raw node id no node has.
-const NO_NODE: u32 = u32::MAX;
 
 impl Topology {
     /// Creates an empty topology.
@@ -130,14 +133,13 @@ impl Topology {
     }
 
     /// `node`'s port row, if it is a node.
-    fn row(&self, node: SwitchId) -> Option<&[Option<LinkId>]> {
-        let row = *self.row_of.get(node.value() as usize)?;
-        self.ports.get(row as usize).map(Vec::as_slice)
+    fn row(&self, node: SwitchId) -> Option<&[Option<PortLink>]> {
+        self.ports.get(node.value() as usize)?.as_deref()
     }
 
-    /// The link on `ep`, if any.
-    fn link_id_at(&self, ep: Endpoint) -> Option<LinkId> {
-        *self.row(ep.node)?.get(ep.port.value() as usize)?
+    /// The link on `node`:`port` and where it leads, up or down.
+    pub(crate) fn port_link(&self, node: SwitchId, port: PortId) -> Option<PortLink> {
+        *self.row(node)?.get(port.value() as usize)?
     }
 
     /// Adds a node.
@@ -147,15 +149,14 @@ impl Topology {
     /// Returns [`TopologyError::DuplicateNode`] if already present.
     pub fn add_node(&mut self, node: SwitchId) -> Result<(), TopologyError> {
         let raw = node.value() as usize;
-        if self.row_of.len() <= raw {
-            self.row_of.resize(raw + 1, NO_NODE);
+        if self.ports.len() <= raw {
+            self.ports.resize(raw + 1, None);
         }
-        if self.row_of[raw] != NO_NODE {
+        if self.ports[raw].is_some() {
             return Err(TopologyError::DuplicateNode(node));
         }
-        self.row_of[raw] = self.nodes.len() as u32;
+        self.ports[raw] = Some(Vec::new());
         self.nodes.push(node);
-        self.ports.push(Vec::new());
         Ok(())
     }
 
@@ -163,18 +164,22 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown nodes or ports already in use.
+    /// Returns an error for a link from a node to itself, unknown nodes
+    /// or ports already in use.
     pub fn add_link(
         &mut self,
         a: Endpoint,
         b: Endpoint,
         latency_ns: u64,
     ) -> Result<LinkId, TopologyError> {
+        if a.node == b.node {
+            return Err(TopologyError::SelfLink(a.node));
+        }
         for ep in [a, b] {
             if !self.contains(ep.node) {
                 return Err(TopologyError::UnknownNode(ep.node));
             }
-            if self.link_id_at(ep).is_some() {
+            if self.port_link(ep.node, ep.port).is_some() {
                 return Err(TopologyError::PortInUse(ep));
             }
         }
@@ -186,13 +191,19 @@ impl Topology {
             bandwidth_bps: None,
             up: true,
         });
-        for ep in [a, b] {
-            let row = &mut self.ports[self.row_of[ep.node.value() as usize] as usize];
-            let port = ep.port.value() as usize;
-            if row.len() <= port {
-                row.resize(port + 1, None);
+        for (near, far, from_b) in [(a, b, false), (b, a, true)] {
+            // Both rows exist: the nodes were checked above.
+            if let Some(row) = &mut self.ports[near.node.value() as usize] {
+                let port = near.port.value() as usize;
+                if row.len() <= port {
+                    row.resize(port + 1, None);
+                }
+                row[port] = Some(PortLink {
+                    link: id,
+                    far,
+                    from_b,
+                });
             }
-            row[port] = Some(id);
         }
         Ok(id)
     }
@@ -208,12 +219,14 @@ impl Topology {
         self.links[id.0 as usize].bandwidth_bps = Some(bits_per_second);
     }
 
-    /// Pre-sizes the node, port-row and link lists for `nodes` more nodes
-    /// and `links` more links (generated topologies know their final
-    /// shape up front).
-    pub fn reserve(&mut self, nodes: usize, links: usize) {
+    /// Pre-sizes the port table for node ids up to `last_node`, and the
+    /// node and link lists for `nodes` more nodes and `links` more links
+    /// (generated topologies know their final shape up front).
+    pub fn reserve(&mut self, last_node: SwitchId, nodes: usize, links: usize) {
+        let ids = last_node.value() as usize + 1;
+        self.ports
+            .reserve_exact(ids.saturating_sub(self.ports.len()));
         self.nodes.reserve(nodes);
-        self.ports.reserve(nodes);
         self.links.reserve(links);
     }
 
@@ -239,18 +252,15 @@ impl Topology {
 
     /// The link attached to `node`:`port`, if any.
     pub fn link_at(&self, node: SwitchId, port: PortId) -> Option<(LinkId, &Link)> {
-        let id = self.link_id_at(Endpoint::new(node, port))?;
+        let id = self.port_link(node, port)?.link;
         Some((id, &self.links[id.0 as usize]))
     }
 
     /// Where a frame sent from `node`:`port` arrives: the opposite
     /// endpoint, if the link exists and is up.
     pub fn deliver_target(&self, node: SwitchId, port: PortId) -> Option<(LinkId, Endpoint)> {
-        let (id, link) = self.link_at(node, port)?;
-        if !link.up {
-            return None;
-        }
-        link.opposite(node).map(|ep| (id, ep))
+        let p = self.port_link(node, port)?;
+        self.links[p.link.0 as usize].up.then_some((p.link, p.far))
     }
 
     /// Marks a link up or down. Returns the previous state.
@@ -277,29 +287,17 @@ impl Topology {
     /// The neighbours of `node` over up links: `(local port, neighbour)`,
     /// in port order.
     pub fn neighbors(&self, node: SwitchId) -> Vec<(PortId, Endpoint)> {
-        self.port_links(node)
-            .filter_map(|(port, id)| {
-                let link = &self.links[id.0 as usize];
-                // A link from a node to itself is listed once, from its
-                // `a` end.
-                let (near, far) = if link.a.node == node {
-                    (link.a, link.b)
-                } else {
-                    (link.b, link.a)
-                };
-                (link.up && near.port == port).then_some((port, far))
-            })
-            .collect()
-    }
-
-    /// `node`'s connected ports and their links, in port order (up or
-    /// down; nothing for an unknown node).
-    pub(crate) fn port_links(&self, node: SwitchId) -> impl Iterator<Item = (PortId, LinkId)> + '_ {
         self.row(node)
             .unwrap_or_default()
             .iter()
             .enumerate()
-            .filter_map(|(port, id)| Some((PortId::new(port as u8), (*id)?)))
+            .filter_map(|(port, p)| {
+                let p = (*p)?;
+                self.links[p.link.0 as usize]
+                    .up
+                    .then_some((PortId::new(port as u8), p.far))
+            })
+            .collect()
     }
 
     /// Builds a chain `S1 – S2 – … – Sn` with the controller attached to
@@ -316,7 +314,7 @@ impl Topology {
     pub fn chain(n: u16, dp_latency_ns: u64, cp_latency_ns: u64) -> Self {
         assert!(n > 0, "chain needs at least one switch");
         let mut t = Topology::new();
-        t.reserve(n as usize + 1, 2 * n as usize - 1);
+        t.reserve(SwitchId::new(n), n as usize + 1, 2 * n as usize - 1);
         t.add_node(SwitchId::CONTROLLER).unwrap();
         for i in 1..=n {
             t.add_node(SwitchId::new(i)).unwrap();
@@ -461,6 +459,26 @@ mod tests {
         assert_eq!(err.to_string(), "port S1:p1 already connected");
     }
 
+    /// A link from a node to itself has no far end to deliver to, and
+    /// its two directions would share one tap and transmitter slot.
+    #[test]
+    fn self_link_rejected() {
+        let mut t = Topology::new();
+        t.add_node(SwitchId::new(1)).unwrap();
+        for (pa, pb) in [(1, 2), (3, 3)] {
+            let err = t
+                .add_link(
+                    Endpoint::new(SwitchId::new(1), PortId::new(pa)),
+                    Endpoint::new(SwitchId::new(1), PortId::new(pb)),
+                    10,
+                )
+                .unwrap_err();
+            assert_eq!(err.to_string(), "link from S1 to itself");
+        }
+        assert!(t.links().is_empty());
+        assert!(t.link_at(SwitchId::new(1), PortId::new(1)).is_none());
+    }
+
     #[test]
     fn neighbors_sorted_by_port() {
         let mut t = Topology::new();
@@ -523,7 +541,7 @@ mod tests {
             let (_, link) = t
                 .link_at(SwitchId::new(i), PortId::new(63))
                 .expect("C-DP link");
-            let ctrl = link.opposite(SwitchId::new(i)).unwrap();
+            let (_, ctrl) = t.deliver_target(SwitchId::new(i), PortId::new(63)).unwrap();
             assert_eq!(ctrl.node, SwitchId::CONTROLLER);
             assert_eq!(ctrl.port, PortId::new((i - 1) as u8));
             assert_eq!(link.latency_ns, 50_000);

@@ -3,10 +3,10 @@
 //!
 //! Random `add_node` / `add_link` sequences with duplicate nodes, links to
 //! unknown nodes, ports already in use and links from a node to itself
-//! (on one port or two), interleaved with links going down and up, must
-//! give the same `Result`s, and then the same `link_at`,
-//! `deliver_target` and `neighbors` answers for every endpoint, known or
-//! not.
+//! (on one port or two, refused by both), interleaved with links going
+//! down and up, must give the same `Result`s, and then the same
+//! `link_at`, `deliver_target` and `neighbors` answers for every
+//! endpoint, known or not.
 
 use p4auth_netsim::topology::{Endpoint, Link, LinkId, Topology, TopologyError};
 use p4auth_wire::ids::{PortId, SwitchId};
@@ -38,6 +38,9 @@ impl ListTopology {
         b: Endpoint,
         latency_ns: u64,
     ) -> Result<LinkId, TopologyError> {
+        if a.node == b.node {
+            return Err(TopologyError::SelfLink(a.node));
+        }
         for ep in [a, b] {
             if !self.nodes.contains(&ep.node) {
                 return Err(TopologyError::UnknownNode(ep.node));
@@ -69,7 +72,7 @@ impl ListTopology {
         if !link.up {
             return None;
         }
-        link.opposite(node).map(|ep| (id, ep))
+        Some((id, if link.a.node == node { link.b } else { link.a }))
     }
 
     fn neighbors(&self, node: SwitchId) -> Vec<(PortId, Endpoint)> {

@@ -4,6 +4,9 @@
 //! until it is named here, and the test then fails until DESIGN's table
 //! has a row for it naming the callers that set it. A setting with one
 //! value in use is a constant where it is read, not a field.
+//!
+//! Nor is a setting read from the environment: no source file of the
+//! workspace or its shims reads an environment variable.
 
 use p4auth::controller::{ControllerConfig, DefenceConfig};
 use p4auth::core::agent::AgentConfig;
@@ -12,7 +15,7 @@ use p4auth::primitives::Key64;
 use p4auth::wire::ids::SwitchId;
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Destructures `$value` as `$ty` naming exactly `$field`s, and returns
 /// them as `"Type::field"`.
@@ -94,5 +97,50 @@ fn the_fifteen_config_fields_each_have_a_design_row() {
         design_rows(),
         fields,
         "DESIGN §4i's config-surface table and the config structs disagree"
+    );
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn no_source_reads_an_environment_variable() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut src_dirs = vec![root.join("src")];
+    for parent in ["crates", "shims"] {
+        for entry in fs::read_dir(root.join(parent)).expect(parent) {
+            src_dirs.push(entry.expect("directory entry").path().join("src"));
+        }
+    }
+    let mut files = Vec::new();
+    for dir in src_dirs.iter().filter(|dir| dir.is_dir()) {
+        rust_files(dir, &mut files);
+    }
+    assert!(files.len() > 50, "scanned only {} files", files.len());
+    let reads: Vec<String> = files
+        .iter()
+        .flat_map(|file| {
+            let source = fs::read_to_string(file).expect("readable source");
+            source
+                .lines()
+                .enumerate()
+                .filter(|(_, line)| line.contains("env::var"))
+                .map(|(n, line)| format!("{}:{}: {}", file.display(), n + 1, line.trim()))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    assert!(
+        reads.is_empty(),
+        "a setting read from the environment; make it a flag or a constant:\n{}",
+        reads.join("\n")
     );
 }
