@@ -8,6 +8,7 @@
 //! cargo run -p p4auth-bench --bin repro -- users --baseline BENCH_users.json
 //! cargo run -p p4auth-bench --bin repro -- timeline --out /tmp/tl.json
 //! cargo run -p p4auth-bench --bin repro -- decode /tmp/tl.json.bin
+//! cargo run -p p4auth-bench --bin repro -- digests --check ARTEFACTS.txt
 //! ```
 //!
 //! `--short` (CI-sized workloads) reaches the users, timeline, trace and
@@ -19,8 +20,10 @@
 //! starting with `--` that is not one of these three flags is an error,
 //! not an experiment filter. `decode <file>` re-emits a binary artifact
 //! (`P4TS` snapshot/delta, `P4TL` timeline or `P4TR` trace) as canonical
-//! JSON.
+//! JSON. `digests [--check <file> | --bless <file>]` prints, checks or
+//! rewrites the pinned artefact list ([`p4auth_bench::digests`]).
 
+use p4auth_bench::digests;
 use p4auth_bench::report::{self, die, ReportArgs};
 use p4auth_telemetry::alloc::CountingAlloc;
 
@@ -58,7 +61,8 @@ const EXPERIMENTS: [Experiment; 17] = [
 ];
 
 const USAGE: &str = "usage: repro [<experiment>...] [--short] [--out <path>] \
-                     [--baseline <path>] | repro decode <file> [--out <path>]";
+                     [--baseline <path>] | repro decode <file> [--out <path>] \
+                     | repro digests [--check <file> | --bless <file>]";
 
 /// Splits the command line into positional experiment names
 /// (substring-matched against the table) and the typed flags. Anything
@@ -89,8 +93,52 @@ fn parse(argv: &[String]) -> Result<(Vec<String>, ReportArgs), String> {
     Ok((filter, args))
 }
 
+/// `digests`: prints the artefact lines, or checks them against (exits 1
+/// naming every moved artefact) or rewrites a pinned file.
+fn digests(args: &[String]) {
+    let mode = match args {
+        [] => None,
+        [flag, file] if flag == "--check" || flag == "--bless" => Some((flag.as_str(), file)),
+        _ => die(format!(
+            "usage: digests [--check <file> | --bless <file>]\n{USAGE}"
+        )),
+    };
+    let exe = std::env::current_exe().unwrap_or_else(|e| die(format!("no executable path: {e}")));
+    let dir = std::env::temp_dir().join(format!("p4auth-digests-{}", std::process::id()));
+    std::fs::create_dir_all(&dir)
+        .unwrap_or_else(|e| die(format!("cannot create {}: {e}", dir.display())));
+    let lines = digests::collect(&exe, &dir);
+    // Best effort: the files are spent either way.
+    let _ = std::fs::remove_dir_all(&dir);
+    let lines = lines.unwrap_or_else(|e| die(e));
+    match mode {
+        None => print!("{lines}"),
+        Some(("--bless", file)) => std::fs::write(file, &lines)
+            .unwrap_or_else(|e| die(format!("cannot write {file}: {e}"))),
+        Some((_, file)) => {
+            let pinned = std::fs::read_to_string(file)
+                .unwrap_or_else(|e| die(format!("cannot read {file}: {e}")));
+            let moved = digests::moved(&pinned, &lines);
+            if !moved.is_empty() {
+                print!("{lines}");
+                die(format!(
+                    "{} artefact(s) moved against {file}: {}",
+                    moved.len(),
+                    moved.join(", ")
+                ));
+            }
+            println!("{} artefacts match {file}", lines.lines().count());
+        }
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    // `digests` takes its own two flags, so it is split off before the
+    // experiment flags are parsed.
+    if argv.first().map(String::as_str) == Some("digests") {
+        return digests(&argv[1..]);
+    }
     let (filter, args) = parse(&argv).unwrap_or_else(|e| die(e));
 
     // `decode <file>` is a converter, not an experiment: handle it before

@@ -9,6 +9,7 @@
 //! The host cost of this implementation is measured by the standalone
 //! `benchmark/` package's workloads and per-layer ledger, not here.
 
+pub mod digests;
 pub mod report;
 
 use p4auth_dataplane::cost::{
