@@ -155,6 +155,13 @@ impl FatTree {
     /// Builds the topology with uniform one-way `latency_ns` on every
     /// link.
     pub fn build(&self, latency_ns: u64) -> Topology {
+        self.build_with_switch_ports(latency_ns, self.k as usize + 1)
+    }
+
+    /// [`FatTree::build`] with each switch's port row sized for ports
+    /// `0..switch_ports` (at least `k + 1`), so a caller that adds more
+    /// links to the switches allocates no row twice.
+    pub(crate) fn build_with_switch_ports(&self, latency_ns: u64, switch_ports: usize) -> Topology {
         let (k, half) = (self.k, self.half());
         let mut t = Topology::new();
         let links = self.host_count() as usize + (self.agg_count() as usize * half as usize) * 2;
@@ -164,20 +171,23 @@ impl FatTree {
             links,
         );
         for i in 0..self.core_count() {
-            t.add_node(self.core(i)).unwrap();
+            t.add_node_with_ports(self.core(i), switch_ports).unwrap();
         }
         for pod in 0..k {
             for i in 0..half {
-                t.add_node(self.agg(pod, i)).unwrap();
+                t.add_node_with_ports(self.agg(pod, i), switch_ports)
+                    .unwrap();
             }
         }
         for pod in 0..k {
             for i in 0..half {
-                t.add_node(self.edge(pod, i)).unwrap();
+                t.add_node_with_ports(self.edge(pod, i), switch_ports)
+                    .unwrap();
             }
         }
+        // A host's one link is on port 1.
         for h in 0..self.host_count() {
-            t.add_node(self.host(h)).unwrap();
+            t.add_node_with_ports(self.host(h), 2).unwrap();
         }
         for pod in 0..k {
             for e in 0..half {

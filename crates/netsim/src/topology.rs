@@ -105,6 +105,10 @@ impl fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
+/// The switch port the C-DP control channel lands on in the built
+/// topologies ([`Topology::chain`], [`Topology::fat_tree_with_controller`]).
+const CDP_PORT: u8 = 63;
+
 /// The network graph.
 ///
 /// Nodes and links are lists; a port table, one row per node, answers
@@ -117,7 +121,7 @@ pub struct Topology {
     nodes: Vec<SwitchId>,
     links: Vec<Link>,
     /// `ports[raw node id][port]`, with `None` for an id no node has and
-    /// each row as long as its highest connected port.
+    /// each row at least as long as its highest connected port.
     ports: Vec<Option<Vec<Option<PortLink>>>>,
 }
 
@@ -148,6 +152,21 @@ impl Topology {
     ///
     /// Returns [`TopologyError::DuplicateNode`] if already present.
     pub fn add_node(&mut self, node: SwitchId) -> Result<(), TopologyError> {
+        self.add_node_with_ports(node, 0)
+    }
+
+    /// Adds a node whose port row is sized for ports `0..ports` up front:
+    /// a builder that knows each node's port count allocates every row
+    /// once, where [`Topology::add_node`]'s row grows with each link.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TopologyError::DuplicateNode`] if already present.
+    pub fn add_node_with_ports(
+        &mut self,
+        node: SwitchId,
+        ports: usize,
+    ) -> Result<(), TopologyError> {
         let raw = node.value() as usize;
         if self.ports.len() <= raw {
             self.ports.resize(raw + 1, None);
@@ -155,7 +174,7 @@ impl Topology {
         if self.ports[raw].is_some() {
             return Err(TopologyError::DuplicateNode(node));
         }
-        self.ports[raw] = Some(Vec::new());
+        self.ports[raw] = Some(vec![None; ports]);
         self.nodes.push(node);
         Ok(())
     }
@@ -315,9 +334,11 @@ impl Topology {
         assert!(n > 0, "chain needs at least one switch");
         let mut t = Topology::new();
         t.reserve(SwitchId::new(n), n as usize + 1, 2 * n as usize - 1);
-        t.add_node(SwitchId::CONTROLLER).unwrap();
+        t.add_node_with_ports(SwitchId::CONTROLLER, n as usize)
+            .unwrap();
         for i in 1..=n {
-            t.add_node(SwitchId::new(i)).unwrap();
+            t.add_node_with_ports(SwitchId::new(i), CDP_PORT as usize + 1)
+                .unwrap();
         }
         for i in 1..n {
             t.add_link(
@@ -330,7 +351,7 @@ impl Topology {
         for i in 1..=n {
             // C-DP control channel modelled as port 63.
             t.add_link(
-                Endpoint::new(SwitchId::new(i), PortId::new(63)),
+                Endpoint::new(SwitchId::new(i), PortId::new(CDP_PORT)),
                 Endpoint::new(SwitchId::CONTROLLER, PortId::new((i - 1) as u8)),
                 cp_latency_ns,
             )
@@ -364,17 +385,19 @@ impl Topology {
     /// Panics unless `k` is even and `2 ≤ k ≤ 14` (the controller has
     /// at most 256 ports, one per switch; `k = 16` has 320 switches).
     pub fn fat_tree_with_controller(k: u16, latency_ns: u64, cp_latency_ns: u64) -> Self {
-        let mut t = Topology::fat_tree(k, latency_ns);
+        let tree = crate::fattree::FatTree::new(k);
         // Hosts are nodes too, but only switches get a control channel.
-        let switches = crate::fattree::FatTree::new(k).switch_count();
+        let switches = tree.switch_count();
         assert!(
             switches <= 256,
             "fat_tree({k}) has {switches} switches; the controller has 256 ports"
         );
-        t.add_node(SwitchId::CONTROLLER).unwrap();
+        let mut t = tree.build_with_switch_ports(latency_ns, CDP_PORT as usize + 1);
+        t.add_node_with_ports(SwitchId::CONTROLLER, switches as usize)
+            .unwrap();
         for i in 1..=switches {
             t.add_link(
-                Endpoint::new(SwitchId::new(i), PortId::new(63)),
+                Endpoint::new(SwitchId::new(i), PortId::new(CDP_PORT)),
                 Endpoint::new(SwitchId::CONTROLLER, PortId::new((i - 1) as u8)),
                 cp_latency_ns,
             )

@@ -7,11 +7,24 @@
 //! down and up, must give the same `Result`s, and then the same
 //! `link_at`, `deliver_target` and `neighbors` answers for every
 //! endpoint, known or not.
+//!
+//! The file also counts what building a controller-attached fat tree
+//! allocates: each port row is sized once from the builder's port count.
+//! The allocation counter is per process, so the file's two tests take
+//! one lock and run one at a time.
 
 use p4auth_netsim::topology::{Endpoint, Link, LinkId, Topology, TopologyError};
+use p4auth_telemetry::alloc::{allocations, CountingAlloc};
 use p4auth_wire::ids::{PortId, SwitchId};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Held by each test of this file for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// The model: the node list searched by `Vec::contains`, a
 /// `HashMap<Endpoint, LinkId>` for ports, and `neighbors` as a scan of
@@ -161,8 +174,7 @@ fn same_answers(table: &Topology, model: &ListTopology) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    #[test]
-    fn port_table_answers_as_the_lists_did(ops in proptest::collection::vec(op(), 1..60)) {
+    fn port_table_cases(ops in proptest::collection::vec(op(), 1..60)) {
         let mut table = Topology::new();
         let mut model = ListTopology::default();
         for op in ops {
@@ -186,4 +198,32 @@ proptest! {
             same_answers(&table, &model);
         }
     }
+}
+
+#[test]
+fn port_table_answers_as_the_lists_did() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    port_table_cases();
+}
+
+/// `fat_tree_with_controller(8, ..)`: 209 nodes (80 switches, 128 hosts
+/// and the controller) and 464 links. One allocation per port row, plus
+/// the node list, the link list and the row table. Growing each row on
+/// demand took 460: a switch row reached 64 entries (port 63 is the C-DP
+/// link) through two or three reallocations, the controller's row through
+/// about eight.
+const FAT_TREE_8_ALLOCS: u64 = 215;
+
+#[test]
+fn a_controller_attached_fat_tree_sizes_each_port_row_once() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let before = allocations();
+    let topology = Topology::fat_tree_with_controller(8, 1_000, 200_000);
+    let made = allocations() - before;
+    assert_eq!(topology.nodes().len(), 209);
+    assert_eq!(topology.links().len(), 464);
+    assert!(
+        made <= FAT_TREE_8_ALLOCS,
+        "{made} allocations, bound {FAT_TREE_8_ALLOCS}"
+    );
 }
