@@ -5,7 +5,7 @@ use crate::outstanding::{Outstanding, PendingRequest};
 use p4auth_core::adhkd::{AdhkdInitiator, AdhkdPayload};
 use p4auth_core::auth::{AuthMetrics, RejectReason};
 use p4auth_core::channel::ChannelEnd;
-use p4auth_core::eak::EakInitiator;
+use p4auth_core::eak::{self, EakInitiator};
 use p4auth_primitives::dh::{DhParams, DhPublic};
 use p4auth_primitives::idhash::IdMap;
 use p4auth_primitives::kdf::{Kdf, KdfConfig};
@@ -17,7 +17,7 @@ use p4auth_wire::body::{
     AdhkdRole, AlertKind, Body, EakStep, KexContext, KeyExchange, NackReason, RegisterOp,
 };
 use p4auth_wire::ids::{KeyVersion, PortId, RegId, SeqNum, SwitchId};
-use p4auth_wire::{verify_frame, Message};
+use p4auth_wire::{verify_bound_frame, verify_frame, Message};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -43,6 +43,13 @@ impl Default for ControllerConfig {
 /// §VIII DoS indicator: a response that leaves more requests than this
 /// outstanding on its channel reports [`ControllerEvent::DosSuspected`].
 const OUTSTANDING_THRESHOLD: u32 = 1024;
+
+/// Requests sealed under one local key after which the controller rolls
+/// it (RFC 4303 §3.3.3: rekey before the counter can cycle). A key
+/// generation numbers its frames from 1 and stops at `u32::MAX` rather
+/// than wrap; half the space leaves 2³¹ frames for the rollover to land,
+/// which no round trip comes near.
+const SEQ_HIGH_WATER: u32 = 1 << 31;
 
 /// Capacity of the received-alert ring. When full, the oldest alert is
 /// evicted and counted in [`ControllerStats::alerts_dropped`], mirroring
@@ -300,8 +307,9 @@ impl RetryState {
 }
 
 struct SwitchChannel {
-    /// `K_seed`, `K_auth`, the local key, the request counter and the
-    /// window on this switch's alerts and key-exchange legs.
+    /// `K_seed`, `K_auth` and the local key, each key generation with its
+    /// own counter and window on this switch's alerts and key-exchange
+    /// legs.
     end: ChannelEnd,
     eak: Option<EakInitiator>,
     /// Pending ADHKD exchange: context, initiator state, and the offer
@@ -325,6 +333,16 @@ impl SwitchChannel {
             retry: RetryState::default(),
         }
     }
+}
+
+/// `msg` as `end`'s next frame: sealed under the key the channel's key rule
+/// picks, or plain while that key is missing or authentication is off.
+fn seal_frame(end: &mut ChannelEnd, auth: bool, mac: &HalfSipHashMac, msg: Message) -> Vec<u8> {
+    if !auth {
+        return end.seal_plain(msg);
+    }
+    end.seal(None, msg, |key, parts| mac.compute(key, parts))
+        .unwrap_or_else(|msg| msg.encode())
 }
 
 /// The channel to a registered switch.
@@ -517,6 +535,18 @@ impl Controller {
             .entry(switch)
             .or_insert_with(|| SwitchChannel::new(Key64::default()));
         chan.end.mirror(key, version);
+    }
+
+    /// Rekeys `chan`'s local key and retires the requests the switch can no
+    /// longer answer (DESIGN §2); the telemetry gauge follows.
+    fn rekey(&mut self, switch: SwitchId, key: Key64, rolled: bool) {
+        let chan = self.channel_mut(switch);
+        let old = chan.end.keys().version();
+        chan.end.rekey(key, rolled);
+        let retired = chan.outstanding.retire(rolled.then_some(old));
+        if let Some(t) = &self.telemetry {
+            t.outstanding.sub(retired as i64);
+        }
     }
 
     /// Records one bulk-rollover fan-out latency (epoch start → every
@@ -764,18 +794,10 @@ impl Controller {
         channel_in(&mut self.switches, switch)
     }
 
-    /// The next frame `build` makes toward `switch`: sealed under the key
-    /// the channel's key rule picks, or plain while that key is missing or
-    /// authentication is off.
-    fn seal(&mut self, switch: SwitchId, build: impl FnOnce(SeqNum) -> Message) -> Outgoing {
-        let (auth, mac) = (self.config.auth_enabled, &self.mac);
+    /// `msg` as the next frame toward `switch` ([`seal_frame`]).
+    fn seal(&mut self, switch: SwitchId, msg: Message) -> Outgoing {
         let end = &mut channel_in(&mut self.switches, switch).end;
-        let bytes = if auth {
-            end.seal(build, |key, parts| mac.compute(key, parts))
-                .unwrap_or_else(|msg| msg.encode())
-        } else {
-            end.seal_plain(build)
-        };
+        let bytes = seal_frame(end, self.config.auth_enabled, &self.mac, msg);
         Outgoing { to: switch, bytes }
     }
 
@@ -808,26 +830,32 @@ impl Controller {
             Some(v) => RegisterOp::write_req(reg, index, v),
             None => RegisterOp::read_req(reg, index),
         };
-        let out = self.seal(switch, |seq| {
-            Message::register_request(SwitchId::CONTROLLER, seq, op)
-        });
-        let now_ns = self.now_ns;
-        let chan = self.channel_mut(switch);
-        chan.outstanding.push(
-            chan.end.last_sent(),
-            PendingRequest {
+        let (auth, now_ns) = (self.config.auth_enabled, self.now_ns);
+        let chan = channel_in(&mut self.switches, switch);
+        let before = chan.end.last_sent();
+        let msg = Message::register_request(SwitchId::CONTROLLER, SeqNum::default(), op);
+        let bytes = seal_frame(&mut chan.end, auth, &self.mac, msg);
+        let (version, seq) = chan.end.last_sent();
+        // A request that went out under no key (none yet, or its counter
+        // ran out) drew no number and has no generation to be answered
+        // under.
+        let numbered = (version, seq) != before;
+        if numbered {
+            let is_write = value.is_some();
+            let pending = PendingRequest {
                 reg,
                 index,
-                is_write: value.is_some(),
+                is_write,
                 sent_at_ns: now_ns,
-            },
-        );
+            };
+            chan.outstanding.push(version, seq, pending);
+        }
         self.stats.requests_sent += 1;
         if let Some(t) = &self.telemetry {
             t.requests_sent.inc();
-            t.outstanding.add(1);
+            t.outstanding.add(i64::from(numbered));
         }
-        out
+        Outgoing { to: switch, bytes }
     }
 
     // ----- key management (§VI) -------------------------------------------
@@ -848,9 +876,9 @@ impl Controller {
             step: EakStep::Salt1,
             salt: s1,
         };
-        vec![self.seal(switch, |seq| {
-            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, seq, salt1)
-        })]
+        let salt1 =
+            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, SeqNum::default(), salt1);
+        vec![self.seal(switch, salt1)]
     }
 
     /// Starts a local-key rollover (Fig. 14 b): ADHKD offer under the
@@ -892,9 +920,9 @@ impl Controller {
             public_key: offer.public_key.to_raw(),
             salt: offer.salt,
         };
-        self.seal(switch, |seq| {
-            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, seq, kex)
-        })
+        let offer =
+            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, SeqNum::default(), kex);
+        self.seal(switch, offer)
     }
 
     /// Whether a pending port-key redirect on this core expects a `role`
@@ -962,9 +990,8 @@ impl Controller {
             peer: sw2,
             peer_port: port1,
         };
-        self.seal(sw1, |seq| {
-            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, seq, kex)
-        })
+        let init = Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, SeqNum::default(), kex);
+        self.seal(sw1, init)
     }
 
     /// Starts a direct DP-DP port-key rollover (Fig. 14 d): one
@@ -987,9 +1014,9 @@ impl Controller {
             peer: sw2,
             peer_port: port1,
         };
-        vec![self.seal(sw1, |seq| {
-            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, seq, kex)
-        })]
+        let update =
+            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, SeqNum::default(), kex);
+        vec![self.seal(sw1, update)]
     }
 
     /// Re-drives stalled key exchanges (lost messages leave `eak` /
@@ -1187,16 +1214,26 @@ impl Controller {
         }
 
         if self.config.auth_enabled {
-            // Responses echo the request's seq, so the replay window only
-            // applies to switch-initiated messages (alerts, key-exchange
-            // legs) — responses are deduplicated via the outstanding set
-            // instead.
-            let windowed = !matches!(msg.body(), Body::Register(_));
+            // The channel's key rule picks the generation and its window;
+            // responses echo their request's number and are matched
+            // through the outstanding set instead. A `Salt2` verifies only
+            // bound to the `Salt1` this end is waiting on.
             let mac = &self.mac;
             let result = match self.switches.get_mut(&from) {
-                Some(chan) => chan
-                    .end
-                    .open(from, &msg, windowed, |key| verify_frame(mac, key, bytes)),
+                Some(chan) => {
+                    let transcript = match msg.body() {
+                        Body::KeyExchange(KeyExchange::EakSalt {
+                            step: EakStep::Salt2,
+                            ..
+                        }) => Some(chan.eak.as_ref().map(|e| eak::transcript(e.salt1()))),
+                        _ => None,
+                    };
+                    chan.end.open(&msg, |key| match transcript {
+                        None => verify_frame(mac, key, bytes),
+                        Some(Some(salt1)) => verify_bound_frame(mac, key, bytes, &salt1),
+                        Some(None) => false,
+                    })
+                }
                 None => Err(RejectReason::NoKey),
             };
             match result {
@@ -1248,7 +1285,9 @@ impl Controller {
 
         match *msg.body() {
             Body::Register(op) => {
-                self.on_register_response(from, msg.header().seq_num, op, &mut events);
+                let header = msg.header();
+                let sent_as = (header.key_version, header.seq_num);
+                self.on_register_response(from, sent_as, op, &mut out, &mut events);
             }
             Body::Alert(alert) => {
                 self.stats.alerts += 1;
@@ -1274,11 +1313,16 @@ impl Controller {
         (out, events)
     }
 
+    /// Delivers a register response sent as `(version, seq)` to the
+    /// request it answers; then, if the local key has sealed
+    /// [`SEQ_HIGH_WATER`] frames and no exchange is running, starts its
+    /// rollover.
     fn on_register_response(
         &mut self,
         from: SwitchId,
-        seq: SeqNum,
+        (version, seq): (KeyVersion, SeqNum),
         op: RegisterOp,
+        out: &mut Vec<Outgoing>,
         events: &mut Vec<ControllerEvent>,
     ) {
         // Only the two response variants have an outcome to deliver. The
@@ -1294,11 +1338,15 @@ impl Controller {
             RegisterOp::Nack { reason, .. } => Err(reason),
         };
         let chan = self.channel_mut(from);
-        let Some(pending) = chan.outstanding.remove(seq) else {
+        let Some(pending) = chan.outstanding.remove(version, seq) else {
             events.push(ControllerEvent::UnmatchedResponse(from));
             return;
         };
         let outstanding = chan.outstanding.len() as u32;
+        let spent = chan.end.keys().is_installed()
+            && chan.end.last_sent().1.value() >= SEQ_HIGH_WATER
+            && chan.eak.is_none()
+            && chan.adhkd.is_none();
         self.stats.responses_ok += 1;
         if let Some(t) = &self.telemetry {
             t.responses_ok.inc();
@@ -1328,6 +1376,9 @@ impl Controller {
                 switch: from,
                 outstanding,
             });
+        }
+        if spent {
+            out.extend(self.local_key_update(from));
         }
     }
 
@@ -1408,13 +1459,13 @@ impl Controller {
                     );
                     let rolled = context.rolls();
                     chan.retry = RetryState::default();
-                    chan.end.rekey(master, rolled);
+                    self.rekey(from, master, rolled);
                     events.push(if rolled {
                         ControllerEvent::LocalKeyRolled(from)
                     } else {
                         ControllerEvent::LocalKeyInstalled(from)
                     });
-                    let version = chan.end.keys().version().value();
+                    let version = self.channel_mut(from).end.keys().version().value();
                     if let Some(t) = &self.telemetry {
                         if rolled {
                             t.key_rollovers.inc();
@@ -1476,10 +1527,13 @@ impl Controller {
                     AdhkdRole::Offer => r.responder,
                     AdhkdRole::Answer => r.initiator,
                 };
+                // The leg keeps its sender but is numbered afresh in the
+                // destination channel's current generation: the origin's
+                // number belongs to the origin's own key.
                 let fwd = Message::new(
                     from,
                     dest_port,
-                    msg.header().seq_num,
+                    SeqNum::default(),
                     Body::KeyExchange(KeyExchange::Adhkd {
                         role,
                         context: KexContext::PortInitRedirect,
@@ -1488,10 +1542,10 @@ impl Controller {
                     }),
                 );
                 let mac = &self.mac;
-                let bytes = match self.switches.get(&dest) {
+                let bytes = match self.switches.get_mut(&dest) {
                     Some(chan) if self.config.auth_enabled => chan
                         .end
-                        .seal_reply(fwd, |key, parts| mac.compute(key, parts))
+                        .seal(None, fwd, |key, parts| mac.compute(key, parts))
                         .unwrap_or_else(|fwd| fwd.encode()),
                     _ => fwd.encode(),
                 };
@@ -1533,12 +1587,21 @@ mod tests {
     #[test]
     fn read_request_is_sealed_once_key_exists() {
         let (mut c, sw) = controller_with_switch();
-        // Before any key: request goes out unsigned (nothing to seal with).
+        // Before any key: request goes out unsigned (nothing to seal with),
+        // and no generation exists to answer it under, so nothing waits.
         let out = c.read_register(sw, RegId::new(1), 0);
         let msg = Message::decode(&out.bytes).unwrap();
         assert_eq!(msg.digest().value(), 0);
-        assert_eq!(c.outstanding(sw), 1);
+        assert_eq!(c.outstanding(sw), 0);
         assert_eq!(c.stats().requests_sent, 1);
+        c.mirror_peer_key(sw, Key64::new(1), KeyVersion::INITIAL);
+        let out = c.read_register(sw, RegId::new(1), 0);
+        assert!(verify_frame(
+            &HalfSipHashMac::default(),
+            Key64::new(1),
+            &out.bytes
+        ));
+        assert_eq!(c.outstanding(sw), 1);
     }
 
     #[test]
@@ -2322,5 +2385,158 @@ mod tests {
             }]
         );
         assert_eq!(c.outstanding(sw), 0);
+    }
+
+    /// The register the restart and counter tests read.
+    const PROBE_REG: RegId = RegId::new(7);
+
+    /// A fresh agent for `sw`, as a switch boots: no keys, one register.
+    fn booted_agent(sw: SwitchId, k_seed: Key64) -> P4AuthSwitch {
+        let config = AgentConfig::new(sw, 4, k_seed).map_register(PROBE_REG, "probe");
+        let mut agent = P4AuthSwitch::new(config, None);
+        agent
+            .chassis_mut()
+            .declare_register(p4auth_dataplane::register::RegisterArray::new(
+                "probe", 4, 64,
+            ));
+        agent
+    }
+
+    /// A bootstrapped controller and agent after `rollovers` local-key
+    /// rollovers, each round with one read in between.
+    fn rolled_pair(rollovers: usize) -> (Controller, SwitchId, P4AuthSwitch, Key64) {
+        let mut c = Controller::new(ControllerConfig::default());
+        let (sw, k_seed) = (SwitchId::new(1), Key64::new(0x5eed));
+        c.register_switch(sw, k_seed);
+        let mut agent = booted_agent(sw, k_seed);
+        let init = c.local_key_init(sw);
+        pump(&mut c, sw, &mut agent, init);
+        for round in 0..rollovers {
+            assert!(read_verifies(&mut c, sw, &mut agent), "read {round}");
+            let update = c.local_key_update(sw);
+            pump(&mut c, sw, &mut agent, update);
+        }
+        (c, sw, agent, k_seed)
+    }
+
+    /// Sends one read and delivers the answer and any follow-ups; whether
+    /// the read came back as a value.
+    fn read_verifies(c: &mut Controller, sw: SwitchId, agent: &mut P4AuthSwitch) -> bool {
+        let request = c.read_register(sw, PROBE_REG, 0);
+        let output = agent.on_packet(0, PortId::CPU, &request.bytes);
+        let (mut read, mut follow_ups) = (false, Vec::new());
+        for (_, bytes) in output.outputs {
+            let (more, events) = c.on_message(sw, &bytes);
+            read |= events
+                .iter()
+                .any(|e| matches!(e, ControllerEvent::ValueRead { .. }));
+            follow_ups.extend(more);
+        }
+        pump(c, sw, agent, follow_ups);
+        read
+    }
+
+    /// Re-runs local-key init as a harness does after a restart: one
+    /// `local_key_init`, then `retry_stalled` every 10 ms for 40 rounds.
+    /// Then the keys must agree and a read must verify.
+    fn rejoin(c: &mut Controller, sw: SwitchId, agent: &mut P4AuthSwitch) {
+        let mut now_ns = 1_000_000_000;
+        c.set_now(now_ns);
+        let init = c.local_key_init(sw);
+        pump(c, sw, agent, init);
+        for _ in 0..40 {
+            now_ns += 10_000_000;
+            c.set_now(now_ns);
+            let retries = c.retry_stalled();
+            pump(c, sw, agent, retries);
+        }
+        assert_eq!(c.stats().kex_abandoned, 0, "the rejoin was abandoned");
+        let keys = agent.keys(PortId::CPU);
+        assert_eq!(
+            c.local_key_material(sw),
+            keys.current().map(|k| (k, keys.version())),
+            "the two ends hold different local keys"
+        );
+        assert!(read_verifies(c, sw, agent), "a read after the rejoin");
+    }
+
+    #[test]
+    fn a_rebooted_switch_rejoins_after_20_rollovers() {
+        let (mut c, sw, _, k_seed) = rolled_pair(20);
+        let mut rebooted = booted_agent(sw, k_seed);
+        rejoin(&mut c, sw, &mut rebooted);
+    }
+
+    #[test]
+    fn a_restarted_controller_rejoins_after_20_rollovers() {
+        let (_, sw, mut agent, k_seed) = rolled_pair(20);
+        let mut restarted = Controller::new(ControllerConfig::default());
+        restarted.register_switch(sw, k_seed);
+        rejoin(&mut restarted, sw, &mut agent);
+    }
+
+    #[test]
+    fn a_channel_survives_its_counter_reaching_u32_max() {
+        let (mut c, sw, mut agent, _) = rolled_pair(0);
+        c.channel_mut(sw)
+            .end
+            .fast_forward(SeqNum::new(u32::MAX - 2));
+        for i in 0..6 {
+            assert!(read_verifies(&mut c, sw, &mut agent), "read {i}");
+        }
+        assert!(
+            c.alerts()
+                .iter()
+                .all(|&(_, kind)| kind != AlertKind::SeqMismatch),
+            "{:?}",
+            c.alerts()
+        );
+        let (_, version) = c.local_key_material(sw).unwrap();
+        assert_eq!(
+            version,
+            KeyVersion::INITIAL.next(),
+            "one high-water rollover"
+        );
+    }
+
+    /// A replayed `Salt1` (the one that started the first init) reaches
+    /// the agent while a second init is in flight: the agent's `K_auth`
+    /// moves on, but the one the init runs under stays as the previous
+    /// generation, so the init completes without a retry. The `Salt2`
+    /// answering the replay is bound to a `Salt1` the controller no
+    /// longer waits on, and fails its digest.
+    #[test]
+    fn a_replayed_salt1_does_not_strand_an_init_in_flight() {
+        let mut c = Controller::new(ControllerConfig::default());
+        let (sw, k_seed) = (SwitchId::new(1), Key64::new(0x5eed));
+        c.register_switch(sw, k_seed);
+        let mut agent = booted_agent(sw, k_seed);
+        let first = c.local_key_init(sw);
+        let old_salt1 = first[0].bytes.clone();
+        pump(&mut c, sw, &mut agent, first);
+
+        let salt1 = c.local_key_init(sw);
+        let salt2 = agent.on_packet(0, PortId::CPU, &salt1[0].bytes).outputs;
+        let (offer, _) = c.on_message(sw, &salt2[0].1);
+        assert_eq!(offer.len(), 1, "the LocalInit offer");
+        for (_, stale_salt2) in agent.on_packet(0, PortId::CPU, &old_salt1).outputs {
+            let (out, events) = c.on_message(sw, &stale_salt2);
+            assert!(out.is_empty());
+            assert_eq!(
+                events,
+                [ControllerEvent::Rejected {
+                    switch: sw,
+                    reason: RejectReason::BadDigest
+                }]
+            );
+        }
+        pump(&mut c, sw, &mut agent, offer);
+        assert!(!c.kex_in_flight(sw), "the init completed");
+        let keys = agent.keys(PortId::CPU);
+        assert_eq!(
+            c.local_key_material(sw),
+            keys.current().map(|k| (k, keys.version()))
+        );
+        assert!(read_verifies(&mut c, sw, &mut agent));
     }
 }

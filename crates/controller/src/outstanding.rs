@@ -1,7 +1,7 @@
 //! The register requests a controller has sent one switch and not yet
 //! seen answered.
 
-use p4auth_wire::ids::{RegId, SeqNum};
+use p4auth_wire::ids::{KeyVersion, RegId, SeqNum};
 use std::collections::VecDeque;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -15,46 +15,42 @@ pub(crate) struct PendingRequest {
     pub(crate) sent_at_ns: u64,
 }
 
-/// Unanswered requests in send order.
-///
-/// A channel mints its sequence numbers in increasing order, wrapping at
-/// `u32::MAX`, and a request is pushed as it is sent. So the entries are
-/// sorted by their distance from the front entry's number, modulo 2³²,
-/// and an answer finds its request by binary search on that distance:
-/// no hashing, and one contiguous buffer instead of a table. DESIGN §4j
-/// says why this is not a `seq mod W` ring.
+/// Unanswered requests in send order, by the key version and sequence
+/// number they were sent under (an answer echoes both). A request lives
+/// as long as its generation ([`Outstanding::retire`]), so the entries
+/// span at most two versions, older first, each numbered upwards from 1:
+/// an answer finds its request by binary search on (newest version?,
+/// seq). DESIGN §4j says why this is not a `seq mod W` ring.
 #[derive(Default)]
-pub(crate) struct Outstanding(VecDeque<(SeqNum, PendingRequest)>);
+pub(crate) struct Outstanding(VecDeque<(KeyVersion, SeqNum, PendingRequest)>);
 
 impl Outstanding {
-    /// Distance of `seq` from `front`, modulo 2³².
-    fn offset(front: SeqNum, seq: SeqNum) -> u32 {
-        seq.value().wrapping_sub(front.value())
+    /// Records `request`, sent as `seq` under `version`: the newest
+    /// generation's next number.
+    pub(crate) fn push(&mut self, version: KeyVersion, seq: SeqNum, request: PendingRequest) {
+        self.0.push_back((version, seq, request));
     }
 
-    /// Records `request`, sent as `seq`: a number this channel minted after
-    /// every one already held.
-    pub(crate) fn push(&mut self, seq: SeqNum, request: PendingRequest) {
-        // A request still unanswered 2³² numbers later has been lapped:
-        // its number now names the new request. Dropping it keeps the
-        // entries sorted.
-        while let (Some(&(front, _)), Some(&(back, _))) = (self.0.front(), self.0.back()) {
-            if Self::offset(front, seq) > Self::offset(front, back) {
-                break;
-            }
-            self.0.pop_front();
-        }
-        self.0.push_back((seq, request));
-    }
-
-    /// Takes the request sent as `seq`, if it is still unanswered.
-    pub(crate) fn remove(&mut self, seq: SeqNum) -> Option<PendingRequest> {
-        let &(front, _) = self.0.front()?;
+    /// Takes the request sent as `seq` under `version`, if it is still
+    /// unanswered.
+    pub(crate) fn remove(&mut self, version: KeyVersion, seq: SeqNum) -> Option<PendingRequest> {
+        let &(newest, _, _) = self.0.back()?;
         let i = self
             .0
-            .binary_search_by_key(&Self::offset(front, seq), |&(s, _)| Self::offset(front, s))
-            .ok()?;
-        self.0.remove(i).map(|(_, request)| request)
+            .binary_search_by_key(&(version == newest, seq), |&(v, s, _)| (v == newest, s))
+            .ok()
+            .filter(|&i| self.0[i].0 == version)?;
+        self.0.remove(i).map(|(_, _, request)| request)
+    }
+
+    /// Drops every request not sent under `live`, the one generation that
+    /// outlives a rekey (the old current one after a rollover, none after
+    /// an install): the switch can no longer answer them. Returns how many
+    /// went.
+    pub(crate) fn retire(&mut self, live: Option<KeyVersion>) -> usize {
+        let before = self.0.len();
+        self.0.retain(|&(v, _, _)| Some(v) == live);
+        before - self.0.len()
     }
 
     /// Requests still unanswered.
@@ -80,39 +76,56 @@ mod tests {
 
     proptest! {
         /// `Outstanding` against the plain model of it, a map keyed by
-        /// sequence number. Steps: a request sent (0, 1), a number
-        /// minted for something else (2, as a key exchange does), the
-        /// oldest unanswered request answered (3), any number minted so far
-        /// answered — out of order, a duplicate or a number never sent as
-        /// a request (4) — and a number not yet minted answered (5).
-        /// Requests are left unanswered throughout, and the counter starts
-        /// just short of `u32::MAX`, so the wrap falls inside the run.
+        /// (version, sequence number). Steps: a request sent (0, 1), a
+        /// number drawn for something else (2, as an alert does), the
+        /// oldest unanswered request answered (3), any (version, number)
+        /// drawn so far answered — out of order, a duplicate, one never
+        /// sent as a request or one of a retired generation (4), a number
+        /// not yet drawn answered (5), a rollover (6) and an install (7),
+        /// each of which retires what the switch can no longer answer.
+        /// Versions wrap at 255 and an install goes back to the initial
+        /// one, so numbers repeat across generations.
         #[test]
-        fn outstanding_matches_a_seq_keyed_map(
-            steps in proptest::collection::vec((0u8..6, any::<u32>()), 1..400),
-            start in 0u32..64,
+        fn outstanding_matches_a_version_and_seq_keyed_map(
+            steps in proptest::collection::vec((0u8..8, any::<u32>()), 1..400),
+            start in any::<u8>(),
         ) {
-            let mut last_minted = SeqNum::new(u32::MAX - start);
-            let mut minted: Vec<SeqNum> = Vec::new();
+            let mut version = KeyVersion::new(start);
+            let mut sent = 0u32;
+            let mut drawn: Vec<(KeyVersion, SeqNum)> = Vec::new();
             let mut queue = Outstanding::default();
-            let mut oracle: BTreeMap<SeqNum, PendingRequest> = BTreeMap::new();
+            let mut oracle: BTreeMap<(u8, u32), PendingRequest> = BTreeMap::new();
             for (step, &(kind, pick)) in steps.iter().enumerate() {
                 let answer = match kind {
                     0..=2 => {
-                        last_minted = last_minted.next();
-                        minted.push(last_minted);
+                        sent += 1;
+                        drawn.push((version, SeqNum::new(sent)));
                         if kind < 2 {
-                            queue.push(last_minted, request(step));
-                            oracle.insert(last_minted, request(step));
+                            queue.push(version, SeqNum::new(sent), request(step));
+                            oracle.insert((version.value(), sent), request(step));
                         }
                         None
                     }
-                    3 => minted.iter().copied().find(|s| oracle.contains_key(s)),
-                    4 if !minted.is_empty() => Some(minted[pick as usize % minted.len()]),
-                    _ => Some(SeqNum::new(last_minted.value().wrapping_add(1 + pick % 1_000))),
+                    3 => drawn
+                        .iter()
+                        .copied()
+                        .find(|(v, s)| oracle.contains_key(&(v.value(), s.value()))),
+                    4 if !drawn.is_empty() => Some(drawn[pick as usize % drawn.len()]),
+                    5 => Some((version, SeqNum::new(sent + 1 + pick % 1_000))),
+                    6 | 7 => {
+                        let live = (kind == 6).then_some(version);
+                        version = if kind == 6 { version.next() } else { KeyVersion::INITIAL };
+                        sent = 0;
+                        let gone = oracle.len();
+                        oracle.retain(|&(v, _), _| Some(KeyVersion::new(v)) == live);
+                        prop_assert_eq!(queue.retire(live), gone - oracle.len());
+                        None
+                    }
+                    _ => None,
                 };
-                if let Some(seq) = answer {
-                    prop_assert_eq!(queue.remove(seq), oracle.remove(&seq), "seq {}", seq);
+                if let Some((v, seq)) = answer {
+                    let want = oracle.remove(&(v.value(), seq.value()));
+                    prop_assert_eq!(queue.remove(v, seq), want, "{} {}", v, seq);
                 }
                 prop_assert_eq!(queue.len(), oracle.len());
             }
@@ -120,28 +133,31 @@ mod tests {
     }
 
     #[test]
-    fn an_answer_across_the_wrap_finds_its_request() {
+    fn the_same_number_under_two_versions_finds_each_request() {
+        let (v0, v1) = (KeyVersion::INITIAL, KeyVersion::INITIAL.next());
         let mut queue = Outstanding::default();
-        let seqs = [u32::MAX - 1, u32::MAX, 0, 1].map(SeqNum::new);
-        for (i, &seq) in seqs.iter().enumerate() {
-            queue.push(seq, request(i));
-        }
-        assert_eq!(queue.remove(SeqNum::new(0)), Some(request(2)));
-        assert_eq!(queue.remove(SeqNum::new(u32::MAX)), Some(request(1)));
-        assert_eq!(queue.remove(SeqNum::new(u32::MAX)), None);
-        assert_eq!(queue.remove(SeqNum::new(1)), Some(request(3)));
+        queue.push(v0, SeqNum::new(5), request(0));
+        queue.push(v0, SeqNum::new(6), request(1));
+        queue.push(v1, SeqNum::new(5), request(2));
+        assert_eq!(queue.remove(KeyVersion::new(9), SeqNum::new(5)), None);
+        assert_eq!(queue.remove(v1, SeqNum::new(5)), Some(request(2)));
+        assert_eq!(queue.remove(v0, SeqNum::new(5)), Some(request(0)));
+        assert_eq!(queue.remove(v0, SeqNum::new(5)), None);
         assert_eq!(queue.len(), 1);
     }
 
     #[test]
-    fn a_lapped_request_is_dropped() {
+    fn a_rekey_retires_what_the_switch_cannot_answer() {
+        let (v0, v1) = (KeyVersion::INITIAL, KeyVersion::INITIAL.next());
         let mut queue = Outstanding::default();
-        queue.push(SeqNum::new(5), request(0));
-        queue.push(SeqNum::new(9), request(1));
-        // 2³² numbers after 5, the counter is at 5 again.
-        queue.push(SeqNum::new(5), request(2));
-        assert_eq!(queue.len(), 2);
-        assert_eq!(queue.remove(SeqNum::new(9)), Some(request(1)));
-        assert_eq!(queue.remove(SeqNum::new(5)), Some(request(2)));
+        queue.push(v0, SeqNum::new(1), request(0));
+        queue.push(v1, SeqNum::new(1), request(1));
+        // A second rollover: only v1 stays live, as the previous generation.
+        assert_eq!(queue.retire(Some(v1)), 1);
+        assert_eq!(queue.remove(v1, SeqNum::new(1)), Some(request(1)));
+        queue.push(v1, SeqNum::new(2), request(2));
+        // An install: nothing stays.
+        assert_eq!(queue.retire(None), 1);
+        assert_eq!(queue.len(), 0);
     }
 }

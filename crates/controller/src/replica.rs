@@ -33,11 +33,16 @@
 //!   The lease ends with the record: when the genuine answer leg
 //!   completes the exchange, or when the home core abandons it. A forged
 //!   leg is rejected by the home core and moves nothing. The home is
-//!   handed a key and nothing else: a
-//!   redirected leg keeps the *initiator's* sender and sequence number
-//!   (the home only re-seals it), so the home never draws a sequence
-//!   number toward the responder, and the owner — which may well send on
-//!   that channel mid-redirect — stays the one writer of its counter.
+//!   handed a key and nothing else: a redirected leg keeps its origin
+//!   switch as sender and is numbered afresh from the home's own copy of
+//!   the destination's key generation (a number belongs to one key's
+//!   sequence space, and the origin's is not the destination's). The
+//!   destination windows each sender apart, so its owner — which may
+//!   well send on that channel mid-redirect, as the controller — and the
+//!   home write different windows. Legs from one origin to one
+//!   destination come from one home as long as a link's exchanges start
+//!   from the same end (the harness starts each from the link's `a`
+//!   end); homes on both ends of one link would share a window.
 //!
 //! Determinism: replicas step in index order, partitions iterate in
 //! switch-id order, the state table is `BTreeMap`-backed, and each
@@ -408,14 +413,19 @@ impl ReplicaSet {
                 .all(|r| KeyManagerDaemon::partition_done(&self.db, r.owned(), epoch))
     }
 
-    /// Simulates a crash/restart of replica `i`'s orchestration: the key
-    /// manager is rebuilt from scratch, knowing only its partition and
-    /// the table as it stands, as a respawned process would come up. All
+    /// Simulates a crash/restart of replica `i`'s orchestration only: the
+    /// key manager is rebuilt from scratch, knowing only its partition and
+    /// the table as it stands, as a respawned daemon would come up. All
     /// orchestration progress must therefore be recoverable from the
-    /// table — the mid-rollover restart proptest pins this down. The
-    /// protocol core (keys, sequence counters, pending redirects and the
-    /// leases derived from them, the defence loop's windows and in-flight
-    /// mitigations) is not orchestration state and survives.
+    /// table — the mid-rollover restart proptest pins this down.
+    ///
+    /// This is not a controller restart: the protocol core (keys,
+    /// sequence counters and replay windows, pending exchanges and
+    /// redirects and the leases derived from them, the defence loop's
+    /// windows and in-flight mitigations) is kept as it was. A controller
+    /// that loses that state too is a fresh [`Controller`] with the same
+    /// `K_seed`s, which must run `local_key_init` toward every switch it
+    /// owns (`controller::tests::a_restarted_controller_rejoins_after_20_rollovers`).
     pub fn restart_replica(&mut self, i: usize) {
         let r = &mut self.replicas[i];
         r.km = KeyManagerDaemon::new(&self.db, r.owned().to_vec(), i);

@@ -7,8 +7,9 @@
 //! `ReplicaSet::on_message` and `P4AuthSwitch::on_packet`. Beside them
 //! runs the model `core/tests/channel_model.rs` holds `ChannelEnd` to,
 //! once per end: the current and previous key generation with the ±1
-//! rule, the last sequence number accepted from each peer, and (for the
-//! controller) the requests awaiting an answer.
+//! rule, each with its own outbound counter and the last sequence number
+//! accepted from each sender, and (for the controller) the requests
+//! awaiting an answer, by key version and sequence number.
 //!
 //! After every step:
 //!
@@ -24,9 +25,9 @@
 //! Rollover legs are delivered whole and in order (a lost or forged leg
 //! is `tests/failure_injection.rs`'s), and are kept for replay.
 //!
-//! Not covered yet: a switch restart in the middle of the sequence. It
-//! needs the agent reboot verb (ROADMAP item 17), which does not exist;
-//! it belongs here as one more input once it does.
+//! Not covered yet: a switch restart in the middle of the sequence. The
+//! controller's unit tests and scenario campaign 5 reboot a switch; as an
+//! input here it belongs with ROADMAP item 21's explorer.
 
 use p4auth_controller::{ControllerConfig, ControllerEvent, ReplicaSet};
 use p4auth_core::agent::{AgentConfig, AgentEvent, P4AuthSwitch};
@@ -47,57 +48,59 @@ const REG_NAME: &str = "r";
 /// Register entries; requests also name indices past the end.
 const REG_LEN: u32 = 8;
 
-/// One end's key slot: the current generation and the one a rollover
-/// kept.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Keys {
+/// One key generation: its key and version, the last number sealed
+/// under it, and the last number accepted under it per header sender.
+#[derive(Clone, Debug)]
+struct Gen {
     version: u8,
-    current: Key64,
-    previous: Option<Key64>,
+    key: Key64,
+    sent: u32,
+    last: HashMap<SwitchId, u32>,
 }
 
-impl Keys {
-    /// The ±1 rule.
-    fn select(&self, version: KeyVersion) -> Option<Key64> {
-        let v = version.value();
-        if v == self.version {
-            Some(self.current)
-        } else if v.wrapping_add(1) == self.version {
-            self.previous
-        } else {
-            None
+impl Gen {
+    fn new(version: u8, key: Key64) -> Gen {
+        Gen {
+            version,
+            key,
+            sent: 0,
+            last: HashMap::new(),
         }
     }
-
-    fn roll(&mut self, key: Key64) {
-        self.previous = Some(self.current);
-        self.current = key;
-        self.version = self.version.wrapping_add(1);
-    }
 }
 
-/// One end of the channel in the model.
+/// One end of the channel in the model: the current generation and the
+/// one a rollover kept.
 struct End {
-    keys: Keys,
-    /// Last sequence number accepted per peer.
-    last: HashMap<SwitchId, SeqNum>,
-    /// Last sequence number this end sealed a frame with.
-    sent: u32,
+    current: Gen,
+    previous: Option<Gen>,
 }
 
 impl End {
+    /// The ±1 rule.
+    fn generation(&mut self, version: KeyVersion) -> Option<&mut Gen> {
+        std::iter::once(&mut self.current)
+            .chain(self.previous.as_mut())
+            .find(|g| g.version == version.value())
+    }
+
+    fn roll(&mut self, key: Key64) {
+        let fresh = Gen::new(self.current.version.wrapping_add(1), key);
+        self.previous = Some(std::mem::replace(&mut self.current, fresh));
+    }
+
     /// `ChannelEnd::open` as the model has it: the key rule, the digest,
-    /// then (if `windowed`) the replay window, which only an accepted
-    /// frame moves.
-    fn open(
-        &mut self,
-        peer: SwitchId,
-        msg: &Message,
-        bytes: &[u8],
-        windowed: bool,
-    ) -> Result<(), RejectReason> {
-        let key = match msg.body() {
-            Body::KeyExchange(KeyExchange::EakSalt { .. }) => Some(SEED),
+    /// then the sender's window in that generation, which only an
+    /// accepted frame moves and a register response skips.
+    fn open(&mut self, msg: &Message, bytes: &[u8]) -> Result<(), RejectReason> {
+        let verify = |key| verify_frame(&HalfSipHashMac::default(), key, bytes);
+        let g = match msg.body() {
+            // EAK legs are outside every window. No genuine one is sent
+            // after bootstrap, and a tampered one fails its digest (a
+            // Salt2 at the controller, bound to no pending Salt1, too).
+            Body::KeyExchange(KeyExchange::EakSalt { .. }) => {
+                return verify(SEED).then_some(()).ok_or(RejectReason::BadDigest);
+            }
             // The model holds no `K_auth`. Only a tampered frame decodes
             // as a LocalInit leg here (no genuine one is replayed), and
             // the end holds `K_auth`, so its digest is what fails.
@@ -105,24 +108,25 @@ impl End {
                 context: KexContext::LocalInit,
                 ..
             }) => return Err(RejectReason::BadDigest),
-            _ => self.keys.select(msg.header().key_version),
+            _ => self
+                .generation(msg.header().key_version)
+                .ok_or(RejectReason::NoKey)?,
         };
-        let key = key.ok_or(RejectReason::NoKey)?;
-        if !verify_frame(&HalfSipHashMac::default(), key, bytes) {
+        if !verify(g.key) {
             return Err(RejectReason::BadDigest);
         }
-        if windowed {
-            let seq = msg.header().seq_num;
-            match self.last.get(&peer) {
-                Some(&last) if seq.value() <= last.value() => {
-                    return Err(RejectReason::Replayed {
-                        last_accepted: last,
-                    });
-                }
-                _ => {
-                    self.last.insert(peer, seq);
-                }
+        if !matches!(
+            msg.body(),
+            Body::Register(RegisterOp::Ack { .. } | RegisterOp::Nack { .. })
+        ) {
+            let (sender, seq) = (msg.header().sender, msg.header().seq_num.value());
+            let last = g.last.get(&sender).copied().unwrap_or(0);
+            if seq <= last {
+                return Err(RejectReason::Replayed {
+                    last_accepted: SeqNum::new(last),
+                });
             }
+            g.last.insert(sender, seq);
         }
         Ok(())
     }
@@ -139,7 +143,8 @@ struct Model {
     agent: End,
     ctrl: End,
     registers: [u64; REG_LEN as usize],
-    outstanding: BTreeMap<u32, Pending>,
+    /// By (key version, sequence number).
+    outstanding: BTreeMap<(u8, u32), Pending>,
 }
 
 /// A verdict on one frame.
@@ -168,7 +173,7 @@ impl Model {
         if !served {
             return Verdict::Ignored;
         }
-        match self.agent.open(msg.header().sender, &msg, bytes, true) {
+        match self.agent.open(&msg, bytes) {
             Ok(()) => Verdict::Accepted,
             Err(reason) => Verdict::Rejected(reason),
         }
@@ -180,8 +185,7 @@ impl Model {
         let Ok(msg) = Message::decode(bytes) else {
             return (Verdict::Rejected(RejectReason::Malformed), None);
         };
-        let windowed = !matches!(msg.body(), Body::Register(_));
-        match self.ctrl.open(SW, &msg, bytes, windowed) {
+        match self.ctrl.open(&msg, bytes) {
             Ok(()) => (Verdict::Accepted, Some(msg)),
             Err(reason) => (Verdict::Rejected(reason), None),
         }
@@ -190,11 +194,14 @@ impl Model {
     /// The events an accepted, non-rollover frame raises at the
     /// controller.
     fn ctrl_events(&mut self, msg: &Message) -> Vec<ControllerEvent> {
-        let seq = msg.header().seq_num.value();
+        let sent_as = (
+            msg.header().key_version.value(),
+            msg.header().seq_num.value(),
+        );
         match *msg.body() {
             Body::Register(RegisterOp::ReadReq { .. } | RegisterOp::WriteReq { .. }) => vec![],
             Body::Register(op) => {
-                let Some(p) = self.outstanding.remove(&seq) else {
+                let Some(p) = self.outstanding.remove(&sent_as) else {
                     return vec![ControllerEvent::UnmatchedResponse(SW)];
                 };
                 vec![match op {
@@ -373,37 +380,22 @@ impl Harness {
             .into_iter()
             .map(|o| o.bytes)
             .collect();
-        let (mut agent_last, mut ctrl_last) = (HashMap::new(), HashMap::new());
-        let mut agent_sent = 0;
         while let Some(frame) = to_agent.pop() {
-            let msg = Message::decode(&frame).unwrap();
-            agent_last.insert(msg.header().sender, msg.header().seq_num);
             for (_, reply) in agent.on_packet(0, PortId::CPU, &frame).outputs {
-                let seq = Message::decode(&reply).unwrap().header().seq_num;
-                ctrl_last.insert(SW, seq);
-                agent_sent = seq.value();
                 to_agent.extend(set.on_message(0, SW, &reply).0.into_iter().map(|o| o.bytes));
             }
         }
         assert!(set.has_local_key(SW));
+        // The bootstrap ran under K_seed and K_auth: the local key's
+        // generation starts with nothing sent and nothing accepted.
         let slot = agent.keys(PortId::CPU);
-        let keys = Keys {
-            version: slot.version().value(),
-            current: slot.current().unwrap(),
+        let fresh = || End {
+            current: Gen::new(slot.version().value(), slot.current().unwrap()),
             previous: None,
         };
-        let ctrl_sent = agent_last[&SwitchId::CONTROLLER].value();
         let model = Model {
-            agent: End {
-                keys,
-                last: agent_last,
-                sent: agent_sent,
-            },
-            ctrl: End {
-                keys,
-                last: ctrl_last,
-                sent: ctrl_sent,
-            },
+            agent: fresh(),
+            ctrl: fresh(),
             registers: [0; REG_LEN as usize],
             outstanding: BTreeMap::new(),
         };
@@ -435,28 +427,30 @@ impl Harness {
     /// Both ends' key slots are the model's.
     fn check_keys(&self) {
         let slot = self.agent.keys(PortId::CPU);
-        let a = &self.model.agent.keys;
+        let a = &self.model.agent.current;
         assert_eq!(
             (slot.version().value(), slot.current()),
-            (a.version, Some(a.current))
+            (a.version, Some(a.key))
         );
-        let c = &self.model.ctrl.keys;
+        let c = &self.model.ctrl.current;
         assert_eq!(
             self.set.core(SW).local_key_material(SW),
-            Some((c.current, KeyVersion::new(c.version)))
+            Some((c.key, KeyVersion::new(c.version)))
         );
     }
 
-    /// A request the controller issued: the next sequence number, and
-    /// now awaiting an answer.
+    /// A request the controller issued: the current generation's next
+    /// sequence number, and now awaiting an answer.
     fn issued(&mut self, bytes: Vec<u8>, pending: Pending) {
-        let seq = Message::decode(&bytes).unwrap().header().seq_num.value();
-        self.model.ctrl.sent += 1;
+        let header = *Message::decode(&bytes).unwrap().header();
+        let g = &mut self.model.ctrl.current;
+        g.sent += 1;
         assert_eq!(
-            seq, self.model.ctrl.sent,
+            (header.key_version.value(), header.seq_num.value()),
+            (g.version, g.sent),
             "the controller's outbound sequence moved"
         );
-        self.model.outstanding.insert(seq, pending);
+        self.model.outstanding.insert((g.version, g.sent), pending);
         self.to_agent.push(bytes);
     }
 
@@ -508,8 +502,8 @@ impl Harness {
                 };
                 let reply_msg = Message::decode(reply).unwrap();
                 assert_eq!(
-                    reply_msg.header().seq_num,
-                    request_seq,
+                    (reply_msg.header().seq_num, reply_msg.header().key_version),
+                    (request_seq, msg.header().key_version),
                     "a reply echoes its request"
                 );
                 assert_eq!(*reply_msg.body(), Body::Register(expect_reply));
@@ -536,10 +530,14 @@ impl Harness {
             assert_eq!(port, PortId::CPU);
             let msg = Message::decode(&frame).unwrap();
             if let Body::Alert(_) = msg.body() {
-                self.model.agent.sent += 1;
+                let g = &mut self.model.agent.current;
+                g.sent += 1;
                 assert_eq!(
-                    msg.header().seq_num.value(),
-                    self.model.agent.sent,
+                    (
+                        msg.header().key_version.value(),
+                        msg.header().seq_num.value()
+                    ),
+                    (g.version, g.sent),
                     "the agent's outbound sequence moved"
                 );
             }
@@ -586,30 +584,37 @@ impl Harness {
             .into_iter()
             .map(|o| o.bytes)
             .collect();
-        self.model.ctrl.sent += legs.len() as u32;
         let (mut agent_rolled, mut ctrl_rolled) = (false, false);
         while let Some(leg) = legs.pop() {
+            // Each leg is the controller's current generation's next frame.
+            self.model.ctrl.current.sent += 1;
             assert_eq!(self.model.agent_open(&leg), Verdict::Accepted);
             let out = self.agent.on_packet(self.now_ns, PortId::CPU, &leg);
             assert_eq!(agent_verdict(&out.events), Verdict::Accepted);
             if out.has_event(&AgentEvent::KeyRolled { port: PortId::CPU }) {
                 let slot = self.agent.keys(PortId::CPU);
-                self.model.agent.keys.roll(slot.current().unwrap());
+                self.model.agent.roll(slot.current().unwrap());
                 agent_rolled = true;
             }
-            self.seen_by_agent.push(leg);
+            self.seen_by_agent.push(leg.clone());
             for (_, answer) in out.outputs {
-                self.model.agent.sent += 1;
+                // The answer is the next frame of the generation that
+                // opened the offer: the one the agent just rolled from.
+                let offer_version = Message::decode(&leg).unwrap().header().key_version;
+                self.model.agent.generation(offer_version).unwrap().sent += 1;
                 let (verdict, _) = self.model.ctrl_open(&answer);
                 assert_eq!(verdict, Verdict::Accepted);
                 let (next, events) = self.set.on_message(self.now_ns, SW, &answer);
                 assert_eq!(ctrl_verdict(&events), Verdict::Accepted, "{events:?}");
                 if events.contains(&ControllerEvent::LocalKeyRolled(SW)) {
                     let (key, _) = self.set.core(SW).local_key_material(SW).unwrap();
-                    self.model.ctrl.keys.roll(key);
+                    // Requests under the generation the roll dropped can
+                    // no longer be answered: the controller retires them.
+                    let live = self.model.ctrl.current.version;
+                    self.model.ctrl.roll(key);
+                    self.model.outstanding.retain(|&(v, _), _| v == live);
                     ctrl_rolled = true;
                 }
-                self.model.ctrl.sent += next.len() as u32;
                 legs.extend(next.into_iter().map(|o| o.bytes));
                 self.seen_by_ctrl.push(answer);
             }
@@ -727,12 +732,12 @@ impl Harness {
                 key,
                 back,
             } => {
-                let keys = if to_agent {
-                    self.model.agent.keys
+                let current = if to_agent {
+                    self.model.agent.current.version
                 } else {
-                    self.model.ctrl.keys
+                    self.model.ctrl.current.version
                 };
-                let version = KeyVersion::new(keys.version.wrapping_sub(back));
+                let version = KeyVersion::new(current.wrapping_sub(back));
                 let msg = if to_agent {
                     Message::register_request(
                         SwitchId::CONTROLLER,
@@ -746,7 +751,12 @@ impl Harness {
                 } else {
                     // An answer to a request the controller may well be
                     // awaiting.
-                    let seq = self.model.outstanding.keys().next().copied().unwrap_or(seq);
+                    let seq = self
+                        .model
+                        .outstanding
+                        .keys()
+                        .find(|&&(v, _)| v == version.value())
+                        .map_or(seq, |&(_, s)| s);
                     Message::new(
                         SW,
                         PortId::CPU,

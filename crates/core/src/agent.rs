@@ -21,7 +21,7 @@
 
 use crate::adhkd::{self, AdhkdInitiator, AdhkdPayload};
 use crate::auth::{AlertDecision, AlertLimiter, AuthMetrics, RejectReason};
-use crate::channel::ChannelEnd;
+use crate::channel::{ChannelEnd, Opened};
 use crate::eak;
 use crate::keys::KeySlot;
 use p4auth_dataplane::chassis::{
@@ -98,6 +98,7 @@ pub trait InNetworkApp: Send {
 }
 
 /// Agent configuration.
+#[derive(Clone)]
 pub struct AgentConfig {
     /// This switch's identity.
     pub switch_id: SwitchId,
@@ -277,6 +278,15 @@ impl AgentTelemetry {
     }
 }
 
+/// An ADHKD offer the agent answered: the key that opened it, its public
+/// key and salt, and the answer's.
+#[derive(Clone, Copy)]
+struct AnsweredOffer {
+    key: Key64,
+    offer: (u64, u32),
+    answer: (u64, u32),
+}
+
 /// The P4Auth data-plane agent.
 pub struct P4AuthSwitch {
     config: AgentConfig,
@@ -294,12 +304,14 @@ pub struct P4AuthSwitch {
     quarantined: [bool; 256],
     pending_kex: IdMap<(KexContext, PortId), AdhkdInitiator>,
     /// At-most-once responder cache: the last ADHKD offer answered per
-    /// `(context, slot)` as `(offer_pk, offer_salt, answer_pk,
-    /// answer_salt)`. A retransmitted offer (the initiator's stall-retry
-    /// racing the original through the network) is answered from here
-    /// without re-deriving — deriving twice for one exchange would move
-    /// the key version twice while the initiator counts one rollover.
-    answered_offers: IdMap<(KexContext, PortId), (u64, u32, u64, u32)>,
+    /// `(context, slot)`. A retransmitted offer (the initiator's
+    /// stall-retry racing the original through the network: the same
+    /// offer under the same key) is answered from here without
+    /// re-deriving — deriving twice for one exchange would move the key
+    /// version twice while the initiator counts one rollover. The same
+    /// offer under another key is a new exchange (a restarted initiator
+    /// drawing the same randomness).
+    answered_offers: IdMap<(KexContext, PortId), AnsweredOffer>,
     app: Option<Box<dyn InNetworkApp>>,
     /// The Fig. 15 mapping table, declared by [`P4AuthSwitch::new`].
     mapping: TableHandle,
@@ -388,6 +400,18 @@ impl P4AuthSwitch {
     pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
         self.chassis.set_telemetry(registry.clone());
         self.telemetry = Some(AgentTelemetry::new(registry, self.config.switch_id));
+    }
+
+    /// Reboots the switch: the same configuration and in-network app are
+    /// loaded on a fresh chassis, and everything else starts empty —
+    /// registers, tables, keys, sequence counters, replay windows, pending
+    /// exchanges and counters. A telemetry registry stays attached.
+    pub fn reboot(&mut self) {
+        let registry = self.telemetry.as_ref().map(|t| t.registry.clone());
+        *self = P4AuthSwitch::new(self.config.clone(), self.app.take());
+        if let Some(registry) = registry {
+            self.set_telemetry(registry);
+        }
     }
 
     /// This switch's id.
@@ -499,13 +523,13 @@ impl P4AuthSwitch {
         }
     }
 
-    /// The next frame `build` makes on `port`'s channel: sealed, or plain
+    /// `msg` as the next frame on `port`'s channel: sealed, or plain
     /// while the channel has no key yet. `None` past the key register.
-    fn seal_on(&mut self, port: PortId, build: impl FnOnce(SeqNum) -> Message) -> Option<Vec<u8>> {
+    fn seal_on(&mut self, port: PortId, msg: Message) -> Option<Vec<u8>> {
         let mac = self.chassis.hash_mac();
         let end = self.ends.get_mut(port.key_index())?;
         Some(
-            end.seal(build, |key, parts| mac.compute(key, parts))
+            end.seal(None, msg, |key, parts| mac.compute(key, parts))
                 .unwrap_or_else(|msg| msg.encode()),
         )
     }
@@ -516,13 +540,14 @@ impl P4AuthSwitch {
     /// port and auth is enabled.
     pub fn seal_probe(&mut self, port: PortId, system: u8, payload: Vec<u8>) -> Option<Vec<u8>> {
         let id = self.config.switch_id;
-        let build = |seq| Message::in_network(id, port, seq, InNetwork::new(system, payload));
+        let msg = Message::in_network(id, port, SeqNum::default(), InNetwork::new(system, payload));
         let end = self.ends.get_mut(port.key_index())?;
         if !self.config.auth_enabled {
-            return Some(end.seal_plain(build));
+            return Some(end.seal_plain(msg));
         }
         let mac = self.chassis.hash_mac();
-        end.seal(build, |key, parts| mac.compute(key, parts)).ok()
+        end.seal(None, msg, |key, parts| mac.compute(key, parts))
+            .ok()
     }
 
     /// Processes one packet and returns outputs plus accounting.
@@ -621,9 +646,9 @@ impl P4AuthSwitch {
         end: Option<&mut ChannelEnd>,
         frame: &[u8],
         msg: &Message,
-    ) -> Result<Key64, RejectReason> {
+    ) -> Result<Opened, RejectReason> {
         let end = end.ok_or(RejectReason::NoKey)?;
-        end.open(msg.header().sender, msg, true, |key| {
+        end.open(msg, |key| {
             ctx.verify_digest(key, &digest_parts(frame), msg.digest())
         })
     }
@@ -750,7 +775,7 @@ impl P4AuthSwitch {
         };
         let id = self.config.switch_id;
         outputs.extend(
-            self.seal_on(PortId::CPU, |seq| Message::alert(id, seq, alert))
+            self.seal_on(PortId::CPU, Message::alert(id, SeqNum::default(), alert))
                 .map(|frame| (PortId::CPU, frame)),
         );
         self.stats.alerts_sent += 1;
@@ -776,6 +801,7 @@ impl P4AuthSwitch {
         // more event (the register access, or the alert).
         let mut events = Vec::with_capacity(2);
         let mut reject: Option<RejectReason> = None;
+        let mut opened: Option<Opened> = None;
         let mut reply_op: Option<RegisterOp> = None;
         let unknown = RegisterOp::Nack {
             reg,
@@ -798,7 +824,10 @@ impl P4AuthSwitch {
                 }
                 if auth {
                     match Self::open_in_ctx(ctx, Some(cpu), frame, msg) {
-                        Ok(_) => events.push(AgentEvent::VerifiedOk),
+                        Ok(generation) => {
+                            opened = Some(generation);
+                            events.push(AgentEvent::VerifiedOk);
+                        }
                         Err(reason) => {
                             reject = Some(reason);
                             return Ok(vec![]);
@@ -868,22 +897,24 @@ impl P4AuthSwitch {
                 RegisterOp::Ack { .. } => self.stats.acks += 1,
                 _ => self.stats.nacks += 1,
             }
-            // The response carries the request's seqNum, so the controller
-            // can map it to the request.
-            let seq = msg.header().seq_num;
+            // The response carries the request's seqNum and keyVersion, so
+            // the controller can map it to the request, and is sealed under
+            // the key that opened the request. It draws no number: it is
+            // matched, not windowed.
+            let header = msg.header();
             let reply = Message::new(
                 self.config.switch_id,
                 PortId::CPU,
-                seq,
+                header.seq_num,
                 Body::Register(reply),
-            );
-            let frame = if auth {
-                let mac = self.chassis.hash_mac();
-                self.ends[0]
-                    .seal_reply(reply, |key, parts| mac.compute(key, parts))
-                    .unwrap_or_else(|reply| reply.encode())
-            } else {
-                reply.encode()
+            )
+            .with_key_version(header.key_version);
+            let frame = match opened {
+                Some(opened) => {
+                    let mac = self.chassis.hash_mac();
+                    reply.encode_sealed_with(|parts| mac.compute(opened.key, parts))
+                }
+                None => reply.encode(),
             };
             outputs.push((PortId::CPU, frame));
         }
@@ -936,20 +967,18 @@ impl P4AuthSwitch {
         };
         let mac = self.chassis.hash_mac();
         let verified = match self.ends.get_mut(channel.key_index()) {
-            Some(end) => end.open(msg.header().sender, msg, true, |key| {
-                verify_frame(mac, key, frame)
-            }),
+            Some(end) => end.open(msg, |key| verify_frame(mac, key, frame)),
             None => Err(RejectReason::NoKey),
         }
-        .and_then(|key| {
+        .and_then(|opened| {
             if slot.key_index() < self.ends.len() {
-                Ok(key)
+                Ok(opened)
             } else {
                 Err(RejectReason::Malformed)
             }
         });
-        let key = match verified {
-            Ok(key) => key,
+        let opened = match verified {
+            Ok(opened) => opened,
             Err(reason) => {
                 let alert = Alert {
                     kind: AlertKind::KeyExchangeFailure,
@@ -999,20 +1028,30 @@ impl P4AuthSwitch {
                 step: EakStep::Salt1,
                 salt,
             } => {
+                // Every verified Salt1 starts a K_auth generation: a
+                // replayed one cannot be told from a restarted controller's.
+                // The displaced K_auth stays as the previous generation, so
+                // an init in flight under it still completes.
                 let (s2, k_auth) = eak::respond(self.config.k_seed, salt, &mut self.rng, &self.kdf);
                 self.ends[0].set_auth_key(k_auth);
                 events.push(AgentEvent::AuthKeyDerived);
-                let id = self.config.switch_id;
                 let salt2 = KeyExchange::EakSalt {
                     step: EakStep::Salt2,
                     salt: s2,
                 };
-                outputs.extend(
-                    self.seal_on(PortId::CPU, |seq| {
-                        Message::key_exchange(id, PortId::CPU, seq, salt2)
-                    })
-                    .map(|frame| (PortId::CPU, frame)),
+                let salt2 = Message::key_exchange(
+                    self.config.switch_id,
+                    PortId::CPU,
+                    SeqNum::default(),
+                    salt2,
                 );
+                let transcript = eak::transcript(salt);
+                let frame = self.ends[0]
+                    .seal(Some(opened), salt2, |key, parts| {
+                        mac.compute(key, &[parts, &[&transcript[..]]].concat())
+                    })
+                    .unwrap_or_else(|msg| msg.encode());
+                outputs.push((PortId::CPU, frame));
             }
             KeyExchange::EakSalt {
                 step: EakStep::Salt2,
@@ -1032,8 +1071,8 @@ impl P4AuthSwitch {
                 let cached = self
                     .answered_offers
                     .get(&(context, slot))
-                    .filter(|&&(pk, s, _, _)| pk == public_key && s == salt)
-                    .map(|&(_, _, apk, asalt)| (apk, asalt));
+                    .filter(|a| a.key == opened.key && a.offer == (public_key, salt))
+                    .map(|a| a.answer);
                 let (answer_pk, answer_salt) = match cached {
                     Some(cached) => cached,
                     None => {
@@ -1049,28 +1088,38 @@ impl P4AuthSwitch {
                         );
                         events.push(self.rekey(now_ns, slot, master, context.rolls()));
                         let reply = (answer.public_key.to_raw(), answer.salt);
-                        self.answered_offers
-                            .insert((context, slot), (public_key, salt, reply.0, reply.1));
+                        let answered = AnsweredOffer {
+                            key: opened.key,
+                            offer: (public_key, salt),
+                            answer: reply,
+                        };
+                        self.answered_offers.insert((context, slot), answered);
                         reply
                     }
                 };
                 // Answer on the offer's channel, sealed with the key and
                 // tag that verified the offer (the pre-update key for
                 // rollovers).
-                let (id, header) = (self.config.switch_id, *msg.header());
-                let answer = Body::KeyExchange(KeyExchange::Adhkd {
-                    role: AdhkdRole::Answer,
-                    context,
-                    public_key: answer_pk,
-                    salt: answer_salt,
-                });
-                let build = |seq| {
-                    Message::new(id, header.port, seq, answer).with_key_version(header.key_version)
-                };
+                let answer = Message::new(
+                    self.config.switch_id,
+                    msg.header().port,
+                    SeqNum::default(),
+                    Body::KeyExchange(KeyExchange::Adhkd {
+                        role: AdhkdRole::Answer,
+                        context,
+                        public_key: answer_pk,
+                        salt: answer_salt,
+                    }),
+                );
                 let mac = self.chassis.hash_mac();
                 let end = &mut self.ends[channel.key_index()];
-                let frame = end.seal_answer(build, key, |key, parts| mac.compute(key, parts));
-                outputs.push((channel, frame));
+                // A generation whose counter ran out answers nothing: the
+                // initiator's retry meets the next generation.
+                if let Ok(frame) =
+                    end.seal(Some(opened), answer, |key, parts| mac.compute(key, parts))
+                {
+                    outputs.push((channel, frame));
+                }
             }
             KeyExchange::Adhkd {
                 role: AdhkdRole::Answer,
@@ -1104,9 +1153,10 @@ impl P4AuthSwitch {
                     salt: offer.salt,
                 };
                 outputs.extend(
-                    self.seal_on(PortId::CPU, |seq| {
-                        Message::key_exchange(id, peer_port, seq, offer)
-                    })
+                    self.seal_on(
+                        PortId::CPU,
+                        Message::key_exchange(id, peer_port, SeqNum::default(), offer),
+                    )
                     .map(|frame| (PortId::CPU, frame)),
                 );
             }
@@ -1124,9 +1174,10 @@ impl P4AuthSwitch {
                     salt: offer.salt,
                 };
                 outputs.extend(
-                    self.seal_on(peer_port, |seq| {
-                        Message::key_exchange(id, peer_port, seq, offer)
-                    })
+                    self.seal_on(
+                        peer_port,
+                        Message::key_exchange(id, peer_port, SeqNum::default(), offer),
+                    )
                     .map(|frame| (peer_port, frame)),
                 );
             }
@@ -1184,16 +1235,20 @@ impl P4AuthSwitch {
                 let Some(end) = ends.get_mut(port.key_index()) else {
                     continue; // no such egress channel; drop
                 };
-                let build = |seq| {
-                    Message::in_network(switch_id, port, seq, InNetwork::new(system, payload))
-                };
+                let msg = Message::in_network(
+                    switch_id,
+                    port,
+                    SeqNum::default(),
+                    InNetwork::new(system, payload),
+                );
                 let frame = if auth {
-                    match end.seal(build, |key, parts| ctx.compute_digest(key, parts)) {
+                    match end.seal(None, msg, |key, parts| ctx.compute_digest(key, parts)) {
                         Ok(frame) => frame,
-                        Err(_) => continue, // no key for this egress; drop
+                        // No key for this egress, or its counter ran out; drop.
+                        Err(_) => continue,
                     }
                 } else {
-                    end.seal_plain(build)
+                    end.seal_plain(msg)
                 };
                 sealed_outputs.push((port, frame));
             }
@@ -1277,11 +1332,12 @@ mod tests {
         sw.install_key(PortId::CPU, key);
     }
 
-    /// §VI-C consistent updates: everything the agent seals after a
-    /// rollover must be stamped with the *new* key version (not the
-    /// `KeyVersion::INITIAL` that `Header::new` defaults to) and verify
-    /// under the new key only — while requests still sealed under the
-    /// previous version keep verifying via `KeySlot::select`.
+    /// §VI-C consistent updates: every frame of its own the agent seals
+    /// after a rollover must be stamped with the *new* key version (not
+    /// the `KeyVersion::INITIAL` that `Header::new` defaults to) and
+    /// verify under the new key only — while requests still sealed under
+    /// the previous version keep verifying via `KeySlot::select`, and are
+    /// answered under it.
     #[test]
     fn sealed_outputs_carry_rolled_key_version() {
         use p4auth_wire::ids::KeyVersion;
@@ -1300,15 +1356,22 @@ mod tests {
         assert!(!probe.verify(&mac(), k0));
 
         // C-DP channel: a request still sealed under the previous version
-        // verifies (select() keeps one generation), and the reply is
-        // stamped + sealed with the new version.
+        // verifies (select() keeps one generation), and its reply goes
+        // back under the generation that opened it, so the controller
+        // matches it by (version, seq).
         install_local(&mut sw, k0);
         sw.rollover_key(PortId::CPU, k1);
         let out = sw.on_packet(0, PortId::CPU, &sealed_write(k0, 1, 0, 5));
         assert!(out.has_event(&AgentEvent::VerifiedOk));
         let reply = Message::decode(&out.outputs[0].1).unwrap();
-        assert_eq!(reply.header().key_version, KeyVersion::INITIAL.next());
-        assert!(reply.verify(&mac(), k1));
+        assert_eq!(reply.header().key_version, KeyVersion::INITIAL);
+        assert!(reply.verify(&mac(), k0));
+        // An alert, a frame of its own, is sealed under the new version.
+        let forged = sealed_write(Key64::new(99), 2, 0, 5);
+        let out = sw.on_packet(0, PortId::CPU, &forged);
+        let alert = Message::decode(&out.outputs[0].1).unwrap();
+        assert_eq!(alert.header().key_version, KeyVersion::INITIAL.next());
+        assert!(alert.verify(&mac(), k1));
     }
 
     #[test]
@@ -1595,8 +1658,17 @@ mod tests {
         let out = sw.on_packet(0, PortId::CPU, &salt1);
         assert!(sw.has_auth_key());
         assert!(out.has_event(&AgentEvent::AuthKeyDerived));
-        let reply = Message::decode(&out.outputs[0].1).unwrap();
-        assert!(reply.verify(&mac(), SEED));
+        // Salt2's digest covers Salt1's salt (transcript binding).
+        let frame = &out.outputs[0].1;
+        let reply = Message::decode(frame).unwrap();
+        assert!(!reply.verify(&mac(), SEED));
+        let transcript = eak::transcript(0xaaaa);
+        assert!(p4auth_wire::verify_bound_frame(
+            &mac(),
+            SEED,
+            frame,
+            &transcript
+        ));
         assert!(matches!(
             reply.body(),
             Body::KeyExchange(KeyExchange::EakSalt {

@@ -1,35 +1,25 @@
-//! One end of an authenticated channel, written once for both sides.
-//!
-//! Both endpoints of every P4Auth channel keep the same state: a versioned
-//! key for consistent updates (§VI-C), an outbound sequence counter, and a
-//! replay window per sender (§V, §VIII). A [`ChannelEnd`] is that state.
-//! The controller holds one per switch; the agent holds one per
-//! key-register slot (the CPU channel and each port).
-//!
-//! The `seal` methods and [`ChannelEnd::open`] are the only code that
-//! advances a counter or a window, and [`ChannelEnd::rekey`] the only code
-//! that moves a key version. One key rule picks the key for sealing and
-//! for opening: an EAK leg uses `K_seed`, an ADHKD `LocalInit` leg uses
-//! `K_auth`, and everything else uses the slot generation its
-//! `keyVersion` names (sealing stamps the current one).
+//! One end of an authenticated channel, written once for both sides: the
+//! controller holds one [`ChannelEnd`] per switch, the agent one per
+//! key-register slot. Every key is a [`Generation`] with its own outbound
+//! counter and a replay window per sender (§V, §VI-C, §VIII), and one key
+//! rule picks the key, and with it the sequence space (DESIGN §2).
 
 use crate::auth::RejectReason;
-use crate::keys::KeySlot;
-use p4auth_primitives::idhash::IdMap;
+use crate::keys::{Generation, KeySlot};
 use p4auth_primitives::{Digest32, Key64};
-use p4auth_wire::body::{Body, KexContext, KeyExchange};
-use p4auth_wire::ids::{KeyVersion, SeqNum, SwitchId};
+use p4auth_wire::body::{Body, KexContext, KeyExchange, RegisterOp};
+use p4auth_wire::ids::{KeyVersion, SeqNum};
 use p4auth_wire::Message;
 use std::collections::hash_map::Entry;
 
-/// Which key a frame's body is sealed and opened under.
+/// The key rule: EAK salts use `K_seed` and are outside every window
+/// (number 0; `Salt2`'s digest covers `Salt1` instead), the ADHKD
+/// `LocalInit` legs `K_auth`, everything else the slot generation their
+/// `keyVersion` names.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum KeyUse {
-    /// EAK salts: the pre-shared boot secret.
     Seed,
-    /// The local-key initialization ADHKD legs: `K_auth`.
     Auth,
-    /// Everything else: the key slot, by version.
     Slot,
 }
 
@@ -46,18 +36,25 @@ impl KeyUse {
     }
 }
 
+/// The generation [`ChannelEnd::open`] accepted a frame under, so a reply
+/// can be sealed under it ([`ChannelEnd::seal`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Opened {
+    /// The key that verified the frame.
+    pub key: Key64,
+    using: KeyUse,
+    version: KeyVersion,
+}
+
 /// One endpoint's state for one authenticated channel.
 #[derive(Clone, Debug, Default)]
 pub struct ChannelEnd {
-    seed: Option<Key64>,
-    auth: Option<Key64>,
+    /// `K_seed` as a generation that never draws a number.
+    seed: Option<Generation>,
+    auth: KeySlot,
     keys: KeySlot,
-    seq_out: SeqNum,
-    /// Last accepted sequence number per sender (the header's sender on
-    /// the agent, the transport peer on the controller). Only a frame
-    /// whose digest verified inserts, so the map is bounded by genuine
-    /// peers, not by what arrives.
-    last_in: IdMap<SwitchId, SeqNum>,
+    /// The unauthenticated baselines' counter: no key, no window.
+    plain: SeqNum,
 }
 
 impl ChannelEnd {
@@ -65,7 +62,7 @@ impl ChannelEnd {
     /// channel that runs EAK (none on port channels).
     pub fn new(seed: Option<Key64>) -> Self {
         ChannelEnd {
-            seed,
+            seed: seed.map(|key| Generation::new(key, KeyVersion::INITIAL)),
             ..ChannelEnd::default()
         }
     }
@@ -77,24 +74,22 @@ impl ChannelEnd {
 
     /// The pre-shared `K_seed` EAK runs under, if this channel has one.
     pub fn seed_key(&self) -> Option<Key64> {
-        self.seed
+        self.seed.as_ref().map(|g| g.key)
     }
 
     /// Whether `K_auth` has been derived on this channel.
     pub fn has_auth_key(&self) -> bool {
-        self.auth.is_some()
+        self.auth.is_installed()
     }
 
-    /// Records the `K_auth` an EAK exchange derived.
+    /// Starts a `K_auth` generation; the one it displaces stays for legs
+    /// still in flight under it (a replayed `Salt1` cannot strand an init).
     pub fn set_auth_key(&mut self, key: Key64) {
-        self.auth = Some(key);
+        self.auth.rollover(key);
     }
 
-    /// Installs the channel's first key (`rolled = false`) or rolls to
-    /// `key`, keeping the previous generation for frames in flight.
-    ///
-    /// # Panics
-    ///
+    /// Installs the channel's first key (`rolled = false`, at
+    /// [`KeyVersion::INITIAL`]) or rolls to `key`: a fresh generation.
     /// Panics on a roll before any install.
     pub fn rekey(&mut self, key: Key64, rolled: bool) {
         if rolled {
@@ -111,132 +106,116 @@ impl ChannelEnd {
         self.keys.force(key, version);
     }
 
-    /// The last sequence number this end sent.
-    pub fn last_sent(&self) -> SeqNum {
-        self.seq_out
-    }
-
-    /// The last sequence number accepted from `peer`.
-    pub fn last_accepted(&self, peer: SwitchId) -> Option<SeqNum> {
-        self.last_in.get(&peer).copied()
-    }
-
-    /// The key rule, for opening `msg`: a slot-keyed frame opens under
-    /// the generation its own `keyVersion` names.
-    fn open_key(&self, msg: &Message) -> Option<Key64> {
-        match KeyUse::of(msg.body()) {
-            KeyUse::Seed => self.seed,
-            KeyUse::Auth => self.auth,
-            KeyUse::Slot => self.keys.select(msg.header().key_version),
+    /// The version and number of the last frame sealed under the current
+    /// slot generation or, with no key, numbered by `seal_plain`.
+    pub fn last_sent(&self) -> (KeyVersion, SeqNum) {
+        match &self.keys.current {
+            Some(g) => (g.version, g.sent),
+            None => (KeyVersion::INITIAL, self.plain),
         }
     }
 
-    /// Opens a received frame, decoded as `msg`, from `peer`: picks the
-    /// key by the key rule, checks the digest with `verify`, then, if
-    /// `windowed`, advances `peer`'s replay window. Returns the key that
-    /// verified the frame.
-    ///
-    /// The digest is checked before the window, so a forged frame never
-    /// learns or moves sequence state. A rejected frame changes nothing.
+    /// Moves the current slot generation's counter to `sent`, as if frames
+    /// up to it had been sealed: counter exhaustion without 2³² seals.
+    #[doc(hidden)]
+    pub fn fast_forward(&mut self, sent: SeqNum) {
+        if let Some(g) = &mut self.keys.current {
+            g.sent = sent;
+        }
+    }
+
+    /// Opens a received frame, decoded as `msg`: picks the generation by
+    /// the key rule (a `K_auth` leg carries no version: the current
+    /// `K_auth`, then the previous one), checks the digest with `verify`,
+    /// then advances the header sender's window in that generation, unless
+    /// the frame is a register response (it echoes its request's number
+    /// and is matched to it instead). A rejected frame changes nothing.
     ///
     /// # Errors
     ///
-    /// [`RejectReason::NoKey`] if the rule names no installed key,
-    /// [`RejectReason::BadDigest`] if `verify` fails, and
-    /// [`RejectReason::Replayed`] if the sequence number does not advance
-    /// past the last one accepted from `peer`.
+    /// [`RejectReason::NoKey`], [`RejectReason::BadDigest`] if `verify`
+    /// fails, or [`RejectReason::Replayed`].
     pub fn open(
         &mut self,
-        peer: SwitchId,
         msg: &Message,
-        windowed: bool,
-        verify: impl FnOnce(Key64) -> bool,
-    ) -> Result<Key64, RejectReason> {
-        let key = self.open_key(msg).ok_or(RejectReason::NoKey)?;
-        if !verify(key) {
-            return Err(RejectReason::BadDigest);
-        }
-        if windowed {
-            let seq = msg.header().seq_num;
-            match self.last_in.entry(peer) {
-                Entry::Occupied(e) if seq.value() <= e.get().value() => {
-                    return Err(RejectReason::Replayed {
-                        last_accepted: *e.get(),
-                    });
-                }
-                Entry::Occupied(mut e) => {
-                    e.insert(seq);
-                }
-                Entry::Vacant(e) => {
-                    e.insert(seq);
-                }
+        mut verify: impl FnMut(Key64) -> bool,
+    ) -> Result<Opened, RejectReason> {
+        let (header, using) = (msg.header(), KeyUse::of(msg.body()));
+        let candidates = match using {
+            KeyUse::Seed => [self.seed.as_mut(), None],
+            KeyUse::Auth => [self.auth.current.as_mut(), self.auth.previous.as_mut()],
+            KeyUse::Slot => [self.keys.generation_mut(header.key_version), None],
+        };
+        let mut candidates = candidates.into_iter().flatten().peekable();
+        candidates.peek().ok_or(RejectReason::NoKey)?;
+        let g = candidates
+            .find(|g| verify(g.key))
+            .ok_or(RejectReason::BadDigest)?;
+        let response = matches!(
+            msg.body(),
+            Body::Register(RegisterOp::Ack { .. } | RegisterOp::Nack { .. })
+        );
+        if using != KeyUse::Seed && !response {
+            let window = g.last_in.entry(header.sender);
+            let last = match &window {
+                Entry::Occupied(last) => *last.get(),
+                Entry::Vacant(_) => SeqNum::default(),
+            };
+            if header.seq_num <= last {
+                return Err(RejectReason::Replayed {
+                    last_accepted: last,
+                });
             }
+            window.insert_entry(header.seq_num);
         }
-        Ok(key)
+        Ok(Opened {
+            key: g.key,
+            using,
+            version: g.version,
+        })
     }
 
-    /// Builds the next outbound frame with `build` from the next sequence
-    /// number and seals it under the key rule's key, stamping the current
-    /// key version on slot-keyed frames; `digest` computes the digest.
+    /// Seals `msg` as the next frame of a generation, stamping its number
+    /// (and, slot-keyed, its version): the current one the key rule picks
+    /// or, for a reply, the one that opened its request, even if the
+    /// request installed a newer one. An EAK leg is stamped 0.
     ///
     /// # Errors
     ///
-    /// Returns the built message, unsealed, if the rule names no installed
-    /// key; the counter has advanced either way.
+    /// `msg`, unsealed and as built, with no such key (no number is drawn:
+    /// there is no sequence space) or a counter at `u32::MAX`.
     pub fn seal(
         &mut self,
-        build: impl FnOnce(SeqNum) -> Message,
-        digest: impl FnOnce(Key64, &[&[u8]]) -> Digest32,
-    ) -> Result<Vec<u8>, Message> {
-        self.seq_out = self.seq_out.next();
-        self.seal_reply(build(self.seq_out), digest)
-    }
-
-    /// [`ChannelEnd::seal`] for a frame that carries a sequence number it
-    /// was given (a response echoing its request's, a redirected leg
-    /// keeping its origin's): the counter does not move.
-    ///
-    /// # Errors
-    ///
-    /// Returns `msg`, unsealed, if the rule names no installed key.
-    pub fn seal_reply(
-        &self,
+        reply_to: Option<Opened>,
         msg: Message,
         digest: impl FnOnce(Key64, &[&[u8]]) -> Digest32,
     ) -> Result<Vec<u8>, Message> {
-        let (key, msg) = match KeyUse::of(msg.body()) {
-            KeyUse::Seed => (self.seed, msg),
-            KeyUse::Auth => (self.auth, msg),
-            KeyUse::Slot => match self.keys.current() {
-                Some(key) => (Some(key), msg.with_key_version(self.keys.version())),
-                None => (None, msg),
-            },
+        let using = reply_to.map_or_else(|| KeyUse::of(msg.body()), |o| o.using);
+        let version = |slot: &KeySlot| reply_to.map_or(slot.version(), |o| o.version);
+        let g = match using {
+            KeyUse::Seed => self.seed.as_mut(),
+            KeyUse::Auth => self.auth.generation_mut(version(&self.auth)),
+            KeyUse::Slot => self.keys.generation_mut(version(&self.keys)),
         };
-        match key {
-            Some(key) => Ok(msg.encode_sealed_with(|parts| digest(key, parts))),
-            None => Err(msg),
+        let Some(g) = g else { return Err(msg) };
+        let seq = match using {
+            KeyUse::Seed => Some(SeqNum::default()),
+            _ => g.sent.next(),
+        };
+        let Some(seq) = seq else { return Err(msg) };
+        g.sent = seq;
+        let mut msg = msg.with_seq_num(seq);
+        if using == KeyUse::Slot {
+            msg = msg.with_key_version(g.version);
         }
+        Ok(msg.encode_sealed_with(|parts| digest(g.key, parts)))
     }
 
-    /// Builds the next outbound frame with `build` and seals it under
-    /// `key`, keeping the version `build` set: an ADHKD answer goes back
-    /// under the key, and with the tag, that opened its offer, even when
-    /// answering installed a newer generation.
-    pub fn seal_answer(
-        &mut self,
-        build: impl FnOnce(SeqNum) -> Message,
-        key: Key64,
-        digest: impl FnOnce(Key64, &[&[u8]]) -> Digest32,
-    ) -> Vec<u8> {
-        self.seq_out = self.seq_out.next();
-        build(self.seq_out).encode_sealed_with(|parts| digest(key, parts))
-    }
-
-    /// Builds the next outbound frame with `build` and encodes it without
-    /// a digest (the unauthenticated baselines).
-    pub fn seal_plain(&mut self, build: impl FnOnce(SeqNum) -> Message) -> Vec<u8> {
-        self.seq_out = self.seq_out.next();
-        build(self.seq_out).encode()
+    /// Numbers `msg` from the baselines' counter (no window checks it, so
+    /// it goes round from `u32::MAX` to 1) and encodes it without a digest.
+    pub fn seal_plain(&mut self, msg: Message) -> Vec<u8> {
+        self.plain = self.plain.next().unwrap_or(SeqNum::new(1));
+        msg.with_seq_num(self.plain).encode()
     }
 }
 
@@ -244,8 +223,8 @@ impl ChannelEnd {
 mod tests {
     use super::*;
     use p4auth_primitives::mac::{HalfSipHashMac, Mac};
-    use p4auth_wire::body::{EakStep, RegisterOp};
-    use p4auth_wire::ids::{PortId, RegId};
+    use p4auth_wire::body::{AdhkdRole, EakStep};
+    use p4auth_wire::ids::{PortId, RegId, SwitchId};
     use p4auth_wire::verify_frame;
 
     const PEER: SwitchId = SwitchId::CONTROLLER;
@@ -264,13 +243,36 @@ mod tests {
 
     fn open(end: &mut ChannelEnd, frame: &[u8]) -> Result<Key64, RejectReason> {
         let msg = Message::decode(frame).unwrap();
-        end.open(PEER, &msg, true, |key| verify_frame(&mac(), key, frame))
+        end.open(&msg, |key| verify_frame(&mac(), key, frame))
+            .map(|opened| opened.key)
+    }
+
+    fn last_accepted(end: &ChannelEnd, peer: SwitchId) -> Option<SeqNum> {
+        end.keys().generations().next()?.last_accepted(peer)
     }
 
     fn keyed(key: Key64) -> ChannelEnd {
         let mut end = ChannelEnd::new(None);
         end.rekey(key, false);
         end
+    }
+
+    fn salt1() -> Message {
+        let salt = KeyExchange::EakSalt {
+            step: EakStep::Salt1,
+            salt: 9,
+        };
+        Message::key_exchange(PEER, PortId::CPU, SeqNum::new(5), salt)
+    }
+
+    fn local_init_offer() -> Message {
+        let offer = KeyExchange::Adhkd {
+            role: AdhkdRole::Offer,
+            context: KexContext::LocalInit,
+            public_key: 1,
+            salt: 2,
+        };
+        Message::key_exchange(PEER, PortId::CPU, SeqNum::default(), offer)
     }
 
     #[test]
@@ -281,7 +283,7 @@ mod tests {
             let frame = request(seq).sealed(&mac(), key).encode();
             assert_eq!(open(&mut end, &frame), Ok(key));
         }
-        assert_eq!(end.last_accepted(PEER), Some(SeqNum::new(10)));
+        assert_eq!(last_accepted(&end, PEER), Some(SeqNum::new(10)));
     }
 
     #[test]
@@ -303,13 +305,25 @@ mod tests {
     }
 
     #[test]
+    fn number_zero_is_before_every_window() {
+        let key = Key64::new(5);
+        let mut end = keyed(key);
+        let frame = request(0).sealed(&mac(), key).encode();
+        let last_accepted = SeqNum::new(0);
+        assert_eq!(
+            open(&mut end, &frame),
+            Err(RejectReason::Replayed { last_accepted })
+        );
+    }
+
+    #[test]
     fn a_forged_stale_frame_is_bad_digest_and_moves_nothing() {
         let key = Key64::new(5);
         let mut end = keyed(key);
         open(&mut end, &request(4).sealed(&mac(), key).encode()).unwrap();
         let forged = request(4).sealed(&mac(), Key64::new(6)).encode();
         assert_eq!(open(&mut end, &forged), Err(RejectReason::BadDigest));
-        assert_eq!(end.last_accepted(PEER), Some(SeqNum::new(4)));
+        assert_eq!(last_accepted(&end, PEER), Some(SeqNum::new(4)));
     }
 
     #[test]
@@ -317,7 +331,6 @@ mod tests {
         let mut end = ChannelEnd::new(None);
         let frame = request(1).sealed(&mac(), Key64::new(1)).encode();
         assert_eq!(open(&mut end, &frame), Err(RejectReason::NoKey));
-        assert_eq!(end.last_accepted(PEER), None);
     }
 
     #[test]
@@ -337,68 +350,160 @@ mod tests {
             RegisterOp::read_req(RegId::new(1), 0),
         )
         .sealed(&mac(), key);
-        let frame = other.encode();
-        end.open(SwitchId::new(2), &other, true, |k| {
-            verify_frame(&mac(), k, &frame)
-        })
-        .unwrap();
-        assert_eq!(end.last_accepted(SwitchId::new(2)), Some(SeqNum::new(1)));
-        assert_eq!(end.last_accepted(PEER), Some(SeqNum::new(5)));
+        open(&mut end, &other.encode()).unwrap();
+        assert_eq!(last_accepted(&end, SwitchId::new(2)), Some(SeqNum::new(1)));
+        assert_eq!(last_accepted(&end, PEER), Some(SeqNum::new(5)));
     }
 
     #[test]
-    fn seal_numbers_from_one_and_stamps_the_current_version() {
+    fn an_install_restarts_both_counter_and_window() {
         let (k0, k1) = (Key64::new(1), Key64::new(2));
         let mut end = keyed(k0);
+        open(&mut end, &request(900).sealed(&mac(), k0).encode()).unwrap();
+        end.fast_forward(SeqNum::new(700));
+        // A peer that restarted numbers from 1 under the key it installed.
+        end.rekey(k1, false);
+        assert_eq!(
+            open(&mut end, &request(1).sealed(&mac(), k1).encode()),
+            Ok(k1)
+        );
+        let frame = end
+            .seal(None, request(0), |k, p| mac().compute(k, p))
+            .unwrap();
+        assert_eq!(
+            Message::decode(&frame).unwrap().header().seq_num,
+            SeqNum::new(1)
+        );
+        // The old key's frames are gone with it.
+        let stale = request(901).sealed(&mac(), k0).encode();
+        assert_eq!(open(&mut end, &stale), Err(RejectReason::BadDigest));
+    }
+
+    #[test]
+    fn seal_numbers_each_generation_from_one_and_stamps_its_version() {
+        let (k0, k1) = (Key64::new(1), Key64::new(2));
+        let mut end = keyed(k0);
+        end.seal(None, request(0), |k, p| mac().compute(k, p))
+            .unwrap();
         end.rekey(k1, true);
-        let build =
-            |seq| Message::register_request(PEER, seq, RegisterOp::read_req(RegId::new(1), 0));
-        let frame = end.seal(build, |k, p| mac().compute(k, p)).unwrap();
+        let frame = end
+            .seal(None, request(0), |k, p| mac().compute(k, p))
+            .unwrap();
         let msg = Message::decode(&frame).unwrap();
         assert_eq!(msg.header().seq_num, SeqNum::new(1));
         assert_eq!(msg.header().key_version, KeyVersion::INITIAL.next());
         assert!(verify_frame(&mac(), k1, &frame));
-        assert_eq!(end.last_sent(), SeqNum::new(1));
+        assert_eq!(
+            end.last_sent(),
+            (KeyVersion::INITIAL.next(), SeqNum::new(1))
+        );
+        // The previous generation's window still takes its frames in flight.
+        let in_flight = request(7).sealed(&mac(), k0).encode();
+        assert_eq!(open(&mut end, &in_flight), Ok(k0));
     }
 
     #[test]
-    fn bootstrap_legs_use_the_seed_and_auth_keys_without_a_version_stamp() {
-        let (seed, auth) = (Key64::new(7), Key64::new(8));
-        let mut end = ChannelEnd::new(Some(seed));
-        let salt = |seq| {
-            Message::key_exchange(
-                PEER,
-                PortId::CPU,
-                seq,
-                KeyExchange::EakSalt {
-                    step: EakStep::Salt1,
-                    salt: 9,
-                },
-            )
-        };
-        let frame = end.seal(salt, |k, p| mac().compute(k, p)).unwrap();
-        assert!(verify_frame(&mac(), seed, &frame));
-        assert_eq!(open(&mut end, &frame), Ok(seed));
+    fn sealing_with_no_key_draws_no_number() {
+        let mut end = ChannelEnd::new(None);
+        let unsealed = end
+            .seal(None, request(3), |k, p| mac().compute(k, p))
+            .unwrap_err();
+        assert_eq!(unsealed.header().seq_num, SeqNum::new(3), "left as built");
+        end.rekey(Key64::new(1), false);
+        let frame = end
+            .seal(None, request(0), |k, p| mac().compute(k, p))
+            .unwrap();
+        assert_eq!(
+            Message::decode(&frame).unwrap().header().seq_num,
+            SeqNum::new(1)
+        );
+    }
 
-        let offer = |seq| {
-            Message::key_exchange(
-                PEER,
-                PortId::CPU,
-                seq,
-                KeyExchange::Adhkd {
-                    role: p4auth_wire::body::AdhkdRole::Offer,
-                    context: KexContext::LocalInit,
-                    public_key: 1,
-                    salt: 2,
-                },
-            )
-        };
-        let err = end.seal(offer, |k, p| mac().compute(k, p)).unwrap_err();
-        assert_eq!(err.header().seq_num, SeqNum::new(2), "the counter moved");
-        end.set_auth_key(auth);
-        let frame = end.seal(offer, |k, p| mac().compute(k, p)).unwrap();
-        assert!(verify_frame(&mac(), auth, &frame));
+    #[test]
+    fn a_spent_counter_fails_closed() {
+        let mut end = keyed(Key64::new(1));
+        end.fast_forward(SeqNum::new(u32::MAX));
+        assert!(end
+            .seal(None, request(0), |k, p| mac().compute(k, p))
+            .is_err());
+        assert_eq!(end.last_sent().1, SeqNum::new(u32::MAX));
+        end.rekey(Key64::new(2), true);
+        assert!(end
+            .seal(None, request(0), |k, p| mac().compute(k, p))
+            .is_ok());
+    }
+
+    #[test]
+    fn responses_are_matched_not_windowed() {
+        let key = Key64::new(5);
+        let mut end = keyed(key);
+        let ack = Message::new(
+            SwitchId::new(2),
+            PortId::CPU,
+            SeqNum::new(4),
+            Body::Register(RegisterOp::Ack {
+                reg: RegId::new(1),
+                index: 0,
+                value: 0,
+            }),
+        )
+        .sealed(&mac(), key)
+        .encode();
+        assert_eq!(open(&mut end, &ack), Ok(key));
+        assert_eq!(open(&mut end, &ack), Ok(key));
+        assert_eq!(last_accepted(&end, SwitchId::new(2)), None);
+    }
+
+    #[test]
+    fn eak_legs_use_the_seed_at_number_zero_outside_every_window() {
+        let seed = Key64::new(7);
+        let mut end = ChannelEnd::new(Some(seed));
+        let frame = end.seal(None, salt1(), |k, p| mac().compute(k, p)).unwrap();
+        assert!(verify_frame(&mac(), seed, &frame));
         let msg = Message::decode(&frame).unwrap();
+        assert_eq!(msg.header().seq_num, SeqNum::default());
+        // A restarted peer's Salt1 at any number opens, again and again.
+        assert_eq!(open(&mut end, &frame), Ok(seed));
+        assert_eq!(open(&mut end, &frame), Ok(seed));
+        assert_eq!(end.last_sent(), (KeyVersion::INITIAL, SeqNum::default()));
+    }
+
+    #[test]
+    fn k_auth_legs_have_their_own_space_and_keep_the_displaced_key() {
+        let (seed, a1, a2) = (Key64::new(7), Key64::new(8), Key64::new(9));
+        let mut initiator = ChannelEnd::new(Some(seed));
+        assert!(initiator
+            .seal(None, local_init_offer(), |k, p| mac().compute(k, p))
+            .is_err());
+        initiator.set_auth_key(a1);
+        let offer = initiator
+            .seal(None, local_init_offer(), |k, p| mac().compute(k, p))
+            .unwrap();
+        let msg = Message::decode(&offer).unwrap();
+        assert_eq!(msg.header().seq_num, SeqNum::new(1));
         assert_eq!(msg.header().key_version, KeyVersion::INITIAL);
+        // The responder derived a1, then a second Salt1 (a replay, or a
+        // restarted controller) displaced it: a leg under a1 still opens,
+        // once.
+        let mut responder = ChannelEnd::new(Some(seed));
+        responder.set_auth_key(a1);
+        responder.set_auth_key(a2);
+        let opened = responder
+            .open(&msg, |k| verify_frame(&mac(), k, &offer))
+            .unwrap();
+        assert_eq!(opened.key, a1);
+        assert_eq!(
+            open(&mut responder, &offer),
+            Err(RejectReason::Replayed {
+                last_accepted: SeqNum::new(1)
+            })
+        );
+        // The answer goes back under the generation that opened the offer.
+        let answer = responder
+            .seal(Some(opened), local_init_offer(), |k, p| mac().compute(k, p))
+            .unwrap();
+        assert!(verify_frame(&mac(), a1, &answer));
+        let forged = local_init_offer().sealed(&mac(), Key64::new(3)).encode();
+        assert_eq!(open(&mut responder, &forged), Err(RejectReason::BadDigest));
     }
 }

@@ -55,6 +55,13 @@ impl EakInitiator {
     }
 }
 
+/// The bytes of `Salt1` that `Salt2`'s digest also covers (transcript
+/// binding): the initiator verifies a `Salt2` against the salt it is
+/// waiting on, so an answer to any other `Salt1` fails its digest.
+pub fn transcript(s1: u32) -> [u8; 4] {
+    s1.to_be_bytes()
+}
+
 /// Data-plane-side EAK responder (steps 3–4 of Fig. 11): receives `S1`,
 /// generates `S2`, derives `K_auth`, returns `S2` for transmission.
 pub fn respond(k_seed: Key64, s1: u32, rng: &mut dyn RandomSource, kdf: &Kdf) -> (u32, Key64) {

@@ -1,114 +1,123 @@
-//! One slot of P4Auth's emulated key register.
-//!
-//! The prototype stores keys in a register with `N+1` entries: the local
-//! key at index 0 and the key for port `p` at index `p` (§VII); the agent
-//! keeps one [`crate::channel::ChannelEnd`] per entry. For consistent key
-//! updates (§VI-C, borrowing from incremental consistent updates), each
-//! slot keeps the *current* and *previous* key together with a version
-//! counter; the sender tags messages with the version it used and the
-//! receiver selects the matching key. Only a `ChannelEnd` moves a slot.
+//! One slot of P4Auth's emulated key register (§VII): the current and
+//! previous key generation, selected by a message's version tag (§VI-C).
+//! A generation is also a sequence space (DESIGN §2). Only a
+//! [`crate::channel::ChannelEnd`] moves a slot.
 
+use p4auth_primitives::idhash::IdMap;
 use p4auth_primitives::Key64;
-use p4auth_wire::ids::KeyVersion;
-use serde::{Deserialize, Serialize};
-use std::fmt;
+use p4auth_wire::ids::{KeyVersion, SeqNum, SwitchId};
 
-/// One key slot (local key or one port key) with version history.
-#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// One key and the sequence space that lives and dies with it: the last
+/// number sealed under it (0: none yet) and, per sender, the last number
+/// accepted under it. Only a verified frame inserts a sender. `Debug`
+/// shows no key material (`Key64` redacts itself).
+#[derive(Clone, Debug)]
+pub struct Generation {
+    pub(crate) key: Key64,
+    pub(crate) version: KeyVersion,
+    pub(crate) sent: SeqNum,
+    pub(crate) last_in: IdMap<SwitchId, SeqNum>,
+}
+
+impl Generation {
+    pub(crate) fn new(key: Key64, version: KeyVersion) -> Self {
+        Generation {
+            key,
+            version,
+            sent: SeqNum::default(),
+            last_in: IdMap::default(),
+        }
+    }
+
+    /// The version frames under this key are tagged with.
+    pub fn version(&self) -> KeyVersion {
+        self.version
+    }
+
+    /// The last sequence number sealed under this key (0 before the first).
+    pub fn last_sent(&self) -> SeqNum {
+        self.sent
+    }
+
+    /// The last sequence number accepted from `peer` under this key.
+    pub fn last_accepted(&self, peer: SwitchId) -> Option<SeqNum> {
+        self.last_in.get(&peer).copied()
+    }
+}
+
+/// One key slot: the current generation and the one before it.
+#[derive(Clone, Debug, Default)]
 pub struct KeySlot {
-    current: Key64,
-    previous: Option<Key64>,
-    version: KeyVersion,
-    installed: bool,
-}
-
-impl fmt::Debug for KeySlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("KeySlot")
-            .field("version", &self.version)
-            .field("installed", &self.installed)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Default for KeySlot {
-    fn default() -> Self {
-        KeySlot::EMPTY
-    }
+    pub(crate) current: Option<Generation>,
+    pub(crate) previous: Option<Generation>,
 }
 
 impl KeySlot {
     /// A slot with no key installed.
     pub const EMPTY: KeySlot = KeySlot {
-        current: Key64::new(0),
+        current: None,
         previous: None,
-        version: KeyVersion::INITIAL,
-        installed: false,
     };
 
-    /// Whether a key has ever been installed in this slot.
+    /// Whether a key is installed in this slot.
     pub fn is_installed(&self) -> bool {
-        self.installed
+        self.current.is_some()
     }
 
-    /// The current key version.
+    /// The current key version ([`KeyVersion::INITIAL`] while empty).
     pub fn version(&self) -> KeyVersion {
-        self.version
+        self.current
+            .as_ref()
+            .map_or(KeyVersion::INITIAL, |g| g.version)
     }
 
     /// The current key, if installed.
     pub fn current(&self) -> Option<Key64> {
-        self.installed.then_some(self.current)
+        self.current.as_ref().map(|g| g.key)
     }
 
-    /// Installs the first key (version stays at its initial value).
+    /// The current generation, then the previous one.
+    pub fn generations(&self) -> impl Iterator<Item = &Generation> {
+        self.current.iter().chain(&self.previous)
+    }
+
+    /// The key of the generation a version tag names (the ±1 rule).
+    pub fn select(&self, version: KeyVersion) -> Option<Key64> {
+        self.generations()
+            .find(|g| g.version == version)
+            .map(|g| g.key)
+    }
+
+    pub(crate) fn generation_mut(&mut self, version: KeyVersion) -> Option<&mut Generation> {
+        [&mut self.current, &mut self.previous]
+            .into_iter()
+            .flatten()
+            .find(|g| g.version == version)
+    }
+
+    /// A fresh first generation at [`KeyVersion::INITIAL`]; both old ones
+    /// go, so two ends that re-initialise agree on the version.
     pub(crate) fn install(&mut self, key: Key64) {
-        self.current = key;
+        self.current = Some(Generation::new(key, KeyVersion::INITIAL));
         self.previous = None;
-        self.installed = true;
     }
 
-    /// Overwrites the slot with `key` at an explicit `version`. Used when
-    /// mirroring a key that was derived elsewhere (a switch owned by a
-    /// peer controller replica): the mirror trusts the publisher's version
-    /// counter instead of running its own install/rollover sequence. A
-    /// publisher exactly one version ahead rolled once, so the current key
-    /// becomes the previous generation, as on the publisher; any other
-    /// jump drops it. The same key at the same version changes nothing.
+    /// A fresh generation at the next version; the current one stays as
+    /// the previous one for frames in flight.
+    pub(crate) fn rollover(&mut self, key: Key64) {
+        let fresh = Generation::new(key, self.version().next());
+        self.previous = self.current.replace(fresh);
+    }
+
+    /// A fresh generation of a key derived elsewhere, at the publisher's
+    /// `version`, keeping the current one only if the publisher rolled
+    /// once; the same key at the same version changes nothing.
     pub(crate) fn force(&mut self, key: Key64, version: KeyVersion) {
-        if self.current() == Some(key) && self.version == version {
+        if self.current() == Some(key) && self.version() == version {
             return;
         }
-        self.previous =
-            (self.installed && version.is_predecessor(self.version)).then_some(self.current);
-        self.current = key;
-        self.version = version;
-        self.installed = true;
-    }
-
-    /// Rolls over to `key`: the old key is retained for in-flight messages
-    /// tagged with the previous version.
-    pub(crate) fn rollover(&mut self, key: Key64) {
-        debug_assert!(self.installed, "rollover before install");
-        self.previous = Some(self.current);
-        self.current = key;
-        self.version = self.version.next();
-    }
-
-    /// Selects the key matching a message's version tag: the current
-    /// version, or the immediately preceding one (consistent updates keep
-    /// exactly two generations).
-    pub fn select(&self, version: KeyVersion) -> Option<Key64> {
-        if !self.installed {
-            return None;
-        }
-        if version == self.version {
-            Some(self.current)
-        } else if self.version.is_predecessor(version) {
-            self.previous
-        } else {
-            None
-        }
+        let old = self.current.replace(Generation::new(key, version));
+        self.previous = old.filter(|g| version.is_predecessor(g.version));
     }
 }
 
@@ -131,11 +140,15 @@ mod tests {
     }
 
     #[test]
-    fn install_keeps_the_initial_version() {
-        let s = slot(11);
+    fn install_starts_at_the_initial_version() {
+        let mut s = slot(11);
         assert_eq!(s.current(), Some(Key64::new(11)));
         assert_eq!(s.version(), KeyVersion::INITIAL);
         assert_eq!(s.select(KeyVersion::INITIAL), Some(Key64::new(11)));
+        s.rollover(Key64::new(12));
+        s.install(Key64::new(13));
+        assert_eq!(s.version(), KeyVersion::INITIAL);
+        assert_eq!(s.select(KeyVersion::INITIAL.next()), None);
     }
 
     #[test]
@@ -176,6 +189,7 @@ mod tests {
         s.force(Key64::new(9), KeyVersion::new(4));
         assert_eq!(s.select(KeyVersion::new(4)), Some(Key64::new(9)));
         assert_eq!(s.select(KeyVersion::new(3)), None);
+        assert_eq!(s.select(KeyVersion::INITIAL), None);
     }
 
     #[test]
@@ -191,16 +205,18 @@ mod tests {
     fn force_with_the_same_key_and_version_changes_nothing() {
         let mut s = slot(1);
         s.rollover(Key64::new(2));
-        let before = s;
+        s.current.as_mut().unwrap().sent = SeqNum::new(5);
         s.force(Key64::new(2), KeyVersion::INITIAL.next());
-        assert_eq!(s, before);
         assert_eq!(s.select(KeyVersion::INITIAL), Some(Key64::new(1)));
+        assert_eq!(s.generations().next().unwrap().last_sent(), SeqNum::new(5));
     }
 
     #[test]
     fn slot_debug_redacts_key_material() {
         let dbg = format!("{:?}", slot(0xdead_beef_feed_f00d));
-        assert!(!dbg.contains("current"));
+        for digits in ["dead", "DEAD", "feed", "16045690984833335309"] {
+            assert!(!dbg.contains(digits), "{dbg}");
+        }
         assert!(dbg.contains("version"));
     }
 }

@@ -1,9 +1,10 @@
 //! Deterministic fault-injection plans: scheduled link-state changes
-//! (flaps, correlated groups, switch and pod failure with recovery) plus
-//! boot-storm stagger descriptors.
+//! (flaps, correlated groups, switch and pod failure with recovery),
+//! node reboots that lose all state, plus boot-storm stagger descriptors.
 //!
 //! A [`FaultPlan`] is pure data — a normalized, time-sorted schedule of
-//! `(at_ns, link, up)` changes — installed into a simulator with
+//! `(at_ns, link, up)` changes and `(at_ns, node)` reboots — installed
+//! into a simulator with
 //! [`crate::sim::Simulator::install_fault_plan`] (or, for any engine,
 //! [`crate::engine::Workload::set_fault_plan`]). Each change
 //! becomes a first-class sim event with its own tiebreak key, so a
@@ -51,12 +52,14 @@ impl BootStorm {
     }
 }
 
-/// A deterministic fault schedule: time-sorted link-state changes plus an
-/// optional boot-storm descriptor.
+/// A deterministic fault schedule: time-sorted link-state changes and
+/// reboots plus an optional boot-storm descriptor.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Sorted by `(at_ns, link, up)`, exact duplicates removed.
     events: Vec<FaultEvent>,
+    /// Sorted by `(at_ns, node)`, exact duplicates removed.
+    reboots: Vec<(u64, SwitchId)>,
     boot_storm: Option<BootStorm>,
 }
 
@@ -143,6 +146,25 @@ impl FaultPlan {
         self
     }
 
+    /// Schedules a reboot of `node` at `at_ns`: the node comes back at once
+    /// with nothing it held — a switch's registers, keys, sequence
+    /// counters and replay windows start empty — and every node hears of
+    /// it ([`crate::sim::TopologyEvent::NodeRebooted`]). Its links stay as
+    /// they are; pair it with [`FaultPlan::switch_failure`] for a reboot
+    /// that also takes them dark.
+    pub fn reboot(&mut self, node: SwitchId, at_ns: u64) -> &mut Self {
+        let idx = self.reboots.partition_point(|&r| r <= (at_ns, node));
+        if idx == 0 || self.reboots[idx - 1] != (at_ns, node) {
+            self.reboots.insert(idx, (at_ns, node));
+        }
+        self
+    }
+
+    /// The scheduled reboots as `(at_ns, node)`, time-sorted.
+    pub fn reboots(&self) -> &[(u64, SwitchId)] {
+        &self.reboots
+    }
+
     /// Attaches a boot-storm descriptor (staggered workload start).
     pub fn with_boot_storm(&mut self, waves: u32, stagger_ns: u64) -> &mut Self {
         self.boot_storm = Some(BootStorm { waves, stagger_ns });
@@ -161,19 +183,21 @@ impl FaultPlan {
         &self.events
     }
 
-    /// Whether the plan schedules no link-state changes.
+    /// Whether the plan schedules no link-state change and no reboot.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.events.is_empty() && self.reboots.is_empty()
     }
 
-    /// Number of scheduled link-state changes.
+    /// Number of scheduled link-state changes and reboots.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events.len() + self.reboots.len()
     }
 
-    /// Time of the last scheduled change, if any.
+    /// Time of the last scheduled change or reboot, if any.
     pub fn horizon_ns(&self) -> Option<u64> {
-        self.events.last().map(|e| e.at_ns)
+        let last_change = self.events.last().map(|e| e.at_ns);
+        let last_reboot = self.reboots.last().map(|&(at, _)| at);
+        last_change.max(last_reboot)
     }
 
     /// Sorted-insert keeping `(at_ns, link, up)` order, dropping exact

@@ -156,6 +156,12 @@ pub enum TopologyEvent {
         /// Second endpoint.
         b: Endpoint,
     },
+    /// A node rebooted ([`crate::fault::FaultPlan::reboot`]): it holds
+    /// nothing from before, and whoever manages its keys starts again.
+    NodeRebooted {
+        /// The node that rebooted.
+        node: SwitchId,
+    },
 }
 
 /// Behaviour of a simulated node (switch, controller or host).
@@ -185,6 +191,10 @@ enum EventKind {
     Fault {
         link: LinkId,
         up: bool,
+    },
+    /// A scheduled reboot from a [`crate::fault::FaultPlan`].
+    Reboot {
+        node: SwitchId,
     },
 }
 
@@ -254,7 +264,7 @@ pub struct SimStats {
     pub frames_undeliverable: u64,
     /// Timer callbacks fired.
     pub timers_fired: u64,
-    /// Scheduled fault events applied.
+    /// Scheduled fault events (link-state changes and reboots) applied.
     pub faults_applied: u64,
 }
 
@@ -725,6 +735,11 @@ impl Simulator {
                 b: l.b,
             }
         };
+        self.notify_topology(event);
+    }
+
+    /// Delivers `event` to every registered node, in id order.
+    fn notify_topology(&mut self, event: TopologyEvent) {
         for raw in 0..self.nodes.len() {
             let id = SwitchId::new(raw as u16);
             let Some(mut node) = self.take_node(id) else {
@@ -738,34 +753,46 @@ impl Simulator {
     }
 
     /// Installs a [`crate::fault::FaultPlan`]: every scheduled link-state
-    /// change becomes a first-class sim event, applied between the other
-    /// events of its instant in a fixed drain position — so fault-injected
-    /// runs stay bit-identical across schedulers.
+    /// change and reboot becomes a first-class sim event, applied between
+    /// the other events of its instant in a fixed drain position — so
+    /// fault-injected runs stay bit-identical across schedulers.
     ///
     /// # Panics
     ///
-    /// Panics on an unknown link or a change scheduled before `now`.
+    /// Panics on an unknown link or node, or a fault scheduled before
+    /// `now`.
     pub fn install_fault_plan(&mut self, plan: &crate::fault::FaultPlan) {
         for ev in plan.events() {
-            self.push_fault(SimTime::from_ns(ev.at_ns), ev.link, ev.up);
+            assert!(
+                self.topology.link(ev.link).is_some(),
+                "fault on unknown link"
+            );
+            let (link, up) = (ev.link, ev.up);
+            self.push_fault(SimTime::from_ns(ev.at_ns), EventKind::Fault { link, up });
+        }
+        for &(at_ns, node) in plan.reboots() {
+            assert!(
+                self.topology.contains(node),
+                "reboot of unknown node {node}"
+            );
+            self.push_fault(SimTime::from_ns(at_ns), EventKind::Reboot { node });
         }
     }
 
-    /// Schedules one link-state change. Fault keys use the pseudo-source
+    /// Schedules one fault. Fault keys use the pseudo-source
     /// [`FAULT_SRC_ID`] with their own sequence counter, so every engine
     /// assigns identical keys. Scheduling a fault records **no** telemetry
     /// (`sim_events_scheduled` counts what nodes and callers schedule, and
     /// every recorded artefact depends on that).
-    fn push_fault(&mut self, at: SimTime, link: LinkId, up: bool) {
+    fn push_fault(&mut self, at: SimTime, kind: EventKind) {
         assert!(at >= self.now, "fault scheduled in the past");
-        assert!(self.topology.link(link).is_some(), "fault on unknown link");
         self.fault_seq += 1;
         assert!(
             self.fault_seq < (1u64 << SRC_SEQ_BITS),
             "fault event sequence counter overflowed"
         );
         let seq = (FAULT_SRC_ID << SRC_SEQ_BITS) | self.fault_seq;
-        self.queue.schedule(at, seq, EventKind::Fault { link, up });
+        self.queue.schedule(at, seq, kind);
     }
 
     fn push(&mut self, src: SwitchId, at: SimTime, kind: EventKind) {
@@ -915,6 +942,13 @@ impl Simulator {
                     t.fault_applied();
                 }
                 self.apply_link_state(link, up);
+            }
+            EventKind::Reboot { node } => {
+                self.stats.faults_applied += 1;
+                if let Some(t) = &mut self.telemetry {
+                    t.fault_applied();
+                }
+                self.notify_topology(TopologyEvent::NodeRebooted { node });
             }
         }
         true

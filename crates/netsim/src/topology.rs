@@ -162,7 +162,7 @@ impl Topology {
     /// # Errors
     ///
     /// Returns [`TopologyError::DuplicateNode`] if already present.
-    pub fn add_node_with_ports(
+    pub(crate) fn add_node_with_ports(
         &mut self,
         node: SwitchId,
         ports: usize,

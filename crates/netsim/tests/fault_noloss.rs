@@ -46,6 +46,7 @@ impl SimNode for Fwd {
         let (up, a, b) = match event {
             TopologyEvent::LinkUp { a, b, .. } => (true, a, b),
             TopologyEvent::LinkDown { a, b, .. } => (false, a, b),
+            TopologyEvent::NodeRebooted { .. } => return,
         };
         for ep in [a, b] {
             if ep.node == self.id {

@@ -775,7 +775,8 @@ fn correlated_flap_churn_defence(n_replicas: usize, checks: &mut Checks) -> [Opt
 /// port keys on every incident link with no defence false positives, and
 /// the recovered switch must answer both a register read and a bulk
 /// rollover of every local key (the campaign that fills the
-/// `rollover_fanout_*` gates).
+/// `rollover_fanout_*` gates). Then the same switch reboots, losing every
+/// key, counter and window, and must rejoin.
 fn switch_failure_recovery(cfg: &CampaignConfig) -> CampaignVerdict {
     let mut checks = Checks::default();
     let fabric = fabric_phase(cfg, plan_for("switch_failure_recovery"), &mut checks);
@@ -814,6 +815,25 @@ fn switch_failure_recovery_defence(n_replicas: usize, checks: &mut Checks) -> [O
     net.sim.run_to_completion();
     let rolled = epoch.is_some() && net.set.borrow().rollover_complete();
 
+    // The switch reboots: its keys, sequence counters and replay windows
+    // are gone, while the controller remembers the numbers it accepted
+    // before. It must get its local and port keys again and answer a read.
+    let rebooted = ft.agg(1, 0);
+    let mut reboot = FaultPlan::new();
+    reboot.reboot(rebooted, net.sim.now().as_ns() + 10_000);
+    net.sim.install_fault_plan(&reboot);
+    net.sim.run_to_completion();
+    let before_reboot_read = net.set.borrow().stats().responses_ok;
+    net.controller_read(rebooted, RegId::new(0), 0);
+    net.sim.run_to_completion();
+    let reread = net.set.borrow().stats().responses_ok - before_reboot_read;
+    let agent_key = {
+        let agent = net.switches[&rebooted].borrow();
+        let slot = agent.keys(PortId::CPU);
+        slot.current().map(|k| (k, slot.version()))
+    };
+    let controller_key = net.set.borrow().core(rebooted).local_key_material(rebooted);
+
     let events = net.take_events();
     let mitigations = events
         .iter()
@@ -833,6 +853,14 @@ fn switch_failure_recovery_defence(n_replicas: usize, checks: &mut Checks) -> [O
         "bulk_rollover_completes",
         rolled,
         format!("bulk rollover {epoch:?} complete: {rolled}"),
+    );
+    checks.require(
+        "rebooted_switch_rejoins",
+        agent_key.is_some() && agent_key == controller_key && reread == 1,
+        format!(
+            "local key agreed: {}, {reread} of 1 reads answered",
+            agent_key.is_some() && agent_key == controller_key
+        ),
     );
     check_clean_channels(&net, checks);
     check_port_keys_converged(&net, checks);

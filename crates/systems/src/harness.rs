@@ -10,7 +10,7 @@ use p4auth_core::agent::{AgentConfig, AgentEvent, InNetworkApp, P4AuthSwitch};
 use p4auth_netsim::frame::FrameBytes;
 use p4auth_netsim::sim::{Outbox, SimNode, Simulator, TopologyEvent};
 use p4auth_netsim::time::SimTime;
-use p4auth_netsim::topology::Topology;
+use p4auth_netsim::topology::{Endpoint, Topology};
 
 pub use p4auth_netsim::sched::SchedulerKind;
 pub use p4auth_netsim::topology::HOST_ID_BASE;
@@ -133,6 +133,12 @@ impl SimNode for SwitchNode {
             out.send_delayed(physical, bytes, output.cost_ns);
         }
     }
+
+    fn on_topology(&mut self, _now: SimTime, event: TopologyEvent, _out: &mut Outbox) {
+        if event == (TopologyEvent::NodeRebooted { node: self.id }) {
+            self.agent.borrow_mut().reboot();
+        }
+    }
 }
 
 /// A scheduled periodic key-rollover plan (§VI-C: keys are updated
@@ -251,6 +257,13 @@ pub struct ControllerNode {
     /// DP-DP adjacency: `(switch, port)` → peer switch, for translating
     /// defence mitigations on port channels into `portKeyUpdate` messages.
     links: IdMap<(SwitchId, PortId), SwitchId>,
+    /// Every DP-DP link as its `(a, b)` endpoints, in topology order: a
+    /// rebooted switch's links get their port keys again, each started
+    /// from `a` as at link-up.
+    dp_links: Vec<(Endpoint, Endpoint)>,
+    /// Rebooted switches whose local key is being initialised again;
+    /// their port keys follow once it is installed.
+    rejoining: Vec<SwitchId>,
     /// Agent handles, for flipping agent-side quarantine enforcement.
     switches: IdMap<SwitchId, SharedSwitch>,
     /// Whether an ORCH timer chain is live (shared with the network so
@@ -273,6 +286,23 @@ impl ControllerNode {
             }
             if let Some(&peer) = self.links.get(&(action.peer, action.channel)) {
                 outgoing.extend(set.port_key_update(now_ns, action.peer, action.channel, peer));
+            }
+        }
+    }
+
+    /// Once a rebooted `switch` holds a local key again, initialises the
+    /// port key of each of its DP-DP links: the neighbours still hold keys
+    /// the switch lost.
+    fn port_keys_after_reboot(
+        dp_links: &[(Endpoint, Endpoint)],
+        set: &mut ReplicaSet,
+        now_ns: u64,
+        switch: SwitchId,
+        outgoing: &mut Vec<Outgoing>,
+    ) {
+        for &(a, b) in dp_links {
+            if a.node == switch || b.node == switch {
+                outgoing.extend(set.port_key_init(now_ns, a.node, a.port, b.node, b.port));
             }
         }
     }
@@ -341,6 +371,18 @@ impl SimNode for ControllerNode {
             let mut set = self.set.borrow_mut();
             let (mut outgoing, events) = set.on_message(now_ns, from, &payload);
             self.apply_port_actions(&mut set, now_ns, &mut outgoing);
+            if events.contains(&ControllerEvent::LocalKeyInstalled(from)) {
+                if let Some(i) = self.rejoining.iter().position(|&s| s == from) {
+                    self.rejoining.swap_remove(i);
+                    Self::port_keys_after_reboot(
+                        &self.dp_links,
+                        &mut set,
+                        now_ns,
+                        from,
+                        &mut outgoing,
+                    );
+                }
+            }
             self.events.borrow_mut().extend(events);
             outgoing
         };
@@ -356,6 +398,16 @@ impl SimNode for ControllerNode {
     }
 
     fn on_topology(&mut self, now: SimTime, event: TopologyEvent, out: &mut Outbox) {
+        // §VI: a switch boots with no keys, so a rebooted one runs the
+        // local-key initialization again (its port keys follow).
+        if let TopologyEvent::NodeRebooted { node } = event {
+            if self.switches.contains_key(&node) {
+                self.rejoining.push(node);
+                let outgoing = self.set.borrow_mut().local_key_init(now.as_ns(), node);
+                Self::transmit(out, outgoing);
+            }
+            return;
+        }
         // §VI-C: a link-up event (LLDP-detected "port active") triggers
         // port-key initialization between the two data planes, routed
         // through (and possibly redirected across) the owning replicas.
@@ -514,10 +566,12 @@ impl Network {
             // DP-DP adjacency for translating port-channel defence
             // mitigations into portKeyUpdate messages.
             let mut links = IdMap::default();
+            let mut dp_links = Vec::new();
             for l in sim.topology().links() {
                 if is_dp_dp_link(l) {
                     links.insert((l.a.node, l.a.port), l.b.node);
                     links.insert((l.b.node, l.b.port), l.a.node);
+                    dp_links.push((l.a, l.b));
                 }
             }
             sim.register_node(
@@ -527,6 +581,8 @@ impl Network {
                     events: events.clone(),
                     rollover: rollover.clone(),
                     links,
+                    dp_links,
+                    rejoining: Vec::new(),
                     switches: switches.clone(),
                     armed: orch_armed.clone(),
                 }),

@@ -216,6 +216,8 @@ impl SimNode for Forwarder {
         let (up, a, b) = match event {
             TopologyEvent::LinkUp { a, b, .. } => (true, a, b),
             TopologyEvent::LinkDown { a, b, .. } => (false, a, b),
+            // A forwarder keeps no state a reboot could lose.
+            TopologyEvent::NodeRebooted { .. } => return,
         };
         for ep in [a, b] {
             if ep.node == self.id {

@@ -117,8 +117,9 @@ impl fmt::Debug for RegId {
 /// Sequence number for request/response matching and replay defence.
 ///
 /// The paper notes 16-bit sequence numbers wrap quickly; it recommends 32
-/// bits plus key rollover inside the wrap-around window (§VIII), which is
-/// what we implement.
+/// bits plus key rollover inside the wrap-around window (§VIII). Numbers
+/// belong to one key generation and never wrap: a counter that reaches
+/// `u32::MAX` stops, and the key is rolled long before (DESIGN §2).
 #[derive(
     Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug, Serialize, Deserialize,
 )]
@@ -135,10 +136,13 @@ impl SeqNum {
         self.0
     }
 
-    /// The successor, wrapping at `u32::MAX`.
+    /// The successor; `None` at `u32::MAX`.
     #[must_use]
-    pub const fn next(self) -> SeqNum {
-        SeqNum(self.0.wrapping_add(1))
+    pub const fn next(self) -> Option<SeqNum> {
+        match self.0.checked_add(1) {
+            Some(raw) => Some(SeqNum(raw)),
+            None => None,
+        }
     }
 }
 
@@ -207,9 +211,9 @@ mod tests {
     }
 
     #[test]
-    fn seqnum_wraps() {
-        assert_eq!(SeqNum::new(5).next(), SeqNum::new(6));
-        assert_eq!(SeqNum::new(u32::MAX).next(), SeqNum::new(0));
+    fn seqnum_stops_at_the_last_number() {
+        assert_eq!(SeqNum::new(5).next(), Some(SeqNum::new(6)));
+        assert_eq!(SeqNum::new(u32::MAX).next(), None);
     }
 
     #[test]

@@ -53,4 +53,4 @@ pub mod header;
 pub mod ids;
 pub mod message;
 
-pub use message::{digest_parts, verify_frame, Message};
+pub use message::{digest_parts, verify_bound_frame, verify_frame, Message};

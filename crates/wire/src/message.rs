@@ -22,11 +22,20 @@ pub fn digest_parts(frame: &[u8]) -> [&[u8]; 2] {
 /// Checks the digest a received frame carries against the bytes that
 /// arrived, under `key` (constant-time compare).
 pub fn verify_frame(mac: &dyn Mac, key: Key64, frame: &[u8]) -> bool {
+    verify_bound_frame(mac, key, frame, &[])
+}
+
+/// [`verify_frame`] for a frame whose digest also covers `transcript`:
+/// bytes of an earlier frame of the same exchange that the receiver kept
+/// (EAK's `Salt2` covers its `Salt1`'s salt), so the frame completes that
+/// exchange and no other.
+pub fn verify_bound_frame(mac: &dyn Mac, key: Key64, frame: &[u8], transcript: &[u8]) -> bool {
     let Some(carried) = frame.get(DIGEST_OFFSET..HEADER_LEN) else {
         return false;
     };
     let carried = u32::from_be_bytes(carried.try_into().expect("4-byte range"));
-    mac.verify(key, &digest_parts(frame), Digest32::new(carried))
+    let [head, rest] = digest_parts(frame);
+    mac.verify(key, &[head, rest, transcript], Digest32::new(carried))
 }
 
 /// A complete P4Auth protocol message.
@@ -88,6 +97,13 @@ impl Message {
     /// Mutable header access (adversary models; key-version tagging).
     pub fn header_mut(&mut self) -> &mut Header {
         &mut self.header
+    }
+
+    /// Sets the sequence number.
+    #[must_use]
+    pub fn with_seq_num(mut self, seq: SeqNum) -> Self {
+        self.header.seq_num = seq;
+        self
     }
 
     /// Sets the key-version tag (§VI-C consistent updates).
