@@ -18,7 +18,7 @@ use p4auth_wire::body::{
 };
 use p4auth_wire::ids::{KeyVersion, PortId, RegId, SeqNum, SwitchId};
 use p4auth_wire::{verify_bound_frame, verify_frame, Message};
-use std::collections::VecDeque;
+use std::collections::{btree_map, BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Controller configuration.
@@ -250,6 +250,13 @@ impl ControllerTelemetry {
             .instant(kind, now_ns, self.trace_source, arg_a, arg_b);
     }
 
+    /// Logs one key-exchange step this controller took.
+    fn kex_step(&self, now_ns: u64, step: &'static str) {
+        let node = SwitchId::CONTROLLER.value();
+        self.registry
+            .record(now_ns, TelemetryEvent::KexStep { node, step });
+    }
+
     /// Handles for a standalone core (`replica = None`) or for replica
     /// `i` of a set.
     fn new(registry: Arc<Registry>, replica: Option<usize>) -> Self {
@@ -280,57 +287,19 @@ impl ControllerTelemetry {
     }
 }
 
-/// Per-exchange retry bookkeeping for [`Controller::retry_stalled`]'s
-/// capped exponential backoff.
-#[derive(Clone, Copy, Debug, Default)]
-struct RetryState {
-    /// Retries already issued for the exchange in flight.
-    attempts: u32,
-    /// Sim time the exchange was last (re-)issued.
-    last_attempt_ns: u64,
-}
-
-impl RetryState {
-    /// Backoff delay before the next retry: the first retry is free,
-    /// after which the delay doubles per attempt.
-    fn delay_ns(self) -> u64 {
-        match self.attempts {
-            0 => 0,
-            n => KEX_RETRY_BACKOFF_NS << (n - 1),
-        }
-    }
-
-    /// Whether a retry is due at `now_ns`.
-    fn due(self, now_ns: u64) -> bool {
-        now_ns.saturating_sub(self.last_attempt_ns) >= self.delay_ns()
-    }
-}
-
 struct SwitchChannel {
     /// `K_seed`, `K_auth` and the local key, each key generation with its
     /// own counter and window on this switch's alerts and key-exchange
     /// legs.
     end: ChannelEnd,
-    eak: Option<EakInitiator>,
-    /// Pending ADHKD exchange: context, initiator state, and the offer
-    /// as sent. Retries re-send this *same* offer (fresh seq) rather
-    /// than regenerating the exchange — a regenerated offer racing the
-    /// original through the network would derive on the responder twice
-    /// for one counted rollover (the responder dedupes retransmissions
-    /// by offer content).
-    adhkd: Option<(KexContext, AdhkdInitiator, AdhkdPayload)>,
     outstanding: Outstanding,
-    retry: RetryState,
 }
 
 impl SwitchChannel {
     fn new(k_seed: Key64) -> Self {
         SwitchChannel {
             end: ChannelEnd::new(Some(k_seed)),
-            eak: None,
-            adhkd: None,
             outstanding: Outstanding::default(),
-            retry: RetryState::default(),
         }
     }
 }
@@ -359,28 +328,69 @@ fn channel_in(
         .unwrap_or_else(|| panic!("unknown switch {switch}"))
 }
 
-/// Tracks one in-flight port-key initialization redirect (Fig. 14 c):
-/// the one record of it anywhere, on its home core. Each endpoint is a
-/// `(switch, exchange port)`, the port its legs carry in their header.
-#[derive(Clone, Copy, Debug)]
-struct PortRedirect {
-    initiator: (SwitchId, PortId),
-    responder: (SwitchId, PortId),
-    retry: RetryState,
+/// One key exchange in flight (§VI, Fig. 14): what the controller must
+/// re-send if it stalls, and the end whose key it sets.
+enum Exchange {
+    /// Fig. 14 a, first half: `Salt1` sent to the switch, `Salt2` awaited.
+    Eak(SwitchId, EakInitiator),
+    /// Fig. 14 a, second half (`LocalInit`, under `K_auth`) or Fig. 14 b
+    /// (`LocalUpdate`, under the local key): the offer as sent, with its
+    /// initiator. Retries re-send this *same* offer (fresh seq) rather
+    /// than regenerating the exchange — a regenerated offer racing the
+    /// original through the network would derive on the responder twice
+    /// for one counted rollover (the responder dedupes retransmissions
+    /// by offer content).
+    Offer(SwitchId, KexContext, AdhkdInitiator, AdhkdPayload),
+    /// Fig. 14 c: a port-key init whose legs this core redirects. Each
+    /// end is a `(switch, exchange port)`, the port its legs carry in
+    /// their header.
+    Redirect {
+        initiator: (SwitchId, PortId),
+        responder: (SwitchId, PortId),
+    },
 }
 
-impl PortRedirect {
-    /// The endpoint that sends the `role` leg.
-    fn sender(&self, role: AdhkdRole) -> (SwitchId, PortId) {
-        match role {
-            AdhkdRole::Offer => self.initiator,
-            AdhkdRole::Answer => self.responder,
+impl Exchange {
+    /// The `(switch, channel)` whose key the exchange sets: the CPU
+    /// channel for a local exchange, the initiating end for a port one.
+    /// A mitigation on that channel waits for it.
+    fn end(&self) -> (SwitchId, PortId) {
+        match *self {
+            Exchange::Eak(switch, _) | Exchange::Offer(switch, ..) => (switch, PortId::CPU),
+            Exchange::Redirect { initiator, .. } => initiator,
         }
     }
+}
 
-    /// Whether this redirect is for the link `initiator` – `responder`.
-    fn links(&self, initiator: (SwitchId, PortId), responder: (SwitchId, PortId)) -> bool {
-        self.initiator == initiator && self.responder == responder
+/// Where an exchange sits in [`Controller::retry_stalled`]'s order, which
+/// is observable (sequence numbers, RNG draws, telemetry events): a
+/// switch's local exchange by switch id, then port-key exchanges in start
+/// order. A switch has at most one local exchange.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+enum Slot {
+    Local(SwitchId),
+    Port(u64),
+}
+
+/// An [`Exchange`] and its place in [`Controller::retry_stalled`]'s
+/// capped exponential backoff.
+struct InFlight {
+    exchange: Exchange,
+    /// Retries already issued.
+    attempts: u32,
+    /// Sim time the exchange was last (re-)issued.
+    last_attempt_ns: u64,
+}
+
+impl InFlight {
+    /// Whether a retry is due at `now_ns`: the first retry is free, after
+    /// which the delay doubles per attempt.
+    fn due(&self, now_ns: u64) -> bool {
+        let delay_ns = match self.attempts {
+            0 => 0,
+            n => KEX_RETRY_BACKOFF_NS << (n - 1),
+        };
+        now_ns.saturating_sub(self.last_attempt_ns) >= delay_ns
     }
 }
 
@@ -391,7 +401,8 @@ pub struct Controller {
     kdf: Kdf,
     rng: SplitMix64,
     switches: IdMap<SwitchId, SwitchChannel>,
-    redirects: Vec<PortRedirect>,
+    /// Every key exchange in flight on this core, the one record of each.
+    exchanges: BTreeMap<Slot, InFlight>,
     alerts: VecDeque<(SwitchId, AlertKind)>,
     stats: ControllerStats,
     now_ns: u64,
@@ -402,13 +413,6 @@ pub struct Controller {
     /// a threshold crossing and the wire; bounded by
     /// [`PORT_ACTION_CAPACITY`].
     port_actions: VecDeque<MitigationAction>,
-    /// Trace bookkeeping for in-flight mitigations:
-    /// `(detected_at_ns, published_at_ns)` per channel, so
-    /// [`Controller::complete_mitigation`] can decompose the recorded
-    /// latency into detect / publish / KMP / install stage spans. Bounded
-    /// by the defence loop's in-flight set (one entry per channel;
-    /// completion and abort both remove).
-    mitigation_marks: IdMap<(SwitchId, PortId), (u64, u64)>,
 }
 
 impl std::fmt::Debug for Controller {
@@ -428,7 +432,7 @@ impl Controller {
             kdf: Kdf::new(KdfConfig::PAPER),
             rng: SplitMix64::new(config.rng_seed),
             switches: IdMap::default(),
-            redirects: Vec::new(),
+            exchanges: BTreeMap::new(),
             alerts: VecDeque::new(),
             stats: ControllerStats::default(),
             config,
@@ -436,7 +440,6 @@ impl Controller {
             telemetry: None,
             defence: None,
             port_actions: VecDeque::new(),
-            mitigation_marks: IdMap::default(),
         }
     }
 
@@ -510,9 +513,7 @@ impl Controller {
     /// Whether a CPU-channel key exchange (EAK or ADHKD) is currently in
     /// flight toward `switch`.
     pub fn kex_in_flight(&self, switch: SwitchId) -> bool {
-        self.switches
-            .get(&switch)
-            .is_some_and(|c| c.eak.is_some() || c.adhkd.is_some())
+        self.exchanges.contains_key(&Slot::Local(switch))
     }
 
     /// The established local key and its version for `switch`, if any.
@@ -628,7 +629,6 @@ impl Controller {
 
     fn complete_mitigation(&mut self, peer: SwitchId, channel: PortId) {
         let now_ns = self.now_ns;
-        let marks = self.mitigation_marks.remove(&(peer, channel));
         let Some(done) = self
             .defence
             .as_mut()
@@ -648,31 +648,31 @@ impl Controller {
             );
             // The mitigation critical path as one trace: a root span over
             // the full detection-to-mitigation latency with stage children
-            // that partition it exactly — detect [t0, t1] (crossing
-            // detected until the defence loop published the action),
-            // publish (instant at t1), kmp [t1, now] (the key-exchange
-            // round trip), install (instant at now). Stage widths sum to
-            // `done.latency_ns` by construction.
+            // that partition it exactly — detect [t0, t0] and publish
+            // (instant at t0: the signal that crossed the threshold is
+            // the one that published the action, at the same instant),
+            // kmp [t0, now] (the key-exchange round trip), install
+            // (instant at now). Stage widths sum to `done.latency_ns` by
+            // construction.
             let trace = t.registry.trace();
             if trace.enabled() {
                 let t0 = now_ns.saturating_sub(done.latency_ns);
-                let t1 = marks.map_or(t0, |(_, published)| published.clamp(t0, now_ns));
                 let (arg_a, arg_b) = (u64::from(peer.value()), u64::from(channel.value()));
                 if let Some(root) = trace.start(SpanKind::Mitigation, t0, t.trace_source) {
                     if let Some(s) =
                         trace.child(&root, SpanKind::MitigationDetect, t0, t.trace_source)
                     {
-                        trace.end(s, t1, arg_a, arg_b);
+                        trace.end(s, t0, arg_a, arg_b);
                     }
                     trace.instant_in(
                         &root,
                         SpanKind::MitigationPublish,
-                        t1,
+                        t0,
                         t.trace_source,
                         arg_a,
                         arg_b,
                     );
-                    if let Some(s) = trace.child(&root, SpanKind::MitigationKmp, t1, t.trace_source)
+                    if let Some(s) = trace.child(&root, SpanKind::MitigationKmp, t0, t.trace_source)
                     {
                         trace.end(s, now_ns, arg_a, arg_b);
                     }
@@ -723,8 +723,6 @@ impl Controller {
             return;
         };
         self.stats.defence_mitigations += 1;
-        self.mitigation_marks
-            .insert((peer, channel), (action.detected_at_ns, self.now_ns));
         if let Some(t) = &self.telemetry {
             t.defence_mitigations.inc();
             t.registry.record(
@@ -772,7 +770,6 @@ impl Controller {
     /// will complete it, so the channel must not stay wedged (or
     /// quarantined) waiting.
     fn abort_mitigation(&mut self, peer: SwitchId, channel: PortId) {
-        self.mitigation_marks.remove(&(peer, channel));
         if let Some(d) = &mut self.defence {
             d.abort(peer, channel);
         }
@@ -860,29 +857,50 @@ impl Controller {
 
     // ----- key management (§VI) -------------------------------------------
 
-    /// Starts local-key initialization for `switch` (Fig. 14 a): sends EAK
-    /// salt #1, sealed with `K_seed`.
-    pub fn local_key_init(&mut self, switch: SwitchId) -> Vec<Outgoing> {
-        let k_seed = self.channel_mut(switch).end.seed_key().unwrap_or_default();
-        let (eak, s1) = EakInitiator::start(k_seed, &mut self.rng);
-        let now_ns = self.now_ns;
-        let chan = self.channel_mut(switch);
-        chan.eak = Some(eak);
-        chan.retry = RetryState {
+    /// Records `exchange` as started now: a local one in its switch's
+    /// slot, replacing whatever was in flight there, a port one after
+    /// every port exchange in flight.
+    fn start(&mut self, exchange: Exchange) {
+        let slot = match (exchange.end(), self.exchanges.last_key_value()) {
+            ((switch, channel), _) if channel.is_cpu() => Slot::Local(switch),
+            (_, Some((&Slot::Port(n), _))) => Slot::Port(n + 1),
+            _ => Slot::Port(0),
+        };
+        let x = InFlight {
+            exchange,
             attempts: 0,
-            last_attempt_ns: now_ns,
+            last_attempt_ns: self.now_ns,
         };
-        let salt1 = KeyExchange::EakSalt {
-            step: EakStep::Salt1,
-            salt: s1,
-        };
-        let salt1 =
-            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, SeqNum::default(), salt1);
-        vec![self.seal(switch, salt1)]
+        self.exchanges.insert(slot, x);
+    }
+
+    /// `kex` as the next frame toward `switch`.
+    fn seal_kex(&mut self, switch: SwitchId, kex: KeyExchange) -> Outgoing {
+        let msg = Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, SeqNum::default(), kex);
+        self.seal(switch, msg)
+    }
+
+    /// Starts local-key initialization for `switch` (Fig. 14 a): sends EAK
+    /// salt #1, sealed with `K_seed`. It replaces any exchange in flight
+    /// on the switch's channel: an init starts the channel over.
+    pub fn local_key_init(&mut self, switch: SwitchId) -> Vec<Outgoing> {
+        vec![self.start_eak(switch)]
+    }
+
+    /// [`Controller::local_key_init`]'s `Salt1`, from a fresh salt.
+    fn start_eak(&mut self, switch: SwitchId) -> Outgoing {
+        let k_seed = self.channel_mut(switch).end.seed_key().unwrap_or_default();
+        let (eak, salt) = EakInitiator::start(k_seed, &mut self.rng);
+        self.start(Exchange::Eak(switch, eak));
+        let step = EakStep::Salt1;
+        self.seal_kex(switch, KeyExchange::EakSalt { step, salt })
     }
 
     /// Starts a local-key rollover (Fig. 14 b): ADHKD offer under the
-    /// current `K_local`.
+    /// current `K_local`. It replaces a rollover in flight on the switch's
+    /// channel; an init in flight is left to finish and no frame is sent,
+    /// since the init's key is the fresh key the rollover would bring (and
+    /// its completion completes a mitigation waiting on the channel).
     ///
     /// # Panics
     ///
@@ -892,18 +910,30 @@ impl Controller {
             self.has_local_key(switch),
             "local key update before init for {switch}"
         );
-        let (init, offer) = AdhkdInitiator::start(DhParams::recommended(), &mut self.rng);
-        let now_ns = self.now_ns;
-        if let Some(t) = &self.telemetry {
-            t.trace_instant(SpanKind::KmpOffer, now_ns, u64::from(switch.value()), 1);
+        if let Some(InFlight {
+            exchange: Exchange::Eak(..) | Exchange::Offer(_, KexContext::LocalInit, ..),
+            ..
+        }) = self.exchanges.get(&Slot::Local(switch))
+        {
+            return Vec::new();
         }
-        let chan = self.channel_mut(switch);
-        chan.adhkd = Some((KexContext::LocalUpdate, init, offer));
-        chan.retry = RetryState {
-            attempts: 0,
-            last_attempt_ns: now_ns,
-        };
-        vec![self.seal_offer(switch, KexContext::LocalUpdate, offer)]
+        if let Some(t) = &self.telemetry {
+            t.trace_instant(
+                SpanKind::KmpOffer,
+                self.now_ns,
+                u64::from(switch.value()),
+                1,
+            );
+        }
+        vec![self.start_offer(switch, KexContext::LocalUpdate)]
+    }
+
+    /// Starts the ADHKD half of a local exchange (`context` is
+    /// `LocalInit` or `LocalUpdate`) from a fresh private key and salt.
+    fn start_offer(&mut self, switch: SwitchId, context: KexContext) -> Outgoing {
+        let (init, offer) = AdhkdInitiator::start(DhParams::recommended(), &mut self.rng);
+        self.start(Exchange::Offer(switch, context, init, offer));
+        self.seal_offer(switch, context, offer)
     }
 
     /// The next ADHKD offer toward `switch`: the pending exchange's `offer`
@@ -920,9 +950,38 @@ impl Controller {
             public_key: offer.public_key.to_raw(),
             salt: offer.salt,
         };
-        let offer =
-            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, SeqNum::default(), kex);
-        self.seal(switch, offer)
+        self.seal_kex(switch, kex)
+    }
+
+    /// This core's pending port-key redirects, in start order: each slot
+    /// with its initiator and responder end.
+    fn redirects(
+        &self,
+    ) -> impl Iterator<Item = (Slot, (SwitchId, PortId), (SwitchId, PortId))> + '_ {
+        self.exchanges
+            .range(Slot::Port(0)..)
+            .filter_map(|(&slot, x)| match x.exchange {
+                Exchange::Redirect {
+                    initiator,
+                    responder,
+                } => Some((slot, initiator, responder)),
+                _ => None,
+            })
+    }
+
+    /// The pending redirect expecting a `role` leg from `(from, port)`:
+    /// its slot, and the end the leg goes to.
+    fn redirect_for(
+        &self,
+        role: AdhkdRole,
+        from: SwitchId,
+        port: PortId,
+    ) -> Option<(Slot, (SwitchId, PortId))> {
+        self.redirects()
+            .find_map(|(slot, initiator, responder)| match role {
+                AdhkdRole::Offer => (initiator == (from, port)).then_some((slot, responder)),
+                AdhkdRole::Answer => (responder == (from, port)).then_some((slot, initiator)),
+            })
     }
 
     /// Whether a pending port-key redirect on this core expects a `role`
@@ -933,17 +992,14 @@ impl Controller {
         from: SwitchId,
         port: PortId,
     ) -> bool {
-        self.redirects
-            .iter()
-            .any(|r| r.sender(role) == (from, port))
+        self.redirect_for(role, from, port).is_some()
     }
 
     /// The switches this core's pending port-key redirects name, at
     /// either end.
     pub(crate) fn redirect_switches(&self) -> impl Iterator<Item = SwitchId> + '_ {
-        self.redirects
-            .iter()
-            .flat_map(|r| [r.initiator.0, r.responder.0])
+        self.redirects()
+            .flat_map(|(_, initiator, responder)| [initiator.0, responder.0])
     }
 
     /// Starts port-key initialization between `(sw1, port1)` and
@@ -961,37 +1017,37 @@ impl Controller {
         port2: PortId,
     ) -> Vec<Outgoing> {
         let (initiator, responder) = ((sw1, port1), (sw2, port2));
-        if self.redirects.iter().any(|r| r.links(initiator, responder)) {
+        if self
+            .redirects()
+            .any(|(_, i, r)| (i, r) == (initiator, responder))
+        {
             return Vec::new();
         }
-        self.redirects.push(PortRedirect {
+        self.start(Exchange::Redirect {
             initiator,
             responder,
-            retry: RetryState {
-                attempts: 0,
-                last_attempt_ns: self.now_ns,
-            },
         });
-        if let Some(t) = &self.telemetry {
-            t.trace_instant(
-                SpanKind::PortKeyExchange,
-                self.now_ns,
-                u64::from(sw1.value()),
-                u64::from(sw2.value()),
-            );
-        }
+        self.trace_port_exchange(sw1, sw2);
         vec![self.seal_port_key_init(sw1, port1, sw2)]
     }
 
     /// The next `portKeyInit` toward `sw1`, telling it to start the
     /// exchange with `sw2` from its `port1`.
     fn seal_port_key_init(&mut self, sw1: SwitchId, port1: PortId, sw2: SwitchId) -> Outgoing {
-        let kex = KeyExchange::PortKeyInit {
-            peer: sw2,
-            peer_port: port1,
-        };
-        let init = Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, SeqNum::default(), kex);
-        self.seal(sw1, init)
+        let peer_port = port1;
+        self.seal_kex(
+            sw1,
+            KeyExchange::PortKeyInit {
+                peer: sw2,
+                peer_port,
+            },
+        )
+    }
+
+    /// Stamps the start of a port-key exchange between `sw1` and `sw2`.
+    fn trace_port_exchange(&self, sw1: SwitchId, sw2: SwitchId) {
+        let (a, b) = (u64::from(sw1.value()), u64::from(sw2.value()));
+        self.trace_instant(SpanKind::PortKeyExchange, self.now_ns, a, b);
     }
 
     /// Starts a direct DP-DP port-key rollover (Fig. 14 d): one
@@ -1002,145 +1058,98 @@ impl Controller {
         port1: PortId,
         sw2: SwitchId,
     ) -> Vec<Outgoing> {
-        if let Some(t) = &self.telemetry {
-            t.trace_instant(
-                SpanKind::PortKeyExchange,
-                self.now_ns,
-                u64::from(sw1.value()),
-                u64::from(sw2.value()),
-            );
-        }
-        let kex = KeyExchange::PortKeyUpdate {
-            peer: sw2,
-            peer_port: port1,
-        };
-        let update =
-            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, SeqNum::default(), kex);
-        vec![self.seal(sw1, update)]
+        self.trace_port_exchange(sw1, sw2);
+        let peer_port = port1;
+        vec![self.seal_kex(
+            sw1,
+            KeyExchange::PortKeyUpdate {
+                peer: sw2,
+                peer_port,
+            },
+        )]
     }
 
-    /// Re-drives stalled key exchanges (lost messages leave `eak` /
-    /// `adhkd` / redirect state pending): EAK restarts with a fresh salt,
-    /// ADHKD restarts with a fresh private key, and pending port-key
-    /// redirects are re-initiated. Safe to call periodically — completed
-    /// exchanges have no pending state and produce nothing.
+    /// Re-drives stalled key exchanges (a lost message leaves one in
+    /// flight): EAK restarts with a fresh salt, a pending ADHKD offer is
+    /// re-sent as first sent, and a pending port-key redirect is
+    /// re-initiated. Safe to call periodically — completed exchanges are
+    /// no longer in flight and produce nothing.
     ///
     /// Retries back off exponentially in sim-ns: the first retry of an
     /// exchange is immediate, after which each further retry waits
     /// 200 µs doubled per attempt. After 8 retries the exchange is
-    /// abandoned — its pending state is dropped, a terminal
-    /// [`AlertKind::KeyExchangeFailure`] alert lands in the alert ring
-    /// and [`ControllerStats::kex_abandoned`] is incremented — so a dead
-    /// switch cannot generate unbounded KMP traffic.
+    /// abandoned — it is dropped, a terminal
+    /// [`AlertKind::KeyExchangeFailure`] alert lands in the alert ring,
+    /// [`ControllerStats::kex_abandoned`] is incremented and a mitigation
+    /// waiting on the exchange's channel is aborted — so a dead switch
+    /// cannot generate unbounded KMP traffic.
     pub fn retry_stalled(&mut self) -> Vec<Outgoing> {
         let now_ns = self.now_ns;
-        let mut out = Vec::new();
-        // Sorted: HashMap iteration order varies per process, and retry
-        // order is observable (seq numbers, RNG draws, telemetry events).
-        let mut ids: Vec<SwitchId> = self.switches.keys().copied().collect();
-        ids.sort();
-        for id in ids {
-            let (eak_stalled, adhkd_pending, retry) = {
-                let chan = self.switches.get(&id).expect("listed");
-                (
-                    chan.eak.is_some(),
-                    chan.adhkd.as_ref().map(|(c, _, offer)| (*c, *offer)),
-                    chan.retry,
-                )
-            };
-            if !eak_stalled && adhkd_pending.is_none() {
-                continue; // nothing pending
-            }
-            if !retry.due(now_ns) {
-                continue; // backing off
-            }
-            if retry.attempts >= KEX_RETRY_MAX_ATTEMPTS {
-                self.abandon_kex(id);
+        let due: Vec<(Slot, u32)> = self
+            .exchanges
+            .iter()
+            .filter(|(_, x)| x.due(now_ns))
+            .map(|(&slot, x)| (slot, x.attempts))
+            .collect();
+        let mut out = Vec::with_capacity(due.len());
+        for (slot, attempts) in due {
+            if attempts >= KEX_RETRY_MAX_ATTEMPTS {
+                self.abandon(slot);
                 continue;
             }
-            if eak_stalled {
-                // Restart the whole local-key init from EAK step 1
-                // (`local_key_init` replaces the stalled initiator).
-                out.extend(self.local_key_init(id));
-            } else {
+            let Some(x) = self.exchanges.get(&slot) else {
+                continue;
+            };
+            out.push(match x.exchange {
+                // Restart the whole local-key init from EAK step 1.
+                Exchange::Eak(switch, _) => self.start_eak(switch),
                 // Retransmit the pending offer *as sent* (fresh seq only):
                 // the exchange state stays put, so an answer to either
                 // copy completes it, and the responder's dedupe cache
-                // keeps the duplicate from deriving a second key.
-                // The key rule seals a LocalInit offer under K_auth and a
+                // keeps the duplicate from deriving a second key. The key
+                // rule seals a LocalInit offer under K_auth and a
                 // LocalUpdate one under the current K_local.
-                match adhkd_pending {
-                    Some((context @ (KexContext::LocalInit | KexContext::LocalUpdate), offer)) => {
-                        out.push(self.seal_offer(id, context, offer));
-                    }
-                    _ => continue,
+                Exchange::Offer(switch, context, _, offer) => {
+                    self.seal_offer(switch, context, offer)
                 }
+                // Re-kick the redirect from the top.
+                Exchange::Redirect {
+                    initiator,
+                    responder,
+                } => self.seal_port_key_init(initiator.0, initiator.1, responder.0),
+            });
+            // A restart reset the slot's attempt count; it carries on so
+            // the backoff keeps growing.
+            if let Some(x) = self.exchanges.get_mut(&slot) {
+                (x.attempts, x.last_attempt_ns) = (attempts + 1, now_ns);
             }
-            // The re-drive reset the channel's retry state; restore the
-            // attempt count so the backoff keeps growing.
-            self.channel_mut(id).retry = RetryState {
-                attempts: retry.attempts + 1,
-                last_attempt_ns: now_ns,
-            };
-        }
-        // Re-kick pending port-key redirects from the top, under the same
-        // backoff/cap discipline.
-        let redirects: Vec<PortRedirect> = std::mem::take(&mut self.redirects);
-        for mut r in redirects {
-            if !r.retry.due(now_ns) {
-                self.redirects.push(r);
-                continue;
-            }
-            if r.retry.attempts >= KEX_RETRY_MAX_ATTEMPTS {
-                self.stats.kex_abandoned += 1;
-                self.push_alert(r.initiator.0, AlertKind::KeyExchangeFailure);
-                if let Some(t) = &self.telemetry {
-                    t.kex_abandoned.inc();
-                    t.registry.record(
-                        now_ns,
-                        TelemetryEvent::KexStep {
-                            node: SwitchId::CONTROLLER.value(),
-                            step: "port_kex_abandoned",
-                        },
-                    );
-                }
-                continue; // dropped
-            }
-            r.retry = RetryState {
-                attempts: r.retry.attempts + 1,
-                last_attempt_ns: now_ns,
-            };
-            out.push(self.seal_port_key_init(r.initiator.0, r.initiator.1, r.responder.0));
-            self.redirects.push(r);
         }
         out
     }
 
-    /// Abandons every pending exchange toward `switch` after the retry
-    /// budget is spent: terminal alert, counter, defence un-wedge.
-    fn abandon_kex(&mut self, switch: SwitchId) {
-        {
-            let chan = self.channel_mut(switch);
-            chan.eak = None;
-            chan.adhkd = None;
-            chan.retry = RetryState::default();
-        }
+    /// Abandons the exchange in `slot` after its retry budget is spent:
+    /// terminal alert, counter, defence un-wedge.
+    fn abandon(&mut self, slot: Slot) {
+        let Some(x) = self.exchanges.remove(&slot) else {
+            return;
+        };
+        let (switch, channel) = x.exchange.end();
         self.stats.kex_abandoned += 1;
         self.push_alert(switch, AlertKind::KeyExchangeFailure);
         if let Some(t) = &self.telemetry {
             t.kex_abandoned.inc();
-            t.registry.record(
+            t.kex_step(
                 self.now_ns,
-                TelemetryEvent::KexStep {
-                    node: SwitchId::CONTROLLER.value(),
-                    step: "kex_abandoned",
+                match slot {
+                    Slot::Local(_) => "kex_abandoned",
+                    Slot::Port(_) => "port_kex_abandoned",
                 },
             );
         }
         // A defence mitigation waiting on this exchange would never
         // complete; abort it so the channel is not wedged (quarantine
         // included — its exit path just died).
-        self.abort_mitigation(switch, PortId::CPU);
+        self.abort_mitigation(switch, channel);
     }
 
     /// Appends to the bounded alert ring, evicting (and counting) the
@@ -1218,22 +1227,26 @@ impl Controller {
             // responses echo their request's number and are matched
             // through the outstanding set instead. A `Salt2` verifies only
             // bound to the `Salt1` this end is waiting on.
+            let transcript = match msg.body() {
+                Body::KeyExchange(KeyExchange::EakSalt {
+                    step: EakStep::Salt2,
+                    ..
+                }) => Some(match self.exchanges.get(&Slot::Local(from)) {
+                    Some(InFlight {
+                        exchange: Exchange::Eak(_, eak),
+                        ..
+                    }) => Some(eak::transcript(eak.salt1())),
+                    _ => None,
+                }),
+                _ => None,
+            };
             let mac = &self.mac;
             let result = match self.switches.get_mut(&from) {
-                Some(chan) => {
-                    let transcript = match msg.body() {
-                        Body::KeyExchange(KeyExchange::EakSalt {
-                            step: EakStep::Salt2,
-                            ..
-                        }) => Some(chan.eak.as_ref().map(|e| eak::transcript(e.salt1()))),
-                        _ => None,
-                    };
-                    chan.end.open(&msg, |key| match transcript {
-                        None => verify_frame(mac, key, bytes),
-                        Some(Some(salt1)) => verify_bound_frame(mac, key, bytes, &salt1),
-                        Some(None) => false,
-                    })
-                }
+                Some(chan) => chan.end.open(&msg, |key| match transcript {
+                    None => verify_frame(mac, key, bytes),
+                    Some(Some(salt1)) => verify_bound_frame(mac, key, bytes, &salt1),
+                    Some(None) => false,
+                }),
                 None => Err(RejectReason::NoKey),
             };
             match result {
@@ -1345,8 +1358,7 @@ impl Controller {
         let outstanding = chan.outstanding.len() as u32;
         let spent = chan.end.keys().is_installed()
             && chan.end.last_sent().1.value() >= SEQ_HIGH_WATER
-            && chan.eak.is_none()
-            && chan.adhkd.is_none();
+            && !self.kex_in_flight(from);
         self.stats.responses_ok += 1;
         if let Some(t) = &self.telemetry {
             t.responses_ok.inc();
@@ -1395,39 +1407,24 @@ impl Controller {
                 step: EakStep::Salt2,
                 salt,
             } => {
-                let kdf_handle = &self.kdf;
-                let chan = self
-                    .switches
-                    .get_mut(&from)
-                    .expect("verified channel exists");
-                if let Some(mut eak) = chan.eak.take() {
-                    chan.end.set_auth_key(eak.on_salt2(salt, kdf_handle));
-                    events.push(ControllerEvent::AuthKeyEstablished(from));
-                    if let Some(t) = &self.telemetry {
-                        t.registry.record(
-                            self.now_ns,
-                            TelemetryEvent::KexStep {
-                                node: SwitchId::CONTROLLER.value(),
-                                step: "eak_salt2",
-                            },
-                        );
-                    }
-                    // Continue Fig. 14(a): ADHKD offer under K_auth. The
-                    // exchange made progress, so its retry budget resets.
-                    let (init, offer) =
-                        AdhkdInitiator::start(DhParams::recommended(), &mut self.rng);
-                    let now_ns = self.now_ns;
-                    if let Some(t) = &self.telemetry {
-                        t.trace_instant(SpanKind::KmpOffer, now_ns, u64::from(from.value()), 0);
-                    }
-                    let chan = self.channel_mut(from);
-                    chan.adhkd = Some((KexContext::LocalInit, init, offer));
-                    chan.retry = RetryState {
-                        attempts: 0,
-                        last_attempt_ns: now_ns,
-                    };
-                    out.push(self.seal_offer(from, KexContext::LocalInit, offer));
+                let Some(InFlight {
+                    exchange: Exchange::Eak(_, eak),
+                    ..
+                }) = self.exchanges.get_mut(&Slot::Local(from))
+                else {
+                    return;
+                };
+                let k_auth = eak.on_salt2(salt, &self.kdf);
+                self.channel_mut(from).end.set_auth_key(k_auth);
+                events.push(ControllerEvent::AuthKeyEstablished(from));
+                if let Some(t) = &self.telemetry {
+                    t.kex_step(self.now_ns, "eak_salt2");
+                    t.trace_instant(SpanKind::KmpOffer, self.now_ns, u64::from(from.value()), 0);
                 }
+                // Continue Fig. 14(a): ADHKD offer under K_auth, in the EAK's
+                // place. The exchange made progress, so its retry budget
+                // resets.
+                out.push(self.start_offer(from, KexContext::LocalInit));
             }
             KeyExchange::EakSalt {
                 step: EakStep::Salt1,
@@ -1441,15 +1438,14 @@ impl Controller {
                 public_key,
                 salt,
             } if context == KexContext::LocalInit || context == KexContext::LocalUpdate => {
-                let chan = self
-                    .switches
-                    .get_mut(&from)
-                    .expect("verified channel exists");
-                if let Some((pending_ctx, init, offer)) = chan.adhkd.take() {
-                    if pending_ctx != context {
-                        chan.adhkd = Some((pending_ctx, init, offer));
-                        return;
-                    }
+                let btree_map::Entry::Occupied(pending) = self.exchanges.entry(Slot::Local(from))
+                else {
+                    return;
+                };
+                if !matches!(pending.get().exchange, Exchange::Offer(_, c, ..) if c == context) {
+                    return;
+                }
+                if let Exchange::Offer(_, _, init, _) = pending.remove().exchange {
                     let master = init.finish(
                         AdhkdPayload {
                             public_key: DhPublic::from_raw(public_key),
@@ -1458,7 +1454,6 @@ impl Controller {
                         &self.kdf,
                     );
                     let rolled = context.rolls();
-                    chan.retry = RetryState::default();
                     self.rekey(from, master, rolled);
                     events.push(if rolled {
                         ControllerEvent::LocalKeyRolled(from)
@@ -1480,13 +1475,7 @@ impl Controller {
                                 version,
                             },
                         );
-                        t.registry.record(
-                            self.now_ns,
-                            TelemetryEvent::KexStep {
-                                node: SwitchId::CONTROLLER.value(),
-                                step: "adhkd_answer",
-                            },
-                        );
+                        t.kex_step(self.now_ns, "adhkd_answer");
                         t.trace_instant(
                             SpanKind::KmpAnswer,
                             self.now_ns,
@@ -1519,13 +1508,10 @@ impl Controller {
                 // in the header, and matching must use it: a correlated
                 // link recovery starts several exchanges that share a
                 // switch, and switch-only matching would cross their legs.
-                let leg = (from, msg.header().port);
-                let Some(&r) = self.redirects.iter().find(|r| r.sender(role) == leg) else {
+                let Some((slot, (dest, dest_port))) =
+                    self.redirect_for(role, from, msg.header().port)
+                else {
                     return;
-                };
-                let (dest, dest_port) = match role {
-                    AdhkdRole::Offer => r.responder,
-                    AdhkdRole::Answer => r.initiator,
                 };
                 // The leg keeps its sender but is numbered afresh in the
                 // destination channel's current generation: the origin's
@@ -1552,20 +1538,13 @@ impl Controller {
                 out.push(Outgoing { to: dest, bytes });
                 events.push(ControllerEvent::PortExchangeRedirected { from, to: dest });
                 if let Some(t) = &self.telemetry {
-                    t.registry.record(
-                        self.now_ns,
-                        TelemetryEvent::KexStep {
-                            node: SwitchId::CONTROLLER.value(),
-                            step: "adhkd_redirect",
-                        },
-                    );
+                    t.kex_step(self.now_ns, "adhkd_redirect");
                 }
                 if role == AdhkdRole::Answer {
                     // Exchange complete; drop the redirect record (this
                     // link's only — concurrent exchanges between the same
                     // switch pair on other ports stay pending).
-                    self.redirects
-                        .retain(|x| !x.links(r.initiator, r.responder));
+                    self.exchanges.remove(&slot);
                 }
             }
             _ => {}
@@ -2497,6 +2476,49 @@ mod tests {
             KeyVersion::INITIAL.next(),
             "one high-water rollover"
         );
+    }
+
+    /// `local_key_init` replaces whatever exchange is in flight on the
+    /// channel: once the init has started, an answer to the rollover it
+    /// displaced completes nothing, and the init completes.
+    #[test]
+    fn an_init_replaces_a_rollover_in_flight() {
+        let (mut c, sw, mut agent, _) = rolled_pair(0);
+        let update = c.local_key_update(sw);
+        let init = c.local_key_init(sw);
+        let answer = agent.on_packet(0, PortId::CPU, &update[0].bytes).outputs;
+        let (out, events) = c.on_message(sw, &answer[0].1);
+        assert!(out.is_empty());
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e, ControllerEvent::LocalKeyRolled(_))),
+            "{events:?}"
+        );
+        assert!(c.kex_in_flight(sw), "the init is still in flight");
+        pump(&mut c, sw, &mut agent, init);
+        assert!(!c.kex_in_flight(sw));
+        let keys = agent.keys(PortId::CPU);
+        assert_eq!(
+            c.local_key_material(sw),
+            keys.current().map(|k| (k, keys.version()))
+        );
+        assert!(read_verifies(&mut c, sw, &mut agent));
+    }
+
+    /// `local_key_update` leaves an init in flight alone: the init brings
+    /// the fresh key, so the rollover sends nothing and the init completes.
+    #[test]
+    fn an_update_leaves_an_init_in_flight() {
+        let (mut c, sw, mut agent, _) = rolled_pair(0);
+        let init = c.local_key_init(sw);
+        assert!(c.local_key_update(sw).is_empty(), "EAK in flight");
+        let salt2 = agent.on_packet(0, PortId::CPU, &init[0].bytes).outputs;
+        let (offer, _) = c.on_message(sw, &salt2[0].1);
+        assert!(c.local_key_update(sw).is_empty(), "LocalInit offer in flight");
+        pump(&mut c, sw, &mut agent, offer);
+        assert!(!c.kex_in_flight(sw));
+        assert!(read_verifies(&mut c, sw, &mut agent));
     }
 
     /// A replayed `Salt1` (the one that started the first init) reaches

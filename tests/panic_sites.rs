@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 const AUDITED: &[(&str, usize)] = &[
     ("attacks", 1),
     ("bench", 10),
-    ("controller", 4),
+    ("controller", 1),
     ("core", 3),
     ("dataplane", 0),
     ("netsim", 20),
