@@ -348,6 +348,13 @@ enum Exchange {
         initiator: (SwitchId, PortId),
         responder: (SwitchId, PortId),
     },
+    /// Fig. 14 d: a direct port-key update, run by the two data planes
+    /// without the controller. The initiator's install notice
+    /// ([`Controller::notify_port_key_installed`]) ends it.
+    PortUpdate {
+        initiator: (SwitchId, PortId),
+        responder: SwitchId,
+    },
 }
 
 impl Exchange {
@@ -357,8 +364,55 @@ impl Exchange {
     fn end(&self) -> (SwitchId, PortId) {
         match *self {
             Exchange::Eak(switch, _) | Exchange::Offer(switch, ..) => (switch, PortId::CPU),
-            Exchange::Redirect { initiator, .. } => initiator,
+            Exchange::Redirect { initiator, .. } | Exchange::PortUpdate { initiator, .. } => {
+                initiator
+            }
         }
+    }
+
+    /// The message that drives the exchange, sent to its end's switch:
+    /// `Salt1`, the offer, `portKeyInit` or `portKeyUpdate`, as first sent.
+    fn request(&self) -> KeyExchange {
+        match *self {
+            Exchange::Eak(_, ref eak) => KeyExchange::EakSalt {
+                step: EakStep::Salt1,
+                salt: eak.salt1(),
+            },
+            Exchange::Offer(_, context, _, offer) => KeyExchange::Adhkd {
+                role: AdhkdRole::Offer,
+                context,
+                public_key: offer.public_key.to_raw(),
+                salt: offer.salt,
+            },
+            Exchange::Redirect {
+                initiator: (_, peer_port),
+                responder: (peer, _),
+            } => KeyExchange::PortKeyInit { peer, peer_port },
+            Exchange::PortUpdate {
+                initiator: (_, peer_port),
+                responder: peer,
+            } => KeyExchange::PortKeyUpdate { peer, peer_port },
+        }
+    }
+
+    /// For a redirect, the ends that send and receive its `role` leg.
+    fn redirect_leg(&self, role: AdhkdRole) -> Option<((SwitchId, PortId), (SwitchId, PortId))> {
+        let Exchange::Redirect {
+            initiator,
+            responder,
+        } = *self
+        else {
+            return None;
+        };
+        Some(match role {
+            AdhkdRole::Offer => (initiator, responder),
+            AdhkdRole::Answer => (responder, initiator),
+        })
+    }
+
+    /// Whether `self` is a direct port-key update from `end`.
+    fn updates_from(&self, end: (SwitchId, PortId)) -> bool {
+        matches!(*self, Exchange::PortUpdate { initiator, .. } if initiator == end)
     }
 }
 
@@ -602,12 +656,16 @@ impl Controller {
         std::mem::take(&mut self.port_actions).into()
     }
 
-    /// Notifies the defence loop that a fresh key landed on a DP-DP port
+    /// Notifies the controller that a fresh key landed on a DP-DP port
     /// channel. The controller observes local-key completions itself but
-    /// never sees port-key ADHKD finish (it only redirects the legs), so
-    /// the harness reports those. Records the detection-to-mitigation
-    /// latency if a mitigation was in flight.
+    /// never sees port-key ADHKD finish (it only redirects the legs, or
+    /// sends none), so the harness reports those. Ends a direct port-key
+    /// update that `(peer, channel)` initiated, and records the
+    /// detection-to-mitigation latency if a mitigation was in flight.
     pub fn notify_port_key_installed(&mut self, peer: SwitchId, channel: PortId) {
+        if let Some(slot) = self.port_slot(|x| x.updates_from((peer, channel))) {
+            self.exchanges.remove(&slot);
+        }
         self.complete_mitigation(peer, channel);
     }
 
@@ -648,58 +706,28 @@ impl Controller {
             );
             // The mitigation critical path as one trace: a root span over
             // the full detection-to-mitigation latency with stage children
-            // that partition it exactly — detect [t0, t0] and publish
-            // (instant at t0: the signal that crossed the threshold is
-            // the one that published the action, at the same instant),
-            // kmp [t0, now] (the key-exchange round trip), install
-            // (instant at now). Stage widths sum to `done.latency_ns` by
-            // construction.
+            // that partition it exactly — detect and publish (instants at
+            // t0: the signal that crossed the threshold published the
+            // action at once), kmp [t0, now] (the key-exchange round trip),
+            // install (instant at now). Stage widths sum to
+            // `done.latency_ns` by construction.
             let trace = t.registry.trace();
             if trace.enabled() {
                 let t0 = now_ns.saturating_sub(done.latency_ns);
-                let (arg_a, arg_b) = (u64::from(peer.value()), u64::from(channel.value()));
-                if let Some(root) = trace.start(SpanKind::Mitigation, t0, t.trace_source) {
-                    if let Some(s) =
-                        trace.child(&root, SpanKind::MitigationDetect, t0, t.trace_source)
-                    {
-                        trace.end(s, t0, arg_a, arg_b);
+                let (a, b) = (u64::from(peer.value()), u64::from(channel.value()));
+                let src = t.trace_source;
+                if let Some(root) = trace.start(SpanKind::Mitigation, t0, src) {
+                    trace.instant_in(&root, SpanKind::MitigationDetect, t0, src, a, b);
+                    trace.instant_in(&root, SpanKind::MitigationPublish, t0, src, a, b);
+                    if let Some(s) = trace.child(&root, SpanKind::MitigationKmp, t0, src) {
+                        trace.end(s, now_ns, a, b);
                     }
-                    trace.instant_in(
-                        &root,
-                        SpanKind::MitigationPublish,
-                        t0,
-                        t.trace_source,
-                        arg_a,
-                        arg_b,
-                    );
-                    if let Some(s) = trace.child(&root, SpanKind::MitigationKmp, t0, t.trace_source)
-                    {
-                        trace.end(s, now_ns, arg_a, arg_b);
+                    trace.instant_in(&root, SpanKind::MitigationInstall, now_ns, src, a, b);
+                    let quarantine = done.kind == MitigationKind::Quarantine;
+                    if quarantine {
+                        trace.instant_in(&root, SpanKind::QuarantineLift, now_ns, src, a, b);
                     }
-                    trace.instant_in(
-                        &root,
-                        SpanKind::MitigationInstall,
-                        now_ns,
-                        t.trace_source,
-                        arg_a,
-                        arg_b,
-                    );
-                    if done.kind == MitigationKind::Quarantine {
-                        trace.instant_in(
-                            &root,
-                            SpanKind::QuarantineLift,
-                            now_ns,
-                            t.trace_source,
-                            arg_a,
-                            arg_b,
-                        );
-                    }
-                    trace.end(
-                        root,
-                        now_ns,
-                        arg_a,
-                        u64::from(done.kind == MitigationKind::Quarantine),
-                    );
+                    trace.end(root, now_ns, a, u64::from(quarantine));
                 }
             }
         }
@@ -857,21 +885,24 @@ impl Controller {
 
     // ----- key management (§VI) -------------------------------------------
 
-    /// Records `exchange` as started now: a local one in its switch's
-    /// slot, replacing whatever was in flight there, a port one after
-    /// every port exchange in flight.
-    fn start(&mut self, exchange: Exchange) {
-        let slot = match (exchange.end(), self.exchanges.last_key_value()) {
-            ((switch, channel), _) if channel.is_cpu() => Slot::Local(switch),
-            (_, Some((&Slot::Port(n), _))) => Slot::Port(n + 1),
+    /// Records `exchange` as started now and returns its first frame. A
+    /// local exchange takes its switch's slot, replacing whatever was in
+    /// flight there; a port one goes after every port exchange in flight.
+    fn start(&mut self, exchange: Exchange) -> Outgoing {
+        let (switch, channel) = exchange.end();
+        let slot = match self.exchanges.last_key_value() {
+            _ if channel.is_cpu() => Slot::Local(switch),
+            Some((&Slot::Port(n), _)) => Slot::Port(n + 1),
             _ => Slot::Port(0),
         };
+        let kex = exchange.request();
         let x = InFlight {
             exchange,
             attempts: 0,
             last_attempt_ns: self.now_ns,
         };
         self.exchanges.insert(slot, x);
+        self.seal_kex(switch, kex)
     }
 
     /// `kex` as the next frame toward `switch`.
@@ -884,16 +915,9 @@ impl Controller {
     /// salt #1, sealed with `K_seed`. It replaces any exchange in flight
     /// on the switch's channel: an init starts the channel over.
     pub fn local_key_init(&mut self, switch: SwitchId) -> Vec<Outgoing> {
-        vec![self.start_eak(switch)]
-    }
-
-    /// [`Controller::local_key_init`]'s `Salt1`, from a fresh salt.
-    fn start_eak(&mut self, switch: SwitchId) -> Outgoing {
         let k_seed = self.channel_mut(switch).end.seed_key().unwrap_or_default();
-        let (eak, salt) = EakInitiator::start(k_seed, &mut self.rng);
-        self.start(Exchange::Eak(switch, eak));
-        let step = EakStep::Salt1;
-        self.seal_kex(switch, KeyExchange::EakSalt { step, salt })
+        let (eak, _) = EakInitiator::start(k_seed, &mut self.rng);
+        vec![self.start(Exchange::Eak(switch, eak))]
     }
 
     /// Starts a local-key rollover (Fig. 14 b): ADHKD offer under the
@@ -917,14 +941,8 @@ impl Controller {
         {
             return Vec::new();
         }
-        if let Some(t) = &self.telemetry {
-            t.trace_instant(
-                SpanKind::KmpOffer,
-                self.now_ns,
-                u64::from(switch.value()),
-                1,
-            );
-        }
+        let switch_arg = u64::from(switch.value());
+        self.trace_instant(SpanKind::KmpOffer, self.now_ns, switch_arg, 1);
         vec![self.start_offer(switch, KexContext::LocalUpdate)]
     }
 
@@ -932,41 +950,16 @@ impl Controller {
     /// `LocalInit` or `LocalUpdate`) from a fresh private key and salt.
     fn start_offer(&mut self, switch: SwitchId, context: KexContext) -> Outgoing {
         let (init, offer) = AdhkdInitiator::start(DhParams::recommended(), &mut self.rng);
-        self.start(Exchange::Offer(switch, context, init, offer));
-        self.seal_offer(switch, context, offer)
+        self.start(Exchange::Offer(switch, context, init, offer))
     }
 
-    /// The next ADHKD offer toward `switch`: the pending exchange's `offer`
-    /// as first sent, sealed afresh (its retries resend the same offer).
-    fn seal_offer(
-        &mut self,
-        switch: SwitchId,
-        context: KexContext,
-        offer: AdhkdPayload,
-    ) -> Outgoing {
-        let kex = KeyExchange::Adhkd {
-            role: AdhkdRole::Offer,
-            context,
-            public_key: offer.public_key.to_raw(),
-            salt: offer.salt,
-        };
-        self.seal_kex(switch, kex)
-    }
-
-    /// This core's pending port-key redirects, in start order: each slot
-    /// with its initiator and responder end.
-    fn redirects(
-        &self,
-    ) -> impl Iterator<Item = (Slot, (SwitchId, PortId), (SwitchId, PortId))> + '_ {
+    /// The slot of the first port-key exchange in flight that `pred`
+    /// picks, in start order.
+    fn port_slot(&self, pred: impl Fn(&Exchange) -> bool) -> Option<Slot> {
         self.exchanges
             .range(Slot::Port(0)..)
-            .filter_map(|(&slot, x)| match x.exchange {
-                Exchange::Redirect {
-                    initiator,
-                    responder,
-                } => Some((slot, initiator, responder)),
-                _ => None,
-            })
+            .find(|(_, x)| pred(&x.exchange))
+            .map(|(&slot, _)| slot)
     }
 
     /// The pending redirect expecting a `role` leg from `(from, port)`:
@@ -977,10 +970,11 @@ impl Controller {
         from: SwitchId,
         port: PortId,
     ) -> Option<(Slot, (SwitchId, PortId))> {
-        self.redirects()
-            .find_map(|(slot, initiator, responder)| match role {
-                AdhkdRole::Offer => (initiator == (from, port)).then_some((slot, responder)),
-                AdhkdRole::Answer => (responder == (from, port)).then_some((slot, initiator)),
+        self.exchanges
+            .range(Slot::Port(0)..)
+            .find_map(|(&slot, x)| match x.exchange.redirect_leg(role)? {
+                (sender, dest) if sender == (from, port) => Some((slot, dest)),
+                _ => None,
             })
     }
 
@@ -998,8 +992,10 @@ impl Controller {
     /// The switches this core's pending port-key redirects name, at
     /// either end.
     pub(crate) fn redirect_switches(&self) -> impl Iterator<Item = SwitchId> + '_ {
-        self.redirects()
-            .flat_map(|(_, initiator, responder)| [initiator.0, responder.0])
+        self.exchanges
+            .range(Slot::Port(0)..)
+            .filter_map(|(_, x)| x.exchange.redirect_leg(AdhkdRole::Offer))
+            .flat_map(|(initiator, responder)| [initiator.0, responder.0])
     }
 
     /// Starts port-key initialization between `(sw1, port1)` and
@@ -1016,32 +1012,41 @@ impl Controller {
         sw2: SwitchId,
         port2: PortId,
     ) -> Vec<Outgoing> {
-        let (initiator, responder) = ((sw1, port1), (sw2, port2));
+        let legs = ((sw1, port1), (sw2, port2));
         if self
-            .redirects()
-            .any(|(_, i, r)| (i, r) == (initiator, responder))
+            .port_slot(|x| x.redirect_leg(AdhkdRole::Offer) == Some(legs))
+            .is_some()
         {
             return Vec::new();
         }
-        self.start(Exchange::Redirect {
+        self.trace_port_exchange(sw1, sw2);
+        let (initiator, responder) = legs;
+        vec![self.start(Exchange::Redirect {
             initiator,
             responder,
-        });
-        self.trace_port_exchange(sw1, sw2);
-        vec![self.seal_port_key_init(sw1, port1, sw2)]
+        })]
     }
 
-    /// The next `portKeyInit` toward `sw1`, telling it to start the
-    /// exchange with `sw2` from its `port1`.
-    fn seal_port_key_init(&mut self, sw1: SwitchId, port1: PortId, sw2: SwitchId) -> Outgoing {
-        let peer_port = port1;
-        self.seal_kex(
-            sw1,
-            KeyExchange::PortKeyInit {
-                peer: sw2,
-                peer_port,
-            },
-        )
+    /// Starts a direct DP-DP port-key rollover (Fig. 14 d): one
+    /// `portKeyUpdate` control message to the initiating switch. One
+    /// exchange per initiating end: while its update is in flight, a
+    /// second call returns no frames and [`Controller::retry_stalled`]
+    /// re-drives the pending one.
+    pub fn port_key_update(
+        &mut self,
+        sw1: SwitchId,
+        port1: PortId,
+        sw2: SwitchId,
+    ) -> Vec<Outgoing> {
+        let initiator = (sw1, port1);
+        if self.port_slot(|x| x.updates_from(initiator)).is_some() {
+            return Vec::new();
+        }
+        self.trace_port_exchange(sw1, sw2);
+        vec![self.start(Exchange::PortUpdate {
+            initiator,
+            responder: sw2,
+        })]
     }
 
     /// Stamps the start of a port-key exchange between `sw1` and `sw2`.
@@ -1050,29 +1055,10 @@ impl Controller {
         self.trace_instant(SpanKind::PortKeyExchange, self.now_ns, a, b);
     }
 
-    /// Starts a direct DP-DP port-key rollover (Fig. 14 d): one
-    /// `portKeyUpdate` control message to the initiating switch.
-    pub fn port_key_update(
-        &mut self,
-        sw1: SwitchId,
-        port1: PortId,
-        sw2: SwitchId,
-    ) -> Vec<Outgoing> {
-        self.trace_port_exchange(sw1, sw2);
-        let peer_port = port1;
-        vec![self.seal_kex(
-            sw1,
-            KeyExchange::PortKeyUpdate {
-                peer: sw2,
-                peer_port,
-            },
-        )]
-    }
-
     /// Re-drives stalled key exchanges (a lost message leaves one in
     /// flight): EAK restarts with a fresh salt, a pending ADHKD offer is
-    /// re-sent as first sent, and a pending port-key redirect is
-    /// re-initiated. Safe to call periodically — completed exchanges are
+    /// re-sent as first sent, a pending port-key redirect is re-initiated
+    /// and a pending direct port-key update is re-sent. Safe to call periodically — completed exchanges are
     /// no longer in flight and produce nothing.
     ///
     /// Retries back off exponentially in sim-ns: the first retry of an
@@ -1100,24 +1086,22 @@ impl Controller {
             let Some(x) = self.exchanges.get(&slot) else {
                 continue;
             };
-            out.push(match x.exchange {
+            let (switch, kex) = (x.exchange.end().0, x.exchange.request());
+            if let Exchange::Eak(..) = x.exchange {
                 // Restart the whole local-key init from EAK step 1.
-                Exchange::Eak(switch, _) => self.start_eak(switch),
-                // Retransmit the pending offer *as sent* (fresh seq only):
-                // the exchange state stays put, so an answer to either
-                // copy completes it, and the responder's dedupe cache
-                // keeps the duplicate from deriving a second key. The key
-                // rule seals a LocalInit offer under K_auth and a
-                // LocalUpdate one under the current K_local.
-                Exchange::Offer(switch, context, _, offer) => {
-                    self.seal_offer(switch, context, offer)
-                }
-                // Re-kick the redirect from the top.
-                Exchange::Redirect {
-                    initiator,
-                    responder,
-                } => self.seal_port_key_init(initiator.0, initiator.1, responder.0),
-            });
+                out.extend(self.local_key_init(switch));
+            } else {
+                // Anything else re-sends its request as first sent (fresh
+                // seq only). A pending offer's state stays put, so an
+                // answer to either copy completes it, and the responder's
+                // dedupe cache keeps the duplicate from deriving a second
+                // key (the key rule seals a LocalInit offer under K_auth
+                // and a LocalUpdate one under the current K_local). A
+                // `portKeyInit` re-kicks the redirect from the top, and a
+                // switch with the `portKeyUpdate`'s exchange pending
+                // re-sends its offer unchanged.
+                out.push(self.seal_kex(switch, kex));
+            }
             // A restart reset the slot's attempt count; it carries on so
             // the backoff keeps growing.
             if let Some(x) = self.exchanges.get_mut(&slot) {
@@ -2273,6 +2257,76 @@ mod tests {
         assert_eq!(drained, survivors);
     }
 
+    /// Fig. 14 d's exchange is re-driven and abandoned like the others: a
+    /// port-channel mitigation whose `portKeyUpdate` is lost re-sends it on
+    /// the retry backoff, and once the budget is spent abandons it, so the
+    /// channel answers the next flood instead of ignoring it for good.
+    #[test]
+    fn a_lost_port_key_update_is_redriven_then_abandoned() {
+        let registry = Arc::new(Registry::new());
+        let (mut c, sw) = port_defended(&registry);
+        let (mut seq, port, peer) = (0, PortId::new(1), SwitchId::new(2));
+        assert_eq!(
+            port_alerts(&mut c, sw, &mut seq, 1),
+            [MitigationKind::KeyRollover]
+        );
+        assert_eq!(c.take_port_actions().len(), 1);
+        let lost = c.port_key_update(sw, port, peer);
+        assert_eq!(lost.len(), 1, "the portKeyUpdate, then lost");
+        let update = Body::KeyExchange(KeyExchange::PortKeyUpdate {
+            peer,
+            peer_port: port,
+        });
+        let mut at = c.now_ns;
+        for attempt in 0..KEX_RETRY_MAX_ATTEMPTS {
+            let delay = (KEX_RETRY_BACKOFF_NS << attempt) / 2;
+            if attempt > 0 {
+                c.set_now(at + delay - 1);
+                assert!(c.retry_stalled().is_empty(), "backing off, retry {attempt}");
+                at += delay;
+            }
+            c.set_now(at);
+            let retried = c.retry_stalled();
+            assert_eq!(retried.len(), 1, "retry {attempt}");
+            assert_eq!(retried[0].to, sw);
+            assert_eq!(*Message::decode(&retried[0].bytes).unwrap().body(), update);
+            assert!(c.defence_in_flight(sw, PortId::new(1)));
+        }
+        c.set_now(at + (KEX_RETRY_BACKOFF_NS << KEX_RETRY_MAX_ATTEMPTS));
+        assert!(c.retry_stalled().is_empty(), "abandoned, not re-sent");
+        assert_eq!(c.stats().kex_abandoned, 1);
+        assert_eq!(
+            c.alerts().back(),
+            Some(&(sw, AlertKind::KeyExchangeFailure))
+        );
+        assert!(!c.defence_in_flight(sw, port), "the mitigation aborted");
+        assert_eq!(
+            port_alerts(&mut c, sw, &mut seq, 1),
+            [MitigationKind::KeyRollover],
+            "the next crossing fires again"
+        );
+    }
+
+    /// A direct port-key update ends with its initiator's install notice,
+    /// not the responder's, and while it is in flight a second update from
+    /// the same end sends nothing.
+    #[test]
+    fn a_port_key_update_ends_at_its_initiators_install() {
+        let (mut c, sw) = keyed_controller(Key64::new(0xfeed));
+        let (port, peer) = (PortId::new(1), SwitchId::new(2));
+        assert_eq!(c.port_key_update(sw, port, peer).len(), 1);
+        assert!(
+            c.port_key_update(sw, port, peer).is_empty(),
+            "one in flight"
+        );
+        c.notify_port_key_installed(peer, PortId::new(3));
+        assert_eq!(c.retry_stalled().len(), 1, "the responder's install");
+        c.notify_port_key_installed(sw, port);
+        c.set_now(10 * KEX_RETRY_BACKOFF_NS);
+        assert!(c.retry_stalled().is_empty());
+        assert_eq!(c.port_key_update(sw, port, peer).len(), 1, "the next one");
+    }
+
     /// ROADMAP 8: the response path once ended in `unreachable!("requests
     /// filtered above")`. A request that *authenticates* at the controller
     /// is reachable from the wire — a MitM only has to reflect the
@@ -2515,7 +2569,10 @@ mod tests {
         assert!(c.local_key_update(sw).is_empty(), "EAK in flight");
         let salt2 = agent.on_packet(0, PortId::CPU, &init[0].bytes).outputs;
         let (offer, _) = c.on_message(sw, &salt2[0].1);
-        assert!(c.local_key_update(sw).is_empty(), "LocalInit offer in flight");
+        assert!(
+            c.local_key_update(sw).is_empty(),
+            "LocalInit offer in flight"
+        );
         pump(&mut c, sw, &mut agent, offer);
         assert!(!c.kex_in_flight(sw));
         assert!(read_verifies(&mut c, sw, &mut agent));

@@ -302,7 +302,9 @@ pub struct P4AuthSwitch {
     packet: Packet,
     /// Indexed by `PortId` (a `u8`): dense, so no hashing.
     quarantined: [bool; 256],
-    pending_kex: IdMap<(KexContext, PortId), AdhkdInitiator>,
+    /// ADHKD exchanges this switch initiated, per `(context, slot)`: the
+    /// initiator and the offer as sent.
+    pending_kex: IdMap<(KexContext, PortId), (AdhkdInitiator, AdhkdPayload)>,
     /// At-most-once responder cache: the last ADHKD offer answered per
     /// `(context, slot)`. A retransmitted offer (the initiator's
     /// stall-retry racing the original through the network: the same
@@ -525,6 +527,32 @@ impl P4AuthSwitch {
 
     /// `msg` as the next frame on `port`'s channel: sealed, or plain
     /// while the channel has no key yet. `None` past the key register.
+    /// Starts an ADHKD exchange this switch initiates on `slot`, replacing
+    /// a pending one, and returns its offer.
+    fn start_port_kex(&mut self, context: KexContext, slot: PortId) -> AdhkdPayload {
+        let (initiator, offer) = AdhkdInitiator::start(DhParams::recommended(), &mut self.rng);
+        self.pending_kex.insert((context, slot), (initiator, offer));
+        offer
+    }
+
+    /// `offer` for `slot`'s exchange, sealed on channel `port`.
+    fn seal_offer(
+        &mut self,
+        port: PortId,
+        context: KexContext,
+        slot: PortId,
+        offer: AdhkdPayload,
+    ) -> Option<(PortId, Vec<u8>)> {
+        let offer = KeyExchange::Adhkd {
+            role: AdhkdRole::Offer,
+            context,
+            public_key: offer.public_key.to_raw(),
+            salt: offer.salt,
+        };
+        let msg = Message::key_exchange(self.config.switch_id, slot, SeqNum::default(), offer);
+        self.seal_on(port, msg).map(|frame| (port, frame))
+    }
+
     fn seal_on(&mut self, port: PortId, msg: Message) -> Option<Vec<u8>> {
         let mac = self.chassis.hash_mac();
         let end = self.ends.get_mut(port.key_index())?;
@@ -1127,7 +1155,7 @@ impl P4AuthSwitch {
                 public_key,
                 salt,
             } => {
-                if let Some(initiator) = self.pending_kex.remove(&(context, slot)) {
+                if let Some((initiator, _)) = self.pending_kex.remove(&(context, slot)) {
                     let master = initiator.finish(
                         AdhkdPayload {
                             public_key: DhPublic::from_raw(public_key),
@@ -1141,45 +1169,23 @@ impl P4AuthSwitch {
             KeyExchange::PortKeyInit { peer: _, peer_port } => {
                 // Fig. 14(c): become the ADHKD initiator; the offer is
                 // redirected via the controller, sealed with K_local.
-                let (initiator, offer) =
-                    AdhkdInitiator::start(DhParams::recommended(), &mut self.rng);
-                self.pending_kex
-                    .insert((KexContext::PortInitRedirect, peer_port), initiator);
-                let id = self.config.switch_id;
-                let offer = KeyExchange::Adhkd {
-                    role: AdhkdRole::Offer,
-                    context: KexContext::PortInitRedirect,
-                    public_key: offer.public_key.to_raw(),
-                    salt: offer.salt,
-                };
-                outputs.extend(
-                    self.seal_on(
-                        PortId::CPU,
-                        Message::key_exchange(id, peer_port, SeqNum::default(), offer),
-                    )
-                    .map(|frame| (PortId::CPU, frame)),
-                );
+                let context = KexContext::PortInitRedirect;
+                let offer = self.start_port_kex(context, peer_port);
+                outputs.extend(self.seal_offer(PortId::CPU, context, peer_port, offer));
             }
             KeyExchange::PortKeyUpdate { peer: _, peer_port } => {
                 // Fig. 14(d): direct DP-DP ADHKD under the current K_port.
-                let (initiator, offer) =
-                    AdhkdInitiator::start(DhParams::recommended(), &mut self.rng);
-                self.pending_kex
-                    .insert((KexContext::PortUpdateDirect, peer_port), initiator);
-                let id = self.config.switch_id;
-                let offer = KeyExchange::Adhkd {
-                    role: AdhkdRole::Offer,
-                    context: KexContext::PortUpdateDirect,
-                    public_key: offer.public_key.to_raw(),
-                    salt: offer.salt,
+                // A repeated portKeyUpdate (the controller's retry, or the
+                // original overtaken by it) while this port's update is
+                // pending re-sends the pending offer unchanged: a fresh one
+                // would replace the initiator an answer to the first is
+                // finished with, and the two ends would derive different keys.
+                let context = KexContext::PortUpdateDirect;
+                let offer = match self.pending_kex.get(&(context, peer_port)) {
+                    Some(&(_, offer)) => offer,
+                    None => self.start_port_kex(context, peer_port),
                 };
-                outputs.extend(
-                    self.seal_on(
-                        peer_port,
-                        Message::key_exchange(id, peer_port, SeqNum::default(), offer),
-                    )
-                    .map(|frame| (peer_port, frame)),
-                );
+                outputs.extend(self.seal_offer(peer_port, context, peer_port, offer));
             }
         }
 
@@ -2142,6 +2148,66 @@ mod tests {
         let out = sw.on_packet(0, PortId::CPU, &salt1);
         assert!(sw.has_auth_key());
         assert!(out.has_event(&AgentEvent::AuthKeyDerived));
+    }
+
+    /// A `portKeyUpdate` retry that races the original: the initiator
+    /// re-sends its pending offer rather than starting over, the responder
+    /// answers the copy from its cache, and each end derives once, the same
+    /// key.
+    #[test]
+    fn a_repeated_port_key_update_resends_the_pending_offer() {
+        let (k_local, k_port) = (Key64::new(42), Key64::new(7));
+        let (a_port, b_port) = (PortId::new(2), PortId::new(1));
+        let mut a = agent();
+        let config = AgentConfig::new(SwitchId::new(2), 4, SEED);
+        let mut b = P4AuthSwitch::new(config, None);
+        install_local(&mut a, k_local);
+        a.install_key(a_port, k_port);
+        b.install_key(b_port, k_port);
+        let update = |seq| {
+            let kex = KeyExchange::PortKeyUpdate {
+                peer: SwitchId::new(2),
+                peer_port: a_port,
+            };
+            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, SeqNum::new(seq), kex)
+                .sealed(&mac(), k_local)
+                .encode()
+        };
+        let rolled = |out: &AgentOutput| {
+            out.events
+                .iter()
+                .filter(|e| matches!(e, AgentEvent::KeyRolled { .. }))
+                .count()
+        };
+        let offers: Vec<Vec<u8>> = [1, 2]
+            .into_iter()
+            .flat_map(|seq| a.on_packet(0, PortId::CPU, &update(seq)).outputs)
+            .map(|(port, frame)| {
+                assert_eq!(port, a_port);
+                frame
+            })
+            .collect();
+        assert_eq!(offers.len(), 2);
+        assert_eq!(
+            Message::decode(&offers[0]).unwrap().body(),
+            Message::decode(&offers[1]).unwrap().body(),
+            "the retry re-sends the pending offer"
+        );
+        let (mut derived_a, mut derived_b) = (0, 0);
+        let mut answers = Vec::new();
+        for offer in &offers {
+            let out = b.on_packet(0, b_port, offer);
+            derived_b += rolled(&out);
+            answers.extend(out.outputs.into_iter().map(|(_, frame)| frame));
+        }
+        assert_eq!(answers.len(), 2, "both copies answered");
+        for answer in &answers {
+            derived_a += rolled(&a.on_packet(0, a_port, answer));
+        }
+        assert_eq!((derived_a, derived_b), (1, 1), "each end derives once");
+        let key = a.keys(a_port).current();
+        assert_ne!(key, Some(k_port));
+        assert_eq!(key, b.keys(b_port).current());
     }
 
     #[test]
