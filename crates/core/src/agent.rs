@@ -59,6 +59,11 @@ const ALERT_MAX: u32 = 64;
 /// The alert rate-limit period: one second of simulated time.
 const ALERT_PERIOD_NS: u64 = 1_000_000_000;
 
+/// Odd multiplier of the boot count in the RNG seed: boot `b` seeds with
+/// `rng_seed ^ b * BOOT_SEED_STRIDE`, so boot 0 keeps the configured seed
+/// and every later boot starts a stream far from the others.
+const BOOT_SEED_STRIDE: u64 = 0xd1b5_4a32_d192_ed03;
+
 /// An in-network system (e.g. HULA) mounted on the agent. The agent
 /// authenticates DP-DP control messages *before* the app sees them and
 /// re-seals whatever the app forwards (§V, "Authentication of DP-DP
@@ -296,6 +301,9 @@ pub struct P4AuthSwitch {
     ends: Vec<ChannelEnd>,
     kdf: Kdf,
     rng: SplitMix64,
+    /// Boots before this one ([`P4AuthSwitch::reboot`]), mixed into the
+    /// RNG seed.
+    boots: u64,
     limiter: AlertLimiter,
     /// The packet in the pipeline: refilled per frame, so its buffer is
     /// allocated once per agent and the frame is copied once per packet.
@@ -341,6 +349,14 @@ impl P4AuthSwitch {
     /// Builds the agent, declares its tables/registers on a fresh chassis,
     /// and mounts `app` (if any).
     pub fn new(config: AgentConfig, app: Option<Box<dyn InNetworkApp>>) -> Self {
+        Self::boot(config, app, 0)
+    }
+
+    /// [`P4AuthSwitch::new`] after `boots` earlier boots. The boot count is
+    /// mixed into the RNG seed (the first boot uses `config.rng_seed` as
+    /// is), so a rebooted switch draws fresh salts and DH private keys
+    /// instead of replaying its first boot's.
+    fn boot(config: AgentConfig, app: Option<Box<dyn InNetworkApp>>, boots: u64) -> Self {
         let chassis_config = ChassisConfig {
             switch_id: config.switch_id,
             profile: config.profile,
@@ -380,7 +396,8 @@ impl P4AuthSwitch {
                 .map(|p| ChannelEnd::new((p == 0).then_some(config.k_seed)))
                 .collect(),
             kdf: Kdf::new(KdfConfig::PAPER),
-            rng: SplitMix64::new(config.rng_seed),
+            rng: SplitMix64::new(config.rng_seed ^ boots.wrapping_mul(BOOT_SEED_STRIDE)),
+            boots,
             limiter: AlertLimiter::new(ALERT_MAX, ALERT_PERIOD_NS),
             packet: Packet::from_bytes(PortId::CPU, Vec::new()),
             quarantined: [false; 256],
@@ -407,10 +424,11 @@ impl P4AuthSwitch {
     /// Reboots the switch: the same configuration and in-network app are
     /// loaded on a fresh chassis, and everything else starts empty —
     /// registers, tables, keys, sequence counters, replay windows, pending
-    /// exchanges and counters. A telemetry registry stays attached.
+    /// exchanges and counters. A telemetry registry stays attached, and
+    /// the boot count goes up, so the RNG draws a new stream.
     pub fn reboot(&mut self) {
         let registry = self.telemetry.as_ref().map(|t| t.registry.clone());
-        *self = P4AuthSwitch::new(self.config.clone(), self.app.take());
+        *self = P4AuthSwitch::boot(self.config.clone(), self.app.take(), self.boots + 1);
         if let Some(registry) = registry {
             self.set_telemetry(registry);
         }
@@ -1682,6 +1700,42 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A reboot must not replay the first boot's randomness: the same
+    /// `Salt1` answered before and after a reboot gets two different
+    /// `Salt2` salts (and with them two different `K_auth`s).
+    #[test]
+    fn a_rebooted_switch_draws_fresh_salts() {
+        let mut sw = agent();
+        let salt1 = Message::key_exchange(
+            SwitchId::CONTROLLER,
+            PortId::CPU,
+            SeqNum::new(1),
+            KeyExchange::EakSalt {
+                step: EakStep::Salt1,
+                salt: 0xaaaa,
+            },
+        )
+        .sealed(&mac(), SEED)
+        .encode();
+        let salt2 = |sw: &mut P4AuthSwitch| {
+            let out = sw.on_packet(0, PortId::CPU, &salt1);
+            match *Message::decode(&out.outputs[0].1).unwrap().body() {
+                Body::KeyExchange(KeyExchange::EakSalt { salt, .. }) => salt,
+                ref other => panic!("not a Salt2: {other:?}"),
+            }
+        };
+        let first = salt2(&mut sw);
+        sw.reboot();
+        let second = salt2(&mut sw);
+        assert_ne!(first, second, "the reboot replayed its first boot's salt");
+        sw.reboot();
+        let third = salt2(&mut sw);
+        assert!(
+            third != first && third != second,
+            "nor does a second reboot"
+        );
     }
 
     #[test]
