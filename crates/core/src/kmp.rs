@@ -7,15 +7,35 @@
 //! their sizes, and the aggregate controller load in a network of `m`
 //! switches and `n` links.
 
+use p4auth_wire::body::{AdhkdRole, EakStep, KexContext, KeyExchange};
+use p4auth_wire::header::HEADER_LEN;
+use p4auth_wire::ids::{PortId, SwitchId};
 use serde::{Deserialize, Serialize};
 
 /// EAK message size on the wire (22 bytes: 14-byte header + 8-byte salt
 /// payload).
-pub const EAK_MSG_BYTES: u64 = 22;
+pub const EAK_MSG_BYTES: u64 = msg_bytes(KeyExchange::EakSalt {
+    step: EakStep::Salt1,
+    salt: 0,
+});
 /// ADHKD message size on the wire (30 bytes: header + PK/salt payload).
-pub const ADHKD_MSG_BYTES: u64 = 30;
+pub const ADHKD_MSG_BYTES: u64 = msg_bytes(KeyExchange::Adhkd {
+    role: AdhkdRole::Offer,
+    context: KexContext::LocalInit,
+    public_key: 0,
+    salt: 0,
+});
 /// KMP control message size (`portKeyInit`/`portKeyUpdate`, 18 bytes).
-pub const CONTROL_MSG_BYTES: u64 = 18;
+pub const CONTROL_MSG_BYTES: u64 = msg_bytes(KeyExchange::PortKeyInit {
+    peer: SwitchId::CONTROLLER,
+    peer_port: PortId::CPU,
+});
+
+/// Bytes of a key-exchange message on the wire: the header and `kex`'s
+/// payload.
+const fn msg_bytes(kex: KeyExchange) -> u64 {
+    (HEADER_LEN + kex.wire_len()) as u64
+}
 
 /// The four key-management operations of Fig. 14.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
@@ -90,26 +110,43 @@ impl NetworkScale {
         links: 50,
     };
 
+    /// `per_op(local)` for every switch plus `per_op(port)` for every
+    /// link.
+    fn total(
+        self,
+        local: KeyOperation,
+        port: KeyOperation,
+        per_op: fn(KeyOperation) -> u64,
+    ) -> u64 {
+        per_op(local) * self.switches + per_op(port) * self.links
+    }
+
     /// Messages for simultaneous key initialization: `4m + 5n`.
     pub fn init_messages(self) -> u64 {
-        4 * self.switches + 5 * self.links
+        let messages = |op: KeyOperation| u64::from(op.message_count());
+        self.total(KeyOperation::LocalInit, KeyOperation::PortInit, messages)
     }
 
     /// Bytes for simultaneous key initialization: `104m + 138n`.
     pub fn init_bytes(self) -> u64 {
-        KeyOperation::LocalInit.byte_count() * self.switches
-            + KeyOperation::PortInit.byte_count() * self.links
+        let bytes = KeyOperation::byte_count;
+        self.total(KeyOperation::LocalInit, KeyOperation::PortInit, bytes)
     }
 
     /// Messages for simultaneous key update: `2m + 3n`.
     pub fn update_messages(self) -> u64 {
-        2 * self.switches + 3 * self.links
+        let messages = |op: KeyOperation| u64::from(op.message_count());
+        self.total(
+            KeyOperation::LocalUpdate,
+            KeyOperation::PortUpdate,
+            messages,
+        )
     }
 
     /// Bytes for simultaneous key update: `60m + 78n`.
     pub fn update_bytes(self) -> u64 {
-        KeyOperation::LocalUpdate.byte_count() * self.switches
-            + KeyOperation::PortUpdate.byte_count() * self.links
+        let bytes = KeyOperation::byte_count;
+        self.total(KeyOperation::LocalUpdate, KeyOperation::PortUpdate, bytes)
     }
 
     /// Sequential completion time for all initializations given a per-switch
@@ -196,6 +233,20 @@ mod tests {
         assert_eq!(KeyOperation::PortInit.message_count(), 5);
         assert_eq!(KeyOperation::LocalUpdate.message_count(), 2);
         assert_eq!(KeyOperation::PortUpdate.message_count(), 3);
+    }
+
+    /// The message sizes are the codec's: header plus payload.
+    #[test]
+    fn message_sizes_are_the_wire_lengths() {
+        assert_eq!(
+            (EAK_MSG_BYTES, ADHKD_MSG_BYTES, CONTROL_MSG_BYTES),
+            (22, 30, 18)
+        );
+        let update = KeyExchange::PortKeyUpdate {
+            peer: SwitchId::CONTROLLER,
+            peer_port: PortId::CPU,
+        };
+        assert_eq!(msg_bytes(update), CONTROL_MSG_BYTES);
     }
 
     #[test]

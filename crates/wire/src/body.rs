@@ -329,7 +329,7 @@ impl KeyExchange {
     }
 
     /// Payload length on the wire for this variant.
-    pub fn wire_len(&self) -> usize {
+    pub const fn wire_len(&self) -> usize {
         match self {
             KeyExchange::EakSalt { .. } => 8,
             KeyExchange::Adhkd { .. } => 16,
