@@ -2,6 +2,7 @@
 //! network (paper §VI, Fig. 14).
 
 use p4auth::controller::{ControllerConfig, ControllerEvent};
+use p4auth::core::kmp::NetworkScale;
 use p4auth::netsim::topology::Topology;
 use p4auth::systems::harness::{ControllerNode, Network};
 use p4auth::wire::ids::{PortId, SwitchId};
@@ -25,6 +26,22 @@ fn inject(net: &mut Network, outgoing: Vec<p4auth::controller::Outgoing>) {
             o.bytes,
         );
     }
+}
+
+/// Table III: initializing every key of `m` switches and `n` links at
+/// once takes `4m + 5n` messages, on the wire of the simulated network.
+#[test]
+fn bootstrap_sends_4m_plus_5n_frames() {
+    let mut net = network(4);
+    let before = net.sim.stats().frames_delivered;
+    net.bootstrap_keys();
+    let frames = net.sim.stats().frames_delivered - before;
+    let scale = NetworkScale {
+        switches: 4,
+        links: 3,
+    };
+    assert_eq!(frames, scale.init_messages());
+    assert_eq!(frames, 31);
 }
 
 #[test]
