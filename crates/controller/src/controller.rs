@@ -18,7 +18,7 @@ use p4auth_wire::body::{
 };
 use p4auth_wire::ids::{KeyVersion, PortId, RegId, SeqNum, SwitchId};
 use p4auth_wire::{verify_bound_frame, verify_frame, Message};
-use std::collections::{btree_map, BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Controller configuration.
@@ -257,6 +257,17 @@ impl ControllerTelemetry {
             .record(now_ns, TelemetryEvent::KexStep { node, step });
     }
 
+    /// Logs one step of the defence loop on `(peer, channel)`.
+    fn defence_action(&self, now_ns: u64, peer: SwitchId, channel: PortId, action: &'static str) {
+        let (peer, channel) = (peer.value(), channel.value());
+        let action = TelemetryEvent::DefenceAction {
+            peer,
+            channel,
+            action,
+        };
+        self.registry.record(now_ns, action);
+    }
+
     /// Handles for a standalone core (`replica = None`) or for replica
     /// `i` of a set.
     fn new(registry: Arc<Registry>, replica: Option<usize>) -> Self {
@@ -341,20 +352,15 @@ enum Exchange {
     /// for one counted rollover (the responder dedupes retransmissions
     /// by offer content).
     Offer(SwitchId, KexContext, AdhkdInitiator, AdhkdPayload),
-    /// Fig. 14 c: a port-key init whose legs this core redirects. Each
-    /// end is a `(switch, exchange port)`, the port its legs carry in
-    /// their header.
-    Redirect {
-        initiator: (SwitchId, PortId),
-        responder: (SwitchId, PortId),
-    },
-    /// Fig. 14 d: a direct port-key update, run by the two data planes
-    /// without the controller. The initiator's install notice
+    /// Fig. 14 c: a port-key init whose legs this core redirects, from
+    /// its initiator to its responder. Each end is a `(switch, exchange
+    /// port)`, the port its legs carry in their header.
+    Redirect((SwitchId, PortId), (SwitchId, PortId)),
+    /// Fig. 14 d: a direct port-key update from an initiating `(switch,
+    /// port)` to a peer switch, run by the two data planes without the
+    /// controller. The initiator's install notice
     /// ([`Controller::notify_port_key_installed`]) ends it.
-    PortUpdate {
-        initiator: (SwitchId, PortId),
-        responder: SwitchId,
-    },
+    PortUpdate((SwitchId, PortId), SwitchId),
 }
 
 impl Exchange {
@@ -364,9 +370,7 @@ impl Exchange {
     fn end(&self) -> (SwitchId, PortId) {
         match *self {
             Exchange::Eak(switch, _) | Exchange::Offer(switch, ..) => (switch, PortId::CPU),
-            Exchange::Redirect { initiator, .. } | Exchange::PortUpdate { initiator, .. } => {
-                initiator
-            }
+            Exchange::Redirect(initiator, _) | Exchange::PortUpdate(initiator, _) => initiator,
         }
     }
 
@@ -384,35 +388,31 @@ impl Exchange {
                 public_key: offer.public_key.to_raw(),
                 salt: offer.salt,
             },
-            Exchange::Redirect {
-                initiator: (_, peer_port),
-                responder: (peer, _),
-            } => KeyExchange::PortKeyInit { peer, peer_port },
-            Exchange::PortUpdate {
-                initiator: (_, peer_port),
-                responder: peer,
-            } => KeyExchange::PortKeyUpdate { peer, peer_port },
+            Exchange::Redirect((_, peer_port), (peer, _)) => {
+                KeyExchange::PortKeyInit { peer, peer_port }
+            }
+            Exchange::PortUpdate((_, peer_port), peer) => {
+                KeyExchange::PortKeyUpdate { peer, peer_port }
+            }
         }
     }
 
     /// For a redirect, the ends that send and receive its `role` leg.
     fn redirect_leg(&self, role: AdhkdRole) -> Option<((SwitchId, PortId), (SwitchId, PortId))> {
-        let Exchange::Redirect {
-            initiator,
-            responder,
-        } = *self
-        else {
-            return None;
-        };
-        Some(match role {
-            AdhkdRole::Offer => (initiator, responder),
-            AdhkdRole::Answer => (responder, initiator),
-        })
+        match (self, role) {
+            (&Exchange::Redirect(initiator, responder), AdhkdRole::Offer) => {
+                Some((initiator, responder))
+            }
+            (&Exchange::Redirect(initiator, responder), AdhkdRole::Answer) => {
+                Some((responder, initiator))
+            }
+            _ => None,
+        }
     }
 
     /// Whether `self` is a direct port-key update from `end`.
     fn updates_from(&self, end: (SwitchId, PortId)) -> bool {
-        matches!(*self, Exchange::PortUpdate { initiator, .. } if initiator == end)
+        matches!(*self, Exchange::PortUpdate(initiator, _) if initiator == end)
     }
 }
 
@@ -448,6 +448,39 @@ impl InFlight {
     }
 }
 
+/// Every key exchange in flight on one core, the one record of each:
+/// sorted by [`Slot`], so iteration is retry order. A ring searched by
+/// bisection rather than a tree: one allocation serves the core's
+/// lifetime, and exchanges mostly start at the back (rising switch ids,
+/// later port slots) and end near the front, where a ring moves nothing.
+#[derive(Default)]
+struct Exchanges(VecDeque<(Slot, InFlight)>);
+
+impl Exchanges {
+    fn find(&self, slot: Slot) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&slot, |&(s, _)| s)
+    }
+
+    fn get(&self, slot: Slot) -> Option<&InFlight> {
+        self.find(slot).ok().map(|i| &self.0[i].1)
+    }
+
+    fn get_mut(&mut self, slot: Slot) -> Option<&mut InFlight> {
+        self.find(slot).ok().map(|i| &mut self.0[i].1)
+    }
+
+    fn remove(&mut self, slot: Slot) -> Option<InFlight> {
+        let i = self.find(slot).ok()?;
+        self.0.remove(i).map(|(_, x)| x)
+    }
+
+    /// The port-key exchanges, in start order.
+    fn ports(&self) -> impl Iterator<Item = (Slot, &InFlight)> {
+        let first = self.0.partition_point(|&(s, _)| s < Slot::Port(0));
+        self.0.range(first..).map(|(s, x)| (*s, x))
+    }
+}
+
 /// The P4Auth controller.
 pub struct Controller {
     config: ControllerConfig,
@@ -456,7 +489,7 @@ pub struct Controller {
     rng: SplitMix64,
     switches: IdMap<SwitchId, SwitchChannel>,
     /// Every key exchange in flight on this core, the one record of each.
-    exchanges: BTreeMap<Slot, InFlight>,
+    exchanges: Exchanges,
     alerts: VecDeque<(SwitchId, AlertKind)>,
     stats: ControllerStats,
     now_ns: u64,
@@ -486,7 +519,7 @@ impl Controller {
             kdf: Kdf::new(KdfConfig::PAPER),
             rng: SplitMix64::new(config.rng_seed),
             switches: IdMap::default(),
-            exchanges: BTreeMap::new(),
+            exchanges: Exchanges::default(),
             alerts: VecDeque::new(),
             stats: ControllerStats::default(),
             config,
@@ -567,7 +600,7 @@ impl Controller {
     /// Whether a CPU-channel key exchange (EAK or ADHKD) is currently in
     /// flight toward `switch`.
     pub fn kex_in_flight(&self, switch: SwitchId) -> bool {
-        self.exchanges.contains_key(&Slot::Local(switch))
+        self.exchanges.get(Slot::Local(switch)).is_some()
     }
 
     /// The established local key and its version for `switch`, if any.
@@ -664,7 +697,7 @@ impl Controller {
     /// detection-to-mitigation latency if a mitigation was in flight.
     pub fn notify_port_key_installed(&mut self, peer: SwitchId, channel: PortId) {
         if let Some(slot) = self.port_slot(|x| x.updates_from((peer, channel))) {
-            self.exchanges.remove(&slot);
+            self.exchanges.remove(slot);
         }
         self.complete_mitigation(peer, channel);
     }
@@ -696,14 +729,7 @@ impl Controller {
         };
         if let Some(t) = &self.telemetry {
             t.defence_latency_ns.record(done.latency_ns);
-            t.registry.record(
-                now_ns,
-                TelemetryEvent::DefenceAction {
-                    peer: peer.value(),
-                    channel: channel.value(),
-                    action: "mitigation_complete",
-                },
-            );
+            t.defence_action(now_ns, peer, channel, "mitigation_complete");
             // The mitigation critical path as one trace: a root span over
             // the full detection-to-mitigation latency with stage children
             // that partition it exactly — detect and publish (instants at
@@ -753,14 +779,7 @@ impl Controller {
         self.stats.defence_mitigations += 1;
         if let Some(t) = &self.telemetry {
             t.defence_mitigations.inc();
-            t.registry.record(
-                self.now_ns,
-                TelemetryEvent::DefenceAction {
-                    peer: peer.value(),
-                    channel: channel.value(),
-                    action: action.kind.as_str(),
-                },
-            );
+            t.defence_action(self.now_ns, peer, channel, action.kind.as_str());
         }
         events.push(ControllerEvent::DefenceMitigated {
             switch: peer,
@@ -890,10 +909,13 @@ impl Controller {
     /// flight there; a port one goes after every port exchange in flight.
     fn start(&mut self, exchange: Exchange) -> Outgoing {
         let (switch, channel) = exchange.end();
-        let slot = match self.exchanges.last_key_value() {
-            _ if channel.is_cpu() => Slot::Local(switch),
-            Some((&Slot::Port(n), _)) => Slot::Port(n + 1),
-            _ => Slot::Port(0),
+        let slot = if channel.is_cpu() {
+            Slot::Local(switch)
+        } else {
+            match self.exchanges.0.back() {
+                Some(&(Slot::Port(n), _)) => Slot::Port(n + 1),
+                _ => Slot::Port(0),
+            }
         };
         let kex = exchange.request();
         let x = InFlight {
@@ -901,7 +923,10 @@ impl Controller {
             attempts: 0,
             last_attempt_ns: self.now_ns,
         };
-        self.exchanges.insert(slot, x);
+        match self.exchanges.find(slot) {
+            Ok(i) => self.exchanges.0[i].1 = x,
+            Err(i) => self.exchanges.0.insert(i, (slot, x)),
+        }
         self.seal_kex(switch, kex)
     }
 
@@ -937,7 +962,7 @@ impl Controller {
         if let Some(InFlight {
             exchange: Exchange::Eak(..) | Exchange::Offer(_, KexContext::LocalInit, ..),
             ..
-        }) = self.exchanges.get(&Slot::Local(switch))
+        }) = self.exchanges.get(Slot::Local(switch))
         {
             return Vec::new();
         }
@@ -957,9 +982,9 @@ impl Controller {
     /// picks, in start order.
     fn port_slot(&self, pred: impl Fn(&Exchange) -> bool) -> Option<Slot> {
         self.exchanges
-            .range(Slot::Port(0)..)
+            .ports()
             .find(|(_, x)| pred(&x.exchange))
-            .map(|(&slot, _)| slot)
+            .map(|(slot, _)| slot)
     }
 
     /// The pending redirect expecting a `role` leg from `(from, port)`:
@@ -971,8 +996,8 @@ impl Controller {
         port: PortId,
     ) -> Option<(Slot, (SwitchId, PortId))> {
         self.exchanges
-            .range(Slot::Port(0)..)
-            .find_map(|(&slot, x)| match x.exchange.redirect_leg(role)? {
+            .ports()
+            .find_map(|(slot, x)| match x.exchange.redirect_leg(role)? {
                 (sender, dest) if sender == (from, port) => Some((slot, dest)),
                 _ => None,
             })
@@ -993,7 +1018,7 @@ impl Controller {
     /// either end.
     pub(crate) fn redirect_switches(&self) -> impl Iterator<Item = SwitchId> + '_ {
         self.exchanges
-            .range(Slot::Port(0)..)
+            .ports()
             .filter_map(|(_, x)| x.exchange.redirect_leg(AdhkdRole::Offer))
             .flat_map(|(initiator, responder)| [initiator.0, responder.0])
     }
@@ -1012,19 +1037,16 @@ impl Controller {
         sw2: SwitchId,
         port2: PortId,
     ) -> Vec<Outgoing> {
-        let legs = ((sw1, port1), (sw2, port2));
+        let (initiator, responder) = ((sw1, port1), (sw2, port2));
+        let link = Some((initiator, responder));
         if self
-            .port_slot(|x| x.redirect_leg(AdhkdRole::Offer) == Some(legs))
+            .port_slot(|x| x.redirect_leg(AdhkdRole::Offer) == link)
             .is_some()
         {
             return Vec::new();
         }
         self.trace_port_exchange(sw1, sw2);
-        let (initiator, responder) = legs;
-        vec![self.start(Exchange::Redirect {
-            initiator,
-            responder,
-        })]
+        vec![self.start(Exchange::Redirect(initiator, responder))]
     }
 
     /// Starts a direct DP-DP port-key rollover (Fig. 14 d): one
@@ -1043,10 +1065,7 @@ impl Controller {
             return Vec::new();
         }
         self.trace_port_exchange(sw1, sw2);
-        vec![self.start(Exchange::PortUpdate {
-            initiator,
-            responder: sw2,
-        })]
+        vec![self.start(Exchange::PortUpdate(initiator, sw2))]
     }
 
     /// Stamps the start of a port-key exchange between `sw1` and `sw2`.
@@ -1058,8 +1077,9 @@ impl Controller {
     /// Re-drives stalled key exchanges (a lost message leaves one in
     /// flight): EAK restarts with a fresh salt, a pending ADHKD offer is
     /// re-sent as first sent, a pending port-key redirect is re-initiated
-    /// and a pending direct port-key update is re-sent. Safe to call periodically — completed exchanges are
-    /// no longer in flight and produce nothing.
+    /// and a pending direct port-key update is re-sent. Safe to call
+    /// periodically — completed exchanges are no longer in flight and
+    /// produce nothing.
     ///
     /// Retries back off exponentially in sim-ns: the first retry of an
     /// exchange is immediate, after which each further retry waits
@@ -1071,11 +1091,9 @@ impl Controller {
     /// cannot generate unbounded KMP traffic.
     pub fn retry_stalled(&mut self) -> Vec<Outgoing> {
         let now_ns = self.now_ns;
-        let due: Vec<(Slot, u32)> = self
-            .exchanges
-            .iter()
+        let due: Vec<(Slot, u32)> = (self.exchanges.0.iter())
             .filter(|(_, x)| x.due(now_ns))
-            .map(|(&slot, x)| (slot, x.attempts))
+            .map(|&(slot, ref x)| (slot, x.attempts))
             .collect();
         let mut out = Vec::with_capacity(due.len());
         for (slot, attempts) in due {
@@ -1083,7 +1101,7 @@ impl Controller {
                 self.abandon(slot);
                 continue;
             }
-            let Some(x) = self.exchanges.get(&slot) else {
+            let Some(x) = self.exchanges.get(slot) else {
                 continue;
             };
             let (switch, kex) = (x.exchange.end().0, x.exchange.request());
@@ -1104,7 +1122,7 @@ impl Controller {
             }
             // A restart reset the slot's attempt count; it carries on so
             // the backoff keeps growing.
-            if let Some(x) = self.exchanges.get_mut(&slot) {
+            if let Some(x) = self.exchanges.get_mut(slot) {
                 (x.attempts, x.last_attempt_ns) = (attempts + 1, now_ns);
             }
         }
@@ -1114,21 +1132,19 @@ impl Controller {
     /// Abandons the exchange in `slot` after its retry budget is spent:
     /// terminal alert, counter, defence un-wedge.
     fn abandon(&mut self, slot: Slot) {
-        let Some(x) = self.exchanges.remove(&slot) else {
+        let Some(x) = self.exchanges.remove(slot) else {
             return;
         };
         let (switch, channel) = x.exchange.end();
         self.stats.kex_abandoned += 1;
         self.push_alert(switch, AlertKind::KeyExchangeFailure);
+        let step = match channel.is_cpu() {
+            true => "kex_abandoned",
+            false => "port_kex_abandoned",
+        };
         if let Some(t) = &self.telemetry {
             t.kex_abandoned.inc();
-            t.kex_step(
-                self.now_ns,
-                match slot {
-                    Slot::Local(_) => "kex_abandoned",
-                    Slot::Port(_) => "port_kex_abandoned",
-                },
-            );
+            t.kex_step(self.now_ns, step);
         }
         // A defence mitigation waiting on this exchange would never
         // complete; abort it so the channel is not wedged (quarantine
@@ -1215,7 +1231,7 @@ impl Controller {
                 Body::KeyExchange(KeyExchange::EakSalt {
                     step: EakStep::Salt2,
                     ..
-                }) => Some(match self.exchanges.get(&Slot::Local(from)) {
+                }) => Some(match self.exchanges.get(Slot::Local(from)) {
                     Some(InFlight {
                         exchange: Exchange::Eak(_, eak),
                         ..
@@ -1394,7 +1410,7 @@ impl Controller {
                 let Some(InFlight {
                     exchange: Exchange::Eak(_, eak),
                     ..
-                }) = self.exchanges.get_mut(&Slot::Local(from))
+                }) = self.exchanges.get_mut(Slot::Local(from))
                 else {
                     return;
                 };
@@ -1422,14 +1438,14 @@ impl Controller {
                 public_key,
                 salt,
             } if context == KexContext::LocalInit || context == KexContext::LocalUpdate => {
-                let btree_map::Entry::Occupied(pending) = self.exchanges.entry(Slot::Local(from))
-                else {
-                    return;
-                };
-                if !matches!(pending.get().exchange, Exchange::Offer(_, c, ..) if c == context) {
+                let slot = Slot::Local(from);
+                let pending = self.exchanges.get(slot).map(|x| &x.exchange);
+                if !matches!(pending, Some(&Exchange::Offer(_, c, ..)) if c == context) {
                     return;
                 }
-                if let Exchange::Offer(_, _, init, _) = pending.remove().exchange {
+                if let Some(Exchange::Offer(_, _, init, _)) =
+                    self.exchanges.remove(slot).map(|x| x.exchange)
+                {
                     let master = init.finish(
                         AdhkdPayload {
                             public_key: DhPublic::from_raw(public_key),
@@ -1528,7 +1544,7 @@ impl Controller {
                     // Exchange complete; drop the redirect record (this
                     // link's only — concurrent exchanges between the same
                     // switch pair on other ports stay pending).
-                    self.exchanges.remove(&slot);
+                    self.exchanges.remove(slot);
                 }
             }
             _ => {}
