@@ -13,6 +13,7 @@
 //! recommended SipHash parameters.
 
 use crate::types::Key64;
+use std::fmt;
 
 /// Compression rounds per message block (the `c` of HalfSipHash-c-d).
 const C_ROUNDS: usize = 2;
@@ -54,15 +55,12 @@ fn compress(v: &mut [u32; 4], m: u32) {
     v[0] ^= m;
 }
 
-/// Absorbs the last block — the `tail` bytes (fewer than four) plus the
-/// message length mod 256 in the top byte — and finalizes.
+/// Absorbs the last block — `tail`, the message's last bytes (fewer than
+/// four) as a little-endian word, plus the message length mod 256 in the
+/// top byte — and finalizes.
 #[inline(always)]
-fn finish(mut v: [u32; 4], tail: &[u8], total_len: u64) -> u32 {
-    let mut last = (total_len as u32 & 0xff) << 24;
-    for (i, &b) in tail.iter().enumerate() {
-        last |= (b as u32) << (8 * i);
-    }
-    compress(&mut v, last);
+fn finish(mut v: [u32; 4], tail: u32, total_len: u64) -> u32 {
+    compress(&mut v, tail | (total_len as u32 & 0xff) << 24);
     v[2] ^= 0xff;
     for _ in 0..D_ROUNDS {
         sipround(&mut v);
@@ -72,11 +70,19 @@ fn finish(mut v: [u32; 4], tail: &[u8], total_len: u64) -> u32 {
 
 /// Incremental HalfSipHash-2-4 hasher over a byte stream (the MAC feeds it
 /// a frame's parts one by one).
-#[derive(Clone, Debug)]
+///
+/// A part that does not end on a word boundary leaves its last 1–3 bytes
+/// pending as the low `bits` of `tail`. The next part is still read a
+/// word at a time: each word `w` completes the pending one as
+/// `tail | w << bits`, and its top `bits` become the new `tail`, so the
+/// words compressed are exactly those of the concatenated message.
+#[derive(Clone)]
 pub struct HalfSipHasher {
     v: [u32; 4],
-    buf: [u8; 4],
-    buf_len: usize,
+    /// Pending bytes, little-endian, in the low `bits`; zero above them.
+    tail: u32,
+    /// Pending bit count: 0, 8, 16 or 24.
+    bits: u32,
     total_len: u64,
 }
 
@@ -85,44 +91,56 @@ impl HalfSipHasher {
     pub fn new(key: Key64) -> Self {
         HalfSipHasher {
             v: init(key),
-            buf: [0; 4],
-            buf_len: 0,
+            tail: 0,
+            bits: 0,
             total_len: 0,
         }
     }
 
     /// Feeds `data` into the hash.
+    // Inlined into the MAC's loop over a frame's parts, the state stays in
+    // registers from one part to the next.
+    #[inline]
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut rest = data;
-        // Top up a partial word byte by byte: at most three, and a digest
-        // over frame parts lands here on every part after the first.
-        while self.buf_len != 0 {
-            let Some((&byte, tail)) = rest.split_first() else {
-                return;
-            };
-            rest = tail;
-            self.buf[self.buf_len] = byte;
-            self.buf_len += 1;
-            if self.buf_len == 4 {
-                compress(&mut self.v, u32::from_le_bytes(self.buf));
-                self.buf_len = 0;
+        let mut words = data.chunks_exact(4);
+        let word = |c: &[u8]| u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        if self.bits == 0 {
+            for c in &mut words {
+                compress(&mut self.v, word(c));
+            }
+        } else {
+            // `bits` is 8, 16 or 24 here, so neither shift reaches 32.
+            for c in &mut words {
+                let w = word(c);
+                compress(&mut self.v, self.tail | w << self.bits);
+                self.tail = w >> (32 - self.bits);
             }
         }
-        let mut chunks = rest.chunks_exact(4);
-        for chunk in &mut chunks {
-            let m = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            compress(&mut self.v, m);
-        }
-        for &byte in chunks.remainder() {
-            self.buf[self.buf_len] = byte;
-            self.buf_len += 1;
+        for &byte in words.remainder() {
+            self.tail |= (byte as u32) << self.bits;
+            self.bits += 8;
+            if self.bits == 32 {
+                compress(&mut self.v, self.tail);
+                (self.tail, self.bits) = (0, 0);
+            }
         }
     }
 
     /// Consumes the hasher and returns the 32-bit digest.
+    #[inline]
     pub fn finalize(self) -> u32 {
-        finish(self.v, &self.buf[..self.buf_len], self.total_len)
+        finish(self.v, self.tail, self.total_len)
+    }
+}
+
+/// Shows how many bytes were absorbed and nothing else: the state words
+/// start as the key halves, so printing them would print the key.
+impl fmt::Debug for HalfSipHasher {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HalfSipHasher")
+            .field("len", &self.total_len)
+            .finish_non_exhaustive()
     }
 }
 
@@ -134,7 +152,11 @@ pub fn half_siphash24(key: Key64, data: &[u8]) -> u32 {
     for b in &mut blocks {
         compress(&mut v, u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
     }
-    finish(v, blocks.remainder(), data.len() as u64)
+    let mut tail = 0;
+    for (i, &b) in blocks.remainder().iter().enumerate() {
+        tail |= (b as u32) << (8 * i);
+    }
+    finish(v, tail, data.len() as u64)
 }
 
 #[cfg(test)]
@@ -184,6 +206,24 @@ mod tests {
             h.update(&msg[..split]);
             h.update(&msg[split..]);
             assert_eq!(h.finalize(), oneshot, "split at {split}");
+        }
+    }
+
+    #[test]
+    fn debug_shows_neither_key_half() {
+        let (k0, k1) = (0xdead_beef_u32, 0x0bad_cafe_u32);
+        let mut h = HalfSipHasher::new(Key64::new((k1 as u64) << 32 | k0 as u64));
+        let fresh = format!("{h:?}");
+        h.update(&[0x5a; 26]);
+        let fed = format!("{h:?}");
+        assert_eq!(fresh, "HalfSipHasher { len: 0, .. }");
+        assert_eq!(fed, "HalfSipHasher { len: 26, .. }");
+        for half in [k0, k1] {
+            for shown in [fresh.as_str(), fed.as_str(), &format!("{h:#?}")] {
+                for needle in [half.to_string(), format!("{half:x}"), format!("{half:X}")] {
+                    assert!(!shown.contains(&needle), "{shown} shows {needle}");
+                }
+            }
         }
     }
 

@@ -157,3 +157,27 @@ proptest! {
         prop_assert_eq!(master_a, master_b);
     }
 }
+
+/// One message part: a short one (0–3 bytes) as often as a long one, so a
+/// following part meets every pending count (0, 8, 16, 24 bits) with
+/// whole words still to read.
+fn part() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..4),
+        proptest::collection::vec(any::<u8>(), 0..=80),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The MAC over 1–4 parts is the one-shot kernel over their
+    /// concatenation, whatever alignment each part leaves behind.
+    #[test]
+    fn mac_over_parts_equals_oneshot(parts in proptest::collection::vec(part(), 1..=4), key: u64) {
+        let k = Key64::new(key);
+        let slices: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+        let digest = HalfSipHashMac::default().compute(k, &slices);
+        prop_assert_eq!(digest.value(), half_siphash24(k, &parts.concat()));
+    }
+}

@@ -2,6 +2,7 @@
 //! arbitrary bytes never panic the decoder, and sealing/tampering behave.
 
 use p4auth_primitives::mac::{Crc32Mac, HalfSipHashMac, Mac};
+use p4auth_primitives::siphash::half_siphash24;
 use p4auth_primitives::Key64;
 use p4auth_wire::body::{
     AdhkdRole, Alert, AlertKind, Body, EakStep, InNetwork, KexContext, KeyExchange, NackReason,
@@ -9,7 +10,7 @@ use p4auth_wire::body::{
 };
 use p4auth_wire::error::DecodeError;
 use p4auth_wire::ids::{KeyVersion, PortId, RegId, SeqNum, SwitchId};
-use p4auth_wire::{verify_frame, Message};
+use p4auth_wire::{digest_parts, verify_frame, Message};
 use proptest::prelude::*;
 
 fn arb_register_op() -> impl Strategy<Value = RegisterOp> {
@@ -195,6 +196,16 @@ proptest! {
             prop_assert_eq!(&msg.encode_sealed(mac, k), &expected);
             prop_assert_eq!(&msg.clone().sealed(mac, k).encode(), &expected);
         }
+    }
+
+    /// The MAC over a frame's two digest parts — split at byte 10, inside
+    /// a word — is the one-shot kernel over the typed fields' digest
+    /// input, for register, alert, key-exchange and in-network frames.
+    #[test]
+    fn digest_parts_mac_equals_oneshot_over_digest_input(msg in arb_message(), key: u64) {
+        let k = Key64::new(key);
+        let digest = HalfSipHashMac::default().compute(k, &digest_parts(&msg.encode()));
+        prop_assert_eq!(digest.value(), half_siphash24(k, &msg.digest_input()));
     }
 
     /// Strictness oracle (b): on canonical encodings — whatever the key,
