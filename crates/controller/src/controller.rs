@@ -58,9 +58,9 @@ const SEQ_HIGH_WATER: u32 = 1 << 31;
 const ALERT_CAPACITY: usize = 1024;
 
 /// Base delay of [`Controller::retry_stalled`]'s exponential backoff, in
-/// sim-ns: the first retry of a stalled exchange is immediate, and the
-/// n-th after it waits `KEX_RETRY_BACKOFF_NS * 2^(n-1)` since the
-/// previous attempt.
+/// sim-ns: the first retry of a stalled exchange waits
+/// `KEX_RETRY_BACKOFF_NS` after it was sent, and the n-th after that
+/// `KEX_RETRY_BACKOFF_NS * 2^n` since the previous attempt.
 const KEX_RETRY_BACKOFF_NS: u64 = 200_000;
 
 /// Retries after which a stalled exchange is abandoned: its pending state
@@ -437,14 +437,12 @@ struct InFlight {
 }
 
 impl InFlight {
-    /// Whether a retry is due at `now_ns`: the first retry is free, after
-    /// which the delay doubles per attempt.
+    /// Whether a retry is due at `now_ns`: the first waits one backoff
+    /// after the exchange started, so a caller that retries in the step
+    /// that started it sends nothing twice, and the delay doubles per
+    /// attempt.
     fn due(&self, now_ns: u64) -> bool {
-        let delay_ns = match self.attempts {
-            0 => 0,
-            n => KEX_RETRY_BACKOFF_NS << (n - 1),
-        };
-        now_ns.saturating_sub(self.last_attempt_ns) >= delay_ns
+        now_ns.saturating_sub(self.last_attempt_ns) >= KEX_RETRY_BACKOFF_NS << self.attempts
     }
 }
 
@@ -1082,8 +1080,8 @@ impl Controller {
     /// produce nothing.
     ///
     /// Retries back off exponentially in sim-ns: the first retry of an
-    /// exchange is immediate, after which each further retry waits
-    /// 200 µs doubled per attempt. After 8 retries the exchange is
+    /// exchange waits 200 µs after it was sent, and each further retry
+    /// twice as long as the one before. After 8 retries the exchange is
     /// abandoned — it is dropped, a terminal
     /// [`AlertKind::KeyExchangeFailure`] alert lands in the alert ring,
     /// [`ControllerStats::kex_abandoned`] is incremented and a mitigation
@@ -2295,12 +2293,10 @@ mod tests {
         });
         let mut at = c.now_ns;
         for attempt in 0..KEX_RETRY_MAX_ATTEMPTS {
-            let delay = (KEX_RETRY_BACKOFF_NS << attempt) / 2;
-            if attempt > 0 {
-                c.set_now(at + delay - 1);
-                assert!(c.retry_stalled().is_empty(), "backing off, retry {attempt}");
-                at += delay;
-            }
+            let delay = KEX_RETRY_BACKOFF_NS << attempt;
+            c.set_now(at + delay - 1);
+            assert!(c.retry_stalled().is_empty(), "backing off, retry {attempt}");
+            at += delay;
             c.set_now(at);
             let retried = c.retry_stalled();
             assert_eq!(retried.len(), 1, "retry {attempt}");
@@ -2308,6 +2304,9 @@ mod tests {
             assert_eq!(*Message::decode(&retried[0].bytes).unwrap().body(), update);
             assert!(c.defence_in_flight(sw, PortId::new(1)));
         }
+        c.set_now(at + (KEX_RETRY_BACKOFF_NS << KEX_RETRY_MAX_ATTEMPTS) - 1);
+        assert!(c.retry_stalled().is_empty(), "backing off, last budget");
+        assert_eq!(c.stats().kex_abandoned, 0);
         c.set_now(at + (KEX_RETRY_BACKOFF_NS << KEX_RETRY_MAX_ATTEMPTS));
         assert!(c.retry_stalled().is_empty(), "abandoned, not re-sent");
         assert_eq!(c.stats().kex_abandoned, 1);
@@ -2336,6 +2335,8 @@ mod tests {
             "one in flight"
         );
         c.notify_port_key_installed(peer, PortId::new(3));
+        assert!(c.retry_stalled().is_empty(), "backing off");
+        c.set_now(c.now_ns + KEX_RETRY_BACKOFF_NS);
         assert_eq!(c.retry_stalled().len(), 1, "the responder's install");
         c.notify_port_key_installed(sw, port);
         c.set_now(10 * KEX_RETRY_BACKOFF_NS);

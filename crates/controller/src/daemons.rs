@@ -234,11 +234,11 @@ mod tests {
         let mut km = KeyManagerDaemon::new(&db, vec![sw], 0);
 
         db.start_epoch(1, 0);
-        // First step: the daemon starts EAK (one frame) and the core's
-        // retry pass re-drives it once for free (the first retry has no
-        // backoff delay) — two frames total, still ONE exchange.
+        // First step: the daemon starts EAK (one frame); the core's retry
+        // pass in the same step finds nothing due (the first retry waits
+        // one backoff), so the salt leaves once.
         let out = km.step(&mut db, &mut core, 0, &[]);
-        assert_eq!(out.len(), 2, "EAK salt #1 + free first retry");
+        assert_eq!(out.len(), 1, "EAK salt #1, sent once");
         assert_eq!(
             db.status(sw),
             Some(KexStatus::Pending {

@@ -8,7 +8,7 @@ use p4auth::netsim::fault::FaultPlan;
 use p4auth::netsim::sim::TapAction;
 use p4auth::netsim::time::SimTime;
 use p4auth::netsim::topology::Topology;
-use p4auth::systems::harness::{ControllerNode, Network};
+use p4auth::systems::harness::{ControllerNode, Network, ORCH_PERIOD_NS};
 use p4auth::wire::ids::{PortId, RegId, SwitchId};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -35,6 +35,14 @@ fn inject(net: &mut Network, outgoing: Vec<p4auth::controller::Outgoing>) {
             o.bytes,
         );
     }
+}
+
+/// Lets one orchestration period pass, then runs the controller's retry
+/// pass as the harness's timer does.
+fn retry_one_period_later(net: &mut Network) -> Vec<p4auth::controller::Outgoing> {
+    let later = net.sim.now() + ORCH_PERIOD_NS;
+    net.sim.run_until(later);
+    net.set.borrow_mut().retry_stalled(later.as_ns())
 }
 
 /// A tap that drops the first `n` frames, then forwards everything.
@@ -69,8 +77,9 @@ fn lost_eak_salt_is_recovered_by_retry() {
         "init must have stalled"
     );
 
-    // Operator/timer-driven retry.
-    let out = net.set.borrow_mut().core_mut(S1).retry_stalled();
+    // Timer-driven retry, one orchestration period later: a retry is not
+    // due in the instant its exchange was sent.
+    let out = retry_one_period_later(&mut net);
     assert!(!out.is_empty(), "a stalled exchange must be retried");
     inject(&mut net, out);
     net.sim.run_to_completion();
@@ -112,7 +121,7 @@ fn lost_adhkd_answer_is_recovered_by_retry() {
         "ADHKD should have stalled"
     );
 
-    let out = net.set.borrow_mut().core_mut(S1).retry_stalled();
+    let out = retry_one_period_later(&mut net);
     inject(&mut net, out);
     net.sim.run_to_completion();
     assert!(net.set.borrow().has_local_key(S1));

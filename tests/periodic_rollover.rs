@@ -115,3 +115,31 @@ fn rollover_uses_fig14_message_counts() {
     // One period: 2 local updates (2 msgs each) + 1 port update (3 msgs).
     assert_eq!(frames, 2 * 2 + 3);
 }
+
+/// A bulk rollover epoch (the orchestrated path, not the periodic timer)
+/// rolls every local key with Table III's two messages per switch: with
+/// no loss each offer leaves once, so m switches cost 2m frames.
+#[test]
+fn bulk_rollover_uses_two_messages_per_switch() {
+    const M: u16 = 6;
+    let mut net = Network::build(
+        Topology::chain(M, 50_000, 200_000),
+        1,
+        ControllerConfig::default(),
+        0x4012,
+        |_| None,
+        |_, c| c,
+    );
+    net.bootstrap_keys();
+    let before = net.sim.stats().frames_delivered;
+    assert_eq!(net.start_bulk_rollover(), Some(1));
+    net.sim.run_to_completion();
+    assert_eq!(net.sim.stats().frames_delivered - before, 2 * M as u64);
+    for id in 1..=M {
+        let v = net.switches[&SwitchId::new(id)]
+            .borrow()
+            .keys(PortId::CPU)
+            .version();
+        assert_eq!(v, KeyVersion::new(1), "switch {id} rolled once");
+    }
+}

@@ -136,7 +136,7 @@ fn no_live_key_appears_in_an_artefact_or_on_the_wire() {
     // Three local keys, each with its pre-rollover generation, and the
     // two port keys held at both ends of their link.
     assert_eq!(keys.len(), 10);
-    assert_eq!(artefacts.len(), 4 + 44, "four artefacts and 44 frames");
+    assert_eq!(artefacts.len(), 4 + 38, "four artefacts and 38 frames");
     for key in keys {
         for pattern in patterns(key) {
             for (name, bytes) in &artefacts {
