@@ -1,5 +1,5 @@
-//! Paper-style report printers, shared by the `repro` binary and the
-//! `fig18_rct` bench.
+//! Paper-style report printers and the baseline gates the `repro` binary
+//! runs them under.
 
 use crate::{banner, rw_rows};
 use p4auth_attacks::bruteforce;

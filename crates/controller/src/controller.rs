@@ -1,6 +1,6 @@
 //! Controller implementation.
 
-use crate::defence::{DefenceConfig, DefenceState, MitigationAction, MitigationKind};
+use crate::defence::{DefenceConfig, DefenceState, MitigationKind};
 use crate::outstanding::{Outstanding, PendingRequest};
 use p4auth_core::adhkd::{AdhkdInitiator, AdhkdPayload};
 use p4auth_core::auth::{AuthMetrics, RejectReason};
@@ -68,15 +68,6 @@ const KEX_RETRY_BACKOFF_NS: u64 = 200_000;
 /// recorded and [`ControllerStats::kex_abandoned`] incremented, so a dead
 /// switch cannot generate unbounded KMP traffic.
 const KEX_RETRY_MAX_ATTEMPTS: u32 = 8;
-
-/// Capacity of the port-action queue, the one queue between a defence
-/// threshold crossing and the wire (CPU-channel actions are applied at
-/// once; DP-DP port actions wait for the harness). A harness that never
-/// drains it must not let a sustained flood grow it without bound: when
-/// full, the *oldest* action is evicted (its channel's in-flight
-/// mitigation is aborted so the channel is not wedged) and counted in
-/// [`ControllerStats::defence_actions_dropped`].
-const PORT_ACTION_CAPACITY: usize = 64;
 
 /// A message the controller wants transmitted to a switch.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -179,9 +170,6 @@ pub struct ControllerStats {
     pub alerts_dropped: u64,
     /// Mitigations the adaptive defence loop issued.
     pub defence_mitigations: u64,
-    /// Port-channel mitigation actions evicted from the bounded
-    /// [`Controller::take_port_actions`] queue.
-    pub defence_actions_dropped: u64,
     /// Stalled key exchanges abandoned after exhausting the retry budget.
     pub kex_abandoned: u64,
     /// Authenticated register *requests* received and dropped. The
@@ -202,7 +190,6 @@ impl std::ops::Add for ControllerStats {
             alerts: self.alerts + o.alerts,
             alerts_dropped: self.alerts_dropped + o.alerts_dropped,
             defence_mitigations: self.defence_mitigations + o.defence_mitigations,
-            defence_actions_dropped: self.defence_actions_dropped + o.defence_actions_dropped,
             kex_abandoned: self.kex_abandoned + o.kex_abandoned,
             requests_ignored: self.requests_ignored + o.requests_ignored,
         }
@@ -231,7 +218,6 @@ struct ControllerTelemetry {
     key_rollovers: Arc<Counter>,
     defence_mitigations: Arc<Counter>,
     defence_latency_ns: Arc<Histogram>,
-    defence_actions_dropped: Arc<Counter>,
     kex_abandoned: Arc<Counter>,
     rollover_fanout_ns: Arc<Histogram>,
     /// `ctrl_channel_rejects{<peer>:<channel>}`, each series registered
@@ -289,7 +275,6 @@ impl ControllerTelemetry {
             key_rollovers: registry.counter_with("ctrl_key_rollovers", label),
             defence_mitigations: registry.counter_with("ctrl_defence_mitigations", label),
             defence_latency_ns: registry.histogram_with("defence_mitigation_latency_ns", label),
-            defence_actions_dropped: registry.counter_with("ctrl_defence_actions_dropped", label),
             kex_abandoned: registry.counter_with("ctrl_kex_abandoned", label),
             rollover_fanout_ns: registry.histogram_with("ctrl_rollover_fanout_ns", label),
             channel_rejects: IdMap::default(),
@@ -493,11 +478,10 @@ pub struct Controller {
     now_ns: u64,
     telemetry: Option<ControllerTelemetry>,
     defence: Option<DefenceState>,
-    /// Mitigations for DP-DP port channels, awaiting the harness (which
-    /// knows which peer switch sits behind a port). The one queue between
-    /// a threshold crossing and the wire; bounded by
-    /// [`PORT_ACTION_CAPACITY`].
-    port_actions: VecDeque<MitigationAction>,
+    /// The switch behind each DP-DP `(switch, port)` that a port-key init
+    /// named to this core: where a mitigation on that port channel sends
+    /// its port-key update.
+    port_peers: IdMap<(SwitchId, PortId), SwitchId>,
 }
 
 impl std::fmt::Debug for Controller {
@@ -524,7 +508,7 @@ impl Controller {
             now_ns: 0,
             telemetry: None,
             defence: None,
-            port_actions: VecDeque::new(),
+            port_peers: IdMap::default(),
         }
     }
 
@@ -679,14 +663,6 @@ impl Controller {
             .is_some_and(|d| d.is_quarantined(switch, channel))
     }
 
-    /// Drains mitigations the defence loop decided for DP-DP *port*
-    /// channels. The controller handles CPU-channel mitigations itself
-    /// (it owns the local-key exchange); port channels need the topology
-    /// knowledge the harness has (which peer sits behind the port).
-    pub fn take_port_actions(&mut self) -> Vec<MitigationAction> {
-        std::mem::take(&mut self.port_actions).into()
-    }
-
     /// Notifies the controller that a fresh key landed on a DP-DP port
     /// channel. The controller observes local-key completions itself but
     /// never sees port-key ADHKD finish (it only redirects the legs, or
@@ -760,7 +736,7 @@ impl Controller {
     /// Feeds one auth-failure signal on `(peer, channel)` to the defence
     /// loop and, if it is the one that crosses the threshold, applies the
     /// mitigation before returning: rolls the local key for a CPU channel,
-    /// queues a port channel's action for the harness.
+    /// the port key toward the switch behind the port for a DP-DP one.
     fn drive_defence(
         &mut self,
         peer: SwitchId,
@@ -784,36 +760,27 @@ impl Controller {
             channel,
             kind: action.kind,
         });
-        if channel.is_cpu() {
-            if self.has_local_key(peer) {
-                // Both rungs roll the key: for a quarantine the fresh
-                // key is also the exit path.
-                out.extend(self.local_key_update(peer));
-            } else {
-                // Nothing to roll yet (bootstrap still running);
-                // abandon rather than wedge the channel.
-                self.abort_mitigation(peer, channel);
-            }
+        // Both rungs roll the key: for a quarantine the fresh key is also
+        // the exit path.
+        let update = if channel.is_cpu() {
+            self.has_local_key(peer)
+                .then(|| self.local_key_update(peer))
         } else {
-            // A harness that never drains must not grow this without
-            // limit. Evicted actions un-wedge their channel via abort.
-            while self.port_actions.len() >= PORT_ACTION_CAPACITY {
-                let Some(evicted) = self.port_actions.pop_front() else {
-                    break;
-                };
-                self.stats.defence_actions_dropped += 1;
-                if let Some(t) = &self.telemetry {
-                    t.defence_actions_dropped.inc();
-                }
-                self.abort_mitigation(evicted.peer, evicted.channel);
-            }
-            self.port_actions.push_back(action);
+            (self.port_peers.get(&(peer, channel)).copied())
+                .map(|other| self.port_key_update(peer, channel, other))
+        };
+        match update {
+            Some(frames) => out.extend(frames),
+            // Nothing to roll (bootstrap still running, or no port-key
+            // exchange ever named this port): abandon rather than wedge
+            // the channel.
+            None => self.abort_mitigation(peer, channel),
         }
     }
 
     /// Abandons the mitigation in flight on `(peer, channel)`: nothing
-    /// will complete it, so the channel must not stay wedged (or
-    /// quarantined) waiting.
+    /// will complete it, so the channel must not stay wedged waiting. A
+    /// quarantine stays until a fresh key lands.
     fn abort_mitigation(&mut self, peer: SwitchId, channel: PortId) {
         if let Some(d) = &mut self.defence {
             d.abort(peer, channel);
@@ -1027,7 +994,9 @@ impl Controller {
     /// [`Controller::on_message`]. One exchange per link: while this
     /// link's redirect is pending, a second call returns no frames — a
     /// flapping link's recovery must not overlap key generations, and
-    /// [`Controller::retry_stalled`] re-drives the pending one.
+    /// [`Controller::retry_stalled`] re-drives the pending one. Either way
+    /// the core learns the link, so a defence mitigation on either end's
+    /// port channel knows the peer its port-key update goes to.
     pub fn port_key_init(
         &mut self,
         sw1: SwitchId,
@@ -1036,6 +1005,7 @@ impl Controller {
         port2: PortId,
     ) -> Vec<Outgoing> {
         let (initiator, responder) = ((sw1, port1), (sw2, port2));
+        self.learn_link(initiator, responder);
         let link = Some((initiator, responder));
         if self
             .port_slot(|x| x.redirect_leg(AdhkdRole::Offer) == link)
@@ -1045,6 +1015,12 @@ impl Controller {
         }
         self.trace_port_exchange(sw1, sw2);
         vec![self.start(Exchange::Redirect(initiator, responder))]
+    }
+
+    /// Records that `a` and `b` are the two ends of one DP-DP link.
+    pub(crate) fn learn_link(&mut self, a: (SwitchId, PortId), b: (SwitchId, PortId)) {
+        self.port_peers.insert(a, b.0);
+        self.port_peers.insert(b, a.0);
     }
 
     /// Starts a direct DP-DP port-key rollover (Fig. 14 d): one
@@ -2147,19 +2123,17 @@ mod tests {
         (c, sw)
     }
 
-    /// One channel more than the port-action queue holds.
-    const PORTS_PAST_CAPACITY: u8 = PORT_ACTION_CAPACITY as u8 + 1;
-
     /// Delivers a threshold's worth (3) of authenticated alerts from `sw`
     /// flagging ingress `port` (`seq` keeps rising across calls, as the
-    /// replay window demands) and returns the mitigations they caused.
+    /// replay window demands); returns the mitigations they caused and the
+    /// frames the core sent.
     fn port_alerts(
         c: &mut Controller,
         sw: SwitchId,
         seq: &mut u32,
         port: u8,
-    ) -> Vec<MitigationKind> {
-        let mut fired = Vec::new();
+    ) -> (Vec<MitigationKind>, Vec<Outgoing>) {
+        let (mut fired, mut sent) = (Vec::new(), Vec::new());
         for _ in 0..3 {
             *seq += 1;
             let alert = Message::new(
@@ -2175,100 +2149,64 @@ mod tests {
             .encode_sealed(&HalfSipHashMac::default(), PORT_DEFENDED_KEY);
             c.set_now(u64::from(*seq) * 100);
             let (out, events) = c.on_message(sw, &alert);
-            assert!(out.is_empty(), "port channels are the harness's to roll");
+            sent.extend(out);
             fired.extend(events.iter().filter_map(|e| match e {
                 ControllerEvent::DefenceMitigated { kind, .. } => Some(*kind),
                 _ => None,
             }));
         }
-        fired
+        (fired, sent)
     }
 
-    /// ROADMAP aim 3: the one queue between a threshold crossing and the
-    /// wire is bounded. A harness that never calls `take_port_actions`
-    /// must not let a flood across many port channels grow it without
-    /// limit: the oldest action is evicted and counted, and its channel is
-    /// un-wedged (in-flight mitigation aborted) so a dropped action can
-    /// never leave a channel permanently ignoring signals.
+    /// The `portKeyUpdate` a mitigation on `(sw, port)` sends toward `peer`.
+    fn port_key_update_to(peer: SwitchId, port: PortId) -> Body {
+        Body::KeyExchange(KeyExchange::PortKeyUpdate {
+            peer,
+            peer_port: port,
+        })
+    }
+
+    /// The core applies a port-channel mitigation itself: the crossing's
+    /// `on_message` returns the Fig. 14 d `portKeyUpdate` toward the
+    /// switch a port-key init named behind the port, and that port's
+    /// fresh key completes the mitigation.
     #[test]
-    fn port_action_queue_is_bounded_counts_drops_and_unwedges() {
+    fn a_port_channel_crossing_sends_the_port_key_update() {
+        let registry = Arc::new(Registry::new());
+        let (mut c, sw) = port_defended(&registry);
+        let (mut seq, port, peer) = (0, PortId::new(1), SwitchId::new(2));
+        assert_eq!(c.port_key_init(sw, port, peer, PortId::new(3)).len(), 1);
+        let (fired, sent) = port_alerts(&mut c, sw, &mut seq, 1);
+        assert_eq!(fired, [MitigationKind::KeyRollover]);
+        assert_eq!(sent.len(), 1, "one portKeyUpdate");
+        assert_eq!(sent[0].to, sw);
+        let update = Message::decode(&sent[0].bytes).unwrap();
+        assert_eq!(*update.body(), port_key_update_to(peer, port));
+        assert!(c.defence_in_flight(sw, port));
+        c.notify_port_key_installed(sw, port);
+        assert!(!c.defence_in_flight(sw, port));
+        let latency = registry
+            .snapshot()
+            .histogram("defence_mitigation_latency_ns", "controller")
+            .map_or(0, |h| h.count);
+        assert_eq!(latency, 1, "the mitigation completed");
+    }
+
+    /// A crossing on a port no port-key init ever named has no peer to
+    /// update: it aborts, as the CPU branch does with no key yet, so the
+    /// channel answers its next crossing instead of ignoring it for good.
+    #[test]
+    fn a_port_channel_crossing_with_no_known_peer_aborts() {
         let registry = Arc::new(Registry::new());
         let (mut c, sw) = port_defended(&registry);
         let mut seq = 0;
-        // Cross the threshold on one channel more than the queue holds,
-        // without draining.
-        for port in 1..=PORTS_PAST_CAPACITY {
-            assert_eq!(
-                port_alerts(&mut c, sw, &mut seq, port),
-                [MitigationKind::KeyRollover],
-                "port {port}"
-            );
+        for _ in 0..2 {
+            let (fired, sent) = port_alerts(&mut c, sw, &mut seq, 1);
+            assert_eq!(fired, [MitigationKind::KeyRollover]);
+            assert!(sent.is_empty(), "no peer to send a portKeyUpdate to");
+            assert!(!c.defence_in_flight(sw, PortId::new(1)));
         }
-        assert_eq!(
-            c.stats().defence_mitigations,
-            u64::from(PORTS_PAST_CAPACITY)
-        );
-        assert_eq!(
-            c.stats().defence_actions_dropped,
-            1,
-            "the last crossing evicted the first"
-        );
-        assert_eq!(
-            registry
-                .snapshot()
-                .counter("ctrl_defence_actions_dropped", "controller"),
-            Some(1)
-        );
-        // The evicted channel (1) was un-wedged.
-        assert!(!c.defence_in_flight(sw, PortId::new(1)));
-        assert!(!c.defence_quarantined(sw, PortId::new(1)));
-        for port in 2..=PORTS_PAST_CAPACITY {
-            assert!(c.defence_in_flight(sw, PortId::new(port)), "port {port}");
-        }
-        // The survivors drain oldest first.
-        let drained: Vec<PortId> = c.take_port_actions().iter().map(|a| a.channel).collect();
-        let survivors: Vec<PortId> = (2..=PORTS_PAST_CAPACITY).map(PortId::new).collect();
-        assert_eq!(drained, survivors);
-        // Channel 1 is live again: a fresh crossing fires and is queued.
-        assert_eq!(
-            port_alerts(&mut c, sw, &mut seq, 1),
-            [MitigationKind::KeyRollover]
-        );
-        assert_eq!(c.take_port_actions().len(), 1);
-        assert_eq!(c.stats().defence_actions_dropped, 1);
-    }
-
-    #[test]
-    fn evicting_a_quarantine_port_action_lifts_the_quarantine() {
-        let registry = Arc::new(Registry::new());
-        let (mut c, sw) = port_defended(&registry);
-        let (mut seq, p1) = (0, PortId::new(1));
-        let mut alerts = |c: &mut Controller, port: u8| port_alerts(c, sw, &mut seq, port);
-        // Drive channel 1 to quarantine (rollover, complete, re-cross).
-        assert_eq!(alerts(&mut c, 1), [MitigationKind::KeyRollover]);
-        assert_eq!(c.take_port_actions().len(), 1);
-        c.notify_port_key_installed(sw, p1);
-        assert_eq!(alerts(&mut c, 1), [MitigationKind::Quarantine]);
-        assert!(c.defence_quarantined(sw, p1));
-        // Crossings elsewhere fill the queue behind the undrained
-        // quarantine action, and the one past capacity evicts it, which
-        // must lift the quarantine, or the channel stays flagged forever
-        // with nobody ever issuing the exit-path key roll.
-        for port in 2..PORTS_PAST_CAPACITY {
-            assert_eq!(alerts(&mut c, port), [MitigationKind::KeyRollover]);
-        }
-        assert_eq!(c.stats().defence_actions_dropped, 0);
-        assert!(c.defence_quarantined(sw, p1));
-        assert_eq!(
-            alerts(&mut c, PORTS_PAST_CAPACITY),
-            [MitigationKind::KeyRollover]
-        );
-        assert_eq!(c.stats().defence_actions_dropped, 1);
-        assert!(!c.defence_quarantined(sw, p1));
-        assert!(!c.defence_in_flight(sw, p1));
-        let drained: Vec<PortId> = c.take_port_actions().iter().map(|a| a.channel).collect();
-        let survivors: Vec<PortId> = (2..=PORTS_PAST_CAPACITY).map(PortId::new).collect();
-        assert_eq!(drained, survivors);
+        assert_eq!(c.stats().defence_mitigations, 2);
     }
 
     /// Fig. 14 d's exchange is re-driven and abandoned like the others: a
@@ -2280,17 +2218,11 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let (mut c, sw) = port_defended(&registry);
         let (mut seq, port, peer) = (0, PortId::new(1), SwitchId::new(2));
-        assert_eq!(
-            port_alerts(&mut c, sw, &mut seq, 1),
-            [MitigationKind::KeyRollover]
-        );
-        assert_eq!(c.take_port_actions().len(), 1);
-        let lost = c.port_key_update(sw, port, peer);
+        c.learn_link((sw, port), (peer, PortId::new(3)));
+        let (fired, lost) = port_alerts(&mut c, sw, &mut seq, 1);
+        assert_eq!(fired, [MitigationKind::KeyRollover]);
         assert_eq!(lost.len(), 1, "the portKeyUpdate, then lost");
-        let update = Body::KeyExchange(KeyExchange::PortKeyUpdate {
-            peer,
-            peer_port: port,
-        });
+        let update = port_key_update_to(peer, port);
         let mut at = c.now_ns;
         for attempt in 0..KEX_RETRY_MAX_ATTEMPTS {
             let delay = KEX_RETRY_BACKOFF_NS << attempt;
@@ -2315,11 +2247,13 @@ mod tests {
             Some(&(sw, AlertKind::KeyExchangeFailure))
         );
         assert!(!c.defence_in_flight(sw, port), "the mitigation aborted");
+        let (fired, sent) = port_alerts(&mut c, sw, &mut seq, 1);
         assert_eq!(
-            port_alerts(&mut c, sw, &mut seq, 1),
+            fired,
             [MitigationKind::KeyRollover],
             "the next crossing fires again"
         );
+        assert_eq!(sent.len(), 1, "with a fresh portKeyUpdate");
     }
 
     /// A direct port-key update ends with its initiator's install notice,

@@ -36,8 +36,8 @@
 //! that re-reads the table after a crash cannot double-roll a switch —
 //! if the exchange completed before the crash, the version already
 //! moved and the switch is immediately marked done; if it didn't, the
-//! exchange is still (or again) pending and the core's capped-backoff
-//! [`Controller::retry_stalled`] re-drives it.
+//! exchange is still (or again) pending and the replica set's one retry
+//! path re-drives it after the daemon's step (the daemon retries nothing).
 
 use crate::controller::{Controller, Outgoing};
 use crate::statedb::StateDb;
@@ -109,11 +109,10 @@ impl KeyManagerDaemon {
     }
 
     /// One deterministic step: reconcile the partition against the
-    /// `kmp` table, issue whatever exchanges are due, and re-drive stalled
-    /// exchanges (capped backoff inside the core). `leased` lists the
-    /// owned switches whose channel another replica holds for a port-key
-    /// redirect; they are left alone. Returns the frames to put on the
-    /// wire.
+    /// `kmp` table and issue whatever exchanges are due. `leased` lists
+    /// the owned switches whose channel another replica holds for a
+    /// port-key redirect; they are left alone. Returns the frames to put
+    /// on the wire.
     ///
     /// Each owned switch writes its own status at most once per step, and
     /// the loop never reads a status it wrote in the same step: a switch's
@@ -183,8 +182,8 @@ impl KeyManagerDaemon {
                         core.local_key_init(switch)
                     });
                 }
-                // else: exchange in flight; retry_stalled below re-drives
-                // it with capped backoff if frames were lost.
+                // else: exchange in flight; the set's retry after this
+                // step re-drives it with capped backoff if frames were lost.
             }
         }
         let changed = db.writes() - before;
@@ -211,7 +210,6 @@ impl KeyManagerDaemon {
             );
         }
 
-        out.extend(core.retry_stalled());
         out
     }
 }
@@ -227,20 +225,18 @@ mod tests {
     /// records pending state in the table.
     #[test]
     fn key_manager_initiates_and_does_not_double_issue() {
-        let mut db = StateDb::new();
-        let mut core = Controller::new(ControllerConfig::default());
-        let sw = SwitchId::new(1);
-        core.register_switch(sw, Key64::new(0x5eed));
-        let mut km = KeyManagerDaemon::new(&db, vec![sw], 0);
+        use crate::replica::ReplicaSet;
 
-        db.start_epoch(1, 0);
-        // First step: the daemon starts EAK (one frame); the core's retry
+        let sw = SwitchId::new(1);
+        let mut set = ReplicaSet::new(1, ControllerConfig::default(), &[(sw, Key64::new(0x5eed))]);
+        set.start_bulk_rollover(0);
+        // First step: the daemon starts EAK (one frame); the set's retry
         // pass in the same step finds nothing due (the first retry waits
         // one backoff), so the salt leaves once.
-        let out = km.step(&mut db, &mut core, 0, &[]);
+        let out = set.step(0);
         assert_eq!(out.len(), 1, "EAK salt #1, sent once");
         assert_eq!(
-            db.status(sw),
+            set.db().status(sw),
             Some(KexStatus::Pending {
                 epoch: 1,
                 baseline: None
@@ -249,9 +245,9 @@ mod tests {
         // Second step at the same instant: exchange in flight, backoff
         // not yet elapsed — the daemon must not start a second exchange
         // and the retry pass must stay quiet.
-        let out = km.step(&mut db, &mut core, 0, &[]);
+        let out = set.step(0);
         assert!(out.is_empty(), "no double-issue: {}", out.len());
-        assert!(core.kex_in_flight(sw));
+        assert!(set.core(sw).kex_in_flight(sw));
     }
 
     /// One orchestrator tick over a multi-switch partition lands exactly

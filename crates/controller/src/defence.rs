@@ -6,8 +6,8 @@
 //! counter and lands in the typed event log. This module turns those
 //! detections into *mitigations*: it keeps a sliding-window reject rate
 //! per `(peer, channel)` and, when the rate crosses a configured
-//! threshold, emits a [`MitigationAction`] that the controller translates
-//! into a key rollover (Fig. 14 b/d) or a channel quarantine.
+//! threshold, emits a [`MitigationAction`] that the channel's controller
+//! core applies: a key rollover (Fig. 14 b/d) or a channel quarantine.
 //!
 //! Design points:
 //!
@@ -21,8 +21,9 @@
 //!   crosses the threshold again within `escalation_window_ns` of a
 //!   completed mitigation — i.e. rolling the key did not stop the
 //!   attack — the channel is quarantined: traffic on it is dropped and
-//!   counted until a fresh key is installed. Key-exchange traffic is
-//!   exempt, because the key-management protocol is the exit path.
+//!   counted until a fresh key is installed, an abandoned mitigation
+//!   notwithstanding. Key-exchange traffic is exempt, because the
+//!   key-management protocol is the exit path.
 //! - **Only authentication failures count.** Transport-malformed frames
 //!   ([`p4auth_core::auth::RejectReason::Malformed`]) carry no verified
 //!   sender claim and must not drive mitigation — an attacker who can
@@ -88,8 +89,8 @@ impl MitigationKind {
     }
 }
 
-/// One mitigation the defence loop decided on; applied by the controller
-/// (CPU channels) or the harness (DP-DP port channels).
+/// One mitigation the defence loop decided on; the controller core owning
+/// the channel applies it (Fig. 14 b for the CPU channel, 14 d for a port).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MitigationAction {
     /// The peer whose channel crossed the threshold.
@@ -229,12 +230,11 @@ impl DefenceState {
 
     /// Abandons an in-flight mitigation on `(peer, channel)` (e.g. the
     /// controller could not issue the rollover because the channel has
-    /// no local key yet). Lifts any quarantine so the channel is not
-    /// wedged.
+    /// no key yet, or its key exchange was abandoned). A quarantine stays
+    /// until a fresh key lands, so both ends of the channel fail closed.
     pub fn abort(&mut self, peer: SwitchId, channel: PortId) {
         if let Some(state) = self.channels.get_mut(&(peer, channel)) {
             state.in_flight = None;
-            state.quarantined = false;
         }
     }
 
@@ -371,20 +371,23 @@ mod tests {
     }
 
     #[test]
-    fn abort_clears_in_flight_and_quarantine() {
+    fn abort_clears_in_flight_and_keeps_the_quarantine() {
         let mut d = DefenceState::new(cfg());
         signals(&mut d, &[100, 200, 300], S1, PortId::CPU);
         d.on_key_installed(1_000, S1, PortId::CPU).unwrap();
         signals(&mut d, &[1_100, 1_200, 1_300], S1, PortId::CPU);
         assert!(d.is_quarantined(S1, PortId::CPU));
         d.abort(S1, PortId::CPU);
-        assert!(!d.is_quarantined(S1, PortId::CPU));
+        assert!(d.is_quarantined(S1, PortId::CPU), "no fresh key landed");
         assert!(!d.mitigation_in_flight(S1, PortId::CPU));
         // An aborted channel is live again: the next crossing fires.
         assert_eq!(
             signals(&mut d, &[1_400, 1_500, 1_600], S1, PortId::CPU).len(),
             1
         );
+        // Only a fresh key lifts the quarantine.
+        d.on_key_installed(2_000, S1, PortId::CPU).unwrap();
+        assert!(!d.is_quarantined(S1, PortId::CPU));
     }
 
     #[test]

@@ -232,7 +232,8 @@ impl ReplicaSet {
 
     /// Starts port-key initialization between `(sw1, port1)` and
     /// `(sw2, port2)` on the initiator's owner, the redirect home (see
-    /// [`Controller::port_key_init`]). If `sw2` hashes to another
+    /// [`Controller::port_key_init`]). `sw2`'s owner learns the link too,
+    /// for a mitigation on `sw2`'s port. If `sw2` hashes to another
     /// replica, a started exchange has the home mirror `sw2`'s local key,
     /// and `sw2` stays leased while the home's record is pending.
     pub fn port_key_init(
@@ -244,6 +245,7 @@ impl ReplicaSet {
         port2: PortId,
     ) -> Vec<Outgoing> {
         let home = self.owner(sw1);
+        self.core_mut(sw2).learn_link((sw1, port1), (sw2, port2));
         let out = self
             .core_at(now_ns, sw1)
             .port_key_init(sw1, port1, sw2, port2);
@@ -302,19 +304,23 @@ impl ReplicaSet {
     }
 
     /// Re-drives stalled key exchanges on every replica, in index order
-    /// (see [`Controller::retry_stalled`]). Each redirect home first
-    /// refreshes its mirrors: the owner of a redirect's responder may have
-    /// rolled that key since the exchange began, and a leg sealed under
-    /// the stale mirror would be rejected at the responder.
+    /// (see [`Controller::retry_stalled`]).
     pub fn retry_stalled(&mut self, now_ns: u64) -> Vec<Outgoing> {
-        let mut out = Vec::new();
-        for i in 0..self.replicas.len() {
-            self.refresh_mirrors(i);
-            let core = &mut self.replicas[i].core;
-            core.set_now(now_ns);
-            out.extend(core.retry_stalled());
-        }
-        out
+        (0..self.replicas.len())
+            .flat_map(|i| self.retry_replica(i, now_ns))
+            .collect()
+    }
+
+    /// Re-drives replica `i`'s stalled key exchanges, the one retry path.
+    /// As a redirect home it first refreshes its mirrors: the owner of a
+    /// redirect's responder may have rolled that key since the exchange
+    /// began, and a leg sealed under the stale mirror would be rejected at
+    /// the responder.
+    fn retry_replica(&mut self, i: usize, now_ns: u64) -> Vec<Outgoing> {
+        self.refresh_mirrors(i);
+        let core = &mut self.replicas[i].core;
+        core.set_now(now_ns);
+        core.retry_stalled()
     }
 
     /// Reports a DP-DP port-key install to the owner's defence
@@ -322,15 +328,6 @@ impl ReplicaSet {
     pub fn notify_port_key_installed(&mut self, now_ns: u64, peer: SwitchId, channel: PortId) {
         self.core_at(now_ns, peer)
             .notify_port_key_installed(peer, channel);
-    }
-
-    /// Drains port-channel mitigations from every replica, in replica
-    /// order.
-    pub fn take_port_actions(&mut self) -> Vec<crate::defence::MitigationAction> {
-        self.replicas
-            .iter_mut()
-            .flat_map(|r| r.core.take_port_actions())
-            .collect()
     }
 
     /// Issues an authenticated register read toward `switch` via its
@@ -361,7 +358,8 @@ impl ReplicaSet {
     }
 
     /// One orchestration step: every replica (in index order) runs its
-    /// key-manager daemon against the shared table.
+    /// key-manager daemon against the shared table, then re-drives its
+    /// stalled exchanges.
     pub fn step(&mut self, now_ns: u64) -> Vec<Outgoing> {
         (0..self.replicas.len())
             .flat_map(|i| self.step_replica(i, now_ns))
@@ -379,7 +377,9 @@ impl ReplicaSet {
             .collect();
         let r = &mut self.replicas[i];
         r.core.set_now(now_ns);
-        r.km.step(&mut self.db, &mut r.core, now_ns, &leased)
+        let mut out = r.km.step(&mut self.db, &mut r.core, now_ns, &leased);
+        out.extend(self.retry_replica(i, now_ns));
+        out
     }
 
     /// Starts the next bulk key-rollover epoch across *all* partitions.
@@ -649,9 +649,11 @@ mod tests {
     /// redirect is pending (a defence rollover, say): a retry must carry
     /// the owner's current key, or the responder rejects every redirected
     /// offer until the home abandons the exchange. One rollover is covered
-    /// by the previous generation (±1), two are not.
-    #[test]
-    fn a_retried_redirect_carries_the_responders_current_key() {
+    /// by the previous generation (±1), two are not. `retry` is the path
+    /// under test, called at each retry instant.
+    fn retried_redirect_carries_the_responders_current_key(
+        retry: fn(&mut ReplicaSet, u64) -> Vec<Outgoing>,
+    ) {
         let (i, r, p1) = (pick(2, 0), pick(2, 1), PortId::new(1));
         for rollovers in 0..=2 {
             let (mut set, mut agents) = fleet(2, &seeds_for([i, r]));
@@ -665,7 +667,7 @@ mod tests {
             // Retry until the budget would be spent twice over.
             for step in 1..=16u64 {
                 let t = 2_000 + step * 100_000_000;
-                let retries = set.retry_stalled(t);
+                let retries = retry(&mut set, t);
                 pump(&mut set, &mut agents, t, retries);
             }
             let (k_init, k_resp) = (agents[&i].keys(p1).current(), agents[&r].keys(p1).current());
@@ -677,6 +679,19 @@ mod tests {
             assert_eq!(set.stats().kex_abandoned, 0, "{rollovers} rollovers");
             assert!(!set.leased(r), "{rollovers} rollovers: lease released");
         }
+    }
+
+    #[test]
+    fn a_retried_redirect_carries_the_responders_current_key() {
+        retried_redirect_carries_the_responders_current_key(ReplicaSet::retry_stalled);
+    }
+
+    /// The orchestration tick's path (`step`: each daemon, then its
+    /// replica's retries) refreshes the home's mirrors too, as
+    /// `retry_stalled` does: there is one retry path.
+    #[test]
+    fn a_redirect_retried_by_the_orchestration_step_carries_the_responders_current_key() {
+        retried_redirect_carries_the_responders_current_key(ReplicaSet::step);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! byte-identical verdicts — the property `repro -- scenarios` gates in
 //! CI against `BENCH_scenarios.json`.
 
-use crate::harness::{is_dp_dp_link, Network};
+use crate::harness::{dp_dp_links, Network};
 use crate::scaleload::{Engine, SEND_TIMER};
 use crate::userscale::{
     run_users_engine, AggregateHostNode, AggregateMode, CompromisedUser, UserScaleConfig,
@@ -188,7 +188,7 @@ pub fn fabric_plans() -> Vec<(&'static str, FaultPlan)> {
     let mut pod = FaultPlan::new();
     pod.pod_failure(&topo, &ft, 1, 100_000, 3_000_000);
 
-    let group = dp_links_of_plain(&topo, ft.agg(0, 0));
+    let group = dp_links_of(&topo, ft.agg(0, 0));
     let mut flap = FaultPlan::new();
     flap.correlated_flap(&group, 50_000, 600_000)
         .correlated_flap(&group, 1_200_000, 1_800_000);
@@ -370,14 +370,13 @@ pub fn traced_defence_probe(kind: SchedulerKind, trace_capacity: usize) -> Arc<R
     registry
 }
 
-/// DP-DP links terminating at `sw` (the out-of-band fault set for
-/// defence-phase switch/pod failures).
+/// DP-DP links terminating at `sw`, host attachment links excluded: the
+/// out-of-band fault set for defence-phase switch/pod failures, and a
+/// correlated flap group modelling a shared switch-to-switch conduit.
 fn dp_links_of(topo: &Topology, sw: SwitchId) -> Vec<LinkId> {
-    topo.links()
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| is_dp_dp_link(l) && (l.a.node == sw || l.b.node == sw))
-        .map(|(i, _)| LinkId(i as u32))
+    dp_dp_links(topo)
+        .filter(|(_, l)| l.a.node == sw || l.b.node == sw)
+        .map(|(id, _)| id)
         .collect()
 }
 
@@ -485,10 +484,7 @@ fn check_clean_channels(net: &Network, checks: &mut Checks) {
 /// hold the same key.
 fn check_port_keys_converged(net: &Network, checks: &mut Checks) {
     let mut bad = Vec::new();
-    for l in net.sim.topology().links() {
-        if !is_dp_dp_link(l) {
-            continue;
-        }
+    for (_, l) in dp_dp_links(net.sim.topology()) {
         let ka = net.switches[&l.a.node].borrow().keys(l.a.port).current();
         let kb = net.switches[&l.b.node].borrow().keys(l.b.port).current();
         match (ka, kb) {
@@ -881,23 +877,6 @@ pub fn churn_defence_phases(n_replicas: usize) -> Vec<(&'static str, Vec<CheckRe
         ("correlated_flap_churn", flap.0),
         ("switch_failure_recovery", failure.0),
     ]
-}
-
-/// Every DP-DP link of `sw` in a plain (controller-less, host-ful) fat
-/// tree: host attachment links excluded so the flap group models a
-/// shared switch-to-switch conduit.
-fn dp_links_of_plain(topo: &Topology, sw: SwitchId) -> Vec<LinkId> {
-    use p4auth_netsim::topology::HOST_ID_BASE;
-    topo.links()
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| {
-            (l.a.node == sw || l.b.node == sw)
-                && l.a.node.value() < HOST_ID_BASE
-                && l.b.node.value() < HOST_ID_BASE
-        })
-        .map(|(i, _)| LinkId(i as u32))
-        .collect()
 }
 
 #[cfg(test)]

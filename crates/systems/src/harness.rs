@@ -10,7 +10,7 @@ use p4auth_core::agent::{AgentConfig, AgentEvent, InNetworkApp, P4AuthSwitch};
 use p4auth_netsim::frame::FrameBytes;
 use p4auth_netsim::sim::{Outbox, SimNode, Simulator, TopologyEvent};
 use p4auth_netsim::time::SimTime;
-use p4auth_netsim::topology::{Endpoint, Topology};
+use p4auth_netsim::topology::{Endpoint, Link, LinkId, Topology};
 
 pub use p4auth_netsim::sched::SchedulerKind;
 pub use p4auth_netsim::topology::HOST_ID_BASE;
@@ -25,10 +25,13 @@ fn is_switch(id: SwitchId) -> bool {
     !id.is_controller() && id.value() < HOST_ID_BASE
 }
 
-/// Whether a link connects two switch data planes (as opposed to touching
-/// the controller or a host).
-pub(crate) fn is_dp_dp_link(l: &p4auth_netsim::topology::Link) -> bool {
-    is_switch(l.a.node) && is_switch(l.b.node)
+/// Every link between two switch data planes (none touching the
+/// controller or a host), with its id, in topology order: the links that
+/// carry port keys.
+pub(crate) fn dp_dp_links(topology: &Topology) -> impl Iterator<Item = (LinkId, &Link)> {
+    (topology.links().iter().enumerate())
+        .filter(|(_, l)| is_switch(l.a.node) && is_switch(l.b.node))
+        .map(|(i, l)| (LinkId(i as u32), l))
 }
 
 /// Shared handle to a switch agent (the harness keeps one, the sim node
@@ -254,9 +257,6 @@ pub struct ControllerNode {
     set: SharedReplicaSet,
     events: Rc<RefCell<Vec<ControllerEvent>>>,
     rollover: SharedRollover,
-    /// DP-DP adjacency: `(switch, port)` → peer switch, for translating
-    /// defence mitigations on port channels into `portKeyUpdate` messages.
-    links: IdMap<(SwitchId, PortId), SwitchId>,
     /// Every DP-DP link as its `(a, b)` endpoints, in topology order: a
     /// rebooted switch's links get their port keys again, each started
     /// from `a` as at link-up.
@@ -264,7 +264,8 @@ pub struct ControllerNode {
     /// Rebooted switches whose local key is being initialised again;
     /// their port keys follow once it is installed.
     rejoining: Vec<SwitchId>,
-    /// Agent handles, for flipping agent-side quarantine enforcement.
+    /// Agent handles, for enforcing a port channel's quarantine at the
+    /// agent.
     switches: IdMap<SwitchId, SharedSwitch>,
     /// Whether an ORCH timer chain is live (shared with the network so
     /// arming is idempotent).
@@ -272,20 +273,21 @@ pub struct ControllerNode {
 }
 
 impl ControllerNode {
-    /// Turns defence mitigations on DP-DP port channels into wire actions:
-    /// flips agent-side quarantine enforcement and issues the port-key
-    /// rollover that (on completion) lifts it.
-    fn apply_port_actions(&self, set: &mut ReplicaSet, now_ns: u64, outgoing: &mut Vec<Outgoing>) {
-        for action in set.take_port_actions() {
-            if action.kind == MitigationKind::Quarantine {
-                if let Some(agent) = self.switches.get(&action.peer) {
-                    agent
-                        .borrow_mut()
-                        .set_channel_quarantine(action.channel, true);
-                }
-            }
-            if let Some(&peer) = self.links.get(&(action.peer, action.channel)) {
-                outgoing.extend(set.port_key_update(now_ns, action.peer, action.channel, peer));
+    /// Enforces each port-channel quarantine among `events` at the agent
+    /// on that port: it drops the channel's traffic until the port-key
+    /// update the owning core already sent installs a fresh key.
+    fn quarantine_ports(&self, events: &[ControllerEvent]) {
+        let ports = events.iter().filter_map(|e| match *e {
+            ControllerEvent::DefenceMitigated {
+                switch,
+                channel,
+                kind: MitigationKind::Quarantine,
+            } if !channel.is_cpu() => Some((switch, channel)),
+            _ => None,
+        });
+        for (switch, port) in ports {
+            if let Some(agent) = self.switches.get(&switch) {
+                agent.borrow_mut().set_channel_quarantine(port, true);
             }
         }
     }
@@ -341,7 +343,6 @@ impl ControllerNode {
         for &(sw1, port1, sw2) in &plan.links {
             outgoing.extend(set.port_key_update(now_ns, sw1, port1, sw2));
         }
-        self.apply_port_actions(&mut set, now_ns, &mut outgoing);
         drop(set);
         Self::transmit(out, outgoing);
         out.set_timer(ROLLOVER_TIMER, plan.period_ns);
@@ -351,8 +352,7 @@ impl ControllerNode {
     /// bulk-rollover epoch is unfinished.
     fn orchestration_tick(&mut self, now_ns: u64, out: &mut Outbox) {
         let mut set = self.set.borrow_mut();
-        let mut outgoing = set.step(now_ns);
-        self.apply_port_actions(&mut set, now_ns, &mut outgoing);
+        let outgoing = set.step(now_ns);
         if !set.rollover_complete() {
             out.set_timer(ORCH_TIMER, ORCH_PERIOD_NS);
         } else {
@@ -370,7 +370,7 @@ impl SimNode for ControllerNode {
         let outgoing = {
             let mut set = self.set.borrow_mut();
             let (mut outgoing, events) = set.on_message(now_ns, from, &payload);
-            self.apply_port_actions(&mut set, now_ns, &mut outgoing);
+            self.quarantine_ports(&events);
             if events.contains(&ControllerEvent::LocalKeyInstalled(from)) {
                 if let Some(i) = self.rejoining.iter().position(|&s| s == from) {
                     self.rejoining.swap_remove(i);
@@ -563,24 +563,15 @@ impl Network {
             sim.register_node(id, Box::new(node));
         }
         if sim.topology().nodes().iter().any(|id| id.is_controller()) {
-            // DP-DP adjacency for translating port-channel defence
-            // mitigations into portKeyUpdate messages.
-            let mut links = IdMap::default();
-            let mut dp_links = Vec::new();
-            for l in sim.topology().links() {
-                if is_dp_dp_link(l) {
-                    links.insert((l.a.node, l.a.port), l.b.node);
-                    links.insert((l.b.node, l.b.port), l.a.node);
-                    dp_links.push((l.a, l.b));
-                }
-            }
+            let dp_links = dp_dp_links(sim.topology())
+                .map(|(_, l)| (l.a, l.b))
+                .collect();
             sim.register_node(
                 SwitchId::CONTROLLER,
                 Box::new(ControllerNode {
                     set: set.clone(),
                     events: events.clone(),
                     rollover: rollover.clone(),
-                    links,
                     dp_links,
                     rejoining: Vec::new(),
                     switches: switches.clone(),
@@ -614,11 +605,12 @@ impl Network {
     /// Arms the adaptive defence loop on every replica:
     /// forged-digest / replay floods on one `(peer, channel)` trigger an
     /// automatic key rollover, escalating to channel quarantine if the
-    /// rollover does not stop the flood. CPU-channel mitigations are
-    /// handled by the owning core itself; port-channel mitigations are
-    /// translated by the [`ControllerNode`] (which knows the DP-DP
-    /// adjacency) into `portKeyUpdate` messages plus agent-side
-    /// quarantine enforcement. Detection-to-mitigation latency lands in
+    /// rollover does not stop the flood. The core owning the channel
+    /// applies every mitigation itself: a local-key update for a CPU
+    /// channel, a `portKeyUpdate` toward the peer its port-key init named
+    /// for a DP-DP one; the [`ControllerNode`] only enforces a port
+    /// channel's quarantine at the agent, from the core's
+    /// `DefenceMitigated` event. Detection-to-mitigation latency lands in
     /// the `defence_mitigation_latency_ns` telemetry histogram when a
     /// registry is attached; the loop itself needs none.
     pub fn enable_defence(&mut self, config: DefenceConfig) {
@@ -631,13 +623,8 @@ impl Network {
     /// after [`Network::bootstrap_keys`].
     pub fn enable_periodic_rollover(&mut self, period_ns: u64) {
         let switches = self.sorted_switch_ids();
-        let links = self
-            .sim
-            .topology()
-            .links()
-            .iter()
-            .filter(|l| is_dp_dp_link(l))
-            .map(|l| (l.a.node, l.a.port, l.b.node))
+        let links = dp_dp_links(self.sim.topology())
+            .map(|(_, l)| (l.a.node, l.a.port, l.b.node))
             .collect();
         *self.rollover.borrow_mut() = Some(RolloverPlan {
             period_ns,
@@ -748,14 +735,7 @@ impl Network {
 
         // Port keys for every DP-DP link (host attachment links are not
         // switch-to-switch and carry no port keys).
-        let links: Vec<_> = self
-            .sim
-            .topology()
-            .links()
-            .iter()
-            .filter(|l| is_dp_dp_link(l))
-            .copied()
-            .collect();
+        let links: Vec<Link> = dp_dp_links(self.sim.topology()).map(|(_, l)| *l).collect();
         for link in &links {
             let now_ns = self.sim.now().as_ns();
             let outgoing = self.set.borrow_mut().port_key_init(
@@ -1150,5 +1130,238 @@ mod tests {
             }
         }
         case(1, 8, false);
+    }
+
+    /// One end of a DP-DP link under a forged flood, in a defended,
+    /// bootstrapped 4-switch chain with a registry attached.
+    struct PortFlood {
+        net: Network,
+        registry: std::sync::Arc<p4auth_telemetry::Registry>,
+        /// The flooded end: the responder (`b`) end of the first link
+        /// whose ends two replicas own (any link, with one replica), so
+        /// its owner never started an exchange on it and knows the peer
+        /// only because the set told it.
+        victim: Endpoint,
+        /// The far end, which the forged frames claim to come from.
+        peer: Endpoint,
+        /// While set, the victim's C-DP link loses every `portKeyUpdate`
+        /// the controller sends.
+        lose_updates: Rc<Cell<bool>>,
+        /// `portKeyUpdate`s the controller sent toward the victim.
+        updates_sent: Rc<Cell<u32>>,
+    }
+
+    impl PortFlood {
+        fn new(n_replicas: usize) -> PortFlood {
+            let registry = std::sync::Arc::new(p4auth_telemetry::Registry::new());
+            let mut net = Network::build(
+                Topology::chain(4, 1_000, 200_000),
+                n_replicas,
+                ControllerConfig::default(),
+                0xb007_5eed,
+                |_| None,
+                |_, c| c,
+            );
+            net.enable_telemetry(registry.clone());
+            net.bootstrap_keys();
+            net.enable_defence(DefenceConfig::default());
+            let _ = net.take_events();
+            let (peer, victim) = {
+                let set = net.set.borrow();
+                let split =
+                    |l: &&Link| n_replicas == 1 || set.owner(l.a.node) != set.owner(l.b.node);
+                let (_, l) = dp_dp_links(net.sim.topology())
+                    .find(|(_, l)| split(l))
+                    .expect("a link the replicas split");
+                (l.a, l.b)
+            };
+            let (lose_updates, updates_sent) = (Rc::new(Cell::new(false)), Rc::new(Cell::new(0)));
+            let (lose, sent) = (lose_updates.clone(), updates_sent.clone());
+            let (cpu_link, _) = net
+                .sim
+                .topology()
+                .link_at(victim.node, PortId::new(63))
+                .expect("C-DP link");
+            let tap = Box::new(
+                move |_now, _from, _to, frame: &mut p4auth_netsim::sim::TapFrame| {
+                    let update = p4auth_wire::Message::decode(frame).is_ok_and(|m| {
+                        matches!(
+                            m.body(),
+                            p4auth_wire::body::Body::KeyExchange(
+                                p4auth_wire::body::KeyExchange::PortKeyUpdate { .. }
+                            )
+                        )
+                    });
+                    sent.set(sent.get() + u32::from(update));
+                    match update && lose.get() {
+                        true => p4auth_netsim::sim::TapAction::Drop,
+                        false => p4auth_netsim::sim::TapAction::Forward,
+                    }
+                },
+            );
+            net.sim.install_tap(cpu_link, SwitchId::CONTROLLER, tap);
+            PortFlood {
+                net,
+                registry,
+                victim,
+                peer,
+                lose_updates,
+                updates_sent,
+            }
+        }
+
+        /// Sends a threshold's worth of forged `PortUpdateDirect` offers
+        /// over the link into the victim's port, each failing its digest
+        /// there, and runs 10 ms on. Each rejected offer raises an
+        /// authenticated alert naming the port, a defence signal on the
+        /// victim's port channel. Returns the mitigations it caused.
+        fn flood(&mut self) -> Vec<MitigationKind> {
+            use p4auth_wire::body::{AdhkdRole, KexContext, KeyExchange};
+            let Endpoint { node, port } = self.peer;
+            for i in 0..DefenceConfig::default().reject_threshold {
+                let offer = KeyExchange::Adhkd {
+                    role: AdhkdRole::Offer,
+                    context: KexContext::PortUpdateDirect,
+                    public_key: 0xf0f0 + u64::from(i),
+                    salt: i,
+                };
+                let seq = p4auth_wire::ids::SeqNum::new(1_000 + i);
+                let forged = p4auth_wire::Message::key_exchange(node, port, seq, offer);
+                self.net.sim.inject_frame(node, port, forged.encode());
+            }
+            self.run_for(10_000_000);
+            (self.net.take_events().iter())
+                .filter_map(|e| match *e {
+                    ControllerEvent::DefenceMitigated {
+                        switch,
+                        channel,
+                        kind,
+                    } if (switch, channel) == (self.victim.node, self.victim.port) => Some(kind),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        fn run_for(&mut self, ns: u64) {
+            let until = SimTime::from_ns(self.net.sim.now().as_ns() + ns);
+            self.net.sim.run_until(until);
+        }
+
+        /// Lets one orchestration period pass, then sends what the
+        /// control plane's retry pass re-drives.
+        fn retry_one_period_later(&mut self) {
+            self.run_for(ORCH_PERIOD_NS);
+            let now_ns = self.net.sim.now().as_ns();
+            let retries = self.net.set.borrow_mut().retry_stalled(now_ns);
+            self.net.send_from_controller(retries);
+        }
+
+        /// Both ends' current port key.
+        fn keys(&self) -> [Option<Key64>; 2] {
+            [self.victim, self.peer]
+                .map(|e| self.net.switches[&e.node].borrow().keys(e.port).current())
+        }
+
+        /// `(controller, agent)`: whether each side quarantines the
+        /// victim's port channel.
+        fn quarantined(&self) -> (bool, bool) {
+            let Endpoint { node, port } = self.victim;
+            let controller = self
+                .net
+                .set
+                .borrow()
+                .core(node)
+                .defence_quarantined(node, port);
+            (
+                controller,
+                self.net.switches[&node].borrow().is_quarantined(port),
+            )
+        }
+
+        /// Completed mitigations in the owning core's latency histogram.
+        fn latency_samples(&self) -> u64 {
+            let owner = format!("replica{}", self.net.set.borrow().owner(self.victim.node));
+            (self.registry.snapshot())
+                .histogram("defence_mitigation_latency_ns", &owner)
+                .map_or(0, |h| h.count)
+        }
+    }
+
+    /// A forged DP-DP flood, end to end: the victim's alerts reach the
+    /// core that owns it, whose `on_message` sends the Fig. 14 d
+    /// `portKeyUpdate` toward the peer a port-key init named; both ends
+    /// roll and the mitigation records one latency sample. A second
+    /// crossing inside the escalation window quarantines the channel at
+    /// the agent too, and the next fresh key lifts it on both sides.
+    #[test]
+    fn a_forged_dp_dp_flood_rolls_the_port_key_then_quarantines_the_port() {
+        for n_replicas in [1, 2] {
+            let mut f = PortFlood::new(n_replicas);
+            let bootstrapped = f.keys();
+
+            assert_eq!(f.flood(), [MitigationKind::KeyRollover], "{n_replicas}");
+            assert_eq!(f.updates_sent.get(), 1, "{n_replicas}: one portKeyUpdate");
+            let rolled = f.keys();
+            assert!(
+                rolled[0].is_some() && rolled[0] == rolled[1],
+                "{n_replicas}"
+            );
+            assert_ne!(rolled, bootstrapped, "{n_replicas}: both ends rolled");
+            assert_eq!(f.latency_samples(), 1, "{n_replicas}");
+            assert_eq!(f.quarantined(), (false, false), "{n_replicas}");
+
+            f.lose_updates.set(true);
+            assert_eq!(f.flood(), [MitigationKind::Quarantine], "{n_replicas}");
+            assert_eq!(f.quarantined(), (true, true), "{n_replicas}");
+            assert_eq!(f.keys(), rolled, "{n_replicas}: update lost");
+
+            f.lose_updates.set(false);
+            f.retry_one_period_later();
+            f.run_for(10_000_000);
+            let fresh = f.keys();
+            assert!(fresh[0].is_some() && fresh[0] == fresh[1], "{n_replicas}");
+            assert_ne!(fresh, rolled, "{n_replicas}: the retried update rolled");
+            assert_eq!(f.quarantined(), (false, false), "{n_replicas}: lifted");
+            assert_eq!(f.latency_samples(), 2, "{n_replicas}");
+        }
+    }
+
+    /// A quarantine lifts only when a fresh key lands. A port channel's
+    /// quarantine whose `portKeyUpdate` is lost until the controller
+    /// abandons it stays in force on both sides, agent and controller
+    /// agreeing, and a port-key init on the link clears both.
+    #[test]
+    fn an_abandoned_port_quarantine_holds_on_both_sides_until_a_fresh_key() {
+        for n_replicas in [1, 2] {
+            let mut f = PortFlood::new(n_replicas);
+            assert_eq!(f.flood(), [MitigationKind::KeyRollover], "{n_replicas}");
+            f.lose_updates.set(true);
+            assert_eq!(f.flood(), [MitigationKind::Quarantine], "{n_replicas}");
+            // Eight retries back off over about 100 ms.
+            for _ in 0..40 {
+                f.retry_one_period_later();
+            }
+            assert_eq!(f.net.set.borrow().stats().kex_abandoned, 1);
+            let Endpoint { node, port } = f.victim;
+            assert!(!f.net.set.borrow().core(node).defence_in_flight(node, port));
+            assert_eq!(
+                f.quarantined(),
+                (true, true),
+                "{n_replicas}: both fail closed"
+            );
+
+            f.lose_updates.set(false);
+            let (a, b) = (f.peer, f.victim);
+            let now_ns = f.net.sim.now().as_ns();
+            let init =
+                (f.net.set.borrow_mut()).port_key_init(now_ns, a.node, a.port, b.node, b.port);
+            f.net.send_from_controller(init);
+            f.run_for(10_000_000);
+            assert_eq!(
+                f.quarantined(),
+                (false, false),
+                "{n_replicas}: fresh key lifts both"
+            );
+        }
     }
 }

@@ -25,7 +25,7 @@
 //! deterministic JSON; `repro -- replicas` and the CI two-run gate diff
 //! two independent runs byte for byte.
 
-use crate::harness::{is_dp_dp_link, Network};
+use crate::harness::{dp_dp_links, Network};
 use p4auth_attacks::{ctrl_mitm, digest_flood};
 use p4auth_controller::{ControllerConfig, ControllerEvent, DefenceConfig};
 use p4auth_dataplane::register::RegisterArray;
@@ -164,12 +164,8 @@ pub fn run(config: ReplicatedConfig) -> ReplicatedReport {
         let set = net.set.borrow();
         let sizes: Vec<usize> = set.replicas().iter().map(|r| r.owned().len()).collect();
         assert!(sizes.iter().all(|&s| s > 0), "empty partition");
-        let crossing = net
-            .sim
-            .topology()
-            .links()
-            .iter()
-            .filter(|l| is_dp_dp_link(l) && set.owner(l.a.node) != set.owner(l.b.node))
+        let crossing = dp_dp_links(net.sim.topology())
+            .filter(|(_, l)| set.owner(l.a.node) != set.owner(l.b.node))
             .count();
         assert!(crossing > 0, "no cross-partition links");
         (sizes, crossing)

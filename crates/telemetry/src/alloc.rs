@@ -9,14 +9,24 @@
 //!
 //! The counters are per process, not per thread: a test that asserts on
 //! them must be the only test in its file (cargo runs one file's tests on
-//! parallel threads).
+//! parallel threads). [`thread_allocations`] counts the calling thread's
+//! allocations alone, so no other thread of the process (the test
+//! runner's included) can land in its window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's share of [`ALLOCS`]. Const-initialised and without a
+    /// destructor, so the allocator can reach it at any point of a
+    /// thread's life without allocating.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Wraps [`System`], counting allocator calls and live / peak heap bytes
 /// (relaxed atomics: statistics that publish no other data).
@@ -24,6 +34,7 @@ pub struct CountingAlloc;
 
 fn on_alloc(bytes: usize) {
     ALLOCS.fetch_add(1, Relaxed);
+    THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
     let live = LIVE.fetch_add(bytes as u64, Relaxed) + bytes as u64;
     PEAK.fetch_max(live, Relaxed);
 }
@@ -75,6 +86,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// `realloc`) since process start.
 pub fn allocations() -> u64 {
     ALLOCS.load(Relaxed)
+}
+
+/// Allocator calls that returned memory on the calling thread since it
+/// started.
+pub fn thread_allocations() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
 }
 
 /// Heap bytes currently allocated.
