@@ -401,6 +401,30 @@ impl Exchange {
     }
 }
 
+/// A verified ADHKD leg of a port-key init (Fig. 14 c), as the controller
+/// forwards it: its sender's `(switch, exchange port)` and the public
+/// values it carries.
+#[derive(Clone, Copy)]
+pub(crate) struct RedirectLeg {
+    from: (SwitchId, PortId),
+    role: AdhkdRole,
+    public_key: u64,
+    salt: u32,
+}
+
+/// A redirect leg one core cannot finish alone. Every frame from a switch
+/// reaches that switch's owner and every frame to a switch is sealed by
+/// its owner, so a leg between two partitions passes through the core
+/// that holds its redirect and the core that owns its receiver.
+pub(crate) enum Handoff {
+    /// No redirect on this core awaits the leg: it goes to the core whose
+    /// redirect does.
+    Unclaimed(RedirectLeg),
+    /// This core's redirect sends the leg to a `(switch, exchange port)`
+    /// that another core owns: that core seals it.
+    Seal(RedirectLeg, (SwitchId, PortId)),
+}
+
 /// Where an exchange sits in [`Controller::retry_stalled`]'s order, which
 /// is observable (sequence numbers, RNG draws, telemetry events): a
 /// switch's local exchange by switch id, then port-key exchanges in start
@@ -585,26 +609,12 @@ impl Controller {
         self.exchanges.get(Slot::Local(switch)).is_some()
     }
 
-    /// The established local key and its version for `switch`, if any.
-    /// The key manager reads the version to judge rollover progress; the
-    /// replica set hands both to a redirect's home replica
-    /// ([`Controller::mirror_peer_key`]).
+    /// The established local key and its version for `switch`, if this
+    /// core owns it and has one. The key manager reads the version to judge
+    /// rollover progress.
     pub fn local_key_material(&self, switch: SwitchId) -> Option<(Key64, KeyVersion)> {
         let keys = self.switches.get(&switch)?.end.keys();
         keys.current().map(|k| (k, keys.version()))
-    }
-
-    /// Installs (or refreshes) a *mirrored* local key for a switch owned
-    /// by a different controller replica, so this replica can verify and
-    /// re-seal redirected port-key legs touching that switch. Creates the
-    /// channel if the switch was never registered here; a mirrored
-    /// channel never runs its own exchanges (its `K_seed` is void).
-    pub fn mirror_peer_key(&mut self, switch: SwitchId, key: Key64, version: KeyVersion) {
-        let chan = self
-            .switches
-            .entry(switch)
-            .or_insert_with(|| SwitchChannel::new(Key64::default()));
-        chan.end.mirror(key, version);
     }
 
     /// Rekeys `chan`'s local key and retires the requests the switch can no
@@ -747,18 +757,18 @@ impl Controller {
         let Some(defence) = &mut self.defence else {
             return;
         };
-        let Some(action) = defence.record_signal(self.now_ns, peer, channel) else {
+        let Some(kind) = defence.record_signal(self.now_ns, peer, channel) else {
             return;
         };
         self.stats.defence_mitigations += 1;
         if let Some(t) = &self.telemetry {
             t.defence_mitigations.inc();
-            t.defence_action(self.now_ns, peer, channel, action.kind.as_str());
+            t.defence_action(self.now_ns, peer, channel, kind.as_str());
         }
         events.push(ControllerEvent::DefenceMitigated {
             switch: peer,
             channel,
-            kind: action.kind,
+            kind,
         });
         // Both rungs roll the key: for a quarantine the fresh key is also
         // the exit path.
@@ -952,40 +962,24 @@ impl Controller {
             .map(|(slot, _)| slot)
     }
 
-    /// The pending redirect expecting a `role` leg from `(from, port)`:
-    /// its slot, and the end the leg goes to.
+    /// The pending redirect expecting a `role` leg from `from`, a
+    /// `(switch, exchange port)`: its slot, and the end the leg goes to.
     fn redirect_for(
         &self,
         role: AdhkdRole,
-        from: SwitchId,
-        port: PortId,
+        from: (SwitchId, PortId),
     ) -> Option<(Slot, (SwitchId, PortId))> {
         self.exchanges
             .ports()
             .find_map(|(slot, x)| match x.exchange.redirect_leg(role)? {
-                (sender, dest) if sender == (from, port) => Some((slot, dest)),
+                (sender, dest) if sender == from => Some((slot, dest)),
                 _ => None,
             })
     }
 
-    /// Whether a pending port-key redirect on this core expects a `role`
-    /// leg from `(from, port)`: the leg this core re-seals and forwards.
-    pub(crate) fn expects_redirect_leg(
-        &self,
-        role: AdhkdRole,
-        from: SwitchId,
-        port: PortId,
-    ) -> bool {
-        self.redirect_for(role, from, port).is_some()
-    }
-
-    /// The switches this core's pending port-key redirects name, at
-    /// either end.
-    pub(crate) fn redirect_switches(&self) -> impl Iterator<Item = SwitchId> + '_ {
-        self.exchanges
-            .ports()
-            .filter_map(|(_, x)| x.exchange.redirect_leg(AdhkdRole::Offer))
-            .flat_map(|(initiator, responder)| [initiator.0, responder.0])
+    /// Whether a pending redirect on this core awaits `leg`.
+    pub(crate) fn awaits(&self, leg: &RedirectLeg) -> bool {
+        self.redirect_for(leg.role, leg.from).is_some()
     }
 
     /// Starts port-key initialization between `(sw1, port1)` and
@@ -1174,6 +1168,19 @@ impl Controller {
         from: SwitchId,
         bytes: &[u8],
     ) -> (Vec<Outgoing>, Vec<ControllerEvent>) {
+        let (out, events, _) = self.receive(from, bytes);
+        (out, events)
+    }
+
+    /// [`Controller::on_message`], plus the port-key redirect leg this core
+    /// verified but cannot finish alone: a replica set hands it on within
+    /// the same call, and a standalone core, which owns every switch it
+    /// knows, drops it.
+    pub(crate) fn receive(
+        &mut self,
+        from: SwitchId,
+        bytes: &[u8],
+    ) -> (Vec<Outgoing>, Vec<ControllerEvent>, Option<Handoff>) {
         let mut out = Vec::new();
         // Every frame but a served request or an unmatched key-exchange
         // leg pushes at least one event, an accepted reply exactly one.
@@ -1184,7 +1191,7 @@ impl Controller {
             // neither inflate `auth_reject_bad_digest` nor drive the
             // defence loop toward a needless key rollover.
             self.note_reject(from, RejectReason::Malformed, &mut events);
-            return (out, events);
+            return (out, events, None);
         };
 
         // Quarantined channels drop everything except key exchange — the
@@ -1193,7 +1200,7 @@ impl Controller {
             && !matches!(msg.body(), Body::KeyExchange(_))
         {
             self.note_reject(from, RejectReason::Quarantined, &mut events);
-            return (out, events);
+            return (out, events, None);
         }
 
         if self.config.auth_enabled {
@@ -1255,7 +1262,7 @@ impl Controller {
                         self.count_channel_reject(from, PortId::CPU);
                         self.drive_defence(from, PortId::CPU, &mut out, &mut events);
                     }
-                    return (out, events);
+                    return (out, events, None);
                 }
                 Ok(_) => {
                     if let Some(t) = &self.telemetry {
@@ -1267,7 +1274,7 @@ impl Controller {
             // Nothing verified the sender, and no channel exists to answer
             // on: fail closed with the verdict auth-on mode gives it.
             self.note_reject(from, RejectReason::NoKey, &mut events);
-            return (out, events);
+            return (out, events, None);
         }
 
         match *msg.body() {
@@ -1294,10 +1301,13 @@ impl Controller {
                 self.count_channel_reject(from, channel);
                 self.drive_defence(from, channel, &mut out, &mut events);
             }
-            Body::KeyExchange(kex) => self.on_key_exchange(from, &msg, kex, &mut out, &mut events),
+            Body::KeyExchange(kex) => {
+                let handoff = self.on_key_exchange(from, &msg, kex, &mut out, &mut events);
+                return (out, events, handoff);
+            }
             Body::InNetwork(_) => { /* DP-DP traffic never reaches C */ }
         }
-        (out, events)
+        (out, events, None)
     }
 
     /// Delivers a register response sent as `(version, seq)` to the
@@ -1368,6 +1378,8 @@ impl Controller {
         }
     }
 
+    /// Steps the key exchange a verified `kex` leg from `from` belongs to;
+    /// returns a redirect leg that another core must finish.
     fn on_key_exchange(
         &mut self,
         from: SwitchId,
@@ -1375,7 +1387,7 @@ impl Controller {
         kex: KeyExchange,
         out: &mut Vec<Outgoing>,
         events: &mut Vec<ControllerEvent>,
-    ) {
+    ) -> Option<Handoff> {
         match kex {
             KeyExchange::EakSalt {
                 step: EakStep::Salt2,
@@ -1386,7 +1398,7 @@ impl Controller {
                     ..
                 }) = self.exchanges.get_mut(Slot::Local(from))
                 else {
-                    return;
+                    return None;
                 };
                 let k_auth = eak.on_salt2(salt, &self.kdf);
                 self.channel_mut(from).end.set_auth_key(k_auth);
@@ -1415,7 +1427,7 @@ impl Controller {
                 let slot = Slot::Local(from);
                 let pending = self.exchanges.get(slot).map(|x| &x.exchange);
                 if !matches!(pending, Some(&Exchange::Offer(_, c, ..)) if c == context) {
-                    return;
+                    return None;
                 }
                 if let Some(Exchange::Offer(_, _, init, _)) =
                     self.exchanges.remove(slot).map(|x| x.exchange)
@@ -1474,55 +1486,81 @@ impl Controller {
                 public_key,
                 salt,
             } => {
-                // Fig. 14(c): redirect the leg to the other data plane,
-                // re-sealing with that plane's K_local and rewriting the
-                // port field to the *receiver's* local port. The controller
-                // never learns the port key: `public_key`/`salt` are public
-                // values. Both legs carry the sender's local exchange port
-                // in the header, and matching must use it: a correlated
-                // link recovery starts several exchanges that share a
-                // switch, and switch-only matching would cross their legs.
-                let Some((slot, (dest, dest_port))) =
-                    self.redirect_for(role, from, msg.header().port)
-                else {
-                    return;
+                // Both legs carry the sender's local exchange port in the
+                // header, and matching must use it: a correlated link
+                // recovery starts several exchanges that share a switch,
+                // and switch-only matching would cross their legs.
+                let leg = RedirectLeg {
+                    from: (from, msg.header().port),
+                    role,
+                    public_key,
+                    salt,
                 };
-                // The leg keeps its sender but is numbered afresh in the
-                // destination channel's current generation: the origin's
-                // number belongs to the origin's own key.
-                let fwd = Message::new(
-                    from,
-                    dest_port,
-                    SeqNum::default(),
-                    Body::KeyExchange(KeyExchange::Adhkd {
-                        role,
-                        context: KexContext::PortInitRedirect,
-                        public_key,
-                        salt,
-                    }),
-                );
-                let mac = &self.mac;
-                let bytes = match self.switches.get_mut(&dest) {
-                    Some(chan) if self.config.auth_enabled => chan
-                        .end
-                        .seal(None, fwd, |key, parts| mac.compute(key, parts))
-                        .unwrap_or_else(|fwd| fwd.encode()),
-                    _ => fwd.encode(),
-                };
-                out.push(Outgoing { to: dest, bytes });
-                events.push(ControllerEvent::PortExchangeRedirected { from, to: dest });
-                if let Some(t) = &self.telemetry {
-                    t.kex_step(self.now_ns, "adhkd_redirect");
-                }
-                if role == AdhkdRole::Answer {
-                    // Exchange complete; drop the redirect record (this
-                    // link's only — concurrent exchanges between the same
-                    // switch pair on other ports stay pending).
-                    self.exchanges.remove(slot);
-                }
+                return self.redirect(leg, out, events);
             }
             _ => {}
         }
+        None
+    }
+
+    /// Fig. 14 c: forwards a verified redirect leg by the pending redirect
+    /// that awaits it, toward the other data plane. The answer leg ends
+    /// the redirect (this link's only: concurrent exchanges between the
+    /// same switch pair on other ports stay pending). The controller never
+    /// learns the port key: `public_key` and `salt` are public values.
+    /// Hands the leg back when no redirect here awaits it, or when another
+    /// core owns its destination and must seal it.
+    pub(crate) fn redirect(
+        &mut self,
+        leg: RedirectLeg,
+        out: &mut Vec<Outgoing>,
+        events: &mut Vec<ControllerEvent>,
+    ) -> Option<Handoff> {
+        let Some((slot, to)) = self.redirect_for(leg.role, leg.from) else {
+            return Some(Handoff::Unclaimed(leg));
+        };
+        if leg.role == AdhkdRole::Answer {
+            self.exchanges.remove(slot);
+        }
+        let from = leg.from.0;
+        events.push(ControllerEvent::PortExchangeRedirected { from, to: to.0 });
+        if let Some(t) = &self.telemetry {
+            t.kex_step(self.now_ns, "adhkd_redirect");
+        }
+        match self.seal_leg(leg, to) {
+            Some(frame) => {
+                out.push(frame);
+                None
+            }
+            None => Some(Handoff::Seal(leg, to)),
+        }
+    }
+
+    /// `leg` as the next frame toward `to`, a `(switch, exchange port)`,
+    /// if this core owns its switch: it keeps its sender, carries the
+    /// receiver's port, and is numbered afresh in the receiver's current
+    /// generation (a number belongs to one key's sequence space, and the
+    /// sender's is not the receiver's).
+    pub(crate) fn seal_leg(
+        &mut self,
+        leg: RedirectLeg,
+        to: (SwitchId, PortId),
+    ) -> Option<Outgoing> {
+        let kex = KeyExchange::Adhkd {
+            role: leg.role,
+            context: KexContext::PortInitRedirect,
+            public_key: leg.public_key,
+            salt: leg.salt,
+        };
+        let fwd = Message::new(leg.from.0, to.1, SeqNum::default(), Body::KeyExchange(kex));
+        let (auth, mac) = (self.config.auth_enabled, &self.mac);
+        let end = &mut self.switches.get_mut(&to.0)?.end;
+        let bytes = match auth {
+            true => (end.seal(None, fwd, |key, parts| mac.compute(key, parts)))
+                .unwrap_or_else(|fwd| fwd.encode()),
+            false => fwd.encode(),
+        };
+        Some(Outgoing { to: to.0, bytes })
     }
 }
 
@@ -1547,7 +1585,7 @@ mod tests {
         assert_eq!(msg.digest().value(), 0);
         assert_eq!(c.outstanding(sw), 0);
         assert_eq!(c.stats().requests_sent, 1);
-        c.mirror_peer_key(sw, Key64::new(1), KeyVersion::INITIAL);
+        c.rekey(sw, Key64::new(1), false);
         let out = c.read_register(sw, RegId::new(1), 0);
         assert!(verify_frame(
             &HalfSipHashMac::default(),
@@ -2104,7 +2142,7 @@ mod tests {
     /// A controller whose channel to `sw` holds local key `k`.
     fn keyed_controller(k: Key64) -> (Controller, SwitchId) {
         let (mut c, sw) = controller_with_switch();
-        c.mirror_peer_key(sw, k, KeyVersion::INITIAL);
+        c.rekey(sw, k, false);
         (c, sw)
     }
 

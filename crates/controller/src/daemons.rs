@@ -10,9 +10,9 @@
 //! bulk rollover epochs whose progress lives entirely in the `kmp` table
 //! of the shared [`StateDb`] — which is what makes a mid-rollover
 //! replica restart resumable. Replicas never call each other: the table
-//! is the only orchestration state they share, and what the replica set
-//! reads across cores (an owner's key to mirror, a home core's pending
-//! redirects) lives in the cores, which a restart keeps.
+//! is the only orchestration state they share, and the one thing the
+//! replica set reads across cores, which core's pending redirect awaits a
+//! verified port-key leg, lives in the cores, which a restart keeps.
 //!
 //! ## Rollover state machine (the `kmp` table)
 //!
@@ -24,11 +24,10 @@
 //! | `status(switch)`    | `KexStatus::Done { epoch: e }`             | switch finished its `e`-rollover |
 //! | `fanout(l, e)`      | `latency_ns`                               | replica `l`'s fan-out latency for epoch `e` |
 //!
-//! A switch whose channel is *leased* — a cross-partition port-key
-//! redirect naming it is pending on another replica's core — is left
-//! alone until the redirect completes or its home core abandons it. The
-//! lease is not in the table: the replica set derives it from the home
-//! core's redirect record and hands it to [`KeyManagerDaemon::step`].
+//! A switch's key lives on its owner's core alone, so the daemon may roll
+//! it while a port-key redirect naming the switch is pending on another
+//! replica: that redirect's next leg toward the switch is sealed by the
+//! owner under the current key (see [`crate::replica`]).
 //!
 //! The `pending` baseline version is the crux of KMP-retry safety: a
 //! switch is *done* exactly when its live key version differs from the
@@ -109,22 +108,14 @@ impl KeyManagerDaemon {
     }
 
     /// One deterministic step: reconcile the partition against the
-    /// `kmp` table and issue whatever exchanges are due. `leased` lists
-    /// the owned switches whose channel another replica holds for a
-    /// port-key redirect; they are left alone. Returns the frames to put
-    /// on the wire.
+    /// `kmp` table and issue whatever exchanges are due. Returns the
+    /// frames to put on the wire.
     ///
     /// Each owned switch writes its own status at most once per step, and
     /// the loop never reads a status it wrote in the same step: a switch's
     /// status read precedes its own (sole) status write, and the
     /// cross-switch `partition_done` check runs after the loop.
-    pub fn step(
-        &mut self,
-        db: &mut StateDb,
-        core: &mut Controller,
-        now_ns: u64,
-        leased: &[SwitchId],
-    ) -> Vec<Outgoing> {
+    pub fn step(&mut self, db: &mut StateDb, core: &mut Controller, now_ns: u64) -> Vec<Outgoing> {
         // The table changed since this daemon last looked: its wakeup
         // edge — stamp it into the trace, with the epoch it woke into, so
         // the statedb-write → daemon-wake → KMP chain is visible. The
@@ -172,9 +163,6 @@ impl KeyManagerDaemon {
                 };
                 if completed {
                     db.set_status(switch, KexStatus::Done { epoch });
-                } else if leased.contains(&switch) {
-                    // Channel leased to another replica (cross-partition
-                    // port-key redirect in flight): hands off.
                 } else if !core.kex_in_flight(switch) {
                     out.extend(if core.has_local_key(switch) {
                         core.local_key_update(switch)
@@ -265,7 +253,7 @@ mod tests {
         db.start_epoch(1, 0);
 
         let before = db.writes();
-        let out = km.step(&mut db, &mut core, 0, &[]);
+        let out = km.step(&mut db, &mut core, 0);
         assert!(!out.is_empty(), "rollover exchanges must be issued");
         // Exactly one pending entry per switch, and nothing else.
         assert_eq!(db.writes() - before, switches.len() as u64);
@@ -275,7 +263,7 @@ mod tests {
 
         // Re-stepping with nothing changed: every write no-ops.
         let before = db.writes();
-        let out = km.step(&mut db, &mut core, 0, &[]);
+        let out = km.step(&mut db, &mut core, 0);
         assert!(out.is_empty(), "no double-issue");
         assert_eq!(db.writes(), before, "idempotent tick writes nothing");
     }

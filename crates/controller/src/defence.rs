@@ -6,7 +6,7 @@
 //! counter and lands in the typed event log. This module turns those
 //! detections into *mitigations*: it keeps a sliding-window reject rate
 //! per `(peer, channel)` and, when the rate crosses a configured
-//! threshold, emits a [`MitigationAction`] that the channel's controller
+//! threshold, names a [`MitigationKind`] that the channel's controller
 //! core applies: a key rollover (Fig. 14 b/d) or a channel quarantine.
 //!
 //! Design points:
@@ -68,7 +68,8 @@ impl Default for DefenceConfig {
     }
 }
 
-/// What a [`MitigationAction`] asks the controller to do.
+/// What the defence loop asks the controller core owning a channel to do
+/// (Fig. 14 b for the CPU channel, 14 d for a port).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MitigationKind {
     /// Roll the channel's key (local key for the CPU channel, port key
@@ -87,21 +88,6 @@ impl MitigationKind {
             MitigationKind::Quarantine => "quarantine",
         }
     }
-}
-
-/// One mitigation the defence loop decided on; the controller core owning
-/// the channel applies it (Fig. 14 b for the CPU channel, 14 d for a port).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct MitigationAction {
-    /// The peer whose channel crossed the threshold.
-    pub peer: SwitchId,
-    /// The offending channel (`PortId::CPU` for the C-DP channel).
-    pub channel: PortId,
-    /// What to do about it.
-    pub kind: MitigationKind,
-    /// Simulated time the threshold crossing was detected, for the
-    /// detection-to-mitigation latency histogram.
-    pub detected_at_ns: u64,
 }
 
 /// A mitigation that completed (fresh key installed on the channel).
@@ -158,15 +144,15 @@ impl DefenceState {
     /// Records one auth-failure signal (a `BadDigest`/`Replayed` reject
     /// observed by the controller, or an authenticated agent alert) on
     /// `(peer, channel)` at simulated time `now_ns`. Returns the
-    /// [`MitigationAction`] to apply when this signal is the one that
-    /// crosses the threshold; the caller either applies it or calls
+    /// mitigation to apply when this signal is the one that crosses the
+    /// threshold; the caller either applies it or calls
     /// [`DefenceState::abort`].
     pub fn record_signal(
         &mut self,
         now_ns: u64,
         peer: SwitchId,
         channel: PortId,
-    ) -> Option<MitigationAction> {
+    ) -> Option<MitigationKind> {
         let config = self.config;
         let state = self.channels.entry((peer, channel)).or_default();
         if state.in_flight.is_some() {
@@ -196,12 +182,7 @@ impl DefenceState {
         if kind == MitigationKind::Quarantine {
             state.quarantined = true;
         }
-        Some(MitigationAction {
-            peer,
-            channel,
-            kind,
-            detected_at_ns: now_ns,
-        })
+        Some(kind)
     }
 
     /// Notifies the loop that a fresh key was installed on
@@ -268,13 +249,13 @@ mod tests {
     const S1: SwitchId = SwitchId::new(1);
     const S2: SwitchId = SwitchId::new(2);
 
-    /// Feeds one signal per timestamp and collects the actions returned.
+    /// Feeds one signal per timestamp and collects the mitigations returned.
     fn signals(
         d: &mut DefenceState,
         times: &[u64],
         peer: SwitchId,
         channel: PortId,
-    ) -> Vec<MitigationAction> {
+    ) -> Vec<MitigationKind> {
         times
             .iter()
             .filter_map(|&t| d.record_signal(t, peer, channel))
@@ -293,12 +274,19 @@ mod tests {
     fn threshold_crossing_fires_exactly_one_rollover() {
         let mut d = DefenceState::new(cfg());
         let actions = signals(&mut d, &[100, 200, 300, 400, 500, 600], S1, PortId::CPU);
-        assert_eq!(actions.len(), 1, "one crossing, one action");
-        assert_eq!(actions[0].kind, MitigationKind::KeyRollover);
-        assert_eq!(actions[0].peer, S1);
-        assert_eq!(actions[0].channel, PortId::CPU);
-        assert_eq!(actions[0].detected_at_ns, 300);
+        assert_eq!(
+            actions,
+            [MitigationKind::KeyRollover],
+            "one crossing, one action"
+        );
         assert!(d.mitigation_in_flight(S1, PortId::CPU));
+        // Detected at the third signal: the latency runs from there.
+        assert_eq!(
+            d.on_key_installed(1_300, S1, PortId::CPU)
+                .unwrap()
+                .latency_ns,
+            1_000
+        );
         assert!(!d.is_quarantined(S1, PortId::CPU));
     }
 
@@ -325,13 +313,12 @@ mod tests {
     fn recrossing_soon_after_rollover_escalates_to_quarantine() {
         let mut d = DefenceState::new(cfg());
         let first = signals(&mut d, &[100, 200, 300], S1, PortId::CPU);
-        assert_eq!(first[0].kind, MitigationKind::KeyRollover);
+        assert_eq!(first, [MitigationKind::KeyRollover]);
         d.on_key_installed(1_000, S1, PortId::CPU).unwrap();
         // Attack continues: cross the threshold again inside the
         // escalation window.
         let actions = signals(&mut d, &[1_100, 1_200, 1_300], S1, PortId::CPU);
-        assert_eq!(actions.len(), 1);
-        assert_eq!(actions[0].kind, MitigationKind::Quarantine);
+        assert_eq!(actions, [MitigationKind::Quarantine]);
         assert!(d.is_quarantined(S1, PortId::CPU));
         // A fresh key lifts the quarantine.
         let done = d.on_key_installed(2_300, S1, PortId::CPU).unwrap();
@@ -346,7 +333,7 @@ mod tests {
         d.on_key_installed(1_000, S1, PortId::CPU).unwrap();
         // Far beyond escalation_window_ns: ladder resets to rollover.
         let actions = signals(&mut d, &[100_000, 100_100, 100_200], S1, PortId::CPU);
-        assert_eq!(actions[0].kind, MitigationKind::KeyRollover);
+        assert_eq!(actions, [MitigationKind::KeyRollover]);
     }
 
     #[test]
@@ -361,7 +348,7 @@ mod tests {
         let mut d = DefenceState::new(cfg());
         let actions = signals(&mut d, &[100, 200, 300], S1, PortId::CPU);
         assert_eq!(actions.len(), 1);
-        assert_eq!(actions[0].peer, S1);
+        assert!(d.mitigation_in_flight(S1, PortId::CPU));
         assert!(!d.mitigation_in_flight(S2, PortId::CPU));
         assert!(!d.mitigation_in_flight(S1, PortId::new(2)));
         // Distinct channels on the same peer accumulate separately.

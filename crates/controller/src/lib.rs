@@ -53,7 +53,5 @@ pub mod replica;
 pub mod statedb;
 
 pub use controller::{Controller, ControllerConfig, ControllerEvent, ControllerStats, Outgoing};
-pub use defence::{
-    CompletedMitigation, DefenceConfig, DefenceState, MitigationAction, MitigationKind,
-};
+pub use defence::{CompletedMitigation, DefenceConfig, DefenceState, MitigationKind};
 pub use replica::{ControllerReplica, ReplicaSet};

@@ -19,46 +19,43 @@
 //!   restart-safe (no skipped or doubled derivation; proptested in
 //!   `tests/replica_rollover.rs`).
 //!
-//! * **Cross-partition port-key redirects** — Fig. 14(c) runs both legs
-//!   of an ADHKD exchange through *one* controller endpoint, but the
-//!   two switches may hash to different replicas. The initiator's owner
-//!   becomes the redirect *home*: it mirrors the responder's local key
-//!   (read from the owner's core — the set is one process), refreshes
-//!   that mirror before every retry (the owner may roll the key while the
-//!   redirect is pending), and keeps the one record of the redirect.
-//!   The set derives everything else from that record: a leg goes to
-//!   the core whose pending redirect expects it, and the responder is
-//!   *leased* — its own key manager leaves the key alone — while another
-//!   replica's core has a redirect naming it.
-//!   The lease ends with the record: when the genuine answer leg
-//!   completes the exchange, or when the home core abandons it. A forged
-//!   leg is rejected by the home core and moves nothing. The home is
-//!   handed a key and nothing else: a redirected leg keeps its origin
-//!   switch as sender and is numbered afresh from the home's own copy of
-//!   the destination's key generation (a number belongs to one key's
-//!   sequence space, and the origin's is not the destination's). The
-//!   destination windows each sender apart, so its owner — which may
-//!   well send on that channel mid-redirect, as the controller — and the
-//!   home write different windows. Legs from one origin to one
-//!   destination come from one home as long as a link's exchanges start
-//!   from the same end (the harness starts each from the link's `a`
-//!   end); homes on both ends of one link would share a window.
+//! * **Cross-partition port-key redirects** — Fig. 14(c) relays both
+//!   ADHKD legs of a port-key init through the controller, but the two
+//!   switches may hash to different replicas. One rule keeps every key on
+//!   one core: every frame from a switch goes to that switch's owner, and
+//!   every frame to a switch is sealed by that switch's owner. The
+//!   initiator's owner, the redirect's *home*, starts the exchange and
+//!   holds its one record. The offer leg arrives there and is verified
+//!   there; the responder's owner seals it toward the responder. The
+//!   answer leg arrives at the responder's owner and is verified there,
+//!   in that owner's window; the set hands the verified leg to the core
+//!   whose redirect awaits it, which ends the redirect and seals the leg
+//!   toward the initiator. The hand-off is a value that one
+//!   [`ReplicaSet::on_message`] call passes from core to core and drops;
+//!   nothing is queued. A forged leg is rejected by its sender's owner and
+//!   moves nothing. A redirected leg keeps its origin switch as sender
+//!   and is numbered afresh in the receiver's current generation, from
+//!   the one counter its owner seals every frame to that switch with, so
+//!   an owner may roll its switch's key at any time: the next leg goes
+//!   out under the new key, and the ±1 rule covers a leg already in
+//!   flight. With one replica the home owns both ends and finishes both
+//!   legs itself.
 //!
 //! Determinism: replicas step in index order, partitions iterate in
 //! switch-id order, the state table is `BTreeMap`-backed, and each
 //! replica's RNG seed derives from the base seed and its index — so a
-//! run with the same topology and seeds is bit-identical, which the CI
-//! two-run gate checks end-to-end.
+//! run with the same topology and seeds is bit-identical, which the
+//! pinned artefacts (`ARTEFACTS.txt`) check end to end.
 
-use crate::controller::{Controller, ControllerConfig, ControllerEvent, ControllerStats, Outgoing};
+use crate::controller::{
+    Controller, ControllerConfig, ControllerEvent, ControllerStats, Handoff, Outgoing,
+};
 use crate::daemons::KeyManagerDaemon;
 use crate::defence::DefenceConfig;
 use crate::statedb::StateDb;
 use p4auth_primitives::Key64;
 use p4auth_telemetry::Registry;
-use p4auth_wire::body::{Body, KexContext, KeyExchange};
 use p4auth_wire::ids::{PortId, RegId, SwitchId};
-use p4auth_wire::Message;
 use std::sync::Arc;
 
 /// SplitMix64 finalizer — the partition hash. Deterministic across
@@ -196,46 +193,52 @@ impl ReplicaSet {
         }
     }
 
-    /// Routes one frame from `switch` to the responsible replica: a
-    /// port-key redirect leg to the core whose pending redirect expects
-    /// it (the redirect's *home*), anything else to the sender's owner.
+    /// Routes one frame from `from` to its owner, which verifies it. A
+    /// verified port-key redirect leg that the owner cannot finish alone
+    /// goes on within this call: to the core whose redirect awaits it, then
+    /// to the core that owns its receiver, which seals it (module docs).
     pub fn on_message(
         &mut self,
         now_ns: u64,
         from: SwitchId,
         bytes: &[u8],
     ) -> (Vec<Outgoing>, Vec<ControllerEvent>) {
-        let mut target = self.owner(from);
-        // With one replica every redirect's home is the owner: skip the
-        // sniffing decode (the core decodes the frame itself).
-        if self.replicas.len() > 1 {
-            if let Ok(msg) = Message::decode(bytes) {
-                if let Body::KeyExchange(KeyExchange::Adhkd {
-                    context: KexContext::PortInitRedirect,
-                    role,
-                    ..
-                }) = msg.body()
-                {
-                    let port = msg.header().port;
-                    target = self
-                        .replicas
-                        .iter()
-                        .position(|r| r.core.expects_redirect_leg(*role, from, port))
-                        .unwrap_or(target);
-                }
+        let (mut out, mut events, handoff) = self.core_at(now_ns, from).receive(from, bytes);
+        if let Some(handoff) = handoff {
+            self.hand_off(now_ns, handoff, &mut out, &mut events);
+        }
+        (out, events)
+    }
+
+    /// Finishes a verified redirect leg that its sender's owner handed
+    /// back: the core whose redirect awaits it forwards it, and the
+    /// receiver's owner seals it.
+    fn hand_off(
+        &mut self,
+        now_ns: u64,
+        mut handoff: Handoff,
+        out: &mut Vec<Outgoing>,
+        events: &mut Vec<ControllerEvent>,
+    ) {
+        if let Handoff::Unclaimed(leg) = handoff {
+            let Some(r) = self.replicas.iter_mut().find(|r| r.core.awaits(&leg)) else {
+                return;
+            };
+            r.core.set_now(now_ns);
+            match r.core.redirect(leg, out, events) {
+                Some(next) => handoff = next,
+                None => return,
             }
         }
-        let r = &mut self.replicas[target];
-        r.core.set_now(now_ns);
-        r.core.on_message(from, bytes)
+        if let Handoff::Seal(leg, to) = handoff {
+            out.extend(self.core_mut(to.0).seal_leg(leg, to));
+        }
     }
 
     /// Starts port-key initialization between `(sw1, port1)` and
-    /// `(sw2, port2)` on the initiator's owner, the redirect home (see
-    /// [`Controller::port_key_init`]). `sw2`'s owner learns the link too,
-    /// for a mitigation on `sw2`'s port. If `sw2` hashes to another
-    /// replica, a started exchange has the home mirror `sw2`'s local key,
-    /// and `sw2` stays leased while the home's record is pending.
+    /// `(sw2, port2)` on the initiator's owner, which holds the redirect
+    /// (see [`Controller::port_key_init`]). `sw2`'s owner learns the link
+    /// too, for a mitigation on `sw2`'s port.
     pub fn port_key_init(
         &mut self,
         now_ns: u64,
@@ -244,42 +247,9 @@ impl ReplicaSet {
         sw2: SwitchId,
         port2: PortId,
     ) -> Vec<Outgoing> {
-        let home = self.owner(sw1);
         self.core_mut(sw2).learn_link((sw1, port1), (sw2, port2));
-        let out = self
-            .core_at(now_ns, sw1)
-            .port_key_init(sw1, port1, sw2, port2);
-        if !out.is_empty() {
-            self.refresh_mirrors(home);
-        }
-        out
-    }
-
-    /// Has replica `home`'s core mirror the current local key of every
-    /// switch that its pending redirects name and another replica owns.
-    fn refresh_mirrors(&mut self, home: usize) {
-        let peers: Vec<SwitchId> = self.replicas[home]
-            .core
-            .redirect_switches()
-            .filter(|&s| self.owner(s) != home)
-            .collect();
-        for s in peers {
-            if let Some((k, v)) = self.core(s).local_key_material(s) {
-                self.replicas[home].core.mirror_peer_key(s, k, v);
-            }
-        }
-    }
-
-    /// Whether `switch` is leased: a replica other than its owner has a
-    /// pending port-key redirect naming it, so its own key manager leaves
-    /// its key alone until the home core completes or abandons the
-    /// exchange.
-    pub fn leased(&self, switch: SwitchId) -> bool {
-        let owner = self.owner(switch);
-        self.replicas
-            .iter()
-            .enumerate()
-            .any(|(i, r)| i != owner && r.core.redirect_switches().any(|s| s == switch))
+        self.core_at(now_ns, sw1)
+            .port_key_init(sw1, port1, sw2, port2)
     }
 
     /// Whether `switch`'s owner has its local key established.
@@ -306,21 +276,12 @@ impl ReplicaSet {
     /// Re-drives stalled key exchanges on every replica, in index order
     /// (see [`Controller::retry_stalled`]).
     pub fn retry_stalled(&mut self, now_ns: u64) -> Vec<Outgoing> {
-        (0..self.replicas.len())
-            .flat_map(|i| self.retry_replica(i, now_ns))
+        (self.replicas.iter_mut())
+            .flat_map(|r| {
+                r.core.set_now(now_ns);
+                r.core.retry_stalled()
+            })
             .collect()
-    }
-
-    /// Re-drives replica `i`'s stalled key exchanges, the one retry path.
-    /// As a redirect home it first refreshes its mirrors: the owner of a
-    /// redirect's responder may have rolled that key since the exchange
-    /// began, and a leg sealed under the stale mirror would be rejected at
-    /// the responder.
-    fn retry_replica(&mut self, i: usize, now_ns: u64) -> Vec<Outgoing> {
-        self.refresh_mirrors(i);
-        let core = &mut self.replicas[i].core;
-        core.set_now(now_ns);
-        core.retry_stalled()
     }
 
     /// Reports a DP-DP port-key install to the owner's defence
@@ -369,16 +330,10 @@ impl ReplicaSet {
     /// Steps only replica `i` — the proptest uses this to interleave
     /// replica progress arbitrarily.
     pub fn step_replica(&mut self, i: usize, now_ns: u64) -> Vec<Outgoing> {
-        let leased: Vec<SwitchId> = self.replicas[i]
-            .owned()
-            .iter()
-            .copied()
-            .filter(|&s| self.leased(s))
-            .collect();
         let r = &mut self.replicas[i];
         r.core.set_now(now_ns);
-        let mut out = r.km.step(&mut self.db, &mut r.core, now_ns, &leased);
-        out.extend(self.retry_replica(i, now_ns));
+        let mut out = r.km.step(&mut self.db, &mut r.core, now_ns);
+        out.extend(r.core.retry_stalled());
         out
     }
 
@@ -421,11 +376,10 @@ impl ReplicaSet {
     ///
     /// This is not a controller restart: the protocol core (keys,
     /// sequence counters and replay windows, pending exchanges and
-    /// redirects and the leases derived from them, the defence loop's
-    /// windows and in-flight mitigations) is kept as it was. A controller
-    /// that loses that state too is a fresh [`Controller`] with the same
-    /// `K_seed`s, which must run `local_key_init` toward every switch it
-    /// owns (`controller::tests::a_restarted_controller_rejoins_after_20_rollovers`).
+    /// redirects, the defence loop's windows and in-flight mitigations)
+    /// is kept as it was. A controller that loses that state too is a
+    /// fresh [`Controller`] with the same `K_seed`s, which must run
+    /// `local_key_init` toward every switch it owns (`controller::tests::a_restarted_controller_rejoins_after_20_rollovers`).
     pub fn restart_replica(&mut self, i: usize) {
         let r = &mut self.replicas[i];
         r.km = KeyManagerDaemon::new(&self.db, r.owned().to_vec(), i);
@@ -455,6 +409,7 @@ mod tests {
     use p4auth_core::agent::{AgentConfig, P4AuthSwitch};
     use p4auth_core::auth::RejectReason;
     use p4auth_dataplane::register::RegisterArray;
+    use p4auth_wire::Message;
     use std::collections::BTreeMap;
 
     type Agents = BTreeMap<SwitchId, P4AuthSwitch>;
@@ -573,7 +528,7 @@ mod tests {
     /// different homes, in flight at once — what any correlated link
     /// recovery produces. Legs match redirects by `(switch, port)`, so
     /// whichever answer leg arrives first completes only its own
-    /// redirect, and `r` stays leased until the second.
+    /// redirect.
     #[test]
     fn concurrent_redirects_sharing_a_responder_both_complete() {
         const N: usize = 3;
@@ -612,20 +567,17 @@ mod tests {
                 assert_eq!(answers.len(), 1, "one answer leg from {r}");
                 answers.remove(0).1
             };
-            let answer_a = answer_of(&mut set, a, p1);
-            let answer_b = answer_of(&mut set, b, p2);
-            let leased = |set: &ReplicaSet| set.leased(r);
-            assert!(leased(&set), "responder leased while redirects are open");
-
-            let (first, second) = if a_answers_first {
-                (answer_a, answer_b)
-            } else {
-                (answer_b, answer_a)
+            // `r` answers in the order its answers reach the set: its owner
+            // keeps one window on `r`'s frames, where a leg that arrives
+            // behind a later one from `r` is a replay.
+            let order = match a_answers_first {
+                true => [(a, p1), (b, p2)],
+                false => [(b, p2), (a, p1)],
             };
+            let [first, second] = order.map(|(init, r_port)| answer_of(&mut set, init, r_port));
             let (out, _) = set.on_message(1_000, r, &first);
             assert_eq!(out.len(), 1, "first answer leg redirected to its initiator");
             deliver(out);
-            assert!(leased(&set), "the other exchange still needs the lease");
             let (out, _) = set.on_message(1_000, r, &second);
             assert_eq!(
                 out.len(),
@@ -633,7 +585,6 @@ mod tests {
                 "second answer leg redirected to its initiator"
             );
             deliver(out);
-            assert!(!leased(&set), "lease released with the last redirect");
 
             for (init, r_port) in [(a, p1), (b, p2)] {
                 let k_init = agents[&init].keys(p1).current();
@@ -644,13 +595,93 @@ mod tests {
         }
     }
 
-    /// A redirect's home mirrors the responder's local key when the
-    /// exchange starts. The responder's owner may roll that key while the
-    /// redirect is pending (a defence rollover, say): a retry must carry
-    /// the owner's current key, or the responder rejects every redirected
-    /// offer until the home abandons the exchange. One rollover is covered
-    /// by the previous generation (±1), two are not. `retry` is the path
-    /// under test, called at each retry instant.
+    /// Two links between `x` and `y` (in different partitions when there
+    /// are several), one initialised from each end, so the two redirects
+    /// have different homes and each switch receives a redirected leg of
+    /// each. Every frame toward a switch is sealed by its owner from one
+    /// counter, so neither receiver sees a genuine leg behind another one:
+    /// both links agree with no retry, no replay and no alert.
+    #[test]
+    fn links_started_from_opposite_ends_complete_without_a_retry() {
+        let (p1, p2) = (PortId::new(1), PortId::new(2));
+        for n in 1..=3 {
+            let x = pick(n, 0);
+            let y = match n {
+                1 => SwitchId::new(x.value() + 1),
+                _ => pick(n, 1),
+            };
+            let (mut set, mut agents) = fleet(n, &seeds_for([x, y]));
+            let from_y = set.port_key_init(2_000, y, p2, x, p2);
+            pump(&mut set, &mut agents, 2_000, from_y);
+            let from_x = set.port_key_init(2_000, x, p1, y, p1);
+            pump(&mut set, &mut agents, 2_000, from_x);
+
+            for port in [p1, p2] {
+                let key = agents[&x].keys(port).current();
+                assert!(key.is_some(), "N = {n}: {x}:{port} has its port key");
+                assert_eq!(key, agents[&y].keys(port).current(), "N = {n}: {port}");
+            }
+            for id in [x, y] {
+                let stats = agents[&id].stats();
+                assert_eq!((stats.replays, stats.alerts_sent), (0, 0), "N = {n}: {id}");
+            }
+            assert_eq!(set.stats().kex_abandoned, 0, "N = {n}");
+        }
+    }
+
+    /// The responder's owner rolls its key between two copies of one
+    /// redirected offer (the original and the home's retry): the responder
+    /// answers the copy under the new key from its dedupe cache rather
+    /// than deriving a second port key, so whichever answer completes the
+    /// redirect, both ends hold one key.
+    #[test]
+    fn an_offer_copy_sealed_after_a_responder_rollover_derives_nothing_new() {
+        let (a, r, port) = (pick(2, 0), pick(2, 1), PortId::new(1));
+        let (mut set, mut agents) = fleet(2, &seeds_for([a, r]));
+        let t = 2_000;
+        let mut kicks = set.port_key_init(t, a, port, r, port);
+        kicks.extend(set.retry_stalled(t + 200_000));
+        assert_eq!(kicks.len(), 2, "portKeyInit and its retry");
+        let offers: Vec<Vec<u8>> = kicks
+            .into_iter()
+            .map(|o| reply(&mut agents, t, o))
+            .collect();
+        let body = |frame: &[u8]| Message::decode(frame).expect("a frame").body().clone();
+        assert_eq!(
+            body(&offers[0]),
+            body(&offers[1]),
+            "the retry re-sends the offer"
+        );
+
+        let mut answers = Vec::new();
+        for (i, offer) in offers.iter().enumerate() {
+            if i == 1 {
+                let update = set.core_at(t, r).local_key_update(r);
+                pump(&mut set, &mut agents, t, update);
+            }
+            let (mut copy, _) = set.on_message(t, a, offer);
+            answers.push(reply(&mut agents, t, copy.remove(0)));
+        }
+        assert_eq!(
+            body(&answers[0]),
+            body(&answers[1]),
+            "one answer, from the cache"
+        );
+        for answer in answers {
+            let (out, _) = set.on_message(t, r, &answer);
+            pump(&mut set, &mut agents, t, out);
+        }
+        let key = agents[&a].keys(port).current();
+        assert!(key.is_some(), "{a} installed its port key");
+        assert_eq!(key, agents[&r].keys(port).current());
+    }
+
+    /// The responder's owner may roll its key while a redirect naming it is
+    /// pending (a defence rollover, say): the redirected offer must go out
+    /// under the owner's current key, or the responder rejects every copy
+    /// until the home abandons the exchange. One rollover is covered by the
+    /// previous generation (±1), two are not. `retry` is the path under
+    /// test, called at each retry instant.
     fn retried_redirect_carries_the_responders_current_key(
         retry: fn(&mut ReplicaSet, u64) -> Vec<Outgoing>,
     ) {
@@ -677,7 +708,6 @@ mod tests {
             );
             assert_eq!(k_init, k_resp, "{rollovers} rollovers: both ends agree");
             assert_eq!(set.stats().kex_abandoned, 0, "{rollovers} rollovers");
-            assert!(!set.leased(r), "{rollovers} rollovers: lease released");
         }
     }
 
@@ -687,8 +717,7 @@ mod tests {
     }
 
     /// The orchestration tick's path (`step`: each daemon, then its
-    /// replica's retries) refreshes the home's mirrors too, as
-    /// `retry_stalled` does: there is one retry path.
+    /// replica's retries) behaves as `retry_stalled` does.
     #[test]
     fn a_redirect_retried_by_the_orchestration_step_carries_the_responders_current_key() {
         retried_redirect_carries_the_responders_current_key(ReplicaSet::step);
@@ -846,15 +875,15 @@ mod tests {
         assert_eq!((db.epoch(), db.started(1)), (1, Some(240_000)));
         for &(sw, _) in &seeds {
             assert_eq!(db.status(sw), Some(KexStatus::Done { epoch: 1 }), "{sw}");
-            assert!(!set.leased(sw));
         }
         assert_eq!((db.fanout(0, 1), db.fanout(1, 1)), (Some(1), Some(1)));
     }
 
-    /// A cross-partition redirect hands the home replica the responder's
-    /// *key*, never its sequence counter: the owner keeps sending on the
-    /// channel while the redirect is open, and closing the redirect must
-    /// not touch what the owner counted meanwhile (`INV-ACC-MONOTONIC`).
+    /// A cross-partition redirect leaves the responder's channel with its
+    /// owner: the owner keeps sending on it while the redirect is open,
+    /// seals the redirected legs from the same counter, and closing the
+    /// redirect must not touch what the owner counted meanwhile
+    /// (`INV-ACC-MONOTONIC`).
     #[test]
     fn redirect_never_rewinds_the_owners_sequence_counter() {
         // Initiator `a` (its owner is the redirect home) and responder `r`.
@@ -902,9 +931,8 @@ mod tests {
     }
 
     /// A cross-partition redirect whose every frame is lost ends when its
-    /// home core abandons it, and the responder's lease ends with it: a
-    /// bulk epoch started afterwards rolls the responder too and
-    /// completes.
+    /// home core abandons it, and a bulk epoch started afterwards rolls
+    /// the responder too and completes.
     #[test]
     fn abandoned_redirect_releases_its_responder() {
         let (a, r) = (pick(2, 0), pick(2, 1));
@@ -912,7 +940,6 @@ mod tests {
         let (mut set, mut agents) = fleet(2, &seeds_for([a, r]));
         let mut t = 2_000;
         assert_eq!(set.port_key_init(t, a, port, r, port).len(), 1, "lost");
-        assert!(set.leased(r));
         // Geometric steps outrun any backoff; every re-drive is lost too.
         for round in 0..40 {
             if set.stats().kex_abandoned > 0 {
@@ -922,7 +949,6 @@ mod tests {
             set.retry_stalled(t);
         }
         assert_eq!(set.stats().kex_abandoned, 1);
-        assert!(!set.leased(r), "the lease ends with the abandoned record");
 
         assert_eq!(set.start_bulk_rollover(t), Some(1));
         for round in 0..4 {
@@ -933,8 +959,8 @@ mod tests {
         assert_eq!(set.db().status(r), Some(KexStatus::Done { epoch: 1 }));
     }
 
-    /// A forged copy of a redirect's answer leg is rejected by the home
-    /// core and moves nothing: the responder stays leased, and the genuine
+    /// A forged copy of a redirect's answer leg is rejected by the
+    /// responder's owner, not the home, and moves nothing: the genuine
     /// leg, arriving after it, completes the exchange.
     #[test]
     fn forged_answer_leg_leaves_the_redirect_pending() {
@@ -957,7 +983,8 @@ mod tests {
                 reason: RejectReason::BadDigest
             }]
         );
-        assert!(set.leased(r), "a rejected leg moves no redirect state");
+        let rejected = |i: usize| set.replicas()[i].core.stats().rejected;
+        assert_eq!((rejected(set.owner(r)), rejected(set.owner(a))), (1, 0));
 
         let (redirected, events) = set.on_message(2_000, r, &answer_leg);
         assert_eq!(redirected.len(), 1, "the genuine leg is redirected");
@@ -969,7 +996,6 @@ mod tests {
         let key = agents[&a].keys(port).current();
         assert!(key.is_some(), "{a} installed its port key");
         assert_eq!(key, agents[&r].keys(port).current());
-        assert!(!set.leased(r));
     }
 
     /// A copy of an in-flight write with one digest byte flipped is

@@ -6,9 +6,9 @@
 //! must converge every switch to the same epoch with *exactly one* key
 //! derivation per switch — never a skipped epoch (a switch left on the
 //! old key) and never a doubled one (two derivations aliased into one
-//! epoch, which would desynchronize controller and data plane) — and
-//! must leave no switch leased once every exchange has completed or been
-//! abandoned.
+//! epoch, which would desynchronize controller and data plane) — and no
+//! replica's core may ever hold the key of a switch another replica owns,
+//! cross-partition port-key exchanges included.
 //!
 //! The test runs the real protocol: a [`ReplicaSet`] against real
 //! [`P4AuthSwitch`] agents over a lossy in-memory message queue, driven
@@ -17,7 +17,7 @@
 //! retry eventually fires).
 
 use p4auth_controller::replica::partition_of;
-use p4auth_controller::{ControllerConfig, ReplicaSet};
+use p4auth_controller::{ControllerConfig, ControllerEvent, ReplicaSet};
 use p4auth_core::agent::{AgentConfig, P4AuthSwitch};
 use p4auth_primitives::Key64;
 use p4auth_wire::ids::{PortId, SwitchId};
@@ -66,6 +66,8 @@ struct Fixture {
     now: u64,
     /// An initiator and a responder owned by different replicas.
     link: (SwitchId, SwitchId),
+    /// Port-key inits started whose answer leg no core has redirected yet.
+    open_inits: u64,
 }
 
 impl Fixture {
@@ -92,17 +94,38 @@ impl Fixture {
             queue: VecDeque::new(),
             now: 1_000,
             link,
+            open_inits: 0,
         }
     }
 
     fn port_init(&mut self, port: u8) {
         let ((a, r), port) = (self.link, PortId::new(port));
         let out = self.set.port_key_init(self.now, a, port, r, port);
+        self.open_inits += u64::from(!out.is_empty());
         self.enqueue(out);
     }
 
-    fn any_leased(&self) -> bool {
-        self.agents.keys().any(|&id| self.set.leased(id))
+    /// The switch whose key a core other than its owner holds, if any:
+    /// every key must live on the one core that computes with it.
+    fn key_outside_its_owner(&self) -> Option<SwitchId> {
+        self.agents.keys().copied().find(|&id| {
+            let owner = self.set.owner(id);
+            let others = self.set.replicas().iter().enumerate();
+            others
+                .filter(|&(i, _)| i != owner)
+                .any(|(_, r)| r.core.local_key_material(id).is_some())
+        })
+    }
+
+    /// Whether every port-key init has ended or been abandoned: each one
+    /// started has had its answer leg redirected to the initiator, bar
+    /// abandoned ones. Both ends then hold one key, except where the
+    /// redirected answer was lost, or a leg of an earlier exchange on the
+    /// same link was still in flight and the later redirect took it: the
+    /// controller forgets a redirect once it forwards the answer, and an
+    /// answer leg names no offer.
+    fn port_inits_settled(&self) -> bool {
+        self.open_inits <= self.set.stats().kex_abandoned
     }
 
     fn enqueue(&mut self, out: Vec<p4auth_controller::Outgoing>) {
@@ -122,7 +145,12 @@ impl Fixture {
             .expect("frame addressed to a known switch")
             .on_packet(self.now, PortId::CPU, &bytes);
         for (_, resp) in output.outputs {
-            let (more, _) = self.set.on_message(self.now, to, &resp);
+            let (more, events) = self.set.on_message(self.now, to, &resp);
+            let answer = ControllerEvent::PortExchangeRedirected {
+                from: self.link.1,
+                to: self.link.0,
+            };
+            self.open_inits -= events.iter().filter(|&e| *e == answer).count() as u64;
             self.enqueue(more);
         }
     }
@@ -162,7 +190,8 @@ impl Fixture {
     /// Deterministic drain: geometrically growing time steps guarantee
     /// every capped-backoff retry (and every re-issued exchange after an
     /// abandon) eventually fires, whatever state the schedule left. It
-    /// ends once the epoch is complete and no redirect holds a lease.
+    /// ends once the epoch is complete and every port-key init has ended
+    /// or been abandoned.
     fn drain_to_convergence(&mut self) {
         for round in 0..64u32 {
             self.step_all(200_000u64 << round.min(22));
@@ -175,11 +204,11 @@ impl Fixture {
             while !self.queue.is_empty() {
                 self.deliver_oldest();
             }
-            if self.set.rollover_complete() && !self.any_leased() {
+            if self.set.rollover_complete() && self.port_inits_settled() {
                 return;
             }
         }
-        panic!("rollover did not converge, or a lease outlived its exchange");
+        panic!("rollover did not converge, or a port-key init never settled");
     }
 
     fn step_all(&mut self, dt: u64) {
@@ -231,10 +260,11 @@ proptest! {
                 Op::Step(i) => fx.step_replica(i, 300_000),
                 Op::PortInit(port) => fx.port_init(port),
             }
+            prop_assert_eq!(fx.key_outside_its_owner(), None, "after op {} ({:?})", i, op);
         }
 
         fx.drain_to_convergence();
-        prop_assert!(!fx.any_leased(), "a lease outlived its exchange");
+        prop_assert_eq!(fx.key_outside_its_owner(), None);
 
         // Starting the next epoch is legal again — the previous one is
         // fully accounted for in the table.

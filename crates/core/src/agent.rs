@@ -320,7 +320,9 @@ pub struct P4AuthSwitch {
     /// re-deriving — deriving twice for one exchange would move the key
     /// version twice while the initiator counts one rollover. The same
     /// offer under another key is a new exchange (a restarted initiator
-    /// drawing the same randomness).
+    /// drawing the same randomness), except a redirected port-key offer:
+    /// its initiator is a switch, whose reboot draws fresh randomness, and
+    /// the key it opens under is the local key, which may roll mid-exchange.
     answered_offers: IdMap<(KexContext, PortId), AnsweredOffer>,
     app: Option<Box<dyn InNetworkApp>>,
     /// The Fig. 15 mapping table, declared by [`P4AuthSwitch::new`].
@@ -543,11 +545,16 @@ impl P4AuthSwitch {
         }
     }
 
-    /// `msg` as the next frame on `port`'s channel: sealed, or plain
-    /// while the channel has no key yet. `None` past the key register.
-    /// Starts an ADHKD exchange this switch initiates on `slot`, replacing
-    /// a pending one, and returns its offer.
-    fn start_port_kex(&mut self, context: KexContext, slot: PortId) -> AdhkdPayload {
+    /// The offer of `slot`'s pending port-key exchange, started now if none
+    /// is pending. A repeated `portKeyInit` or `portKeyUpdate` (the
+    /// controller's retry, or the original overtaken by it) re-sends the
+    /// pending offer unchanged: a fresh one would replace the initiator an
+    /// answer to the first is finished with, and the two ends would derive
+    /// different keys.
+    fn pending_port_kex(&mut self, context: KexContext, slot: PortId) -> AdhkdPayload {
+        if let Some(&(_, offer)) = self.pending_kex.get(&(context, slot)) {
+            return offer;
+        }
         let (initiator, offer) = AdhkdInitiator::start(DhParams::recommended(), &mut self.rng);
         self.pending_kex.insert((context, slot), (initiator, offer));
         offer
@@ -571,6 +578,8 @@ impl P4AuthSwitch {
         self.seal_on(port, msg).map(|frame| (port, frame))
     }
 
+    /// `msg` as the next frame on `port`'s channel: sealed, or plain
+    /// while the channel has no key yet. `None` past the key register.
     fn seal_on(&mut self, port: PortId, msg: Message) -> Option<Vec<u8>> {
         let mac = self.chassis.hash_mac();
         let end = self.ends.get_mut(port.key_index())?;
@@ -1113,11 +1122,18 @@ impl P4AuthSwitch {
             } => {
                 // A retransmission of an already-answered offer (the
                 // initiator's stall-retry overtaken by the original): the
-                // key was derived once; only the answer is repeated.
+                // key was derived once; only the answer is repeated. A
+                // redirected port-key offer opens under this switch's
+                // local key, which the controller may roll while the
+                // exchange is open: a copy sealed under the new key is
+                // still the same offer.
+                let redirected = context == KexContext::PortInitRedirect;
                 let cached = self
                     .answered_offers
                     .get(&(context, slot))
-                    .filter(|a| a.key == opened.key && a.offer == (public_key, salt))
+                    .filter(|a| {
+                        (redirected || a.key == opened.key) && a.offer == (public_key, salt)
+                    })
                     .map(|a| a.answer);
                 let (answer_pk, answer_salt) = match cached {
                     Some(cached) => cached,
@@ -1188,21 +1204,13 @@ impl P4AuthSwitch {
                 // Fig. 14(c): become the ADHKD initiator; the offer is
                 // redirected via the controller, sealed with K_local.
                 let context = KexContext::PortInitRedirect;
-                let offer = self.start_port_kex(context, peer_port);
+                let offer = self.pending_port_kex(context, peer_port);
                 outputs.extend(self.seal_offer(PortId::CPU, context, peer_port, offer));
             }
             KeyExchange::PortKeyUpdate { peer: _, peer_port } => {
                 // Fig. 14(d): direct DP-DP ADHKD under the current K_port.
-                // A repeated portKeyUpdate (the controller's retry, or the
-                // original overtaken by it) while this port's update is
-                // pending re-sends the pending offer unchanged: a fresh one
-                // would replace the initiator an answer to the first is
-                // finished with, and the two ends would derive different keys.
                 let context = KexContext::PortUpdateDirect;
-                let offer = match self.pending_kex.get(&(context, peer_port)) {
-                    Some(&(_, offer)) => offer,
-                    None => self.start_port_kex(context, peer_port),
-                };
+                let offer = self.pending_port_kex(context, peer_port);
                 outputs.extend(self.seal_offer(peer_port, context, peer_port, offer));
             }
         }

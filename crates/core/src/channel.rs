@@ -100,12 +100,6 @@ impl ChannelEnd {
         }
     }
 
-    /// Overwrites the slot with a key derived elsewhere, at the publisher's
-    /// version (a switch owned by a peer controller replica).
-    pub fn mirror(&mut self, key: Key64, version: KeyVersion) {
-        self.keys.force(key, version);
-    }
-
     /// The version and number of the last frame sealed under the current
     /// slot generation or, with no key, numbered by `seal_plain`.
     pub fn last_sent(&self) -> (KeyVersion, SeqNum) {

@@ -108,17 +108,6 @@ impl KeySlot {
         let fresh = Generation::new(key, self.version().next());
         self.previous = self.current.replace(fresh);
     }
-
-    /// A fresh generation of a key derived elsewhere, at the publisher's
-    /// `version`, keeping the current one only if the publisher rolled
-    /// once; the same key at the same version changes nothing.
-    pub(crate) fn force(&mut self, key: Key64, version: KeyVersion) {
-        if self.current() == Some(key) && self.version() == version {
-            return;
-        }
-        let old = self.current.replace(Generation::new(key, version));
-        self.previous = old.filter(|g| version.is_predecessor(g.version));
-    }
 }
 
 #[cfg(test)]
@@ -181,34 +170,6 @@ mod tests {
     #[test]
     fn future_versions_rejected() {
         assert_eq!(slot(1).select(KeyVersion::new(5)), None);
-    }
-
-    #[test]
-    fn force_drops_the_previous_generation() {
-        let mut s = slot(1);
-        s.force(Key64::new(9), KeyVersion::new(4));
-        assert_eq!(s.select(KeyVersion::new(4)), Some(Key64::new(9)));
-        assert_eq!(s.select(KeyVersion::new(3)), None);
-        assert_eq!(s.select(KeyVersion::INITIAL), None);
-    }
-
-    #[test]
-    fn force_one_version_ahead_keeps_the_previous_generation() {
-        let mut s = slot(1);
-        let v1 = KeyVersion::INITIAL.next();
-        s.force(Key64::new(2), v1);
-        assert_eq!(s.select(v1), Some(Key64::new(2)));
-        assert_eq!(s.select(KeyVersion::INITIAL), Some(Key64::new(1)));
-    }
-
-    #[test]
-    fn force_with_the_same_key_and_version_changes_nothing() {
-        let mut s = slot(1);
-        s.rollover(Key64::new(2));
-        s.current.as_mut().unwrap().sent = SeqNum::new(5);
-        s.force(Key64::new(2), KeyVersion::INITIAL.next());
-        assert_eq!(s.select(KeyVersion::INITIAL), Some(Key64::new(1)));
-        assert_eq!(s.generations().next().unwrap().last_sent(), SeqNum::new(5));
     }
 
     #[test]

@@ -176,11 +176,6 @@ impl KeyVersion {
     pub const fn next(self) -> KeyVersion {
         KeyVersion(self.0.wrapping_add(1))
     }
-
-    /// Whether `other` is this version's immediate predecessor.
-    pub const fn is_predecessor(self, other: KeyVersion) -> bool {
-        other.0.wrapping_add(1) == self.0
-    }
 }
 
 impl fmt::Display for KeyVersion {
@@ -218,12 +213,8 @@ mod tests {
 
     #[test]
     fn key_version_succession() {
-        let v0 = KeyVersion::INITIAL;
-        let v1 = v0.next();
-        assert!(v1.is_predecessor(v0));
-        assert!(!v0.is_predecessor(v1));
+        assert_eq!(KeyVersion::INITIAL.next(), KeyVersion::new(1));
         assert_eq!(KeyVersion::new(255).next(), KeyVersion::new(0));
-        assert!(KeyVersion::new(0).is_predecessor(KeyVersion::new(255)));
     }
 
     #[test]
