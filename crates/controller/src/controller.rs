@@ -337,15 +337,33 @@ enum Exchange {
     /// for one counted rollover (the responder dedupes retransmissions
     /// by offer content).
     Offer(SwitchId, KexContext, AdhkdInitiator, AdhkdPayload),
-    /// Fig. 14 c: a port-key init whose legs this core redirects, from
-    /// its initiator to its responder. Each end is a `(switch, exchange
-    /// port)`, the port its legs carry in their header.
-    Redirect((SwitchId, PortId), (SwitchId, PortId)),
-    /// Fig. 14 d: a direct port-key update from an initiating `(switch,
-    /// port)` to a peer switch, run by the two data planes without the
-    /// controller. The initiator's install notice
-    /// ([`Controller::notify_port_key_installed`]) ends it.
-    PortUpdate((SwitchId, PortId), SwitchId),
+    /// Fig. 14 c or d: a port-key exchange.
+    Port(PortExchange),
+}
+
+/// A port-key exchange: from an initiating `(switch, exchange port)`, the
+/// port its legs carry in their header, to the switch at the link's other
+/// end. Either kind ends at the initiator's install notice
+/// ([`Controller::notify_port_key_installed`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct PortExchange {
+    initiator: (SwitchId, PortId),
+    peer: SwitchId,
+    /// Fig. 14 c, an init: the peer's exchange port, and this core
+    /// redirects the ADHKD legs between the two ends. `None` for Fig. 14 d,
+    /// an update the two data planes run without the controller.
+    redirect: Option<PortId>,
+}
+
+impl PortExchange {
+    /// For a redirect, the ends that send and receive its `role` leg.
+    fn redirect_leg(&self, role: AdhkdRole) -> Option<((SwitchId, PortId), (SwitchId, PortId))> {
+        let responder = (self.peer, self.redirect?);
+        Some(match role {
+            AdhkdRole::Offer => (self.initiator, responder),
+            AdhkdRole::Answer => (responder, self.initiator),
+        })
+    }
 }
 
 impl Exchange {
@@ -355,7 +373,7 @@ impl Exchange {
     fn end(&self) -> (SwitchId, PortId) {
         match *self {
             Exchange::Eak(switch, _) | Exchange::Offer(switch, ..) => (switch, PortId::CPU),
-            Exchange::Redirect(initiator, _) | Exchange::PortUpdate(initiator, _) => initiator,
+            Exchange::Port(port) => port.initiator,
         }
     }
 
@@ -373,31 +391,15 @@ impl Exchange {
                 public_key: offer.public_key.to_raw(),
                 salt: offer.salt,
             },
-            Exchange::Redirect((_, peer_port), (peer, _)) => {
-                KeyExchange::PortKeyInit { peer, peer_port }
-            }
-            Exchange::PortUpdate((_, peer_port), peer) => {
-                KeyExchange::PortKeyUpdate { peer, peer_port }
-            }
+            Exchange::Port(PortExchange {
+                initiator: (_, peer_port),
+                peer,
+                redirect,
+            }) => match redirect {
+                Some(_) => KeyExchange::PortKeyInit { peer, peer_port },
+                None => KeyExchange::PortKeyUpdate { peer, peer_port },
+            },
         }
-    }
-
-    /// For a redirect, the ends that send and receive its `role` leg.
-    fn redirect_leg(&self, role: AdhkdRole) -> Option<((SwitchId, PortId), (SwitchId, PortId))> {
-        match (self, role) {
-            (&Exchange::Redirect(initiator, responder), AdhkdRole::Offer) => {
-                Some((initiator, responder))
-            }
-            (&Exchange::Redirect(initiator, responder), AdhkdRole::Answer) => {
-                Some((responder, initiator))
-            }
-            _ => None,
-        }
-    }
-
-    /// Whether `self` is a direct port-key update from `end`.
-    fn updates_from(&self, end: (SwitchId, PortId)) -> bool {
-        matches!(*self, Exchange::PortUpdate(initiator, _) if initiator == end)
     }
 }
 
@@ -482,9 +484,12 @@ impl Exchanges {
     }
 
     /// The port-key exchanges, in start order.
-    fn ports(&self) -> impl Iterator<Item = (Slot, &InFlight)> {
+    fn ports(&self) -> impl Iterator<Item = (Slot, &PortExchange)> {
         let first = self.0.partition_point(|&(s, _)| s < Slot::Port(0));
-        self.0.range(first..).map(|(s, x)| (*s, x))
+        (self.0.range(first..)).filter_map(|(s, x)| match x.exchange {
+            Exchange::Port(ref port) => Some((*s, port)),
+            _ => None,
+        })
     }
 }
 
@@ -675,12 +680,16 @@ impl Controller {
 
     /// Notifies the controller that a fresh key landed on a DP-DP port
     /// channel. The controller observes local-key completions itself but
-    /// never sees port-key ADHKD finish (it only redirects the legs, or
-    /// sends none), so the harness reports those. Ends a direct port-key
-    /// update that `(peer, channel)` initiated, and records the
+    /// never sees a port key derived (it only redirects the legs, or sends
+    /// none), so the harness reports those. The notice ends the first
+    /// port-key exchange in start order that `(peer, channel)` initiated,
+    /// redirected init or direct update; until then
+    /// [`Controller::retry_stalled`] re-drives it. A notice names no role:
+    /// a port that is the responder of one exchange and the initiator of
+    /// another ends the second with either install. It also records the
     /// detection-to-mitigation latency if a mitigation was in flight.
     pub fn notify_port_key_installed(&mut self, peer: SwitchId, channel: PortId) {
-        if let Some(slot) = self.port_slot(|x| x.updates_from((peer, channel))) {
+        if let Some(slot) = self.port_slot(|x| x.initiator == (peer, channel)) {
             self.exchanges.remove(slot);
         }
         self.complete_mitigation(peer, channel);
@@ -955,26 +964,23 @@ impl Controller {
 
     /// The slot of the first port-key exchange in flight that `pred`
     /// picks, in start order.
-    fn port_slot(&self, pred: impl Fn(&Exchange) -> bool) -> Option<Slot> {
-        self.exchanges
-            .ports()
-            .find(|(_, x)| pred(&x.exchange))
+    fn port_slot(&self, pred: impl Fn(&PortExchange) -> bool) -> Option<Slot> {
+        (self.exchanges.ports())
+            .find(|(_, x)| pred(x))
             .map(|(slot, _)| slot)
     }
 
-    /// The pending redirect expecting a `role` leg from `from`, a
-    /// `(switch, exchange port)`: its slot, and the end the leg goes to.
+    /// Where the pending redirect expecting a `role` leg from `from`, a
+    /// `(switch, exchange port)`, sends it.
     fn redirect_for(
         &self,
         role: AdhkdRole,
         from: (SwitchId, PortId),
-    ) -> Option<(Slot, (SwitchId, PortId))> {
-        self.exchanges
-            .ports()
-            .find_map(|(slot, x)| match x.exchange.redirect_leg(role)? {
-                (sender, dest) if sender == from => Some((slot, dest)),
-                _ => None,
-            })
+    ) -> Option<(SwitchId, PortId)> {
+        (self.exchanges.ports()).find_map(|(_, x)| match x.redirect_leg(role)? {
+            (sender, dest) if sender == from => Some(dest),
+            _ => None,
+        })
     }
 
     /// Whether a pending redirect on this core awaits `leg`.
@@ -985,12 +991,12 @@ impl Controller {
     /// Starts port-key initialization between `(sw1, port1)` and
     /// `(sw2, port2)` (Fig. 14 c): `portKeyInit` to the initiator switch;
     /// subsequent ADHKD legs are redirected through
-    /// [`Controller::on_message`]. One exchange per link: while this
-    /// link's redirect is pending, a second call returns no frames — a
-    /// flapping link's recovery must not overlap key generations, and
-    /// [`Controller::retry_stalled`] re-drives the pending one. Either way
-    /// the core learns the link, so a defence mitigation on either end's
-    /// port channel knows the peer its port-key update goes to.
+    /// [`Controller::on_message`]. While this link's init is pending, a
+    /// second call returns no frames and [`Controller::retry_stalled`]
+    /// re-drives the pending one: a flapping link's recovery must not
+    /// overlap key generations. Either way the core learns the link, so a
+    /// defence mitigation on either end's port channel knows the peer its
+    /// port-key update goes to.
     pub fn port_key_init(
         &mut self,
         sw1: SwitchId,
@@ -998,17 +1004,12 @@ impl Controller {
         sw2: SwitchId,
         port2: PortId,
     ) -> Vec<Outgoing> {
-        let (initiator, responder) = ((sw1, port1), (sw2, port2));
-        self.learn_link(initiator, responder);
-        let link = Some((initiator, responder));
-        if self
-            .port_slot(|x| x.redirect_leg(AdhkdRole::Offer) == link)
-            .is_some()
-        {
-            return Vec::new();
-        }
-        self.trace_port_exchange(sw1, sw2);
-        vec![self.start(Exchange::Redirect(initiator, responder))]
+        self.learn_link((sw1, port1), (sw2, port2));
+        self.start_port(PortExchange {
+            initiator: (sw1, port1),
+            peer: sw2,
+            redirect: Some(port2),
+        })
     }
 
     /// Records that `a` and `b` are the two ends of one DP-DP link.
@@ -1018,34 +1019,38 @@ impl Controller {
     }
 
     /// Starts a direct DP-DP port-key rollover (Fig. 14 d): one
-    /// `portKeyUpdate` control message to the initiating switch. One
-    /// exchange per initiating end: while its update is in flight, a
-    /// second call returns no frames and [`Controller::retry_stalled`]
-    /// re-drives the pending one.
+    /// `portKeyUpdate` control message to the initiating switch. While an
+    /// update from `(sw1, port1)` is in flight, a second call returns no
+    /// frames and [`Controller::retry_stalled`] re-drives the pending one.
     pub fn port_key_update(
         &mut self,
         sw1: SwitchId,
         port1: PortId,
         sw2: SwitchId,
     ) -> Vec<Outgoing> {
-        let initiator = (sw1, port1);
-        if self.port_slot(|x| x.updates_from(initiator)).is_some() {
-            return Vec::new();
-        }
-        self.trace_port_exchange(sw1, sw2);
-        vec![self.start(Exchange::PortUpdate(initiator, sw2))]
+        self.start_port(PortExchange {
+            initiator: (sw1, port1),
+            peer: sw2,
+            redirect: None,
+        })
     }
 
-    /// Stamps the start of a port-key exchange between `sw1` and `sw2`.
-    fn trace_port_exchange(&self, sw1: SwitchId, sw2: SwitchId) {
-        let (a, b) = (u64::from(sw1.value()), u64::from(sw2.value()));
-        self.trace_instant(SpanKind::PortKeyExchange, self.now_ns, a, b);
+    /// Starts `port` and stamps its start, unless the same exchange is
+    /// pending: then no frame goes out, and [`Controller::retry_stalled`]
+    /// re-drives the pending one until its initiator's install ends it.
+    fn start_port(&mut self, port: PortExchange) -> Vec<Outgoing> {
+        if self.port_slot(|x| *x == port).is_some() {
+            return Vec::new();
+        }
+        let (a, b) = (port.initiator.0.value(), port.peer.value());
+        self.trace_instant(SpanKind::PortKeyExchange, self.now_ns, a.into(), b.into());
+        vec![self.start(Exchange::Port(port))]
     }
 
     /// Re-drives stalled key exchanges (a lost message leaves one in
     /// flight): EAK restarts with a fresh salt, a pending ADHKD offer is
-    /// re-sent as first sent, a pending port-key redirect is re-initiated
-    /// and a pending direct port-key update is re-sent. Safe to call
+    /// re-sent as first sent, and a pending port-key exchange re-sends its
+    /// `portKeyInit` or `portKeyUpdate`. Safe to call
     /// periodically — completed exchanges are no longer in flight and
     /// produce nothing.
     ///
@@ -1083,9 +1088,9 @@ impl Controller {
                 // dedupe cache keeps the duplicate from deriving a second
                 // key (the key rule seals a LocalInit offer under K_auth
                 // and a LocalUpdate one under the current K_local). A
-                // `portKeyInit` re-kicks the redirect from the top, and a
-                // switch with the `portKeyUpdate`'s exchange pending
-                // re-sends its offer unchanged.
+                // switch with the port exchange's offer pending re-sends
+                // it unchanged, and its responder answers the copy from
+                // its cache.
                 out.push(self.seal_kex(switch, kex));
             }
             // A restart reset the slot's attempt count; it carries on so
@@ -1504,24 +1509,22 @@ impl Controller {
     }
 
     /// Fig. 14 c: forwards a verified redirect leg by the pending redirect
-    /// that awaits it, toward the other data plane. The answer leg ends
-    /// the redirect (this link's only: concurrent exchanges between the
-    /// same switch pair on other ports stay pending). The controller never
-    /// learns the port key: `public_key` and `salt` are public values.
-    /// Hands the leg back when no redirect here awaits it, or when another
-    /// core owns its destination and must seal it.
+    /// that awaits it, toward the other data plane. Forwarding ends
+    /// nothing: the redirect stays pending, and its retries re-drive it,
+    /// until its initiator's install notice, so a lost answer leg is sent
+    /// again from the responder's cache. The controller never learns the
+    /// port key: `public_key` and `salt` are public values. Hands the leg
+    /// back when no redirect here awaits it, or when another core owns its
+    /// destination and must seal it.
     pub(crate) fn redirect(
         &mut self,
         leg: RedirectLeg,
         out: &mut Vec<Outgoing>,
         events: &mut Vec<ControllerEvent>,
     ) -> Option<Handoff> {
-        let Some((slot, to)) = self.redirect_for(leg.role, leg.from) else {
+        let Some(to) = self.redirect_for(leg.role, leg.from) else {
             return Some(Handoff::Unclaimed(leg));
         };
-        if leg.role == AdhkdRole::Answer {
-            self.exchanges.remove(slot);
-        }
         let from = leg.from.0;
         events.push(ControllerEvent::PortExchangeRedirected { from, to: to.0 });
         if let Some(t) = &self.telemetry {
@@ -2314,6 +2317,39 @@ mod tests {
         c.set_now(10 * KEX_RETRY_BACKOFF_NS);
         assert!(c.retry_stalled().is_empty());
         assert_eq!(c.port_key_update(sw, port, peer).len(), 1, "the next one");
+    }
+
+    /// One end rule for both port kinds: a redirected init, too, ends at
+    /// its initiator's install notice and not at its responder's. A notice
+    /// names a `(switch, port)` and not a role, so where that port is the
+    /// responder of one exchange and the initiator of another, its install
+    /// ends the exchange it initiated, whichever one the install finished.
+    #[test]
+    fn a_notice_ends_the_exchange_its_port_initiated() {
+        let (mut c, a) = keyed_controller(Key64::new(0xfeed));
+        let b = SwitchId::new(2);
+        c.register_switch(b, Key64::new(0x5eed));
+        c.rekey(b, Key64::new(0xbeef), false);
+        let (pa, pb) = (PortId::new(1), PortId::new(3));
+        assert_eq!(c.port_key_init(a, pa, b, pb).len(), 1);
+        assert_eq!(c.port_key_update(b, pb, a).len(), 1);
+        let retry = |c: &mut Controller| {
+            c.set_now(c.now_ns + (KEX_RETRY_BACKOFF_NS << KEX_RETRY_MAX_ATTEMPTS));
+            let out = c.retry_stalled();
+            out.iter()
+                .map(|o| (o.to, Message::decode(&o.bytes).unwrap().body().clone()))
+                .collect::<Vec<_>>()
+        };
+        // `b`'s install as the init's responder ends `b`'s update.
+        c.notify_port_key_installed(b, pb);
+        let init = Body::KeyExchange(KeyExchange::PortKeyInit {
+            peer: b,
+            peer_port: pa,
+        });
+        assert_eq!(retry(&mut c), [(a, init)], "the init is still pending");
+        c.notify_port_key_installed(a, pa);
+        assert!(retry(&mut c).is_empty(), "the initiator's install ends it");
+        assert_eq!(c.stats().kex_abandoned, 0);
     }
 
     /// ROADMAP 8: the response path once ended in `unreachable!("requests

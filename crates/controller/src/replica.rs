@@ -29,8 +29,15 @@
 //!   there; the responder's owner seals it toward the responder. The
 //!   answer leg arrives at the responder's owner and is verified there,
 //!   in that owner's window; the set hands the verified leg to the core
-//!   whose redirect awaits it, which ends the redirect and seals the leg
-//!   toward the initiator. The hand-off is a value that one
+//!   whose redirect awaits it, which seals the leg toward the initiator.
+//!   Forwarding the answer ends nothing: the redirect ends, as a direct
+//!   update does, when the initiator's install notice reaches its owner
+//!   ([`ReplicaSet::notify_port_key_installed`]), the home. Until then the
+//!   home's retries re-send `portKeyInit`, the initiator re-sends its
+//!   pending offer and the responder its cached answer, so a lost leg is
+//!   recovered with no new derivation; an initiator takes an answer at
+//!   most once, so a copy reaching a later redirect on the link derives
+//!   nothing. The hand-off is a value that one
 //!   [`ReplicaSet::on_message`] call passes from core to core and drops;
 //!   nothing is queued. A forged leg is rejected by its sender's owner and
 //!   moves nothing. A redirected leg keeps its origin switch as sender
@@ -284,8 +291,11 @@ impl ReplicaSet {
             .collect()
     }
 
-    /// Reports a DP-DP port-key install to the owner's defence
-    /// accounting (see [`Controller::notify_port_key_installed`]).
+    /// Reports a DP-DP port-key install on `(peer, channel)` to `peer`'s
+    /// owner, which started every port-key exchange that port initiates:
+    /// the notice ends that exchange, redirected or direct, and completes
+    /// a mitigation waiting on the channel (see
+    /// [`Controller::notify_port_key_installed`]).
     pub fn notify_port_key_installed(&mut self, now_ns: u64, peer: SwitchId, channel: PortId) {
         self.core_at(now_ns, peer)
             .notify_port_key_installed(peer, channel);
@@ -406,7 +416,7 @@ mod tests {
     use super::*;
 
     use crate::daemons::KexStatus;
-    use p4auth_core::agent::{AgentConfig, P4AuthSwitch};
+    use p4auth_core::agent::{AgentConfig, AgentEvent, P4AuthSwitch};
     use p4auth_core::auth::RejectReason;
     use p4auth_dataplane::register::RegisterArray;
     use p4auth_wire::Message;
@@ -462,8 +472,9 @@ mod tests {
         (set, agents)
     }
 
-    /// Runs controller frames to quiescence at `t`; returns the events
-    /// the set reported along the way.
+    /// Runs controller frames to quiescence at `t`, reporting each agent's
+    /// port-key installs as the harness does; returns the events the set
+    /// reported along the way.
     fn pump(
         set: &mut ReplicaSet,
         agents: &mut Agents,
@@ -473,13 +484,37 @@ mod tests {
         let mut seen = Vec::new();
         while let Some(o) = pending.pop() {
             let agent = agents.get_mut(&o.to).expect("known switch");
-            for (_, bytes) in agent.on_packet(t, PortId::CPU, &o.bytes).outputs {
+            let output = agent.on_packet(t, PortId::CPU, &o.bytes);
+            report_installs(set, t, o.to, &output.events);
+            for (_, bytes) in output.outputs {
                 let (out, events) = set.on_message(t, o.to, &bytes);
                 pending.extend(out);
                 seen.extend(events);
             }
         }
         seen
+    }
+
+    /// Reports `switch`'s port-key installs among `events` to its owner,
+    /// as the harness's `SwitchNode` does.
+    fn report_installs(set: &mut ReplicaSet, t: u64, switch: SwitchId, events: &[AgentEvent]) {
+        for e in events {
+            if let AgentEvent::KeyInstalled { port } | AgentEvent::KeyRolled { port } = *e {
+                if !port.is_cpu() {
+                    set.notify_port_key_installed(t, switch, port);
+                }
+            }
+        }
+    }
+
+    /// Two switches for a link with `n` replicas: owned by partitions 0
+    /// and 1, or both by the one replica.
+    fn pair(n: usize) -> (SwitchId, SwitchId) {
+        let x = pick(n, 0);
+        match n {
+            1 => (x, SwitchId::new(x.value() + 1)),
+            _ => (x, pick(n, 1)),
+        }
     }
 
     /// Delivers one controller frame to its agent; the single frame the
@@ -605,11 +640,7 @@ mod tests {
     fn links_started_from_opposite_ends_complete_without_a_retry() {
         let (p1, p2) = (PortId::new(1), PortId::new(2));
         for n in 1..=3 {
-            let x = pick(n, 0);
-            let y = match n {
-                1 => SwitchId::new(x.value() + 1),
-                _ => pick(n, 1),
-            };
+            let (x, y) = pair(n);
             let (mut set, mut agents) = fleet(n, &seeds_for([x, y]));
             let from_y = set.port_key_init(2_000, y, p2, x, p2);
             pump(&mut set, &mut agents, 2_000, from_y);
@@ -957,6 +988,95 @@ mod tests {
         }
         assert!(set.rollover_complete(), "{:?}", set.db().status(r));
         assert_eq!(set.db().status(r), Some(KexStatus::Done { epoch: 1 }));
+    }
+
+    /// The forwarded answer leg of a redirect is lost. The redirect ends
+    /// at its initiator's install, not when the answer is forwarded, so
+    /// the home's retry re-sends `portKeyInit`, the initiator its pending
+    /// offer and the responder its cached answer: both ends finish on the
+    /// one key the responder derived, and nothing is abandoned.
+    #[test]
+    fn a_lost_forwarded_answer_is_recovered_by_the_retry() {
+        let port = PortId::new(1);
+        for n in 1..=2 {
+            let (a, r) = pair(n);
+            let (mut set, mut agents) = fleet(n, &seeds_for([a, r]));
+            let t = 2_000;
+            let mut init = set.port_key_init(t, a, port, r, port);
+            let offer = reply(&mut agents, t, init.remove(0));
+            let (mut redirected, _) = set.on_message(t, a, &offer);
+            let answer = reply(&mut agents, t, redirected.remove(0));
+            let (forwarded, _) = set.on_message(t, r, &answer);
+            assert_eq!(forwarded.len(), 1, "N = {n}: the answer leg, then lost");
+            let derived = agents[&r].keys(port).current();
+            assert!(derived.is_some(), "N = {n}: {r} answered");
+
+            for step in 1..=4u64 {
+                let t = t + step * 100_000_000;
+                let retries = set.retry_stalled(t);
+                pump(&mut set, &mut agents, t, retries);
+            }
+            assert_eq!(agents[&a].keys(port).current(), derived, "N = {n}");
+            assert_eq!(agents[&r].keys(port).current(), derived, "N = {n}");
+            assert_eq!(set.stats().kex_abandoned, 0, "N = {n}");
+        }
+    }
+
+    /// The answer to a retried offer copy is still in flight when the next
+    /// init on the same link starts, and the new redirect takes it (an
+    /// answer leg names no offer). The initiator has finished that answer
+    /// once and drops the copy, so it derives nothing; the new offer is
+    /// finished by its own answer, and both ends agree.
+    #[test]
+    fn a_stale_answer_copy_derives_nothing_at_the_next_init() {
+        let port = PortId::new(1);
+        for n in 1..=2 {
+            let (a, r) = pair(n);
+            let (mut set, mut agents) = fleet(n, &seeds_for([a, r]));
+            let t = 2_000;
+            let mut kicks = set.port_key_init(t, a, port, r, port);
+            let t = t + 200_000;
+            kicks.extend(set.retry_stalled(t));
+            assert_eq!(kicks.len(), 2, "N = {n}: portKeyInit and its retry");
+            let answers: Vec<Vec<u8>> = kicks
+                .into_iter()
+                .map(|kick| {
+                    let offer = reply(&mut agents, t, kick);
+                    let (mut redirected, _) = set.on_message(t, a, &offer);
+                    reply(&mut agents, t, redirected.remove(0))
+                })
+                .collect();
+            let (out, _) = set.on_message(t, r, &answers[0]);
+            pump(&mut set, &mut agents, t, out);
+            let first = agents[&a].keys(port).current();
+            assert!(first.is_some(), "N = {n}: {a} installed its port key");
+            assert_eq!(first, agents[&r].keys(port).current(), "N = {n}");
+
+            // The next init reaches the initiator ahead of the stale copy.
+            let mut init = set.port_key_init(t, a, port, r, port);
+            assert_eq!(init.len(), 1, "N = {n}: the first init has ended");
+            let offer = reply(&mut agents, t, init.remove(0));
+            let (stale, _) = set.on_message(t, r, &answers[1]);
+            for o in stale {
+                let agent = agents.get_mut(&o.to).expect("known switch");
+                let output = agent.on_packet(t, PortId::CPU, &o.bytes);
+                assert!(
+                    !output.events.iter().any(|e| matches!(
+                        e,
+                        AgentEvent::KeyInstalled { .. } | AgentEvent::KeyRolled { .. }
+                    )),
+                    "N = {n}: the stale answer derived a key"
+                );
+            }
+            assert_eq!(agents[&a].keys(port).current(), first, "N = {n}");
+
+            let (out, _) = set.on_message(t, a, &offer);
+            pump(&mut set, &mut agents, t, out);
+            let second = agents[&a].keys(port).current();
+            assert_ne!(second, first, "N = {n}: the second init derived");
+            assert_eq!(second, agents[&r].keys(port).current(), "N = {n}");
+            assert_eq!(set.stats().kex_abandoned, 0, "N = {n}");
+        }
     }
 
     /// A forged copy of a redirect's answer leg is rejected by the

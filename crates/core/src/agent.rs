@@ -292,6 +292,19 @@ struct AnsweredOffer {
     answer: (u64, u32),
 }
 
+/// The port-key exchange a switch initiates on one `(context, slot)`. It
+/// takes an answer at most once, the mirror of the responder's
+/// [`AnsweredOffer`]: an answer equal to the last one it finished is a
+/// copy (the answer to a retried offer copy, still in flight when the
+/// next exchange started) and derives nothing.
+#[derive(Default)]
+struct PortKex {
+    /// The initiator and the offer as sent, until an answer finishes it.
+    pending: Option<(AdhkdInitiator, AdhkdPayload)>,
+    /// The last answer that finished an offer here.
+    finished: Option<(u64, u32)>,
+}
+
 /// The P4Auth data-plane agent.
 pub struct P4AuthSwitch {
     config: AgentConfig,
@@ -310,9 +323,8 @@ pub struct P4AuthSwitch {
     packet: Packet,
     /// Indexed by `PortId` (a `u8`): dense, so no hashing.
     quarantined: [bool; 256],
-    /// ADHKD exchanges this switch initiated, per `(context, slot)`: the
-    /// initiator and the offer as sent.
-    pending_kex: IdMap<(KexContext, PortId), (AdhkdInitiator, AdhkdPayload)>,
+    /// Port-key exchanges this switch initiated, per `(context, slot)`.
+    pending_kex: IdMap<(KexContext, PortId), PortKex>,
     /// At-most-once responder cache: the last ADHKD offer answered per
     /// `(context, slot)`. A retransmitted offer (the initiator's
     /// stall-retry racing the original through the network: the same
@@ -552,11 +564,12 @@ impl P4AuthSwitch {
     /// answer to the first is finished with, and the two ends would derive
     /// different keys.
     fn pending_port_kex(&mut self, context: KexContext, slot: PortId) -> AdhkdPayload {
-        if let Some(&(_, offer)) = self.pending_kex.get(&(context, slot)) {
+        let kex = self.pending_kex.entry((context, slot)).or_default();
+        if let Some((_, offer)) = kex.pending {
             return offer;
         }
         let (initiator, offer) = AdhkdInitiator::start(DhParams::recommended(), &mut self.rng);
-        self.pending_kex.insert((context, slot), (initiator, offer));
+        kex.pending = Some((initiator, offer));
         offer
     }
 
@@ -1189,7 +1202,17 @@ impl P4AuthSwitch {
                 public_key,
                 salt,
             } => {
-                if let Some((initiator, _)) = self.pending_kex.remove(&(context, slot)) {
+                // An answer finishes the pending offer once; a copy of the
+                // one already finished derives nothing.
+                let answer = Some((public_key, salt));
+                let initiator = (self.pending_kex.get_mut(&(context, slot)))
+                    .filter(|kex| kex.finished != answer)
+                    .and_then(|kex| {
+                        let pending = kex.pending.take()?;
+                        kex.finished = answer;
+                        Some(pending)
+                    });
+                if let Some((initiator, _)) = initiator {
                     let master = initiator.finish(
                         AdhkdPayload {
                             public_key: DhPublic::from_raw(public_key),
@@ -2212,38 +2235,54 @@ mod tests {
         assert!(out.has_event(&AgentEvent::AuthKeyDerived));
     }
 
+    /// The ports of the link [`port_update_pair`] keys.
+    const A_PORT: PortId = PortId::new(2);
+    const B_PORT: PortId = PortId::new(1);
+    /// The local key [`port_update_pair`] gives `a`.
+    const A_LOCAL: Key64 = Key64::new(42);
+
+    /// Agents `a` and `b` sharing a port key on `a`:[`A_PORT`] –
+    /// `b`:[`B_PORT`], `a` holding local key [`A_LOCAL`].
+    fn port_update_pair() -> (P4AuthSwitch, P4AuthSwitch) {
+        let k_port = Key64::new(7);
+        let mut a = agent();
+        let config = AgentConfig::new(SwitchId::new(2), 4, SEED);
+        let mut b = P4AuthSwitch::new(config, None);
+        install_local(&mut a, A_LOCAL);
+        a.install_key(A_PORT, k_port);
+        b.install_key(B_PORT, k_port);
+        (a, b)
+    }
+
+    /// The controller's `portKeyUpdate` for `a`:[`A_PORT`], numbered `seq`.
+    fn port_key_update(seq: u32) -> Vec<u8> {
+        let kex = KeyExchange::PortKeyUpdate {
+            peer: SwitchId::new(2),
+            peer_port: A_PORT,
+        };
+        Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, SeqNum::new(seq), kex)
+            .sealed(&mac(), A_LOCAL)
+            .encode()
+    }
+
+    /// How many keys `out` rolled.
+    fn rolled(out: &AgentOutput) -> usize {
+        (out.events.iter())
+            .filter(|e| matches!(e, AgentEvent::KeyRolled { .. }))
+            .count()
+    }
+
     /// A `portKeyUpdate` retry that races the original: the initiator
     /// re-sends its pending offer rather than starting over, the responder
     /// answers the copy from its cache, and each end derives once, the same
     /// key.
     #[test]
     fn a_repeated_port_key_update_resends_the_pending_offer() {
-        let (k_local, k_port) = (Key64::new(42), Key64::new(7));
-        let (a_port, b_port) = (PortId::new(2), PortId::new(1));
-        let mut a = agent();
-        let config = AgentConfig::new(SwitchId::new(2), 4, SEED);
-        let mut b = P4AuthSwitch::new(config, None);
-        install_local(&mut a, k_local);
-        a.install_key(a_port, k_port);
-        b.install_key(b_port, k_port);
-        let update = |seq| {
-            let kex = KeyExchange::PortKeyUpdate {
-                peer: SwitchId::new(2),
-                peer_port: a_port,
-            };
-            Message::key_exchange(SwitchId::CONTROLLER, PortId::CPU, SeqNum::new(seq), kex)
-                .sealed(&mac(), k_local)
-                .encode()
-        };
-        let rolled = |out: &AgentOutput| {
-            out.events
-                .iter()
-                .filter(|e| matches!(e, AgentEvent::KeyRolled { .. }))
-                .count()
-        };
+        let (a_port, b_port) = (A_PORT, B_PORT);
+        let (mut a, mut b) = port_update_pair();
         let offers: Vec<Vec<u8>> = [1, 2]
             .into_iter()
-            .flat_map(|seq| a.on_packet(0, PortId::CPU, &update(seq)).outputs)
+            .flat_map(|seq| a.on_packet(0, PortId::CPU, &port_key_update(seq)).outputs)
             .map(|(port, frame)| {
                 assert_eq!(port, a_port);
                 frame
@@ -2268,8 +2307,45 @@ mod tests {
         }
         assert_eq!((derived_a, derived_b), (1, 1), "each end derives once");
         let key = a.keys(a_port).current();
-        assert_ne!(key, Some(k_port));
+        assert_ne!(key, Some(Key64::new(7)));
         assert_eq!(key, b.keys(b_port).current());
+    }
+
+    /// Fig. 14 d's copy of the duplicate-answer case: the answer to a
+    /// retried `portKeyUpdate`'s offer copy arrives after the next update
+    /// on the same port has started. The initiator took that answer once
+    /// and drops the copy, so the new offer is finished by its own answer
+    /// and both ends agree.
+    #[test]
+    fn a_duplicate_port_update_answer_is_dropped_by_the_next_update() {
+        let (a_port, b_port) = (A_PORT, B_PORT);
+        let (mut a, mut b) = port_update_pair();
+        let offer_of = |a: &mut P4AuthSwitch, seq| {
+            let mut outputs = a.on_packet(0, PortId::CPU, &port_key_update(seq)).outputs;
+            assert_eq!(outputs.len(), 1, "one offer");
+            outputs.remove(0).1
+        };
+        let copies = [offer_of(&mut a, 1), offer_of(&mut a, 2)];
+        let answers: Vec<Vec<u8>> = copies
+            .iter()
+            .flat_map(|offer| b.on_packet(0, b_port, offer).outputs)
+            .map(|(_, frame)| frame)
+            .collect();
+        assert_eq!(answers.len(), 2, "both copies answered");
+        assert_eq!(rolled(&a.on_packet(0, a_port, &answers[0])), 1);
+        let first = a.keys(a_port).current();
+        assert_eq!(first, b.keys(b_port).current());
+
+        let next = offer_of(&mut a, 3);
+        let stale = a.on_packet(0, a_port, &answers[1]);
+        assert_eq!(rolled(&stale), 0, "the duplicate answer derives nothing");
+        assert_eq!(a.keys(a_port).current(), first);
+        let answer = b.on_packet(0, b_port, &next).outputs;
+        assert_eq!(answer.len(), 1, "the next offer answered");
+        assert_eq!(rolled(&a.on_packet(0, a_port, &answer[0].1)), 1);
+        let key = a.keys(a_port).current();
+        assert_ne!(key, first, "the next update rolled");
+        assert_eq!(key, b.keys(b_port).current(), "both ends agree");
     }
 
     #[test]

@@ -418,7 +418,9 @@ impl SimNode for ControllerNode {
             // A flapping link can come back up while the previous
             // recovery's exchange is still in flight (the legs travel the
             // control channel, which the flap does not touch); the home
-            // core then starts nothing and the pending exchange completes.
+            // core then starts nothing, and the pending exchange runs on,
+            // re-driven by its retries, until its initiator's install
+            // notice (`SwitchNode` reports it) ends it.
             let outgoing =
                 self.set
                     .borrow_mut()

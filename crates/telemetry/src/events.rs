@@ -159,13 +159,16 @@ pub enum Event {
         /// Recirculations consumed by this packet.
         count: u32,
     },
-    /// The controller's adaptive defence acted on a (peer, channel).
+    /// The controller's adaptive defence decided a mitigation on a
+    /// (peer, channel), applying it in the same call, or saw it complete.
     DefenceAction {
         /// The peer whose channel triggered the defence.
         peer: u16,
         /// The channel (ingress port number; 0 = CPU/controller channel).
         channel: u8,
-        /// Action name (e.g. `"rollover"`, `"quarantine"`, `"release"`).
+        /// Action name: the mitigation decided (`"key_rollover"`,
+        /// `"quarantine"`), or `"mitigation_complete"` when a fresh key
+        /// landed on the channel.
         action: &'static str,
     },
 }

@@ -75,7 +75,9 @@ pub enum SpanKind {
     Mitigation = 12,
     /// Mitigation stage: crossing detected → action issued.
     MitigationDetect = 13,
-    /// Mitigation stage: decision published / consumed by orchestration.
+    /// Mitigation stage: decision published. The core applies the
+    /// mitigation in the call that decided it, so this is an instant at
+    /// the detection time.
     MitigationPublish = 14,
     /// Mitigation stage: key-exchange round trips on the wire.
     MitigationKmp = 15,
